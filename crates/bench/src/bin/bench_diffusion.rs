@@ -15,9 +15,12 @@
 //! **direction-optimized** parallel one (cold free functions, fresh
 //! scratch per call), and the **warm-workspace** repeated-query path (a
 //! persistent `Engine` whose `Workspace` is recycled across queries), at
-//! 1, 2, and 4 threads (best-of-`reps` wall-clock; the warm engine is
-//! primed before timing, so `warm{t}_s` is the amortized per-query
-//! latency of a query stream). The `dir_vs_push` section reports the
+//! 1, 2, and 4 threads — those of them the box has hardware threads for:
+//! the file records `hardware_threads`, and a thread count above it gets
+//! no column anywhere (an oversubscribed pool measures the scheduler, not
+//! the algorithm). Timings are best-of-`reps` wall-clock; the warm engine
+//! is primed before timing, so `warm{t}_s` is the amortized per-query
+//! latency of a query stream. The `dir_vs_push` section reports the
 //! within-run speedup of direction optimization and `warm_vs_par` the
 //! speedup of workspace reuse over the cold path; with `--baseline FILE`
 //! the previous recording is embedded together with per-row speedups,
@@ -59,7 +62,7 @@
 //! reader relies on that line discipline instead of a JSON parser (the
 //! container has no serde).
 
-use lgc_bench::{suite, suite_seed, time_best_of, SuiteGraph};
+use lgc_bench::{hardware_threads, suite, suite_seed, time_best_of, SuiteGraph};
 use lgc_core as lgc;
 use lgc_core::{Engine, Seed, Service};
 use lgc_graph::{CsrBackend, CsrCompressed};
@@ -68,7 +71,56 @@ use lgc_parallel::Pool;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
+/// The thread counts the harness would like a column for.
 const THREADS: [usize; 3] = [1, 2, 4];
+
+/// `(i, THREADS[i])` for the thread counts this box has hardware for.
+fn measured() -> impl Iterator<Item = (usize, usize)> {
+    let cores = hardware_threads();
+    let indexed = THREADS.into_iter().enumerate();
+    indexed.filter(move |&(_, t)| t <= cores)
+}
+
+/// One value per entry of [`THREADS`]. A thread count above the box's
+/// hardware parallelism is *skipped*, not measured oversubscribed: its
+/// slot stays `NaN` and no column is written for it.
+#[derive(Clone, Copy)]
+struct Cols([f64; THREADS.len()]);
+
+impl Cols {
+    /// `f(i, t)` for every `THREADS[i] = t` the hardware can honour.
+    fn measure(mut f: impl FnMut(usize, usize) -> f64) -> Cols {
+        let mut vals = [f64::NAN; THREADS.len()];
+        for (i, t) in measured() {
+            vals[i] = f(i, t);
+        }
+        Cols(vals)
+    }
+
+    /// Column-wise `self ÷ other`.
+    fn over(self, other: Cols) -> Cols {
+        Cols(std::array::from_fn(|i| self.0[i] / other.0[i]))
+    }
+
+    /// Appends `, "<prefix><t><suffix>": <value>` for every measured column.
+    fn write(self, s: &mut String, prefix: &str, suffix: &str, decimals: usize) {
+        for (t, v) in THREADS.iter().zip(self.0).filter(|(_, v)| !v.is_nan()) {
+            let _ = write!(s, ", \"{prefix}{t}{suffix}\": {v:.decimals$}");
+        }
+    }
+
+    /// Reads the `<prefix><t>_s` family back; `None` if no column exists.
+    fn read(field: impl Fn(&str) -> Option<f64>, prefix: &str) -> Option<Cols> {
+        let vals = THREADS.map(|t| field(&format!("{prefix}{t}_s")).unwrap_or(f64::NAN));
+        vals.iter().any(|v| !v.is_nan()).then_some(Cols(vals))
+    }
+
+    /// Milliseconds to one decimal, for the progress lines.
+    fn ms(self) -> Vec<f64> {
+        let measured = self.0.iter().filter(|v| !v.is_nan());
+        measured.map(|s| (s * 1e4).round() / 10.0).collect()
+    }
+}
 
 /// Queries per small batch (the "repeated small batches" serving shape).
 const SMALL_BATCH: usize = 8;
@@ -80,9 +132,9 @@ struct SvcRow {
     workload: &'static str,
     /// Cold per-call times (the pre-Service baseline), when the workload
     /// has a meaningful one.
-    cold_s: Option<[f64; THREADS.len()]>,
+    cold_s: Option<Cols>,
     /// Times through the persistent engine / service.
-    svc_s: [f64; THREADS.len()],
+    svc_s: Cols,
     /// Queries per timed run (for the derived throughput column).
     queries: usize,
 }
@@ -96,23 +148,14 @@ impl SvcRow {
             self.graph, self.workload
         );
         if let Some(cold_s) = self.cold_s {
-            for (t, secs) in THREADS.iter().zip(cold_s) {
-                let _ = write!(s, ", \"cold{t}_s\": {secs:.6}");
-            }
+            cold_s.write(&mut s, "cold", "_s", 6);
         }
-        for (t, secs) in THREADS.iter().zip(self.svc_s) {
-            let _ = write!(s, ", \"svc{t}_s\": {secs:.6}");
-        }
+        self.svc_s.write(&mut s, "svc", "_s", 6);
         match self.cold_s {
-            Some(cold_s) => {
-                for ((t, cold), svc) in THREADS.iter().zip(cold_s).zip(self.svc_s) {
-                    let _ = write!(s, ", \"reuse{t}\": {:.3}", cold / svc);
-                }
-            }
+            Some(cold_s) => cold_s.over(self.svc_s).write(&mut s, "reuse", "", 3),
             None => {
-                for (t, secs) in THREADS.iter().zip(self.svc_s) {
-                    let _ = write!(s, ", \"qps{t}\": {:.0}", self.queries as f64 / secs);
-                }
+                let queries = Cols([self.queries as f64; THREADS.len()]);
+                queries.over(self.svc_s).write(&mut s, "qps", "", 0);
             }
         }
         s.push('}');
@@ -130,8 +173,8 @@ struct CompRow {
     graph: String,
     plain_adj_bytes: usize,
     comp_adj_bytes: usize,
-    pull_plain_s: [f64; THREADS.len()],
-    pull_comp_s: [f64; THREADS.len()],
+    pull_plain_s: Cols,
+    pull_comp_s: Cols,
 }
 
 impl CompRow {
@@ -145,15 +188,10 @@ impl CompRow {
             self.comp_adj_bytes,
             self.plain_adj_bytes as f64 / self.comp_adj_bytes.max(1) as f64
         );
-        for (t, secs) in THREADS.iter().zip(self.pull_plain_s) {
-            let _ = write!(s, ", \"pull_plain{t}_s\": {secs:.6}");
-        }
-        for (t, secs) in THREADS.iter().zip(self.pull_comp_s) {
-            let _ = write!(s, ", \"pull_comp{t}_s\": {secs:.6}");
-        }
-        for ((t, comp), plain) in THREADS.iter().zip(self.pull_comp_s).zip(self.pull_plain_s) {
-            let _ = write!(s, ", \"pull_overhead{t}\": {:.3}", comp / plain);
-        }
+        self.pull_plain_s.write(&mut s, "pull_plain", "_s", 6);
+        self.pull_comp_s.write(&mut s, "pull_comp", "_s", 6);
+        let overhead = self.pull_comp_s.over(self.pull_plain_s);
+        overhead.write(&mut s, "pull_overhead", "", 3);
         s.push('}');
         s
     }
@@ -163,23 +201,18 @@ impl CompRow {
 /// serving path, per graph.
 struct RobustRow {
     graph: String,
-    plain_s: [f64; THREADS.len()],
-    guarded_s: [f64; THREADS.len()],
+    plain_s: Cols,
+    guarded_s: Cols,
 }
 
 impl RobustRow {
     fn to_json_line(&self) -> String {
         let mut s = String::new();
         let _ = write!(s, "    {{\"graph\": \"{}\"", self.graph);
-        for (t, secs) in THREADS.iter().zip(self.plain_s) {
-            let _ = write!(s, ", \"plain{t}_s\": {secs:.6}");
-        }
-        for (t, secs) in THREADS.iter().zip(self.guarded_s) {
-            let _ = write!(s, ", \"guarded{t}_s\": {secs:.6}");
-        }
-        for ((t, guarded), plain) in THREADS.iter().zip(self.guarded_s).zip(self.plain_s) {
-            let _ = write!(s, ", \"guard_overhead{t}\": {:.3}", guarded / plain);
-        }
+        self.plain_s.write(&mut s, "plain", "_s", 6);
+        self.guarded_s.write(&mut s, "guarded", "_s", 6);
+        let overhead = self.guarded_s.over(self.plain_s);
+        overhead.write(&mut s, "guard_overhead", "", 3);
         s.push('}');
         s
     }
@@ -198,7 +231,7 @@ struct FlowRow {
     phi_refined: f64,
     cluster_in: usize,
     cluster_out: usize,
-    refine_s: [f64; THREADS.len()],
+    refine_s: Cols,
 }
 
 impl FlowRow {
@@ -218,9 +251,7 @@ impl FlowRow {
             self.cluster_in,
             self.cluster_out
         );
-        for (t, secs) in THREADS.iter().zip(self.refine_s) {
-            let _ = write!(s, ", \"refine{t}_s\": {secs:.6}");
-        }
+        self.refine_s.write(&mut s, "refine", "_s", 6);
         s.push('}');
         s
     }
@@ -252,22 +283,21 @@ fn bench_flow(sg: &SuiteGraph, reps: usize) -> FlowRow {
         }
     }
     let q = lgc::Query::new(seed, prnibble(eps));
-    let mut refine_s = [0.0; THREADS.len()];
     let mut refined = None;
     let mut result = None;
-    for (i, &t) in THREADS.iter().enumerate() {
+    let refine_s = Cols::measure(|_, t| {
         let engine = Engine::builder(g).threads(t).build();
         let r = engine.run(&q);
         engine.improve(&r); // prime (allocator warm-up, like the rows above)
         let (f, secs) = time_best_of(reps, || engine.improve(&r));
-        refine_s[i] = secs;
         assert!(
             f.conductance <= r.conductance,
             "refinement must never worsen conductance"
         );
         refined = Some(f);
         result = Some(r);
-    }
+        secs
+    });
     let (result, refined) = (result.unwrap(), refined.unwrap());
     eprintln!(
         "  {:<10} phi {:.4} -> {:.4} ({} -> {} vertices)  refine {:?}ms",
@@ -276,7 +306,7 @@ fn bench_flow(sg: &SuiteGraph, reps: usize) -> FlowRow {
         refined.conductance,
         result.cluster.len(),
         refined.cluster.len(),
-        refine_s.map(|s| (s * 1e4).round() / 10.0)
+        refine_s.ms()
     );
     FlowRow {
         graph: sg.name.to_string(),
@@ -301,28 +331,28 @@ fn bench_compression(sg: &SuiteGraph, reps: usize) -> CompRow {
         ..Default::default()
     });
     let pin = DirectionParams::pull_only();
-    let mut pull_plain_s = [0.0; THREADS.len()];
-    let mut pull_comp_s = [0.0; THREADS.len()];
-    for (i, &t) in THREADS.iter().enumerate() {
+    let pull_plain_s = Cols::measure(|_, t| {
         let plain = Engine::builder(g).threads(t).direction(pin).build();
         plain.diffuse(&seed, &algo); // prime the workspace
-        let (_, secs) = time_best_of(reps, || {
+        time_best_of(reps, || {
             plain.diffuse(&seed, &algo);
-        });
-        pull_plain_s[i] = secs;
+        })
+        .1
+    });
+    let pull_comp_s = Cols::measure(|_, t| {
         let packed = Engine::builder(&c).threads(t).direction(pin).build();
         packed.diffuse(&seed, &algo);
-        let (_, secs) = time_best_of(reps, || {
+        time_best_of(reps, || {
             packed.diffuse(&seed, &algo);
-        });
-        pull_comp_s[i] = secs;
-    }
+        })
+        .1
+    });
     eprintln!(
         "  {:<10} {:.2}x fewer adjacency bytes; pull plain {:?}ms  comp {:?}ms",
         "compress",
         g.adjacency_bytes() as f64 / c.adjacency_bytes().max(1) as f64,
-        pull_plain_s.map(|s| (s * 1e4).round() / 10.0),
-        pull_comp_s.map(|s| (s * 1e4).round() / 10.0)
+        pull_plain_s.ms(),
+        pull_comp_s.ms()
     );
     CompRow {
         graph: sg.name.to_string(),
@@ -373,13 +403,13 @@ struct Row {
     algorithm: &'static str,
     seq_s: f64,
     /// Direction-optimized parallel times (the default configuration).
-    par_s: [f64; THREADS.len()],
+    par_s: Cols,
     /// Push-pinned parallel times (absent in pre-direction baselines).
-    push_s: Option<[f64; THREADS.len()]>,
+    push_s: Option<Cols>,
     /// Warm-workspace repeated-query times (absent in pre-engine
     /// baselines): the same work as `par_s`, served by a persistent
     /// `Engine` that recycles its scratch buffers between queries.
-    warm_s: Option<[f64; THREADS.len()]>,
+    warm_s: Option<Cols>,
 }
 
 impl Row {
@@ -391,18 +421,12 @@ impl Row {
             "    {{\"graph\": \"{}\", \"algorithm\": \"{}\", \"seq_s\": {:.6}",
             self.graph, self.algorithm, self.seq_s
         );
-        for (t, secs) in THREADS.iter().zip(self.par_s) {
-            let _ = write!(s, ", \"par{t}_s\": {secs:.6}");
-        }
+        self.par_s.write(&mut s, "par", "_s", 6);
         if let Some(push_s) = self.push_s {
-            for (t, secs) in THREADS.iter().zip(push_s) {
-                let _ = write!(s, ", \"push{t}_s\": {secs:.6}");
-            }
+            push_s.write(&mut s, "push", "_s", 6);
         }
         if let Some(warm_s) = self.warm_s {
-            for (t, secs) in THREADS.iter().zip(warm_s) {
-                let _ = write!(s, ", \"warm{t}_s\": {secs:.6}");
-            }
+            warm_s.write(&mut s, "warm", "_s", 6);
         }
         s.push('}');
         s
@@ -415,24 +439,9 @@ impl Row {
             let end = rest.find([',', '}'])?;
             Some(rest[..end].trim().trim_matches('"'))
         };
-        // Parses an optional `[f64; 3]` column family like `push{t}_s`.
-        let optional = |prefix: &str| -> Option<[f64; THREADS.len()]> {
-            let mut vals = [0.0; THREADS.len()];
-            THREADS
-                .iter()
-                .zip(vals.iter_mut())
-                .all(|(t, slot)| {
-                    field(&format!("{prefix}{t}_s"))
-                        .and_then(|v| v.parse().ok())
-                        .map(|v| *slot = v)
-                        .is_some()
-                })
-                .then_some(vals)
-        };
-        let mut par_s = [0.0; THREADS.len()];
-        for (slot, t) in par_s.iter_mut().zip(THREADS) {
-            *slot = field(&format!("par{t}_s"))?.parse().ok()?;
-        }
+        // A column family like `push{t}_s`; a recording made on a
+        // smaller box simply has fewer of its columns.
+        let cols = |prefix: &str| Cols::read(|key| field(key)?.parse().ok(), prefix);
         Some(Row {
             graph: field("graph")?.to_string(),
             algorithm: match field("algorithm")? {
@@ -443,9 +452,9 @@ impl Row {
                 _ => return None,
             },
             seq_s: field("seq_s")?.parse().ok()?,
-            par_s,
-            push_s: optional("push"),
-            warm_s: optional("warm"),
+            par_s: cols("par")?,
+            push_s: cols("push"),
+            warm_s: cols("warm"),
         })
     }
 }
@@ -463,9 +472,9 @@ fn bench_graph(
     // repeated queries against it, workspace recycled throughout (and
     // kept warm across the graph's four workload rows, like a serving
     // process would).
-    let engines: Vec<Engine> = THREADS
+    let engines: Vec<Engine> = pools
         .iter()
-        .map(|&t| Engine::builder(g).threads(t).build())
+        .map(|pool| Engine::builder(g).threads(pool.num_threads()).build())
         .collect();
 
     let nb = lgc::NibbleParams {
@@ -504,30 +513,20 @@ fn bench_graph(
                    par: &dyn Fn(&Pool, Option<DirectionParams>),
                    warm: &mut dyn FnMut(usize)| {
         let (_, seq_s) = time_best_of(reps, seq);
-        let mut par_s = [0.0; THREADS.len()];
-        let mut push_s = [0.0; THREADS.len()];
-        let mut warm_s = [0.0; THREADS.len()];
-        for (i, ((dir_slot, push_slot), pool)) in par_s
-            .iter_mut()
-            .zip(push_s.iter_mut())
-            .zip(pools)
-            .enumerate()
-        {
-            let (_, secs) = time_best_of(reps, || par(pool, None));
-            *dir_slot = secs;
-            let (_, secs) = time_best_of(reps, || par(pool, Some(DirectionParams::push_only())));
-            *push_slot = secs;
+        let par_s = Cols::measure(|i, _| time_best_of(reps, || par(&pools[i], None)).1);
+        let push_only = Some(DirectionParams::push_only());
+        let push_s = Cols::measure(|i, _| time_best_of(reps, || par(&pools[i], push_only)).1);
+        let warm_s = Cols::measure(|i, _| {
             warm(i); // prime the workspace
-            let (_, secs) = time_best_of(reps, || warm(i));
-            warm_s[i] = secs;
-        }
+            time_best_of(reps, || warm(i)).1
+        });
         eprintln!(
             "  {:<10} seq {:>8.1}ms  dir {:?}ms  push {:?}ms  warm {:?}ms",
             algorithm,
             seq_s * 1e3,
-            par_s.map(|s| (s * 1e4).round() / 10.0),
-            push_s.map(|s| (s * 1e4).round() / 10.0),
-            warm_s.map(|s| (s * 1e4).round() / 10.0)
+            par_s.ms(),
+            push_s.ms(),
+            warm_s.ms()
         );
         rows.push(Row {
             graph: sg.name.to_string(),
@@ -606,9 +605,8 @@ fn bench_graph(
     const CALLS_PER_UNIT: usize = 4;
     let reps = reps.max(6);
     let batch = service_queries(g, SMALL_BATCH);
-    let mut cold_s = [0.0; THREADS.len()];
-    let mut svc_s = [0.0; THREADS.len()];
-    for (i, pool) in pools.iter().enumerate() {
+    let mut cold_s = Cols([f64::NAN; THREADS.len()]);
+    let svc_s = Cols::measure(|i, _| {
         // Prime the checkout pool, then interleave the cold/svc units
         // rep-by-rep so clock drift over the measurement window cannot
         // systematically favor the side that runs first.
@@ -617,7 +615,7 @@ fn bench_graph(
         for _ in 0..reps {
             let (_, secs) = lgc_bench::time(|| {
                 for _ in 0..CALLS_PER_UNIT {
-                    lgc::run_batch(pool, g, &batch);
+                    lgc::run_batch(&pools[i], g, &batch);
                 }
             });
             cold_best = cold_best.min(secs);
@@ -628,14 +626,14 @@ fn bench_graph(
             });
             svc_best = svc_best.min(secs);
         }
-        cold_s[i] = cold_best / CALLS_PER_UNIT as f64;
-        svc_s[i] = svc_best / CALLS_PER_UNIT as f64;
-    }
+        cold_s.0[i] = cold_best / CALLS_PER_UNIT as f64;
+        svc_best / CALLS_PER_UNIT as f64
+    });
     eprintln!(
         "  {:<10} cold {:?}ms  svc {:?}ms",
         "batch8",
-        cold_s.map(|s| (s * 1e4).round() / 10.0),
-        svc_s.map(|s| (s * 1e4).round() / 10.0)
+        cold_s.ms(),
+        svc_s.ms()
     );
     let svc_row = SvcRow {
         graph: sg.name.to_string(),
@@ -658,24 +656,24 @@ fn bench_graph(
             .with_max_edges_traversed(u64::MAX / 2)
             .with_cancel(lgc::CancelToken::new()),
     );
-    let mut plain_s = [0.0; THREADS.len()];
-    let mut guarded_s = [0.0; THREADS.len()];
-    for (i, _) in THREADS.iter().enumerate() {
+    let plain_s = Cols::measure(|i, _| {
         engines[i].run(&plain_q); // re-prime after the batch workloads
-        let (_, secs) = time_best_of(reps.max(6), || {
+        time_best_of(reps.max(6), || {
             engines[i].run(&plain_q);
-        });
-        plain_s[i] = secs;
-        let (_, secs) = time_best_of(reps.max(6), || {
+        })
+        .1
+    });
+    let guarded_s = Cols::measure(|i, _| {
+        time_best_of(reps.max(6), || {
             engines[i].try_run(&guarded_q).unwrap();
-        });
-        guarded_s[i] = secs;
-    }
+        })
+        .1
+    });
     eprintln!(
         "  {:<10} plain {:?}ms  guarded {:?}ms",
         "guarded",
-        plain_s.map(|s| (s * 1e4).round() / 10.0),
-        guarded_s.map(|s| (s * 1e4).round() / 10.0)
+        plain_s.ms(),
+        guarded_s.ms()
     );
     let robust_row = RobustRow {
         graph: sg.name.to_string(),
@@ -691,8 +689,7 @@ fn bench_graph(
 fn bench_two_graph_stream(a: &SuiteGraph, b: &SuiteGraph, reps: usize) -> SvcRow {
     let qa = service_queries(&a.graph, SMALL_BATCH);
     let qb = service_queries(&b.graph, SMALL_BATCH);
-    let mut svc_s = [0.0; THREADS.len()];
-    for (i, &t) in THREADS.iter().enumerate() {
+    let svc_s = Cols::measure(|_, t| {
         let svc = Service::builder()
             .pool(Pool::shared(t))
             .add_graph_shared("a", Arc::new(a.graph.clone()))
@@ -705,15 +702,9 @@ fn bench_two_graph_stream(a: &SuiteGraph, b: &SuiteGraph, reps: usize) -> SvcRow
             }
         };
         stream(); // prime workspaces and caches
-        let (_, secs) = time_best_of(reps, stream);
-        svc_s[i] = secs;
-    }
-    eprintln!(
-        "# service stream {}+{}: {:?}ms",
-        a.name,
-        b.name,
-        svc_s.map(|s| (s * 1e4).round() / 10.0)
-    );
+        time_best_of(reps, stream).1
+    });
+    eprintln!("# service stream {}+{}: {:?}ms", a.name, b.name, svc_s.ms());
     SvcRow {
         graph: format!("{}+{}", a.name, b.name),
         workload: "two_graph_stream",
@@ -747,7 +738,8 @@ fn main() {
 
     eprintln!("# generating graph suite (quick={quick})...");
     let graphs = suite(quick);
-    let pools: Vec<Pool> = THREADS.iter().map(|&t| Pool::new(t)).collect();
+    // Only the thread counts this box can honour get a pool (and a column).
+    let pools: Vec<Pool> = measured().map(|(_, t)| Pool::new(t)).collect();
 
     if let Some(only) = &only {
         for name in only {
@@ -810,13 +802,12 @@ fn main() {
     let _ = writeln!(
         json,
         "  \"threads\": [{}],",
-        THREADS.map(|t| t.to_string()).join(", ")
+        measured()
+            .map(|(_, t)| t.to_string())
+            .collect::<Vec<_>>()
+            .join(", ")
     );
-    let _ = writeln!(
-        json,
-        "  \"hardware_threads\": {},",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    );
+    let _ = writeln!(json, "  \"hardware_threads\": {},", hardware_threads());
     let _ = writeln!(json, "  \"results\": [");
     for (i, row) in rows.iter().enumerate() {
         let comma = if i + 1 < rows.len() { "," } else { "" };
@@ -837,9 +828,7 @@ fn main() {
                 "    {{\"graph\": \"{}\", \"algorithm\": \"{}\"",
                 row.graph, row.algorithm
             );
-            for (i, t) in THREADS.iter().enumerate() {
-                let _ = write!(s, ", \"par{t}\": {:.3}", push_s[i] / row.par_s[i]);
-            }
+            push_s.over(row.par_s).write(&mut s, "par", "", 3);
             s.push('}');
             Some(s)
         })
@@ -860,9 +849,7 @@ fn main() {
                 "    {{\"graph\": \"{}\", \"algorithm\": \"{}\"",
                 row.graph, row.algorithm
             );
-            for (i, t) in THREADS.iter().enumerate() {
-                let _ = write!(s, ", \"par{t}\": {:.3}", row.par_s[i] / warm_s[i]);
-            }
+            row.par_s.over(warm_s).write(&mut s, "par", "", 3);
             s.push('}');
             Some(s)
         })
@@ -924,9 +911,7 @@ fn main() {
                     row.algorithm,
                     base.seq_s / row.seq_s
                 );
-                for (i, t) in THREADS.iter().enumerate() {
-                    let _ = write!(s, ", \"par{t}\": {:.3}", base.par_s[i] / row.par_s[i]);
-                }
+                base.par_s.over(row.par_s).write(&mut s, "par", "", 3);
                 s.push('}');
                 cmp_lines.push(s);
             }

@@ -61,6 +61,11 @@ fn bulk_query(seed: u32) -> Query {
     )
 }
 
+/// Executor threads of every server under test. The query pool is sized
+/// to the box (`Pool::with_default_threads`), never above it; both are
+/// written to the output beside `hardware_threads`.
+const EXECUTORS: usize = 2;
+
 fn build_service(scale: usize) -> Service {
     let mut svc = Service::builder()
         .pool(Arc::new(Pool::with_default_threads()))
@@ -256,7 +261,7 @@ fn run_mixed(mode: SchedulerMode, scale: usize, window: Duration) -> MixedResult
         "127.0.0.1:0",
         ServerConfig {
             mode,
-            executors: 2,
+            executors: EXECUTORS,
             // Bound each bulk slice so a queued interactive job never
             // waits behind an unboundedly long scan.
             bulk_budget: QueryBudget::unlimited().with_max_edges_traversed(2_000_000),
@@ -296,7 +301,7 @@ fn main() {
         Arc::clone(&service),
         "127.0.0.1:0",
         ServerConfig {
-            executors: 2,
+            executors: EXECUTORS,
             ..ServerConfig::default()
         },
     )
@@ -347,11 +352,10 @@ fn main() {
     let _ = writeln!(json, "  \"quick\": {quick},");
     let _ = writeln!(json, "  \"scale\": {scale},");
     let _ = writeln!(json, "  \"window_s\": {:.3},", window.as_secs_f64());
-    let _ = writeln!(
-        json,
-        "  \"hardware_threads\": {},",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    );
+    let cores = lgc_bench::hardware_threads();
+    let _ = writeln!(json, "  \"hardware_threads\": {cores},");
+    let _ = writeln!(json, "  \"pool_threads\": {cores},");
+    let _ = writeln!(json, "  \"executors\": {EXECUTORS},");
     let _ = writeln!(json, "  \"classes\": [");
     for (i, row) in class_rows.iter().enumerate() {
         let comma = if i + 1 < class_rows.len() { "," } else { "" };

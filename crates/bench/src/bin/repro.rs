@@ -10,10 +10,11 @@
 //! evolving all`. `--quick` shrinks the graphs ~4× for smoke runs.
 //!
 //! Absolute numbers will differ from the paper (its testbed was a 40-core
-//! Xeon over billion-edge graphs; see DESIGN.md §3); the *shapes* — which
-//! algorithm wins, optimized-rule speedups, push-count ratios, parallel
-//! sweep behaviour, NCP dips — are the reproduction targets, recorded in
-//! EXPERIMENTS.md.
+//! Xeon over billion-edge graphs); the *shapes* — which algorithm wins,
+//! optimized-rule speedups, push-count ratios, parallel sweep behaviour,
+//! NCP dips — are the reproduction targets. The numbers a change to this
+//! repository is judged by come from `benchmark/` (its `README.md` says
+//! how they are taken).
 
 use lgc_bench::{suite, suite_seed, time, time_best_of, SuiteGraph};
 use lgc_core as lgc;

@@ -2,12 +2,12 @@
 //! suite (Table 2 analogue) and timing helpers.
 //!
 //! The paper's evaluation graphs (SNAP social networks, Twitter, Yahoo
-//! web — up to 6.4B edges) cannot be shipped or held in this container;
-//! `DESIGN.md` §3 records the substitution argument. Each stand-in keeps
-//! the *family* (power-law social graph, citation preferential
-//! attachment, mesh, …) at a scale where every experiment finishes on a
-//! laptop. Sizes are chosen so the diffusions touch tens of thousands of
-//! vertices — the regime the paper says parallelism pays off in.
+//! web — up to 6.4B edges) cannot be shipped or held in this container.
+//! Each stand-in keeps the *family* (power-law social graph, citation
+//! preferential attachment, mesh, …) at a scale where every experiment
+//! finishes on a laptop. Sizes are chosen so the diffusions touch tens of
+//! thousands of vertices — the regime the paper says parallelism pays
+//! off in.
 
 // The bench harness needs no unsafe; keep it that way.
 #![forbid(unsafe_code)]
@@ -83,6 +83,12 @@ pub fn suite(quick: bool) -> Vec<SuiteGraph> {
 /// A deterministic seed vertex inside the largest component.
 pub fn suite_seed(g: &Graph) -> u32 {
     lgc_graph::largest_component(g)[0]
+}
+
+/// The box's hardware parallelism (1 if unknown) — what every recording
+/// states, and the largest thread count it may print a column for.
+pub fn hardware_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Times a closure, returning `(result, seconds)`.

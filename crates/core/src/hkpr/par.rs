@@ -107,7 +107,7 @@ pub(crate) fn hkpr_par_ws<B: CsrBackend>(
         // as the per-edge code used to, for bit-identical results).
         // Frontier-indexed for push, vertex-indexed for pull (slots
         // outside the current frontier are gated off by the bitset).
-        p.reserve_rehash(pool, p.len() + k);
+        p.reserve_more(pool, k);
         let mut contrib = Vec::new();
         if dir == Direction::Push {
             contrib.resize(k, 0.0f64);
@@ -150,7 +150,7 @@ pub(crate) fn hkpr_par_ws<B: CsrBackend>(
             // pull flush uses per-edge plain adds so every p cell
             // accumulates in the same (ascending-source) order as the
             // push engine at one thread — bit-equal results.
-            p.reserve_rehash(pool, p.len() + vol);
+            p.reserve_more(pool, vol);
             let p_ref = &p;
             match dir {
                 Direction::Push => {
@@ -196,10 +196,10 @@ pub(crate) fn hkpr_par_ws<B: CsrBackend>(
         // Next frontier: level-(j+1) entries above the admission
         // threshold (equivalent to the sequential crossing test because
         // the accumulation is monotone), filtered directly off the mass
-        // store's backend.
+        // store's backend, which hands the keys back ascending.
         let above =
             r_next.filter_keys(pool, |w, m| m >= params.threshold(&psi, j + 1, g.degree(w)));
-        frontier.advance(pool, VertexSubset::from_distinct_unsorted_par(pool, above));
+        frontier.advance(pool, VertexSubset::from_sorted(above));
         std::mem::swap(&mut r, &mut r_next);
         j += 1;
     }

@@ -208,14 +208,14 @@ pub(crate) fn nibble_par_ws<B: CsrBackend>(
         );
 
         // Frontier = {v : p'[v] ≥ ε·d(v)}, filtered directly over the
-        // mass store's backend. An empty filter means the walk died:
-        // break *before* the swap, returning the previous vector
-        // (line 15 of Figure 3).
+        // mass store's backend (ascending). An empty filter means the
+        // walk died: break *before* the swap, returning the previous
+        // vector (line 15 of Figure 3).
         let above = p_new.filter_keys(pool, |v, m| m >= eps * g.degree(v) as f64);
         if above.is_empty() {
             break;
         }
-        frontier.advance(pool, VertexSubset::from_distinct_unsorted_par(pool, above));
+        frontier.advance(pool, VertexSubset::from_sorted(above));
         std::mem::swap(&mut p, &mut p_new);
     }
     let entries = p.entries(pool);

@@ -18,7 +18,7 @@ use crate::result::{Diffusion, DiffusionStats};
 use crate::seed::Seed;
 use lgc_graph::CsrBackend;
 use lgc_ligra::{edge_map_dense_gather, edge_map_indexed, Checkpoint, Direction, VertexSubset};
-use lgc_parallel::{filter_map_index, Bitset, Pool, UnsafeSlice};
+use lgc_parallel::{filter_map_index, map_index, Bitset, Pool, UnsafeSlice};
 use lgc_sparse::MassMap;
 
 /// Parallel PR-Nibble. Work `O(1/(α·ε))` w.h.p. (Theorem 3), regardless
@@ -131,7 +131,7 @@ pub(crate) fn prnibble_par_ws<B: CsrBackend>(
         // per-neighbor contribution — frontier-indexed for the push
         // engine, vertex-indexed for the pull gather (stale slots outside
         // the current frontier are never read: the bitset gates them).
-        p.reserve_rehash(pool, p.len() + k);
+        p.reserve_more(pool, k);
         let mut self_new = vec![0.0f64; k];
         let mut contrib = Vec::new();
         if dir == Direction::Push {
@@ -165,7 +165,9 @@ pub(crate) fn prnibble_par_ws<B: CsrBackend>(
             });
         }
 
-        match dir {
+        // Phases 2–3 commit the neighbor contributions to r and yield the
+        // vertices that received any, ascending.
+        let receivers = match dir {
             Direction::Push => {
                 // Phase 2 (write r_delta): neighbor contributions, using
                 // residuals from the start of the iteration — no residual
@@ -193,7 +195,7 @@ pub(crate) fn prnibble_par_ws<B: CsrBackend>(
                     });
                 }
                 let deltas = r_delta.entries(pool);
-                r.reserve_rehash(pool, r.len() + deltas.len());
+                r.reserve_more(pool, deltas.len());
                 {
                     let r_ref = &r;
                     pool.run(deltas.len(), 512, |s, e| {
@@ -202,20 +204,12 @@ pub(crate) fn prnibble_par_ws<B: CsrBackend>(
                         }
                     });
                 }
-
-                // Phase 4: the next eligible set can only contain
-                // previously eligible vertices or vertices that just
-                // received mass.
-                let mut cands = std::mem::take(&mut eligible);
-                cands.extend(deltas.iter().map(|&(w, _)| w));
-                cands.sort_unstable();
-                cands.dedup();
-                let r_ref = &r;
-                eligible = filter_map_index(pool, cands.len(), |i| {
-                    let v = cands[i];
-                    let d = g.degree(v);
-                    (d > 0 && r_ref.get(v) >= eps * d as f64).then_some(v)
-                });
+                // A dense delta map enumerates in key order already.
+                let mut receivers = map_index(pool, deltas.len(), |i| deltas[i].0);
+                if !r_delta.is_dense() {
+                    receivers.sort_unstable();
+                }
+                receivers
             }
             Direction::Pull => {
                 // Phase 2/3 fused: self-residuals first (phase 1 already
@@ -232,7 +226,7 @@ pub(crate) fn prnibble_par_ws<B: CsrBackend>(
                         }
                     });
                 }
-                r.reserve_rehash(pool, r.len() + vol);
+                r.reserve_more(pool, vol);
                 let recv = &*receiver_bits.get_or_insert_with(|| Bitset::new(n));
                 let bits = frontier.bits(pool, n);
                 {
@@ -243,22 +237,24 @@ pub(crate) fn prnibble_par_ws<B: CsrBackend>(
                     });
                 }
 
-                // Phase 4: same incremental rule as push mode — the next
-                // eligible set ⊆ old eligibles ∪ receivers. The receiver
-                // bitset enumerates (already sorted) in `O(n/64 + len)`,
-                // a vanishing cost next to the `O(n + m)` gather, and the
-                // sorted-merge replaces the sort the push path needs.
+                // The receiver bitset enumerates (already sorted) in
+                // `O(n/64 + len)`, a vanishing cost next to the
+                // `O(n + m)` gather.
                 let receivers = recv.to_sorted_ids(pool);
                 recv.clear_sorted(pool, &receivers);
-                let cands = merge_sorted_distinct(&eligible, &receivers);
-                let r_ref = &r;
-                eligible = filter_map_index(pool, cands.len(), |i| {
-                    let v = cands[i];
-                    let d = g.degree(v);
-                    (d > 0 && r_ref.get(v) >= eps * d as f64).then_some(v)
-                });
+                receivers
             }
-        }
+        };
+
+        // Phase 4: the next eligible set can only contain previously
+        // eligible vertices or vertices that just received mass.
+        let cands = merge_sorted_distinct(&eligible, &receivers);
+        let r_ref = &r;
+        eligible = filter_map_index(pool, cands.len(), |i| {
+            let v = cands[i];
+            let d = g.degree(v);
+            (d > 0 && r_ref.get(v) >= eps * d as f64).then_some(v)
+        });
     }
 
     stats.residual_mass = r.l1_norm(pool);
@@ -280,9 +276,7 @@ pub(crate) fn prnibble_par_ws<B: CsrBackend>(
     }
 }
 
-/// Merges two sorted duplicate-free id lists into one — `O(a + b)`,
-/// replacing the extend + sort + dedup the push path's candidate
-/// assembly needs.
+/// Merges two sorted duplicate-free id lists into one — `O(a + b)`.
 fn merge_sorted_distinct(a: &[u32], b: &[u32]) -> Vec<u32> {
     let mut out = Vec::with_capacity(a.len() + b.len());
     let (mut i, mut j) = (0, 0);

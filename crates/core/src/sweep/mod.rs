@@ -5,7 +5,7 @@
 //! with minimum conductance. [`sweep_cut_seq`] is the standard incremental
 //! algorithm (`O(N log N + vol(S_N))` work); [`sweep_cut_par`] is the
 //! paper's Theorem 1 — the same work, `O(log vol(S_N))` depth, built from
-//! a parallel sort, an integer sort of a ±1 "crossing edge" array, and
+//! a parallel sort, a per-vertex count of lower-ranked neighbours, and
 //! prefix sums. Both return bit-identical results (same total order, same
 //! float operations), which the test suite checks.
 

@@ -1,30 +1,48 @@
 //! Work-efficient parallel sweep cut — Theorem 1 of the paper.
 //!
 //! The hard part of parallelizing the sweep is computing `∂(S_j)` for all
-//! `N` prefixes at once without blowing up the work. The paper's
-//! construction: give each support vertex its *rank* in the sorted order;
-//! write, for every edge out of the support, a pair of `(±1, rank)`
-//! entries into an array `Z` of size `2·vol(S_N)` — `(1, rank(v))` and
-//! `(−1, rank(w))` if the edge goes "forward" in rank order (case a),
-//! two zeros if "backward" (case b, the duplicate orientation); integer
-//! sort `Z` by rank; then an inclusive prefix sum over the ±1 components
-//! counts, at the last entry of each rank-`j` run, exactly the edges that
-//! cross the cut `(S_j, V∖S_j)` — forward edges contribute `+1` at ranks
-//! in `(rank(v), rank(w))` and cancel outside. Volumes come from a prefix
-//! sum over degrees, and a min-reduction picks the best prefix.
+//! `N` prefixes at once without blowing up the work. Give each support
+//! vertex its *rank* in the sorted order. Adding `v_j` to `S_{j−1}` turns
+//! the edges from `v_j` into `S_{j−1}` from crossing to internal and makes
+//! every other edge of `v_j` crossing, so
+//!
+//! ```text
+//! ∂(S_j) − ∂(S_{j−1}) = d(v_j) − 2·|N(v_j) ∩ S_{j−1}|
+//! ```
+//!
+//! and `|N(v_j) ∩ S_{j−1}|` is the number of neighbours of `v_j` with a
+//! lower rank. One pass over the support's `vol(S_N)` adjacency entries
+//! (a rank lookup each) yields those per-vertex integers, and an inclusive
+//! prefix sum over them yields every `∂(S_j)`.
+//!
+//! This is the count of §3.1's construction, summed in a different order.
+//! The paper writes, per edge slot `(v, w)` with `rank(v) < rank(w)`, the
+//! pairs `(+1, rank(v))` and `(−1, rank(w))` into an array `Z` of size
+//! `2·vol(S_N)`, integer-sorts `Z` by rank and prefix-sums it; the sum of
+//! the entries that land on rank `j` is `(d(v_j) − back_j) − back_j` —
+//! `+1` for each forward edge of `v_j`, `−1` for each edge arriving from a
+//! lower rank. Grouping by rank *before* writing anything makes the sort
+//! and the `2·vol`-entry array unnecessary; the integers, and hence every
+//! conductance bit, are the same. Volumes come from a prefix sum over
+//! degrees, and a min-reduction picks the best prefix.
 //!
 //! Everything is built from the `lgc-parallel` primitives, giving
-//! `O(N log N + vol(S_N))` work and polylogarithmic depth w.h.p.
+//! `O(N log N + vol(S_N))` work and polylogarithmic depth w.h.p. The
+//! adjacency pass is chunked over the *flattened edge space*, not over
+//! vertices, so a hub's adjacency is split across chunks instead of
+//! serializing one.
 
 use super::{eligible_entries, prefix_conductance, sweep_order_cmp, SweepCut};
 use crate::engine::Workspace;
 use lgc_graph::CsrBackend;
 use lgc_ligra::{Checkpoint, Trip};
 use lgc_parallel::{
-    counting_sort_by_key, filter_map_index, map_index, max_by, merge_sort_by, scan_exclusive,
-    scan_inclusive, Pool, UnsafeSlice,
+    map_index, max_by, merge_sort_by, scan_exclusive, scan_inclusive, Pool, UnsafeSlice,
 };
 use lgc_sparse::ConcurrentRankMap;
+
+/// Adjacency entries per chunk of the lower-rank-neighbour count.
+const EDGE_GRAIN: usize = 2048;
 
 /// Computes the sweep cut of `p` in parallel (Theorem 1).
 ///
@@ -72,7 +90,7 @@ pub(crate) fn sweep_cut_par_ws<B: CsrBackend>(
     ws.note_sweep_support(n);
 
     // rank[v] = 1-based position of v in the sweep order; vertices outside
-    // the support implicitly get rank N+1.
+    // the support have none.
     let rank = match ws.sweep_rank.take() {
         Some(mut m) => {
             m.reset(pool, n);
@@ -89,7 +107,6 @@ pub(crate) fn sweep_cut_par_ws<B: CsrBackend>(
             }
         });
     }
-    let outside_rank = (n + 1) as u32;
 
     // Degrees in rank order; exclusive prefix sum gives each vertex's
     // slot range in the flattened edge space. The cached degree vector
@@ -101,76 +118,57 @@ pub(crate) fn sweep_cut_par_ws<B: CsrBackend>(
     let (edge_offsets, total_vol) = scan_exclusive(pool, &degs, 0u64, |a, b| a + b);
     let total_vol = total_vol as usize;
 
-    // Build Z: two pairs per support edge slot (§3.1's cases (a)/(b)).
-    let mut z: Vec<(i32, u32)> = Vec::with_capacity(2 * total_vol);
+    // back[i] = neighbours of order[i] ranked before it. Chunk c owns
+    // flattened edge slots [c·EDGE_GRAIN, (c+1)·EDGE_GRAIN): it writes the
+    // count of every vertex whose adjacency *starts* in its range, and
+    // hands back as `heads[c]` the count for the (at most one) vertex it
+    // enters mid-adjacency, added in below.
+    let n_chunks = total_vol.div_ceil(EDGE_GRAIN);
+    let mut back = vec![0u64; n];
+    let mut heads = vec![(0usize, 0u64); n_chunks];
     {
-        let spare = z.spare_capacity_mut();
-        let zs = UnsafeSlice::new(spare);
-        let order_ref = &order;
-        let rank_ref = &rank;
-        pool.run(total_vol, 2048, |fs, fe| {
-            // Walk the flattened edge space [fs, fe), chunk-locally.
+        let back_view = UnsafeSlice::new(&mut back);
+        let heads_view = UnsafeSlice::new(&mut heads);
+        pool.for_each_index(n_chunks, 1, |c| {
+            let (fs, fe) = (c * EDGE_GRAIN, ((c + 1) * EDGE_GRAIN).min(total_vol));
             let mut vi = edge_offsets.partition_point(|&o| o <= fs as u64) - 1;
             let mut f = fs;
             // lgc-lint: allow(checkpoint-tick) -- bounded per-chunk walk over [fs, fe) inside a pool job; the sweep ticks per phase
             while f < fe {
-                let v = order_ref[vi];
                 let rv = (vi + 1) as u32;
                 let local = f - edge_offsets[vi] as usize;
-                let upto = g.degree(v).min(local + (fe - f));
-                let mut j = 0;
-                g.for_each_neighbor_in(v, local, upto, |w| {
-                    let rw = rank_ref.get(w).unwrap_or(outside_rank);
-                    let pos = 2 * (f + j);
-                    let (a, b) = if rw > rv {
-                        ((1, rv), (-1, rw)) // case (a): forward edge
-                    } else {
-                        ((0, rv), (0, rw)) // case (b): duplicate orientation
-                    };
-                    // SAFETY: each flattened edge index writes its own
-                    // two slots exactly once.
-                    unsafe {
-                        zs.write(pos, std::mem::MaybeUninit::new(a));
-                        zs.write(pos + 1, std::mem::MaybeUninit::new(b));
-                    }
-                    j += 1;
+                let upto = (degs[vi] as usize).min(local + (fe - f));
+                let mut lower = 0u64;
+                g.for_each_neighbor_in(order[vi], local, upto, |w| {
+                    lower += u64::from(rank.get(w).is_some_and(|rw| rw < rv));
                 });
+                // SAFETY: a vertex's adjacency starts in exactly one
+                // chunk, and each chunk writes only its own head slot.
+                unsafe {
+                    if local == 0 {
+                        back_view.write(vi, lower);
+                    } else {
+                        heads_view.write(c, (vi, lower));
+                    }
+                }
                 f += upto - local;
                 vi += 1;
             }
         });
     }
-    // SAFETY: all 2·total_vol slots initialized above.
-    unsafe { z.set_len(2 * total_vol) };
-
-    // Integer sort by rank (keys 1..=N+1), then prefix-sum the ±1s.
-    let z_sorted = counting_sort_by_key(pool, &z, |&(_, r)| (r - 1) as usize, n + 1);
-    let deltas: Vec<i64> = map_index(pool, z_sorted.len(), |i| z_sorted[i].0 as i64);
-    let running = scan_inclusive(pool, &deltas, 0i64, |a, b| a + b);
-
-    // The last entry of each rank run holds ∂(S_rank).
-    let lasts: Vec<(u32, i64)> = filter_map_index(pool, z_sorted.len(), |i| {
-        let r = z_sorted[i].1;
-        let is_last = i + 1 == z_sorted.len() || z_sorted[i + 1].1 != r;
-        (is_last && r <= n as u32).then(|| (r, running[i]))
-    });
-    let mut crossing = vec![0u64; n];
-    {
-        let cs = UnsafeSlice::new(&mut crossing);
-        pool.run(lasts.len(), 2048, |s, e| {
-            for &(r, c) in &lasts[s..e] {
-                debug_assert!(c >= 0, "crossing count must be non-negative");
-                // SAFETY: ranks are unique, so each slot written once.
-                unsafe { cs.write((r - 1) as usize, c as u64) };
-            }
-        });
+    for (vi, lower) in heads {
+        back[vi] += lower;
     }
 
-    // Prefix volumes, per-prefix conductances, parallel min-reduction.
+    // ∂(S_j) = Σ_{i ≤ j} (d(v_i) − 2·back_i); prefix volumes likewise;
+    // then per-prefix conductances and a parallel min-reduction.
+    let deltas: Vec<i64> = map_index(pool, n, |i| degs[i] as i64 - 2 * back[i] as i64);
+    let crossing = scan_inclusive(pool, &deltas, 0i64, |a, b| a + b);
     let vol_prefix = scan_inclusive(pool, &degs, 0u64, |a, b| a + b);
     let total_degree = g.total_degree() as u64;
     let conductances: Vec<f64> = map_index(pool, n, |i| {
-        prefix_conductance(crossing[i], vol_prefix[i], total_degree)
+        debug_assert!(crossing[i] >= 0, "crossing count must be non-negative");
+        prefix_conductance(crossing[i] as u64, vol_prefix[i], total_degree)
     });
     // "max" under the inverted comparator = first minimum.
     let (best_idx, best_phi) = max_by(pool, &conductances, |a, b| {

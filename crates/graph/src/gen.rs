@@ -4,9 +4,9 @@
 //! synthetic families (`randLocal`, `3D-grid`). The synthetic families are
 //! implemented exactly per the paper's §4 description; the social/web
 //! graphs are substituted with scaled-down R-MAT and preferential
-//! attachment graphs (see `DESIGN.md` §3 for why this preserves the local
-//! structure the algorithms exercise). The planted-partition (SBM) family
-//! adds ground truth for recovery tests.
+//! attachment graphs, which keep what a local algorithm can see of them —
+//! a heavy-tailed degree distribution around the seed. The
+//! planted-partition (SBM) family adds ground truth for recovery tests.
 //!
 //! Every generator takes an explicit RNG seed so experiments reproduce.
 

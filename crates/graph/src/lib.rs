@@ -5,7 +5,7 @@
 //! the paper's §4 preprocessing), conductance/volume utilities (§2),
 //! connected components for seed selection, text I/O compatible with
 //! Ligra's `AdjacencyGraph` format, and the synthetic generator suite
-//! standing in for the paper's evaluation graphs (see `DESIGN.md` §3).
+//! standing in for the paper's evaluation graphs (see [`gen`]).
 
 pub mod backend;
 mod components;

@@ -1,6 +1,6 @@
 //! Graph statistics — used to validate that the synthetic stand-ins have
 //! the right family shape (power-law degrees for the social-graph
-//! substitutes, uniform degrees for the meshes; DESIGN.md §3).
+//! substitutes, uniform degrees for the meshes).
 
 use crate::backend::CsrBackend;
 use crate::csr::Graph;

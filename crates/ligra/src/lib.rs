@@ -54,7 +54,7 @@
 //! described above.
 
 use lgc_graph::CsrBackend;
-use lgc_parallel::{merge_sort_by, scan_exclusive, Bitset, Pool};
+use lgc_parallel::{scan_exclusive, Bitset, Pool};
 
 pub mod interrupt;
 
@@ -98,14 +98,6 @@ impl VertexSubset {
         ids.sort_unstable();
         ids.dedup();
         VertexSubset { ids }
-    }
-
-    /// Sorts an already duplicate-free id list with the pool and wraps it
-    /// — the frontier-construction path for large filter outputs, whose
-    /// single-threaded `sort_unstable` otherwise serializes an iteration.
-    pub fn from_distinct_unsorted_par(pool: &Pool, mut ids: Vec<u32>) -> Self {
-        merge_sort_by(pool, &mut ids, |a, b| a.cmp(b));
-        Self::from_sorted(ids)
     }
 
     /// Number of vertices in the subset.
@@ -972,17 +964,6 @@ mod tests {
         assert_eq!(f.bits(&pool, 100).to_sorted_ids(&pool), ids);
         assert_eq!(f.bits(&pool, 50).to_sorted_ids(&pool), ids, "shrunk");
         assert_eq!(f.bits(&pool, 200).to_sorted_ids(&pool), ids, "grown");
-    }
-
-    #[test]
-    fn from_distinct_unsorted_par_sorts() {
-        let pool = Pool::new(4);
-        let mut ids: Vec<u32> = (0..40_000u32).rev().collect();
-        ids.retain(|v| v % 3 != 0);
-        let mut want = ids.clone();
-        want.sort_unstable();
-        let s = VertexSubset::from_distinct_unsorted_par(&pool, ids);
-        assert_eq!(s.ids(), &want[..]);
     }
 
     #[test]

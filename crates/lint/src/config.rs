@@ -56,7 +56,7 @@ impl Config {
                 ),
                 (
                     "crates/sparse/src/mass.rs",
-                    "adaptive dense mass map: atomic mass adds + dirty-list claims",
+                    "adaptive dense mass map: atomic mass cells (CAS adds, release stores, acquire reads)",
                 ),
                 (
                     "crates/sparse/src/hash.rs",

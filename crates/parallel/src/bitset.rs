@@ -125,34 +125,40 @@ impl Bitset {
         });
     }
 
-    /// Number of members — `O(n/64)` parallel popcount.
-    pub fn count(&self, pool: &Pool) -> usize {
+    /// Members among words `s..e`.
+    fn count_words(&self, s: usize, e: usize) -> usize {
+        self.words[s..e]
+            .iter()
+            .map(|w| w.load(Ordering::Relaxed).count_ones() as usize)
+            .sum()
+    }
+
+    /// Popcount of each enumeration chunk, in parallel.
+    fn chunk_counts(&self, pool: &Pool) -> Vec<usize> {
         let n_chunks = self.words.len().div_ceil(WORDS_PER_CHUNK);
         crate::map_index(pool, n_chunks, |c| {
             let s = c * WORDS_PER_CHUNK;
-            let e = (s + WORDS_PER_CHUNK).min(self.words.len());
-            self.words[s..e]
-                .iter()
-                .map(|w| w.load(Ordering::Relaxed).count_ones() as usize)
-                .sum::<usize>()
+            self.count_words(s, (s + WORDS_PER_CHUNK).min(self.words.len()))
         })
-        .into_iter()
-        .sum()
+    }
+
+    /// Number of members — `O(n/64)` parallel popcount.
+    pub fn count(&self, pool: &Pool) -> usize {
+        self.chunk_counts(pool).into_iter().sum()
+    }
+
+    /// Number of members, counted on the calling thread — for callers at
+    /// a sequential point with no pool at hand.
+    pub fn count_seq(&self) -> usize {
+        self.count_words(0, self.words.len())
     }
 
     /// Packs the members into a sorted id list — `O(n/64 + len)` work:
     /// per-chunk popcounts, a prefix sum for offsets, then each chunk
     /// writes its ids independently.
     pub fn to_sorted_ids(&self, pool: &Pool) -> Vec<u32> {
-        let n_chunks = self.words.len().div_ceil(WORDS_PER_CHUNK);
-        let counts: Vec<usize> = crate::map_index(pool, n_chunks, |c| {
-            let s = c * WORDS_PER_CHUNK;
-            let e = (s + WORDS_PER_CHUNK).min(self.words.len());
-            self.words[s..e]
-                .iter()
-                .map(|w| w.load(Ordering::Relaxed).count_ones() as usize)
-                .sum()
-        });
+        let counts = self.chunk_counts(pool);
+        let n_chunks = counts.len();
         let (offsets, total) = scan_exclusive(pool, &counts, 0usize, |a, b| a + b);
         let mut out = vec![0u32; total];
         {

@@ -1,10 +1,11 @@
 //! Stable parallel integer sort (counting sort for bounded keys).
 //!
-//! Theorem 1's parallel sweep cut integer-sorts the `Z` array by vertex
-//! rank, whose maximum value is `N + 1`, and Theorem 5's randomized
-//! heat-kernel PageRank integer-sorts walk destinations after remapping
-//! them into `[0, N]`. Both are instances of sorting `n` items whose keys
-//! are bounded by `O(n)`, which a counting sort handles in `O(n + K)` work.
+//! Theorem 5's randomized heat-kernel PageRank integer-sorts walk
+//! destinations after remapping them into `[0, N]` — `n` items whose keys
+//! are bounded by `O(n)`, which a counting sort handles in `O(n + K)`
+//! work. (Theorem 1's sweep cut, as the paper states it, integer-sorts
+//! its `Z` array the same way; `lgc-core`'s sweep groups by rank before
+//! writing and needs no sort.)
 //!
 //! The parallel version builds per-block histograms, turns them into write
 //! cursors with one exclusive prefix sum over the `(key, block)`-major

@@ -17,8 +17,8 @@
 //! * [`merge_sort_by`] — a stable parallel comparison sort using co-ranked
 //!   parallel merges (`O(N log N)` work, polylog depth).
 //! * [`counting_sort_by_key`] — a stable parallel integer sort for bounded
-//!   keys (`O(N + K)` work), used by the parallel sweep cut (Theorem 1) and
-//!   the randomized heat-kernel aggregation (Theorem 5).
+//!   keys (`O(N + K)` work), used by the randomized heat-kernel
+//!   aggregation (Theorem 5).
 //! * [`AtomicF64`] — the atomic `fetchAdd` on doubles that the paper's
 //!   `edgeMap` update functions rely on.
 //! * [`Bitset`] — a fixed-universe bitset with parallel construction from

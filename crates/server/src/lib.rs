@@ -341,32 +341,39 @@ fn executor_loop(shared: &Shared) {
 }
 
 fn run_job(shared: &Shared, class: Priority, job: Job) {
-    let slot = shared.metrics.class(&job.req.tenant, class);
-    // Whatever happens below, the job leaves the connection's in-flight
-    // count when this function returns.
+    // Whatever happens in `execute`, the job leaves the connection's
+    // in-flight count when this function returns.
     struct InflightGuard<'a>(&'a AtomicUsize);
     impl Drop for InflightGuard<'_> {
         fn drop(&mut self) {
             self.0.fetch_sub(1, Ordering::AcqRel);
         }
     }
-    let _guard = InflightGuard(&job.conn_inflight);
+    let guard = InflightGuard(&job.conn_inflight);
+    let Some((kind, payload)) = execute(shared, class, &job) else {
+        return;
+    };
+    // Free the slot *before* the reply is handed to the writer: a client
+    // that refills its window the instant a reply arrives must find the
+    // slot it just got back.
+    drop(guard);
+    let _ = job.reply.send((kind, job.frame_id, payload));
+}
 
+/// Runs `job`'s query and encodes the reply (`None`: nobody to answer).
+fn execute(shared: &Shared, class: Priority, job: &Job) -> Option<(frame::FrameKind, Vec<u8>)> {
+    let slot = shared.metrics.class(&job.req.tenant, class);
     if job.cancel.is_cancelled() {
         // The connection is gone; there is nobody to answer.
-        return;
+        return None;
     }
     let Some(engine) = shared.service.engine(&job.req.tenant) else {
         // Tenant existed at enqueue but was removed since.
-        let _ = job.reply.send((
-            frame::FrameKind::Error,
-            job.frame_id,
-            wire::encode_error(&WireError::UnknownGraph {
-                tenant: job.req.tenant.clone(),
-            }),
-        ));
         slot.errored.fetch_add(1, Ordering::Relaxed);
-        return;
+        let gone = WireError::UnknownGraph {
+            tenant: job.req.tenant.clone(),
+        };
+        return Some((frame::FrameKind::Error, wire::encode_error(&gone)));
     };
 
     let mut query = job.req.query.clone();
@@ -377,7 +384,7 @@ fn run_job(shared: &Shared, class: Priority, job: Job) {
 
     let outcome = engine.try_run(&query);
     let latency = job.enqueued.elapsed();
-    let (kind, payload) = match outcome {
+    Some(match outcome {
         Ok(res) => {
             slot.latency.record(latency);
             slot.completed.fetch_add(1, Ordering::Relaxed);
@@ -391,6 +398,5 @@ fn run_job(shared: &Shared, class: Priority, job: Job) {
             }
             (frame::FrameKind::Error, wire::encode_error(&w))
         }
-    };
-    let _ = job.reply.send((kind, job.frame_id, payload));
+    })
 }

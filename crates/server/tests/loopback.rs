@@ -4,7 +4,8 @@
 //! query. Also exercises the typed-error paths: malformed frames,
 //! unknown tenants, over-quota tenants (engine `Overloaded` with the
 //! floored retry hint), deadline trips with partial results, and
-//! connection accounting (no leaks after clients hang up).
+//! connection accounting (no leaks after clients hang up, no refusal of
+//! a full window refilled on reply).
 //!
 //! The service runs on a 1-thread pool, where all five algorithms are
 //! fully deterministic, so bitwise comparison is exact by contract.
@@ -326,6 +327,44 @@ fn connection_cap_sheds_pipelined_flood() {
     assert!(shed > 0, "the flood must overflow a cap of 2");
     let m = server.metrics();
     assert_eq!(m.shed_connection_cap.load(Ordering::Relaxed), shed as u64);
+    server.shutdown();
+}
+
+#[test]
+fn full_window_refilled_on_reply_is_never_refused() {
+    // A client that keeps exactly `conn_inflight_cap` requests in flight
+    // and sends the next one the instant a reply arrives: the server
+    // frees a slot before the reply reaches the writer, so the refill
+    // always finds room.
+    let config = ServerConfig::default();
+    let window = config.conn_inflight_cap;
+    let server = Server::bind(Arc::new(one_thread_service()), "127.0.0.1:0", config).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let q = Query::new(
+        Seed::single(3),
+        Algorithm::PrNibble(PrNibbleParams {
+            alpha: 0.1,
+            eps: 1e-4,
+            ..Default::default()
+        }),
+    );
+    let total = 4_000;
+    for _ in 0..window {
+        client.submit("local", Priority::Interactive, &q).unwrap();
+    }
+    for answered in 0..total {
+        match client.recv_response().unwrap().1 {
+            Response::Result(_) => {}
+            other => panic!("reply {answered} with a full window in flight: {other:?}"),
+        }
+        if answered + window < total {
+            client.submit("local", Priority::Interactive, &q).unwrap();
+        }
+    }
+    assert_eq!(
+        server.metrics().shed_connection_cap.load(Ordering::Relaxed),
+        0
+    );
     server.shutdown();
 }
 

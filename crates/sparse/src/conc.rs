@@ -19,9 +19,23 @@ use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 pub struct ConcurrentSparseVec {
     keys: Box<[AtomicU32]>,
     vals: Box<[AtomicU64]>,
-    occupied: AtomicUsize,
+    /// Claimed-slot counts, sharded by the low bits of the slot index so
+    /// that concurrent first touches of different keys rarely meet on one
+    /// cache line. Each shard is exact; [`Self::len`] sums them.
+    occupied: Box<[CountShard; COUNT_SHARDS]>,
     mask: usize,
 }
+
+/// Shards of the claimed-slot count (a power of two). Measured on the
+/// 2-core box with PR-Nibble(α = .01, ε = 1e-5) on `rand_local(300k)`:
+/// T1 ÷ T2 diffusion time 0.57 with one counter, 0.98 with 8 shards,
+/// 1.05 with 64 — what is left is lines migrating, not threads colliding.
+const COUNT_SHARDS: usize = 64;
+
+/// One count shard on a cache line of its own.
+#[derive(Default)]
+#[repr(align(64))]
+struct CountShard(AtomicUsize);
 
 impl ConcurrentSparseVec {
     /// The slot count a fresh table built for `n` keys gets — the single
@@ -40,14 +54,17 @@ impl ConcurrentSparseVec {
         ConcurrentSparseVec {
             keys: (0..cap).map(|_| AtomicU32::new(EMPTY)).collect(),
             vals: (0..cap).map(|_| AtomicU64::new(0f64.to_bits())).collect(),
-            occupied: AtomicUsize::new(0),
+            occupied: Box::new(std::array::from_fn(|_| CountShard::default())),
             mask: cap - 1,
         }
     }
 
-    /// Number of distinct keys present.
+    /// Number of distinct keys present (exact between write phases).
     pub fn len(&self) -> usize {
-        self.occupied.load(Ordering::Acquire)
+        self.occupied
+            .iter()
+            .map(|c| c.0.load(Ordering::Acquire))
+            .sum()
     }
 
     /// Whether no keys are present.
@@ -60,9 +77,10 @@ impl ConcurrentSparseVec {
         self.mask + 1
     }
 
-    /// Resident bytes of the key and value arrays.
+    /// Resident bytes of the key and value arrays and the count shards.
     pub fn resident_bytes(&self) -> usize {
         self.capacity() * (std::mem::size_of::<AtomicU32>() + std::mem::size_of::<AtomicU64>())
+            + std::mem::size_of_val(&*self.occupied)
     }
 
     /// Finds the slot holding `key`, or claims an empty one for it.
@@ -82,7 +100,9 @@ impl ConcurrentSparseVec {
                 match self.keys[i].compare_exchange(EMPTY, key, Ordering::AcqRel, Ordering::Acquire)
                 {
                     Ok(_) => {
-                        self.occupied.fetch_add(1, Ordering::AcqRel);
+                        self.occupied[i & (COUNT_SHARDS - 1)]
+                            .0
+                            .fetch_add(1, Ordering::AcqRel);
                         return i;
                     }
                     Err(actual) if actual == key => return i,
@@ -220,7 +240,9 @@ impl ConcurrentSparseVec {
                 vals[i].store(0f64.to_bits(), Ordering::Relaxed);
             }
         });
-        self.occupied.store(0, Ordering::Release);
+        for c in self.occupied.iter_mut() {
+            *c.0.get_mut() = 0;
+        }
     }
 
     /// Grows the table to hold at least `n` keys, preserving entries.

@@ -24,16 +24,16 @@
 //! * [`MassMap`] — an adaptive mass vector that starts as a
 //!   [`ConcurrentSparseVec`] and upgrades itself to a direct-indexed
 //!   dense backend ([`DenseMassVec`]: `Vec<AtomicU64>` mass cells + a
-//!   dirty list for `O(support)` enumeration/clearing) once the
-//!   caller-declared key bound crosses a tunable fraction of the vertex
-//!   universe `n`.
+//!   touched bitset, enumerated in key order in `O(n/64 + support)`)
+//!   once the caller-declared key bound crosses a tunable fraction of
+//!   the vertex universe `n`.
 //!
 //! # Dense/sparse switch heuristic
 //!
 //! The diffusions declare, at every sequential point, how many keys the
 //! next phase may touch (the per-iteration bound `|frontier| +
 //! vol(frontier)` from the paper's work theorems). [`MassMap::reset`]
-//! and [`MassMap::reserve_rehash`] compare that bound `b` against
+//! and [`MassMap::reserve_more`] compare that bound `b` against
 //! `frac · n` (`frac` defaults to
 //! [`MassMap::DEFAULT_DENSE_FRACTION`] `= 1/8`, overridable per map via
 //! [`MassMap::with_dense_fraction`], and per PR-Nibble run via
@@ -43,12 +43,12 @@
 //!   (amortized against the `Ω(frac·n)` support that triggered it, then
 //!   cached for the map's lifetime), after which every operation is one
 //!   indexed atomic with no hashing or probing, and clearing walks only
-//!   the dirty list.
+//!   the touched bits.
 //! * `b < frac · n` → sparse mode: the hash table keeps memory
 //!   proportional to the bound, which is what keeps strictly-local runs
 //!   `o(n)` as the paper requires.
 //!
-//! `reserve_rehash` migrates live entries on a sparse → dense upgrade;
+//! `reserve_more` migrates live entries on a sparse → dense upgrade;
 //! `reset` just swaps (it empties anyway) and stashes dense buffers on a
 //! downgrade so later upgrades are allocation-free.
 //!
@@ -67,7 +67,7 @@
 //! [`MassMap`] honors the identical contract in both modes — concurrent
 //! `add`s accumulate exactly (same CAS fetch-add), `set` races pick one
 //! writer, and mode switches happen only inside `reset` /
-//! `reserve_rehash`, which take `&mut self` and are therefore
+//! `reserve_more`, which take `&mut self` and are therefore
 //! sequential points by construction. Dense mode additionally requires
 //! every key to be `< n` (diffusion keys are vertex ids, so this holds
 //! by construction).

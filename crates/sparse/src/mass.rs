@@ -11,17 +11,25 @@
 //!
 //! # Representation
 //!
-//! * **Sparse mode** wraps [`ConcurrentSparseVec`] unchanged.
+//! * **Sparse mode** wraps [`ConcurrentSparseVec`] unchanged; keys
+//!   enumerate in hash-slot order.
 //! * **Dense mode** ([`DenseMassVec`]) stores `n` atomic `f64` bit cells
-//!   (`Vec<AtomicU64>`), an `n`-byte touched bitmap, and a *dirty list*
-//!   of first-touched keys so enumeration stays `O(support)`, never
-//!   `O(n)`. Accumulation uses the same CAS fetch-add as the sparse
-//!   table, so concurrent `add`s to one key never lose mass.
+//!   (`Vec<AtomicU64>`) and the *touched set* as a [`Bitset`] — nothing
+//!   else. A first touch sets one bit in the word its key indexes, so no
+//!   two writers ever meet on a location that is not already theirs to
+//!   share through the keys themselves: there is no counter and no list
+//!   tail. The sequential points (`entries*`, `filter_keys`, `l1_norm`,
+//!   `len`, `reset`) enumerate the set with an `O(n/64 + support)` scan;
+//!   dense mode is only entered with a key bound `≥ frac · n`, which pays
+//!   for the `n/64` words. Keys therefore come back **ascending**, which
+//!   is what lets callers build frontiers and sum masses without a sort.
+//!   Accumulation uses the same CAS fetch-add as the sparse table, so
+//!   concurrent `add`s to one key never lose mass.
 //!
 //! # Switch heuristic
 //!
 //! Mode is chosen at the sequential points ([`MassMap::reset`] /
-//! [`MassMap::reserve_rehash`]) from the caller-supplied key bound `b`
+//! [`MassMap::reserve_more`]) from the caller-supplied key bound `b`
 //! (the diffusions use the per-iteration bound `|frontier| +
 //! vol(frontier)`, cf. Theorem 3): dense iff `b ≥ frac · n`, with
 //! `frac` = [`MassMap::DEFAULT_DENSE_FRACTION`] unless overridden via
@@ -29,40 +37,38 @@
 //! always upgrades). The first upgrade pays one `O(n)` allocation +
 //! zeroing, charged against the `Ω(frac·n)` support that triggered it;
 //! after that the buffers are cached in the map (even across downgrades)
-//! and cleaning costs `O(support)` via the dirty list.
+//! and cleaning costs `O(n/64 + support)`.
 //!
 //! # Phase-concurrency contract
 //!
 //! Identical to the sparse table (see the crate docs): any number of
 //! concurrent writers (`add`/`set`), *or* any number of concurrent
-//! readers (`get`/`contains`), per parallel phase; `entries*`, `l1_norm`,
-//! `reset`, and `reserve_rehash` are read-phase or sequential-point
-//! operations. Keys must be `< n` (the universe size given at
-//! construction) in both modes.
+//! readers (`get`/`contains`), per parallel phase; `len`, `entries*`,
+//! `filter_keys`, `l1_norm`, `reset`, and `reserve_more` are read-phase
+//! or sequential-point operations. Keys must be `< n` (the universe size
+//! given at construction) in both modes.
 
 use crate::conc::ConcurrentSparseVec;
-use lgc_parallel::{atomic_f64_fetch_add, map_index, sum_f64_by_index, Pool};
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use lgc_parallel::{
+    atomic_f64_fetch_add, filter_map_index, map_index, merge_sort_by, sum_f64_by_index, Bitset,
+    Pool,
+};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Direct-indexed dense backend: `n` atomic mass cells plus a dirty list
-/// so enumeration and clearing stay proportional to the support.
+/// Direct-indexed dense backend: `n` atomic mass cells plus the touched
+/// set, one bit per key (see the module docs).
 pub struct DenseMassVec {
     /// `f64` mass bits per vertex (`⊥ = 0.0`).
     vals: Box<[AtomicU64]>,
-    /// 1 once the key has been claimed into the dirty list.
-    touched: Box<[AtomicU8]>,
-    /// First-touched keys, in claim order; `dirty_len` slots are valid.
-    dirty: Box<[AtomicU32]>,
-    dirty_len: AtomicUsize,
+    /// The keys present. Write phases only ever add members.
+    touched: Bitset,
 }
 
 impl DenseMassVec {
     fn new(n: usize) -> Self {
         DenseMassVec {
             vals: (0..n).map(|_| AtomicU64::new(0f64.to_bits())).collect(),
-            touched: (0..n).map(|_| AtomicU8::new(0)).collect(),
-            dirty: (0..n).map(|_| AtomicU32::new(0)).collect(),
-            dirty_len: AtomicUsize::new(0),
+            touched: Bitset::new(n),
         }
     }
 
@@ -70,28 +76,18 @@ impl DenseMassVec {
         self.vals.len()
     }
 
-    /// Resident bytes of the value, touched, and dirty arrays.
+    /// Resident bytes of the value array and the touched bits.
     fn resident_bytes(&self) -> usize {
-        self.universe()
-            * (std::mem::size_of::<AtomicU64>()
-                + std::mem::size_of::<AtomicU8>()
-                + std::mem::size_of::<AtomicU32>())
+        self.universe() * std::mem::size_of::<AtomicU64>() + self.touched.resident_bytes()
     }
 
-    fn len(&self) -> usize {
-        self.dirty_len.load(Ordering::Acquire)
-    }
-
-    /// Claims `key` into the dirty list on first touch (write phase).
+    /// Records `key` as present (write phase). The load skips the RMW on
+    /// the hot already-touched path; a first touch is one `fetch_or` on
+    /// the word `key` indexes.
     #[inline]
     fn mark(&self, key: u32) {
-        let i = key as usize;
-        // Relaxed pre-check skips the RMW on the hot already-touched path.
-        if self.touched[i].load(Ordering::Relaxed) == 0
-            && self.touched[i].swap(1, Ordering::AcqRel) == 0
-        {
-            let slot = self.dirty_len.fetch_add(1, Ordering::AcqRel);
-            self.dirty[slot].store(key, Ordering::Release);
+        if !self.touched.contains(key) {
+            self.touched.insert(key);
         }
     }
 
@@ -121,26 +117,22 @@ impl DenseMassVec {
         f64::from_bits(self.vals[key as usize].load(Ordering::Acquire))
     }
 
-    fn entries(&self, pool: &Pool) -> Vec<(u32, f64)> {
-        let len = self.len();
-        map_index(pool, len, |i| {
-            let k = self.dirty[i].load(Ordering::Acquire);
-            (k, self.get(k))
-        })
+    /// The keys present, ascending — `O(n/64 + support)` (read phase).
+    fn keys(&self, pool: &Pool) -> Vec<u32> {
+        self.touched.to_sorted_ids(pool)
     }
 
-    /// Clears only the touched cells — `O(support)` (sequential point).
+    /// Zeroes the touched cells and empties the set — `O(n/64 + support)`
+    /// (sequential point).
     fn clear(&mut self, pool: &Pool) {
-        let len = *self.dirty_len.get_mut();
-        let (vals, touched, dirty) = (&self.vals, &self.touched, &self.dirty);
-        pool.run(len, 1 << 12, |s, e| {
-            for i in s..e {
-                let k = dirty[i].load(Ordering::Relaxed) as usize;
-                vals[k].store(0f64.to_bits(), Ordering::Relaxed);
-                touched[k].store(0, Ordering::Relaxed);
+        let keys = self.keys(pool);
+        let vals = &self.vals;
+        pool.run(keys.len(), 1 << 12, |s, e| {
+            for &k in &keys[s..e] {
+                vals[k as usize].store(0f64.to_bits(), Ordering::Relaxed);
             }
         });
-        *self.dirty_len.get_mut() = 0;
+        self.touched.clear_sorted(pool, &keys);
     }
 }
 
@@ -192,7 +184,7 @@ impl MassMap {
             store: MassStore::Sparse(ConcurrentSparseVec::with_capacity(0)),
             spare_dense: None,
         };
-        map.rebuild_empty(bound);
+        map.store = map.empty_store(bound);
         map
     }
 
@@ -207,20 +199,28 @@ impl MassMap {
         self.n > 0 && (self.clamp_bound(bound) as f64) >= self.dense_frac * self.n as f64
     }
 
-    /// Installs an empty store fit for `bound` keys (sequential point;
-    /// any current entries are dropped, not migrated).
-    fn rebuild_empty(&mut self, bound: usize) {
+    /// Clean dense buffers for this universe — the stashed ones if any.
+    fn take_dense(&mut self) -> DenseMassVec {
+        let dense = self
+            .spare_dense
+            .take()
+            .filter(|d| d.universe() == self.n)
+            .unwrap_or_else(|| DenseMassVec::new(self.n));
+        debug_assert_eq!(
+            dense.touched.count_seq(),
+            0,
+            "spare dense buffers must be clean"
+        );
+        dense
+    }
+
+    /// An empty store fit for `bound` keys, exactly as a fresh map gets.
+    fn empty_store(&mut self, bound: usize) -> MassStore {
         let bound = self.clamp_bound(bound);
         if self.wants_dense(bound) {
-            let dense = self
-                .spare_dense
-                .take()
-                .filter(|d| d.universe() == self.n)
-                .unwrap_or_else(|| DenseMassVec::new(self.n));
-            debug_assert_eq!(dense.len(), 0, "spare dense buffers must be clean");
-            self.store = MassStore::Dense(dense);
+            MassStore::Dense(self.take_dense())
         } else {
-            self.store = MassStore::Sparse(ConcurrentSparseVec::with_capacity(bound));
+            MassStore::Sparse(ConcurrentSparseVec::with_capacity(bound))
         }
     }
 
@@ -248,11 +248,13 @@ impl MassMap {
                 .map_or(0, DenseMassVec::resident_bytes)
     }
 
-    /// Number of distinct keys present.
+    /// Number of distinct keys present (read phase). Dense mode counts
+    /// the touched bits, `O(n/64)` — call it at sequential points, not
+    /// per key.
     pub fn len(&self) -> usize {
         match &self.store {
             MassStore::Sparse(s) => s.len(),
-            MassStore::Dense(d) => d.len(),
+            MassStore::Dense(d) => d.touched.count_seq(),
         }
     }
 
@@ -307,68 +309,86 @@ impl MassMap {
     pub fn contains(&self, key: u32) -> bool {
         match &self.store {
             MassStore::Sparse(s) => s.contains(key),
-            MassStore::Dense(d) => d.touched[key as usize].load(Ordering::Acquire) != 0,
+            MassStore::Dense(d) => d.touched.contains(key),
         }
     }
 
-    /// Packs the present `(key, mass)` pairs in parallel (backend order:
-    /// hash-slot order when sparse, first-touch order when dense — sort
-    /// via [`MassMap::entries_sorted`] for a deterministic order).
-    /// Read phase.
+    /// Packs the present `(key, mass)` pairs in parallel: ascending key
+    /// order when dense, hash-slot order when sparse (use
+    /// [`MassMap::entries_sorted`] for key order in both). Read phase.
     pub fn entries(&self, pool: &Pool) -> Vec<(u32, f64)> {
         match &self.store {
             MassStore::Sparse(s) => s.entries(pool),
-            MassStore::Dense(d) => d.entries(pool),
+            MassStore::Dense(d) => {
+                let keys = d.keys(pool);
+                map_index(pool, keys.len(), |i| (keys[i], d.get(keys[i])))
+            }
         }
     }
 
-    /// Packs the keys whose `(key, mass)` pair satisfies `pred`, without
-    /// materializing the intermediate entries vector: dense mode scans
-    /// the dirty list directly (`O(support)` loads, one indexed read per
-    /// candidate), sparse mode scans the hash slots. This is the
-    /// diffusions' frontier-filter path — previously `entries()` packed
-    /// every pair into a `Vec` only for a second pass to re-filter it.
-    ///
-    /// Keys come back in backend order (first-touch when dense, slot
-    /// order when sparse — nondeterministic); callers wanting a
-    /// deterministic frontier sort the result. Read phase.
+    /// Packs, in ascending order, the keys whose `(key, mass)` pair
+    /// satisfies `pred`, without materializing the entries — the
+    /// diffusions' frontier-filter path. Dense mode filters the touched
+    /// set in key order; sparse mode filters the hash slots and sorts
+    /// what survives. Read phase.
     pub fn filter_keys(&self, pool: &Pool, pred: impl Fn(u32, f64) -> bool + Sync) -> Vec<u32> {
         match &self.store {
-            MassStore::Sparse(s) => s.filter_keys(pool, pred),
-            MassStore::Dense(d) => lgc_parallel::filter_map_index(pool, d.len(), |i| {
-                let k = d.dirty[i].load(Ordering::Acquire);
-                pred(k, d.get(k)).then_some(k)
-            }),
+            MassStore::Sparse(s) => {
+                let mut keys = s.filter_keys(pool, pred);
+                merge_sort_by(pool, &mut keys, |a, b| a.cmp(b));
+                keys
+            }
+            MassStore::Dense(d) => {
+                let keys = d.keys(pool);
+                filter_map_index(pool, keys.len(), |i| {
+                    pred(keys[i], d.get(keys[i])).then_some(keys[i])
+                })
+            }
         }
     }
 
     /// Packs the present pairs sorted by key (deterministic; read phase).
     pub fn entries_sorted(&self, pool: &Pool) -> Vec<(u32, f64)> {
         let mut e = self.entries(pool);
-        lgc_parallel::merge_sort_by(pool, &mut e, |a, b| a.0.cmp(&b.0));
+        if !self.is_dense() {
+            merge_sort_by(pool, &mut e, |a, b| a.0.cmp(&b.0));
+        }
         e
     }
 
     /// Sum of all stored mass (read phase). Deterministic for a given
-    /// key set: dense mode sums in key order, independent of the
-    /// first-touch order the dirty list happens to have.
+    /// key set and capacity: dense mode sums in key order, sparse mode in
+    /// slot order, both over fixed chunk boundaries.
     pub fn l1_norm(&self, pool: &Pool) -> f64 {
         match &self.store {
             MassStore::Sparse(s) => s.l1_norm(pool),
             MassStore::Dense(d) => {
-                // Dirty order is nondeterministic across runs; a sort
-                // would be O(s log s). Summing the *cells* in key order
-                // over a bounded range would be O(n). Chunk-summing the
-                // dirty list is O(s) but order-dependent — accept that
-                // only within each chunk, then sort chunk partials? No:
-                // determinism matters to callers comparing runs, so sort
-                // a copy of the keys first (still O(s log s) only here,
-                // and l1_norm is called once per diffusion, not per
-                // iteration of the hot loop).
-                let mut keys: Vec<u32> =
-                    map_index(pool, d.len(), |i| d.dirty[i].load(Ordering::Acquire));
-                lgc_parallel::merge_sort_by(pool, &mut keys, |a, b| a.cmp(b));
+                let keys = d.keys(pool);
                 sum_f64_by_index(pool, keys.len(), 1 << 13, |i| d.get(keys[i]))
+            }
+        }
+    }
+
+    /// Empties the map and re-fits it to `bound` keys. `exact` demands
+    /// the store a fresh map would build; otherwise a sparse table that
+    /// is already big enough is kept. Dense buffers leaving service are
+    /// cleaned and stashed.
+    fn refit(&mut self, pool: &Pool, bound: usize, exact: bool) {
+        let bound = self.clamp_bound(bound);
+        let wants_dense = self.wants_dense(bound);
+        match (&mut self.store, wants_dense) {
+            (MassStore::Dense(d), true) => d.clear(pool),
+            (MassStore::Sparse(s), false)
+                if !exact || s.capacity() == ConcurrentSparseVec::fresh_capacity(bound) =>
+            {
+                s.reset(pool, bound)
+            }
+            _ => {
+                let fresh = self.empty_store(bound);
+                if let MassStore::Dense(mut d) = std::mem::replace(&mut self.store, fresh) {
+                    d.clear(pool);
+                    self.spare_dense = Some(d);
+                }
             }
         }
     }
@@ -376,25 +396,7 @@ impl MassMap {
     /// Empties the map and re-fits it (and its mode) to a new key bound.
     /// Sequential point between phases.
     pub fn reset(&mut self, pool: &Pool, bound: usize) {
-        let bound = self.clamp_bound(bound);
-        let wants_dense = self.wants_dense(bound);
-        match (&mut self.store, wants_dense) {
-            (MassStore::Dense(d), true) => d.clear(pool),
-            (MassStore::Dense(_), false) => {
-                // Downgrade: stash the cleaned dense buffers and swap in
-                // a right-sized hash table.
-                let MassStore::Dense(mut d) = std::mem::replace(
-                    &mut self.store,
-                    MassStore::Sparse(ConcurrentSparseVec::with_capacity(bound)),
-                ) else {
-                    unreachable!()
-                };
-                d.clear(pool);
-                self.spare_dense = Some(d);
-            }
-            (MassStore::Sparse(_), true) => self.rebuild_empty(bound),
-            (MassStore::Sparse(s), false) => s.reset(pool, bound),
-        }
+        self.refit(pool, bound, false);
     }
 
     /// Re-fits a recycled map so it is *observably identical* to a
@@ -417,60 +419,30 @@ impl MassMap {
             return;
         }
         self.dense_frac = frac;
-        let bound = self.clamp_bound(bound);
-        let wants_dense = self.wants_dense(bound);
-        match (&mut self.store, wants_dense) {
-            (MassStore::Dense(d), true) => d.clear(pool),
-            (MassStore::Sparse(s), false) => {
-                // A fresh map would allocate exactly this capacity.
-                let fresh_cap = ConcurrentSparseVec::fresh_capacity(bound);
-                if s.capacity() == fresh_cap {
-                    s.reset(pool, bound);
-                } else {
-                    *s = ConcurrentSparseVec::with_capacity(bound);
-                }
-            }
-            (MassStore::Dense(_), false) => {
-                let MassStore::Dense(mut d) = std::mem::replace(
-                    &mut self.store,
-                    MassStore::Sparse(ConcurrentSparseVec::with_capacity(bound)),
-                ) else {
-                    unreachable!()
-                };
-                d.clear(pool);
-                self.spare_dense = Some(d);
-            }
-            (MassStore::Sparse(_), true) => self.rebuild_empty(bound),
-        }
+        self.refit(pool, bound, true);
     }
 
-    /// Grows the map to hold at least `bound` keys, preserving entries —
-    /// upgrading sparse → dense (with migration) when `bound` crosses
-    /// the threshold. Sequential point between phases.
-    pub fn reserve_rehash(&mut self, pool: &Pool, bound: usize) {
-        let bound = self.clamp_bound(bound);
-        let wants_dense = self.wants_dense(bound);
-        match &mut self.store {
-            MassStore::Dense(_) => {} // already holds every key < n
-            MassStore::Sparse(s) => {
-                if wants_dense {
-                    let entries = s.entries(pool);
-                    let dense = self
-                        .spare_dense
-                        .take()
-                        .filter(|d| d.universe() == self.n)
-                        .unwrap_or_else(|| DenseMassVec::new(self.n));
-                    debug_assert_eq!(dense.len(), 0, "spare dense buffers must be clean");
-                    pool.run(entries.len(), 1 << 12, |st, en| {
-                        for &(k, v) in &entries[st..en] {
-                            dense.set(k, v);
-                        }
-                    });
-                    self.store = MassStore::Dense(dense);
-                } else {
-                    s.reserve_rehash(pool, bound);
+    /// Grows the map to hold `extra` keys beyond those present,
+    /// preserving entries — upgrading sparse → dense (with migration)
+    /// when that bound crosses the threshold. A dense map already holds
+    /// every key `< n`, so this costs nothing there (not even a count).
+    /// Sequential point between phases.
+    pub fn reserve_more(&mut self, pool: &Pool, extra: usize) {
+        let MassStore::Sparse(s) = &self.store else {
+            return;
+        };
+        let bound = self.clamp_bound(s.len() + extra);
+        if self.wants_dense(bound) {
+            let entries = s.entries(pool);
+            let dense = self.take_dense();
+            pool.run(entries.len(), 1 << 12, |st, en| {
+                for &(k, v) in &entries[st..en] {
+                    dense.set(k, v);
                 }
-            }
+            });
+            self.store = MassStore::Dense(dense);
+        } else if let MassStore::Sparse(s) = &mut self.store {
+            s.reserve_rehash(pool, bound);
         }
     }
 }
@@ -530,7 +502,7 @@ mod tests {
         for k in 0..10u32 {
             assert_eq!(m.get(k), 2000.0, "key {k}");
         }
-        assert_eq!(m.len(), 10, "dirty list has no duplicates");
+        assert_eq!(m.len(), 10, "each key is counted once");
     }
 
     #[test]
@@ -550,21 +522,21 @@ mod tests {
     }
 
     #[test]
-    fn reserve_rehash_upgrades_and_migrates() {
+    fn reserve_more_upgrades_and_migrates() {
         let pool = Pool::new(2);
         let mut m = MassMap::new(1000, 50);
         assert!(!m.is_dense());
         for k in 0..50u32 {
             m.add(k * 3, k as f64);
         }
-        m.reserve_rehash(&pool, 500); // 500 ≥ 125 → upgrade
+        m.reserve_more(&pool, 450); // 50 + 450 ≥ 125 → upgrade
         assert!(m.is_dense());
         assert_eq!(m.len(), 50);
         for k in 0..50u32 {
             assert_eq!(m.get(k * 3), k as f64, "entry survived migration");
         }
         // Growing an already-dense map is a no-op.
-        m.reserve_rehash(&pool, 999);
+        m.reserve_more(&pool, 949);
         assert!(m.is_dense());
         assert_eq!(m.len(), 50);
     }
@@ -595,8 +567,7 @@ mod tests {
                 m.add((i * 2) as u32, i as f64 - 700.0);
             });
             let pred = |k: u32, v: f64| v > 0.0 && !k.is_multiple_of(3);
-            let mut direct = m.filter_keys(&pool, pred);
-            direct.sort_unstable();
+            let direct = m.filter_keys(&pool, pred);
             let mut via_entries: Vec<u32> = m
                 .entries(&pool)
                 .into_iter()
@@ -700,7 +671,7 @@ mod tests {
         // Identical key sets ⇒ identical sorted entries.
         assert_eq!(a.entries_sorted(&pool), b.entries_sorted(&pool));
         // l1 sums the same values in the same (key-sorted / chunked)
-        // order in dense mode regardless of dirty-list order — and the
+        // order in dense mode regardless of first-touch order — and the
         // fixed chunk boundaries make it thread-count-invariant too.
         let expect = b.l1_norm(&pool);
         for _ in 0..3 {

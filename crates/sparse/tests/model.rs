@@ -126,7 +126,7 @@ proptest! {
     }
 
     /// Concurrent dense-mode accumulation is exact (no lost updates) and
-    /// the dirty list neither drops nor duplicates keys under contention.
+    /// the touched set neither drops nor duplicates keys under contention.
     #[test]
     fn mass_map_dense_concurrent_adds_are_exact(
         keys in prop::collection::vec(0u32..48, 1..2000),
@@ -154,8 +154,8 @@ proptest! {
 
     /// `filter_keys` (the direct backend filter the diffusions use for
     /// frontier construction) must select exactly the keys an
-    /// entries()-then-filter pass selects, in both backends at every
-    /// thread count.
+    /// entries()-then-filter pass selects, ascending, in both backends at
+    /// every thread count.
     #[test]
     fn mass_map_filter_keys_matches_entries_filter(
         keys in prop::collection::vec(0u32..512, 0..800),
@@ -173,8 +173,7 @@ proptest! {
             }
         });
         let pred = |k: u32, v: f64| v >= threshold && k % 5 != 1;
-        let mut direct = map.filter_keys(&pool, pred);
-        direct.sort_unstable();
+        let direct = map.filter_keys(&pool, pred);
         let mut via_entries: Vec<u32> = map
             .entries(&pool)
             .into_iter()
@@ -183,5 +182,62 @@ proptest! {
             .collect();
         via_entries.sort_unstable();
         prop_assert_eq!(direct, via_entries);
+    }
+
+    /// Four writers racing to first-touch overlapping key sets (every key
+    /// is written by two of them): the count is exact, every key is
+    /// enumerated exactly once — ascending when dense, and ascending from
+    /// `filter_keys` in both modes — and a recycled map is afterwards
+    /// indistinguishable from a fresh one, down to enumeration order and
+    /// `l1_norm` bits.
+    #[test]
+    fn mass_map_racing_first_touches_count_and_enumerate_once(
+        keys in prop::collection::vec(0u32..4096, 1..6000),
+        bound in 1usize..4096,
+        dense in any::<bool>(),
+    ) {
+        use lgc_sparse::MassMap;
+        const N: usize = 4096;
+        let pool = Pool::new(4);
+        let frac = if dense { 0.0 } else { f64::INFINITY };
+        let mut map = MassMap::with_dense_fraction(N, N, frac);
+        pool.for_each_index(4, 1, |w| {
+            for (i, &k) in keys.iter().enumerate() {
+                if i % 4 == w || (i + 1) % 4 == w {
+                    map.add(k, 0.25);
+                }
+            }
+        });
+        let mut want = keys.clone();
+        want.sort_unstable();
+        want.dedup();
+        prop_assert_eq!(map.len(), want.len());
+        let entries = map.entries(&pool);
+        let mut got: Vec<u32> = entries.iter().map(|&(k, _)| k).collect();
+        if dense {
+            prop_assert!(got.windows(2).all(|w| w[0] < w[1]), "dense enumeration ascends");
+        }
+        got.sort_unstable();
+        prop_assert_eq!(&got, &want, "every key exactly once");
+        let mut mass: HashMap<u32, f64> = HashMap::new();
+        for &k in &keys {
+            *mass.entry(k).or_insert(0.0) += 0.5;
+        }
+        prop_assert!(entries.iter().all(|&(k, v)| v == mass[&k]));
+        prop_assert_eq!(map.filter_keys(&pool, |_, _| true), want);
+
+        // Recycle to a bound that may land in either mode.
+        let refit = MassMap::DEFAULT_DENSE_FRACTION;
+        map.recycle(&pool, N, bound, refit);
+        let fresh = MassMap::with_dense_fraction(N, bound, refit);
+        prop_assert_eq!(map.is_dense(), fresh.is_dense());
+        prop_assert!(map.is_empty());
+        for &k in keys.iter().take(bound) {
+            map.add(k, 1.0 / (k as f64 + 3.0));
+            fresh.add(k, 1.0 / (k as f64 + 3.0));
+        }
+        prop_assert_eq!(map.len(), fresh.len());
+        prop_assert_eq!(map.entries(&pool), fresh.entries(&pool));
+        prop_assert_eq!(map.l1_norm(&pool).to_bits(), fresh.l1_norm(&pool).to_bits());
     }
 }

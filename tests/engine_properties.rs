@@ -18,8 +18,12 @@ use plgc::{Algorithm, Engine, Pool, Query, Seed};
 use proptest::prelude::*;
 
 fn small_graph() -> impl Strategy<Value = (plgc::Graph, Vec<u32>)> {
-    (30usize..250, 0u64..1000).prop_map(|(n, s)| {
-        let g = plgc::graph::gen::rand_local(n.max(30), 4, s);
+    small_graph_of(30..250)
+}
+
+fn small_graph_of(n: std::ops::Range<usize>) -> impl Strategy<Value = (plgc::Graph, Vec<u32>)> {
+    (n, 0u64..1000).prop_map(|(n, s)| {
+        let g = plgc::graph::gen::rand_local(n, 4, s);
         let comp = plgc::graph::largest_component(&g);
         let seeds: Vec<u32> = comp
             .iter()
@@ -254,6 +258,59 @@ proptest! {
             prop_assert_eq!(got.diffusion.stats, want.diffusion.stats);
             prop_assert_eq!(&got.cluster, &want.cluster);
             prop_assert_eq!(got.conductance, want.conductance);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// The dense regime: a graph small enough (n ≤ 2 000) and thresholds
+    /// tight enough that the support covers the component, so every mass
+    /// map of every float diffusion upgrades to its dense backend within
+    /// a few iterations. Cold run, warm re-run and the compressed backend
+    /// agree bitwise at 1 thread, and — with the traversal pinned to
+    /// pulls, whose sums are thread-count-invariant — at every thread
+    /// count, with the 1-thread run.
+    #[test]
+    fn dense_regime_is_deterministic_across_threads_backends_and_reuse(
+        (g, seeds) in small_graph_of(400..2000),
+        si in 0usize..8,
+    ) {
+        let c = plgc::CsrCompressed::from_graph(&g);
+        let seed = Seed::single(seeds[si % seeds.len()]);
+        let algos = [
+            Algorithm::Nibble(lgc::NibbleParams { t_max: 12, eps: 1e-7, ..Default::default() }),
+            Algorithm::PrNibble(lgc::PrNibbleParams { alpha: 0.05, eps: 1e-7, ..Default::default() }),
+            Algorithm::Hkpr(lgc::HkprParams { t: 5.0, n_levels: 12, eps: 1e-7, ..Default::default() }),
+        ];
+        for pin in [plgc::DirectionParams::default(), plgc::DirectionParams::pull_only()] {
+            let pinned = pin == plgc::DirectionParams::pull_only();
+            let reference = Engine::builder(&g).threads(1).direction(pin).build();
+            for threads in [1usize, 2, 4] {
+                let plain = Engine::builder(&g).threads(threads).direction(pin).build();
+                let packed = Engine::builder(&c).pool(Pool::new(threads)).direction(pin).build();
+                for algo in &algos {
+                    let q = Query::new(seed.clone(), algo.clone());
+                    let want = reference.run(&q);
+                    prop_assert!(
+                        want.diffusion.support_size() * 4 >= g.num_vertices(),
+                        "{:?} stayed local: {} of {}", algo, want.diffusion.support_size(), g.num_vertices()
+                    );
+                    // Twice per engine: the second run is on warm buffers.
+                    for got in [plain.run(&q), plain.run(&q), packed.run(&q), packed.run(&q)] {
+                        if threads == 1 || pinned {
+                            prop_assert_eq!(&got.diffusion.p, &want.diffusion.p, "{:?} t={}", algo, threads);
+                            prop_assert_eq!(got.diffusion.stats, want.diffusion.stats);
+                            prop_assert_eq!(&got.cluster, &want.cluster);
+                            prop_assert_eq!(&got.sweep.conductances, &want.sweep.conductances);
+                        } else {
+                            prop_assert!(l1_distance(&got.diffusion, &want.diffusion) < 1e-9);
+                            prop_assert!((got.conductance - want.conductance).abs() < 1e-9);
+                        }
+                    }
+                }
+            }
         }
     }
 }

@@ -1,9 +1,13 @@
 //! Property-based tests for the sweep cut: the parallel Theorem 1
 //! implementation must agree with the sequential algorithm and with a
-//! brute-force conductance oracle on arbitrary graphs and vectors.
+//! brute-force conductance oracle on arbitrary graphs and vectors — and,
+//! bit for bit, on graphs big enough that its adjacency pass is split
+//! into several edge chunks (one of them a star, whose hub alone covers
+//! more than four).
 
 use plgc::cluster::{sweep_cut_par, sweep_cut_seq};
-use plgc::{Graph, Pool};
+use plgc::graph::gen;
+use plgc::{CsrBackend, CsrCompressed, Graph, Pool};
 use proptest::prelude::*;
 
 /// Arbitrary small graph + arbitrary sparse positive vector.
@@ -74,6 +78,81 @@ proptest! {
         for w in s.order.windows(2) {
             let (a, b) = (score(w[0]), score(w[1]));
             prop_assert!(a > b || (a == b && w[0] < w[1]), "order violated: {} then {}", w[0], w[1]);
+        }
+    }
+}
+
+/// The multi-chunk shapes: `rand_local`, `rmat_graph500`, `star`.
+fn chunked_graph(shape: usize, seed: u64) -> Graph {
+    match shape {
+        0 => gen::rand_local(1500, 5, seed),
+        1 => gen::rmat_graph500(10, 8, seed),
+        // Hub degree 8999: its adjacency covers more than four chunks of
+        // 2048 flattened edge slots.
+        _ => gen::star(9000),
+    }
+}
+
+/// A support holding about `frac` of the vertices, with masses drawn from
+/// a handful of levels so that `p/d` ties (broken by vertex id) are common.
+fn support(g: &Graph, frac: f64, seed: u64) -> Vec<(u32, f64)> {
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    (0..g.num_vertices() as u32)
+        .filter_map(|v| {
+            let r = next();
+            ((r >> 11) as f64 / (1u64 << 53) as f64 <= frac)
+                .then(|| (v, (1 + r % 6) as f64 * g.degree(v).max(1) as f64 / 64.0))
+        })
+        .collect()
+}
+
+fn assert_same_sweep<B: CsrBackend>(g: &B, p: &[(u32, f64)], threads: usize) {
+    let seq = sweep_cut_seq(g, p);
+    let par = sweep_cut_par(&Pool::new(threads), g, p);
+    assert_eq!(seq.order, par.order, "order, t={threads}");
+    assert_eq!(
+        seq.conductances, par.conductances,
+        "conductances, t={threads}"
+    );
+    assert_eq!(seq.best_size, par.best_size, "best index, t={threads}");
+    assert_eq!(
+        seq.best_conductance.to_bits(),
+        par.best_conductance.to_bits()
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn parallel_sweep_equals_sequential_across_chunks_threads_and_backends(
+        shape in 0usize..3,
+        graph_seed in 0u64..1000,
+        mass_seed in 0u64..1000,
+        above_half in any::<bool>(),
+    ) {
+        let g = chunked_graph(shape, graph_seed);
+        let mut p = support(&g, if above_half { 0.85 } else { 0.15 }, mass_seed);
+        if shape == 2 {
+            // The hub alone is half the star's volume: it is what puts a
+            // support above half, and what spans the chunks.
+            p.retain(|&(v, _)| v != 0);
+            if above_half {
+                p.push((0, 0.5));
+            }
+        }
+        let vol: usize = p.iter().map(|&(v, _)| g.degree(v)).sum();
+        prop_assert_eq!(2 * vol > g.total_degree(), above_half, "support volume side");
+        let packed = CsrCompressed::from_graph(&g);
+        for threads in [1, 2, 4] {
+            assert_same_sweep(&g, &p, threads);
+            assert_same_sweep(&packed, &p, threads);
         }
     }
 }
