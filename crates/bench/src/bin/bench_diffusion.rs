@@ -461,7 +461,7 @@ impl Row {
 
 fn bench_graph(
     sg: &SuiteGraph,
-    pools: &[Pool],
+    pools: &[Arc<Pool>],
     reps: usize,
     quick: bool,
 ) -> (Vec<Row>, SvcRow, RobustRow) {
@@ -593,9 +593,10 @@ fn bench_graph(
     );
 
     // The serving shape: the same small batch issued repeatedly. Cold =
-    // free `run_batch` (fresh per-worker-chunk workspaces on every call,
-    // exactly PR 3's `Engine::run_batch`); svc = the persistent engine's
-    // checkout pool keeping those workspaces warm across calls. Each
+    // an engine built per call over the shared pool (empty checkout pool
+    // and cache, so fresh per-worker-chunk workspaces on every call);
+    // svc = the persistent engine's checkout pool keeping those
+    // workspaces warm across calls. Each
     // timed unit is a run of consecutive calls — the workload under
     // measurement is the *stream* of small batches, and the longer unit
     // keeps timer noise out of the reuse ratio.
@@ -615,7 +616,8 @@ fn bench_graph(
         for _ in 0..reps {
             let (_, secs) = lgc_bench::time(|| {
                 for _ in 0..CALLS_PER_UNIT {
-                    lgc::run_batch(&pools[i], g, &batch);
+                    let cold = Engine::builder(g).shared_pool(Arc::clone(&pools[i]));
+                    cold.build().run_batch(&batch);
                 }
             });
             cold_best = cold_best.min(secs);
@@ -692,8 +694,8 @@ fn bench_two_graph_stream(a: &SuiteGraph, b: &SuiteGraph, reps: usize) -> SvcRow
     let svc_s = Cols::measure(|_, t| {
         let svc = Service::builder()
             .pool(Pool::shared(t))
-            .add_graph_shared("a", Arc::new(a.graph.clone()))
-            .add_graph_shared("b", Arc::new(b.graph.clone()))
+            .add_graph("a", a.graph.clone())
+            .add_graph("b", b.graph.clone())
             .build();
         let stream = || {
             for (x, y) in qa.iter().zip(&qb) {
@@ -739,7 +741,7 @@ fn main() {
     eprintln!("# generating graph suite (quick={quick})...");
     let graphs = suite(quick);
     // Only the thread counts this box can honour get a pool (and a column).
-    let pools: Vec<Pool> = measured().map(|(_, t)| Pool::new(t)).collect();
+    let pools: Vec<Arc<Pool>> = measured().map(|(_, t)| Pool::shared(t)).collect();
 
     if let Some(only) = &only {
         for name in only {

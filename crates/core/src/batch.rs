@@ -7,203 +7,108 @@
 //! set the input parameters for the multiple independent computations."
 //!
 //! This module provides that straightforward mode, generalized to *any*
-//! algorithm: [`run_batch`] fans a list of [`Query`]s (any mix of the
-//! five diffusions) across the pool's threads. Each worker chunk owns a
-//! private [`Workspace`](crate::Workspace) recycled from query to query,
-//! and runs every query through the same unified pipeline as
-//! [`Engine::run`](crate::Engine::run) on a single-threaded pool — so a
-//! batch item is **bit-identical to a 1-thread engine run of the same
-//! query**, and the whole batch is deterministic and thread-count
-//! independent. Users with embarrassingly-many queries (e.g. NCP-style
-//! scans with known parameters) saturate their machine this way, while
-//! interactive single-query workloads use the paper's intra-query
-//! parallel algorithms; the two modes compose the same primitives, so
-//! comparing them quantifies the paper's §1 trade-off on real hardware.
+//! algorithm: [`Engine::run_batch`] fans a list of [`Query`]s (any mix of
+//! the five diffusions) across the pool's threads. Each worker chunk
+//! holds a private [`Workspace`](crate::Workspace) recycled from query to
+//! query, and runs every query through the engine's one executor — the
+//! path [`Engine::run`] takes — on a single-threaded pool, so a batch
+//! item is **bit-identical to a 1-thread engine run of the same query**,
+//! and the whole batch is deterministic and thread-count independent.
+//! Users with embarrassingly-many queries (e.g. NCP-style scans with
+//! known parameters) saturate their machine this way, while interactive
+//! single-query workloads use the paper's intra-query parallel
+//! algorithms; the two modes compose the same primitives, so comparing
+//! them quantifies the paper's §1 trade-off on real hardware.
 
-use crate::budget::{InvalidSeed, QueryBudget, QueryError};
-use crate::engine::{run_query, try_run_query, Query, QueryGovernor, Workspace, WorkspacePool};
+use crate::budget::QueryError;
+use crate::engine::{Admission, Engine, Query};
 use crate::result::ClusterResult;
 use lgc_graph::CsrBackend;
-use lgc_ligra::DirectionParams;
 use lgc_parallel::{Pool, UnsafeSlice};
 
-/// Runs many independent queries, one single-threaded unified pipeline
-/// per query, distributed across the pool's threads with per-worker
-/// recycled workspaces.
-///
-/// Results are position-aligned with `queries` and bit-identical to
-/// running each query alone on a 1-thread engine (workspace recycling is
-/// observationally invisible — see the workspace-reuse proptests), so
-/// the output does not depend on the thread count.
-///
-/// This free form cold-starts one workspace per worker chunk per call;
-/// [`Engine::run_batch`](crate::Engine::run_batch) and
-/// [`Service`](crate::Service) route through the engine's checkout pool
-/// instead, so a stream of small batches reuses warm workspaces *across*
-/// calls (the `service` section of `bench_diffusion` measures the
-/// difference).
-pub fn run_batch<B: CsrBackend>(pool: &Pool, g: &B, queries: &[Query]) -> Vec<ClusterResult> {
-    run_batch_shared(pool, g, queries, None, None)
-}
-
-/// [`run_batch`] with an optional engine-level direction override
-/// applied to every query, and an optional [`WorkspacePool`] worker
-/// chunks check their workspaces out of (warm across calls) instead of
-/// cold-starting one each.
-pub(crate) fn run_batch_shared<B: CsrBackend>(
-    pool: &Pool,
-    g: &B,
-    queries: &[Query],
-    dir: Option<DirectionParams>,
-    workspaces: Option<&WorkspacePool>,
-) -> Vec<ClusterResult> {
-    use crate::engine::LocalDiffusion as _;
-    let n = queries.len();
-    let mut out: Vec<Option<ClusterResult>> = (0..n).map(|_| None).collect();
-    {
-        let view = UnsafeSlice::new(&mut out);
-        // Chunks big enough that each worker's workspace amortizes over
-        // several queries, small enough to load-balance uneven queries.
-        let grain = n.div_ceil(pool.num_threads() * 4).max(1);
-        pool.run(n, grain, |s, e| {
-            // Per-worker-chunk state: an inline sequential sub-pool (no
-            // threads spawned) plus a workspace recycled across the
-            // chunk's queries — checked out of the shared pool when the
-            // caller has one (lock held only at the chunk boundary).
-            let sub = Pool::sequential();
-            let mut ws = match workspaces {
-                Some(p) => p.checkout(),
-                None => Workspace::new(),
-            };
-            // Global index i addresses both `queries` and the output.
-            #[allow(clippy::needless_range_loop)]
-            for i in s..e {
-                let q = &queries[i];
-                let algo = match dir {
-                    Some(d) => q.algo.with_direction(d),
-                    None => q.algo.clone(),
-                };
-                let result = run_query(&sub, g, &mut ws, &q.seed, &algo);
-                // SAFETY: each query index is written exactly once.
-                unsafe { view.write(i, Some(result)) };
-            }
-            if let Some(p) = workspaces {
-                p.restore(ws);
-            }
-        });
+impl<B: CsrBackend> Engine<'_, B> {
+    /// Runs many independent queries — any mix of algorithms — fanned
+    /// across the pool's threads, each worker chunk checking a private
+    /// workspace out of the engine's pool, so a stream of small batches
+    /// reuses warm workspaces *across* calls (the `service` section of
+    /// `bench_diffusion` measures the difference).
+    ///
+    /// Results are position-aligned with `queries` and bit-identical to
+    /// running each query alone on a 1-thread engine (workspace recycling
+    /// is observationally invisible — see the workspace-reuse
+    /// proptests), so the output does not depend on the thread count.
+    ///
+    /// # Panics
+    /// As [`Engine::run`], for any item.
+    pub fn run_batch(&self, queries: &[Query]) -> Vec<ClusterResult> {
+        self.batch(queries, Admission::Bypass)
+            .into_iter()
+            .map(|r| r.unwrap_or_else(|e| panic!("Engine::run_batch: {e}")))
+            .collect()
     }
-    out.into_iter()
-        .map(|r| r.expect("every query executed"))
-        .collect()
-}
 
-/// The governed form of [`run_batch`]: every query is seed-validated
-/// and runs under its own [`QueryBudget`]
-/// (armed at that query's start inside its worker chunk), so one
-/// poisoned or oversized query fails alone with a typed [`QueryError`] —
-/// position-aligned with `queries` — while the rest of the batch
-/// completes. Successful items are bit-identical to [`run_batch`]'s.
-pub fn try_run_batch<B: CsrBackend>(
-    pool: &Pool,
-    g: &B,
-    queries: &[Query],
-) -> Vec<Result<ClusterResult, QueryError>> {
-    try_run_batch_shared(pool, g, queries, None, None, None)
-}
-
-/// [`try_run_batch`] with the engine's direction override, workspace
-/// checkout pool, and lifecycle counters (each `Some` when routed
-/// through an [`Engine`](crate::Engine) handle).
-pub(crate) fn try_run_batch_shared<B: CsrBackend>(
-    pool: &Pool,
-    g: &B,
-    queries: &[Query],
-    dir: Option<DirectionParams>,
-    workspaces: Option<&WorkspacePool>,
-    governor: Option<&QueryGovernor>,
-) -> Vec<Result<ClusterResult, QueryError>> {
-    use crate::engine::LocalDiffusion as _;
-    let n = queries.len();
-    let num_vertices = g.num_vertices();
-    let default_budget =
-        governor.map_or_else(QueryBudget::unlimited, |gv| gv.default_budget().clone());
-    let mut out: Vec<Option<Result<ClusterResult, QueryError>>> = (0..n).map(|_| None).collect();
-    {
-        let view = UnsafeSlice::new(&mut out);
-        let default_budget = &default_budget;
-        let grain = n.div_ceil(pool.num_threads() * 4).max(1);
-        pool.run(n, grain, |s, e| {
-            let sub = Pool::sequential();
-            let mut ws = match workspaces {
-                Some(p) => p.checkout(),
-                None => Workspace::new(),
-            };
-            #[allow(clippy::needless_range_loop)]
-            for i in s..e {
-                let q = &queries[i];
-                let result = if let Some(&v) = q
-                    .seed
-                    .vertices()
-                    .iter()
-                    .find(|&&v| v as usize >= num_vertices)
-                {
-                    if let Some(gv) = governor {
-                        gv.counters().note_invalid_seed();
-                    }
-                    Err(InvalidSeed {
-                        vertex: v,
-                        num_vertices,
-                    }
-                    .into())
-                } else {
-                    let algo = match dir {
-                        Some(d) => q.algo.with_direction(d),
-                        None => q.algo.clone(),
-                    };
-                    // Each query's budget clock starts at its own first
-                    // iteration, not at batch submission.
-                    let cp = q.budget.or(default_budget).checkpoint();
-                    if let Some(gv) = governor {
-                        gv.counters().note_admitted();
-                    }
-                    // lgc-lint: allow(determinism) -- latency metric feeding note_completed only; never a query decision
-                    let t0 = std::time::Instant::now();
-                    match try_run_query(&sub, g, &mut ws, &q.seed, &algo, &cp) {
-                        Ok(res) => {
-                            if let Some(gv) = governor {
-                                gv.counters().note_completed(t0.elapsed());
-                            }
-                            Ok(res)
-                        }
-                        Err((trip, partial)) => {
-                            if let Some(gv) = governor {
-                                gv.counters().note_trip(trip);
-                            }
-                            Err(QueryError::from_trip(trip, partial))
-                        }
-                    }
-                };
-                // SAFETY: each query index is written exactly once.
-                unsafe { view.write(i, Some(result)) };
-            }
-            if let Some(p) = workspaces {
-                p.restore(ws);
-            }
-        });
+    /// The governed form of [`Engine::run_batch`]: every item is a query
+    /// of its own — seed- and parameter-validated, passed through the
+    /// in-flight gate, run under its own [`QueryBudget`](crate::QueryBudget)
+    /// (merged over the engine's default, armed at that query's start
+    /// inside its worker chunk) — so one poisoned or oversized query
+    /// fails alone with a typed [`QueryError`], position-aligned with
+    /// `queries`, while the rest of the batch completes. Successful items
+    /// are bit-identical to [`Engine::run_batch`]'s.
+    pub fn try_run_batch(&self, queries: &[Query]) -> Vec<Result<ClusterResult, QueryError>> {
+        self.batch(queries, Admission::Governed)
     }
-    out.into_iter()
-        .map(|r| r.expect("every query executed"))
-        .collect()
+
+    fn batch(
+        &self,
+        queries: &[Query],
+        admission: Admission,
+    ) -> Vec<Result<ClusterResult, QueryError>> {
+        let n = queries.len();
+        let mut out: Vec<Option<Result<ClusterResult, QueryError>>> =
+            (0..n).map(|_| None).collect();
+        {
+            let view = UnsafeSlice::new(&mut out);
+            let pool = self.pool();
+            let workspaces = &self.core.workspaces;
+            // Chunks big enough that each worker's workspace amortizes
+            // over several queries, small enough to load-balance uneven
+            // queries.
+            let grain = n.div_ceil(pool.num_threads() * 4).max(1);
+            pool.run(n, grain, |s, e| {
+                // Per-worker-chunk state: an inline sequential sub-pool
+                // (no threads spawned) plus a workspace recycled across
+                // the chunk's queries (lock held only at the chunk
+                // boundary; over budget, a transient one).
+                let sub = Pool::sequential();
+                let mut ws = workspaces.checkout();
+                // Global index i addresses both `queries` and the output.
+                #[allow(clippy::needless_range_loop)]
+                for i in s..e {
+                    let result = self.execute(&sub, Some(&mut ws), &queries[i], admission);
+                    // SAFETY: each query index is written exactly once.
+                    unsafe { view.write(i, Some(result)) };
+                }
+                workspaces.restore(ws);
+            });
+        }
+        out.into_iter()
+            .map(|r| r.expect("every query executed"))
+            .collect()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{
-        Algorithm, Engine, EvolvingParams, HkprParams, NibbleParams, PrNibbleParams,
-        RandHkprParams, Seed,
+        Algorithm, EvolvingParams, HkprParams, NibbleParams, PrNibbleParams, RandHkprParams, Seed,
     };
     use lgc_graph::gen;
+
+    fn run_batch<B: CsrBackend>(threads: usize, g: &B, qs: &[Query]) -> Vec<ClusterResult> {
+        Engine::builder(g).threads(threads).build().run_batch(qs)
+    }
 
     fn queries(n: u32) -> Vec<Query> {
         (0..n)
@@ -250,8 +155,7 @@ mod tests {
     fn batch_matches_individual_one_thread_engine_runs() {
         let (g, _) = gen::sbm(&[40, 40, 40, 40], 0.3, 0.01, 8);
         let qs = queries(10);
-        let pool = Pool::new(2);
-        let batch = run_batch(&pool, &g, &qs);
+        let batch = run_batch(2, &g, &qs);
         assert_eq!(batch.len(), 10);
         let engine = Engine::builder(&g).threads(1).build();
         for (q, got) in qs.iter().zip(&batch) {
@@ -267,9 +171,9 @@ mod tests {
     fn batch_is_thread_count_independent() {
         let g = gen::rand_local(500, 5, 4);
         let qs = queries(9);
-        let base = run_batch(&Pool::new(1), &g, &qs);
+        let base = run_batch(1, &g, &qs);
         for threads in [2, 4] {
-            let got = run_batch(&Pool::new(threads), &g, &qs);
+            let got = run_batch(threads, &g, &qs);
             for (a, b) in base.iter().zip(&got) {
                 assert_eq!(a.cluster, b.cluster, "threads={threads}");
                 assert_eq!(a.conductance, b.conductance);
@@ -281,6 +185,6 @@ mod tests {
     #[test]
     fn empty_batch() {
         let g = gen::cycle(10);
-        assert!(run_batch(&Pool::new(2), &g, &[]).is_empty());
+        assert!(run_batch(2, &g, &[]).is_empty());
     }
 }

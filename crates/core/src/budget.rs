@@ -5,9 +5,8 @@
 //! clock, by deterministic work counters, or until a shared
 //! [`CancelToken`] flips. Budgets are carried on
 //! [`Query`](crate::Query) (per request) and on the engine (per-graph
-//! default via [`EngineBuilder::default_budget`](crate::EngineBuilder)
-//! or [`EngineLimits`]); per-query settings override the default
-//! field-wise. The diffusion loops, the sweep, NCP grid scans, and batch
+//! default via [`EngineLimits::default_budget`]); per-query settings
+//! override the default field-wise. The diffusion loops, the sweep, NCP grid scans, and batch
 //! chunk loops check the budget **once per frontier iteration** (see
 //! [`lgc_ligra::interrupt`]) — never per edge — so the hot kernels are
 //! untouched and completed runs stay bit-identical to unbudgeted ones.
@@ -17,8 +16,10 @@
 //! [`try_run_batch`](crate::Engine::try_run_batch)) return a
 //! [`QueryError`] carrying a [`PartialResult`]: the best-so-far sweep
 //! cut, the partial diffusion vector, and the work counters at the
-//! moment of the trip. The infallible [`run`](crate::Engine::run)
-//! ignores budgets entirely and keeps its run-to-completion semantics.
+//! moment of the trip. The infallible [`run`](crate::Engine::run) and
+//! [`run_batch`](crate::Engine::run_batch) walk the same executor with
+//! admission bypassed: they ignore budgets entirely and keep their
+//! run-to-completion semantics.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -155,18 +156,25 @@ impl QueryBudget {
     }
 }
 
-/// Per-graph engine limits, bundling everything
-/// [`Service::add_graph_with_limits`](crate::Service::add_graph_with_limits)
-/// can configure.
+/// Per-graph engine limits — the one spelling of the three, taken by
+/// [`EngineBuilder::limits`](crate::EngineBuilder::limits) and
+/// [`Service::add_graph_with_limits`](crate::Service::add_graph_with_limits).
 #[derive(Clone, Debug, Default)]
 pub struct EngineLimits {
-    /// Workspace-pool byte budget (`None` = the 4×-graph-bytes default).
+    /// Byte budget for the graph's resident workspace scratch: checkouts
+    /// that would push the total past it are denied (`try_run`) or
+    /// served by transient unpooled workspaces (`run`, batch chunks).
+    /// `None` = 4× the graph's resident bytes, clamped to
+    /// `[32 MiB, 1 GiB]`.
     pub workspace_budget: Option<usize>,
-    /// Admission-control cap on concurrently executing `try_run` queries
-    /// (`None` = unbounded).
+    /// Admission-control cap: at most this many governed queries
+    /// (`try_run`, `try_run_batch` items) execute concurrently; arrivals
+    /// beyond it are shed with [`QueryError::Overloaded`] (carrying a
+    /// retry-after hint) instead of queuing. The infallible paths are
+    /// never shed. `None` = unbounded.
     pub max_in_flight: Option<usize>,
-    /// Default [`QueryBudget`] applied to every query on this graph
-    /// (field-wise overridable per query).
+    /// Default [`QueryBudget`] applied to every governed query on this
+    /// graph (field-wise overridable per query).
     pub default_budget: QueryBudget,
 }
 
@@ -234,6 +242,48 @@ impl fmt::Display for InvalidSeed {
 
 impl std::error::Error for InvalidSeed {}
 
+/// An algorithm parameter outside the range its diffusion is defined
+/// on — what [`Algorithm::check`](crate::Algorithm::check) reports.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct InvalidParams {
+    /// The offending field, e.g. `"alpha"`.
+    pub param: &'static str,
+    /// What it must satisfy, e.g. `"must be in (0,1)"`.
+    pub requirement: &'static str,
+}
+
+impl InvalidParams {
+    /// `Ok` iff `ok` — one line per predicate in the params' `check`s.
+    pub(crate) fn require(
+        ok: bool,
+        param: &'static str,
+        requirement: &'static str,
+    ) -> Result<(), InvalidParams> {
+        if ok {
+            Ok(())
+        } else {
+            Err(InvalidParams { param, requirement })
+        }
+    }
+
+    /// The recurring predicate: `x > 0` and finite (`NaN` fails both).
+    pub(crate) fn positive(x: f64, param: &'static str) -> Result<(), InvalidParams> {
+        Self::require(
+            x > 0.0 && x.is_finite(),
+            param,
+            "must be positive and finite",
+        )
+    }
+}
+
+impl fmt::Display for InvalidParams {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "invalid parameter: {} {}", self.param, self.requirement)
+    }
+}
+
+impl std::error::Error for InvalidParams {}
+
 /// Floor for the [`Overloaded`](QueryError::Overloaded) retry-after
 /// hint. The hint is the graph's mean completed-query latency, which is
 /// degenerate at cold start (no completions yet) and can round to zero
@@ -255,8 +305,10 @@ pub const RETRY_AFTER_FLOOR: Duration = Duration::from_micros(100);
 ///   [`WorkBudgetExceeded`](QueryError::WorkBudgetExceeded) are
 ///   retryable **with a larger budget** — the partial result shows how
 ///   far the original budget got.
-/// - [`Cancelled`](QueryError::Cancelled) and
-///   [`InvalidSeed`](QueryError::InvalidSeed) are not retryable as-is.
+/// - [`Cancelled`](QueryError::Cancelled),
+///   [`InvalidSeed`](QueryError::InvalidSeed) and
+///   [`InvalidParams`](QueryError::InvalidParams) are not retryable
+///   as-is.
 #[derive(Clone, Debug)]
 pub enum QueryError {
     /// The wall-clock deadline passed mid-run. (The partial is boxed to
@@ -269,6 +321,9 @@ pub enum QueryError {
     /// A seed vertex id is out of range (rejected at admission — no work
     /// was done).
     InvalidSeed(InvalidSeed),
+    /// An algorithm parameter is non-finite or out of range (rejected at
+    /// admission — no work was done).
+    InvalidParams(InvalidParams),
     /// The workspace pool's byte budget could not admit another
     /// checkout.
     WorkspaceBudgetExceeded(WorkspaceBudgetExceeded),
@@ -346,6 +401,7 @@ impl fmt::Display for QueryError {
                 p.stats.iterations, p.stats.pushes, p.stats.edges_traversed
             ),
             QueryError::InvalidSeed(e) => e.fmt(f),
+            QueryError::InvalidParams(e) => e.fmt(f),
             QueryError::WorkspaceBudgetExceeded(e) => e.fmt(f),
             QueryError::Overloaded {
                 in_flight,
@@ -369,6 +425,7 @@ impl std::error::Error for QueryError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             QueryError::InvalidSeed(e) => Some(e),
+            QueryError::InvalidParams(e) => Some(e),
             QueryError::WorkspaceBudgetExceeded(e) => Some(e),
             _ => None,
         }
@@ -387,8 +444,14 @@ impl From<InvalidSeed> for QueryError {
     }
 }
 
-/// Per-graph robustness counters, maintained by the engine's fallible
-/// entry points and surfaced next to the [`GraphCache`](crate::engine)
+impl From<InvalidParams> for QueryError {
+    fn from(e: InvalidParams) -> Self {
+        QueryError::InvalidParams(e)
+    }
+}
+
+/// Per-graph robustness counters, maintained by the engine's executor
+/// and surfaced next to the [`GraphCache`](crate::engine)
 /// hit/miss stats.
 #[derive(Debug, Default)]
 pub struct LifecycleCounters {
@@ -448,19 +511,13 @@ impl LifecycleCounters {
 
     /// Try to occupy an in-flight slot under `limit`; `Err` returns the
     /// observed occupancy without taking a slot.
-    pub(crate) fn enter(&self, limit: Option<usize>) -> Result<(), usize> {
+    pub(crate) fn enter(&self, limit: Option<usize>) -> Result<InFlightSlot<'_>, usize> {
         let occupied = self.in_flight.fetch_add(1, Ordering::AcqRel);
-        if let Some(cap) = limit {
-            if occupied >= cap {
-                self.in_flight.fetch_sub(1, Ordering::AcqRel);
-                return Err(occupied);
-            }
+        let slot = InFlightSlot(&self.in_flight);
+        match limit {
+            Some(cap) if occupied >= cap => Err(occupied), // dropping `slot` gives it back
+            _ => Ok(slot),
         }
-        Ok(())
-    }
-
-    pub(crate) fn exit(&self) {
-        self.in_flight.fetch_sub(1, Ordering::AcqRel);
     }
 
     /// Mean completed-query latency, the `Overloaded` retry-after hint.
@@ -500,6 +557,16 @@ impl LifecycleCounters {
             refined: self.refined.load(Ordering::Relaxed),
             refine_improved: self.refine_improved.load(Ordering::Relaxed),
         }
+    }
+}
+
+/// An occupied in-flight slot, released on drop — so every return path
+/// of the executor, and a query that unwinds, gives its slot back.
+pub(crate) struct InFlightSlot<'a>(&'a AtomicUsize);
+
+impl Drop for InFlightSlot<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
@@ -575,18 +642,17 @@ mod tests {
     #[test]
     fn in_flight_gate_admits_up_to_limit() {
         let c = LifecycleCounters::default();
-        assert!(c.enter(Some(2)).is_ok());
-        assert!(c.enter(Some(2)).is_ok());
-        assert_eq!(c.enter(Some(2)), Err(2));
-        c.exit();
-        assert!(c.enter(Some(2)).is_ok());
+        let a = c.enter(Some(2)).expect("slot 1");
+        let b = c.enter(Some(2)).expect("slot 2");
+        assert_eq!(c.enter(Some(2)).err(), Some(2));
+        drop(a);
+        let a = c.enter(Some(2)).expect("freed slot");
         assert_eq!(c.snapshot().in_flight, 2);
-        c.exit();
-        c.exit();
+        drop((a, b));
         assert_eq!(c.snapshot().in_flight, 0);
         // unbounded always admits
         assert!(c.enter(None).is_ok());
-        c.exit();
+        assert_eq!(c.snapshot().in_flight, 0);
     }
 
     #[test]
@@ -625,6 +691,78 @@ mod tests {
         let mean = c.mean_latency().unwrap();
         assert!(mean > RETRY_AFTER_FLOOR);
         assert_eq!(c.retry_hint(), mean);
+    }
+
+    /// `Algorithm::check` names the offending field for every value no
+    /// diffusion is defined on, and passes the defaults and the
+    /// documented `dense_frac = +∞`.
+    #[test]
+    fn check_names_the_offending_parameter() {
+        use crate::{
+            Algorithm, EvolvingParams, HkprParams, NibbleParams, PrNibbleParams, RandHkprParams,
+        };
+        let pr = |f: fn(&mut PrNibbleParams)| {
+            let mut p = PrNibbleParams::default();
+            f(&mut p);
+            Algorithm::PrNibble(p)
+        };
+        let hk = |f: fn(&mut HkprParams)| {
+            let mut p = HkprParams::default();
+            f(&mut p);
+            Algorithm::Hkpr(p)
+        };
+        let rh = |f: fn(&mut RandHkprParams)| {
+            let mut p = RandHkprParams::default();
+            f(&mut p);
+            Algorithm::RandHkpr(p)
+        };
+        let nan = f64::NAN;
+        let bad = [
+            (pr(|p| p.alpha = 0.0), "alpha"),
+            (pr(|p| p.alpha = 1.0), "alpha"),
+            (pr(|p| p.alpha = f64::NAN), "alpha"),
+            (pr(|p| p.eps = f64::INFINITY), "eps"),
+            (pr(|p| p.eps = f64::NAN), "eps"),
+            (pr(|p| p.eps = 0.0), "eps"),
+            (pr(|p| p.beta = 1.5), "beta"),
+            (pr(|p| p.dense_frac = f64::NAN), "dense_frac"),
+            (pr(|p| p.dense_frac = -1.0), "dense_frac"),
+            (hk(|p| p.t = f64::NEG_INFINITY), "t"),
+            (hk(|p| p.n_levels = 0), "n_levels"),
+            (hk(|p| p.eps = -1e-3), "eps"),
+            (rh(|p| p.t = f64::INFINITY), "t"),
+            (rh(|p| p.walks = 0), "walks"),
+            (
+                Algorithm::Nibble(NibbleParams {
+                    eps: nan,
+                    ..Default::default()
+                }),
+                "eps",
+            ),
+            (
+                Algorithm::Evolving(EvolvingParams {
+                    target_conductance: nan,
+                    ..Default::default()
+                }),
+                "target_conductance",
+            ),
+        ];
+        for (algo, field) in bad {
+            let e = algo.check().expect_err("hostile parameter accepted");
+            assert_eq!(e.param, field, "{algo:?}");
+            assert!(e.to_string().contains(field));
+        }
+        let good = [
+            pr(|_| {}),
+            pr(|p| p.dense_frac = f64::INFINITY),
+            hk(|_| {}),
+            rh(|_| {}),
+            Algorithm::Nibble(NibbleParams::default()),
+            Algorithm::Evolving(EvolvingParams::default()),
+        ];
+        for algo in good {
+            assert_eq!(algo.check(), Ok(()), "{algo:?}");
+        }
     }
 
     #[test]

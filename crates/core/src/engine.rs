@@ -10,7 +10,7 @@
 //! contribution slices, sweep rank tables — on every call, even though
 //! all of it is reusable across queries against the same graph.
 //!
-//! [`Engine`] fixes that: a handle bundling a [`Pool`] (owned, or an
+//! [`Engine`] fixes that: one type bundling a [`Pool`] (owned, or an
 //! `Arc` share of a server-wide one), a `&Graph`, a checkout pool of
 //! [`Workspace`]s, and a [`GraphCache`] of seed-independent state —
 //! built once and then hit with any number of queries **from any number
@@ -39,20 +39,19 @@
 //! would compute. Warm queries simply skip the allocator.
 //!
 //! Batch execution generalizes to any algorithm through
-//! [`Engine::run_batch`] / [`run_batch`]: queries are fanned across the
+//! [`Engine::run_batch`]: queries are fanned across the
 //! pool's threads, each worker chunk checking a private [`Workspace`]
 //! out of the engine's pool — warm across `run_batch` *calls*, not just
 //! within one (see [`crate::batch`] for the inter- vs intra-query
 //! parallelism trade-off the paper discusses).
 //!
 //! Serving many graphs from one process is the job of
-//! [`Service`](crate::Service), which hosts one [`EngineHandle`]-shaped
-//! entry per registered graph over a single shared [`Pool`].
+//! [`Service`](crate::Service), which hands out an [`Engine`] per
+//! registered graph over a single shared [`Pool`].
 
-use crate::batch::{run_batch_shared, try_run_batch_shared};
 use crate::budget::{
-    InvalidSeed, LifecycleCounters, LifecycleSnapshot, PartialResult, QueryBudget, QueryError,
-    TrippedDiffusion,
+    EngineLimits, InvalidSeed, LifecycleCounters, LifecycleSnapshot, PartialResult, QueryBudget,
+    QueryError, TrippedDiffusion,
 };
 use crate::cache::GraphCache;
 use crate::evolving::evolving_set_par_ws;
@@ -679,31 +678,18 @@ impl Query {
     }
 }
 
-/// One full query: diffusion + rounding, over a shared workspace. The
-/// single code path behind [`crate::find_cluster`], [`Engine::run`], and
-/// each batch worker — which is what makes the three agree bit-for-bit.
-pub(crate) fn run_query<B: CsrBackend>(
-    pool: &Pool,
-    g: &B,
-    ws: &mut Workspace,
-    seed: &Seed,
-    algo: &Algorithm,
-) -> ClusterResult {
-    match try_run_query(pool, g, ws, seed, algo, &Checkpoint::unlimited()) {
-        Ok(res) => res,
-        Err(_) => unreachable!("an unlimited checkpoint never trips"),
-    }
-}
-
-/// [`run_query`] under a [`Checkpoint`]: the guarded pipeline every
-/// fallible entry point routes through. On a trip the error carries a
-/// [`PartialResult`] — the partial diffusion vector, its work counters,
-/// and a best-so-far sweep cut. Sweeping the partial vector uses an
-/// *unlimited* checkpoint: its cost is bounded by the diffusion work the
-/// budget already admitted, and a tripped query should still hand back
-/// the best cluster its completed iterations can support. Either way the
-/// workspace ends the call fully recycled (all buffers returned), so the
-/// checkout is indistinguishable from one that served a completed query.
+/// One full query — diffusion + rounding over a shared workspace, under
+/// a [`Checkpoint`]: the single code path behind [`crate::find_cluster`]
+/// and the engine's executor (single queries and batch worker chunks
+/// alike), which is what makes them agree bit-for-bit. On a trip the
+/// error carries a [`PartialResult`] — the partial diffusion vector, its
+/// work counters, and a best-so-far sweep cut. Sweeping the partial
+/// vector uses an *unlimited* checkpoint: its cost is bounded by the
+/// diffusion work the budget already admitted, and a tripped query
+/// should still hand back the best cluster its completed iterations can
+/// support. Either way the workspace ends the call fully recycled (all
+/// buffers returned), so the checkout is indistinguishable from one that
+/// served a completed query.
 pub(crate) fn try_run_query<B: CsrBackend>(
     pool: &Pool,
     g: &B,
@@ -761,34 +747,6 @@ pub(crate) fn try_run_query<B: CsrBackend>(
     }
 }
 
-/// Admission control + lifecycle accounting for one graph's fallible
-/// query entry points: the in-flight cap, the per-graph default
-/// [`QueryBudget`], and the robustness counters. One per [`EngineCore`],
-/// shared by every handle over that graph.
-pub(crate) struct QueryGovernor {
-    max_in_flight: Option<usize>,
-    default_budget: QueryBudget,
-    counters: LifecycleCounters,
-}
-
-impl QueryGovernor {
-    pub(crate) fn new(max_in_flight: Option<usize>, default_budget: QueryBudget) -> Self {
-        QueryGovernor {
-            max_in_flight,
-            default_budget,
-            counters: LifecycleCounters::default(),
-        }
-    }
-
-    pub(crate) fn counters(&self) -> &LifecycleCounters {
-        &self.counters
-    }
-
-    pub(crate) fn default_budget(&self) -> &QueryBudget {
-        &self.default_budget
-    }
-}
-
 /// The engine's pool slot: its own workers, or a share of a runtime-wide
 /// set (how a [`Service`](crate::Service) hosts many graphs over one
 /// pool without per-graph worker fleets).
@@ -809,55 +767,40 @@ impl std::ops::Deref for PoolRef {
     }
 }
 
-/// The graph-independent half of an engine: pool slot, direction
-/// override, workspace checkout pool, per-graph cache. [`Engine`] pairs
-/// one with a borrowed graph; [`Service`](crate::Service) keeps one per
-/// registered graph over a shared pool.
+/// The graph-independent half of an engine — pool slot, direction
+/// override, workspace checkout pool (with its per-graph cache), and the
+/// admission limits and robustness counters of the graph's queries.
+/// Every [`Engine`] clone over a graph shares one behind an `Arc`;
+/// [`Service`](crate::Service) keeps one per registered graph.
 pub(crate) struct EngineCore {
     pool: PoolRef,
     dir: Option<DirectionParams>,
-    workspaces: WorkspacePool,
-    governor: QueryGovernor,
+    pub(crate) workspaces: WorkspacePool,
+    max_in_flight: Option<usize>,
+    pub(crate) default_budget: QueryBudget,
+    pub(crate) counters: LifecycleCounters,
 }
 
 impl EngineCore {
-    /// A core admitting at most `budget` resident workspace bytes and at
-    /// most `max_in_flight` concurrent fallible queries, every query
-    /// defaulting to `default_budget`.
+    /// A core for a graph occupying `graph_bytes`, under `limits` (an
+    /// unset workspace budget is sized from the graph).
     pub(crate) fn new(
         pool: PoolRef,
         dir: Option<DirectionParams>,
-        budget: usize,
-        max_in_flight: Option<usize>,
-        default_budget: QueryBudget,
+        graph_bytes: usize,
+        limits: EngineLimits,
     ) -> Self {
+        let budget = limits
+            .workspace_budget
+            .unwrap_or_else(|| default_workspace_budget(graph_bytes));
         EngineCore {
             pool,
             dir,
             workspaces: WorkspacePool::new(Arc::new(GraphCache::new()), budget),
-            governor: QueryGovernor::new(max_in_flight, default_budget),
+            max_in_flight: limits.max_in_flight,
+            default_budget: limits.default_budget,
+            counters: LifecycleCounters::default(),
         }
-    }
-
-    /// A query handle over this core and `g`.
-    pub(crate) fn handle<'a, B: CsrBackend>(&'a self, g: &'a B) -> EngineHandle<'a, B> {
-        EngineHandle {
-            g,
-            pool: &self.pool,
-            dir: self.dir,
-            workspaces: &self.workspaces,
-            governor: &self.governor,
-        }
-    }
-
-    /// The core's per-graph cache.
-    pub(crate) fn cache(&self) -> &Arc<GraphCache> {
-        self.workspaces.cache()
-    }
-
-    /// Point-in-time copy of the core's robustness counters.
-    pub(crate) fn lifecycle(&self) -> LifecycleSnapshot {
-        self.governor.counters().snapshot()
     }
 }
 
@@ -870,9 +813,7 @@ pub struct EngineBuilder<'g, B: CsrBackend = Graph> {
     threads: Option<usize>,
     pool: Option<PoolRef>,
     dir: Option<DirectionParams>,
-    budget: Option<usize>,
-    max_in_flight: Option<usize>,
-    default_budget: QueryBudget,
+    limits: EngineLimits,
 }
 
 impl<'g, B: CsrBackend> EngineBuilder<'g, B> {
@@ -907,45 +848,11 @@ impl<'g, B: CsrBackend> EngineBuilder<'g, B> {
         self
     }
 
-    /// Byte budget for the engine's resident workspace scratch: checkout
-    /// requests that would push the total past it are denied (`try_run`)
-    /// or served by transient unpooled workspaces (`run`). Default:
-    /// 4× the graph's resident bytes, clamped to `[32 MiB, 1 GiB]`.
-    pub fn workspace_budget(mut self, bytes: usize) -> Self {
-        self.budget = Some(bytes);
-        self
-    }
-
-    /// Admission-control cap: at most `n` fallible queries
-    /// ([`Engine::try_run`]) execute concurrently; arrivals beyond the
-    /// cap are shed with [`QueryError::Overloaded`] (carrying a
-    /// retry-after hint) instead of queuing. The infallible paths are
-    /// never shed. Default: unbounded.
-    pub fn max_in_flight(mut self, n: usize) -> Self {
-        self.max_in_flight = Some(n);
-        self
-    }
-
-    /// Default [`QueryBudget`] applied to every fallible query on this
-    /// engine; per-query budgets override it field-wise. Default:
-    /// unlimited.
-    pub fn default_budget(mut self, budget: QueryBudget) -> Self {
-        self.default_budget = budget;
-        self
-    }
-
-    /// Applies a full [`EngineLimits`](crate::EngineLimits) bundle —
-    /// workspace byte budget,
-    /// in-flight cap, and default query budget — in one call (unset
-    /// fields keep their defaults).
-    pub fn limits(mut self, limits: crate::budget::EngineLimits) -> Self {
-        if let Some(b) = limits.workspace_budget {
-            self.budget = Some(b);
-        }
-        if let Some(n) = limits.max_in_flight {
-            self.max_in_flight = Some(n);
-        }
-        self.default_budget = limits.default_budget;
+    /// The engine's [`EngineLimits`]: workspace byte budget, in-flight
+    /// admission cap, and default query budget (see the fields for what
+    /// each bounds; all default to "unset").
+    pub fn limits(mut self, limits: EngineLimits) -> Self {
+        self.limits = limits;
         self
     }
 
@@ -957,27 +864,34 @@ impl<'g, B: CsrBackend> EngineBuilder<'g, B> {
                 None => Pool::with_default_threads(),
             })
         });
-        let budget = self
-            .budget
-            .unwrap_or_else(|| default_workspace_budget(self.g.memory_bytes()));
+        let core = EngineCore::new(pool, self.dir, self.g.memory_bytes(), self.limits);
         Engine {
             g: self.g,
-            core: EngineCore::new(
-                pool,
-                self.dir,
-                budget,
-                self.max_in_flight,
-                self.default_budget,
-            ),
+            core: Arc::new(core),
         }
     }
 }
 
-/// A query handle over one graph: a thread [`Pool`] (owned or shared),
+/// How a query enters the engine's executor.
+#[derive(Clone, Copy)]
+pub(crate) enum Admission {
+    /// The `try_*` entry points: the in-flight cap and the workspace byte
+    /// budget may shed the query, and it runs under its [`QueryBudget`]
+    /// merged field-wise over the engine's default.
+    Governed,
+    /// The infallible entry points: never shed, never budgeted.
+    Bypass,
+}
+
+/// The one query type over a graph: a thread [`Pool`] (owned or shared),
 /// the graph, a checkout pool of [`Workspace`]s, and a [`GraphCache`].
 /// Build once, query many times — from as many threads as you like,
-/// since every query method takes `&self`. See the crate docs for the
-/// full story.
+/// since every query method takes `&self` and checks a [`Workspace`] out
+/// of the pool for the query's duration. Cloning is an `Arc` bump:
+/// clones (and every [`Service::engine`](crate::Service::engine) over
+/// the same registered graph) share the pool, the warm workspaces, the
+/// cache and the robustness counters. See the crate docs for the full
+/// story.
 ///
 /// Queries through a warm engine return results bit-identical to the
 /// corresponding free functions (`prnibble_par` + `sweep_cut_par`, …) —
@@ -985,8 +899,19 @@ impl<'g, B: CsrBackend> EngineBuilder<'g, B> {
 /// in the allocator profile and the amortized per-query latency
 /// (`bench_diffusion` records the warm and service columns).
 pub struct Engine<'g, B: CsrBackend = Graph> {
-    g: &'g B,
-    core: EngineCore,
+    pub(crate) g: &'g B,
+    pub(crate) core: Arc<EngineCore>,
+}
+
+// Manual impl: `derive(Clone)` would demand `B: Clone`, but the engine
+// only holds `&B`.
+impl<B: CsrBackend> Clone for Engine<'_, B> {
+    fn clone(&self) -> Self {
+        Engine {
+            g: self.g,
+            core: Arc::clone(&self.core),
+        }
+    }
 }
 
 impl<'g, B: CsrBackend> Engine<'g, B> {
@@ -999,9 +924,7 @@ impl<'g, B: CsrBackend> Engine<'g, B> {
             threads: None,
             pool: None,
             dir: None,
-            budget: None,
-            max_in_flight: None,
-            default_budget: QueryBudget::unlimited(),
+            limits: EngineLimits::default(),
         }
     }
 
@@ -1041,68 +964,132 @@ impl<'g, B: CsrBackend> Engine<'g, B> {
     }
 
     /// The engine's resident-workspace byte budget (see
-    /// [`EngineBuilder::workspace_budget`]).
+    /// [`EngineLimits::workspace_budget`]).
     pub fn workspace_budget(&self) -> usize {
         self.core.workspaces.budget()
     }
 
-    /// A borrowed, `Copy` query handle — what [`Engine`]'s own query
-    /// methods delegate to, and the exact shape
-    /// [`Service::engine`](crate::Service::engine) returns for its
-    /// registered graphs.
-    pub fn handle(&self) -> EngineHandle<'_, B> {
-        self.core.handle(self.g)
+    /// Per-graph robustness counters: admitted / completed / shed /
+    /// tripped / in-flight, next to the [`GraphCache`] stats. Every
+    /// admitted query — single or batch item, fallible or not — ends in
+    /// exactly one of completed / tripped.
+    pub fn lifecycle_stats(&self) -> LifecycleSnapshot {
+        self.core.counters.snapshot()
+    }
+
+    /// Applies the engine-level direction override, if any.
+    fn resolve(&self, algo: &Algorithm) -> Algorithm {
+        match self.core.dir {
+            Some(dir) => algo.with_direction(dir),
+            None => algo.clone(),
+        }
+    }
+
+    /// The one executor behind every query entry point: a single query
+    /// (`chunk_ws` is `None` — scratch is checked out for this query
+    /// alone) or one item of a batch worker chunk, which lends the
+    /// workspace it recycles across its items. Bad input is rejected
+    /// before any resource is taken; the budget clock starts at the
+    /// query's own first iteration; every admitted query books exactly
+    /// one of completed / tripped.
+    pub(crate) fn execute(
+        &self,
+        pool: &Pool,
+        chunk_ws: Option<&mut Workspace>,
+        query: &Query,
+        admission: Admission,
+    ) -> Result<ClusterResult, QueryError> {
+        let core = &*self.core;
+        let governed = matches!(admission, Admission::Governed);
+        let n = self.g.num_vertices();
+        if let Some(&v) = query.seed.vertices().iter().find(|&&v| v as usize >= n) {
+            core.counters.note_invalid_seed();
+            return Err(InvalidSeed {
+                vertex: v,
+                num_vertices: n,
+            }
+            .into());
+        }
+        query.algo.check()?;
+        let cap = core.max_in_flight.filter(|_| governed);
+        // The slot is released on drop, on every return path below.
+        let _slot = core.counters.enter(cap).map_err(|occupied| {
+            core.counters.note_shed_overloaded();
+            QueryError::Overloaded {
+                in_flight: occupied,
+                limit: cap.unwrap_or(usize::MAX),
+                retry_after: Some(core.counters.retry_hint()),
+            }
+        })?;
+        let mut own = None;
+        let ws = match chunk_ws {
+            Some(ws) => ws,
+            None if governed => own.insert(
+                core.workspaces
+                    .try_checkout()
+                    .inspect_err(|_| core.counters.note_shed_workspace())?,
+            ),
+            None => own.insert(core.workspaces.checkout()),
+        };
+        core.counters.note_admitted();
+        let algo = self.resolve(&query.algo);
+        let cp = if governed {
+            query.budget.or(&core.default_budget).checkpoint()
+        } else {
+            Checkpoint::unlimited()
+        };
+        // lgc-lint: allow(determinism) -- latency metric feeding note_completed only; never a query decision
+        let t0 = Instant::now();
+        let out = try_run_query(pool, self.g, ws, &query.seed, &algo, &cp);
+        if let Some(ws) = own {
+            core.workspaces.restore(ws);
+        }
+        match out {
+            Ok(res) => {
+                core.counters.note_completed(t0.elapsed());
+                Ok(res)
+            }
+            Err((trip, partial)) => {
+                core.counters.note_trip(trip);
+                Err(QueryError::from_trip(trip, partial))
+            }
+        }
     }
 
     /// Runs one full query — diffusion plus sweep-cut rounding (the
     /// evolving-set process reports its best set directly; see
     /// [`ClusterResult::from_evolving`]) — over a workspace checked out
     /// of the engine's pool. Equivalent to [`crate::find_cluster`],
-    /// minus the allocations. Callable from any thread.
+    /// minus the allocations. Callable from any thread. This is
+    /// [`Engine::try_run`] with admission bypassed and no budget.
+    ///
+    /// # Panics
+    /// On an out-of-range seed or parameters failing
+    /// [`Algorithm::check`] — the only errors an ungoverned query can
+    /// meet; `try_run` returns them typed.
     pub fn run(&self, query: &Query) -> ClusterResult {
-        self.handle().run(query)
+        self.execute(self.pool(), None, query, Admission::Bypass)
+            .unwrap_or_else(|e| panic!("Engine::run: {e}"))
     }
 
-    /// The governed form of [`Engine::run`]: validates the seed, applies
-    /// admission control (in-flight cap, workspace byte budget), honors
-    /// the query's [`QueryBudget`] (merged field-wise over the engine's
-    /// default), and returns a typed [`QueryError`] — carrying the
-    /// best-so-far [`PartialResult`] for mid-run trips — instead of
-    /// running unboundedly or panicking.
+    /// The governed form of [`Engine::run`]: validates the seed and the
+    /// parameters, applies admission control (in-flight cap, workspace
+    /// byte budget), honors the query's [`QueryBudget`] (merged
+    /// field-wise over the engine's default), and returns a typed
+    /// [`QueryError`] — carrying the best-so-far [`PartialResult`] for
+    /// mid-run trips — instead of running unboundedly or panicking.
     pub fn try_run(&self, query: &Query) -> Result<ClusterResult, QueryError> {
-        self.handle().try_run(query)
-    }
-
-    /// Per-graph robustness counters: admitted / completed / shed /
-    /// tripped / in-flight, next to the [`GraphCache`] stats.
-    pub fn lifecycle_stats(&self) -> LifecycleSnapshot {
-        self.core.lifecycle()
+        self.execute(self.pool(), None, query, Admission::Governed)
     }
 
     /// Runs just the diffusion of `algo` from `seed` (no sweep).
     /// Equivalent to the algorithm's `*_par` free function.
     pub fn diffuse(&self, seed: &Seed, algo: &Algorithm) -> Diffusion {
-        self.handle().diffuse(seed, algo)
-    }
-
-    /// Runs many independent queries — any mix of algorithms — fanned
-    /// across the pool's threads, each worker chunk checking a private
-    /// workspace out of the engine's pool (warm across calls). Results
-    /// are position-aligned with `queries`, thread-count independent,
-    /// and bit-identical to running each query alone on a
-    /// single-threaded engine (see [`crate::run_batch`] for the
-    /// contract).
-    pub fn run_batch(&self, queries: &[Query]) -> Vec<ClusterResult> {
-        self.handle().run_batch(queries)
-    }
-
-    /// The governed form of [`Engine::run_batch`]: every query is
-    /// seed-validated and runs under its own [`QueryBudget`] (merged
-    /// over the engine's default, armed at that query's start), so one
-    /// poisoned or oversized query fails alone — position-aligned with
-    /// `queries` — while the rest of the batch completes normally.
-    pub fn try_run_batch(&self, queries: &[Query]) -> Vec<Result<ClusterResult, QueryError>> {
-        self.handle().try_run_batch(queries)
+        let algo = self.resolve(algo);
+        let mut ws = self.core.workspaces.checkout();
+        let out = algo.diffuse(self.pool(), self.g, seed, &mut ws);
+        self.core.workspaces.restore(ws);
+        out
     }
 
     /// Computes a network community profile (§4) with PR-Nibble
@@ -1110,224 +1097,16 @@ impl<'g, B: CsrBackend> Engine<'g, B> {
     /// seed × α × ε grid — the highest-leverage consumer of workspace
     /// recycling, since an NCP scan is hundreds of back-to-back queries.
     pub fn ncp(&self, params: &NcpParams) -> Vec<NcpPoint> {
-        self.handle().ncp(params)
-    }
-
-    /// MQI max-flow refinement of a sweep cut: returns a subset of the
-    /// result's cluster with conductance ≤ the input's, deterministically
-    /// (see [`lgc_flow::improve`]).
-    pub fn improve(&self, result: &ClusterResult) -> lgc_flow::RefinedCut {
-        self.handle().improve(result)
-    }
-
-    /// [`Engine::improve`] on a bare vertex set (any order, duplicates
-    /// tolerated) — the analyst-supplied-cut form.
-    pub fn improve_set(&self, cluster: &[u32]) -> lgc_flow::RefinedCut {
-        self.handle().improve_set(cluster)
-    }
-
-    /// The governed form of [`Engine::improve`]: refinement runs under
-    /// `budget` (merged over the engine's default), with checkpoint
-    /// ticks in the flow solver's phase loop. On a trip the error's
-    /// [`PartialResult`](crate::PartialResult) carries the *unrefined*
-    /// input cut — always still a valid cluster.
-    pub fn try_improve(
-        &self,
-        result: &ClusterResult,
-        budget: &QueryBudget,
-    ) -> Result<lgc_flow::RefinedCut, QueryError> {
-        self.handle().try_improve(result, budget)
-    }
-
-    /// Per-seed embedding: a geomspace ρ sweep of PR-Nibble queries
-    /// (batched through [`Engine::run_batch`]), each sweep cut refined
-    /// with [`Engine::improve`], keeping the minimum-conductance cut.
-    /// See [`PipelineParams`](crate::PipelineParams).
-    pub fn compute_embedding(&self, seed: u32, params: &crate::PipelineParams) -> crate::Embedding {
-        self.handle().compute_embedding(seed, params)
-    }
-
-    /// Whole-graph pipeline: embeddings for every (non-isolated) vertex,
-    /// agglomerated into `k` groups by pairwise embedding distance. See
-    /// [`find_k_clusters`](EngineHandle::find_k_clusters).
-    pub fn find_k_clusters(&self, k: usize, params: &crate::PipelineParams) -> crate::KClusters {
-        self.handle().find_k_clusters(k, params)
-    }
-}
-
-/// A lightweight (`Copy`) handle for issuing queries against one graph
-/// over a shared runtime: obtained from [`Engine::handle`] or
-/// [`Service::engine`](crate::Service::engine). All methods take `&self`
-/// and may be called concurrently from any number of OS threads; each
-/// query checks a [`Workspace`] out of the underlying pool for its
-/// duration.
-pub struct EngineHandle<'a, B: CsrBackend = Graph> {
-    g: &'a B,
-    pool: &'a Pool,
-    dir: Option<DirectionParams>,
-    workspaces: &'a WorkspacePool,
-    governor: &'a QueryGovernor,
-}
-
-// Manual impls: `derive(Clone, Copy)` would demand `B: Copy`, but the
-// handle only holds `&B`.
-impl<B: CsrBackend> Clone for EngineHandle<'_, B> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<B: CsrBackend> Copy for EngineHandle<'_, B> {}
-
-impl<'a, B: CsrBackend> EngineHandle<'a, B> {
-    /// The graph this handle queries.
-    pub fn graph(&self) -> &'a B {
-        self.g
-    }
-
-    /// The underlying thread pool.
-    pub fn pool(&self) -> &'a Pool {
-        self.pool
-    }
-
-    /// Total threads participating in each query.
-    pub fn num_threads(&self) -> usize {
-        self.pool.num_threads()
-    }
-
-    /// The graph's cache of seed-independent state.
-    pub fn cache(&self) -> &'a Arc<GraphCache> {
-        self.workspaces.cache()
-    }
-
-    /// The lifecycle governor (admission cap, default budget, counters)
-    /// — shared with the pipeline module's refinement entry points.
-    pub(crate) fn governor(&self) -> &'a QueryGovernor {
-        self.governor
-    }
-
-    /// Applies the engine-level direction override, if any.
-    fn resolve(&self, algo: &Algorithm) -> Algorithm {
-        match self.dir {
-            Some(dir) => algo.with_direction(dir),
-            None => algo.clone(),
-        }
-    }
-
-    /// See [`Engine::run`].
-    pub fn run(&self, query: &Query) -> ClusterResult {
-        let counters = self.governor.counters();
-        let _ = counters.enter(None); // unbounded: tracks in-flight only
-        counters.note_admitted();
-        // lgc-lint: allow(determinism) -- latency metric feeding note_completed only; never a query decision
-        let t0 = Instant::now();
-        let algo = self.resolve(&query.algo);
-        let mut ws = self.workspaces.checkout();
-        let out = run_query(self.pool, self.g, &mut ws, &query.seed, &algo);
-        self.workspaces.restore(ws);
-        counters.note_completed(t0.elapsed());
-        counters.exit();
-        out
-    }
-
-    /// See [`Engine::try_run`].
-    pub fn try_run(&self, query: &Query) -> Result<ClusterResult, QueryError> {
-        let counters = self.governor.counters();
-        let n = self.g.num_vertices();
-        if let Some(&v) = query.seed.vertices().iter().find(|&&v| v as usize >= n) {
-            counters.note_invalid_seed();
-            return Err(InvalidSeed {
-                vertex: v,
-                num_vertices: n,
-            }
-            .into());
-        }
-        if let Err(occupied) = counters.enter(self.governor.max_in_flight) {
-            counters.note_shed_overloaded();
-            return Err(QueryError::Overloaded {
-                in_flight: occupied,
-                limit: self.governor.max_in_flight.unwrap_or(usize::MAX),
-                retry_after: Some(counters.retry_hint()),
-            });
-        }
-        let out = self.try_run_admitted(query);
-        counters.exit();
-        out
-    }
-
-    /// [`Self::try_run`] past the in-flight gate: workspace checkout,
-    /// budget arming, execution, and counter bookkeeping. Split out so
-    /// the gate's `exit()` covers every return path in one place.
-    fn try_run_admitted(&self, query: &Query) -> Result<ClusterResult, QueryError> {
-        let counters = self.governor.counters();
-        let algo = self.resolve(&query.algo);
-        let mut ws = match self.workspaces.try_checkout() {
-            Ok(ws) => ws,
-            Err(e) => {
-                counters.note_shed_workspace();
-                return Err(e.into());
-            }
-        };
-        counters.note_admitted();
-        let cp = query.budget.or(self.governor.default_budget()).checkpoint();
-        // lgc-lint: allow(determinism) -- latency metric feeding note_completed only; never a query decision
-        let t0 = Instant::now();
-        let out = try_run_query(self.pool, self.g, &mut ws, &query.seed, &algo, &cp);
-        self.workspaces.restore(ws);
-        match out {
-            Ok(res) => {
-                counters.note_completed(t0.elapsed());
-                Ok(res)
-            }
-            Err((trip, partial)) => {
-                counters.note_trip(trip);
-                Err(QueryError::from_trip(trip, partial))
-            }
-        }
-    }
-
-    /// See [`Engine::diffuse`].
-    pub fn diffuse(&self, seed: &Seed, algo: &Algorithm) -> Diffusion {
-        let algo = self.resolve(algo);
-        let mut ws = self.workspaces.checkout();
-        let out = algo.diffuse(self.pool, self.g, seed, &mut ws);
-        self.workspaces.restore(ws);
-        out
-    }
-
-    /// See [`Engine::run_batch`].
-    pub fn run_batch(&self, queries: &[Query]) -> Vec<ClusterResult> {
-        run_batch_shared(self.pool, self.g, queries, self.dir, Some(self.workspaces))
-    }
-
-    /// See [`Engine::try_run_batch`].
-    pub fn try_run_batch(&self, queries: &[Query]) -> Vec<Result<ClusterResult, QueryError>> {
-        try_run_batch_shared(
-            self.pool,
-            self.g,
-            queries,
-            self.dir,
-            Some(self.workspaces),
-            Some(self.governor),
-        )
-    }
-
-    /// See [`Engine::lifecycle_stats`].
-    pub fn lifecycle_stats(&self) -> LifecycleSnapshot {
-        self.governor.counters().snapshot()
-    }
-
-    /// See [`Engine::ncp`].
-    pub fn ncp(&self, params: &NcpParams) -> Vec<NcpPoint> {
-        let params = match self.dir {
+        let params = match self.core.dir {
             Some(dir) => NcpParams {
                 dir,
                 ..params.clone()
             },
             None => params.clone(),
         };
-        let mut ws = self.workspaces.checkout();
-        let out = ncp_prnibble_ws(self.pool, self.g, &params, &mut ws);
-        self.workspaces.restore(ws);
+        let mut ws = self.core.workspaces.checkout();
+        let out = ncp_prnibble_ws(self.pool(), self.g, &params, &mut ws);
+        self.core.workspaces.restore(ws);
         out
     }
 }

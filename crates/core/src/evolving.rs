@@ -24,6 +24,7 @@
 //! integers, the trajectory is bit-identical whichever direction a step
 //! takes. The lowest-conductance set seen is tracked and returned.
 
+use crate::budget::InvalidParams;
 use crate::engine::Workspace;
 use crate::result::{Diffusion, DiffusionStats};
 use crate::seed::Seed;
@@ -74,6 +75,13 @@ impl Default for EvolvingParams {
                 ..Default::default()
             },
         }
+    }
+}
+
+impl EvolvingParams {
+    pub(crate) fn check(&self) -> Result<(), InvalidParams> {
+        let phi = self.target_conductance;
+        InvalidParams::require(phi.is_finite(), "target_conductance", "must be finite")
     }
 }
 

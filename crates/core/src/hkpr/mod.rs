@@ -22,6 +22,8 @@ pub use par::hkpr_par;
 pub(crate) use par::hkpr_par_ws;
 pub use seq::hkpr_seq;
 
+use crate::budget::InvalidParams;
+
 /// Parameters for deterministic heat-kernel PageRank.
 #[derive(Clone, Copy, Debug)]
 pub struct HkprParams {
@@ -60,10 +62,14 @@ impl Default for HkprParams {
 }
 
 impl HkprParams {
+    pub(crate) fn check(&self) -> Result<(), InvalidParams> {
+        InvalidParams::positive(self.t, "t")?;
+        InvalidParams::require(self.n_levels >= 1, "n_levels", "must be at least 1")?;
+        InvalidParams::positive(self.eps, "eps")
+    }
+
     pub(crate) fn validate(&self) {
-        assert!(self.t > 0.0, "t must be positive");
-        assert!(self.n_levels >= 1, "need at least one level");
-        assert!(self.eps > 0.0, "eps must be positive");
+        self.check().expect("HkprParams");
     }
 
     /// Admission threshold for level `j` entries at a degree-`d` vertex:

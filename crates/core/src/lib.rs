@@ -67,14 +67,13 @@ mod seed;
 mod service;
 mod sweep;
 
-pub use batch::{run_batch, try_run_batch};
 pub use budget::{
-    EngineLimits, InvalidSeed, LifecycleSnapshot, PartialResult, QueryBudget, QueryError,
-    TrippedDiffusion, RETRY_AFTER_FLOOR,
+    EngineLimits, InvalidParams, InvalidSeed, LifecycleSnapshot, PartialResult, QueryBudget,
+    QueryError, TrippedDiffusion, RETRY_AFTER_FLOOR,
 };
 pub use cache::{GraphCache, GraphSummary};
 pub use engine::{
-    Engine, EngineBuilder, EngineHandle, LocalDiffusion, Query, Workspace, WorkspaceBudgetExceeded,
+    Engine, EngineBuilder, LocalDiffusion, Query, Workspace, WorkspaceBudgetExceeded,
 };
 pub use evolving::{evolving_set_par, evolving_set_seq, EvolvingParams, EvolvingResult};
 pub use hkpr::{hkpr_par, hkpr_seq, psi_table, HkprParams};
@@ -129,6 +128,25 @@ pub enum Algorithm {
     Evolving(EvolvingParams),
 }
 
+impl Algorithm {
+    /// Whether the parameters are ones the diffusion is defined on:
+    /// every `f64` finite (`dense_frac` may be `+∞`, its documented
+    /// "never go dense") and in its range, every count at least 1. The
+    /// engine calls this at admission, so hostile parameters — a remote
+    /// client controls every one of them — end in a typed
+    /// [`QueryError::InvalidParams`] instead of a panic mid-query; the
+    /// free `*_par`/`*_seq` functions assert the same predicates.
+    pub fn check(&self) -> Result<(), InvalidParams> {
+        match self {
+            Algorithm::Nibble(p) => p.check(),
+            Algorithm::PrNibble(p) => p.check(),
+            Algorithm::Hkpr(p) => p.check(),
+            Algorithm::RandHkpr(p) => p.check(),
+            Algorithm::Evolving(p) => p.check(),
+        }
+    }
+}
+
 /// Runs the chosen diffusion from `seed` and rounds with the parallel
 /// sweep cut — the full pipeline of the paper, in one call.
 ///
@@ -143,5 +161,7 @@ pub fn find_cluster<B: CsrBackend>(
     seed: &Seed,
     algo: &Algorithm,
 ) -> ClusterResult {
-    engine::run_query(pool, g, &mut Workspace::new(), seed, algo)
+    let ws = &mut Workspace::new();
+    engine::try_run_query(pool, g, ws, seed, algo, &Checkpoint::unlimited())
+        .unwrap_or_else(|_| unreachable!("an unlimited checkpoint never trips"))
 }

@@ -12,7 +12,7 @@
 //! `vertexMap`/`edgeMap` per iteration: Theorem 2 gives `O(T/ε)` work and
 //! `O(T log(1/ε))` depth.
 
-use crate::budget::TrippedDiffusion;
+use crate::budget::{InvalidParams, TrippedDiffusion};
 use crate::engine::Workspace;
 use crate::result::{Diffusion, DiffusionStats};
 use crate::seed::Seed;
@@ -55,6 +55,14 @@ impl Default for NibbleParams {
                 ..Default::default()
             },
         }
+    }
+}
+
+impl NibbleParams {
+    /// Any finite `ε` is a defined (if useless) truncation; `NaN`/`±∞`
+    /// are not thresholds at all.
+    pub(crate) fn check(&self) -> Result<(), InvalidParams> {
+        InvalidParams::require(self.eps.is_finite(), "eps", "must be finite")
     }
 }
 

@@ -4,18 +4,18 @@
 //! them into the two higher-level workloads the local-clustering
 //! literature builds on top (Fountoulakis–Gleich–Mahoney survey, §5):
 //!
-//! * [`EngineHandle::improve`] — MQI max-flow refinement of any sweep
+//! * [`Engine::improve`] — MQI max-flow refinement of any sweep
 //!   cut ([`lgc_flow`]), with lifecycle counters and an optional
 //!   [`QueryBudget`] whose checkpoint ticks inside the flow solver's
 //!   phase loop.
-//! * [`EngineHandle::compute_embedding`] — per-seed geomspace ρ sweep of
+//! * [`Engine::compute_embedding`] — per-seed geomspace ρ sweep of
 //!   PR-Nibble queries fanned out through
-//!   [`run_batch`](EngineHandle::run_batch) (so the whole grid rides the
+//!   [`try_run_batch`](Engine::try_run_batch) (so the whole grid rides the
 //!   engine's warm workspace pool and [`GraphCache`](crate::GraphCache)),
 //!   each cut refined, keeping the minimum-conductance envelope. The
 //!   actually-achieved grid is recorded in [`RhoGrid`] — a budget trip
 //!   mid-sweep truncates the envelope *visibly*, never silently.
-//! * [`EngineHandle::find_k_clusters`] — embeddings for every vertex,
+//! * [`Engine::find_k_clusters`] — embeddings for every vertex,
 //!   agglomerated into `k` groups by pairwise embedding distance
 //!   (average linkage): the first whole-graph workload, and the reason
 //!   the per-graph cache/workspace amortization exists.
@@ -27,15 +27,15 @@
 //! backends.
 
 use crate::budget::{PartialResult, QueryBudget, QueryError};
-use crate::engine::{EngineHandle, Query};
+use crate::engine::{Engine, Query};
 use crate::result::ClusterResult;
 use crate::seed::Seed;
 use crate::{Algorithm, PrNibbleParams};
 use lgc_flow::RefinedCut;
 use lgc_graph::CsrBackend;
 
-/// Parameters for [`EngineHandle::compute_embedding`] /
-/// [`EngineHandle::find_k_clusters`].
+/// Parameters for [`Engine::compute_embedding`] /
+/// [`Engine::find_k_clusters`].
 #[derive(Clone, Debug)]
 pub struct PipelineParams {
     /// PR-Nibble teleport probability α for every grid query.
@@ -90,7 +90,7 @@ impl PipelineParams {
     }
 }
 
-/// The ρ grid a [`compute_embedding`](EngineHandle::compute_embedding)
+/// The ρ grid a [`compute_embedding`](Engine::compute_embedding)
 /// call actually completed — `NcpResult`-style metadata so a budget trip
 /// mid-sweep is visible, never silent. A truncated sweep is still a
 /// valid minimum-conductance envelope over `achieved`.
@@ -121,7 +121,7 @@ pub struct Embedding {
     /// computed over: the mass stays concentrated near the seed even
     /// when the minimum-φ cut is a union of communities, which is what
     /// makes the agglomeration in
-    /// [`find_k_clusters`](EngineHandle::find_k_clusters) robust to the
+    /// [`find_k_clusters`](Engine::find_k_clusters) robust to the
     /// NCP dip (bigger sets genuinely have lower conductance).
     pub mass: Vec<(u32, f64)>,
     /// φ of the winning cut (`+∞` if none).
@@ -179,7 +179,7 @@ impl Embedding {
 }
 
 /// `k` clusters over the whole graph, from
-/// [`EngineHandle::find_k_clusters`].
+/// [`Engine::find_k_clusters`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct KClusters {
     /// Per-vertex cluster label in `0..k`; `u32::MAX` for isolated
@@ -192,27 +192,34 @@ pub struct KClusters {
     pub embeddings: Vec<Embedding>,
 }
 
-impl<'a, B: CsrBackend> EngineHandle<'a, B> {
-    /// See [`Engine::improve`](crate::Engine::improve).
+impl<B: CsrBackend> Engine<'_, B> {
+    /// MQI max-flow refinement of a sweep cut: returns a subset of the
+    /// result's cluster with conductance ≤ the input's, deterministically
+    /// (see [`lgc_flow::improve`]).
     pub fn improve(&self, result: &ClusterResult) -> RefinedCut {
         self.improve_set(&result.cluster)
     }
 
-    /// See [`Engine::improve_set`](crate::Engine::improve_set).
+    /// [`Engine::improve`] on a bare vertex set (any order, duplicates
+    /// tolerated) — the analyst-supplied-cut form.
     pub fn improve_set(&self, cluster: &[u32]) -> RefinedCut {
         let refined = lgc_flow::improve(self.graph(), cluster);
-        self.governor().counters().note_refined(refined.improved());
+        self.core.counters.note_refined(refined.improved());
         refined
     }
 
-    /// See [`Engine::try_improve`](crate::Engine::try_improve).
+    /// The governed form of [`Engine::improve`]: refinement runs under
+    /// `budget` (merged over the engine's default), with checkpoint
+    /// ticks in the flow solver's phase loop. On a trip the error's
+    /// [`PartialResult`] carries the *unrefined* input cut — always
+    /// still a valid cluster.
     pub fn try_improve(
         &self,
         result: &ClusterResult,
         budget: &QueryBudget,
     ) -> Result<RefinedCut, QueryError> {
-        let counters = self.governor().counters();
-        let cp = budget.or(self.governor().default_budget()).checkpoint();
+        let counters = &self.core.counters;
+        let cp = budget.or(&self.core.default_budget).checkpoint();
         match lgc_flow::improve_guarded(self.graph(), &result.cluster, &cp) {
             Ok(refined) => {
                 counters.note_refined(refined.improved());
@@ -232,7 +239,11 @@ impl<'a, B: CsrBackend> EngineHandle<'a, B> {
         }
     }
 
-    /// See [`Engine::compute_embedding`](crate::Engine::compute_embedding).
+    /// Per-seed embedding: a geomspace ρ sweep of PR-Nibble queries
+    /// (batched through [`Engine::try_run_batch`], so a grid point the
+    /// budget trips — or an in-flight cap sheds — is lost alone and
+    /// visibly), each sweep cut refined with [`Engine::improve`], keeping
+    /// the minimum-conductance cut. See [`PipelineParams`].
     pub fn compute_embedding(&self, seed: u32, params: &PipelineParams) -> Embedding {
         let requested = params.rho_grid();
         let queries: Vec<Query> = requested
@@ -252,14 +263,9 @@ impl<'a, B: CsrBackend> EngineHandle<'a, B> {
         // One batched fan-out over the warm workspace pool; items are
         // bit-identical to 1-thread runs, so the envelope below is
         // thread-count independent.
-        let results =
-            if params.budget.is_unlimited() && self.governor().default_budget().is_unlimited() {
-                self.run_batch(&queries).into_iter().map(Ok).collect()
-            } else {
-                self.try_run_batch(&queries)
-            };
+        let results = self.try_run_batch(&queries);
 
-        let counters = self.governor().counters();
+        let counters = &self.core.counters;
         let mut achieved = Vec::with_capacity(requested.len());
         let mut truncated = false;
         // Envelope state; `<=` so later (finer ρ) grid points win ties.
@@ -280,10 +286,7 @@ impl<'a, B: CsrBackend> EngineHandle<'a, B> {
                 }
             };
             let (cluster, phi, refined_strictly, completed) = if params.refine {
-                let cp = params
-                    .budget
-                    .or(self.governor().default_budget())
-                    .checkpoint();
+                let cp = params.budget.or(&self.core.default_budget).checkpoint();
                 match lgc_flow::improve_guarded(self.graph(), &result.cluster, &cp) {
                     Ok(r) => {
                         let strict = r.improved();
@@ -467,9 +470,7 @@ mod tests {
     fn embedding_on_two_cliques_finds_the_clique() {
         let g = gen::two_cliques_bridge(10);
         let engine = Engine::new(&g);
-        let emb = engine
-            .handle()
-            .compute_embedding(3, &PipelineParams::default());
+        let emb = engine.compute_embedding(3, &PipelineParams::default());
         assert_eq!(emb.cluster, (0..10).collect::<Vec<u32>>());
         assert!(!emb.grid.truncated);
         assert_eq!(emb.grid.achieved, emb.grid.requested);

@@ -25,6 +25,8 @@ pub use par::prnibble_par;
 pub(crate) use par::prnibble_par_ws;
 pub use seq::{prnibble_seq, prnibble_seq_priority_queue};
 
+use crate::budget::InvalidParams;
+
 /// Which push rule to use (§3.3).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum PushRule {
@@ -108,17 +110,19 @@ impl Default for PrNibbleParams {
 }
 
 impl PrNibbleParams {
+    pub(crate) fn check(&self) -> Result<(), InvalidParams> {
+        let require = InvalidParams::require;
+        let (a, b) = (self.alpha, self.beta);
+        require(a > 0.0 && a < 1.0, "alpha", "must be in (0,1)")?;
+        InvalidParams::positive(self.eps, "eps")?;
+        require(b > 0.0 && b <= 1.0, "beta", "must be in (0,1]")?;
+        // +∞ is the documented "never go dense"; only NaN and negatives
+        // are meaningless.
+        require(self.dense_frac >= 0.0, "dense_frac", "must be ≥ 0")
+    }
+
     pub(crate) fn validate(&self) {
-        assert!(
-            self.alpha > 0.0 && self.alpha < 1.0,
-            "alpha must be in (0,1)"
-        );
-        assert!(self.eps > 0.0, "eps must be positive");
-        assert!(self.beta > 0.0 && self.beta <= 1.0, "beta must be in (0,1]");
-        assert!(
-            self.dense_frac >= 0.0 && !self.dense_frac.is_nan(),
-            "dense_frac must be ≥ 0"
-        );
+        self.check().expect("PrNibbleParams");
     }
 }
 

@@ -15,7 +15,7 @@
 //! depth). Each walk derives its own RNG from the master seed, so the
 //! sequential and parallel versions produce *identical* vectors.
 
-use crate::budget::TrippedDiffusion;
+use crate::budget::{InvalidParams, TrippedDiffusion};
 use crate::engine::Workspace;
 use crate::result::{Diffusion, DiffusionStats};
 use crate::seed::Seed;
@@ -54,9 +54,13 @@ impl Default for RandHkprParams {
 }
 
 impl RandHkprParams {
+    pub(crate) fn check(&self) -> Result<(), InvalidParams> {
+        InvalidParams::positive(self.t, "t")?;
+        InvalidParams::require(self.walks >= 1, "walks", "must be at least 1")
+    }
+
     fn validate(&self) {
-        assert!(self.t > 0.0, "t must be positive");
-        assert!(self.walks >= 1, "need at least one walk");
+        self.check().expect("RandHkprParams");
     }
 
     /// CDF of the truncated Poisson(`t`) walk-length distribution:

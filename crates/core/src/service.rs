@@ -12,9 +12,9 @@
 //!   [`GraphCache`] of seed-independent state;
 //! * all of them share **one** thread [`Pool`] (an `Arc`, so the service
 //!   can also share it with anything else in the process);
-//! * queries run through `&self` handles — any number of OS threads can
-//!   call [`Service::engine`] and [`EngineHandle::run`] concurrently,
-//!   with scratch checked out per query and contention confined to a
+//! * queries run through `&self` engines — any number of OS threads can
+//!   call [`Service::engine`] and [`Engine::run`] concurrently, with
+//!   scratch checked out per query and contention confined to a
 //!   freelist pop/push.
 //!
 //! ```
@@ -37,17 +37,14 @@
 //!
 //! The determinism contract survives the sharing: a query answered
 //! through a warm, concurrently-hammered service is bit-identical to the
-//! same query on a cold single-thread [`Engine`](crate::Engine)
+//! same query on a cold single-thread [`Engine`]
 //! (`tests/service_properties.rs` enforces exactly that from multiple OS
 //! threads).
 
 use crate::budget::{EngineLimits, LifecycleSnapshot, QueryError};
 use crate::cache::{GraphCache, GraphSummary};
-use crate::engine::{default_workspace_budget, EngineCore, EngineHandle, PoolRef};
-use crate::ncp::{NcpParams, NcpPoint};
-use crate::result::{ClusterResult, Diffusion};
-use crate::seed::Seed;
-use crate::{Algorithm, Query};
+use crate::engine::{Engine, EngineCore, PoolRef, Query};
+use crate::result::ClusterResult;
 use lgc_graph::{CsrBackend, CsrCompressed, Graph};
 use lgc_ligra::DirectionParams;
 use lgc_parallel::Pool;
@@ -135,7 +132,7 @@ impl GraphStore {
 struct GraphEntry {
     name: String,
     store: GraphStore,
-    core: EngineCore,
+    core: Arc<EngineCore>,
 }
 
 /// A shared-runtime, concurrent-query front door over any number of
@@ -160,15 +157,19 @@ impl Service {
         }
     }
 
-    /// A query handle for the graph registered as `name`, or `None` if
-    /// no such graph. The handle is `Copy` and `&self`-querying: grab
-    /// one per request, or keep one around — both are fine. It
-    /// dispatches to the graph's storage backend internally; results are
-    /// bit-identical across backends.
+    /// An engine over the graph registered as `name`, or `None` if no
+    /// such graph. Making one is an `Arc` bump (no allocation) and it
+    /// queries through `&self`: grab one per request, or keep one
+    /// around — both are fine, and all of them share the graph's warm
+    /// workspaces, cache and counters. Results are bit-identical across
+    /// storage backends.
     pub fn engine(&self, name: &str) -> Option<ServiceEngine<'_>> {
-        self.entry(name).map(|e| match &e.store {
-            GraphStore::Plain(g) => ServiceEngine::Plain(e.core.handle(g)),
-            GraphStore::Compressed(g) => ServiceEngine::Compressed(e.core.handle(g)),
+        self.entry(name).map(|e| {
+            let core = Arc::clone(&e.core);
+            match &e.store {
+                GraphStore::Plain(g) => ServiceEngine::Plain(Engine { g, core }),
+                GraphStore::Compressed(g) => ServiceEngine::Compressed(Engine { g, core }),
+            }
         })
     }
 
@@ -186,14 +187,14 @@ impl Service {
     /// The seed-independent cache of the graph named `name` —
     /// observability (ψ hit rates) and warm introspection.
     pub fn cache(&self, name: &str) -> Option<&Arc<GraphCache>> {
-        self.entry(name).map(|e| e.core.cache())
+        self.entry(name).map(|e| e.core.workspaces.cache())
     }
 
     /// Robustness counters of the graph named `name` — admitted /
     /// completed / shed / tripped / in-flight, next to the cache and
     /// summary endpoints. A tenant dashboard polls this for shed rates.
     pub fn lifecycle(&self, name: &str) -> Option<LifecycleSnapshot> {
-        self.entry(name).map(|e| e.core.lifecycle())
+        self.entry(name).map(|e| e.core.counters.snapshot())
     }
 
     /// Summary statistics of the graph named `name`, served from its
@@ -202,8 +203,8 @@ impl Service {
     /// vs compressed storage per graph.
     pub fn summary(&self, name: &str) -> Option<GraphSummary> {
         self.entry(name).map(|e| match &e.store {
-            GraphStore::Plain(g) => e.core.cache().summary(g.as_ref()),
-            GraphStore::Compressed(g) => e.core.cache().summary(g.as_ref()),
+            GraphStore::Plain(g) => e.core.workspaces.cache().summary(g.as_ref()),
+            GraphStore::Compressed(g) => e.core.workspaces.cache().summary(g.as_ref()),
         })
     }
 
@@ -242,25 +243,6 @@ impl Service {
         self.insert(name.into(), graph.into(), EngineLimits::default());
     }
 
-    /// [`Service::add_graph`] with an explicit resident-workspace byte
-    /// budget for the graph's checkout pool (same semantics as
-    /// [`EngineBuilder::workspace_budget`](crate::EngineBuilder::workspace_budget)).
-    pub fn add_graph_with_budget(
-        &mut self,
-        name: impl Into<String>,
-        graph: impl Into<GraphStore>,
-        budget_bytes: usize,
-    ) {
-        self.insert(
-            name.into(),
-            graph.into(),
-            EngineLimits {
-                workspace_budget: Some(budget_bytes),
-                ..Default::default()
-            },
-        );
-    }
-
     /// [`Service::add_graph`] with the full per-graph [`EngineLimits`]
     /// bundle: workspace byte budget, in-flight admission cap, and the
     /// default [`QueryBudget`](crate::QueryBudget) every query on this
@@ -274,23 +256,14 @@ impl Service {
         self.insert(name.into(), graph.into(), limits);
     }
 
-    /// [`Service::add_graph`] for graphs the caller also keeps (the
-    /// service holds graphs behind `Arc`).
-    pub fn add_graph_shared(&mut self, name: impl Into<String>, graph: Arc<Graph>) {
-        self.add_graph(name, graph);
-    }
-
     fn insert(&mut self, name: String, store: GraphStore, limits: EngineLimits) {
-        let budget = limits
-            .workspace_budget
-            .unwrap_or_else(|| default_workspace_budget(store.memory_bytes()));
-        let core = EngineCore::new(
-            PoolRef::Shared(Arc::clone(&self.pool)),
+        let pool = PoolRef::Shared(Arc::clone(&self.pool));
+        let core = Arc::new(EngineCore::new(
+            pool,
             self.dir,
-            budget,
-            limits.max_in_flight,
-            limits.default_budget,
-        );
+            store.memory_bytes(),
+            limits,
+        ));
         let entry = GraphEntry { name, store, core };
         match self.graphs.iter_mut().find(|e| e.name == entry.name) {
             Some(slot) => *slot = entry,
@@ -309,146 +282,42 @@ impl Service {
     }
 }
 
-/// A `Copy` query handle over one registered graph, dispatching each
-/// call to the graph's storage backend — the [`Service`] analogue of
-/// [`EngineHandle`], which it wraps. All methods take `&self` and may be
-/// called concurrently; results are bit-identical across backends.
-#[derive(Clone, Copy)]
+/// The [`Engine`] of one registered graph, in whichever storage backend
+/// the graph was registered with. Backend-agnostic callers (a serving
+/// layer dispatching requests by tenant name) use the two forwards
+/// below; the rest of the [`Engine`] API is reached by matching the
+/// variant (or through [`as_plain`](ServiceEngine::as_plain)).
+#[derive(Clone)]
 pub enum ServiceEngine<'a> {
-    /// Handle over a plain-CSR graph.
-    Plain(EngineHandle<'a, Graph>),
-    /// Handle over a byte-compressed graph.
-    Compressed(EngineHandle<'a, CsrCompressed>),
+    /// Engine over a plain-CSR graph.
+    Plain(Engine<'a, Graph>),
+    /// Engine over a byte-compressed graph.
+    Compressed(Engine<'a, CsrCompressed>),
 }
 
 impl<'a> ServiceEngine<'a> {
-    /// The underlying thread pool.
-    pub fn pool(&self) -> &'a Pool {
-        match self {
-            ServiceEngine::Plain(h) => h.pool(),
-            ServiceEngine::Compressed(h) => h.pool(),
-        }
-    }
-
-    /// Total threads participating in each query.
-    pub fn num_threads(&self) -> usize {
-        self.pool().num_threads()
-    }
-
-    /// The graph's cache of seed-independent state.
-    pub fn cache(&self) -> &'a Arc<GraphCache> {
-        match self {
-            ServiceEngine::Plain(h) => h.cache(),
-            ServiceEngine::Compressed(h) => h.cache(),
-        }
-    }
-
-    /// See [`Engine::run`](crate::Engine::run).
+    /// See [`Engine::run`].
     pub fn run(&self, query: &Query) -> ClusterResult {
         match self {
-            ServiceEngine::Plain(h) => h.run(query),
-            ServiceEngine::Compressed(h) => h.run(query),
+            ServiceEngine::Plain(e) => e.run(query),
+            ServiceEngine::Compressed(e) => e.run(query),
         }
     }
 
-    /// See [`Engine::try_run`](crate::Engine::try_run): seed validation,
-    /// admission control, query budgets, and typed [`QueryError`]s with
-    /// partial results — the governed front door.
+    /// See [`Engine::try_run`]: seed and parameter validation, admission
+    /// control, query budgets, and typed [`QueryError`]s with partial
+    /// results — the governed front door.
     pub fn try_run(&self, query: &Query) -> Result<ClusterResult, QueryError> {
         match self {
-            ServiceEngine::Plain(h) => h.try_run(query),
-            ServiceEngine::Compressed(h) => h.try_run(query),
+            ServiceEngine::Plain(e) => e.try_run(query),
+            ServiceEngine::Compressed(e) => e.try_run(query),
         }
     }
 
-    /// See [`Engine::try_run_batch`](crate::Engine::try_run_batch).
-    pub fn try_run_batch(&self, queries: &[Query]) -> Vec<Result<ClusterResult, QueryError>> {
+    /// The plain-CSR engine, if that is the backend.
+    pub fn as_plain(&self) -> Option<&Engine<'a, Graph>> {
         match self {
-            ServiceEngine::Plain(h) => h.try_run_batch(queries),
-            ServiceEngine::Compressed(h) => h.try_run_batch(queries),
-        }
-    }
-
-    /// See [`Engine::lifecycle_stats`](crate::Engine::lifecycle_stats).
-    pub fn lifecycle_stats(&self) -> LifecycleSnapshot {
-        match self {
-            ServiceEngine::Plain(h) => h.lifecycle_stats(),
-            ServiceEngine::Compressed(h) => h.lifecycle_stats(),
-        }
-    }
-
-    /// See [`Engine::diffuse`](crate::Engine::diffuse).
-    pub fn diffuse(&self, seed: &Seed, algo: &Algorithm) -> Diffusion {
-        match self {
-            ServiceEngine::Plain(h) => h.diffuse(seed, algo),
-            ServiceEngine::Compressed(h) => h.diffuse(seed, algo),
-        }
-    }
-
-    /// See [`Engine::run_batch`](crate::Engine::run_batch).
-    pub fn run_batch(&self, queries: &[Query]) -> Vec<ClusterResult> {
-        match self {
-            ServiceEngine::Plain(h) => h.run_batch(queries),
-            ServiceEngine::Compressed(h) => h.run_batch(queries),
-        }
-    }
-
-    /// See [`Engine::ncp`](crate::Engine::ncp).
-    pub fn ncp(&self, params: &NcpParams) -> Vec<NcpPoint> {
-        match self {
-            ServiceEngine::Plain(h) => h.ncp(params),
-            ServiceEngine::Compressed(h) => h.ncp(params),
-        }
-    }
-
-    /// See [`Engine::improve`](crate::Engine::improve).
-    pub fn improve(&self, result: &ClusterResult) -> crate::RefinedCut {
-        match self {
-            ServiceEngine::Plain(h) => h.improve(result),
-            ServiceEngine::Compressed(h) => h.improve(result),
-        }
-    }
-
-    /// See [`Engine::improve_set`](crate::Engine::improve_set).
-    pub fn improve_set(&self, cluster: &[u32]) -> crate::RefinedCut {
-        match self {
-            ServiceEngine::Plain(h) => h.improve_set(cluster),
-            ServiceEngine::Compressed(h) => h.improve_set(cluster),
-        }
-    }
-
-    /// See [`Engine::try_improve`](crate::Engine::try_improve).
-    pub fn try_improve(
-        &self,
-        result: &ClusterResult,
-        budget: &crate::QueryBudget,
-    ) -> Result<crate::RefinedCut, QueryError> {
-        match self {
-            ServiceEngine::Plain(h) => h.try_improve(result, budget),
-            ServiceEngine::Compressed(h) => h.try_improve(result, budget),
-        }
-    }
-
-    /// See [`Engine::compute_embedding`](crate::Engine::compute_embedding).
-    pub fn compute_embedding(&self, seed: u32, params: &crate::PipelineParams) -> crate::Embedding {
-        match self {
-            ServiceEngine::Plain(h) => h.compute_embedding(seed, params),
-            ServiceEngine::Compressed(h) => h.compute_embedding(seed, params),
-        }
-    }
-
-    /// See [`Engine::find_k_clusters`](crate::Engine::find_k_clusters).
-    pub fn find_k_clusters(&self, k: usize, params: &crate::PipelineParams) -> crate::KClusters {
-        match self {
-            ServiceEngine::Plain(h) => h.find_k_clusters(k, params),
-            ServiceEngine::Compressed(h) => h.find_k_clusters(k, params),
-        }
-    }
-
-    /// The plain-CSR handle, if that is the backend.
-    pub fn as_plain(&self) -> Option<EngineHandle<'a, Graph>> {
-        match self {
-            ServiceEngine::Plain(h) => Some(*h),
+            ServiceEngine::Plain(e) => Some(e),
             ServiceEngine::Compressed(_) => None,
         }
     }
@@ -496,27 +365,6 @@ impl ServiceBuilder {
         self.push(name.into(), graph.into(), EngineLimits::default())
     }
 
-    /// [`Self::add_graph`] with an explicit resident-workspace byte
-    /// budget for the graph's checkout pool.
-    ///
-    /// # Panics
-    /// If `name` is already registered.
-    pub fn add_graph_with_budget(
-        self,
-        name: impl Into<String>,
-        graph: impl Into<GraphStore>,
-        budget_bytes: usize,
-    ) -> Self {
-        self.push(
-            name.into(),
-            graph.into(),
-            EngineLimits {
-                workspace_budget: Some(budget_bytes),
-                ..Default::default()
-            },
-        )
-    }
-
     /// [`Self::add_graph`] with the full per-graph [`EngineLimits`]
     /// bundle (see [`Service::add_graph_with_limits`]).
     ///
@@ -529,14 +377,6 @@ impl ServiceBuilder {
         limits: EngineLimits,
     ) -> Self {
         self.push(name.into(), graph.into(), limits)
-    }
-
-    /// [`Self::add_graph`] for graphs the caller also keeps.
-    ///
-    /// # Panics
-    /// If `name` is already registered.
-    pub fn add_graph_shared(self, name: impl Into<String>, graph: Arc<Graph>) -> Self {
-        self.add_graph(name, graph)
     }
 
     fn push(mut self, name: String, store: GraphStore, limits: EngineLimits) -> Self {
@@ -629,7 +469,7 @@ mod tests {
         );
         for name in ["cliques", "local"] {
             let engine = svc.engine(name).unwrap();
-            assert_eq!(engine.num_threads(), 2);
+            assert_eq!(engine.as_plain().unwrap().num_threads(), 2);
             let got = engine.run(&q);
             let pool = Pool::new(2);
             let want = find_cluster(&pool, svc.graph(name).unwrap().as_ref(), &q.seed, &q.algo);
@@ -648,8 +488,9 @@ mod tests {
             .build();
         assert!(Arc::ptr_eq(svc.pool(), &pool));
         for name in ["a", "b"] {
+            let engine = svc.engine(name).unwrap();
             assert!(std::ptr::eq(
-                svc.engine(name).unwrap().pool(),
+                engine.as_plain().unwrap().pool(),
                 pool.as_ref()
             ));
         }

@@ -22,6 +22,11 @@
 //! // lgc-lint: allow(rule-name) -- why the invariant holds here
 //! ```
 //!
+//! The per-file allowlists in [`config`] are exemptions too, and a
+//! workspace scan reports (reserved rule `allowlist`) every entry that
+//! suppressed nothing — so code that moves or goes takes its exemption
+//! with it.
+//!
 //! The engine is hand-rolled and dependency-free (the build container
 //! has no registry access): a line-oriented lexer that strips comments
 //! and literal bodies ([`lexer`]), a per-file scan model with
@@ -52,18 +57,66 @@ pub fn check_source(cfg: &Config, rel_path: &str, source: &str) -> Vec<Diagnosti
 
 /// Audits every `src/**/*.rs` file under `root` (crate sources only:
 /// integration tests, examples, benches, and fixtures are out of scope
-/// — the rules police production code paths).
+/// — the rules police production code paths), then the allowlists
+/// themselves ([`check_sources`]).
 pub fn check_workspace(cfg: &Config, root: &Path) -> std::io::Result<(usize, Vec<Diagnostic>)> {
     let mut files = Vec::new();
     collect_sources(root, root, &mut files)?;
     files.sort();
-    let mut out = Vec::new();
+    let mut sources = Vec::with_capacity(files.len());
     for rel in &files {
         let source = std::fs::read_to_string(root.join(rel))?;
-        let rel_str = rel.to_string_lossy().replace('\\', "/");
-        out.extend(check_source(cfg, &rel_str, &source));
+        sources.push((rel.to_string_lossy().replace('\\', "/"), source));
     }
-    Ok((files.len(), out))
+    Ok((files.len(), check_sources(cfg, &sources)))
+}
+
+/// Checks a whole scan of `(rel_path, source)` files: every file under
+/// every rule, plus one `allowlist` diagnostic per atomic-ordering or
+/// timing allowlist entry that suppressed nothing — an entry whose
+/// removal would not add a single diagnostic to the scan (its file is
+/// gone, or no longer does what the entry excuses).
+pub fn check_sources(cfg: &Config, sources: &[(String, String)]) -> Vec<Diagnostic> {
+    let strict = Config {
+        atomic_allowlist: Vec::new(),
+        timing_allowlist: Vec::new(),
+        ..cfg.clone()
+    };
+    let mut out = Vec::new();
+    let mut earned: Vec<(&str, &str)> = Vec::new(); // (rule, path) of entries that suppressed something
+    for (rel, source) in sources {
+        let diags = check_source(cfg, rel, source);
+        if cfg.atomic_allowed(rel) || cfg.timing_allowed(rel) {
+            let bare = check_source(&strict, rel, source);
+            for rule in [rules::atomic_ordering::NAME, rules::determinism::NAME] {
+                let count = |ds: &[Diagnostic]| ds.iter().filter(|d| d.rule == rule).count();
+                if count(&bare) > count(&diags) {
+                    earned.push((rule, rel));
+                }
+            }
+        }
+        out.extend(diags);
+    }
+    let atomic = cfg.atomic_allowlist.iter().map(|(p, _)| p);
+    let entries = atomic.map(|p| (rules::atomic_ordering::NAME, p)).chain(
+        cfg.timing_allowlist
+            .iter()
+            .map(|p| (rules::determinism::NAME, p)),
+    );
+    for (rule, path) in entries {
+        if !earned.contains(&(rule, path.as_str())) {
+            out.push(Diagnostic {
+                file: path.clone(),
+                line: 1,
+                rule: "allowlist",
+                message: format!("the {rule} allowlist entry for this file suppressed nothing"),
+                hint: "delete the entry from crates/lint/src/config.rs: an exemption goes \
+                       when the code it excused moves or goes"
+                    .into(),
+            });
+        }
+    }
+    out
 }
 
 /// Recursively collects `.rs` files living under a `src/` directory,
@@ -119,6 +172,35 @@ mod tests {
         let rules: Vec<&str> = d.iter().map(|d| d.rule).collect();
         assert!(rules.contains(&"unsafe-safety"));
         assert!(rules.contains(&"atomic-ordering"));
+    }
+
+    /// The allowlists audit themselves: of three exemptions, the one
+    /// whose file still uses its privilege is silent, the one whose
+    /// file stopped and the one whose file left the scan are reported.
+    #[test]
+    fn allowlist_entries_that_suppress_nothing_are_reported() {
+        let cfg = Config {
+            atomic_allowlist: vec![
+                ("crates/x/src/live.rs".into(), "counters".into()),
+                ("crates/x/src/quiet.rs".into(), "used to count".into()),
+            ],
+            timing_allowlist: vec!["crates/core/src/moved.rs".into()],
+            ..Config::workspace_default()
+        };
+        let sources = [
+            (
+                "crates/x/src/live.rs".to_string(),
+                "fn f() { c.load(Ordering::Relaxed); }\n".to_string(),
+            ),
+            (
+                "crates/x/src/quiet.rs".to_string(),
+                "fn f() {}\n".to_string(),
+            ),
+        ];
+        let d = check_sources(&cfg, &sources);
+        let stale: Vec<&str> = d.iter().map(|d| d.file.as_str()).collect();
+        assert_eq!(stale, ["crates/x/src/quiet.rs", "crates/core/src/moved.rs"]);
+        assert!(d.iter().all(|d| d.rule == "allowlist"));
     }
 
     #[test]

@@ -182,7 +182,7 @@ fn handle_query(
         reply_err(&WireError::ShuttingDown);
         return;
     }
-    if shared.service.engine(&req.tenant).is_none() {
+    if shared.service.store(&req.tenant).is_none() {
         reply_err(&WireError::UnknownGraph {
             tenant: req.tenant.clone(),
         });

@@ -19,9 +19,10 @@
 //! connection funnel into one bounded two-class [`sched::Scheduler`];
 //! a small **executor** pool pops jobs — every queued interactive query
 //! ahead of any bulk query — and runs them through
-//! [`ServiceEngine::try_run`](lgc_core::ServiceEngine::try_run), which supplies the engine-side
-//! governance (admission control, workspace budgets, deadlines,
-//! cooperative cancellation) landed in the lifecycle PR.
+//! [`ServiceEngine::try_run`](lgc_core::ServiceEngine::try_run) — the engine's one executor,
+//! which supplies the engine-side governance (seed and parameter
+//! validation, admission control, workspace budgets, deadlines,
+//! cooperative cancellation).
 //!
 //! Backpressure is explicit at three gates, each with a typed,
 //! retryable wire error carrying a `retry_after` hint:
@@ -33,6 +34,11 @@
 //! 3. **per-tenant admission control** — the engine's in-flight cap
 //!    and workspace byte budget ([`WireError::Overloaded`] /
 //!    [`WireError::WorkspaceBudgetExceeded`]).
+//!
+//! Queries the engine refuses outright — an out-of-range seed, a
+//! parameter no diffusion is defined on — come back as the non-retryable
+//! [`WireError::InvalidSeed`] / [`WireError::InvalidParams`]; the
+//! connection stays usable.
 //!
 //! A disconnecting client cancels its queued and running queries via
 //! the connection's [`CancelToken`], so abandoned work stops at the

@@ -421,7 +421,8 @@ mod tests {
             .fetch_add(1, Ordering::Relaxed);
         // One flow refinement (the ring edge pair is already optimal) so
         // the refinement counters render non-trivially.
-        svc.engine("ring").unwrap().improve_set(&[0, 1]);
+        let ring = svc.engine("ring").unwrap();
+        ring.as_plain().unwrap().improve_set(&[0, 1]);
         let page = m.render(&svc, [(1, 64), (5, 256)]);
         for needle in [
             "# TYPE lgc_queries_total counter",

@@ -147,6 +147,14 @@ pub enum WireError {
         /// Human-readable reason.
         message: String,
     },
+    /// The frame decoded, but an algorithm parameter is non-finite or
+    /// out of range (`Algorithm::check`); no work was done.
+    InvalidParams {
+        /// The offending field, e.g. `alpha`.
+        param: String,
+        /// What it must satisfy.
+        requirement: String,
+    },
 }
 
 impl WireError {
@@ -163,6 +171,7 @@ impl WireError {
             WireError::UnknownGraph { .. } => 8,
             WireError::ShuttingDown => 9,
             WireError::Unsupported { .. } => 10,
+            WireError::InvalidParams { .. } => 11,
         }
     }
 
@@ -212,6 +221,10 @@ impl WireError {
             QueryError::InvalidSeed(s) => WireError::InvalidSeed {
                 vertex: s.vertex,
                 num_vertices: s.num_vertices as u64,
+            },
+            QueryError::InvalidParams(p) => WireError::InvalidParams {
+                param: p.param.into(),
+                requirement: p.requirement.into(),
             },
             QueryError::WorkspaceBudgetExceeded(w) => WireError::WorkspaceBudgetExceeded {
                 budget_bytes: w.budget_bytes as u64,
@@ -267,6 +280,9 @@ impl fmt::Display for WireError {
             WireError::UnknownGraph { tenant } => write!(f, "unknown graph {tenant:?}"),
             WireError::ShuttingDown => write!(f, "server shutting down"),
             WireError::Unsupported { message } => write!(f, "unsupported request: {message}"),
+            WireError::InvalidParams { param, requirement } => {
+                write!(f, "invalid parameter: {param} {requirement}")
+            }
         }
     }
 }
@@ -752,6 +768,10 @@ pub fn encode_error(e: &WireError) -> Vec<u8> {
         WireError::UnknownGraph { tenant } => w.str16(tenant),
         WireError::ShuttingDown => {}
         WireError::Unsupported { message } => w.str16(message),
+        WireError::InvalidParams { param, requirement } => {
+            w.str16(param);
+            w.str16(requirement);
+        }
     }
     w.buf
 }
@@ -788,6 +808,10 @@ pub fn decode_error(payload: &[u8]) -> DecodeResult<WireError> {
         9 => WireError::ShuttingDown,
         10 => WireError::Unsupported {
             message: r.str16("unsupported message")?,
+        },
+        11 => WireError::InvalidParams {
+            param: r.str16("invalid param name")?,
+            requirement: r.str16("invalid param requirement")?,
         },
         _ => return malformed("error code"),
     };
@@ -942,6 +966,10 @@ mod tests {
             WireError::ShuttingDown,
             WireError::Unsupported {
                 message: "bad payload".into(),
+            },
+            WireError::InvalidParams {
+                param: "alpha".into(),
+                requirement: "must be in (0,1)".into(),
             },
         ];
         for e in variants {

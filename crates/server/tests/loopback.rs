@@ -227,6 +227,81 @@ fn typed_errors_for_bad_requests() {
     server.shutdown();
 }
 
+/// Parameters are client-controlled bytes too: frames that decode fine
+/// but carry values no diffusion is defined on are answered with a typed
+/// `InvalidParams` error each time (more hostile frames than there are
+/// executors, so a panicking executor could not hide), and the same
+/// connection keeps serving.
+#[test]
+fn hostile_params_get_typed_errors_and_the_connection_survives() {
+    let config = ServerConfig::default();
+    let executors = config.executors;
+    let server = Server::bind(Arc::new(one_thread_service()), "127.0.0.1:0", config).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let hostile = [
+        (
+            "eps",
+            Algorithm::PrNibble(PrNibbleParams {
+                eps: f64::NAN,
+                ..Default::default()
+            }),
+        ),
+        (
+            "alpha",
+            Algorithm::PrNibble(PrNibbleParams {
+                alpha: 0.0,
+                ..Default::default()
+            }),
+        ),
+        (
+            "t",
+            Algorithm::Hkpr(HkprParams {
+                t: f64::NEG_INFINITY,
+                ..Default::default()
+            }),
+        ),
+        (
+            "t",
+            Algorithm::RandHkpr(RandHkprParams {
+                t: f64::NAN,
+                ..Default::default()
+            }),
+        ),
+        (
+            "walks",
+            Algorithm::RandHkpr(RandHkprParams {
+                walks: 0,
+                ..Default::default()
+            }),
+        ),
+        (
+            "eps",
+            Algorithm::Nibble(NibbleParams {
+                eps: f64::INFINITY,
+                ..Default::default()
+            }),
+        ),
+    ];
+    for round in 0..=executors / hostile.len() {
+        for (field, algo) in &hostile {
+            let q = Query::new(Seed::single(1), algo.clone());
+            match client.query("local", Priority::Interactive, &q) {
+                Ok(Err(WireError::InvalidParams { param, .. })) => assert_eq!(param, *field),
+                other => panic!("round {round}, {algo:?}: expected InvalidParams, got {other:?}"),
+            }
+        }
+    }
+    client.ping().unwrap();
+    let good = Query::new(Seed::single(1), algos()[1].clone());
+    let got = client
+        .query("local", Priority::Interactive, &good)
+        .expect("transport ok")
+        .expect("a healthy query after the hostile ones");
+    let want = find_cluster(&Pool::new(1), &graphs()[1].1, &good.seed, &good.algo);
+    assert_eq!(got.cluster, want.cluster);
+    server.shutdown();
+}
+
 #[test]
 fn over_quota_tenant_is_shed_with_floored_retry_hint() {
     // Engine-level quota: max_in_flight = 0 admits nothing, so the

@@ -250,6 +250,8 @@ fn arb_error() -> impl Strategy<Value = WireError> {
         arb_tenant().prop_map(|tenant| WireError::UnknownGraph { tenant }),
         Just(WireError::ShuttingDown),
         arb_tenant().prop_map(|message| WireError::Unsupported { message }),
+        (arb_tenant(), arb_tenant())
+            .prop_map(|(param, requirement)| WireError::InvalidParams { param, requirement }),
     ]
 }
 

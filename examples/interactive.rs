@@ -6,7 +6,7 @@
 //!
 //! This is exactly the workload the [`Service`] exists for: several
 //! resident graphs registered at startup over one shared pool, every
-//! command served as a `&self` query through a per-graph handle, scratch
+//! command served as a `&self` query through the graph's engine, scratch
 //! buffers checked out warm from command to command, ψ tables and graph
 //! statistics cached across them.
 //!

@@ -10,7 +10,10 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use plgc::{Algorithm, CsrBackend, CsrCompressed, Engine, HkprParams, PrNibbleParams, Query, Seed};
+use plgc::{
+    Algorithm, CsrBackend, CsrCompressed, Engine, EngineLimits, HkprParams, PrNibbleParams, Query,
+    Seed,
+};
 
 fn main() {
     // Two 20-cliques joined by a single bridge edge: the left clique is a
@@ -69,9 +72,11 @@ fn main() {
         compact.adjacency_bytes(),
         g.adjacency_bytes()
     );
-    let packed = Engine::builder(&compact)
-        .workspace_budget(16 << 20) // keep at most 16 MiB of warm scratch
-        .build();
+    let limits = EngineLimits {
+        workspace_budget: Some(16 << 20), // keep at most 16 MiB of warm scratch
+        ..Default::default()
+    };
+    let packed = Engine::builder(&compact).limits(limits).build();
     let hk2 = packed.run(&Query::new(seed, Algorithm::Hkpr(HkprParams::default())));
     assert_eq!(hk2.diffusion.p, hk.diffusion.p);
     assert_eq!(hk2.cluster, hk.cluster);

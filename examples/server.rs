@@ -8,13 +8,13 @@
 //! quotas, and a Prometheus-style metrics endpoint — see the
 //! `lgc-server` binary and [`plgc::server`] (protocol spec in
 //! `crates/server/PROTOCOL.md`). This example keeps everything in one
-//! process so the Service/EngineHandle mechanics stay easy to read.
+//! process so the Service/Engine mechanics stay easy to read.
 //!
 //! Three tenants register their graphs (a social-network stand-in, a
 //! planted-community SBM, a mesh-like local graph); a fleet of client
 //! threads then drains a deterministic stream of queries — each client
-//! grabbing a `Copy` engine handle per request and calling `&self`
-//! methods, no mutex around any engine, no per-graph worker fleet. At
+//! grabbing the tenant's engine (an `Arc` bump) per request and calling
+//! `&self` methods, no mutex around any engine, no per-graph worker fleet. At
 //! the end the server prints per-tenant traffic, latency percentiles,
 //! and cache/workspace observability counters.
 //!

@@ -11,7 +11,7 @@
 //! # Quickstart: the [`Service`]
 //!
 //! Register your graphs into a [`Service`] over one shared thread
-//! [`Pool`]; query through `&self` handles from as many OS threads as
+//! [`Pool`]; query through `&self` engines from as many OS threads as
 //! you like. Each graph keeps a checkout pool of warm workspaces (mass
 //! arenas, frontier bitsets, sweep tables) and a [`GraphCache`] of
 //! seed-independent state (HK-PR ψ tables, degree vector, statistics):
@@ -26,7 +26,7 @@
 //!     .add_graph("mesh", plgc::graph::gen::grid_3d(6, 6, 4))
 //!     .build();
 //!
-//! // Handles are Copy and `&self`-querying — grab one per request.
+//! // An engine is an `Arc` bump and queries through `&self` — grab one per request.
 //! let engine = service.engine("social").unwrap();
 //! let result = engine.run(&Query::new(
 //!     Seed::single(0),
@@ -86,7 +86,7 @@
 //! | Old call | Current form |
 //! |---|---|
 //! | `engine.run(&q)` with `let mut engine` | same, `mut` no longer needed (`&self`) |
-//! | one mutex-guarded engine per graph | `Service` + `svc.engine("name")?` handles |
+//! | one mutex-guarded engine per graph | `Service` + `svc.engine("name")?` |
 //! | one `Pool` spawned per engine | `Pool::shared(t)` + `.shared_pool(..)` / `Service::builder().pool(..)` |
 //! | `find_cluster(&pool, &g, &seed, &algo)` | `engine.run(&Query::new(seed, algo))` |
 //! | `prnibble_par(&pool, &g, &seed, &p)` | `engine.diffuse(&seed, &Algorithm::PrNibble(p))` |
@@ -113,7 +113,7 @@
 //! `run` degrades to transient scratch:
 //!
 //! ```
-//! use plgc::{Algorithm, CsrCompressed, PrNibbleParams, Query, Seed, Service};
+//! use plgc::{Algorithm, CsrCompressed, EngineLimits, PrNibbleParams, Query, Seed, Service};
 //!
 //! let g = plgc::graph::gen::two_cliques_bridge(16);
 //! let compact = CsrCompressed::from_graph(&g);
@@ -123,7 +123,8 @@
 //!     .add_graph("compact", compact)       // byte-compressed backend
 //!     .build();
 //! // Explicit workspace byte budget for a memory-tight tenant:
-//! service.add_graph_with_budget("tiny", plgc::graph::gen::cycle(64), 8 << 20);
+//! let tight = EngineLimits { workspace_budget: Some(8 << 20), ..Default::default() };
+//! service.add_graph_with_limits("tiny", plgc::graph::gen::cycle(64), tight);
 //! let q = Query::new(Seed::single(0), Algorithm::PrNibble(PrNibbleParams::default()));
 //! let a = service.engine("plain").unwrap().run(&q);
 //! let b = service.engine("compact").unwrap().run(&q);
@@ -143,8 +144,7 @@
 //!   deadline, by deterministic work counters (pushed mass updates,
 //!   traversed edges), or until a shared [`CancelToken`] flips. Budgets
 //!   ride on the [`Query`] and merge field-wise over the engine's
-//!   per-graph default ([`EngineBuilder::default_budget`],
-//!   [`EngineLimits`]). Checks are cooperative — one atomic load and a
+//!   per-graph default ([`EngineLimits::default_budget`]). Checks are cooperative — one atomic load and a
 //!   coarse clock read per frontier iteration, never per edge — so the
 //!   hot kernels are untouched and *completed* runs are bit-identical
 //!   to unbudgeted ones.
@@ -157,27 +157,35 @@
 //!   thread counts and storage backends); deadline and cancellation
 //!   trips land wherever the clock does.
 //! * **Admission control.** Per-graph in-flight caps
-//!   ([`EngineBuilder::max_in_flight`]) shed excess arrivals with
+//!   ([`EngineLimits::max_in_flight`]) shed excess arrivals with
 //!   [`QueryError::Overloaded`] and a retry-after hint (the graph's mean
 //!   completed-query latency); seeds are validated against the graph
-//!   before any work ([`QueryError::InvalidSeed`]); workspace byte
+//!   and parameters against their ranges ([`Algorithm::check`]) before
+//!   any work ([`QueryError::InvalidSeed`],
+//!   [`QueryError::InvalidParams`]); workspace byte
 //!   budgets refuse checkouts that would overshoot
 //!   ([`QueryError::WorkspaceBudgetExceeded`]). Transient refusals
 //!   answer [`QueryError::is_retryable`].
 //! * **Counters.** Each graph keeps [`LifecycleSnapshot`] robustness
 //!   counters (admitted / completed / shed / tripped / in-flight) next
 //!   to its [`GraphCache`] stats — [`Engine::lifecycle_stats`],
-//!   [`Service::lifecycle`].
+//!   [`Service::lifecycle`]. Every query, single or batch item, fallible
+//!   or not, is counted: `admitted = completed + tripped` once idle.
 //!
 //! ```
-//! use plgc::{Algorithm, Engine, PrNibbleParams, Query, QueryBudget, QueryError, Seed};
+//! use plgc::{
+//!     Algorithm, Engine, EngineLimits, PrNibbleParams, Query, QueryBudget, QueryError, Seed,
+//! };
 //! use std::time::Duration;
 //!
 //! let g = plgc::graph::gen::rand_local(500, 5, 3);
 //! let engine = Engine::builder(&g)
 //!     .threads(2)
-//!     .default_budget(QueryBudget::unlimited().with_deadline(Duration::from_secs(30)))
-//!     .max_in_flight(64)
+//!     .limits(EngineLimits {
+//!         default_budget: QueryBudget::unlimited().with_deadline(Duration::from_secs(30)),
+//!         max_in_flight: Some(64),
+//!         ..Default::default()
+//!     })
 //!     .build();
 //! // A tight work cap trips deterministically, with the partial result:
 //! let q = Query::new(
@@ -197,9 +205,9 @@
 //! assert_eq!(engine.lifecycle_stats().work_tripped, 1);
 //! ```
 //!
-//! The infallible [`Engine::run`] keeps its run-to-completion semantics
-//! — budgets and admission control apply only to the `try_` entry
-//! points. The `fault-inject` feature adds a deterministic fault plan to
+//! The infallible [`Engine::run`] is the same executor with admission
+//! bypassed: it keeps its run-to-completion semantics — budgets and
+//! shedding apply only to the `try_` entry points. The `fault-inject` feature adds a deterministic fault plan to
 //! [`QueryBudget`] for harness use (trip exactly at the k-th checkpoint);
 //! `tests/fault_properties.rs` drives it across all five algorithms,
 //! both CSR backends, and 1–4 threads to prove no-panic, full pool
@@ -217,7 +225,7 @@
 //! ([`Engine::try_improve`]; a trip returns the unrefined cut as a typed
 //! [`PartialResult`]). On top of refinement sit the first whole-graph
 //! pipelines: [`Engine::compute_embedding`] sweeps a geomspace ρ grid of
-//! PR-Nibble queries per seed through [`Engine::run_batch`] (warm
+//! PR-Nibble queries per seed through [`Engine::try_run_batch`] (warm
 //! workspaces, shared [`GraphCache`]), refines each cut, and keeps the
 //! minimum-conductance envelope — recording the actually-achieved grid
 //! in [`RhoGrid`] so budget truncation is visible, never silent — and
@@ -367,14 +375,14 @@ pub use lgc_core::FaultPlan;
 pub use lgc_core::{
     evolving_set_par, evolving_set_seq, find_cluster, hkpr_par, hkpr_seq, ncp_prnibble, nibble_par,
     nibble_seq, nibble_with_target_par, prnibble_par, prnibble_seq, rand_hkpr_par, rand_hkpr_seq,
-    run_batch, sweep_cut_par, sweep_cut_seq, try_run_batch, Algorithm, CancelToken, Checkpoint,
-    ClusterResult, Diffusion, DiffusionStats, Direction, DirectionMode, DirectionParams, Embedding,
-    Engine, EngineBuilder, EngineHandle, EngineLimits, EvolvingParams, GraphCache, GraphStore,
-    GraphSummary, HkprParams, InvalidSeed, KClusters, LifecycleSnapshot, LocalDiffusion, NcpParams,
-    NibbleParams, PartialResult, PipelineParams, PrNibbleParams, PushRule, Query, QueryBudget,
-    QueryError, RandHkprParams, RefineStats, RefinedCut, RhoGrid, Seed, Service, ServiceBuilder,
-    ServiceEngine, SweepCut, Trip, TrippedDiffusion, TrippedRefinement, Workspace,
-    WorkspaceBudgetExceeded, RETRY_AFTER_FLOOR,
+    sweep_cut_par, sweep_cut_seq, Algorithm, CancelToken, Checkpoint, ClusterResult, Diffusion,
+    DiffusionStats, Direction, DirectionMode, DirectionParams, Embedding, Engine, EngineBuilder,
+    EngineLimits, EvolvingParams, GraphCache, GraphStore, GraphSummary, HkprParams, InvalidParams,
+    InvalidSeed, KClusters, LifecycleSnapshot, LocalDiffusion, NcpParams, NibbleParams,
+    PartialResult, PipelineParams, PrNibbleParams, PushRule, Query, QueryBudget, QueryError,
+    RandHkprParams, RefineStats, RefinedCut, RhoGrid, Seed, Service, ServiceBuilder, ServiceEngine,
+    SweepCut, Trip, TrippedDiffusion, TrippedRefinement, Workspace, WorkspaceBudgetExceeded,
+    RETRY_AFTER_FLOOR,
 };
 pub use lgc_graph::{
     induced_cut_subgraph, CsrBackend, CsrCompressed, CsrPlain, CutSubgraph, Graph, GraphBuilder,

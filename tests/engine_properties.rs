@@ -14,7 +14,7 @@
 //!   tolerance.
 
 use plgc::cluster as lgc;
-use plgc::{Algorithm, Engine, Pool, Query, Seed};
+use plgc::{Algorithm, ClusterResult, CsrBackend, Engine, Pool, Query, QueryBudget, Seed, Service};
 use proptest::prelude::*;
 
 fn small_graph() -> impl Strategy<Value = (plgc::Graph, Vec<u32>)> {
@@ -108,6 +108,37 @@ fn l1_distance(a: &lgc::Diffusion, b: &lgc::Diffusion) -> f64 {
         }
     }
     dist
+}
+
+fn assert_bitwise(got: &ClusterResult, want: &ClusterResult, what: &str) {
+    assert_eq!(got.diffusion.p, want.diffusion.p, "{what}");
+    assert_eq!(got.diffusion.stats, want.diffusion.stats, "{what}");
+    assert_eq!(got.cluster, want.cluster, "{what}");
+    assert_eq!(got.sweep.conductances, want.sweep.conductances, "{what}");
+}
+
+/// One executor behind every entry point: `run` ≡ `try_run` ≡ the
+/// matching `run_batch` / `try_run_batch` item. `want` holds the 1-thread
+/// runs of `queries`. Batch items run on one thread each, so they match
+/// `want` bitwise whatever the engine's thread count; the single-query
+/// forms do wherever the machine can promise it (`exact`, or an
+/// integer/RNG-exact algorithm). A clone is the same engine.
+fn assert_entry_points_agree<B: CsrBackend>(
+    engine: &Engine<'_, B>,
+    queries: &[Query],
+    want: &[ClusterResult],
+    exact: bool,
+) {
+    let batch = engine.run_batch(queries);
+    let tried = engine.clone().try_run_batch(queries);
+    for (i, (q, want)) in queries.iter().zip(want).enumerate() {
+        assert_bitwise(&batch[i], want, "run_batch item");
+        assert_bitwise(tried[i].as_ref().unwrap(), want, "try_run_batch item");
+        if exact || exact_at_any_threads(&q.algo) {
+            assert_bitwise(&engine.run(q), want, "run");
+            assert_bitwise(&engine.clone().try_run(q).unwrap(), want, "try_run");
+        }
+    }
 }
 
 proptest! {
@@ -250,7 +281,7 @@ proptest! {
                 Query::new(Seed::single(seeds[si % seeds.len()]), make_algo(kind, tweak))
             })
             .collect();
-        let batch = plgc::run_batch(&Pool::new(threads), &g, &queries);
+        let batch = Engine::builder(&g).threads(threads).build().run_batch(&queries);
         let engine = Engine::builder(&g).threads(1).build();
         for (q, got) in queries.iter().zip(&batch) {
             let want = engine.run(q);
@@ -287,9 +318,19 @@ proptest! {
         for pin in [plgc::DirectionParams::default(), plgc::DirectionParams::pull_only()] {
             let pinned = pin == plgc::DirectionParams::pull_only();
             let reference = Engine::builder(&g).threads(1).direction(pin).build();
+            // All five algorithms, for the entry-point identities.
+            let five: Vec<Query> = algos
+                .iter()
+                .cloned()
+                .chain([make_algo(3, 1), make_algo(4, 1)])
+                .map(|algo| Query::new(seed.clone(), algo))
+                .collect();
+            let five_want: Vec<ClusterResult> = five.iter().map(|q| reference.run(q)).collect();
             for threads in [1usize, 2, 4] {
                 let plain = Engine::builder(&g).threads(threads).direction(pin).build();
                 let packed = Engine::builder(&c).pool(Pool::new(threads)).direction(pin).build();
+                assert_entry_points_agree(&plain, &five, &five_want, threads == 1 || pinned);
+                assert_entry_points_agree(&packed, &five, &five_want, threads == 1 || pinned);
                 for algo in &algos {
                     let q = Query::new(seed.clone(), algo.clone());
                     let want = reference.run(&q);
@@ -313,4 +354,98 @@ proptest! {
             }
         }
     }
+}
+
+fn prnibble(eps: f64) -> Algorithm {
+    Algorithm::PrNibble(lgc::PrNibbleParams {
+        alpha: 0.05,
+        eps,
+        ..Default::default()
+    })
+}
+
+/// Conservation law of the lifecycle counters: every query — single or
+/// batch item, fallible or not — is admitted once and ends in exactly
+/// one of completed / tripped, and the in-flight gate drains.
+#[test]
+fn every_admitted_query_completes_or_trips_exactly_once() {
+    let g = plgc::graph::gen::rand_local(400, 5, 11);
+    let engine = Engine::builder(&g).threads(2).build();
+    let ok = |v| Query::new(Seed::single(v), prnibble(1e-5));
+    let capped = |v| {
+        Query::new(Seed::single(v), prnibble(1e-7))
+            .with_budget(QueryBudget::unlimited().with_max_edges_traversed(5))
+    };
+    let bad_seed = ok(g.num_vertices() as u32);
+    let bad_param = Query::new(Seed::single(0), prnibble(f64::NAN));
+
+    engine.run(&ok(0));
+    engine.run(&capped(1)); // `run` ignores budgets: completes
+    assert!(engine.try_run(&ok(2)).is_ok());
+    assert!(engine.try_run(&capped(3)).unwrap_err().partial().is_some());
+    assert!(engine.try_run(&bad_seed).is_err());
+    match engine.try_run(&bad_param) {
+        Err(plgc::QueryError::InvalidParams(e)) => assert_eq!(e.param, "eps"),
+        other => panic!("expected InvalidParams, got {other:?}"),
+    }
+    let batch: Vec<Query> = (4..10).map(ok).chain((10..13).map(capped)).collect();
+    assert_eq!(engine.run_batch(&batch).len(), 9);
+    let mut mixed = batch.clone();
+    mixed.push(bad_seed.clone());
+    mixed.push(bad_param.clone());
+    let tried = engine.try_run_batch(&mixed);
+    assert_eq!(tried.iter().filter(|r| r.is_ok()).count(), 6);
+
+    let s = engine.lifecycle_stats();
+    let tripped = s.work_tripped + s.deadline_tripped + s.cancelled;
+    // 4 single + 9 + 9 batch items passed admission; the four malformed
+    // ones never did.
+    assert_eq!(s.admitted, 22);
+    assert_eq!(
+        s.work_tripped, 4,
+        "try_run(capped) + 3 capped try_run_batch items"
+    );
+    assert_eq!(s.admitted, s.completed + tripped);
+    assert_eq!(s.invalid_seed, 2);
+    assert_eq!(s.in_flight, 0);
+}
+
+/// A clone of an engine, and every `Service::engine(name)` over one
+/// registered graph, are the same engine: they share warm workspaces and
+/// counters.
+#[test]
+fn clones_and_service_engines_share_workspaces_and_counters() {
+    let g = plgc::graph::gen::rand_local(300, 5, 4);
+    let q = Query::new(Seed::single(7), prnibble(1e-5));
+
+    let engine = Engine::builder(&g).threads(1).build();
+    let twin = engine.clone();
+    let want = engine.run(&q);
+    assert_eq!(
+        twin.warm_workspaces(),
+        1,
+        "the clone sees the parked workspace"
+    );
+    assert_bitwise(&twin.try_run(&q).unwrap(), &want, "clone");
+    assert_eq!(engine.warm_workspaces(), 1, "and reused it");
+    assert_eq!(engine.lifecycle_stats().completed, 2);
+    assert_eq!(engine.lifecycle_stats(), twin.lifecycle_stats());
+    assert!(std::sync::Arc::ptr_eq(engine.cache(), twin.cache()));
+
+    let svc = Service::builder()
+        .pool(Pool::shared(1))
+        .add_graph("g", g.clone())
+        .build();
+    let (a, b) = (svc.engine("g").unwrap(), svc.engine("g").unwrap());
+    assert_bitwise(&a.run(&q), &want, "service engine");
+    let b = b.as_plain().unwrap();
+    assert_eq!(b.warm_workspaces(), 1);
+    assert_bitwise(
+        &b.run_batch(std::slice::from_ref(&q))[0],
+        &want,
+        "batch of one",
+    );
+    assert_eq!(b.warm_workspaces(), 1);
+    assert_eq!(svc.lifecycle("g").unwrap().completed, 2);
+    assert_eq!(a.as_plain().unwrap().lifecycle_stats(), b.lifecycle_stats());
 }

@@ -301,7 +301,11 @@ proptest! {
 #[test]
 fn overloaded_sheds_with_retry_hint() {
     let g = plgc::graph::gen::two_cliques_bridge(10);
-    let engine = Engine::builder(&g).threads(1).max_in_flight(0).build();
+    let limits = plgc::EngineLimits {
+        max_in_flight: Some(0),
+        ..Default::default()
+    };
+    let engine = Engine::builder(&g).threads(1).limits(limits).build();
     let q = Query::new(
         Seed::single(0),
         Algorithm::PrNibble(lgc::PrNibbleParams::default()),

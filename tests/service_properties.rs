@@ -256,7 +256,11 @@ proptest! {
 fn exhausted_workspace_budget_is_a_typed_error_not_a_panic() {
     let g = plgc::graph::gen::rand_local(200, 4, 7);
     let mut svc = Service::builder().pool(Pool::shared(1)).build();
-    svc.add_graph_with_budget("tiny", g.clone(), 1);
+    let budget = |bytes| plgc::EngineLimits {
+        workspace_budget: Some(bytes),
+        ..Default::default()
+    };
+    svc.add_graph_with_limits("tiny", g.clone(), budget(1));
     let q = Query::new(
         Seed::single(0),
         Algorithm::PrNibble(lgc::PrNibbleParams::default()),
@@ -295,7 +299,7 @@ fn exhausted_workspace_budget_is_a_typed_error_not_a_panic() {
     assert_eq!(again.diffusion.p, cold.diffusion.p);
     assert_eq!(again.cluster, cold.cluster);
     // A roomy budget never denies this workload.
-    svc.add_graph_with_budget("roomy", g.clone(), 1 << 30);
+    svc.add_graph_with_limits("roomy", g.clone(), budget(1 << 30));
     assert!(svc.engine("roomy").unwrap().try_run(&q).is_ok());
     assert!(svc.engine("roomy").unwrap().try_run(&q).is_ok());
 }
@@ -344,7 +348,7 @@ fn arc_shared_service_across_spawned_threads() {
                 .build()
                 .run(&q);
             assert_eq!(got.diffusion.p, cold.diffusion.p);
-            usize::from(e.cache().psi_stats().1 == 0)
+            usize::from(svc.cache(n).unwrap().psi_stats().1 == 0)
         })
         .sum();
     assert_eq!(warm, 2, "no HK-PR queries ran, so no psi misses");
