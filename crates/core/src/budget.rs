@@ -27,9 +27,9 @@ use std::time::{Duration, Instant};
 
 use lgc_ligra::{CancelToken, Checkpoint, Trip};
 
-use crate::engine::WorkspaceBudgetExceeded;
 use crate::result::{Diffusion, DiffusionStats};
 use crate::sweep::SweepCut;
+use crate::workspace::WorkspaceBudgetExceeded;
 
 #[cfg(feature = "fault-inject")]
 use lgc_ligra::FaultPlan;

@@ -59,364 +59,13 @@ use crate::ncp::{ncp_prnibble_ws, NcpParams, NcpPoint};
 use crate::result::{ClusterResult, Diffusion};
 use crate::seed::Seed;
 use crate::sweep::sweep_cut_par_ws;
+use crate::workspace::{default_workspace_budget, Workspace, WorkspacePool};
 use crate::{Algorithm, EvolvingParams, HkprParams, NibbleParams, PrNibbleParams, RandHkprParams};
 use lgc_graph::{CsrBackend, Graph};
-use lgc_ligra::{Checkpoint, DirectionParams, Frontier, Trip, VertexSubset};
-use lgc_parallel::{Bitset, Pool};
-use lgc_sparse::{ConcurrentRankMap, ConcurrentSparseVec, MassMap};
-use std::sync::{Arc, Mutex};
+use lgc_ligra::{Checkpoint, DirectionParams, Trip};
+use lgc_parallel::Pool;
+use std::sync::Arc;
 use std::time::Instant;
-
-/// A pool of recyclable scratch buffers shared by every diffusion.
-///
-/// Checked-out buffers are re-fitted so a warm checkout is observationally
-/// identical to a fresh allocation (same backend mode, same hash-table
-/// capacity, cleared contents) — the invariant that makes workspace-reusing
-/// runs bit-identical to cold free-function runs, enforced by the
-/// workspace-reuse proptests. What is actually recycled:
-///
-/// * dense/sparse [`MassMap`] arenas (including their `O(n)` dense-mode
-///   buffers — the expensive part of a high-volume query);
-/// * [`Frontier`]s with their lazily-built bitsets, and standalone
-///   [`Bitset`]s (PR-Nibble's receiver set);
-/// * vertex-indexed `f64` contribution slices for the dense pull engines
-///   (never zeroed: stale slots are gated off by the frontier bitset);
-/// * rand-HK-PR's walk-destination buffer and compaction table, the
-///   evolving-set neighbor counter, and the sweep's rank table.
-///
-/// Most callers never touch this type directly — [`Engine`] owns one —
-/// but [`LocalDiffusion::diffuse`] takes it explicitly so custom drivers
-/// (benchmark harnesses, batch executors) can manage their own.
-#[derive(Default)]
-pub struct Workspace {
-    mass: Vec<MassMap>,
-    frontiers: Vec<Frontier>,
-    bitsets: Vec<Bitset>,
-    dense: Vec<Vec<f64>>,
-    /// rand-HK-PR per-walk `(destination, steps)` buffer.
-    pub(crate) walks: Vec<(u32, u32)>,
-    /// rand-HK-PR destination-compaction table.
-    pub(crate) rank: Option<ConcurrentRankMap>,
-    /// Sweep-cut rank table (order → rank assignment).
-    pub(crate) sweep_rank: Option<ConcurrentRankMap>,
-    /// Evolving-set `|N(v) ∩ S|` counter.
-    pub(crate) counts: Option<ConcurrentSparseVec>,
-    /// Cross-query cache of seed-independent state, shared with every
-    /// other workspace checked out against the same graph. `None` for
-    /// free-function workspaces (they compute everything fresh).
-    cache: Option<Arc<GraphCache>>,
-    /// Byte charge recorded at checkout by the [`WorkspacePool`]'s budget
-    /// accounting; `None` for free-function and transient (over-budget
-    /// fallback) workspaces the pool is not accounting.
-    charge: Option<usize>,
-}
-
-impl Workspace {
-    /// An empty workspace; buffers are allocated lazily by the first
-    /// query and recycled by every query after it.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// An empty workspace wired to a shared per-graph [`GraphCache`] —
-    /// what the engine's workspace checkout pool hands out, so all
-    /// checkouts against one graph reuse the same ψ tables, degree
-    /// vector, and sizing hints.
-    pub fn with_cache(cache: Arc<GraphCache>) -> Self {
-        Workspace {
-            cache: Some(cache),
-            ..Default::default()
-        }
-    }
-
-    /// The ψ table for `(t, n_levels)` — served from the shared cache
-    /// when there is one (bit-identical to the fresh computation by
-    /// construction), computed fresh otherwise.
-    pub(crate) fn psi_table(&self, t: f64, n_levels: usize) -> Arc<Vec<f64>> {
-        match &self.cache {
-            Some(c) => c.psi(t, n_levels),
-            None => Arc::new(crate::hkpr::psi_table(t, n_levels)),
-        }
-    }
-
-    /// The cached vertex-degree vector, if this workspace is wired to a
-    /// cache. Free-function workspaces return `None` and consumers fall
-    /// back to the backend's degree lookups — same integers either way.
-    pub(crate) fn cached_degrees<B: CsrBackend>(&self, g: &B) -> Option<Arc<Vec<u32>>> {
-        self.cache.as_ref().map(|c| c.degrees(g))
-    }
-
-    /// Total resident bytes of every buffer this workspace has accreted —
-    /// the quantity the workspace pool's byte budget accounts. `O(#buffers)`.
-    pub fn resident_bytes(&self) -> usize {
-        self.mass.iter().map(MassMap::resident_bytes).sum::<usize>()
-            + self
-                .frontiers
-                .iter()
-                .map(Frontier::resident_bytes)
-                .sum::<usize>()
-            + self
-                .bitsets
-                .iter()
-                .map(Bitset::resident_bytes)
-                .sum::<usize>()
-            + self
-                .dense
-                .iter()
-                .map(|v| v.capacity() * std::mem::size_of::<f64>())
-                .sum::<usize>()
-            + self.walks.capacity() * std::mem::size_of::<(u32, u32)>()
-            + self
-                .rank
-                .as_ref()
-                .map_or(0, ConcurrentRankMap::resident_bytes)
-            + self
-                .sweep_rank
-                .as_ref()
-                .map_or(0, ConcurrentRankMap::resident_bytes)
-            + self
-                .counts
-                .as_ref()
-                .map_or(0, ConcurrentSparseVec::resident_bytes)
-    }
-
-    /// Capacity hint for a fresh sweep rank table (0 when uncached).
-    pub(crate) fn sweep_hint(&self) -> usize {
-        self.cache.as_ref().map_or(0, |c| c.sweep_hint())
-    }
-
-    /// Records a sweep support size into the shared cache, if any.
-    pub(crate) fn note_sweep_support(&self, n: usize) {
-        if let Some(c) = &self.cache {
-            c.note_sweep_support(n);
-        }
-    }
-
-    /// Checks out a mass map re-fitted exactly as
-    /// `MassMap::with_dense_fraction(n, bound, frac)` would build it.
-    pub(crate) fn take_mass(&mut self, pool: &Pool, n: usize, bound: usize, frac: f64) -> MassMap {
-        match self.mass.pop() {
-            Some(mut m) => {
-                m.recycle(pool, n, bound, frac);
-                m
-            }
-            None => MassMap::with_dense_fraction(n, bound, frac),
-        }
-    }
-
-    /// Returns a mass map to the pool (contents are cleared at the next
-    /// checkout, so nothing needs to happen here).
-    pub(crate) fn put_mass(&mut self, m: MassMap) {
-        self.mass.push(m);
-    }
-
-    /// Checks out an empty frontier (recycled ones keep their allocated,
-    /// already-zeroed bitset).
-    pub(crate) fn take_frontier(&mut self) -> Frontier {
-        self.frontiers
-            .pop()
-            .unwrap_or_else(|| Frontier::from_subset(VertexSubset::empty()))
-    }
-
-    /// Returns a frontier, clearing its members (`O(len)`) so the cached
-    /// bitset is back to all-zero for the next checkout.
-    pub(crate) fn put_frontier(&mut self, pool: &Pool, mut f: Frontier) {
-        f.recycle(pool);
-        self.frontiers.push(f);
-    }
-
-    /// Checks out a clean bitset over universe `n` if one is pooled
-    /// (callers allocate lazily on `None`, preserving the cold path's
-    /// "only pay `O(n/64)` if the query actually pulls" behavior).
-    pub(crate) fn take_bitset(&mut self, n: usize) -> Option<Bitset> {
-        let i = self.bitsets.iter().position(|b| b.universe() == n)?;
-        Some(self.bitsets.swap_remove(i))
-    }
-
-    /// Returns a bitset. Invariant: every word must be zero again (the
-    /// diffusions clear receivers by the sorted id list they extracted).
-    pub(crate) fn put_bitset(&mut self, b: Bitset) {
-        self.bitsets.push(b);
-    }
-
-    /// Checks out a vertex-indexed `f64` scratch slice. Contents are
-    /// arbitrary stale values — every consumer writes its frontier's
-    /// slots before reading and gates reads through the frontier bitset.
-    pub(crate) fn take_dense(&mut self) -> Vec<f64> {
-        self.dense.pop().unwrap_or_default()
-    }
-
-    /// Returns a dense scratch slice (kept dirty by design).
-    pub(crate) fn put_dense(&mut self, v: Vec<f64>) {
-        self.dense.push(v);
-    }
-}
-
-/// A checkout pool of [`Workspace`]s behind a byte-budgeted freelist —
-/// the mechanism that makes every query method `&self`-callable from any
-/// number of OS threads while staying allocation-warm, with resident
-/// scratch bounded in *bytes* per graph rather than in workspace count
-/// (workspaces accrete `O(n)` dense arenas over their lifetime, so a
-/// count cap bounds nothing on a big graph and over-throttles a small
-/// one).
-///
-/// The lock is held only at the checkout boundary (a `Vec` pop/push plus
-/// a few counter updates per query or per batch worker chunk), never
-/// during a diffusion, so concurrent queries contend for microseconds,
-/// not milliseconds. Every checkout is wired to the pool's shared
-/// [`GraphCache`]; since recycled buffers are re-fitted to be
-/// observationally fresh and cache hits are bit-identical to fresh
-/// computation, *which* workspace a query happens to receive is
-/// invisible in its output — the invariant the concurrent service
-/// proptests hammer.
-pub struct WorkspacePool {
-    state: Mutex<PoolState>,
-    cache: Arc<GraphCache>,
-    budget: usize,
-}
-
-#[derive(Default)]
-struct PoolState {
-    /// Parked workspaces with their resident-byte sizes at park time.
-    free: Vec<(Workspace, usize)>,
-    /// Total resident bytes across parked workspaces.
-    parked_bytes: usize,
-    /// Bytes charged against the budget by in-flight checkouts.
-    in_flight_bytes: usize,
-    /// Largest resident size any restored workspace has reached — the
-    /// per-checkout charge estimate for fresh workspaces (a fresh
-    /// workspace is empty now but will grow to roughly this by restore).
-    watermark: usize,
-}
-
-/// Typed refusal from a workspace-pool checkout, surfaced by the
-/// engine's `try_run` entry points: admitting one more workspace would
-/// push the graph's resident scratch past its byte budget. The
-/// infallible query paths fall back to a transient unpooled workspace
-/// instead — a burst beyond the budget costs allocator traffic, never an
-/// error — so this type is for callers that want back-pressure they can
-/// act on (shed the query, queue it, or retry later).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct WorkspaceBudgetExceeded {
-    /// The pool's configured byte budget.
-    pub budget_bytes: usize,
-    /// Bytes already charged by in-flight checkouts.
-    pub in_flight_bytes: usize,
-    /// Estimated charge of the denied checkout (the pool's observed
-    /// per-workspace resident high-watermark).
-    pub requested_bytes: usize,
-}
-
-impl std::fmt::Display for WorkspaceBudgetExceeded {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "workspace byte budget exhausted: {} B in flight + {} B requested > {} B budget",
-            self.in_flight_bytes, self.requested_bytes, self.budget_bytes
-        )
-    }
-}
-
-impl std::error::Error for WorkspaceBudgetExceeded {}
-
-/// Default workspace byte budget for a graph occupying `graph_bytes`:
-/// 4× the graph, clamped to `[32 MiB, 1 GiB]`. Query scratch scales with
-/// diffusion support (a fraction of the graph), so a small multiple of
-/// the graph bounds burst-peak memory without throttling realistic
-/// concurrency; the floor keeps small graphs unthrottled and the ceiling
-/// caps what any single graph can pin in a many-graph service.
-pub(crate) fn default_workspace_budget(graph_bytes: usize) -> usize {
-    graph_bytes.saturating_mul(4).clamp(32 << 20, 1 << 30)
-}
-
-impl WorkspacePool {
-    /// An empty pool whose checkouts share `cache`, admitting at most
-    /// `budget` resident scratch bytes at a time.
-    pub(crate) fn new(cache: Arc<GraphCache>, budget: usize) -> Self {
-        WorkspacePool {
-            state: Mutex::new(PoolState::default()),
-            cache,
-            budget,
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, PoolState> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Pops a warm workspace, or creates a fresh cache-wired one —
-    /// refusing the fresh checkout when charging it (at the pool's
-    /// observed per-workspace high-watermark) would overshoot the byte
-    /// budget. Parked workspaces are always admitted: their bytes are
-    /// already resident, so handing them out cannot grow the footprint.
-    pub(crate) fn try_checkout(&self) -> Result<Workspace, WorkspaceBudgetExceeded> {
-        let mut st = self.lock();
-        if let Some((mut ws, bytes)) = st.free.pop() {
-            st.parked_bytes -= bytes;
-            st.in_flight_bytes += bytes;
-            ws.charge = Some(bytes);
-            return Ok(ws);
-        }
-        let charge = st.watermark;
-        if st.in_flight_bytes.saturating_add(charge) > self.budget {
-            return Err(WorkspaceBudgetExceeded {
-                budget_bytes: self.budget,
-                in_flight_bytes: st.in_flight_bytes,
-                requested_bytes: charge,
-            });
-        }
-        st.in_flight_bytes += charge;
-        drop(st);
-        let mut ws = Workspace::with_cache(Arc::clone(&self.cache));
-        ws.charge = Some(charge);
-        Ok(ws)
-    }
-
-    /// Infallible checkout: on budget refusal, falls back to a transient
-    /// workspace the pool does not account. The transient is dropped at
-    /// restore, so a burst beyond the budget pays the cold free-function
-    /// allocation profile — never an error, and never unbounded resident
-    /// scratch.
-    pub(crate) fn checkout(&self) -> Workspace {
-        self.try_checkout()
-            .unwrap_or_else(|_| Workspace::with_cache(Arc::clone(&self.cache)))
-    }
-
-    /// Returns a workspace. Budget-accounted checkouts release their
-    /// charge, teach the pool their actual resident size (raising the
-    /// watermark future charges are estimated at), and park iff the
-    /// freelist's resident bytes stay within budget; transient fallbacks
-    /// are simply dropped. (A query that panics drops its checkout the
-    /// same way.)
-    pub(crate) fn restore(&self, mut ws: Workspace) {
-        let Some(charge) = ws.charge.take() else {
-            return; // transient over-budget fallback: not accounted
-        };
-        let bytes = ws.resident_bytes();
-        let mut st = self.lock();
-        st.in_flight_bytes = st.in_flight_bytes.saturating_sub(charge);
-        st.watermark = st.watermark.max(bytes);
-        if st.parked_bytes + bytes <= self.budget {
-            st.parked_bytes += bytes;
-            st.free.push((ws, bytes));
-        }
-    }
-
-    /// Number of warm workspaces currently parked in the freelist.
-    pub(crate) fn warm_count(&self) -> usize {
-        self.lock().free.len()
-    }
-
-    /// The pool's resident-byte budget.
-    pub(crate) fn budget(&self) -> usize {
-        self.budget
-    }
-
-    /// The shared per-graph cache all checkouts are wired to.
-    pub(crate) fn cache(&self) -> &Arc<GraphCache> {
-        &self.cache
-    }
-}
 
 /// A local diffusion algorithm: seed → parameters (`self`) → sparse mass
 /// vector, computed over a recyclable [`Workspace`].

@@ -25,9 +25,9 @@
 //! takes. The lowest-conductance set seen is tracked and returned.
 
 use crate::budget::InvalidParams;
-use crate::engine::Workspace;
 use crate::result::{Diffusion, DiffusionStats};
 use crate::seed::Seed;
+use crate::workspace::Workspace;
 use lgc_graph::CsrBackend;
 use lgc_ligra::{
     edge_map, edge_map_dense_count, Checkpoint, Direction, DirectionParams, Trip, VertexSubset,

@@ -8,9 +8,9 @@
 
 use super::HkprParams;
 use crate::budget::TrippedDiffusion;
-use crate::engine::Workspace;
 use crate::result::{Diffusion, DiffusionStats};
 use crate::seed::Seed;
+use crate::workspace::Workspace;
 use lgc_graph::CsrBackend;
 use lgc_ligra::{
     edge_map_dense, edge_map_dense_gather, edge_map_indexed, Checkpoint, Direction, VertexSubset,

@@ -66,15 +66,14 @@ mod result;
 mod seed;
 mod service;
 mod sweep;
+mod workspace;
 
 pub use budget::{
     EngineLimits, InvalidParams, InvalidSeed, LifecycleSnapshot, PartialResult, QueryBudget,
     QueryError, TrippedDiffusion, RETRY_AFTER_FLOOR,
 };
 pub use cache::{GraphCache, GraphSummary};
-pub use engine::{
-    Engine, EngineBuilder, LocalDiffusion, Query, Workspace, WorkspaceBudgetExceeded,
-};
+pub use engine::{Engine, EngineBuilder, LocalDiffusion, Query};
 pub use evolving::{evolving_set_par, evolving_set_seq, EvolvingParams, EvolvingResult};
 pub use hkpr::{hkpr_par, hkpr_seq, psi_table, HkprParams};
 pub use ncp::{ncp_prnibble, NcpParams, NcpPoint};
@@ -88,6 +87,7 @@ pub use result::{ClusterResult, Diffusion, DiffusionStats};
 pub use seed::Seed;
 pub use service::{GraphStore, Service, ServiceBuilder, ServiceEngine};
 pub use sweep::{sweep_cut_par, sweep_cut_seq, SweepCut};
+pub use workspace::{Workspace, WorkspaceBudgetExceeded};
 
 // The direction-optimization knob carried by the diffusion param structs,
 // re-exported so callers can configure it without a direct lgc-ligra dep.

@@ -8,10 +8,10 @@
 //! seen at that prefix size. This module reproduces that procedure.
 
 use crate::budget::QueryBudget;
-use crate::engine::Workspace;
 use crate::prnibble::{prnibble_par_ws, PrNibbleParams, PushRule};
 use crate::seed::Seed;
 use crate::sweep::sweep_cut_par_ws;
+use crate::workspace::Workspace;
 use lgc_graph::CsrBackend;
 use lgc_parallel::Pool;
 use rand::rngs::StdRng;

@@ -13,9 +13,9 @@
 //! `O(T log(1/ε))` depth.
 
 use crate::budget::{InvalidParams, TrippedDiffusion};
-use crate::engine::Workspace;
 use crate::result::{Diffusion, DiffusionStats};
 use crate::seed::Seed;
+use crate::workspace::Workspace;
 use lgc_graph::CsrBackend;
 use lgc_ligra::{
     edge_map_dense, edge_map_indexed, Checkpoint, Direction, DirectionParams, Frontier,

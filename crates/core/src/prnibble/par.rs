@@ -13,9 +13,9 @@
 
 use super::PrNibbleParams;
 use crate::budget::TrippedDiffusion;
-use crate::engine::Workspace;
 use crate::result::{Diffusion, DiffusionStats};
 use crate::seed::Seed;
+use crate::workspace::Workspace;
 use lgc_graph::CsrBackend;
 use lgc_ligra::{edge_map_dense_gather, edge_map_indexed, Checkpoint, Direction, VertexSubset};
 use lgc_parallel::{filter_map_index, map_index, Bitset, Pool, UnsafeSlice};

@@ -16,9 +16,9 @@
 //! sequential and parallel versions produce *identical* vectors.
 
 use crate::budget::{InvalidParams, TrippedDiffusion};
-use crate::engine::Workspace;
 use crate::result::{Diffusion, DiffusionStats};
 use crate::seed::Seed;
+use crate::workspace::Workspace;
 use lgc_graph::CsrBackend;
 use lgc_ligra::Checkpoint;
 use lgc_parallel::{counting_sort_by_key, fill_with_index, filter_map_index, map_index, Pool};

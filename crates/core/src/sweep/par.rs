@@ -33,7 +33,7 @@
 //! serializing one.
 
 use super::{eligible_entries, prefix_conductance, sweep_order_cmp, SweepCut};
-use crate::engine::Workspace;
+use crate::workspace::Workspace;
 use lgc_graph::CsrBackend;
 use lgc_ligra::{Checkpoint, Trip};
 use lgc_parallel::{
