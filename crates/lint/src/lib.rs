@@ -58,7 +58,7 @@ pub fn check_source(cfg: &Config, rel_path: &str, source: &str) -> Vec<Diagnosti
 /// Audits every `src/**/*.rs` file under `root` (crate sources only:
 /// integration tests, examples, benches, and fixtures are out of scope
 /// — the rules police production code paths), then the allowlists
-/// themselves ([`check_sources`]).
+/// themselves: an entry that suppressed nothing is itself a violation.
 pub fn check_workspace(cfg: &Config, root: &Path) -> std::io::Result<(usize, Vec<Diagnostic>)> {
     let mut files = Vec::new();
     collect_sources(root, root, &mut files)?;
@@ -76,7 +76,7 @@ pub fn check_workspace(cfg: &Config, root: &Path) -> std::io::Result<(usize, Vec
 /// timing allowlist entry that suppressed nothing — an entry whose
 /// removal would not add a single diagnostic to the scan (its file is
 /// gone, or no longer does what the entry excuses).
-pub fn check_sources(cfg: &Config, sources: &[(String, String)]) -> Vec<Diagnostic> {
+fn check_sources(cfg: &Config, sources: &[(String, String)]) -> Vec<Diagnostic> {
     let strict = Config {
         atomic_allowlist: Vec::new(),
         timing_allowlist: Vec::new(),
