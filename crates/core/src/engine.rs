@@ -6,8 +6,8 @@
 //! interactive queries ("an analyst would run a computation, study the
 //! result, and based on that determine what computation to run next").
 //! Serving that stream with free functions means rebuilding every piece
-//! of scratch state — mass tables, frontier bitsets, vertex-indexed
-//! contribution slices, sweep rank tables — on every call, even though
+//! of scratch state — mass tables, frontier bitsets, the edge map's
+//! contribution buffer, sweep rank tables — on every call, even though
 //! all of it is reusable across queries against the same graph.
 //!
 //! [`Engine`] fixes that: one type bundling a [`Pool`] (owned, or an
@@ -29,9 +29,9 @@
 //! assert_eq!(result.cluster.len(), 12);
 //! ```
 //!
-//! Every algorithm implements the [`LocalDiffusion`] trait (seed →
-//! params → diffusion over the shared workspace), and an [`Engine`] query
-//! is *bit-identical* to the corresponding free function: the workspace
+//! [`Algorithm`] implements the [`LocalDiffusion`] trait (seed →
+//! diffusion over the shared workspace), and an [`Engine`] query is
+//! *bit-identical* to the corresponding free function: the workspace
 //! checkout path ([`lgc_sparse::MassMap::recycle`],
 //! [`lgc_ligra::Frontier::recycle`]) re-fits each recycled buffer so it
 //! is observationally indistinguishable from a fresh allocation, and
@@ -54,13 +54,17 @@ use crate::budget::{
     QueryError, TrippedDiffusion,
 };
 use crate::cache::GraphCache;
-use crate::evolving::evolving_set_par_ws;
+use crate::evolving::{evolving_set_par_ws, evolving_set_seq};
+use crate::hkpr::{hkpr_par_ws, hkpr_seq};
 use crate::ncp::{ncp_prnibble_ws, NcpParams, NcpPoint};
+use crate::nibble::{nibble_par_ws, nibble_seq};
+use crate::prnibble::{prnibble_par_ws, prnibble_seq};
+use crate::rand_hkpr::{rand_hkpr_par_ws, rand_hkpr_seq};
 use crate::result::{ClusterResult, Diffusion};
 use crate::seed::Seed;
 use crate::sweep::sweep_cut_par_ws;
 use crate::workspace::{default_workspace_budget, Workspace, WorkspacePool};
-use crate::{Algorithm, EvolvingParams, HkprParams, NibbleParams, PrNibbleParams, RandHkprParams};
+use crate::{Algorithm, EvolvingParams, HkprParams, NibbleParams, PrNibbleParams};
 use lgc_graph::{CsrBackend, Graph};
 use lgc_ligra::{Checkpoint, DirectionParams, Trip};
 use lgc_parallel::Pool;
@@ -70,10 +74,8 @@ use std::time::Instant;
 /// A local diffusion algorithm: seed → parameters (`self`) → sparse mass
 /// vector, computed over a recyclable [`Workspace`].
 ///
-/// Implemented by all five of the paper's processes — [`NibbleParams`],
-/// [`PrNibbleParams`], [`HkprParams`], [`RandHkprParams`],
-/// [`EvolvingParams`] — and by [`Algorithm`] itself (dispatching to the
-/// wrapped params), which is what [`Engine`] runs.
+/// Implemented by [`Algorithm`], which dispatches to the paper's five
+/// processes and is what [`Engine`] runs.
 pub trait LocalDiffusion {
     /// Short algorithm name for logs and benchmark labels.
     fn name(&self) -> &'static str;
@@ -127,135 +129,14 @@ pub trait LocalDiffusion {
         Self: Sized;
 }
 
-impl LocalDiffusion for NibbleParams {
-    fn name(&self) -> &'static str {
-        "nibble"
-    }
-    fn diffuse_guarded<B: CsrBackend>(
-        &self,
-        pool: &Pool,
-        g: &B,
-        seed: &Seed,
-        ws: &mut Workspace,
-        cp: &Checkpoint,
-    ) -> Result<Diffusion, TrippedDiffusion> {
-        crate::nibble::nibble_par_ws(pool, g, seed, self, ws, cp)
-    }
-    fn diffuse_seq<B: CsrBackend>(&self, g: &B, seed: &Seed) -> Diffusion {
-        crate::nibble::nibble_seq(g, seed, self)
-    }
-    fn with_direction(&self, dir: DirectionParams) -> Self {
-        NibbleParams { dir, ..*self }
-    }
-}
-
-impl LocalDiffusion for PrNibbleParams {
-    fn name(&self) -> &'static str {
-        "prnibble"
-    }
-    fn diffuse_guarded<B: CsrBackend>(
-        &self,
-        pool: &Pool,
-        g: &B,
-        seed: &Seed,
-        ws: &mut Workspace,
-        cp: &Checkpoint,
-    ) -> Result<Diffusion, TrippedDiffusion> {
-        crate::prnibble::prnibble_par_ws(pool, g, seed, self, ws, cp)
-    }
-    fn diffuse_seq<B: CsrBackend>(&self, g: &B, seed: &Seed) -> Diffusion {
-        crate::prnibble::prnibble_seq(g, seed, self)
-    }
-    fn with_direction(&self, dir: DirectionParams) -> Self {
-        PrNibbleParams { dir, ..*self }
-    }
-}
-
-impl LocalDiffusion for HkprParams {
-    fn name(&self) -> &'static str {
-        "hkpr"
-    }
-    fn diffuse_guarded<B: CsrBackend>(
-        &self,
-        pool: &Pool,
-        g: &B,
-        seed: &Seed,
-        ws: &mut Workspace,
-        cp: &Checkpoint,
-    ) -> Result<Diffusion, TrippedDiffusion> {
-        crate::hkpr::hkpr_par_ws(pool, g, seed, self, ws, cp)
-    }
-    fn diffuse_seq<B: CsrBackend>(&self, g: &B, seed: &Seed) -> Diffusion {
-        crate::hkpr::hkpr_seq(g, seed, self)
-    }
-    fn with_direction(&self, dir: DirectionParams) -> Self {
-        HkprParams { dir, ..*self }
-    }
-}
-
-impl LocalDiffusion for RandHkprParams {
-    fn name(&self) -> &'static str {
-        "rand-hkpr"
-    }
-    fn diffuse_guarded<B: CsrBackend>(
-        &self,
-        pool: &Pool,
-        g: &B,
-        seed: &Seed,
-        ws: &mut Workspace,
-        cp: &Checkpoint,
-    ) -> Result<Diffusion, TrippedDiffusion> {
-        crate::rand_hkpr::rand_hkpr_par_ws(pool, g, seed, self, ws, cp)
-    }
-    fn diffuse_seq<B: CsrBackend>(&self, g: &B, seed: &Seed) -> Diffusion {
-        crate::rand_hkpr::rand_hkpr_seq(g, seed, self)
-    }
-    /// Monte-Carlo walks have no frontier traversal to direction-optimize.
-    fn with_direction(&self, _dir: DirectionParams) -> Self {
-        *self
-    }
-}
-
-impl LocalDiffusion for EvolvingParams {
-    fn name(&self) -> &'static str {
-        "evolving"
-    }
-    /// The evolving-set process selects a *set*, not a mass vector; as a
-    /// diffusion it yields the membership indicator of its best set (mass
-    /// `1/|S|` per member). [`Engine::run`] bypasses the sweep for it and
-    /// reports the set directly.
-    fn diffuse_guarded<B: CsrBackend>(
-        &self,
-        pool: &Pool,
-        g: &B,
-        seed: &Seed,
-        ws: &mut Workspace,
-        cp: &Checkpoint,
-    ) -> Result<Diffusion, TrippedDiffusion> {
-        match evolving_set_par_ws(pool, g, seed, self, ws, cp) {
-            Ok(res) => Ok(res.indicator()),
-            Err((trip, res)) => Err(TrippedDiffusion {
-                trip,
-                partial: res.indicator(),
-            }),
-        }
-    }
-    fn diffuse_seq<B: CsrBackend>(&self, g: &B, seed: &Seed) -> Diffusion {
-        crate::evolving::evolving_set_seq(g, seed, self).indicator()
-    }
-    fn with_direction(&self, dir: DirectionParams) -> Self {
-        EvolvingParams { dir, ..*self }
-    }
-}
-
 impl LocalDiffusion for Algorithm {
     fn name(&self) -> &'static str {
         match self {
-            Algorithm::Nibble(p) => p.name(),
-            Algorithm::PrNibble(p) => p.name(),
-            Algorithm::Hkpr(p) => p.name(),
-            Algorithm::RandHkpr(p) => p.name(),
-            Algorithm::Evolving(p) => p.name(),
+            Algorithm::Nibble(_) => "nibble",
+            Algorithm::PrNibble(_) => "prnibble",
+            Algorithm::Hkpr(_) => "hkpr",
+            Algorithm::RandHkpr(_) => "rand-hkpr",
+            Algorithm::Evolving(_) => "evolving",
         }
     }
     fn diffuse_guarded<B: CsrBackend>(
@@ -267,29 +148,41 @@ impl LocalDiffusion for Algorithm {
         cp: &Checkpoint,
     ) -> Result<Diffusion, TrippedDiffusion> {
         match self {
-            Algorithm::Nibble(p) => p.diffuse_guarded(pool, g, seed, ws, cp),
-            Algorithm::PrNibble(p) => p.diffuse_guarded(pool, g, seed, ws, cp),
-            Algorithm::Hkpr(p) => p.diffuse_guarded(pool, g, seed, ws, cp),
-            Algorithm::RandHkpr(p) => p.diffuse_guarded(pool, g, seed, ws, cp),
-            Algorithm::Evolving(p) => p.diffuse_guarded(pool, g, seed, ws, cp),
+            Algorithm::Nibble(p) => nibble_par_ws(pool, g, seed, p, ws, cp),
+            Algorithm::PrNibble(p) => prnibble_par_ws(pool, g, seed, p, ws, cp),
+            Algorithm::Hkpr(p) => hkpr_par_ws(pool, g, seed, p, ws, cp),
+            Algorithm::RandHkpr(p) => rand_hkpr_par_ws(pool, g, seed, p, ws, cp),
+            // The evolving-set process selects a *set*, not a mass vector;
+            // as a diffusion it yields the membership indicator of its
+            // best set (mass `1/|S|` per member). [`Engine::run`] bypasses
+            // the sweep for it and reports the set directly.
+            Algorithm::Evolving(p) => match evolving_set_par_ws(pool, g, seed, p, ws, cp) {
+                Ok(res) => Ok(res.indicator()),
+                Err((trip, res)) => Err(TrippedDiffusion {
+                    trip,
+                    partial: res.indicator(),
+                }),
+            },
         }
     }
     fn diffuse_seq<B: CsrBackend>(&self, g: &B, seed: &Seed) -> Diffusion {
         match self {
-            Algorithm::Nibble(p) => p.diffuse_seq(g, seed),
-            Algorithm::PrNibble(p) => p.diffuse_seq(g, seed),
-            Algorithm::Hkpr(p) => p.diffuse_seq(g, seed),
-            Algorithm::RandHkpr(p) => p.diffuse_seq(g, seed),
-            Algorithm::Evolving(p) => p.diffuse_seq(g, seed),
+            Algorithm::Nibble(p) => nibble_seq(g, seed, p),
+            Algorithm::PrNibble(p) => prnibble_seq(g, seed, p),
+            Algorithm::Hkpr(p) => hkpr_seq(g, seed, p),
+            Algorithm::RandHkpr(p) => rand_hkpr_seq(g, seed, p),
+            Algorithm::Evolving(p) => evolving_set_seq(g, seed, p).indicator(),
         }
     }
     fn with_direction(&self, dir: DirectionParams) -> Self {
-        match self {
-            Algorithm::Nibble(p) => Algorithm::Nibble(p.with_direction(dir)),
-            Algorithm::PrNibble(p) => Algorithm::PrNibble(p.with_direction(dir)),
-            Algorithm::Hkpr(p) => Algorithm::Hkpr(p.with_direction(dir)),
-            Algorithm::RandHkpr(p) => Algorithm::RandHkpr(p.with_direction(dir)),
-            Algorithm::Evolving(p) => Algorithm::Evolving(p.with_direction(dir)),
+        match *self {
+            Algorithm::Nibble(p) => Algorithm::Nibble(NibbleParams { dir, ..p }),
+            Algorithm::PrNibble(p) => Algorithm::PrNibble(PrNibbleParams { dir, ..p }),
+            Algorithm::Hkpr(p) => Algorithm::Hkpr(HkprParams { dir, ..p }),
+            // Monte-Carlo walks have no frontier traversal to
+            // direction-optimize.
+            Algorithm::RandHkpr(p) => Algorithm::RandHkpr(p),
+            Algorithm::Evolving(p) => Algorithm::Evolving(EvolvingParams { dir, ..p }),
         }
     }
 }
@@ -612,12 +505,6 @@ impl<'g, B: CsrBackend> Engine<'g, B> {
         self.core.workspaces.warm_count()
     }
 
-    /// The engine's resident-workspace byte budget (see
-    /// [`EngineLimits::workspace_budget`]).
-    pub fn workspace_budget(&self) -> usize {
-        self.core.workspaces.budget()
-    }
-
     /// Per-graph robustness counters: admitted / completed / shed /
     /// tripped / in-flight, next to the [`GraphCache`] stats. Every
     /// admitted query — single or batch item, fallible or not — ends in
@@ -632,6 +519,22 @@ impl<'g, B: CsrBackend> Engine<'g, B> {
             Some(dir) => algo.with_direction(dir),
             None => algo.clone(),
         }
+    }
+
+    /// Rejects a seed outside the graph and parameters failing
+    /// [`Algorithm::check`] — the input checks every entry point runs
+    /// before it takes any resource.
+    fn validate(&self, seed: &Seed, algo: &Algorithm) -> Result<(), QueryError> {
+        let n = self.g.num_vertices();
+        if let Some(&v) = seed.vertices().iter().find(|&&v| v as usize >= n) {
+            self.core.counters.note_invalid_seed();
+            return Err(InvalidSeed {
+                vertex: v,
+                num_vertices: n,
+            }
+            .into());
+        }
+        Ok(algo.check()?)
     }
 
     /// The one executor behind every query entry point: a single query
@@ -650,16 +553,7 @@ impl<'g, B: CsrBackend> Engine<'g, B> {
     ) -> Result<ClusterResult, QueryError> {
         let core = &*self.core;
         let governed = matches!(admission, Admission::Governed);
-        let n = self.g.num_vertices();
-        if let Some(&v) = query.seed.vertices().iter().find(|&&v| v as usize >= n) {
-            core.counters.note_invalid_seed();
-            return Err(InvalidSeed {
-                vertex: v,
-                num_vertices: n,
-            }
-            .into());
-        }
-        query.algo.check()?;
+        self.validate(&query.seed, &query.algo)?;
         let cap = core.max_in_flight.filter(|_| governed);
         // The slot is released on drop, on every return path below.
         let _slot = core.counters.enter(cap).map_err(|occupied| {
@@ -733,7 +627,13 @@ impl<'g, B: CsrBackend> Engine<'g, B> {
 
     /// Runs just the diffusion of `algo` from `seed` (no sweep).
     /// Equivalent to the algorithm's `*_par` free function.
+    ///
+    /// # Panics
+    /// On an out-of-range seed or parameters failing
+    /// [`Algorithm::check`], like [`Engine::run`].
     pub fn diffuse(&self, seed: &Seed, algo: &Algorithm) -> Diffusion {
+        self.validate(seed, algo)
+            .unwrap_or_else(|e| panic!("Engine::diffuse: {e}"));
         let algo = self.resolve(algo);
         let mut ws = self.core.workspaces.checkout();
         let out = algo.diffuse(self.pool(), self.g, seed, &mut ws);
@@ -765,6 +665,7 @@ mod tests {
     use super::*;
     use crate::{
         evolving_set_par, find_cluster, hkpr_par, nibble_par, prnibble_par, rand_hkpr_par,
+        RandHkprParams,
     };
     use lgc_graph::gen;
 
@@ -844,6 +745,32 @@ mod tests {
             };
             assert_eq!(warm.p, cold.p, "{}", algo.name());
         }
+    }
+
+    /// `diffuse` checks its input like `run` does: a seed outside the
+    /// graph is a typed panic at the door, not an index out of bounds deep
+    /// inside a diffusion.
+    #[test]
+    #[should_panic(expected = "Engine::diffuse: seed vertex 600 out of range")]
+    fn diffuse_rejects_an_out_of_range_seed() {
+        let g = gen::rand_local(600, 5, 3);
+        let engine = Engine::builder(&g).threads(1).build();
+        engine.diffuse(&Seed::single(600), &algorithms()[0]);
+    }
+
+    /// ... and so are parameters no diffusion is defined on (Nibble calls
+    /// no `validate()` of its own: `eps = NaN` used to return the seed
+    /// vector silently).
+    #[test]
+    #[should_panic(expected = "Engine::diffuse: invalid parameter: eps must be finite")]
+    fn diffuse_rejects_invalid_params() {
+        let g = gen::rand_local(600, 5, 3);
+        let engine = Engine::builder(&g).threads(1).build();
+        let algo = Algorithm::Nibble(NibbleParams {
+            eps: f64::NAN,
+            ..Default::default()
+        });
+        engine.diffuse(&Seed::single(0), &algo);
     }
 
     /// The evolving-set query reports the process's best set directly.

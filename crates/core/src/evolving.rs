@@ -14,24 +14,20 @@
 //! ```
 //!
 //! Only `S` and its boundary can have `p(v, S) > 0`, so each step costs
-//! `O(vol(S))`: one `edgeMap` counts `|N(v) ∩ S|` (an exact integer, so
-//! the sequential and parallel versions agree bit-for-bit and follow the
-//! same random trajectory), then a parallel filter applies the threshold.
-//! The counting pass is direction-optimized ([`EvolvingParams::dir`]):
-//! large sets count by *pulling* against the set bitset
-//! ([`lgc_ligra::edge_map_dense_count`], plain single-writer writes, no
-//! per-edge atomics) instead of pushing — and because the counts are
-//! integers, the trajectory is bit-identical whichever direction a step
-//! takes. The lowest-conductance set seen is tracked and returned.
+//! `O(vol(S))`: one `edgeMap` counts `|N(v) ∩ S|`, then a parallel filter
+//! applies the threshold. The count is a spread of contributions ≡ 1.0
+//! over `S`'s edges ([`lgc_ligra::EdgeSpread`], direction chosen per
+//! [`EvolvingParams::dir`]) — integer-valued sums, exact below 2⁵³, so the
+//! sequential and parallel versions, and both traversal directions, agree
+//! bit for bit and follow the same random trajectory. The
+//! lowest-conductance set seen is tracked and returned.
 
 use crate::budget::InvalidParams;
 use crate::result::{Diffusion, DiffusionStats};
 use crate::seed::Seed;
 use crate::workspace::Workspace;
 use lgc_graph::CsrBackend;
-use lgc_ligra::{
-    edge_map, edge_map_dense_count, Checkpoint, Direction, DirectionParams, Trip, VertexSubset,
-};
+use lgc_ligra::{Absorb, Checkpoint, DirectionParams, Trip, VertexSubset, Writer};
 use lgc_parallel::{filter_map_index, Pool};
 use lgc_sparse::{ConcurrentSparseVec, SparseVec};
 use rand::rngs::StdRng;
@@ -47,15 +43,11 @@ pub struct EvolvingParams {
     pub target_conductance: f64,
     /// RNG seed for the threshold draws.
     pub rng_seed: u64,
-    /// Direction-optimization knob for the per-step `|N(v) ∩ S|` count:
-    /// small sets push (one `edgeMap` over `S`'s out-edges, atomic
-    /// integer adds), sets whose `|S| + vol(S)` crosses the dense
-    /// threshold *pull* with [`lgc_ligra::edge_map_dense_count`] — every
-    /// vertex counts its `S`-neighbors against the set bitset with plain
-    /// single-writer writes. The counts are exact integers either way,
-    /// so the random trajectory is **bit-identical across directions and
-    /// thread counts** (enforced by `pull_direction_keeps_the_trajectory`
-    /// below); the knob only moves wall-clock.
+    /// Direction-optimization knob for the per-step `|N(v) ∩ S|` count.
+    /// The counts are exact integers either way, so the random trajectory
+    /// is **bit-identical across directions and thread counts** (enforced
+    /// by `pull_direction_keeps_the_trajectory` below); the knob only
+    /// moves wall-clock.
     ///
     /// Defaults to `dense_denom = 1` (conservative, like Nibble /
     /// PR-Nibble): the counting gather scans `n + 2m` with no early
@@ -202,10 +194,9 @@ pub fn evolving_set_par<B: CsrBackend>(
 }
 
 /// [`evolving_set_par`] over a recyclable workspace: the neighbor
-/// counter and the set frontier (whose bitset backs the pull-mode
-/// counting) are checked out of `ws` instead of allocated. The
-/// trajectory is count-exact, so neither workspace reuse nor the
-/// per-step direction choice can perturb it.
+/// counter, the set frontier and the edge map's buffer come out of `ws`
+/// instead of being allocated. The trajectory is count-exact, so neither
+/// workspace reuse nor the per-step direction choice can perturb it.
 ///
 /// `cp` is consulted once per evolution step (counters: steps taken and
 /// cumulative set volume); on a trip the walk stops at that boundary and
@@ -219,7 +210,6 @@ pub(crate) fn evolving_set_par_ws<B: CsrBackend>(
     ws: &mut Workspace,
     cp: &Checkpoint,
 ) -> Result<EvolvingResult, (Trip, EvolvingResult)> {
-    let n = g.num_vertices();
     let mut rng = StdRng::seed_from_u64(params.rng_seed);
     let mut current = ws.take_frontier();
     current.advance(pool, VertexSubset::from_sorted(seed.vertices().to_vec()));
@@ -245,34 +235,23 @@ pub(crate) fn evolving_set_par_ws<B: CsrBackend>(
             let vol = current.volume(g);
             edges += vol as u64;
             inside.reset(pool, vol.max(1));
-            // Exact |N(v) ∩ S| counts for everything adjacent to S —
-            // pushed over S's out-edges (atomic integer adds) or pulled
-            // against its bitset (plain single-writer writes); identical
-            // integers either way.
-            {
-                let inside_ref = &inside;
-                match params.dir.choose(g, current.len(), vol) {
-                    Direction::Push => {
-                        edge_map(pool, g, current.subset(), |_, dst| inside_ref.add(dst, 1.0));
-                    }
-                    Direction::Pull => {
-                        let bits = current.bits(pool, n);
-                        edge_map_dense_count(pool, g, bits, |dst, c| {
-                            inside_ref.add_exclusive(dst, c as f64);
-                        });
-                    }
-                }
-            }
+            // Exact |N(v) ∩ S| counts for everything adjacent to S: every
+            // member sends 1.0 along each of its edges.
+            ws.spread
+                .stage(pool, g, &mut current, &params.dir, vol, |_| 1.0)
+                .absorb(Absorb::Sum, |dst, c, writer| match writer {
+                    Writer::Shared => inside.add(dst, c),
+                    Writer::Exclusive => inside.add_exclusive(dst, c),
+                });
             let mut cands: Vec<u32> = inside.entries(pool).into_iter().map(|(v, _)| v).collect();
             cands.extend_from_slice(current.ids());
             cands.sort_unstable();
             cands.dedup();
             let member_ids = current.ids().to_vec();
-            let inside_ref = &inside;
             let mut next: Vec<u32> = filter_map_index(pool, cands.len(), |i| {
                 let v = cands[i];
                 let member = member_ids.binary_search(&v).is_ok();
-                (transition(member, inside_ref.get(v) as u64, g.degree(v)) >= u).then_some(v)
+                (transition(member, inside.get(v) as u64, g.degree(v)) >= u).then_some(v)
             });
             next.sort_unstable();
             sizes.push(next.len());

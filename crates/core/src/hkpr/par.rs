@@ -12,27 +12,21 @@ use crate::result::{Diffusion, DiffusionStats};
 use crate::seed::Seed;
 use crate::workspace::Workspace;
 use lgc_graph::CsrBackend;
-use lgc_ligra::{
-    edge_map_dense, edge_map_dense_gather, edge_map_indexed, Checkpoint, Direction, VertexSubset,
-};
-use lgc_parallel::{map_index, Pool, UnsafeSlice};
+use lgc_ligra::{Absorb, Checkpoint, VertexSubset, Writer};
+use lgc_parallel::{map_index, Pool};
 use lgc_sparse::MassMap;
 
 /// Parallel deterministic heat-kernel PageRank.
 /// Work `O(N² + N·e^t/ε)`, depth `O(N·t·log(1/ε))` w.h.p. (Theorem 4).
 ///
-/// The per-source push value is constant across a source's edges, so each
-/// iteration precomputes the contributions in one pass fused with
-/// UpdateSelf (one residual lookup + division per frontier vertex). Small
-/// levels push them with [`edge_map_indexed`] (slice load + atomic add
-/// per edge); levels whose `|F| + vol(F)` crosses the dense threshold
-/// (`params.dir`) *pull* instead — every vertex gathers its frontier
-/// in-neighbors' contributions with plain single-writer writes in
-/// ascending source order, which keeps the level-synchronous update set
-/// (and hence Theorem 4's bit-equality with the sequential algorithm)
-/// intact while dropping all per-edge atomics. The next level's frontier
-/// is filtered directly off `r_next`'s backend. Mass vectors are
-/// adaptive [`MassMap`]s.
+/// Each level is one spreading edge map ([`lgc_ligra::EdgeSpread`],
+/// direction chosen per `params.dir`): `UpdateSelf` banks the level-`j`
+/// residual and computes the per-neighbor contribution once per vertex,
+/// `UpdateNgh` forwards it to level `j+1`. Both traversal directions apply
+/// the level-synchronous update set in the sequential order, which keeps
+/// Theorem 4's bit-equality with [`super::hkpr_seq`] at one thread. The
+/// next level's frontier is filtered directly off `r_next`'s backend. Mass
+/// vectors are adaptive [`MassMap`]s.
 pub fn hkpr_par<B: CsrBackend>(pool: &Pool, g: &B, seed: &Seed, params: &HkprParams) -> Diffusion {
     match hkpr_par_ws(
         pool,
@@ -48,9 +42,9 @@ pub fn hkpr_par<B: CsrBackend>(pool: &Pool, g: &B, seed: &Seed, params: &HkprPar
 }
 
 /// [`hkpr_par`] over a recyclable [`Workspace`]: the three mass maps, the
-/// frontier (with its bitset), and the vertex-indexed contribution slice
-/// are checked out of `ws` instead of allocated; checkouts are re-fitted
-/// to match fresh allocations exactly, so warm runs are bit-identical.
+/// frontier and the edge map's buffer come out of `ws` instead of being
+/// allocated; checkouts are re-fitted to match fresh allocations exactly,
+/// so warm runs are bit-identical.
 ///
 /// `cp` is consulted once per level; on a trip the loop stops at that
 /// boundary and the banked (and `e^{−t}`-scaled) mass is returned as the
@@ -83,7 +77,6 @@ pub(crate) fn hkpr_par_ws<B: CsrBackend>(
     // algorithm's initial queue.
     let mut frontier = ws.take_frontier();
     frontier.advance(pool, VertexSubset::from_sorted(seed.vertices().to_vec()));
-    let mut contrib_dense: Vec<f64> = ws.take_dense();
 
     let mut j = 0usize;
     let mut tripped = None;
@@ -99,99 +92,38 @@ pub(crate) fn hkpr_par_ws<B: CsrBackend>(
         stats.pushed_volume += vol as u64;
         stats.edges_traversed += vol as u64;
         let last_round = j + 1 == n_levels;
-        let dir = params.dir.choose(g, k, vol);
 
-        // UpdateSelf: bank the level-j residual; in the same pass
-        // precompute each source's per-neighbor contribution — `r/d` for
-        // the final flush, `t·r/((j+1)·d)` otherwise (evaluated exactly
-        // as the per-edge code used to, for bit-identical results).
-        // Frontier-indexed for push, vertex-indexed for pull (slots
-        // outside the current frontier are gated off by the bitset).
+        // UpdateSelf: bank the level-j residual and send each neighbor
+        // `r/d` on the final flush, `t·r/((j+1)·d)` otherwise (evaluated
+        // in exactly that order, for bit-identical results).
         p.reserve_more(pool, k);
-        let mut contrib = Vec::new();
-        if dir == Direction::Push {
-            contrib.resize(k, 0.0f64);
-        } else if contrib_dense.len() < n {
-            contrib_dense.resize(n, 0.0);
-        }
-        {
-            let ids = frontier.ids();
-            let (p_ref, r_ref) = (&p, &r);
-            let scale = params.t / (j + 1) as f64;
-            let contrib_view = UnsafeSlice::new(&mut contrib[..]);
-            let dense_view = UnsafeSlice::new(&mut contrib_dense[..]);
-            pool.run(k, 256, |s, e| {
-                #[allow(clippy::needless_range_loop)]
-                for i in s..e {
-                    let v = ids[i];
-                    let rv = r_ref.get(v);
-                    p_ref.add(v, rv);
-                    let d = g.degree(v);
-                    let c = if d == 0 {
-                        0.0
-                    } else if last_round {
-                        rv / d as f64
-                    } else {
-                        scale * rv / d as f64
-                    };
-                    // SAFETY: disjoint indices (i and the distinct v).
-                    unsafe {
-                        match dir {
-                            Direction::Push => contrib_view.write(i, c),
-                            Direction::Pull => dense_view.write(v as usize, c),
-                        }
-                    }
+        let scale = params.t / (j + 1) as f64;
+        let staged = ws
+            .spread
+            .stage(pool, g, &mut frontier, &params.dir, vol, |v| {
+                let rv = r.get(v);
+                p.add(v, rv);
+                match g.degree(v) {
+                    0 => 0.0,
+                    d if last_round => rv / d as f64,
+                    d => scale * rv / d as f64,
                 }
             });
-        }
 
         if last_round {
-            // Last round: flush neighbor shares straight into p. The
-            // pull flush uses per-edge plain adds so every p cell
-            // accumulates in the same (ascending-source) order as the
-            // push engine at one thread — bit-equal results.
+            // Flush the shares straight into p, per edge: p's cells are
+            // not fresh, and this is the order the sequential flush adds
+            // them in.
             p.reserve_more(pool, vol);
-            let p_ref = &p;
-            match dir {
-                Direction::Push => {
-                    let contrib = &contrib;
-                    edge_map_indexed(pool, g, frontier.subset(), |i, _src, dst| {
-                        p_ref.add(dst, contrib[i]);
-                    });
-                }
-                Direction::Pull => {
-                    let bits = frontier.bits(pool, n);
-                    let contrib_dense = &contrib_dense[..];
-                    edge_map_dense(pool, g, bits, |src, dst| {
-                        p_ref.add_exclusive(dst, contrib_dense[src as usize]);
-                    });
-                }
-            }
+            staged.absorb(Absorb::PerEdge, |dst, c, w| add_as(w, &p, dst, c));
             break;
         }
 
-        // UpdateNgh: forward t·r/((j+1)·d) to level j+1. Only edge
-        // destinations land here, so vol bounds the touched keys. Pull
-        // gathers each destination's sum in a register (fresh cells, so
-        // the bracketing matches the per-edge order exactly).
+        // UpdateNgh: forward to level j+1. Only edge destinations land
+        // here, so vol bounds the touched keys; the cells are fresh, so a
+        // register sum brackets exactly like the per-edge order.
         r_next.reset(pool, vol.max(1));
-        {
-            let next_ref = &r_next;
-            match dir {
-                Direction::Push => {
-                    let contrib = &contrib;
-                    edge_map_indexed(pool, g, frontier.subset(), |i, _src, dst| {
-                        next_ref.add(dst, contrib[i]);
-                    });
-                }
-                Direction::Pull => {
-                    let bits = frontier.bits(pool, n);
-                    edge_map_dense_gather(pool, g, bits, &contrib_dense, |dst, sum| {
-                        next_ref.add_exclusive(dst, sum);
-                    });
-                }
-            }
-        }
+        staged.absorb(Absorb::Sum, |dst, c, w| add_as(w, &r_next, dst, c));
 
         // Next frontier: level-(j+1) entries above the admission
         // threshold (equivalent to the sequential crossing test because
@@ -217,12 +149,21 @@ pub(crate) fn hkpr_par_ws<B: CsrBackend>(
     ws.put_mass(r_next);
     ws.put_mass(p);
     ws.put_frontier(pool, frontier);
-    ws.put_dense(contrib_dense);
     let mut d = Diffusion::from_entries_par(pool, entries, stats);
     d.stats.residual_mass = (1.0 - d.total_mass()).max(0.0);
     match tripped {
         None => Ok(d),
         Some(trip) => Err(TrippedDiffusion { trip, partial: d }),
+    }
+}
+
+/// Adds `x` to `m[dst]`: atomically for a shared writer, with a plain
+/// load/add/store for the exclusive one.
+#[inline]
+fn add_as(writer: Writer, m: &MassMap, dst: u32, x: f64) {
+    match writer {
+        Writer::Shared => m.add(dst, x),
+        Writer::Exclusive => m.add_exclusive(dst, x),
     }
 }
 

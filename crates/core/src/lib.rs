@@ -22,10 +22,10 @@
 //! [`find_cluster`]; query loops should build an [`Engine`] instead — the
 //! same pipeline over recyclable [`Workspace`] checkouts and a
 //! [`GraphCache`] of seed-independent state, `&self`-queryable from any
-//! number of threads, with every algorithm behind the [`LocalDiffusion`]
-//! trait and batch fan-out via [`Engine::run_batch`]. Processes serving
-//! *several* graphs register them into a [`Service`], which shares one
-//! [`lgc_parallel::Pool`] across all of them.
+//! number of threads, with every algorithm behind [`Algorithm`]'s
+//! [`LocalDiffusion`] impl and batch fan-out via [`Engine::run_batch`].
+//! Processes serving *several* graphs register them into a [`Service`],
+//! which shares one [`lgc_parallel::Pool`] across all of them.
 //!
 //! ```
 //! use lgc_core::{find_cluster, Algorithm, PrNibbleParams, Seed};
@@ -77,7 +77,7 @@ pub use engine::{Engine, EngineBuilder, LocalDiffusion, Query};
 pub use evolving::{evolving_set_par, evolving_set_seq, EvolvingParams, EvolvingResult};
 pub use hkpr::{hkpr_par, hkpr_seq, psi_table, HkprParams};
 pub use ncp::{ncp_prnibble, NcpParams, NcpPoint};
-pub use nibble::{nibble_par, nibble_seq, nibble_with_target_par, NibbleParams};
+pub use nibble::{nibble_par, nibble_seq, NibbleParams};
 pub use pipeline::{Embedding, KClusters, PipelineParams, RhoGrid};
 pub use prnibble::{
     prnibble_par, prnibble_seq, prnibble_seq_priority_queue, PrNibbleParams, PushRule,
@@ -110,9 +110,8 @@ use lgc_parallel::Pool;
 
 /// Which diffusion to run (with its parameters).
 ///
-/// All variants implement [`LocalDiffusion`] through their parameter
-/// structs, and so does `Algorithm` itself — this enum is what
-/// [`Engine::run`] and [`find_cluster`] dispatch on.
+/// `Algorithm` is the one implementor of [`LocalDiffusion`] — this enum is
+/// what [`Engine::run`] and [`find_cluster`] dispatch on.
 #[derive(Clone, Debug)]
 pub enum Algorithm {
     /// Spielman–Teng truncated lazy random walk (§3.2).

@@ -17,11 +17,8 @@ use crate::result::{Diffusion, DiffusionStats};
 use crate::seed::Seed;
 use crate::workspace::Workspace;
 use lgc_graph::CsrBackend;
-use lgc_ligra::{
-    edge_map_dense, edge_map_indexed, Checkpoint, Direction, DirectionParams, Frontier,
-    VertexSubset,
-};
-use lgc_parallel::{fill_with_index, Pool, UnsafeSlice};
+use lgc_ligra::{Absorb, Checkpoint, DirectionParams, VertexSubset, Writer};
+use lgc_parallel::Pool;
 use lgc_sparse::{MassMap, SparseVec};
 
 /// Parameters for Nibble.
@@ -120,20 +117,12 @@ pub fn nibble_seq<B: CsrBackend>(g: &B, seed: &Seed, params: &NibbleParams) -> D
     finish_seq(p.entries_sorted(), stats)
 }
 
-/// Parallel Nibble (Figure 3): one fused self-update/contribution pass +
-/// direction-optimized `edgeMap` + filter per iteration; mass vectors in
-/// adaptive [`MassMap`]s (sparse hash tables that upgrade to
-/// direct-indexed dense arrays once the per-iteration touch bound is a
-/// constant fraction of `n`).
-///
-/// Each frontier vertex's spread share `p[v]/(2·d(v))` is computed once,
-/// not per edge. Small frontiers push it along their out-edges (one
-/// slice load + atomic add per edge); once `|F| + vol(F)` crosses the
-/// dense threshold the iteration *pulls*: every vertex scans its
-/// neighbors against the frontier bitset and accumulates the incoming
-/// shares with plain single-writer stores — no atomics, and bit-equal to
-/// the sequential update order. The next frontier is filtered straight
-/// off `p_new`'s backend (no intermediate entries vector).
+/// Parallel Nibble (Figure 3): per iteration one spreading edge map
+/// ([`lgc_ligra::EdgeSpread`]) — `UpdateSelf` banks the kept half
+/// `p[v]/2` and sends the share `p[v]/(2·d(v))`, computed once per vertex,
+/// along every edge — and one filter. Mass vectors live in adaptive
+/// [`MassMap`]s, and the next frontier is filtered straight off `p_new`'s
+/// backend (no intermediate entries vector).
 pub fn nibble_par<B: CsrBackend>(
     pool: &Pool,
     g: &B,
@@ -154,9 +143,9 @@ pub fn nibble_par<B: CsrBackend>(
 }
 
 /// [`nibble_par`] over a recyclable [`Workspace`]: both mass maps, the
-/// frontier (with its bitset), and the vertex-indexed share slice are
-/// checked out of `ws` instead of allocated; checkouts are re-fitted to
-/// match fresh allocations exactly, so warm runs are bit-identical.
+/// frontier and the edge map's buffer come out of `ws` instead of being
+/// allocated; checkouts are re-fitted to match fresh allocations exactly,
+/// so warm runs are bit-identical.
 ///
 /// `cp` is consulted once per lazy-walk iteration; on a trip the loop
 /// stops at that boundary and the mass settled so far is returned as the
@@ -185,7 +174,6 @@ pub(crate) fn nibble_par_ws<B: CsrBackend>(
     let mut frontier = ws.take_frontier();
     frontier.advance(pool, VertexSubset::from_sorted(active_seed(g, seed, eps)));
     let mut p_new = ws.take_mass(pool, n, 16, MassMap::DEFAULT_DENSE_FRACTION);
-    let mut share_dense: Vec<f64> = ws.take_dense();
 
     let mut tripped = None;
     for _ in 0..params.t_max {
@@ -203,17 +191,26 @@ pub(crate) fn nibble_par_ws<B: CsrBackend>(
         stats.pushed_volume += vol as u64;
         stats.edges_traversed += vol as u64;
 
-        lazy_walk_step(
-            pool,
-            g,
-            &mut frontier,
-            k,
-            vol,
-            &p,
-            &mut p_new,
-            &params.dir,
-            &mut share_dense,
-        );
+        // One lazy-walk step over at most `k + vol` touched vertices. A
+        // destination may already hold its own kept half, so neighbor
+        // shares are absorbed per edge: that is the sequential
+        // accumulation order, bit for bit.
+        p_new.reset(pool, k + vol);
+        ws.spread
+            .stage(pool, g, &mut frontier, &params.dir, vol, |v| {
+                let pv = p.get(v);
+                p_new.add(v, pv / 2.0);
+                // Degree-0 vertices never reach the frontier in practice
+                // (they spread nothing); guard the division anyway.
+                match g.degree(v) {
+                    0 => 0.0,
+                    d => pv / (2.0 * d as f64),
+                }
+            })
+            .absorb(Absorb::PerEdge, |dst, share, writer| match writer {
+                Writer::Shared => p_new.add(dst, share),
+                Writer::Exclusive => p_new.add_exclusive(dst, share),
+            });
 
         // Frontier = {v : p'[v] ≥ ε·d(v)}, filtered directly over the
         // mass store's backend (ascending). An empty filter means the
@@ -230,157 +227,10 @@ pub(crate) fn nibble_par_ws<B: CsrBackend>(
     ws.put_mass(p);
     ws.put_mass(p_new);
     ws.put_frontier(pool, frontier);
-    ws.put_dense(share_dense);
     let d = finish(pool, entries, stats);
     match tripped {
         None => Ok(d),
         Some(trip) => Err(TrippedDiffusion { trip, partial: d }),
-    }
-}
-
-/// The *original* Spielman–Teng Nibble loop (§3.2 before the paper's
-/// modification): run a sweep cut after **every** iteration and stop as
-/// soon as a prefix with conductance below `phi_target` appears.
-///
-/// Returns the first cluster meeting the target, or `None` if the walk
-/// dies or `t_max` passes without reaching it. Theorem 2 notes the
-/// per-iteration sweep raises the work to `O((T/ε)·log(1/ε))` without
-/// increasing the depth.
-pub fn nibble_with_target_par<B: CsrBackend>(
-    pool: &Pool,
-    g: &B,
-    seed: &Seed,
-    params: &NibbleParams,
-    phi_target: f64,
-) -> Option<crate::sweep::SweepCut> {
-    assert!(phi_target > 0.0, "target conductance must be positive");
-    let eps = params.eps;
-    let n = g.num_vertices();
-    let mut p = MassMap::new(n, seed.vertices().len());
-    for &x in seed.vertices() {
-        p.set(x, seed.mass_per_vertex());
-    }
-    let mut frontier = Frontier::from_subset(VertexSubset::from_sorted(active_seed(g, seed, eps)));
-    let mut p_new = MassMap::new(n, 16);
-    let mut share_dense: Vec<f64> = Vec::new();
-
-    for _ in 0..params.t_max {
-        if frontier.is_empty() {
-            return None;
-        }
-        let k = frontier.len();
-        let vol = frontier.volume(g);
-        lazy_walk_step(
-            pool,
-            g,
-            &mut frontier,
-            k,
-            vol,
-            &p,
-            &mut p_new,
-            &params.dir,
-            &mut share_dense,
-        );
-
-        // Per-iteration sweep: stop at the first below-target cluster.
-        let entries = p_new.entries(pool);
-        let sweep = crate::sweep::sweep_cut_par(pool, g, &entries);
-        if sweep.best_size > 0 && sweep.best_conductance <= phi_target {
-            return Some(sweep);
-        }
-
-        let above = lgc_parallel::filter_map_index(pool, entries.len(), |i| {
-            let (v, m) = entries[i];
-            (m >= eps * g.degree(v) as f64).then_some(v)
-        });
-        if above.is_empty() {
-            return None;
-        }
-        frontier.advance(pool, VertexSubset::from_unsorted(above));
-        std::mem::swap(&mut p, &mut p_new);
-    }
-    None
-}
-
-/// One parallel lazy-walk spread: resets `p_new` for this iteration's
-/// touch bound (`k + vol`), banks every frontier vertex's kept half
-/// (UpdateSelf) while precomputing its per-neighbor share
-/// `p[v]/(2·d(v))`, then spreads the shares with the direction-optimized
-/// edge map (UpdateNgh).
-///
-/// Push: frontier-indexed engine, one slice load + atomic add per edge.
-/// Pull: shares are scattered into a vertex-indexed slice (`share_dense`,
-/// recycled across iterations — stale entries outside the current
-/// frontier are never read because the bitset gates them), then every
-/// destination drains its frontier in-neighbors in ascending source
-/// order with plain single-writer adds, reproducing the sequential
-/// accumulation order bit-for-bit.
-#[allow(clippy::too_many_arguments)]
-fn lazy_walk_step<B: CsrBackend>(
-    pool: &Pool,
-    g: &B,
-    frontier: &mut Frontier,
-    k: usize,
-    vol: usize,
-    p: &MassMap,
-    p_new: &mut MassMap,
-    dir: &DirectionParams,
-    share_dense: &mut Vec<f64>,
-) {
-    let n = g.num_vertices();
-    p_new.reset(pool, k + vol);
-    let per_vertex_share = |v: u32| {
-        // Degree-0 vertices never reach the frontier in practice
-        // (they spread nothing); guard the division anyway.
-        let pv = p.get(v);
-        let d = g.degree(v);
-        if d == 0 {
-            0.0
-        } else {
-            pv / (2.0 * d as f64)
-        }
-    };
-    match dir.choose(g, k, vol) {
-        Direction::Push => {
-            let mut share = vec![0.0f64; k];
-            {
-                let ids = frontier.ids();
-                let (p_ref, p_new_ref) = (p, &*p_new);
-                fill_with_index(pool, &mut share, |i| {
-                    let v = ids[i];
-                    p_new_ref.add(v, p_ref.get(v) / 2.0);
-                    per_vertex_share(v)
-                });
-            }
-            let p_new_ref = &*p_new;
-            let share = &share;
-            edge_map_indexed(pool, g, frontier.subset(), |i, _src, dst| {
-                p_new_ref.add(dst, share[i]);
-            });
-        }
-        Direction::Pull => {
-            if share_dense.len() < n {
-                share_dense.resize(n, 0.0);
-            }
-            {
-                let ids = frontier.ids();
-                let (p_ref, p_new_ref) = (p, &*p_new);
-                let view = UnsafeSlice::new(&mut share_dense[..]);
-                pool.run(k, 256, |s, e| {
-                    for &v in &ids[s..e] {
-                        p_new_ref.add(v, p_ref.get(v) / 2.0);
-                        // SAFETY: frontier ids are distinct.
-                        unsafe { view.write(v as usize, per_vertex_share(v)) };
-                    }
-                });
-            }
-            let bits = frontier.bits(pool, n);
-            let p_new_ref = &*p_new;
-            let share_dense = &share_dense[..];
-            edge_map_dense(pool, g, bits, |src, dst| {
-                p_new_ref.add_exclusive(dst, share_dense[src as usize]);
-            });
-        }
     }
 }
 
@@ -567,37 +417,6 @@ mod tests {
         assert_eq!(d.mass_of(10), 0.25);
         assert_eq!(d.mass_of(1), 0.125);
         assert_eq!(d.mass_of(11), 0.125);
-    }
-
-    #[test]
-    fn with_target_stops_at_planted_cluster() {
-        let g = gen::two_cliques_bridge(12);
-        let pool = Pool::new(2);
-        let params = NibbleParams {
-            t_max: 40,
-            eps: 1e-9,
-            ..Default::default()
-        };
-        let phi_target = 0.01; // the clique cut has phi = 1/133
-        let sweep = nibble_with_target_par(&pool, &g, &Seed::single(0), &params, phi_target)
-            .expect("target is reachable");
-        assert!(sweep.best_conductance <= phi_target);
-        let mut cluster = sweep.cluster().to_vec();
-        cluster.sort_unstable();
-        assert_eq!(cluster, (0..12).collect::<Vec<u32>>());
-    }
-
-    #[test]
-    fn with_target_gives_up_when_unreachable() {
-        // A clique has no internal low-conductance cut.
-        let g = gen::clique(12);
-        let pool = Pool::new(2);
-        let params = NibbleParams {
-            t_max: 10,
-            eps: 1e-9,
-            ..Default::default()
-        };
-        assert!(nibble_with_target_par(&pool, &g, &Seed::single(0), &params, 1e-6).is_none());
     }
 
     #[test]

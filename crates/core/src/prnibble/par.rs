@@ -17,8 +17,8 @@ use crate::result::{Diffusion, DiffusionStats};
 use crate::seed::Seed;
 use crate::workspace::Workspace;
 use lgc_graph::CsrBackend;
-use lgc_ligra::{edge_map_dense_gather, edge_map_indexed, Checkpoint, Direction, VertexSubset};
-use lgc_parallel::{filter_map_index, map_index, Bitset, Pool, UnsafeSlice};
+use lgc_ligra::{Absorb, Checkpoint, Direction, VertexSubset};
+use lgc_parallel::{filter_map_index, map_index, Bitset, Pool};
 use lgc_sparse::MassMap;
 
 /// Parallel PR-Nibble. Work `O(1/(α·ε))` w.h.p. (Theorem 3), regardless
@@ -27,26 +27,22 @@ use lgc_sparse::MassMap;
 /// With `params.beta < 1`, only the top `β`-fraction of eligible vertices
 /// (by `r[v]/d(v)`) is pushed per iteration (§3.3's variant).
 ///
-/// Iterations are *direction-optimized* (`params.dir`):
+/// Each iteration is one spreading edge map ([`lgc_ligra::EdgeSpread`],
+/// direction chosen per `params.dir`) sending `cₙ·r[v]/d(v)` along every
+/// frontier edge. What differs by direction is where the contributions
+/// land, because `r` must keep the residuals of untouched vertices:
 ///
-/// * **Push** (small frontiers): the push value `cₙ·r[v]/d(v)` is
-///   precomputed into a frontier-indexed `contrib` slice and
-///   [`edge_map_indexed`] reduces the per-edge work to one slice load +
-///   one atomic accumulate into a scratch delta map, committed after the
-///   frontier's self-updates. The next eligible set is tracked
-///   incrementally (old eligibles ∪ delta receivers).
-/// * **Pull** (once `|F| + vol(F)` crosses the dense threshold):
-///   contributions are scattered into a vertex-indexed slice, the
-///   frontier self-residuals are overwritten first, and then every
-///   vertex *gathers* its frontier in-neighbors' contributions in one
-///   register sum — no atomics, no scratch delta map, no intermediate
-///   entries vector — applied directly to `r`, while a receiver bitset
-///   keeps the incremental eligibility rule (old eligibles ∪ receivers)
-///   intact at `O(n/64 + receivers)` extra cost.
+/// * after a **push** they sit in a scratch delta map (many sources hit a
+///   destination at once) and are committed to `r` in a second pass;
+/// * a **pull** owns each destination, so it adds the register sum to `r`
+///   directly and marks the receiver in a bitset — no delta map, no
+///   entries vector, `O(n/64 + receivers)` extra.
 ///
-/// Mass vectors live in [`MassMap`]s, which upgrade themselves to
-/// direct-indexed dense arrays once the per-iteration key bound crosses
-/// `params.dense_frac · n` — the regime pull iterations live in.
+/// Either way the next eligible set is tracked incrementally (old
+/// eligibles ∪ receivers). Mass vectors live in [`MassMap`]s, which upgrade
+/// themselves to direct-indexed dense arrays once the per-iteration key
+/// bound crosses `params.dense_frac · n` — the regime pull iterations
+/// live in.
 pub fn prnibble_par<B: CsrBackend>(
     pool: &Pool,
     g: &B,
@@ -67,10 +63,10 @@ pub fn prnibble_par<B: CsrBackend>(
 }
 
 /// [`prnibble_par`] over a recyclable [`Workspace`]: the three mass maps,
-/// the frontier (with its bitset), the vertex-indexed contribution slice,
-/// and the receiver bitset are checked out of `ws` instead of allocated —
-/// and every checkout is re-fitted to be observationally identical to a
-/// fresh allocation, so warm runs return the same bits as cold ones.
+/// the frontier, the edge map's buffer and the receiver bitset come out of
+/// `ws` instead of being allocated — and every checkout is re-fitted to be
+/// observationally identical to a fresh allocation, so warm runs return
+/// the same bits as cold ones.
 ///
 /// `cp` is consulted once per push iteration; on a trip the loop stops at
 /// that boundary and the settled `p` is returned as the `Err` payload,
@@ -98,7 +94,6 @@ pub(crate) fn prnibble_par_ws<B: CsrBackend>(
     let mut p = ws.take_mass(pool, n, 16, params.dense_frac);
     let mut r_delta = ws.take_mass(pool, n, 16, params.dense_frac);
     let mut frontier = ws.take_frontier();
-    let mut contrib_dense: Vec<f64> = ws.take_dense();
     // Taken warm from the workspace, or allocated on the first pull
     // iteration; always left fully clear.
     let mut receiver_bits: Option<Bitset> = ws.take_bitset(n);
@@ -124,86 +119,41 @@ pub(crate) fn prnibble_par_ws<B: CsrBackend>(
         stats.pushes += k as u64;
         stats.pushed_volume += vol as u64;
         stats.edges_traversed += vol as u64;
-        let dir = params.dir.choose(g, k, vol);
 
-        // Phase 1 (read r / write p): bank the α-fraction, remember the
-        // post-push self-residuals, and precompute each frontier vertex's
-        // per-neighbor contribution — frontier-indexed for the push
-        // engine, vertex-indexed for the pull gather (stale slots outside
-        // the current frontier are never read: the bitset gates them).
+        // Phase 1 (UpdateSelf; read r, write p and r[v]): bank the
+        // α-fraction, leave the post-push self-residual, and send
+        // `cₙ·r[v]/d(v)` to every neighbor. Rewriting r[v] in the same
+        // pass is safe: only v's own call touches that cell (neighbors get
+        // the staged value, never r), and the cell already exists — v was
+        // eligible, so r[v] ≥ ε·d(v) > 0 — so no insert runs beside the
+        // other calls' reads.
         p.reserve_more(pool, k);
-        let mut self_new = vec![0.0f64; k];
-        let mut contrib = Vec::new();
-        if dir == Direction::Push {
-            contrib.resize(k, 0.0f64);
-        } else if contrib_dense.len() < n {
-            contrib_dense.resize(n, 0.0);
-        }
-        {
-            let self_view = UnsafeSlice::new(&mut self_new);
-            let contrib_view = UnsafeSlice::new(&mut contrib[..]);
-            let dense_view = UnsafeSlice::new(&mut contrib_dense[..]);
-            let ids = frontier.ids();
-            let (r_ref, p_ref) = (&r, &p);
-            pool.run(k, 256, |s, e| {
-                // Global index i addresses `ids` and the output views.
-                #[allow(clippy::needless_range_loop)]
-                for i in s..e {
-                    let v = ids[i];
-                    let rv = r_ref.get(v);
-                    p_ref.add(v, c_bank * rv);
-                    let c = cn * rv / g.degree(v) as f64;
-                    // SAFETY: disjoint indices (i and the distinct v).
-                    unsafe {
-                        self_view.write(i, cr * rv);
-                        match dir {
-                            Direction::Push => contrib_view.write(i, c),
-                            Direction::Pull => dense_view.write(v as usize, c),
-                        }
-                    }
-                }
+        let staged = ws
+            .spread
+            .stage(pool, g, &mut frontier, &params.dir, vol, |v| {
+                let rv = r.get(v);
+                p.add(v, c_bank * rv);
+                r.set(v, cr * rv);
+                cn * rv / g.degree(v) as f64
             });
-        }
 
         // Phases 2–3 commit the neighbor contributions to r and yield the
-        // vertices that received any, ascending.
-        let receivers = match dir {
+        // vertices that received any, ascending. The two stores are sized
+        // here, per direction: their capacity history decides the slot
+        // order `r.l1_norm` sums in, so it is part of the result bits.
+        let receivers = match staged.direction() {
             Direction::Push => {
-                // Phase 2 (write r_delta): neighbor contributions, using
-                // residuals from the start of the iteration — no residual
-                // lookup or division left in the per-edge path. Only edge
-                // destinations land here, so vol bounds the touched keys.
+                // Only edge destinations land in the delta map, so vol
+                // bounds the touched keys.
                 r_delta.reset(pool, vol.max(1));
-                {
-                    let delta_ref = &r_delta;
-                    let contrib = &contrib;
-                    edge_map_indexed(pool, g, frontier.subset(), |i, _src, dst| {
-                        delta_ref.add(dst, contrib[i]);
-                    });
-                }
-
-                // Phase 3 (write r): frontier self-residuals first
-                // (overwrite), then all received contributions
-                // (accumulate).
-                {
-                    let ids = frontier.ids();
-                    let r_ref = &r;
-                    pool.run(k, 256, |s, e| {
-                        for i in s..e {
-                            r_ref.set(ids[i], self_new[i]);
-                        }
-                    });
-                }
+                staged.absorb(Absorb::Sum, |dst, c, _| r_delta.add(dst, c));
                 let deltas = r_delta.entries(pool);
                 r.reserve_more(pool, deltas.len());
-                {
-                    let r_ref = &r;
-                    pool.run(deltas.len(), 512, |s, e| {
-                        for &(w, dm) in &deltas[s..e] {
-                            r_ref.add(w, dm);
-                        }
-                    });
-                }
+                pool.run(deltas.len(), 512, |s, e| {
+                    for &(w, dm) in &deltas[s..e] {
+                        r.add(w, dm);
+                    }
+                });
                 // A dense delta map enumerates in key order already.
                 let mut receivers = map_index(pool, deltas.len(), |i| deltas[i].0);
                 if !r_delta.is_dense() {
@@ -212,31 +162,12 @@ pub(crate) fn prnibble_par_ws<B: CsrBackend>(
                 receivers
             }
             Direction::Pull => {
-                // Phase 2/3 fused: self-residuals first (phase 1 already
-                // consumed the old values), then every destination
-                // gathers its incoming contributions in a register and
-                // commits them with one plain single-writer add — no
-                // scratch delta map or entries materialization at all.
-                {
-                    let ids = frontier.ids();
-                    let r_ref = &r;
-                    pool.run(k, 256, |s, e| {
-                        for i in s..e {
-                            r_ref.set(ids[i], self_new[i]);
-                        }
-                    });
-                }
                 r.reserve_more(pool, vol);
                 let recv = &*receiver_bits.get_or_insert_with(|| Bitset::new(n));
-                let bits = frontier.bits(pool, n);
-                {
-                    let r_ref = &r;
-                    edge_map_dense_gather(pool, g, bits, &contrib_dense, |dst, sum| {
-                        r_ref.add_exclusive(dst, sum);
-                        recv.insert(dst);
-                    });
-                }
-
+                staged.absorb(Absorb::Sum, |dst, sum, _| {
+                    r.add_exclusive(dst, sum);
+                    recv.insert(dst);
+                });
                 // The receiver bitset enumerates (already sorted) in
                 // `O(n/64 + len)`, a vanishing cost next to the
                 // `O(n + m)` gather.
@@ -249,11 +180,10 @@ pub(crate) fn prnibble_par_ws<B: CsrBackend>(
         // Phase 4: the next eligible set can only contain previously
         // eligible vertices or vertices that just received mass.
         let cands = merge_sorted_distinct(&eligible, &receivers);
-        let r_ref = &r;
         eligible = filter_map_index(pool, cands.len(), |i| {
             let v = cands[i];
             let d = g.degree(v);
-            (d > 0 && r_ref.get(v) >= eps * d as f64).then_some(v)
+            (d > 0 && r.get(v) >= eps * d as f64).then_some(v)
         });
     }
 
@@ -263,7 +193,6 @@ pub(crate) fn prnibble_par_ws<B: CsrBackend>(
     ws.put_mass(p);
     ws.put_mass(r_delta);
     ws.put_frontier(pool, frontier);
-    ws.put_dense(contrib_dense);
     if let Some(bits) = receiver_bits {
         // Invariant: the pull arm clears exactly the receivers it set,
         // so the bitset goes back to the pool all-zero.

@@ -6,7 +6,7 @@ use crate::cache::GraphCache;
 #[cfg(doc)]
 use crate::engine::{Engine, LocalDiffusion};
 use lgc_graph::CsrBackend;
-use lgc_ligra::{Frontier, VertexSubset};
+use lgc_ligra::{EdgeSpread, Frontier, VertexSubset};
 use lgc_parallel::{Bitset, Pool};
 use lgc_sparse::{ConcurrentRankMap, ConcurrentSparseVec, MassMap};
 use std::sync::{Arc, Mutex};
@@ -23,8 +23,7 @@ use std::sync::{Arc, Mutex};
 ///   buffers — the expensive part of a high-volume query);
 /// * [`Frontier`]s with their lazily-built bitsets, and standalone
 ///   [`Bitset`]s (PR-Nibble's receiver set);
-/// * vertex-indexed `f64` contribution slices for the dense pull engines
-///   (never zeroed: stale slots are gated off by the frontier bitset);
+/// * the spreading edge map's contribution buffer ([`EdgeSpread`]);
 /// * rand-HK-PR's walk-destination buffer and compaction table, the
 ///   evolving-set neighbor counter, and the sweep's rank table.
 ///
@@ -36,7 +35,8 @@ pub struct Workspace {
     mass: Vec<MassMap>,
     frontiers: Vec<Frontier>,
     bitsets: Vec<Bitset>,
-    dense: Vec<Vec<f64>>,
+    /// The frontier diffusions' edge map, with its contribution buffer.
+    pub(crate) spread: EdgeSpread,
     /// rand-HK-PR per-walk `(destination, steps)` buffer.
     pub(crate) walks: Vec<(u32, u32)>,
     /// rand-HK-PR destination-compaction table.
@@ -104,11 +104,7 @@ impl Workspace {
                 .iter()
                 .map(Bitset::resident_bytes)
                 .sum::<usize>()
-            + self
-                .dense
-                .iter()
-                .map(|v| v.capacity() * std::mem::size_of::<f64>())
-                .sum::<usize>()
+            + self.spread.resident_bytes()
             + self.walks.capacity() * std::mem::size_of::<(u32, u32)>()
             + self
                 .rank
@@ -181,18 +177,6 @@ impl Workspace {
     /// diffusions clear receivers by the sorted id list they extracted).
     pub(crate) fn put_bitset(&mut self, b: Bitset) {
         self.bitsets.push(b);
-    }
-
-    /// Checks out a vertex-indexed `f64` scratch slice. Contents are
-    /// arbitrary stale values — every consumer writes its frontier's
-    /// slots before reading and gates reads through the frontier bitset.
-    pub(crate) fn take_dense(&mut self) -> Vec<f64> {
-        self.dense.pop().unwrap_or_default()
-    }
-
-    /// Returns a dense scratch slice (kept dirty by design).
-    pub(crate) fn put_dense(&mut self, v: Vec<f64>) {
-        self.dense.push(v);
     }
 }
 
@@ -349,11 +333,6 @@ impl WorkspacePool {
     /// Number of warm workspaces currently parked in the freelist.
     pub(crate) fn warm_count(&self) -> usize {
         self.lock().free.len()
-    }
-
-    /// The pool's resident-byte budget.
-    pub(crate) fn budget(&self) -> usize {
-        self.budget
     }
 
     /// The shared per-graph cache all checkouts are wired to.

@@ -19,42 +19,22 @@
 //!
 //! §2 of the paper presents `edgeMap` as *direction-optimizing*: Ligra
 //! keeps two implementations of the same edge traversal and switches
-//! between them per iteration based on the frontier's size.
-//!
-//! **Sparse push** ([`edge_map`] / [`edge_map_indexed`]) iterates the
-//! frontier's out-edges: work `O(|F| + vol(F))`, ideal while the frontier
-//! is a vanishing slice of the graph, but every destination may be hit by
-//! many sources at once, so updates must be atomic (the `fetchAdd` the
-//! paper cites).
-//!
-//! **Dense pull** ([`edge_map_dense`] / [`edge_map_dense_gather`])
-//! iterates *destinations*: every vertex scans its in-neighbors (for our
-//! undirected CSR, its adjacency list) against a frontier bitset and
-//! accumulates whatever its frontier neighbors send. Work is `O(n + m)`
-//! regardless of the frontier — more edges touched, but each destination
-//! is owned by exactly one thread, so its accumulation needs **no
-//! atomics, just plain writes**, visits sources in ascending id order,
-//! and is therefore bitwise deterministic across thread counts.
-//!
-//! The crossover: once `|F| + vol(F)` is a constant fraction of `m`, the
-//! push traversal already touches most of the graph *and* pays an atomic
-//! RMW per edge, so the plain-write scan wins. [`DirectionParams`]
-//! implements Ligra's heuristic — pull when `|F| + vol(F) > m / 20`
-//! (tunable) — and [`edge_map_dir`] applies it automatically. [`Frontier`]
-//! carries both representations (sorted id list and bitset) with `O(len)`
-//! conversions so flip-flopping between directions never pays more than
-//! the iteration it serves.
-//!
-//! Push update functions run concurrently on many edges and must
-//! synchronize their side effects (the clustering code uses the atomic
-//! sparse sets of `lgc-sparse`), mirroring the paper's "the programmer
-//! ensures parallel correctness of the functions passed to vertexMap and
-//! edgeMap by using atomic operations where necessary". Pull update
-//! functions get the stronger single-writer-per-destination guarantee
-//! described above.
+//! between them per iteration based on the frontier's size. **Sparse
+//! push** ([`edge_map`] / [`edge_map_indexed`]) iterates the frontier's
+//! out-edges, work `O(|F| + vol(F))`; **dense pull** ([`edge_map_dense`] /
+//! [`edge_map_dense_gather`]) iterates every destination against a
+//! frontier bitset, work `O(n + m)` whatever the frontier.
+//! [`DirectionParams`] holds Ligra's switch rule — pull when
+//! `|F| + vol(F) > m / 20` (tunable) — and [`EdgeSpread`] is the one place
+//! that applies it: the diffusions hand it their `UpdateSelf` and
+//! `UpdateNgh` halves and never see which traversal ran. The mechanics of
+//! the two directions are documented there. [`Frontier`] carries both
+//! representations (sorted id list and bitset) with `O(len)` conversions
+//! so flip-flopping between directions never pays more than the iteration
+//! it serves.
 
 use lgc_graph::CsrBackend;
-use lgc_parallel::{scan_exclusive, Bitset, Pool};
+use lgc_parallel::{scan_exclusive, Bitset, Pool, UnsafeSlice};
 
 pub mod interrupt;
 
@@ -243,7 +223,7 @@ pub enum Direction {
     Pull,
 }
 
-/// How [`edge_map_dir`] (and the diffusions) pick a direction.
+/// How [`EdgeSpread::stage`] picks a direction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DirectionMode {
     /// Ligra's heuristic: pull when `|F| + vol(F) > m / dense_denom`.
@@ -494,65 +474,163 @@ pub fn edge_map_dense_gather<B: CsrBackend>(
     });
 }
 
-/// Pull with fused per-destination *counting*: for every vertex `dst`
-/// whose in-neighborhood intersects the frontier, computes the exact
-/// integer `|N(dst) ∩ F|` and calls `apply(dst, count)` exactly once.
-///
-/// The dense twin of a push `edgeMap` that does `count[dst] += 1` per
-/// edge — same totals (integers, so bit-equal regardless of direction or
-/// thread count), no atomics. This is what lets set processes whose step
-/// rule depends on neighbor counts (the evolving-set process's
-/// `p(v, S) = ½·1[v ∈ S] + ½·|N(v) ∩ S|/d(v)`) direction-optimize
-/// without perturbing their random trajectory. Same single-writer
-/// guarantee as [`edge_map_dense`].
-pub fn edge_map_dense_count<B: CsrBackend>(
-    pool: &Pool,
-    g: &B,
-    frontier: &Bitset,
-    apply: impl Fn(u32, u64) + Sync,
-) {
-    let n = g.num_vertices();
-    debug_assert_eq!(frontier.universe(), n, "bitset universe must be n");
-    pool.run(n, DENSE_GRAIN, |s, e| {
-        for dst in s as u32..e as u32 {
-            let mut count = 0u64;
-            g.for_each_neighbor(dst, |src| {
-                count += u64::from(frontier.contains(src));
-            });
-            if count > 0 {
-                apply(dst, count);
-            }
-        }
-    });
+/// How a destination the traversal owns (pull) takes in its frontier
+/// in-neighbors' contributions. A push always delivers per edge.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Absorb {
+    /// One `absorb(dst, c)` per frontier edge, in ascending source order —
+    /// exactly what a one-thread push does to the cell, whatever the cell
+    /// held before. Needed when destinations are not fresh (Nibble adds
+    /// onto the banked half, HK-PR's last level onto `p`).
+    PerEdge,
+    /// The contributions are summed in a register, from `0.0` in
+    /// ascending source order, and `absorb(dst, sum)` runs once: one store
+    /// per destination instead of one per edge. `cell + (c₁ + c₂)` and
+    /// `(cell + c₁) + c₂` differ in bracketing only, so this equals
+    /// [`Absorb::PerEdge`] bit for bit when the cell starts absent or
+    /// `0.0`, and on integer-valued contributions.
+    Sum,
 }
 
-/// The direction-optimizing `edgeMap` (§2): picks push or pull per
-/// [`DirectionParams`] and runs `f(src, dst)` over the frontier's edges
-/// with the chosen engine. Returns the direction it took.
+/// What `absorb` may assume about the destination it is handed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Writer {
+    /// Push: other threads may be adding to the same destination right
+    /// now — accumulate atomically (the `fetchAdd` the paper cites).
+    Shared,
+    /// Pull: every call for this destination comes from this thread, so a
+    /// plain load/add/store is enough.
+    Exclusive,
+}
+
+/// The direction-optimizing, contribution-spreading `edgeMap` (§2) and
+/// its recycled buffer — the one traversal every frontier diffusion's
+/// iteration is written on.
 ///
-/// `f` must tolerate both calling conventions: concurrent per-edge calls
-/// (push — synchronize with atomics) and single-writer-per-destination
-/// calls (pull). Commutative atomic accumulation satisfies both.
-pub fn edge_map_dir<B: CsrBackend>(
-    pool: &Pool,
-    g: &B,
-    frontier: &mut Frontier,
-    params: &DirectionParams,
-    f: impl Fn(u32, u32) + Sync,
-) -> Direction {
-    if frontier.is_empty() {
-        return Direction::Push;
+/// An iteration sends one value `c(v)` from each frontier vertex `v`
+/// along all of `v`'s edges. [`EdgeSpread::stage`] picks the direction,
+/// calls `contrib_of(v)` once per frontier vertex (the paper's
+/// `UpdateSelf`) and lays the values out for that direction;
+/// [`Staged::absorb`] then runs `absorb(dst, c, writer)` over the
+/// frontier's edges (`UpdateNgh`).
+///
+/// * **Push** lays `c` out by frontier index, so the per-edge work is one
+///   slice load plus the caller's atomic add — no hash probe, no division.
+///   Destinations are hit by many sources at once: [`Writer::Shared`].
+/// * **Pull** lays `c` out by vertex id and scans *all* vertices; each
+///   tests its neighbors against the frontier bitset. One thread owns a
+///   destination and visits its sources in ascending order, so
+///   accumulation needs no atomics ([`Writer::Exclusive`]) and is bitwise
+///   the one-thread push order ([`Absorb`] says how it is bracketed).
+///
+/// The buffer is never zeroed. A push reads slots `0..k`, all written by
+/// this call; a pull reads slot `v` only where the bitset holds `v`, and
+/// exactly those were written by this call — stale values are unreachable.
+#[derive(Default)]
+pub struct EdgeSpread {
+    slots: Vec<f64>,
+}
+
+/// Contributions laid out by [`EdgeSpread::stage`], waiting to be spread.
+/// The pause between the two halves is a sequential point: a caller whose
+/// destination store must be sized per direction does it here.
+#[must_use = "staged contributions reach no destination until absorbed"]
+pub struct Staged<'a, B> {
+    pool: &'a Pool,
+    g: &'a B,
+    frontier: &'a mut Frontier,
+    slots: &'a [f64],
+    dir: Direction,
+}
+
+impl EdgeSpread {
+    /// Resident bytes of the buffer (capacity, not length).
+    pub fn resident_bytes(&self) -> usize {
+        self.slots.capacity() * std::mem::size_of::<f64>()
     }
-    let (len, vol) = (frontier.len(), frontier.volume(g));
-    match params.choose(g, len, vol) {
-        Direction::Push => {
-            edge_map(pool, g, frontier.subset(), f);
-            Direction::Push
+
+    /// Chooses the direction for `frontier` (whose volume the caller has
+    /// already computed as `vol`) and stages `contrib_of(v)` for each of
+    /// its vertices, in parallel. `contrib_of` is called exactly once per
+    /// frontier vertex and is free to update `v`'s own state as it goes.
+    pub fn stage<'a, B: CsrBackend>(
+        &'a mut self,
+        pool: &'a Pool,
+        g: &'a B,
+        frontier: &'a mut Frontier,
+        params: &DirectionParams,
+        vol: usize,
+        contrib_of: impl Fn(u32) -> f64 + Sync,
+    ) -> Staged<'a, B> {
+        let k = frontier.len();
+        let dir = params.choose(g, k, vol);
+        let len = match dir {
+            Direction::Push => k,
+            Direction::Pull => g.num_vertices(),
+        };
+        if self.slots.len() < len {
+            self.slots.resize(len, 0.0);
         }
-        Direction::Pull => {
-            let bits = frontier.bits(pool, g.num_vertices());
-            edge_map_dense(pool, g, bits, f);
-            Direction::Pull
+        let view = UnsafeSlice::new(&mut self.slots[..len]);
+        let ids = frontier.ids();
+        pool.run(k, 256, |s, e| {
+            for (i, &v) in ids[s..e].iter().enumerate() {
+                let slot = match dir {
+                    Direction::Push => s + i,
+                    Direction::Pull => v as usize,
+                };
+                assert!(slot < len, "frontier vertex {v} outside the graph");
+                // SAFETY: `slot` is in bounds (just checked) and no other
+                // iteration writes it: chunks `s..e` are disjoint, and a
+                // `VertexSubset`'s ids are distinct. Nothing reads the
+                // buffer until `pool.run` has returned.
+                unsafe { view.write(slot, contrib_of(v)) };
+            }
+        });
+        Staged {
+            pool,
+            g,
+            frontier,
+            slots: &self.slots[..len],
+            dir,
+        }
+    }
+}
+
+impl<B: CsrBackend> Staged<'_, B> {
+    /// The direction [`EdgeSpread::stage`] chose.
+    pub fn direction(&self) -> Direction {
+        self.dir
+    }
+
+    /// Runs `absorb(dst, c, writer)` over the frontier's edges with the
+    /// staged contributions: per edge when pushing, per `order` when
+    /// pulling. Either way every frontier edge's contribution reaches its
+    /// destination exactly once.
+    pub fn absorb(self, order: Absorb, absorb: impl Fn(u32, f64, Writer) + Sync) {
+        let Staged {
+            pool,
+            g,
+            frontier,
+            slots,
+            dir,
+        } = self;
+        match (dir, order) {
+            (Direction::Push, _) => edge_map_indexed(pool, g, frontier.subset(), |i, _, dst| {
+                absorb(dst, slots[i], Writer::Shared)
+            }),
+            (Direction::Pull, Absorb::PerEdge) => {
+                let bits = frontier.bits(pool, g.num_vertices());
+                edge_map_dense(pool, g, bits, |src, dst| {
+                    absorb(dst, slots[src as usize], Writer::Exclusive)
+                })
+            }
+            (Direction::Pull, Absorb::Sum) => {
+                let bits = frontier.bits(pool, g.num_vertices());
+                edge_map_dense_gather(pool, g, bits, slots, |dst, sum| {
+                    absorb(dst, sum, Writer::Exclusive)
+                })
+            }
         }
     }
 }
@@ -851,10 +929,39 @@ mod tests {
         }
     }
 
-    /// The counting pull computes exactly `|N(dst) ∩ F|` — equal to a
-    /// push edgeMap incrementing per edge — at any thread count.
+    /// Runs one spread of `contrib_of` over `ids` and returns the direction
+    /// taken plus the per-destination totals (atomic adds, so the cells
+    /// tolerate either writer).
+    fn spread_totals(
+        pool: &Pool,
+        g: &lgc_graph::Graph,
+        ids: &[u32],
+        params: &DirectionParams,
+        order: Absorb,
+        contrib_of: impl Fn(u32) -> f64 + Sync,
+    ) -> (Direction, Vec<f64>) {
+        let cells: Vec<AtomicU64> = (0..g.num_vertices()).map(|_| AtomicU64::new(0)).collect();
+        let mut frontier = Frontier::from_subset(VertexSubset::from_sorted(ids.to_vec()));
+        let vol = frontier.volume(g);
+        let mut spread = EdgeSpread::default();
+        let staged = spread.stage(pool, g, &mut frontier, params, vol, contrib_of);
+        let dir = staged.direction();
+        staged.absorb(order, |dst, c, writer| {
+            assert_eq!(writer == Writer::Shared, dir == Direction::Push);
+            lgc_parallel::atomic_f64_fetch_add(&cells[dst as usize], c);
+        });
+        let totals = cells
+            .into_iter()
+            .map(|c| f64::from_bits(c.into_inner()))
+            .collect();
+        (dir, totals)
+    }
+
+    /// Contributions ≡ 1.0 count `|N(dst) ∩ F|` exactly — equal to a push
+    /// `edge_map` incrementing per edge — in either direction, under
+    /// either absorption order, at any thread count.
     #[test]
-    fn dense_count_matches_push_counting() {
+    fn unit_contributions_match_push_counting() {
         let graphs = [gen::rmat_graph500(9, 8, 3), gen::rand_local(500, 5, 2)];
         for g in &graphs {
             let n = g.num_vertices();
@@ -864,55 +971,80 @@ mod tests {
             edge_map(&Pool::new(1), g, &subset, |_, dst| {
                 want[dst as usize].fetch_add(1, Ordering::Relaxed);
             });
+            let want: Vec<f64> = want.into_iter().map(|c| c.into_inner() as f64).collect();
             for threads in [1, 2, 4] {
                 let pool = Pool::new(threads);
-                let bits = Bitset::new(n);
-                bits.set_sorted(&pool, &ids);
-                let got: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-                edge_map_dense_count(&pool, g, &bits, |dst, c| {
-                    assert!(c > 0, "only intersecting destinations reported");
-                    got[dst as usize].store(c, Ordering::Relaxed);
-                });
-                for v in 0..n {
-                    assert_eq!(
-                        got[v].load(Ordering::Relaxed),
-                        want[v].load(Ordering::Relaxed),
-                        "dst={v} t={threads}"
-                    );
+                for params in [DirectionParams::push_only(), DirectionParams::pull_only()] {
+                    for order in [Absorb::PerEdge, Absorb::Sum] {
+                        let (_, got) = spread_totals(&pool, g, &ids, &params, order, |_| 1.0);
+                        assert_eq!(got, want, "{params:?} {order:?} t={threads}");
+                    }
                 }
             }
         }
     }
 
+    /// The direction taken flips exactly at the threshold, and what the
+    /// destinations absorb does not depend on it.
     #[test]
-    fn edge_map_dir_switches_at_threshold() {
+    fn spread_switches_at_threshold() {
         let g = gen::rand_local(3000, 5, 2);
         let pool = Pool::new(2);
-        let count = AtomicUsize::new(0);
-        let bump = |_s: u32, _d: u32| {
-            count.fetch_add(1, Ordering::Relaxed);
+        let ids: Vec<u32> = (0..g.num_vertices() as u32).step_by(7).collect();
+        let (len, vol) = (ids.len(), VertexSubset::from_sorted(ids.clone()).volume(&g));
+        // `Auto` pulls iff len + vol > m / denom: the largest denominator
+        // that still pushes, and the next one.
+        let at = g.num_edges() / (len + vol);
+        assert!(at >= 1 && g.num_edges() / (at + 1) < len + vol);
+        let with_denom = |dense_denom| DirectionParams {
+            dense_denom,
+            ..Default::default()
         };
-        let params = DirectionParams::default();
-        // A single low-degree vertex stays sparse.
-        let mut small = Frontier::single(0);
-        assert_eq!(
-            edge_map_dir(&pool, &g, &mut small, &params, bump),
-            Direction::Push
-        );
-        assert_eq!(count.swap(0, Ordering::Relaxed), g.degree(0));
-        // A frontier covering most of the graph goes dense — and still
-        // covers exactly its own edge volume.
-        let big_ids: Vec<u32> = (0..g.num_vertices() as u32).step_by(2).collect();
-        let mut big = Frontier::from_subset(VertexSubset::from_sorted(big_ids));
-        let vol = big.volume(&g);
-        assert_eq!(
-            edge_map_dir(&pool, &g, &mut big, &params, bump),
-            Direction::Pull
-        );
-        assert_eq!(count.load(Ordering::Relaxed), vol);
-        // Empty frontier is a no-op.
-        let mut empty = Frontier::from_subset(VertexSubset::empty());
-        edge_map_dir(&pool, &g, &mut empty, &params, |_, _| panic!("no edges"));
+        let weight = |v: u32| f64::from(v % 5 + 1);
+        let (below, pushed) = spread_totals(&pool, &g, &ids, &with_denom(at), Absorb::Sum, weight);
+        let (above, pulled) =
+            spread_totals(&pool, &g, &ids, &with_denom(at + 1), Absorb::Sum, weight);
+        assert_eq!((below, above), (Direction::Push, Direction::Pull));
+        assert_eq!(pushed, pulled, "integer-valued totals are exact");
+        assert_eq!(pushed.iter().sum::<f64>(), {
+            let per_source = |&v: &u32| weight(v) * g.degree(v) as f64;
+            ids.iter().map(per_source).sum::<f64>()
+        });
+        // An empty frontier spreads nothing.
+        let (_, none) = spread_totals(&pool, &g, &[], &with_denom(20), Absorb::Sum, |_| {
+            panic!("no frontier vertex")
+        });
+        assert!(none.iter().all(|&x| x == 0.0));
+    }
+
+    /// `PerEdge` and `Sum` differ in bracketing only — equal on
+    /// integer-valued contributions, where no rounding happens — and
+    /// `contrib_of` runs exactly once per frontier vertex whichever way
+    /// the traversal goes.
+    #[test]
+    fn absorption_orders_agree_on_integers_and_stage_calls_once() {
+        let g = gen::rmat_graph500(9, 8, 5);
+        let n = g.num_vertices();
+        let ids: Vec<u32> = (0..n as u32).filter(|v| v % 4 != 2).collect();
+        for threads in [1, 3] {
+            let pool = Pool::new(threads);
+            let mut all = Vec::new();
+            for params in [DirectionParams::push_only(), DirectionParams::pull_only()] {
+                for order in [Absorb::PerEdge, Absorb::Sum] {
+                    let calls: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+                    let (_, totals) = spread_totals(&pool, &g, &ids, &params, order, |v| {
+                        calls[v as usize].fetch_add(1, Ordering::Relaxed);
+                        f64::from(v + 1)
+                    });
+                    for (v, c) in calls.iter().enumerate() {
+                        let want = usize::from(ids.binary_search(&(v as u32)).is_ok());
+                        assert_eq!(c.load(Ordering::Relaxed), want, "v={v} {params:?}");
+                    }
+                    all.push(totals);
+                }
+            }
+            assert!(all.windows(2).all(|w| w[0] == w[1]), "t={threads}");
+        }
     }
 
     #[test]

@@ -1,15 +1,16 @@
 //! Property tests for the direction-optimizing `edgeMap`: sparse push,
-//! dense pull, and the automatic wrapper must cover *exactly* the same
-//! edge set as a plain sequential reference over random graphs and
-//! adversarial frontier shapes (empty, full, skewed, sparse), at 1/2/4
-//! threads — and pull-mode accumulation must be bitwise deterministic.
+//! dense pull, and the spreading edge map that chooses between them must
+//! cover *exactly* the same edge set as a plain sequential reference over
+//! random graphs and adversarial frontier shapes (empty, full, skewed,
+//! sparse), at 1/2/4 threads — and pull-mode accumulation must be bitwise
+//! deterministic.
 
 use lgc_graph::{gen, Graph};
 use lgc_ligra::{
-    edge_map, edge_map_dense, edge_map_dense_gather, edge_map_dir, DirectionParams, Frontier,
+    edge_map, edge_map_dense, edge_map_dense_gather, Absorb, DirectionParams, EdgeSpread, Frontier,
     VertexSubset,
 };
-use lgc_parallel::{Bitset, Pool, UnsafeSlice};
+use lgc_parallel::{atomic_f64_fetch_add, Bitset, Pool, UnsafeSlice};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -100,24 +101,40 @@ proptest! {
         prop_assert_eq!(&pull, &want);
     }
 
-    /// The automatic wrapper matches the reference at every threshold —
-    /// always-push, always-pull, Ligra's default, and an aggressive
-    /// denominator that flips mid-sized frontiers to pull.
+    /// The spreading edge map delivers the reference totals at every
+    /// threshold — always-push, always-pull, Ligra's default, and an
+    /// aggressive denominator that flips mid-sized frontiers to pull —
+    /// under both absorption orders. Contributions are the integers
+    /// `src + 1`, so each destination's total is exact and pins which
+    /// sources reached it.
     #[test]
-    fn direction_wrapper_is_threshold_invariant((g, ids) in graph_and_frontier(), threads in 1usize..=4, denom in 1usize..200) {
-        let want = reference_trace(&g, &ids);
+    fn spread_is_threshold_invariant((g, ids) in graph_and_frontier(), threads in 1usize..=4, denom in 1usize..200) {
+        let mut want = vec![0.0f64; g.num_vertices()];
+        for &src in &ids {
+            for &dst in g.neighbors(src) {
+                want[dst as usize] += f64::from(src + 1);
+            }
+        }
         let pool = Pool::new(threads);
+        let mut spread = EdgeSpread::default();
         for params in [
             DirectionParams::push_only(),
             DirectionParams::pull_only(),
             DirectionParams::default(),
             DirectionParams { dense_denom: denom, ..Default::default() },
         ] {
-            let mut frontier = Frontier::from_subset(VertexSubset::from_sorted(ids.clone()));
-            let got = trace(&g, |f| {
-                edge_map_dir(&pool, &g, &mut frontier, &params, f);
-            });
-            prop_assert_eq!(&got, &want, "params {:?}", params);
+            for order in [Absorb::PerEdge, Absorb::Sum] {
+                let mut frontier = Frontier::from_subset(VertexSubset::from_sorted(ids.clone()));
+                let vol = frontier.volume(&g);
+                let cells: Vec<AtomicU64> = want.iter().map(|_| AtomicU64::new(0)).collect();
+                let staged = spread.stage(&pool, &g, &mut frontier, &params, vol, |v| f64::from(v + 1));
+                prop_assert_eq!(staged.direction(), params.choose(&g, ids.len(), vol));
+                staged.absorb(order, |dst, c, _| {
+                    atomic_f64_fetch_add(&cells[dst as usize], c);
+                });
+                let got: Vec<f64> = cells.into_iter().map(|c| f64::from_bits(c.into_inner())).collect();
+                prop_assert_eq!(&got, &want, "params {:?} {:?}", params, order);
+            }
         }
     }
 

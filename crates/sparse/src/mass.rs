@@ -200,7 +200,7 @@ impl MassMap {
     }
 
     /// Clean dense buffers for this universe — the stashed ones if any.
-    fn take_dense(&mut self) -> DenseMassVec {
+    fn clean_dense(&mut self) -> DenseMassVec {
         let dense = self
             .spare_dense
             .take()
@@ -218,7 +218,7 @@ impl MassMap {
     fn empty_store(&mut self, bound: usize) -> MassStore {
         let bound = self.clamp_bound(bound);
         if self.wants_dense(bound) {
-            MassStore::Dense(self.take_dense())
+            MassStore::Dense(self.clean_dense())
         } else {
             MassStore::Sparse(ConcurrentSparseVec::with_capacity(bound))
         }
@@ -434,7 +434,7 @@ impl MassMap {
         let bound = self.clamp_bound(s.len() + extra);
         if self.wants_dense(bound) {
             let entries = s.entries(pool);
-            let dense = self.take_dense();
+            let dense = self.clean_dense();
             pool.run(entries.len(), 1 << 12, |st, en| {
                 for &(k, v) in &entries[st..en] {
                     dense.set(k, v);

@@ -68,8 +68,8 @@
 //! assert_eq!(hk.cluster.len(), 16);
 //! ```
 //!
-//! Every algorithm implements the [`LocalDiffusion`] trait (seed →
-//! params → diffusion over a shared [`Workspace`]), engine and service
+//! [`Algorithm`] implements the [`LocalDiffusion`] trait (seed →
+//! diffusion over a shared [`Workspace`]), engine and service
 //! results are bit-identical to the free-function pipeline — warm
 //! workspace checkouts and cache hits are observationally invisible, a
 //! contract enforced from multiple OS threads by
@@ -319,8 +319,9 @@
 //! * [`sparse`] — sequential and phase-concurrent sparse sets, plus the
 //!   adaptive dense/sparse `MassMap`.
 //! * [`graph`] — CSR graphs, generators, conductance utilities, I/O.
-//! * [`ligra`] — `vertexSubset` / `vertexMap` / direction-optimizing
-//!   `edgeMap` frontier framework.
+//! * [`ligra`] — `vertexSubset` / `vertexMap` / `edgeMap` frontier
+//!   framework; `EdgeSpread` is the direction-optimizing edge map the
+//!   frontier diffusions are written on.
 //! * [`flow`] — hand-rolled Dinic max-flow and the MQI-style
 //!   `improve` refinement stage.
 //! * [`cluster`] — the paper's algorithms behind the [`Engine`] and
@@ -354,13 +355,15 @@
 //!   flow, bench, and the offline shims — pin that down with
 //!   `#![forbid(unsafe_code)]`.
 //! * **Miri** (nightly CI job) runs the compressed-CSR decoder and
-//!   backend-equivalence suites plus the sparse-set model tests under
-//!   the interpreter, checking the unaligned-read / `STREAM_PAD`
-//!   invariants dynamically.
+//!   backend-equivalence suites, the sparse-set model tests and the
+//!   `lgc-ligra` unit tests under the interpreter, checking the
+//!   unaligned-read / `STREAM_PAD` invariants and the edge map's
+//!   disjoint slot writes dynamically.
 //! * **ThreadSanitizer** (nightly CI job, `-Zsanitizer=thread`) runs
-//!   the `lgc-parallel` and `lgc-sparse` suites — the pool's job
-//!   protocol, `UnsafeSlice` disjoint writes, and the phase-concurrent
-//!   accumulators — under a data-race detector.
+//!   the `lgc-parallel`, `lgc-sparse` and `lgc-ligra` suites — the
+//!   pool's job protocol, `UnsafeSlice` disjoint writes, the
+//!   phase-concurrent accumulators, and the edge maps — under a
+//!   data-race detector.
 
 pub use lgc_core as cluster;
 pub use lgc_flow as flow;
@@ -374,15 +377,14 @@ pub use lgc_sparse as sparse;
 pub use lgc_core::FaultPlan;
 pub use lgc_core::{
     evolving_set_par, evolving_set_seq, find_cluster, hkpr_par, hkpr_seq, ncp_prnibble, nibble_par,
-    nibble_seq, nibble_with_target_par, prnibble_par, prnibble_seq, rand_hkpr_par, rand_hkpr_seq,
-    sweep_cut_par, sweep_cut_seq, Algorithm, CancelToken, Checkpoint, ClusterResult, Diffusion,
-    DiffusionStats, Direction, DirectionMode, DirectionParams, Embedding, Engine, EngineBuilder,
-    EngineLimits, EvolvingParams, GraphCache, GraphStore, GraphSummary, HkprParams, InvalidParams,
-    InvalidSeed, KClusters, LifecycleSnapshot, LocalDiffusion, NcpParams, NibbleParams,
-    PartialResult, PipelineParams, PrNibbleParams, PushRule, Query, QueryBudget, QueryError,
-    RandHkprParams, RefineStats, RefinedCut, RhoGrid, Seed, Service, ServiceBuilder, ServiceEngine,
-    SweepCut, Trip, TrippedDiffusion, TrippedRefinement, Workspace, WorkspaceBudgetExceeded,
-    RETRY_AFTER_FLOOR,
+    nibble_seq, prnibble_par, prnibble_seq, rand_hkpr_par, rand_hkpr_seq, sweep_cut_par,
+    sweep_cut_seq, Algorithm, CancelToken, Checkpoint, ClusterResult, Diffusion, DiffusionStats,
+    Direction, DirectionMode, DirectionParams, Embedding, Engine, EngineBuilder, EngineLimits,
+    EvolvingParams, GraphCache, GraphStore, GraphSummary, HkprParams, InvalidParams, InvalidSeed,
+    KClusters, LifecycleSnapshot, LocalDiffusion, NcpParams, NibbleParams, PartialResult,
+    PipelineParams, PrNibbleParams, PushRule, Query, QueryBudget, QueryError, RandHkprParams,
+    RefineStats, RefinedCut, RhoGrid, Seed, Service, ServiceBuilder, ServiceEngine, SweepCut, Trip,
+    TrippedDiffusion, TrippedRefinement, Workspace, WorkspaceBudgetExceeded, RETRY_AFTER_FLOOR,
 };
 pub use lgc_graph::{
     induced_cut_subgraph, CsrBackend, CsrCompressed, CsrPlain, CutSubgraph, Graph, GraphBuilder,

@@ -59,19 +59,6 @@ proptest! {
     }
 
     #[test]
-    fn nibble_with_target_honors_its_contract((g, v) in small_graph(), phi in 0.001f64..0.9, threads in 1usize..=3) {
-        let pool = Pool::new(threads);
-        let params = lgc::NibbleParams { t_max: 15, eps: 1e-6, ..Default::default() };
-        if let Some(sweep) = lgc::nibble_with_target_par(&pool, &g, &Seed::single(v), &params, phi) {
-            prop_assert!(sweep.best_conductance <= phi, "returned {} > target {}", sweep.best_conductance, phi);
-            prop_assert!(!sweep.cluster().is_empty());
-            // The reported conductance is real.
-            let direct = g.conductance(sweep.cluster());
-            prop_assert!((direct - sweep.best_conductance).abs() < 1e-9);
-        }
-    }
-
-    #[test]
     fn cluster_results_are_valid_sets((g, v) in small_graph(), threads in 1usize..=3) {
         let pool = Pool::new(threads);
         let res = lgc::find_cluster(
