@@ -615,21 +615,20 @@ impl<B: CsrBackend> Staged<'_, B> {
             slots,
             dir,
         } = self;
-        match (dir, order) {
-            (Direction::Push, _) => edge_map_indexed(pool, g, frontier.subset(), |i, _, dst| {
+        match dir {
+            Direction::Push => edge_map_indexed(pool, g, frontier.subset(), |i, _, dst| {
                 absorb(dst, slots[i], Writer::Shared)
             }),
-            (Direction::Pull, Absorb::PerEdge) => {
+            Direction::Pull => {
                 let bits = frontier.bits(pool, g.num_vertices());
-                edge_map_dense(pool, g, bits, |src, dst| {
-                    absorb(dst, slots[src as usize], Writer::Exclusive)
-                })
-            }
-            (Direction::Pull, Absorb::Sum) => {
-                let bits = frontier.bits(pool, g.num_vertices());
-                edge_map_dense_gather(pool, g, bits, slots, |dst, sum| {
-                    absorb(dst, sum, Writer::Exclusive)
-                })
+                match order {
+                    Absorb::PerEdge => edge_map_dense(pool, g, bits, |src, dst| {
+                        absorb(dst, slots[src as usize], Writer::Exclusive)
+                    }),
+                    Absorb::Sum => edge_map_dense_gather(pool, g, bits, slots, |dst, sum| {
+                        absorb(dst, sum, Writer::Exclusive)
+                    }),
+                }
             }
         }
     }

@@ -70,15 +70,12 @@ fn run_all<B: CsrBackend>(
 ) -> Vec<(&'static str, u64)> {
     let mut out = Vec::new();
 
-    let nib = lgc::NibbleParams {
+    let mut nib = lgc::NibbleParams {
         t_max: 25,
         eps: 1e-7,
         ..Default::default()
     };
-    let nib = lgc::NibbleParams {
-        dir: dir.unwrap_or(nib.dir),
-        ..nib
-    };
+    nib.dir = dir.unwrap_or(nib.dir);
     out.push((
         "nibble",
         digest_diffusion(&lgc::nibble_par(pool, g, seed, &nib)),
@@ -90,17 +87,14 @@ fn run_all<B: CsrBackend>(
         ("prn-opt-b1", lgc::PushRule::Optimized, 1.0),
         ("prn-opt-b.5", lgc::PushRule::Optimized, 0.5),
     ] {
-        let prn = lgc::PrNibbleParams {
+        let mut prn = lgc::PrNibbleParams {
             alpha: 0.02,
             eps: 1e-6,
             rule,
             beta,
             ..Default::default()
         };
-        let prn = lgc::PrNibbleParams {
-            dir: dir.unwrap_or(prn.dir),
-            ..prn
-        };
+        prn.dir = dir.unwrap_or(prn.dir);
         out.push((
             name,
             digest_diffusion(&lgc::prnibble_par(pool, g, seed, &prn)),
@@ -110,45 +104,36 @@ fn run_all<B: CsrBackend>(
     // Mass maps pinned to their hash tables: `residual_mass` is then
     // summed in slot order, which also pins the residual table's capacity
     // and insertion history (the `reset`/`reserve_more` sequence).
-    let sparse = lgc::PrNibbleParams {
+    let mut sparse = lgc::PrNibbleParams {
         alpha: 0.05,
         eps: 1e-5,
         dense_frac: f64::INFINITY,
         ..Default::default()
     };
-    let sparse = lgc::PrNibbleParams {
-        dir: dir.unwrap_or(sparse.dir),
-        ..sparse
-    };
+    sparse.dir = dir.unwrap_or(sparse.dir);
     out.push((
         "prn-sparse",
         digest_diffusion(&lgc::prnibble_par(pool, g, seed, &sparse)),
     ));
 
-    let hk = lgc::HkprParams {
+    let mut hk = lgc::HkprParams {
         t: 10.0,
         n_levels: 20,
         eps: 1e-7,
         ..Default::default()
     };
-    let hk = lgc::HkprParams {
-        dir: dir.unwrap_or(hk.dir),
-        ..hk
-    };
+    hk.dir = dir.unwrap_or(hk.dir);
     out.push(("hkpr", digest_diffusion(&lgc::hkpr_par(pool, g, seed, &hk))));
 
     // From a single vertex the set usually dies within a few steps; a
     // quarter of the component keeps it alive long enough to cross the
     // dense threshold in both directions.
-    let ev = lgc::EvolvingParams {
+    let mut ev = lgc::EvolvingParams {
         max_steps: 40,
         rng_seed: 11,
         ..Default::default()
     };
-    let ev = lgc::EvolvingParams {
-        dir: dir.unwrap_or(ev.dir),
-        ..ev
-    };
+    ev.dir = dir.unwrap_or(ev.dir);
     out.push((
         "evolving",
         digest_evolving(&lgc::evolving_set_par(pool, g, set_seed, &ev)),
@@ -178,15 +163,17 @@ fn actual() -> Vec<(String, u64)> {
         let comp = plgc::graph::largest_component(g);
         let seed = Seed::single(comp[0]);
         let set_seed = Seed::set(comp[..comp.len() / 4].to_vec());
-        let reference = run_all(&pool, g, &seed, &set_seed, dirs[0].1);
+        let mut reference: Option<Vec<(&str, u64)>> = None;
         for (dname, dir) in dirs {
             let plain = run_all(&pool, g, &seed, &set_seed, dir);
             let packed = run_all(&pool, &compressed, &seed, &set_seed, dir);
-            for ((&(algo, want), (_, a)), (_, b)) in reference.iter().zip(plain).zip(packed) {
+            let want = reference.get_or_insert_with(|| plain.clone());
+            for ((&(algo, want), (_, a)), (_, b)) in want.iter().zip(plain).zip(packed) {
                 assert_eq!(a, want, "{gname}/{algo}: plain {dname} differs from push");
                 assert_eq!(b, want, "{gname}/{algo}: compressed {dname} differs");
             }
         }
+        let reference = reference.expect("at least one direction ran");
         table.extend(
             reference
                 .into_iter()
