@@ -18,7 +18,6 @@ fn bench_diffusions(c: &mut Criterion) {
     let nibble = lgc::NibbleParams {
         t_max: 20,
         eps: 1e-7,
-        ..Default::default()
     };
     let pr = lgc::PrNibbleParams {
         alpha: 0.01,
@@ -29,7 +28,6 @@ fn bench_diffusions(c: &mut Criterion) {
         t: 10.0,
         n_levels: 20,
         eps: 1e-6,
-        ..Default::default()
     };
     let rhk = lgc::RandHkprParams {
         t: 10.0,

@@ -23,15 +23,7 @@ fn bench_sweep(c: &mut Criterion) {
     // Tag ids with eps too: deep runs can saturate the seed's component
     // and produce identical support sizes.
     for eps in [1e-6, 1e-8, 1e-10] {
-        let d = nibble_seq(
-            &g,
-            &seed,
-            &NibbleParams {
-                t_max: 20,
-                eps,
-                ..Default::default()
-            },
-        );
+        let d = nibble_seq(&g, &seed, &NibbleParams { t_max: 20, eps });
         let tag = format!("n{}_eps{:.0e}", d.support_size(), eps);
         group.bench_with_input(BenchmarkId::new("sequential", &tag), &tag, |b, _| {
             b.iter(|| black_box(sweep_cut_seq(&g, black_box(&d.p))))

@@ -10,11 +10,12 @@
 //!
 //! For every suite graph and each of Nibble / PR-Nibble / HK-PR — plus an
 //! NCP scan, the paper's high-volume workload — it times the sequential
-//! algorithm, the **push-only** parallel one (the pre-direction-
-//! optimization engine, `DirectionParams::push_only()`), the
-//! **direction-optimized** parallel one (cold free functions, fresh
-//! scratch per call), and the **warm-workspace** repeated-query path (a
-//! persistent `Engine` whose `Workspace` is recycled across queries), at
+//! algorithm, the **push-only** parallel one (a cold engine built per
+//! call with `.direction(DirectionParams::push_only())` — the one place
+//! a direction can be pinned), the **direction-optimized** parallel one
+//! (cold free functions, fresh scratch per call), and the
+//! **warm-workspace** repeated-query path (a persistent `Engine` whose
+//! `Workspace` is recycled across queries), at
 //! 1, 2, and 4 threads — those of them the box has hardware threads for:
 //! the file records `hardware_threads`, and a thread count above it gets
 //! no column anywhere (an oversubscribed pool measures the scheduler, not
@@ -385,12 +386,10 @@ fn service_queries(g: &lgc_graph::Graph, count: usize) -> Vec<lgc::Query> {
                     t: 10.0,
                     n_levels: 15,
                     eps: 1e-6,
-                    ..Default::default()
                 }),
                 _ => lgc::Algorithm::Nibble(lgc::NibbleParams {
                     t_max: 15,
                     eps: 1e-7,
-                    ..Default::default()
                 }),
             };
             lgc::Query::new(Seed::single(v), algo)
@@ -480,7 +479,6 @@ fn bench_graph(
     let nb = lgc::NibbleParams {
         t_max: 20,
         eps: 1e-7,
-        ..Default::default()
     };
     let pr = lgc::PrNibbleParams {
         alpha: 0.01,
@@ -491,7 +489,6 @@ fn bench_graph(
         t: 10.0,
         n_levels: 20,
         eps: 1e-6,
-        ..Default::default()
     };
     // A small NCP scan (§4): many PR-Nibble + sweep runs whose larger-ε
     // grid points spend most of their time in the high-volume regime.
@@ -503,52 +500,57 @@ fn bench_graph(
         ..Default::default()
     };
 
-    // `None` = the algorithm's own (tuned) default direction params;
-    // `Some(push_only)` = the pre-direction-optimization engine. `warm`
-    // runs the same work as `par(pool, None)` through the persistent
-    // engine at THREADS[i] — primed once before timing, so the recorded
-    // number is the amortized per-query latency with all scratch warm.
-    let mut row = |algorithm: &'static str,
-                   seq: &dyn Fn(),
-                   par: &dyn Fn(&Pool, Option<DirectionParams>),
-                   warm: &mut dyn FnMut(usize)| {
-        let (_, seq_s) = time_best_of(reps, seq);
-        let par_s = Cols::measure(|i, _| time_best_of(reps, || par(&pools[i], None)).1);
-        let push_only = Some(DirectionParams::push_only());
-        let push_s = Cols::measure(|i, _| time_best_of(reps, || par(&pools[i], push_only)).1);
-        let warm_s = Cols::measure(|i, _| {
-            warm(i); // prime the workspace
-            time_best_of(reps, || warm(i)).1
-        });
-        eprintln!(
-            "  {:<10} seq {:>8.1}ms  dir {:?}ms  push {:?}ms  warm {:?}ms",
-            algorithm,
-            seq_s * 1e3,
-            par_s.ms(),
-            push_s.ms(),
-            warm_s.ms()
-        );
-        rows.push(Row {
-            graph: sg.name.to_string(),
-            algorithm,
-            seq_s,
-            par_s,
-            push_s: Some(push_s),
-            warm_s: Some(warm_s),
-        });
-    };
+    // `par` is the cold free function under the default direction policy.
+    // `run` does the same work through an engine: a push-pinned one built
+    // per call (cold, like `par` — the pre-direction-optimization engine)
+    // for the push column, and the persistent engine at THREADS[i] for
+    // the warm one — primed once before timing, so the recorded number is
+    // the amortized per-query latency with all scratch warm.
+    let mut row =
+        |algorithm: &'static str, seq: &dyn Fn(), par: &dyn Fn(&Pool), run: &dyn Fn(&Engine)| {
+            let (_, seq_s) = time_best_of(reps, seq);
+            let par_s = Cols::measure(|i, _| time_best_of(reps, || par(&pools[i])).1);
+            let push_s = Cols::measure(|i, _| {
+                let timed = time_best_of(reps, || {
+                    let cold = Engine::builder(g)
+                        .shared_pool(Arc::clone(&pools[i]))
+                        .direction(DirectionParams::push_only());
+                    run(&cold.build())
+                });
+                timed.1
+            });
+            let warm_s = Cols::measure(|i, _| {
+                run(&engines[i]); // prime the workspace
+                time_best_of(reps, || run(&engines[i])).1
+            });
+            eprintln!(
+                "  {:<10} seq {:>8.1}ms  dir {:?}ms  push {:?}ms  warm {:?}ms",
+                algorithm,
+                seq_s * 1e3,
+                par_s.ms(),
+                push_s.ms(),
+                warm_s.ms()
+            );
+            rows.push(Row {
+                graph: sg.name.to_string(),
+                algorithm,
+                seq_s,
+                par_s,
+                push_s: Some(push_s),
+                warm_s: Some(warm_s),
+            });
+        };
 
     row(
         "nibble",
         &|| {
             lgc::nibble_seq(g, &seed, &nb);
         },
-        &|pool, dir| {
-            let dir = dir.unwrap_or(nb.dir);
-            lgc::nibble_par(pool, g, &seed, &lgc::NibbleParams { dir, ..nb });
+        &|pool| {
+            lgc::nibble_par(pool, g, &seed, &nb);
         },
-        &mut |i| {
-            engines[i].diffuse(&seed, &lgc::Algorithm::Nibble(nb));
+        &|engine| {
+            engine.diffuse(&seed, &lgc::Algorithm::Nibble(nb));
         },
     );
     row(
@@ -556,12 +558,11 @@ fn bench_graph(
         &|| {
             lgc::prnibble_seq(g, &seed, &pr);
         },
-        &|pool, dir| {
-            let dir = dir.unwrap_or(pr.dir);
-            lgc::prnibble_par(pool, g, &seed, &lgc::PrNibbleParams { dir, ..pr });
+        &|pool| {
+            lgc::prnibble_par(pool, g, &seed, &pr);
         },
-        &mut |i| {
-            engines[i].diffuse(&seed, &lgc::Algorithm::PrNibble(pr));
+        &|engine| {
+            engine.diffuse(&seed, &lgc::Algorithm::PrNibble(pr));
         },
     );
     row(
@@ -569,12 +570,11 @@ fn bench_graph(
         &|| {
             lgc::hkpr_seq(g, &seed, &hk);
         },
-        &|pool, dir| {
-            let dir = dir.unwrap_or(hk.dir);
-            lgc::hkpr_par(pool, g, &seed, &lgc::HkprParams { dir, ..hk });
+        &|pool| {
+            lgc::hkpr_par(pool, g, &seed, &hk);
         },
-        &mut |i| {
-            engines[i].diffuse(&seed, &lgc::Algorithm::Hkpr(hk));
+        &|engine| {
+            engine.diffuse(&seed, &lgc::Algorithm::Hkpr(hk));
         },
     );
     let seq_pool = Pool::sequential();
@@ -583,12 +583,11 @@ fn bench_graph(
         &|| {
             lgc::ncp_prnibble(&seq_pool, g, &ncp);
         },
-        &|pool, dir| {
-            let dir = dir.unwrap_or(ncp.dir);
-            lgc::ncp_prnibble(pool, g, &lgc::NcpParams { dir, ..ncp.clone() });
+        &|pool| {
+            lgc::ncp_prnibble(pool, g, &ncp);
         },
-        &mut |i| {
-            engines[i].ncp(&ncp);
+        &|engine| {
+            engine.ncp(&ncp);
         },
     );
 

@@ -29,7 +29,6 @@ mod params {
         NibbleParams {
             t_max: 20,
             eps: 1e-7,
-            ..Default::default()
         }
     }
     pub fn prnibble() -> PrNibbleParams {
@@ -44,7 +43,6 @@ mod params {
             t: 10.0,
             n_levels: 20,
             eps: 1e-6,
-            ..Default::default()
         }
     }
     pub fn rand_hkpr() -> RandHkprParams {
@@ -268,11 +266,7 @@ fn fig8(graphs: &[SuiteGraph]) {
     );
     for t_max in [5usize, 10, 20, 40] {
         for eps in [1e-5, 1e-6, 1e-7, 1e-8] {
-            let p = lgc::NibbleParams {
-                t_max,
-                eps,
-                ..Default::default()
-            };
+            let p = lgc::NibbleParams { t_max, eps };
             let (d, secs) = time(|| lgc::nibble_seq(g, &seed, &p));
             let phi = lgc::sweep_cut_seq(g, &d.p).best_conductance;
             println!(
@@ -318,7 +312,6 @@ fn fig8(graphs: &[SuiteGraph]) {
                 t: 10.0,
                 n_levels,
                 eps,
-                ..Default::default()
             };
             let (d, secs) = time(|| lgc::hkpr_seq(g, &seed, &p));
             let phi = lgc::sweep_cut_seq(g, &d.p).best_conductance;
@@ -421,7 +414,6 @@ fn fig10(graphs: &[SuiteGraph], max_threads: usize) {
         &lgc::NibbleParams {
             t_max: 20,
             eps: 1e-9,
-            ..Default::default()
         },
     );
     let vol: u64 = d.p.iter().map(|&(v, _)| g.degree(v) as u64).sum();
@@ -462,15 +454,7 @@ fn fig11(graphs: &[SuiteGraph], max_threads: usize) {
         "eps (Nibble)", "vertices", "volume", "sweep (ms)"
     );
     for eps in [1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10] {
-        let d = lgc::nibble_seq(
-            g,
-            &seed,
-            &lgc::NibbleParams {
-                t_max: 20,
-                eps,
-                ..Default::default()
-            },
-        );
+        let d = lgc::nibble_seq(g, &seed, &lgc::NibbleParams { t_max: 20, eps });
         let vol: u64 = d.p.iter().map(|&(v, _)| g.degree(v) as u64).sum();
         let (_, secs) = time_best_of(3, || lgc::sweep_cut_par(&pool, g, &d.p));
         println!(

@@ -125,13 +125,11 @@ mod tests {
                     1 => Algorithm::Nibble(NibbleParams {
                         t_max: 10,
                         eps: 1e-6,
-                        ..Default::default()
                     }),
                     2 => Algorithm::Hkpr(HkprParams {
                         t: 4.0,
                         n_levels: 8,
                         eps: 1e-5,
-                        ..Default::default()
                     }),
                     3 => Algorithm::RandHkpr(RandHkprParams {
                         walks: 2_000,

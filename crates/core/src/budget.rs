@@ -98,23 +98,6 @@ impl QueryBudget {
         self
     }
 
-    /// `true` when no limit is set — the checkpoint this budget arms can
-    /// never trip.
-    pub fn is_unlimited(&self) -> bool {
-        let base = self.deadline.is_none()
-            && self.max_pushed_mass_updates.is_none()
-            && self.max_edges_traversed.is_none()
-            && self.cancel.is_none();
-        #[cfg(feature = "fault-inject")]
-        {
-            base && self.fault.is_none()
-        }
-        #[cfg(not(feature = "fault-inject"))]
-        {
-            base
-        }
-    }
-
     /// Field-wise override: take each limit from `self` when set, else
     /// from `default`. This is how a per-query budget composes with the
     /// engine's per-graph default.
@@ -635,8 +618,6 @@ mod tests {
         assert_eq!(merged.max_edges_traversed, Some(7));
         assert_eq!(merged.max_pushed_mass_updates, None);
         assert!(merged.cancel.is_some());
-        assert!(!merged.is_unlimited());
-        assert!(QueryBudget::unlimited().is_unlimited());
     }
 
     #[test]
@@ -694,8 +675,9 @@ mod tests {
     }
 
     /// `Algorithm::check` names the offending field for every value no
-    /// diffusion is defined on, and passes the defaults and the
-    /// documented `dense_frac = +∞`.
+    /// diffusion is defined on and every count above its allocation cap,
+    /// and passes the defaults, the documented `dense_frac = +∞` and the
+    /// caps themselves.
     #[test]
     fn check_names_the_offending_parameter() {
         use crate::{
@@ -729,9 +711,12 @@ mod tests {
             (pr(|p| p.dense_frac = -1.0), "dense_frac"),
             (hk(|p| p.t = f64::NEG_INFINITY), "t"),
             (hk(|p| p.n_levels = 0), "n_levels"),
+            (hk(|p| p.n_levels = 1 << 60), "n_levels"),
             (hk(|p| p.eps = -1e-3), "eps"),
             (rh(|p| p.t = f64::INFINITY), "t"),
             (rh(|p| p.walks = 0), "walks"),
+            (rh(|p| p.walks = 1 << 60), "walks"),
+            (rh(|p| p.max_len = usize::MAX), "max_len"),
             (
                 Algorithm::Nibble(NibbleParams {
                     eps: nan,
@@ -756,7 +741,9 @@ mod tests {
             pr(|_| {}),
             pr(|p| p.dense_frac = f64::INFINITY),
             hk(|_| {}),
+            hk(|p| p.n_levels = 1 << 16),
             rh(|_| {}),
+            rh(|p| (p.walks, p.max_len) = (1 << 27, 1 << 16)),
             Algorithm::Nibble(NibbleParams::default()),
             Algorithm::Evolving(EvolvingParams::default()),
         ];

@@ -64,7 +64,7 @@ use crate::result::{ClusterResult, Diffusion};
 use crate::seed::Seed;
 use crate::sweep::sweep_cut_par_ws;
 use crate::workspace::{default_workspace_budget, Workspace, WorkspacePool};
-use crate::{Algorithm, EvolvingParams, HkprParams, NibbleParams, PrNibbleParams};
+use crate::Algorithm;
 use lgc_graph::{CsrBackend, Graph};
 use lgc_ligra::{Checkpoint, DirectionParams, Trip};
 use lgc_parallel::Pool;
@@ -119,14 +119,6 @@ pub trait LocalDiffusion {
 
     /// Runs the sequential reference implementation (fresh state).
     fn diffuse_seq<B: CsrBackend>(&self, g: &B, seed: &Seed) -> Diffusion;
-
-    /// A copy of the parameters with the direction-optimization knob
-    /// replaced — the hook [`Engine`]'s global direction override uses.
-    /// Algorithms without an `edgeMap` traversal (rand-HK-PR walks its
-    /// edges one vertex at a time) return themselves unchanged.
-    fn with_direction(&self, dir: DirectionParams) -> Self
-    where
-        Self: Sized;
 }
 
 impl LocalDiffusion for Algorithm {
@@ -172,17 +164,6 @@ impl LocalDiffusion for Algorithm {
             Algorithm::Hkpr(p) => hkpr_seq(g, seed, p),
             Algorithm::RandHkpr(p) => rand_hkpr_seq(g, seed, p),
             Algorithm::Evolving(p) => evolving_set_seq(g, seed, p).indicator(),
-        }
-    }
-    fn with_direction(&self, dir: DirectionParams) -> Self {
-        match *self {
-            Algorithm::Nibble(p) => Algorithm::Nibble(NibbleParams { dir, ..p }),
-            Algorithm::PrNibble(p) => Algorithm::PrNibble(PrNibbleParams { dir, ..p }),
-            Algorithm::Hkpr(p) => Algorithm::Hkpr(HkprParams { dir, ..p }),
-            // Monte-Carlo walks have no frontier traversal to
-            // direction-optimize.
-            Algorithm::RandHkpr(p) => Algorithm::RandHkpr(p),
-            Algorithm::Evolving(p) => Algorithm::Evolving(EvolvingParams { dir, ..p }),
         }
     }
 }
@@ -309,14 +290,14 @@ impl std::ops::Deref for PoolRef {
     }
 }
 
-/// The graph-independent half of an engine — pool slot, direction
-/// override, workspace checkout pool (with its per-graph cache), and the
-/// admission limits and robustness counters of the graph's queries.
+/// The graph-independent half of an engine — pool slot, workspace
+/// checkout pool (with its per-graph cache and the engine's direction
+/// policy), and the admission limits and robustness counters of the
+/// graph's queries.
 /// Every [`Engine`] clone over a graph shares one behind an `Arc`;
 /// [`Service`](crate::Service) keeps one per registered graph.
 pub(crate) struct EngineCore {
     pool: PoolRef,
-    dir: Option<DirectionParams>,
     pub(crate) workspaces: WorkspacePool,
     max_in_flight: Option<usize>,
     pub(crate) default_budget: QueryBudget,
@@ -324,11 +305,11 @@ pub(crate) struct EngineCore {
 }
 
 impl EngineCore {
-    /// A core for a graph occupying `graph_bytes`, under `limits` (an
-    /// unset workspace budget is sized from the graph).
+    /// A core for a graph occupying `graph_bytes`, traversing per `dir`,
+    /// under `limits` (an unset workspace budget is sized from the graph).
     pub(crate) fn new(
         pool: PoolRef,
-        dir: Option<DirectionParams>,
+        dir: DirectionParams,
         graph_bytes: usize,
         limits: EngineLimits,
     ) -> Self {
@@ -337,8 +318,7 @@ impl EngineCore {
             .unwrap_or_else(|| default_workspace_budget(graph_bytes));
         EngineCore {
             pool,
-            dir,
-            workspaces: WorkspacePool::new(Arc::new(GraphCache::new()), budget),
+            workspaces: WorkspacePool::new(Arc::new(GraphCache::new()), dir, budget),
             max_in_flight: limits.max_in_flight,
             default_budget: limits.default_budget,
             counters: LifecycleCounters::default(),
@@ -354,7 +334,7 @@ pub struct EngineBuilder<'g, B: CsrBackend = Graph> {
     g: &'g B,
     threads: Option<usize>,
     pool: Option<PoolRef>,
-    dir: Option<DirectionParams>,
+    dir: DirectionParams,
     limits: EngineLimits,
 }
 
@@ -381,12 +361,13 @@ impl<'g, B: CsrBackend> EngineBuilder<'g, B> {
         self
     }
 
-    /// Overrides the direction-optimization knob of *every* query run
-    /// through the engine, replacing the per-algorithm tuned defaults —
-    /// e.g. `DirectionParams::push_only()` to benchmark the
-    /// pre-direction-optimization engine fleet-wide.
+    /// The direction policy of every `edgeMap` iteration run through the
+    /// engine — the one place a direction can be pinned, e.g.
+    /// `DirectionParams::push_only()` to measure the engine without
+    /// direction optimization. Results do not depend on it; the default
+    /// and its rationale are on [`lgc_ligra::EdgeSpread`].
     pub fn direction(mut self, dir: DirectionParams) -> Self {
-        self.dir = Some(dir);
+        self.dir = dir;
         self
     }
 
@@ -465,7 +446,7 @@ impl<'g, B: CsrBackend> Engine<'g, B> {
             g,
             threads: None,
             pool: None,
-            dir: None,
+            dir: DirectionParams::default(),
             limits: EngineLimits::default(),
         }
     }
@@ -511,14 +492,6 @@ impl<'g, B: CsrBackend> Engine<'g, B> {
     /// exactly one of completed / tripped.
     pub fn lifecycle_stats(&self) -> LifecycleSnapshot {
         self.core.counters.snapshot()
-    }
-
-    /// Applies the engine-level direction override, if any.
-    fn resolve(&self, algo: &Algorithm) -> Algorithm {
-        match self.core.dir {
-            Some(dir) => algo.with_direction(dir),
-            None => algo.clone(),
-        }
     }
 
     /// Rejects a seed outside the graph and parameters failing
@@ -575,7 +548,6 @@ impl<'g, B: CsrBackend> Engine<'g, B> {
             None => own.insert(core.workspaces.checkout()),
         };
         core.counters.note_admitted();
-        let algo = self.resolve(&query.algo);
         let cp = if governed {
             query.budget.or(&core.default_budget).checkpoint()
         } else {
@@ -583,7 +555,7 @@ impl<'g, B: CsrBackend> Engine<'g, B> {
         };
         // lgc-lint: allow(determinism) -- latency metric feeding note_completed only; never a query decision
         let t0 = Instant::now();
-        let out = try_run_query(pool, self.g, ws, &query.seed, &algo, &cp);
+        let out = try_run_query(pool, self.g, ws, &query.seed, &query.algo, &cp);
         if let Some(ws) = own {
             core.workspaces.restore(ws);
         }
@@ -634,7 +606,6 @@ impl<'g, B: CsrBackend> Engine<'g, B> {
     pub fn diffuse(&self, seed: &Seed, algo: &Algorithm) -> Diffusion {
         self.validate(seed, algo)
             .unwrap_or_else(|e| panic!("Engine::diffuse: {e}"));
-        let algo = self.resolve(algo);
         let mut ws = self.core.workspaces.checkout();
         let out = algo.diffuse(self.pool(), self.g, seed, &mut ws);
         self.core.workspaces.restore(ws);
@@ -646,15 +617,8 @@ impl<'g, B: CsrBackend> Engine<'g, B> {
     /// seed × α × ε grid — the highest-leverage consumer of workspace
     /// recycling, since an NCP scan is hundreds of back-to-back queries.
     pub fn ncp(&self, params: &NcpParams) -> Vec<NcpPoint> {
-        let params = match self.core.dir {
-            Some(dir) => NcpParams {
-                dir,
-                ..params.clone()
-            },
-            None => params.clone(),
-        };
         let mut ws = self.core.workspaces.checkout();
-        let out = ncp_prnibble_ws(self.pool(), self.g, &params, &mut ws);
+        let out = ncp_prnibble_ws(self.pool(), self.g, params, &mut ws);
         self.core.workspaces.restore(ws);
         out
     }
@@ -665,7 +629,7 @@ mod tests {
     use super::*;
     use crate::{
         evolving_set_par, find_cluster, hkpr_par, nibble_par, prnibble_par, rand_hkpr_par,
-        RandHkprParams,
+        EvolvingParams, HkprParams, NibbleParams, PrNibbleParams, RandHkprParams,
     };
     use lgc_graph::gen;
 
@@ -674,7 +638,6 @@ mod tests {
             Algorithm::Nibble(NibbleParams {
                 t_max: 12,
                 eps: 1e-7,
-                ..Default::default()
             }),
             Algorithm::PrNibble(PrNibbleParams {
                 alpha: 0.05,
@@ -685,7 +648,6 @@ mod tests {
                 t: 6.0,
                 n_levels: 12,
                 eps: 1e-6,
-                ..Default::default()
             }),
             Algorithm::RandHkpr(RandHkprParams {
                 walks: 5_000,
@@ -791,24 +753,44 @@ mod tests {
         assert!((got.diffusion.total_mass() - 1.0).abs() < 1e-12);
     }
 
-    /// The engine-level direction override rewrites every algorithm's
-    /// knob (the rand-HK-PR walks have nothing to rewrite).
+    /// The builder's direction policy reaches the edge map of the
+    /// workspaces the engine hands out and, being policy, moves no result
+    /// bit of any algorithm (the rand-HK-PR walks have no edge map to
+    /// steer).
     #[test]
-    fn direction_override_applies_to_all_algorithms() {
-        let pin = DirectionParams::pull_only();
-        for algo in algorithms() {
-            let pinned = algo.with_direction(pin);
-            match pinned {
-                Algorithm::Nibble(p) => assert_eq!(p.dir, pin),
-                Algorithm::PrNibble(p) => assert_eq!(p.dir, pin),
-                Algorithm::Hkpr(p) => assert_eq!(p.dir, pin),
-                Algorithm::RandHkpr(_) => {}
-                Algorithm::Evolving(p) => assert_eq!(p.dir, pin),
+    fn direction_policy_reaches_the_workspaces_and_moves_no_bits() {
+        use lgc_ligra::{Absorb, Direction, VertexSubset};
+        let g = gen::two_cliques_bridge(8);
+        let seed = Seed::single(1);
+        let reference = Engine::builder(&g).threads(1).build();
+        for (pin, want) in [
+            (DirectionParams::push_only(), Direction::Push),
+            (DirectionParams::pull_only(), Direction::Pull),
+        ] {
+            let engine = Engine::builder(&g).threads(1).direction(pin).build();
+            let mut ws = engine.core.workspaces.checkout();
+            let mut frontier = ws.take_frontier();
+            frontier.advance(engine.pool(), VertexSubset::single(0));
+            let vol = frontier.volume(&g);
+            let staged = ws
+                .spread
+                .stage(engine.pool(), &g, &mut frontier, vol, |_| 1.0);
+            assert_eq!(staged.direction(), want);
+            staged.absorb(Absorb::Sum, |_, _, _| {});
+            ws.put_frontier(engine.pool(), frontier);
+            engine.core.workspaces.restore(ws);
+            for algo in algorithms() {
+                let q = Query::new(seed.clone(), algo);
+                let (got, want) = (engine.run(&q), reference.run(&q));
+                assert_eq!(got.diffusion.p, want.diffusion.p, "{}", q.algo.name());
+                assert_eq!(got.diffusion.stats, want.diffusion.stats);
+                assert_eq!(got.cluster, want.cluster);
+                assert_eq!(got.conductance, want.conductance);
             }
         }
-        // And an engine built with the override still gets the planted
-        // cluster right (pull-pinned traversals are direction-invariant).
-        let g = gen::two_cliques_bridge(8);
+        // And a pull-pinned engine still gets the planted cluster right at
+        // two threads.
+        let pin = DirectionParams::pull_only();
         let engine = Engine::builder(&g).threads(2).direction(pin).build();
         let res = engine.run(&Query::new(
             Seed::single(1),
@@ -937,7 +919,6 @@ mod tests {
                 t: 5.0,
                 n_levels: 10,
                 eps: 1e-6,
-                ..Default::default()
             }),
         );
         let a = engine.run(&q);

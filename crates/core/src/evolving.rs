@@ -16,18 +16,18 @@
 //! Only `S` and its boundary can have `p(v, S) > 0`, so each step costs
 //! `O(vol(S))`: one `edgeMap` counts `|N(v) ∩ S|`, then a parallel filter
 //! applies the threshold. The count is a spread of contributions ≡ 1.0
-//! over `S`'s edges ([`lgc_ligra::EdgeSpread`], direction chosen per
-//! [`EvolvingParams::dir`]) — integer-valued sums, exact below 2⁵³, so the
-//! sequential and parallel versions, and both traversal directions, agree
-//! bit for bit and follow the same random trajectory. The
-//! lowest-conductance set seen is tracked and returned.
+//! over `S`'s edges ([`lgc_ligra::EdgeSpread`], which also chooses the
+//! direction) — integer-valued sums, exact below 2⁵³, so the sequential
+//! and parallel versions, and both traversal directions, agree bit for
+//! bit and follow the same random trajectory. The lowest-conductance set
+//! seen is tracked and returned.
 
 use crate::budget::InvalidParams;
 use crate::result::{Diffusion, DiffusionStats};
 use crate::seed::Seed;
 use crate::workspace::Workspace;
 use lgc_graph::CsrBackend;
-use lgc_ligra::{Absorb, Checkpoint, DirectionParams, Trip, VertexSubset, Writer};
+use lgc_ligra::{Absorb, Checkpoint, Trip, VertexSubset, Writer};
 use lgc_parallel::{filter_map_index, Pool};
 use lgc_sparse::{ConcurrentSparseVec, SparseVec};
 use rand::rngs::StdRng;
@@ -43,17 +43,6 @@ pub struct EvolvingParams {
     pub target_conductance: f64,
     /// RNG seed for the threshold draws.
     pub rng_seed: u64,
-    /// Direction-optimization knob for the per-step `|N(v) ∩ S|` count.
-    /// The counts are exact integers either way, so the random trajectory
-    /// is **bit-identical across directions and thread counts** (enforced
-    /// by `pull_direction_keeps_the_trajectory` below); the knob only
-    /// moves wall-clock.
-    ///
-    /// Defaults to `dense_denom = 1` (conservative, like Nibble /
-    /// PR-Nibble): the counting gather scans `n + 2m` with no early
-    /// exit, so pulling pays off only once the set's volume is of the
-    /// order of the graph.
-    pub dir: DirectionParams,
 }
 
 impl Default for EvolvingParams {
@@ -62,10 +51,6 @@ impl Default for EvolvingParams {
             max_steps: 50,
             target_conductance: 0.0,
             rng_seed: 1,
-            dir: DirectionParams {
-                dense_denom: 1,
-                ..Default::default()
-            },
         }
     }
 }
@@ -237,12 +222,13 @@ pub(crate) fn evolving_set_par_ws<B: CsrBackend>(
             inside.reset(pool, vol.max(1));
             // Exact |N(v) ∩ S| counts for everything adjacent to S: every
             // member sends 1.0 along each of its edges.
-            ws.spread
-                .stage(pool, g, &mut current, &params.dir, vol, |_| 1.0)
-                .absorb(Absorb::Sum, |dst, c, writer| match writer {
+            ws.spread.stage(pool, g, &mut current, vol, |_| 1.0).absorb(
+                Absorb::Sum,
+                |dst, c, writer| match writer {
                     Writer::Shared => inside.add(dst, c),
                     Writer::Exclusive => inside.add_exclusive(dst, c),
-                });
+                },
+            );
             let mut cands: Vec<u32> = inside.entries(pool).into_iter().map(|(v, _)| v).collect();
             cands.extend_from_slice(current.ids());
             cands.sort_unstable();
@@ -292,6 +278,7 @@ fn finish(best: (Vec<u32>, f64), steps: usize, sizes: Vec<usize>) -> EvolvingRes
 mod tests {
     use super::*;
     use lgc_graph::gen;
+    use lgc_ligra::DirectionParams;
 
     #[test]
     fn transition_probability_formula() {
@@ -360,12 +347,19 @@ mod tests {
                 for dir in [
                     DirectionParams::push_only(),
                     DirectionParams::pull_only(),
-                    base.dir,
+                    DirectionParams::default(),
                 ] {
-                    let params = EvolvingParams { dir, ..base };
                     for threads in [1, 2, 4] {
                         let pool = Pool::new(threads);
-                        let got = evolving_set_par(&pool, g, &Seed::single(0), &params);
+                        let got = evolving_set_par_ws(
+                            &pool,
+                            g,
+                            &Seed::single(0),
+                            &base,
+                            &mut Workspace::with_policy(dir),
+                            &Checkpoint::unlimited(),
+                        )
+                        .unwrap_or_else(|_| unreachable!("an unlimited checkpoint never trips"));
                         assert_eq!(got.sizes, want.sizes, "{dir:?} t={threads}");
                         assert_eq!(got.best_set, want.best_set);
                         assert_eq!(got.best_conductance, want.best_conductance);
@@ -385,7 +379,6 @@ mod tests {
                 max_steps: 1000,
                 target_conductance: 0.5,
                 rng_seed,
-                ..Default::default()
             };
             let res = evolving_set_seq(&g, &Seed::single(0), &params);
             res.steps < 1000 && res.best_conductance <= 0.5

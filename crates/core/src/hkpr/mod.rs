@@ -29,21 +29,11 @@ use crate::budget::InvalidParams;
 pub struct HkprParams {
     /// Diffusion time `t` (larger spreads mass further).
     pub t: f64,
-    /// Taylor truncation degree `N` (the number of levels).
+    /// Taylor truncation degree `N` (the number of levels), at most 2¹⁶:
+    /// it sizes the ψ table.
     pub n_levels: usize,
     /// Accuracy `ε` of the approximation (admission threshold scale).
     pub eps: f64,
-    /// Direction-optimization knob for [`hkpr_par`]'s per-level
-    /// `edgeMap`: pull once `|frontier| + vol(frontier)` crosses the
-    /// dense threshold.
-    ///
-    /// Defaults to `dense_denom = 2`: HK-PR's level frontiers are either
-    /// tiny (admission threshold not met) or graph-spanning, so the
-    /// crossover is insensitive between `m/20` and `m` on the power-law
-    /// suite (3–4× pull wins either way), but `m/2` also keeps mesh
-    /// levels — above `m/20` yet far from spanning — on the push path
-    /// where they belong.
-    pub dir: lgc_ligra::DirectionParams,
 }
 
 impl Default for HkprParams {
@@ -53,18 +43,24 @@ impl Default for HkprParams {
             t: 10.0,
             n_levels: 20,
             eps: 1e-7,
-            dir: lgc_ligra::DirectionParams {
-                dense_denom: 2,
-                ..Default::default()
-            },
         }
     }
 }
 
+/// Cap on the level count: [`psi_table`] allocates `N + 1` entries
+/// before the first checkpoint tick, and a remote client controls `N`.
+const MAX_LEVELS: usize = 1 << 16;
+
 impl HkprParams {
     pub(crate) fn check(&self) -> Result<(), InvalidParams> {
+        let require = InvalidParams::require;
         InvalidParams::positive(self.t, "t")?;
-        InvalidParams::require(self.n_levels >= 1, "n_levels", "must be at least 1")?;
+        require(self.n_levels >= 1, "n_levels", "must be at least 1")?;
+        require(
+            self.n_levels <= MAX_LEVELS,
+            "n_levels",
+            "must be at most 2^16",
+        )?;
         InvalidParams::positive(self.eps, "eps")
     }
 

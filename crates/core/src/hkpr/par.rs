@@ -20,7 +20,7 @@ use lgc_sparse::MassMap;
 /// Work `O(N² + N·e^t/ε)`, depth `O(N·t·log(1/ε))` w.h.p. (Theorem 4).
 ///
 /// Each level is one spreading edge map ([`lgc_ligra::EdgeSpread`],
-/// direction chosen per `params.dir`): `UpdateSelf` banks the level-`j`
+/// which also chooses the direction): `UpdateSelf` banks the level-`j`
 /// residual and computes the per-neighbor contribution once per vertex,
 /// `UpdateNgh` forwards it to level `j+1`. Both traversal directions apply
 /// the level-synchronous update set in the sequential order, which keeps
@@ -98,17 +98,15 @@ pub(crate) fn hkpr_par_ws<B: CsrBackend>(
         // in exactly that order, for bit-identical results).
         p.reserve_more(pool, k);
         let scale = params.t / (j + 1) as f64;
-        let staged = ws
-            .spread
-            .stage(pool, g, &mut frontier, &params.dir, vol, |v| {
-                let rv = r.get(v);
-                p.add(v, rv);
-                match g.degree(v) {
-                    0 => 0.0,
-                    d if last_round => rv / d as f64,
-                    d => scale * rv / d as f64,
-                }
-            });
+        let staged = ws.spread.stage(pool, g, &mut frontier, vol, |v| {
+            let rv = r.get(v);
+            p.add(v, rv);
+            match g.degree(v) {
+                0 => 0.0,
+                d if last_round => rv / d as f64,
+                d => scale * rv / d as f64,
+            }
+        });
 
         if last_round {
             // Flush the shares straight into p, per edge: p's cells are
@@ -189,7 +187,6 @@ mod tests {
             t: 2.0,
             n_levels: 5,
             eps: 1e-8,
-            ..Default::default()
         };
         let a = hkpr_seq(&g, &Seed::single(0), &params);
         let pool = Pool::new(1);
@@ -205,7 +202,6 @@ mod tests {
             t: 8.0,
             n_levels: 15,
             eps: 1e-6,
-            ..Default::default()
         };
         let a = hkpr_seq(&g, &seed, &params);
         for threads in [1, 2, 4] {
@@ -227,7 +223,6 @@ mod tests {
             t: 10.0,
             n_levels: 8,
             eps: 1e-9,
-            ..Default::default()
         };
         let d = hkpr_par(&pool, &g, &Seed::single(0), &params);
         assert!(d.stats.iterations <= 8);
@@ -247,7 +242,6 @@ mod tests {
                 t,
                 n_levels: 1,
                 eps: 1e-9,
-                ..Default::default()
             },
         );
         let s = (-t).exp();
@@ -268,7 +262,6 @@ mod tests {
                 t: 2.0,
                 n_levels: 6,
                 eps: 1e-7,
-                ..Default::default()
             },
         );
         // Symmetry: masses around each seed mirror each other.

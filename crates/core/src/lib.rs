@@ -89,8 +89,8 @@ pub use service::{GraphStore, Service, ServiceBuilder, ServiceEngine};
 pub use sweep::{sweep_cut_par, sweep_cut_seq, SweepCut};
 pub use workspace::{Workspace, WorkspaceBudgetExceeded};
 
-// The direction-optimization knob carried by the diffusion param structs,
-// re-exported so callers can configure it without a direct lgc-ligra dep.
+// The direction policy `EngineBuilder::direction` takes, re-exported so
+// callers can pin one without a direct lgc-ligra dep.
 pub use lgc_ligra::{Direction, DirectionMode, DirectionParams};
 
 // The cooperative-interrupt machinery budgets compile down to: tokens and
@@ -130,8 +130,10 @@ pub enum Algorithm {
 impl Algorithm {
     /// Whether the parameters are ones the diffusion is defined on:
     /// every `f64` finite (`dense_frac` may be `+∞`, its documented
-    /// "never go dense") and in its range, every count at least 1. The
-    /// engine calls this at admission, so hostile parameters — a remote
+    /// "never go dense") and in its range, every count at least 1, and
+    /// the three counts that size an up-front allocation (`walks`,
+    /// `max_len`, `n_levels`) under their documented caps. The engine
+    /// calls this at admission, so hostile parameters — a remote
     /// client controls every one of them — end in a typed
     /// [`QueryError::InvalidParams`] instead of a panic mid-query; the
     /// free `*_par`/`*_seq` functions assert the same predicates.

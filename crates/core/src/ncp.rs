@@ -28,11 +28,6 @@ pub struct NcpParams {
     pub epsilons: Vec<f64>,
     /// RNG seed for choosing the diffusion seeds.
     pub rng_seed: u64,
-    /// Direction-optimization knob forwarded to every PR-Nibble run —
-    /// NCP scans over loose `ε` grid points are exactly the large-support
-    /// workload where the dense pull traversal pays off. Defaults to
-    /// PR-Nibble's measured threshold.
-    pub dir: lgc_ligra::DirectionParams,
     /// Budget over the *whole* grid scan (deadline, cumulative work
     /// caps, cancellation). Checked between grid points and cooperatively
     /// inside each run; on a trip the profile built so far is returned —
@@ -48,7 +43,6 @@ impl Default for NcpParams {
             alphas: vec![0.1, 0.01],
             epsilons: vec![1e-4, 1e-5, 1e-6],
             rng_seed: 7,
-            dir: crate::PrNibbleParams::default().dir,
             budget: QueryBudget::unlimited(),
         }
     }
@@ -124,7 +118,6 @@ pub(crate) fn ncp_prnibble_ws<B: CsrBackend>(
                     eps,
                     rule: PushRule::Optimized,
                     beta: 1.0,
-                    dir: params.dir,
                     ..Default::default()
                 };
                 let sub = cp.after_work(total_pushes, total_edges);

@@ -17,7 +17,7 @@ use crate::result::{Diffusion, DiffusionStats};
 use crate::seed::Seed;
 use crate::workspace::Workspace;
 use lgc_graph::CsrBackend;
-use lgc_ligra::{Absorb, Checkpoint, DirectionParams, VertexSubset, Writer};
+use lgc_ligra::{Absorb, Checkpoint, VertexSubset, Writer};
 use lgc_parallel::Pool;
 use lgc_sparse::{MassMap, SparseVec};
 
@@ -29,16 +29,6 @@ pub struct NibbleParams {
     /// Truncation threshold `ε` (a vertex stays active while
     /// `p[v] ≥ ε·d(v)`). Smaller ε explores more of the graph.
     pub eps: f64,
-    /// Direction-optimization knob for [`nibble_par`]'s per-iteration
-    /// `edgeMap`: pull once `|frontier| + vol(frontier)` crosses the
-    /// dense threshold.
-    ///
-    /// Defaults to `dense_denom = 1` (pull only when the frontier edge
-    /// space rivals `m`): the lazy-walk gather has no early exit, so the
-    /// BFS-tuned `m/20` switches too eagerly — measured on the suite,
-    /// `m/1` keeps the ~2× pull wins on the social-network stand-ins
-    /// while capping the mesh/randLocal mispredict at noise level.
-    pub dir: DirectionParams,
 }
 
 impl Default for NibbleParams {
@@ -47,10 +37,6 @@ impl Default for NibbleParams {
         NibbleParams {
             t_max: 20,
             eps: 1e-8,
-            dir: DirectionParams {
-                dense_denom: 1,
-                ..Default::default()
-            },
         }
     }
 }
@@ -197,7 +183,7 @@ pub(crate) fn nibble_par_ws<B: CsrBackend>(
         // accumulation order, bit for bit.
         p_new.reset(pool, k + vol);
         ws.spread
-            .stage(pool, g, &mut frontier, &params.dir, vol, |v| {
+            .stage(pool, g, &mut frontier, vol, |v| {
                 let pv = p.get(v);
                 p_new.add(v, pv / 2.0);
                 // Degree-0 vertices never reach the frontier in practice
@@ -286,7 +272,6 @@ mod tests {
             &NibbleParams {
                 t_max: 3,
                 eps: 1e-12,
-                ..Default::default()
             },
         );
         assert!(
@@ -305,7 +290,6 @@ mod tests {
             &NibbleParams {
                 t_max: 1,
                 eps: 1e-9,
-                ..Default::default()
             },
         );
         assert_eq!(d.mass_of(0), 0.5);
@@ -321,15 +305,7 @@ mod tests {
         // *before* `p = p'`, returning the previous vector p₀.
         let g = gen::clique(10); // degree 9
         let eps = 0.06; // seed: 1 ≥ 0.54 ✓; after: 0.5 < 0.54, others 1/18 < 0.54
-        let d = nibble_seq(
-            &g,
-            &Seed::single(0),
-            &NibbleParams {
-                t_max: 20,
-                eps,
-                ..Default::default()
-            },
-        );
+        let d = nibble_seq(&g, &Seed::single(0), &NibbleParams { t_max: 20, eps });
         assert_eq!(d.stats.iterations, 1);
         assert_eq!(
             d.p,
@@ -341,11 +317,7 @@ mod tests {
             &pool,
             &g,
             &Seed::single(0),
-            &NibbleParams {
-                t_max: 20,
-                eps,
-                ..Default::default()
-            },
+            &NibbleParams { t_max: 20, eps },
         );
         assert_eq!(dp.p, vec![(0, 1.0)]);
     }
@@ -353,11 +325,7 @@ mod tests {
     #[test]
     fn seed_below_threshold_returns_initial_vector() {
         let g = gen::star(100); // center degree 99
-        let params = NibbleParams {
-            t_max: 5,
-            eps: 0.5,
-            ..Default::default()
-        }; // 1 < 0.5·99
+        let params = NibbleParams { t_max: 5, eps: 0.5 }; // 1 < 0.5·99
         let d = nibble_seq(&g, &Seed::single(0), &params);
         assert_eq!(d.p, vec![(0, 1.0)]);
         assert_eq!(d.stats.iterations, 0);
@@ -372,7 +340,6 @@ mod tests {
         let params = NibbleParams {
             t_max: 10,
             eps: 1e-6,
-            ..Default::default()
         };
         let pool = Pool::new(1);
         let a = nibble_seq(&g, &Seed::single(7), &params);
@@ -387,7 +354,6 @@ mod tests {
         let params = NibbleParams {
             t_max: 12,
             eps: 1e-7,
-            ..Default::default()
         };
         let seed = Seed::single(lgc_graph::largest_component(&g)[0]);
         let a = nibble_seq(&g, &seed, &params);
@@ -410,7 +376,6 @@ mod tests {
             &NibbleParams {
                 t_max: 1,
                 eps: 1e-9,
-                ..Default::default()
             },
         );
         assert_eq!(d.mass_of(0), 0.25);
@@ -430,7 +395,6 @@ mod tests {
             &NibbleParams {
                 t_max: 5,
                 eps: 1e-4,
-                ..Default::default()
             },
         );
         assert!(d.support_size() < 2000, "support {}", d.support_size());

@@ -76,19 +76,6 @@ pub struct PrNibbleParams {
     /// `> 1.0` (e.g. `f64::INFINITY`) force sparse; only affects
     /// [`prnibble_par`].
     pub dense_frac: f64,
-    /// Direction-optimization knob for the parallel algorithm's
-    /// `edgeMap`s: when `|frontier| + vol(frontier)` crosses the dense
-    /// threshold the iteration switches from sparse atomic pushes to the
-    /// dense pull traversal (plain writes). Only affects
-    /// [`prnibble_par`].
-    ///
-    /// The default tunes `dense_denom` to 1 (pull only once the frontier
-    /// edge space rivals `m`): PR-Nibble's gather has no early exit, so
-    /// Ligra's BFS-tuned `m/20` fires too eagerly for it — measured on
-    /// the suite, `m/1` is as good or better on every graph (up to 4–5×
-    /// over push-only on the social-network stand-ins, no regression
-    /// beyond noise elsewhere).
-    pub dir: lgc_ligra::DirectionParams,
 }
 
 impl Default for PrNibbleParams {
@@ -101,10 +88,6 @@ impl Default for PrNibbleParams {
             rule: PushRule::Optimized,
             beta: 1.0,
             dense_frac: lgc_sparse::MassMap::DEFAULT_DENSE_FRACTION,
-            dir: lgc_ligra::DirectionParams {
-                dense_denom: 1,
-                ..Default::default()
-            },
         }
     }
 }

@@ -28,7 +28,7 @@ use lgc_sparse::MassMap;
 /// (by `r[v]/d(v)`) is pushed per iteration (§3.3's variant).
 ///
 /// Each iteration is one spreading edge map ([`lgc_ligra::EdgeSpread`],
-/// direction chosen per `params.dir`) sending `cₙ·r[v]/d(v)` along every
+/// which also chooses the direction) sending `cₙ·r[v]/d(v)` along every
 /// frontier edge. What differs by direction is where the contributions
 /// land, because `r` must keep the residuals of untouched vertices:
 ///
@@ -128,14 +128,12 @@ pub(crate) fn prnibble_par_ws<B: CsrBackend>(
         // eligible, so r[v] ≥ ε·d(v) > 0 — so no insert runs beside the
         // other calls' reads.
         p.reserve_more(pool, k);
-        let staged = ws
-            .spread
-            .stage(pool, g, &mut frontier, &params.dir, vol, |v| {
-                let rv = r.get(v);
-                p.add(v, c_bank * rv);
-                r.set(v, cr * rv);
-                cn * rv / g.degree(v) as f64
-            });
+        let staged = ws.spread.stage(pool, g, &mut frontier, vol, |v| {
+            let rv = r.get(v);
+            p.add(v, c_bank * rv);
+            r.set(v, cr * rv);
+            cn * rv / g.degree(v) as f64
+        });
 
         // Phases 2–3 commit the neighbor contributions to r and yield the
         // vertices that received any, ascending. The two stores are sized

@@ -31,9 +31,11 @@ use rand::{Rng, SeedableRng};
 pub struct RandHkprParams {
     /// Diffusion time `t` (Poisson mean of the walk length).
     pub t: f64,
-    /// Maximum walk length `K` (longer draws are truncated to `K`).
+    /// Maximum walk length `K` (longer draws are truncated to `K`), at
+    /// most 2¹⁶: it sizes the length-CDF table.
     pub max_len: usize,
-    /// Number of random walks `N`.
+    /// Number of random walks `N`, at most 2²⁷ (the paper's `10⁸` fits):
+    /// it sizes the walk-destination array, 8 bytes per walk.
     pub walks: usize,
     /// Master RNG seed (each walk uses an independent stream derived
     /// from it, making runs reproducible and thread-count independent).
@@ -53,10 +55,23 @@ impl Default for RandHkprParams {
     }
 }
 
+/// Caps on the two counts that size an allocation before the first
+/// checkpoint tick — a remote client controls both, and no budget can
+/// trip on memory that is reserved up front.
+const MAX_WALKS: usize = 1 << 27;
+const MAX_WALK_LEN: usize = 1 << 16;
+
 impl RandHkprParams {
     pub(crate) fn check(&self) -> Result<(), InvalidParams> {
+        let require = InvalidParams::require;
         InvalidParams::positive(self.t, "t")?;
-        InvalidParams::require(self.walks >= 1, "walks", "must be at least 1")
+        require(self.walks >= 1, "walks", "must be at least 1")?;
+        require(self.walks <= MAX_WALKS, "walks", "must be at most 2^27")?;
+        require(
+            self.max_len <= MAX_WALK_LEN,
+            "max_len",
+            "must be at most 2^16",
+        )
     }
 
     fn validate(&self) {
@@ -390,7 +405,6 @@ mod tests {
                 t,
                 n_levels: 30,
                 eps: 1e-10,
-                ..Default::default()
             },
         );
         let rnd = rand_hkpr_seq(

@@ -46,7 +46,6 @@ use crate::cache::{GraphCache, GraphSummary};
 use crate::engine::{Engine, EngineCore, PoolRef, Query};
 use crate::result::ClusterResult;
 use lgc_graph::{CsrBackend, CsrCompressed, Graph};
-use lgc_ligra::DirectionParams;
 use lgc_parallel::Pool;
 use std::sync::Arc;
 
@@ -142,7 +141,6 @@ struct GraphEntry {
 /// scope) and query away from every thread you have.
 pub struct Service {
     pool: Arc<Pool>,
-    dir: Option<DirectionParams>,
     graphs: Vec<GraphEntry>,
 }
 
@@ -152,7 +150,6 @@ impl Service {
         ServiceBuilder {
             pool: None,
             threads: None,
-            dir: None,
             graphs: Vec::new(),
         }
     }
@@ -258,12 +255,9 @@ impl Service {
 
     fn insert(&mut self, name: String, store: GraphStore, limits: EngineLimits) {
         let pool = PoolRef::Shared(Arc::clone(&self.pool));
-        let core = Arc::new(EngineCore::new(
-            pool,
-            self.dir,
-            store.memory_bytes(),
-            limits,
-        ));
+        // Every graph of a service runs under the default direction policy.
+        let dir = Default::default();
+        let core = Arc::new(EngineCore::new(pool, dir, store.memory_bytes(), limits));
         let entry = GraphEntry { name, store, core };
         match self.graphs.iter_mut().find(|e| e.name == entry.name) {
             Some(slot) => *slot = entry,
@@ -327,7 +321,6 @@ impl<'a> ServiceEngine<'a> {
 pub struct ServiceBuilder {
     pool: Option<Arc<Pool>>,
     threads: Option<usize>,
-    dir: Option<DirectionParams>,
     graphs: Vec<(String, GraphStore, EngineLimits)>,
 }
 
@@ -343,14 +336,6 @@ impl ServiceBuilder {
     /// (ignored if [`Self::pool`] was given). Default: machine-sized.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads);
-        self
-    }
-
-    /// Service-wide direction-optimization override, applied to every
-    /// query on every graph (same semantics as
-    /// [`EngineBuilder::direction`](crate::EngineBuilder::direction)).
-    pub fn direction(mut self, dir: DirectionParams) -> Self {
-        self.dir = Some(dir);
         self
     }
 
@@ -399,7 +384,6 @@ impl ServiceBuilder {
         });
         let mut svc = Service {
             pool,
-            dir: self.dir,
             graphs: Vec::new(),
         };
         for (name, store, limits) in self.graphs {
@@ -518,21 +502,5 @@ mod tests {
         let _ = Service::builder()
             .add_graph("dup", gen::cycle(4))
             .add_graph("dup", gen::cycle(5));
-    }
-
-    #[test]
-    fn direction_override_reaches_every_graph() {
-        let svc = Service::builder()
-            .pool(Pool::shared(1))
-            .direction(lgc_ligra::DirectionParams::pull_only())
-            .add_graph("g", gen::two_cliques_bridge(8))
-            .build();
-        let res = svc.engine("g").unwrap().run(&Query::new(
-            Seed::single(1),
-            Algorithm::PrNibble(PrNibbleParams::default()),
-        ));
-        let mut cluster = res.cluster;
-        cluster.sort_unstable();
-        assert_eq!(cluster, (0..8).collect::<Vec<u32>>());
     }
 }

@@ -6,7 +6,7 @@ use crate::cache::GraphCache;
 #[cfg(doc)]
 use crate::engine::{Engine, LocalDiffusion};
 use lgc_graph::CsrBackend;
-use lgc_ligra::{EdgeSpread, Frontier, VertexSubset};
+use lgc_ligra::{DirectionParams, EdgeSpread, Frontier, VertexSubset};
 use lgc_parallel::{Bitset, Pool};
 use lgc_sparse::{ConcurrentRankMap, ConcurrentSparseVec, MassMap};
 use std::sync::{Arc, Mutex};
@@ -35,7 +35,9 @@ pub struct Workspace {
     mass: Vec<MassMap>,
     frontiers: Vec<Frontier>,
     bitsets: Vec<Bitset>,
-    /// The frontier diffusions' edge map, with its contribution buffer.
+    /// The frontier diffusions' edge map: the direction policy every
+    /// iteration run over this workspace is chosen by, plus the
+    /// contribution buffer.
     pub(crate) spread: EdgeSpread,
     /// rand-HK-PR per-walk `(destination, steps)` buffer.
     pub(crate) walks: Vec<(u32, u32)>,
@@ -56,19 +58,18 @@ pub struct Workspace {
 }
 
 impl Workspace {
-    /// An empty workspace; buffers are allocated lazily by the first
-    /// query and recycled by every query after it.
+    /// An empty workspace under the default direction policy; buffers are
+    /// allocated lazily by the first query and recycled by every query
+    /// after it.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// An empty workspace wired to a shared per-graph [`GraphCache`] —
-    /// what the engine's workspace checkout pool hands out, so all
-    /// checkouts against one graph reuse the same ψ tables, degree
-    /// vector, and sizing hints.
-    pub fn with_cache(cache: Arc<GraphCache>) -> Self {
+    /// An empty workspace whose edge map picks directions per `dir` —
+    /// how an engine's policy reaches the diffusions.
+    pub(crate) fn with_policy(dir: DirectionParams) -> Self {
         Workspace {
-            cache: Some(cache),
+            spread: EdgeSpread::new(dir),
             ..Default::default()
         }
     }
@@ -200,6 +201,7 @@ impl Workspace {
 pub struct WorkspacePool {
     state: Mutex<PoolState>,
     cache: Arc<GraphCache>,
+    dir: DirectionParams,
     budget: usize,
 }
 
@@ -258,13 +260,24 @@ pub(crate) fn default_workspace_budget(graph_bytes: usize) -> usize {
 }
 
 impl WorkspacePool {
-    /// An empty pool whose checkouts share `cache`, admitting at most
-    /// `budget` resident scratch bytes at a time.
-    pub(crate) fn new(cache: Arc<GraphCache>, budget: usize) -> Self {
+    /// An empty pool whose checkouts share `cache` and traverse per
+    /// `dir`, admitting at most `budget` resident scratch bytes at a time.
+    pub(crate) fn new(cache: Arc<GraphCache>, dir: DirectionParams, budget: usize) -> Self {
         WorkspacePool {
             state: Mutex::new(PoolState::default()),
             cache,
+            dir,
             budget,
+        }
+    }
+
+    /// An empty workspace wired to the pool's shared [`GraphCache`] — so
+    /// all checkouts against one graph reuse the same ψ tables, degree
+    /// vector, and sizing hints — and to the engine's direction policy.
+    fn fresh(&self) -> Workspace {
+        Workspace {
+            cache: Some(Arc::clone(&self.cache)),
+            ..Workspace::with_policy(self.dir)
         }
     }
 
@@ -295,7 +308,7 @@ impl WorkspacePool {
         }
         st.in_flight_bytes += charge;
         drop(st);
-        let mut ws = Workspace::with_cache(Arc::clone(&self.cache));
+        let mut ws = self.fresh();
         ws.charge = Some(charge);
         Ok(ws)
     }
@@ -306,8 +319,7 @@ impl WorkspacePool {
     /// allocation profile — never an error, and never unbounded resident
     /// scratch.
     pub(crate) fn checkout(&self) -> Workspace {
-        self.try_checkout()
-            .unwrap_or_else(|_| Workspace::with_cache(Arc::clone(&self.cache)))
+        self.try_checkout().unwrap_or_else(|_| self.fresh())
     }
 
     /// Returns a workspace. Budget-accounted checkouts release their

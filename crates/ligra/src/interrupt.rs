@@ -176,23 +176,6 @@ impl Checkpoint {
         self
     }
 
-    /// `true` if no limit, token, or fault plan is installed — `tick`
-    /// can never fail.
-    pub fn is_unlimited(&self) -> bool {
-        let base = self.deadline.is_none()
-            && self.max_pushes.is_none()
-            && self.max_edges.is_none()
-            && self.cancel.is_none();
-        #[cfg(feature = "fault-inject")]
-        {
-            base && self.fault.is_none()
-        }
-        #[cfg(not(feature = "fault-inject"))]
-        {
-            base
-        }
-    }
-
     /// Derive a checkpoint for a sub-run after `pushes`/`edges` units of
     /// work have already been consumed: work caps shrink by the consumed
     /// amounts (saturating at zero — an exhausted cap trips the sub-run's
@@ -255,7 +238,6 @@ mod tests {
     #[test]
     fn unlimited_never_trips() {
         let cp = Checkpoint::unlimited();
-        assert!(cp.is_unlimited());
         assert_eq!(cp.tick(u64::MAX, u64::MAX), Ok(()));
     }
 
@@ -308,7 +290,6 @@ mod tests {
             kind: Trip::Deadline,
         };
         let cp = Checkpoint::unlimited().with_fault(plan);
-        assert!(!cp.is_unlimited());
         assert_eq!(cp.tick(0, 0), Ok(()));
         assert_eq!(cp.tick(0, 0), Ok(()));
         assert_eq!(cp.tick(0, 0), Err(Trip::Deadline));

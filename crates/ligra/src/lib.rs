@@ -25,10 +25,11 @@
 //! [`edge_map_dense_gather`]) iterates every destination against a
 //! frontier bitset, work `O(n + m)` whatever the frontier.
 //! [`DirectionParams`] holds Ligra's switch rule — pull when
-//! `|F| + vol(F) > m / 20` (tunable) — and [`EdgeSpread`] is the one place
-//! that applies it: the diffusions hand it their `UpdateSelf` and
-//! `UpdateNgh` halves and never see which traversal ran. The mechanics of
-//! the two directions are documented there. [`Frontier`] carries both
+//! `|F| + vol(F) > m / dense_denom` — and [`EdgeSpread`] owns the policy
+//! and is the one place that applies it: the diffusions hand it their
+//! `UpdateSelf` and `UpdateNgh` halves and never see which traversal ran.
+//! The mechanics of the two directions, and why the threshold is what it
+//! is, are documented there. [`Frontier`] carries both
 //! representations (sorted id list and bitset) with `O(len)` conversions
 //! so flip-flopping between directions never pays more than the iteration
 //! it serves.
@@ -234,24 +235,25 @@ pub enum DirectionMode {
     Pull,
 }
 
-/// The direction-optimization knob carried by the diffusion param
-/// structs: when and whether to switch `edgeMap` from sparse push to the
-/// dense pull traversal.
+/// The direction policy an [`EdgeSpread`] is built with: when and whether
+/// to switch `edgeMap` from sparse push to the dense pull traversal.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DirectionParams {
     /// Selection policy (default [`DirectionMode::Auto`]).
     pub mode: DirectionMode,
     /// Denominator of the dense threshold: with `Auto`, pull is chosen
     /// when `|frontier| + vol(frontier) > m / dense_denom` (`m` =
-    /// undirected edge count). Ligra's default is 20.
+    /// undirected edge count). Ligra's BFS-tuned value is 20; see
+    /// [`EdgeSpread`] for why the default here is 1.
     pub dense_denom: usize,
 }
 
 impl Default for DirectionParams {
+    /// `Auto` with the one threshold every diffusion runs under.
     fn default() -> Self {
         DirectionParams {
             mode: DirectionMode::Auto,
-            dense_denom: 20,
+            dense_denom: 1,
         }
     }
 }
@@ -526,9 +528,26 @@ pub enum Writer {
 /// The buffer is never zeroed. A push reads slots `0..k`, all written by
 /// this call; a pull reads slot `v` only where the bitset holds `v`, and
 /// exactly those were written by this call — stale values are unreachable.
+///
+/// # The direction policy
+///
+/// The edge map owns the [`DirectionParams`] it was built with; callers
+/// hand it frontiers, not thresholds. The default pulls when
+/// `|F| + vol(F) > m`, not at Ligra's `m / 20`: that value was tuned on
+/// BFS, whose pull leaves a destination at its first frontier in-neighbor,
+/// while a diffusion's gather has no early exit — every destination sums
+/// *all* of its frontier in-neighbors, so a pull always scans `n + 2m`
+/// entries. Measured on the bench suite, `m / 20` fires too eagerly for
+/// all four diffusions, and `m / 1` (pull once the frontier's edge space
+/// rivals the graph's) keeps the 2–5× pull wins on the social-network
+/// stand-ins while capping the mesh/randLocal mispredict at noise level.
+/// The results do not depend on the policy — every direction yields the
+/// same bits at one thread — so this is the single constant a measured
+/// cost model would replace.
 #[derive(Default)]
 pub struct EdgeSpread {
     slots: Vec<f64>,
+    policy: DirectionParams,
 }
 
 /// Contributions laid out by [`EdgeSpread::stage`], waiting to be spread.
@@ -544,6 +563,15 @@ pub struct Staged<'a, B> {
 }
 
 impl EdgeSpread {
+    /// An edge map that picks its directions per `policy` (`default()` is
+    /// `new(DirectionParams::default())`).
+    pub fn new(policy: DirectionParams) -> Self {
+        EdgeSpread {
+            slots: Vec::new(),
+            policy,
+        }
+    }
+
     /// Resident bytes of the buffer (capacity, not length).
     pub fn resident_bytes(&self) -> usize {
         self.slots.capacity() * std::mem::size_of::<f64>()
@@ -558,12 +586,11 @@ impl EdgeSpread {
         pool: &'a Pool,
         g: &'a B,
         frontier: &'a mut Frontier,
-        params: &DirectionParams,
         vol: usize,
         contrib_of: impl Fn(u32) -> f64 + Sync,
     ) -> Staged<'a, B> {
         let k = frontier.len();
-        let dir = params.choose(g, k, vol);
+        let dir = self.policy.choose(g, k, vol);
         let len = match dir {
             Direction::Push => k,
             Direction::Pull => g.num_vertices(),
@@ -827,9 +854,15 @@ mod tests {
         let g = gen::rand_local(2000, 5, 1); // m ≈ 5000
         let m = g.num_edges();
         let p = DirectionParams::default();
-        assert_eq!(p.choose(&g, 1, m / 20), Direction::Pull, "just above m/20");
-        assert_eq!(p.choose(&g, 0, m / 20), Direction::Push, "at m/20");
+        assert_eq!(p.choose(&g, 1, m), Direction::Pull, "just above m");
+        assert_eq!(p.choose(&g, 0, m), Direction::Push, "at m");
         assert_eq!(p.choose(&g, 0, 0), Direction::Push);
+        let ligra = DirectionParams {
+            dense_denom: 20,
+            ..Default::default()
+        };
+        assert_eq!(ligra.choose(&g, 1, m / 20), Direction::Pull, "above m/20");
+        assert_eq!(ligra.choose(&g, 0, m / 20), Direction::Push, "at m/20");
         assert_eq!(
             DirectionParams::push_only().choose(&g, m, m),
             Direction::Push
@@ -935,15 +968,15 @@ mod tests {
         pool: &Pool,
         g: &lgc_graph::Graph,
         ids: &[u32],
-        params: &DirectionParams,
+        params: DirectionParams,
         order: Absorb,
         contrib_of: impl Fn(u32) -> f64 + Sync,
     ) -> (Direction, Vec<f64>) {
         let cells: Vec<AtomicU64> = (0..g.num_vertices()).map(|_| AtomicU64::new(0)).collect();
         let mut frontier = Frontier::from_subset(VertexSubset::from_sorted(ids.to_vec()));
         let vol = frontier.volume(g);
-        let mut spread = EdgeSpread::default();
-        let staged = spread.stage(pool, g, &mut frontier, params, vol, contrib_of);
+        let mut spread = EdgeSpread::new(params);
+        let staged = spread.stage(pool, g, &mut frontier, vol, contrib_of);
         let dir = staged.direction();
         staged.absorb(order, |dst, c, writer| {
             assert_eq!(writer == Writer::Shared, dir == Direction::Push);
@@ -975,7 +1008,7 @@ mod tests {
                 let pool = Pool::new(threads);
                 for params in [DirectionParams::push_only(), DirectionParams::pull_only()] {
                     for order in [Absorb::PerEdge, Absorb::Sum] {
-                        let (_, got) = spread_totals(&pool, g, &ids, &params, order, |_| 1.0);
+                        let (_, got) = spread_totals(&pool, g, &ids, params, order, |_| 1.0);
                         assert_eq!(got, want, "{params:?} {order:?} t={threads}");
                     }
                 }
@@ -1000,9 +1033,9 @@ mod tests {
             ..Default::default()
         };
         let weight = |v: u32| f64::from(v % 5 + 1);
-        let (below, pushed) = spread_totals(&pool, &g, &ids, &with_denom(at), Absorb::Sum, weight);
+        let (below, pushed) = spread_totals(&pool, &g, &ids, with_denom(at), Absorb::Sum, weight);
         let (above, pulled) =
-            spread_totals(&pool, &g, &ids, &with_denom(at + 1), Absorb::Sum, weight);
+            spread_totals(&pool, &g, &ids, with_denom(at + 1), Absorb::Sum, weight);
         assert_eq!((below, above), (Direction::Push, Direction::Pull));
         assert_eq!(pushed, pulled, "integer-valued totals are exact");
         assert_eq!(pushed.iter().sum::<f64>(), {
@@ -1010,7 +1043,7 @@ mod tests {
             ids.iter().map(per_source).sum::<f64>()
         });
         // An empty frontier spreads nothing.
-        let (_, none) = spread_totals(&pool, &g, &[], &with_denom(20), Absorb::Sum, |_| {
+        let (_, none) = spread_totals(&pool, &g, &[], with_denom(20), Absorb::Sum, |_| {
             panic!("no frontier vertex")
         });
         assert!(none.iter().all(|&x| x == 0.0));
@@ -1031,7 +1064,7 @@ mod tests {
             for params in [DirectionParams::push_only(), DirectionParams::pull_only()] {
                 for order in [Absorb::PerEdge, Absorb::Sum] {
                     let calls: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-                    let (_, totals) = spread_totals(&pool, &g, &ids, &params, order, |v| {
+                    let (_, totals) = spread_totals(&pool, &g, &ids, params, order, |v| {
                         calls[v as usize].fetch_add(1, Ordering::Relaxed);
                         f64::from(v + 1)
                     });

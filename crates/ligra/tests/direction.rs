@@ -102,8 +102,9 @@ proptest! {
     }
 
     /// The spreading edge map delivers the reference totals at every
-    /// threshold — always-push, always-pull, Ligra's default, and an
-    /// aggressive denominator that flips mid-sized frontiers to pull —
+    /// threshold — always-push, always-pull, the default, and an arbitrary
+    /// denominator (Ligra's 20 among them) that flips mid-sized frontiers
+    /// to pull —
     /// under both absorption orders. Contributions are the integers
     /// `src + 1`, so each destination's total is exact and pins which
     /// sources reached it.
@@ -116,18 +117,18 @@ proptest! {
             }
         }
         let pool = Pool::new(threads);
-        let mut spread = EdgeSpread::default();
         for params in [
             DirectionParams::push_only(),
             DirectionParams::pull_only(),
             DirectionParams::default(),
             DirectionParams { dense_denom: denom, ..Default::default() },
         ] {
+            let mut spread = EdgeSpread::new(params);
             for order in [Absorb::PerEdge, Absorb::Sum] {
                 let mut frontier = Frontier::from_subset(VertexSubset::from_sorted(ids.clone()));
                 let vol = frontier.volume(&g);
                 let cells: Vec<AtomicU64> = want.iter().map(|_| AtomicU64::new(0)).collect();
-                let staged = spread.stage(&pool, &g, &mut frontier, &params, vol, |v| f64::from(v + 1));
+                let staged = spread.stage(&pool, &g, &mut frontier, vol, |v| f64::from(v + 1));
                 prop_assert_eq!(staged.direction(), params.choose(&g, ids.len(), vol));
                 staged.absorb(order, |dst, c, _| {
                     atomic_f64_fetch_add(&cells[dst as usize], c);

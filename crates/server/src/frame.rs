@@ -5,7 +5,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic  b"LGCP"
-//! 4       1     version (currently 1)
+//! 4       1     version (currently 2)
 //! 5       1     kind    (FrameKind discriminant)
 //! 6       2     reserved (senders write 0; receivers ignore)
 //! 8       4     request id (LE; echoed on the response)
@@ -29,7 +29,9 @@ pub const MAGIC: [u8; 4] = *b"LGCP";
 
 /// Protocol version this build speaks. A peer announcing a different
 /// version is rejected with [`ProtocolError::UnsupportedVersion`].
-pub const VERSION: u8 = 1;
+/// (2 since the `QUERY` algorithm parameters lost their direction suffix:
+/// a version-1 body would otherwise misparse.)
+pub const VERSION: u8 = 2;
 
 /// Fixed header size in bytes.
 pub const HEADER_LEN: usize = 16;
@@ -299,12 +301,15 @@ mod tests {
             Err(ProtocolError::BadMagic(_))
         ));
 
-        let mut bad = buf.clone();
-        bad[4] = 9;
-        assert!(matches!(
-            read_frame(&mut Cursor::new(bad)),
-            Err(ProtocolError::UnsupportedVersion(9))
-        ));
+        // A future version and the previous one alike.
+        for v in [9, VERSION - 1] {
+            let mut bad = buf.clone();
+            bad[4] = v;
+            assert!(matches!(
+                read_frame(&mut Cursor::new(bad)),
+                Err(ProtocolError::UnsupportedVersion(got)) if got == v
+            ));
+        }
 
         let mut bad = buf.clone();
         bad[5] = 0x55;

@@ -20,9 +20,8 @@
 
 use crate::frame::ProtocolError;
 use lgc_core::{
-    Algorithm, ClusterResult, Diffusion, DiffusionStats, DirectionMode, DirectionParams,
-    EvolvingParams, HkprParams, NibbleParams, PrNibbleParams, PushRule, Query, QueryBudget,
-    QueryError, RandHkprParams, Seed, SweepCut,
+    Algorithm, ClusterResult, Diffusion, DiffusionStats, EvolvingParams, HkprParams, NibbleParams,
+    PrNibbleParams, PushRule, Query, QueryBudget, QueryError, RandHkprParams, Seed, SweepCut,
 };
 use std::fmt;
 use std::time::Duration;
@@ -453,36 +452,12 @@ impl<'a> Rd<'a> {
 // Algorithm / budget / request
 // ---------------------------------------------------------------------
 
-fn enc_dir(w: &mut Wr, d: &DirectionParams) {
-    w.u8(match d.mode {
-        DirectionMode::Auto => 0,
-        DirectionMode::Push => 1,
-        DirectionMode::Pull => 2,
-    });
-    w.u64(d.dense_denom as u64);
-}
-
-fn dec_dir(r: &mut Rd<'_>) -> DecodeResult<DirectionParams> {
-    let mode = match r.u8("direction mode")? {
-        0 => DirectionMode::Auto,
-        1 => DirectionMode::Push,
-        2 => DirectionMode::Pull,
-        _ => return malformed("direction mode"),
-    };
-    let dense_denom = r.u64("dense_denom")? as usize;
-    if dense_denom == 0 {
-        return malformed("dense_denom");
-    }
-    Ok(DirectionParams { mode, dense_denom })
-}
-
 fn enc_algo(w: &mut Wr, algo: &Algorithm) {
     match algo {
         Algorithm::Nibble(p) => {
             w.u8(0);
             w.u64(p.t_max as u64);
             w.f64(p.eps);
-            enc_dir(w, &p.dir);
         }
         Algorithm::PrNibble(p) => {
             w.u8(1);
@@ -494,14 +469,12 @@ fn enc_algo(w: &mut Wr, algo: &Algorithm) {
             });
             w.f64(p.beta);
             w.f64(p.dense_frac);
-            enc_dir(w, &p.dir);
         }
         Algorithm::Hkpr(p) => {
             w.u8(2);
             w.f64(p.t);
             w.u64(p.n_levels as u64);
             w.f64(p.eps);
-            enc_dir(w, &p.dir);
         }
         Algorithm::RandHkpr(p) => {
             w.u8(3);
@@ -515,7 +488,6 @@ fn enc_algo(w: &mut Wr, algo: &Algorithm) {
             w.u64(p.max_steps as u64);
             w.f64(p.target_conductance);
             w.u64(p.rng_seed);
-            enc_dir(w, &p.dir);
         }
     }
 }
@@ -525,7 +497,6 @@ fn dec_algo(r: &mut Rd<'_>) -> DecodeResult<Algorithm> {
         0 => Algorithm::Nibble(NibbleParams {
             t_max: r.u64("t_max")? as usize,
             eps: r.f64("eps")?,
-            dir: dec_dir(r)?,
         }),
         1 => Algorithm::PrNibble(PrNibbleParams {
             alpha: r.f64("alpha")?,
@@ -537,13 +508,11 @@ fn dec_algo(r: &mut Rd<'_>) -> DecodeResult<Algorithm> {
             },
             beta: r.f64("beta")?,
             dense_frac: r.f64("dense_frac")?,
-            dir: dec_dir(r)?,
         }),
         2 => Algorithm::Hkpr(HkprParams {
             t: r.f64("t")?,
             n_levels: r.u64("n_levels")? as usize,
             eps: r.f64("eps")?,
-            dir: dec_dir(r)?,
         }),
         3 => Algorithm::RandHkpr(RandHkprParams {
             t: r.f64("t")?,
@@ -555,7 +524,6 @@ fn dec_algo(r: &mut Rd<'_>) -> DecodeResult<Algorithm> {
             max_steps: r.u64("max_steps")? as usize,
             target_conductance: r.f64("target_conductance")?,
             rng_seed: r.u64("rng_seed")?,
-            dir: dec_dir(r)?,
         }),
         _ => return malformed("algorithm tag"),
     })

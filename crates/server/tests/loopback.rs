@@ -43,7 +43,6 @@ fn algos() -> Vec<Algorithm> {
         Algorithm::Nibble(NibbleParams {
             t_max: 8,
             eps: 1e-6,
-            ..Default::default()
         }),
         Algorithm::PrNibble(PrNibbleParams {
             alpha: 0.05,
@@ -54,7 +53,6 @@ fn algos() -> Vec<Algorithm> {
             t: 3.0,
             n_levels: 8,
             eps: 1e-5,
-            ..Default::default()
         }),
         Algorithm::RandHkpr(RandHkprParams {
             walks: 2_000,
@@ -228,7 +226,8 @@ fn typed_errors_for_bad_requests() {
 }
 
 /// Parameters are client-controlled bytes too: frames that decode fine
-/// but carry values no diffusion is defined on are answered with a typed
+/// but carry values no diffusion is defined on, or counts that would size
+/// an unbounded allocation, are answered with a typed
 /// `InvalidParams` error each time (more hostile frames than there are
 /// executors, so a panicking executor could not hide), and the same
 /// connection keeps serving.
@@ -278,6 +277,29 @@ fn hostile_params_get_typed_errors_and_the_connection_survives() {
             "eps",
             Algorithm::Nibble(NibbleParams {
                 eps: f64::INFINITY,
+                ..Default::default()
+            }),
+        ),
+        // Counts that size an allocation before the first checkpoint tick:
+        // a capacity overflow and two unserviceable reservations.
+        (
+            "walks",
+            Algorithm::RandHkpr(RandHkprParams {
+                walks: 1 << 60,
+                ..Default::default()
+            }),
+        ),
+        (
+            "max_len",
+            Algorithm::RandHkpr(RandHkprParams {
+                max_len: usize::MAX,
+                ..Default::default()
+            }),
+        ),
+        (
+            "n_levels",
+            Algorithm::Hkpr(HkprParams {
+                n_levels: 1 << 60,
                 ..Default::default()
             }),
         ),

@@ -5,9 +5,8 @@
 //! [`ProtocolError`]s, never a panic.
 
 use lgc_core::{
-    Algorithm, ClusterResult, Diffusion, DiffusionStats, DirectionMode, DirectionParams,
-    EvolvingParams, HkprParams, NibbleParams, PrNibbleParams, PushRule, Query, QueryBudget,
-    RandHkprParams, Seed, SweepCut,
+    Algorithm, ClusterResult, Diffusion, DiffusionStats, EvolvingParams, HkprParams, NibbleParams,
+    PrNibbleParams, PushRule, Query, QueryBudget, RandHkprParams, Seed, SweepCut,
 };
 use lgc_server::frame::{self, read_frame, write_frame, FrameKind, ProtocolError};
 use lgc_server::wire::{
@@ -33,30 +32,22 @@ fn arb_f64() -> impl Strategy<Value = f64> {
     ]
 }
 
-fn arb_dir() -> impl Strategy<Value = DirectionParams> {
-    (0u8..3, 1usize..1000).prop_map(|(m, dense_denom)| DirectionParams {
-        mode: match m {
-            0 => DirectionMode::Auto,
-            1 => DirectionMode::Push,
-            _ => DirectionMode::Pull,
-        },
-        dense_denom,
+/// The nine bytes protocol version 1 appended to the parameters of tags
+/// 0/1/2/4: `u8 mode` (0 auto / 1 push / 2 pull) + `u64 dense_denom`.
+fn arb_v1_direction() -> impl Strategy<Value = Vec<u8>> {
+    (0u8..3, 1u64..1000).prop_map(|(mode, dense_denom)| {
+        let mut bytes = vec![mode];
+        bytes.extend_from_slice(&dense_denom.to_le_bytes());
+        bytes
     })
 }
 
 fn arb_algo() -> impl Strategy<Value = Algorithm> {
     prop_oneof![
-        (1usize..100, arb_f64(), arb_dir())
-            .prop_map(|(t_max, eps, dir)| Algorithm::Nibble(NibbleParams { t_max, eps, dir })),
-        (
-            arb_f64(),
-            arb_f64(),
-            0u8..2,
-            arb_f64(),
-            arb_f64(),
-            arb_dir()
-        )
-            .prop_map(|(alpha, eps, rule, beta, dense_frac, dir)| {
+        (1usize..100, arb_f64())
+            .prop_map(|(t_max, eps)| Algorithm::Nibble(NibbleParams { t_max, eps })),
+        (arb_f64(), arb_f64(), 0u8..2, arb_f64(), arb_f64()).prop_map(
+            |(alpha, eps, rule, beta, dense_frac)| {
                 Algorithm::PrNibble(PrNibbleParams {
                     alpha,
                     eps,
@@ -67,17 +58,11 @@ fn arb_algo() -> impl Strategy<Value = Algorithm> {
                     },
                     beta,
                     dense_frac,
-                    dir,
                 })
-            }),
-        (arb_f64(), 1usize..64, arb_f64(), arb_dir()).prop_map(|(t, n_levels, eps, dir)| {
-            Algorithm::Hkpr(HkprParams {
-                t,
-                n_levels,
-                eps,
-                dir,
-            })
-        }),
+            }
+        ),
+        (arb_f64(), 1usize..64, arb_f64())
+            .prop_map(|(t, n_levels, eps)| Algorithm::Hkpr(HkprParams { t, n_levels, eps })),
         (arb_f64(), 1usize..100, 1usize..100_000, 0u64..u64::MAX).prop_map(
             |(t, max_len, walks, rng_seed)| {
                 Algorithm::RandHkpr(RandHkprParams {
@@ -88,13 +73,12 @@ fn arb_algo() -> impl Strategy<Value = Algorithm> {
                 })
             }
         ),
-        (1usize..1000, arb_f64(), 0u64..u64::MAX, arb_dir()).prop_map(
-            |(max_steps, target_conductance, rng_seed, dir)| {
+        (1usize..1000, arb_f64(), 0u64..u64::MAX).prop_map(
+            |(max_steps, target_conductance, rng_seed)| {
                 Algorithm::Evolving(EvolvingParams {
                     max_steps,
                     target_conductance,
                     rng_seed,
-                    dir,
                 })
             }
         ),
@@ -271,6 +255,41 @@ proptest! {
         prop_assert_eq!(encode_query_request(&back), bytes);
         prop_assert_eq!(back.tenant, req.tenant.clone());
         prop_assert_eq!(back.priority as u8, req.priority as u8);
+    }
+
+    /// Version 1 carried a direction after the parameters of four
+    /// algorithms; version 2 does not. A version-1 `QUERY` is refused at
+    /// the frame header, whatever direction it carries — which matters,
+    /// because its body alone is not the request: the version-2 decoder
+    /// reads the direction bytes as the start of the budget.
+    #[test]
+    fn a_version_1_query_is_refused_at_the_frame_header(
+        t_max in 1usize..100,
+        eps in arb_f64(),
+        direction in arb_v1_direction(),
+        id in 0u32..u32::MAX,
+    ) {
+        let req = QueryRequest {
+            tenant: "g".into(),
+            priority: Priority::Interactive,
+            query: Query::new(Seed::single(0), Algorithm::Nibble(NibbleParams { t_max, eps })),
+        };
+        // An unlimited budget is three absent options — the last three
+        // bytes; version 1 put the direction just before them.
+        let v2 = encode_query_request(&req);
+        let (params, budget) = v2.split_at(v2.len() - 3);
+        let v1 = [params, &direction, budget].concat();
+
+        let mut buf = Vec::new();
+        write_frame(&mut buf, FrameKind::Query, id, &v1).unwrap();
+        buf[4] = 1;
+        prop_assert!(matches!(
+            read_frame(&mut buf.as_slice()),
+            Err(ProtocolError::UnsupportedVersion(1))
+        ));
+        if let Ok(misparsed) = decode_query_request(&v1) {
+            prop_assert_ne!(encode_query_request(&misparsed), v2);
+        }
     }
 
     #[test]

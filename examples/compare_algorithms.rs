@@ -41,7 +41,6 @@ fn main() {
         Algorithm::Nibble(lgc::NibbleParams {
             t_max: 20,
             eps: 1e-8,
-            ..Default::default()
         }),
         Algorithm::PrNibble(lgc::PrNibbleParams {
             alpha: 0.01,
@@ -52,7 +51,6 @@ fn main() {
             t: 10.0,
             n_levels: 20,
             eps: 1e-7,
-            ..Default::default()
         }),
         Algorithm::RandHkpr(lgc::RandHkprParams {
             t: 10.0,

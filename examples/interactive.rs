@@ -132,11 +132,7 @@ fn main() {
                 let eps = rest.get(1).and_then(|x| x.parse().ok()).unwrap_or(1e-7);
                 Query::new(
                     Seed::single(v),
-                    Algorithm::Nibble(lgc::NibbleParams {
-                        t_max,
-                        eps,
-                        ..Default::default()
-                    }),
+                    Algorithm::Nibble(lgc::NibbleParams { t_max, eps }),
                 )
             }),
             ["hk", s, rest @ ..] => vertex_or_complain(s, g).map(|v| {
@@ -145,12 +141,7 @@ fn main() {
                 let eps = rest.get(2).and_then(|x| x.parse().ok()).unwrap_or(1e-6);
                 Query::new(
                     Seed::single(v),
-                    Algorithm::Hkpr(lgc::HkprParams {
-                        t,
-                        n_levels,
-                        eps,
-                        ..Default::default()
-                    }),
+                    Algorithm::Hkpr(lgc::HkprParams { t, n_levels, eps }),
                 )
             }),
             ["esp", s, rest @ ..] => vertex_or_complain(s, g).map(|v| {

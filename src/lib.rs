@@ -321,7 +321,8 @@
 //! * [`graph`] — CSR graphs, generators, conductance utilities, I/O.
 //! * [`ligra`] — `vertexSubset` / `vertexMap` / `edgeMap` frontier
 //!   framework; `EdgeSpread` is the direction-optimizing edge map the
-//!   frontier diffusions are written on.
+//!   frontier diffusions are written on, and the owner of the direction
+//!   policy (`EngineBuilder::direction` is the one place to pin it).
 //! * [`flow`] — hand-rolled Dinic max-flow and the MQI-style
 //!   `improve` refinement stage.
 //! * [`cluster`] — the paper's algorithms behind the [`Engine`] and

@@ -44,7 +44,6 @@ fn make_algo(kind: usize, tweak: u64) -> Algorithm {
         0 => Algorithm::Nibble(lgc::NibbleParams {
             t_max: 6 + tweak as usize,
             eps: 1e-6,
-            ..Default::default()
         }),
         1 => Algorithm::PrNibble(lgc::PrNibbleParams {
             alpha: 0.03 * (tweak + 1) as f64,
@@ -55,7 +54,6 @@ fn make_algo(kind: usize, tweak: u64) -> Algorithm {
             t: 2.0 + tweak as f64,
             n_levels: 8,
             eps: 1e-5,
-            ..Default::default()
         }),
         3 => Algorithm::RandHkpr(lgc::RandHkprParams {
             walks: 1_000 + 500 * tweak as usize,
@@ -311,11 +309,14 @@ proptest! {
         let c = plgc::CsrCompressed::from_graph(&g);
         let seed = Seed::single(seeds[si % seeds.len()]);
         let algos = [
-            Algorithm::Nibble(lgc::NibbleParams { t_max: 12, eps: 1e-7, ..Default::default() }),
+            Algorithm::Nibble(lgc::NibbleParams { t_max: 12, eps: 1e-7 }),
             Algorithm::PrNibble(lgc::PrNibbleParams { alpha: 0.05, eps: 1e-7, ..Default::default() }),
-            Algorithm::Hkpr(lgc::HkprParams { t: 5.0, n_levels: 12, eps: 1e-7, ..Default::default() }),
+            Algorithm::Hkpr(lgc::HkprParams { t: 5.0, n_levels: 12, eps: 1e-7 }),
         ];
-        for pin in [plgc::DirectionParams::default(), plgc::DirectionParams::pull_only()] {
+        // Ligra's eager `m / 20` (what `direction(default())` meant while
+        // the default was 20), then pulls only.
+        let eager = plgc::DirectionParams { dense_denom: 20, ..Default::default() };
+        for pin in [eager, plgc::DirectionParams::pull_only()] {
             let pinned = pin == plgc::DirectionParams::pull_only();
             let reference = Engine::builder(&g).threads(1).direction(pin).build();
             // All five algorithms, for the entry-point identities.

@@ -54,7 +54,6 @@ fn make_algo(kind: usize, tweak: u64) -> Algorithm {
         0 => Algorithm::Nibble(lgc::NibbleParams {
             t_max: 6 + tweak as usize,
             eps: 1e-6,
-            ..Default::default()
         }),
         1 => Algorithm::PrNibble(lgc::PrNibbleParams {
             alpha: 0.03 * (tweak + 1) as f64,
@@ -65,7 +64,6 @@ fn make_algo(kind: usize, tweak: u64) -> Algorithm {
             t: 2.0 + tweak as f64,
             n_levels: 8,
             eps: 1e-5,
-            ..Default::default()
         }),
         3 => Algorithm::RandHkpr(lgc::RandHkprParams {
             walks: 1_000 + 500 * tweak as usize,

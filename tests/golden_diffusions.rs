@@ -12,16 +12,20 @@
 //! trajectory), and must match on the plain and the byte-compressed
 //! backend alike.
 //!
-//! Every case runs under `push_only()`, `pull_only()` and the algorithm's
-//! default `Auto` knob; the parameters saturate both graphs, so the
-//! `Auto` runs genuinely flip from push to pull part-way through.
+//! Every case runs through one-thread engines built with
+//! `.direction(..)` — the one place a direction can be pinned — under
+//! `push_only()`, `pull_only()`, the default `Auto` policy, and an eager
+//! `Auto` (Ligra's `m / 20`). The parameters saturate both graphs, so the
+//! `Auto` runs genuinely flip from push to pull part-way through; the
+//! eager one flips while PR-Nibble's residuals are still a hash table,
+//! whose capacity history is part of the result bits.
 //!
 //! If a digest moves, the change altered result bits. Do not re-record
 //! the table to make a refactor pass.
 
 use plgc::cluster as lgc;
 use plgc::ligra::DirectionParams;
-use plgc::{CsrBackend, CsrCompressed, Diffusion, Graph, Pool, Seed};
+use plgc::{Algorithm, CsrBackend, CsrCompressed, Diffusion, Engine, Graph, Query, Seed};
 
 /// FNV-1a over the little-endian bytes of each word.
 fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
@@ -59,27 +63,21 @@ fn digest_evolving(r: &lgc::EvolvingResult) -> u64 {
     )
 }
 
-/// The eight diffusion configurations, run on one backend under one
-/// direction policy (`None` = the algorithm's own default `Auto` knob).
+/// The eight diffusion configurations, run through `engine` — one
+/// backend under one direction policy.
 fn run_all<B: CsrBackend>(
-    pool: &Pool,
-    g: &B,
+    engine: &Engine<'_, B>,
     seed: &Seed,
     set_seed: &Seed,
-    dir: Option<DirectionParams>,
 ) -> Vec<(&'static str, u64)> {
     let mut out = Vec::new();
+    let diffuse = |algo: Algorithm| digest_diffusion(&engine.diffuse(seed, &algo));
 
-    let mut nib = lgc::NibbleParams {
+    let nib = lgc::NibbleParams {
         t_max: 25,
         eps: 1e-7,
-        ..Default::default()
     };
-    nib.dir = dir.unwrap_or(nib.dir);
-    out.push((
-        "nibble",
-        digest_diffusion(&lgc::nibble_par(pool, g, seed, &nib)),
-    ));
+    out.push(("nibble", diffuse(Algorithm::Nibble(nib))));
 
     for (name, rule, beta) in [
         ("prn-orig-b1", lgc::PushRule::Original, 1.0),
@@ -87,75 +85,78 @@ fn run_all<B: CsrBackend>(
         ("prn-opt-b1", lgc::PushRule::Optimized, 1.0),
         ("prn-opt-b.5", lgc::PushRule::Optimized, 0.5),
     ] {
-        let mut prn = lgc::PrNibbleParams {
+        let prn = lgc::PrNibbleParams {
             alpha: 0.02,
             eps: 1e-6,
             rule,
             beta,
             ..Default::default()
         };
-        prn.dir = dir.unwrap_or(prn.dir);
-        out.push((
-            name,
-            digest_diffusion(&lgc::prnibble_par(pool, g, seed, &prn)),
-        ));
+        out.push((name, diffuse(Algorithm::PrNibble(prn))));
     }
 
     // Mass maps pinned to their hash tables: `residual_mass` is then
     // summed in slot order, which also pins the residual table's capacity
     // and insertion history (the `reset`/`reserve_more` sequence).
-    let mut sparse = lgc::PrNibbleParams {
+    let sparse = lgc::PrNibbleParams {
         alpha: 0.05,
         eps: 1e-5,
         dense_frac: f64::INFINITY,
         ..Default::default()
     };
-    sparse.dir = dir.unwrap_or(sparse.dir);
-    out.push((
-        "prn-sparse",
-        digest_diffusion(&lgc::prnibble_par(pool, g, seed, &sparse)),
-    ));
+    out.push(("prn-sparse", diffuse(Algorithm::PrNibble(sparse))));
 
-    let mut hk = lgc::HkprParams {
+    let hk = lgc::HkprParams {
         t: 10.0,
         n_levels: 20,
         eps: 1e-7,
-        ..Default::default()
     };
-    hk.dir = dir.unwrap_or(hk.dir);
-    out.push(("hkpr", digest_diffusion(&lgc::hkpr_par(pool, g, seed, &hk))));
+    out.push(("hkpr", diffuse(Algorithm::Hkpr(hk))));
 
     // From a single vertex the set usually dies within a few steps; a
     // quarter of the component keeps it alive long enough to cross the
     // dense threshold in both directions.
-    let mut ev = lgc::EvolvingParams {
+    //
+    // An engine reports the process's best set but not the size
+    // trajectory the digest covers, so the digest is taken from the free
+    // function (default policy) and the engine — whatever its policy —
+    // must agree with it on everything it does report. (The trajectory
+    // under each pinned direction is held to the sequential one by
+    // `evolving.rs::pull_direction_keeps_the_trajectory`.)
+    let ev = lgc::EvolvingParams {
         max_steps: 40,
         rng_seed: 11,
         ..Default::default()
     };
-    ev.dir = dir.unwrap_or(ev.dir);
-    out.push((
-        "evolving",
-        digest_evolving(&lgc::evolving_set_par(pool, g, set_seed, &ev)),
-    ));
+    let full = lgc::evolving_set_par(engine.pool(), engine.graph(), set_seed, &ev);
+    let via = engine.run(&Query::new(set_seed.clone(), Algorithm::Evolving(ev)));
+    assert_eq!(via.cluster, full.best_set, "evolving: best set");
+    assert_eq!(via.conductance.to_bits(), full.best_conductance.to_bits());
+    assert_eq!(via.diffusion.stats.iterations, full.steps as u64);
+    out.push(("evolving", digest_evolving(&full)));
     out
 }
 
-/// `graph/algorithm` → digest. One literal covers six runs: the plain and
-/// the compressed backend under each direction policy. (At one thread the
-/// pull traversals replay the push accumulation order per destination, so
-/// the direction is invisible in the bits — for PR-Nibble too, whose
-/// delta-map commit and register-sum gather bracket identically.)
+/// `graph/algorithm` → digest. One literal covers eight runs: the plain
+/// and the compressed backend under each direction policy. (At one thread
+/// the pull traversals replay the push accumulation order per
+/// destination, so the direction is invisible in the bits — for PR-Nibble
+/// too, whose delta-map commit and register-sum gather bracket
+/// identically.)
 fn actual() -> Vec<(String, u64)> {
-    let pool = Pool::new(1);
     let graphs: [(&str, Graph); 2] = [
         ("randlocal", plgc::graph::gen::rand_local(2000, 5, 7)),
         ("rmat", plgc::graph::gen::rmat_graph500(10, 8, 3)),
     ];
+    let eager = DirectionParams {
+        dense_denom: 20,
+        ..Default::default()
+    };
     let dirs = [
-        ("push", Some(DirectionParams::push_only())),
-        ("pull", Some(DirectionParams::pull_only())),
-        ("auto", None),
+        ("push", DirectionParams::push_only()),
+        ("pull", DirectionParams::pull_only()),
+        ("auto", DirectionParams::default()),
+        ("eager", eager),
     ];
     let mut table = Vec::new();
     for (gname, g) in &graphs {
@@ -165,8 +166,13 @@ fn actual() -> Vec<(String, u64)> {
         let set_seed = Seed::set(comp[..comp.len() / 4].to_vec());
         let mut reference: Option<Vec<(&str, u64)>> = None;
         for (dname, dir) in dirs {
-            let plain = run_all(&pool, g, &seed, &set_seed, dir);
-            let packed = run_all(&pool, &compressed, &seed, &set_seed, dir);
+            let plain = Engine::builder(g).threads(1).direction(dir).build();
+            let packed = Engine::builder(&compressed)
+                .threads(1)
+                .direction(dir)
+                .build();
+            let plain = run_all(&plain, &seed, &set_seed);
+            let packed = run_all(&packed, &seed, &set_seed);
             let want = reference.get_or_insert_with(|| plain.clone());
             for ((&(algo, want), (_, a)), (_, b)) in want.iter().zip(plain).zip(packed) {
                 assert_eq!(a, want, "{gname}/{algo}: plain {dname} differs from push");
