@@ -19,6 +19,14 @@
 //! single-query workloads use the paper's intra-query parallel
 //! algorithms; the two modes compose the same primitives, so comparing
 //! them quantifies the paper's §1 trade-off on real hardware.
+//!
+//! The two modes also meet without a batch: independent threads that
+//! each call [`Engine::run`] on one shared pool. The pool's width is one
+//! budget for both — every query counts its thread against it
+//! ([`Pool::enter`]), and a loop forks only onto threads no query
+//! occupies — so a lone query gets the intra-query parallelism and as
+//! many concurrent queries as the pool is wide get the inter-query
+//! kind, one thread each, without either waiting for the other.
 
 use crate::budget::QueryError;
 use crate::engine::{Admission, Engine, Query};
@@ -70,6 +78,9 @@ impl<B: CsrBackend> Engine<'_, B> {
         {
             let view = UnsafeSlice::new(&mut out);
             let pool = self.pool();
+            // The fan-out is this thread's query; its items enter their
+            // own workerless sub-pools, which counts nothing.
+            let _caller = pool.enter();
             let workspaces = &self.core.workspaces;
             // Chunks big enough that each worker's workspace amortizes
             // over several queries, small enough to load-balance uneven

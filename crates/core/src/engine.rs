@@ -516,7 +516,9 @@ impl<'g, B: CsrBackend> Engine<'g, B> {
     /// workspace it recycles across its items. Bad input is rejected
     /// before any resource is taken; the budget clock starts at the
     /// query's own first iteration; every admitted query books exactly
-    /// one of completed / tripped.
+    /// one of completed / tripped. The calling thread counts against
+    /// `pool`'s width for the query's duration ([`Pool::enter`]), so
+    /// queries running beside it fork only onto threads it leaves free.
     pub(crate) fn execute(
         &self,
         pool: &Pool,
@@ -527,6 +529,7 @@ impl<'g, B: CsrBackend> Engine<'g, B> {
         let core = &*self.core;
         let governed = matches!(admission, Admission::Governed);
         self.validate(&query.seed, &query.algo)?;
+        let _caller = pool.enter();
         let cap = core.max_in_flight.filter(|_| governed);
         // The slot is released on drop, on every return path below.
         let _slot = core.counters.enter(cap).map_err(|occupied| {
@@ -606,6 +609,7 @@ impl<'g, B: CsrBackend> Engine<'g, B> {
     pub fn diffuse(&self, seed: &Seed, algo: &Algorithm) -> Diffusion {
         self.validate(seed, algo)
             .unwrap_or_else(|e| panic!("Engine::diffuse: {e}"));
+        let _caller = self.pool().enter();
         let mut ws = self.core.workspaces.checkout();
         let out = algo.diffuse(self.pool(), self.g, seed, &mut ws);
         self.core.workspaces.restore(ws);
@@ -617,6 +621,7 @@ impl<'g, B: CsrBackend> Engine<'g, B> {
     /// seed × α × ε grid — the highest-leverage consumer of workspace
     /// recycling, since an NCP scan is hundreds of back-to-back queries.
     pub fn ncp(&self, params: &NcpParams) -> Vec<NcpPoint> {
+        let _caller = self.pool().enter();
         let mut ws = self.core.workspaces.checkout();
         let out = ncp_prnibble_ws(self.pool(), self.g, params, &mut ws);
         self.core.workspaces.restore(ws);

@@ -11,7 +11,9 @@
 //!   later), each getting its own workspace checkout pool and
 //!   [`GraphCache`] of seed-independent state;
 //! * all of them share **one** thread [`Pool`] (an `Arc`, so the service
-//!   can also share it with anything else in the process);
+//!   can also share it with anything else in the process), whose width
+//!   is one budget of threads: a lone query forks across it, concurrent
+//!   queries split it and never wait for each other ([`Pool::shared`]);
 //! * queries run through `&self` engines — any number of OS threads can
 //!   call [`Service::engine`] and [`Engine::run`] concurrently, with
 //!   scratch checked out per query and contention confined to a

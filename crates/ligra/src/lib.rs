@@ -179,7 +179,7 @@ pub fn edge_map_indexed<B: CsrBackend>(
             g.for_each_neighbor(v, |w| f(i, v, w));
         }
     };
-    if pool.num_threads() == 1 {
+    if !pool.can_fork() {
         seq(&frontier.ids);
         return;
     }

@@ -35,11 +35,10 @@ pub fn filter_map_index<U: Send>(
     if len == 0 {
         return Vec::new();
     }
-    let threads = pool.num_threads();
-    if threads == 1 || len < 8192 {
+    if !pool.can_fork() || len < 8192 {
         return (0..len).filter_map(f).collect();
     }
-    let grain = default_grain(len, threads);
+    let grain = default_grain(len, pool.num_threads());
     let n_blocks = len.div_ceil(grain);
 
     // Pass 1: count survivors per block.

@@ -35,12 +35,11 @@ pub fn counting_sort_by_key<T: Copy + Send + Sync>(
     if n == 0 {
         return Vec::new();
     }
-    let threads = pool.num_threads();
-    if threads == 1 || n < 8192 {
+    if !pool.can_fork() || n < 8192 {
         return seq_counting_sort(input, key, num_keys);
     }
 
-    let n_blocks = (threads * 2).min(n);
+    let n_blocks = (pool.num_threads() * 2).min(n);
     let block_len = n.div_ceil(n_blocks);
 
     // Per-block histograms, flattened (key, block)-major so that a single

@@ -26,8 +26,9 @@
 //!   representation behind the direction-optimizing `edgeMap`.
 //!
 //! All primitives fall back to tight sequential loops below a size threshold
-//! or when the pool has a single thread, so they are safe to use at any
-//! problem size.
+//! or when the pool has no thread to lend them ([`Pool::can_fork`]: a
+//! single-thread pool, or one whose width the callers already fill), so
+//! they are safe to use at any problem size and beside any other query.
 
 mod atomic;
 mod bitset;
@@ -46,7 +47,7 @@ pub use intsort::counting_sort_by_key;
 pub use map::{
     fill_with_index, map, map_index, max_by, reduce, sum_f64, sum_f64_by_index, sum_u64,
 };
-pub use pool::Pool;
+pub use pool::{Caller, Pool, PoolStats};
 pub use scan::{scan_exclusive, scan_inclusive};
 pub use slice::UnsafeSlice;
 pub use sort::merge_sort_by;

@@ -89,11 +89,10 @@ pub fn reduce<T: Copy + Send + Sync>(
     if n == 0 {
         return identity;
     }
-    let threads = pool.num_threads();
-    if threads == 1 || n < 4096 {
+    if !pool.can_fork() || n < 4096 {
         return input.iter().fold(identity, |a, &b| op(a, b));
     }
-    let grain = default_grain(n, threads);
+    let grain = default_grain(n, pool.num_threads());
     let n_blocks = n.div_ceil(grain);
     let mut partial: Vec<T> = vec![identity; n_blocks];
     {
@@ -141,11 +140,10 @@ pub fn max_by<T: Copy + Send + Sync>(
             }
         }
     };
-    let threads = pool.num_threads();
-    if threads == 1 || n < 4096 {
+    if !pool.can_fork() || n < 4096 {
         return Some((1..n).map(|i| (i, input[i])).fold((0, input[0]), pick));
     }
-    let grain = default_grain(n, threads);
+    let grain = default_grain(n, pool.num_threads());
     let n_blocks = n.div_ceil(grain);
     let mut partial: Vec<Option<(usize, T)>> = vec![None; n_blocks];
     {

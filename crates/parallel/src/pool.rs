@@ -7,10 +7,17 @@
 //! executed. Because the caller blocks until completion, the loop body may
 //! borrow from the caller's stack even though the workers are long-lived
 //! (the same argument that makes scoped threads sound).
+//!
+//! The pool's width is a budget of hardware threads. A thread that runs a
+//! query counts itself against it with [`Pool::enter`], and a loop forks
+//! only when the width has a thread the callers do not already fill *and*
+//! no other caller's loop is published; otherwise its caller walks the same
+//! chunks itself. No thread ever waits for the pool: with as many callers
+//! as the pool is wide, the callers are the parallelism.
 
 use parking_lot::{Condvar, Mutex};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -19,6 +26,27 @@ thread_local! {
     /// Nested `run` calls detect this and degrade to sequential execution,
     /// which keeps the API safe to use from inside loop bodies.
     static IN_JOB: Cell<bool> = const { Cell::new(false) };
+    /// The pool (its `Shared`, by address) whose caller count includes
+    /// this thread: set by [`Pool::enter`], null outside a query.
+    static COUNTED_IN: Cell<*const Shared> = const { Cell::new(std::ptr::null()) };
+    /// This thread's shard of every pool's loop tallies.
+    static TALLY_SHARD: usize = NEXT_SHARD.fetch_add(1, Ordering::Relaxed) % TALLY_SHARDS;
+}
+
+static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
+
+/// Shards of the loop tallies: callers that run beside each other tick
+/// different cache lines.
+const TALLY_SHARDS: usize = 8;
+
+/// One shard of the loop tallies, on a cache line of its own. Statistics
+/// only (relaxed): nothing is published through them.
+#[derive(Default)]
+#[repr(align(64))]
+struct LoopTally {
+    forked: AtomicU64,
+    inline_no_spare: AtomicU64,
+    inline_slot_busy: AtomicU64,
 }
 
 /// A type-erased parallel loop: `func(ctx, start, end)` runs one chunk.
@@ -28,6 +56,9 @@ struct Job {
     len: usize,
     grain: usize,
     n_chunks: usize,
+    /// Workers that may attach: the threads the width had to spare when
+    /// the loop was admitted.
+    helpers: usize,
     /// Next chunk index to claim.
     next: AtomicUsize,
     /// Number of chunks fully executed.
@@ -63,13 +94,21 @@ struct Shared {
     /// the condvar. Local algorithms issue thousands of small
     /// back-to-back loops per run; keeping workers hot across them is
     /// worth far more than the microseconds of spin.
-    pub_epoch: std::sync::atomic::AtomicU64,
+    pub_epoch: AtomicU64,
     /// Per-pool idle-spin budget: [`IDLE_SPINS`] when every thread can
     /// have its own core, [`OVERSUBSCRIBED_SPINS`] when the pool has more
     /// threads than the machine — spinning then steals the timeslice of
     /// the thread that holds actual work, which is how `t > 1` used to
     /// *lose* to `t = 1` on a 1-core box.
     spin_budget: u32,
+    /// The budget of hardware threads: workers plus one caller.
+    width: usize,
+    /// Caller threads inside a query (live [`Caller`] guards). Read
+    /// relaxed: it steers where a loop runs, never what it computes.
+    callers: AtomicUsize,
+    /// Boxed: the shards' alignment must not become this struct's, whose
+    /// few hot words the workers poll.
+    tallies: Box<[LoopTally; TALLY_SHARDS]>,
 }
 
 /// How long an idle worker spins waiting for the next job before parking,
@@ -106,13 +145,62 @@ fn hardware_threads() -> usize {
 pub struct Pool {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
-    /// Serializes concurrent `run` calls from different caller threads.
-    run_lock: Mutex<()>,
+    /// Held by the caller whose loop is published in `Shared::slot`. Only
+    /// ever tried: a caller that finds it taken runs its loop inline.
+    fork_slot: Mutex<()>,
+}
+
+/// A caller thread counted against its pool's width, from [`Pool::enter`]
+/// until drop.
+#[must_use = "the caller is counted only while the guard lives"]
+pub struct Caller<'a> {
+    /// The pool entered and what `COUNTED_IN` held before; `None` when
+    /// entering was a no-op. (The raw pointer keeps the guard on the
+    /// thread whose `COUNTED_IN` it restores.)
+    counted: Option<(&'a Shared, *const Shared)>,
+}
+
+impl Drop for Caller<'_> {
+    fn drop(&mut self) {
+        if let Some((shared, outer)) = self.counted {
+            shared.callers.fetch_sub(1, Ordering::Relaxed);
+            COUNTED_IN.with(|c| c.set(outer));
+        }
+    }
+}
+
+/// How a pool has run its loops so far, and who is in it now; see
+/// [`Pool::stats`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PoolStats {
+    /// Loops published to the workers.
+    pub loops_forked: u64,
+    /// Loops their caller ran alone because callers filled the width.
+    pub loops_inline_no_spare: u64,
+    /// Loops their caller ran alone because another caller's loop was
+    /// published at that moment.
+    pub loops_inline_slot_busy: u64,
+    /// Caller threads inside a query right now.
+    pub callers: usize,
+}
+
+impl PoolStats {
+    /// Loops their caller ran alone, for either reason.
+    pub fn loops_inline(&self) -> u64 {
+        self.loops_inline_no_spare + self.loops_inline_slot_busy
+    }
 }
 
 impl Pool {
     /// Creates a pool that runs loops across `threads` threads
     /// (including the caller). `threads` is clamped to at least 1.
+    ///
+    /// How long an idle worker spins for the next loop before it parks
+    /// depends on two things. Fixed here: a pool wider than the machine
+    /// parks almost at once, any other spins for the time of a few
+    /// back-to-back loops. Tested on every spin: worker `i` spins only
+    /// while `callers + i ≤ threads`, i.e. while the callers inside a
+    /// query ([`Pool::enter`]) leave it a hardware thread to spin on.
     pub fn new(threads: usize) -> Self {
         let threads = threads.max(1);
         let spin_budget = if threads > hardware_threads() {
@@ -128,22 +216,25 @@ impl Pool {
             job_cv: Condvar::new(),
             done_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            pub_epoch: std::sync::atomic::AtomicU64::new(0),
+            pub_epoch: AtomicU64::new(0),
             spin_budget,
+            width: threads,
+            callers: AtomicUsize::new(0),
+            tallies: Default::default(),
         });
         let workers = (1..threads)
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("lgc-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))
+                    .spawn(move || worker_loop(&shared, i))
                     .expect("failed to spawn pool worker")
             })
             .collect();
         Pool {
             shared,
             workers,
-            run_lock: Mutex::new(()),
+            fork_slot: Mutex::new(()),
         }
     }
 
@@ -162,11 +253,14 @@ impl Pool {
     /// several graphs, independent engines on one machine).
     ///
     /// Sharing is safe by construction: `Pool` is `Send + Sync`, and
-    /// concurrent [`Pool::run`] calls from different OS threads are
-    /// serialized on an internal lock — each loop runs with the full
-    /// worker set, callers queue for the pool rather than oversubscribing
-    /// the machine with per-caller worker fleets (see
-    /// `run_from_multiple_caller_threads_is_serialized`).
+    /// concurrent [`Pool::run`] calls from different OS threads never wait
+    /// for each other. The width is shared, not multiplied: each query
+    /// thread counts itself with [`Pool::enter`], a loop gets helpers only
+    /// from the threads the callers leave free, and one whose caller finds
+    /// none — or finds another caller's loop published — runs on its
+    /// caller alone. A lone query uses the whole pool; as many queries as
+    /// the pool is wide run side by side, one thread each (see
+    /// `concurrent_callers_never_wait_for_the_pool`).
     pub fn shared(threads: usize) -> Arc<Self> {
         Arc::new(Self::new(threads))
     }
@@ -187,6 +281,57 @@ impl Pool {
         self.workers.len() + 1
     }
 
+    /// Counts the current thread against the pool's width until the guard
+    /// drops — what a thread does for the duration of a query, so that
+    /// other callers' loops (and the idle workers) leave it its hardware
+    /// thread. A no-op on a workerless pool, from inside a loop body, and
+    /// on a thread this pool already counts. A thread is counted in one
+    /// pool at a time, the innermost entered.
+    pub fn enter(&self) -> Caller<'_> {
+        let me = Arc::as_ptr(&self.shared);
+        let counted =
+            !self.workers.is_empty() && !IN_JOB.with(Cell::get) && COUNTED_IN.with(Cell::get) != me;
+        Caller {
+            counted: counted.then(|| {
+                self.shared.callers.fetch_add(1, Ordering::Relaxed);
+                (&*self.shared, COUNTED_IN.with(|c| c.replace(me)))
+            }),
+        }
+    }
+
+    /// Threads of the width that no caller fills, the current thread
+    /// counted as one whether or not it has entered.
+    fn spare(&self) -> usize {
+        let shared = &*self.shared;
+        let entered = COUNTED_IN.with(Cell::get) == Arc::as_ptr(&self.shared);
+        let callers = shared.callers.load(Ordering::Relaxed) + usize::from(!entered);
+        shared.width.saturating_sub(callers)
+    }
+
+    /// Whether a loop started now by this thread would get a helper. The
+    /// primitives with a one-pass sequential form ask this, not the
+    /// width, before they pay for the two-pass parallel one.
+    pub fn can_fork(&self) -> bool {
+        !self.workers.is_empty() && !IN_JOB.with(Cell::get) && self.spare() > 0
+    }
+
+    /// Loop tallies since the pool was built, and the callers inside a
+    /// query now. Every [`Pool::run`] call longer than its grain, on a
+    /// pool with workers, from outside a loop body, is counted in exactly
+    /// one of the three tallies.
+    pub fn stats(&self) -> PoolStats {
+        let mut stats = PoolStats {
+            callers: self.shared.callers.load(Ordering::Relaxed),
+            ..PoolStats::default()
+        };
+        for shard in self.shared.tallies.iter() {
+            stats.loops_forked += shard.forked.load(Ordering::Relaxed);
+            stats.loops_inline_no_spare += shard.inline_no_spare.load(Ordering::Relaxed);
+            stats.loops_inline_slot_busy += shard.inline_slot_busy.load(Ordering::Relaxed);
+        }
+        stats
+    }
+
     /// Runs `f(start, end)` over disjoint chunks covering `0..len`.
     ///
     /// Chunks are at most `grain` long and are claimed dynamically, so
@@ -194,6 +339,13 @@ impl Pool {
     /// multiple threads concurrently and must therefore be `Sync`; it may
     /// freely borrow from the caller because `run` does not return until
     /// every chunk has finished executing.
+    ///
+    /// A loop longer than `grain` forks when the width has a thread to
+    /// spare (see [`Pool::enter`]) and no other caller's loop is published;
+    /// otherwise the caller runs the same chunks, one `f` call each, in
+    /// order. Either way a chunk starting at `s` is chunk `s / grain`, so
+    /// per-chunk partials line up across loops admitted differently. A
+    /// workerless pool calls `f(0, len)` once.
     ///
     /// Calling `run` from inside a loop body executes the nested loop
     /// sequentially on the current thread (documented degradation rather
@@ -211,6 +363,26 @@ impl Pool {
             return;
         }
 
+        let helpers = self.spare();
+        let slot = if helpers == 0 {
+            None
+        } else {
+            self.fork_slot.try_lock()
+        };
+        let tally = &self.shared.tallies[TALLY_SHARD.with(|s| *s)];
+        let mode = match (&slot, helpers) {
+            (Some(_), _) => &tally.forked,
+            (None, 0) => &tally.inline_no_spare,
+            (None, _) => &tally.inline_slot_busy,
+        };
+        mode.fetch_add(1, Ordering::Relaxed);
+        let Some(_slot) = slot else {
+            for s in (0..len).step_by(grain) {
+                f(s, (s + grain).min(len));
+            }
+            return;
+        };
+
         /// # Safety
         /// `ctx` must point at a live `F` for the duration of the call.
         unsafe fn call<F: Fn(usize, usize) + Sync>(ctx: *const (), s: usize, e: usize) {
@@ -219,13 +391,13 @@ impl Pool {
             unsafe { (*(ctx as *const F))(s, e) }
         }
 
-        let _serial = self.run_lock.lock();
         let job = Job {
             func: call::<F>,
             ctx: (&raw const f).cast(),
             len,
             grain,
             n_chunks: len.div_ceil(grain),
+            helpers,
             next: AtomicUsize::new(0),
             completed: AtomicUsize::new(0),
             attached: AtomicUsize::new(0),
@@ -338,15 +510,20 @@ fn work_on(job: &Job) {
     }
 }
 
-fn worker_loop(shared: &Shared) {
+/// The loop of worker `index` (1-based: the caller is thread 0).
+fn worker_loop(shared: &Shared, index: usize) {
     let mut last_epoch = 0u64;
     loop {
         // Spin-then-park: briefly poll the lock-free epoch mirror so that
-        // back-to-back loops reuse a hot worker without a futex round-trip.
+        // back-to-back loops reuse a hot worker without a futex round-trip
+        // — but only while the callers leave this worker a thread of the
+        // width: beside as many queries as the pool is wide no loop will
+        // fork, and a spinning worker would take a core from one of them.
         let mut spins = 0u32;
         while shared.pub_epoch.load(Ordering::Acquire) == last_epoch
             && !shared.shutdown.load(Ordering::Acquire)
             && spins < shared.spin_budget
+            && shared.callers.load(Ordering::Relaxed) + index <= shared.width
         {
             spins += 1;
             std::hint::spin_loop();
@@ -358,25 +535,25 @@ fn worker_loop(shared: &Shared) {
                 if shared.shutdown.load(Ordering::Acquire) {
                     return;
                 }
-                match slot.job {
-                    Some(p) if slot.epoch != last_epoch => {
-                        last_epoch = slot.epoch;
-                        // Attach under the lock: the publishing caller
-                        // retracts the job under the same lock afterwards,
-                        // so it is guaranteed to observe this attachment.
-                        // SAFETY: job pointer is valid while published.
-                        unsafe { (*p).attached.fetch_add(1, Ordering::AcqRel) };
+                // A job seen once is never new again, attached to or not
+                // (the one we spun towards may already be retracted).
+                let fresh = slot.epoch != last_epoch;
+                last_epoch = slot.epoch;
+                if let Some(p) = slot.job.filter(|_| fresh) {
+                    // SAFETY: job pointer is valid while published.
+                    let job = unsafe { &*p };
+                    // Attach under the lock: the publishing caller
+                    // retracts the job under the same lock afterwards,
+                    // so it is guaranteed to observe this attachment.
+                    // A loop takes no more workers than it was admitted
+                    // with; attachments are ordered by the lock.
+                    if job.attached.load(Ordering::Acquire) < job.helpers {
+                        job.attached.fetch_add(1, Ordering::AcqRel);
                         job_ptr = p;
                         break;
                     }
-                    _ => {
-                        // The job we spun towards may already be retracted;
-                        // remember its epoch so the spin loop doesn't treat
-                        // it as forever-new.
-                        last_epoch = slot.epoch;
-                        shared.job_cv.wait(&mut slot);
-                    }
                 }
+                shared.job_cv.wait(&mut slot);
             }
         }
         // SAFETY: we are attached, so the caller cannot free the job yet.
@@ -521,25 +698,165 @@ mod tests {
         assert!(caught.is_err());
     }
 
+    /// Caller B's loop runs to completion while caller A is still inside
+    /// the body of its own published loop: B finds the slot taken and
+    /// walks its chunks itself. (Queueing for the slot would hang here.)
     #[test]
-    fn run_from_multiple_caller_threads_is_serialized() {
-        let pool = std::sync::Arc::new(Pool::new(3));
-        let total = std::sync::Arc::new(AtomicU64::new(0));
-        let mut handles = vec![];
-        for _ in 0..4 {
-            let pool = std::sync::Arc::clone(&pool);
-            let total = std::sync::Arc::clone(&total);
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..100 {
-                    pool.run(1000, 64, |s, e| {
-                        total.fetch_add((e - s) as u64, Ordering::Relaxed);
-                    });
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(total.load(Ordering::Relaxed), 4 * 100 * 1000);
+    fn concurrent_callers_never_wait_for_the_pool() {
+        use std::sync::Barrier;
+        let pool = Pool::new(2);
+        let (a_inside, b_done) = (Barrier::new(2), Barrier::new(2));
+        let b_total = AtomicU64::new(0);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                pool.run(2, 1, |s, _| {
+                    if s == 0 {
+                        a_inside.wait();
+                        b_done.wait();
+                    }
+                });
+            });
+            a_inside.wait();
+            pool.run(1000, 64, |s, e| {
+                b_total.fetch_add((e - s) as u64, Ordering::Relaxed);
+            });
+            b_done.wait();
+        });
+        assert_eq!(b_total.load(Ordering::Relaxed), 1000);
+        let stats = pool.stats();
+        assert_eq!(
+            (stats.loops_forked, stats.loops_inline_slot_busy),
+            (1, 1),
+            "{stats:?}"
+        );
+    }
+
+    /// Every loop past the `len > grain` test lands in exactly one tally,
+    /// whoever ran it and however the callers overlapped.
+    #[test]
+    fn loop_tallies_add_up_to_the_loops_run() {
+        let pool = Pool::new(3);
+        let total = AtomicU64::new(0);
+        let (threads, loops) = (4u64, 200u64);
+        std::thread::scope(|scope| {
+            for t in 0..threads {
+                let (pool, total) = (&pool, &total);
+                scope.spawn(move || {
+                    for i in 0..loops {
+                        // Half the loops inside a query, half bare.
+                        let _caller = (i % 2 == t % 2).then(|| pool.enter());
+                        pool.run(1000, 64, |s, e| {
+                            total.fetch_add((e - s) as u64, Ordering::Relaxed);
+                        });
+                        // Too short to fork: counted nowhere.
+                        pool.run(64, 64, |_, _| {});
+                    }
+                });
+            }
+        });
+        assert_eq!(total.load(Ordering::Relaxed), threads * loops * 1000);
+        let stats = pool.stats();
+        assert_eq!(
+            stats.loops_forked + stats.loops_inline(),
+            threads * loops,
+            "{stats:?}"
+        );
+        assert_eq!(stats.callers, 0);
+    }
+
+    /// The width is a budget: with as many callers inside a query as the
+    /// pool is wide no loop forks, every chunk still runs (one call per
+    /// chunk, in order), and a lone caller forks again.
+    #[test]
+    fn loops_fork_only_when_the_width_has_a_thread_to_spare() {
+        let pool = Pool::new(2);
+        let me = pool.enter();
+        let nested = pool.enter();
+        assert_eq!(pool.stats().callers, 1, "re-entering counts nothing");
+        drop(nested);
+        assert!(pool.can_fork());
+        let (entered, leave) = (std::sync::Barrier::new(2), std::sync::Barrier::new(2));
+        let chunks = Mutex::new(Vec::new());
+        // Asserted on after `leave`: a panic before it would strand the
+        // other thread at the barrier.
+        let (beside, could_fork) = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let _other = pool.enter();
+                entered.wait();
+                leave.wait();
+            });
+            entered.wait();
+            let could_fork = pool.can_fork();
+            pool.run(1000, 300, |s, e| chunks.lock().push((s, e)));
+            let beside = pool.stats();
+            leave.wait();
+            (beside, could_fork)
+        });
+        assert!(!could_fork);
+        assert_eq!(
+            *chunks.lock(),
+            [(0, 300), (300, 600), (600, 900), (900, 1000)]
+        );
+        assert_eq!(
+            beside,
+            PoolStats {
+                loops_inline_no_spare: 1,
+                callers: 2,
+                ..PoolStats::default()
+            }
+        );
+        assert!(pool.can_fork());
+        pool.run(1000, 300, |_, _| {});
+        assert_eq!(pool.stats().loops_forked, 1);
+        drop(me);
+        assert_eq!(pool.stats().callers, 0);
+        // A bare caller is counted as one thread all the same.
+        assert!(pool.can_fork());
+        let _other = pool.enter();
+        std::thread::scope(|scope| {
+            scope.spawn(|| assert!(!pool.can_fork()));
+        });
+        // Nothing to count on a workerless pool or inside a loop body.
+        let seq = Pool::sequential();
+        let _noop = seq.enter();
+        assert_eq!(seq.stats().callers, 0);
+        assert!(!seq.can_fork());
+        let wide = Pool::new(2);
+        wide.run(2, 1, |_, _| {
+            let _noop = wide.enter();
+            assert_eq!(wide.stats().callers, 0);
+            assert!(!wide.can_fork());
+        });
+    }
+
+    /// A loop admitted with one thread to spare takes one worker, however
+    /// many the pool has.
+    #[test]
+    fn a_loop_takes_no_more_workers_than_the_width_had_to_spare() {
+        let pool = Pool::new(4);
+        let _me = pool.enter();
+        let (entered, leave) = (std::sync::Barrier::new(3), std::sync::Barrier::new(3));
+        let inside = AtomicUsize::new(0);
+        let most = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    let _other = pool.enter();
+                    entered.wait();
+                    leave.wait();
+                });
+            }
+            entered.wait();
+            // Width 4, three callers: one helper. All three workers are
+            // woken; the chunks last long enough for each to turn up.
+            pool.run(16, 1, |_, _| {
+                let now = inside.fetch_add(1, Ordering::AcqRel) + 1;
+                most.fetch_max(now, Ordering::AcqRel);
+                std::thread::sleep(std::time::Duration::from_millis(1));
+                inside.fetch_sub(1, Ordering::AcqRel);
+            });
+            leave.wait();
+        });
+        assert!(most.load(Ordering::Acquire) <= 2);
     }
 }

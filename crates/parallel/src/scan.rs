@@ -60,8 +60,7 @@ fn scan_impl<T: Copy + Send + Sync>(
     if n == 0 {
         return (Vec::new(), identity);
     }
-    let threads = pool.num_threads();
-    if threads == 1 || n < 8192 {
+    if !pool.can_fork() || n < 8192 {
         // Sequential fallback.
         let mut out = Vec::with_capacity(n);
         let mut acc = identity;
@@ -77,7 +76,7 @@ fn scan_impl<T: Copy + Send + Sync>(
         return (out, acc);
     }
 
-    let grain = default_grain(n, threads);
+    let grain = default_grain(n, pool.num_threads());
     let n_blocks = n.div_ceil(grain);
 
     // Pass 1: per-block reductions.

@@ -21,14 +21,15 @@ pub fn merge_sort_by<T: Copy + Send + Sync>(
     cmp: impl Fn(&T, &T) -> Ordering + Sync,
 ) {
     let n = data.len();
-    let threads = pool.num_threads();
-    if threads == 1 || n < 16384 {
+    if !pool.can_fork() || n < 16384 {
         data.sort_by(&cmp);
         return;
     }
 
     // Power-of-two run count so every merge round pairs runs exactly.
-    let n_runs = (threads * 4).next_power_of_two().min(n.next_power_of_two());
+    let n_runs = (pool.num_threads() * 4)
+        .next_power_of_two()
+        .min(n.next_power_of_two());
     let run_len = n.div_ceil(n_runs);
 
     // Sort base runs in place, in parallel.

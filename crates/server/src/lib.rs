@@ -81,9 +81,12 @@ pub struct ServerConfig {
     /// Scheduling policy ([`SchedulerMode::Priority`] by default;
     /// [`SchedulerMode::Fifo`] exists for benchmarking the policy).
     pub mode: SchedulerMode,
-    /// Executor threads popping the scheduler. Keep this at or below
-    /// the service pool's thread count times a small factor — executors
-    /// serialize on the shared pool anyway.
+    /// Executor threads popping the scheduler. Each one inside a query
+    /// counts against the service pool's width
+    /// ([`Pool::enter`](lgc_parallel::Pool::enter)), so with as many busy
+    /// executors as the pool is wide every query runs on its executor
+    /// alone, and a lone query still forks across the pool. More
+    /// executors than the pool is wide oversubscribe the machine.
     pub executors: usize,
     /// Bound of the interactive class queue.
     pub interactive_queue_cap: usize,

@@ -2,7 +2,9 @@
 //! request/shed counters, and a Prometheus-style text renderer that
 //! also folds in the engine-side state the core crate already tracks
 //! (ψ-cache hit rates, [`LifecycleSnapshot`](lgc_core::LifecycleSnapshot) counters, graph summary
-//! sizes) plus the scheduler's live queue depths.
+//! sizes), the shared pool's loop tallies ([`lgc_parallel::PoolStats`]:
+//! forked against run inline, and the callers inside a query now) plus
+//! the scheduler's live queue depths.
 //!
 //! Histograms are lock-free log2 buckets over microseconds: `record`
 //! is two atomic adds, and quantiles are read as the upper bound of
@@ -282,6 +284,36 @@ impl ServerMetrics {
             );
         }
 
+        // How the shared pool's width was used: a loop forks only when
+        // the callers inside a query leave it a thread.
+        g(
+            &mut out,
+            "lgc_pool_loops_total",
+            "Parallel loops of the shared pool, forked to its workers or run inline by their caller.",
+            "counter",
+        );
+        g(
+            &mut out,
+            "lgc_pool_callers",
+            "Threads inside a query on the shared pool right now.",
+            "gauge",
+        );
+        let pool = service.pool().stats();
+        for (labels, v) in [
+            ("mode=\"forked\"", pool.loops_forked),
+            (
+                "mode=\"inline\",reason=\"no_spare\"",
+                pool.loops_inline_no_spare,
+            ),
+            (
+                "mode=\"inline\",reason=\"slot_busy\"",
+                pool.loops_inline_slot_busy,
+            ),
+        ] {
+            let _ = writeln!(&mut out, "lgc_pool_loops_total{{{labels}}} {v}");
+        }
+        let _ = writeln!(&mut out, "lgc_pool_callers {}", pool.callers);
+
         // Engine-side state, read live per registered graph.
         g(
             &mut out,
@@ -435,6 +467,10 @@ mod tests {
             "lgc_lifecycle_total{tenant=\"ring\",event=\"refined\"} 1",
             "lgc_lifecycle_total{tenant=\"ring\",event=\"refine_improved\"} 0",
             "lgc_graph_memory_bytes{tenant=\"ring\"}",
+            "lgc_pool_loops_total{mode=\"forked\"} 0",
+            "lgc_pool_loops_total{mode=\"inline\",reason=\"no_spare\"} 0",
+            "lgc_pool_loops_total{mode=\"inline\",reason=\"slot_busy\"} 0",
+            "lgc_pool_callers 0",
         ] {
             assert!(page.contains(needle), "missing {needle:?} in:\n{page}");
         }

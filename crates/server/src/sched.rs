@@ -4,8 +4,11 @@
 //!
 //! The shape is deliberately boring — one `Mutex` around two
 //! `VecDeque`s plus a `Condvar` — because the executor pool is small
-//! (it mirrors the shared `Pool`'s thread count) and jobs are
-//! milliseconds of diffusion work, so queue-lock contention is noise.
+//! (it mirrors the shared `Pool`'s thread count: under load the
+//! executors *are* the pool's parallelism, each query running on the
+//! executor that popped it, while a lone query forks across the pool)
+//! and jobs are milliseconds of diffusion work, so queue-lock
+//! contention is noise.
 //! What matters is the policy: [`SchedulerMode::Priority`] gives
 //! interactive queries head-of-line privilege over bulk scans, which is
 //! what keeps interactive tail latency flat while bulk work saturates

@@ -490,3 +490,74 @@ fn bulk_queries_inherit_the_server_bulk_budget() {
         .expect("interactive query must not inherit the bulk budget");
     server.shutdown();
 }
+
+/// Sum of the metric lines on `page` that start with `prefix`.
+fn metric(page: &str, prefix: &str) -> u64 {
+    page.lines()
+        .filter(|l| l.starts_with(prefix))
+        .map(|l| l.rsplit(' ').next().unwrap().parse::<u64>().unwrap())
+        .sum()
+}
+
+/// Two executors over one 2-wide pool: while both hold a long bulk query
+/// the pool has no thread to lend, so their loops run inline (each
+/// executor *is* a thread of the width) and the page says so; a lone
+/// query afterwards gets the worker back.
+#[test]
+fn pool_counters_show_inline_loops_under_load_and_forks_alone() {
+    let mut svc = Service::builder().pool(Pool::shared(2)).build();
+    svc.add_graph("big", gen::rand_local(40_000, 5, 9));
+    let server = Server::bind(Arc::new(svc), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let long = |v| {
+        Query::new(
+            Seed::single(v),
+            Algorithm::PrNibble(PrNibbleParams {
+                alpha: 0.005,
+                eps: 1e-7,
+                ..Default::default()
+            }),
+        )
+    };
+    const INLINE: &str = "lgc_pool_loops_total{mode=\"inline\"";
+    const FORKED: &str = "lgc_pool_loops_total{mode=\"forked\"}";
+
+    let mut bulk = Client::connect(server.local_addr()).unwrap();
+    let mut control = Client::connect(server.local_addr()).unwrap();
+    assert_eq!(
+        metric(&control.metrics().unwrap(), "lgc_pool_loops_total"),
+        0
+    );
+    bulk.submit("big", Priority::Bulk, &long(1)).unwrap();
+    bulk.submit("big", Priority::Bulk, &long(2)).unwrap();
+    // Both in flight at once, seen from the control connection (answered
+    // by its reader thread, not by an executor). From here until the
+    // first of the two finishes every loop is refused a helper.
+    let both_in = std::time::Instant::now();
+    let inline_then = loop {
+        let page = control.metrics().unwrap();
+        if metric(&page, "lgc_pool_callers") == 2 {
+            break metric(&page, INLINE);
+        }
+        assert!(
+            both_in.elapsed() < Duration::from_secs(60),
+            "the two bulk queries never overlapped:\n{page}"
+        );
+    };
+    for _ in 0..2 {
+        match bulk.recv_response().unwrap().1 {
+            Response::Result(_) => {}
+            other => panic!("expected a result, got {other:?}"),
+        }
+    }
+    let loaded = control.metrics().unwrap();
+    assert!(metric(&loaded, INLINE) > inline_then, "{loaded}");
+    assert_eq!(metric(&loaded, "lgc_pool_callers"), 0, "{loaded}");
+
+    bulk.query("big", Priority::Bulk, &long(3))
+        .unwrap()
+        .unwrap();
+    let alone = control.metrics().unwrap();
+    assert!(metric(&alone, FORKED) > metric(&loaded, FORKED), "{alone}");
+    assert_eq!(metric(&alone, INLINE), metric(&loaded, INLINE), "{alone}");
+    server.shutdown();
+}

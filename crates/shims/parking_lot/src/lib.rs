@@ -34,6 +34,16 @@ impl<T: ?Sized> Mutex<T> {
         MutexGuard(Some(self.0.lock().unwrap_or_else(PoisonError::into_inner)))
     }
 
+    /// The guard if the mutex is free right now, `None` if another thread
+    /// holds it; never blocks.
+    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
+        match self.0.try_lock() {
+            Ok(guard) => Some(MutexGuard(Some(guard))),
+            Err(std::sync::TryLockError::Poisoned(p)) => Some(MutexGuard(Some(p.into_inner()))),
+            Err(std::sync::TryLockError::WouldBlock) => None,
+        }
+    }
+
     pub fn get_mut(&mut self) -> &mut T {
         self.0.get_mut().unwrap_or_else(PoisonError::into_inner)
     }
@@ -111,6 +121,16 @@ mod tests {
             cv.notify_all();
         }
         h.join().unwrap();
+    }
+
+    #[test]
+    fn try_lock_refuses_only_while_held() {
+        let m = Mutex::new(0);
+        let held = m.lock();
+        assert!(m.try_lock().is_none());
+        drop(held);
+        *m.try_lock().expect("free again") += 1;
+        assert_eq!(*m.lock(), 1);
     }
 
     #[test]

@@ -275,11 +275,23 @@
 //! yielding through the checkpoint machinery), and three explicit
 //! backpressure gates shed overload with typed, retryable errors
 //! carrying `retry_after` hints: the per-connection in-flight cap, the
-//! per-class queue bound, and the engine's own admission control. A
-//! `METRICS` request (or `lgc-server --metrics-once`) renders
+//! per-class queue bound, and the engine's own admission control.
+//!
+//! The executors and the shared [`Pool`] spend one budget of hardware
+//! threads, the pool's width (§1's two uses of cores — many independent
+//! queries, or one query's loops — chosen per loop). Every query counts
+//! its thread against the width while it runs ([`Pool::enter`], taken by
+//! the engine); a loop forks only onto threads the queries leave free,
+//! and otherwise runs on its own caller. A lone query on an idle server
+//! gets the whole pool; with as many queries in flight as the pool is
+//! wide, each runs the one-thread forms on its own core and none waits
+//! for another's loop.
+//!
+//! A `METRICS` request (or `lgc-server --metrics-once`) renders
 //! Prometheus-style text: per-tenant × per-class latency quantiles,
-//! queue depths, [`GraphCache`] hit rates, and [`LifecycleSnapshot`]
-//! counters. Responses are **bit-identical** to direct [`Engine`] runs
+//! queue depths, [`GraphCache`] hit rates, [`LifecycleSnapshot`]
+//! counters, and the pool's loops by how they ran
+//! (`lgc_pool_loops_total{mode=…}`, `lgc_pool_callers`). Responses are **bit-identical** to direct [`Engine`] runs
 //! of the same queries — `f64`s travel as raw bits — a contract the
 //! loopback suite (`crates/server/tests/loopback.rs`) enforces over
 //! real sockets with concurrent mixed-tenant clients:

@@ -350,3 +350,79 @@ fn arc_shared_service_across_spawned_threads() {
         .sum();
     assert_eq!(warm, 2, "no HK-PR queries ran, so no psi misses");
 }
+
+/// The shared pool's width is a budget of threads, not a fleet per
+/// caller: while a second caller is inside a query for the whole run, a
+/// 2-wide pool has no thread to lend, so no loop of any of the five
+/// algorithms forks and each takes the one-thread form of every
+/// primitive — bit-identical to a 1-thread engine, on both backends.
+/// Once the second caller leaves, a lone query forks again.
+#[test]
+fn beside_a_second_caller_a_query_is_the_one_thread_query() {
+    let g = plgc::graph::gen::rand_local(30_000, 5, 11);
+    let packed = plgc::CsrCompressed::from_graph(&g);
+    let svc = Service::builder()
+        .pool(Pool::shared(2))
+        .add_graph("plain", g.clone())
+        .add_graph("packed", packed)
+        .build();
+    let queries: Vec<Query> = [
+        Algorithm::Nibble(lgc::NibbleParams {
+            t_max: 30,
+            eps: 1e-8,
+        }),
+        Algorithm::PrNibble(lgc::PrNibbleParams {
+            alpha: 0.01,
+            eps: 1e-7,
+            ..Default::default()
+        }),
+        Algorithm::Hkpr(lgc::HkprParams {
+            t: 10.0,
+            n_levels: 20,
+            eps: 1e-7,
+        }),
+        Algorithm::RandHkpr(lgc::RandHkprParams {
+            walks: 40_000,
+            ..Default::default()
+        }),
+        Algorithm::Evolving(lgc::EvolvingParams {
+            max_steps: 60,
+            rng_seed: 3,
+            ..Default::default()
+        }),
+    ]
+    .into_iter()
+    .map(|algo| Query::new(Seed::single(17), algo))
+    .collect();
+    let one = Engine::builder(&g).threads(1).build();
+    let pool = svc.pool();
+
+    let second = pool.enter();
+    let beside: Vec<lgc::ClusterResult> = std::thread::scope(|scope| {
+        let run_all = || {
+            let both = ["plain", "packed"].map(|name| svc.engine(name).unwrap());
+            let runs = queries.iter().flat_map(|q| both.iter().map(|e| e.run(q)));
+            runs.collect()
+        };
+        scope.spawn(run_all).join().unwrap()
+    });
+    let stats = pool.stats();
+    assert_eq!(stats.loops_forked, 0, "{stats:?}");
+    assert!(stats.loops_inline_no_spare > 0, "{stats:?}");
+    for (got, q) in beside.chunks(2).zip(&queries) {
+        let want = one.run(q);
+        for got in got {
+            assert_eq!(got.diffusion.p, want.diffusion.p, "{:?}", q.algo);
+            assert_eq!(got.diffusion.stats, want.diffusion.stats, "{:?}", q.algo);
+            assert_eq!(got.sweep.conductances, want.sweep.conductances);
+            assert_eq!(got.cluster, want.cluster);
+        }
+    }
+
+    drop(second);
+    svc.engine("plain").unwrap().run(&queries[1]);
+    let alone = pool.stats();
+    assert!(alone.loops_forked > 0, "{alone:?}");
+    assert_eq!(alone.loops_inline(), stats.loops_inline(), "{alone:?}");
+    assert_eq!(alone.callers, 0);
+}
