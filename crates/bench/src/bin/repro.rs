@@ -16,7 +16,9 @@
 //! repository is judged by come from `benchmark/` (its `README.md` says
 //! how they are taken).
 
-use lgc_bench::{suite, suite_seed, time, time_best_of, SuiteGraph};
+use lgc_bench::{
+    hardware_threads, suite, suite_seed, table1_claim, time, time_best_of, SuiteGraph,
+};
 use lgc_core as lgc;
 use lgc_core::{PrNibbleParams, PushRule, Seed};
 use lgc_parallel::Pool;
@@ -64,17 +66,16 @@ fn main() {
         .map(String::as_str)
         .unwrap_or("all");
 
-    let max_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(2);
+    let max_threads = hardware_threads();
     println!("# repro: machine has {max_threads} hardware threads; quick={quick}");
     let (graphs, gen_secs) = time(|| suite(quick));
     println!("# graph suite generated in {gen_secs:.1}s\n");
 
+    let mut table1_ok = true;
     match cmd {
         "table2" => table2(&graphs),
         "fig4" => fig4(&graphs),
-        "table1" => table1(&graphs, max_threads),
+        "table1" => table1_ok = table1(&graphs, max_threads),
         "table3" => table3(&graphs, max_threads),
         "fig8" => fig8(&graphs),
         "fig9" => fig9(&graphs, max_threads),
@@ -85,7 +86,7 @@ fn main() {
         "all" => {
             table2(&graphs);
             fig4(&graphs);
-            table1(&graphs, max_threads);
+            table1_ok = table1(&graphs, max_threads);
             table3(&graphs, max_threads);
             fig8(&graphs);
             fig9(&graphs, max_threads);
@@ -98,6 +99,9 @@ fn main() {
             eprintln!("unknown subcommand {other:?}; try: table1 table2 table3 fig4 fig8 fig9 fig10 fig11 fig12 evolving all");
             std::process::exit(2);
         }
+    }
+    if !table1_ok {
+        std::process::exit(1);
     }
 }
 
@@ -167,13 +171,16 @@ fn fig4(graphs: &[SuiteGraph]) {
 }
 
 /// Table 1: pushes (sequential vs parallel) and parallel iterations.
-fn table1(graphs: &[SuiteGraph], max_threads: usize) {
+/// Returns whether every row met the paper's claim ([`table1_claim`]);
+/// a row that did not is named on stderr and `repro` exits 1.
+fn table1(graphs: &[SuiteGraph], max_threads: usize) -> bool {
     println!("== Table 1: PR-Nibble pushes and iterations ==");
     println!(
         "{:<18} {:>14} {:>14} {:>8} {:>12}",
         "graph", "pushes (seq)", "pushes (par)", "ratio", "iters (par)"
     );
     let pool = Pool::new(max_threads);
+    let mut ok = true;
     for sg in graphs {
         let seed = Seed::single(suite_seed(&sg.graph));
         let p = params::prnibble();
@@ -187,12 +194,23 @@ fn table1(graphs: &[SuiteGraph], max_threads: usize) {
             d_par.stats.pushes as f64 / d_seq.stats.pushes.max(1) as f64,
             d_par.stats.iterations
         );
+        if let Err(why) = table1_claim(
+            d_seq.stats.pushes,
+            d_par.stats.pushes,
+            d_par.stats.iterations,
+        ) {
+            eprintln!("table1: {}: {why}", sg.name);
+            ok = false;
+        }
     }
     println!("# paper: parallel does <=1.6x the pushes, in far fewer iterations\n");
+    ok
 }
 
 /// Table 3: running times of all algorithms + sweep, sequential vs
-/// parallel at 1 thread and at all threads.
+/// parallel at 1 thread and at all threads. On a one-thread box the
+/// `T1/T_P` column is `-`: both pools are one thread wide, and the ratio
+/// of two such runs is not a speedup.
 fn table3(graphs: &[SuiteGraph], max_threads: usize) {
     println!("== Table 3: running times (seconds) ==");
     println!(
@@ -205,14 +223,14 @@ fn table3(graphs: &[SuiteGraph], max_threads: usize) {
         let g = &sg.graph;
         let seed = Seed::single(suite_seed(g));
         let row = |alg: &str, tseq: f64, t1: f64, tp: f64| {
+            let speedup = if max_threads == 1 {
+                "-".to_string()
+            } else {
+                format!("{:.2}", t1 / tp)
+            };
             println!(
-                "{:<18} {:<14} {:>10.3} {:>10.3} {:>10.3} {:>9.2}",
-                sg.name,
-                alg,
-                tseq,
-                t1,
-                tp,
-                t1 / tp
+                "{:<18} {:<14} {:>10.3} {:>10.3} {:>10.3} {:>9}",
+                sg.name, alg, tseq, t1, tp, speedup
             );
         };
 

@@ -1,5 +1,5 @@
-//! Shared infrastructure for the benchmark harness: the stand-in graph
-//! suite (Table 2 analogue) and timing helpers.
+//! What `repro` is built from: the stand-in graph suite (Table 2
+//! analogue), timing helpers, and the paper's Table 1 claim as a check.
 //!
 //! The paper's evaluation graphs (SNAP social networks, Twitter, Yahoo
 //! web — up to 6.4B edges) cannot be shipped or held in this container.
@@ -9,7 +9,7 @@
 //! thousands of vertices — the regime the paper says parallelism pays
 //! off in.
 
-// The bench harness needs no unsafe; keep it that way.
+// Reproduction code needs no unsafe; keep it that way.
 #![forbid(unsafe_code)]
 
 use lgc_graph::{gen, Graph};
@@ -85,10 +85,28 @@ pub fn suite_seed(g: &Graph) -> u32 {
     lgc_graph::largest_component(g)[0]
 }
 
-/// The box's hardware parallelism (1 if unknown) — what every recording
-/// states, and the largest thread count it may print a column for.
+/// The box's hardware parallelism (1 if unknown) — the width `repro`
+/// gives its pools, and the largest thread count it prints a column for.
 pub fn hardware_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// The paper's Table 1 claim for one graph: parallel PR-Nibble does at
+/// most 1.6× the pushes of the sequential algorithm, in fewer iterations
+/// than the sequential algorithm does pushes. `Err` says which half broke.
+pub fn table1_claim(seq_pushes: u64, par_pushes: u64, par_iterations: u64) -> Result<(), String> {
+    let ratio = par_pushes as f64 / seq_pushes.max(1) as f64;
+    if ratio > 1.6 {
+        return Err(format!(
+            "parallel pushes are {ratio:.2}x sequential ({par_pushes} vs {seq_pushes}); bound 1.6x"
+        ));
+    }
+    if par_iterations >= seq_pushes {
+        return Err(format!(
+            "{par_iterations} parallel iterations are not below {seq_pushes} sequential pushes"
+        ));
+    }
+    Ok(())
 }
 
 /// Times a closure, returning `(result, seconds)`.
@@ -126,6 +144,15 @@ mod tests {
             let seed = suite_seed(&sg.graph);
             assert!(sg.graph.degree(seed) > 0, "{}: disconnected seed", sg.name);
         }
+    }
+
+    #[test]
+    fn table1_claim_fires_on_either_half() {
+        assert!(table1_claim(1000, 1590, 40).is_ok());
+        let e = table1_claim(1000, 1700, 40).unwrap_err();
+        assert!(e.contains("1.70x"), "{e}");
+        let e = table1_claim(1000, 1200, 1000).unwrap_err();
+        assert!(e.contains("iterations"), "{e}");
     }
 
     #[test]

@@ -38,8 +38,8 @@ impl<B: CsrBackend> Engine<'_, B> {
     /// Runs many independent queries — any mix of algorithms — fanned
     /// across the pool's threads, each worker chunk checking a private
     /// workspace out of the engine's pool, so a stream of small batches
-    /// reuses warm workspaces *across* calls (the `service` section of
-    /// `bench_diffusion` measures the difference).
+    /// reuses warm workspaces *across* calls (`benchmark/` reports the
+    /// difference as `core.engine.cold_over_warm`).
     ///
     /// Results are position-aligned with `queries` and bit-identical to
     /// running each query alone on a 1-thread engine (workspace recycling

@@ -420,7 +420,7 @@ pub(crate) enum Admission {
 /// corresponding free functions (`prnibble_par` + `sweep_cut_par`, …) —
 /// workspace checkouts and cache hits are invisible in the output, only
 /// in the allocator profile and the amortized per-query latency
-/// (`bench_diffusion` records the warm and service columns).
+/// (`core.engine.cold_over_warm` in `benchmark/`).
 pub struct Engine<'g, B: CsrBackend = Graph> {
     pub(crate) g: &'g B,
     pub(crate) core: Arc<EngineCore>,
@@ -480,8 +480,8 @@ impl<'g, B: CsrBackend> Engine<'g, B> {
 
     /// Number of warm workspaces parked in the checkout pool (0 on a
     /// fresh engine; grows to the peak number of concurrent queries /
-    /// batch worker chunks, then stabilizes — the cross-call reuse the
-    /// service bench measures).
+    /// batch worker chunks, then stabilizes; `benchmark/` reports it as
+    /// `core.engine.warm_workspaces`).
     pub fn warm_workspaces(&self) -> usize {
         self.core.workspaces.warm_count()
     }

@@ -48,8 +48,8 @@
 //!
 //! Extensions beyond the paper's core (flagged as such in its text):
 //! multi-vertex seeds (footnote 5), the β-fraction PR-Nibble variant
-//! (§3.3), the priority-queue sequential ablation (§3.3), the evolving-set
-//! process (§5), and network-community-profile generation (§4, Fig. 12).
+//! (§3.3), the evolving-set process (§5), and network-community-profile
+//! generation (§4, Fig. 12).
 
 mod batch;
 mod budget;
@@ -79,9 +79,7 @@ pub use hkpr::{hkpr_par, hkpr_seq, psi_table, HkprParams};
 pub use ncp::{ncp_prnibble, NcpParams, NcpPoint};
 pub use nibble::{nibble_par, nibble_seq, NibbleParams};
 pub use pipeline::{Embedding, KClusters, PipelineParams, RhoGrid};
-pub use prnibble::{
-    prnibble_par, prnibble_seq, prnibble_seq_priority_queue, PrNibbleParams, PushRule,
-};
+pub use prnibble::{prnibble_par, prnibble_seq, PrNibbleParams, PushRule};
 pub use rand_hkpr::{rand_hkpr_par, rand_hkpr_seq, RandHkprParams};
 pub use result::{ClusterResult, Diffusion, DiffusionStats};
 pub use seed::Seed;

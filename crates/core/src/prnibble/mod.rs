@@ -23,7 +23,7 @@ mod seq;
 
 pub use par::prnibble_par;
 pub(crate) use par::prnibble_par_ws;
-pub use seq::{prnibble_seq, prnibble_seq_priority_queue};
+pub use seq::prnibble_seq;
 
 use crate::budget::InvalidParams;
 

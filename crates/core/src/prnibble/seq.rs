@@ -1,13 +1,12 @@
 //! Sequential PageRank-Nibble: one push at a time off a FIFO queue
-//! (§3.3's description, following Andersen–Chung–Lang), plus the
-//! priority-queue variant the paper tried and found unhelpful.
+//! (§3.3's description, following Andersen–Chung–Lang).
 
 use super::PrNibbleParams;
 use crate::result::{Diffusion, DiffusionStats};
 use crate::seed::Seed;
 use lgc_graph::CsrBackend;
 use lgc_sparse::SparseVec;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// Sequential PR-Nibble with a FIFO queue.
 ///
@@ -31,64 +30,7 @@ pub fn prnibble_seq<B: CsrBackend>(g: &B, seed: &Seed, params: &PrNibbleParams) 
     state.finish()
 }
 
-/// Sequential PR-Nibble with a max-priority queue on `r[v]/d(v)` at
-/// insertion time — the ablation of §3.3 ("we did not find this to help
-/// much in practice, and sometimes performance was worse").
-pub fn prnibble_seq_priority_queue<B: CsrBackend>(
-    g: &B,
-    seed: &Seed,
-    params: &PrNibbleParams,
-) -> Diffusion {
-    params.validate();
-    let mut state = PushState::new(g, seed, params);
-    let mut heap: BinaryHeap<HeapEntry> = state
-        .initial_active()
-        .into_iter()
-        .map(|v| HeapEntry {
-            priority: state.residual_per_degree(v),
-            vertex: v,
-        })
-        .collect();
-    while let Some(HeapEntry { vertex: v, .. }) = heap.pop() {
-        while state.eligible(v) {
-            for w in state.push(v) {
-                heap.push(HeapEntry {
-                    priority: state.residual_per_degree(w),
-                    vertex: w,
-                });
-            }
-        }
-    }
-    state.finish()
-}
-
-/// An entry ordered by priority (ties by vertex id for determinism).
-struct HeapEntry {
-    priority: f64,
-    vertex: u32,
-}
-
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.priority == other.priority && self.vertex == other.vertex
-    }
-}
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.priority
-            .partial_cmp(&other.priority)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(other.vertex.cmp(&self.vertex))
-    }
-}
-
-/// Shared push machinery for the two sequential variants.
+/// The push machinery: `p`, `r` and the counters one push updates.
 struct PushState<'g, B> {
     g: &'g B,
     p: SparseVec,
@@ -131,10 +73,6 @@ impl<'g, B: CsrBackend> PushState<'g, B> {
 
     fn eligible(&self, v: u32) -> bool {
         self.g.degree(v) > 0 && self.eligible_mass(v)
-    }
-
-    fn residual_per_degree(&self, v: u32) -> f64 {
-        self.r.get(v) / self.g.degree(v).max(1) as f64
     }
 
     /// One push at `v`; returns the neighbors whose residual crossed the
@@ -260,29 +198,6 @@ mod tests {
             opt.stats.pushes,
             orig.stats.pushes
         );
-    }
-
-    #[test]
-    fn priority_queue_returns_comparable_vector() {
-        // Same linear system ⇒ similar mass distribution (not identical:
-        // push order differs, truncation points differ slightly).
-        let g = gen::rand_local(500, 5, 21);
-        let params = PrNibbleParams {
-            alpha: 0.05,
-            eps: 1e-6,
-            ..Default::default()
-        };
-        let fifo = prnibble_seq(&g, &Seed::single(3), &params);
-        let heap = prnibble_seq_priority_queue(&g, &Seed::single(3), &params);
-        assert!((fifo.total_mass() - heap.total_mass()).abs() < 1e-3);
-        // Dominant vertex must agree.
-        let top = |d: &Diffusion| {
-            d.p.iter()
-                .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
-                .unwrap()
-                .0
-        };
-        assert_eq!(top(&fifo), top(&heap));
     }
 
     #[test]

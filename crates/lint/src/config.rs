@@ -83,10 +83,6 @@ impl Config {
                     "crates/server/src/metrics.rs",
                     "monotonic serving counters and latency histograms",
                 ),
-                (
-                    "crates/bench/src/bin/bench_server.rs",
-                    "closed-loop harness counters (bench-only binary)",
-                ),
             ]
             .iter()
             .map(|(p, j)| (p.to_string(), j.to_string()))

@@ -29,7 +29,11 @@ struct Args {
     metrics_once: bool,
 }
 
-fn parse_args() -> Result<Args, String> {
+const USAGE: &str = "usage: lgc-server [--listen ADDR] [--threads N] [--executors N] \
+                     [--fifo] [--scale S] [--metrics-once]";
+
+/// `Ok(None)` is `--help`: the caller prints [`USAGE`] and exits 0.
+fn parse_args() -> Result<Option<Args>, String> {
     let mut args = Args {
         listen: "127.0.0.1:7311".to_string(),
         threads: None,
@@ -62,20 +66,14 @@ fn parse_args() -> Result<Args, String> {
             }
             "--fifo" => args.fifo = true,
             "--metrics-once" => args.metrics_once = true,
-            "--help" | "-h" => {
-                return Err(
-                    "usage: lgc-server [--listen ADDR] [--threads N] [--executors N] \
-                            [--fifo] [--scale S] [--metrics-once]"
-                        .to_string(),
-                )
-            }
+            "--help" | "-h" => return Ok(None),
             other => return Err(format!("unknown flag {other:?} (try --help)")),
         }
     }
     if args.scale == 0 {
         return Err("--scale must be >= 1".to_string());
     }
-    Ok(args)
+    Ok(Some(args))
 }
 
 fn build_service(threads: Option<usize>, scale: usize) -> Service {
@@ -93,7 +91,11 @@ fn build_service(threads: Option<usize>, scale: usize) -> Service {
 
 fn main() -> ExitCode {
     let args = match parse_args() {
-        Ok(a) => a,
+        Ok(Some(a)) => a,
+        Ok(None) => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
         Err(msg) => {
             eprintln!("{msg}");
             return ExitCode::FAILURE;

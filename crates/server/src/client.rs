@@ -1,5 +1,5 @@
 //! A small blocking client for the `lgc-server` protocol, used by the
-//! loopback tests, the example, and `bench_server`.
+//! loopback tests, the doc example, and `benchmark/`'s `serve` workload.
 //!
 //! [`Client::query`] is the simple call-and-wait path. For closed-loop
 //! load generation and for exercising the shed paths, the pipelined

@@ -79,7 +79,7 @@ use std::time::Instant;
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
     /// Scheduling policy ([`SchedulerMode::Priority`] by default;
-    /// [`SchedulerMode::Fifo`] exists for benchmarking the policy).
+    /// [`SchedulerMode::Fifo`] is what `lgc-server --fifo` selects).
     pub mode: SchedulerMode,
     /// Executor threads popping the scheduler. Each one inside a query
     /// counts against the service pool's width

@@ -13,8 +13,8 @@
 //! interactive queries head-of-line privilege over bulk scans, which is
 //! what keeps interactive tail latency flat while bulk work saturates
 //! the executors. [`SchedulerMode::Fifo`] disables the privilege (one
-//! logical arrival-order queue) and exists so `bench_server` can
-//! measure exactly what the policy buys.
+//! logical arrival-order queue); `lgc-server --fifo` selects it, so an
+//! operator can run the same traffic without the policy and compare.
 //!
 //! Each class has its own bounded depth; a push beyond the bound is
 //! refused with [`PushError::Full`] and the caller sheds the request
@@ -32,8 +32,7 @@ use std::collections::VecDeque;
 pub enum SchedulerMode {
     /// Interactive jobs dispatch before bulk jobs (the default).
     Priority,
-    /// Strict arrival order across both classes (for benchmarking the
-    /// cost of *not* having priority scheduling).
+    /// Strict arrival order across both classes (`lgc-server --fifo`).
     Fifo,
 }
 

@@ -319,10 +319,9 @@
 //! ```
 //!
 //! `examples/server.rs` remains the in-process, no-sockets simulation
-//! of the same serving loop; `bench_server` (in `crates/bench`) records
-//! sustained qps and p50/p95/p99 per tenant class — including the
-//! interactive-vs-bulk A/B that measures what the priority scheduler
-//! buys — to `BENCH_server.json`.
+//! of the same serving loop; the `serve` workload of `benchmark/`
+//! measures the real one on loopback — open-loop interactive latency
+//! (p50/p99) behind in-flight bulk queries, and bulk queries per second.
 //!
 //! # Workspace layout
 //!
