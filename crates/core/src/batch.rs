@@ -87,20 +87,20 @@ impl<B: CsrBackend> Engine<'_, B> {
             // queries.
             let grain = n.div_ceil(pool.num_threads() * 4).max(1);
             pool.run(n, grain, |s, e| {
-                // Per-worker-chunk state: an inline sequential sub-pool
-                // (no threads spawned) plus a workspace recycled across
-                // the chunk's queries (lock held only at the chunk
-                // boundary; over budget, a transient one).
-                let sub = Pool::sequential();
+                // Per-worker-chunk state: the workerless pool as the
+                // items' sub-pool, plus a workspace recycled across the
+                // chunk's queries (lock held only at the chunk boundary;
+                // over budget, a transient one).
+                let sub = Pool::solo();
                 let mut ws = workspaces.checkout();
                 // Global index i addresses both `queries` and the output.
                 #[allow(clippy::needless_range_loop)]
                 for i in s..e {
-                    let result = self.execute(&sub, Some(&mut ws), &queries[i], admission);
+                    let result = self.execute(sub, Some(&mut ws), &queries[i], admission);
                     // SAFETY: each query index is written exactly once.
                     unsafe { view.write(i, Some(result)) };
                 }
-                workspaces.restore(ws);
+                workspaces.restore(ws, &self.core.counters);
             });
         }
         out.into_iter()

@@ -25,7 +25,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use lgc_ligra::{CancelToken, Checkpoint, Trip};
+use lgc_ligra::{CancelToken, Checkpoint, IterationCounts, Trip};
 
 use crate::result::{Diffusion, DiffusionStats};
 use crate::sweep::SweepCut;
@@ -450,6 +450,9 @@ pub struct LifecycleCounters {
     busy_nanos: AtomicU64,
     refined: AtomicU64,
     refine_improved: AtomicU64,
+    iterations_push: AtomicU64,
+    iterations_pull: AtomicU64,
+    iterations_solo: AtomicU64,
 }
 
 impl LifecycleCounters {
@@ -482,6 +485,16 @@ impl LifecycleCounters {
         if improved {
             self.refine_improved.fetch_add(1, Ordering::Relaxed);
         }
+    }
+
+    /// Folds in the iterations a returning workspace's edge map tallied.
+    pub(crate) fn note_iterations(&self, counts: IterationCounts) {
+        self.iterations_push
+            .fetch_add(counts.push, Ordering::Relaxed);
+        self.iterations_pull
+            .fetch_add(counts.pull, Ordering::Relaxed);
+        self.iterations_solo
+            .fetch_add(counts.solo, Ordering::Relaxed);
     }
 
     pub(crate) fn note_trip(&self, trip: Trip) {
@@ -539,6 +552,9 @@ impl LifecycleCounters {
             in_flight: self.in_flight.load(Ordering::Relaxed),
             refined: self.refined.load(Ordering::Relaxed),
             refine_improved: self.refine_improved.load(Ordering::Relaxed),
+            iterations_push: self.iterations_push.load(Ordering::Relaxed),
+            iterations_pull: self.iterations_pull.load(Ordering::Relaxed),
+            iterations_solo: self.iterations_solo.load(Ordering::Relaxed),
         }
     }
 }
@@ -579,6 +595,20 @@ pub struct LifecycleSnapshot {
     pub refined: u64,
     /// Refinements that strictly lowered the cut's conductance.
     pub refine_improved: u64,
+    /// Frontier iterations (Nibble, PR-Nibble, HK-PR, evolving-set) the
+    /// engine's edge maps ran as a sparse push — counted when the
+    /// workspace that ran them comes back, so a query in flight is not in
+    /// yet. `iterations_push + iterations_pull` is the sum of
+    /// [`DiffusionStats::iterations`](crate::DiffusionStats) over those
+    /// queries, tripped ones included.
+    pub iterations_push: u64,
+    /// ... and as a dense pull.
+    pub iterations_pull: u64,
+    /// Of the two together, the iterations whose `|F| + vol(F)` was below
+    /// [`lgc_ligra::FORK_MIN_WORK`]: run as the one-thread code, no loop
+    /// offered to the pool ("The fork policy" on
+    /// [`lgc_ligra::EdgeSpread`]).
+    pub iterations_solo: u64,
 }
 
 impl LifecycleSnapshot {

@@ -560,7 +560,7 @@ impl<'g, B: CsrBackend> Engine<'g, B> {
         let t0 = Instant::now();
         let out = try_run_query(pool, self.g, ws, &query.seed, &query.algo, &cp);
         if let Some(ws) = own {
-            core.workspaces.restore(ws);
+            core.workspaces.restore(ws, &core.counters);
         }
         match out {
             Ok(res) => {
@@ -612,7 +612,7 @@ impl<'g, B: CsrBackend> Engine<'g, B> {
         let _caller = self.pool().enter();
         let mut ws = self.core.workspaces.checkout();
         let out = algo.diffuse(self.pool(), self.g, seed, &mut ws);
-        self.core.workspaces.restore(ws);
+        self.core.workspaces.restore(ws, &self.core.counters);
         out
     }
 
@@ -624,7 +624,7 @@ impl<'g, B: CsrBackend> Engine<'g, B> {
         let _caller = self.pool().enter();
         let mut ws = self.core.workspaces.checkout();
         let out = ncp_prnibble_ws(self.pool(), self.g, params, &mut ws);
-        self.core.workspaces.restore(ws);
+        self.core.workspaces.restore(ws, &self.core.counters);
         out
     }
 }
@@ -783,7 +783,7 @@ mod tests {
             assert_eq!(staged.direction(), want);
             staged.absorb(Absorb::Sum, |_, _, _| {});
             ws.put_frontier(engine.pool(), frontier);
-            engine.core.workspaces.restore(ws);
+            engine.core.workspaces.restore(ws, &engine.core.counters);
             for algo in algorithms() {
                 let q = Query::new(seed.clone(), algo);
                 let (got, want) = (engine.run(&q), reference.run(&q));

@@ -27,7 +27,7 @@ use crate::result::{Diffusion, DiffusionStats};
 use crate::seed::Seed;
 use crate::workspace::Workspace;
 use lgc_graph::CsrBackend;
-use lgc_ligra::{Absorb, Checkpoint, Trip, VertexSubset, Writer};
+use lgc_ligra::{lane, Absorb, Checkpoint, Trip, VertexSubset, Writer};
 use lgc_parallel::{filter_map_index, Pool};
 use lgc_sparse::{ConcurrentSparseVec, SparseVec};
 use rand::rngs::StdRng;
@@ -218,6 +218,7 @@ pub(crate) fn evolving_set_par_ws<B: CsrBackend>(
             }
             let u: f64 = rng.gen_range(f64::MIN_POSITIVE..=1.0);
             let vol = current.volume(g);
+            let pool = lane(pool, current.len(), vol);
             edges += vol as u64;
             inside.reset(pool, vol.max(1));
             // Exact |N(v) ∩ S| counts for everything adjacent to S: every

@@ -12,7 +12,7 @@ use crate::result::{Diffusion, DiffusionStats};
 use crate::seed::Seed;
 use crate::workspace::Workspace;
 use lgc_graph::CsrBackend;
-use lgc_ligra::{Absorb, Checkpoint, VertexSubset, Writer};
+use lgc_ligra::{lane, Absorb, Checkpoint, VertexSubset, Writer};
 use lgc_parallel::{map_index, Pool};
 use lgc_sparse::MassMap;
 
@@ -89,6 +89,7 @@ pub(crate) fn hkpr_par_ws<B: CsrBackend>(
         stats.pushes += frontier.len() as u64;
         let k = frontier.len();
         let vol = frontier.volume(g);
+        let pool = lane(pool, k, vol);
         stats.pushed_volume += vol as u64;
         stats.edges_traversed += vol as u64;
         let last_round = j + 1 == n_levels;
@@ -134,7 +135,9 @@ pub(crate) fn hkpr_par_ws<B: CsrBackend>(
         j += 1;
     }
 
-    // Same e^{−t} normalization as the sequential version (see there).
+    // Same e^{−t} normalization as the sequential version (see there). The
+    // tail asks the fork policy with the entries it is about to pack.
+    let pool = lane(pool, p.len(), 0);
     let scale = (-params.t).exp();
     let entries: Vec<(u32, f64)> = {
         let packed = p.entries(pool);

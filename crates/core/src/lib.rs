@@ -27,6 +27,14 @@
 //! Processes serving *several* graphs register them into a [`Service`],
 //! which shares one [`lgc_parallel::Pool`] across all of them.
 //!
+//! How parallel a query runs is decided per iteration, from the work the
+//! iteration has: one with `|F| + vol(F)` below
+//! [`lgc_ligra::FORK_MIN_WORK`] runs as the one-thread code, a larger one
+//! offers its loops to the pool — so a point query costs what the
+//! sequential algorithm costs, and a saturating one uses every thread
+//! ("The fork policy" on [`lgc_ligra::EdgeSpread`]; no result bit depends
+//! on it).
+//!
 //! ```
 //! use lgc_core::{find_cluster, Algorithm, PrNibbleParams, Seed};
 //! use lgc_graph::gen;
@@ -150,7 +158,8 @@ impl Algorithm {
 /// sweep cut — the full pipeline of the paper, in one call.
 ///
 /// With a 1-thread [`Pool`] every stage runs sequentially (the paper's
-/// `T1` configuration); with more threads every stage is parallel. This
+/// `T1` configuration); with more threads every stage with enough work to
+/// be worth a fork is parallel ([`lgc_ligra::FORK_MIN_WORK`]). This
 /// is the one-shot form of [`Engine::run`]: same code path, but scratch
 /// state is allocated fresh and dropped. Query loops should build an
 /// [`Engine`] instead and let its [`Workspace`] amortize the allocations.

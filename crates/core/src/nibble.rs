@@ -17,7 +17,7 @@ use crate::result::{Diffusion, DiffusionStats};
 use crate::seed::Seed;
 use crate::workspace::Workspace;
 use lgc_graph::CsrBackend;
-use lgc_ligra::{Absorb, Checkpoint, VertexSubset, Writer};
+use lgc_ligra::{lane, Absorb, Checkpoint, VertexSubset, Writer};
 use lgc_parallel::Pool;
 use lgc_sparse::{MassMap, SparseVec};
 
@@ -174,6 +174,7 @@ pub(crate) fn nibble_par_ws<B: CsrBackend>(
         stats.pushes += frontier.len() as u64;
         let k = frontier.len();
         let vol = frontier.volume(g);
+        let pool = lane(pool, k, vol);
         stats.pushed_volume += vol as u64;
         stats.edges_traversed += vol as u64;
 
@@ -209,6 +210,8 @@ pub(crate) fn nibble_par_ws<B: CsrBackend>(
         frontier.advance(pool, VertexSubset::from_sorted(above));
         std::mem::swap(&mut p, &mut p_new);
     }
+    // The tail asks the fork policy with the entries it is about to pack.
+    let pool = lane(pool, p.len(), 0);
     let entries = p.entries(pool);
     ws.put_mass(p);
     ws.put_mass(p_new);

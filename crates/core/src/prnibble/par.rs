@@ -17,8 +17,8 @@ use crate::result::{Diffusion, DiffusionStats};
 use crate::seed::Seed;
 use crate::workspace::Workspace;
 use lgc_graph::CsrBackend;
-use lgc_ligra::{Absorb, Checkpoint, Direction, VertexSubset};
-use lgc_parallel::{filter_map_index, map_index, Bitset, Pool};
+use lgc_ligra::{lane, Absorb, Checkpoint, Direction, VertexSubset};
+use lgc_parallel::{filter_map_index, map_index, merge_sort_by, Bitset, Pool};
 use lgc_sparse::MassMap;
 
 /// Parallel PR-Nibble. Work `O(1/(α·ε))` w.h.p. (Theorem 3), regardless
@@ -113,9 +113,18 @@ pub(crate) fn prnibble_par_ws<B: CsrBackend>(
             break;
         }
         stats.iterations += 1;
-        frontier.advance(pool, select_frontier(g, &r, &eligible, params.beta));
+        // At β = 1 the frontier *is* the eligible set: it moves in, and
+        // phase 4 reads it back from there.
+        let push_all = params.beta >= 1.0;
+        let next = if push_all {
+            VertexSubset::from_sorted(std::mem::take(&mut eligible))
+        } else {
+            select_top(g, &r, &eligible, params.beta)
+        };
+        frontier.advance(pool, next);
         let k = frontier.len();
         let vol = frontier.volume(g);
+        let pool = lane(pool, k, vol);
         stats.pushes += k as u64;
         stats.pushed_volume += vol as u64;
         stats.edges_traversed += vol as u64;
@@ -152,10 +161,18 @@ pub(crate) fn prnibble_par_ws<B: CsrBackend>(
                         r.add(w, dm);
                     }
                 });
-                // A dense delta map enumerates in key order already.
+                // A dense delta map enumerates in key order already; a
+                // sparse one holds up to `n · dense_frac` keys. They are
+                // distinct, so every sort yields the same vector: the
+                // pool's merge sort where the lane forks, else the
+                // unstable sort, which is the faster one on `u32`s.
                 let mut receivers = map_index(pool, deltas.len(), |i| deltas[i].0);
                 if !r_delta.is_dense() {
-                    receivers.sort_unstable();
+                    if pool.can_fork() {
+                        merge_sort_by(pool, &mut receivers, |a, b| a.cmp(b));
+                    } else {
+                        receivers.sort_unstable();
+                    }
                 }
                 receivers
             }
@@ -177,7 +194,8 @@ pub(crate) fn prnibble_par_ws<B: CsrBackend>(
 
         // Phase 4: the next eligible set can only contain previously
         // eligible vertices or vertices that just received mass.
-        let cands = merge_sorted_distinct(&eligible, &receivers);
+        let known = if push_all { frontier.ids() } else { &eligible };
+        let cands = merge_sorted_distinct(known, &receivers);
         eligible = filter_map_index(pool, cands.len(), |i| {
             let v = cands[i];
             let d = g.degree(v);
@@ -185,6 +203,9 @@ pub(crate) fn prnibble_par_ws<B: CsrBackend>(
         });
     }
 
+    // The tail sums `r` and packs and sorts `p`: it asks the fork policy
+    // with the entries it is about to handle.
+    let pool = lane(pool, p.len(), r.len());
     stats.residual_mass = r.l1_norm(pool);
     let entries = p.entries(pool);
     ws.put_mass(r);
@@ -230,7 +251,7 @@ fn merge_sorted_distinct(a: &[u32], b: &[u32]) -> Vec<u32> {
     out
 }
 
-/// Top `β`-fraction of `eligible` by `r[v]/d(v)` (all of it when β = 1).
+/// Top `β`-fraction of `eligible` by `r[v]/d(v)`, for `β < 1`.
 ///
 /// Partial selection, not a full sort: `select_nth_unstable_by` places
 /// the `take` best-scored vertices (under a total order — score
@@ -238,10 +259,7 @@ fn merge_sorted_distinct(a: &[u32], b: &[u32]) -> Vec<u32> {
 /// since `d > 0`) in the prefix in `O(k)` expected time instead of
 /// `O(k log k)`. The selected *set* is deterministic because the
 /// comparator never declares two distinct vertices equal.
-fn select_frontier<B: CsrBackend>(g: &B, r: &MassMap, eligible: &[u32], beta: f64) -> VertexSubset {
-    if beta >= 1.0 {
-        return VertexSubset::from_sorted(eligible.to_vec());
-    }
+fn select_top<B: CsrBackend>(g: &B, r: &MassMap, eligible: &[u32], beta: f64) -> VertexSubset {
     let take = ((eligible.len() as f64 * beta).ceil() as usize).clamp(1, eligible.len());
     let mut scored: Vec<(u32, f64)> = eligible
         .iter()

@@ -35,7 +35,7 @@
 use super::{eligible_entries, prefix_conductance, sweep_order_cmp, SweepCut};
 use crate::workspace::Workspace;
 use lgc_graph::CsrBackend;
-use lgc_ligra::{Checkpoint, Trip};
+use lgc_ligra::{lane, Checkpoint, Trip};
 use lgc_parallel::{
     map_index, max_by, merge_sort_by, scan_exclusive, scan_inclusive, Pool, UnsafeSlice,
 };
@@ -83,8 +83,12 @@ pub(crate) fn sweep_cut_par_ws<B: CsrBackend>(
     if scored.is_empty() {
         return Ok(SweepCut::empty());
     }
-    merge_sort_by(pool, &mut scored, sweep_order_cmp);
+    // The sweep's work is `O(N log N + vol(S_N))`: one answer from the
+    // fork policy covers the sort and every pass after it.
     let n = scored.len();
+    let vol: usize = scored.iter().map(|&(v, _)| g.degree(v)).sum();
+    let pool = lane(pool, n, vol);
+    merge_sort_by(pool, &mut scored, sweep_order_cmp);
     let order: Vec<u32> = scored.iter().map(|&(v, _)| v).collect();
     let cached_degs = ws.cached_degrees(g);
     ws.note_sweep_support(n);

@@ -2,6 +2,7 @@
 //! over, and the byte-budgeted [`WorkspacePool`] an engine checks them
 //! out of.
 
+use crate::budget::LifecycleCounters;
 use crate::cache::GraphCache;
 #[cfg(doc)]
 use crate::engine::{Engine, LocalDiffusion};
@@ -327,8 +328,10 @@ impl WorkspacePool {
     /// watermark future charges are estimated at), and park iff the
     /// freelist's resident bytes stay within budget; transient fallbacks
     /// are simply dropped. (A query that panics drops its checkout the
-    /// same way.)
-    pub(crate) fn restore(&self, mut ws: Workspace) {
+    /// same way.) Either kind first hands `counters` the iterations its
+    /// edge map tallied while it was out.
+    pub(crate) fn restore(&self, mut ws: Workspace, counters: &LifecycleCounters) {
+        counters.note_iterations(ws.spread.take_counts());
         let Some(charge) = ws.charge.take() else {
             return; // transient over-budget fallback: not accounted
         };

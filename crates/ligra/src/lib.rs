@@ -33,6 +33,10 @@
 //! representations (sorted id list and bitset) with `O(len)` conversions
 //! so flip-flopping between directions never pays more than the iteration
 //! it serves.
+//!
+//! The same work measure decides a second thing per iteration: whether its
+//! loops are offered to the pool's workers at all ([`lane`],
+//! [`FORK_MIN_WORK`] — "The fork policy" on [`EdgeSpread`]).
 
 use lgc_graph::CsrBackend;
 use lgc_parallel::{scan_exclusive, Bitset, Pool, UnsafeSlice};
@@ -147,13 +151,31 @@ pub fn edge_map<B: CsrBackend>(
     edge_map_indexed(pool, g, frontier, |_, src, dst| f(src, dst));
 }
 
-/// Below this many frontier edges the plain nested loop beats the
-/// flattening setup plus worker wakeup (~2 chunks of edges).
-const SEQ_EDGE_CUTOFF: usize = 4096;
+/// The one constant of the fork policy, in units of `|F| + vol(F)`: an
+/// iteration with less work than this runs as the one-thread code. The
+/// rationale and the calibration are under "The fork policy" on
+/// [`EdgeSpread`].
+pub const FORK_MIN_WORK: usize = 32_768;
 
-/// Frontiers at most this long probe their volume directly before paying
-/// for the degree vector the flattened path needs.
-const SMALL_FRONTIER: usize = 64;
+/// The fork policy's one predicate: the pool a step over `len` vertices and
+/// `vol` adjacency entries runs its loops on — `pool` itself when
+/// `len + vol ≥` [`FORK_MIN_WORK`], the workerless [`Pool::solo`] below it,
+/// where every loop is one inline call and every primitive takes its
+/// one-pass sequential form. The answer depends on the two counts and the
+/// constant only — never on timing, on the pool's width or on who else is
+/// in it — so it repeats exactly, and since a step on the workerless pool
+/// is bit for bit the same step at one thread, no result depends on it.
+pub fn lane(pool: &Pool, len: usize, vol: usize) -> &Pool {
+    if worth_forking(len, vol) {
+        pool
+    } else {
+        Pool::solo()
+    }
+}
+
+fn worth_forking(len: usize, vol: usize) -> bool {
+    len + vol >= FORK_MIN_WORK
+}
 
 /// The frontier-indexed push engine: like [`edge_map`], but the callback
 /// also receives the *frontier index* of the source —
@@ -164,41 +186,38 @@ const SMALL_FRONTIER: usize = 64;
 /// once per frontier vertex (`contrib[i] = coeff · r[ids[i]] / d(ids[i])`)
 /// and the per-edge work collapses to one slice load + one atomic add —
 /// no hash probe, no division, per edge.
+///
+/// Forks per the fork policy ([`lane`]): a frontier too small to be worth
+/// it is walked by the plain nested loop on the calling thread.
 pub fn edge_map_indexed<B: CsrBackend>(
     pool: &Pool,
     g: &B,
     frontier: &VertexSubset,
     f: impl Fn(usize, u32, u32) + Sync,
 ) {
-    let k = frontier.len();
-    if k == 0 {
-        return;
-    }
-    let seq = |ids: &[u32]| {
+    let lane = lane(pool, frontier.len(), frontier.volume(g));
+    push_edges(lane, g, frontier, f);
+}
+
+/// [`edge_map_indexed`] on a pool the fork policy has already been asked
+/// for.
+fn push_edges<B: CsrBackend>(
+    pool: &Pool,
+    g: &B,
+    frontier: &VertexSubset,
+    f: impl Fn(usize, u32, u32) + Sync,
+) {
+    let ids = &frontier.ids;
+    if !pool.can_fork() {
         for (i, &v) in ids.iter().enumerate() {
             g.for_each_neighbor(v, |w| f(i, v, w));
         }
-    };
-    if !pool.can_fork() {
-        seq(&frontier.ids);
         return;
     }
-    if k <= SMALL_FRONTIER && frontier.volume(g) <= SEQ_EDGE_CUTOFF {
-        seq(&frontier.ids);
-        return;
-    }
-    // Degree vector computed once: the exclusive prefix sum yields both
-    // the flattened edge offsets and (as its total) vol(frontier).
-    let degs: Vec<usize> = frontier.ids.iter().map(|&v| g.degree(v)).collect();
+    // The exclusive prefix sum over the frontier's degrees flattens its
+    // edge space, so one high-degree vertex is split across chunks.
+    let degs: Vec<usize> = ids.iter().map(|&v| g.degree(v)).collect();
     let (offsets, total_edges) = scan_exclusive(pool, &degs, 0usize, |a, b| a + b);
-    if total_edges <= SEQ_EDGE_CUTOFF {
-        // Long frontier of low-degree vertices: still not worth forking.
-        if total_edges > 0 {
-            seq(&frontier.ids);
-        }
-        return;
-    }
-    let ids = &frontier.ids;
     pool.run(total_edges, 2048, |es, ee| {
         // Locate the frontier vertex owning edge index `es`.
         let mut vi = offsets.partition_point(|&o| o <= es) - 1;
@@ -544,10 +563,68 @@ pub enum Writer {
 /// The results do not depend on the policy — every direction yields the
 /// same bits at one thread — so this is the single constant a measured
 /// cost model would replace.
+///
+/// # The fork policy
+///
+/// The same two numbers answer a second question about an iteration: are
+/// its loops offered to the pool's workers at all? The paper's bounds are
+/// work/depth, and an iteration of `O(|F| + vol(F))` work has parallelism
+/// to offer only once that work exceeds what forking it costs. That cost
+/// is not only the hand-off: while a helper is available every primitive
+/// takes its two-pass parallel form (a filter counts, then writes; a push
+/// builds a degree vector and scans it to flatten its edge space), which
+/// on a frontier of a few hundred vertices is most of the work. So there is
+/// one rule, [`lane`]: below `|F| + vol(F) =` [`FORK_MIN_WORK`] the
+/// iteration gets the workerless [`Pool::solo`] and runs, loop for loop,
+/// as the one-thread code; at or above it, the caller's pool, unchanged.
+/// [`EdgeSpread::stage`] asks it for the edge map; a diffusion asks it with
+/// the same `k` and `vol` for the steps it wraps around the edge map
+/// (store resets, commits, filters), the sweep with `N` and `vol(S_N)`, a
+/// diffusion's tail with the number of entries it packs and sums, and
+/// [`edge_map_indexed`] for itself. The rule reads counts and one constant
+/// — no clock, not the pool's width, not who else is in the pool — so its
+/// answers repeat exactly, and because an iteration on the workerless pool
+/// is bit for bit that iteration at one thread, no result depends on them:
+/// a query that stays below the threshold returns the one-thread bits from
+/// a pool of any width.
+///
+/// The constant is calibrated, not derived: one binary, a 2-wide pool, the
+/// threshold swept over 0 / 8 192 / 16 384 / 32 768 / 65 536 / 131 072 on
+/// the benchmark's point-query workload (0.4–6 ms queries on a 64³ torus,
+/// whose widest iterations have `|F| + vol(F)` around 10⁴) and on its
+/// saturating one; every run is tabulated in CHANGES.md under PR 20. At
+/// 8 192 the point queries still pay part of what two threads lose to one;
+/// from 16 384 up they pay none of it. The saturating workload is at its
+/// best at 16 384 and 32 768: below, the small first and last iterations
+/// of a large query still fork for nothing, and from 65 536 up mid-size
+/// iterations with real work to share stop forking. 32 768 sits in the
+/// middle of the range both agree on: about 150 µs of push work, against
+/// a fork that is cheap only while forks are frequent — a rare one finds
+/// the worker parked, and waits for it to be woken. Two things that were
+/// measured and do not work in its place: refusing the forks inside
+/// `Pool::run` (half the gain: the two-pass forms remain), and a per-loop
+/// "fork above K chunks" rule (a loop's `grain` is not a unit of work; K
+/// large enough to help the point queries costs the saturating ones
+/// 10–20 %).
 #[derive(Default)]
 pub struct EdgeSpread {
     slots: Vec<f64>,
     policy: DirectionParams,
+    counts: IterationCounts,
+}
+
+/// How many iterations an [`EdgeSpread`] has staged, by the direction taken
+/// and by lane — plain tallies the owner drains with
+/// [`EdgeSpread::take_counts`]. `push + pull` is every iteration staged;
+/// `solo` counts those of them the fork policy kept off the workers.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct IterationCounts {
+    /// Iterations staged as a sparse push.
+    pub push: u64,
+    /// Iterations staged as a dense pull.
+    pub pull: u64,
+    /// Iterations below [`FORK_MIN_WORK`], run as the one-thread code.
+    pub solo: u64,
 }
 
 /// Contributions laid out by [`EdgeSpread::stage`], waiting to be spread.
@@ -567,9 +644,14 @@ impl EdgeSpread {
     /// `new(DirectionParams::default())`).
     pub fn new(policy: DirectionParams) -> Self {
         EdgeSpread {
-            slots: Vec::new(),
             policy,
+            ..Default::default()
         }
+    }
+
+    /// The tallies since the last call, which this resets.
+    pub fn take_counts(&mut self) -> IterationCounts {
+        std::mem::take(&mut self.counts)
     }
 
     /// Resident bytes of the buffer (capacity, not length).
@@ -590,10 +672,18 @@ impl EdgeSpread {
         contrib_of: impl Fn(u32) -> f64 + Sync,
     ) -> Staged<'a, B> {
         let k = frontier.len();
+        let pool = lane(pool, k, vol);
+        self.counts.solo += u64::from(!worth_forking(k, vol));
         let dir = self.policy.choose(g, k, vol);
         let len = match dir {
-            Direction::Push => k,
-            Direction::Pull => g.num_vertices(),
+            Direction::Push => {
+                self.counts.push += 1;
+                k
+            }
+            Direction::Pull => {
+                self.counts.pull += 1;
+                g.num_vertices()
+            }
         };
         if self.slots.len() < len {
             self.slots.resize(len, 0.0);
@@ -643,7 +733,7 @@ impl<B: CsrBackend> Staged<'_, B> {
             dir,
         } = self;
         match dir {
-            Direction::Push => edge_map_indexed(pool, g, frontier.subset(), |i, _, dst| {
+            Direction::Push => push_edges(pool, g, frontier.subset(), |i, _, dst| {
                 absorb(dst, slots[i], Writer::Shared)
             }),
             Direction::Pull => {
@@ -772,14 +862,14 @@ mod tests {
         // A star: the center has degree n-1; edge-level parallelism must
         // split its adjacency list across chunks.
         let pool = Pool::new(4);
-        let g = gen::star(20_000);
+        let g = gen::star(40_000); // above `FORK_MIN_WORK`: the loop forks
         let frontier = VertexSubset::single(0);
         let count = AtomicUsize::new(0);
         edge_map(&pool, &g, &frontier, |src, _| {
             assert_eq!(src, 0);
             count.fetch_add(1, Ordering::Relaxed);
         });
-        assert_eq!(count.load(Ordering::Relaxed), 19_999);
+        assert_eq!(count.load(Ordering::Relaxed), 39_999);
     }
 
     #[test]
@@ -816,7 +906,7 @@ mod tests {
     /// tiny, and large frontiers at 1/2/4 threads.
     #[test]
     fn edge_map_indexed_equivalent_to_edge_map() {
-        let skewed = gen::star(9_000); // one huge-degree center
+        let skewed = gen::star(40_000); // one huge-degree center, forked
         let local = gen::rand_local(700, 6, 3);
         let with_isolated = lgc_graph::Graph::from_edges(50, &[(0, 1), (1, 2), (4, 5)]);
         let cases: Vec<(&lgc_graph::Graph, VertexSubset)> = vec![
@@ -994,7 +1084,13 @@ mod tests {
     /// either absorption order, at any thread count.
     #[test]
     fn unit_contributions_match_push_counting() {
-        let graphs = [gen::rmat_graph500(9, 8, 3), gen::rand_local(500, 5, 2)];
+        // The last one is large enough that `stage` and both traversals
+        // fork (`k + vol ≥ FORK_MIN_WORK`); the others run solo.
+        let graphs = [
+            gen::rmat_graph500(9, 8, 3),
+            gen::rand_local(500, 5, 2),
+            gen::rand_local(10_000, 5, 4),
+        ];
         for g in &graphs {
             let n = g.num_vertices();
             let ids: Vec<u32> = (0..n as u32).filter(|v| v % 3 == 1).collect();
@@ -1131,19 +1227,114 @@ mod tests {
     }
 
     #[test]
-    fn edge_map_indexed_large_low_degree_frontier() {
-        // k > SMALL_FRONTIER with tiny degrees exercises the path where
-        // the degree scan itself discovers the volume is below cutoff.
-        let g = gen::cycle(6_000);
-        let frontier = VertexSubset::from_unsorted((0..1500u32).map(|v| v * 4).collect());
-        for threads in [1, 2, 4] {
-            let pool = Pool::new(threads);
-            let count = AtomicUsize::new(0);
-            edge_map_indexed(&pool, &g, &frontier, |i, src, _dst| {
-                assert_eq!(frontier.ids()[i], src);
-                count.fetch_add(1, Ordering::Relaxed);
-            });
-            assert_eq!(count.load(Ordering::Relaxed), 1500 * 2, "t={threads}");
+    fn edge_map_indexed_long_low_degree_frontier() {
+        // Many vertices of tiny degree: a frontier the fork policy keeps on
+        // the calling thread, and one it forks, whose flattened edge space
+        // is all chunk boundaries.
+        let g = gen::cycle(60_000);
+        for k in [1_500u32, 15_000] {
+            let frontier = VertexSubset::from_unsorted((0..k).map(|v| v * 4).collect());
+            for threads in [1, 2, 4] {
+                let pool = Pool::new(threads);
+                let count = AtomicUsize::new(0);
+                edge_map_indexed(&pool, &g, &frontier, |i, src, _dst| {
+                    assert_eq!(frontier.ids()[i], src);
+                    count.fetch_add(1, Ordering::Relaxed);
+                });
+                assert_eq!(
+                    count.load(Ordering::Relaxed),
+                    k as usize * 2,
+                    "k={k} t={threads}"
+                );
+                let forked = pool.stats().loops_forked > 0;
+                assert_eq!(
+                    forked,
+                    threads > 1 && 3 * k as usize >= FORK_MIN_WORK,
+                    "k={k} t={threads}"
+                );
+            }
         }
+    }
+
+    /// What [`lane`] hands back — 0 the workerless pool, 1 `pool` itself —
+    /// for work on both sides of the threshold and at it, however
+    /// `len + vol` is split.
+    fn lanes(pool: &Pool) -> Vec<u8> {
+        let x = FORK_MIN_WORK;
+        [
+            (0, 0),
+            (x - 1, 0),
+            (0, x - 1),
+            (1, x - 2),
+            (x, 0),
+            (0, x),
+            (1, x - 1),
+            (7, 9 * x),
+        ]
+        .iter()
+        .map(|&(len, vol)| {
+            let lane = lane(pool, len, vol);
+            match (std::ptr::eq(lane, Pool::solo()), std::ptr::eq(lane, pool)) {
+                (true, false) => 0,
+                (false, true) => 1,
+                _ => 2,
+            }
+        })
+        .collect()
+    }
+
+    /// The fork policy reads two counts and a constant: the workerless pool
+    /// strictly below `FORK_MIN_WORK`, the caller's pool at it — on a pool
+    /// of any width, whether or not another thread is inside a query on it.
+    #[test]
+    fn lane_depends_on_the_work_alone() {
+        let want = [0, 0, 0, 0, 1, 1, 1, 1];
+        for width in [1, 4] {
+            let pool = Pool::new(width);
+            assert_eq!(lanes(&pool), want, "width {width}");
+            let (entered, leave) = (std::sync::Barrier::new(2), std::sync::Barrier::new(2));
+            // Asserted on after `leave`: a panic before it would strand the
+            // other thread at the barrier.
+            let beside = std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    let _other = pool.enter();
+                    entered.wait();
+                    leave.wait();
+                });
+                entered.wait();
+                let beside = lanes(&pool);
+                leave.wait();
+                beside
+            });
+            assert_eq!(beside, want, "width {width}, beside a second caller");
+        }
+    }
+
+    /// `EdgeSpread` tallies what it staged by direction, and how much of it
+    /// the fork policy kept off the workers; draining resets the tallies.
+    #[test]
+    fn spread_counts_iterations_by_direction_and_lane() {
+        let g = gen::rand_local(500, 5, 2);
+        let pool = Pool::new(2);
+        let mut spread = EdgeSpread::new(DirectionParams::push_only());
+        let mut frontier = Frontier::from_subset(VertexSubset::from_sorted(vec![1, 2, 3]));
+        let vol = frontier.volume(&g);
+        for vol in [vol, vol, FORK_MIN_WORK] {
+            spread
+                .stage(&pool, &g, &mut frontier, vol, |_| 1.0)
+                .absorb(Absorb::Sum, |_, _, _| {});
+        }
+        let mut pulling = EdgeSpread::new(DirectionParams::pull_only());
+        pulling
+            .stage(&pool, &g, &mut frontier, vol, |_| 1.0)
+            .absorb(Absorb::Sum, |_, _, _| {});
+        let pushed = IterationCounts {
+            push: 3,
+            pull: 0,
+            solo: 2,
+        };
+        assert_eq!(spread.take_counts(), pushed);
+        assert_eq!(spread.take_counts(), IterationCounts::default());
+        assert_eq!(pulling.take_counts().pull, 1);
     }
 }

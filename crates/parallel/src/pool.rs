@@ -14,11 +14,17 @@
 //! no other caller's loop is published; otherwise its caller walks the same
 //! chunks itself. No thread ever waits for the pool: with as many callers
 //! as the pool is wide, the callers are the parallelism.
+//!
+//! Whether a loop is *offered* to the pool at all is not decided here: a
+//! query decides per iteration whether its loops are offered to the
+//! workers, by the work the iteration has to do, and hands the ones that
+//! are not to the process-wide workerless pool ([`Pool::solo`]) — see "The
+//! fork policy" on `lgc_ligra::EdgeSpread`.
 
 use parking_lot::{Condvar, Mutex};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 
 thread_local! {
@@ -238,9 +244,21 @@ impl Pool {
         }
     }
 
-    /// A single-threaded pool (no workers, zero synchronization overhead).
+    /// A single-threaded pool (no workers, zero synchronization overhead):
+    /// every loop is one inline call and every primitive takes its one-pass
+    /// sequential form. [`Pool::solo`] is the shared instance.
     pub fn sequential() -> Self {
         Self::new(1)
+    }
+
+    /// The process-wide workerless pool — what a query hands an iteration
+    /// too small to be worth a fork (a query decides per iteration whether
+    /// its loops are offered to the workers; the rule is "The fork policy"
+    /// on `lgc_ligra::EdgeSpread`). It has no state a caller can observe:
+    /// nothing is counted against it and its tallies never move.
+    pub fn solo() -> &'static Pool {
+        static SOLO: OnceLock<Pool> = OnceLock::new();
+        SOLO.get_or_init(Pool::sequential)
     }
 
     /// A pool sized to the machine (`std::thread::available_parallelism`).
@@ -584,6 +602,24 @@ mod tests {
             hits.fetch_add((e - s) as u64, Ordering::Relaxed);
         });
         assert_eq!(hits.load(Ordering::Relaxed), 10);
+    }
+
+    /// One workerless pool for the whole process: nothing forks on it,
+    /// nothing is counted against it and its tallies never move.
+    #[test]
+    fn solo_is_one_workerless_pool() {
+        let solo = Pool::solo();
+        assert!(std::ptr::eq(solo, Pool::solo()));
+        assert_eq!(solo.num_threads(), 1);
+        assert!(!solo.can_fork());
+        let calls = AtomicU64::new(0);
+        let _noop = solo.enter();
+        solo.run(10_000, 16, |s, e| {
+            assert_eq!((s, e), (0, 10_000));
+            calls.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!(calls.load(Ordering::Relaxed), 1);
+        assert_eq!(solo.stats(), PoolStats::default());
     }
 
     #[test]

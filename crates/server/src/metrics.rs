@@ -285,11 +285,13 @@ impl ServerMetrics {
         }
 
         // How the shared pool's width was used: a loop forks only when
-        // the callers inside a query leave it a thread.
+        // the callers inside a query leave it a thread. These count loops
+        // *offered* to the shared pool, which an iteration below the fork
+        // threshold never does (`lgc_iterations_solo_total`).
         g(
             &mut out,
             "lgc_pool_loops_total",
-            "Parallel loops of the shared pool, forked to its workers or run inline by their caller.",
+            "Parallel loops offered to the shared pool, forked to its workers or run inline by their caller.",
             "counter",
         );
         g(
@@ -325,6 +327,18 @@ impl ServerMetrics {
             &mut out,
             "lgc_lifecycle_total",
             "Engine lifecycle counters by tenant and event.",
+            "counter",
+        );
+        g(
+            &mut out,
+            "lgc_iterations_total",
+            "Frontier iterations run by the engine's edge maps, by tenant and direction taken.",
+            "counter",
+        );
+        g(
+            &mut out,
+            "lgc_iterations_solo_total",
+            "Of lgc_iterations_total, those below the fork threshold: run as one-thread code, no loop offered to the pool.",
             "counter",
         );
         g(
@@ -369,6 +383,17 @@ impl ServerMetrics {
                         "lgc_lifecycle_total{{tenant=\"{name}\",event=\"{event}\"}} {v}"
                     );
                 }
+                for (dir, v) in [("push", l.iterations_push), ("pull", l.iterations_pull)] {
+                    let _ = writeln!(
+                        &mut out,
+                        "lgc_iterations_total{{tenant=\"{name}\",dir=\"{dir}\"}} {v}"
+                    );
+                }
+                let _ = writeln!(
+                    &mut out,
+                    "lgc_iterations_solo_total{{tenant=\"{name}\"}} {}",
+                    l.iterations_solo
+                );
                 let _ = writeln!(
                     &mut out,
                     "lgc_engine_in_flight{{tenant=\"{name}\"}} {}",
@@ -466,6 +491,9 @@ mod tests {
             "lgc_lifecycle_total{tenant=\"ring\",event=\"admitted\"} 0",
             "lgc_lifecycle_total{tenant=\"ring\",event=\"refined\"} 1",
             "lgc_lifecycle_total{tenant=\"ring\",event=\"refine_improved\"} 0",
+            "lgc_iterations_total{tenant=\"ring\",dir=\"push\"} 0",
+            "lgc_iterations_total{tenant=\"ring\",dir=\"pull\"} 0",
+            "lgc_iterations_solo_total{tenant=\"ring\"} 0",
             "lgc_graph_memory_bytes{tenant=\"ring\"}",
             "lgc_pool_loops_total{mode=\"forked\"} 0",
             "lgc_pool_loops_total{mode=\"inline\",reason=\"no_spare\"} 0",

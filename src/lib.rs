@@ -77,6 +77,14 @@
 //! mix of queries across the pool with per-worker workspaces that stay
 //! warm across calls (deterministic, thread-count independent).
 //!
+//! A query decides per iteration whether its loops see the pool's
+//! workers: below `|F| + vol(F) =` [`ligra::FORK_MIN_WORK`] the iteration
+//! runs as the one-thread code, at or above it the loops are offered to
+//! the pool. A lone point query therefore costs what it costs at one
+//! thread, whatever the engine's width, and returns the one-thread bits;
+//! "The fork policy" on [`ligra::EdgeSpread`] has the rule and its
+//! calibration.
+//!
 //! # Migrating from the PR 3 `Engine` and the free functions
 //!
 //! Queries became `&self` (callers no longer need `mut` engines or a
@@ -283,15 +291,19 @@
 //! its thread against the width while it runs ([`Pool::enter`], taken by
 //! the engine); a loop forks only onto threads the queries leave free,
 //! and otherwise runs on its own caller. A lone query on an idle server
-//! gets the whole pool; with as many queries in flight as the pool is
-//! wide, each runs the one-thread forms on its own core and none waits
-//! for another's loop.
+//! gets the whole pool for every iteration with enough work to be worth
+//! a fork ([`ligra::FORK_MIN_WORK`]); with as many queries in flight as
+//! the pool is wide, each runs the one-thread forms on its own core and
+//! none waits for another's loop.
 //!
 //! A `METRICS` request (or `lgc-server --metrics-once`) renders
 //! Prometheus-style text: per-tenant × per-class latency quantiles,
 //! queue depths, [`GraphCache`] hit rates, [`LifecycleSnapshot`]
-//! counters, and the pool's loops by how they ran
-//! (`lgc_pool_loops_total{mode=…}`, `lgc_pool_callers`). Responses are **bit-identical** to direct [`Engine`] runs
+//! counters — among them the engines' frontier iterations by direction
+//! and by lane (`lgc_iterations_total{dir=…}`,
+//! `lgc_iterations_solo_total`) — and the loops offered to the pool by how
+//! they ran (`lgc_pool_loops_total{mode=…}`, `lgc_pool_callers`; an
+//! iteration below the fork threshold offers none). Responses are **bit-identical** to direct [`Engine`] runs
 //! of the same queries — `f64`s travel as raw bits — a contract the
 //! loopback suite (`crates/server/tests/loopback.rs`) enforces over
 //! real sockets with concurrent mixed-tenant clients:
@@ -333,7 +345,8 @@
 //! * [`ligra`] — `vertexSubset` / `vertexMap` / `edgeMap` frontier
 //!   framework; `EdgeSpread` is the direction-optimizing edge map the
 //!   frontier diffusions are written on, and the owner of the direction
-//!   policy (`EngineBuilder::direction` is the one place to pin it).
+//!   policy (`EngineBuilder::direction` is the one place to pin it) and
+//!   of the fork policy (one constant, `FORK_MIN_WORK`; nothing to set).
 //! * [`flow`] — hand-rolled Dinic max-flow and the MQI-style
 //!   `improve` refinement stage.
 //! * [`cluster`] — the paper's algorithms behind the [`Engine`] and

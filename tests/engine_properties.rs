@@ -450,3 +450,143 @@ fn clones_and_service_engines_share_workspaces_and_counters() {
     assert_eq!(svc.lifecycle("g").unwrap().completed, 2);
     assert_eq!(a.as_plain().unwrap().lifecycle_stats(), b.lifecycle_stats());
 }
+
+fn prn(alpha: f64, eps: f64) -> Algorithm {
+    Algorithm::PrNibble(lgc::PrNibbleParams {
+        alpha,
+        eps,
+        ..Default::default()
+    })
+}
+
+/// The fork policy reads counts only, so these hold exactly: a lone small
+/// query on a 2-wide engine offers the pool no loop — every iteration runs
+/// as the one-thread code, and the result is the one-thread result down to
+/// `residual_mass` — while a saturating query forks.
+#[test]
+fn a_lone_small_query_forks_nothing_and_a_saturating_one_forks() {
+    let g = plgc::graph::gen::grid_3d(16, 16, 16);
+    let q = Query::new(Seed::single(0), prn(0.1, 1e-4));
+    let engine = Engine::builder(&g).threads(2).build();
+    let got = engine.run(&q);
+    let s = engine.lifecycle_stats();
+    let iterations = got.diffusion.stats.iterations;
+    assert!(iterations > 1);
+    assert_eq!(engine.pool().stats().loops_forked, 0);
+    assert_eq!(s.iterations_solo, iterations);
+    assert_eq!(s.iterations_push + s.iterations_pull, iterations);
+    let one = Engine::builder(&g).threads(1).build();
+    assert_bitwise(&got, &one.run(&q), "2-wide, every step below the threshold");
+    assert_eq!(one.lifecycle_stats().iterations_solo, iterations);
+
+    let g = plgc::graph::gen::rand_local(20_000, 5, 3);
+    let q = Query::new(Seed::single(0), prn(0.01, 1e-7));
+    let engine = Engine::builder(&g).threads(2).build();
+    let got = engine.run(&q);
+    let s = engine.lifecycle_stats();
+    assert!(engine.pool().stats().loops_forked >= 1);
+    // Forked pushes add in scheduler order: tight ℓ₁, not bitwise.
+    let want = Engine::builder(&g).threads(1).build().run(&q);
+    assert!(l1_distance(&got.diffusion, &want.diffusion) < 1e-9);
+    assert!((got.conductance - want.conductance).abs() < 1e-9);
+    assert!(got.diffusion.support_size() * 2 > g.num_vertices());
+    assert!(0 < s.iterations_solo && s.iterations_solo < got.diffusion.stats.iterations);
+    assert!(s.iterations_pull > 0, "a saturating frontier crosses `m`");
+}
+
+/// Conservation law of the iteration counters: `push + pull` is the sum of
+/// `stats.iterations` over the frontier-diffusion queries the engine ran —
+/// single or batch item, completed or tripped, with a sweep or without —
+/// and `solo` is part of it. rand-HK-PR walks have no frontier and count
+/// nothing.
+#[test]
+fn iteration_counters_add_up_to_the_iterations_run() {
+    let g = plgc::graph::gen::rand_local(8_000, 5, 11);
+    let engine = Engine::builder(&g).threads(2).build();
+    let mut iterations = 0;
+    let frontier_kinds = [0, 1, 2, 4];
+    for (i, kind) in frontier_kinds.into_iter().enumerate() {
+        let q = Query::new(Seed::single(i as u32 * 31), make_algo(kind, 1));
+        iterations += engine.run(&q).diffusion.stats.iterations;
+        iterations += engine.diffuse(&q.seed, &q.algo).stats.iterations;
+    }
+    engine.run(&Query::new(Seed::single(5), make_algo(3, 1)));
+    let capped = Query::new(Seed::single(9), prnibble(1e-7))
+        .with_budget(QueryBudget::unlimited().with_max_edges_traversed(2_000));
+    let tripped = engine.try_run(&capped).unwrap_err();
+    iterations += tripped.partial().unwrap().stats.iterations;
+    let batch: Vec<Query> = (0..6u32)
+        .map(|i| Query::new(Seed::single(i * 17), prnibble(1e-6)))
+        .collect();
+    for item in engine.run_batch(&batch) {
+        iterations += item.diffusion.stats.iterations;
+    }
+    // Saturating: iterations on both sides of the threshold, both directions.
+    iterations += engine
+        .run(&Query::new(Seed::single(1), prn(0.01, 1e-8)))
+        .diffusion
+        .stats
+        .iterations;
+
+    let s = engine.lifecycle_stats();
+    assert_eq!(s.iterations_push + s.iterations_pull, iterations);
+    assert!(s.iterations_push > 0 && s.iterations_pull > 0, "{s:?}");
+    assert!(
+        0 < s.iterations_solo && s.iterations_solo < iterations,
+        "{s:?}"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// One query, iterations on both sides of the fork threshold: a 2- and
+    /// a 4-wide engine return the one-thread result bit for bit, cold and
+    /// warm, over both backends. The traversal is pinned to pulls, whose
+    /// sums do not depend on the thread count (a forked *push* adds in
+    /// scheduler order); `residual_mass` is summed in hash-slot order and
+    /// stays tiered.
+    #[test]
+    fn queries_straddling_the_fork_threshold_return_the_one_thread_bits(
+        (g, seeds) in small_graph_of(12_000..20_000),
+        si in 0usize..8,
+    ) {
+        let c = plgc::CsrCompressed::from_graph(&g);
+        let seed = Seed::single(seeds[si % seeds.len()]);
+        let pin = plgc::DirectionParams::pull_only();
+        let algos = [
+            Algorithm::Nibble(lgc::NibbleParams { t_max: 12, eps: 1e-7 }),
+            prn(0.1, 1e-6),
+            Algorithm::Hkpr(lgc::HkprParams { t: 5.0, n_levels: 10, eps: 1e-6 }),
+        ];
+        for algo in algos {
+            let q = Query::new(seed.clone(), algo);
+            let reference = Engine::builder(&g).threads(1).direction(pin).build();
+            let want = reference.run(&q);
+            let s = reference.lifecycle_stats();
+            prop_assert!(
+                0 < s.iterations_solo && s.iterations_solo < want.diffusion.stats.iterations,
+                "{:?} does not straddle: {} of {} iterations solo",
+                q.algo, s.iterations_solo, want.diffusion.stats.iterations
+            );
+            for threads in [2usize, 4] {
+                let plain = Engine::builder(&g).threads(threads).direction(pin).build();
+                let packed = Engine::builder(&c).pool(Pool::new(threads)).direction(pin).build();
+                // Twice per engine: the second run is on warm buffers.
+                for got in [plain.run(&q), plain.run(&q), packed.run(&q), packed.run(&q)] {
+                    prop_assert_eq!(&got.diffusion.p, &want.diffusion.p, "{:?} t={}", q.algo, threads);
+                    prop_assert_eq!(&got.cluster, &want.cluster);
+                    prop_assert_eq!(got.conductance, want.conductance);
+                    prop_assert_eq!(&got.sweep.conductances, &want.sweep.conductances);
+                    let (a, b) = (got.diffusion.stats, want.diffusion.stats);
+                    prop_assert_eq!(
+                        (a.iterations, a.pushes, a.pushed_volume, a.edges_traversed),
+                        (b.iterations, b.pushes, b.pushed_volume, b.edges_traversed)
+                    );
+                    prop_assert!((a.residual_mass - b.residual_mass).abs() < 1e-12);
+                }
+                prop_assert_eq!(plain.lifecycle_stats().iterations_solo, 2 * s.iterations_solo);
+            }
+        }
+    }
+}
