@@ -434,8 +434,7 @@ impl From<InvalidParams> for QueryError {
 }
 
 /// Per-graph robustness counters, maintained by the engine's executor
-/// and surfaced next to the [`GraphCache`](crate::engine)
-/// hit/miss stats.
+/// and surfaced by [`Engine::lifecycle_stats`](crate::Engine::lifecycle_stats).
 #[derive(Debug, Default)]
 pub struct LifecycleCounters {
     admitted: AtomicU64,

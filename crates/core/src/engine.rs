@@ -11,12 +11,11 @@
 //! all of it is reusable across queries against the same graph.
 //!
 //! [`Engine`] fixes that: one type bundling a [`Pool`] (owned, or an
-//! `Arc` share of a server-wide one), a `&Graph`, a checkout pool of
-//! [`Workspace`]s, and a [`GraphCache`] of seed-independent state —
-//! built once and then hit with any number of queries **from any number
-//! of threads**, because every query method takes `&self` (scratch is
-//! checked out of the workspace pool at the query boundary, not borrowed
-//! from the engine):
+//! `Arc` share of a server-wide one), a `&Graph` and a checkout pool of
+//! [`Workspace`]s — built once and then hit with any number of queries
+//! **from any number of threads**, because every query method takes
+//! `&self` (scratch is checked out of the workspace pool at the query
+//! boundary, not borrowed from the engine):
 //!
 //! ```
 //! use lgc_core::{Algorithm, Engine, PrNibbleParams, Query, Seed};
@@ -35,8 +34,7 @@
 //! checkout path ([`lgc_sparse::MassMap::recycle`],
 //! [`lgc_ligra::Frontier::recycle`]) re-fits each recycled buffer so it
 //! is observationally indistinguishable from a fresh allocation, and
-//! every [`GraphCache`] hit returns exactly the bits an uncached run
-//! would compute. Warm queries simply skip the allocator.
+//! nothing else outlives a query. Warm queries simply skip the allocator.
 //!
 //! Batch execution generalizes to any algorithm through
 //! [`Engine::run_batch`]: queries are fanned across the
@@ -53,7 +51,6 @@ use crate::budget::{
     EngineLimits, InvalidSeed, LifecycleCounters, LifecycleSnapshot, PartialResult, QueryBudget,
     QueryError, TrippedDiffusion,
 };
-use crate::cache::GraphCache;
 use crate::evolving::{evolving_set_par_ws, evolving_set_seq};
 use crate::hkpr::{hkpr_par_ws, hkpr_seq};
 use crate::ncp::{ncp_prnibble_ws, NcpParams, NcpPoint};
@@ -65,10 +62,10 @@ use crate::seed::Seed;
 use crate::sweep::sweep_cut_par_ws;
 use crate::workspace::{default_workspace_budget, Workspace, WorkspacePool};
 use crate::Algorithm;
-use lgc_graph::{CsrBackend, Graph};
+use lgc_graph::{stats::GraphSummary, CsrBackend, Graph};
 use lgc_ligra::{Checkpoint, DirectionParams, Trip};
 use lgc_parallel::Pool;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// A local diffusion algorithm: seed → parameters (`self`) → sparse mass
@@ -290,10 +287,10 @@ impl std::ops::Deref for PoolRef {
     }
 }
 
-/// The graph-independent half of an engine — pool slot, workspace
-/// checkout pool (with its per-graph cache and the engine's direction
-/// policy), and the admission limits and robustness counters of the
-/// graph's queries.
+/// The half of an engine that does not borrow the graph — pool slot,
+/// workspace checkout pool (with the engine's direction policy), the
+/// admission limits and robustness counters of the graph's queries, and
+/// the graph's summary once somebody has asked for it.
 /// Every [`Engine`] clone over a graph shares one behind an `Arc`;
 /// [`Service`](crate::Service) keeps one per registered graph.
 pub(crate) struct EngineCore {
@@ -302,6 +299,7 @@ pub(crate) struct EngineCore {
     max_in_flight: Option<usize>,
     pub(crate) default_budget: QueryBudget,
     pub(crate) counters: LifecycleCounters,
+    summary: OnceLock<GraphSummary>,
 }
 
 impl EngineCore {
@@ -318,10 +316,11 @@ impl EngineCore {
             .unwrap_or_else(|| default_workspace_budget(graph_bytes));
         EngineCore {
             pool,
-            workspaces: WorkspacePool::new(Arc::new(GraphCache::new()), dir, budget),
+            workspaces: WorkspacePool::new(dir, budget),
             max_in_flight: limits.max_in_flight,
             default_budget: limits.default_budget,
             counters: LifecycleCounters::default(),
+            summary: OnceLock::new(),
         }
     }
 }
@@ -407,19 +406,18 @@ pub(crate) enum Admission {
 }
 
 /// The one query type over a graph: a thread [`Pool`] (owned or shared),
-/// the graph, a checkout pool of [`Workspace`]s, and a [`GraphCache`].
+/// the graph, and a checkout pool of [`Workspace`]s.
 /// Build once, query many times — from as many threads as you like,
 /// since every query method takes `&self` and checks a [`Workspace`] out
 /// of the pool for the query's duration. Cloning is an `Arc` bump:
 /// clones (and every [`Service::engine`](crate::Service::engine) over
-/// the same registered graph) share the pool, the warm workspaces, the
-/// cache and the robustness counters. See the crate docs for the full
-/// story.
+/// the same registered graph) share the pool, the warm workspaces and
+/// the robustness counters. See the crate docs for the full story.
 ///
 /// Queries through a warm engine return results bit-identical to the
 /// corresponding free functions (`prnibble_par` + `sweep_cut_par`, …) —
-/// workspace checkouts and cache hits are invisible in the output, only
-/// in the allocator profile and the amortized per-query latency
+/// workspace checkouts are invisible in the output, only in the
+/// allocator profile and the amortized per-query latency
 /// (`core.engine.cold_over_warm` in `benchmark/`).
 pub struct Engine<'g, B: CsrBackend = Graph> {
     pub(crate) g: &'g B,
@@ -471,11 +469,11 @@ impl<'g, B: CsrBackend> Engine<'g, B> {
         self.core.pool.num_threads()
     }
 
-    /// The engine's cache of seed-independent state (ψ tables, degree
-    /// vector, graph summary) — exposed for observability; queries
-    /// consult it automatically.
-    pub fn cache(&self) -> &Arc<GraphCache> {
-        self.core.workspaces.cache()
+    /// Summary statistics of the engine's graph ([`GraphSummary::of`]) —
+    /// an `O(n)` pass the first time, served from memory after. For
+    /// introspection; no query reads it.
+    pub fn summary(&self) -> GraphSummary {
+        *self.core.summary.get_or_init(|| GraphSummary::of(self.g))
     }
 
     /// Number of warm workspaces parked in the checkout pool (0 on a
@@ -487,9 +485,8 @@ impl<'g, B: CsrBackend> Engine<'g, B> {
     }
 
     /// Per-graph robustness counters: admitted / completed / shed /
-    /// tripped / in-flight, next to the [`GraphCache`] stats. Every
-    /// admitted query — single or batch item, fallible or not — ends in
-    /// exactly one of completed / tripped.
+    /// tripped / in-flight. Every admitted query — single or batch item,
+    /// fallible or not — ends in exactly one of completed / tripped.
     pub fn lifecycle_stats(&self) -> LifecycleSnapshot {
         self.core.counters.snapshot()
     }
@@ -912,10 +909,10 @@ mod tests {
         }
     }
 
-    /// The ψ cache: first HK-PR query misses, repeats hit, results stay
-    /// bit-identical.
+    /// An HK-PR query rerun through one engine is bit-identical, and the
+    /// engine's summary is the graph's.
     #[test]
-    fn hkpr_psi_cache_hits_after_first_query() {
+    fn hkpr_rerun_is_bit_identical() {
         let g = gen::rand_local(250, 5, 9);
         let engine = Engine::builder(&g).threads(1).build();
         let q = Query::new(
@@ -927,15 +924,10 @@ mod tests {
             }),
         );
         let a = engine.run(&q);
-        assert_eq!(engine.cache().psi_stats(), (0, 1));
         let b = engine.run(&q);
-        assert_eq!(engine.cache().psi_stats(), (1, 1));
         assert_eq!(a.diffusion.p, b.diffusion.p);
         assert_eq!(a.sweep.conductances, b.sweep.conductances);
-        // And the graph summary endpoint works.
-        let s = engine.cache().summary(&g);
-        assert_eq!(s.num_vertices, 250);
-        assert_eq!(s.num_edges, g.num_edges());
+        assert_eq!(engine.summary(), GraphSummary::of(&g));
     }
 
     /// `engine.ncp` equals the free `ncp_prnibble` over the same pool

@@ -60,10 +60,7 @@ pub(crate) fn hkpr_par_ws<B: CsrBackend>(
     params.validate();
     let n = g.num_vertices();
     let n_levels = params.n_levels;
-    // Seed-independent ψ tail weights: served from the shared per-graph
-    // cache when the workspace is wired to one (bit-identical to the
-    // fresh table), computed fresh otherwise.
-    let psi = ws.psi_table(params.t, n_levels);
+    let psi = super::psi_table(params.t, n_levels);
     let mut stats = DiffusionStats::default();
 
     let frac = MassMap::DEFAULT_DENSE_FRACTION;

@@ -20,9 +20,8 @@
 //! sweep cut sorts its support by `p[v]/d(v)` and returns the prefix with
 //! minimum conductance ([`SweepCut`]). The one-call convenience wrapper is
 //! [`find_cluster`]; query loops should build an [`Engine`] instead — the
-//! same pipeline over recyclable [`Workspace`] checkouts and a
-//! [`GraphCache`] of seed-independent state, `&self`-queryable from any
-//! number of threads, with every algorithm behind [`Algorithm`]'s
+//! same pipeline over recyclable [`Workspace`] checkouts, `&self`-queryable
+//! from any number of threads, with every algorithm behind [`Algorithm`]'s
 //! [`LocalDiffusion`] impl and batch fan-out via [`Engine::run_batch`].
 //! Processes serving *several* graphs register them into a [`Service`],
 //! which shares one [`lgc_parallel::Pool`] across all of them.
@@ -61,7 +60,6 @@
 
 mod batch;
 mod budget;
-mod cache;
 mod engine;
 mod evolving;
 mod hkpr;
@@ -80,7 +78,6 @@ pub use budget::{
     EngineLimits, InvalidParams, InvalidSeed, LifecycleSnapshot, PartialResult, QueryBudget,
     QueryError, TrippedDiffusion, RETRY_AFTER_FLOOR,
 };
-pub use cache::{GraphCache, GraphSummary};
 pub use engine::{Engine, EngineBuilder, LocalDiffusion, Query};
 pub use evolving::{evolving_set_par, evolving_set_seq, EvolvingParams, EvolvingResult};
 pub use hkpr::{hkpr_par, hkpr_seq, psi_table, HkprParams};
@@ -94,6 +91,9 @@ pub use seed::Seed;
 pub use service::{GraphStore, Service, ServiceBuilder, ServiceEngine};
 pub use sweep::{sweep_cut_par, sweep_cut_seq, SweepCut};
 pub use workspace::{Workspace, WorkspaceBudgetExceeded};
+
+// What `Engine::summary` and `Service::summary` return.
+pub use lgc_graph::stats::GraphSummary;
 
 // The direction policy `EngineBuilder::direction` takes, re-exported so
 // callers can pin one without a direct lgc-ligra dep.

@@ -11,14 +11,14 @@
 //! * [`Engine::compute_embedding`] — per-seed geomspace ρ sweep of
 //!   PR-Nibble queries fanned out through
 //!   [`try_run_batch`](Engine::try_run_batch) (so the whole grid rides the
-//!   engine's warm workspace pool and [`GraphCache`](crate::GraphCache)),
-//!   each cut refined, keeping the minimum-conductance envelope. The
-//!   actually-achieved grid is recorded in [`RhoGrid`] — a budget trip
-//!   mid-sweep truncates the envelope *visibly*, never silently.
+//!   engine's warm workspace pool), each cut refined, keeping the
+//!   minimum-conductance envelope. The actually-achieved grid is
+//!   recorded in [`RhoGrid`] — a budget trip mid-sweep truncates the
+//!   envelope *visibly*, never silently.
 //! * [`Engine::find_k_clusters`] — embeddings for every vertex,
 //!   agglomerated into `k` groups by pairwise embedding distance
 //!   (average linkage): the first whole-graph workload, and the reason
-//!   the per-graph cache/workspace amortization exists.
+//!   the per-graph workspace amortization exists.
 //!
 //! Everything here inherits the engine's determinism contract: batched
 //! diffusions are bit-identical to 1-thread runs, refinement is

@@ -9,7 +9,7 @@
 //!
 //! * graphs are **registered by name** at build time (or hot-added
 //!   later), each getting its own workspace checkout pool and
-//!   [`GraphCache`] of seed-independent state;
+//!   robustness counters;
 //! * all of them share **one** thread [`Pool`] (an `Arc`, so the service
 //!   can also share it with anything else in the process), whose width
 //!   is one budget of threads: a lone query forks across it, concurrent
@@ -44,10 +44,9 @@
 //! threads).
 
 use crate::budget::{EngineLimits, LifecycleSnapshot, QueryError};
-use crate::cache::{GraphCache, GraphSummary};
 use crate::engine::{Engine, EngineCore, PoolRef, Query};
 use crate::result::ClusterResult;
-use lgc_graph::{CsrBackend, CsrCompressed, Graph};
+use lgc_graph::{stats::GraphSummary, CsrBackend, CsrCompressed, Graph};
 use lgc_parallel::Pool;
 use std::sync::Arc;
 
@@ -118,18 +117,10 @@ impl GraphStore {
             GraphStore::Compressed(_) => None,
         }
     }
-
-    /// The byte-compressed graph, if that is the backend.
-    pub fn as_compressed(&self) -> Option<&Arc<CsrCompressed>> {
-        match self {
-            GraphStore::Plain(_) => None,
-            GraphStore::Compressed(g) => Some(g),
-        }
-    }
 }
 
 /// One registered graph: the graph itself plus its engine state
-/// (workspace checkout pool + cache) over the service's shared pool.
+/// (workspace checkout pool + counters) over the service's shared pool.
 struct GraphEntry {
     name: String,
     store: GraphStore,
@@ -160,7 +151,7 @@ impl Service {
     /// such graph. Making one is an `Arc` bump (no allocation) and it
     /// queries through `&self`: grab one per request, or keep one
     /// around — both are fine, and all of them share the graph's warm
-    /// workspaces, cache and counters. Results are bit-identical across
+    /// workspaces and counters. Results are bit-identical across
     /// storage backends.
     pub fn engine(&self, name: &str) -> Option<ServiceEngine<'_>> {
         self.entry(name).map(|e| {
@@ -183,27 +174,21 @@ impl Service {
         self.entry(name).map(|e| &e.store)
     }
 
-    /// The seed-independent cache of the graph named `name` —
-    /// observability (ψ hit rates) and warm introspection.
-    pub fn cache(&self, name: &str) -> Option<&Arc<GraphCache>> {
-        self.entry(name).map(|e| e.core.workspaces.cache())
-    }
-
     /// Robustness counters of the graph named `name` — admitted /
-    /// completed / shed / tripped / in-flight, next to the cache and
-    /// summary endpoints. A tenant dashboard polls this for shed rates.
+    /// completed / shed / tripped / in-flight, next to the summary
+    /// endpoint. A tenant dashboard polls this for shed rates.
     pub fn lifecycle(&self, name: &str) -> Option<LifecycleSnapshot> {
         self.entry(name).map(|e| e.core.counters.snapshot())
     }
 
-    /// Summary statistics of the graph named `name`, served from its
-    /// cache (computed on first request, then free). Includes the
-    /// backend's resident byte counts, so a deployment can compare plain
-    /// vs compressed storage per graph.
+    /// Summary statistics of the graph named `name`
+    /// ([`GraphSummary::of`]; computed on first request, then free).
+    /// Includes the backend's resident byte counts, so a deployment can
+    /// compare plain vs compressed storage per graph.
     pub fn summary(&self, name: &str) -> Option<GraphSummary> {
-        self.entry(name).map(|e| match &e.store {
-            GraphStore::Plain(g) => e.core.workspaces.cache().summary(g.as_ref()),
-            GraphStore::Compressed(g) => e.core.workspaces.cache().summary(g.as_ref()),
+        self.engine(name).map(|e| match e {
+            ServiceEngine::Plain(e) => e.summary(),
+            ServiceEngine::Compressed(e) => e.summary(),
         })
     }
 
@@ -234,7 +219,7 @@ impl Service {
 
     /// Registers (or hot-swaps) a graph after build — a [`Graph`], a
     /// [`CsrCompressed`], or an `Arc` of either. Replacing a name drops
-    /// the old graph's engine state — its workspace pool and cache
+    /// the old graph's engine state — its workspace pool and summary
     /// belong to the graph they were built for. The workspace byte
     /// budget defaults to 4× the graph's resident bytes (clamped to
     /// `[32 MiB, 1 GiB]`); see [`Service::add_graph_with_limits`].

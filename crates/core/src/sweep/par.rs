@@ -58,12 +58,9 @@ pub fn sweep_cut_par<B: CsrBackend>(pool: &Pool, g: &B, p: &[(u32, f64)]) -> Swe
 
 /// [`sweep_cut_par`] over the engine's [`Workspace`]: the rank table is
 /// taken, reset, and put back, so repeated sweeps against one graph stop
-/// re-allocating the hash table; a cache-wired workspace additionally
-/// serves degree lookups from the shared degree vector and pre-sizes
-/// fresh rank tables to the stream's observed support high-watermark.
-/// All of it is bit-invisible: rank lookups are keyed, never enumerated
-/// (a kept-larger or pre-sized table cannot change any output bit), and
-/// cached degrees are the same integers as the CSR offsets.
+/// re-allocating the hash table. That is bit-invisible: rank lookups are
+/// keyed, never enumerated, so a kept-larger table cannot change any
+/// output bit.
 ///
 /// The sweep is a single fused pipeline with no iterative refinement, so
 /// `cp` is consulted once on entry (its boundary): cancellation and
@@ -90,8 +87,6 @@ pub(crate) fn sweep_cut_par_ws<B: CsrBackend>(
     let pool = lane(pool, n, vol);
     merge_sort_by(pool, &mut scored, sweep_order_cmp);
     let order: Vec<u32> = scored.iter().map(|&(v, _)| v).collect();
-    let cached_degs = ws.cached_degrees(g);
-    ws.note_sweep_support(n);
 
     // rank[v] = 1-based position of v in the sweep order; vertices outside
     // the support have none.
@@ -100,7 +95,7 @@ pub(crate) fn sweep_cut_par_ws<B: CsrBackend>(
             m.reset(pool, n);
             m
         }
-        None => ConcurrentRankMap::with_capacity(n.max(ws.sweep_hint())),
+        None => ConcurrentRankMap::with_capacity(n),
     };
     {
         let order_ref = &order;
@@ -113,12 +108,8 @@ pub(crate) fn sweep_cut_par_ws<B: CsrBackend>(
     }
 
     // Degrees in rank order; exclusive prefix sum gives each vertex's
-    // slot range in the flattened edge space. The cached degree vector
-    // (one load) and the CSR offsets (two loads) hold the same integers.
-    let degs: Vec<u64> = match &cached_degs {
-        Some(d) => map_index(pool, n, |i| d[order[i] as usize] as u64),
-        None => map_index(pool, n, |i| g.degree(order[i]) as u64),
-    };
+    // slot range in the flattened edge space.
+    let degs: Vec<u64> = map_index(pool, n, |i| g.degree(order[i]) as u64);
     let (edge_offsets, total_vol) = scan_exclusive(pool, &degs, 0u64, |a, b| a + b);
     let total_vol = total_vol as usize;
 

@@ -3,14 +3,12 @@
 //! out of.
 
 use crate::budget::LifecycleCounters;
-use crate::cache::GraphCache;
 #[cfg(doc)]
 use crate::engine::{Engine, LocalDiffusion};
-use lgc_graph::CsrBackend;
 use lgc_ligra::{DirectionParams, EdgeSpread, Frontier, VertexSubset};
 use lgc_parallel::{Bitset, Pool};
 use lgc_sparse::{ConcurrentRankMap, ConcurrentSparseVec, MassMap};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// A pool of recyclable scratch buffers shared by every diffusion.
 ///
@@ -48,10 +46,6 @@ pub struct Workspace {
     pub(crate) sweep_rank: Option<ConcurrentRankMap>,
     /// Evolving-set `|N(v) ∩ S|` counter.
     pub(crate) counts: Option<ConcurrentSparseVec>,
-    /// Cross-query cache of seed-independent state, shared with every
-    /// other workspace checked out against the same graph. `None` for
-    /// free-function workspaces (they compute everything fresh).
-    cache: Option<Arc<GraphCache>>,
     /// Byte charge recorded at checkout by the [`WorkspacePool`]'s budget
     /// accounting; `None` for free-function and transient (over-budget
     /// fallback) workspaces the pool is not accounting.
@@ -73,23 +67,6 @@ impl Workspace {
             spread: EdgeSpread::new(dir),
             ..Default::default()
         }
-    }
-
-    /// The ψ table for `(t, n_levels)` — served from the shared cache
-    /// when there is one (bit-identical to the fresh computation by
-    /// construction), computed fresh otherwise.
-    pub(crate) fn psi_table(&self, t: f64, n_levels: usize) -> Arc<Vec<f64>> {
-        match &self.cache {
-            Some(c) => c.psi(t, n_levels),
-            None => Arc::new(crate::hkpr::psi_table(t, n_levels)),
-        }
-    }
-
-    /// The cached vertex-degree vector, if this workspace is wired to a
-    /// cache. Free-function workspaces return `None` and consumers fall
-    /// back to the backend's degree lookups — same integers either way.
-    pub(crate) fn cached_degrees<B: CsrBackend>(&self, g: &B) -> Option<Arc<Vec<u32>>> {
-        self.cache.as_ref().map(|c| c.degrees(g))
     }
 
     /// Total resident bytes of every buffer this workspace has accreted —
@@ -120,18 +97,6 @@ impl Workspace {
                 .counts
                 .as_ref()
                 .map_or(0, ConcurrentSparseVec::resident_bytes)
-    }
-
-    /// Capacity hint for a fresh sweep rank table (0 when uncached).
-    pub(crate) fn sweep_hint(&self) -> usize {
-        self.cache.as_ref().map_or(0, |c| c.sweep_hint())
-    }
-
-    /// Records a sweep support size into the shared cache, if any.
-    pub(crate) fn note_sweep_support(&self, n: usize) {
-        if let Some(c) = &self.cache {
-            c.note_sweep_support(n);
-        }
     }
 
     /// Checks out a mass map re-fitted exactly as
@@ -193,15 +158,12 @@ impl Workspace {
 /// The lock is held only at the checkout boundary (a `Vec` pop/push plus
 /// a few counter updates per query or per batch worker chunk), never
 /// during a diffusion, so concurrent queries contend for microseconds,
-/// not milliseconds. Every checkout is wired to the pool's shared
-/// [`GraphCache`]; since recycled buffers are re-fitted to be
-/// observationally fresh and cache hits are bit-identical to fresh
-/// computation, *which* workspace a query happens to receive is
-/// invisible in its output — the invariant the concurrent service
+/// not milliseconds. Since recycled buffers are re-fitted to be
+/// observationally fresh, *which* workspace a query happens to receive
+/// is invisible in its output — the invariant the concurrent service
 /// proptests hammer.
 pub struct WorkspacePool {
     state: Mutex<PoolState>,
-    cache: Arc<GraphCache>,
     dir: DirectionParams,
     budget: usize,
 }
@@ -261,32 +223,26 @@ pub(crate) fn default_workspace_budget(graph_bytes: usize) -> usize {
 }
 
 impl WorkspacePool {
-    /// An empty pool whose checkouts share `cache` and traverse per
-    /// `dir`, admitting at most `budget` resident scratch bytes at a time.
-    pub(crate) fn new(cache: Arc<GraphCache>, dir: DirectionParams, budget: usize) -> Self {
+    /// An empty pool whose checkouts traverse per `dir`, admitting at
+    /// most `budget` resident scratch bytes at a time.
+    pub(crate) fn new(dir: DirectionParams, budget: usize) -> Self {
         WorkspacePool {
             state: Mutex::new(PoolState::default()),
-            cache,
             dir,
             budget,
         }
     }
 
-    /// An empty workspace wired to the pool's shared [`GraphCache`] — so
-    /// all checkouts against one graph reuse the same ψ tables, degree
-    /// vector, and sizing hints — and to the engine's direction policy.
+    /// An empty workspace under the engine's direction policy.
     fn fresh(&self) -> Workspace {
-        Workspace {
-            cache: Some(Arc::clone(&self.cache)),
-            ..Workspace::with_policy(self.dir)
-        }
+        Workspace::with_policy(self.dir)
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, PoolState> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Pops a warm workspace, or creates a fresh cache-wired one —
+    /// Pops a warm workspace, or creates a fresh one —
     /// refusing the fresh checkout when charging it (at the pool's
     /// observed per-workspace high-watermark) would overshoot the byte
     /// budget. Parked workspaces are always admitted: their bytes are
@@ -348,10 +304,5 @@ impl WorkspacePool {
     /// Number of warm workspaces currently parked in the freelist.
     pub(crate) fn warm_count(&self) -> usize {
         self.lock().free.len()
-    }
-
-    /// The shared per-graph cache all checkouts are wired to.
-    pub(crate) fn cache(&self) -> &Arc<GraphCache> {
-        &self.cache
     }
 }

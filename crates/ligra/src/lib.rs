@@ -166,15 +166,12 @@ pub const FORK_MIN_WORK: usize = 32_768;
 /// in it — so it repeats exactly, and since a step on the workerless pool
 /// is bit for bit the same step at one thread, no result depends on it.
 pub fn lane(pool: &Pool, len: usize, vol: usize) -> &Pool {
-    if worth_forking(len, vol) {
-        pool
-    } else {
-        Pool::solo()
-    }
+    forking(pool, len, vol).unwrap_or(Pool::solo())
 }
 
-fn worth_forking(len: usize, vol: usize) -> bool {
-    len + vol >= FORK_MIN_WORK
+/// `pool`, if a step over `len` vertices and `vol` entries is worth a fork.
+fn forking(pool: &Pool, len: usize, vol: usize) -> Option<&Pool> {
+    (len + vol >= FORK_MIN_WORK).then_some(pool)
 }
 
 /// The frontier-indexed push engine: like [`edge_map`], but the callback
@@ -195,12 +192,13 @@ pub fn edge_map_indexed<B: CsrBackend>(
     frontier: &VertexSubset,
     f: impl Fn(usize, u32, u32) + Sync,
 ) {
-    let lane = lane(pool, frontier.len(), frontier.volume(g));
+    // Only a pool with workers is asked: the volume is `O(|F|)` degree loads.
+    let vol = (pool.num_threads() > 1).then(|| frontier.volume(g));
+    let lane = vol.map_or(pool, |vol| lane(pool, frontier.len(), vol));
     push_edges(lane, g, frontier, f);
 }
 
-/// [`edge_map_indexed`] on a pool the fork policy has already been asked
-/// for.
+/// [`edge_map_indexed`] on a pool the fork policy was already asked for.
 fn push_edges<B: CsrBackend>(
     pool: &Pool,
     g: &B,
@@ -672,8 +670,9 @@ impl EdgeSpread {
         contrib_of: impl Fn(u32) -> f64 + Sync,
     ) -> Staged<'a, B> {
         let k = frontier.len();
-        let pool = lane(pool, k, vol);
-        self.counts.solo += u64::from(!worth_forking(k, vol));
+        let lane = forking(pool, k, vol);
+        self.counts.solo += u64::from(lane.is_none());
+        let pool = lane.unwrap_or(Pool::solo());
         let dir = self.policy.choose(g, k, vol);
         let len = match dir {
             Direction::Push => {

@@ -64,10 +64,6 @@ impl Config {
                     "lifecycle counters (admitted/shed/tripped) and the in-flight gate",
                 ),
                 (
-                    "crates/core/src/cache.rs",
-                    "psi-cache hit/miss counters; monotonic, never branch query logic",
-                ),
-                (
                     "crates/ligra/src/interrupt.rs",
                     "CancelToken flag + fault-plan tick counter (one relaxed load per check)",
                 ),

@@ -28,15 +28,21 @@ const WORDS_PER_CHUNK: usize = 1 << 10;
 
 /// A set over the fixed universe `0..n`, one bit per element.
 pub struct Bitset {
-    words: Box<[AtomicU64]>,
+    lines: Box<[Line]>,
     n: usize,
 }
+
+/// Eight words on a cache line of their own, so that the 512-vertex chunks
+/// of the dense traversals never write a line a neighbouring chunk writes.
+#[derive(Default)]
+#[repr(align(64))]
+struct Line([AtomicU64; 8]);
 
 impl Bitset {
     /// An empty set over universe `0..n`.
     pub fn new(n: usize) -> Self {
         Bitset {
-            words: (0..n.div_ceil(64)).map(|_| AtomicU64::new(0)).collect(),
+            lines: (0..n.div_ceil(512)).map(|_| Line::default()).collect(),
             n,
         }
     }
@@ -48,7 +54,13 @@ impl Bitset {
 
     /// Resident bytes of the word array.
     pub fn resident_bytes(&self) -> usize {
-        self.words.len() * std::mem::size_of::<AtomicU64>()
+        std::mem::size_of_val(&*self.lines)
+    }
+
+    /// Word `w` of the set (bits `64w..64w + 64`).
+    #[inline]
+    fn word(&self, w: usize) -> &AtomicU64 {
+        &self.lines[w >> 3].0[w & 7]
     }
 
     /// Whether `v` is in the set (safe during a write phase that only
@@ -57,7 +69,7 @@ impl Bitset {
     pub fn contains(&self, v: u32) -> bool {
         let i = v as usize;
         debug_assert!(i < self.n, "id out of universe");
-        self.words[i >> 6].load(Ordering::Relaxed) & (1u64 << (i & 63)) != 0
+        self.word(i >> 6).load(Ordering::Relaxed) & (1u64 << (i & 63)) != 0
     }
 
     /// Inserts one id (safe from any thread; relaxed RMW).
@@ -65,7 +77,8 @@ impl Bitset {
     pub fn insert(&self, v: u32) {
         let i = v as usize;
         debug_assert!(i < self.n, "id out of universe");
-        self.words[i >> 6].fetch_or(1u64 << (i & 63), Ordering::Relaxed);
+        self.word(i >> 6)
+            .fetch_or(1u64 << (i & 63), Ordering::Relaxed);
     }
 
     /// Inserts every id of a sorted list in parallel — `O(len)` work.
@@ -96,10 +109,10 @@ impl Bitset {
                     k += 1;
                 }
                 if shared(w) {
-                    self.words[w].fetch_or(mask, Ordering::Relaxed);
+                    self.word(w).fetch_or(mask, Ordering::Relaxed);
                 } else {
-                    let cur = self.words[w].load(Ordering::Relaxed);
-                    self.words[w].store(cur | mask, Ordering::Relaxed);
+                    let cur = self.word(w).load(Ordering::Relaxed);
+                    self.word(w).store(cur | mask, Ordering::Relaxed);
                 }
             }
         });
@@ -111,34 +124,24 @@ impl Bitset {
     pub fn clear_sorted(&self, pool: &Pool, ids: &[u32]) {
         pool.run(ids.len(), 1 << 11, |s, e| {
             for &v in &ids[s..e] {
-                self.words[(v as usize) >> 6].store(0, Ordering::Relaxed);
-            }
-        });
-    }
-
-    /// Clears the whole universe — `O(n/64)`.
-    pub fn clear_all(&self, pool: &Pool) {
-        pool.run(self.words.len(), WORDS_PER_CHUNK, |s, e| {
-            for w in &self.words[s..e] {
-                w.store(0, Ordering::Relaxed);
+                self.word((v as usize) >> 6).store(0, Ordering::Relaxed);
             }
         });
     }
 
     /// Members among words `s..e`.
     fn count_words(&self, s: usize, e: usize) -> usize {
-        self.words[s..e]
-            .iter()
-            .map(|w| w.load(Ordering::Relaxed).count_ones() as usize)
+        (s..e)
+            .map(|w| self.word(w).load(Ordering::Relaxed).count_ones() as usize)
             .sum()
     }
 
     /// Popcount of each enumeration chunk, in parallel.
     fn chunk_counts(&self, pool: &Pool) -> Vec<usize> {
-        let n_chunks = self.words.len().div_ceil(WORDS_PER_CHUNK);
+        let n_chunks = (self.lines.len() * 8).div_ceil(WORDS_PER_CHUNK);
         crate::map_index(pool, n_chunks, |c| {
             let s = c * WORDS_PER_CHUNK;
-            self.count_words(s, (s + WORDS_PER_CHUNK).min(self.words.len()))
+            self.count_words(s, (s + WORDS_PER_CHUNK).min(self.lines.len() * 8))
         })
     }
 
@@ -150,7 +153,7 @@ impl Bitset {
     /// Number of members, counted on the calling thread — for callers at
     /// a sequential point with no pool at hand.
     pub fn count_seq(&self) -> usize {
-        self.count_words(0, self.words.len())
+        self.count_words(0, self.lines.len() * 8)
     }
 
     /// Packs the members into a sorted id list — `O(n/64 + len)` work:
@@ -165,11 +168,11 @@ impl Bitset {
             let view = UnsafeSlice::new(&mut out);
             pool.for_each_index(n_chunks, 1, |c| {
                 let s = c * WORDS_PER_CHUNK;
-                let e = (s + WORDS_PER_CHUNK).min(self.words.len());
+                let e = (s + WORDS_PER_CHUNK).min(self.lines.len() * 8);
                 let mut pos = offsets[c];
-                for (wi, w) in self.words[s..e].iter().enumerate() {
-                    let mut bits = w.load(Ordering::Relaxed);
-                    let base = ((s + wi) << 6) as u32;
+                for w in s..e {
+                    let mut bits = self.word(w).load(Ordering::Relaxed);
+                    let base = (w << 6) as u32;
                     while bits != 0 {
                         let b = bits.trailing_zeros();
                         // SAFETY: chunks write disjoint [offsets[c],
@@ -217,8 +220,21 @@ mod tests {
         bits.set_sorted(&pool, &all);
         assert_eq!(bits.count(&pool), 129);
         assert_eq!(bits.to_sorted_ids(&pool), all);
-        bits.clear_all(&pool);
+        bits.clear_sorted(&pool, &all);
         assert_eq!(bits.count(&pool), 0);
+    }
+
+    /// Word `8k` starts a cache line, whatever the allocator handed out:
+    /// a dense traversal's 512-vertex chunk owns its line of the set.
+    #[test]
+    fn every_eighth_word_starts_a_cache_line() {
+        for n in [1, 64, 513, 300_000] {
+            let bits = Bitset::new(n);
+            for w in (0..n.div_ceil(64)).step_by(8) {
+                assert_eq!(bits.word(w) as *const AtomicU64 as usize % 64, 0);
+            }
+            assert_eq!(bits.resident_bytes(), n.div_ceil(512) * 64);
+        }
     }
 
     #[test]

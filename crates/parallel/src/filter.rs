@@ -18,12 +18,6 @@ pub fn filter<T: Copy + Send + Sync>(
     })
 }
 
-/// Returns the indices `i in 0..len` for which `pred(i)` holds, in order.
-pub fn pack_indices(pool: &Pool, len: usize, pred: impl Fn(usize) -> bool + Sync) -> Vec<u32> {
-    debug_assert!(len <= u32::MAX as usize);
-    filter_map_index(pool, len, |i| pred(i).then_some(i as u32))
-}
-
 /// Generalized pack: evaluates `f(i)` for `i in 0..len` and collects the
 /// `Some` results in index order. `f` is called at most twice per index
 /// (once in the counting pass, once in the writing pass) and must be pure.
@@ -35,7 +29,7 @@ pub fn filter_map_index<U: Send>(
     if len == 0 {
         return Vec::new();
     }
-    if !pool.can_fork() || len < 8192 {
+    if !pool.worth_forking(len) {
         return (0..len).filter_map(f).collect();
     }
     let grain = default_grain(len, pool.num_threads());
@@ -90,14 +84,6 @@ mod tests {
     }
 
     #[test]
-    fn pack_indices_matches() {
-        let pool = Pool::new(3);
-        let got = pack_indices(&pool, 50_000, |i| i % 13 == 5);
-        let want: Vec<u32> = (0..50_000u32).filter(|&i| i % 13 == 5).collect();
-        assert_eq!(got, want);
-    }
-
-    #[test]
     fn all_and_none() {
         let pool = Pool::new(2);
         let data: Vec<u8> = vec![1; 20_000];
@@ -109,7 +95,7 @@ mod tests {
     fn empty_input() {
         let pool = Pool::new(2);
         assert!(filter::<u8>(&pool, &[], |_| true).is_empty());
-        assert!(pack_indices(&pool, 0, |_| true).is_empty());
+        assert!(filter_map_index(&pool, 0, Some).is_empty());
     }
 
     #[test]

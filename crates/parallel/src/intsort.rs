@@ -35,7 +35,7 @@ pub fn counting_sort_by_key<T: Copy + Send + Sync>(
     if n == 0 {
         return Vec::new();
     }
-    if !pool.can_fork() || n < 8192 {
+    if !pool.worth_forking(n) {
         return seq_counting_sort(input, key, num_keys);
     }
 

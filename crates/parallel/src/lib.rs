@@ -13,7 +13,7 @@
 //!   are measured.
 //! * [`scan_inclusive`] / [`scan_exclusive`] — prefix sums over an arbitrary
 //!   associative operator (the paper needs `+` and `min`).
-//! * [`filter`] / [`pack_indices`] — stable parallel filtering.
+//! * [`filter`] / [`filter_map_index`] — stable parallel filtering.
 //! * [`merge_sort_by`] — a stable parallel comparison sort using co-ranked
 //!   parallel merges (`O(N log N)` work, polylog depth).
 //! * [`counting_sort_by_key`] — a stable parallel integer sort for bounded
@@ -25,8 +25,9 @@
 //!   (and enumeration back to) sorted id lists; the dense frontier
 //!   representation behind the direction-optimizing `edgeMap`.
 //!
-//! All primitives fall back to tight sequential loops below a size threshold
-//! or when the pool has no thread to lend them ([`Pool::can_fork`]: a
+//! The primitives with a one-pass sequential form (filter, scan, both
+//! sorts, [`max_by`]) take it below 8192 elements — the crate's one cutoff
+//! — or when the pool has no thread to lend them ([`Pool::can_fork`]: a
 //! single-thread pool, or one whose width the callers already fill), so
 //! they are safe to use at any problem size and beside any other query.
 
@@ -42,11 +43,9 @@ mod sort;
 
 pub use atomic::{atomic_f64_fetch_add, AtomicF64};
 pub use bitset::Bitset;
-pub use filter::{filter, filter_map_index, pack_indices};
+pub use filter::{filter, filter_map_index};
 pub use intsort::counting_sort_by_key;
-pub use map::{
-    fill_with_index, map, map_index, max_by, reduce, sum_f64, sum_f64_by_index, sum_u64,
-};
+pub use map::{fill_with_index, map_index, max_by, sum_f64_by_index};
 pub use pool::{Caller, Pool, PoolStats};
 pub use scan::{scan_exclusive, scan_inclusive};
 pub use slice::UnsafeSlice;

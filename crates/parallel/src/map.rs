@@ -1,13 +1,6 @@
-//! Parallel map and reduce.
+//! Parallel map, chunk-ordered sums and arg-max.
 
 use crate::{default_grain, Pool, UnsafeSlice};
-
-/// Applies `f` to every element of `input` in parallel, collecting results.
-///
-/// Work `O(n)`, depth `O(1)` loop iterations per chunk.
-pub fn map<T: Sync, U: Send>(pool: &Pool, input: &[T], f: impl Fn(&T) -> U + Sync) -> Vec<U> {
-    map_index(pool, input.len(), |i| f(&input[i]))
-}
 
 /// Builds a `Vec` of length `len` whose `i`-th element is `f(i)`,
 /// computing elements in parallel.
@@ -73,49 +66,6 @@ pub fn sum_f64_by_index(
     partials.iter().sum()
 }
 
-/// Reduces `input` with an associative operator `op` and identity element.
-///
-/// The combine order differs from a sequential left fold, so `op` should be
-/// associative (floating-point reductions may differ in the last ulp from a
-/// sequential sum; use [`sum_f64`] when that matters and tolerate the
-/// reordering, as the paper's algorithms do).
-pub fn reduce<T: Copy + Send + Sync>(
-    pool: &Pool,
-    input: &[T],
-    identity: T,
-    op: impl Fn(T, T) -> T + Sync,
-) -> T {
-    let n = input.len();
-    if n == 0 {
-        return identity;
-    }
-    if !pool.can_fork() || n < 4096 {
-        return input.iter().fold(identity, |a, &b| op(a, b));
-    }
-    let grain = default_grain(n, pool.num_threads());
-    let n_blocks = n.div_ceil(grain);
-    let mut partial: Vec<T> = vec![identity; n_blocks];
-    {
-        let view = UnsafeSlice::new(&mut partial);
-        pool.run(n, grain, |s, e| {
-            let local = input[s..e].iter().fold(identity, |a, &b| op(a, b));
-            // SAFETY: one block per chunk index.
-            unsafe { view.write(s / grain, local) };
-        });
-    }
-    partial.into_iter().fold(identity, op)
-}
-
-/// Parallel sum of a `u64` slice.
-pub fn sum_u64(pool: &Pool, input: &[u64]) -> u64 {
-    reduce(pool, input, 0u64, |a, b| a + b)
-}
-
-/// Parallel sum of an `f64` slice (associativity caveat of [`reduce`]).
-pub fn sum_f64(pool: &Pool, input: &[f64]) -> f64 {
-    reduce(pool, input, 0.0f64, |a, b| a + b)
-}
-
 /// Returns the index and value of the maximum element under `cmp`
 /// (first occurrence on ties), or `None` for an empty slice.
 pub fn max_by<T: Copy + Send + Sync>(
@@ -140,7 +90,7 @@ pub fn max_by<T: Copy + Send + Sync>(
             }
         }
     };
-    if !pool.can_fork() || n < 4096 {
+    if !pool.worth_forking(n) {
         return Some((1..n).map(|i| (i, input[i])).fold((0, input[0]), pick));
     }
     let grain = default_grain(n, pool.num_threads());
@@ -162,10 +112,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn map_matches_sequential() {
+    fn map_index_matches_sequential() {
         let pool = Pool::new(3);
-        let data: Vec<u32> = (0..50_000).collect();
-        let out = map(&pool, &data, |&x| x as u64 + 1);
+        let out = map_index(&pool, 50_000, |i| i as u64 + 1);
         assert!(out.iter().enumerate().all(|(i, &v)| v == i as u64 + 1));
     }
 
@@ -185,21 +134,6 @@ mod tests {
     }
 
     #[test]
-    fn reduce_sum_and_min() {
-        let pool = Pool::new(4);
-        let data: Vec<u64> = (1..=100_000).collect();
-        assert_eq!(reduce(&pool, &data, 0, |a, b| a + b), 100_000 * 100_001 / 2);
-        assert_eq!(reduce(&pool, &data, u64::MAX, |a, b| a.min(b)), 1);
-        assert_eq!(sum_u64(&pool, &data), 100_000 * 100_001 / 2);
-    }
-
-    #[test]
-    fn reduce_empty_gives_identity() {
-        let pool = Pool::new(2);
-        assert_eq!(reduce::<u64>(&pool, &[], 42, |a, b| a + b), 42);
-    }
-
-    #[test]
     fn max_by_finds_first_max() {
         let pool = Pool::new(4);
         let mut data = vec![1i64; 30_000];
@@ -208,12 +142,5 @@ mod tests {
         let (i, v) = max_by(&pool, &data, |a, b| a.cmp(b)).unwrap();
         assert_eq!((i, v), (7777, 99));
         assert!(max_by::<i64>(&pool, &[], |a, b| a.cmp(b)).is_none());
-    }
-
-    #[test]
-    fn sum_f64_exact_on_dyadic_values() {
-        let pool = Pool::new(4);
-        let data = vec![0.5f64; 65536];
-        assert_eq!(sum_f64(&pool, &data), 32768.0);
     }
 }

@@ -125,6 +125,14 @@ const IDLE_SPINS: u32 = 100_000;
 /// almost immediately and let the OS hand the core to a thread with work.
 const OVERSUBSCRIBED_SPINS: u32 = 64;
 
+/// The crate's one element cutoff: below it filter, scan, counting sort,
+/// arg-max and merge sort run their one-pass sequential forms whatever the
+/// pool offers. `lgc_ligra::lane` does not make it redundant: that rule
+/// measures an iteration's work, not the inputs it hands down (a step that
+/// forks on `vol(F)` still filters a few hundred `|F|`), and the benchmark's
+/// probes and the tests call the primitives under no lane at all.
+const FORK_MIN_LEN: usize = 8192;
+
 /// The machine's hardware parallelism (1 if unknown).
 fn hardware_threads() -> usize {
     std::thread::available_parallelism()
@@ -283,17 +291,6 @@ impl Pool {
         Arc::new(Self::new(threads))
     }
 
-    /// A pool of at most `threads` threads, clamped to the machine's
-    /// available parallelism — for callers that take a requested thread
-    /// count from configuration or CLI input, where workers beyond the
-    /// core count only add scheduling overhead. `Pool::new` keeps the
-    /// exact count for callers that *want* oversubscription (concurrency
-    /// tests exercising real interleavings, thread-scaling benchmark
-    /// sweeps that record `t = 1/2/4` regardless of the host).
-    pub fn new_clamped(threads: usize) -> Self {
-        Self::new(threads.min(hardware_threads()))
-    }
-
     /// Total number of threads participating in loops (workers + caller).
     pub fn num_threads(&self) -> usize {
         self.workers.len() + 1
@@ -326,11 +323,14 @@ impl Pool {
         shared.width.saturating_sub(callers)
     }
 
-    /// Whether a loop started now by this thread would get a helper. The
-    /// primitives with a one-pass sequential form ask this, not the
-    /// width, before they pay for the two-pass parallel one.
+    /// Whether a loop started now by this thread would get a helper.
     pub fn can_fork(&self) -> bool {
         !self.workers.is_empty() && !IN_JOB.with(Cell::get) && self.spare() > 0
+    }
+
+    /// Whether a primitive over `n` elements takes its two-pass parallel form.
+    pub(crate) fn worth_forking(&self, n: usize) -> bool {
+        self.can_fork() && n >= FORK_MIN_LEN
     }
 
     /// Loop tallies since the pool was built, and the callers inside a
@@ -634,13 +634,10 @@ mod tests {
     }
 
     #[test]
-    fn new_clamped_caps_at_hardware_parallelism() {
-        let hw = hardware_threads();
-        assert_eq!(Pool::new_clamped(1024).num_threads(), hw.min(1024));
-        assert_eq!(Pool::new_clamped(1).num_threads(), 1);
+    fn oversubscribed_pools_park_instead_of_spinning() {
         // Oversubscribed pools still execute correctly, just with a
         // parked-not-spinning idle policy.
-        let pool = Pool::new(hw * 4);
+        let pool = Pool::new(hardware_threads() * 4);
         assert_eq!(pool.shared.spin_budget, OVERSUBSCRIBED_SPINS);
         let total = AtomicU64::new(0);
         pool.run(10_000, 64, |s, e| {

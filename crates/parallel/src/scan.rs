@@ -60,7 +60,7 @@ fn scan_impl<T: Copy + Send + Sync>(
     if n == 0 {
         return (Vec::new(), identity);
     }
-    if !pool.can_fork() || n < 8192 {
+    if !pool.worth_forking(n) {
         // Sequential fallback.
         let mut out = Vec::with_capacity(n);
         let mut acc = identity;

@@ -21,7 +21,7 @@ pub fn merge_sort_by<T: Copy + Send + Sync>(
     cmp: impl Fn(&T, &T) -> Ordering + Sync,
 ) {
     let n = data.len();
-    if !pool.can_fork() || n < 16384 {
+    if !pool.worth_forking(n) {
         data.sort_by(&cmp);
         return;
     }
@@ -48,7 +48,7 @@ pub fn merge_sort_by<T: Copy + Send + Sync>(
     }
 
     // Scratch destination for the ping-pong merge rounds. Filling with a
-    // copy of `data[0]` (n >= 16384, checked above) keeps every slot
+    // copy of `data[0]` (`n >= FORK_MIN_LEN`, checked above) keeps every slot
     // initialized without unsafe `set_len`; each round overwrites every
     // slot before it is read, so the fill value is never observed.
     let mut buf: Vec<T> = vec![data[0]; n];

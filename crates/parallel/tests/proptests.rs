@@ -3,8 +3,7 @@
 //! and whatever a second caller does to the pool meanwhile.
 
 use lgc_parallel::{
-    counting_sort_by_key, filter, merge_sort_by, pack_indices, reduce, scan_exclusive,
-    scan_inclusive, Pool,
+    counting_sort_by_key, filter, max_by, merge_sort_by, scan_exclusive, scan_inclusive, Pool,
 };
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -155,14 +154,6 @@ proptest! {
     }
 
     #[test]
-    fn pack_indices_matches(len in 0usize..20_000, m in 1usize..7, t in pools()) {
-        let pool = Pool::new(t);
-        let got = pack_indices(&pool, len, |i| i % m == 0);
-        let want: Vec<u32> = (0..len as u32).filter(|&i| (i as usize).is_multiple_of(m)).collect();
-        prop_assert_eq!(got, want);
-    }
-
-    #[test]
     fn merge_sort_is_stable_sort(data in prop::collection::vec(0u16..128, 0..30_000), t in pools()) {
         let pool = Pool::new(t);
         let mut tagged: Vec<(u16, usize)> = data.iter().copied().zip(0..).collect();
@@ -179,14 +170,6 @@ proptest! {
         let got = counting_sort_by_key(&pool, &tagged, |&(k, _)| k, 97);
         let mut want = tagged.clone();
         want.sort_by_key(|a| a.0);
-        prop_assert_eq!(got, want);
-    }
-
-    #[test]
-    fn reduce_min_matches(data in prop::collection::vec(any::<i64>(), 0..20_000), t in pools()) {
-        let pool = Pool::new(t);
-        let got = reduce(&pool, &data, i64::MAX, |a, b| a.min(b));
-        let want = data.iter().copied().fold(i64::MAX, |a, b| a.min(b));
         prop_assert_eq!(got, want);
     }
 
@@ -226,8 +209,10 @@ proptest! {
             let want: Vec<u32> = data.iter().copied().filter(|&x| x % 3 == 0).collect();
             prop_assert_eq!(got, want);
 
-            let got = reduce(pool, &data, u32::MAX, |a, b| (tick(), a.min(b)).1);
-            prop_assert_eq!(got, data.iter().copied().fold(u32::MAX, u32::min));
+            // First maximum: the chunk partials combine in chunk order.
+            let got = max_by(pool, &data, |a, b| (tick(), a.cmp(b)).1);
+            let top = data.iter().copied().max();
+            prop_assert_eq!(got, top.map(|m| (data.iter().position(|&x| x == m).unwrap(), m)));
 
             let mut sorted = tagged.clone();
             merge_sort_by(pool, &mut sorted, |a, b| (tick(), a.0.cmp(&b.0)).1);

@@ -1,7 +1,7 @@
 //! Server observability: per-tenant × per-class latency histograms,
 //! request/shed counters, and a Prometheus-style text renderer that
 //! also folds in the engine-side state the core crate already tracks
-//! (ψ-cache hit rates, [`LifecycleSnapshot`](lgc_core::LifecycleSnapshot) counters, graph summary
+//! ([`LifecycleSnapshot`](lgc_core::LifecycleSnapshot) counters, graph summary
 //! sizes), the shared pool's loop tallies ([`lgc_parallel::PoolStats`]:
 //! forked against run inline, and the callers inside a query now) plus
 //! the scheduler's live queue depths.
@@ -146,7 +146,7 @@ impl ServerMetrics {
 
     /// Renders the full metrics page in Prometheus text exposition
     /// style: server counters, queue depths, per-(tenant, class)
-    /// latency quantiles, and the engine-side cache/lifecycle state
+    /// latency quantiles, and the engine-side lifecycle state
     /// read live from `service`. `queue_depths` is
     /// `[(depth, cap); 2]` indexed by `Priority::index`.
     pub fn render(&self, service: &Service, queue_depths: [(usize, usize); 2]) -> String {
@@ -319,12 +319,6 @@ impl ServerMetrics {
         // Engine-side state, read live per registered graph.
         g(
             &mut out,
-            "lgc_cache_psi_total",
-            "GraphCache psi-table lookups by result.",
-            "counter",
-        );
-        g(
-            &mut out,
             "lgc_lifecycle_total",
             "Engine lifecycle counters by tenant and event.",
             "counter",
@@ -354,17 +348,6 @@ impl ServerMetrics {
             "gauge",
         );
         for name in service.graph_names() {
-            if let Some(cache) = service.cache(&name) {
-                let (hits, misses) = cache.psi_stats();
-                let _ = writeln!(
-                    &mut out,
-                    "lgc_cache_psi_total{{tenant=\"{name}\",result=\"hit\"}} {hits}"
-                );
-                let _ = writeln!(
-                    &mut out,
-                    "lgc_cache_psi_total{{tenant=\"{name}\",result=\"miss\"}} {misses}"
-                );
-            }
             if let Some(l) = service.lifecycle(&name) {
                 for (event, v) in [
                     ("admitted", l.admitted),
@@ -487,7 +470,6 @@ mod tests {
             "lgc_queue_cap{class=\"bulk\"} 256",
             "lgc_queries_total{tenant=\"ring\",class=\"interactive\",outcome=\"completed\"} 1",
             "lgc_query_latency_seconds{tenant=\"ring\",class=\"interactive\",quantile=\"0.99\"}",
-            "lgc_cache_psi_total{tenant=\"ring\",result=\"hit\"} 0",
             "lgc_lifecycle_total{tenant=\"ring\",event=\"admitted\"} 0",
             "lgc_lifecycle_total{tenant=\"ring\",event=\"refined\"} 1",
             "lgc_lifecycle_total{tenant=\"ring\",event=\"refine_improved\"} 0",

@@ -177,7 +177,7 @@ fn control_requests_list_ping_metrics() {
         "lgc_query_latency_seconds{tenant=\"cliques\",class=\"interactive\",quantile=\"0.99\"}",
         "lgc_lifecycle_total{tenant=\"cliques\",event=\"completed\"} 1",
         "lgc_queue_cap{class=\"interactive\"}",
-        "lgc_cache_psi_total{tenant=\"mesh\",result=\"miss\"}",
+        "lgc_graph_memory_bytes{tenant=\"mesh\"}",
     ] {
         assert!(page.contains(needle), "missing {needle:?} in:\n{page}");
     }

@@ -7,8 +7,7 @@
 //! This is exactly the workload the [`Service`] exists for: several
 //! resident graphs registered at startup over one shared pool, every
 //! command served as a `&self` query through the graph's engine, scratch
-//! buffers checked out warm from command to command, ψ tables and graph
-//! statistics cached across them.
+//! buffers checked out warm from command to command.
 //!
 //! A tiny command-driven explorer over two generated graphs. Reads
 //! commands from stdin (one per line) and answers instantly using the
@@ -22,7 +21,7 @@
 //! hk <seed> [t] [N] [eps]        HK-PR + sweep from <seed>
 //! esp <seed> [steps]             evolving-set process from <seed>
 //! degree <v>                     degree of v
-//! stats                          graph statistics (cache-served)
+//! stats                          graph statistics
 //! quit
 //! ```
 //!

@@ -16,7 +16,7 @@
 //! grabbing the tenant's engine (an `Arc` bump) per request and calling
 //! `&self` methods, no mutex around any engine, no per-graph worker fleet. At
 //! the end the server prints per-tenant traffic, latency percentiles,
-//! and cache/workspace observability counters.
+//! and lifecycle counters.
 //!
 //! Tenants also pick their storage/memory trade-offs: the big "social"
 //! graph is stored on the byte-compressed CSR backend (same bits out,
@@ -209,17 +209,6 @@ fn main() {
         total as f64 / wall,
         service.num_graphs()
     );
-
-    // Observability: what the shared runtime amortized.
-    println!("\ncache / workspace state after the run:");
-    for name in &tenants {
-        let cache = service.cache(name).unwrap();
-        let (hits, misses) = cache.psi_stats();
-        println!(
-            "  {name:<12} psi tables: {hits} hits / {misses} misses; sweep support high-watermark: {}",
-            cache.sweep_hint()
-        );
-    }
 
     // Robustness: per-tenant lifecycle counters — who was admitted, who
     // was shed at the door, whose budget tripped mid-flight.

@@ -13,8 +13,8 @@
 //! Register your graphs into a [`Service`] over one shared thread
 //! [`Pool`]; query through `&self` engines from as many OS threads as
 //! you like. Each graph keeps a checkout pool of warm workspaces (mass
-//! arenas, frontier bitsets, sweep tables) and a [`GraphCache`] of
-//! seed-independent state (HK-PR ψ tables, degree vector, statistics):
+//! arenas, frontier bitsets, sweep tables) and nothing else between
+//! queries — a query reads the graph and its own parameters:
 //!
 //! ```
 //! use plgc::{Algorithm, PrNibbleParams, Query, Seed, Service};
@@ -71,8 +71,8 @@
 //! [`Algorithm`] implements the [`LocalDiffusion`] trait (seed →
 //! diffusion over a shared [`Workspace`]), engine and service
 //! results are bit-identical to the free-function pipeline — warm
-//! workspace checkouts and cache hits are observationally invisible, a
-//! contract enforced from multiple OS threads by
+//! workspace checkouts are observationally invisible, a contract
+//! enforced from multiple OS threads by
 //! `tests/service_properties.rs` — and [`Engine::run_batch`] fans any
 //! mix of queries across the pool with per-worker workspaces that stay
 //! warm across calls (deterministic, thread-count independent).
@@ -175,9 +175,8 @@
 //!   ([`QueryError::WorkspaceBudgetExceeded`]). Transient refusals
 //!   answer [`QueryError::is_retryable`].
 //! * **Counters.** Each graph keeps [`LifecycleSnapshot`] robustness
-//!   counters (admitted / completed / shed / tripped / in-flight) next
-//!   to its [`GraphCache`] stats — [`Engine::lifecycle_stats`],
-//!   [`Service::lifecycle`]. Every query, single or batch item, fallible
+//!   counters (admitted / completed / shed / tripped / in-flight) —
+//!   [`Engine::lifecycle_stats`], [`Service::lifecycle`]. Every query, single or batch item, fallible
 //!   or not, is counted: `admitted = completed + tripped` once idle.
 //!
 //! ```
@@ -234,7 +233,7 @@
 //! [`PartialResult`]). On top of refinement sit the first whole-graph
 //! pipelines: [`Engine::compute_embedding`] sweeps a geomspace ρ grid of
 //! PR-Nibble queries per seed through [`Engine::try_run_batch`] (warm
-//! workspaces, shared [`GraphCache`]), refines each cut, and keeps the
+//! workspaces), refines each cut, and keeps the
 //! minimum-conductance envelope — recording the actually-achieved grid
 //! in [`RhoGrid`] so budget truncation is visible, never silent — and
 //! [`Engine::find_k_clusters`] agglomerates every vertex's embedding
@@ -298,7 +297,7 @@
 //!
 //! A `METRICS` request (or `lgc-server --metrics-once`) renders
 //! Prometheus-style text: per-tenant × per-class latency quantiles,
-//! queue depths, [`GraphCache`] hit rates, [`LifecycleSnapshot`]
+//! queue depths, each graph's [`GraphSummary`], [`LifecycleSnapshot`]
 //! counters — among them the engines' frontier iterations by direction
 //! and by lane (`lgc_iterations_total{dir=…}`,
 //! `lgc_iterations_solo_total`) — and the loops offered to the pool by how
@@ -405,10 +404,10 @@ pub use lgc_core::{
     nibble_seq, prnibble_par, prnibble_seq, rand_hkpr_par, rand_hkpr_seq, sweep_cut_par,
     sweep_cut_seq, Algorithm, CancelToken, Checkpoint, ClusterResult, Diffusion, DiffusionStats,
     Direction, DirectionMode, DirectionParams, Embedding, Engine, EngineBuilder, EngineLimits,
-    EvolvingParams, GraphCache, GraphStore, GraphSummary, HkprParams, InvalidParams, InvalidSeed,
-    KClusters, LifecycleSnapshot, LocalDiffusion, NcpParams, NibbleParams, PartialResult,
-    PipelineParams, PrNibbleParams, PushRule, Query, QueryBudget, QueryError, RandHkprParams,
-    RefineStats, RefinedCut, RhoGrid, Seed, Service, ServiceBuilder, ServiceEngine, SweepCut, Trip,
+    EvolvingParams, GraphStore, GraphSummary, HkprParams, InvalidParams, InvalidSeed, KClusters,
+    LifecycleSnapshot, LocalDiffusion, NcpParams, NibbleParams, PartialResult, PipelineParams,
+    PrNibbleParams, PushRule, Query, QueryBudget, QueryError, RandHkprParams, RefineStats,
+    RefinedCut, RhoGrid, Seed, Service, ServiceBuilder, ServiceEngine, SweepCut, Trip,
     TrippedDiffusion, TrippedRefinement, Workspace, WorkspaceBudgetExceeded, RETRY_AFTER_FLOOR,
 };
 pub use lgc_graph::{

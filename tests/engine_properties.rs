@@ -431,7 +431,7 @@ fn clones_and_service_engines_share_workspaces_and_counters() {
     assert_eq!(engine.warm_workspaces(), 1, "and reused it");
     assert_eq!(engine.lifecycle_stats().completed, 2);
     assert_eq!(engine.lifecycle_stats(), twin.lifecycle_stats());
-    assert!(std::sync::Arc::ptr_eq(engine.cache(), twin.cache()));
+    assert_eq!(engine.summary(), twin.summary());
 
     let svc = Service::builder()
         .pool(Pool::shared(1))
@@ -449,6 +449,55 @@ fn clones_and_service_engines_share_workspaces_and_counters() {
     assert_eq!(b.warm_workspaces(), 1);
     assert_eq!(svc.lifecycle("g").unwrap().completed, 2);
     assert_eq!(a.as_plain().unwrap().lifecycle_stats(), b.lifecycle_stats());
+}
+
+/// `Engine::summary` and `Service::summary` are `GraphSummary::of` the
+/// graph they serve, on both backends (whose byte fields differ).
+#[test]
+fn engine_and_service_summaries_are_the_graphs_on_both_backends() {
+    use plgc::{CsrCompressed, GraphSummary};
+    let g = plgc::graph::gen::rand_local(300, 5, 4);
+    let c = CsrCompressed::from_graph(&g);
+    let (plain, packed) = (GraphSummary::of(&g), GraphSummary::of(&c));
+    assert_ne!(plain, packed);
+
+    assert_eq!(Engine::builder(&g).threads(1).build().summary(), plain);
+    let engine = Engine::builder(&c).threads(1).build();
+    assert_eq!(engine.summary(), packed);
+    assert_eq!(engine.summary(), packed, "the memoised answer is the same");
+
+    let svc = Service::builder()
+        .pool(Pool::shared(1))
+        .add_graph("plain", g.clone())
+        .add_graph("packed", c.clone())
+        .build();
+    assert_eq!(svc.summary("plain"), Some(plain));
+    assert_eq!(svc.summary("packed"), Some(packed));
+    assert_eq!(svc.summary("absent"), None);
+}
+
+/// HK-PR at `n_levels = 64` — the longest ψ table a query in this suite
+/// computes for itself — through a warm engine (twice), a cold engine and
+/// `find_cluster` is bitwise one result.
+#[test]
+fn hkpr_at_64_levels_is_one_result_warm_cold_and_free() {
+    let g = plgc::graph::gen::rand_local(400, 5, 12);
+    let q = Query::new(
+        Seed::single(17),
+        Algorithm::Hkpr(lgc::HkprParams {
+            t: 12.0,
+            n_levels: 64,
+            eps: 1e-5,
+        }),
+    );
+    let want = lgc::find_cluster(&Pool::new(1), &g, &q.seed, &q.algo);
+    assert!(want.diffusion.stats.iterations > 8, "a run of many levels");
+    let warm = Engine::builder(&g).threads(1).build();
+    warm.run(&Query::new(Seed::single(3), prnibble(1e-5)));
+    assert_bitwise(&warm.run(&q), &want, "warm engine, first use");
+    assert_bitwise(&warm.run(&q), &want, "warm engine, repeat");
+    let cold = Engine::builder(&g).threads(1).build();
+    assert_bitwise(&cold.run(&q), &want, "cold engine");
 }
 
 fn prn(alpha: f64, eps: f64) -> Algorithm {
