@@ -452,6 +452,7 @@ pub struct LifecycleCounters {
     iterations_push: AtomicU64,
     iterations_pull: AtomicU64,
     iterations_solo: AtomicU64,
+    iterations_dense_out: AtomicU64,
 }
 
 impl LifecycleCounters {
@@ -494,6 +495,8 @@ impl LifecycleCounters {
             .fetch_add(counts.pull, Ordering::Relaxed);
         self.iterations_solo
             .fetch_add(counts.solo, Ordering::Relaxed);
+        self.iterations_dense_out
+            .fetch_add(counts.dense_out, Ordering::Relaxed);
     }
 
     pub(crate) fn note_trip(&self, trip: Trip) {
@@ -554,6 +557,7 @@ impl LifecycleCounters {
             iterations_push: self.iterations_push.load(Ordering::Relaxed),
             iterations_pull: self.iterations_pull.load(Ordering::Relaxed),
             iterations_solo: self.iterations_solo.load(Ordering::Relaxed),
+            iterations_dense_out: self.iterations_dense_out.load(Ordering::Relaxed),
         }
     }
 }
@@ -608,6 +612,13 @@ pub struct LifecycleSnapshot {
     /// offered to the pool ("The fork policy" on
     /// [`lgc_ligra::EdgeSpread`]).
     pub iterations_solo: u64,
+    /// Of `iterations_pull`, the pulls whose next frontier left the gather
+    /// as a bitset — decided per destination by the edge map's `admit`,
+    /// with no id list built between that iteration and the next
+    /// ([`lgc_ligra::Staged::absorb`]). Never more than `iterations_pull`;
+    /// the pulls it misses are the ones with no next frontier to derive
+    /// (HK-PR's last level, evolving-set steps).
+    pub iterations_dense_out: u64,
 }
 
 impl LifecycleSnapshot {

@@ -761,7 +761,7 @@ mod tests {
     /// steer).
     #[test]
     fn direction_policy_reaches_the_workspaces_and_moves_no_bits() {
-        use lgc_ligra::{Absorb, Direction, VertexSubset};
+        use lgc_ligra::{Absorb, Direction, VertexSubset, NO_ADMIT};
         let g = gen::two_cliques_bridge(8);
         let seed = Seed::single(1);
         let reference = Engine::builder(&g).threads(1).build();
@@ -778,7 +778,7 @@ mod tests {
                 .spread
                 .stage(engine.pool(), &g, &mut frontier, vol, |_| 1.0);
             assert_eq!(staged.direction(), want);
-            staged.absorb(Absorb::Sum, |_, _, _| {});
+            staged.absorb(Absorb::Sum, |_, _, _| {}, NO_ADMIT);
             ws.put_frontier(engine.pool(), frontier);
             engine.core.workspaces.restore(ws, &engine.core.counters);
             for algo in algorithms() {

@@ -27,7 +27,7 @@ use crate::result::{Diffusion, DiffusionStats};
 use crate::seed::Seed;
 use crate::workspace::Workspace;
 use lgc_graph::CsrBackend;
-use lgc_ligra::{lane, Absorb, Checkpoint, Trip, VertexSubset, Writer};
+use lgc_ligra::{lane, Absorb, Checkpoint, Trip, VertexSubset, Writer, NO_ADMIT};
 use lgc_parallel::{filter_map_index, Pool};
 use lgc_sparse::{ConcurrentSparseVec, SparseVec};
 use rand::rngs::StdRng;
@@ -198,7 +198,7 @@ pub(crate) fn evolving_set_par_ws<B: CsrBackend>(
     let mut rng = StdRng::seed_from_u64(params.rng_seed);
     let mut current = ws.take_frontier();
     current.advance(pool, VertexSubset::from_sorted(seed.vertices().to_vec()));
-    let mut best = snapshot(g, current.ids());
+    let mut best = snapshot(g, current.ids(pool));
     let mut sizes = vec![current.len()];
     let mut inside = ws
         .counts
@@ -223,18 +223,21 @@ pub(crate) fn evolving_set_par_ws<B: CsrBackend>(
             inside.reset(pool, vol.max(1));
             // Exact |N(v) ∩ S| counts for everything adjacent to S: every
             // member sends 1.0 along each of its edges.
+            // No `admit`: `snapshot` reads every step's set as a list, so
+            // a dense-native frontier would be unpacked straight away.
             ws.spread.stage(pool, g, &mut current, vol, |_| 1.0).absorb(
                 Absorb::Sum,
                 |dst, c, writer| match writer {
                     Writer::Shared => inside.add(dst, c),
                     Writer::Exclusive => inside.add_exclusive(dst, c),
                 },
+                NO_ADMIT,
             );
             let mut cands: Vec<u32> = inside.entries(pool).into_iter().map(|(v, _)| v).collect();
-            cands.extend_from_slice(current.ids());
+            cands.extend_from_slice(current.ids(pool));
             cands.sort_unstable();
             cands.dedup();
-            let member_ids = current.ids().to_vec();
+            let member_ids = current.ids(pool).to_vec();
             let mut next: Vec<u32> = filter_map_index(pool, cands.len(), |i| {
                 let v = cands[i];
                 let member = member_ids.binary_search(&v).is_ok();

@@ -12,7 +12,7 @@ use crate::result::{Diffusion, DiffusionStats};
 use crate::seed::Seed;
 use crate::workspace::Workspace;
 use lgc_graph::CsrBackend;
-use lgc_ligra::{lane, Absorb, Checkpoint, VertexSubset, Writer};
+use lgc_ligra::{lane, Absorb, Checkpoint, VertexSubset, Writer, NO_ADMIT};
 use lgc_parallel::{map_index, Pool};
 use lgc_sparse::MassMap;
 
@@ -25,8 +25,12 @@ use lgc_sparse::MassMap;
 /// `UpdateNgh` forwards it to level `j+1`. Both traversal directions apply
 /// the level-synchronous update set in the sequential order, which keeps
 /// Theorem 4's bit-equality with [`super::hkpr_seq`] at one thread. The
-/// next level's frontier is filtered directly off `r_next`'s backend. Mass
-/// vectors are adaptive [`MassMap`]s.
+/// next level's queue is the receivers above the admission threshold: a
+/// pull puts that test to each destination as its sum lands (the edge map's
+/// `admit`) and hands the next level a dense frontier with its size and
+/// volume tallied — between two pulled levels no key list is filtered and
+/// no degree is re-read; after a push the queue is filtered off `r_next`'s
+/// backend as a sorted list. Mass vectors are adaptive [`MassMap`]s.
 pub fn hkpr_par<B: CsrBackend>(pool: &Pool, g: &B, seed: &Seed, params: &HkprParams) -> Diffusion {
     match hkpr_par_ws(
         pool,
@@ -42,9 +46,9 @@ pub fn hkpr_par<B: CsrBackend>(pool: &Pool, g: &B, seed: &Seed, params: &HkprPar
 }
 
 /// [`hkpr_par`] over a recyclable [`Workspace`]: the three mass maps, the
-/// frontier and the edge map's buffer come out of `ws` instead of being
-/// allocated; checkouts are re-fitted to match fresh allocations exactly,
-/// so warm runs are bit-identical.
+/// frontier (with both of its bitsets) and the edge map's buffer come out
+/// of `ws` instead of being allocated; checkouts are re-fitted to match
+/// fresh allocations exactly, so warm runs are bit-identical.
 ///
 /// `cp` is consulted once per level; on a trip the loop stops at that
 /// boundary and the banked (and `e^{−t}`-scaled) mass is returned as the
@@ -93,12 +97,13 @@ pub(crate) fn hkpr_par_ws<B: CsrBackend>(
 
         // UpdateSelf: bank the level-j residual and send each neighbor
         // `r/d` on the final flush, `t·r/((j+1)·d)` otherwise (evaluated
-        // in exactly that order, for bit-identical results).
+        // in exactly that order, for bit-identical results). Only v's own
+        // call touches p[v] here, so the add is plain.
         p.reserve_more(pool, k);
         let scale = params.t / (j + 1) as f64;
         let staged = ws.spread.stage(pool, g, &mut frontier, vol, |v| {
             let rv = r.get(v);
-            p.add(v, rv);
+            p.add_exclusive(v, rv);
             match g.degree(v) {
                 0 => 0.0,
                 d if last_round => rv / d as f64,
@@ -111,23 +116,30 @@ pub(crate) fn hkpr_par_ws<B: CsrBackend>(
             // not fresh, and this is the order the sequential flush adds
             // them in.
             p.reserve_more(pool, vol);
-            staged.absorb(Absorb::PerEdge, |dst, c, w| add_as(w, &p, dst, c));
+            staged.absorb(Absorb::PerEdge, |dst, c, w| add_as(w, &p, dst, c), NO_ADMIT);
             break;
         }
 
         // UpdateNgh: forward to level j+1. Only edge destinations land
         // here, so vol bounds the touched keys; the cells are fresh, so a
         // register sum brackets exactly like the per-edge order.
-        r_next.reset(pool, vol.max(1));
-        staged.absorb(Absorb::Sum, |dst, c, w| add_as(w, &r_next, dst, c));
-
-        // Next frontier: level-(j+1) entries above the admission
-        // threshold (equivalent to the sequential crossing test because
-        // the accumulation is monotone), filtered directly off the mass
+        //
+        // Next frontier: the level-(j+1) entries — the receivers — above
+        // the admission threshold (equivalent to the sequential crossing
+        // test because the accumulation is monotone). A pull decides each
+        // as its sum lands; after a push they are filtered off the mass
         // store's backend, which hands the keys back ascending.
-        let above =
-            r_next.filter_keys(pool, |w, m| m >= params.threshold(&psi, j + 1, g.degree(w)));
-        frontier.advance(pool, VertexSubset::from_sorted(above));
+        r_next.reset(pool, vol.max(1));
+        let above = |w: u32, m: f64| m >= params.threshold(&psi, j + 1, g.degree(w));
+        let emitted = staged.absorb(
+            Absorb::Sum,
+            |dst, c, w| add_as(w, &r_next, dst, c),
+            Some(|dst, received| received && above(dst, r_next.get(dst))),
+        );
+        if !emitted {
+            let queue = r_next.filter_keys(pool, above);
+            frontier.advance(pool, VertexSubset::from_sorted(queue));
+        }
         std::mem::swap(&mut r, &mut r_next);
         j += 1;
     }

@@ -106,9 +106,13 @@ pub fn nibble_seq<B: CsrBackend>(g: &B, seed: &Seed, params: &NibbleParams) -> D
 /// Parallel Nibble (Figure 3): per iteration one spreading edge map
 /// ([`lgc_ligra::EdgeSpread`]) — `UpdateSelf` banks the kept half
 /// `p[v]/2` and sends the share `p[v]/(2·d(v))`, computed once per vertex,
-/// along every edge — and one filter. Mass vectors live in adaptive
-/// [`MassMap`]s, and the next frontier is filtered straight off `p_new`'s
-/// backend (no intermediate entries vector).
+/// along every edge — and one filter, `p'[v] ≥ ε·d(v)` over the vertices
+/// the step touched. A pull applies it to each destination as soon as its
+/// shares have landed (the edge map's `admit`) and hands the next step a
+/// dense frontier with its size and volume tallied; after a push the next
+/// frontier is filtered straight off `p_new`'s backend as a sorted list (no
+/// intermediate entries vector). Mass vectors live in adaptive
+/// [`MassMap`]s.
 pub fn nibble_par<B: CsrBackend>(
     pool: &Pool,
     g: &B,
@@ -129,9 +133,9 @@ pub fn nibble_par<B: CsrBackend>(
 }
 
 /// [`nibble_par`] over a recyclable [`Workspace`]: both mass maps, the
-/// frontier and the edge map's buffer come out of `ws` instead of being
-/// allocated; checkouts are re-fitted to match fresh allocations exactly,
-/// so warm runs are bit-identical.
+/// frontier (with both of its bitsets) and the edge map's buffer come out
+/// of `ws` instead of being allocated; checkouts are re-fitted to match
+/// fresh allocations exactly, so warm runs are bit-identical.
 ///
 /// `cp` is consulted once per lazy-walk iteration; on a trip the loop
 /// stops at that boundary and the mass settled so far is returned as the
@@ -179,14 +183,21 @@ pub(crate) fn nibble_par_ws<B: CsrBackend>(
         stats.edges_traversed += vol as u64;
 
         // One lazy-walk step over at most `k + vol` touched vertices. A
-        // destination may already hold its own kept half, so neighbor
-        // shares are absorbed per edge: that is the sequential
-        // accumulation order, bit for bit.
+        // destination may already hold its own kept half (banked by its own
+        // call alone: a plain add), so neighbor shares are absorbed per
+        // edge: that is the sequential accumulation order, bit for bit.
+        //
+        // Frontier = {v : p'[v] ≥ ε·d(v)} among the touched vertices —
+        // the members, which kept a half, and the receivers. A pull decides
+        // each as the last of its shares lands; after a push they are
+        // filtered directly over the mass store's backend (ascending).
         p_new.reset(pool, k + vol);
-        ws.spread
+        let active = |v: u32, m: f64| m >= eps * g.degree(v) as f64;
+        let emitted = ws
+            .spread
             .stage(pool, g, &mut frontier, vol, |v| {
                 let pv = p.get(v);
-                p_new.add(v, pv / 2.0);
+                p_new.add_exclusive(v, pv / 2.0);
                 // Degree-0 vertices never reach the frontier in practice
                 // (they spread nothing); guard the division anyway.
                 match g.degree(v) {
@@ -194,20 +205,23 @@ pub(crate) fn nibble_par_ws<B: CsrBackend>(
                     d => pv / (2.0 * d as f64),
                 }
             })
-            .absorb(Absorb::PerEdge, |dst, share, writer| match writer {
-                Writer::Shared => p_new.add(dst, share),
-                Writer::Exclusive => p_new.add_exclusive(dst, share),
-            });
-
-        // Frontier = {v : p'[v] ≥ ε·d(v)}, filtered directly over the
-        // mass store's backend (ascending). An empty filter means the
-        // walk died: break *before* the swap, returning the previous
-        // vector (line 15 of Figure 3).
-        let above = p_new.filter_keys(pool, |v, m| m >= eps * g.degree(v) as f64);
-        if above.is_empty() {
+            .absorb(
+                Absorb::PerEdge,
+                |dst, share, writer| match writer {
+                    Writer::Shared => p_new.add(dst, share),
+                    Writer::Exclusive => p_new.add_exclusive(dst, share),
+                },
+                Some(|dst, _| active(dst, p_new.get(dst))),
+            );
+        if !emitted {
+            let above = p_new.filter_keys(pool, active);
+            frontier.advance(pool, VertexSubset::from_sorted(above));
+        }
+        // An empty filter means the walk died: break *before* the swap,
+        // returning the previous vector (line 15 of Figure 3).
+        if frontier.is_empty() {
             break;
         }
-        frontier.advance(pool, VertexSubset::from_sorted(above));
         std::mem::swap(&mut p, &mut p_new);
     }
     // The tail asks the fork policy with the entries it is about to pack.

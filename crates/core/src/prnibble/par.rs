@@ -17,8 +17,8 @@ use crate::result::{Diffusion, DiffusionStats};
 use crate::seed::Seed;
 use crate::workspace::Workspace;
 use lgc_graph::CsrBackend;
-use lgc_ligra::{lane, Absorb, Checkpoint, Direction, VertexSubset};
-use lgc_parallel::{filter_map_index, map_index, merge_sort_by, Bitset, Pool};
+use lgc_ligra::{lane, Absorb, Checkpoint, Direction, VertexSubset, NO_ADMIT};
+use lgc_parallel::{filter_map_index, map_index, merge_sort_by, Pool};
 use lgc_sparse::MassMap;
 
 /// Parallel PR-Nibble. Work `O(1/(α·ε))` w.h.p. (Theorem 3), regardless
@@ -29,20 +29,25 @@ use lgc_sparse::MassMap;
 ///
 /// Each iteration is one spreading edge map ([`lgc_ligra::EdgeSpread`],
 /// which also chooses the direction) sending `cₙ·r[v]/d(v)` along every
-/// frontier edge. What differs by direction is where the contributions
-/// land, because `r` must keep the residuals of untouched vertices:
+/// frontier edge. The eligible set `{v : r[v] ≥ ε·d(v)}` is carried from
+/// iteration to iteration — it can only gain vertices that just received
+/// mass and lose ones that were just pushed — and what differs by
+/// direction is where the contributions land and who works that set out:
 ///
 /// * after a **push** they sit in a scratch delta map (many sources hit a
-///   destination at once) and are committed to `r` in a second pass;
-/// * a **pull** owns each destination, so it adds the register sum to `r`
-///   directly and marks the receiver in a bitset — no delta map, no
-///   entries vector, `O(n/64 + receivers)` extra.
+///   destination at once) and are committed to `r` in a second pass; the
+///   next eligible set is a filter over the sorted list old eligibles ∪
+///   receivers. Push frontiers are the small ones, so the list is too.
+/// * a **pull** owns each destination: it adds the register sum to `r`
+///   directly and applies the eligibility test to that destination then
+///   and there (the edge map's `admit`). The next frontier leaves the
+///   gather as a bitset with its size and volume tallied, and the next pull
+///   stages and gathers off that bitset — no delta map, no receiver set, no
+///   id list and no degree walk between two pulls.
 ///
-/// Either way the next eligible set is tracked incrementally (old
-/// eligibles ∪ receivers). Mass vectors live in [`MassMap`]s, which upgrade
-/// themselves to direct-indexed dense arrays once the per-iteration key
-/// bound crosses `params.dense_frac · n` — the regime pull iterations
-/// live in.
+/// Mass vectors live in [`MassMap`]s, which upgrade themselves to
+/// direct-indexed dense arrays once the per-iteration key bound crosses
+/// `params.dense_frac · n` — the regime pull iterations live in.
 pub fn prnibble_par<B: CsrBackend>(
     pool: &Pool,
     g: &B,
@@ -63,16 +68,15 @@ pub fn prnibble_par<B: CsrBackend>(
 }
 
 /// [`prnibble_par`] over a recyclable [`Workspace`]: the three mass maps,
-/// the frontier, the edge map's buffer and the receiver bitset come out of
-/// `ws` instead of being allocated — and every checkout is re-fitted to be
-/// observationally identical to a fresh allocation, so warm runs return
-/// the same bits as cold ones.
+/// the frontier (with both of its bitsets) and the edge map's buffer come
+/// out of `ws` instead of being allocated — and every checkout is re-fitted
+/// to be observationally identical to a fresh allocation, so warm runs
+/// return the same bits as cold ones.
 ///
 /// `cp` is consulted once per push iteration; on a trip the loop stops at
 /// that boundary and the settled `p` is returned as the `Err` payload,
-/// with every workspace buffer already recycled (the receiver bitset is
-/// all-zero at iteration boundaries, so the early exit preserves the
-/// pool's clear-bitset invariant).
+/// with every workspace buffer already recycled (a frontier that is
+/// dense-native at that boundary is wiped by words on its way back).
 pub(crate) fn prnibble_par_ws<B: CsrBackend>(
     pool: &Pool,
     g: &B,
@@ -93,35 +97,36 @@ pub(crate) fn prnibble_par_ws<B: CsrBackend>(
     }
     let mut p = ws.take_mass(pool, n, 16, params.dense_frac);
     let mut r_delta = ws.take_mass(pool, n, 16, params.dense_frac);
-    let mut frontier = ws.take_frontier();
-    // Taken warm from the workspace, or allocated on the first pull
-    // iteration; always left fully clear.
-    let mut receiver_bits: Option<Bitset> = ws.take_bitset(n);
 
-    // Eligible = vertices known to satisfy r[v] ≥ ε·d(v) (sorted).
-    let mut eligible: Vec<u32> = seed
-        .vertices()
-        .iter()
-        .copied()
-        .filter(|&v| g.degree(v) > 0 && seed.mass_per_vertex() >= eps * g.degree(v) as f64)
-        .collect();
+    // Between iterations the frontier holds the eligible set: the vertices
+    // known to satisfy r[v] ≥ ε·d(v).
+    let is_eligible = |r: &MassMap, v: u32| {
+        let d = g.degree(v);
+        d > 0 && r.get(v) >= eps * d as f64
+    };
+    let mut frontier = ws.take_frontier();
+    let seeds = seed.vertices().iter().copied();
+    frontier.advance(
+        pool,
+        VertexSubset::from_sorted(seeds.filter(|&v| is_eligible(&r, v)).collect()),
+    );
+    // At β = 1 the frontier *is* the eligible set. Below, the frontier is
+    // narrowed to the selected part for the iteration and the whole set is
+    // kept here meanwhile.
+    let push_all = params.beta >= 1.0;
+    let mut eligible: Vec<u32> = Vec::new();
 
     let mut tripped = None;
-    while !eligible.is_empty() {
+    while !frontier.is_empty() {
         if let Err(trip) = cp.tick(stats.pushes, stats.edges_traversed) {
             tripped = Some(trip);
             break;
         }
         stats.iterations += 1;
-        // At β = 1 the frontier *is* the eligible set: it moves in, and
-        // phase 4 reads it back from there.
-        let push_all = params.beta >= 1.0;
-        let next = if push_all {
-            VertexSubset::from_sorted(std::mem::take(&mut eligible))
-        } else {
-            select_top(g, &r, &eligible, params.beta)
-        };
-        frontier.advance(pool, next);
+        if !push_all {
+            eligible = frontier.ids(pool).to_vec();
+            frontier.advance(pool, select_top(g, &r, &eligible, params.beta));
+        }
         let k = frontier.len();
         let vol = frontier.volume(g);
         let pool = lane(pool, k, vol);
@@ -131,29 +136,34 @@ pub(crate) fn prnibble_par_ws<B: CsrBackend>(
 
         // Phase 1 (UpdateSelf; read r, write p and r[v]): bank the
         // α-fraction, leave the post-push self-residual, and send
-        // `cₙ·r[v]/d(v)` to every neighbor. Rewriting r[v] in the same
-        // pass is safe: only v's own call touches that cell (neighbors get
-        // the staged value, never r), and the cell already exists — v was
-        // eligible, so r[v] ≥ ε·d(v) > 0 — so no insert runs beside the
-        // other calls' reads.
+        // `cₙ·r[v]/d(v)` to every neighbor. Both writes are plain: only v's
+        // own call touches v's cells (neighbors get the staged value, never
+        // r), and r's cell already exists — v was eligible, so
+        // r[v] ≥ ε·d(v) > 0 — so no insert runs beside the other calls'
+        // reads.
         p.reserve_more(pool, k);
         let staged = ws.spread.stage(pool, g, &mut frontier, vol, |v| {
             let rv = r.get(v);
-            p.add(v, c_bank * rv);
+            p.add_exclusive(v, c_bank * rv);
             r.set(v, cr * rv);
             cn * rv / g.degree(v) as f64
         });
 
-        // Phases 2–3 commit the neighbor contributions to r and yield the
-        // vertices that received any, ascending. The two stores are sized
-        // here, per direction: their capacity history decides the slot
-        // order `r.l1_norm` sums in, so it is part of the result bits.
-        let receivers = match staged.direction() {
+        // Phases 2–4 commit the neighbor contributions to r and work out
+        // the next eligible set: previously eligible vertices and vertices
+        // that just received mass are the only candidates. The two stores
+        // are sized here, per direction: their capacity history decides the
+        // slot order `r.l1_norm` sums in, so it is part of the result bits.
+        //
+        // `unsettled` is what is left to do about that set: the candidates,
+        // ascending, that are still to be merged with the known ones and put
+        // to the test — or nothing, when the frontier already is the set.
+        let unsettled = match staged.direction() {
             Direction::Push => {
                 // Only edge destinations land in the delta map, so vol
                 // bounds the touched keys.
                 r_delta.reset(pool, vol.max(1));
-                staged.absorb(Absorb::Sum, |dst, c, _| r_delta.add(dst, c));
+                staged.absorb(Absorb::Sum, |dst, c, _| r_delta.add(dst, c), NO_ADMIT);
                 let deltas = r_delta.entries(pool);
                 r.reserve_more(pool, deltas.len());
                 pool.run(deltas.len(), 512, |s, e| {
@@ -174,33 +184,37 @@ pub(crate) fn prnibble_par_ws<B: CsrBackend>(
                         receivers.sort_unstable();
                     }
                 }
-                receivers
+                Some(receivers)
             }
             Direction::Pull => {
+                // The gather puts the test to every receiver and to every
+                // vertex just pushed, on the thread that owns the vertex,
+                // once its sum is in r. Nobody else can have become
+                // eligible: an r that no one touched still fails the test.
                 r.reserve_more(pool, vol);
-                let recv = &*receiver_bits.get_or_insert_with(|| Bitset::new(n));
-                staged.absorb(Absorb::Sum, |dst, sum, _| {
-                    r.add_exclusive(dst, sum);
-                    recv.insert(dst);
-                });
-                // The receiver bitset enumerates (already sorted) in
-                // `O(n/64 + len)`, a vanishing cost next to the
-                // `O(n + m)` gather.
-                let receivers = recv.to_sorted_ids(pool);
-                recv.clear_sorted(pool, &receivers);
-                receivers
+                staged.absorb(
+                    Absorb::Sum,
+                    |dst, sum, _| r.add_exclusive(dst, sum),
+                    Some(|dst, _| is_eligible(&r, dst)),
+                );
+                // ... or, below β = 1, still passes it: the eligible
+                // vertices that were neither selected nor reached were not
+                // asked, so what the gather admitted goes through the merge.
+                (!push_all).then(|| frontier.ids(pool).to_vec())
             }
         };
-
-        // Phase 4: the next eligible set can only contain previously
-        // eligible vertices or vertices that just received mass.
-        let known = if push_all { frontier.ids() } else { &eligible };
-        let cands = merge_sorted_distinct(known, &receivers);
-        eligible = filter_map_index(pool, cands.len(), |i| {
-            let v = cands[i];
-            let d = g.degree(v);
-            (d > 0 && r.get(v) >= eps * d as f64).then_some(v)
-        });
+        if let Some(candidates) = unsettled {
+            let known = if push_all {
+                frontier.ids(pool)
+            } else {
+                &eligible
+            };
+            let cands = merge_sorted_distinct(known, &candidates);
+            let next = filter_map_index(pool, cands.len(), |i| {
+                is_eligible(&r, cands[i]).then_some(cands[i])
+            });
+            frontier.advance(pool, VertexSubset::from_sorted(next));
+        }
     }
 
     // The tail sums `r` and packs and sorts `p`: it asks the fork policy
@@ -212,11 +226,6 @@ pub(crate) fn prnibble_par_ws<B: CsrBackend>(
     ws.put_mass(p);
     ws.put_mass(r_delta);
     ws.put_frontier(pool, frontier);
-    if let Some(bits) = receiver_bits {
-        // Invariant: the pull arm clears exactly the receivers it set,
-        // so the bitset goes back to the pool all-zero.
-        ws.put_bitset(bits);
-    }
     let d = Diffusion::from_entries_par(pool, entries, stats);
     match tripped {
         None => Ok(d),

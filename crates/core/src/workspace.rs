@@ -6,7 +6,7 @@ use crate::budget::LifecycleCounters;
 #[cfg(doc)]
 use crate::engine::{Engine, LocalDiffusion};
 use lgc_ligra::{DirectionParams, EdgeSpread, Frontier, VertexSubset};
-use lgc_parallel::{Bitset, Pool};
+use lgc_parallel::Pool;
 use lgc_sparse::{ConcurrentRankMap, ConcurrentSparseVec, MassMap};
 use std::sync::Mutex;
 
@@ -20,8 +20,9 @@ use std::sync::Mutex;
 ///
 /// * dense/sparse [`MassMap`] arenas (including their `O(n)` dense-mode
 ///   buffers — the expensive part of a high-volume query);
-/// * [`Frontier`]s with their lazily-built bitsets, and standalone
-///   [`Bitset`]s (PR-Nibble's receiver set);
+/// * [`Frontier`]s with their lazily-built bitsets — the dense view, and
+///   the second buffer a frontier that has been through a pull swaps it
+///   with every iteration;
 /// * the spreading edge map's contribution buffer ([`EdgeSpread`]);
 /// * rand-HK-PR's walk-destination buffer and compaction table, the
 ///   evolving-set neighbor counter, and the sweep's rank table.
@@ -33,7 +34,6 @@ use std::sync::Mutex;
 pub struct Workspace {
     mass: Vec<MassMap>,
     frontiers: Vec<Frontier>,
-    bitsets: Vec<Bitset>,
     /// The frontier diffusions' edge map: the direction policy every
     /// iteration run over this workspace is chosen by, plus the
     /// contribution buffer.
@@ -78,11 +78,6 @@ impl Workspace {
                 .iter()
                 .map(Frontier::resident_bytes)
                 .sum::<usize>()
-            + self
-                .bitsets
-                .iter()
-                .map(Bitset::resident_bytes)
-                .sum::<usize>()
             + self.spread.resident_bytes()
             + self.walks.capacity() * std::mem::size_of::<(u32, u32)>()
             + self
@@ -118,32 +113,23 @@ impl Workspace {
     }
 
     /// Checks out an empty frontier (recycled ones keep their allocated,
-    /// already-zeroed bitset).
+    /// already-zeroed bitsets).
     pub(crate) fn take_frontier(&mut self) -> Frontier {
         self.frontiers
             .pop()
             .unwrap_or_else(|| Frontier::from_subset(VertexSubset::empty()))
     }
 
-    /// Returns a frontier, clearing its members (`O(len)`) so the cached
-    /// bitset is back to all-zero for the next checkout.
+    /// Returns a frontier, clearing its members (`O(len)`, or `n/64` word
+    /// stores for one that comes back dense-native — a query tripped
+    /// between two pulls) so its bitsets are all-zero for the next
+    /// checkout. Warm runs equal cold ones only if they are: the dense view
+    /// of the next query's first pulled frontier is built by *setting* its
+    /// members' bits in one of them.
     pub(crate) fn put_frontier(&mut self, pool: &Pool, mut f: Frontier) {
         f.recycle(pool);
+        debug_assert!(f.buffers_are_clear(), "a recycled frontier's bitsets");
         self.frontiers.push(f);
-    }
-
-    /// Checks out a clean bitset over universe `n` if one is pooled
-    /// (callers allocate lazily on `None`, preserving the cold path's
-    /// "only pay `O(n/64)` if the query actually pulls" behavior).
-    pub(crate) fn take_bitset(&mut self, n: usize) -> Option<Bitset> {
-        let i = self.bitsets.iter().position(|b| b.universe() == n)?;
-        Some(self.bitsets.swap_remove(i))
-    }
-
-    /// Returns a bitset. Invariant: every word must be zero again (the
-    /// diffusions clear receivers by the sorted id list they extracted).
-    pub(crate) fn put_bitset(&mut self, b: Bitset) {
-        self.bitsets.push(b);
     }
 }
 

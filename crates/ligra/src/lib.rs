@@ -7,13 +7,15 @@
 //! its vertices' degrees, never `O(|V|)`. That is what turns the diffusion
 //! algorithms' theoretical "local running time" into practice.
 //!
-//! * [`vertex_map`] applies a side-effecting function to every vertex of a
-//!   subset, in parallel over vertices.
 //! * [`edge_map`] applies an update function to every edge `(u, v)` with
 //!   `u` in the subset, in parallel over *edges* (two-level: the frontier's
 //!   edge space is flattened via a prefix sum over degrees, so one
 //!   high-degree vertex cannot serialize an iteration — the same load
 //!   balancing Ligra gets from its edge-granularity traversal).
+//! * The paper's `vertexMap` has no function of its own: every diffusion's
+//!   per-vertex step is the `UpdateSelf` half of an iteration, and
+//!   [`EdgeSpread::stage`] runs it — over the id list of a sparse frontier,
+//!   over the words of a dense one, which is Ligra's dense `vertexMap`.
 //!
 //! # The push/pull duality
 //!
@@ -29,17 +31,27 @@
 //! and is the one place that applies it: the diffusions hand it their
 //! `UpdateSelf` and `UpdateNgh` halves and never see which traversal ran.
 //! The mechanics of the two directions, and why the threshold is what it
-//! is, are documented there. [`Frontier`] carries both
-//! representations (sorted id list and bitset) with `O(len)` conversions
-//! so flip-flopping between directions never pays more than the iteration
-//! it serves.
+//! is, are documented there.
+//!
+//! A `vertexSubset` has the two representations Ligra gives it, and each
+//! traversal returns the one it produces natively. A push leaves its
+//! caller a sorted id list. A pull that is handed an `admit` predicate
+//! ([`Staged::absorb`]) decides the next frontier destination by
+//! destination, on the thread that owns the destination, and leaves a
+//! *dense-native* [`Frontier`]: a bitset written a word at a time plus
+//! `|F′|` and `vol(F′)` tallied on the way. The next pull stages and
+//! gathers straight off those words, so between two pulls no id list is
+//! built, merged, filtered or walked — a saturated iteration is two passes,
+//! `stage` over the frontier's words and the gather over the destinations.
+//! The id list is materialised (`O(n/64 + len)`) only when something asks
+//! for it: a push iteration, or a caller of [`Frontier::ids`].
 //!
 //! The same work measure decides a second thing per iteration: whether its
 //! loops are offered to the pool's workers at all ([`lane`],
 //! [`FORK_MIN_WORK`] — "The fork policy" on [`EdgeSpread`]).
 
 use lgc_graph::CsrBackend;
-use lgc_parallel::{scan_exclusive, Bitset, Pool, UnsafeSlice};
+use lgc_parallel::{map_chunks, scan_exclusive, Bitset, Pool, UnsafeSlice};
 
 pub mod interrupt;
 
@@ -124,16 +136,6 @@ impl From<VertexSubset> for Vec<u32> {
     fn from(s: VertexSubset) -> Vec<u32> {
         s.ids
     }
-}
-
-/// Applies `f` to every vertex in `frontier`, in parallel.
-/// Work `O(|frontier|)`.
-pub fn vertex_map(pool: &Pool, frontier: &VertexSubset, f: impl Fn(u32) + Sync) {
-    pool.run(frontier.len(), 256, |s, e| {
-        for &v in &frontier.ids[s..e] {
-            f(v);
-        }
-    });
 }
 
 /// Applies `f(src, dst)` to every edge `(src, dst)` with `src ∈ frontier`,
@@ -309,30 +311,54 @@ impl DirectionParams {
     }
 }
 
-/// A direction-agnostic frontier: the sorted id list (what the push
-/// engines and per-vertex phases consume) plus a lazily materialized
-/// dense bitset (what the pull engine probes).
+/// A direction-agnostic frontier: the paper's `vertexSubset` in both of
+/// Ligra's representations, each built from the other only on demand.
 ///
-/// Conversions cost `O(len)` beyond a one-time `O(n/64)` bitset
-/// allocation: [`Frontier::advance`] recycles the bitset buffer by
-/// clearing exactly the outgoing members' words, so alternating
-/// directions across iterations never pays a full `O(n)` wipe.
+/// * A **listed** frontier holds the sorted id list — what a push consumes
+///   and what [`Frontier::advance`] is handed. Its dense view is built on
+///   first use ([`Frontier::bits`], `O(len)` beyond a one-time `O(n/64)`
+///   allocation) and wiped by the same list, so alternating directions
+///   never pays a full `O(n)` pass.
+/// * A **dense-native** frontier is what a pull that was given an `admit`
+///   predicate leaves behind ([`Staged::absorb`]): the bitset, `|F|` and
+///   `vol(F)` — the gather tallied both, so [`Frontier::len`] and
+///   [`Frontier::volume`] are field reads — and *no* id list. The next
+///   pull needs none; [`Frontier::ids`] packs one (`O(n/64 + len)`) for a
+///   push, or for a caller that wants to look at the members.
+///
+/// A pull reads the frontier it gathers from while it writes the next one,
+/// so a frontier that has been through an admitting pull owns two bitsets
+/// and swaps them per iteration; the one not in use is all-zero.
 pub struct Frontier {
+    /// The sorted members — meaningful only while `listed`.
     subset: VertexSubset,
-    /// Cached dense view. Invariant: when `bits_valid` is false every
-    /// word is zero (cleared on `advance`), so revalidation is one
+    listed: bool,
+    /// The dense view — meaningful only while `dense`. Invariant: while
+    /// `dense` is false every word is zero, so building the view is one
     /// `set_sorted` pass.
     bits: Option<Bitset>,
-    bits_valid: bool,
+    dense: bool,
+    /// The buffer an admitting pull writes the next frontier into before
+    /// the two swap. Invariant: every word is zero between iterations.
+    spare: Option<Bitset>,
+    /// `|F|`, in either representation.
+    len: usize,
+    /// `vol(F)` as tallied by the pull that emitted this frontier; `None`
+    /// for one that was handed in as a list.
+    vol: Option<usize>,
 }
 
 impl Frontier {
     /// Wraps a sparse subset (no dense view yet).
     pub fn from_subset(subset: VertexSubset) -> Self {
         Frontier {
+            len: subset.len(),
             subset,
+            listed: true,
             bits: None,
-            bits_valid: false,
+            dense: false,
+            spare: None,
+            vol: None,
         }
     }
 
@@ -341,91 +367,199 @@ impl Frontier {
         Self::from_subset(VertexSubset::single(v))
     }
 
-    /// Builds a frontier from a dense bitset, materializing the sorted id
-    /// list (`O(n/64 + len)`); the bitset is kept as the dense view.
-    pub fn from_bitset(pool: &Pool, bits: Bitset) -> Self {
-        let ids = bits.to_sorted_ids(pool);
-        Frontier {
-            subset: VertexSubset::from_sorted(ids),
-            bits: Some(bits),
-            bits_valid: true,
+    /// The sorted member ids, packed from the bitset first if this frontier
+    /// left a pull dense-native and nothing has asked for them since.
+    pub fn ids(&mut self, pool: &Pool) -> &[u32] {
+        if !self.listed {
+            let bits = self.bits.as_ref().expect("a frontier is listed or dense");
+            self.subset = VertexSubset::from_sorted(bits.to_sorted_ids(pool));
+            debug_assert_eq!(self.subset.len(), self.len, "the gather's |F′| tally");
+            self.listed = true;
         }
-    }
-
-    /// The sparse view.
-    pub fn subset(&self) -> &VertexSubset {
-        &self.subset
-    }
-
-    /// The sorted member ids.
-    pub fn ids(&self) -> &[u32] {
         self.subset.ids()
     }
 
     /// Number of members.
     pub fn len(&self) -> usize {
-        self.subset.len()
+        self.len
     }
 
     /// Whether the frontier is empty (every diffusion's termination test).
     pub fn is_empty(&self) -> bool {
-        self.subset.is_empty()
+        self.len == 0
     }
 
-    /// `vol(F) = Σ d(v)` over the members.
+    /// `vol(F) = Σ d(v)` over the members: the emitting pull's tally for a
+    /// dense-native frontier, a walk over the id list otherwise.
     pub fn volume<B: CsrBackend>(&self, g: &B) -> usize {
-        self.subset.volume(g)
+        self.vol.unwrap_or_else(|| self.subset.volume(g))
     }
 
-    /// Resident bytes of the frontier's buffers (id list plus the cached
-    /// dense bitset, if materialized).
+    /// Resident bytes of the frontier's buffers (id list plus whichever
+    /// bitsets have been allocated).
     pub fn resident_bytes(&self) -> usize {
-        self.subset.resident_bytes() + self.bits.as_ref().map_or(0, Bitset::resident_bytes)
+        let bitsets = self.bits.iter().chain(&self.spare);
+        self.subset.resident_bytes() + bitsets.map(Bitset::resident_bytes).sum::<usize>()
     }
 
     /// The dense view over universe `0..n`, building it on first use
     /// (`O(len)` plus the one-time allocation).
     pub fn bits(&mut self, pool: &Pool, n: usize) -> &Bitset {
         if self.bits.as_ref().is_some_and(|b| b.universe() != n) {
+            assert!(self.listed, "a dense-native frontier has one universe");
             self.bits = None;
-            self.bits_valid = false;
+            self.dense = false;
         }
         let bits = self.bits.get_or_insert_with(|| Bitset::new(n));
-        if !self.bits_valid {
+        if !self.dense {
             bits.set_sorted(pool, self.subset.ids());
-            self.bits_valid = true;
+            self.dense = true;
         }
         bits
     }
 
-    /// Empties the frontier while keeping its allocated bitset for later
+    /// Empties the frontier while keeping its allocated bitsets for later
     /// reuse — the buffer-recycling hook for workspace pools that check
-    /// frontiers out across queries. Costs `O(len)` (clearing the
-    /// members' words), after which the frontier is observationally a
-    /// fresh `Frontier::from_subset(VertexSubset::empty())` that happens
-    /// to own a pre-allocated, fully-zeroed dense buffer.
+    /// frontiers out across queries. Costs `O(len)` (clearing the members'
+    /// words; `n/64` stores when there is no list to clear by), after which
+    /// the frontier is observationally a fresh
+    /// `Frontier::from_subset(VertexSubset::empty())` that happens to own
+    /// pre-allocated, fully-zeroed dense buffers.
     pub fn recycle(&mut self, pool: &Pool) {
         self.advance(pool, VertexSubset::empty());
     }
 
+    /// Whether every bitset the frontier owns is all-zero — what
+    /// [`Frontier::recycle`] leaves, and what a pool of recycled frontiers
+    /// relies on. `O(n/64)`: for assertions.
+    pub fn buffers_are_clear(&self) -> bool {
+        let mut bitsets = self.bits.iter().chain(&self.spare);
+        !self.dense && bitsets.all(|b| b.count_seq() == 0)
+    }
+
     /// Replaces the members with the next iteration's subset, recycling
-    /// the dense buffer: the outgoing members' bits are cleared in
-    /// `O(len)` so the next [`Frontier::bits`] call only pays the set.
+    /// the dense buffer: the outgoing members' bits are cleared — by the id
+    /// list in `O(len)`, by words if it was never built — so the next
+    /// [`Frontier::bits`] call only pays the set.
     pub fn advance(&mut self, pool: &Pool, next: VertexSubset) {
-        if let Some(bits) = &self.bits {
-            if self.bits_valid {
+        if let (true, Some(bits)) = (self.dense, &self.bits) {
+            if self.listed {
                 bits.clear_sorted(pool, self.subset.ids());
+            } else {
+                bits.clear_all();
             }
         }
-        self.bits_valid = false;
+        self.dense = false;
+        self.len = next.len();
+        self.vol = None;
         self.subset = next;
+        self.listed = true;
+    }
+
+    /// A pull's view of the frontier: the dense view it gathers from (which
+    /// [`EdgeSpread::stage`] built) and, if it is `emitting`, the all-zero
+    /// buffer over `0..n` it writes the next frontier into.
+    fn gather_buffers(&mut self, n: usize, emitting: bool) -> (&Bitset, Option<&Bitset>) {
+        if emitting && self.spare.as_ref().is_none_or(|b| b.universe() != n) {
+            self.spare = Some(Bitset::new(n));
+        }
+        let bits = self.bits.as_ref().filter(|_| self.dense);
+        (
+            bits.expect("staged for a pull"),
+            self.spare.as_ref().filter(|_| emitting),
+        )
+    }
+
+    /// Makes the buffer a pull just filled — `len` members of volume `vol`
+    /// — the frontier, dense-native; the outgoing members are wiped by
+    /// words (`n/64` stores at the end of an `O(n + m)` pass).
+    fn adopt_emitted(&mut self, len: usize, vol: usize) {
+        std::mem::swap(&mut self.bits, &mut self.spare);
+        if let Some(outgoing) = &self.spare {
+            outgoing.clear_all();
+        }
+        self.subset = VertexSubset::empty();
+        self.listed = false;
+        self.dense = true;
+        self.len = len;
+        self.vol = Some(vol);
     }
 }
 
 /// Vertices per chunk in the dense traversals. Small enough that degree
 /// skew load-balances through chunk claiming, large enough to amortize
-/// the claim.
+/// the claim — and exactly one cache line of a [`Bitset`] (eight words),
+/// so the chunk that emits a frontier's words shares no line of it.
 const DENSE_GRAIN: usize = 512;
+
+/// What a pull emits beside its updates: the next frontier.
+struct Emit<'a, A> {
+    /// `admit(dst, received)`: whether `dst` is in the next frontier, asked
+    /// once `dst`'s contributions have landed.
+    admit: A,
+    /// The all-zero bitset the admitted destinations are written into.
+    next: &'a Bitset,
+}
+
+/// What [`Staged::absorb`] is handed by a caller that derives no frontier
+/// from the traversal (or derives it some other way): the frontier is left
+/// as it was staged.
+pub const NO_ADMIT: Option<NoAdmit> = None;
+
+/// The type of an `admit` predicate that is not there ([`NO_ADMIT`]).
+pub type NoAdmit = fn(u32, bool) -> bool;
+
+/// The dense traversal under both pull engines: calls `land(dst)` — which
+/// delivers `dst`'s frontier in-neighbors' contributions and says whether
+/// there were any — for **all** vertices `dst`, in parallel over
+/// [`DENSE_GRAIN`]-sized chunks, one thread per destination.
+///
+/// With `emit`, the same pass decides the next frontier: right after
+/// `land(dst)`, the thread that owns `dst` asks `admit(dst, received)` of
+/// every destination that received something or sits in `frontier`,
+/// collects the answers of 64 destinations in a register and stores them
+/// as one word of `emit.next` (a chunk covers whole words, so the stores
+/// are plain and unshared). Returns `(|F′|, vol(F′))` of the emitted set,
+/// tallied per chunk as integers — `(0, 0)` without `emit`.
+fn pull<B: CsrBackend, A: Fn(u32, bool) -> bool + Sync>(
+    pool: &Pool,
+    g: &B,
+    frontier: &Bitset,
+    land: impl Fn(u32) -> bool + Sync,
+    emit: Option<Emit<'_, A>>,
+) -> (usize, usize) {
+    let n = g.num_vertices();
+    debug_assert_eq!(frontier.universe(), n, "bitset universe must be n");
+    let tallies = map_chunks(pool, n, DENSE_GRAIN, |s, e| {
+        let (mut len, mut vol) = (0, 0);
+        for w in s / 64..e.div_ceil(64) {
+            let first = 64 * w;
+            let dsts = first..(first + 64).min(e);
+            let Some(emit) = &emit else {
+                dsts.for_each(|dst| {
+                    land(dst as u32);
+                });
+                continue;
+            };
+            let outgoing = frontier.word(w);
+            let mut word = 0u64;
+            for dst in dsts {
+                let received = land(dst as u32);
+                let bit = 1u64 << (dst - first);
+                if (received || outgoing & bit != 0) && (emit.admit)(dst as u32, received) {
+                    word |= bit;
+                    len += 1;
+                    vol += g.degree(dst as u32);
+                }
+            }
+            emit.next.store_word(w, word);
+        }
+        (len, vol)
+    });
+    tallies
+        .iter()
+        .fold((0, 0), |(len, vol), t| (len + t.0, vol + t.1))
+}
 
 /// The dense pull engine: applies `f(src, dst)` to every edge `(src,
 /// dst)` with `src` in the frontier bitset, by scanning **all** vertices
@@ -443,17 +577,7 @@ pub fn edge_map_dense<B: CsrBackend>(
     frontier: &Bitset,
     f: impl Fn(u32, u32) + Sync,
 ) {
-    let n = g.num_vertices();
-    debug_assert_eq!(frontier.universe(), n, "bitset universe must be n");
-    pool.run(n, DENSE_GRAIN, |s, e| {
-        for dst in s as u32..e as u32 {
-            g.for_each_neighbor(dst, |src| {
-                if frontier.contains(src) {
-                    f(src, dst);
-                }
-            });
-        }
-    });
+    pull(pool, g, frontier, per_edge(g, frontier, f), NO_EMIT);
 }
 
 /// Pull with fused per-destination accumulation: for every vertex `dst`
@@ -473,24 +597,58 @@ pub fn edge_map_dense_gather<B: CsrBackend>(
     contrib: &[f64],
     apply: impl Fn(u32, f64) + Sync,
 ) {
-    let n = g.num_vertices();
-    debug_assert_eq!(frontier.universe(), n, "bitset universe must be n");
-    debug_assert!(contrib.len() >= n, "contrib must cover the universe");
-    pool.run(n, DENSE_GRAIN, |s, e| {
-        for dst in s as u32..e as u32 {
-            let mut acc = 0.0f64;
-            let mut any = false;
-            g.for_each_neighbor(dst, |src| {
-                if frontier.contains(src) {
-                    acc += contrib[src as usize];
-                    any = true;
-                }
-            });
-            if any {
-                apply(dst, acc);
+    pull(
+        pool,
+        g,
+        frontier,
+        gather(g, frontier, contrib, apply),
+        NO_EMIT,
+    );
+}
+
+/// A pull that emits nothing: what the two public dense engines run.
+const NO_EMIT: Option<Emit<'static, NoAdmit>> = None;
+
+/// [`edge_map_dense`]'s per-destination step, as [`pull`] takes it.
+fn per_edge<'a, B: CsrBackend>(
+    g: &'a B,
+    frontier: &'a Bitset,
+    f: impl Fn(u32, u32) + Sync + 'a,
+) -> impl Fn(u32) -> bool + Sync + 'a {
+    move |dst| {
+        let mut any = false;
+        g.for_each_neighbor(dst, |src| {
+            if frontier.contains(src) {
+                f(src, dst);
+                any = true;
             }
+        });
+        any
+    }
+}
+
+/// [`edge_map_dense_gather`]'s per-destination step, as [`pull`] takes it.
+fn gather<'a, B: CsrBackend>(
+    g: &'a B,
+    frontier: &'a Bitset,
+    contrib: &'a [f64],
+    apply: impl Fn(u32, f64) + Sync + 'a,
+) -> impl Fn(u32) -> bool + Sync + 'a {
+    debug_assert!(contrib.len() >= g.num_vertices(), "contrib must cover n");
+    move |dst| {
+        let mut acc = 0.0f64;
+        let mut any = false;
+        g.for_each_neighbor(dst, |src| {
+            if frontier.contains(src) {
+                acc += contrib[src as usize];
+                any = true;
+            }
+        });
+        if any {
+            apply(dst, acc);
         }
-    });
+        any
+    }
 }
 
 /// How a destination the traversal owns (pull) takes in its frontier
@@ -533,14 +691,21 @@ pub enum Writer {
 /// [`Staged::absorb`] then runs `absorb(dst, c, writer)` over the
 /// frontier's edges (`UpdateNgh`).
 ///
-/// * **Push** lays `c` out by frontier index, so the per-edge work is one
-///   slice load plus the caller's atomic add — no hash probe, no division.
-///   Destinations are hit by many sources at once: [`Writer::Shared`].
-/// * **Pull** lays `c` out by vertex id and scans *all* vertices; each
-///   tests its neighbors against the frontier bitset. One thread owns a
-///   destination and visits its sources in ascending order, so
-///   accumulation needs no atomics ([`Writer::Exclusive`]) and is bitwise
-///   the one-thread push order ([`Absorb`] says how it is bracketed).
+/// * **Push** walks the frontier's id list and lays `c` out by frontier
+///   index, so the per-edge work is one slice load plus the caller's atomic
+///   add — no hash probe, no division. Destinations are hit by many sources
+///   at once: [`Writer::Shared`].
+/// * **Pull** walks the frontier's bitset by words (the dense `vertexMap`),
+///   lays `c` out by vertex id and scans *all* vertices; each tests its
+///   neighbors against the bitset. One thread owns a destination and visits
+///   its sources in ascending order, so accumulation needs no atomics
+///   ([`Writer::Exclusive`]) and is bitwise the one-thread push order
+///   ([`Absorb`] says how it is bracketed). The same thread can decide, as
+///   soon as a destination's contributions have landed, whether it belongs
+///   to the next frontier — the `admit` half of [`Staged::absorb`].
+///
+/// Either way `contrib_of(v)` runs once per distinct vertex, so whatever
+/// cell of `v`'s own it updates has one writer.
 ///
 /// The buffer is never zeroed. A push reads slots `0..k`, all written by
 /// this call; a pull reads slot `v` only where the bitset holds `v`, and
@@ -614,7 +779,8 @@ pub struct EdgeSpread {
 /// How many iterations an [`EdgeSpread`] has staged, by the direction taken
 /// and by lane — plain tallies the owner drains with
 /// [`EdgeSpread::take_counts`]. `push + pull` is every iteration staged;
-/// `solo` counts those of them the fork policy kept off the workers.
+/// `solo` counts those of them the fork policy kept off the workers, and
+/// `dense_out` those of the pulls that emitted the next frontier.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IterationCounts {
     /// Iterations staged as a sparse push.
@@ -623,6 +789,9 @@ pub struct IterationCounts {
     pub pull: u64,
     /// Iterations below [`FORK_MIN_WORK`], run as the one-thread code.
     pub solo: u64,
+    /// Pulls whose next frontier left the gather as a bitset (they were
+    /// handed an `admit` predicate): `dense_out ≤ pull`.
+    pub dense_out: u64,
 }
 
 /// Contributions laid out by [`EdgeSpread::stage`], waiting to be spread.
@@ -635,6 +804,7 @@ pub struct Staged<'a, B> {
     frontier: &'a mut Frontier,
     slots: &'a [f64],
     dir: Direction,
+    dense_out: &'a mut u64,
 }
 
 impl EdgeSpread {
@@ -661,6 +831,10 @@ impl EdgeSpread {
     /// already computed as `vol`) and stages `contrib_of(v)` for each of
     /// its vertices, in parallel. `contrib_of` is called exactly once per
     /// frontier vertex and is free to update `v`'s own state as it goes.
+    ///
+    /// The frontier is walked in the representation the direction wants,
+    /// converting first if it is in the other one: a push walks the id
+    /// list, a pull the words of the bitset.
     pub fn stage<'a, B: CsrBackend>(
         &'a mut self,
         pool: &'a Pool,
@@ -688,27 +862,46 @@ impl EdgeSpread {
             self.slots.resize(len, 0.0);
         }
         let view = UnsafeSlice::new(&mut self.slots[..len]);
-        let ids = frontier.ids();
-        pool.run(k, 256, |s, e| {
-            for (i, &v) in ids[s..e].iter().enumerate() {
-                let slot = match dir {
-                    Direction::Push => s + i,
-                    Direction::Pull => v as usize,
-                };
-                assert!(slot < len, "frontier vertex {v} outside the graph");
-                // SAFETY: `slot` is in bounds (just checked) and no other
-                // iteration writes it: chunks `s..e` are disjoint, and a
-                // `VertexSubset`'s ids are distinct. Nothing reads the
-                // buffer until `pool.run` has returned.
-                unsafe { view.write(slot, contrib_of(v)) };
+        let put = |slot: usize, v: u32| {
+            assert!(slot < len, "frontier vertex {v} outside the graph");
+            // SAFETY: `slot` is in bounds (just checked) and no other call
+            // writes it. A push passes the frontier index, and the chunks
+            // `s..e` of the id list are disjoint; a pull passes the vertex
+            // id, the bits of a word are distinct vertices, and the word
+            // ranges of the chunks are disjoint. Nothing reads the buffer
+            // until `pool.run` has returned.
+            unsafe { view.write(slot, contrib_of(v)) };
+        };
+        match dir {
+            Direction::Push => {
+                let ids = frontier.ids(pool);
+                pool.run(k, 256, |s, e| {
+                    for (i, &v) in ids[s..e].iter().enumerate() {
+                        put(s + i, v);
+                    }
+                });
             }
-        });
+            Direction::Pull => {
+                let bits = frontier.bits(pool, len);
+                pool.run(bits.num_words(), DENSE_GRAIN / 64, |s, e| {
+                    for w in s..e {
+                        let mut word = bits.word(w);
+                        while word != 0 {
+                            let v = 64 * w + word.trailing_zeros() as usize;
+                            put(v, v as u32);
+                            word &= word - 1;
+                        }
+                    }
+                });
+            }
+        }
         Staged {
             pool,
             g,
             frontier,
             slots: &self.slots[..len],
             dir,
+            dense_out: &mut self.counts.dense_out,
         }
     }
 }
@@ -723,30 +916,77 @@ impl<B: CsrBackend> Staged<'_, B> {
     /// staged contributions: per edge when pushing, per `order` when
     /// pulling. Either way every frontier edge's contribution reaches its
     /// destination exactly once.
-    pub fn absorb(self, order: Absorb, absorb: impl Fn(u32, f64, Writer) + Sync) {
+    ///
+    /// # The next frontier
+    ///
+    /// A **pull** that is handed `Some(admit)` also produces the next
+    /// frontier, and returns `true`: the staged frontier has been replaced
+    /// by the dense-native set `{dst : admit(dst, received)}`, its `len`
+    /// and `volume` tallied by the gather. The contract of `admit`:
+    ///
+    /// * *who is asked* — every destination that received a contribution
+    ///   in this iteration, and every member of the outgoing frontier
+    ///   (whose own cell `contrib_of` may have rewritten); nobody else. A
+    ///   vertex the iteration did not touch is never admitted, whatever
+    ///   `admit` would say of it — and it would say yes of an isolated
+    ///   vertex under a test like `mass ≥ ε·d(v)`, which `0 ≥ ε·0` passes.
+    /// * *when, and by whom* — once per asked destination, right after the
+    ///   last of its contributions has been absorbed, on the thread that
+    ///   absorbed them. `admit` may therefore read `dst`'s cell of the
+    ///   store `absorb` writes (and nothing of any other destination's).
+    /// * *`received`* — whether `dst` had a frontier in-neighbor. A caller
+    ///   whose candidates are the receivers alone (HK-PR: the next level's
+    ///   queue) starts its test with it; one whose outgoing members stay
+    ///   candidates (PR-Nibble, Nibble) ignores it.
+    ///
+    /// A **push**, or a call with [`NO_ADMIT`], returns `false` and leaves
+    /// the frontier as it was staged: the caller derives the next one from
+    /// its stores, as a sorted list, and hands it to [`Frontier::advance`].
+    /// A push's destinations are scattered over threads, so it has no
+    /// thread to ask — and the direction rule makes its frontiers the small
+    /// ones, for which the list route is `O(|F| + vol(F))` anyway.
+    pub fn absorb<A: Fn(u32, bool) -> bool + Sync>(
+        self,
+        order: Absorb,
+        absorb: impl Fn(u32, f64, Writer) + Sync,
+        admit: Option<A>,
+    ) -> bool {
         let Staged {
             pool,
             g,
             frontier,
             slots,
             dir,
+            dense_out,
         } = self;
-        match dir {
-            Direction::Push => push_edges(pool, g, frontier.subset(), |i, _, dst| {
+        if dir == Direction::Push {
+            push_edges(pool, g, &frontier.subset, |i, _, dst| {
                 absorb(dst, slots[i], Writer::Shared)
-            }),
-            Direction::Pull => {
-                let bits = frontier.bits(pool, g.num_vertices());
-                match order {
-                    Absorb::PerEdge => edge_map_dense(pool, g, bits, |src, dst| {
-                        absorb(dst, slots[src as usize], Writer::Exclusive)
-                    }),
-                    Absorb::Sum => edge_map_dense_gather(pool, g, bits, slots, |dst, sum| {
-                        absorb(dst, sum, Writer::Exclusive)
-                    }),
-                }
-            }
+            });
+            return false;
         }
+        let (bits, next) = frontier.gather_buffers(g.num_vertices(), admit.is_some());
+        let emit = admit.zip(next).map(|(admit, next)| Emit { admit, next });
+        let emitted = emit.is_some();
+        let (len, vol) = match order {
+            Absorb::PerEdge => {
+                let land = per_edge(g, bits, |src, dst| {
+                    absorb(dst, slots[src as usize], Writer::Exclusive)
+                });
+                pull(pool, g, bits, land, emit)
+            }
+            Absorb::Sum => {
+                let land = gather(g, bits, slots, |dst, sum| {
+                    absorb(dst, sum, Writer::Exclusive)
+                });
+                pull(pool, g, bits, land, emit)
+            }
+        };
+        if emitted {
+            frontier.adopt_emitted(len, vol);
+            *dense_out += 1;
+        }
+        emitted
     }
 }
 
@@ -754,6 +994,7 @@ impl<B: CsrBackend> Staged<'_, B> {
 mod tests {
     use super::*;
     use lgc_graph::gen;
+    use proptest::prelude::*;
     use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
     #[test]
@@ -771,21 +1012,6 @@ mod tests {
         let g = gen::star(5); // center 0 has degree 4, leaves degree 1
         let s = VertexSubset::from_sorted(vec![0, 1]);
         assert_eq!(s.volume(&g), 5);
-    }
-
-    #[test]
-    fn vertex_map_touches_exactly_the_subset() {
-        let pool = Pool::new(4);
-        let n = 1000;
-        let counts: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        let s = VertexSubset::from_unsorted((0..n as u32).filter(|v| v % 3 == 0).collect());
-        vertex_map(&pool, &s, |v| {
-            counts[v as usize].fetch_add(1, Ordering::Relaxed);
-        });
-        for (v, count) in counts.iter().enumerate() {
-            let expect = usize::from(v % 3 == 0);
-            assert_eq!(count.load(Ordering::Relaxed), expect, "vertex {v}");
-        }
     }
 
     /// The Figure 2 semantics: edgeMap applies `f` to every edge incident
@@ -1067,10 +1293,12 @@ mod tests {
         let mut spread = EdgeSpread::new(params);
         let staged = spread.stage(pool, g, &mut frontier, vol, contrib_of);
         let dir = staged.direction();
-        staged.absorb(order, |dst, c, writer| {
+        let absorb = |dst: u32, c, writer| {
             assert_eq!(writer == Writer::Shared, dir == Direction::Push);
             lgc_parallel::atomic_f64_fetch_add(&cells[dst as usize], c);
-        });
+        };
+        assert!(!staged.absorb(order, absorb, NO_ADMIT), "nothing to emit");
+        assert_eq!(frontier.ids(pool), ids, "left as it was staged");
         let totals = cells
             .into_iter()
             .map(|c| f64::from_bits(c.into_inner()))
@@ -1184,14 +1412,11 @@ mod tests {
         // Advance must clear the recycled buffer before revalidating.
         let b: Vec<u32> = (1..n as u32).step_by(5).collect();
         f.advance(&pool, VertexSubset::from_sorted(b.clone()));
-        assert_eq!(f.ids(), &b[..]);
+        assert_eq!(f.ids(&pool), &b[..]);
+        assert_eq!(f.len(), b.len());
         assert_eq!(f.bits(&pool, n).to_sorted_ids(&pool), b);
-        // Round-trip through the dense representation.
-        let bits = Bitset::new(n);
-        bits.set_sorted(&pool, &a);
-        let g = Frontier::from_bitset(&pool, bits);
-        assert_eq!(g.ids(), &a[..]);
-        assert_eq!(g.len(), a.len());
+        f.recycle(&pool);
+        assert!(f.is_empty() && f.buffers_are_clear());
     }
 
     #[test]
@@ -1319,21 +1544,237 @@ mod tests {
         let mut frontier = Frontier::from_subset(VertexSubset::from_sorted(vec![1, 2, 3]));
         let vol = frontier.volume(&g);
         for vol in [vol, vol, FORK_MIN_WORK] {
-            spread
-                .stage(&pool, &g, &mut frontier, vol, |_| 1.0)
-                .absorb(Absorb::Sum, |_, _, _| {});
+            spread.stage(&pool, &g, &mut frontier, vol, |_| 1.0).absorb(
+                Absorb::Sum,
+                |_, _, _| {},
+                Some(|_, _| true),
+            );
         }
-        let mut pulling = EdgeSpread::new(DirectionParams::pull_only());
-        pulling
-            .stage(&pool, &g, &mut frontier, vol, |_| 1.0)
-            .absorb(Absorb::Sum, |_, _, _| {});
         let pushed = IterationCounts {
             push: 3,
             pull: 0,
             solo: 2,
+            dense_out: 0,
         };
-        assert_eq!(spread.take_counts(), pushed);
+        assert_eq!(spread.take_counts(), pushed, "a push emits no frontier");
         assert_eq!(spread.take_counts(), IterationCounts::default());
-        assert_eq!(pulling.take_counts().pull, 1);
+        // Of three pulls, the two that were handed an `admit` emit.
+        let mut pulling = EdgeSpread::new(DirectionParams::pull_only());
+        for admitting in [true, false, true] {
+            let staged = pulling.stage(&pool, &g, &mut frontier, vol, |_| 1.0);
+            let emitted = match admitting {
+                true => staged.absorb(Absorb::Sum, |_, _, _| {}, Some(|_, _| true)),
+                false => staged.absorb(Absorb::Sum, |_, _, _| {}, NO_ADMIT),
+            };
+            assert_eq!(emitted, admitting);
+        }
+        let pulled = IterationCounts {
+            push: 0,
+            pull: 3,
+            solo: 3,
+            dense_out: 2,
+        };
+        assert_eq!(pulling.take_counts(), pulled);
+    }
+
+    /// A random graph over `n` vertices with about `n · avg / 2` edges —
+    /// sparse ones leave vertices isolated — and the members `v` of a
+    /// frontier picked by `(7v + salt) mod every = 0`.
+    fn sparse_graph_and_members(
+        n: usize,
+        avg: usize,
+        salt: u64,
+        every: u64,
+    ) -> (lgc_graph::Graph, Vec<u32>) {
+        let mut state = salt.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as u32
+        };
+        let edges: Vec<(u32, u32)> = (0..n * avg / 2).map(|_| (next(), next())).collect();
+        let members = (0..n as u32)
+            .filter(|&v| (7 * u64::from(v) + salt).is_multiple_of(every))
+            .collect();
+        (lgc_graph::Graph::from_edges(n, &edges), members)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// An admitting pull, against a plain recount. `admit` is asked
+        /// exactly once of every destination that received something or
+        /// sits in the outgoing frontier — told which — and of nobody else
+        /// (no untouched vertex, so no isolated one). The emitted frontier
+        /// is the asked destinations it said yes to; its `len` and `volume`
+        /// are a recount of the emitted bitset; the id list it packs on
+        /// demand is that bitset's. A second pull, staged off the emitted
+        /// words, calls `contrib_of` once per member and delivers what a
+        /// listed frontier of the same members delivers. Half the cases
+        /// claim a volume that puts the loops on the forking lane.
+        #[test]
+        fn an_admitting_pull_emits_the_admitted_with_exact_tallies(
+            n in 2usize..1500,
+            avg in 0usize..7,
+            salt in 0u64..1000,
+            every in 1u64..9,
+            threads in 1usize..=4,
+            per_edge in any::<bool>(),
+            receivers_only in any::<bool>(),
+            fork in any::<bool>(),
+        ) {
+            let (g, members) = sparse_graph_and_members(n, avg, salt, every);
+            let order = if per_edge { Absorb::PerEdge } else { Absorb::Sum };
+            let says_yes = |dst: u32, received: bool| {
+                (received || !receivers_only) && (5 * u64::from(dst) + salt) % 3 != 0
+            };
+            // The recount: who is asked, who is admitted, what arrives.
+            let is_member = |v: u32| members.binary_search(&v).is_ok();
+            let received = |dst: u32| g.neighbors(dst).iter().any(|&s| is_member(s));
+            let asked_want: Vec<u64> = (0..n as u32)
+                .map(|v| match (received(v), is_member(v)) {
+                    (true, _) => 1 | 1 << 32,
+                    (false, true) => 1,
+                    (false, false) => 0,
+                })
+                .collect();
+            let admitted: Vec<u32> = (0..n as u32)
+                .filter(|&v| asked_want[v as usize] != 0 && says_yes(v, received(v)))
+                .collect();
+            let totals_from = |set: &[u32]| {
+                let mut totals = vec![0.0f64; n];
+                for &src in set {
+                    for &dst in g.neighbors(src) {
+                        totals[dst as usize] += f64::from(src + 1);
+                    }
+                }
+                totals
+            };
+
+            let pool = Pool::new(threads);
+            let claim = |vol: usize| if fork { vol.max(FORK_MIN_WORK) } else { vol };
+            let mut spread = EdgeSpread::new(DirectionParams::pull_only());
+            let mut frontier = Frontier::from_subset(VertexSubset::from_sorted(members.clone()));
+            let cells = |n: usize| (0..n).map(|_| AtomicU64::new(0)).collect::<Vec<_>>();
+            let read = |cells: Vec<AtomicU64>| -> Vec<f64> {
+                cells.into_iter().map(|c| f64::from_bits(c.into_inner())).collect()
+            };
+
+            let add = |cell: &AtomicU64, c: f64| {
+                lgc_parallel::atomic_f64_fetch_add(cell, c);
+            };
+
+            let (first, asked) = (cells(n), cells(n));
+            let vol = claim(frontier.volume(&g));
+            let emitted = spread
+                .stage(&pool, &g, &mut frontier, vol, |v| f64::from(v + 1))
+                .absorb(
+                    order,
+                    |dst, c, _| add(&first[dst as usize], c),
+                    Some(|dst: u32, received: bool| {
+                        asked[dst as usize]
+                            .fetch_add(1 | u64::from(received) << 32, Ordering::Relaxed);
+                        says_yes(dst, received)
+                    }),
+                );
+            prop_assert!(emitted);
+            prop_assert_eq!(read(first), totals_from(&members));
+            let asked: Vec<u64> = asked.into_iter().map(AtomicU64::into_inner).collect();
+            prop_assert_eq!(asked, asked_want);
+            prop_assert_eq!(frontier.len(), admitted.len());
+            prop_assert_eq!(
+                frontier.volume(&g),
+                admitted.iter().map(|&v| g.degree(v)).sum::<usize>()
+            );
+            prop_assert_eq!(frontier.bits(&pool, n).to_sorted_ids(&pool), admitted.clone());
+
+            let (second, calls) = (cells(n), cells(n));
+            let vol = claim(frontier.volume(&g));
+            let emitted = spread
+                .stage(&pool, &g, &mut frontier, vol, |v| {
+                    calls[v as usize].fetch_add(1, Ordering::Relaxed);
+                    f64::from(v + 1)
+                })
+                .absorb(
+                    order,
+                    |dst, c, _| add(&second[dst as usize], c),
+                    NO_ADMIT,
+                );
+            prop_assert!(!emitted);
+            prop_assert_eq!(read(second), totals_from(&admitted));
+            let calls: Vec<u64> = calls.into_iter().map(AtomicU64::into_inner).collect();
+            let once: Vec<u64> = (0..n as u32)
+                .map(|v| u64::from(admitted.binary_search(&v).is_ok()))
+                .collect();
+            prop_assert_eq!(calls, once);
+            prop_assert_eq!(frontier.ids(&pool), &admitted[..]);
+            prop_assert_eq!(
+                spread.take_counts(),
+                IterationCounts { push: 0, pull: 2, solo: if fork { 0 } else { 2 }, dense_out: 1 }
+            );
+            frontier.recycle(&pool);
+            prop_assert!(frontier.is_empty() && frontier.buffers_are_clear());
+        }
+    }
+
+    /// A frontier handed from pull to pull to push: each pull emits the
+    /// next one dense-native, the push that follows packs the id list it
+    /// needs from the bitset, and the chain delivers, step for step, what
+    /// the same chain of listed frontiers delivers.
+    #[test]
+    fn a_dense_native_frontier_feeds_a_pull_then_a_push() {
+        let g = gen::rand_local(3000, 5, 8);
+        let n = g.num_vertices();
+        let keep = |step: u32| move |dst: u32, _: bool| !(dst + step).is_multiple_of(4);
+        let totals = |pool: &Pool, dirs: [DirectionParams; 3]| {
+            let mut frontier = Frontier::from_subset(VertexSubset::from_sorted(
+                (0..n as u32).filter(|v| v % 3 == 0).collect(),
+            ));
+            let mut out = Vec::new();
+            for (step, dir) in dirs.into_iter().enumerate() {
+                let cells: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
+                let received: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
+                let mut spread = EdgeSpread::new(dir);
+                let vol = frontier.volume(&g);
+                let emitted = spread
+                    .stage(pool, &g, &mut frontier, vol, |v| f64::from(v % 7 + 1))
+                    .absorb(
+                        Absorb::Sum,
+                        |dst, c, _| {
+                            lgc_parallel::atomic_f64_fetch_add(&cells[dst as usize], c);
+                            received[dst as usize].store(1, Ordering::Relaxed);
+                        },
+                        Some(keep(step as u32)),
+                    );
+                assert_eq!(emitted, dir == DirectionParams::pull_only());
+                if !emitted {
+                    // The list route: receivers ∪ members, through the test.
+                    let members = frontier.ids(pool).to_vec();
+                    let next = (0..n as u32).filter(|&v| {
+                        let asked = received[v as usize].load(Ordering::Relaxed) == 1
+                            || members.binary_search(&v).is_ok();
+                        asked && keep(step as u32)(v, true)
+                    });
+                    frontier.advance(pool, VertexSubset::from_sorted(next.collect()));
+                }
+                let ids = frontier.ids(pool).to_vec();
+                assert_eq!(ids, frontier.bits(pool, n).to_sorted_ids(pool));
+                assert_eq!((frontier.len(), frontier.volume(&g)), {
+                    (ids.len(), VertexSubset::from_sorted(ids.clone()).volume(&g))
+                });
+                let sums: Vec<u64> = cells.into_iter().map(AtomicU64::into_inner).collect();
+                out.push((sums, ids));
+            }
+            out
+        };
+        let (push, pull) = (DirectionParams::push_only(), DirectionParams::pull_only());
+        let want = totals(&Pool::new(1), [push, push, push]);
+        assert!(want.iter().all(|(_, ids)| ids.len() > 100), "a live chain");
+        for threads in [1, 2, 4] {
+            let pool = Pool::new(threads);
+            assert_eq!(totals(&pool, [pull, pull, push]), want, "t={threads}");
+            assert_eq!(totals(&pool, [push, pull, pull]), want, "t={threads}");
+        }
     }
 }

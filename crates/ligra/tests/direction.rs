@@ -8,7 +8,7 @@
 use lgc_graph::{gen, Graph};
 use lgc_ligra::{
     edge_map, edge_map_dense, edge_map_dense_gather, Absorb, DirectionParams, EdgeSpread, Frontier,
-    VertexSubset,
+    VertexSubset, NO_ADMIT,
 };
 use lgc_parallel::{atomic_f64_fetch_add, Bitset, Pool, UnsafeSlice};
 use proptest::prelude::*;
@@ -130,9 +130,10 @@ proptest! {
                 let cells: Vec<AtomicU64> = want.iter().map(|_| AtomicU64::new(0)).collect();
                 let staged = spread.stage(&pool, &g, &mut frontier, vol, |v| f64::from(v + 1));
                 prop_assert_eq!(staged.direction(), params.choose(&g, ids.len(), vol));
-                staged.absorb(order, |dst, c, _| {
+                let absorb = |dst: u32, c, _| {
                     atomic_f64_fetch_add(&cells[dst as usize], c);
-                });
+                };
+                prop_assert!(!staged.absorb(order, absorb, NO_ADMIT));
                 let got: Vec<f64> = cells.into_iter().map(|c| f64::from_bits(c.into_inner())).collect();
                 prop_assert_eq!(&got, &want, "params {:?} {:?}", params, order);
             }

@@ -13,7 +13,12 @@
 //! * membership reads ([`Bitset::contains`]) are one relaxed load + mask,
 //! * clearing by the previous id list ([`Bitset::clear_sorted`]) costs
 //!   `O(len)` — racy duplicate stores of `0` to a shared word are benign —
-//!   so a recycled bitset never pays the `O(n/64)` full wipe twice.
+//!   so a recycled bitset never pays the `O(n/64)` full wipe twice,
+//! * a traversal that owns a whole range of vertices reads and writes the
+//!   set a word at a time ([`Bitset::word`], [`Bitset::store_word`]): a
+//!   dense `edgeMap` emits its output frontier with one plain store per 64
+//!   destinations, and a set with no id list at hand is wiped by words
+//!   ([`Bitset::clear_all`]).
 //!
 //! Conversion back to a sorted id list ([`Bitset::to_sorted_ids`]) is the
 //! classic parallel pack: per-chunk popcounts, an exclusive prefix sum for
@@ -57,10 +62,44 @@ impl Bitset {
         std::mem::size_of_val(&*self.lines)
     }
 
-    /// Word `w` of the set (bits `64w..64w + 64`).
+    /// The cell holding word `w` of the set.
     #[inline]
-    fn word(&self, w: usize) -> &AtomicU64 {
+    fn cell(&self, w: usize) -> &AtomicU64 {
         &self.lines[w >> 3].0[w & 7]
+    }
+
+    /// Number of words covering the universe, `⌈n / 64⌉`.
+    pub fn num_words(&self) -> usize {
+        self.n.div_ceil(64)
+    }
+
+    /// Word `w` of the set: bit `i` is member `64w + i` (relaxed load, as
+    /// [`Bitset::contains`]).
+    #[inline]
+    pub fn word(&self, w: usize) -> u64 {
+        self.cell(w).load(Ordering::Relaxed)
+    }
+
+    /// Overwrites word `w` — members `64w..64w + 64` all at once — with a
+    /// plain store. The caller must be the only writer of that word in this
+    /// phase, which a traversal partitioned into whole-word vertex ranges is
+    /// (the dense traversals' 512-vertex chunks own one line of eight).
+    #[inline]
+    pub fn store_word(&self, w: usize, bits: u64) {
+        debug_assert!(w < self.num_words(), "word out of universe");
+        debug_assert!(
+            64 * (w + 1) <= self.n || bits >> (self.n - 64 * w) == 0,
+            "bits past the universe"
+        );
+        self.cell(w).store(bits, Ordering::Relaxed);
+    }
+
+    /// Empties the set by words — `n/64` stores on the calling thread, the
+    /// wipe for a set whose member list was never built (sequential point).
+    pub fn clear_all(&self) {
+        for w in 0..self.num_words() {
+            self.cell(w).store(0, Ordering::Relaxed);
+        }
     }
 
     /// Whether `v` is in the set (safe during a write phase that only
@@ -69,7 +108,7 @@ impl Bitset {
     pub fn contains(&self, v: u32) -> bool {
         let i = v as usize;
         debug_assert!(i < self.n, "id out of universe");
-        self.word(i >> 6).load(Ordering::Relaxed) & (1u64 << (i & 63)) != 0
+        self.word(i >> 6) & (1u64 << (i & 63)) != 0
     }
 
     /// Inserts one id (safe from any thread; relaxed RMW).
@@ -77,7 +116,7 @@ impl Bitset {
     pub fn insert(&self, v: u32) {
         let i = v as usize;
         debug_assert!(i < self.n, "id out of universe");
-        self.word(i >> 6)
+        self.cell(i >> 6)
             .fetch_or(1u64 << (i & 63), Ordering::Relaxed);
     }
 
@@ -109,10 +148,9 @@ impl Bitset {
                     k += 1;
                 }
                 if shared(w) {
-                    self.word(w).fetch_or(mask, Ordering::Relaxed);
+                    self.cell(w).fetch_or(mask, Ordering::Relaxed);
                 } else {
-                    let cur = self.word(w).load(Ordering::Relaxed);
-                    self.word(w).store(cur | mask, Ordering::Relaxed);
+                    self.cell(w).store(self.word(w) | mask, Ordering::Relaxed);
                 }
             }
         });
@@ -124,16 +162,14 @@ impl Bitset {
     pub fn clear_sorted(&self, pool: &Pool, ids: &[u32]) {
         pool.run(ids.len(), 1 << 11, |s, e| {
             for &v in &ids[s..e] {
-                self.word((v as usize) >> 6).store(0, Ordering::Relaxed);
+                self.cell((v as usize) >> 6).store(0, Ordering::Relaxed);
             }
         });
     }
 
     /// Members among words `s..e`.
     fn count_words(&self, s: usize, e: usize) -> usize {
-        (s..e)
-            .map(|w| self.word(w).load(Ordering::Relaxed).count_ones() as usize)
-            .sum()
+        (s..e).map(|w| self.word(w).count_ones() as usize).sum()
     }
 
     /// Popcount of each enumeration chunk, in parallel.
@@ -145,13 +181,8 @@ impl Bitset {
         })
     }
 
-    /// Number of members — `O(n/64)` parallel popcount.
-    pub fn count(&self, pool: &Pool) -> usize {
-        self.chunk_counts(pool).into_iter().sum()
-    }
-
-    /// Number of members, counted on the calling thread — for callers at
-    /// a sequential point with no pool at hand.
+    /// Number of members — an `O(n/64)` popcount on the calling thread
+    /// (sequential point).
     pub fn count_seq(&self) -> usize {
         self.count_words(0, self.lines.len() * 8)
     }
@@ -171,7 +202,7 @@ impl Bitset {
                 let e = (s + WORDS_PER_CHUNK).min(self.lines.len() * 8);
                 let mut pos = offsets[c];
                 for w in s..e {
-                    let mut bits = self.word(w).load(Ordering::Relaxed);
+                    let mut bits = self.word(w);
                     let base = (w << 6) as u32;
                     while bits != 0 {
                         let b = bits.trailing_zeros();
@@ -205,7 +236,7 @@ mod tests {
             for v in 0..n as u32 {
                 assert_eq!(bits.contains(v), ids.binary_search(&v).is_ok(), "v={v}");
             }
-            assert_eq!(bits.count(&pool), ids.len());
+            assert_eq!(bits.count_seq(), ids.len());
             assert_eq!(bits.to_sorted_ids(&pool), ids, "t={threads}");
         }
     }
@@ -214,14 +245,14 @@ mod tests {
     fn empty_and_full() {
         let pool = Pool::new(2);
         let bits = Bitset::new(129);
-        assert_eq!(bits.count(&pool), 0);
+        assert_eq!(bits.count_seq(), 0);
         assert!(bits.to_sorted_ids(&pool).is_empty());
         let all: Vec<u32> = (0..129).collect();
         bits.set_sorted(&pool, &all);
-        assert_eq!(bits.count(&pool), 129);
+        assert_eq!(bits.count_seq(), 129);
         assert_eq!(bits.to_sorted_ids(&pool), all);
         bits.clear_sorted(&pool, &all);
-        assert_eq!(bits.count(&pool), 0);
+        assert_eq!(bits.count_seq(), 0);
     }
 
     /// Word `8k` starts a cache line, whatever the allocator handed out:
@@ -231,10 +262,33 @@ mod tests {
         for n in [1, 64, 513, 300_000] {
             let bits = Bitset::new(n);
             for w in (0..n.div_ceil(64)).step_by(8) {
-                assert_eq!(bits.word(w) as *const AtomicU64 as usize % 64, 0);
+                assert_eq!(bits.cell(w) as *const AtomicU64 as usize % 64, 0);
             }
             assert_eq!(bits.resident_bytes(), n.div_ceil(512) * 64);
         }
+    }
+
+    /// The word view is the member view: storing word `w` sets members
+    /// `64w..64w + 64` all at once, and a wipe by words leaves nothing.
+    #[test]
+    fn words_are_the_members_sixty_four_at_a_time() {
+        let pool = Pool::new(2);
+        let n = 1000; // 15 full words and one of 40 bits
+        let bits = Bitset::new(n);
+        assert_eq!(bits.num_words(), 16);
+        let ids: Vec<u32> = (0..n as u32).filter(|v| v % 5 == 1).collect();
+        for w in 0..bits.num_words() {
+            let members = ids.iter().filter(|&&v| v as usize / 64 == w);
+            bits.store_word(w, members.fold(0, |word, &v| word | 1u64 << (v % 64)));
+        }
+        assert_eq!(bits.to_sorted_ids(&pool), ids);
+        let want = Bitset::new(n);
+        want.set_sorted(&pool, &ids);
+        assert!((0..16).all(|w| bits.word(w) == want.word(w)));
+        bits.store_word(3, 0);
+        assert!((192..256).all(|v| !bits.contains(v)) && bits.contains(191));
+        bits.clear_all();
+        assert_eq!(bits.count_seq(), 0);
     }
 
     #[test]
@@ -244,7 +298,7 @@ mod tests {
         let a: Vec<u32> = (0..1000).step_by(3).collect();
         bits.set_sorted(&pool, &a);
         bits.clear_sorted(&pool, &a);
-        assert_eq!(bits.count(&pool), 0, "clear by id list wipes everything");
+        assert_eq!(bits.count_seq(), 0, "clear by id list wipes everything");
         let b = vec![1u32, 63, 64, 999];
         bits.set_sorted(&pool, &b);
         assert_eq!(bits.to_sorted_ids(&pool), b);
@@ -259,7 +313,7 @@ mod tests {
         let ids: Vec<u32> = (0..n as u32).collect();
         let bits = Bitset::new(n);
         bits.set_sorted(&pool, &ids);
-        assert_eq!(bits.count(&pool), n);
+        assert_eq!(bits.count_seq(), n);
     }
 
     #[test]
@@ -298,7 +352,7 @@ mod tests {
     fn zero_universe() {
         let pool = Pool::new(2);
         let bits = Bitset::new(0);
-        assert_eq!(bits.count(&pool), 0);
+        assert_eq!(bits.count_seq(), 0);
         assert!(bits.to_sorted_ids(&pool).is_empty());
     }
 }

@@ -45,7 +45,7 @@ pub use atomic::{atomic_f64_fetch_add, AtomicF64};
 pub use bitset::Bitset;
 pub use filter::{filter, filter_map_index};
 pub use intsort::counting_sort_by_key;
-pub use map::{fill_with_index, map_index, max_by, sum_f64_by_index};
+pub use map::{fill_with_index, map_chunks, map_index, max_by, sum_f64_by_index};
 pub use pool::{Caller, Pool, PoolStats};
 pub use scan::{scan_exclusive, scan_inclusive};
 pub use slice::UnsafeSlice;

@@ -33,6 +33,34 @@ pub fn fill_with_index<U: Send + Sync>(pool: &Pool, out: &mut [U], f: impl Fn(us
     });
 }
 
+/// Calls `f(s, e)` on each `grain`-sized chunk of `0..len` — chunk `c` is
+/// `c·grain .. min((c + 1)·grain, len)`, whatever pool runs it — and
+/// returns the chunks' results in chunk order: a loop whose chunks each
+/// hand back a small tally (counts, partial sums) for the caller to fold
+/// sequentially, so the fold is the same on every pool.
+pub fn map_chunks<U: Send>(
+    pool: &Pool,
+    len: usize,
+    grain: usize,
+    f: impl Fn(usize, usize) -> U + Sync,
+) -> Vec<U> {
+    let grain = grain.max(1);
+    let n_chunks = len.div_ceil(grain);
+    let mut out: Vec<U> = Vec::with_capacity(n_chunks);
+    {
+        let view = UnsafeSlice::new(out.spare_capacity_mut());
+        pool.for_each_index(n_chunks, 1, |c| {
+            let s = c * grain;
+            let tally = f(s, (s + grain).min(len));
+            // SAFETY: one write per chunk index.
+            unsafe { view.write(c, std::mem::MaybeUninit::new(tally)) };
+        });
+    }
+    // SAFETY: every one of the `n_chunks` elements was initialized above.
+    unsafe { out.set_len(n_chunks) };
+    out
+}
+
 /// Sums `f(i)` for `i in 0..len` with *fixed* chunk boundaries: each
 /// `grain`-sized chunk accumulates locally into its own partial
 /// (regardless of how the pool schedules chunks or how many threads it
@@ -49,19 +77,12 @@ pub fn sum_f64_by_index(
     if len == 0 {
         return 0.0;
     }
-    let grain = grain.max(1);
-    let n_chunks = len.div_ceil(grain);
-    let mut partials = vec![0.0f64; n_chunks];
-    let view = UnsafeSlice::new(&mut partials);
-    pool.for_each_index(n_chunks, 1, |c| {
-        let s = c * grain;
-        let e = (s + grain).min(len);
+    let partials = map_chunks(pool, len, grain, |s, e| {
         let mut acc = 0.0;
         for i in s..e {
             acc += f(i);
         }
-        // SAFETY: one write per chunk index.
-        unsafe { view.write(c, acc) };
+        acc
     });
     partials.iter().sum()
 }
@@ -116,6 +137,20 @@ mod tests {
         let pool = Pool::new(3);
         let out = map_index(&pool, 50_000, |i| i as u64 + 1);
         assert!(out.iter().enumerate().all(|(i, &v)| v == i as u64 + 1));
+    }
+
+    #[test]
+    fn map_chunks_returns_each_chunks_result_in_order() {
+        for threads in [1, 3] {
+            let pool = Pool::new(threads);
+            let got = map_chunks(&pool, 10_000, 512, |s, e| (s, e));
+            let want: Vec<(usize, usize)> = (0..10_000)
+                .step_by(512)
+                .map(|s| (s, (s + 512).min(10_000)))
+                .collect();
+            assert_eq!(got, want, "t={threads}");
+            assert!(map_chunks(&pool, 0, 512, |s, e| (s, e)).is_empty());
+        }
     }
 
     #[test]

@@ -337,6 +337,12 @@ impl ServerMetrics {
         );
         g(
             &mut out,
+            "lgc_iterations_dense_out_total",
+            "Of lgc_iterations_total{dir=\"pull\"}, those whose next frontier left the gather as a bitset: no id list built between two pulls.",
+            "counter",
+        );
+        g(
+            &mut out,
             "lgc_engine_in_flight",
             "Queries executing in the engine right now.",
             "gauge",
@@ -376,6 +382,11 @@ impl ServerMetrics {
                     &mut out,
                     "lgc_iterations_solo_total{{tenant=\"{name}\"}} {}",
                     l.iterations_solo
+                );
+                let _ = writeln!(
+                    &mut out,
+                    "lgc_iterations_dense_out_total{{tenant=\"{name}\"}} {}",
+                    l.iterations_dense_out
                 );
                 let _ = writeln!(
                     &mut out,
@@ -476,6 +487,7 @@ mod tests {
             "lgc_iterations_total{tenant=\"ring\",dir=\"push\"} 0",
             "lgc_iterations_total{tenant=\"ring\",dir=\"pull\"} 0",
             "lgc_iterations_solo_total{tenant=\"ring\"} 0",
+            "lgc_iterations_dense_out_total{tenant=\"ring\"} 0",
             "lgc_graph_memory_bytes{tenant=\"ring\"}",
             "lgc_pool_loops_total{mode=\"forked\"} 0",
             "lgc_pool_loops_total{mode=\"inline\",reason=\"no_spare\"} 0",

@@ -176,6 +176,7 @@ fn control_requests_list_ping_metrics() {
         "lgc_queries_total{tenant=\"cliques\",class=\"interactive\",outcome=\"completed\"} 1",
         "lgc_query_latency_seconds{tenant=\"cliques\",class=\"interactive\",quantile=\"0.99\"}",
         "lgc_lifecycle_total{tenant=\"cliques\",event=\"completed\"} 1",
+        "lgc_iterations_dense_out_total{tenant=\"cliques\"} ",
         "lgc_queue_cap{class=\"interactive\"}",
         "lgc_graph_memory_bytes{tenant=\"mesh\"}",
     ] {
@@ -559,5 +560,13 @@ fn pool_counters_show_inline_loops_under_load_and_forks_alone() {
     let alone = control.metrics().unwrap();
     assert!(metric(&alone, FORKED) > metric(&loaded, FORKED), "{alone}");
     assert_eq!(metric(&alone, INLINE), metric(&loaded, INLINE), "{alone}");
+    // The three saturating queries pulled, and every pull but (at most) the
+    // last of each handed the next one its frontier as a bitset.
+    let pulls = metric(&alone, "lgc_iterations_total{tenant=\"big\",dir=\"pull\"}");
+    let dense_out = metric(&alone, "lgc_iterations_dense_out_total{tenant=\"big\"}");
+    assert!(
+        pulls > 3 && dense_out <= pulls && dense_out + 3 >= pulls,
+        "{alone}"
+    );
     server.shutdown();
 }

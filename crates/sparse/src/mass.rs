@@ -47,6 +47,15 @@
 //! `filter_keys`, `l1_norm`, `reset`, and `reserve_more` are read-phase
 //! or sequential-point operations. Keys must be `< n` (the universe size
 //! given at construction) in both modes.
+//!
+//! One refinement the dense traversals rely on: inside a write phase a
+//! thread may `get` a key that only *it* writes in that phase (the pull
+//! gather reads a destination's cell back right after its
+//! [`MassMap::add_exclusive`], to decide the next frontier). Cells are
+//! atomics, keys never move or leave during a write phase, and a probe for
+//! an absent key still ends at an empty slot or walks past the keys other
+//! threads are claiming — so the read sees the thread's own last write, or
+//! `0.0` for a key nobody wrote.
 
 use crate::conc::ConcurrentSparseVec;
 use lgc_parallel::{

@@ -298,9 +298,10 @@
 //! A `METRICS` request (or `lgc-server --metrics-once`) renders
 //! Prometheus-style text: per-tenant × per-class latency quantiles,
 //! queue depths, each graph's [`GraphSummary`], [`LifecycleSnapshot`]
-//! counters — among them the engines' frontier iterations by direction
-//! and by lane (`lgc_iterations_total{dir=…}`,
-//! `lgc_iterations_solo_total`) — and the loops offered to the pool by how
+//! counters — among them the engines' frontier iterations by direction,
+//! by lane, and by whether a pull handed the next one its frontier as a
+//! bitset (`lgc_iterations_total{dir=…}`, `lgc_iterations_solo_total`,
+//! `lgc_iterations_dense_out_total`) — and the loops offered to the pool by how
 //! they ran (`lgc_pool_loops_total{mode=…}`, `lgc_pool_callers`; an
 //! iteration below the fork threshold offers none). Responses are **bit-identical** to direct [`Engine`] runs
 //! of the same queries — `f64`s travel as raw bits — a contract the

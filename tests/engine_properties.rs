@@ -524,6 +524,7 @@ fn a_lone_small_query_forks_nothing_and_a_saturating_one_forks() {
     assert_eq!(engine.pool().stats().loops_forked, 0);
     assert_eq!(s.iterations_solo, iterations);
     assert_eq!(s.iterations_push + s.iterations_pull, iterations);
+    assert_eq!((s.iterations_pull, s.iterations_dense_out), (0, 0));
     let one = Engine::builder(&g).threads(1).build();
     assert_bitwise(&got, &one.run(&q), "2-wide, every step below the threshold");
     assert_eq!(one.lifecycle_stats().iterations_solo, iterations);
@@ -541,6 +542,8 @@ fn a_lone_small_query_forks_nothing_and_a_saturating_one_forks() {
     assert!(got.diffusion.support_size() * 2 > g.num_vertices());
     assert!(0 < s.iterations_solo && s.iterations_solo < got.diffusion.stats.iterations);
     assert!(s.iterations_pull > 0, "a saturating frontier crosses `m`");
+    // Every pull of PR-Nibble hands the next iteration a dense frontier.
+    assert_eq!(s.iterations_dense_out, s.iterations_pull, "{s:?}");
 }
 
 /// Conservation law of the iteration counters: `push + pull` is the sum of
@@ -584,6 +587,10 @@ fn iteration_counters_add_up_to_the_iterations_run() {
         0 < s.iterations_solo && s.iterations_solo < iterations,
         "{s:?}"
     );
+    assert!(
+        0 < s.iterations_dense_out && s.iterations_dense_out <= s.iterations_pull,
+        "{s:?}"
+    );
 }
 
 proptest! {
@@ -618,6 +625,12 @@ proptest! {
                 "{:?} does not straddle: {} of {} iterations solo",
                 q.algo, s.iterations_solo, want.diffusion.stats.iterations
             );
+            // Every iteration pulls, and every pull emits the next frontier
+            // but the one with none to derive: HK-PR's flush of level N.
+            let flushed = matches!(q.algo, Algorithm::Hkpr(p)
+                if want.diffusion.stats.iterations == p.n_levels as u64);
+            prop_assert_eq!(s.iterations_pull, want.diffusion.stats.iterations);
+            prop_assert_eq!(s.iterations_dense_out + u64::from(flushed), s.iterations_pull);
             for threads in [2usize, 4] {
                 let plain = Engine::builder(&g).threads(threads).direction(pin).build();
                 let packed = Engine::builder(&c).pool(Pool::new(threads)).direction(pin).build();
@@ -635,6 +648,7 @@ proptest! {
                     prop_assert!((a.residual_mass - b.residual_mass).abs() < 1e-12);
                 }
                 prop_assert_eq!(plain.lifecycle_stats().iterations_solo, 2 * s.iterations_solo);
+                prop_assert_eq!(plain.lifecycle_stats().iterations_dense_out, 2 * s.iterations_dense_out);
             }
         }
     }

@@ -485,6 +485,70 @@ mod fault_injected {
         }
     }
 
+    /// A trip at an iteration boundary between two pulls finds the frontier
+    /// dense-native: a bitset and two tallies, no id list to wipe it by. It
+    /// goes back to the workspace wiped by words, and the next query on
+    /// that warm workspace is bit for bit a cold engine's — at two threads
+    /// as well, the traversal being pinned to pulls. (In a debug build
+    /// `Workspace::put_frontier` asserts the wipe itself.)
+    #[test]
+    fn a_trip_between_two_pulls_leaves_a_clean_workspace() {
+        let g = plgc::graph::gen::sbm(&[300; 4], 0.3, 0.01, 5).0;
+        let pull = plgc::DirectionParams::pull_only();
+        let algos = [
+            Algorithm::PrNibble(lgc::PrNibbleParams {
+                alpha: 0.01,
+                eps: 1e-7,
+                ..Default::default()
+            }),
+            Algorithm::Hkpr(lgc::HkprParams {
+                t: 10.0,
+                n_levels: 20,
+                eps: 1e-6,
+            }),
+            Algorithm::Nibble(lgc::NibbleParams {
+                t_max: 14,
+                eps: 1e-8,
+            }),
+        ];
+        for algo in algos {
+            let q = Query::new(Seed::single(7), algo);
+            for threads in [1, 2] {
+                let fresh = || Engine::builder(&g).threads(threads).direction(pull).build();
+                let cold = fresh().run(&q);
+                for after_ticks in [2, 3, 6] {
+                    let ctx = format!("{:?} T={threads} after {after_ticks}", q.algo);
+                    let plan = FaultPlan {
+                        after_ticks,
+                        kind: Trip::WorkBudget,
+                    };
+                    let faulty = q
+                        .clone()
+                        .with_budget(QueryBudget::unlimited().with_fault(plan));
+                    let engine = fresh();
+                    let err = engine
+                        .try_run(&faulty)
+                        .expect_err("the plan outlives no query");
+                    assert!(matches_kind(&err, Trip::WorkBudget), "{ctx}: {err:?}");
+                    let ran = err.partial().expect("a mid-run trip").stats.iterations;
+                    let s = engine.lifecycle_stats();
+                    assert!(ran >= 2 && ran < cold.diffusion.stats.iterations, "{ctx}");
+                    assert_eq!(
+                        s.iterations_dense_out, ran,
+                        "{ctx}: tripped on a dense frontier"
+                    );
+                    assert_eq!(engine.warm_workspaces(), 1, "{ctx}: checkout recycled");
+
+                    let warm = engine.run(&q);
+                    assert_eq!(warm.diffusion.p, cold.diffusion.p, "{ctx}");
+                    assert_eq!(warm.diffusion.stats, cold.diffusion.stats, "{ctx}");
+                    assert_eq!(warm.cluster, cold.cluster, "{ctx}");
+                    assert_eq!(warm.conductance, cold.conductance, "{ctx}");
+                }
+            }
+        }
+    }
+
     /// One fault sweep instance; factored out so both backends share it.
     fn check_fault<B: plgc::CsrBackend>(
         engine: &Engine<'_, B>,

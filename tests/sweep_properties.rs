@@ -3,10 +3,13 @@
 //! brute-force conductance oracle on arbitrary graphs and vectors — and,
 //! bit for bit, on graphs big enough that its adjacency pass is split
 //! into several edge chunks (one of them a star, whose hub alone covers
-//! more than four).
+//! more than four) — and on supports past the fork threshold
+//! (`N + vol(S_N) ≥ FORK_MIN_WORK`), the only ones on which a pool of two
+//! or four threads runs anything but the one-thread code.
 
 use plgc::cluster::{sweep_cut_par, sweep_cut_seq};
 use plgc::graph::gen;
+use plgc::ligra::FORK_MIN_WORK;
 use plgc::{CsrBackend, CsrCompressed, Graph, Pool};
 use proptest::prelude::*;
 
@@ -112,9 +115,12 @@ fn support(g: &Graph, frac: f64, seed: u64) -> Vec<(u32, f64)> {
         .collect()
 }
 
-fn assert_same_sweep<B: CsrBackend>(g: &B, p: &[(u32, f64)], threads: usize) {
+/// Compares the two sweeps on a fresh pool of `threads`; returns how many
+/// loops the parallel one forked.
+fn assert_same_sweep<B: CsrBackend>(g: &B, p: &[(u32, f64)], threads: usize) -> u64 {
     let seq = sweep_cut_seq(g, p);
-    let par = sweep_cut_par(&Pool::new(threads), g, p);
+    let pool = Pool::new(threads);
+    let par = sweep_cut_par(&pool, g, p);
     assert_eq!(seq.order, par.order, "order, t={threads}");
     assert_eq!(
         seq.conductances, par.conductances,
@@ -125,6 +131,7 @@ fn assert_same_sweep<B: CsrBackend>(g: &B, p: &[(u32, f64)], threads: usize) {
         seq.best_conductance.to_bits(),
         par.best_conductance.to_bits()
     );
+    pool.stats().loops_forked
 }
 
 proptest! {
@@ -154,5 +161,39 @@ proptest! {
             assert_same_sweep(&g, &p, threads);
             assert_same_sweep(&packed, &p, threads);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Past the fork threshold: a vector over a whole component (or most of
+    /// one) of a graph big or dense enough that `N + vol(S_N)` reaches
+    /// `FORK_MIN_WORK`. Here — and, of this file's inputs, only here — the
+    /// parallel sweep's sort, rank table, adjacency pass and scans fork at
+    /// two and four threads, and must still return the sequential sweep bit
+    /// for bit; below the threshold every thread count runs the same code.
+    #[test]
+    fn parallel_sweep_equals_sequential_past_the_fork_threshold(
+        dense in any::<bool>(),
+        graph_seed in 0u64..1000,
+        mass_seed in 0u64..1000,
+        whole in any::<bool>(),
+    ) {
+        let g = if dense {
+            gen::sbm(&[300; 4], 0.3, 0.01, graph_seed).0
+        } else {
+            gen::rand_local(10_000, 5, graph_seed)
+        };
+        let component = plgc::graph::largest_component(&g);
+        let mut p = support(&g, if whole { 1.0 } else { 0.7 }, mass_seed);
+        p.retain(|&(v, _)| component.binary_search(&v).is_ok());
+        let vol: usize = p.iter().map(|&(v, _)| g.degree(v)).sum();
+        prop_assert!(p.len() + vol >= FORK_MIN_WORK, "N + vol = {}", p.len() + vol);
+        prop_assert_eq!(assert_same_sweep(&g, &p, 1), 0, "one thread forks nothing");
+        for threads in [2, 4] {
+            prop_assert!(assert_same_sweep(&g, &p, threads) > 0, "t={} forks", threads);
+        }
+        assert_same_sweep(&CsrCompressed::from_graph(&g), &p, 2);
     }
 }
