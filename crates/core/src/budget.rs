@@ -204,6 +204,17 @@ pub struct TrippedDiffusion {
     pub partial: Diffusion,
 }
 
+impl TrippedDiffusion {
+    /// How every diffusion ends: `Ok(d)` if it ran to completion, else `d`
+    /// as the partial result of the trip that stopped it.
+    pub(crate) fn outcome(tripped: Option<Trip>, d: Diffusion) -> Result<Diffusion, Self> {
+        match tripped {
+            None => Ok(d),
+            Some(trip) => Err(TrippedDiffusion { trip, partial: d }),
+        }
+    }
+}
+
 /// A seed vertex id that does not exist in the queried graph.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct InvalidSeed {

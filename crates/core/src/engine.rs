@@ -32,7 +32,7 @@
 //! diffusion over the shared workspace), and an [`Engine`] query is
 //! *bit-identical* to the corresponding free function: the workspace
 //! checkout path ([`lgc_sparse::MassMap::recycle`],
-//! [`lgc_ligra::Frontier::recycle`]) re-fits each recycled buffer so it
+//! [`lgc_ligra::VertexSubset::recycle`]) re-fits each recycled buffer so it
 //! is observationally indistinguishable from a fresh allocation, and
 //! nothing else outlives a query. Warm queries simply skip the allocator.
 //!
@@ -761,7 +761,7 @@ mod tests {
     /// steer).
     #[test]
     fn direction_policy_reaches_the_workspaces_and_moves_no_bits() {
-        use lgc_ligra::{Absorb, Direction, VertexSubset, NO_ADMIT};
+        use lgc_ligra::{Absorb, Direction, NO_ADMIT};
         let g = gen::two_cliques_bridge(8);
         let seed = Seed::single(1);
         let reference = Engine::builder(&g).threads(1).build();
@@ -772,7 +772,7 @@ mod tests {
             let engine = Engine::builder(&g).threads(1).direction(pin).build();
             let mut ws = engine.core.workspaces.checkout();
             let mut frontier = ws.take_frontier();
-            frontier.advance(engine.pool(), VertexSubset::single(0));
+            frontier.advance(engine.pool(), vec![0]);
             let vol = frontier.volume(&g);
             let staged = ws
                 .spread

@@ -21,13 +21,22 @@
 //! and parallel versions, and both traversal directions, agree bit for
 //! bit and follow the same random trajectory. The lowest-conductance set
 //! seen is tracked and returned.
+//!
+//! It is the one frontier diffusion that keeps its own loop instead of
+//! the shared iteration driver, and the one caller of `EdgeSpread` that
+//! passes `NO_ADMIT`, for three reasons. Its admission test `p(v, S) ≥ U`
+//! needs `1[v ∈ S]`, which a pull's `admit(dst, received)` is not given.
+//! `snapshot` computes each step's conductance from the member list, so a
+//! dense-native set would be unpacked straight away. And it ticks its
+//! checkpoint on steps taken (`cp.tick(step, edges)`), not on `Σ|F|` as the
+//! driver does: moving it onto the driver would shift its work-budget trips.
 
 use crate::budget::InvalidParams;
 use crate::result::{Diffusion, DiffusionStats};
 use crate::seed::Seed;
 use crate::workspace::Workspace;
 use lgc_graph::CsrBackend;
-use lgc_ligra::{lane, Absorb, Checkpoint, Trip, VertexSubset, Writer, NO_ADMIT};
+use lgc_ligra::{lane, Absorb, Checkpoint, Trip, Writer, NO_ADMIT};
 use lgc_parallel::{filter_map_index, Pool};
 use lgc_sparse::{ConcurrentSparseVec, SparseVec};
 use rand::rngs::StdRng;
@@ -165,17 +174,9 @@ pub fn evolving_set_par<B: CsrBackend>(
     seed: &Seed,
     params: &EvolvingParams,
 ) -> EvolvingResult {
-    match evolving_set_par_ws(
-        pool,
-        g,
-        seed,
-        params,
-        &mut Workspace::new(),
-        &Checkpoint::unlimited(),
-    ) {
-        Ok(res) => res,
-        Err((_, res)) => res, // unreachable: an unlimited checkpoint never trips
-    }
+    // An unlimited checkpoint never trips, so the `Err` case is unreachable.
+    let (ws, cp) = (&mut Workspace::new(), &Checkpoint::unlimited());
+    evolving_set_par_ws(pool, g, seed, params, ws, cp).unwrap_or_else(|(_, res)| res)
 }
 
 /// [`evolving_set_par`] over a recyclable workspace: the neighbor
@@ -197,7 +198,7 @@ pub(crate) fn evolving_set_par_ws<B: CsrBackend>(
 ) -> Result<EvolvingResult, (Trip, EvolvingResult)> {
     let mut rng = StdRng::seed_from_u64(params.rng_seed);
     let mut current = ws.take_frontier();
-    current.advance(pool, VertexSubset::from_sorted(seed.vertices().to_vec()));
+    current.advance(pool, seed.vertices().to_vec());
     let mut best = snapshot(g, current.ids(pool));
     let mut sizes = vec![current.len()];
     let mut inside = ws
@@ -252,7 +253,7 @@ pub(crate) fn evolving_set_par_ws<B: CsrBackend>(
             if snap.1 < best.1 {
                 best = snap;
             }
-            current.advance(pool, VertexSubset::from_sorted(next));
+            current.advance(pool, next);
         }
         params.max_steps
     };

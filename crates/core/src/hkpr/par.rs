@@ -8,7 +8,8 @@
 
 use super::HkprParams;
 use crate::budget::TrippedDiffusion;
-use crate::result::{Diffusion, DiffusionStats};
+use crate::driver::drive;
+use crate::result::Diffusion;
 use crate::seed::Seed;
 use crate::workspace::Workspace;
 use lgc_graph::CsrBackend;
@@ -32,17 +33,9 @@ use lgc_sparse::MassMap;
 /// no degree is re-read; after a push the queue is filtered off `r_next`'s
 /// backend as a sorted list. Mass vectors are adaptive [`MassMap`]s.
 pub fn hkpr_par<B: CsrBackend>(pool: &Pool, g: &B, seed: &Seed, params: &HkprParams) -> Diffusion {
-    match hkpr_par_ws(
-        pool,
-        g,
-        seed,
-        params,
-        &mut Workspace::new(),
-        &Checkpoint::unlimited(),
-    ) {
-        Ok(d) => d,
-        Err(t) => t.partial, // unreachable: an unlimited checkpoint never trips
-    }
+    // An unlimited checkpoint never trips, so the `Err` case is unreachable.
+    let (ws, cp) = (&mut Workspace::new(), &Checkpoint::unlimited());
+    hkpr_par_ws(pool, g, seed, params, ws, cp).unwrap_or_else(|t| t.partial)
 }
 
 /// [`hkpr_par`] over a recyclable [`Workspace`]: the three mass maps, the
@@ -50,7 +43,8 @@ pub fn hkpr_par<B: CsrBackend>(pool: &Pool, g: &B, seed: &Seed, params: &HkprPar
 /// of `ws` instead of being allocated; checkouts are re-fitted to match
 /// fresh allocations exactly, so warm runs are bit-identical.
 ///
-/// `cp` is consulted once per level; on a trip the loop stops at that
+/// The loop is the shared frontier driver's (`driver::drive`), which
+/// consults `cp` once per level; on a trip the loop stops at that
 /// boundary and the banked (and `e^{−t}`-scaled) mass is returned as the
 /// `Err` payload, with every workspace buffer already recycled.
 pub(crate) fn hkpr_par_ws<B: CsrBackend>(
@@ -65,7 +59,6 @@ pub(crate) fn hkpr_par_ws<B: CsrBackend>(
     let n = g.num_vertices();
     let n_levels = params.n_levels;
     let psi = super::psi_table(params.t, n_levels);
-    let mut stats = DiffusionStats::default();
 
     let frac = MassMap::DEFAULT_DENSE_FRACTION;
     let mut r = ws.take_mass(pool, n, seed.vertices().len() * 2, frac);
@@ -77,22 +70,10 @@ pub(crate) fn hkpr_par_ws<B: CsrBackend>(
     // Level-0 entries are enqueued unconditionally, like the sequential
     // algorithm's initial queue.
     let mut frontier = ws.take_frontier();
-    frontier.advance(pool, VertexSubset::from_sorted(seed.vertices().to_vec()));
+    frontier.advance(pool, seed.vertices().to_vec());
 
     let mut j = 0usize;
-    let mut tripped = None;
-    while !frontier.is_empty() {
-        if let Err(trip) = cp.tick(stats.pushes, stats.edges_traversed) {
-            tripped = Some(trip);
-            break;
-        }
-        stats.iterations += 1;
-        stats.pushes += frontier.len() as u64;
-        let k = frontier.len();
-        let vol = frontier.volume(g);
-        let pool = lane(pool, k, vol);
-        stats.pushed_volume += vol as u64;
-        stats.edges_traversed += vol as u64;
+    let iteration = |pool: &Pool, k: usize, vol: usize, frontier: &mut VertexSubset| {
         let last_round = j + 1 == n_levels;
 
         // UpdateSelf: bank the level-j residual and send each neighbor
@@ -101,7 +82,7 @@ pub(crate) fn hkpr_par_ws<B: CsrBackend>(
         // call touches p[v] here, so the add is plain.
         p.reserve_more(pool, k);
         let scale = params.t / (j + 1) as f64;
-        let staged = ws.spread.stage(pool, g, &mut frontier, vol, |v| {
+        let staged = ws.spread.stage(pool, g, frontier, vol, |v| {
             let rv = r.get(v);
             p.add_exclusive(v, rv);
             match g.degree(v) {
@@ -117,7 +98,7 @@ pub(crate) fn hkpr_par_ws<B: CsrBackend>(
             // them in.
             p.reserve_more(pool, vol);
             staged.absorb(Absorb::PerEdge, |dst, c, w| add_as(w, &p, dst, c), NO_ADMIT);
-            break;
+            return false;
         }
 
         // UpdateNgh: forward to level j+1. Only edge destinations land
@@ -137,12 +118,13 @@ pub(crate) fn hkpr_par_ws<B: CsrBackend>(
             Some(|dst, received| received && above(dst, r_next.get(dst))),
         );
         if !emitted {
-            let queue = r_next.filter_keys(pool, above);
-            frontier.advance(pool, VertexSubset::from_sorted(queue));
+            frontier.advance(pool, r_next.filter_keys(pool, above));
         }
         std::mem::swap(&mut r, &mut r_next);
         j += 1;
-    }
+        true
+    };
+    let (stats, tripped) = drive(pool, g, cp, usize::MAX, &mut frontier, iteration);
 
     // Same e^{−t} normalization as the sequential version (see there). The
     // tail asks the fork policy with the entries it is about to pack.
@@ -161,10 +143,7 @@ pub(crate) fn hkpr_par_ws<B: CsrBackend>(
     ws.put_frontier(pool, frontier);
     let mut d = Diffusion::from_entries_par(pool, entries, stats);
     d.stats.residual_mass = (1.0 - d.total_mass()).max(0.0);
-    match tripped {
-        None => Ok(d),
-        Some(trip) => Err(TrippedDiffusion { trip, partial: d }),
-    }
+    TrippedDiffusion::outcome(tripped, d)
 }
 
 /// Adds `x` to `m[dst]`: atomically for a shared writer, with a plain

@@ -60,6 +60,7 @@
 
 mod batch;
 mod budget;
+mod driver;
 mod engine;
 mod evolving;
 mod hkpr;

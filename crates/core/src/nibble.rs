@@ -13,6 +13,7 @@
 //! `O(T log(1/ε))` depth.
 
 use crate::budget::{InvalidParams, TrippedDiffusion};
+use crate::driver::drive;
 use crate::result::{Diffusion, DiffusionStats};
 use crate::seed::Seed;
 use crate::workspace::Workspace;
@@ -60,11 +61,11 @@ pub fn nibble_seq<B: CsrBackend>(g: &B, seed: &Seed, params: &NibbleParams) -> D
     }
     let mut frontier: Vec<u32> = active_seed(g, seed, eps);
 
-    for _ in 0..params.t_max {
+    for step in 1..=params.t_max {
         if frontier.is_empty() {
             break;
         }
-        stats.iterations += 1;
+        stats.iterations = step as u64;
         stats.pushes += frontier.len() as u64;
 
         // Two phases in the same order as Figure 3's vertexMap-then-
@@ -119,17 +120,9 @@ pub fn nibble_par<B: CsrBackend>(
     seed: &Seed,
     params: &NibbleParams,
 ) -> Diffusion {
-    match nibble_par_ws(
-        pool,
-        g,
-        seed,
-        params,
-        &mut Workspace::new(),
-        &Checkpoint::unlimited(),
-    ) {
-        Ok(d) => d,
-        Err(t) => t.partial, // unreachable: an unlimited checkpoint never trips
-    }
+    // An unlimited checkpoint never trips, so the `Err` case is unreachable.
+    let (ws, cp) = (&mut Workspace::new(), &Checkpoint::unlimited());
+    nibble_par_ws(pool, g, seed, params, ws, cp).unwrap_or_else(|t| t.partial)
 }
 
 /// [`nibble_par`] over a recyclable [`Workspace`]: both mass maps, the
@@ -137,7 +130,8 @@ pub fn nibble_par<B: CsrBackend>(
 /// of `ws` instead of being allocated; checkouts are re-fitted to match
 /// fresh allocations exactly, so warm runs are bit-identical.
 ///
-/// `cp` is consulted once per lazy-walk iteration; on a trip the loop
+/// The loop is the shared frontier driver's (`driver::drive`), which
+/// consults `cp` once per lazy-walk iteration; on a trip the loop
 /// stops at that boundary and the mass settled so far is returned as the
 /// `Err` payload, with every workspace buffer already recycled.
 pub(crate) fn nibble_par_ws<B: CsrBackend>(
@@ -150,7 +144,6 @@ pub(crate) fn nibble_par_ws<B: CsrBackend>(
 ) -> Result<Diffusion, TrippedDiffusion> {
     let eps = params.eps;
     let n = g.num_vertices();
-    let mut stats = DiffusionStats::default();
 
     let mut p = ws.take_mass(
         pool,
@@ -162,26 +155,10 @@ pub(crate) fn nibble_par_ws<B: CsrBackend>(
         p.set(x, seed.mass_per_vertex());
     }
     let mut frontier = ws.take_frontier();
-    frontier.advance(pool, VertexSubset::from_sorted(active_seed(g, seed, eps)));
+    frontier.advance(pool, active_seed(g, seed, eps));
     let mut p_new = ws.take_mass(pool, n, 16, MassMap::DEFAULT_DENSE_FRACTION);
 
-    let mut tripped = None;
-    for _ in 0..params.t_max {
-        if frontier.is_empty() {
-            break;
-        }
-        if let Err(trip) = cp.tick(stats.pushes, stats.edges_traversed) {
-            tripped = Some(trip);
-            break;
-        }
-        stats.iterations += 1;
-        stats.pushes += frontier.len() as u64;
-        let k = frontier.len();
-        let vol = frontier.volume(g);
-        let pool = lane(pool, k, vol);
-        stats.pushed_volume += vol as u64;
-        stats.edges_traversed += vol as u64;
-
+    let iteration = |pool: &Pool, k: usize, vol: usize, frontier: &mut VertexSubset| {
         // One lazy-walk step over at most `k + vol` touched vertices. A
         // destination may already hold its own kept half (banked by its own
         // call alone: a plain add), so neighbor shares are absorbed per
@@ -195,7 +172,7 @@ pub(crate) fn nibble_par_ws<B: CsrBackend>(
         let active = |v: u32, m: f64| m >= eps * g.degree(v) as f64;
         let emitted = ws
             .spread
-            .stage(pool, g, &mut frontier, vol, |v| {
+            .stage(pool, g, frontier, vol, |v| {
                 let pv = p.get(v);
                 p_new.add_exclusive(v, pv / 2.0);
                 // Degree-0 vertices never reach the frontier in practice
@@ -214,27 +191,24 @@ pub(crate) fn nibble_par_ws<B: CsrBackend>(
                 Some(|dst, _| active(dst, p_new.get(dst))),
             );
         if !emitted {
-            let above = p_new.filter_keys(pool, active);
-            frontier.advance(pool, VertexSubset::from_sorted(above));
+            frontier.advance(pool, p_new.filter_keys(pool, active));
         }
-        // An empty filter means the walk died: break *before* the swap,
+        // An empty filter means the walk died: stop *before* the swap,
         // returning the previous vector (line 15 of Figure 3).
         if frontier.is_empty() {
-            break;
+            return false;
         }
         std::mem::swap(&mut p, &mut p_new);
-    }
+        true
+    };
+    let (stats, tripped) = drive(pool, g, cp, params.t_max, &mut frontier, iteration);
     // The tail asks the fork policy with the entries it is about to pack.
     let pool = lane(pool, p.len(), 0);
     let entries = p.entries(pool);
     ws.put_mass(p);
     ws.put_mass(p_new);
     ws.put_frontier(pool, frontier);
-    let d = finish(pool, entries, stats);
-    match tripped {
-        None => Ok(d),
-        Some(trip) => Err(TrippedDiffusion { trip, partial: d }),
-    }
+    TrippedDiffusion::outcome(tripped, finish(pool, entries, stats))
 }
 
 /// The seed vertices that meet the activity threshold initially.

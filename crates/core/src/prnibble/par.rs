@@ -13,7 +13,8 @@
 
 use super::PrNibbleParams;
 use crate::budget::TrippedDiffusion;
-use crate::result::{Diffusion, DiffusionStats};
+use crate::driver::drive;
+use crate::result::Diffusion;
 use crate::seed::Seed;
 use crate::workspace::Workspace;
 use lgc_graph::CsrBackend;
@@ -54,17 +55,9 @@ pub fn prnibble_par<B: CsrBackend>(
     seed: &Seed,
     params: &PrNibbleParams,
 ) -> Diffusion {
-    match prnibble_par_ws(
-        pool,
-        g,
-        seed,
-        params,
-        &mut Workspace::new(),
-        &Checkpoint::unlimited(),
-    ) {
-        Ok(d) => d,
-        Err(t) => t.partial, // unreachable: an unlimited checkpoint never trips
-    }
+    // An unlimited checkpoint never trips, so the `Err` case is unreachable.
+    let (ws, cp) = (&mut Workspace::new(), &Checkpoint::unlimited());
+    prnibble_par_ws(pool, g, seed, params, ws, cp).unwrap_or_else(|t| t.partial)
 }
 
 /// [`prnibble_par`] over a recyclable [`Workspace`]: the three mass maps,
@@ -73,7 +66,8 @@ pub fn prnibble_par<B: CsrBackend>(
 /// to be observationally identical to a fresh allocation, so warm runs
 /// return the same bits as cold ones.
 ///
-/// `cp` is consulted once per push iteration; on a trip the loop stops at
+/// The loop is the shared frontier driver's (`driver::drive`), which
+/// consults `cp` once per push iteration; on a trip the loop stops at
 /// that boundary and the settled `p` is returned as the `Err` payload,
 /// with every workspace buffer already recycled (a frontier that is
 /// dense-native at that boundary is wiped by words on its way back).
@@ -89,7 +83,6 @@ pub(crate) fn prnibble_par_ws<B: CsrBackend>(
     let (c_bank, cr, cn) = params.rule.coefficients(params.alpha);
     let eps = params.eps;
     let n = g.num_vertices();
-    let mut stats = DiffusionStats::default();
 
     let mut r = ws.take_mass(pool, n, seed.vertices().len() * 2, params.dense_frac);
     for &x in seed.vertices() {
@@ -106,34 +99,21 @@ pub(crate) fn prnibble_par_ws<B: CsrBackend>(
     };
     let mut frontier = ws.take_frontier();
     let seeds = seed.vertices().iter().copied();
-    frontier.advance(
-        pool,
-        VertexSubset::from_sorted(seeds.filter(|&v| is_eligible(&r, v)).collect()),
-    );
+    frontier.advance(pool, seeds.filter(|&v| is_eligible(&r, v)).collect());
     // At β = 1 the frontier *is* the eligible set. Below, the frontier is
-    // narrowed to the selected part for the iteration and the whole set is
-    // kept here meanwhile.
+    // narrowed to the selected part before each iteration and the whole set
+    // is kept here meanwhile.
     let push_all = params.beta >= 1.0;
     let mut eligible: Vec<u32> = Vec::new();
-
-    let mut tripped = None;
-    while !frontier.is_empty() {
-        if let Err(trip) = cp.tick(stats.pushes, stats.edges_traversed) {
-            tripped = Some(trip);
-            break;
+    let narrow = |frontier: &mut VertexSubset, eligible: &mut Vec<u32>, r: &MassMap| {
+        if !push_all && !frontier.is_empty() {
+            *eligible = frontier.ids(pool).to_vec();
+            frontier.advance(pool, select_top(g, r, eligible, params.beta));
         }
-        stats.iterations += 1;
-        if !push_all {
-            eligible = frontier.ids(pool).to_vec();
-            frontier.advance(pool, select_top(g, &r, &eligible, params.beta));
-        }
-        let k = frontier.len();
-        let vol = frontier.volume(g);
-        let pool = lane(pool, k, vol);
-        stats.pushes += k as u64;
-        stats.pushed_volume += vol as u64;
-        stats.edges_traversed += vol as u64;
+    };
+    narrow(&mut frontier, &mut eligible, &r);
 
+    let iteration = |pool: &Pool, k: usize, vol: usize, frontier: &mut VertexSubset| {
         // Phase 1 (UpdateSelf; read r, write p and r[v]): bank the
         // α-fraction, leave the post-push self-residual, and send
         // `cₙ·r[v]/d(v)` to every neighbor. Both writes are plain: only v's
@@ -142,7 +122,7 @@ pub(crate) fn prnibble_par_ws<B: CsrBackend>(
         // r[v] ≥ ε·d(v) > 0 — so no insert runs beside the other calls'
         // reads.
         p.reserve_more(pool, k);
-        let staged = ws.spread.stage(pool, g, &mut frontier, vol, |v| {
+        let staged = ws.spread.stage(pool, g, frontier, vol, |v| {
             let rv = r.get(v);
             p.add_exclusive(v, c_bank * rv);
             r.set(v, cr * rv);
@@ -213,9 +193,12 @@ pub(crate) fn prnibble_par_ws<B: CsrBackend>(
             let next = filter_map_index(pool, cands.len(), |i| {
                 is_eligible(&r, cands[i]).then_some(cands[i])
             });
-            frontier.advance(pool, VertexSubset::from_sorted(next));
+            frontier.advance(pool, next);
         }
-    }
+        narrow(frontier, &mut eligible, &r);
+        true
+    };
+    let (mut stats, tripped) = drive(pool, g, cp, usize::MAX, &mut frontier, iteration);
 
     // The tail sums `r` and packs and sorts `p`: it asks the fork policy
     // with the entries it is about to handle.
@@ -227,10 +210,7 @@ pub(crate) fn prnibble_par_ws<B: CsrBackend>(
     ws.put_mass(r_delta);
     ws.put_frontier(pool, frontier);
     let d = Diffusion::from_entries_par(pool, entries, stats);
-    match tripped {
-        None => Ok(d),
-        Some(trip) => Err(TrippedDiffusion { trip, partial: d }),
-    }
+    TrippedDiffusion::outcome(tripped, d)
 }
 
 /// Merges two sorted duplicate-free id lists into one — `O(a + b)`.
@@ -260,7 +240,7 @@ fn merge_sorted_distinct(a: &[u32], b: &[u32]) -> Vec<u32> {
     out
 }
 
-/// Top `β`-fraction of `eligible` by `r[v]/d(v)`, for `β < 1`.
+/// Top `β`-fraction of `eligible` by `r[v]/d(v)`, for `β < 1`, ascending.
 ///
 /// Partial selection, not a full sort: `select_nth_unstable_by` places
 /// the `take` best-scored vertices (under a total order — score
@@ -268,7 +248,7 @@ fn merge_sorted_distinct(a: &[u32], b: &[u32]) -> Vec<u32> {
 /// since `d > 0`) in the prefix in `O(k)` expected time instead of
 /// `O(k log k)`. The selected *set* is deterministic because the
 /// comparator never declares two distinct vertices equal.
-fn select_top<B: CsrBackend>(g: &B, r: &MassMap, eligible: &[u32], beta: f64) -> VertexSubset {
+fn select_top<B: CsrBackend>(g: &B, r: &MassMap, eligible: &[u32], beta: f64) -> Vec<u32> {
     let take = ((eligible.len() as f64 * beta).ceil() as usize).clamp(1, eligible.len());
     let mut scored: Vec<(u32, f64)> = eligible
         .iter()
@@ -282,7 +262,9 @@ fn select_top<B: CsrBackend>(g: &B, r: &MassMap, eligible: &[u32], beta: f64) ->
         });
         scored.truncate(take);
     }
-    VertexSubset::from_unsorted(scored.iter().map(|&(v, _)| v).collect())
+    let mut top: Vec<u32> = scored.iter().map(|&(v, _)| v).collect();
+    top.sort_unstable();
+    top
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@ use crate::result::{Diffusion, DiffusionStats};
 use crate::seed::Seed;
 use crate::workspace::Workspace;
 use lgc_graph::CsrBackend;
-use lgc_ligra::Checkpoint;
+use lgc_ligra::{lane, Checkpoint};
 use lgc_parallel::{counting_sort_by_key, fill_with_index, filter_map_index, map_index, Pool};
 use lgc_sparse::{ConcurrentRankMap, SparseVec};
 use rand::rngs::StdRng;
@@ -191,17 +191,9 @@ pub fn rand_hkpr_par<B: CsrBackend>(
     seed: &Seed,
     params: &RandHkprParams,
 ) -> Diffusion {
-    match rand_hkpr_par_ws(
-        pool,
-        g,
-        seed,
-        params,
-        &mut Workspace::new(),
-        &Checkpoint::unlimited(),
-    ) {
-        Ok(d) => d,
-        Err(t) => t.partial, // unreachable: an unlimited checkpoint never trips
-    }
+    // An unlimited checkpoint never trips, so the `Err` case is unreachable.
+    let (ws, cp) = (&mut Workspace::new(), &Checkpoint::unlimited());
+    rand_hkpr_par_ws(pool, g, seed, params, ws, cp).unwrap_or_else(|t| t.partial)
 }
 
 /// Walks between two checkpoint ticks of [`rand_hkpr_par_ws`]. All walks
@@ -233,6 +225,10 @@ pub(crate) fn rand_hkpr_par_ws<B: CsrBackend>(
     let cdf = params.length_cdf();
     let n = params.walks;
     let mut stats = DiffusionStats::default();
+    // One answer from the fork policy covers the walks and their
+    // aggregation. Its volume is `walks × max_len`, an upper bound on the
+    // steps taken that is known before any walk runs.
+    let pool = lane(pool, n, n.saturating_mul(params.max_len));
 
     // All walks of a block in parallel; destinations into a length-N
     // array (the contention-free scheme), recycled across queries.
@@ -306,11 +302,7 @@ pub(crate) fn rand_hkpr_par_ws<B: CsrBackend>(
         entries
     };
 
-    let d = Diffusion::from_entries(entries, stats);
-    match tripped {
-        None => Ok(d),
-        Some(trip) => Err(TrippedDiffusion { trip, partial: d }),
-    }
+    TrippedDiffusion::outcome(tripped, Diffusion::from_entries(entries, stats))
 }
 
 #[cfg(test)]

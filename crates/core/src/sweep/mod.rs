@@ -59,17 +59,26 @@ pub(crate) fn sweep_order_cmp(a: &(u32, f64), b: &(u32, f64)) -> Ordering {
         .then(a.0.cmp(&b.0))
 }
 
-/// Filters a diffusion vector down to sweep-eligible entries:
-/// positive mass and positive degree (an isolated vertex has no defined
-/// `p/d` and cannot change any cut).
+/// Filters a diffusion vector down to sweep-eligible entries — positive
+/// mass and positive degree (an isolated vertex has no defined `p/d` and
+/// cannot change any cut) — scored `p/d`, and returns them with their
+/// volume `vol(S_N)`. Reads each degree once.
 pub(crate) fn eligible_entries<B: lgc_graph::CsrBackend>(
     g: &B,
     p: &[(u32, f64)],
-) -> Vec<(u32, f64)> {
-    p.iter()
-        .filter(|&&(v, m)| m > 0.0 && g.degree(v) > 0)
-        .map(|&(v, m)| (v, m / g.degree(v) as f64))
-        .collect()
+) -> (Vec<(u32, f64)>, usize) {
+    let mut vol = 0;
+    let scored = p
+        .iter()
+        .filter_map(|&(v, m)| {
+            let d = g.degree(v);
+            (m > 0.0 && d > 0).then(|| {
+                vol += d;
+                (v, m / d as f64)
+            })
+        })
+        .collect();
+    (scored, vol)
 }
 
 /// Conductance of a prefix given crossing edges, prefix volume and total

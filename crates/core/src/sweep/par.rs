@@ -76,14 +76,13 @@ pub(crate) fn sweep_cut_par_ws<B: CsrBackend>(
     cp: &Checkpoint,
 ) -> Result<SweepCut, Trip> {
     cp.tick(0, 0)?;
-    let mut scored = eligible_entries(g, p);
+    let (mut scored, vol) = eligible_entries(g, p);
     if scored.is_empty() {
         return Ok(SweepCut::empty());
     }
     // The sweep's work is `O(N log N + vol(S_N))`: one answer from the
     // fork policy covers the sort and every pass after it.
     let n = scored.len();
-    let vol: usize = scored.iter().map(|&(v, _)| g.degree(v)).sum();
     let pool = lane(pool, n, vol);
     merge_sort_by(pool, &mut scored, sweep_order_cmp);
     let order: Vec<u32> = scored.iter().map(|&(v, _)| v).collect();

@@ -11,7 +11,7 @@ use lgc_sparse::SparseMap;
 /// boundary maintenance, using a sparse membership set so the work stays
 /// local (never `O(|V|)`).
 pub fn sweep_cut_seq<B: CsrBackend>(g: &B, p: &[(u32, f64)]) -> SweepCut {
-    let mut scored = eligible_entries(g, p);
+    let (mut scored, _) = eligible_entries(g, p);
     if scored.is_empty() {
         return SweepCut::empty();
     }

@@ -5,7 +5,7 @@
 use crate::budget::LifecycleCounters;
 #[cfg(doc)]
 use crate::engine::{Engine, LocalDiffusion};
-use lgc_ligra::{DirectionParams, EdgeSpread, Frontier, VertexSubset};
+use lgc_ligra::{DirectionParams, EdgeSpread, VertexSubset};
 use lgc_parallel::Pool;
 use lgc_sparse::{ConcurrentRankMap, ConcurrentSparseVec, MassMap};
 use std::sync::Mutex;
@@ -20,9 +20,9 @@ use std::sync::Mutex;
 ///
 /// * dense/sparse [`MassMap`] arenas (including their `O(n)` dense-mode
 ///   buffers — the expensive part of a high-volume query);
-/// * [`Frontier`]s with their lazily-built bitsets — the dense view, and
-///   the second buffer a frontier that has been through a pull swaps it
-///   with every iteration;
+/// * frontiers ([`VertexSubset`]s) with their lazily-built bitsets — the
+///   dense view, and the second buffer a frontier that has been through a
+///   pull swaps it with every iteration;
 /// * the spreading edge map's contribution buffer ([`EdgeSpread`]);
 /// * rand-HK-PR's walk-destination buffer and compaction table, the
 ///   evolving-set neighbor counter, and the sweep's rank table.
@@ -33,7 +33,7 @@ use std::sync::Mutex;
 #[derive(Default)]
 pub struct Workspace {
     mass: Vec<MassMap>,
-    frontiers: Vec<Frontier>,
+    frontiers: Vec<VertexSubset>,
     /// The frontier diffusions' edge map: the direction policy every
     /// iteration run over this workspace is chosen by, plus the
     /// contribution buffer.
@@ -76,7 +76,7 @@ impl Workspace {
             + self
                 .frontiers
                 .iter()
-                .map(Frontier::resident_bytes)
+                .map(VertexSubset::resident_bytes)
                 .sum::<usize>()
             + self.spread.resident_bytes()
             + self.walks.capacity() * std::mem::size_of::<(u32, u32)>()
@@ -114,10 +114,8 @@ impl Workspace {
 
     /// Checks out an empty frontier (recycled ones keep their allocated,
     /// already-zeroed bitsets).
-    pub(crate) fn take_frontier(&mut self) -> Frontier {
-        self.frontiers
-            .pop()
-            .unwrap_or_else(|| Frontier::from_subset(VertexSubset::empty()))
+    pub(crate) fn take_frontier(&mut self) -> VertexSubset {
+        self.frontiers.pop().unwrap_or_default()
     }
 
     /// Returns a frontier, clearing its members (`O(len)`, or `n/64` word
@@ -126,7 +124,7 @@ impl Workspace {
     /// checkout. Warm runs equal cold ones only if they are: the dense view
     /// of the next query's first pulled frontier is built by *setting* its
     /// members' bits in one of them.
-    pub(crate) fn put_frontier(&mut self, pool: &Pool, mut f: Frontier) {
+    pub(crate) fn put_frontier(&mut self, pool: &Pool, mut f: VertexSubset) {
         f.recycle(pool);
         debug_assert!(f.buffers_are_clear(), "a recycled frontier's bitsets");
         self.frontiers.push(f);

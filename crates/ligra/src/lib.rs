@@ -22,10 +22,10 @@
 //! §2 of the paper presents `edgeMap` as *direction-optimizing*: Ligra
 //! keeps two implementations of the same edge traversal and switches
 //! between them per iteration based on the frontier's size. **Sparse
-//! push** ([`edge_map`] / [`edge_map_indexed`]) iterates the frontier's
-//! out-edges, work `O(|F| + vol(F))`; **dense pull** ([`edge_map_dense`] /
-//! [`edge_map_dense_gather`]) iterates every destination against a
-//! frontier bitset, work `O(n + m)` whatever the frontier.
+//! push** ([`edge_map`]) iterates the frontier's out-edges, work
+//! `O(|F| + vol(F))`; **dense pull** ([`edge_map_dense`]) iterates every
+//! destination against a frontier bitset, work `O(n + m)` whatever the
+//! frontier.
 //! [`DirectionParams`] holds Ligra's switch rule — pull when
 //! `|F| + vol(F) > m / dense_denom` — and [`EdgeSpread`] owns the policy
 //! and is the one place that applies it: the diffusions hand it their
@@ -33,18 +33,18 @@
 //! The mechanics of the two directions, and why the threshold is what it
 //! is, are documented there.
 //!
-//! A `vertexSubset` has the two representations Ligra gives it, and each
+//! A [`VertexSubset`] has the two representations Ligra gives it, and each
 //! traversal returns the one it produces natively. A push leaves its
 //! caller a sorted id list. A pull that is handed an `admit` predicate
 //! ([`Staged::absorb`]) decides the next frontier destination by
-//! destination, on the thread that owns the destination, and leaves a
-//! *dense-native* [`Frontier`]: a bitset written a word at a time plus
-//! `|F′|` and `vol(F′)` tallied on the way. The next pull stages and
-//! gathers straight off those words, so between two pulls no id list is
-//! built, merged, filtered or walked — a saturated iteration is two passes,
-//! `stage` over the frontier's words and the gather over the destinations.
-//! The id list is materialised (`O(n/64 + len)`) only when something asks
-//! for it: a push iteration, or a caller of [`Frontier::ids`].
+//! destination, on the thread that owns the destination, and leaves the
+//! subset *dense-native*: a bitset written a word at a time plus `|F′|` and
+//! `vol(F′)` tallied on the way. The next pull stages and gathers straight
+//! off those words, so between two pulls no id list is built, merged,
+//! filtered or walked — a saturated iteration is two passes, `stage` over
+//! the frontier's words and the gather over the destinations. The id list
+//! is materialised (`O(n/64 + len)`) only when something asks for it: a
+//! push iteration, or a caller of [`VertexSubset::ids`].
 //!
 //! The same work measure decides a second thing per iteration: whether its
 //! loops are offered to the pool's workers at all ([`lane`],
@@ -59,98 +59,221 @@ pub mod interrupt;
 pub use interrupt::FaultPlan;
 pub use interrupt::{CancelToken, Checkpoint, Trip};
 
-/// A sparse subset of vertices (the paper's `vertexSubset`).
+/// A subset of vertices — the paper's `vertexSubset` — in both of Ligra's
+/// representations, each built from the other only on demand.
 ///
-/// Stored as a list of vertex ids. The clustering algorithms keep
-/// frontiers sorted by id so iterations are deterministic; construction
-/// via [`VertexSubset::from_sorted`] asserts that invariant while
-/// [`VertexSubset::from_unsorted`] sorts for you.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// * A **listed** subset holds its members as a sorted, duplicate-free id
+///   list: what [`VertexSubset::from_sorted`] and [`VertexSubset::advance`]
+///   are handed and what a push consumes. Its dense view is built on first
+///   use ([`VertexSubset::bits`], `O(len)` beyond a one-time `O(n/64)`
+///   allocation) and wiped by the same list, so alternating directions
+///   never pays a full `O(n)` pass.
+/// * A **dense-native** subset is what a pull that was given an `admit`
+///   predicate leaves behind ([`Staged::absorb`]): the bitset, `|F|` and
+///   `vol(F)` — the gather tallied both, so [`VertexSubset::len`] and
+///   [`VertexSubset::volume`] are field reads — and *no* id list. The next
+///   pull needs none; [`VertexSubset::ids`] packs one (`O(n/64 + len)`)
+///   for a push, or for a caller that wants to look at the members.
+///
+/// A pull reads the subset it gathers from while it writes the next one,
+/// so a subset that has been through an admitting pull owns two bitsets
+/// and swaps them per iteration; the one not in use is all-zero.
 pub struct VertexSubset {
+    /// The sorted members — meaningful only while `listed`.
     ids: Vec<u32>,
+    listed: bool,
+    /// The dense view — meaningful only while `dense`. Invariant: while
+    /// `dense` is false every word is zero, so building the view is one
+    /// `set_sorted` pass.
+    bits: Option<Bitset>,
+    dense: bool,
+    /// The buffer an admitting pull writes the next subset into before
+    /// the two swap. Invariant: every word is zero between iterations.
+    spare: Option<Bitset>,
+    /// `|F|`, in either representation.
+    len: usize,
+    /// `vol(F)` as tallied by the pull that emitted this subset; `None`
+    /// for one that was handed in as a list.
+    vol: Option<usize>,
+}
+
+impl Default for VertexSubset {
+    /// The empty subset, with no buffer allocated.
+    fn default() -> Self {
+        VertexSubset {
+            ids: Vec::new(),
+            listed: true,
+            bits: None,
+            dense: false,
+            spare: None,
+            len: 0,
+            vol: None,
+        }
+    }
 }
 
 impl VertexSubset {
-    /// The empty subset.
-    pub fn empty() -> Self {
-        VertexSubset { ids: Vec::new() }
-    }
-
-    /// A singleton subset (the seed vertex of a diffusion).
-    pub fn single(v: u32) -> Self {
-        VertexSubset { ids: vec![v] }
-    }
-
     /// Wraps an already-sorted, duplicate-free id list.
     pub fn from_sorted(ids: Vec<u32>) -> Self {
-        debug_assert!(
-            ids.windows(2).all(|w| w[0] < w[1]),
-            "ids must be sorted and unique"
-        );
-        VertexSubset { ids }
+        let mut subset = Self::default();
+        subset.advance(Pool::solo(), ids);
+        subset
     }
 
     /// Sorts and deduplicates, then wraps.
     pub fn from_unsorted(mut ids: Vec<u32>) -> Self {
         ids.sort_unstable();
         ids.dedup();
-        VertexSubset { ids }
+        Self::from_sorted(ids)
     }
 
-    /// Number of vertices in the subset.
+    /// The sorted member ids, packed from the bitset first if this subset
+    /// left a pull dense-native and nothing has asked for them since.
+    pub fn ids(&mut self, pool: &Pool) -> &[u32] {
+        if !self.listed {
+            let bits = self.bits.as_ref().expect("a subset is listed or dense");
+            self.ids = bits.to_sorted_ids(pool);
+            debug_assert_eq!(self.ids.len(), self.len, "the gather's |F′| tally");
+            self.listed = true;
+        }
+        &self.ids
+    }
+
+    /// Number of members.
     pub fn len(&self) -> usize {
-        self.ids.len()
+        self.len
     }
 
     /// Whether the subset is empty (the termination test of every
     /// diffusion loop in the paper).
     pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
+        self.len == 0
     }
 
-    /// The vertex ids, sorted ascending.
-    pub fn ids(&self) -> &[u32] {
-        &self.ids
-    }
-
-    /// Iterates over the vertex ids.
-    pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        self.ids.iter().copied()
-    }
-
-    /// Sum of degrees of the subset's vertices — the paper's
-    /// `vol(frontier)`, which bounds the next iteration's work and is used
-    /// to size the scratch sparse sets.
+    /// `vol(F) = Σ d(v)` over the members — the paper's volume, which
+    /// bounds an iteration's work: the emitting pull's tally for a
+    /// dense-native subset, a walk over the id list otherwise.
     pub fn volume<B: CsrBackend>(&self, g: &B) -> usize {
-        self.ids.iter().map(|&v| g.degree(v)).sum()
+        let walk = || self.ids.iter().map(|&v| g.degree(v)).sum();
+        self.vol.unwrap_or_else(walk)
     }
 
-    /// Resident bytes of the id buffer (capacity, not length — what the
-    /// allocation actually holds).
+    /// Resident bytes of the subset's buffers (the id list's capacity plus
+    /// whichever bitsets have been allocated).
     pub fn resident_bytes(&self) -> usize {
+        let bitsets = self.bits.iter().chain(&self.spare);
         self.ids.capacity() * std::mem::size_of::<u32>()
+            + bitsets.map(Bitset::resident_bytes).sum::<usize>()
     }
-}
 
-impl From<VertexSubset> for Vec<u32> {
-    fn from(s: VertexSubset) -> Vec<u32> {
-        s.ids
+    /// The dense view over universe `0..n`, building it on first use
+    /// (`O(len)` plus the one-time allocation).
+    pub fn bits(&mut self, pool: &Pool, n: usize) -> &Bitset {
+        if self.bits.as_ref().is_some_and(|b| b.universe() != n) {
+            assert!(self.listed, "a dense-native subset has one universe");
+            self.bits = None;
+            self.dense = false;
+        }
+        let bits = self.bits.get_or_insert_with(|| Bitset::new(n));
+        if !self.dense {
+            bits.set_sorted(pool, &self.ids);
+            self.dense = true;
+        }
+        bits
+    }
+
+    /// Empties the subset while keeping its allocated bitsets for later
+    /// reuse — the buffer-recycling hook for workspace pools that check
+    /// frontiers out across queries. Costs `O(len)` (clearing the members'
+    /// words; `n/64` stores when there is no list to clear by), after which
+    /// the subset is observationally a fresh `VertexSubset::default()` that
+    /// happens to own pre-allocated, fully-zeroed dense buffers.
+    pub fn recycle(&mut self, pool: &Pool) {
+        self.advance(pool, Vec::new());
+    }
+
+    /// Whether every bitset the subset owns is all-zero — what
+    /// [`VertexSubset::recycle`] leaves, and what a pool of recycled
+    /// frontiers relies on. `O(n/64)`: for assertions.
+    pub fn buffers_are_clear(&self) -> bool {
+        let mut bitsets = self.bits.iter().chain(&self.spare);
+        !self.dense && bitsets.all(|b| b.count_seq() == 0)
+    }
+
+    /// Replaces the members with `next`, the next iteration's sorted,
+    /// duplicate-free ids, recycling the dense buffer: the outgoing members'
+    /// bits are cleared — by the id list in `O(len)`, by words if it was
+    /// never built — so the next [`VertexSubset::bits`] call only pays the
+    /// set.
+    pub fn advance(&mut self, pool: &Pool, next: Vec<u32>) {
+        debug_assert!(
+            next.windows(2).all(|w| w[0] < w[1]),
+            "ids must be sorted and unique"
+        );
+        if let (true, Some(bits)) = (self.dense, &self.bits) {
+            if self.listed {
+                bits.clear_sorted(pool, &self.ids);
+            } else {
+                bits.clear_all();
+            }
+        }
+        self.dense = false;
+        self.len = next.len();
+        self.vol = None;
+        self.ids = next;
+        self.listed = true;
+    }
+
+    /// A pull's view of the subset: the dense view it gathers from (which
+    /// [`EdgeSpread::stage`] built) and, if it is `emitting`, the all-zero
+    /// buffer over `0..n` it writes the next frontier into.
+    fn gather_buffers(&mut self, n: usize, emitting: bool) -> (&Bitset, Option<&Bitset>) {
+        if emitting && self.spare.as_ref().is_none_or(|b| b.universe() != n) {
+            self.spare = Some(Bitset::new(n));
+        }
+        let bits = self.bits.as_ref().filter(|_| self.dense);
+        (
+            bits.expect("staged for a pull"),
+            self.spare.as_ref().filter(|_| emitting),
+        )
+    }
+
+    /// Makes the buffer a pull just filled — `len` members of volume `vol`
+    /// — the subset, dense-native; the outgoing members are wiped by words
+    /// (`n/64` stores at the end of an `O(n + m)` pass).
+    fn adopt_emitted(&mut self, len: usize, vol: usize) {
+        std::mem::swap(&mut self.bits, &mut self.spare);
+        if let Some(outgoing) = &self.spare {
+            outgoing.clear_all();
+        }
+        self.ids = Vec::new();
+        self.listed = false;
+        self.dense = true;
+        self.len = len;
+        self.vol = Some(vol);
     }
 }
 
 /// Applies `f(src, dst)` to every edge `(src, dst)` with `src ∈ frontier`,
-/// in parallel over the frontier's whole edge space.
+/// in parallel over the frontier's whole edge space: Ligra's sparse
+/// `edgeMap`, which pushes from a listed subset.
 ///
 /// Work `O(|frontier| + vol(frontier))`; the prefix sum over frontier
 /// degrees flattens the edge space so chunks of ~`grain` edges are
-/// distributed dynamically regardless of degree skew.
+/// distributed dynamically regardless of degree skew. Forks per the fork
+/// policy ([`lane`]): a frontier too small to be worth it is walked by the
+/// plain nested loop on the calling thread.
 pub fn edge_map<B: CsrBackend>(
     pool: &Pool,
     g: &B,
     frontier: &VertexSubset,
     f: impl Fn(u32, u32) + Sync,
 ) {
-    edge_map_indexed(pool, g, frontier, |_, src, dst| f(src, dst));
+    assert!(frontier.listed, "edge_map pushes from a listed subset");
+    // Only a pool with workers is asked: the volume is `O(|F|)` degree loads.
+    let vol = (pool.num_threads() > 1).then(|| frontier.volume(g));
+    let lane = vol.map_or(pool, |vol| lane(pool, frontier.len(), vol));
+    push_edges(lane, g, &frontier.ids, |_, src, dst| f(src, dst));
 }
 
 /// The one constant of the fork policy, in units of `|F| + vol(F)`: an
@@ -176,38 +299,12 @@ fn forking(pool: &Pool, len: usize, vol: usize) -> Option<&Pool> {
     (len + vol >= FORK_MIN_WORK).then_some(pool)
 }
 
-/// The frontier-indexed push engine: like [`edge_map`], but the callback
-/// also receives the *frontier index* of the source —
-/// `f(src_idx, src, dst)` with `frontier.ids()[src_idx] == src`.
-///
-/// This is what makes pushes `O(|frontier| + vol(frontier))` with low
-/// constant factors: a diffusion precomputes its per-source push value
-/// once per frontier vertex (`contrib[i] = coeff · r[ids[i]] / d(ids[i])`)
-/// and the per-edge work collapses to one slice load + one atomic add —
-/// no hash probe, no division, per edge.
-///
-/// Forks per the fork policy ([`lane`]): a frontier too small to be worth
-/// it is walked by the plain nested loop on the calling thread.
-pub fn edge_map_indexed<B: CsrBackend>(
-    pool: &Pool,
-    g: &B,
-    frontier: &VertexSubset,
-    f: impl Fn(usize, u32, u32) + Sync,
-) {
-    // Only a pool with workers is asked: the volume is `O(|F|)` degree loads.
-    let vol = (pool.num_threads() > 1).then(|| frontier.volume(g));
-    let lane = vol.map_or(pool, |vol| lane(pool, frontier.len(), vol));
-    push_edges(lane, g, frontier, f);
-}
-
-/// [`edge_map_indexed`] on a pool the fork policy was already asked for.
-fn push_edges<B: CsrBackend>(
-    pool: &Pool,
-    g: &B,
-    frontier: &VertexSubset,
-    f: impl Fn(usize, u32, u32) + Sync,
-) {
-    let ids = &frontier.ids;
+/// The push over the edges of the sources `ids`, on a pool the fork policy
+/// was already asked for. `f(i, src, dst)` also receives the source's index
+/// in `ids`, so a caller that lays its per-source values out by that index
+/// (`contrib[i] = coeff · r[ids[i]] / d(ids[i])`) does one slice load per
+/// edge — no hash probe, no division.
+fn push_edges<B: CsrBackend>(pool: &Pool, g: &B, ids: &[u32], f: impl Fn(usize, u32, u32) + Sync) {
     if !pool.can_fork() {
         for (i, &v) in ids.iter().enumerate() {
             g.for_each_neighbor(v, |w| f(i, v, w));
@@ -311,181 +408,6 @@ impl DirectionParams {
     }
 }
 
-/// A direction-agnostic frontier: the paper's `vertexSubset` in both of
-/// Ligra's representations, each built from the other only on demand.
-///
-/// * A **listed** frontier holds the sorted id list — what a push consumes
-///   and what [`Frontier::advance`] is handed. Its dense view is built on
-///   first use ([`Frontier::bits`], `O(len)` beyond a one-time `O(n/64)`
-///   allocation) and wiped by the same list, so alternating directions
-///   never pays a full `O(n)` pass.
-/// * A **dense-native** frontier is what a pull that was given an `admit`
-///   predicate leaves behind ([`Staged::absorb`]): the bitset, `|F|` and
-///   `vol(F)` — the gather tallied both, so [`Frontier::len`] and
-///   [`Frontier::volume`] are field reads — and *no* id list. The next
-///   pull needs none; [`Frontier::ids`] packs one (`O(n/64 + len)`) for a
-///   push, or for a caller that wants to look at the members.
-///
-/// A pull reads the frontier it gathers from while it writes the next one,
-/// so a frontier that has been through an admitting pull owns two bitsets
-/// and swaps them per iteration; the one not in use is all-zero.
-pub struct Frontier {
-    /// The sorted members — meaningful only while `listed`.
-    subset: VertexSubset,
-    listed: bool,
-    /// The dense view — meaningful only while `dense`. Invariant: while
-    /// `dense` is false every word is zero, so building the view is one
-    /// `set_sorted` pass.
-    bits: Option<Bitset>,
-    dense: bool,
-    /// The buffer an admitting pull writes the next frontier into before
-    /// the two swap. Invariant: every word is zero between iterations.
-    spare: Option<Bitset>,
-    /// `|F|`, in either representation.
-    len: usize,
-    /// `vol(F)` as tallied by the pull that emitted this frontier; `None`
-    /// for one that was handed in as a list.
-    vol: Option<usize>,
-}
-
-impl Frontier {
-    /// Wraps a sparse subset (no dense view yet).
-    pub fn from_subset(subset: VertexSubset) -> Self {
-        Frontier {
-            len: subset.len(),
-            subset,
-            listed: true,
-            bits: None,
-            dense: false,
-            spare: None,
-            vol: None,
-        }
-    }
-
-    /// A singleton frontier (the seed of a diffusion).
-    pub fn single(v: u32) -> Self {
-        Self::from_subset(VertexSubset::single(v))
-    }
-
-    /// The sorted member ids, packed from the bitset first if this frontier
-    /// left a pull dense-native and nothing has asked for them since.
-    pub fn ids(&mut self, pool: &Pool) -> &[u32] {
-        if !self.listed {
-            let bits = self.bits.as_ref().expect("a frontier is listed or dense");
-            self.subset = VertexSubset::from_sorted(bits.to_sorted_ids(pool));
-            debug_assert_eq!(self.subset.len(), self.len, "the gather's |F′| tally");
-            self.listed = true;
-        }
-        self.subset.ids()
-    }
-
-    /// Number of members.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the frontier is empty (every diffusion's termination test).
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// `vol(F) = Σ d(v)` over the members: the emitting pull's tally for a
-    /// dense-native frontier, a walk over the id list otherwise.
-    pub fn volume<B: CsrBackend>(&self, g: &B) -> usize {
-        self.vol.unwrap_or_else(|| self.subset.volume(g))
-    }
-
-    /// Resident bytes of the frontier's buffers (id list plus whichever
-    /// bitsets have been allocated).
-    pub fn resident_bytes(&self) -> usize {
-        let bitsets = self.bits.iter().chain(&self.spare);
-        self.subset.resident_bytes() + bitsets.map(Bitset::resident_bytes).sum::<usize>()
-    }
-
-    /// The dense view over universe `0..n`, building it on first use
-    /// (`O(len)` plus the one-time allocation).
-    pub fn bits(&mut self, pool: &Pool, n: usize) -> &Bitset {
-        if self.bits.as_ref().is_some_and(|b| b.universe() != n) {
-            assert!(self.listed, "a dense-native frontier has one universe");
-            self.bits = None;
-            self.dense = false;
-        }
-        let bits = self.bits.get_or_insert_with(|| Bitset::new(n));
-        if !self.dense {
-            bits.set_sorted(pool, self.subset.ids());
-            self.dense = true;
-        }
-        bits
-    }
-
-    /// Empties the frontier while keeping its allocated bitsets for later
-    /// reuse — the buffer-recycling hook for workspace pools that check
-    /// frontiers out across queries. Costs `O(len)` (clearing the members'
-    /// words; `n/64` stores when there is no list to clear by), after which
-    /// the frontier is observationally a fresh
-    /// `Frontier::from_subset(VertexSubset::empty())` that happens to own
-    /// pre-allocated, fully-zeroed dense buffers.
-    pub fn recycle(&mut self, pool: &Pool) {
-        self.advance(pool, VertexSubset::empty());
-    }
-
-    /// Whether every bitset the frontier owns is all-zero — what
-    /// [`Frontier::recycle`] leaves, and what a pool of recycled frontiers
-    /// relies on. `O(n/64)`: for assertions.
-    pub fn buffers_are_clear(&self) -> bool {
-        let mut bitsets = self.bits.iter().chain(&self.spare);
-        !self.dense && bitsets.all(|b| b.count_seq() == 0)
-    }
-
-    /// Replaces the members with the next iteration's subset, recycling
-    /// the dense buffer: the outgoing members' bits are cleared — by the id
-    /// list in `O(len)`, by words if it was never built — so the next
-    /// [`Frontier::bits`] call only pays the set.
-    pub fn advance(&mut self, pool: &Pool, next: VertexSubset) {
-        if let (true, Some(bits)) = (self.dense, &self.bits) {
-            if self.listed {
-                bits.clear_sorted(pool, self.subset.ids());
-            } else {
-                bits.clear_all();
-            }
-        }
-        self.dense = false;
-        self.len = next.len();
-        self.vol = None;
-        self.subset = next;
-        self.listed = true;
-    }
-
-    /// A pull's view of the frontier: the dense view it gathers from (which
-    /// [`EdgeSpread::stage`] built) and, if it is `emitting`, the all-zero
-    /// buffer over `0..n` it writes the next frontier into.
-    fn gather_buffers(&mut self, n: usize, emitting: bool) -> (&Bitset, Option<&Bitset>) {
-        if emitting && self.spare.as_ref().is_none_or(|b| b.universe() != n) {
-            self.spare = Some(Bitset::new(n));
-        }
-        let bits = self.bits.as_ref().filter(|_| self.dense);
-        (
-            bits.expect("staged for a pull"),
-            self.spare.as_ref().filter(|_| emitting),
-        )
-    }
-
-    /// Makes the buffer a pull just filled — `len` members of volume `vol`
-    /// — the frontier, dense-native; the outgoing members are wiped by
-    /// words (`n/64` stores at the end of an `O(n + m)` pass).
-    fn adopt_emitted(&mut self, len: usize, vol: usize) {
-        std::mem::swap(&mut self.bits, &mut self.spare);
-        if let Some(outgoing) = &self.spare {
-            outgoing.clear_all();
-        }
-        self.subset = VertexSubset::empty();
-        self.listed = false;
-        self.dense = true;
-        self.len = len;
-        self.vol = Some(vol);
-    }
-}
-
 /// Vertices per chunk in the dense traversals. Small enough that degree
 /// skew load-balances through chunk claiming, large enough to amortize
 /// the claim — and exactly one cache line of a [`Bitset`] (eight words),
@@ -509,7 +431,7 @@ pub const NO_ADMIT: Option<NoAdmit> = None;
 /// The type of an `admit` predicate that is not there ([`NO_ADMIT`]).
 pub type NoAdmit = fn(u32, bool) -> bool;
 
-/// The dense traversal under both pull engines: calls `land(dst)` — which
+/// The dense traversal under every pull: calls `land(dst)` — which
 /// delivers `dst`'s frontier in-neighbors' contributions and says whether
 /// there were any — for **all** vertices `dst`, in parallel over
 /// [`DENSE_GRAIN`]-sized chunks, one thread per destination.
@@ -577,37 +499,9 @@ pub fn edge_map_dense<B: CsrBackend>(
     frontier: &Bitset,
     f: impl Fn(u32, u32) + Sync,
 ) {
-    pull(pool, g, frontier, per_edge(g, frontier, f), NO_EMIT);
+    let no_emit: Option<Emit<'_, NoAdmit>> = None;
+    pull(pool, g, frontier, per_edge(g, frontier, f), no_emit);
 }
-
-/// Pull with fused per-destination accumulation: for every vertex `dst`
-/// whose in-neighborhood intersects the frontier, computes `Σ
-/// contrib[src]` over the frontier in-neighbors (in ascending `src`
-/// order, in a register) and calls `apply(dst, sum)` exactly once.
-///
-/// This is the fastest shape for the diffusions' "sum incoming mass"
-/// updates: zero atomics and one store per destination instead of one
-/// RMW per edge. `contrib` is indexed by vertex id (entries outside the
-/// frontier are never read). Same determinism guarantee as
-/// [`edge_map_dense`].
-pub fn edge_map_dense_gather<B: CsrBackend>(
-    pool: &Pool,
-    g: &B,
-    frontier: &Bitset,
-    contrib: &[f64],
-    apply: impl Fn(u32, f64) + Sync,
-) {
-    pull(
-        pool,
-        g,
-        frontier,
-        gather(g, frontier, contrib, apply),
-        NO_EMIT,
-    );
-}
-
-/// A pull that emits nothing: what the two public dense engines run.
-const NO_EMIT: Option<Emit<'static, NoAdmit>> = None;
 
 /// [`edge_map_dense`]'s per-destination step, as [`pull`] takes it.
 fn per_edge<'a, B: CsrBackend>(
@@ -627,7 +521,9 @@ fn per_edge<'a, B: CsrBackend>(
     }
 }
 
-/// [`edge_map_dense_gather`]'s per-destination step, as [`pull`] takes it.
+/// [`Absorb::Sum`]'s per-destination step, as [`pull`] takes it: sums
+/// `contrib[src]` over the frontier in-neighbors in a register, in
+/// ascending `src` order, and calls `apply(dst, sum)` once if there were any.
 fn gather<'a, B: CsrBackend>(
     g: &'a B,
     frontier: &'a Bitset,
@@ -744,7 +640,7 @@ pub enum Writer {
 /// the same `k` and `vol` for the steps it wraps around the edge map
 /// (store resets, commits, filters), the sweep with `N` and `vol(S_N)`, a
 /// diffusion's tail with the number of entries it packs and sums, and
-/// [`edge_map_indexed`] for itself. The rule reads counts and one constant
+/// [`edge_map`] for itself. The rule reads counts and one constant
 /// — no clock, not the pool's width, not who else is in the pool — so its
 /// answers repeat exactly, and because an iteration on the workerless pool
 /// is bit for bit that iteration at one thread, no result depends on them:
@@ -801,7 +697,7 @@ pub struct IterationCounts {
 pub struct Staged<'a, B> {
     pool: &'a Pool,
     g: &'a B,
-    frontier: &'a mut Frontier,
+    frontier: &'a mut VertexSubset,
     slots: &'a [f64],
     dir: Direction,
     dense_out: &'a mut u64,
@@ -839,7 +735,7 @@ impl EdgeSpread {
         &'a mut self,
         pool: &'a Pool,
         g: &'a B,
-        frontier: &'a mut Frontier,
+        frontier: &'a mut VertexSubset,
         vol: usize,
         contrib_of: impl Fn(u32) -> f64 + Sync,
     ) -> Staged<'a, B> {
@@ -941,7 +837,7 @@ impl<B: CsrBackend> Staged<'_, B> {
     ///
     /// A **push**, or a call with [`NO_ADMIT`], returns `false` and leaves
     /// the frontier as it was staged: the caller derives the next one from
-    /// its stores, as a sorted list, and hands it to [`Frontier::advance`].
+    /// its stores, as a sorted list, and hands it to [`VertexSubset::advance`].
     /// A push's destinations are scattered over threads, so it has no
     /// thread to ask — and the direction rule makes its frontiers the small
     /// ones, for which the list route is `O(|F| + vol(F))` anyway.
@@ -960,7 +856,7 @@ impl<B: CsrBackend> Staged<'_, B> {
             dense_out,
         } = self;
         if dir == Direction::Push {
-            push_edges(pool, g, &frontier.subset, |i, _, dst| {
+            push_edges(pool, g, &frontier.ids, |i, _, dst| {
                 absorb(dst, slots[i], Writer::Shared)
             });
             return false;
@@ -999,12 +895,13 @@ mod tests {
 
     #[test]
     fn subset_basics() {
-        let s = VertexSubset::from_unsorted(vec![5, 1, 3, 1]);
-        assert_eq!(s.ids(), &[1, 3, 5]);
+        let pool = Pool::new(1);
+        let mut s = VertexSubset::from_unsorted(vec![5, 1, 3, 1]);
+        assert_eq!(s.ids(&pool), &[1, 3, 5]);
         assert_eq!(s.len(), 3);
         assert!(!s.is_empty());
-        assert!(VertexSubset::empty().is_empty());
-        assert_eq!(VertexSubset::single(7).ids(), &[7]);
+        assert!(VertexSubset::default().is_empty());
+        assert_eq!(VertexSubset::from_sorted(vec![7]).ids(&pool), &[7]);
     }
 
     #[test]
@@ -1044,7 +941,7 @@ mod tests {
             let mut base = 0;
             for v in 0..400u32 {
                 let d = g.degree(v);
-                let expect = usize::from(frontier.ids().binary_search(&v).is_ok());
+                let expect = usize::from(frontier.ids.binary_search(&v).is_ok());
                 for j in 0..d {
                     assert_eq!(
                         hits[base + j].load(Ordering::Relaxed),
@@ -1067,7 +964,7 @@ mod tests {
                 .collect(),
         );
         let mut want = 0u64;
-        for v in frontier.iter() {
+        for &v in &frontier.ids {
             for &w in g.neighbors(v) {
                 want += w as u64;
             }
@@ -1088,7 +985,7 @@ mod tests {
         // split its adjacency list across chunks.
         let pool = Pool::new(4);
         let g = gen::star(40_000); // above `FORK_MIN_WORK`: the loop forks
-        let frontier = VertexSubset::single(0);
+        let frontier = VertexSubset::from_sorted(vec![0]);
         let count = AtomicUsize::new(0);
         edge_map(&pool, &g, &frontier, |src, _| {
             assert_eq!(src, 0);
@@ -1101,19 +998,37 @@ mod tests {
     fn edge_map_empty_frontier_or_isolated() {
         let pool = Pool::new(2);
         let g = lgc_graph::Graph::from_edges(4, &[(0, 1)]);
-        edge_map(&pool, &g, &VertexSubset::empty(), |_, _| panic!("no edges"));
+        edge_map(&pool, &g, &VertexSubset::default(), |_, _| {
+            panic!("no edges")
+        });
         // Vertices 2, 3 are isolated: zero edges to map over.
         edge_map(&pool, &g, &VertexSubset::from_sorted(vec![2, 3]), |_, _| {
             panic!("no edges")
         });
     }
 
+    /// The index-carrying push `edge_map` and `Staged::absorb` run, on the
+    /// lane `edge_map` asks the fork policy for.
+    fn push_indexed(
+        pool: &Pool,
+        g: &lgc_graph::Graph,
+        frontier: &VertexSubset,
+        f: impl Fn(usize, u32, u32) + Sync,
+    ) {
+        push_edges(
+            lane(pool, frontier.len(), frontier.volume(g)),
+            g,
+            &frontier.ids,
+            f,
+        );
+    }
+
     /// Accumulates `f(src_idx, src, dst)` per CSR edge position so two
     /// engines' edge coverage can be compared exactly.
     fn indexed_trace(pool: &Pool, g: &lgc_graph::Graph, frontier: &VertexSubset) -> Vec<u64> {
         let cells: Vec<AtomicU64> = (0..g.total_degree()).map(|_| AtomicU64::new(0)).collect();
-        edge_map_indexed(pool, g, frontier, |i, src, dst| {
-            assert_eq!(frontier.ids()[i], src, "src_idx must address the frontier");
+        push_indexed(pool, g, frontier, |i, src, dst| {
+            assert_eq!(frontier.ids[i], src, "src_idx must address the frontier");
             let nbrs = g.neighbors(src);
             let k = nbrs.partition_point(|&x| x < dst);
             assert_eq!(nbrs[k], dst);
@@ -1125,19 +1040,19 @@ mod tests {
         cells.into_iter().map(AtomicU64::into_inner).collect()
     }
 
-    /// The tentpole contract: `edge_map_indexed` covers exactly the same
-    /// edges as `edge_map` (each once), and every callback receives the
+    /// The tentpole contract: the index-carrying push covers exactly the
+    /// frontier's edges (each once), and every callback receives the
     /// frontier index of its source — across skewed, empty, isolated,
     /// tiny, and large frontiers at 1/2/4 threads.
     #[test]
-    fn edge_map_indexed_equivalent_to_edge_map() {
+    fn push_edges_covers_the_frontier_edges_with_their_source_index() {
         let skewed = gen::star(40_000); // one huge-degree center, forked
         let local = gen::rand_local(700, 6, 3);
         let with_isolated = lgc_graph::Graph::from_edges(50, &[(0, 1), (1, 2), (4, 5)]);
         let cases: Vec<(&lgc_graph::Graph, VertexSubset)> = vec![
-            (&skewed, VertexSubset::single(0)),               // degree skew
+            (&skewed, VertexSubset::from_sorted(vec![0])), // degree skew
             (&skewed, VertexSubset::from_sorted(vec![0, 5])), // skew + leaf
-            (&local, VertexSubset::empty()),
+            (&local, VertexSubset::default()),
             (
                 &local,
                 VertexSubset::from_unsorted((0..700u32).filter(|v| v % 3 == 0).collect()),
@@ -1150,7 +1065,7 @@ mod tests {
             // deliberately NOT built from edge_map (which is itself a
             // wrapper over the engine under test).
             let mut want = vec![0u64; g.total_degree()];
-            for (i, &src) in frontier.ids().iter().enumerate() {
+            for (i, &src) in frontier.ids.iter().enumerate() {
                 let base: usize = (0..src).map(|v| g.degree(v)).sum();
                 for k in 0..g.degree(src) {
                     want[base + k] += (1 << 32) | (i as u64 + 1);
@@ -1242,7 +1157,8 @@ mod tests {
 
     /// Pull-mode accumulation is bitwise deterministic across thread
     /// counts (each destination sums in ascending source order on one
-    /// thread), unlike push-mode atomic accumulation.
+    /// thread), unlike push-mode atomic accumulation. The claimed volume
+    /// puts the pull on the forking lane.
     #[test]
     fn dense_gather_is_bitwise_deterministic() {
         let g = gen::rmat_graph500(10, 8, 7);
@@ -1251,14 +1167,18 @@ mod tests {
         let contrib: Vec<f64> = (0..n).map(|v| 1.0 / (v as f64 + 3.0)).collect();
         let gather = |threads: usize| -> Vec<f64> {
             let pool = Pool::new(threads);
-            let bits = Bitset::new(n);
-            bits.set_sorted(&pool, &ids);
+            let mut frontier = VertexSubset::from_sorted(ids.clone());
+            let vol = frontier.volume(&g).max(FORK_MIN_WORK);
             let mut out = vec![0.0f64; n];
             let view = lgc_parallel::UnsafeSlice::new(&mut out);
-            edge_map_dense_gather(&pool, &g, &bits, &contrib, |dst, sum| {
-                // SAFETY: the engine guarantees one writer per dst.
+            let mut spread = EdgeSpread::new(DirectionParams::pull_only());
+            let staged = spread.stage(&pool, &g, &mut frontier, vol, |v| contrib[v as usize]);
+            let absorb = |dst: u32, sum, writer| {
+                assert_eq!(writer, Writer::Exclusive);
+                // SAFETY: a pull has one writer per dst.
                 unsafe { view.write(dst as usize, sum) };
-            });
+            };
+            assert!(!staged.absorb(Absorb::Sum, absorb, NO_ADMIT));
             out
         };
         let t1 = gather(1);
@@ -1288,7 +1208,7 @@ mod tests {
         contrib_of: impl Fn(u32) -> f64 + Sync,
     ) -> (Direction, Vec<f64>) {
         let cells: Vec<AtomicU64> = (0..g.num_vertices()).map(|_| AtomicU64::new(0)).collect();
-        let mut frontier = Frontier::from_subset(VertexSubset::from_sorted(ids.to_vec()));
+        let mut frontier = VertexSubset::from_sorted(ids.to_vec());
         let vol = frontier.volume(g);
         let mut spread = EdgeSpread::new(params);
         let staged = spread.stage(pool, g, &mut frontier, vol, contrib_of);
@@ -1407,11 +1327,11 @@ mod tests {
         let pool = Pool::new(2);
         let n = 4000;
         let a: Vec<u32> = (0..n as u32).step_by(3).collect();
-        let mut f = Frontier::from_subset(VertexSubset::from_sorted(a.clone()));
+        let mut f = VertexSubset::from_sorted(a.clone());
         assert_eq!(f.bits(&pool, n).to_sorted_ids(&pool), a);
         // Advance must clear the recycled buffer before revalidating.
         let b: Vec<u32> = (1..n as u32).step_by(5).collect();
-        f.advance(&pool, VertexSubset::from_sorted(b.clone()));
+        f.advance(&pool, b.clone());
         assert_eq!(f.ids(&pool), &b[..]);
         assert_eq!(f.len(), b.len());
         assert_eq!(f.bits(&pool, n).to_sorted_ids(&pool), b);
@@ -1424,17 +1344,17 @@ mod tests {
         let pool = Pool::new(2);
         let n = 2000;
         let a: Vec<u32> = (0..n as u32).step_by(3).collect();
-        let mut f = Frontier::from_subset(VertexSubset::from_sorted(a.clone()));
+        let mut f = VertexSubset::from_sorted(a.clone());
         assert_eq!(f.bits(&pool, n).to_sorted_ids(&pool), a);
         f.recycle(&pool);
         assert!(f.is_empty());
         assert!(f.bits(&pool, n).to_sorted_ids(&pool).is_empty());
         // Reuse after recycling, including across a universe change.
         let b = vec![1u32, 77, 1999];
-        f.advance(&pool, VertexSubset::from_sorted(b.clone()));
+        f.advance(&pool, b.clone());
         assert_eq!(f.bits(&pool, n).to_sorted_ids(&pool), b);
         f.recycle(&pool);
-        f.advance(&pool, VertexSubset::from_sorted(vec![5, 9]));
+        f.advance(&pool, vec![5, 9]);
         assert_eq!(f.bits(&pool, 50).to_sorted_ids(&pool), vec![5, 9]);
     }
 
@@ -1444,14 +1364,14 @@ mod tests {
         // validated bitset of a different universe.
         let pool = Pool::new(2);
         let ids = vec![1u32, 5, 9];
-        let mut f = Frontier::from_subset(VertexSubset::from_sorted(ids.clone()));
+        let mut f = VertexSubset::from_sorted(ids.clone());
         assert_eq!(f.bits(&pool, 100).to_sorted_ids(&pool), ids);
         assert_eq!(f.bits(&pool, 50).to_sorted_ids(&pool), ids, "shrunk");
         assert_eq!(f.bits(&pool, 200).to_sorted_ids(&pool), ids, "grown");
     }
 
     #[test]
-    fn edge_map_indexed_long_low_degree_frontier() {
+    fn push_edges_long_low_degree_frontier() {
         // Many vertices of tiny degree: a frontier the fork policy keeps on
         // the calling thread, and one it forks, whose flattened edge space
         // is all chunk boundaries.
@@ -1461,8 +1381,8 @@ mod tests {
             for threads in [1, 2, 4] {
                 let pool = Pool::new(threads);
                 let count = AtomicUsize::new(0);
-                edge_map_indexed(&pool, &g, &frontier, |i, src, _dst| {
-                    assert_eq!(frontier.ids()[i], src);
+                push_indexed(&pool, &g, &frontier, |i, src, _dst| {
+                    assert_eq!(frontier.ids[i], src);
                     count.fetch_add(1, Ordering::Relaxed);
                 });
                 assert_eq!(
@@ -1541,7 +1461,7 @@ mod tests {
         let g = gen::rand_local(500, 5, 2);
         let pool = Pool::new(2);
         let mut spread = EdgeSpread::new(DirectionParams::push_only());
-        let mut frontier = Frontier::from_subset(VertexSubset::from_sorted(vec![1, 2, 3]));
+        let mut frontier = VertexSubset::from_sorted(vec![1, 2, 3]);
         let vol = frontier.volume(&g);
         for vol in [vol, vol, FORK_MIN_WORK] {
             spread.stage(&pool, &g, &mut frontier, vol, |_| 1.0).absorb(
@@ -1655,7 +1575,7 @@ mod tests {
             let pool = Pool::new(threads);
             let claim = |vol: usize| if fork { vol.max(FORK_MIN_WORK) } else { vol };
             let mut spread = EdgeSpread::new(DirectionParams::pull_only());
-            let mut frontier = Frontier::from_subset(VertexSubset::from_sorted(members.clone()));
+            let mut frontier = VertexSubset::from_sorted(members.clone());
             let cells = |n: usize| (0..n).map(|_| AtomicU64::new(0)).collect::<Vec<_>>();
             let read = |cells: Vec<AtomicU64>| -> Vec<f64> {
                 cells.into_iter().map(|c| f64::from_bits(c.into_inner())).collect()
@@ -1716,6 +1636,58 @@ mod tests {
             frontier.recycle(&pool);
             prop_assert!(frontier.is_empty() && frontier.buffers_are_clear());
         }
+
+        /// A subset that is both packed and tallied: random sorted members
+        /// go through an admitting pull, which leaves the subset
+        /// dense-native, and `ids(pool)` then packs its list. The pull's
+        /// volume tally is the degree walk over the packed list, `edge_map`
+        /// over the subset visits each of its edges exactly once, and after
+        /// `advance` and `recycle` every buffer is clear.
+        #[test]
+        fn a_packed_dense_native_subset_keeps_its_tallies_and_pushes_its_edges(
+            n in 2usize..800,
+            avg in 0usize..7,
+            salt in 0u64..1000,
+            every in 1u64..9,
+            threads in 1usize..=4,
+            fork in any::<bool>(),
+        ) {
+            let (g, members) = sparse_graph_and_members(n, avg, salt, every);
+            let pool = Pool::new(threads);
+            let mut subset = VertexSubset::from_sorted(members.clone());
+            let vol = subset.volume(&g);
+            let vol = if fork { vol.max(FORK_MIN_WORK) } else { vol };
+            let admit = |dst: u32, _| !(u64::from(dst) + salt).is_multiple_of(3);
+            let emitted = EdgeSpread::new(DirectionParams::pull_only())
+                .stage(&pool, &g, &mut subset, vol, |_| 1.0)
+                .absorb(Absorb::Sum, |_, _, _| {}, Some(admit));
+            prop_assert!(emitted);
+            let packed = subset.ids(&pool).to_vec();
+            prop_assert_eq!(subset.len(), packed.len());
+            let walk: usize = packed.iter().map(|&v| g.degree(v)).sum();
+            prop_assert_eq!(subset.volume(&g), walk);
+
+            // Each adjacency entry by its CSR position: hit once if its
+            // source is packed, never otherwise.
+            let mut offsets = vec![0usize; n + 1];
+            for v in 0..n {
+                offsets[v + 1] = offsets[v] + g.degree(v as u32);
+            }
+            let hits: Vec<AtomicUsize> = (0..offsets[n]).map(|_| AtomicUsize::new(0)).collect();
+            edge_map(&pool, &g, &subset, |src, dst| {
+                let k = g.neighbors(src).partition_point(|&x| x < dst);
+                hits[offsets[src as usize] + k].fetch_add(1, Ordering::Relaxed);
+            });
+            for v in 0..n as u32 {
+                let want = usize::from(packed.binary_search(&v).is_ok());
+                let got = &hits[offsets[v as usize]..offsets[v as usize + 1]];
+                prop_assert!(got.iter().all(|h| h.load(Ordering::Relaxed) == want), "v={}", v);
+            }
+
+            subset.advance(&pool, members);
+            subset.recycle(&pool);
+            prop_assert!(subset.is_empty() && subset.buffers_are_clear());
+        }
     }
 
     /// A frontier handed from pull to pull to push: each pull emits the
@@ -1728,9 +1700,8 @@ mod tests {
         let n = g.num_vertices();
         let keep = |step: u32| move |dst: u32, _: bool| !(dst + step).is_multiple_of(4);
         let totals = |pool: &Pool, dirs: [DirectionParams; 3]| {
-            let mut frontier = Frontier::from_subset(VertexSubset::from_sorted(
-                (0..n as u32).filter(|v| v % 3 == 0).collect(),
-            ));
+            let mut frontier =
+                VertexSubset::from_sorted((0..n as u32).filter(|v| v % 3 == 0).collect());
             let mut out = Vec::new();
             for (step, dir) in dirs.into_iter().enumerate() {
                 let cells: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
@@ -1756,7 +1727,7 @@ mod tests {
                             || members.binary_search(&v).is_ok();
                         asked && keep(step as u32)(v, true)
                     });
-                    frontier.advance(pool, VertexSubset::from_sorted(next.collect()));
+                    frontier.advance(pool, next.collect());
                 }
                 let ids = frontier.ids(pool).to_vec();
                 assert_eq!(ids, frontier.bits(pool, n).to_sorted_ids(pool));

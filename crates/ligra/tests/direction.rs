@@ -7,8 +7,8 @@
 
 use lgc_graph::{gen, Graph};
 use lgc_ligra::{
-    edge_map, edge_map_dense, edge_map_dense_gather, Absorb, DirectionParams, EdgeSpread, Frontier,
-    VertexSubset, NO_ADMIT,
+    edge_map, edge_map_dense, Absorb, DirectionParams, EdgeSpread, VertexSubset, Writer,
+    FORK_MIN_WORK, NO_ADMIT,
 };
 use lgc_parallel::{atomic_f64_fetch_add, Bitset, Pool, UnsafeSlice};
 use proptest::prelude::*;
@@ -125,7 +125,7 @@ proptest! {
         ] {
             let mut spread = EdgeSpread::new(params);
             for order in [Absorb::PerEdge, Absorb::Sum] {
-                let mut frontier = Frontier::from_subset(VertexSubset::from_sorted(ids.clone()));
+                let mut frontier = VertexSubset::from_sorted(ids.clone());
                 let vol = frontier.volume(&g);
                 let cells: Vec<AtomicU64> = want.iter().map(|_| AtomicU64::new(0)).collect();
                 let staged = spread.stage(&pool, &g, &mut frontier, vol, |v| f64::from(v + 1));
@@ -140,8 +140,9 @@ proptest! {
         }
     }
 
-    /// Pull-gather sums are bitwise identical across thread counts and
-    /// equal to an ascending-source sequential sum.
+    /// Pull-gather sums (`Absorb::Sum` under a pinned pull) are bitwise
+    /// identical across thread counts and equal to an ascending-source
+    /// sequential sum. The claimed volume puts the pull on the forking lane.
     #[test]
     fn gather_bitwise_deterministic((g, ids) in graph_and_frontier(), salt in 0u64..1000) {
         let n = g.num_vertices();
@@ -150,14 +151,18 @@ proptest! {
             .collect();
         let run = |threads: usize| -> Vec<f64> {
             let pool = Pool::new(threads);
-            let bits = Bitset::new(n);
-            bits.set_sorted(&pool, &ids);
+            let mut frontier = VertexSubset::from_sorted(ids.clone());
+            let vol = frontier.volume(&g).max(FORK_MIN_WORK);
             let mut out = vec![0.0f64; n];
             let view = UnsafeSlice::new(&mut out);
-            edge_map_dense_gather(&pool, &g, &bits, &contrib, |dst, sum| {
+            let mut spread = EdgeSpread::new(DirectionParams::pull_only());
+            let staged = spread.stage(&pool, &g, &mut frontier, vol, |v| contrib[v as usize]);
+            let absorb = |dst: u32, sum, writer| {
+                assert_eq!(writer, Writer::Exclusive);
                 // SAFETY: one writer per destination.
                 unsafe { view.write(dst as usize, sum) };
-            });
+            };
+            assert!(!staged.absorb(Absorb::Sum, absorb, NO_ADMIT));
             out
         };
         let t1 = run(1);
@@ -180,10 +185,10 @@ proptest! {
     fn frontier_roundtrip_and_advance((g, ids) in graph_and_frontier(), (g2, ids2) in graph_and_frontier(), threads in 1usize..=4) {
         let n = g.num_vertices().max(g2.num_vertices());
         let pool = Pool::new(threads);
-        let mut f = Frontier::from_subset(VertexSubset::from_sorted(ids.clone()));
+        let mut f = VertexSubset::from_sorted(ids.clone());
         prop_assert_eq!(f.bits(&pool, n).to_sorted_ids(&pool), ids);
         let next: Vec<u32> = ids2.iter().copied().filter(|&v| (v as usize) < n).collect();
-        f.advance(&pool, VertexSubset::from_sorted(next.clone()));
+        f.advance(&pool, next.clone());
         prop_assert_eq!(f.bits(&pool, n).to_sorted_ids(&pool), next);
     }
 }

@@ -95,6 +95,7 @@ impl Config {
                 "crates/sparse/src/",
             ]),
             checkpoint_files: s(&[
+                "crates/core/src/driver.rs",
                 "crates/core/src/nibble.rs",
                 "crates/core/src/prnibble/par.rs",
                 "crates/core/src/hkpr/par.rs",

@@ -114,18 +114,12 @@ pub fn max_by<T: Copy + Send + Sync>(
     if !pool.worth_forking(n) {
         return Some((1..n).map(|i| (i, input[i])).fold((0, input[0]), pick));
     }
+    // Per-chunk maxima folded in chunk order, so the first index still wins.
     let grain = default_grain(n, pool.num_threads());
-    let n_blocks = n.div_ceil(grain);
-    let mut partial: Vec<Option<(usize, T)>> = vec![None; n_blocks];
-    {
-        let view = UnsafeSlice::new(&mut partial);
-        pool.run(n, grain, |s, e| {
-            let local = (s + 1..e).map(|i| (i, input[i])).fold((s, input[s]), pick);
-            // SAFETY: one block per chunk.
-            unsafe { view.write(s / grain, Some(local)) };
-        });
-    }
-    partial.into_iter().flatten().reduce(pick)
+    let partials = map_chunks(pool, n, grain, |s, e| {
+        (s + 1..e).map(|i| (i, input[i])).fold((s, input[s]), pick)
+    });
+    partials.into_iter().reduce(pick)
 }
 
 #[cfg(test)]

@@ -343,7 +343,8 @@
 //!   adaptive dense/sparse `MassMap`.
 //! * [`graph`] — CSR graphs, generators, conductance utilities, I/O.
 //! * [`ligra`] — `vertexSubset` / `vertexMap` / `edgeMap` frontier
-//!   framework; `EdgeSpread` is the direction-optimizing edge map the
+//!   framework: one subset type, `VertexSubset`, in both of Ligra's
+//!   representations; `EdgeSpread` is the direction-optimizing edge map the
 //!   frontier diffusions are written on, and the owner of the direction
 //!   policy (`EngineBuilder::direction` is the one place to pin it) and
 //!   of the fork policy (one constant, `FORK_MIN_WORK`; nothing to set).

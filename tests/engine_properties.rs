@@ -528,6 +528,12 @@ fn a_lone_small_query_forks_nothing_and_a_saturating_one_forks() {
     let one = Engine::builder(&g).threads(1).build();
     assert_bitwise(&got, &one.run(&q), "2-wide, every step below the threshold");
     assert_eq!(one.lifecycle_stats().iterations_solo, iterations);
+    // rand-HK-PR asks the same policy, with `walks` and `walks × max_len`.
+    let q = Query::new(Seed::single(0), make_algo(3, 2));
+    assert!(matches!(q.algo, Algorithm::RandHkpr(p) if p.walks == 2_000 && p.max_len == 8));
+    let got = engine.run(&q);
+    assert_eq!(engine.pool().stats().loops_forked, 0);
+    assert_bitwise(&got, &one.run(&q), "rand-HK-PR below the threshold");
 
     let g = plgc::graph::gen::rand_local(20_000, 5, 3);
     let q = Query::new(Seed::single(0), prn(0.01, 1e-7));
