@@ -25,7 +25,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use lgc_ligra::{CancelToken, Checkpoint, IterationCounts, Trip};
+use lgc_ligra::{BoundaryHook, CancelToken, Checkpoint, IterationCounts, Trip};
 
 use crate::result::{Diffusion, DiffusionStats};
 use crate::sweep::SweepCut;
@@ -55,6 +55,13 @@ pub struct QueryBudget {
     /// Cooperative cancellation: the query trips once any clone of the
     /// token is [`cancel`](CancelToken::cancel)led.
     pub cancel: Option<CancelToken>,
+    /// Work to run at each of the query's iteration boundaries, on the
+    /// thread driving it and before the limits above are tested (see
+    /// [`lgc_ligra::interrupt`]); its time counts against `deadline`.
+    /// Process-local like `cancel`: set by the code that executes the
+    /// query (`lgc-server` sets it on bulk queries), never carried on
+    /// the wire.
+    pub hook: Option<BoundaryHook>,
     /// Deterministic fault-injection plan (test harness; see
     /// [`lgc_ligra::interrupt::FaultPlan`]).
     #[cfg(feature = "fault-inject")]
@@ -91,6 +98,12 @@ impl QueryBudget {
         self
     }
 
+    /// Attach a boundary hook.
+    pub fn with_hook(mut self, hook: BoundaryHook) -> Self {
+        self.hook = Some(hook);
+        self
+    }
+
     /// Attach a deterministic fault-injection plan.
     #[cfg(feature = "fault-inject")]
     pub fn with_fault(mut self, plan: FaultPlan) -> Self {
@@ -109,6 +122,7 @@ impl QueryBudget {
                 .or(default.max_pushed_mass_updates),
             max_edges_traversed: self.max_edges_traversed.or(default.max_edges_traversed),
             cancel: self.cancel.clone().or_else(|| default.cancel.clone()),
+            hook: self.hook.clone().or_else(|| default.hook.clone()),
             #[cfg(feature = "fault-inject")]
             fault: self.fault.or(default.fault),
         }
@@ -130,6 +144,9 @@ impl QueryBudget {
         }
         if let Some(token) = &self.cancel {
             cp = cp.with_cancel(token.clone());
+        }
+        if let Some(hook) = &self.hook {
+            cp = cp.with_hook(hook.clone());
         }
         #[cfg(feature = "fault-inject")]
         if let Some(plan) = self.fault {

@@ -100,13 +100,13 @@ pub use lgc_graph::stats::GraphSummary;
 // callers can pin one without a direct lgc-ligra dep.
 pub use lgc_ligra::{Direction, DirectionMode, DirectionParams};
 
-// The cooperative-interrupt machinery budgets compile down to: tokens and
-// trip reasons appear in this crate's public API (`QueryBudget.cancel`,
-// `QueryError::trip`), and `Checkpoint` in `LocalDiffusion`'s guarded
-// signature.
+// The cooperative-interrupt machinery budgets compile down to: tokens,
+// hooks and trip reasons appear in this crate's public API
+// (`QueryBudget.cancel`, `QueryBudget.hook`, `QueryError::trip`), and
+// `Checkpoint` in `LocalDiffusion`'s guarded signature.
 #[cfg(feature = "fault-inject")]
 pub use lgc_ligra::FaultPlan;
-pub use lgc_ligra::{CancelToken, Checkpoint, Trip};
+pub use lgc_ligra::{BoundaryHook, CancelToken, Checkpoint, Trip};
 
 // The max-flow refinement stage consumed by `Engine::improve` and the
 // pipeline module, re-exported so umbrella users see one API.

@@ -29,7 +29,19 @@
 //! carry a `FaultPlan` that force-trips the k-th `tick` call — the hook
 //! the fault-injection proptest suite uses to stop queries at arbitrary
 //! iteration boundaries without depending on timing.
+//!
+//! A checkpoint can also carry one [`BoundaryHook`]: work that `tick` runs
+//! at every boundary *before* its trip tests, on the thread driving the
+//! query (for a `run_batch` item, the pool worker running it). This is
+//! how a query yields: a budget only ever stops one, while a hook lets
+//! other work run in the gaps between its iterations — `lgc-server` runs
+//! queued interactive queries inside a bulk query's boundaries this way.
+//! The hook's time counts against the query's deadline, a cancellation
+//! it makes is seen by the same tick, and it consumes no fault-plan tick.
+//! The query's own stores are not the hook's to touch, so a hooked run
+//! returns the bits an unhooked one does.
 
+use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -69,6 +81,24 @@ impl CancelToken {
     /// Has [`cancel`](CancelToken::cancel) been called on any clone?
     pub fn is_cancelled(&self) -> bool {
         self.0.load(Ordering::Acquire)
+    }
+}
+
+/// Work a [`Checkpoint`] runs at each of its query's iteration boundaries
+/// (see the module docs). Clones share the one closure.
+#[derive(Clone)]
+pub struct BoundaryHook(Arc<dyn Fn() + Send + Sync>);
+
+impl BoundaryHook {
+    /// Wraps `f`, to be called once per [`Checkpoint::tick`].
+    pub fn new(f: impl Fn() + Send + Sync + 'static) -> Self {
+        BoundaryHook(Arc::new(f))
+    }
+}
+
+impl fmt::Debug for BoundaryHook {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("BoundaryHook(..)")
     }
 }
 
@@ -128,13 +158,14 @@ impl FaultState {
 /// — the checkpoint itself holds no mutable counters (except the
 /// feature-gated fault countdown), so cloning is cheap and a clone used
 /// for a sub-run (see [`after_work`](Checkpoint::after_work)) shares the
-/// deadline, token, and fault state of its parent.
+/// deadline, token, hook, and fault state of its parent.
 #[derive(Clone, Debug, Default)]
 pub struct Checkpoint {
     deadline: Option<Instant>,
     max_pushes: Option<u64>,
     max_edges: Option<u64>,
     cancel: Option<CancelToken>,
+    hook: Option<BoundaryHook>,
     #[cfg(feature = "fault-inject")]
     fault: Option<Arc<FaultState>>,
 }
@@ -169,6 +200,13 @@ impl Checkpoint {
         self
     }
 
+    /// Run `hook` at every [`tick`](Checkpoint::tick), before the trip
+    /// tests.
+    pub fn with_hook(mut self, hook: BoundaryHook) -> Self {
+        self.hook = Some(hook);
+        self
+    }
+
     /// Install a deterministic fault-injection plan (see [`FaultPlan`]).
     #[cfg(feature = "fault-inject")]
     pub fn with_fault(mut self, plan: FaultPlan) -> Self {
@@ -191,15 +229,20 @@ impl Checkpoint {
 
     /// The amortized boundary check. `pushes` and `edges` are the
     /// caller's cumulative deterministic work counters for the current
-    /// run. Returns `Err` with the first limit found tripped, checking
-    /// (in order) the fault plan, the cancel token, the work caps, and
-    /// the deadline.
+    /// run. Runs the [`BoundaryHook`], if one is installed, on the calling
+    /// thread — the one driving the query — then returns `Err` with the
+    /// first limit found tripped, checking (in order) the fault plan, the
+    /// cancel token, the work caps, and the deadline.
     ///
-    /// Cost: with no limits installed this is four `None` tests; a
-    /// deadline adds one coarse clock read, a token one relaxed atomic
-    /// load. Never called per edge.
+    /// Cost: with no limits and no hook installed this is five `None`
+    /// tests; a hook adds whatever it runs (charged to the deadline, which
+    /// is read after it), a deadline one coarse clock read, a token one
+    /// acquire load. Never called per edge.
     #[inline]
     pub fn tick(&self, pushes: u64, edges: u64) -> Result<(), Trip> {
+        if let Some(hook) = &self.hook {
+            (hook.0)();
+        }
         #[cfg(feature = "fault-inject")]
         if let Some(fault) = &self.fault {
             if fault.fire() {
@@ -280,6 +323,31 @@ mod tests {
         assert_eq!(derived.tick(7, 0), Err(Trip::WorkBudget));
         // edges cap saturated at zero: any positive count trips.
         assert_eq!(derived.tick(0, 1), Err(Trip::WorkBudget));
+    }
+
+    #[test]
+    fn hook_runs_at_every_tick_before_the_trip_tests() {
+        use std::sync::atomic::AtomicU64;
+        let token = CancelToken::new();
+        let runs = Arc::new(AtomicU64::new(0));
+        let hook = {
+            let (token, runs) = (token.clone(), Arc::clone(&runs));
+            BoundaryHook::new(move || {
+                if runs.fetch_add(1, Ordering::Relaxed) == 2 {
+                    token.cancel();
+                }
+            })
+        };
+        let cp = Checkpoint::unlimited()
+            .with_cancel(token)
+            .with_max_edges(100)
+            .with_hook(hook);
+        assert_eq!(cp.tick(0, 0), Ok(()));
+        // A tick that trips has still run the hook.
+        assert_eq!(cp.tick(0, 101), Err(Trip::WorkBudget));
+        // The cancellation the third run makes is seen by that same tick.
+        assert_eq!(cp.after_work(0, 0).tick(0, 0), Err(Trip::Cancelled));
+        assert_eq!(runs.load(Ordering::Relaxed), 3);
     }
 
     #[cfg(feature = "fault-inject")]

@@ -57,7 +57,7 @@ pub mod interrupt;
 
 #[cfg(feature = "fault-inject")]
 pub use interrupt::FaultPlan;
-pub use interrupt::{CancelToken, Checkpoint, Trip};
+pub use interrupt::{BoundaryHook, CancelToken, Checkpoint, Trip};
 
 /// A subset of vertices — the paper's `vertexSubset` — in both of Ligra's
 /// representations, each built from the other only on demand.

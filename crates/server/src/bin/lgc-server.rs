@@ -110,8 +110,9 @@ fn main() -> ExitCode {
             SchedulerMode::Priority
         },
         executors: args.executors,
-        // Bound each bulk slice so batch scans keep yielding through
-        // the checkpoint machinery while interactive traffic passes.
+        // Trip any one bulk scan that runs past these limits. (A budget
+        // only stops a scan; what lets interactive traffic past a running
+        // one is the boundary hook priority mode attaches.)
         bulk_budget: QueryBudget::unlimited()
             .with_deadline(Duration::from_secs(30))
             .with_max_edges_traversed(50_000_000),

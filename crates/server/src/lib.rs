@@ -5,11 +5,15 @@
 //! # Architecture
 //!
 //! ```text
-//!  client ──TCP──▶ reader thread ──▶ two-class Scheduler ──▶ executor pool
-//!                     │                 (interactive ▶ bulk,     │
-//!                     │                  bounded, sheds)         ▼
-//!                     │                                   ServiceEngine::try_run
-//!  client ◀──TCP── writer thread ◀── mpsc ◀───────────────────────┘
+//!  client ──TCP──▶ reader thread ──▶ two-class Scheduler ──pop──▶ executor pool
+//!                     │                 (interactive ▶ bulk,          │
+//!                     │                  bounded, sheds)              ▼
+//!                     │                        ▲            ServiceEngine::try_run
+//!                     │                        │                      │
+//!                     │           try_pop(interactive) ◀── bulk query's boundary
+//!                     │           and run it on the spot    hook, every tick
+//!                     │                                               │
+//!  client ◀──TCP── writer thread ◀── mpsc ◀────────────────────────────┘
 //! ```
 //!
 //! Each accepted connection gets a **reader** thread (decodes
@@ -23,6 +27,17 @@
 //! which supplies the engine-side governance (seed and parameter
 //! validation, admission control, workspace budgets, deadlines,
 //! cooperative cancellation).
+//!
+//! Executors are not pre-emptive, so in [`SchedulerMode::Priority`] a
+//! bulk query yields instead: its budget carries a [`BoundaryHook`] that
+//! the query's checkpoint runs at every iteration boundary, on the
+//! executor's own thread. The hook takes each queued interactive job
+//! ([`Scheduler::try_pop`]) and runs it exactly as an executor would —
+//! its own workspace, its own budget (with no hook: nesting is one level
+//! deep), its reply on its own connection — then the bulk query resumes,
+//! its stores untouched, so no result bit moves. The thread count stays
+//! the pool's width. `lgc_dispatched_total{at="boundary"}` counts these
+//! runs. [`SchedulerMode::Fifo`] attaches no hook.
 //!
 //! Backpressure is explicit at three gates, each with a typed,
 //! retryable wire error carrying a `retry_after` hint:
@@ -46,8 +61,9 @@
 //!
 //! Bulk queries additionally inherit the server's
 //! [`bulk_budget`](ServerConfig::bulk_budget) (field-wise, per-query
-//! budgets win), which keeps batch scans yielding through the
-//! checkpoint machinery while interactive traffic flows past them.
+//! budgets win). A budget only trips a query — it bounds how long one
+//! bulk scan may run, returning its partial; the boundary hook above is
+//! what lets interactive traffic past a scan that is running.
 
 // The serving layer needs no unsafe; keep it that way.
 #![forbid(unsafe_code)]
@@ -63,7 +79,7 @@ mod conn;
 pub use sched::{PushError, Scheduler, SchedulerMode};
 pub use wire::{Priority, QueryRequest, WireError, WirePartial};
 
-use lgc_core::{CancelToken, QueryBudget, Service, RETRY_AFTER_FLOOR};
+use lgc_core::{BoundaryHook, CancelToken, QueryBudget, Service, RETRY_AFTER_FLOOR};
 use metrics::ServerMetrics;
 use parking_lot::Mutex;
 use std::io;
@@ -95,8 +111,10 @@ pub struct ServerConfig {
     /// Max queries a single connection may have queued + executing.
     pub conn_inflight_cap: usize,
     /// Default budget merged (field-wise, query wins) into every
-    /// bulk-class query, bounding each bulk slice so the checkpoint
-    /// machinery yields. `unlimited()` disables the merge.
+    /// bulk-class query: a limit that trips a bulk query past it, with
+    /// its partial result. It does not make bulk queries yield — in
+    /// priority mode the server's boundary hook does that, whatever
+    /// this holds. `unlimited()` disables the merge.
     pub bulk_budget: QueryBudget,
 }
 
@@ -343,13 +361,28 @@ impl Drop for RunningServer {
 }
 
 /// Executor: pop → govern → run → reply, until shutdown + drained.
-fn executor_loop(shared: &Shared) {
+fn executor_loop(shared: &Arc<Shared>) {
     while let Some((class, job)) = shared.sched.pop() {
-        run_job(shared, class, job);
+        run_job(shared, class, job, false);
     }
 }
 
-fn run_job(shared: &Shared, class: Priority, job: Job) {
+/// What a bulk query runs at each of its iteration boundaries in priority
+/// mode: every interactive job queued by then, through [`run_job`] as an
+/// executor would, before the bulk query takes its next iteration. The
+/// nested queries carry no hook, so nesting stops at one level.
+fn boundary_hook(shared: &Arc<Shared>) -> BoundaryHook {
+    let shared = Arc::clone(shared);
+    BoundaryHook::new(move || {
+        while let Some(job) = shared.sched.try_pop(Priority::Interactive) {
+            run_job(&shared, Priority::Interactive, job, true);
+        }
+    })
+}
+
+/// Runs `job` and replies; `at_boundary` says a bulk query's boundary
+/// hook took it rather than an executor's pop.
+fn run_job(shared: &Arc<Shared>, class: Priority, job: Job, at_boundary: bool) {
     // Whatever happens in `execute`, the job leaves the connection's
     // in-flight count when this function returns.
     struct InflightGuard<'a>(&'a AtomicUsize);
@@ -359,7 +392,7 @@ fn run_job(shared: &Shared, class: Priority, job: Job) {
         }
     }
     let guard = InflightGuard(&job.conn_inflight);
-    let Some((kind, payload)) = execute(shared, class, &job) else {
+    let Some((kind, payload)) = execute(shared, class, &job, at_boundary) else {
         return;
     };
     // Free the slot *before* the reply is handed to the writer: a client
@@ -370,8 +403,19 @@ fn run_job(shared: &Shared, class: Priority, job: Job) {
 }
 
 /// Runs `job`'s query and encodes the reply (`None`: nobody to answer).
-fn execute(shared: &Shared, class: Priority, job: &Job) -> Option<(frame::FrameKind, Vec<u8>)> {
+fn execute(
+    shared: &Arc<Shared>,
+    class: Priority,
+    job: &Job,
+    at_boundary: bool,
+) -> Option<(frame::FrameKind, Vec<u8>)> {
     let slot = shared.metrics.class(&job.req.tenant, class);
+    let runs = if at_boundary {
+        &slot.boundary_runs
+    } else {
+        &slot.dispatched
+    };
+    runs.fetch_add(1, Ordering::Relaxed);
     if job.cancel.is_cancelled() {
         // The connection is gone; there is nobody to answer.
         return None;
@@ -388,6 +432,9 @@ fn execute(shared: &Shared, class: Priority, job: &Job) -> Option<(frame::FrameK
     let mut query = job.req.query.clone();
     if class == Priority::Bulk {
         query.budget = query.budget.or(&shared.config.bulk_budget);
+        if shared.config.mode == SchedulerMode::Priority {
+            query.budget.hook = Some(boundary_hook(shared));
+        }
     }
     query.budget.cancel = Some(job.cancel.clone());
 

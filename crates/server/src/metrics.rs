@@ -1,5 +1,5 @@
 //! Server observability: per-tenant × per-class latency histograms,
-//! request/shed counters, and a Prometheus-style text renderer that
+//! request/shed/dispatch counters, and a Prometheus-style text renderer that
 //! also folds in the engine-side state the core crate already tracks
 //! ([`LifecycleSnapshot`](lgc_core::LifecycleSnapshot) counters, graph summary
 //! sizes), the shared pool's loop tallies ([`lgc_parallel::PoolStats`]:
@@ -96,6 +96,13 @@ pub struct ClassMetrics {
     /// Of those, requests shed for load (`QueueFull` / `Overloaded` /
     /// workspace budget) — the retryable slice of `errored`.
     pub shed: AtomicU64,
+    /// Jobs an executor popped off the scheduler and ran.
+    pub dispatched: AtomicU64,
+    /// Jobs a running bulk query took off the scheduler at one of its
+    /// iteration boundaries and ran (interactive class, priority mode).
+    /// With `dispatched`, every job run: the two add up to
+    /// `completed + errored` plus the jobs whose connection was gone.
+    pub boundary_runs: AtomicU64,
 }
 
 /// Whole-server metrics registry. One instance per server; shared with
@@ -247,6 +254,12 @@ impl ServerMetrics {
         );
         g(
             &mut out,
+            "lgc_dispatched_total",
+            "Queries taken off the scheduler and run, by tenant, class, and where: an executor's own pop, or a running bulk query's iteration boundary.",
+            "counter",
+        );
+        g(
+            &mut out,
             "lgc_query_latency_seconds",
             "Server-side latency quantiles of completed queries (log2-bucket upper bounds).",
             "summary",
@@ -268,6 +281,13 @@ impl ServerMetrics {
                 "lgc_queries_total{{{labels},outcome=\"shed\"}} {}",
                 m.shed.load(Ordering::Relaxed)
             );
+            for (at, v) in [("executor", &m.dispatched), ("boundary", &m.boundary_runs)] {
+                let _ = writeln!(
+                    &mut out,
+                    "lgc_dispatched_total{{{labels},at=\"{at}\"}} {}",
+                    v.load(Ordering::Relaxed)
+                );
+            }
             for (q, label) in [(0.5, "0.5"), (0.95, "0.95"), (0.99, "0.99")] {
                 if let Some(d) = m.latency.quantile(q) {
                     let _ = writeln!(
@@ -470,6 +490,9 @@ mod tests {
         m.class("ring", Priority::Interactive)
             .completed
             .fetch_add(1, Ordering::Relaxed);
+        m.class("ring", Priority::Interactive)
+            .boundary_runs
+            .fetch_add(1, Ordering::Relaxed);
         // One flow refinement (the ring edge pair is already optimal) so
         // the refinement counters render non-trivially.
         let ring = svc.engine("ring").unwrap();
@@ -481,6 +504,9 @@ mod tests {
             "lgc_queue_cap{class=\"bulk\"} 256",
             "lgc_queries_total{tenant=\"ring\",class=\"interactive\",outcome=\"completed\"} 1",
             "lgc_query_latency_seconds{tenant=\"ring\",class=\"interactive\",quantile=\"0.99\"}",
+            "# TYPE lgc_dispatched_total counter",
+            "lgc_dispatched_total{tenant=\"ring\",class=\"interactive\",at=\"executor\"} 0",
+            "lgc_dispatched_total{tenant=\"ring\",class=\"interactive\",at=\"boundary\"} 1",
             "lgc_lifecycle_total{tenant=\"ring\",event=\"admitted\"} 0",
             "lgc_lifecycle_total{tenant=\"ring\",event=\"refined\"} 1",
             "lgc_lifecycle_total{tenant=\"ring\",event=\"refine_improved\"} 0",

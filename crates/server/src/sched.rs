@@ -10,9 +10,12 @@
 //! and jobs are milliseconds of diffusion work, so queue-lock
 //! contention is noise.
 //! What matters is the policy: [`SchedulerMode::Priority`] gives
-//! interactive queries head-of-line privilege over bulk scans, which is
-//! what keeps interactive tail latency flat while bulk work saturates
-//! the executors. [`SchedulerMode::Fifo`] disables the privilege (one
+//! interactive queries head-of-line privilege over bulk scans, and the
+//! server lets them past a *running* bulk query too: each bulk query's
+//! iteration boundaries take queued interactive jobs with
+//! [`Scheduler::try_pop`] and run them on the spot. That is what keeps
+//! interactive latency flat while bulk work saturates the executors.
+//! [`SchedulerMode::Fifo`] disables both privileges (one
 //! logical arrival-order queue); `lgc-server --fifo` selects it, so an
 //! operator can run the same traffic without the policy and compare.
 //!
@@ -130,6 +133,15 @@ impl<T> Scheduler<T> {
         }
     }
 
+    /// Takes the oldest queued job of `class`, if there is one, without
+    /// blocking and whatever the mode — what a bulk query's boundary hook
+    /// calls in priority mode, where that is the job `pop` would dispatch
+    /// next.
+    pub fn try_pop(&self, class: Priority) -> Option<T> {
+        let mut st = self.state.lock();
+        st.queues[class.index()].pop_front().map(|(_, job)| job)
+    }
+
     fn pick(&self, st: &mut State<T>) -> Option<(Priority, T)> {
         match self.mode {
             SchedulerMode::Priority => {
@@ -200,6 +212,19 @@ mod tests {
         s.push(Priority::Interactive, "i1").unwrap();
         assert_eq!(s.pop(), Some((Priority::Interactive, "i1")));
         assert_eq!(s.pop(), Some((Priority::Bulk, "b1")));
+    }
+
+    #[test]
+    fn try_pop_takes_one_class_without_blocking() {
+        let s = Scheduler::new(SchedulerMode::Priority, 8, 8);
+        assert_eq!(s.try_pop(Priority::Interactive), None);
+        s.push(Priority::Bulk, "b0").unwrap();
+        s.push(Priority::Interactive, "i0").unwrap();
+        s.push(Priority::Interactive, "i1").unwrap();
+        assert_eq!(s.try_pop(Priority::Interactive), Some("i0"));
+        assert_eq!(s.try_pop(Priority::Interactive), Some("i1"));
+        assert_eq!(s.try_pop(Priority::Interactive), None);
+        assert_eq!(s.pop(), Some((Priority::Bulk, "b0")));
     }
 
     #[test]

@@ -14,9 +14,10 @@
 //!
 //! The budget carried on the wire is the serializable subset of
 //! [`QueryBudget`]: deadline and the two deterministic work caps.
-//! Cancellation tokens are process-local by nature and never travel;
-//! the server attaches its *own* per-connection token instead, so a
-//! client that disconnects cancels its in-flight queries.
+//! Cancellation tokens and boundary hooks are process-local by nature
+//! and never travel; the server attaches its *own* per-connection token
+//! instead, so a client that disconnects cancels its in-flight queries,
+//! and its own hook to bulk queries in priority mode.
 
 use crate::frame::ProtocolError;
 use lgc_core::{

@@ -5,7 +5,8 @@
 //! unknown tenants, over-quota tenants (engine `Overloaded` with the
 //! floored retry hint), deadline trips with partial results, and
 //! connection accounting (no leaks after clients hang up, no refusal of
-//! a full window refilled on reply).
+//! a full window refilled on reply), and an interactive query overtaking
+//! running bulk queries at their iteration boundaries.
 //!
 //! The service runs on a 1-thread pool, where all five algorithms are
 //! fully deterministic, so bitwise comparison is exact by contract.
@@ -17,7 +18,7 @@ use lgc_core::{
 use lgc_graph::{gen, Graph};
 use lgc_parallel::Pool;
 use lgc_server::client::{Client, Response};
-use lgc_server::{Priority, Server, ServerConfig, WireError};
+use lgc_server::{Priority, SchedulerMode, Server, ServerConfig, WireError};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
@@ -498,6 +499,107 @@ fn metric(page: &str, prefix: &str) -> u64 {
         .filter(|l| l.starts_with(prefix))
         .map(|l| l.rsplit(' ').next().unwrap().parse::<u64>().unwrap())
         .sum()
+}
+
+/// Both executors busy with a long bulk query each: in priority mode an
+/// interactive query sent now is run by one of them at a bulk query's next
+/// iteration boundary, so its reply comes back before either bulk reply.
+/// Under FIFO no hook is attached: it waits for an executor, behind a bulk
+/// reply. Either way every interactive query answered was dispatched once,
+/// by an executor's pop or at a boundary.
+#[test]
+fn an_interactive_query_overtakes_running_bulk_queries_at_a_boundary() {
+    let long = |v| {
+        Query::new(
+            Seed::single(v),
+            Algorithm::PrNibble(PrNibbleParams {
+                alpha: 0.005,
+                eps: 1e-7,
+                ..Default::default()
+            }),
+        )
+    };
+    let short = Query::new(Seed::single(3), algos()[1].clone());
+    let interactive = |at: &str| {
+        format!("lgc_dispatched_total{{tenant=\"big\",class=\"interactive\",at=\"{at}\"}}")
+    };
+    for mode in [SchedulerMode::Priority, SchedulerMode::Fifo] {
+        let mut svc = Service::builder().pool(Pool::shared(1)).build();
+        svc.add_graph("big", gen::rand_local(40_000, 5, 9));
+        let config = ServerConfig {
+            mode,
+            ..ServerConfig::default()
+        };
+        assert_eq!(config.executors, 2);
+        let server = Server::bind(Arc::new(svc), "127.0.0.1:0", config).unwrap();
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        let mut control = Client::connect(server.local_addr()).unwrap();
+        client.submit("big", Priority::Bulk, &long(1)).unwrap();
+        client.submit("big", Priority::Bulk, &long(2)).unwrap();
+        let both_in = std::time::Instant::now();
+        while metric(
+            &control.metrics().unwrap(),
+            "lgc_engine_in_flight{tenant=\"big\"}",
+        ) < 2
+        {
+            assert!(
+                both_in.elapsed() < Duration::from_secs(60),
+                "{mode:?}: the two bulk queries never overlapped"
+            );
+        }
+        let sent = client.submit("big", Priority::Interactive, &short).unwrap();
+        let replies: Vec<_> = (0..3)
+            .map(|_| match client.recv_response().unwrap() {
+                (id, Response::Result(res)) => (id, res),
+                other => panic!("{mode:?}: expected a result, got {other:?}"),
+            })
+            .collect();
+        let order: Vec<u32> = replies.iter().map(|r| r.0).collect();
+        let page = control.metrics().unwrap();
+        let at_boundary = metric(&page, &interactive("boundary"));
+        match mode {
+            SchedulerMode::Priority => {
+                assert_eq!(order[0], sent, "{mode:?}: {order:?}");
+                assert_eq!(at_boundary, 1, "{page}");
+            }
+            SchedulerMode::Fifo => {
+                assert_ne!(order[0], sent, "{mode:?}: {order:?}");
+                assert_eq!(at_boundary, 0, "{page}");
+            }
+        }
+        // One more with the executors idle: an executor's own pop, and the
+        // bits the boundary run returned.
+        let alone = client
+            .query("big", Priority::Interactive, &short)
+            .unwrap()
+            .unwrap();
+        let (_, overtaking) = replies.iter().find(|r| r.0 == sent).unwrap();
+        assert_eq!(overtaking.diffusion.p, alone.diffusion.p, "{mode:?}");
+        assert_eq!(
+            overtaking.diffusion.stats, alone.diffusion.stats,
+            "{mode:?}"
+        );
+        assert_eq!(
+            overtaking.sweep.conductances, alone.sweep.conductances,
+            "{mode:?}"
+        );
+        let page = control.metrics().unwrap();
+        let answered = metric(
+            &page,
+            "lgc_queries_total{tenant=\"big\",class=\"interactive\",outcome=\"completed\"}",
+        ) + metric(
+            &page,
+            "lgc_queries_total{tenant=\"big\",class=\"interactive\",outcome=\"error\"}",
+        );
+        let dispatched = metric(&page, &interactive("executor"));
+        assert_eq!(answered, 2, "{page}");
+        assert_eq!(
+            dispatched + metric(&page, &interactive("boundary")),
+            answered,
+            "{page}"
+        );
+        server.shutdown();
+    }
 }
 
 /// Two executors over one 2-wide pool: while both hold a long bulk query

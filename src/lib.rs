@@ -278,9 +278,10 @@
 //! (spec: `crates/server/PROTOCOL.md`) built on `std::net` only. Each
 //! connection gets a reader and a writer thread; queries funnel through
 //! a bounded **two-class priority scheduler** (interactive dispatches
-//! ahead of bulk, bulk inherits a server work budget so scans keep
-//! yielding through the checkpoint machinery), and three explicit
-//! backpressure gates shed overload with typed, retryable errors
+//! ahead of bulk; a running bulk query yields to queued interactive ones
+//! through a [`BoundaryHook`] its checkpoint runs between iterations,
+//! while a server work budget only trips a scan that runs too long), and
+//! three explicit backpressure gates shed overload with typed, retryable errors
 //! carrying `retry_after` hints: the per-connection in-flight cap, the
 //! per-class queue bound, and the engine's own admission control.
 //!
@@ -404,12 +405,12 @@ pub use lgc_core::FaultPlan;
 pub use lgc_core::{
     evolving_set_par, evolving_set_seq, find_cluster, hkpr_par, hkpr_seq, ncp_prnibble, nibble_par,
     nibble_seq, prnibble_par, prnibble_seq, rand_hkpr_par, rand_hkpr_seq, sweep_cut_par,
-    sweep_cut_seq, Algorithm, CancelToken, Checkpoint, ClusterResult, Diffusion, DiffusionStats,
-    Direction, DirectionMode, DirectionParams, Embedding, Engine, EngineBuilder, EngineLimits,
-    EvolvingParams, GraphStore, GraphSummary, HkprParams, InvalidParams, InvalidSeed, KClusters,
-    LifecycleSnapshot, LocalDiffusion, NcpParams, NibbleParams, PartialResult, PipelineParams,
-    PrNibbleParams, PushRule, Query, QueryBudget, QueryError, RandHkprParams, RefineStats,
-    RefinedCut, RhoGrid, Seed, Service, ServiceBuilder, ServiceEngine, SweepCut, Trip,
+    sweep_cut_seq, Algorithm, BoundaryHook, CancelToken, Checkpoint, ClusterResult, Diffusion,
+    DiffusionStats, Direction, DirectionMode, DirectionParams, Embedding, Engine, EngineBuilder,
+    EngineLimits, EvolvingParams, GraphStore, GraphSummary, HkprParams, InvalidParams, InvalidSeed,
+    KClusters, LifecycleSnapshot, LocalDiffusion, NcpParams, NibbleParams, PartialResult,
+    PipelineParams, PrNibbleParams, PushRule, Query, QueryBudget, QueryError, RandHkprParams,
+    RefineStats, RefinedCut, RhoGrid, Seed, Service, ServiceBuilder, ServiceEngine, SweepCut, Trip,
     TrippedDiffusion, TrippedRefinement, Workspace, WorkspaceBudgetExceeded, RETRY_AFTER_FLOOR,
 };
 pub use lgc_graph::{

@@ -408,7 +408,9 @@ fn ncp_budget_truncates_gracefully() {
 #[cfg(feature = "fault-inject")]
 mod fault_injected {
     use super::*;
-    use plgc::{FaultPlan, Pool, Trip};
+    use plgc::{BoundaryHook, FaultPlan, Pool, Trip};
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
     /// The error variant a [`Trip`] kind must surface as.
     fn matches_kind(err: &QueryError, kind: Trip) -> bool {
@@ -495,23 +497,7 @@ mod fault_injected {
     fn a_trip_between_two_pulls_leaves_a_clean_workspace() {
         let g = plgc::graph::gen::sbm(&[300; 4], 0.3, 0.01, 5).0;
         let pull = plgc::DirectionParams::pull_only();
-        let algos = [
-            Algorithm::PrNibble(lgc::PrNibbleParams {
-                alpha: 0.01,
-                eps: 1e-7,
-                ..Default::default()
-            }),
-            Algorithm::Hkpr(lgc::HkprParams {
-                t: 10.0,
-                n_levels: 20,
-                eps: 1e-6,
-            }),
-            Algorithm::Nibble(lgc::NibbleParams {
-                t_max: 14,
-                eps: 1e-8,
-            }),
-        ];
-        for algo in algos {
+        for algo in pulling_algos() {
             let q = Query::new(Seed::single(7), algo);
             for threads in [1, 2] {
                 let fresh = || Engine::builder(&g).threads(threads).direction(pull).build();
@@ -544,6 +530,147 @@ mod fault_injected {
                     assert_eq!(warm.diffusion.stats, cold.diffusion.stats, "{ctx}");
                     assert_eq!(warm.cluster, cold.cluster, "{ctx}");
                     assert_eq!(warm.conductance, cold.conductance, "{ctx}");
+                }
+            }
+        }
+    }
+
+    /// PR-Nibble, HK-PR and Nibble sized to run many pulls on
+    /// `sbm(&[300; 4], 0.3, 0.01, 5)`.
+    fn pulling_algos() -> [Algorithm; 3] {
+        [
+            Algorithm::PrNibble(lgc::PrNibbleParams {
+                alpha: 0.01,
+                eps: 1e-7,
+                ..Default::default()
+            }),
+            Algorithm::Hkpr(lgc::HkprParams {
+                t: 10.0,
+                n_levels: 20,
+                eps: 1e-6,
+            }),
+            Algorithm::Nibble(lgc::NibbleParams {
+                t_max: 14,
+                eps: 1e-8,
+            }),
+        ]
+    }
+
+    /// Two trips stopped the same query at the same boundary: the same
+    /// trip, the same counters, the same partial vector and best-so-far cut.
+    fn assert_same_trip(got: &QueryError, want: &QueryError, ctx: &str) {
+        assert_eq!(got.trip(), want.trip(), "{ctx}");
+        let (got, want) = (got.partial().unwrap(), want.partial().unwrap());
+        assert_eq!(got.stats, want.stats, "{ctx}");
+        let p = |r: &plgc::PartialResult| r.diffusion.as_ref().map(|d| d.p.clone());
+        assert_eq!(p(got), p(want), "{ctx}");
+        let sweep = |r: &plgc::PartialResult| r.sweep.as_ref().map(|s| s.conductances.clone());
+        assert_eq!(sweep(got), sweep(want), "{ctx}");
+        assert_eq!(got.cluster(), want.cluster(), "{ctx}");
+    }
+
+    /// A boundary hook that cancels its own query's token: the tick that
+    /// ran it sees the cancellation (the hook runs before the trip tests),
+    /// so the query stops at that boundary — exactly where a `Cancelled`
+    /// fault plan at the same tick stops it, partial and all. Its workspace
+    /// goes back clean: the next warm query is a cold engine's bit for bit,
+    /// at two threads as well, the traversal being pinned to pulls.
+    #[test]
+    fn a_hook_cancelling_its_query_trips_it_at_that_boundary() {
+        let g = plgc::graph::gen::sbm(&[300; 4], 0.3, 0.01, 5).0;
+        let pull = plgc::DirectionParams::pull_only();
+        for algo in pulling_algos() {
+            let q = Query::new(Seed::single(7), algo);
+            for threads in [1, 2] {
+                let fresh = || Engine::builder(&g).threads(threads).direction(pull).build();
+                let cold = fresh().run(&q);
+                for at_tick in [0, 2, 6] {
+                    let ctx = format!("{:?} T={threads} at tick {at_tick}", q.algo);
+                    let plan = FaultPlan {
+                        after_ticks: at_tick,
+                        kind: Trip::Cancelled,
+                    };
+                    let planned = fresh()
+                        .try_run(
+                            &q.clone()
+                                .with_budget(QueryBudget::unlimited().with_fault(plan)),
+                        )
+                        .expect_err("the plan outlives no query");
+
+                    let token = CancelToken::new();
+                    let ticks = Arc::new(AtomicU64::new(0));
+                    let hook = {
+                        let (token, ticks) = (token.clone(), Arc::clone(&ticks));
+                        BoundaryHook::new(move || {
+                            if ticks.fetch_add(1, Ordering::Relaxed) == at_tick {
+                                token.cancel();
+                            }
+                        })
+                    };
+                    let budget = QueryBudget::unlimited().with_cancel(token).with_hook(hook);
+                    let engine = fresh();
+                    let err = engine
+                        .try_run(&q.clone().with_budget(budget))
+                        .expect_err("cancelled by its own hook");
+                    assert!(matches!(err, QueryError::Cancelled(_)), "{ctx}: {err:?}");
+                    assert_eq!(ticks.load(Ordering::Relaxed), at_tick + 1, "{ctx}");
+                    assert_same_trip(&err, &planned, &ctx);
+                    assert_eq!(engine.warm_workspaces(), 1, "{ctx}: checkout recycled");
+
+                    let warm = engine.run(&q);
+                    assert_eq!(warm.diffusion.p, cold.diffusion.p, "{ctx}");
+                    assert_eq!(warm.diffusion.stats, cold.diffusion.stats, "{ctx}");
+                    assert_eq!(warm.cluster, cold.cluster, "{ctx}");
+                    assert_eq!(warm.conductance, cold.conductance, "{ctx}");
+                }
+            }
+        }
+    }
+
+    /// Running the hook consumes no fault-plan tick: with a hook that runs
+    /// a whole query (under a checkpoint of its own) at every tick, a plan
+    /// trips the same iteration, with the same partial, as without one —
+    /// and the hook ran at that tick too.
+    #[test]
+    fn a_hook_consumes_no_fault_plan_ticks() {
+        let g = plgc::graph::gen::sbm(&[300; 4], 0.3, 0.01, 5).0;
+        let pull = plgc::DirectionParams::pull_only();
+        let nested = Arc::new(
+            plgc::Service::builder()
+                .pool(Pool::shared(1))
+                .add_graph("n", plgc::graph::gen::rand_local(200, 4, 3))
+                .build(),
+        );
+        for algo in pulling_algos() {
+            let q = Query::new(Seed::single(7), algo);
+            for threads in [1, 2] {
+                let fresh = || Engine::builder(&g).threads(threads).direction(pull).build();
+                for after_ticks in [0, 3, 6] {
+                    let ctx = format!("{:?} T={threads} after {after_ticks}", q.algo);
+                    let plan = FaultPlan {
+                        after_ticks,
+                        kind: Trip::WorkBudget,
+                    };
+                    let faulty = QueryBudget::unlimited().with_fault(plan);
+                    let plain = fresh()
+                        .try_run(&q.clone().with_budget(faulty.clone()))
+                        .expect_err("the plan outlives no query");
+
+                    let runs = Arc::new(AtomicU64::new(0));
+                    let hook = {
+                        let (nested, runs) = (Arc::clone(&nested), Arc::clone(&runs));
+                        BoundaryHook::new(move || {
+                            let inner = Query::new(Seed::single(5), make_algo(1, 0));
+                            let engine = nested.engine("n").unwrap();
+                            engine.try_run(&inner).expect("the nested query completes");
+                            runs.fetch_add(1, Ordering::Relaxed);
+                        })
+                    };
+                    let hooked = fresh()
+                        .try_run(&q.clone().with_budget(faulty.with_hook(hook)))
+                        .expect_err("the plan outlives no query");
+                    assert_same_trip(&hooked, &plain, &ctx);
+                    assert_eq!(runs.load(Ordering::Relaxed), after_ticks + 1, "{ctx}");
                 }
             }
         }

@@ -15,9 +15,9 @@
 //!   diffusions are held to a tight `ℓ₁` tolerance.
 
 use plgc::cluster as lgc;
-use plgc::{Algorithm, Engine, Pool, Query, Seed, Service};
+use plgc::{Algorithm, BoundaryHook, Engine, Pool, Query, QueryBudget, Seed, Service};
 use proptest::prelude::*;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 fn make_algo(kind: usize, tweak: u64) -> Algorithm {
     match kind {
@@ -235,6 +235,156 @@ proptest! {
             prop_assert_eq!(warm.diffusion.stats, cold.diffusion.stats);
             prop_assert_eq!(&warm.cluster, &cold.cluster);
             prop_assert_eq!(&warm.sweep.conductances, &cold.sweep.conductances);
+        }
+    }
+}
+
+/// The `i`-th query a boundary hook runs: PR-Nibble, HK-PR, Nibble and
+/// rand-HK-PR in turn, each small enough that every step stays below
+/// `FORK_MIN_WORK` — so it returns the one-thread bits at any width.
+fn nested_query(i: usize, n: usize) -> Query {
+    let algo = match i % 4 {
+        0 => Algorithm::PrNibble(lgc::PrNibbleParams {
+            alpha: 0.1,
+            eps: 1e-3,
+            ..Default::default()
+        }),
+        1 => Algorithm::Hkpr(lgc::HkprParams {
+            t: 2.0,
+            n_levels: 6,
+            eps: 0.5,
+        }),
+        2 => Algorithm::Nibble(lgc::NibbleParams {
+            t_max: 6,
+            eps: 1e-4,
+        }),
+        _ => Algorithm::RandHkpr(lgc::RandHkprParams {
+            walks: 500,
+            max_len: 8,
+            rng_seed: i as u64,
+            ..Default::default()
+        }),
+    };
+    Query::new(Seed::single((i * 37 % n) as u32), algo)
+}
+
+/// Runs `outer` on `svc`'s graph `"g"` twice through `try_run`: as is,
+/// then with a budget hook that runs the next [`nested_query`] on the same
+/// graph, to completion, at every tick — what `lgc-server` does to a bulk
+/// query. Checks that the hook moved no bit of the outer result (`exact`),
+/// or no more than the tiered rule allows; that it ran once per tick; that
+/// every nested result is a direct run's; and that the lifecycle counters
+/// balance across both levels.
+fn check_hooked_query(svc: &Arc<Service>, outer: &Query, exact: bool) {
+    let engine = svc.engine("g").unwrap();
+    let plain = engine.try_run(outer).expect("the plain run completes");
+    let nested = Arc::new(Mutex::new(Vec::new()));
+    let hook = {
+        let (svc, nested) = (Arc::clone(svc), Arc::clone(&nested));
+        BoundaryHook::new(move || {
+            let n = svc.graph("g").unwrap().num_vertices();
+            let q = nested_query(nested.lock().unwrap().len(), n);
+            let got = svc.engine("g").unwrap().try_run(&q);
+            nested
+                .lock()
+                .unwrap()
+                .push((q, got.expect("a nested query completes")));
+        })
+    };
+    let hooked = engine
+        .try_run(
+            &outer
+                .clone()
+                .with_budget(QueryBudget::unlimited().with_hook(hook)),
+        )
+        .expect("the hooked run completes");
+    let nested = std::mem::take(&mut *nested.lock().unwrap());
+
+    if exact {
+        assert_eq!(&hooked.diffusion.p, &plain.diffusion.p, "{:?}", outer.algo);
+        assert_eq!(hooked.diffusion.stats, plain.diffusion.stats);
+        assert_eq!(&hooked.cluster, &plain.cluster);
+        assert_eq!(hooked.conductance, plain.conductance);
+        assert_eq!(&hooked.sweep.conductances, &plain.sweep.conductances);
+    } else {
+        assert!(l1_distance(&hooked.diffusion, &plain.diffusion) < 1e-9);
+        assert!((hooked.conductance - plain.conductance).abs() < 1e-9);
+    }
+    // One run per tick: one before each frontier iteration, one at the sweep.
+    match outer.algo {
+        Algorithm::RandHkpr(_) => assert!(nested.len() >= 2),
+        _ => assert_eq!(nested.len() as u64, hooked.diffusion.stats.iterations + 1),
+    }
+    let g = svc.graph("g").unwrap();
+    let direct = Engine::builder(g.as_ref()).threads(1).build();
+    for (q, got) in &nested {
+        let want = direct.run(q);
+        assert_eq!(&got.diffusion.p, &want.diffusion.p, "nested {:?}", q.algo);
+        assert_eq!(got.diffusion.stats, want.diffusion.stats);
+        assert_eq!(&got.cluster, &want.cluster);
+        assert_eq!(&got.sweep.conductances, &want.sweep.conductances);
+    }
+    let s = svc.lifecycle("g").unwrap();
+    let tripped = s.cancelled + s.deadline_tripped + s.work_tripped;
+    assert_eq!(s.admitted, 2 + nested.len() as u64);
+    assert_eq!(s.admitted, s.completed + tripped);
+    assert_eq!(s.in_flight, 0);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// At one thread a hook that runs whole queries between the
+    /// iterations of PR-Nibble, HK-PR, Nibble and rand-HK-PR leaves every
+    /// bit of their results where it was.
+    #[test]
+    fn a_hook_running_queries_at_every_tick_moves_no_bit(
+        n in 30usize..250,
+        g_seed in 0u64..500,
+        kind in 0usize..4,
+        tweak in 0u64..3,
+        v in 0u32..250,
+    ) {
+        let svc = Arc::new(
+            Service::builder()
+                .pool(Pool::shared(1))
+                .add_graph("g", plgc::graph::gen::rand_local(n, 4, g_seed))
+                .build(),
+        );
+        let outer = Query::new(Seed::single(v % n as u32), make_algo(kind, tweak));
+        check_hooked_query(&svc, &outer, true);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    /// The same at two threads, on queries whose iterations fork: the
+    /// nested queries run on the outer one's thread, between its forked
+    /// loops. Tiered: rand-HK-PR bitwise, the float pushes within `ℓ₁`.
+    #[test]
+    fn a_hook_between_forked_iterations_keeps_the_tiered_contract(
+        n in 12_000usize..20_000,
+        g_seed in 0u64..500,
+    ) {
+        let g = plgc::graph::gen::rand_local(n, 5, g_seed);
+        let seed = Seed::single(plgc::graph::largest_component(&g)[0]);
+        let outers = [
+            Algorithm::Nibble(lgc::NibbleParams { t_max: 12, eps: 1e-7 }),
+            Algorithm::PrNibble(lgc::PrNibbleParams { alpha: 0.1, eps: 1e-6, ..Default::default() }),
+            Algorithm::Hkpr(lgc::HkprParams { t: 5.0, n_levels: 10, eps: 1e-6 }),
+            Algorithm::RandHkpr(lgc::RandHkprParams { walks: 40_000, ..Default::default() }),
+        ];
+        for algo in outers {
+            let svc = Arc::new(
+                Service::builder()
+                    .pool(Pool::shared(2))
+                    .add_graph("g", g.clone())
+                    .build(),
+            );
+            let outer = Query::new(seed.clone(), algo);
+            check_hooked_query(&svc, &outer, exact_at_any_threads(&outer.algo));
+            prop_assert!(svc.pool().stats().loops_forked > 0, "{:?} never forked", outer.algo);
         }
     }
 }
