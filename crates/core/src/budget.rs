@@ -1,21 +1,21 @@
-//! Query lifecycle: budgets, typed errors, partial results, and
+//! Query lifecycle: engine limits, typed errors, partial results, and
 //! per-graph robustness counters.
 //!
-//! A [`QueryBudget`] bounds how long a single query may run — by wall
-//! clock, by deterministic work counters, or until a shared
-//! [`CancelToken`] flips. Budgets are carried on
-//! [`Query`](crate::Query) (per request) and on the engine (per-graph
-//! default via [`EngineLimits::default_budget`]); per-query settings
-//! override the default field-wise. The diffusion loops, the sweep, NCP grid scans, and batch
-//! chunk loops check the budget **once per frontier iteration** (see
-//! [`lgc_ligra::interrupt`]) — never per edge — so the hot kernels are
-//! untouched and completed runs stay bit-identical to unbudgeted ones.
+//! A [`QueryBudget`] ([`lgc_ligra::interrupt`]) bounds how long a single
+//! query may run — by wall clock, by deterministic work counters, or
+//! until a shared [`CancelToken`](lgc_ligra::CancelToken) flips. Budgets
+//! are carried on [`Query`](crate::Query) (per request) and on the engine
+//! (per-graph default via [`EngineLimits::default_budget`]); per-query
+//! settings override the default field-wise. The diffusion loops, the
+//! sweep, NCP grid scans, and batch chunk loops check the armed budget
+//! **once per frontier iteration** — never per edge — so the hot kernels
+//! are untouched and completed runs stay bit-identical to unbudgeted ones.
 //!
 //! When a limit trips, the fallible entry points
 //! ([`Engine::try_run`](crate::Engine::try_run),
-//! [`try_run_batch`](crate::Engine::try_run_batch)) return a
-//! [`QueryError`] carrying a [`PartialResult`]: the best-so-far sweep
-//! cut, the partial diffusion vector, and the work counters at the
+//! [`try_run_batch`](crate::Engine::try_run_batch)) return
+//! [`QueryError::Tripped`], whose [`PartialResult`] holds the best-so-far
+//! sweep cut, the partial diffusion vector, and the work counters at the
 //! moment of the trip. The infallible [`run`](crate::Engine::run) and
 //! [`run_batch`](crate::Engine::run_batch) walk the same executor with
 //! admission bypassed: they ignore budgets entirely and keep their
@@ -23,138 +23,13 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use lgc_ligra::{BoundaryHook, CancelToken, Checkpoint, IterationCounts, Trip};
+use lgc_ligra::{IterationCounts, QueryBudget, Trip, Tripped};
 
 use crate::result::{Diffusion, DiffusionStats};
 use crate::sweep::SweepCut;
 use crate::workspace::WorkspaceBudgetExceeded;
-
-#[cfg(feature = "fault-inject")]
-use lgc_ligra::FaultPlan;
-
-/// Optional per-query execution limits.
-///
-/// Every field defaults to "unlimited". The budget is evaluated
-/// cooperatively at iteration boundaries, so trips land on a *completed*
-/// iteration: work-budget trips are deterministic (the counters are
-/// bit-identical across thread counts and storage backends), while
-/// deadline and cancellation trips depend on wall clock / external
-/// timing by nature.
-#[derive(Clone, Debug, Default)]
-pub struct QueryBudget {
-    /// Wall-clock limit, measured from the moment the query starts
-    /// executing (admission time, not construction time).
-    pub deadline: Option<Duration>,
-    /// Cap on pushed mass updates ([`DiffusionStats::pushes`]).
-    pub max_pushed_mass_updates: Option<u64>,
-    /// Cap on traversed frontier edges
-    /// ([`DiffusionStats::edges_traversed`]).
-    pub max_edges_traversed: Option<u64>,
-    /// Cooperative cancellation: the query trips once any clone of the
-    /// token is [`cancel`](CancelToken::cancel)led.
-    pub cancel: Option<CancelToken>,
-    /// Work to run at each of the query's iteration boundaries, on the
-    /// thread driving it and before the limits above are tested (see
-    /// [`lgc_ligra::interrupt`]); its time counts against `deadline`.
-    /// Process-local like `cancel`: set by the code that executes the
-    /// query (`lgc-server` sets it on bulk queries), never carried on
-    /// the wire.
-    pub hook: Option<BoundaryHook>,
-    /// Deterministic fault-injection plan (test harness; see
-    /// [`lgc_ligra::interrupt::FaultPlan`]).
-    #[cfg(feature = "fault-inject")]
-    pub fault: Option<FaultPlan>,
-}
-
-impl QueryBudget {
-    /// No limits — equivalent to `QueryBudget::default()`.
-    pub fn unlimited() -> Self {
-        Self::default()
-    }
-
-    /// Set a wall-clock deadline.
-    pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// Cap pushed mass updates.
-    pub fn with_max_pushed_mass_updates(mut self, cap: u64) -> Self {
-        self.max_pushed_mass_updates = Some(cap);
-        self
-    }
-
-    /// Cap traversed frontier edges.
-    pub fn with_max_edges_traversed(mut self, cap: u64) -> Self {
-        self.max_edges_traversed = Some(cap);
-        self
-    }
-
-    /// Attach a cancellation token.
-    pub fn with_cancel(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
-        self
-    }
-
-    /// Attach a boundary hook.
-    pub fn with_hook(mut self, hook: BoundaryHook) -> Self {
-        self.hook = Some(hook);
-        self
-    }
-
-    /// Attach a deterministic fault-injection plan.
-    #[cfg(feature = "fault-inject")]
-    pub fn with_fault(mut self, plan: FaultPlan) -> Self {
-        self.fault = Some(plan);
-        self
-    }
-
-    /// Field-wise override: take each limit from `self` when set, else
-    /// from `default`. This is how a per-query budget composes with the
-    /// engine's per-graph default.
-    pub fn or(&self, default: &QueryBudget) -> QueryBudget {
-        QueryBudget {
-            deadline: self.deadline.or(default.deadline),
-            max_pushed_mass_updates: self
-                .max_pushed_mass_updates
-                .or(default.max_pushed_mass_updates),
-            max_edges_traversed: self.max_edges_traversed.or(default.max_edges_traversed),
-            cancel: self.cancel.clone().or_else(|| default.cancel.clone()),
-            hook: self.hook.clone().or_else(|| default.hook.clone()),
-            #[cfg(feature = "fault-inject")]
-            fault: self.fault.or(default.fault),
-        }
-    }
-
-    /// Arm the budget: converts the relative deadline into an absolute
-    /// instant (the clock starts *now*) and instantiates a fresh fault
-    /// countdown. Called once per query at admission.
-    pub(crate) fn checkpoint(&self) -> Checkpoint {
-        let mut cp = Checkpoint::unlimited();
-        if let Some(d) = self.deadline {
-            cp = cp.with_deadline_at(Instant::now() + d);
-        }
-        if let Some(cap) = self.max_pushed_mass_updates {
-            cp = cp.with_max_pushes(cap);
-        }
-        if let Some(cap) = self.max_edges_traversed {
-            cp = cp.with_max_edges(cap);
-        }
-        if let Some(token) = &self.cancel {
-            cp = cp.with_cancel(token.clone());
-        }
-        if let Some(hook) = &self.hook {
-            cp = cp.with_hook(hook.clone());
-        }
-        #[cfg(feature = "fault-inject")]
-        if let Some(plan) = self.fault {
-            cp = cp.with_fault(plan);
-        }
-        cp
-    }
-}
 
 /// Per-graph engine limits — the one spelling of the three, taken by
 /// [`EngineBuilder::limits`](crate::EngineBuilder::limits) and
@@ -207,28 +82,6 @@ impl PartialResult {
     /// Conductance of the best-so-far cut, if one was computed.
     pub fn conductance(&self) -> Option<f64> {
         self.sweep.as_ref().map(|s| s.best_conductance)
-    }
-}
-
-/// A diffusion stopped by its [`Checkpoint`] mid-run: why, plus the
-/// partial vector (the same shape a completed run returns, with stats
-/// covering only the completed iterations).
-#[derive(Clone, Debug)]
-pub struct TrippedDiffusion {
-    /// Why the checkpoint tripped.
-    pub trip: Trip,
-    /// Mass settled up to the last completed iteration boundary.
-    pub partial: Diffusion,
-}
-
-impl TrippedDiffusion {
-    /// How every diffusion ends: `Ok(d)` if it ran to completion, else `d`
-    /// as the partial result of the trip that stopped it.
-    pub(crate) fn outcome(tripped: Option<Trip>, d: Diffusion) -> Result<Diffusion, Self> {
-        match tripped {
-            None => Ok(d),
-            Some(trip) => Err(TrippedDiffusion { trip, partial: d }),
-        }
     }
 }
 
@@ -312,23 +165,19 @@ pub const RETRY_AFTER_FLOOR: Duration = Duration::from_micros(100);
 ///   [`WorkspaceBudgetExceeded`](QueryError::WorkspaceBudgetExceeded)
 ///   are **transient**: the same query can succeed once load drains
 ///   (`Overloaded` carries a retry-after hint).
-/// - [`DeadlineExceeded`](QueryError::DeadlineExceeded) and
-///   [`WorkBudgetExceeded`](QueryError::WorkBudgetExceeded) are
-///   retryable **with a larger budget** — the partial result shows how
-///   far the original budget got.
-/// - [`Cancelled`](QueryError::Cancelled),
-///   [`InvalidSeed`](QueryError::InvalidSeed) and
+/// - A [`Tripped`](QueryError::Tripped) query whose [`Trip`] is
+///   `Deadline` or `WorkBudget` is retryable **with a larger budget** —
+///   the partial result shows how far the original budget got.
+/// - A `Cancelled` trip, [`InvalidSeed`](QueryError::InvalidSeed) and
 ///   [`InvalidParams`](QueryError::InvalidParams) are not retryable
 ///   as-is.
 #[derive(Clone, Debug)]
 pub enum QueryError {
-    /// The wall-clock deadline passed mid-run. (The partial is boxed to
-    /// keep the `Result`'s happy path small.)
-    DeadlineExceeded(Box<PartialResult>),
-    /// A work cap (pushed mass updates or traversed edges) was exceeded.
-    WorkBudgetExceeded(Box<PartialResult>),
-    /// The query's [`CancelToken`] was cancelled mid-run.
-    Cancelled(Box<PartialResult>),
+    /// A limit of the query's budget stopped it mid-run: the deadline
+    /// passed, a work cap (pushed mass updates or traversed edges) was
+    /// exceeded, or its token was cancelled. (The partial is boxed to keep
+    /// the `Result`'s happy path small.)
+    Tripped(Tripped<Box<PartialResult>>),
     /// A seed vertex id is out of range (rejected at admission — no work
     /// was done).
     InvalidSeed(InvalidSeed),
@@ -355,30 +204,18 @@ pub enum QueryError {
 }
 
 impl QueryError {
-    pub(crate) fn from_trip(trip: Trip, partial: Box<PartialResult>) -> Self {
-        match trip {
-            Trip::Deadline => QueryError::DeadlineExceeded(partial),
-            Trip::WorkBudget => QueryError::WorkBudgetExceeded(partial),
-            Trip::Cancelled => QueryError::Cancelled(partial),
-        }
-    }
-
-    /// The partial result, for the three mid-run trip variants.
+    /// The partial result of a mid-run trip.
     pub fn partial(&self) -> Option<&PartialResult> {
         match self {
-            QueryError::DeadlineExceeded(p)
-            | QueryError::WorkBudgetExceeded(p)
-            | QueryError::Cancelled(p) => Some(p.as_ref()),
+            QueryError::Tripped(t) => Some(&t.partial),
             _ => None,
         }
     }
 
-    /// Which [`Trip`] stopped the query, for the mid-run variants.
+    /// Which [`Trip`] stopped the query, for a mid-run trip.
     pub fn trip(&self) -> Option<Trip> {
         match self {
-            QueryError::DeadlineExceeded(_) => Some(Trip::Deadline),
-            QueryError::WorkBudgetExceeded(_) => Some(Trip::WorkBudget),
-            QueryError::Cancelled(_) => Some(Trip::Cancelled),
+            QueryError::Tripped(t) => Some(t.trip),
             _ => None,
         }
     }
@@ -396,19 +233,9 @@ impl QueryError {
 impl fmt::Display for QueryError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            QueryError::DeadlineExceeded(p) => write!(
+            QueryError::Tripped(Tripped { trip, partial: p }) => write!(
                 f,
-                "query deadline exceeded after {} iterations ({} pushes, {} edges traversed)",
-                p.stats.iterations, p.stats.pushes, p.stats.edges_traversed
-            ),
-            QueryError::WorkBudgetExceeded(p) => write!(
-                f,
-                "query work budget exceeded after {} iterations ({} pushes, {} edges traversed)",
-                p.stats.iterations, p.stats.pushes, p.stats.edges_traversed
-            ),
-            QueryError::Cancelled(p) => write!(
-                f,
-                "query cancelled after {} iterations ({} pushes, {} edges traversed)",
+                "query {trip} after {} iterations ({} pushes, {} edges traversed)",
                 p.stats.iterations, p.stats.pushes, p.stats.edges_traversed
             ),
             QueryError::InvalidSeed(e) => e.fmt(f),
@@ -613,7 +440,7 @@ pub struct LifecycleSnapshot {
     pub shed_workspace: u64,
     /// Queries rejected for an out-of-range seed vertex.
     pub invalid_seed: u64,
-    /// Queries stopped by their [`CancelToken`].
+    /// Queries stopped by their [`CancelToken`](lgc_ligra::CancelToken).
     pub cancelled: u64,
     /// Queries stopped by their wall-clock deadline.
     pub deadline_tripped: u64,
@@ -671,22 +498,6 @@ impl LifecycleSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn budget_or_is_fieldwise() {
-        let token = CancelToken::new();
-        let default = QueryBudget::unlimited()
-            .with_deadline(Duration::from_secs(5))
-            .with_max_edges_traversed(100);
-        let per_query = QueryBudget::unlimited()
-            .with_max_edges_traversed(7)
-            .with_cancel(token);
-        let merged = per_query.or(&default);
-        assert_eq!(merged.deadline, Some(Duration::from_secs(5)));
-        assert_eq!(merged.max_edges_traversed, Some(7));
-        assert_eq!(merged.max_pushed_mass_updates, None);
-        assert!(merged.cancel.is_some());
-    }
 
     #[test]
     fn in_flight_gate_admits_up_to_limit() {
@@ -827,8 +638,13 @@ mod tests {
             sweep: None,
             stats: DiffusionStats::default(),
         };
-        let e = QueryError::from_trip(Trip::Cancelled, Box::new(partial.clone()));
-        assert!(e.to_string().contains("cancelled"));
+        let e = QueryError::Tripped(Tripped {
+            trip: Trip::Cancelled,
+            partial: Box::new(partial.clone()),
+        });
+        assert!(e
+            .to_string()
+            .starts_with("query cancelled after 0 iterations"));
         assert_eq!(e.trip(), Some(Trip::Cancelled));
         assert!(e.partial().is_some());
         assert!(!e.is_retryable());

@@ -1,7 +1,7 @@
 //! The one frontier loop: §2's `while (F ≠ ∅) { vertexMap; edgeMap;
-//! filter }`, which PR-Nibble, HK-PR and Nibble each run their iteration
-//! body on. What every iteration does around the body is written here
-//! once; evolving-set keeps a loop of its own (its module says why).
+//! filter }`, which PR-Nibble, HK-PR, Nibble and the evolving-set process
+//! each run their iteration body on. What every iteration does around the
+//! body is written here once.
 
 use crate::result::DiffusionStats;
 use lgc_graph::CsrBackend;

@@ -48,8 +48,7 @@
 //! registered graph over a single shared [`Pool`].
 
 use crate::budget::{
-    EngineLimits, InvalidSeed, LifecycleCounters, LifecycleSnapshot, PartialResult, QueryBudget,
-    QueryError, TrippedDiffusion,
+    EngineLimits, InvalidSeed, LifecycleCounters, LifecycleSnapshot, PartialResult, QueryError,
 };
 use crate::evolving::{evolving_set_par_ws, evolving_set_seq};
 use crate::hkpr::{hkpr_par_ws, hkpr_seq};
@@ -63,7 +62,7 @@ use crate::sweep::sweep_cut_par_ws;
 use crate::workspace::{default_workspace_budget, Workspace, WorkspacePool};
 use crate::Algorithm;
 use lgc_graph::{stats::GraphSummary, CsrBackend, Graph};
-use lgc_ligra::{Checkpoint, DirectionParams, Trip};
+use lgc_ligra::{Checkpoint, DirectionParams, QueryBudget, Tripped};
 use lgc_parallel::Pool;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -81,7 +80,7 @@ pub trait LocalDiffusion {
     /// scratch buffers out of `ws` (and returning them) instead of
     /// allocating, and consulting `cp` once per frontier iteration.
     /// When the checkpoint trips, the mass settled up to the last
-    /// completed iteration comes back as [`TrippedDiffusion::partial`]
+    /// completed iteration comes back as [`Tripped::partial`]
     /// with every workspace buffer already returned — the checkout is
     /// fully recyclable. With an unlimited checkpoint this is exactly
     /// [`LocalDiffusion::diffuse`], bit for bit.
@@ -92,7 +91,7 @@ pub trait LocalDiffusion {
         seed: &Seed,
         ws: &mut Workspace,
         cp: &Checkpoint,
-    ) -> Result<Diffusion, TrippedDiffusion>;
+    ) -> Result<Diffusion, Tripped<Diffusion>>;
 
     /// Runs the work-efficient parallel algorithm from `seed`, checking
     /// scratch buffers out of `ws` (and returning them) instead of
@@ -135,7 +134,7 @@ impl LocalDiffusion for Algorithm {
         seed: &Seed,
         ws: &mut Workspace,
         cp: &Checkpoint,
-    ) -> Result<Diffusion, TrippedDiffusion> {
+    ) -> Result<Diffusion, Tripped<Diffusion>> {
         match self {
             Algorithm::Nibble(p) => nibble_par_ws(pool, g, seed, p, ws, cp),
             Algorithm::PrNibble(p) => prnibble_par_ws(pool, g, seed, p, ws, cp),
@@ -145,13 +144,9 @@ impl LocalDiffusion for Algorithm {
             // as a diffusion it yields the membership indicator of its
             // best set (mass `1/|S|` per member). [`Engine::run`] bypasses
             // the sweep for it and reports the set directly.
-            Algorithm::Evolving(p) => match evolving_set_par_ws(pool, g, seed, p, ws, cp) {
-                Ok(res) => Ok(res.indicator()),
-                Err((trip, res)) => Err(TrippedDiffusion {
-                    trip,
-                    partial: res.indicator(),
-                }),
-            },
+            Algorithm::Evolving(p) => evolving_set_par_ws(pool, g, seed, p, ws, cp)
+                .map(|res| res.indicator())
+                .map_err(|t| t.map(|res| res.indicator())),
         }
     }
     fn diffuse_seq<B: CsrBackend>(&self, g: &B, seed: &Seed) -> Diffusion {
@@ -217,53 +212,39 @@ pub(crate) fn try_run_query<B: CsrBackend>(
     seed: &Seed,
     algo: &Algorithm,
     cp: &Checkpoint,
-) -> Result<ClusterResult, (Trip, Box<PartialResult>)> {
+) -> Result<ClusterResult, Tripped<Box<PartialResult>>> {
+    let partial = |diffusion: Diffusion, sweep| {
+        Box::new(PartialResult {
+            stats: diffusion.stats,
+            diffusion: Some(diffusion),
+            sweep,
+        })
+    };
     if let Algorithm::Evolving(p) = algo {
         // The evolving-set process reports its best set directly — a
         // tripped run's best-so-far *is* its normal output shape.
-        return match evolving_set_par_ws(pool, g, seed, p, ws, cp) {
-            Ok(res) => Ok(ClusterResult::from_evolving(res)),
-            Err((trip, res)) => {
-                let res = ClusterResult::from_evolving(res);
-                Err((
-                    trip,
-                    Box::new(PartialResult {
-                        stats: res.diffusion.stats,
-                        diffusion: Some(res.diffusion),
-                        sweep: Some(res.sweep),
-                    }),
-                ))
-            }
-        };
+        return evolving_set_par_ws(pool, g, seed, p, ws, cp)
+            .map(ClusterResult::from_evolving)
+            .map_err(|t| {
+                t.map(|res| {
+                    let res = ClusterResult::from_evolving(res);
+                    partial(res.diffusion, Some(res.sweep))
+                })
+            });
     }
-    let (diffusion, tripped) = match algo.diffuse_guarded(pool, g, seed, ws, cp) {
-        Ok(d) => (d, None),
-        Err(t) => (t.partial, Some(t.trip)),
-    };
-    match tripped {
-        None => match sweep_cut_par_ws(pool, g, &diffusion.p, ws, cp) {
+    match algo.diffuse_guarded(pool, g, seed, ws, cp) {
+        Ok(diffusion) => match sweep_cut_par_ws(pool, g, &diffusion.p, ws, cp) {
             Ok(sweep) => Ok(ClusterResult::new(diffusion, sweep)),
-            Err(trip) => Err((
+            Err(trip) => Err(Tripped {
                 trip,
-                Box::new(PartialResult {
-                    stats: diffusion.stats,
-                    diffusion: Some(diffusion),
-                    sweep: None,
-                }),
-            )),
+                partial: partial(diffusion, None),
+            }),
         },
-        Some(trip) => {
+        Err(tripped) => Err(tripped.map(|diffusion| {
             let sweep = sweep_cut_par_ws(pool, g, &diffusion.p, ws, &Checkpoint::unlimited())
                 .unwrap_or_else(|_| unreachable!("an unlimited checkpoint never trips"));
-            Err((
-                trip,
-                Box::new(PartialResult {
-                    stats: diffusion.stats,
-                    diffusion: Some(diffusion),
-                    sweep: Some(sweep),
-                }),
-            ))
-        }
+            partial(diffusion, Some(sweep))
+        })),
     }
 }
 
@@ -549,7 +530,7 @@ impl<'g, B: CsrBackend> Engine<'g, B> {
         };
         core.counters.note_admitted();
         let cp = if governed {
-            query.budget.or(&core.default_budget).checkpoint()
+            query.budget.or(&core.default_budget).arm()
         } else {
             Checkpoint::unlimited()
         };
@@ -564,9 +545,9 @@ impl<'g, B: CsrBackend> Engine<'g, B> {
                 core.counters.note_completed(t0.elapsed());
                 Ok(res)
             }
-            Err((trip, partial)) => {
-                core.counters.note_trip(trip);
-                Err(QueryError::from_trip(trip, partial))
+            Err(tripped) => {
+                core.counters.note_trip(tripped.trip);
+                Err(QueryError::Tripped(tripped))
             }
         }
     }
@@ -753,6 +734,51 @@ mod tests {
         assert_eq!(got.cluster, want.best_set);
         assert_eq!(got.conductance, want.best_conductance);
         assert!((got.diffusion.total_mass() - 1.0).abs() < 1e-12);
+    }
+
+    /// A work cap bounds the counter it names, for every algorithm: a
+    /// capped `try_run` that trips hands back a partial whose capped
+    /// counter has just passed the cap — the evolving-set process's too,
+    /// which is charged `|S|` pushes and `vol(S)` edges per step.
+    #[test]
+    fn a_work_capped_query_trips_with_its_counter_past_the_cap() {
+        use crate::DiffusionStats;
+        use lgc_ligra::Trip;
+        let g = gen::rand_local(2000, 5, 7);
+        let seed = Seed::single(lgc_graph::largest_component(&g)[0]);
+        let engine = Engine::builder(&g).threads(1).build();
+        let mut algos = algorithms();
+        // Past one walk block, so rand-HK-PR ticks after its first block.
+        algos[3] = Algorithm::RandHkpr(RandHkprParams {
+            walks: 40_000,
+            ..Default::default()
+        });
+        type Counter = fn(&DiffusionStats) -> u64;
+        let caps: [(QueryBudget, Counter, u64); 2] = [
+            (
+                QueryBudget::unlimited().with_max_edges_traversed(100),
+                |s| s.edges_traversed,
+                100,
+            ),
+            (
+                QueryBudget::unlimited().with_max_pushed_mass_updates(3),
+                |s| s.pushes,
+                3,
+            ),
+        ];
+        for algo in algos {
+            for (budget, counter, cap) in caps.clone() {
+                let q = Query::new(seed.clone(), algo.clone()).with_budget(budget);
+                let err = engine.try_run(&q).expect_err(algo.name());
+                assert_eq!(err.trip(), Some(Trip::WorkBudget), "{}", algo.name());
+                let stats = err.partial().expect("a mid-run trip").stats;
+                assert!(
+                    counter(&stats) > cap,
+                    "{} cap {cap}: {stats:?}",
+                    algo.name()
+                );
+            }
+        }
     }
 
     /// The builder's direction policy reaches the edge map of the

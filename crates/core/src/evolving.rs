@@ -22,21 +22,22 @@
 //! bit and follow the same random trajectory. The lowest-conductance set
 //! seen is tracked and returned.
 //!
-//! It is the one frontier diffusion that keeps its own loop instead of
-//! the shared iteration driver, and the one caller of `EdgeSpread` that
-//! passes `NO_ADMIT`, for three reasons. Its admission test `p(v, S) ≥ U`
-//! needs `1[v ∈ S]`, which a pull's `admit(dst, received)` is not given.
-//! `snapshot` computes each step's conductance from the member list, so a
-//! dense-native set would be unpacked straight away. And it ticks its
-//! checkpoint on steps taken (`cp.tick(step, edges)`), not on `Σ|F|` as the
-//! driver does: moving it onto the driver would shift its work-budget trips.
+//! Each step is one iteration of the shared frontier driver, with `S` as
+//! the frontier, so a step is charged like any other diffusion's iteration:
+//! `|S|` pushes and `vol(S)` edges, the counters its checkpoint ticks on
+//! and its [`DiffusionStats`] report. It is the one caller of `EdgeSpread`
+//! that passes `NO_ADMIT`, for two reasons. Its admission test
+//! `p(v, S) ≥ U` needs `1[v ∈ S]`, which a pull's `admit(dst, received)` is
+//! not given. And `snapshot` computes each step's conductance from the
+//! member list, so a dense-native set would be unpacked straight away.
 
 use crate::budget::InvalidParams;
+use crate::driver::drive;
 use crate::result::{Diffusion, DiffusionStats};
 use crate::seed::Seed;
 use crate::workspace::Workspace;
 use lgc_graph::CsrBackend;
-use lgc_ligra::{lane, Absorb, Checkpoint, Trip, Writer, NO_ADMIT};
+use lgc_ligra::{Absorb, Checkpoint, Tripped, VertexSubset, Writer, NO_ADMIT};
 use lgc_parallel::{filter_map_index, Pool};
 use lgc_sparse::{ConcurrentSparseVec, SparseVec};
 use rand::rngs::StdRng;
@@ -83,11 +84,15 @@ pub struct EvolvingResult {
     /// Size of the set at each step (diagnostic: the paper observed the
     /// trajectory "varies widely").
     pub sizes: Vec<usize>,
+    /// The work of the steps executed: `iterations` = `steps`, `pushes` =
+    /// `Σ|S|` and `pushed_volume` = `edges_traversed` = `Σ vol(S)` over the
+    /// sets stepped from — what a work budget caps.
+    pub stats: DiffusionStats,
 }
 
 impl EvolvingResult {
     /// The best set as a membership-indicator [`Diffusion`]: mass
-    /// `1/|S|` per member (total mass 1), `iterations` = the steps run.
+    /// `1/|S|` per member (total mass 1), with the run's `stats`.
     ///
     /// This is how the ESP fits the [`crate::LocalDiffusion`] surface —
     /// it selects a set rather than computing a mass vector, so the
@@ -98,10 +103,7 @@ impl EvolvingResult {
         let mass = 1.0 / self.best_set.len().max(1) as f64;
         Diffusion::from_entries(
             self.best_set.iter().map(|&v| (v, mass)).collect(),
-            DiffusionStats {
-                iterations: self.steps as u64,
-                ..Default::default()
-            },
+            self.stats,
         )
     }
 }
@@ -127,11 +129,17 @@ pub fn evolving_set_seq<B: CsrBackend>(
     let mut current: Vec<u32> = seed.vertices().to_vec();
     let mut best = snapshot(g, &current);
     let mut sizes = vec![current.len()];
+    let mut stats = DiffusionStats::default();
 
-    for step in 0..params.max_steps {
+    for _ in 0..params.max_steps {
         if best.1 <= params.target_conductance {
-            return finish(best, step, sizes);
+            return finish(best, stats, sizes);
         }
+        let vol: u64 = current.iter().map(|&v| g.degree(v) as u64).sum();
+        stats.iterations += 1;
+        stats.pushes += current.len() as u64;
+        stats.pushed_volume += vol;
+        stats.edges_traversed += vol;
         let u: f64 = rng.gen_range(f64::MIN_POSITIVE..=1.0);
         // Exact |N(v) ∩ S| counts for everything adjacent to S.
         let mut inside = SparseVec::new_f64();
@@ -153,7 +161,7 @@ pub fn evolving_set_seq<B: CsrBackend>(
             .collect();
         sizes.push(next.len());
         if next.is_empty() || next.len() == g.num_vertices() {
-            return finish(best, step + 1, sizes);
+            return finish(best, stats, sizes);
         }
         let snap = snapshot(g, &next);
         if snap.1 < best.1 {
@@ -161,7 +169,7 @@ pub fn evolving_set_seq<B: CsrBackend>(
         }
         current = next;
     }
-    finish(best, params.max_steps, sizes)
+    finish(best, stats, sizes)
 }
 
 /// Parallel evolving set process: membership counting is one `edgeMap`
@@ -176,7 +184,7 @@ pub fn evolving_set_par<B: CsrBackend>(
 ) -> EvolvingResult {
     // An unlimited checkpoint never trips, so the `Err` case is unreachable.
     let (ws, cp) = (&mut Workspace::new(), &Checkpoint::unlimited());
-    evolving_set_par_ws(pool, g, seed, params, ws, cp).unwrap_or_else(|(_, res)| res)
+    evolving_set_par_ws(pool, g, seed, params, ws, cp).unwrap_or_else(|t| t.partial)
 }
 
 /// [`evolving_set_par`] over a recyclable workspace: the neighbor
@@ -184,8 +192,9 @@ pub fn evolving_set_par<B: CsrBackend>(
 /// instead of being allocated. The trajectory is count-exact, so neither
 /// workspace reuse nor the per-step direction choice can perturb it.
 ///
-/// `cp` is consulted once per evolution step (counters: steps taken and
-/// cumulative set volume); on a trip the walk stops at that boundary and
+/// Each step is an iteration of the shared frontier driver
+/// (`driver::drive`), which consults `cp` once per step with the `Σ|S|`
+/// and `Σ vol(S)` counters; on a trip the walk stops at that boundary and
 /// the best-so-far result is returned as the `Err` payload, with the
 /// workspace buffers already recycled.
 pub(crate) fn evolving_set_par_ws<B: CsrBackend>(
@@ -195,7 +204,7 @@ pub(crate) fn evolving_set_par_ws<B: CsrBackend>(
     params: &EvolvingParams,
     ws: &mut Workspace,
     cp: &Checkpoint,
-) -> Result<EvolvingResult, (Trip, EvolvingResult)> {
+) -> Result<EvolvingResult, Tripped<EvolvingResult>> {
     let mut rng = StdRng::seed_from_u64(params.rng_seed);
     let mut current = ws.take_frontier();
     current.advance(pool, seed.vertices().to_vec());
@@ -206,76 +215,68 @@ pub(crate) fn evolving_set_par_ws<B: CsrBackend>(
         .take()
         .unwrap_or_else(|| ConcurrentSparseVec::with_capacity(16));
 
-    let mut edges = 0u64;
-    let mut tripped = None;
-    let steps = 'run: {
-        for step in 0..params.max_steps {
-            if best.1 <= params.target_conductance {
-                break 'run step;
-            }
-            if let Err(trip) = cp.tick(step as u64, edges) {
-                tripped = Some(trip);
-                break 'run step;
-            }
-            let u: f64 = rng.gen_range(f64::MIN_POSITIVE..=1.0);
-            let vol = current.volume(g);
-            let pool = lane(pool, current.len(), vol);
-            edges += vol as u64;
-            inside.reset(pool, vol.max(1));
-            // Exact |N(v) ∩ S| counts for everything adjacent to S: every
-            // member sends 1.0 along each of its edges.
-            // No `admit`: `snapshot` reads every step's set as a list, so
-            // a dense-native frontier would be unpacked straight away.
-            ws.spread.stage(pool, g, &mut current, vol, |_| 1.0).absorb(
-                Absorb::Sum,
-                |dst, c, writer| match writer {
-                    Writer::Shared => inside.add(dst, c),
-                    Writer::Exclusive => inside.add_exclusive(dst, c),
-                },
-                NO_ADMIT,
-            );
-            let mut cands: Vec<u32> = inside.entries(pool).into_iter().map(|(v, _)| v).collect();
-            cands.extend_from_slice(current.ids(pool));
-            cands.sort_unstable();
-            cands.dedup();
-            let member_ids = current.ids(pool).to_vec();
-            let mut next: Vec<u32> = filter_map_index(pool, cands.len(), |i| {
-                let v = cands[i];
-                let member = member_ids.binary_search(&v).is_ok();
-                (transition(member, inside.get(v) as u64, g.degree(v)) >= u).then_some(v)
-            });
-            next.sort_unstable();
-            sizes.push(next.len());
-            if next.is_empty() || next.len() == g.num_vertices() {
-                break 'run step + 1;
-            }
-            let snap = snapshot(g, &next);
-            if snap.1 < best.1 {
-                best = snap;
-            }
-            current.advance(pool, next);
-        }
+    // A step runs while the best set misses the target: a seed set that
+    // meets it takes none.
+    let target = params.target_conductance;
+    let max_steps = if best.1 <= target {
+        0
+    } else {
         params.max_steps
     };
+    let step = |pool: &Pool, _: usize, vol: usize, current: &mut VertexSubset| {
+        let u: f64 = rng.gen_range(f64::MIN_POSITIVE..=1.0);
+        inside.reset(pool, vol.max(1));
+        // Exact |N(v) ∩ S| counts for everything adjacent to S: every
+        // member sends 1.0 along each of its edges.
+        // No `admit`: `snapshot` reads every step's set as a list, so
+        // a dense-native frontier would be unpacked straight away.
+        ws.spread.stage(pool, g, current, vol, |_| 1.0).absorb(
+            Absorb::Sum,
+            |dst, c, writer| match writer {
+                Writer::Shared => inside.add(dst, c),
+                Writer::Exclusive => inside.add_exclusive(dst, c),
+            },
+            NO_ADMIT,
+        );
+        let mut cands: Vec<u32> = inside.entries(pool).into_iter().map(|(v, _)| v).collect();
+        cands.extend_from_slice(current.ids(pool));
+        cands.sort_unstable();
+        cands.dedup();
+        let member_ids = current.ids(pool).to_vec();
+        let mut next: Vec<u32> = filter_map_index(pool, cands.len(), |i| {
+            let v = cands[i];
+            let member = member_ids.binary_search(&v).is_ok();
+            (transition(member, inside.get(v) as u64, g.degree(v)) >= u).then_some(v)
+        });
+        next.sort_unstable();
+        sizes.push(next.len());
+        if next.is_empty() || next.len() == g.num_vertices() {
+            return false;
+        }
+        let snap = snapshot(g, &next);
+        if snap.1 < best.1 {
+            best = snap;
+        }
+        current.advance(pool, next);
+        best.1 > target
+    };
+    let (stats, tripped) = drive(pool, g, cp, max_steps, &mut current, step);
     ws.counts = Some(inside);
     ws.put_frontier(pool, current);
-    let res = finish(best, steps, sizes);
-    match tripped {
-        None => Ok(res),
-        Some(trip) => Err((trip, res)),
-    }
+    Tripped::outcome(tripped, finish(best, stats, sizes))
 }
 
 fn snapshot<B: CsrBackend>(g: &B, set: &[u32]) -> (Vec<u32>, f64) {
     (set.to_vec(), g.conductance(set))
 }
 
-fn finish(best: (Vec<u32>, f64), steps: usize, sizes: Vec<usize>) -> EvolvingResult {
+fn finish(best: (Vec<u32>, f64), stats: DiffusionStats, sizes: Vec<usize>) -> EvolvingResult {
     EvolvingResult {
         best_set: best.0,
         best_conductance: best.1,
-        steps,
+        steps: stats.iterations as usize,
         sizes,
+        stats,
     }
 }
 
@@ -328,7 +329,29 @@ mod tests {
             assert_eq!(a.sizes, b.sizes, "threads={threads}");
             assert_eq!(a.best_set, b.best_set);
             assert_eq!(a.best_conductance, b.best_conductance);
+            assert_eq!(a.stats, b.stats);
         }
+    }
+
+    /// A step is charged `|S|` pushes and `vol(S)` edges for the set `S`
+    /// it steps from (the parallel form's stats equal these:
+    /// `parallel_matches_sequential_trajectory`).
+    #[test]
+    fn stats_count_the_sets_stepped_from() {
+        let g = gen::rand_local(2000, 5, 7);
+        let params = EvolvingParams {
+            max_steps: 19,
+            rng_seed: 3,
+            ..Default::default()
+        };
+        let res = evolving_set_seq(&g, &Seed::single(0), &params);
+        let pushes: usize = res.sizes[..res.steps].iter().sum();
+        assert!(res.steps > 0);
+        assert_eq!(res.stats.iterations, res.steps as u64);
+        assert_eq!(res.stats.pushes, pushes as u64);
+        assert!(res.stats.edges_traversed >= res.stats.pushes);
+        assert_eq!(res.stats.pushed_volume, res.stats.edges_traversed);
+        assert_eq!(res.indicator().stats, res.stats);
     }
 
     /// The counting pass is direction-invariant: pinned pull, pinned

@@ -7,13 +7,12 @@
 //! the same vector (Theorem 4).
 
 use super::HkprParams;
-use crate::budget::TrippedDiffusion;
 use crate::driver::drive;
 use crate::result::Diffusion;
 use crate::seed::Seed;
 use crate::workspace::Workspace;
 use lgc_graph::CsrBackend;
-use lgc_ligra::{lane, Absorb, Checkpoint, VertexSubset, Writer, NO_ADMIT};
+use lgc_ligra::{lane, Absorb, Checkpoint, Tripped, VertexSubset, Writer, NO_ADMIT};
 use lgc_parallel::{map_index, Pool};
 use lgc_sparse::MassMap;
 
@@ -54,7 +53,7 @@ pub(crate) fn hkpr_par_ws<B: CsrBackend>(
     params: &HkprParams,
     ws: &mut Workspace,
     cp: &Checkpoint,
-) -> Result<Diffusion, TrippedDiffusion> {
+) -> Result<Diffusion, Tripped<Diffusion>> {
     params.validate();
     let n = g.num_vertices();
     let n_levels = params.n_levels;
@@ -143,7 +142,7 @@ pub(crate) fn hkpr_par_ws<B: CsrBackend>(
     ws.put_frontier(pool, frontier);
     let mut d = Diffusion::from_entries_par(pool, entries, stats);
     d.stats.residual_mass = (1.0 - d.total_mass()).max(0.0);
-    TrippedDiffusion::outcome(tripped, d)
+    Tripped::outcome(tripped, d)
 }
 
 /// Adds `x` to `m[dst]`: atomically for a shared writer, with a plain

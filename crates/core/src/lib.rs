@@ -76,8 +76,8 @@ mod sweep;
 mod workspace;
 
 pub use budget::{
-    EngineLimits, InvalidParams, InvalidSeed, LifecycleSnapshot, PartialResult, QueryBudget,
-    QueryError, TrippedDiffusion, RETRY_AFTER_FLOOR,
+    EngineLimits, InvalidParams, InvalidSeed, LifecycleSnapshot, PartialResult, QueryError,
+    RETRY_AFTER_FLOOR,
 };
 pub use engine::{Engine, EngineBuilder, LocalDiffusion, Query};
 pub use evolving::{evolving_set_par, evolving_set_seq, EvolvingParams, EvolvingResult};
@@ -98,19 +98,20 @@ pub use lgc_graph::stats::GraphSummary;
 
 // The direction policy `EngineBuilder::direction` takes, re-exported so
 // callers can pin one without a direct lgc-ligra dep.
-pub use lgc_ligra::{Direction, DirectionMode, DirectionParams};
+pub use lgc_ligra::{Direction, DirectionParams};
 
-// The cooperative-interrupt machinery budgets compile down to: tokens,
-// hooks and trip reasons appear in this crate's public API
-// (`QueryBudget.cancel`, `QueryBudget.hook`, `QueryError::trip`), and
-// `Checkpoint` in `LocalDiffusion`'s guarded signature.
+// A query's limits and how a stopped run ends, which live with the
+// cooperative-interrupt machinery that enforces them: `Query.budget` is a
+// `QueryBudget` (with its tokens and hooks), `LocalDiffusion`'s guarded
+// signature takes the `Checkpoint` one arms, and every stop — a diffusion,
+// a refinement, `QueryError::Tripped` — is a `Tripped`.
 #[cfg(feature = "fault-inject")]
 pub use lgc_ligra::FaultPlan;
-pub use lgc_ligra::{BoundaryHook, CancelToken, Checkpoint, Trip};
+pub use lgc_ligra::{BoundaryHook, CancelToken, Checkpoint, QueryBudget, Trip, Tripped};
 
 // The max-flow refinement stage consumed by `Engine::improve` and the
 // pipeline module, re-exported so umbrella users see one API.
-pub use lgc_flow::{RefineStats, RefinedCut, TrippedRefinement};
+pub use lgc_flow::{RefineStats, RefinedCut};
 
 use lgc_graph::CsrBackend;
 use lgc_parallel::Pool;

@@ -7,12 +7,12 @@
 //! settings and taking, for every sweep prefix, the minimum conductance
 //! seen at that prefix size. This module reproduces that procedure.
 
-use crate::budget::QueryBudget;
 use crate::prnibble::{prnibble_par_ws, PrNibbleParams, PushRule};
 use crate::seed::Seed;
 use crate::sweep::sweep_cut_par_ws;
 use crate::workspace::Workspace;
 use lgc_graph::CsrBackend;
+use lgc_ligra::QueryBudget;
 use lgc_parallel::Pool;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -87,7 +87,7 @@ pub(crate) fn ncp_prnibble_ws<B: CsrBackend>(
     // One checkpoint governs the whole grid: cumulative work from
     // completed runs is subtracted from the caps handed to each inner
     // run (`after_work`), so the budget bounds the scan, not each point.
-    let cp = params.budget.checkpoint();
+    let cp = params.budget.arm();
     let mut total_pushes = 0u64;
     let mut total_edges = 0u64;
 

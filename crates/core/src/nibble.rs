@@ -12,13 +12,13 @@
 //! `vertexMap`/`edgeMap` per iteration: Theorem 2 gives `O(T/ε)` work and
 //! `O(T log(1/ε))` depth.
 
-use crate::budget::{InvalidParams, TrippedDiffusion};
+use crate::budget::InvalidParams;
 use crate::driver::drive;
 use crate::result::{Diffusion, DiffusionStats};
 use crate::seed::Seed;
 use crate::workspace::Workspace;
 use lgc_graph::CsrBackend;
-use lgc_ligra::{lane, Absorb, Checkpoint, VertexSubset, Writer};
+use lgc_ligra::{lane, Absorb, Checkpoint, Tripped, VertexSubset, Writer};
 use lgc_parallel::Pool;
 use lgc_sparse::{MassMap, SparseVec};
 
@@ -141,7 +141,7 @@ pub(crate) fn nibble_par_ws<B: CsrBackend>(
     params: &NibbleParams,
     ws: &mut Workspace,
     cp: &Checkpoint,
-) -> Result<Diffusion, TrippedDiffusion> {
+) -> Result<Diffusion, Tripped<Diffusion>> {
     let eps = params.eps;
     let n = g.num_vertices();
 
@@ -208,7 +208,7 @@ pub(crate) fn nibble_par_ws<B: CsrBackend>(
     ws.put_mass(p);
     ws.put_mass(p_new);
     ws.put_frontier(pool, frontier);
-    TrippedDiffusion::outcome(tripped, finish(pool, entries, stats))
+    Tripped::outcome(tripped, finish(pool, entries, stats))
 }
 
 /// The seed vertices that meet the activity threshold initially.

@@ -26,13 +26,14 @@
 //! pipeline outputs are bit-identical across thread counts and storage
 //! backends.
 
-use crate::budget::{PartialResult, QueryBudget, QueryError};
+use crate::budget::{PartialResult, QueryError};
 use crate::engine::{Engine, Query};
 use crate::result::ClusterResult;
 use crate::seed::Seed;
 use crate::{Algorithm, PrNibbleParams};
 use lgc_flow::RefinedCut;
 use lgc_graph::CsrBackend;
+use lgc_ligra::QueryBudget;
 
 /// Parameters for [`Engine::compute_embedding`] /
 /// [`Engine::find_k_clusters`].
@@ -219,7 +220,7 @@ impl<B: CsrBackend> Engine<'_, B> {
         budget: &QueryBudget,
     ) -> Result<RefinedCut, QueryError> {
         let counters = &self.core.counters;
-        let cp = budget.or(&self.core.default_budget).checkpoint();
+        let cp = budget.or(&self.core.default_budget).arm();
         match lgc_flow::improve_guarded(self.graph(), &result.cluster, &cp) {
             Ok(refined) => {
                 counters.note_refined(refined.improved());
@@ -229,12 +230,13 @@ impl<B: CsrBackend> Engine<'_, B> {
                 counters.note_trip(tripped.trip);
                 // The typed partial carries the *unrefined* input cut:
                 // the caller keeps a valid cluster either way.
-                let partial = PartialResult {
-                    diffusion: Some(result.diffusion.clone()),
-                    sweep: Some(result.sweep.clone()),
-                    stats: result.diffusion.stats,
-                };
-                Err(QueryError::from_trip(tripped.trip, Box::new(partial)))
+                Err(QueryError::Tripped(tripped.map(|_| {
+                    Box::new(PartialResult {
+                        diffusion: Some(result.diffusion.clone()),
+                        sweep: Some(result.sweep.clone()),
+                        stats: result.diffusion.stats,
+                    })
+                })))
             }
         }
     }
@@ -286,7 +288,7 @@ impl<B: CsrBackend> Engine<'_, B> {
                 }
             };
             let (cluster, phi, refined_strictly, completed) = if params.refine {
-                let cp = params.budget.or(&self.core.default_budget).checkpoint();
+                let cp = params.budget.or(&self.core.default_budget).arm();
                 match lgc_flow::improve_guarded(self.graph(), &result.cluster, &cp) {
                     Ok(r) => {
                         let strict = r.improved();

@@ -12,13 +12,12 @@
 //! exactly as Theorem 3 charges it.
 
 use super::PrNibbleParams;
-use crate::budget::TrippedDiffusion;
 use crate::driver::drive;
 use crate::result::Diffusion;
 use crate::seed::Seed;
 use crate::workspace::Workspace;
 use lgc_graph::CsrBackend;
-use lgc_ligra::{lane, Absorb, Checkpoint, Direction, VertexSubset, NO_ADMIT};
+use lgc_ligra::{lane, Absorb, Checkpoint, Direction, Tripped, VertexSubset, NO_ADMIT};
 use lgc_parallel::{filter_map_index, map_index, merge_sort_by, Pool};
 use lgc_sparse::MassMap;
 
@@ -78,7 +77,7 @@ pub(crate) fn prnibble_par_ws<B: CsrBackend>(
     params: &PrNibbleParams,
     ws: &mut Workspace,
     cp: &Checkpoint,
-) -> Result<Diffusion, TrippedDiffusion> {
+) -> Result<Diffusion, Tripped<Diffusion>> {
     params.validate();
     let (c_bank, cr, cn) = params.rule.coefficients(params.alpha);
     let eps = params.eps;
@@ -210,7 +209,7 @@ pub(crate) fn prnibble_par_ws<B: CsrBackend>(
     ws.put_mass(r_delta);
     ws.put_frontier(pool, frontier);
     let d = Diffusion::from_entries_par(pool, entries, stats);
-    TrippedDiffusion::outcome(tripped, d)
+    Tripped::outcome(tripped, d)
 }
 
 /// Merges two sorted duplicate-free id lists into one — `O(a + b)`.

@@ -15,12 +15,12 @@
 //! depth). Each walk derives its own RNG from the master seed, so the
 //! sequential and parallel versions produce *identical* vectors.
 
-use crate::budget::{InvalidParams, TrippedDiffusion};
+use crate::budget::InvalidParams;
 use crate::result::{Diffusion, DiffusionStats};
 use crate::seed::Seed;
 use crate::workspace::Workspace;
 use lgc_graph::CsrBackend;
-use lgc_ligra::{lane, Checkpoint};
+use lgc_ligra::{lane, Checkpoint, Tripped};
 use lgc_parallel::{counting_sort_by_key, fill_with_index, filter_map_index, map_index, Pool};
 use lgc_sparse::{ConcurrentRankMap, SparseVec};
 use rand::rngs::StdRng;
@@ -220,7 +220,7 @@ pub(crate) fn rand_hkpr_par_ws<B: CsrBackend>(
     params: &RandHkprParams,
     ws: &mut Workspace,
     cp: &Checkpoint,
-) -> Result<Diffusion, TrippedDiffusion> {
+) -> Result<Diffusion, Tripped<Diffusion>> {
     params.validate();
     let cdf = params.length_cdf();
     let n = params.walks;
@@ -302,7 +302,7 @@ pub(crate) fn rand_hkpr_par_ws<B: CsrBackend>(
         entries
     };
 
-    TrippedDiffusion::outcome(tripped, Diffusion::from_entries(entries, stats))
+    Tripped::outcome(tripped, Diffusion::from_entries(entries, stats))
 }
 
 #[cfg(test)]

@@ -208,6 +208,7 @@ impl FlowNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lgc_ligra::QueryBudget;
 
     fn solve(net: &mut FlowNetwork, s: u32, t: u32) -> u64 {
         let mut work = FlowWork::default();
@@ -264,7 +265,7 @@ mod tests {
         net.add_arc(0, 1, 4);
         net.add_arc(1, 2, 2);
         net.add_arc(2, 3, 4);
-        let cp = Checkpoint::unlimited().with_max_edges(0);
+        let cp = QueryBudget::unlimited().with_max_edges_traversed(0).arm();
         let mut work = FlowWork::default();
         // First phase scans arcs; the second tick sees them and trips.
         let r = net.max_flow(0, 3, &cp, &mut work);

@@ -52,7 +52,7 @@ mod dinic;
 
 use dinic::{FlowNetwork, FlowWork};
 use lgc_graph::{induced_cut_subgraph, CsrBackend, CutSubgraph};
-use lgc_ligra::{Checkpoint, Trip};
+use lgc_ligra::{Checkpoint, Trip, Tripped};
 
 /// Work performed by one [`improve`] call, in the flow solver's own
 /// units (MQI iterations, Dinic phases, augmenting paths, residual arcs
@@ -97,17 +97,6 @@ impl RefinedCut {
     pub fn improved(&self) -> bool {
         self.conductance < self.initial_conductance
     }
-}
-
-/// A budget trip during refinement. `partial` is the last *completed*
-/// MQI iterate — at worst the canonicalized input set itself — so it is
-/// always a valid cut with conductance ≤ the input's.
-#[derive(Clone, Debug)]
-pub struct TrippedRefinement {
-    /// Why the checkpoint tripped.
-    pub trip: Trip,
-    /// Best cut completed before the trip (never worse than the input).
-    pub partial: RefinedCut,
 }
 
 /// φ with the sweep's `min(vol, 2m − vol)` denominator, computed from
@@ -162,13 +151,14 @@ fn solve_mqi(
 ///
 /// Returns a [`RefinedCut`] whose conductance is ≤ the input set's,
 /// deterministically (see the crate docs). On a checkpoint trip the
-/// error carries the last completed iterate, which is itself never worse
-/// than the input.
+/// error's partial is the last *completed* MQI iterate — at worst the
+/// canonicalized input set itself — so it is always a valid cut with
+/// conductance ≤ the input's.
 pub fn improve_guarded<B: CsrBackend>(
     g: &B,
     cluster: &[u32],
     cp: &Checkpoint,
-) -> Result<RefinedCut, TrippedRefinement> {
+) -> Result<RefinedCut, Tripped<RefinedCut>> {
     let total = g.total_degree() as u64;
     let mut current: Vec<u32> = cluster.to_vec();
     current.sort_unstable();
@@ -208,7 +198,7 @@ pub fn improve_guarded<B: CsrBackend>(
             Ok(r) => r,
             // The last completed iterate is the best valid cut so far.
             Err(trip) => {
-                return Err(TrippedRefinement {
+                return Err(Tripped {
                     trip,
                     partial: done(current, c, a, stats),
                 })
@@ -252,6 +242,7 @@ pub fn improve<B: CsrBackend>(g: &B, cluster: &[u32]) -> RefinedCut {
 mod tests {
     use super::*;
     use lgc_graph::gen;
+    use lgc_ligra::QueryBudget;
 
     #[test]
     fn sloppy_two_clique_cut_is_repaired() {
@@ -314,7 +305,7 @@ mod tests {
     fn tripped_refinement_returns_the_input_cut() {
         let g = gen::two_cliques_bridge(12);
         let sloppy: Vec<u32> = (3..15).collect();
-        let cp = Checkpoint::unlimited().with_max_edges(0);
+        let cp = QueryBudget::unlimited().with_max_edges_traversed(0).arm();
         let err = improve_guarded(&g, &sloppy, &cp).expect_err("zero edge budget must trip");
         assert!(matches!(err.trip, Trip::WorkBudget));
         assert_eq!(err.partial.cluster, sloppy);

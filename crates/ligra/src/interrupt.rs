@@ -4,15 +4,26 @@
 //! them in `lgc-core`) are *locally bounded* — their work scales with the
 //! output cluster's volume — but a pathological seed or an extreme
 //! parameter choice can still pin a worker for an unbounded stretch. This
-//! module provides the amortized check that query-lifecycle layers hook
-//! into: a [`Checkpoint`] is consulted **once per frontier iteration**
-//! (never per edge), so the hot kernels stay untouched and completed runs
-//! remain bit-identical to unguarded ones. The max-flow refinement stage
-//! (`lgc-flow`) consumes the same primitive at the same granularity: its
-//! Dinic solver ticks once per BFS *phase* — reporting augmenting paths
-//! as pushes and residual arcs scanned as traversed edges — so one
-//! [`Checkpoint`] governs a query's diffusion, sweep, and refinement
-//! uniformly.
+//! module holds the one spelling of a query's limits and the amortized
+//! check that enforces them:
+//!
+//! - a [`QueryBudget`] states the limits — a relative deadline, two
+//!   deterministic work caps, a [`CancelToken`], a [`BoundaryHook`] — and
+//!   is what callers build, merge ([`QueryBudget::or`]) and carry;
+//! - [`QueryBudget::arm`] turns it into a [`Checkpoint`] when the query
+//!   starts: the deadline is stamped against the clock and a fresh fault
+//!   countdown starts. A checkpoint is nothing but that armed budget;
+//! - the checkpoint is consulted **once per frontier iteration** (never
+//!   per edge), so the hot kernels stay untouched and completed runs
+//!   remain bit-identical to unguarded ones;
+//! - a run it stops ends as a [`Tripped`]: the [`Trip`] and whatever the
+//!   run had computed by its last completed boundary.
+//!
+//! The max-flow refinement stage (`lgc-flow`) consumes the same primitive
+//! at the same granularity: its Dinic solver ticks once per BFS *phase* —
+//! reporting augmenting paths as pushes and residual arcs scanned as
+//! traversed edges — so one [`Checkpoint`] governs a query's diffusion,
+//! sweep, and refinement uniformly.
 //!
 //! A checkpoint can trip for three reasons, reported as a [`Trip`]:
 //!
@@ -25,12 +36,13 @@
 //! - **`Cancelled`** — a shared [`CancelToken`] was flipped from another
 //!   thread (one relaxed atomic load per iteration).
 //!
-//! With the `fault-inject` feature enabled, a checkpoint can additionally
-//! carry a `FaultPlan` that force-trips the k-th `tick` call — the hook
-//! the fault-injection proptest suite uses to stop queries at arbitrary
-//! iteration boundaries without depending on timing.
+//! With the `fault-inject` feature enabled, a budget can additionally
+//! carry a `FaultPlan` that force-trips the k-th `tick` call of each
+//! checkpoint it arms — the hook the fault-injection proptest suite uses to
+//! stop queries at arbitrary iteration boundaries without depending on
+//! timing.
 //!
-//! A checkpoint can also carry one [`BoundaryHook`]: work that `tick` runs
+//! A budget can also carry one [`BoundaryHook`]: work that `tick` runs
 //! at every boundary *before* its trip tests, on the thread driving the
 //! query (for a `run_batch` item, the pool worker running it). This is
 //! how a query yields: a budget only ever stops one, while a hook lets
@@ -44,7 +56,7 @@
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Why a [`Checkpoint`] tripped.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -56,6 +68,50 @@ pub enum Trip {
     WorkBudget,
     /// The query's [`CancelToken`] was cancelled.
     Cancelled,
+}
+
+impl fmt::Display for Trip {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Trip::Deadline => "deadline exceeded",
+            Trip::WorkBudget => "work budget exceeded",
+            Trip::Cancelled => "cancelled",
+        })
+    }
+}
+
+/// A run its [`Checkpoint`] stopped: why, and what the run had computed
+/// by its last completed iteration boundary. The one shape of every stop,
+/// from a diffusion loop through refinement and the query engine to the
+/// wire; only `partial` differs between them.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Tripped<T> {
+    /// Why the checkpoint tripped.
+    pub trip: Trip,
+    /// What was computed up to the last completed boundary.
+    pub partial: T,
+}
+
+impl<T> Tripped<T> {
+    /// How a guarded run ends: `Ok(done)` if nothing tripped it, else
+    /// `done` as the partial of the trip that stopped it.
+    pub fn outcome(tripped: Option<Trip>, done: T) -> Result<T, Tripped<T>> {
+        match tripped {
+            None => Ok(done),
+            Some(trip) => Err(Tripped {
+                trip,
+                partial: done,
+            }),
+        }
+    }
+
+    /// The same trip, carrying `f(partial)`.
+    pub fn map<U>(self, f: impl FnOnce(T) -> U) -> Tripped<U> {
+        Tripped {
+            trip: self.trip,
+            partial: f(self.partial),
+        }
+    }
 }
 
 /// A shared, cloneable cancellation flag.
@@ -150,22 +206,132 @@ impl FaultState {
     }
 }
 
-/// The per-query guard consulted at iteration boundaries.
+/// Optional per-query execution limits.
 ///
-/// All limits are optional; [`Checkpoint::unlimited`] never trips and its
-/// [`tick`](Checkpoint::tick) compiles to a handful of `None` tests. The
-/// caller passes its *deterministic* cumulative work counters into `tick`
-/// — the checkpoint itself holds no mutable counters (except the
-/// feature-gated fault countdown), so cloning is cheap and a clone used
-/// for a sub-run (see [`after_work`](Checkpoint::after_work)) shares the
-/// deadline, token, hook, and fault state of its parent.
+/// Every field defaults to "unlimited". The budget is evaluated
+/// cooperatively at iteration boundaries, by the [`Checkpoint`] that
+/// [`arm`](QueryBudget::arm) makes of it, so trips land on a *completed*
+/// iteration: work-budget trips are deterministic (the counters are
+/// bit-identical across thread counts and storage backends), while
+/// deadline and cancellation trips depend on wall clock / external
+/// timing by nature.
 #[derive(Clone, Debug, Default)]
+pub struct QueryBudget {
+    /// Wall-clock limit, measured from the moment the budget is
+    /// [`arm`](QueryBudget::arm)ed — when the query starts executing, not
+    /// when the budget is built.
+    pub deadline: Option<Duration>,
+    /// Cap on pushed mass updates (a diffusion's `pushes` counter).
+    pub max_pushed_mass_updates: Option<u64>,
+    /// Cap on traversed frontier edges (a diffusion's `edges_traversed`
+    /// counter).
+    pub max_edges_traversed: Option<u64>,
+    /// Cooperative cancellation: the query trips once any clone of the
+    /// token is [`cancel`](CancelToken::cancel)led.
+    pub cancel: Option<CancelToken>,
+    /// Work to run at each of the query's iteration boundaries, on the
+    /// thread driving it and before the limits above are tested (see the
+    /// module docs); its time counts against `deadline`. Process-local
+    /// like `cancel`: set by the code that executes the query
+    /// (`lgc-server` sets it on bulk queries), never carried on the wire.
+    pub hook: Option<BoundaryHook>,
+    /// Deterministic fault-injection plan (test harness; see
+    /// [`FaultPlan`]).
+    #[cfg(feature = "fault-inject")]
+    pub fault: Option<FaultPlan>,
+}
+
+impl QueryBudget {
+    /// No limits — equivalent to `QueryBudget::default()`.
+    pub fn unlimited() -> Self {
+        Self::default()
+    }
+
+    /// Set a wall-clock deadline.
+    pub fn with_deadline(mut self, deadline: Duration) -> Self {
+        self.deadline = Some(deadline);
+        self
+    }
+
+    /// Cap pushed mass updates.
+    pub fn with_max_pushed_mass_updates(mut self, cap: u64) -> Self {
+        self.max_pushed_mass_updates = Some(cap);
+        self
+    }
+
+    /// Cap traversed frontier edges.
+    pub fn with_max_edges_traversed(mut self, cap: u64) -> Self {
+        self.max_edges_traversed = Some(cap);
+        self
+    }
+
+    /// Attach a cancellation token.
+    pub fn with_cancel(mut self, token: CancelToken) -> Self {
+        self.cancel = Some(token);
+        self
+    }
+
+    /// Attach a boundary hook.
+    pub fn with_hook(mut self, hook: BoundaryHook) -> Self {
+        self.hook = Some(hook);
+        self
+    }
+
+    /// Attach a deterministic fault-injection plan.
+    #[cfg(feature = "fault-inject")]
+    pub fn with_fault(mut self, plan: FaultPlan) -> Self {
+        self.fault = Some(plan);
+        self
+    }
+
+    /// Field-wise override: take each limit from `self` when set, else
+    /// from `default`. This is how a per-query budget composes with an
+    /// engine's per-graph default.
+    pub fn or(&self, default: &QueryBudget) -> QueryBudget {
+        QueryBudget {
+            deadline: self.deadline.or(default.deadline),
+            max_pushed_mass_updates: self
+                .max_pushed_mass_updates
+                .or(default.max_pushed_mass_updates),
+            max_edges_traversed: self.max_edges_traversed.or(default.max_edges_traversed),
+            cancel: self.cancel.clone().or_else(|| default.cancel.clone()),
+            hook: self.hook.clone().or_else(|| default.hook.clone()),
+            #[cfg(feature = "fault-inject")]
+            fault: self.fault.or(default.fault),
+        }
+    }
+
+    /// Arms the budget for one run: the relative deadline becomes an
+    /// absolute instant (the clock starts *now*) and the fault plan, if
+    /// any, a fresh countdown. Each call arms independently, so a grid
+    /// scan that re-arms one budget per point gives every point its own
+    /// deadline and countdown.
+    pub fn arm(&self) -> Checkpoint {
+        Checkpoint {
+            deadline: self.deadline.map(|d| Instant::now() + d),
+            #[cfg(feature = "fault-inject")]
+            fault: self.fault.map(|plan| Arc::new(FaultState::new(plan))),
+            budget: self.clone(),
+        }
+    }
+}
+
+/// An armed [`QueryBudget`]: the per-query guard consulted at iteration
+/// boundaries.
+///
+/// Made by [`QueryBudget::arm`], or [`Checkpoint::unlimited`], which never
+/// trips and whose [`tick`](Checkpoint::tick) compiles to a handful of
+/// `None` tests. The caller passes its *deterministic* cumulative work
+/// counters into `tick` — the checkpoint itself holds no mutable counters
+/// (except the feature-gated fault countdown), so cloning is cheap and a
+/// clone used for a sub-run (see [`after_work`](Checkpoint::after_work))
+/// shares the deadline, token, hook, and fault state of its parent.
+#[derive(Clone, Debug)]
 pub struct Checkpoint {
+    /// The limits; their relative `deadline` was read once, by `arm`.
+    budget: QueryBudget,
+    /// `budget.deadline`, stamped against the clock.
     deadline: Option<Instant>,
-    max_pushes: Option<u64>,
-    max_edges: Option<u64>,
-    cancel: Option<CancelToken>,
-    hook: Option<BoundaryHook>,
     #[cfg(feature = "fault-inject")]
     fault: Option<Arc<FaultState>>,
 }
@@ -173,45 +339,7 @@ pub struct Checkpoint {
 impl Checkpoint {
     /// A checkpoint that never trips.
     pub fn unlimited() -> Self {
-        Self::default()
-    }
-
-    /// Trip once `Instant::now()` reaches `at`.
-    pub fn with_deadline_at(mut self, at: Instant) -> Self {
-        self.deadline = Some(at);
-        self
-    }
-
-    /// Trip once the caller's pushed-mass-update counter exceeds `cap`.
-    pub fn with_max_pushes(mut self, cap: u64) -> Self {
-        self.max_pushes = Some(cap);
-        self
-    }
-
-    /// Trip once the caller's traversed-edge counter exceeds `cap`.
-    pub fn with_max_edges(mut self, cap: u64) -> Self {
-        self.max_edges = Some(cap);
-        self
-    }
-
-    /// Trip once `token` is cancelled.
-    pub fn with_cancel(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
-        self
-    }
-
-    /// Run `hook` at every [`tick`](Checkpoint::tick), before the trip
-    /// tests.
-    pub fn with_hook(mut self, hook: BoundaryHook) -> Self {
-        self.hook = Some(hook);
-        self
-    }
-
-    /// Install a deterministic fault-injection plan (see [`FaultPlan`]).
-    #[cfg(feature = "fault-inject")]
-    pub fn with_fault(mut self, plan: FaultPlan) -> Self {
-        self.fault = Some(Arc::new(FaultState::new(plan)));
-        self
+        QueryBudget::unlimited().arm()
     }
 
     /// Derive a checkpoint for a sub-run after `pushes`/`edges` units of
@@ -222,8 +350,11 @@ impl Checkpoint {
     /// runs restart their counters from zero.
     pub fn after_work(&self, pushes: u64, edges: u64) -> Checkpoint {
         let mut derived = self.clone();
-        derived.max_pushes = self.max_pushes.map(|cap| cap.saturating_sub(pushes));
-        derived.max_edges = self.max_edges.map(|cap| cap.saturating_sub(edges));
+        let caps = &mut derived.budget;
+        caps.max_pushed_mass_updates = caps
+            .max_pushed_mass_updates
+            .map(|c| c.saturating_sub(pushes));
+        caps.max_edges_traversed = caps.max_edges_traversed.map(|c| c.saturating_sub(edges));
         derived
     }
 
@@ -234,13 +365,14 @@ impl Checkpoint {
     /// first limit found tripped, checking (in order) the fault plan, the
     /// cancel token, the work caps, and the deadline.
     ///
-    /// Cost: with no limits and no hook installed this is five `None`
-    /// tests; a hook adds whatever it runs (charged to the deadline, which
-    /// is read after it), a deadline one coarse clock read, a token one
-    /// acquire load. Never called per edge.
+    /// Cost: with an unlimited budget this is five `None` tests (hook,
+    /// token, the two caps, deadline); a hook adds whatever it runs
+    /// (charged to the deadline, which is read after it), a deadline one
+    /// coarse clock read, a token one acquire load. Never called per edge.
     #[inline]
     pub fn tick(&self, pushes: u64, edges: u64) -> Result<(), Trip> {
-        if let Some(hook) = &self.hook {
+        let b = &self.budget;
+        if let Some(hook) = &b.hook {
             (hook.0)();
         }
         #[cfg(feature = "fault-inject")]
@@ -249,17 +381,17 @@ impl Checkpoint {
                 return Err(fault.kind);
             }
         }
-        if let Some(token) = &self.cancel {
+        if let Some(token) = &b.cancel {
             if token.is_cancelled() {
                 return Err(Trip::Cancelled);
             }
         }
-        if let Some(cap) = self.max_pushes {
+        if let Some(cap) = b.max_pushed_mass_updates {
             if pushes > cap {
                 return Err(Trip::WorkBudget);
             }
         }
-        if let Some(cap) = self.max_edges {
+        if let Some(cap) = b.max_edges_traversed {
             if edges > cap {
                 return Err(Trip::WorkBudget);
             }
@@ -276,7 +408,6 @@ impl Checkpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     #[test]
     fn unlimited_never_trips() {
@@ -287,7 +418,7 @@ mod tests {
     #[test]
     fn cancel_token_is_shared_and_one_shot() {
         let token = CancelToken::new();
-        let cp = Checkpoint::unlimited().with_cancel(token.clone());
+        let cp = QueryBudget::unlimited().with_cancel(token.clone()).arm();
         assert_eq!(cp.tick(0, 0), Ok(()));
         token.cancel();
         assert_eq!(cp.tick(0, 0), Err(Trip::Cancelled));
@@ -296,9 +427,10 @@ mod tests {
 
     #[test]
     fn work_caps_trip_strictly_above() {
-        let cp = Checkpoint::unlimited()
-            .with_max_pushes(10)
-            .with_max_edges(100);
+        let cp = QueryBudget::unlimited()
+            .with_max_pushed_mass_updates(10)
+            .with_max_edges_traversed(100)
+            .arm();
         assert_eq!(cp.tick(10, 100), Ok(()));
         assert_eq!(cp.tick(11, 0), Err(Trip::WorkBudget));
         assert_eq!(cp.tick(0, 101), Err(Trip::WorkBudget));
@@ -306,18 +438,20 @@ mod tests {
 
     #[test]
     fn deadline_in_the_past_trips() {
-        let cp = Checkpoint::unlimited().with_deadline_at(Instant::now() - Duration::from_secs(1));
+        let cp = QueryBudget::unlimited().with_deadline(Duration::ZERO).arm();
         assert_eq!(cp.tick(0, 0), Err(Trip::Deadline));
-        let cp =
-            Checkpoint::unlimited().with_deadline_at(Instant::now() + Duration::from_secs(3600));
+        let cp = QueryBudget::unlimited()
+            .with_deadline(Duration::from_secs(3600))
+            .arm();
         assert_eq!(cp.tick(0, 0), Ok(()));
     }
 
     #[test]
     fn derived_checkpoint_shrinks_work_caps() {
-        let cp = Checkpoint::unlimited()
-            .with_max_pushes(10)
-            .with_max_edges(100);
+        let cp = QueryBudget::unlimited()
+            .with_max_pushed_mass_updates(10)
+            .with_max_edges_traversed(100)
+            .arm();
         let derived = cp.after_work(4, 120);
         assert_eq!(derived.tick(6, 0), Ok(()));
         assert_eq!(derived.tick(7, 0), Err(Trip::WorkBudget));
@@ -338,16 +472,73 @@ mod tests {
                 }
             })
         };
-        let cp = Checkpoint::unlimited()
+        let cp = QueryBudget::unlimited()
             .with_cancel(token)
-            .with_max_edges(100)
-            .with_hook(hook);
+            .with_max_edges_traversed(100)
+            .with_hook(hook)
+            .arm();
         assert_eq!(cp.tick(0, 0), Ok(()));
         // A tick that trips has still run the hook.
         assert_eq!(cp.tick(0, 101), Err(Trip::WorkBudget));
         // The cancellation the third run makes is seen by that same tick.
         assert_eq!(cp.after_work(0, 0).tick(0, 0), Err(Trip::Cancelled));
         assert_eq!(runs.load(Ordering::Relaxed), 3);
+    }
+
+    #[test]
+    fn budget_or_is_fieldwise() {
+        let token = CancelToken::new();
+        let default = QueryBudget::unlimited()
+            .with_deadline(Duration::from_secs(5))
+            .with_max_edges_traversed(100);
+        let per_query = QueryBudget::unlimited()
+            .with_max_edges_traversed(7)
+            .with_cancel(token);
+        let merged = per_query.or(&default);
+        assert_eq!(merged.deadline, Some(Duration::from_secs(5)));
+        assert_eq!(merged.max_edges_traversed, Some(7));
+        assert_eq!(merged.max_pushed_mass_updates, None);
+        assert!(merged.cancel.is_some());
+    }
+
+    /// Every `arm` starts its own clock and its own fault countdown: a
+    /// budget re-armed per grid point (`NcpParams`, `PipelineParams`)
+    /// gives each point the whole budget, whatever earlier arms consumed.
+    #[test]
+    fn arming_twice_gives_independent_deadlines_and_countdowns() {
+        let budget = QueryBudget::unlimited().with_deadline(Duration::from_millis(200));
+        let first = budget.arm();
+        std::thread::sleep(Duration::from_millis(250));
+        let second = budget.arm();
+        assert_eq!(first.tick(0, 0), Err(Trip::Deadline));
+        assert_eq!(second.tick(0, 0), Ok(()));
+        #[cfg(feature = "fault-inject")]
+        {
+            let budget = QueryBudget::unlimited().with_fault(FaultPlan {
+                after_ticks: 1,
+                kind: Trip::Cancelled,
+            });
+            let (first, second) = (budget.arm(), budget.arm());
+            assert_eq!(first.tick(0, 0), Ok(()));
+            assert_eq!(first.tick(0, 0), Err(Trip::Cancelled));
+            // The second arm's countdown has not moved.
+            assert_eq!(second.tick(0, 0), Ok(()));
+            assert_eq!(second.tick(0, 0), Err(Trip::Cancelled));
+        }
+    }
+
+    #[test]
+    fn tripped_outcome_and_map() {
+        assert_eq!(Tripped::outcome(None, 3), Ok(3));
+        let t = Tripped::outcome(Some(Trip::WorkBudget), 3).unwrap_err();
+        assert_eq!(
+            t.map(|x| x * 2),
+            Tripped {
+                trip: Trip::WorkBudget,
+                partial: 6
+            }
+        );
+        assert_eq!(Trip::WorkBudget.to_string(), "work budget exceeded");
     }
 
     #[cfg(feature = "fault-inject")]
@@ -357,7 +548,7 @@ mod tests {
             after_ticks: 2,
             kind: Trip::Deadline,
         };
-        let cp = Checkpoint::unlimited().with_fault(plan);
+        let cp = QueryBudget::unlimited().with_fault(plan).arm();
         assert_eq!(cp.tick(0, 0), Ok(()));
         assert_eq!(cp.tick(0, 0), Ok(()));
         assert_eq!(cp.tick(0, 0), Err(Trip::Deadline));

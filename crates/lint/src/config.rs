@@ -84,8 +84,7 @@ impl Config {
             .map(|(p, j)| (p.to_string(), j.to_string()))
             .collect(),
             timing_allowlist: s(&[
-                "crates/ligra/src/interrupt.rs", // the deadline mechanism itself
-                "crates/core/src/budget.rs",     // arms deadlines when a budget is attached
+                "crates/ligra/src/interrupt.rs", // the deadline mechanism: budgets arm there
             ]),
             determinism_scope: s(&["crates/core/src/", "crates/graph/src/"]),
             timing_scope: s(&[

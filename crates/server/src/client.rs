@@ -218,10 +218,13 @@ mod tests {
     // the encoders (the full TCP paths live in tests/loopback.rs).
     #[test]
     fn response_decoding_matches_encoders() {
-        let e = WireError::Cancelled(WirePartial {
-            stats: Default::default(),
-            cluster: vec![4],
-            conductance: 0.5,
+        let e = WireError::Tripped(lgc_core::Tripped {
+            trip: lgc_core::Trip::Cancelled,
+            partial: WirePartial {
+                stats: Default::default(),
+                cluster: vec![4],
+                conductance: 0.5,
+            },
         });
         let payload = wire::encode_error(&e);
         assert_eq!(wire::decode_error(&payload).unwrap(), e);

@@ -22,7 +22,8 @@
 use crate::frame::ProtocolError;
 use lgc_core::{
     Algorithm, ClusterResult, Diffusion, DiffusionStats, EvolvingParams, HkprParams, NibbleParams,
-    PrNibbleParams, PushRule, Query, QueryBudget, QueryError, RandHkprParams, Seed, SweepCut,
+    PrNibbleParams, PushRule, Query, QueryBudget, QueryError, RandHkprParams, Seed, SweepCut, Trip,
+    Tripped,
 };
 use std::fmt;
 use std::time::Duration;
@@ -74,9 +75,9 @@ pub struct QueryRequest {
     pub query: Query,
 }
 
-/// Summary of a tripped query's partial progress, carried by the
-/// mid-run [`WireError`] variants: the work counters plus the
-/// best-so-far cut (empty when the trip happened before any sweep).
+/// Summary of a tripped query's partial progress, carried by
+/// [`WireError::Tripped`]: the work counters plus the best-so-far cut
+/// (empty when the trip happened before any sweep).
 #[derive(Clone, Debug, PartialEq)]
 pub struct WirePartial {
     /// Work completed before the trip.
@@ -92,12 +93,10 @@ pub struct WirePartial {
 /// codes (the first payload byte) are documented in `PROTOCOL.md`.
 #[derive(Clone, Debug, PartialEq)]
 pub enum WireError {
-    /// The query's wall-clock deadline passed mid-run.
-    DeadlineExceeded(WirePartial),
-    /// A deterministic work cap tripped mid-run.
-    WorkBudgetExceeded(WirePartial),
-    /// The query was cancelled (e.g. its connection went away).
-    Cancelled(WirePartial),
+    /// A limit stopped the query mid-run: its wall-clock deadline passed,
+    /// a deterministic work cap tripped, or it was cancelled (e.g. its
+    /// connection went away). Error codes 1–3, one per [`Trip`].
+    Tripped(Tripped<WirePartial>),
     /// A seed vertex id is out of range for the tenant's graph.
     InvalidSeed {
         /// The offending vertex id.
@@ -161,9 +160,11 @@ impl WireError {
     /// The protocol error code of this variant (`PROTOCOL.md` table).
     pub fn code(&self) -> u8 {
         match self {
-            WireError::DeadlineExceeded(_) => 1,
-            WireError::WorkBudgetExceeded(_) => 2,
-            WireError::Cancelled(_) => 3,
+            WireError::Tripped(t) => match t.trip {
+                Trip::Deadline => 1,
+                Trip::WorkBudget => 2,
+                Trip::Cancelled => 3,
+            },
             WireError::InvalidSeed { .. } => 4,
             WireError::WorkspaceBudgetExceeded { .. } => 5,
             WireError::Overloaded { .. } => 6,
@@ -195,12 +196,10 @@ impl WireError {
         }
     }
 
-    /// The partial-progress summary, for the mid-run trip variants.
+    /// The partial-progress summary of a mid-run trip.
     pub fn partial(&self) -> Option<&WirePartial> {
         match self {
-            WireError::DeadlineExceeded(p)
-            | WireError::WorkBudgetExceeded(p)
-            | WireError::Cancelled(p) => Some(p),
+            WireError::Tripped(t) => Some(&t.partial),
             _ => None,
         }
     }
@@ -209,15 +208,15 @@ impl WireError {
     /// diffusion vectors are summarized to the best-so-far cut; the
     /// counters travel in full).
     pub fn from_query_error(e: &QueryError) -> WireError {
-        let partial = |p: &lgc_core::PartialResult| WirePartial {
-            stats: p.stats,
-            cluster: p.cluster().map(<[u32]>::to_vec).unwrap_or_default(),
-            conductance: p.conductance().unwrap_or(f64::INFINITY),
-        };
         match e {
-            QueryError::DeadlineExceeded(p) => WireError::DeadlineExceeded(partial(p)),
-            QueryError::WorkBudgetExceeded(p) => WireError::WorkBudgetExceeded(partial(p)),
-            QueryError::Cancelled(p) => WireError::Cancelled(partial(p)),
+            QueryError::Tripped(Tripped { trip, partial: p }) => WireError::Tripped(Tripped {
+                trip: *trip,
+                partial: WirePartial {
+                    stats: p.stats,
+                    cluster: p.cluster().map(<[u32]>::to_vec).unwrap_or_default(),
+                    conductance: p.conductance().unwrap_or(f64::INFINITY),
+                },
+            }),
             QueryError::InvalidSeed(s) => WireError::InvalidSeed {
                 vertex: s.vertex,
                 num_vertices: s.num_vertices as u64,
@@ -247,14 +246,8 @@ impl WireError {
 impl fmt::Display for WireError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            WireError::DeadlineExceeded(p) => {
-                write!(f, "deadline exceeded after {} iterations", p.stats.iterations)
-            }
-            WireError::WorkBudgetExceeded(p) => {
-                write!(f, "work budget exceeded after {} iterations", p.stats.iterations)
-            }
-            WireError::Cancelled(p) => {
-                write!(f, "cancelled after {} iterations", p.stats.iterations)
+            WireError::Tripped(t) => {
+                write!(f, "{} after {} iterations", t.trip, t.partial.stats.iterations)
             }
             WireError::InvalidSeed {
                 vertex,
@@ -697,9 +690,7 @@ pub fn encode_error(e: &WireError) -> Vec<u8> {
     let mut w = Wr::default();
     w.u8(e.code());
     match e {
-        WireError::DeadlineExceeded(p)
-        | WireError::WorkBudgetExceeded(p)
-        | WireError::Cancelled(p) => enc_partial(&mut w, p),
+        WireError::Tripped(t) => enc_partial(&mut w, &t.partial),
         WireError::InvalidSeed {
             vertex,
             num_vertices,
@@ -749,9 +740,14 @@ pub fn encode_error(e: &WireError) -> Vec<u8> {
 pub fn decode_error(payload: &[u8]) -> DecodeResult<WireError> {
     let mut r = Rd::new(payload);
     let e = match r.u8("error code")? {
-        1 => WireError::DeadlineExceeded(dec_partial(&mut r)?),
-        2 => WireError::WorkBudgetExceeded(dec_partial(&mut r)?),
-        3 => WireError::Cancelled(dec_partial(&mut r)?),
+        code @ 1..=3 => WireError::Tripped(Tripped {
+            trip: match code {
+                1 => Trip::Deadline,
+                2 => Trip::WorkBudget,
+                _ => Trip::Cancelled,
+            },
+            partial: dec_partial(&mut r)?,
+        }),
         4 => WireError::InvalidSeed {
             vertex: r.u32("invalid seed vertex")?,
             num_vertices: r.u64("num_vertices")?,
@@ -897,14 +893,18 @@ mod tests {
             cluster: vec![1, 2, 3],
             conductance: 0.125,
         };
+        let tripped = |trip, partial| WireError::Tripped(Tripped { trip, partial });
         let variants = vec![
-            WireError::DeadlineExceeded(partial.clone()),
-            WireError::WorkBudgetExceeded(partial.clone()),
-            WireError::Cancelled(WirePartial {
-                cluster: vec![],
-                conductance: f64::INFINITY,
-                ..partial
-            }),
+            tripped(Trip::Deadline, partial.clone()),
+            tripped(Trip::WorkBudget, partial.clone()),
+            tripped(
+                Trip::Cancelled,
+                WirePartial {
+                    cluster: vec![],
+                    conductance: f64::INFINITY,
+                    ..partial
+                },
+            ),
             WireError::InvalidSeed {
                 vertex: 77,
                 num_vertices: 10,

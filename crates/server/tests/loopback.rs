@@ -13,7 +13,8 @@
 
 use lgc_core::{
     find_cluster, Algorithm, EngineLimits, EvolvingParams, HkprParams, NibbleParams,
-    PrNibbleParams, Query, QueryBudget, RandHkprParams, Seed, Service, RETRY_AFTER_FLOOR,
+    PrNibbleParams, Query, QueryBudget, RandHkprParams, Seed, Service, Trip, Tripped,
+    RETRY_AFTER_FLOOR,
 };
 use lgc_graph::{gen, Graph};
 use lgc_parallel::Pool;
@@ -377,11 +378,14 @@ fn deadline_trip_returns_partial_over_the_wire() {
     )
     .with_budget(QueryBudget::unlimited().with_deadline(Duration::ZERO));
     match client.query("local", Priority::Interactive, &q) {
-        Ok(Err(WireError::DeadlineExceeded(partial))) => {
+        Ok(Err(WireError::Tripped(Tripped {
+            trip: Trip::Deadline,
+            partial,
+        }))) => {
             // The partial's counters made it across the wire intact.
             assert_eq!(partial.stats.iterations, 0);
         }
-        other => panic!("expected DeadlineExceeded, got {other:?}"),
+        other => panic!("expected a deadline trip, got {other:?}"),
     }
     server.shutdown();
 }
@@ -483,8 +487,11 @@ fn bulk_queries_inherit_the_server_bulk_budget() {
     let mut client = Client::connect(server.local_addr()).unwrap();
     let q = Query::new(Seed::single(1), Algorithm::PrNibble(Default::default()));
     match client.query("cliques", Priority::Bulk, &q) {
-        Ok(Err(WireError::DeadlineExceeded(_))) => {}
-        other => panic!("expected bulk DeadlineExceeded, got {other:?}"),
+        Ok(Err(WireError::Tripped(Tripped {
+            trip: Trip::Deadline,
+            ..
+        }))) => {}
+        other => panic!("expected a bulk deadline trip, got {other:?}"),
     }
     client
         .query("cliques", Priority::Interactive, &q)

@@ -6,7 +6,7 @@
 
 use lgc_core::{
     Algorithm, ClusterResult, Diffusion, DiffusionStats, EvolvingParams, HkprParams, NibbleParams,
-    PrNibbleParams, PushRule, Query, QueryBudget, RandHkprParams, Seed, SweepCut,
+    PrNibbleParams, PushRule, Query, QueryBudget, RandHkprParams, Seed, SweepCut, Trip, Tripped,
 };
 use lgc_server::frame::{self, read_frame, write_frame, FrameKind, ProtocolError};
 use lgc_server::wire::{
@@ -203,9 +203,10 @@ fn arb_retry() -> impl Strategy<Value = Option<Duration>> {
 
 fn arb_error() -> impl Strategy<Value = WireError> {
     prop_oneof![
-        arb_partial().prop_map(WireError::DeadlineExceeded),
-        arb_partial().prop_map(WireError::WorkBudgetExceeded),
-        arb_partial().prop_map(WireError::Cancelled),
+        (0usize..3, arb_partial()).prop_map(|(i, partial)| {
+            let trip = [Trip::Deadline, Trip::WorkBudget, Trip::Cancelled][i];
+            WireError::Tripped(Tripped { trip, partial })
+        }),
         (0u32..u32::MAX, 0u64..1 << 40).prop_map(|(vertex, num_vertices)| WireError::InvalidSeed {
             vertex,
             num_vertices
@@ -386,6 +387,32 @@ fn oversized_frame_is_rejected_before_allocation() {
             assert_eq!(max, frame::MAX_PAYLOAD as u64);
         }
         other => panic!("expected Oversized, got {other:?}"),
+    }
+}
+
+/// A trip travels as error code 1, 2 or 3 — one per `Trip`, in the
+/// order `PROTOCOL.md` lists them — followed by the partial, and decodes
+/// back to the trip it left as.
+#[test]
+fn trip_error_codes_are_one_two_three() {
+    let partial = WirePartial {
+        stats: DiffusionStats::default(),
+        cluster: vec![3, 1],
+        conductance: 0.25,
+    };
+    let codes = [
+        (1u8, Trip::Deadline),
+        (2, Trip::WorkBudget),
+        (3, Trip::Cancelled),
+    ];
+    for (code, trip) in codes {
+        let partial = partial.clone();
+        let bytes = encode_error(&WireError::Tripped(Tripped { trip, partial }));
+        assert_eq!(bytes[0], code);
+        match decode_error(&bytes) {
+            Ok(WireError::Tripped(t)) => assert_eq!(t.trip, trip),
+            other => panic!("code {code}: {other:?}"),
+        }
     }
 }
 

@@ -94,7 +94,7 @@ fn main() {
         )
         // Deterministic work cap: no single "communities" query may
         // traverse more than 2M edges; heavier ones come back as typed
-        // `WorkBudgetExceeded` errors carrying their best-so-far cut.
+        // `QueryError::Tripped` errors carrying their best-so-far cut.
         .add_graph_with_limits(
             "communities",
             sbm,

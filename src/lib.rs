@@ -181,7 +181,8 @@
 //!
 //! ```
 //! use plgc::{
-//!     Algorithm, Engine, EngineLimits, PrNibbleParams, Query, QueryBudget, QueryError, Seed,
+//!     Algorithm, Engine, EngineLimits, PrNibbleParams, Query, QueryBudget, QueryError, Seed, Trip,
+//!     Tripped,
 //! };
 //! use std::time::Duration;
 //!
@@ -201,7 +202,7 @@
 //! )
 //! .with_budget(QueryBudget::unlimited().with_max_edges_traversed(10));
 //! match engine.try_run(&q) {
-//!     Err(QueryError::WorkBudgetExceeded(partial)) => {
+//!     Err(QueryError::Tripped(Tripped { trip: Trip::WorkBudget, partial })) => {
 //!         assert!(partial.stats.edges_traversed >= 10);
 //!         assert!(partial.cluster().is_some(), "best-so-far cut");
 //!     }
@@ -406,12 +407,12 @@ pub use lgc_core::{
     evolving_set_par, evolving_set_seq, find_cluster, hkpr_par, hkpr_seq, ncp_prnibble, nibble_par,
     nibble_seq, prnibble_par, prnibble_seq, rand_hkpr_par, rand_hkpr_seq, sweep_cut_par,
     sweep_cut_seq, Algorithm, BoundaryHook, CancelToken, Checkpoint, ClusterResult, Diffusion,
-    DiffusionStats, Direction, DirectionMode, DirectionParams, Embedding, Engine, EngineBuilder,
-    EngineLimits, EvolvingParams, GraphStore, GraphSummary, HkprParams, InvalidParams, InvalidSeed,
-    KClusters, LifecycleSnapshot, LocalDiffusion, NcpParams, NibbleParams, PartialResult,
-    PipelineParams, PrNibbleParams, PushRule, Query, QueryBudget, QueryError, RandHkprParams,
-    RefineStats, RefinedCut, RhoGrid, Seed, Service, ServiceBuilder, ServiceEngine, SweepCut, Trip,
-    TrippedDiffusion, TrippedRefinement, Workspace, WorkspaceBudgetExceeded, RETRY_AFTER_FLOOR,
+    DiffusionStats, Direction, DirectionParams, Embedding, Engine, EngineBuilder, EngineLimits,
+    EvolvingParams, GraphStore, GraphSummary, HkprParams, InvalidParams, InvalidSeed, KClusters,
+    LifecycleSnapshot, LocalDiffusion, NcpParams, NibbleParams, PartialResult, PipelineParams,
+    PrNibbleParams, PushRule, Query, QueryBudget, QueryError, RandHkprParams, RefineStats,
+    RefinedCut, RhoGrid, Seed, Service, ServiceBuilder, ServiceEngine, SweepCut, Trip, Tripped,
+    Workspace, WorkspaceBudgetExceeded, RETRY_AFTER_FLOOR,
 };
 pub use lgc_graph::{
     induced_cut_subgraph, CsrBackend, CsrCompressed, CsrPlain, CutSubgraph, Graph, GraphBuilder,

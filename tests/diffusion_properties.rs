@@ -116,8 +116,7 @@ proptest! {
 
     /// Traversal direction must be invisible to the algorithms:
     /// push-pinned, pull-pinned, and auto engines return the same vector
-    /// from each parallel diffusion — the auto one at Ligra's eager
-    /// `m / 20`, so small frontiers alternate between push and pull.
+    /// from each parallel diffusion.
     /// Nibble and HK-PR pull reproduces the push accumulation order
     /// exactly at one thread (bitwise); PR-Nibble's pull path re-brackets
     /// the residual commit, so everything is held to a tight ℓ₁ tolerance
@@ -128,7 +127,7 @@ proptest! {
         let dirs = [
             DirectionParams::push_only(),
             DirectionParams::pull_only(),
-            DirectionParams { dense_denom: 20, ..Default::default() },
+            DirectionParams::default(),
         ];
         let engines = dirs.map(|dir| plgc::Engine::builder(&g).threads(threads).direction(dir).build());
         let run = |algo: plgc::Algorithm| -> Vec<_> {

@@ -313,10 +313,8 @@ proptest! {
             Algorithm::PrNibble(lgc::PrNibbleParams { alpha: 0.05, eps: 1e-7, ..Default::default() }),
             Algorithm::Hkpr(lgc::HkprParams { t: 5.0, n_levels: 12, eps: 1e-7 }),
         ];
-        // Ligra's eager `m / 20` (what `direction(default())` meant while
-        // the default was 20), then pulls only.
-        let eager = plgc::DirectionParams { dense_denom: 20, ..Default::default() };
-        for pin in [eager, plgc::DirectionParams::pull_only()] {
+        // The default policy, then pulls only.
+        for pin in [plgc::DirectionParams::default(), plgc::DirectionParams::pull_only()] {
             let pinned = pin == plgc::DirectionParams::pull_only();
             let reference = Engine::builder(&g).threads(1).direction(pin).build();
             // All five algorithms, for the entry-point identities.

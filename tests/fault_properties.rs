@@ -24,7 +24,10 @@
 //! the suite with more cases than the local default).
 
 use plgc::cluster as lgc;
-use plgc::{Algorithm, CancelToken, CsrCompressed, Engine, Query, QueryBudget, QueryError, Seed};
+use plgc::{
+    Algorithm, CancelToken, CsrCompressed, Engine, Query, QueryBudget, QueryError, Seed, Trip,
+    Tripped,
+};
 use proptest::prelude::*;
 use std::time::Duration;
 
@@ -167,7 +170,7 @@ proptest! {
             .clone()
             .with_budget(QueryBudget::unlimited().with_cancel(token));
         match engine.try_run(&cancelled) {
-            Err(QueryError::Cancelled(partial)) => {
+            Err(QueryError::Tripped(Tripped { trip: Trip::Cancelled, partial })) => {
                 prop_assert_eq!(partial.stats.iterations, 0, "no iteration completed");
             }
             other => prop_assert!(false, "expected Cancelled, got {:?}", other.err()),
@@ -194,10 +197,10 @@ proptest! {
             .clone()
             .with_budget(QueryBudget::unlimited().with_deadline(Duration::ZERO));
         match engine.try_run(&expired) {
-            Err(QueryError::DeadlineExceeded(partial)) => {
+            Err(QueryError::Tripped(Tripped { trip: Trip::Deadline, partial })) => {
                 prop_assert_eq!(partial.stats.iterations, 0);
             }
-            other => prop_assert!(false, "expected DeadlineExceeded, got {:?}", other.err()),
+            other => prop_assert!(false, "expected a deadline trip, got {:?}", other.err()),
         }
         assert_recovered(&engine, &g, &q, threads, "post-deadline");
     }
@@ -225,7 +228,10 @@ proptest! {
                 prop_assert_eq!(x.diffusion.stats, y.diffusion.stats);
                 prop_assert_eq!(x.cluster, y.cluster);
             }
-            (Err(QueryError::WorkBudgetExceeded(x)), Err(QueryError::WorkBudgetExceeded(y))) => {
+            (
+                Err(QueryError::Tripped(Tripped { trip: Trip::WorkBudget, partial: x })),
+                Err(QueryError::Tripped(Tripped { trip: Trip::WorkBudget, partial: y })),
+            ) => {
                 prop_assert_eq!(x.stats, y.stats, "trip at the same boundary");
                 let (dx, dy) = (x.diffusion.as_ref().unwrap(), y.diffusion.as_ref().unwrap());
                 prop_assert_eq!(&dx.p, &dy.p, "identical partial vectors");
@@ -277,7 +283,7 @@ proptest! {
             }
             other => prop_assert!(false, "expected InvalidSeed, got {:?}", other),
         }
-        prop_assert!(matches!(out[3], Err(QueryError::Cancelled(_))));
+        prop_assert!(matches!(out[3], Err(QueryError::Tripped(Tripped { trip: Trip::Cancelled, .. }))));
         let want = engine.run_batch(&good);
         for (got, want) in out
             .iter()
@@ -408,7 +414,7 @@ fn ncp_budget_truncates_gracefully() {
 #[cfg(feature = "fault-inject")]
 mod fault_injected {
     use super::*;
-    use plgc::{BoundaryHook, FaultPlan, Pool, Trip};
+    use plgc::{BoundaryHook, FaultPlan, Pool};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
@@ -612,7 +618,16 @@ mod fault_injected {
                     let err = engine
                         .try_run(&q.clone().with_budget(budget))
                         .expect_err("cancelled by its own hook");
-                    assert!(matches!(err, QueryError::Cancelled(_)), "{ctx}: {err:?}");
+                    assert!(
+                        matches!(
+                            err,
+                            QueryError::Tripped(Tripped {
+                                trip: Trip::Cancelled,
+                                ..
+                            })
+                        ),
+                        "{ctx}: {err:?}"
+                    );
                     assert_eq!(ticks.load(Ordering::Relaxed), at_tick + 1, "{ctx}");
                     assert_same_trip(&err, &planned, &ctx);
                     assert_eq!(engine.warm_workspaces(), 1, "{ctx}: checkout recycled");

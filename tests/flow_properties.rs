@@ -15,7 +15,8 @@
 
 use plgc::cluster as lgc;
 use plgc::{
-    Algorithm, CsrBackend, Engine, PipelineParams, Pool, Query, QueryBudget, QueryError, Seed, Trip,
+    Algorithm, CsrBackend, Engine, PipelineParams, Pool, Query, QueryBudget, QueryError, Seed,
+    Trip, Tripped,
 };
 use proptest::prelude::*;
 
@@ -171,7 +172,7 @@ proptest! {
 
     /// A budget-tripped refinement is a typed error, not a panic and
     /// not a silent fallback: `try_improve` under a zero work budget
-    /// returns [`QueryError::WorkBudgetExceeded`] whose
+    /// returns a [`Trip::WorkBudget`] [`QueryError::Tripped`] whose
     /// [`PartialResult`] is the *unrefined* input cut, while the plain
     /// `improve` of the same cut genuinely refines it.
     #[test]
@@ -189,7 +190,7 @@ proptest! {
             .try_improve(&result, &zero)
             .expect_err("flow must trip under a zero work budget");
         prop_assert_eq!(err.trip(), Some(Trip::WorkBudget));
-        prop_assert!(matches!(err, QueryError::WorkBudgetExceeded(_)));
+        prop_assert!(matches!(err, QueryError::Tripped(Tripped { trip: Trip::WorkBudget, .. })));
         let partial = err.partial().expect("trip errors carry a partial");
         let sweep = partial.sweep.as_ref().expect("refinement partial keeps the sweep");
         prop_assert_eq!(sweep.cluster(), &result.cluster[..]);

@@ -14,11 +14,9 @@
 //!
 //! Every case runs through one-thread engines built with
 //! `.direction(..)` — the one place a direction can be pinned — under
-//! `push_only()`, `pull_only()`, the default `Auto` policy, and an eager
-//! `Auto` (Ligra's `m / 20`). The parameters saturate both graphs, so the
-//! `Auto` runs genuinely flip from push to pull part-way through; the
-//! eager one flips while PR-Nibble's residuals are still a hash table,
-//! whose capacity history is part of the result bits.
+//! `push_only()`, `pull_only()` and the default `Auto` policy. The
+//! parameters saturate both graphs, so the `Auto` runs genuinely flip from
+//! push to pull part-way through.
 //!
 //! If a digest moves, the change altered result bits. Do not re-record
 //! the table to make a refactor pass.
@@ -137,7 +135,7 @@ fn run_all<B: CsrBackend>(
     out
 }
 
-/// `graph/algorithm` → digest. One literal covers eight runs: the plain
+/// `graph/algorithm` → digest. One literal covers six runs: the plain
 /// and the compressed backend under each direction policy. (At one thread
 /// the pull traversals replay the push accumulation order per
 /// destination, so the direction is invisible in the bits — for PR-Nibble
@@ -148,15 +146,10 @@ fn actual() -> Vec<(String, u64)> {
         ("randlocal", plgc::graph::gen::rand_local(2000, 5, 7)),
         ("rmat", plgc::graph::gen::rmat_graph500(10, 8, 3)),
     ];
-    let eager = DirectionParams {
-        dense_denom: 20,
-        ..Default::default()
-    };
     let dirs = [
         ("push", DirectionParams::push_only()),
         ("pull", DirectionParams::pull_only()),
         ("auto", DirectionParams::default()),
-        ("eager", eager),
     ];
     let mut table = Vec::new();
     for (gname, g) in &graphs {
