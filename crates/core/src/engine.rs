@@ -788,6 +788,7 @@ mod tests {
     #[test]
     fn direction_policy_reaches_the_workspaces_and_moves_no_bits() {
         use lgc_ligra::{Absorb, Direction, NO_ADMIT};
+        use lgc_sparse::MassMap;
         let g = gen::two_cliques_bridge(8);
         let seed = Seed::single(1);
         let reference = Engine::builder(&g).threads(1).build();
@@ -804,7 +805,11 @@ mod tests {
                 .spread
                 .stage(engine.pool(), &g, &mut frontier, vol, |_| 1.0);
             assert_eq!(staged.direction(), want);
-            staged.absorb(Absorb::Sum, |_, _, _| {}, NO_ADMIT);
+            staged.absorb(
+                Absorb::Sum,
+                &mut MassMap::new(g.num_vertices(), 0),
+                NO_ADMIT,
+            );
             ws.put_frontier(engine.pool(), frontier);
             engine.core.workspaces.restore(ws, &engine.core.counters);
             for algo in algorithms() {

@@ -17,19 +17,20 @@
 //! `O(vol(S))`: one `edgeMap` counts `|N(v) ∩ S|`, then a parallel filter
 //! applies the threshold. The count is a spread of contributions ≡ 1.0
 //! over `S`'s edges ([`lgc_ligra::EdgeSpread`], which also chooses the
-//! direction) — integer-valued sums, exact below 2⁵³, so the sequential
-//! and parallel versions, and both traversal directions, agree bit for
-//! bit and follow the same random trajectory. The lowest-conductance set
-//! seen is tracked and returned.
+//! direction) into a [`MassMap`] checked out of the workspace like the
+//! diffusions' stores — integer-valued sums, exact below 2⁵³, so the
+//! sequential and parallel versions, both traversal directions and both
+//! store modes agree bit for bit and follow the same random trajectory.
+//! The lowest-conductance set seen is tracked and returned.
 //!
 //! Each step is one iteration of the shared frontier driver, with `S` as
 //! the frontier, so a step is charged like any other diffusion's iteration:
 //! `|S|` pushes and `vol(S)` edges, the counters its checkpoint ticks on
-//! and its [`DiffusionStats`] report. It is the one caller of `EdgeSpread`
-//! that passes `NO_ADMIT`, for two reasons. Its admission test
-//! `p(v, S) ≥ U` needs `1[v ∈ S]`, which a pull's `admit(dst, received)` is
-//! not given. And `snapshot` computes each step's conductance from the
-//! member list, so a dense-native set would be unpacked straight away.
+//! and its [`DiffusionStats`] report. The edge map does not filter the next
+//! set (`NO_ADMIT`), for two reasons. Its admission test `p(v, S) ≥ U`
+//! needs `1[v ∈ S]`, which the edge map's `keep(v, count)` is not given.
+//! And `snapshot` computes each step's conductance from the member list, so
+//! a dense-native set would be unpacked straight away.
 
 use crate::budget::InvalidParams;
 use crate::driver::drive;
@@ -37,9 +38,9 @@ use crate::result::{Diffusion, DiffusionStats};
 use crate::seed::Seed;
 use crate::workspace::Workspace;
 use lgc_graph::CsrBackend;
-use lgc_ligra::{Absorb, Checkpoint, Tripped, VertexSubset, Writer, NO_ADMIT};
+use lgc_ligra::{Absorb, Checkpoint, Tripped, VertexSubset, NO_ADMIT};
 use lgc_parallel::{filter_map_index, Pool};
-use lgc_sparse::{ConcurrentSparseVec, SparseVec};
+use lgc_sparse::{MassMap, SparseVec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -188,9 +189,10 @@ pub fn evolving_set_par<B: CsrBackend>(
 }
 
 /// [`evolving_set_par`] over a recyclable workspace: the neighbor
-/// counter, the set frontier and the edge map's buffer come out of `ws`
-/// instead of being allocated. The trajectory is count-exact, so neither
-/// workspace reuse nor the per-step direction choice can perturb it.
+/// counter (a mass map), the set frontier and the edge map's buffer come
+/// out of `ws` instead of being allocated. The trajectory is count-exact,
+/// so neither workspace reuse, nor the per-step direction choice, nor the
+/// counter's store mode can perturb it.
 ///
 /// Each step is an iteration of the shared frontier driver
 /// (`driver::drive`), which consults `cp` once per step with the `Σ|S|`
@@ -210,10 +212,8 @@ pub(crate) fn evolving_set_par_ws<B: CsrBackend>(
     current.advance(pool, seed.vertices().to_vec());
     let mut best = snapshot(g, current.ids(pool));
     let mut sizes = vec![current.len()];
-    let mut inside = ws
-        .counts
-        .take()
-        .unwrap_or_else(|| ConcurrentSparseVec::with_capacity(16));
+    let n = g.num_vertices();
+    let mut inside = ws.take_mass(pool, n, 16, MassMap::DEFAULT_DENSE_FRACTION);
 
     // A step runs while the best set misses the target: a seed set that
     // meets it takes none.
@@ -228,16 +228,8 @@ pub(crate) fn evolving_set_par_ws<B: CsrBackend>(
         inside.reset(pool, vol.max(1));
         // Exact |N(v) ∩ S| counts for everything adjacent to S: every
         // member sends 1.0 along each of its edges.
-        // No `admit`: `snapshot` reads every step's set as a list, so
-        // a dense-native frontier would be unpacked straight away.
-        ws.spread.stage(pool, g, current, vol, |_| 1.0).absorb(
-            Absorb::Sum,
-            |dst, c, writer| match writer {
-                Writer::Shared => inside.add(dst, c),
-                Writer::Exclusive => inside.add_exclusive(dst, c),
-            },
-            NO_ADMIT,
-        );
+        let staged = ws.spread.stage(pool, g, current, vol, |_| 1.0);
+        staged.absorb(Absorb::Sum, &mut inside, NO_ADMIT);
         let mut cands: Vec<u32> = inside.entries(pool).into_iter().map(|(v, _)| v).collect();
         cands.extend_from_slice(current.ids(pool));
         cands.sort_unstable();
@@ -261,7 +253,7 @@ pub(crate) fn evolving_set_par_ws<B: CsrBackend>(
         best.1 > target
     };
     let (stats, tripped) = drive(pool, g, cp, max_steps, &mut current, step);
-    ws.counts = Some(inside);
+    ws.put_mass(inside);
     ws.put_frontier(pool, current);
     Tripped::outcome(tripped, finish(best, stats, sizes))
 }
@@ -454,6 +446,47 @@ mod tests {
             assert_eq!(warm.best_set, cold.best_set, "rng_seed={rng_seed}");
             assert_eq!(warm.sizes, cold.sizes);
             assert_eq!(warm.best_conductance, cold.best_conductance);
+        }
+    }
+
+    /// The neighbor counter comes out of the workspace's shared mass-map
+    /// pool. After a PR-Nibble query has run every map of that pool dense
+    /// (`dense_frac = 0`), the process still returns a cold run's result,
+    /// bit for bit: for a seed set with `vol(S) ≥ n/8`, whose first count
+    /// runs dense, and for one below it, whose count runs sparse.
+    #[test]
+    fn a_counter_from_a_dense_left_pool_keeps_the_result() {
+        use crate::prnibble::{prnibble_par_ws, PrNibbleParams};
+        let g = gen::rand_local(2000, 5, 7);
+        let n = g.num_vertices();
+        let pool = Pool::new(2);
+        let wide = Seed::set((0..n as u32).step_by(4).collect());
+        let narrow = Seed::single(0);
+        let vol = |s: &Seed| s.vertices().iter().map(|&v| g.degree(v)).sum::<usize>();
+        assert!(vol(&wide) >= n / 8 && vol(&narrow) < n / 8);
+        let all_dense = PrNibbleParams {
+            dense_frac: 0.0,
+            ..Default::default()
+        };
+        let cp = Checkpoint::unlimited();
+        for seed in [&wide, &narrow] {
+            let params = EvolvingParams {
+                max_steps: 20,
+                rng_seed: 4,
+                ..Default::default()
+            };
+            let mut ws = Workspace::new();
+            prnibble_par_ws(&pool, &g, &Seed::single(9), &all_dense, &mut ws, &cp).unwrap();
+            let warm = evolving_set_par_ws(&pool, &g, seed, &params, &mut ws, &cp).unwrap();
+            let cold = evolving_set_par(&pool, &g, seed, &params);
+            assert_eq!(warm.best_set, cold.best_set);
+            assert_eq!(
+                warm.best_conductance.to_bits(),
+                cold.best_conductance.to_bits()
+            );
+            assert_eq!((warm.steps, &warm.sizes), (cold.steps, &cold.sizes));
+            assert_eq!(warm.stats, cold.stats);
+            assert!(warm.steps > 0, "the process stepped");
         }
     }
 

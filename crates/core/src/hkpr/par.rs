@@ -12,7 +12,7 @@ use crate::result::Diffusion;
 use crate::seed::Seed;
 use crate::workspace::Workspace;
 use lgc_graph::CsrBackend;
-use lgc_ligra::{lane, Absorb, Checkpoint, Tripped, VertexSubset, Writer, NO_ADMIT};
+use lgc_ligra::{lane, Absorb, Checkpoint, Tripped, VertexSubset, NO_ADMIT};
 use lgc_parallel::{map_index, Pool};
 use lgc_sparse::MassMap;
 
@@ -25,12 +25,12 @@ use lgc_sparse::MassMap;
 /// `UpdateNgh` forwards it to level `j+1`. Both traversal directions apply
 /// the level-synchronous update set in the sequential order, which keeps
 /// Theorem 4's bit-equality with [`super::hkpr_seq`] at one thread. The
-/// next level's queue is the receivers above the admission threshold: a
-/// pull puts that test to each destination as its sum lands (the edge map's
-/// `admit`) and hands the next level a dense frontier with its size and
-/// volume tallied — between two pulled levels no key list is filtered and
-/// no degree is re-read; after a push the queue is filtered off `r_next`'s
-/// backend as a sorted list. Mass vectors are adaptive [`MassMap`]s.
+/// next level's queue is the receivers above the admission threshold, the
+/// edge map's `keep` filter over `r_next`: a pull puts that test to each
+/// destination as its sum lands and hands the next level a dense frontier
+/// with its size and volume tallied — between two pulled levels no key list
+/// is filtered and no degree is re-read. Mass vectors are adaptive
+/// [`MassMap`]s.
 pub fn hkpr_par<B: CsrBackend>(pool: &Pool, g: &B, seed: &Seed, params: &HkprParams) -> Diffusion {
     // An unlimited checkpoint never trips, so the `Err` case is unreachable.
     let (ws, cp) = (&mut Workspace::new(), &Checkpoint::unlimited());
@@ -95,8 +95,7 @@ pub(crate) fn hkpr_par_ws<B: CsrBackend>(
             // Flush the shares straight into p, per edge: p's cells are
             // not fresh, and this is the order the sequential flush adds
             // them in.
-            p.reserve_more(pool, vol);
-            staged.absorb(Absorb::PerEdge, |dst, c, w| add_as(w, &p, dst, c), NO_ADMIT);
+            staged.absorb(Absorb::PerEdge, &mut p, NO_ADMIT);
             return false;
         }
 
@@ -104,21 +103,13 @@ pub(crate) fn hkpr_par_ws<B: CsrBackend>(
         // here, so vol bounds the touched keys; the cells are fresh, so a
         // register sum brackets exactly like the per-edge order.
         //
-        // Next frontier: the level-(j+1) entries — the receivers — above
-        // the admission threshold (equivalent to the sequential crossing
-        // test because the accumulation is monotone). A pull decides each
-        // as its sum lands; after a push they are filtered off the mass
-        // store's backend, which hands the keys back ascending.
+        // Next frontier: the level-(j+1) entries — the receivers, the only
+        // keys of `r_next` — above the admission threshold (equivalent to
+        // the sequential crossing test because the accumulation is
+        // monotone).
         r_next.reset(pool, vol.max(1));
         let above = |w: u32, m: f64| m >= params.threshold(&psi, j + 1, g.degree(w));
-        let emitted = staged.absorb(
-            Absorb::Sum,
-            |dst, c, w| add_as(w, &r_next, dst, c),
-            Some(|dst, received| received && above(dst, r_next.get(dst))),
-        );
-        if !emitted {
-            frontier.advance(pool, r_next.filter_keys(pool, above));
-        }
+        staged.absorb(Absorb::Sum, &mut r_next, Some(above));
         std::mem::swap(&mut r, &mut r_next);
         j += 1;
         true
@@ -143,16 +134,6 @@ pub(crate) fn hkpr_par_ws<B: CsrBackend>(
     let mut d = Diffusion::from_entries_par(pool, entries, stats);
     d.stats.residual_mass = (1.0 - d.total_mass()).max(0.0);
     Tripped::outcome(tripped, d)
-}
-
-/// Adds `x` to `m[dst]`: atomically for a shared writer, with a plain
-/// load/add/store for the exclusive one.
-#[inline]
-fn add_as(writer: Writer, m: &MassMap, dst: u32, x: f64) {
-    match writer {
-        Writer::Shared => m.add(dst, x),
-        Writer::Exclusive => m.add_exclusive(dst, x),
-    }
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@ use crate::result::{Diffusion, DiffusionStats};
 use crate::seed::Seed;
 use crate::workspace::Workspace;
 use lgc_graph::CsrBackend;
-use lgc_ligra::{lane, Absorb, Checkpoint, Tripped, VertexSubset, Writer};
+use lgc_ligra::{lane, Absorb, Checkpoint, Tripped, VertexSubset};
 use lgc_parallel::Pool;
 use lgc_sparse::{MassMap, SparseVec};
 
@@ -108,12 +108,10 @@ pub fn nibble_seq<B: CsrBackend>(g: &B, seed: &Seed, params: &NibbleParams) -> D
 /// ([`lgc_ligra::EdgeSpread`]) — `UpdateSelf` banks the kept half
 /// `p[v]/2` and sends the share `p[v]/(2·d(v))`, computed once per vertex,
 /// along every edge — and one filter, `p'[v] ≥ ε·d(v)` over the vertices
-/// the step touched. A pull applies it to each destination as soon as its
-/// shares have landed (the edge map's `admit`) and hands the next step a
-/// dense frontier with its size and volume tallied; after a push the next
-/// frontier is filtered straight off `p_new`'s backend as a sorted list (no
-/// intermediate entries vector). Mass vectors live in adaptive
-/// [`MassMap`]s.
+/// the step touched, which the edge map applies as its `keep` (a pull to
+/// each destination as soon as its shares have landed, handing the next
+/// step a dense frontier with its size and volume tallied). Mass vectors
+/// live in adaptive [`MassMap`]s.
 pub fn nibble_par<B: CsrBackend>(
     pool: &Pool,
     g: &B,
@@ -165,34 +163,21 @@ pub(crate) fn nibble_par_ws<B: CsrBackend>(
         // edge: that is the sequential accumulation order, bit for bit.
         //
         // Frontier = {v : p'[v] ≥ ε·d(v)} among the touched vertices —
-        // the members, which kept a half, and the receivers. A pull decides
-        // each as the last of its shares lands; after a push they are
-        // filtered directly over the mass store's backend (ascending).
+        // the members, which kept a half, and the receivers: every key of
+        // `p_new`.
         p_new.reset(pool, k + vol);
         let active = |v: u32, m: f64| m >= eps * g.degree(v) as f64;
-        let emitted = ws
-            .spread
-            .stage(pool, g, frontier, vol, |v| {
-                let pv = p.get(v);
-                p_new.add_exclusive(v, pv / 2.0);
-                // Degree-0 vertices never reach the frontier in practice
-                // (they spread nothing); guard the division anyway.
-                match g.degree(v) {
-                    0 => 0.0,
-                    d => pv / (2.0 * d as f64),
-                }
-            })
-            .absorb(
-                Absorb::PerEdge,
-                |dst, share, writer| match writer {
-                    Writer::Shared => p_new.add(dst, share),
-                    Writer::Exclusive => p_new.add_exclusive(dst, share),
-                },
-                Some(|dst, _| active(dst, p_new.get(dst))),
-            );
-        if !emitted {
-            frontier.advance(pool, p_new.filter_keys(pool, active));
-        }
+        let staged = ws.spread.stage(pool, g, frontier, vol, |v| {
+            let pv = p.get(v);
+            p_new.add_exclusive(v, pv / 2.0);
+            // Degree-0 vertices never reach the frontier in practice
+            // (they spread nothing); guard the division anyway.
+            match g.degree(v) {
+                0 => 0.0,
+                d => pv / (2.0 * d as f64),
+            }
+        });
+        staged.absorb(Absorb::PerEdge, &mut p_new, Some(active));
         // An empty filter means the walk died: stop *before* the swap,
         // returning the previous vector (line 15 of Figure 3).
         if frontier.is_empty() {

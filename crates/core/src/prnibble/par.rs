@@ -40,7 +40,7 @@ use lgc_sparse::MassMap;
 ///   receivers. Push frontiers are the small ones, so the list is too.
 /// * a **pull** owns each destination: it adds the register sum to `r`
 ///   directly and applies the eligibility test to that destination then
-///   and there (the edge map's `admit`). The next frontier leaves the
+///   and there (the edge map's `keep`). The next frontier leaves the
 ///   gather as a bitset with its size and volume tallied, and the next pull
 ///   stages and gathers off that bitset — no delta map, no receiver set, no
 ///   id list and no degree walk between two pulls.
@@ -92,13 +92,13 @@ pub(crate) fn prnibble_par_ws<B: CsrBackend>(
 
     // Between iterations the frontier holds the eligible set: the vertices
     // known to satisfy r[v] ≥ ε·d(v).
-    let is_eligible = |r: &MassMap, v: u32| {
+    let is_eligible = |v: u32, m: f64| {
         let d = g.degree(v);
-        d > 0 && r.get(v) >= eps * d as f64
+        d > 0 && m >= eps * d as f64
     };
     let mut frontier = ws.take_frontier();
     let seeds = seed.vertices().iter().copied();
-    frontier.advance(pool, seeds.filter(|&v| is_eligible(&r, v)).collect());
+    frontier.advance(pool, seeds.filter(|&v| is_eligible(v, r.get(v))).collect());
     // At β = 1 the frontier *is* the eligible set. Below, the frontier is
     // narrowed to the selected part before each iteration and the whole set
     // is kept here meanwhile.
@@ -130,9 +130,10 @@ pub(crate) fn prnibble_par_ws<B: CsrBackend>(
 
         // Phases 2–4 commit the neighbor contributions to r and work out
         // the next eligible set: previously eligible vertices and vertices
-        // that just received mass are the only candidates. The two stores
-        // are sized here, per direction: their capacity history decides the
-        // slot order `r.l1_norm` sums in, so it is part of the result bits.
+        // that just received mass are the only candidates. The store is
+        // chosen here, per direction, and sized here or by the edge map:
+        // the capacity history decides the slot order `r.l1_norm` sums in,
+        // so it is part of the result bits.
         //
         // `unsettled` is what is left to do about that set: the candidates,
         // ascending, that are still to be merged with the known ones and put
@@ -142,7 +143,7 @@ pub(crate) fn prnibble_par_ws<B: CsrBackend>(
                 // Only edge destinations land in the delta map, so vol
                 // bounds the touched keys.
                 r_delta.reset(pool, vol.max(1));
-                staged.absorb(Absorb::Sum, |dst, c, _| r_delta.add(dst, c), NO_ADMIT);
+                staged.absorb(Absorb::Sum, &mut r_delta, NO_ADMIT);
                 let deltas = r_delta.entries(pool);
                 r.reserve_more(pool, deltas.len());
                 pool.run(deltas.len(), 512, |s, e| {
@@ -166,16 +167,11 @@ pub(crate) fn prnibble_par_ws<B: CsrBackend>(
                 Some(receivers)
             }
             Direction::Pull => {
-                // The gather puts the test to every receiver and to every
-                // vertex just pushed, on the thread that owns the vertex,
-                // once its sum is in r. Nobody else can have become
+                // The gather adds each sum into r and puts the test to every
+                // receiver and to every vertex just pushed, on the thread
+                // that owns the vertex. Nobody else can have become
                 // eligible: an r that no one touched still fails the test.
-                r.reserve_more(pool, vol);
-                staged.absorb(
-                    Absorb::Sum,
-                    |dst, sum, _| r.add_exclusive(dst, sum),
-                    Some(|dst, _| is_eligible(&r, dst)),
-                );
+                staged.absorb(Absorb::Sum, &mut r, Some(is_eligible));
                 // ... or, below β = 1, still passes it: the eligible
                 // vertices that were neither selected nor reached were not
                 // asked, so what the gather admitted goes through the merge.
@@ -190,7 +186,7 @@ pub(crate) fn prnibble_par_ws<B: CsrBackend>(
             };
             let cands = merge_sorted_distinct(known, &candidates);
             let next = filter_map_index(pool, cands.len(), |i| {
-                is_eligible(&r, cands[i]).then_some(cands[i])
+                is_eligible(cands[i], r.get(cands[i])).then_some(cands[i])
             });
             frontier.advance(pool, next);
         }

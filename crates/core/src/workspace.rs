@@ -7,7 +7,7 @@ use crate::budget::LifecycleCounters;
 use crate::engine::{Engine, LocalDiffusion};
 use lgc_ligra::{DirectionParams, EdgeSpread, VertexSubset};
 use lgc_parallel::Pool;
-use lgc_sparse::{ConcurrentRankMap, ConcurrentSparseVec, MassMap};
+use lgc_sparse::{ConcurrentRankMap, MassMap};
 use std::sync::Mutex;
 
 /// A pool of recyclable scratch buffers shared by every diffusion.
@@ -19,13 +19,15 @@ use std::sync::Mutex;
 /// workspace-reuse proptests. What is actually recycled:
 ///
 /// * dense/sparse [`MassMap`] arenas (including their `O(n)` dense-mode
-///   buffers — the expensive part of a high-volume query);
+///   buffers — the expensive part of a high-volume query): the stores
+///   every edge map adds into, the evolving-set neighbor counter among
+///   them;
 /// * frontiers ([`VertexSubset`]s) with their lazily-built bitsets — the
 ///   dense view, and the second buffer a frontier that has been through a
 ///   pull swaps it with every iteration;
 /// * the spreading edge map's contribution buffer ([`EdgeSpread`]);
-/// * rand-HK-PR's walk-destination buffer and compaction table, the
-///   evolving-set neighbor counter, and the sweep's rank table.
+/// * rand-HK-PR's walk-destination buffer and compaction table, and the
+///   sweep's rank table.
 ///
 /// Most callers never touch this type directly — [`Engine`] owns one —
 /// but [`LocalDiffusion::diffuse`] takes it explicitly so custom drivers
@@ -44,8 +46,6 @@ pub struct Workspace {
     pub(crate) rank: Option<ConcurrentRankMap>,
     /// Sweep-cut rank table (order → rank assignment).
     pub(crate) sweep_rank: Option<ConcurrentRankMap>,
-    /// Evolving-set `|N(v) ∩ S|` counter.
-    pub(crate) counts: Option<ConcurrentSparseVec>,
     /// Byte charge recorded at checkout by the [`WorkspacePool`]'s budget
     /// accounting; `None` for free-function and transient (over-budget
     /// fallback) workspaces the pool is not accounting.
@@ -88,10 +88,6 @@ impl Workspace {
                 .sweep_rank
                 .as_ref()
                 .map_or(0, ConcurrentRankMap::resident_bytes)
-            + self
-                .counts
-                .as_ref()
-                .map_or(0, ConcurrentSparseVec::resident_bytes)
     }
 
     /// Checks out a mass map re-fitted exactly as

@@ -29,16 +29,17 @@
 //! [`DirectionParams`] holds Ligra's switch rule — pull when
 //! `|F| + vol(F) > m` — and [`EdgeSpread`] owns the policy
 //! and is the one place that applies it: the diffusions hand it their
-//! `UpdateSelf` and `UpdateNgh` halves and never see which traversal ran.
+//! `UpdateSelf` half, the [`MassMap`] their `UpdateNgh` adds into and the
+//! filter that picks the next frontier, and never see which traversal ran.
 //! The mechanics of the two directions, and why the threshold is what it
 //! is, are documented there.
 //!
-//! A [`VertexSubset`] has the two representations Ligra gives it, and each
-//! traversal returns the one it produces natively. A push leaves its
-//! caller a sorted id list. A pull that is handed an `admit` predicate
-//! ([`Staged::absorb`]) decides the next frontier destination by
-//! destination, on the thread that owns the destination, and leaves the
-//! subset *dense-native*: a bitset written a word at a time plus `|F′|` and
+//! Like Ligra's `edgeMap`, the edge map hands back the next frontier itself
+//! ([`Staged::absorb`]'s `keep`), in the representation its direction
+//! produces natively. A push filters the store's keys into a sorted id
+//! list. A pull decides the next frontier destination by destination, on
+//! the thread that owns the destination, and leaves the subset
+//! *dense-native*: a bitset written a word at a time plus `|F′|` and
 //! `vol(F′)` tallied on the way. The next pull stages and gathers straight
 //! off those words, so between two pulls no id list is built, merged,
 //! filtered or walked — a saturated iteration is two passes, `stage` over
@@ -52,6 +53,7 @@
 
 use lgc_graph::CsrBackend;
 use lgc_parallel::{map_chunks, scan_exclusive, Bitset, Pool, UnsafeSlice};
+use lgc_sparse::MassMap;
 
 pub mod interrupt;
 
@@ -68,15 +70,15 @@ pub use interrupt::{BoundaryHook, CancelToken, Checkpoint, QueryBudget, Trip, Tr
 ///   use ([`VertexSubset::bits`], `O(len)` beyond a one-time `O(n/64)`
 ///   allocation) and wiped by the same list, so alternating directions
 ///   never pays a full `O(n)` pass.
-/// * A **dense-native** subset is what a pull that was given an `admit`
-///   predicate leaves behind ([`Staged::absorb`]): the bitset, `|F|` and
+/// * A **dense-native** subset is what a pull that was given a `keep`
+///   filter leaves behind ([`Staged::absorb`]): the bitset, `|F|` and
 ///   `vol(F)` — the gather tallied both, so [`VertexSubset::len`] and
 ///   [`VertexSubset::volume`] are field reads — and *no* id list. The next
 ///   pull needs none; [`VertexSubset::ids`] packs one (`O(n/64 + len)`)
 ///   for a push, or for a caller that wants to look at the members.
 ///
 /// A pull reads the subset it gathers from while it writes the next one,
-/// so a subset that has been through an admitting pull owns two bitsets
+/// so a subset that has been through a filtering pull owns two bitsets
 /// and swaps them per iteration; the one not in use is all-zero.
 pub struct VertexSubset {
     /// The sorted members — meaningful only while `listed`.
@@ -87,7 +89,7 @@ pub struct VertexSubset {
     /// `set_sorted` pass.
     bits: Option<Bitset>,
     dense: bool,
-    /// The buffer an admitting pull writes the next subset into before
+    /// The buffer a filtering pull writes the next subset into before
     /// the two swap. Invariant: every word is zero between iterations.
     spare: Option<Bitset>,
     /// `|F|`, in either representation.
@@ -118,13 +120,6 @@ impl VertexSubset {
         let mut subset = Self::default();
         subset.advance(Pool::solo(), ids);
         subset
-    }
-
-    /// Sorts and deduplicates, then wraps.
-    pub fn from_unsorted(mut ids: Vec<u32>) -> Self {
-        ids.sort_unstable();
-        ids.dedup();
-        Self::from_sorted(ids)
     }
 
     /// The sorted member ids, packed from the bitset first if this subset
@@ -386,21 +381,20 @@ impl DirectionParams {
 const DENSE_GRAIN: usize = 512;
 
 /// What a pull emits beside its updates: the next frontier.
-struct Emit<'a, A> {
-    /// `admit(dst, received)`: whether `dst` is in the next frontier, asked
-    /// once `dst`'s contributions have landed.
-    admit: A,
-    /// The all-zero bitset the admitted destinations are written into.
+struct Emit<'a, K> {
+    /// `keep(dst, into[dst])`: whether `dst` is in the next frontier,
+    /// asked once `dst`'s contributions have landed.
+    keep: K,
+    /// The store the pull adds into.
+    into: &'a MassMap,
+    /// The all-zero bitset the kept destinations are written into.
     next: &'a Bitset,
 }
 
 /// What [`Staged::absorb`] is handed by a caller that derives no frontier
 /// from the traversal (or derives it some other way): the frontier is left
 /// as it was staged.
-pub const NO_ADMIT: Option<NoAdmit> = None;
-
-/// The type of an `admit` predicate that is not there ([`NO_ADMIT`]).
-pub type NoAdmit = fn(u32, bool) -> bool;
+pub const NO_ADMIT: Option<fn(u32, f64) -> bool> = None;
 
 /// The dense traversal under every pull: calls `land(dst)` — which
 /// delivers `dst`'s frontier in-neighbors' contributions and says whether
@@ -408,18 +402,19 @@ pub type NoAdmit = fn(u32, bool) -> bool;
 /// [`DENSE_GRAIN`]-sized chunks, one thread per destination.
 ///
 /// With `emit`, the same pass decides the next frontier: right after
-/// `land(dst)`, the thread that owns `dst` asks `admit(dst, received)` of
-/// every destination that received something or sits in `frontier`,
-/// collects the answers of 64 destinations in a register and stores them
-/// as one word of `emit.next` (a chunk covers whole words, so the stores
-/// are plain and unshared). Returns `(|F′|, vol(F′))` of the emitted set,
-/// tallied per chunk as integers — `(0, 0)` without `emit`.
-fn pull<B: CsrBackend, A: Fn(u32, bool) -> bool + Sync>(
+/// `land(dst)`, the thread that owns `dst` asks `keep(dst, into[dst])` of
+/// every destination that received something, and of every member of
+/// `frontier` that holds a key of `into` (its `UpdateSelf` wrote one);
+/// it collects the answers of 64 destinations in a register and stores
+/// them as one word of `emit.next` (a chunk covers whole words, so the
+/// stores are plain and unshared). Returns `(|F′|, vol(F′))` of the
+/// emitted set, tallied per chunk as integers — `(0, 0)` without `emit`.
+fn pull<B: CsrBackend, K: Fn(u32, f64) -> bool + Sync>(
     pool: &Pool,
     g: &B,
     frontier: &Bitset,
     land: impl Fn(u32) -> bool + Sync,
-    emit: Option<Emit<'_, A>>,
+    emit: Option<Emit<'_, K>>,
 ) -> (usize, usize) {
     let n = g.num_vertices();
     debug_assert_eq!(frontier.universe(), n, "bitset universe must be n");
@@ -437,12 +432,12 @@ fn pull<B: CsrBackend, A: Fn(u32, bool) -> bool + Sync>(
             let outgoing = frontier.word(w);
             let mut word = 0u64;
             for dst in dsts {
-                let received = land(dst as u32);
-                let bit = 1u64 << (dst - first);
-                if (received || outgoing & bit != 0) && (emit.admit)(dst as u32, received) {
+                let (dst, bit) = (dst as u32, 1u64 << (dst - first));
+                let wrote = land(dst) || (outgoing & bit != 0 && emit.into.contains(dst));
+                if wrote && (emit.keep)(dst, emit.into.get(dst)) {
                     word |= bit;
                     len += 1;
-                    vol += g.degree(dst as u32);
+                    vol += g.degree(dst);
                 }
             }
             emit.next.store_word(w, word);
@@ -470,8 +465,8 @@ pub fn edge_map_dense<B: CsrBackend>(
     frontier: &Bitset,
     f: impl Fn(u32, u32) + Sync,
 ) {
-    let no_emit: Option<Emit<'_, NoAdmit>> = None;
-    pull(pool, g, frontier, per_edge(g, frontier, f), no_emit);
+    let land = per_edge(g, frontier, f);
+    pull::<_, fn(u32, f64) -> bool>(pool, g, frontier, land, None);
 }
 
 /// [`edge_map_dense`]'s per-destination step, as [`pull`] takes it.
@@ -519,32 +514,21 @@ fn gather<'a, B: CsrBackend>(
 }
 
 /// How a destination the traversal owns (pull) takes in its frontier
-/// in-neighbors' contributions. A push always delivers per edge.
+/// in-neighbors' contributions. A push always adds per edge.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Absorb {
-    /// One `absorb(dst, c)` per frontier edge, in ascending source order —
-    /// exactly what a one-thread push does to the cell, whatever the cell
-    /// held before. Needed when destinations are not fresh (Nibble adds
-    /// onto the banked half, HK-PR's last level onto `p`).
+    /// One add per frontier edge, in ascending source order — exactly
+    /// what a one-thread push does to the cell, whatever the cell held
+    /// before. Needed when destinations are not fresh (Nibble adds onto
+    /// the banked half, HK-PR's last level onto `p`).
     PerEdge,
     /// The contributions are summed in a register, from `0.0` in
-    /// ascending source order, and `absorb(dst, sum)` runs once: one store
-    /// per destination instead of one per edge. `cell + (c₁ + c₂)` and
-    /// `(cell + c₁) + c₂` differ in bracketing only, so this equals
-    /// [`Absorb::PerEdge`] bit for bit when the cell starts absent or
-    /// `0.0`, and on integer-valued contributions.
+    /// ascending source order, and added once: one store per destination
+    /// instead of one per edge. `cell + (c₁ + c₂)` and `(cell + c₁) + c₂`
+    /// differ in bracketing only, so this equals [`Absorb::PerEdge`] bit
+    /// for bit when the cell starts absent or `0.0`, and on integer-valued
+    /// contributions.
     Sum,
-}
-
-/// What `absorb` may assume about the destination it is handed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Writer {
-    /// Push: other threads may be adding to the same destination right
-    /// now — accumulate atomically (the `fetchAdd` the paper cites).
-    Shared,
-    /// Pull: every call for this destination comes from this thread, so a
-    /// plain load/add/store is enough.
-    Exclusive,
 }
 
 /// The direction-optimizing, contribution-spreading `edgeMap` (§2) and
@@ -555,21 +539,23 @@ pub enum Writer {
 /// along all of `v`'s edges. [`EdgeSpread::stage`] picks the direction,
 /// calls `contrib_of(v)` once per frontier vertex (the paper's
 /// `UpdateSelf`) and lays the values out for that direction;
-/// [`Staged::absorb`] then runs `absorb(dst, c, writer)` over the
-/// frontier's edges (`UpdateNgh`).
+/// [`Staged::absorb`] then adds them into the caller's [`MassMap`] over
+/// the frontier's edges (`UpdateNgh`) and, given a filter, leaves the next
+/// frontier.
 ///
 /// * **Push** walks the frontier's id list and lays `c` out by frontier
-///   index, so the per-edge work is one slice load plus the caller's atomic
-///   add — no hash probe, no division. Destinations are hit by many sources
-///   at once: [`Writer::Shared`].
+///   index, so the per-edge work is one slice load plus an atomic add
+///   ([`MassMap::add`], the `fetchAdd` the paper cites) — no hash probe, no
+///   division. Destinations are hit by many sources at once; the next
+///   frontier is filtered off the store's keys afterwards.
 /// * **Pull** walks the frontier's bitset by words (the dense `vertexMap`),
 ///   lays `c` out by vertex id and scans *all* vertices; each tests its
 ///   neighbors against the bitset. One thread owns a destination and visits
 ///   its sources in ascending order, so accumulation needs no atomics
-///   ([`Writer::Exclusive`]) and is bitwise the one-thread push order
-///   ([`Absorb`] says how it is bracketed). The same thread can decide, as
+///   ([`MassMap::add_exclusive`]) and is bitwise the one-thread push order
+///   ([`Absorb`] says how it is bracketed). The same thread decides, as
 ///   soon as a destination's contributions have landed, whether it belongs
-///   to the next frontier — the `admit` half of [`Staged::absorb`].
+///   to the next frontier — the `keep` half of [`Staged::absorb`].
 ///
 /// Either way `contrib_of(v)` runs once per distinct vertex, so whatever
 /// cell of `v`'s own it updates has one writer.
@@ -659,18 +645,19 @@ pub struct IterationCounts {
     /// Iterations below [`FORK_MIN_WORK`], run as the one-thread code.
     pub solo: u64,
     /// Pulls whose next frontier left the gather as a bitset (they were
-    /// handed an `admit` predicate): `dense_out ≤ pull`.
+    /// handed a `keep` filter): `dense_out ≤ pull`.
     pub dense_out: u64,
 }
 
 /// Contributions laid out by [`EdgeSpread::stage`], waiting to be spread.
-/// The pause between the two halves is a sequential point: a caller whose
-/// destination store must be sized per direction does it here.
+/// The pause between the two halves is a sequential point: a caller that
+/// chooses its destination store by [`Staged::direction`] does it here.
 #[must_use = "staged contributions reach no destination until absorbed"]
 pub struct Staged<'a, B> {
     pool: &'a Pool,
     g: &'a B,
     frontier: &'a mut VertexSubset,
+    vol: usize,
     slots: &'a [f64],
     dir: Direction,
     dense_out: &'a mut u64,
@@ -768,6 +755,7 @@ impl EdgeSpread {
             pool,
             g,
             frontier,
+            vol,
             slots: &self.slots[..len],
             dir,
             dense_out: &mut self.counts.dense_out,
@@ -781,81 +769,81 @@ impl<B: CsrBackend> Staged<'_, B> {
         self.dir
     }
 
-    /// Runs `absorb(dst, c, writer)` over the frontier's edges with the
-    /// staged contributions: per edge when pushing, per `order` when
-    /// pulling. Either way every frontier edge's contribution reaches its
-    /// destination exactly once.
+    /// Adds the staged contributions into `into` over the frontier's
+    /// edges: per edge with [`MassMap::add`] when pushing, per `order` with
+    /// [`MassMap::add_exclusive`] when pulling. Either way every frontier
+    /// edge's contribution reaches its destination exactly once. First it
+    /// makes room in `into` for `vol` more keys (the volume handed to
+    /// [`EdgeSpread::stage`]), the most an iteration can add.
     ///
     /// # The next frontier
     ///
-    /// A **pull** that is handed `Some(admit)` also produces the next
-    /// frontier, and returns `true`: the staged frontier has been replaced
-    /// by the dense-native set `{dst : admit(dst, received)}`, its `len`
-    /// and `volume` tallied by the gather. The contract of `admit`:
+    /// Handed `Some(keep)`, the edge map also leaves the next frontier in
+    /// place of the staged one, in either direction: the vertices this
+    /// iteration wrote into `into` that pass `keep(v, into[v])`. The
+    /// contract of `keep`:
     ///
-    /// * *who is asked* — every destination that received a contribution
-    ///   in this iteration, and every member of the outgoing frontier
-    ///   (whose own cell `contrib_of` may have rewritten); nobody else. A
-    ///   vertex the iteration did not touch is never admitted, whatever
-    ///   `admit` would say of it — and it would say yes of an isolated
-    ///   vertex under a test like `mass ≥ ε·d(v)`, which `0 ≥ ε·0` passes.
-    /// * *when, and by whom* — once per asked destination, right after the
-    ///   last of its contributions has been absorbed, on the thread that
-    ///   absorbed them. `admit` may therefore read `dst`'s cell of the
-    ///   store `absorb` writes (and nothing of any other destination's).
-    /// * *`received`* — whether `dst` had a frontier in-neighbor. A caller
-    ///   whose candidates are the receivers alone (HK-PR: the next level's
-    ///   queue) starts its test with it; one whose outgoing members stay
-    ///   candidates (PR-Nibble, Nibble) ignores it.
+    /// * *who is asked* — every destination that received a contribution,
+    ///   and every member of the outgoing frontier whose `contrib_of` wrote
+    ///   its own cell of `into` (a member holding a key there counts as one
+    ///   that did); nobody else. A vertex the iteration did not touch is
+    ///   never kept, whatever `keep` would say of it — and it would say yes
+    ///   of an isolated vertex under a test like `mass ≥ ε·d(v)`, which
+    ///   `0 ≥ ε·0` passes.
+    /// * *how* — a **pull** asks each such destination once, right after
+    ///   the last of its contributions has been added, on the thread that
+    ///   added them, and leaves the frontier dense-native: the bitset of the
+    ///   kept, with its `len` and `volume` tallied by the gather. A **push**
+    ///   has no such thread — its destinations are scattered over threads —
+    ///   so it filters `into`'s keys afterwards ([`MassMap::filter_keys`])
+    ///   into a sorted id list. The direction rule makes push frontiers the
+    ///   small ones, for which that is `O(|F| + vol(F))` anyway.
     ///
-    /// A **push**, or a call with [`NO_ADMIT`], returns `false` and leaves
-    /// the frontier as it was staged: the caller derives the next one from
-    /// its stores, as a sorted list, and hands it to [`VertexSubset::advance`].
-    /// A push's destinations are scattered over threads, so it has no
-    /// thread to ask — and the direction rule makes its frontiers the small
-    /// ones, for which the list route is `O(|F| + vol(F))` anyway.
-    pub fn absorb<A: Fn(u32, bool) -> bool + Sync>(
+    /// The two agree exactly when `into` holds nothing but this iteration's
+    /// writes (a store reset before it, like HK-PR's next level and
+    /// Nibble's next vector); a caller whose store carries older keys pushes
+    /// with [`NO_ADMIT`] and works the next frontier out itself.
+    ///
+    /// With [`NO_ADMIT`] the frontier is left as it was staged.
+    pub fn absorb(
         self,
         order: Absorb,
-        absorb: impl Fn(u32, f64, Writer) + Sync,
-        admit: Option<A>,
-    ) -> bool {
+        into: &mut MassMap,
+        keep: Option<impl Fn(u32, f64) -> bool + Sync>,
+    ) {
         let Staged {
             pool,
             g,
             frontier,
+            vol,
             slots,
             dir,
             dense_out,
         } = self;
+        into.reserve_more(pool, vol);
+        let into = &*into;
         if dir == Direction::Push {
-            push_edges(pool, g, &frontier.ids, |i, _, dst| {
-                absorb(dst, slots[i], Writer::Shared)
-            });
-            return false;
+            push_edges(pool, g, &frontier.ids, |i, _, dst| into.add(dst, slots[i]));
+            if let Some(keep) = keep {
+                frontier.advance(pool, into.filter_keys(pool, keep));
+            }
+            return;
         }
-        let (bits, next) = frontier.gather_buffers(g.num_vertices(), admit.is_some());
-        let emit = admit.zip(next).map(|(admit, next)| Emit { admit, next });
+        let (bits, next) = frontier.gather_buffers(g.num_vertices(), keep.is_some());
+        let emit = keep.zip(next).map(|(keep, next)| Emit { keep, into, next });
         let emitted = emit.is_some();
+        let add = |dst, c| into.add_exclusive(dst, c);
         let (len, vol) = match order {
             Absorb::PerEdge => {
-                let land = per_edge(g, bits, |src, dst| {
-                    absorb(dst, slots[src as usize], Writer::Exclusive)
-                });
+                let land = per_edge(g, bits, |src, dst| add(dst, slots[src as usize]));
                 pull(pool, g, bits, land, emit)
             }
-            Absorb::Sum => {
-                let land = gather(g, bits, slots, |dst, sum| {
-                    absorb(dst, sum, Writer::Exclusive)
-                });
-                pull(pool, g, bits, land, emit)
-            }
+            Absorb::Sum => pull(pool, g, bits, gather(g, bits, slots, add), emit),
         };
         if emitted {
             frontier.adopt_emitted(len, vol);
             *dense_out += 1;
         }
-        emitted
     }
 }
 
@@ -869,7 +857,10 @@ mod tests {
     #[test]
     fn subset_basics() {
         let pool = Pool::new(1);
-        let mut s = VertexSubset::from_unsorted(vec![5, 1, 3, 1]);
+        let mut ids = vec![5, 1, 3, 1];
+        ids.sort_unstable();
+        ids.dedup();
+        let mut s = VertexSubset::from_sorted(ids);
         assert_eq!(s.ids(&pool), &[1, 3, 5]);
         assert_eq!(s.len(), 3);
         assert!(!s.is_empty());
@@ -891,8 +882,7 @@ mod tests {
         for threads in [1, 2, 4] {
             let pool = Pool::new(threads);
             let g = gen::rand_local(400, 5, 9);
-            let frontier =
-                VertexSubset::from_unsorted((0..400u32).filter(|v| v % 7 == 0).collect());
+            let frontier = VertexSubset::from_sorted((0..400u32).filter(|v| v % 7 == 0).collect());
             let hits: Vec<AtomicUsize> =
                 (0..g.total_degree()).map(|_| AtomicUsize::new(0)).collect();
             // Identify each (src, dst) pair by its CSR position.
@@ -931,7 +921,7 @@ mod tests {
     fn edge_map_accumulation_matches_sequential() {
         // Sum of dst ids over frontier edges — order independent.
         let g = gen::rmat_graph500(9, 8, 4);
-        let frontier = VertexSubset::from_unsorted(
+        let frontier = VertexSubset::from_sorted(
             (0..g.num_vertices() as u32)
                 .filter(|v| v % 11 == 0)
                 .collect(),
@@ -1028,7 +1018,7 @@ mod tests {
             (&local, VertexSubset::default()),
             (
                 &local,
-                VertexSubset::from_unsorted((0..700u32).filter(|v| v % 3 == 0).collect()),
+                VertexSubset::from_sorted((0..700u32).filter(|v| v % 3 == 0).collect()),
             ),
             (&with_isolated, VertexSubset::from_sorted(vec![10, 20, 30])), // isolated only
             (&with_isolated, VertexSubset::from_sorted(vec![1, 10, 45])),  // mixed
@@ -1130,17 +1120,12 @@ mod tests {
             let pool = Pool::new(threads);
             let mut frontier = VertexSubset::from_sorted(ids.clone());
             let vol = frontier.volume(&g).max(FORK_MIN_WORK);
-            let mut out = vec![0.0f64; n];
-            let view = lgc_parallel::UnsafeSlice::new(&mut out);
+            let mut out = MassMap::new(n, 0);
             let mut spread = EdgeSpread::new(DirectionParams::pull_only());
-            let staged = spread.stage(&pool, &g, &mut frontier, vol, |v| contrib[v as usize]);
-            let absorb = |dst: u32, sum, writer| {
-                assert_eq!(writer, Writer::Exclusive);
-                // SAFETY: a pull has one writer per dst.
-                unsafe { view.write(dst as usize, sum) };
-            };
-            assert!(!staged.absorb(Absorb::Sum, absorb, NO_ADMIT));
-            out
+            spread
+                .stage(&pool, &g, &mut frontier, vol, |v| contrib[v as usize])
+                .absorb(Absorb::Sum, &mut out, NO_ADMIT);
+            (0..n as u32).map(|v| out.get(v)).collect()
         };
         let t1 = gather(1);
         assert_eq!(t1, gather(2));
@@ -1157,9 +1142,8 @@ mod tests {
         }
     }
 
-    /// Runs one spread of `contrib_of` over `ids` and returns the direction
-    /// taken plus the per-destination totals (atomic adds, so the cells
-    /// tolerate either writer).
+    /// Runs one spread of `contrib_of` over `ids` into a fresh store and
+    /// returns the direction taken plus the per-destination totals.
     fn spread_totals(
         pool: &Pool,
         g: &lgc_graph::Graph,
@@ -1168,23 +1152,16 @@ mod tests {
         order: Absorb,
         contrib_of: impl Fn(u32) -> f64 + Sync,
     ) -> (Direction, Vec<f64>) {
-        let cells: Vec<AtomicU64> = (0..g.num_vertices()).map(|_| AtomicU64::new(0)).collect();
+        let n = g.num_vertices();
+        let mut into = MassMap::new(n, 0);
         let mut frontier = VertexSubset::from_sorted(ids.to_vec());
         let vol = frontier.volume(g);
         let mut spread = EdgeSpread::new(params);
         let staged = spread.stage(pool, g, &mut frontier, vol, contrib_of);
         let dir = staged.direction();
-        let absorb = |dst: u32, c, writer| {
-            assert_eq!(writer == Writer::Shared, dir == Direction::Push);
-            lgc_parallel::atomic_f64_fetch_add(&cells[dst as usize], c);
-        };
-        assert!(!staged.absorb(order, absorb, NO_ADMIT), "nothing to emit");
+        staged.absorb(order, &mut into, NO_ADMIT);
         assert_eq!(frontier.ids(pool), ids, "left as it was staged");
-        let totals = cells
-            .into_iter()
-            .map(|c| f64::from_bits(c.into_inner()))
-            .collect();
-        (dir, totals)
+        (dir, (0..n as u32).map(|v| into.get(v)).collect())
     }
 
     /// Contributions ≡ 1.0 count `|N(dst) ∩ F|` exactly — equal to a push
@@ -1343,7 +1320,7 @@ mod tests {
         // is all chunk boundaries.
         let g = gen::cycle(60_000);
         for k in [1_500u32, 15_000] {
-            let frontier = VertexSubset::from_unsorted((0..k).map(|v| v * 4).collect());
+            let frontier = VertexSubset::from_sorted((0..k).map(|v| v * 4).collect());
             for threads in [1, 2, 4] {
                 let pool = Pool::new(threads);
                 let count = AtomicUsize::new(0);
@@ -1426,13 +1403,17 @@ mod tests {
     fn spread_counts_iterations_by_direction_and_lane() {
         let g = gen::rand_local(500, 5, 2);
         let pool = Pool::new(2);
+        // A dense store: the frontiers the pushes leave are not the one
+        // whose volume is claimed.
+        let mut into = MassMap::with_dense_fraction(g.num_vertices(), 0, 0.0);
         let mut spread = EdgeSpread::new(DirectionParams::push_only());
         let mut frontier = VertexSubset::from_sorted(vec![1, 2, 3]);
         let vol = frontier.volume(&g);
         for vol in [vol, vol, FORK_MIN_WORK] {
+            into.reset(&pool, 0);
             spread.stage(&pool, &g, &mut frontier, vol, |_| 1.0).absorb(
                 Absorb::Sum,
-                |_, _, _| {},
+                &mut into,
                 Some(|_, _| true),
             );
         }
@@ -1444,15 +1425,15 @@ mod tests {
         };
         assert_eq!(spread.take_counts(), pushed, "a push emits no frontier");
         assert_eq!(spread.take_counts(), IterationCounts::default());
-        // Of three pulls, the two that were handed an `admit` emit.
+        // Of three pulls, the two that were handed a `keep` emit.
         let mut pulling = EdgeSpread::new(DirectionParams::pull_only());
-        for admitting in [true, false, true] {
+        for keeping in [true, false, true] {
+            into.reset(&pool, 0);
             let staged = pulling.stage(&pool, &g, &mut frontier, vol, |_| 1.0);
-            let emitted = match admitting {
-                true => staged.absorb(Absorb::Sum, |_, _, _| {}, Some(|_, _| true)),
-                false => staged.absorb(Absorb::Sum, |_, _, _| {}, NO_ADMIT),
-            };
-            assert_eq!(emitted, admitting);
+            match keeping {
+                true => staged.absorb(Absorb::Sum, &mut into, Some(|_, _| true)),
+                false => staged.absorb(Absorb::Sum, &mut into, NO_ADMIT),
+            }
         }
         let pulled = IterationCounts {
             push: 0,
@@ -1489,16 +1470,18 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// An admitting pull, against a plain recount. `admit` is asked
-        /// exactly once of every destination that received something or
-        /// sits in the outgoing frontier — told which — and of nobody else
-        /// (no untouched vertex, so no isolated one). The emitted frontier
-        /// is the asked destinations it said yes to; its `len` and `volume`
-        /// are a recount of the emitted bitset; the id list it packs on
-        /// demand is that bitset's. A second pull, staged off the emitted
-        /// words, calls `contrib_of` once per member and delivers what a
-        /// listed frontier of the same members delivers. Half the cases
-        /// claim a volume that puts the loops on the forking lane.
+        /// A filtering pull, against a plain recount. `keep` is asked
+        /// exactly once of every destination that received something, and
+        /// of every outgoing member that wrote its own cell of the store
+        /// (all of them, unless `receivers_only`), with the value the store
+        /// ends up holding — and of nobody else (no untouched vertex, so no
+        /// isolated one). The emitted frontier is the asked destinations it
+        /// said yes to; its `len` and `volume` are a recount of the emitted
+        /// bitset; the id list it packs on demand is that bitset's. A
+        /// second pull, staged off the emitted words, calls `contrib_of`
+        /// once per member and delivers what a listed frontier of the same
+        /// members delivers. Half the cases claim a volume that puts the
+        /// loops on the forking lane; half run the store dense.
         #[test]
         fn an_admitting_pull_emits_the_admitted_with_exact_tallies(
             n in 2usize..1500,
@@ -1509,28 +1492,26 @@ mod tests {
             per_edge in any::<bool>(),
             receivers_only in any::<bool>(),
             fork in any::<bool>(),
+            dense in any::<bool>(),
         ) {
             let (g, members) = sparse_graph_and_members(n, avg, salt, every);
             let order = if per_edge { Absorb::PerEdge } else { Absorb::Sum };
-            let says_yes = |dst: u32, received: bool| {
-                (received || !receivers_only) && (5 * u64::from(dst) + salt) % 3 != 0
-            };
-            // The recount: who is asked, who is admitted, what arrives.
+            let says_yes = |dst: u32| (5 * u64::from(dst) + salt) % 3 != 0;
+            // The recount: who is asked, who is kept, what arrives. A
+            // member's own write is 0.5; contributions are `src + 1`, so
+            // every total is exact in any bracketing.
             let is_member = |v: u32| members.binary_search(&v).is_ok();
             let received = |dst: u32| g.neighbors(dst).iter().any(|&s| is_member(s));
             let asked_want: Vec<u64> = (0..n as u32)
-                .map(|v| match (received(v), is_member(v)) {
-                    (true, _) => 1 | 1 << 32,
-                    (false, true) => 1,
-                    (false, false) => 0,
-                })
+                .map(|v| u64::from(received(v) || (is_member(v) && !receivers_only)))
                 .collect();
             let admitted: Vec<u32> = (0..n as u32)
-                .filter(|&v| asked_want[v as usize] != 0 && says_yes(v, received(v)))
+                .filter(|&v| asked_want[v as usize] != 0 && says_yes(v))
                 .collect();
-            let totals_from = |set: &[u32]| {
+            let totals_from = |set: &[u32], own: f64| {
                 let mut totals = vec![0.0f64; n];
                 for &src in set {
+                    totals[src as usize] += own;
                     for &dst in g.neighbors(src) {
                         totals[dst as usize] += f64::from(src + 1);
                     }
@@ -1540,34 +1521,37 @@ mod tests {
 
             let pool = Pool::new(threads);
             let claim = |vol: usize| if fork { vol.max(FORK_MIN_WORK) } else { vol };
+            let frac = if dense { 0.0 } else { f64::INFINITY };
+            let store = |bound| MassMap::with_dense_fraction(n, bound, frac);
+            let read = |m: &MassMap| (0..n as u32).map(|v| m.get(v)).collect::<Vec<_>>();
             let mut spread = EdgeSpread::new(DirectionParams::pull_only());
             let mut frontier = VertexSubset::from_sorted(members.clone());
             let cells = |n: usize| (0..n).map(|_| AtomicU64::new(0)).collect::<Vec<_>>();
-            let read = |cells: Vec<AtomicU64>| -> Vec<f64> {
-                cells.into_iter().map(|c| f64::from_bits(c.into_inner())).collect()
-            };
 
-            let add = |cell: &AtomicU64, c: f64| {
-                lgc_parallel::atomic_f64_fetch_add(cell, c);
-            };
-
-            let (first, asked) = (cells(n), cells(n));
+            let (mut first, asked, seen) = (store(members.len()), cells(n), cells(n));
             let vol = claim(frontier.volume(&g));
-            let emitted = spread
-                .stage(&pool, &g, &mut frontier, vol, |v| f64::from(v + 1))
-                .absorb(
-                    order,
-                    |dst, c, _| add(&first[dst as usize], c),
-                    Some(|dst: u32, received: bool| {
-                        asked[dst as usize]
-                            .fetch_add(1 | u64::from(received) << 32, Ordering::Relaxed);
-                        says_yes(dst, received)
-                    }),
-                );
-            prop_assert!(emitted);
-            prop_assert_eq!(read(first), totals_from(&members));
+            let own = if receivers_only { 0.0 } else { 0.5 };
+            let staged = spread.stage(&pool, &g, &mut frontier, vol, |v| {
+                if !receivers_only {
+                    first.add_exclusive(v, own);
+                }
+                f64::from(v + 1)
+            });
+            staged.absorb(
+                order,
+                &mut first,
+                Some(|dst: u32, m: f64| {
+                    asked[dst as usize].fetch_add(1, Ordering::Relaxed);
+                    seen[dst as usize].store(m.to_bits(), Ordering::Relaxed);
+                    says_yes(dst)
+                }),
+            );
+            prop_assert_eq!(read(&first), totals_from(&members, own));
             let asked: Vec<u64> = asked.into_iter().map(AtomicU64::into_inner).collect();
-            prop_assert_eq!(asked, asked_want);
+            prop_assert_eq!(&asked, &asked_want);
+            for v in (0..n as u32).filter(|&v| asked[v as usize] != 0) {
+                prop_assert_eq!(seen[v as usize].load(Ordering::Relaxed), first.get(v).to_bits());
+            }
             prop_assert_eq!(frontier.len(), admitted.len());
             prop_assert_eq!(
                 frontier.volume(&g),
@@ -1575,20 +1559,15 @@ mod tests {
             );
             prop_assert_eq!(frontier.bits(&pool, n).to_sorted_ids(&pool), admitted.clone());
 
-            let (second, calls) = (cells(n), cells(n));
+            let (mut second, calls) = (store(0), cells(n));
             let vol = claim(frontier.volume(&g));
-            let emitted = spread
+            spread
                 .stage(&pool, &g, &mut frontier, vol, |v| {
                     calls[v as usize].fetch_add(1, Ordering::Relaxed);
                     f64::from(v + 1)
                 })
-                .absorb(
-                    order,
-                    |dst, c, _| add(&second[dst as usize], c),
-                    NO_ADMIT,
-                );
-            prop_assert!(!emitted);
-            prop_assert_eq!(read(second), totals_from(&admitted));
+                .absorb(order, &mut second, NO_ADMIT);
+            prop_assert_eq!(read(&second), totals_from(&admitted, 0.0));
             let calls: Vec<u64> = calls.into_iter().map(AtomicU64::into_inner).collect();
             let once: Vec<u64> = (0..n as u32)
                 .map(|v| u64::from(admitted.binary_search(&v).is_ok()))
@@ -1604,7 +1583,7 @@ mod tests {
         }
 
         /// A subset that is both packed and tallied: random sorted members
-        /// go through an admitting pull, which leaves the subset
+        /// go through a filtering pull, which leaves the subset
         /// dense-native, and `ids(pool)` then packs its list. The pull's
         /// volume tally is the degree walk over the packed list, `edge_map`
         /// over the subset visits each of its edges exactly once, and after
@@ -1623,11 +1602,12 @@ mod tests {
             let mut subset = VertexSubset::from_sorted(members.clone());
             let vol = subset.volume(&g);
             let vol = if fork { vol.max(FORK_MIN_WORK) } else { vol };
-            let admit = |dst: u32, _| !(u64::from(dst) + salt).is_multiple_of(3);
-            let emitted = EdgeSpread::new(DirectionParams::pull_only())
+            let keep = |dst: u32, _| !(u64::from(dst) + salt).is_multiple_of(3);
+            let mut spread = EdgeSpread::new(DirectionParams::pull_only());
+            spread
                 .stage(&pool, &g, &mut subset, vol, |_| 1.0)
-                .absorb(Absorb::Sum, |_, _, _| {}, Some(admit));
-            prop_assert!(emitted);
+                .absorb(Absorb::Sum, &mut MassMap::new(n, 0), Some(keep));
+            prop_assert_eq!(spread.take_counts().dense_out, 1);
             let packed = subset.ids(&pool).to_vec();
             prop_assert_eq!(subset.len(), packed.len());
             let walk: usize = packed.iter().map(|&v| g.degree(v)).sum();
@@ -1664,43 +1644,24 @@ mod tests {
     fn a_dense_native_frontier_feeds_a_pull_then_a_push() {
         let g = gen::rand_local(3000, 5, 8);
         let n = g.num_vertices();
-        let keep = |step: u32| move |dst: u32, _: bool| !(dst + step).is_multiple_of(4);
+        let keep = |step: u32| move |dst: u32, _: f64| !(dst + step).is_multiple_of(4);
         let totals = |pool: &Pool, dirs: [DirectionParams; 3]| {
             let mut frontier =
                 VertexSubset::from_sorted((0..n as u32).filter(|v| v % 3 == 0).collect());
             let mut out = Vec::new();
             for (step, dir) in dirs.into_iter().enumerate() {
-                let cells: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-                let received: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
+                let mut into = MassMap::new(n, 0);
                 let mut spread = EdgeSpread::new(dir);
                 let vol = frontier.volume(&g);
-                let emitted = spread
+                spread
                     .stage(pool, &g, &mut frontier, vol, |v| f64::from(v % 7 + 1))
-                    .absorb(
-                        Absorb::Sum,
-                        |dst, c, _| {
-                            lgc_parallel::atomic_f64_fetch_add(&cells[dst as usize], c);
-                            received[dst as usize].store(1, Ordering::Relaxed);
-                        },
-                        Some(keep(step as u32)),
-                    );
-                assert_eq!(emitted, dir == DirectionParams::pull_only());
-                if !emitted {
-                    // The list route: receivers ∪ members, through the test.
-                    let members = frontier.ids(pool).to_vec();
-                    let next = (0..n as u32).filter(|&v| {
-                        let asked = received[v as usize].load(Ordering::Relaxed) == 1
-                            || members.binary_search(&v).is_ok();
-                        asked && keep(step as u32)(v, true)
-                    });
-                    frontier.advance(pool, next.collect());
-                }
+                    .absorb(Absorb::Sum, &mut into, Some(keep(step as u32)));
                 let ids = frontier.ids(pool).to_vec();
                 assert_eq!(ids, frontier.bits(pool, n).to_sorted_ids(pool));
                 assert_eq!((frontier.len(), frontier.volume(&g)), {
                     (ids.len(), VertexSubset::from_sorted(ids.clone()).volume(&g))
                 });
-                let sums: Vec<u64> = cells.into_iter().map(AtomicU64::into_inner).collect();
+                let sums: Vec<u64> = (0..n as u32).map(|v| into.get(v).to_bits()).collect();
                 out.push((sums, ids));
             }
             out

@@ -7,10 +7,11 @@
 
 use lgc_graph::{gen, Graph};
 use lgc_ligra::{
-    edge_map, edge_map_dense, Absorb, DirectionParams, EdgeSpread, VertexSubset, Writer,
-    FORK_MIN_WORK, NO_ADMIT,
+    edge_map, edge_map_dense, Absorb, DirectionParams, EdgeSpread, VertexSubset, FORK_MIN_WORK,
+    NO_ADMIT,
 };
-use lgc_parallel::{atomic_f64_fetch_add, Bitset, Pool, UnsafeSlice};
+use lgc_parallel::{Bitset, Pool};
+use lgc_sparse::MassMap;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -124,14 +125,11 @@ proptest! {
             for order in [Absorb::PerEdge, Absorb::Sum] {
                 let mut frontier = VertexSubset::from_sorted(ids.clone());
                 let vol = frontier.volume(&g);
-                let cells: Vec<AtomicU64> = want.iter().map(|_| AtomicU64::new(0)).collect();
+                let mut into = MassMap::new(want.len(), 0);
                 let staged = spread.stage(&pool, &g, &mut frontier, vol, |v| f64::from(v + 1));
                 prop_assert_eq!(staged.direction(), params.choose(&g, ids.len(), vol));
-                let absorb = |dst: u32, c, _| {
-                    atomic_f64_fetch_add(&cells[dst as usize], c);
-                };
-                prop_assert!(!staged.absorb(order, absorb, NO_ADMIT));
-                let got: Vec<f64> = cells.into_iter().map(|c| f64::from_bits(c.into_inner())).collect();
+                staged.absorb(order, &mut into, NO_ADMIT);
+                let got: Vec<f64> = (0..want.len() as u32).map(|v| into.get(v)).collect();
                 prop_assert_eq!(&got, &want, "params {:?} {:?}", params, order);
             }
         }
@@ -150,17 +148,12 @@ proptest! {
             let pool = Pool::new(threads);
             let mut frontier = VertexSubset::from_sorted(ids.clone());
             let vol = frontier.volume(&g).max(FORK_MIN_WORK);
-            let mut out = vec![0.0f64; n];
-            let view = UnsafeSlice::new(&mut out);
+            let mut out = MassMap::new(n, 0);
             let mut spread = EdgeSpread::new(DirectionParams::pull_only());
-            let staged = spread.stage(&pool, &g, &mut frontier, vol, |v| contrib[v as usize]);
-            let absorb = |dst: u32, sum, writer| {
-                assert_eq!(writer, Writer::Exclusive);
-                // SAFETY: one writer per destination.
-                unsafe { view.write(dst as usize, sum) };
-            };
-            assert!(!staged.absorb(Absorb::Sum, absorb, NO_ADMIT));
-            out
+            spread
+                .stage(&pool, &g, &mut frontier, vol, |v| contrib[v as usize])
+                .absorb(Absorb::Sum, &mut out, NO_ADMIT);
+            (0..n as u32).map(|v| out.get(v)).collect()
         };
         let t1 = run(1);
         prop_assert_eq!(&t1, &run(2));
@@ -173,6 +166,105 @@ proptest! {
                 }
             }
             prop_assert_eq!(t1[dst as usize], want, "dst {}", dst);
+        }
+    }
+
+    /// The next-frontier contract, once for every direction: spread into a
+    /// fresh store (dense or sparse), `absorb(order, into, Some(keep))`
+    /// leaves the vertices this iteration wrote into `into` that pass
+    /// `keep(v, into[v])` — the receivers, and the members when their
+    /// `UpdateSelf` writes their own cell — as the same sorted frontier
+    /// under `push_only()`, `pull_only()` and the default. At one thread
+    /// the store is bit-identical too (a self-writing member's cell is not
+    /// fresh, so those cases absorb per edge). At two threads, on integer
+    /// contributions with a claimed volume past `FORK_MIN_WORK`, so every
+    /// loop forks (graphs reach past one 512-destination pull chunk and
+    /// one 2048-edge push chunk), the frontier is still the same.
+    /// `NO_ADMIT` leaves the staged frontier as it was.
+    #[test]
+    fn every_direction_leaves_the_same_next_frontier(
+        n in 10usize..3000,
+        deg in 2usize..7,
+        every in 1u64..5,
+        salt in 0u64..1000,
+        dense in any::<bool>(),
+        self_write in any::<bool>(),
+        per_edge in any::<bool>(),
+    ) {
+        let g = gen::rand_local(n, deg, salt);
+        let n = g.num_vertices();
+        let ids: Vec<u32> = (0..n as u32).filter(|&v| (u64::from(v) + salt) % every == 0).collect();
+        let order = if self_write || per_edge { Absorb::PerEdge } else { Absorb::Sum };
+        let frac = if dense { 0.0 } else { f64::INFINITY };
+        let keep = |v: u32, m: f64| !(m.to_bits() ^ u64::from(v) ^ salt).is_multiple_of(3);
+        // Runs one iteration into a fresh store; returns the store's
+        // entries (bits, ascending) and the frontier it leaves.
+        let run = |pool: &Pool, params, claim: usize, keep_it: bool, contrib: &(dyn Fn(u32) -> f64 + Sync)| {
+            let mut into = MassMap::with_dense_fraction(n, ids.len(), frac);
+            let mut frontier = VertexSubset::from_sorted(ids.clone());
+            let vol = frontier.volume(&g).max(claim);
+            let mut spread = EdgeSpread::new(params);
+            let staged = spread.stage(pool, &g, &mut frontier, vol, |v| {
+                if self_write {
+                    into.add_exclusive(v, contrib(v) / 2.0);
+                }
+                contrib(v)
+            });
+            match keep_it {
+                true => staged.absorb(order, &mut into, Some(keep)),
+                false => staged.absorb(order, &mut into, NO_ADMIT),
+            }
+            let entries: Vec<(u32, u64)> = (0..n as u32)
+                .filter(|&v| into.contains(v))
+                .map(|v| (v, into.get(v).to_bits()))
+                .collect();
+            (entries, frontier.ids(pool).to_vec())
+        };
+        // The reference: a sequential loop in ascending source order.
+        let reference = |contrib: &dyn Fn(u32) -> f64| {
+            let mut cells: Vec<Option<f64>> = vec![None; n];
+            for &src in &ids {
+                if self_write {
+                    cells[src as usize] = Some(contrib(src) / 2.0);
+                }
+            }
+            for &src in &ids {
+                for &dst in g.neighbors(src) {
+                    let cell = cells[dst as usize].get_or_insert(0.0);
+                    *cell += contrib(src);
+                }
+            }
+            let entries: Vec<(u32, u64)> = (0..n as u32)
+                .filter_map(|v| cells[v as usize].map(|m| (v, m.to_bits())))
+                .collect();
+            let next: Vec<u32> = entries
+                .iter()
+                .filter(|&&(v, m)| keep(v, f64::from_bits(m)))
+                .map(|&(v, _)| v)
+                .collect();
+            (entries, next)
+        };
+        let policies = [
+            DirectionParams::push_only(),
+            DirectionParams::pull_only(),
+            DirectionParams::default(),
+        ];
+        let one = Pool::new(1);
+        let fraction = |v: u32| 1.0 / (f64::from(v) * 3.0 + salt as f64 + 2.0);
+        let want = reference(&fraction);
+        for params in policies {
+            prop_assert_eq!(&run(&one, params, 0, true, &fraction), &want, "{:?}", params);
+            let (_, unchanged) = run(&one, params, 0, false, &fraction);
+            prop_assert_eq!(&unchanged, &ids, "NO_ADMIT, {:?}", params);
+        }
+        let two = Pool::new(2);
+        let integer = |v: u32| f64::from(v % 5 + 1) * 2.0;
+        let (_, want) = reference(&integer);
+        for params in policies {
+            let (_, got) = run(&two, params, FORK_MIN_WORK, true, &integer);
+            prop_assert_eq!(&got, &want, "forked, {:?}", params);
+            let (_, unchanged) = run(&two, params, FORK_MIN_WORK, false, &integer);
+            prop_assert_eq!(&unchanged, &ids, "forked NO_ADMIT, {:?}", params);
         }
     }
 

@@ -200,13 +200,6 @@ impl ConcurrentSparseVec {
         })
     }
 
-    /// Packs the occupied slots sorted by key (deterministic). Read phase.
-    pub fn entries_sorted(&self, pool: &Pool) -> Vec<(u32, f64)> {
-        let mut e = self.entries(pool);
-        lgc_parallel::merge_sort_by(pool, &mut e, |a, b| a.0.cmp(&b.0));
-        e
-    }
-
     /// Sum of all stored values (read phase).
     ///
     /// A chunked parallel reduction straight over the slots: each chunk
@@ -421,16 +414,6 @@ mod tests {
             assert_eq!(k, i as u32);
             assert_eq!(v, i as f64);
         }
-    }
-
-    #[test]
-    fn entries_sorted_deterministic() {
-        let pool = Pool::new(2);
-        let t = ConcurrentSparseVec::with_capacity(8);
-        for k in [9u32, 2, 5] {
-            t.add(k, k as f64);
-        }
-        assert_eq!(t.entries_sorted(&pool), vec![(2, 2.0), (5, 5.0), (9, 9.0)]);
     }
 
     #[test]

@@ -26,7 +26,10 @@
 //!   dense backend ([`DenseMassVec`]: `Vec<AtomicU64>` mass cells + a
 //!   touched bitset, enumerated in key order in `O(n/64 + support)`)
 //!   once the caller-declared key bound crosses a tunable fraction of
-//!   the vertex universe `n`.
+//!   the vertex universe `n`. It is the one destination type of
+//!   `lgc-ligra`'s edge map: every diffusion's `UpdateNgh` adds into a
+//!   `MassMap` (the evolving-set process's `|N(v) ∩ S|` counter too), so
+//!   [`ConcurrentSparseVec`] is its sparse backend and nothing else.
 //!
 //! # Dense/sparse switch heuristic
 //!

@@ -49,8 +49,8 @@
 //! given at construction) in both modes.
 //!
 //! One refinement the dense traversals rely on: inside a write phase a
-//! thread may `get` a key that only *it* writes in that phase (the pull
-//! gather reads a destination's cell back right after its
+//! thread may `get` (or `contains`) a key that only *it* writes in that
+//! phase (the pull gather reads a destination's cell back right after its
 //! [`MassMap::add_exclusive`], to decide the next frontier). Cells are
 //! atomics, keys never move or leave during a write phase, and a probe for
 //! an absent key still ends at an empty slot or walks past the keys other
