@@ -72,12 +72,34 @@ impl HkprParams {
         self.check().expect("HkprParams");
     }
 
-    /// Admission threshold for level `j` entries at a degree-`d` vertex:
-    /// `e^{−t}·ε·d / (2N·ψ_j)`, compared against the unnormalized residual
-    /// (see the module docs for how it relates to Kloster–Gleich's).
+    /// Admission threshold for level `j` entries, as a function of the
+    /// degree `d`: `e^{−t}·ε·d / (2N·ψ_j)`, compared against the
+    /// unnormalized residual (see the module docs for how it relates to
+    /// Kloster–Gleich's). The factors that do not depend on `d` are
+    /// computed here, once per level.
+    pub(crate) fn threshold(&self, psi: &[f64], j: usize) -> Threshold {
+        Threshold {
+            num: (-self.t).exp() * self.eps,
+            den: 2.0 * self.n_levels as f64 * psi[j],
+        }
+    }
+}
+
+/// One level's admission threshold: `num·d / den` at a degree-`d` vertex,
+/// with `num = e^{−t}·ε` and `den = 2N·ψ_j`.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Threshold {
+    num: f64,
+    den: f64,
+}
+
+impl Threshold {
+    /// The threshold at a degree-`degree` vertex. `(num·d) / den` is the
+    /// evaluation order of `e^{−t}·ε·d / (2N·ψ_j)` written out in one line,
+    /// so hoisting the two factors moves no bit.
     #[inline]
-    pub(crate) fn threshold(&self, psi: &[f64], j: usize, degree: usize) -> f64 {
-        (-self.t).exp() * self.eps * degree as f64 / (2.0 * self.n_levels as f64 * psi[j])
+    pub(crate) fn at(self, degree: usize) -> f64 {
+        self.num * degree as f64 / self.den
     }
 }
 
@@ -150,11 +172,29 @@ mod tests {
     fn threshold_scales_with_degree_and_level() {
         let params = HkprParams::default();
         let psi = psi_table(params.t, params.n_levels);
-        let t1 = params.threshold(&psi, 1, 10);
-        let t2 = params.threshold(&psi, 1, 20);
+        let t1 = params.threshold(&psi, 1).at(10);
+        let t2 = params.threshold(&psi, 1).at(20);
         assert!((t2 / t1 - 2.0).abs() < 1e-12, "linear in degree");
         // Later levels have smaller ψ ⇒ larger thresholds (harder entry).
-        let tl = params.threshold(&psi, params.n_levels, 10);
+        let tl = params.threshold(&psi, params.n_levels).at(10);
         assert!(tl > t1);
+    }
+
+    /// Hoisting the degree-free factors moves no bit: the level's
+    /// threshold equals the one-line formula exactly, for every level and
+    /// a spread of degrees and parameters.
+    #[test]
+    fn hoisted_threshold_is_the_one_line_formula_bit_for_bit() {
+        for (t, n_levels, eps) in [(10.0, 20, 1e-7), (2.5, 7, 3e-5), (0.3, 40, 0.9)] {
+            let params = HkprParams { t, n_levels, eps };
+            let psi = psi_table(t, n_levels);
+            for (j, &psi_j) in psi.iter().enumerate() {
+                let level = params.threshold(&psi, j);
+                for d in [0usize, 1, 2, 3, 7, 100, 12_345, 1 << 40] {
+                    let formula = (-t).exp() * eps * d as f64 / (2.0 * n_levels as f64 * psi_j);
+                    assert_eq!(level.at(d).to_bits(), formula.to_bits(), "j={j} d={d}");
+                }
+            }
+        }
     }
 }

@@ -108,7 +108,8 @@ pub(crate) fn hkpr_par_ws<B: CsrBackend>(
         // the sequential crossing test because the accumulation is
         // monotone).
         r_next.reset(pool, vol.max(1));
-        let above = |w: u32, m: f64| m >= params.threshold(&psi, j + 1, g.degree(w));
+        let level = params.threshold(&psi, j + 1);
+        let above = |w: u32, m: f64| m >= level.at(g.degree(w));
         staged.absorb(Absorb::Sum, &mut r_next, Some(above));
         std::mem::swap(&mut r, &mut r_next);
         j += 1;

@@ -18,6 +18,7 @@ pub fn hkpr_seq<B: CsrBackend>(g: &B, seed: &Seed, params: &HkprParams) -> Diffu
     params.validate();
     let n_levels = params.n_levels;
     let psi = super::psi_table(params.t, n_levels);
+    let thresholds: Vec<_> = (0..=n_levels).map(|j| params.threshold(&psi, j)).collect();
     let mut stats = DiffusionStats::default();
 
     let mut p = SparseVec::new_f64();
@@ -45,7 +46,7 @@ pub fn hkpr_seq<B: CsrBackend>(g: &B, seed: &Seed, params: &HkprParams) -> Diffu
                 // Final level: flush straight into p.
                 p.add(w, rv / d as f64);
             } else {
-                let thr = params.threshold(&psi, j + 1, g.degree(w));
+                let thr = thresholds[j + 1].at(g.degree(w));
                 let slot = r.entry((w, j + 1)).or_insert(0.0);
                 if *slot < thr && *slot + mass >= thr {
                     queue.push_back((w, j + 1));

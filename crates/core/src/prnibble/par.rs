@@ -6,10 +6,11 @@
 //! single-vector variant leaks mass under races, §3.3). Untouched
 //! residuals carry over between iterations ("r′ is set to r at the
 //! beginning of an iteration"); we implement the carry-over without
-//! copying `r` by accumulating only the *neighbor contributions* in a
-//! scratch table and committing them after the frontier's self-updates,
-//! which keeps the work of an iteration `O(|frontier| + vol(frontier))`
-//! exactly as Theorem 3 charges it.
+//! copying `r` by summing only the *neighbor contributions* per destination
+//! (in a register or the edge map's scratch) and adding each sum to `r`
+//! once, after the frontier's self-updates, which keeps the work of an
+//! iteration `O(|frontier| + vol(frontier))` exactly as Theorem 3 charges
+//! it.
 
 use super::PrNibbleParams;
 use crate::driver::drive;
@@ -17,8 +18,8 @@ use crate::result::Diffusion;
 use crate::seed::Seed;
 use crate::workspace::Workspace;
 use lgc_graph::CsrBackend;
-use lgc_ligra::{lane, Absorb, Checkpoint, Direction, Tripped, VertexSubset, NO_ADMIT};
-use lgc_parallel::{filter_map_index, map_index, merge_sort_by, Pool};
+use lgc_ligra::{lane, union_sorted, Absorb, Checkpoint, Tripped, VertexSubset};
+use lgc_parallel::{filter_map_index, Pool};
 use lgc_sparse::MassMap;
 
 /// Parallel PR-Nibble. Work `O(1/(α·ε))` w.h.p. (Theorem 3), regardless
@@ -29,21 +30,22 @@ use lgc_sparse::MassMap;
 ///
 /// Each iteration is one spreading edge map ([`lgc_ligra::EdgeSpread`],
 /// which also chooses the direction) sending `cₙ·r[v]/d(v)` along every
-/// frontier edge. The eligible set `{v : r[v] ≥ ε·d(v)}` is carried from
-/// iteration to iteration — it can only gain vertices that just received
-/// mass and lose ones that were just pushed — and what differs by
-/// direction is where the contributions land and who works that set out:
+/// frontier edge and adding each destination's sum to `r` once, and one
+/// filter: the eligible set `{v : r[v] ≥ ε·d(v)}` is carried from iteration
+/// to iteration — it can only gain vertices that just received mass and lose
+/// ones that were just pushed — so the edge map's `keep` asks exactly those.
+/// The direction decides only the shape the next frontier comes back in:
 ///
-/// * after a **push** they sit in a scratch delta map (many sources hit a
-///   destination at once) and are committed to `r` in a second pass; the
-///   next eligible set is a filter over the sorted list old eligibles ∪
-///   receivers. Push frontiers are the small ones, so the list is too.
+/// * a **push** sums each receiver's contributions in the edge map's
+///   scratch, delivers the receivers to `r` in ascending order and asks
+///   each of them and each pushed vertex the eligibility test as it lands;
+///   the next frontier is a sorted id list. Push frontiers are the small
+///   ones, so the list is too.
 /// * a **pull** owns each destination: it adds the register sum to `r`
-///   directly and applies the eligibility test to that destination then
-///   and there (the edge map's `keep`). The next frontier leaves the
-///   gather as a bitset with its size and volume tallied, and the next pull
-///   stages and gathers off that bitset — no delta map, no receiver set, no
-///   id list and no degree walk between two pulls.
+///   directly and applies the test to that destination then and there. The
+///   next frontier leaves the gather as a bitset with its size and volume
+///   tallied, and the next pull stages and gathers off that bitset — no
+///   receiver set, no id list and no degree walk between two pulls.
 ///
 /// Mass vectors live in [`MassMap`]s, which upgrade themselves to
 /// direct-indexed dense arrays once the per-iteration key bound crosses
@@ -59,7 +61,7 @@ pub fn prnibble_par<B: CsrBackend>(
     prnibble_par_ws(pool, g, seed, params, ws, cp).unwrap_or_else(|t| t.partial)
 }
 
-/// [`prnibble_par`] over a recyclable [`Workspace`]: the three mass maps,
+/// [`prnibble_par`] over a recyclable [`Workspace`]: the two mass maps,
 /// the frontier (with both of its bitsets) and the edge map's buffer come
 /// out of `ws` instead of being allocated — and every checkout is re-fitted
 /// to be observationally identical to a fresh allocation, so warm runs
@@ -88,7 +90,6 @@ pub(crate) fn prnibble_par_ws<B: CsrBackend>(
         r.set(x, seed.mass_per_vertex());
     }
     let mut p = ws.take_mass(pool, n, 16, params.dense_frac);
-    let mut r_delta = ws.take_mass(pool, n, 16, params.dense_frac);
 
     // Between iterations the frontier holds the eligible set: the vertices
     // known to satisfy r[v] ≥ ε·d(v).
@@ -128,63 +129,20 @@ pub(crate) fn prnibble_par_ws<B: CsrBackend>(
             cn * rv / g.degree(v) as f64
         });
 
-        // Phases 2–4 commit the neighbor contributions to r and work out
-        // the next eligible set: previously eligible vertices and vertices
-        // that just received mass are the only candidates. The store is
-        // chosen here, per direction, and sized here or by the edge map:
-        // the capacity history decides the slot order `r.l1_norm` sums in,
-        // so it is part of the result bits.
-        //
-        // `unsettled` is what is left to do about that set: the candidates,
-        // ascending, that are still to be merged with the known ones and put
-        // to the test — or nothing, when the frontier already is the set.
-        let unsettled = match staged.direction() {
-            Direction::Push => {
-                // Only edge destinations land in the delta map, so vol
-                // bounds the touched keys.
-                r_delta.reset(pool, vol.max(1));
-                staged.absorb(Absorb::Sum, &mut r_delta, NO_ADMIT);
-                let deltas = r_delta.entries(pool);
-                r.reserve_more(pool, deltas.len());
-                pool.run(deltas.len(), 512, |s, e| {
-                    for &(w, dm) in &deltas[s..e] {
-                        r.add(w, dm);
-                    }
-                });
-                // A dense delta map enumerates in key order already; a
-                // sparse one holds up to `n · dense_frac` keys. They are
-                // distinct, so every sort yields the same vector: the
-                // pool's merge sort where the lane forks, else the
-                // unstable sort, which is the faster one on `u32`s.
-                let mut receivers = map_index(pool, deltas.len(), |i| deltas[i].0);
-                if !r_delta.is_dense() {
-                    if pool.can_fork() {
-                        merge_sort_by(pool, &mut receivers, |a, b| a.cmp(b));
-                    } else {
-                        receivers.sort_unstable();
-                    }
-                }
-                Some(receivers)
-            }
-            Direction::Pull => {
-                // The gather adds each sum into r and puts the test to every
-                // receiver and to every vertex just pushed, on the thread
-                // that owns the vertex. Nobody else can have become
-                // eligible: an r that no one touched still fails the test.
-                staged.absorb(Absorb::Sum, &mut r, Some(is_eligible));
-                // ... or, below β = 1, still passes it: the eligible
-                // vertices that were neither selected nor reached were not
-                // asked, so what the gather admitted goes through the merge.
-                (!push_all).then(|| frontier.ids(pool).to_vec())
-            }
-        };
-        if let Some(candidates) = unsettled {
-            let known = if push_all {
-                frontier.ids(pool)
-            } else {
-                &eligible
-            };
-            let cands = merge_sorted_distinct(known, &candidates);
+        // Phases 2–4 (UpdateNgh and the filter): the edge map adds each
+        // destination's sum to r once and puts the test to every receiver
+        // and to every vertex just pushed, on the thread that delivered to
+        // it. Nobody else can have become eligible: an r that no one touched
+        // still fails the test. The edge map sizes r (by vol before a pull,
+        // by the receivers before a push delivers): the capacity history
+        // decides the slot order `r.l1_norm` sums in, so it is part of the
+        // result bits.
+        staged.absorb(Absorb::Sum, &mut r, Some(is_eligible));
+        // ... or, below β = 1, still passes it: the eligible vertices that
+        // were neither selected nor reached were not asked, so what the edge
+        // map kept goes through a merge with the whole set and the test.
+        if !push_all {
+            let cands = union_sorted(&eligible, frontier.ids(pool));
             let next = filter_map_index(pool, cands.len(), |i| {
                 is_eligible(cands[i], r.get(cands[i])).then_some(cands[i])
             });
@@ -202,37 +160,9 @@ pub(crate) fn prnibble_par_ws<B: CsrBackend>(
     let entries = p.entries(pool);
     ws.put_mass(r);
     ws.put_mass(p);
-    ws.put_mass(r_delta);
     ws.put_frontier(pool, frontier);
     let d = Diffusion::from_entries_par(pool, entries, stats);
     Tripped::outcome(tripped, d)
-}
-
-/// Merges two sorted duplicate-free id lists into one — `O(a + b)`.
-fn merge_sorted_distinct(a: &[u32], b: &[u32]) -> Vec<u32> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    // lgc-lint: allow(checkpoint-tick) -- bounded O(a + b) two-list merge, not a frontier loop; the driver ticks per round
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => {
-                out.push(a[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                out.push(b[j]);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
 }
 
 /// Top `β`-fraction of `eligible` by `r[v]/d(v)`, for `β < 1`, ascending.

@@ -25,7 +25,9 @@ use std::sync::Mutex;
 /// * frontiers ([`VertexSubset`]s) with their lazily-built bitsets — the
 ///   dense view, and the second buffer a frontier that has been through a
 ///   pull swaps it with every iteration;
-/// * the spreading edge map's contribution buffer ([`EdgeSpread`]);
+/// * the spreading edge map's contribution buffer and its push's
+///   per-destination scratch, `n` cells and `n` bits that every push leaves
+///   all-zero ([`EdgeSpread`]);
 /// * rand-HK-PR's walk-destination buffer and compaction table, and the
 ///   sweep's rank table.
 ///
@@ -267,6 +269,7 @@ impl WorkspacePool {
     /// same way.) Either kind first hands `counters` the iterations its
     /// edge map tallied while it was out.
     pub(crate) fn restore(&self, mut ws: Workspace, counters: &LifecycleCounters) {
+        debug_assert!(ws.spread.is_clear(), "a returned workspace's push scratch");
         counters.note_iterations(ws.spread.take_counts());
         let Some(charge) = ws.charge.take() else {
             return; // transient over-budget fallback: not accounted
@@ -284,5 +287,94 @@ impl WorkspacePool {
     /// Number of warm workspaces currently parked in the freelist.
     pub(crate) fn warm_count(&self) -> usize {
         self.lock().free.len()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::evolving::{evolving_set_par_ws, EvolvingParams};
+    use crate::hkpr::{hkpr_par_ws, HkprParams};
+    use crate::nibble::{nibble_par_ws, NibbleParams};
+    use crate::prnibble::{prnibble_par_ws, PrNibbleParams};
+    use crate::result::Diffusion;
+    use crate::seed::Seed;
+    use lgc_graph::gen;
+    use lgc_ligra::Checkpoint;
+
+    /// The three frontier diffusions and the evolving-set process on `ws`,
+    /// as `(p, stats)` — the set, its conductance bits and its sizes for the
+    /// last one — asserting after each that the push's scratch came back
+    /// all-zero.
+    fn run_all(pool: &Pool, g: &lgc_graph::Graph, ws: &mut Workspace) -> Vec<String> {
+        let (seed, cp) = (Seed::single(0), Checkpoint::unlimited());
+        let prn = PrNibbleParams {
+            alpha: 0.01,
+            eps: 1e-7,
+            ..Default::default()
+        };
+        let hk = HkprParams {
+            t: 10.0,
+            n_levels: 12,
+            eps: 1e-6,
+        };
+        let nib = NibbleParams {
+            t_max: 12,
+            eps: 1e-8,
+        };
+        let ev = EvolvingParams {
+            max_steps: 12,
+            rng_seed: 2,
+            ..Default::default()
+        };
+        let show = |d: Diffusion| format!("{:?} {:?}", d.p, d.stats);
+        let mut out = Vec::new();
+        out.push(show(
+            prnibble_par_ws(pool, g, &seed, &prn, ws, &cp).unwrap(),
+        ));
+        assert!(ws.spread.is_clear(), "after PR-Nibble");
+        out.push(show(hkpr_par_ws(pool, g, &seed, &hk, ws, &cp).unwrap()));
+        assert!(ws.spread.is_clear(), "after HK-PR");
+        out.push(show(nibble_par_ws(pool, g, &seed, &nib, ws, &cp).unwrap()));
+        assert!(ws.spread.is_clear(), "after Nibble");
+        let e = evolving_set_par_ws(pool, g, &seed, &ev, ws, &cp).unwrap();
+        out.push(format!(
+            "{:?} {} {:?}",
+            e.best_set,
+            e.best_conductance.to_bits(),
+            e.sizes
+        ));
+        assert!(ws.spread.is_clear(), "after the evolving set");
+        out
+    }
+
+    /// A workspace whose edge map pushes keeps the push's scratch between
+    /// queries: charged to its resident bytes (one `f64` cell and one bit
+    /// per vertex) and all-zero after every query, so a warm run of every
+    /// frontier diffusion is a cold run's, bit for bit. At two threads the
+    /// larger iterations fork — their pushes add atomically, so only the
+    /// integer-valued evolving-set counts are compared — and the scratch
+    /// still comes back clear.
+    #[test]
+    fn a_pushing_workspace_keeps_its_scratch_charged_and_clear() {
+        let g = gen::rand_local(8_000, 5, 3);
+        let n = g.num_vertices();
+        let push = DirectionParams::push_only();
+        for threads in [1, 2] {
+            let pool = Pool::new(threads);
+            let mut ws = Workspace::with_policy(push);
+            let cold = run_all(&pool, &g, &mut Workspace::with_policy(push));
+            let scratch = n * 8 + n.div_ceil(512) * 64;
+            let charged = ws.resident_bytes();
+            for round in 0..2 {
+                let warm = run_all(&pool, &g, &mut ws);
+                match threads {
+                    1 => assert_eq!(warm, cold, "round {round}"),
+                    _ => assert_eq!(warm[3], cold[3], "round {round}"),
+                }
+                assert!(ws.resident_bytes() >= charged + scratch, "round {round}");
+            }
+            assert_eq!(pool.stats().loops_forked > 0, threads > 1, "t={threads}");
+        }
     }
 }

@@ -34,25 +34,38 @@
 //! The mechanics of the two directions, and why the threshold is what it
 //! is, are documented there.
 //!
+//! Both directions deliver the same way: each destination's contributions
+//! are summed in ascending source order and added to the caller's store
+//! once, by one writer, which then decides whether the destination joins the
+//! next frontier. A pull gets that shape from owning its destinations. A
+//! push sums into a dense per-destination scratch first, records each
+//! destination on first touch, and then delivers the receivers in ascending
+//! order — so a push at one thread and a pull write the same bits.
+//!
 //! Like Ligra's `edgeMap`, the edge map hands back the next frontier itself
 //! ([`Staged::absorb`]'s `keep`), in the representation its direction
-//! produces natively. A push filters the store's keys into a sorted id
-//! list. A pull decides the next frontier destination by destination, on
-//! the thread that owns the destination, and leaves the subset
-//! *dense-native*: a bitset written a word at a time plus `|F′|` and
-//! `vol(F′)` tallied on the way. The next pull stages and gathers straight
-//! off those words, so between two pulls no id list is built, merged,
-//! filtered or walked — a saturated iteration is two passes, `stage` over
-//! the frontier's words and the gather over the destinations. The id list
-//! is materialised (`O(n/64 + len)`) only when something asks for it: a
-//! push iteration, or a caller of [`VertexSubset::ids`].
+//! produces natively. A push asks `keep` of its receivers in ascending
+//! order as it delivers them: one small against the universe leaves a
+//! sorted id list, and one that walks the first-touch bits a word at a time
+//! leaves the subset the way a pull does. A pull decides the next frontier
+//! destination by destination, on the thread that owns the destination,
+//! and leaves the subset *dense-native*: a bitset written a word at a time
+//! plus `|F′|` and `vol(F′)` tallied on the way. The next
+//! pull stages and gathers straight off those words, so between two pulls
+//! no id list is built, merged, filtered or walked — a saturated iteration
+//! is two passes, `stage` over the frontier's words and the gather over the
+//! destinations. The id list is materialised (`O(n/64 + len)`) only when
+//! something asks for it: a push iteration, or a caller of
+//! [`VertexSubset::ids`].
 //!
 //! The same work measure decides a second thing per iteration: whether its
 //! loops are offered to the pool's workers at all ([`lane`],
 //! [`FORK_MIN_WORK`] — "The fork policy" on [`EdgeSpread`]).
 
 use lgc_graph::CsrBackend;
-use lgc_parallel::{map_chunks, scan_exclusive, Bitset, Pool, UnsafeSlice};
+use lgc_parallel::{
+    filter, map_chunks, merge_sort_by, scan_exclusive, AtomicF64, Bitset, Pool, UnsafeSlice,
+};
 use lgc_sparse::MassMap;
 
 pub mod interrupt;
@@ -71,8 +84,9 @@ pub use interrupt::{BoundaryHook, CancelToken, Checkpoint, QueryBudget, Trip, Tr
 ///   allocation) and wiped by the same list, so alternating directions
 ///   never pays a full `O(n)` pass.
 /// * A **dense-native** subset is what a pull that was given a `keep`
-///   filter leaves behind ([`Staged::absorb`]): the bitset, `|F|` and
-///   `vol(F)` — the gather tallied both, so [`VertexSubset::len`] and
+///   filter leaves behind ([`Staged::absorb`]), and a push that walked its
+///   receivers off the bitset's words: the bitset, `|F|` and `vol(F)` —
+///   the traversal tallied both, so [`VertexSubset::len`] and
 ///   [`VertexSubset::volume`] are field reads — and *no* id list. The next
 ///   pull needs none; [`VertexSubset::ids`] packs one (`O(n/64 + len)`)
 ///   for a push, or for a caller that wants to look at the members.
@@ -249,6 +263,33 @@ impl VertexSubset {
     }
 }
 
+/// The union of two sorted, duplicate-free id lists, sorted and
+/// duplicate-free — `O(a + b)`.
+pub fn union_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => {
+                out.push(a[i]);
+                i += 1;
+            }
+            std::cmp::Ordering::Greater => {
+                out.push(b[j]);
+                j += 1;
+            }
+            std::cmp::Ordering::Equal => {
+                out.push(a[i]);
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out
+}
+
 /// Applies `f(src, dst)` to every edge `(src, dst)` with `src ∈ frontier`,
 /// in parallel over the frontier's whole edge space: Ligra's sparse
 /// `edgeMap`, which pushes from a listed subset.
@@ -268,7 +309,9 @@ pub fn edge_map<B: CsrBackend>(
     // Only a pool with workers is asked: the volume is `O(|F|)` degree loads.
     let vol = (pool.num_threads() > 1).then(|| frontier.volume(g));
     let lane = vol.map_or(pool, |vol| lane(pool, frontier.len(), vol));
-    push_edges(lane, g, &frontier.ids, |_, src, dst| f(src, dst));
+    push_edges(lane, g, &frontier.ids, |_: &mut (), _, src, dst| {
+        f(src, dst)
+    });
 }
 
 /// The one constant of the fork policy, in units of `|F| + vol(F)`: an
@@ -295,22 +338,31 @@ fn forking(pool: &Pool, len: usize, vol: usize) -> Option<&Pool> {
 }
 
 /// The push over the edges of the sources `ids`, on a pool the fork policy
-/// was already asked for. `f(i, src, dst)` also receives the source's index
-/// in `ids`, so a caller that lays its per-source values out by that index
-/// (`contrib[i] = coeff · r[ids[i]] / d(ids[i])`) does one slice load per
-/// edge — no hash probe, no division.
-fn push_edges<B: CsrBackend>(pool: &Pool, g: &B, ids: &[u32], f: impl Fn(usize, u32, u32) + Sync) {
+/// was already asked for. `f(acc, i, src, dst)` also receives the source's
+/// index in `ids`, so a caller that lays its per-source values out by that
+/// index (`contrib[i] = coeff · r[ids[i]] / d(ids[i])`) does one slice load
+/// per edge — no hash probe, no division — and the accumulator of the edge
+/// chunk it runs in, which starts as `T::default()`. Returns the chunks'
+/// accumulators in edge order: one, on a pool that does not fork.
+fn push_edges<B: CsrBackend, T: Default + Send>(
+    pool: &Pool,
+    g: &B,
+    ids: &[u32],
+    f: impl Fn(&mut T, usize, u32, u32) + Sync,
+) -> Vec<T> {
     if !pool.can_fork() {
+        let mut acc = T::default();
         for (i, &v) in ids.iter().enumerate() {
-            g.for_each_neighbor(v, |w| f(i, v, w));
+            g.for_each_neighbor(v, |w| f(&mut acc, i, v, w));
         }
-        return;
+        return vec![acc];
     }
     // The exclusive prefix sum over the frontier's degrees flattens its
     // edge space, so one high-degree vertex is split across chunks.
     let degs: Vec<usize> = ids.iter().map(|&v| g.degree(v)).collect();
     let (offsets, total_edges) = scan_exclusive(pool, &degs, 0usize, |a, b| a + b);
-    pool.run(total_edges, 2048, |es, ee| {
+    map_chunks(pool, total_edges, 2048, |es, ee| {
+        let mut acc = T::default();
         // Locate the frontier vertex owning edge index `es`.
         let mut vi = offsets.partition_point(|&o| o <= es) - 1;
         let mut edge_idx = es;
@@ -318,17 +370,19 @@ fn push_edges<B: CsrBackend>(pool: &Pool, g: &B, ids: &[u32], f: impl Fn(usize, 
             let v = ids[vi];
             let local_start = edge_idx - offsets[vi];
             let local_end = g.degree(v).min(local_start + (ee - edge_idx));
-            g.for_each_neighbor_in(v, local_start, local_end, |w| f(vi, v, w));
+            g.for_each_neighbor_in(v, local_start, local_end, |w| f(&mut acc, vi, v, w));
             edge_idx += local_end - local_start;
             vi += 1;
         }
-    });
+        acc
+    })
 }
 
 /// Which traversal an iteration uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Direction {
-    /// Sparse push: iterate the frontier's out-edges (atomic updates).
+    /// Sparse push: iterate the frontier's out-edges, summing per
+    /// destination in a scratch (atomic adds only when forked).
     Push,
     /// Dense pull: iterate all destinations against the frontier bitset
     /// (plain-write updates, deterministic).
@@ -513,21 +567,22 @@ fn gather<'a, B: CsrBackend>(
     }
 }
 
-/// How a destination the traversal owns (pull) takes in its frontier
-/// in-neighbors' contributions. A push always adds per edge.
+/// How a destination takes in its frontier in-neighbors' contributions.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Absorb {
-    /// One add per frontier edge, in ascending source order — exactly
-    /// what a one-thread push does to the cell, whatever the cell held
-    /// before. Needed when destinations are not fresh (Nibble adds onto
-    /// the banked half, HK-PR's last level onto `p`).
+    /// One add per frontier edge into the destination's cell, in ascending
+    /// source order at one thread, whatever the cell held before. Needed
+    /// when destinations are not fresh (Nibble adds onto the banked half,
+    /// HK-PR's last level onto `p`). A push whose lane forks adds in the
+    /// scheduler's order anyway; it sums per destination as under
+    /// [`Absorb::Sum`].
     PerEdge,
-    /// The contributions are summed in a register, from `0.0` in
-    /// ascending source order, and added once: one store per destination
-    /// instead of one per edge. `cell + (c₁ + c₂)` and `(cell + c₁) + c₂`
-    /// differ in bracketing only, so this equals [`Absorb::PerEdge`] bit
-    /// for bit when the cell starts absent or `0.0`, and on integer-valued
-    /// contributions.
+    /// The contributions are summed from `0.0` in ascending source order —
+    /// in a register by a pull, in the push's scratch by a push — and added
+    /// to the cell once: one store per destination instead of one per edge.
+    /// `cell + (c₁ + c₂)` and `(cell + c₁) + c₂` differ in bracketing only,
+    /// so this equals [`Absorb::PerEdge`] bit for bit when the cell starts
+    /// absent or `0.0`, and on integer-valued contributions.
     Sum,
 }
 
@@ -544,10 +599,17 @@ pub enum Absorb {
 /// frontier.
 ///
 /// * **Push** walks the frontier's id list and lays `c` out by frontier
-///   index, so the per-edge work is one slice load plus an atomic add
-///   ([`MassMap::add`], the `fetchAdd` the paper cites) — no hash probe, no
-///   division. Destinations are hit by many sources at once; the next
-///   frontier is filtered off the store's keys afterwards.
+///   index, so the per-edge work is one slice load plus one indexed add
+///   into a dense scratch of `n` cells — no hash probe, no division. The
+///   add is plain on a lane that does not fork and the `fetchAdd` the paper
+///   cites when it does, since destinations are then hit by several
+///   sources at once. Each destination is recorded on its first touch.
+///   The receivers are then visited in ascending order — read back off
+///   the first-touch bits, or sorted from short lists when the push is
+///   small against `n` — and each one's sum is added to the store once
+///   ([`MassMap::add_exclusive`]), which zeroes its scratch cell; `keep` is
+///   asked as it lands. So at one thread a push writes the same bits as a
+///   pull, and the store sees one write per receiver, not one per edge.
 /// * **Pull** walks the frontier's bitset by words (the dense `vertexMap`),
 ///   lays `c` out by vertex id and scans *all* vertices; each tests its
 ///   neighbors against the bitset. One thread owns a destination and visits
@@ -560,9 +622,12 @@ pub enum Absorb {
 /// Either way `contrib_of(v)` runs once per distinct vertex, so whatever
 /// cell of `v`'s own it updates has one writer.
 ///
-/// The buffer is never zeroed. A push reads slots `0..k`, all written by
-/// this call; a pull reads slot `v` only where the bitset holds `v`, and
-/// exactly those were written by this call — stale values are unreachable.
+/// The contribution buffer is never zeroed. A push reads slots `0..k`, all
+/// written by this call; a pull reads slot `v` only where the bitset holds
+/// `v`, and exactly those were written by this call — stale values are
+/// unreachable. The push's scratch is the other way round: it is sized once
+/// per universe, and every push leaves all of its cells `0.0` and its bits
+/// clear, by the receiver list it delivered ([`EdgeSpread::is_clear`]).
 ///
 /// # The direction policy
 ///
@@ -627,8 +692,36 @@ pub enum Absorb {
 #[derive(Default)]
 pub struct EdgeSpread {
     slots: Vec<f64>,
+    /// The push's per-destination sums, built by the first push.
+    scratch: Option<Scratch>,
     policy: DirectionParams,
     counts: IterationCounts,
+}
+
+/// A push's per-destination sums over the universe `0..n`: one `f64` cell
+/// and one first-touch bit per vertex, all `0.0` and clear between pushes.
+struct Scratch {
+    sums: Box<[AtomicF64]>,
+    touched: Bitset,
+}
+
+impl Scratch {
+    fn new(n: usize) -> Self {
+        Scratch {
+            sums: (0..n).map(|_| AtomicF64::default()).collect(),
+            touched: Bitset::new(n),
+        }
+    }
+
+    fn resident_bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.sums) + self.touched.resident_bytes()
+    }
+
+    /// `O(n)`: for assertions.
+    fn is_clear(&self) -> bool {
+        let zero = 0f64.to_bits();
+        self.touched.count_seq() == 0 && self.sums.iter().all(|c| c.load().to_bits() == zero)
+    }
 }
 
 /// How many iterations an [`EdgeSpread`] has staged, by the direction taken
@@ -650,8 +743,7 @@ pub struct IterationCounts {
 }
 
 /// Contributions laid out by [`EdgeSpread::stage`], waiting to be spread.
-/// The pause between the two halves is a sequential point: a caller that
-/// chooses its destination store by [`Staged::direction`] does it here.
+/// The pause between the two halves is a sequential point.
 #[must_use = "staged contributions reach no destination until absorbed"]
 pub struct Staged<'a, B> {
     pool: &'a Pool,
@@ -659,6 +751,8 @@ pub struct Staged<'a, B> {
     frontier: &'a mut VertexSubset,
     vol: usize,
     slots: &'a [f64],
+    /// The push's scratch; `None` for a pull.
+    scratch: Option<&'a Scratch>,
     dir: Direction,
     dense_out: &'a mut u64,
 }
@@ -678,9 +772,18 @@ impl EdgeSpread {
         std::mem::take(&mut self.counts)
     }
 
-    /// Resident bytes of the buffer (capacity, not length).
+    /// Resident bytes of the contribution buffer (capacity, not length) and
+    /// of the push's scratch, once a push has built it.
     pub fn resident_bytes(&self) -> usize {
         self.slots.capacity() * std::mem::size_of::<f64>()
+            + self.scratch.as_ref().map_or(0, Scratch::resident_bytes)
+    }
+
+    /// Whether the push's scratch is all `0.0` with every bit clear — what
+    /// every [`Staged::absorb`] leaves, and what the next push's sums start
+    /// from. `O(n)`: for assertions.
+    pub fn is_clear(&self) -> bool {
+        self.scratch.as_ref().is_none_or(Scratch::is_clear)
     }
 
     /// Chooses the direction for `frontier` (whose volume the caller has
@@ -704,14 +807,18 @@ impl EdgeSpread {
         self.counts.solo += u64::from(lane.is_none());
         let pool = lane.unwrap_or(Pool::solo());
         let dir = self.policy.choose(g, k, vol);
+        let n = g.num_vertices();
         let len = match dir {
             Direction::Push => {
                 self.counts.push += 1;
+                if self.scratch.as_ref().is_none_or(|s| s.sums.len() != n) {
+                    self.scratch = Some(Scratch::new(n));
+                }
                 k
             }
             Direction::Pull => {
                 self.counts.pull += 1;
-                g.num_vertices()
+                n
             }
         };
         if self.slots.len() < len {
@@ -757,6 +864,7 @@ impl EdgeSpread {
             frontier,
             vol,
             slots: &self.slots[..len],
+            scratch: self.scratch.as_ref().filter(|_| dir == Direction::Push),
             dir,
             dense_out: &mut self.counts.dense_out,
         }
@@ -770,42 +878,107 @@ impl<B: CsrBackend> Staged<'_, B> {
     }
 
     /// Adds the staged contributions into `into` over the frontier's
-    /// edges: per edge with [`MassMap::add`] when pushing, per `order` with
-    /// [`MassMap::add_exclusive`] when pulling. Either way every frontier
-    /// edge's contribution reaches its destination exactly once. First it
-    /// makes room in `into` for `vol` more keys (the volume handed to
-    /// [`EdgeSpread::stage`]), the most an iteration can add.
+    /// edges, per `order`. Every frontier edge's contribution reaches its
+    /// destination exactly once.
+    /// Room is made in `into` for the most keys the iteration can add: `vol`
+    /// (the volume handed to [`EdgeSpread::stage`]) before a pull or a
+    /// per-edge push, and the number of receivers before a summing push
+    /// delivers its sums.
     ///
     /// # The next frontier
     ///
     /// Handed `Some(keep)`, the edge map also leaves the next frontier in
     /// place of the staged one, in either direction: the vertices this
     /// iteration wrote into `into` that pass `keep(v, into[v])`. The
-    /// contract of `keep`:
+    /// contract of `keep` is one for both directions:
     ///
     /// * *who is asked* — every destination that received a contribution,
     ///   and every member of the outgoing frontier whose `contrib_of` wrote
     ///   its own cell of `into` (a member holding a key there counts as one
-    ///   that did); nobody else. A vertex the iteration did not touch is
-    ///   never kept, whatever `keep` would say of it — and it would say yes
-    ///   of an isolated vertex under a test like `mass ≥ ε·d(v)`, which
-    ///   `0 ≥ ε·0` passes.
-    /// * *how* — a **pull** asks each such destination once, right after
-    ///   the last of its contributions has been added, on the thread that
-    ///   added them, and leaves the frontier dense-native: the bitset of the
-    ///   kept, with its `len` and `volume` tallied by the gather. A **push**
-    ///   has no such thread — its destinations are scattered over threads —
-    ///   so it filters `into`'s keys afterwards ([`MassMap::filter_keys`])
-    ///   into a sorted id list. The direction rule makes push frontiers the
-    ///   small ones, for which that is `O(|F| + vol(F))` anyway.
-    ///
-    /// The two agree exactly when `into` holds nothing but this iteration's
-    /// writes (a store reset before it, like HK-PR's next level and
-    /// Nibble's next vector); a caller whose store carries older keys pushes
-    /// with [`NO_ADMIT`] and works the next frontier out itself.
+    ///   that did); nobody else, whatever older keys `into` carries. A
+    ///   vertex the iteration did not touch is never kept, whatever `keep`
+    ///   would say of it — and it would say yes of an isolated vertex under
+    ///   a test like `mass ≥ ε·d(v)`, which `0 ≥ ε·0` passes.
+    /// * *how* — each once, right after the last of its contributions has
+    ///   been added, by the thread that added them. A **pull** leaves the
+    ///   frontier dense-native: the bitset of the kept, with its `len` and
+    ///   `volume` tallied by the gather. A **push** asks its receivers in
+    ///   ascending order as it delivers them. One with `64·vol < n` leaves
+    ///   a sorted id list; a larger one walks its first-touch bits a word
+    ///   at a time and leaves the frontier dense-native, tallied, as a pull
+    ///   does.
     ///
     /// With [`NO_ADMIT`] the frontier is left as it was staged.
     pub fn absorb(
+        self,
+        order: Absorb,
+        into: &mut MassMap,
+        keep: Option<impl Fn(u32, f64) -> bool + Sync>,
+    ) {
+        if self.dir == Direction::Push {
+            return self.push(order, into, keep);
+        }
+        let Staged {
+            pool,
+            g,
+            frontier,
+            vol,
+            slots,
+            dense_out,
+            ..
+        } = self;
+        into.reserve_more(pool, vol);
+        let into = &*into;
+        let (bits, next) = frontier.gather_buffers(g.num_vertices(), keep.is_some());
+        let emit = keep.zip(next).map(|(keep, next)| Emit { keep, into, next });
+        let emitted = emit.is_some();
+        let add = |dst, c| {
+            into.add_exclusive(dst, c);
+        };
+        let (len, vol) = match order {
+            Absorb::PerEdge => {
+                let land = per_edge(g, bits, |src, dst| add(dst, slots[src as usize]));
+                pull(pool, g, bits, land, emit)
+            }
+            Absorb::Sum => pull(pool, g, bits, gather(g, bits, slots, add), emit),
+        };
+        if emitted {
+            frontier.adopt_emitted(len, vol);
+            *dense_out += 1;
+        }
+    }
+
+    /// [`Staged::absorb`]'s push: adds `slots[i]` along every edge of
+    /// `ids[i]` into `into` per `order`, and leaves the next frontier if
+    /// handed a `keep`.
+    ///
+    /// **Collect.** Every edge adds its source's contribution — into the
+    /// scratch cell of its destination under [`Absorb::Sum`], straight into
+    /// `into` under [`Absorb::PerEdge`] — with a plain add on a lane that
+    /// does not fork. On a lane that does (decided once, here: the edge
+    /// loop runs on the workerless pool unless it forks) the add is atomic
+    /// and always into the scratch, whatever the order. A destination's
+    /// first touch sets its bit; a one-thread `PerEdge` push without a
+    /// `keep` records nothing.
+    ///
+    /// **Deliver.** When summing, `into` makes room for the receivers, and
+    /// each receiver's sum is added to `into` once, in ascending order,
+    /// zeroing its cell and its bit. `keep(w, into[w])` is asked once of
+    /// each receiver right after, and of each outgoing member that holds a
+    /// key of `into` — exactly whom a pull asks. The receivers are visited
+    /// in one of two ways:
+    ///
+    /// * off the bitset's words, `O(n/64 + receivers + |F|)`, when
+    ///   `n/64 ≤ vol`, so the walk costs no more than the push did: each
+    ///   word's receivers and members are delivered and asked in place,
+    ///   the word is cleared, and the kept are written a word at a time
+    ///   into a next frontier that is dense-native, with its `len` and
+    ///   `volume` tallied, as a pull's — no list is built, sorted or
+    ///   merged;
+    /// * from per-chunk lists kept on first touch, sorted and merged with
+    ///   the members, when the push is small against the universe, so it
+    ///   stays local on a large graph.
+    fn push(
         self,
         order: Absorb,
         into: &mut MassMap,
@@ -817,32 +990,142 @@ impl<B: CsrBackend> Staged<'_, B> {
             frontier,
             vol,
             slots,
-            dir,
-            dense_out,
+            scratch,
+            ..
         } = self;
-        into.reserve_more(pool, vol);
-        let into = &*into;
-        if dir == Direction::Push {
-            push_edges(pool, g, &frontier.ids, |i, _, dst| into.add(dst, slots[i]));
-            if let Some(keep) = keep {
-                frontier.advance(pool, into.filter_keys(pool, keep));
+        let Scratch { sums, touched } = scratch.expect("staged for a push");
+        let forked = pool.can_fork();
+        let lane = if forked { pool } else { Pool::solo() };
+        // A forked push adds in the scheduler's order either way, so it sums
+        // under both orders: `into` then sees one write per receiver, and the
+        // edge loop probes one first-touch bitset, not `into`'s as well.
+        let summing = order == Absorb::Sum || forked;
+        if !summing {
+            into.reserve_more(pool, vol);
+        }
+        let recording = summing || keep.is_some();
+        let listing = recording && 64 * vol < g.num_vertices();
+        let store = &*into;
+        let lists = push_edges(lane, g, &frontier.ids, |list: &mut Vec<u32>, i, _, w| {
+            let c = slots[i];
+            if recording && !touched.contains(w) && touched.insert(w) && listing {
+                list.push(w);
+            }
+            let cell = &sums[w as usize];
+            match (summing, forked) {
+                (true, true) => {
+                    cell.fetch_add(c);
+                }
+                (true, false) => cell.store(cell.load() + c),
+                (false, _) => {
+                    store.add_exclusive(w, c);
+                }
+            }
+        });
+        if !recording {
+            return;
+        }
+        // Adds `w`'s sum to `into` once, zeroes its cell, and reads `into[w]`.
+        let deliver = |into: &MassMap, w: u32| {
+            let cell = &sums[w as usize];
+            let m = into.add_exclusive(w, cell.load());
+            cell.store(0.0);
+            m
+        };
+        if listing {
+            let mut receivers = lists.concat();
+            if forked {
+                merge_sort_by(pool, &mut receivers, u32::cmp);
+            } else {
+                receivers.sort_unstable();
+            }
+            if summing {
+                into.reserve_more(pool, receivers.len());
+            }
+            let into = &*into;
+            let own = match keep {
+                Some(_) => filter(pool, &frontier.ids, |&v| {
+                    !touched.contains(v) && into.contains(v)
+                }),
+                None => Vec::new(),
+            };
+            let listed = match own.is_empty() {
+                true => receivers,
+                false => union_sorted(&receivers, &own),
+            };
+            let kept = map_chunks(pool, listed.len(), 2048, |s, e| {
+                let mut kept = Vec::new();
+                for &w in &listed[s..e] {
+                    let m = match summing && touched.contains(w) {
+                        true => deliver(into, w),
+                        false => into.get(w),
+                    };
+                    if keep.as_ref().is_some_and(|keep| keep(w, m)) {
+                        kept.push(w);
+                    }
+                }
+                kept
+            });
+            touched.clear_sorted(pool, &listed);
+            if keep.is_some() {
+                frontier.advance(pool, kept.concat());
             }
             return;
         }
-        let (bits, next) = frontier.gather_buffers(g.num_vertices(), keep.is_some());
-        let emit = keep.zip(next).map(|(keep, next)| Emit { keep, into, next });
-        let emitted = emit.is_some();
-        let add = |dst, c| into.add_exclusive(dst, c);
-        let (len, vol) = match order {
-            Absorb::PerEdge => {
-                let land = per_edge(g, bits, |src, dst| add(dst, slots[src as usize]));
-                pull(pool, g, bits, land, emit)
+        if summing {
+            into.reserve_more(pool, touched.count_seq());
+        }
+        let into = &*into;
+        let n = g.num_vertices();
+        if keep.is_some() {
+            frontier.bits(pool, n);
+        }
+        // The members' words, and the all-zero words the kept are written
+        // into: the next frontier leaves dense-native, as a pull's does.
+        let (members, next) = match keep {
+            Some(_) => {
+                let (members, next) = frontier.gather_buffers(n, true);
+                (Some(members), next)
             }
-            Absorb::Sum => pull(pool, g, bits, gather(g, bits, slots, add), emit),
+            None => (None, None),
         };
-        if emitted {
+        // A chunk owns whole words of both bitsets, so it writes and clears
+        // them with plain stores.
+        let tallies = map_chunks(pool, touched.num_words(), DENSE_GRAIN / 64, |s, e| {
+            let (mut len, mut vol) = (0, 0);
+            for w in s..e {
+                let received = touched.word(w);
+                let mut listed = received | members.map_or(0, |m| m.word(w));
+                let mut word = 0u64;
+                while listed != 0 {
+                    let bit = listed & listed.wrapping_neg();
+                    listed ^= bit;
+                    let v = (64 * w) as u32 + bit.trailing_zeros();
+                    let m = match received & bit != 0 {
+                        true if summing => deliver(into, v),
+                        false if !into.contains(v) => continue,
+                        _ => into.get(v),
+                    };
+                    if keep.as_ref().is_some_and(|keep| keep(v, m)) {
+                        word |= bit;
+                        len += 1;
+                        vol += g.degree(v);
+                    }
+                }
+                if let Some(next) = next.filter(|_| word != 0) {
+                    next.store_word(w, word);
+                }
+                if received != 0 {
+                    touched.store_word(w, 0);
+                }
+            }
+            (len, vol)
+        });
+        if next.is_some() {
+            let (len, vol) = tallies
+                .iter()
+                .fold((0, 0), |(len, vol), t| (len + t.0, vol + t.1));
             frontier.adopt_emitted(len, vol);
-            *dense_out += 1;
         }
     }
 }
@@ -982,7 +1265,7 @@ mod tests {
             lane(pool, frontier.len(), frontier.volume(g)),
             g,
             &frontier.ids,
-            f,
+            |_: &mut (), i, src, dst| f(i, src, dst),
         );
     }
 
@@ -1161,6 +1444,7 @@ mod tests {
         let dir = staged.direction();
         staged.absorb(order, &mut into, NO_ADMIT);
         assert_eq!(frontier.ids(pool), ids, "left as it was staged");
+        assert!(spread.is_clear(), "the push's scratch is left clear");
         (dir, (0..n as u32).map(|v| into.get(v)).collect())
     }
 
@@ -1442,6 +1726,94 @@ mod tests {
             dense_out: 2,
         };
         assert_eq!(pulling.take_counts(), pulled);
+    }
+
+    /// The push's scratch is built by the first push, one cell and one bit
+    /// per vertex, and charged to `resident_bytes`; every push leaves it
+    /// clear — summing or per edge, with or without `keep`, on the lane
+    /// that forks and the one that does not — and a later push over the
+    /// same universe reuses it. A pull builds none.
+    #[test]
+    fn the_push_scratch_is_charged_once_and_left_clear() {
+        let g = gen::rand_local(20_000, 5, 6);
+        let n = g.num_vertices();
+        let mut pulling = EdgeSpread::new(DirectionParams::pull_only());
+        let mut frontier = VertexSubset::from_sorted(vec![3, 7, 11]);
+        let vol = frontier.volume(&g);
+        pulling
+            .stage(&Pool::new(1), &g, &mut frontier, vol, |_| 1.0)
+            .absorb(Absorb::Sum, &mut MassMap::new(n, 0), NO_ADMIT);
+        assert_eq!(pulling.resident_bytes(), n * 8, "the pull's slots only");
+
+        let mut spread = EdgeSpread::new(DirectionParams::push_only());
+        let scratch = n * 8 + n.div_ceil(512) * 64;
+        let keep = |v: u32, _: f64| !v.is_multiple_of(3);
+        for threads in [1, 2] {
+            let pool = Pool::new(threads);
+            for claim in [0, FORK_MIN_WORK] {
+                for order in [Absorb::Sum, Absorb::PerEdge] {
+                    for keeping in [false, true] {
+                        let ids: Vec<u32> = (0..n as u32).step_by(50).collect();
+                        let mut frontier = VertexSubset::from_sorted(ids);
+                        let vol = frontier.volume(&g).max(claim);
+                        let mut into = MassMap::new(n, 0);
+                        let staged = spread.stage(&pool, &g, &mut frontier, vol, f64::from);
+                        match keeping {
+                            true => staged.absorb(order, &mut into, Some(keep)),
+                            false => staged.absorb(order, &mut into, NO_ADMIT),
+                        }
+                        let ctx = format!("t={threads} claim={claim} {order:?} keep={keeping}");
+                        assert!(spread.is_clear(), "{ctx}");
+                        let slots = spread.slots.capacity() * 8;
+                        assert_eq!(spread.resident_bytes(), slots + scratch, "{ctx}");
+                        assert!(!into.is_empty(), "{ctx}: the push delivered");
+                    }
+                }
+            }
+        }
+        let pushes = spread.take_counts();
+        assert_eq!(
+            (pushes.push, pushes.solo),
+            (16, 8),
+            "half the pushes forked"
+        );
+    }
+
+    /// A push whose volume is small against the universe (`64·vol < n`)
+    /// lists its receivers on first touch and sorts them instead of reading
+    /// the bitset's words back — on the lane that forks, too. A long
+    /// frontier of mostly isolated vertices puts `k + vol` past
+    /// `FORK_MIN_WORK`: at two threads it delivers the one-thread totals,
+    /// leaves the same frontier and the scratch clear, in both orders.
+    #[test]
+    fn a_forked_push_of_small_volume_lists_its_receivers() {
+        let n = 40_000;
+        let path: Vec<(u32, u32)> = (0..299u32).map(|v| (v, v + 1)).collect();
+        let g = lgc_graph::Graph::from_edges(n, &path);
+        let ids: Vec<u32> = (0..n as u32).filter(|v| v % 10 != 9).collect();
+        let keep = |v: u32, m: f64| m >= 4.0 || v.is_multiple_of(7);
+        let run = |threads: usize, order: Absorb| {
+            let pool = Pool::new(threads);
+            let mut spread = EdgeSpread::new(DirectionParams::push_only());
+            let mut frontier = VertexSubset::from_sorted(ids.clone());
+            let vol = frontier.volume(&g);
+            assert!(64 * vol < n && ids.len() + vol >= FORK_MIN_WORK);
+            let mut into = MassMap::new(n, 0);
+            spread
+                .stage(&pool, &g, &mut frontier, vol, |v| f64::from(v % 3 + 1))
+                .absorb(order, &mut into, Some(keep));
+            assert!(spread.is_clear(), "t={threads} {order:?}");
+            let totals: Vec<f64> = (0..n as u32).map(|v| into.get(v)).collect();
+            let forked = pool.stats().loops_forked > 0;
+            (totals, frontier.ids(&pool).to_vec(), forked)
+        };
+        for order in [Absorb::Sum, Absorb::PerEdge] {
+            let (want, next, _) = run(1, order);
+            assert!(!next.is_empty() && next.len() < 300, "{order:?}");
+            let (got, got_next, forked) = run(2, order);
+            assert!(forked, "{order:?}: the lane forks");
+            assert_eq!((got, got_next), (want, next), "{order:?}");
+        }
     }
 
     /// A random graph over `n` vertices with about `n · avg / 2` edges —

@@ -170,17 +170,20 @@ proptest! {
     }
 
     /// The next-frontier contract, once for every direction: spread into a
-    /// fresh store (dense or sparse), `absorb(order, into, Some(keep))`
-    /// leaves the vertices this iteration wrote into `into` that pass
+    /// store (dense or sparse), `absorb(order, into, Some(keep))` leaves
+    /// the vertices this iteration wrote into `into` that pass
     /// `keep(v, into[v])` — the receivers, and the members when their
-    /// `UpdateSelf` writes their own cell — as the same sorted frontier
-    /// under `push_only()`, `pull_only()` and the default. At one thread
-    /// the store is bit-identical too (a self-writing member's cell is not
-    /// fresh, so those cases absorb per edge). At two threads, on integer
-    /// contributions with a claimed volume past `FORK_MIN_WORK`, so every
-    /// loop forks (graphs reach past one 512-destination pull chunk and
-    /// one 2048-edge push chunk), the frontier is still the same.
-    /// `NO_ADMIT` leaves the staged frontier as it was.
+    /// `UpdateSelf` writes their own cell or they hold an older key — as
+    /// the same sorted frontier under `push_only()`, `pull_only()` and the
+    /// default. Half the cases hand in a store that carries older keys, of
+    /// which some pass `keep` and some fail it: one the iteration does not
+    /// touch is never kept, and one it does touch is added onto in the
+    /// order's bracketing. At one thread the store is bit-identical too. At
+    /// two threads, on integer contributions over half-integer older
+    /// values with a claimed volume past `FORK_MIN_WORK`, so every loop
+    /// forks (graphs reach past one 512-destination pull chunk and one
+    /// 2048-edge push chunk), the frontier is still the same. `NO_ADMIT`
+    /// leaves the staged frontier as it was.
     #[test]
     fn every_direction_leaves_the_same_next_frontier(
         n in 10usize..3000,
@@ -190,17 +193,27 @@ proptest! {
         dense in any::<bool>(),
         self_write in any::<bool>(),
         per_edge in any::<bool>(),
+        older in any::<bool>(),
     ) {
         let g = gen::rand_local(n, deg, salt);
         let n = g.num_vertices();
         let ids: Vec<u32> = (0..n as u32).filter(|&v| (u64::from(v) + salt) % every == 0).collect();
-        let order = if self_write || per_edge { Absorb::PerEdge } else { Absorb::Sum };
+        let order = if per_edge { Absorb::PerEdge } else { Absorb::Sum };
         let frac = if dense { 0.0 } else { f64::INFINITY };
         let keep = |v: u32, m: f64| !(m.to_bits() ^ u64::from(v) ^ salt).is_multiple_of(3);
-        // Runs one iteration into a fresh store; returns the store's
-        // entries (bits, ascending) and the frontier it leaves.
+        // The keys the store carries in from before the iteration: every
+        // third vertex, members and receivers among them, at half-integers.
+        let stored: Vec<(u32, f64)> = (0..n as u32)
+            .filter(|&v| older && (u64::from(v) * 7 + salt).is_multiple_of(3))
+            .map(|v| (v, f64::from((v ^ salt as u32) % 9) + 0.5))
+            .collect();
+        // Runs one iteration into the store; returns the store's entries
+        // (bits, ascending) and the frontier it leaves.
         let run = |pool: &Pool, params, claim: usize, keep_it: bool, contrib: &(dyn Fn(u32) -> f64 + Sync)| {
-            let mut into = MassMap::with_dense_fraction(n, ids.len(), frac);
+            let mut into = MassMap::with_dense_fraction(n, ids.len() + stored.len(), frac);
+            for &(v, m) in &stored {
+                into.set(v, m);
+            }
             let mut frontier = VertexSubset::from_sorted(ids.clone());
             let vol = frontier.volume(&g).max(claim);
             let mut spread = EdgeSpread::new(params);
@@ -214,24 +227,41 @@ proptest! {
                 true => staged.absorb(order, &mut into, Some(keep)),
                 false => staged.absorb(order, &mut into, NO_ADMIT),
             }
+            assert!(spread.is_clear(), "the push's scratch is left clear");
             let entries: Vec<(u32, u64)> = (0..n as u32)
                 .filter(|&v| into.contains(v))
                 .map(|v| (v, into.get(v).to_bits()))
                 .collect();
             (entries, frontier.ids(pool).to_vec())
         };
-        // The reference: a sequential loop in ascending source order.
+        // The reference: a sequential loop in ascending source order, which
+        // sums from 0.0 and adds the sum once under `Sum`.
         let reference = |contrib: &dyn Fn(u32) -> f64| {
             let mut cells: Vec<Option<f64>> = vec![None; n];
+            for &(v, m) in &stored {
+                cells[v as usize] = Some(m);
+            }
+            let mut asked = vec![false; n];
             for &src in &ids {
                 if self_write {
-                    cells[src as usize] = Some(contrib(src) / 2.0);
+                    *cells[src as usize].get_or_insert(0.0) += contrib(src) / 2.0;
                 }
+                asked[src as usize] = cells[src as usize].is_some();
             }
+            let mut sums: Vec<Option<f64>> = vec![None; n];
             for &src in &ids {
                 for &dst in g.neighbors(src) {
-                    let cell = cells[dst as usize].get_or_insert(0.0);
+                    let cell = match order {
+                        Absorb::PerEdge => cells[dst as usize].get_or_insert(0.0),
+                        Absorb::Sum => sums[dst as usize].get_or_insert(0.0),
+                    };
                     *cell += contrib(src);
+                    asked[dst as usize] = true;
+                }
+            }
+            for (cell, sum) in cells.iter_mut().zip(&sums) {
+                if let Some(sum) = sum {
+                    *cell.get_or_insert(0.0) += sum;
                 }
             }
             let entries: Vec<(u32, u64)> = (0..n as u32)
@@ -239,7 +269,7 @@ proptest! {
                 .collect();
             let next: Vec<u32> = entries
                 .iter()
-                .filter(|&&(v, m)| keep(v, f64::from_bits(m)))
+                .filter(|&&(v, m)| asked[v as usize] && keep(v, f64::from_bits(m)))
                 .map(|&(v, _)| v)
                 .collect();
             (entries, next)

@@ -111,13 +111,15 @@ impl Bitset {
         self.word(i >> 6) & (1u64 << (i & 63)) != 0
     }
 
-    /// Inserts one id (safe from any thread; relaxed RMW).
+    /// Inserts one id (safe from any thread; relaxed RMW) and says whether
+    /// it was absent — of several threads inserting one id, exactly one
+    /// hears `true`.
     #[inline]
-    pub fn insert(&self, v: u32) {
+    pub fn insert(&self, v: u32) -> bool {
         let i = v as usize;
         debug_assert!(i < self.n, "id out of universe");
-        self.cell(i >> 6)
-            .fetch_or(1u64 << (i & 63), Ordering::Relaxed);
+        let bit = 1u64 << (i & 63);
+        self.cell(i >> 6).fetch_or(bit, Ordering::Relaxed) & bit == 0
     }
 
     /// Inserts every id of a sorted list in parallel — `O(len)` work.
@@ -332,7 +334,8 @@ mod tests {
         for ids in &patterns {
             let want = Bitset::new(n);
             for &v in ids {
-                want.insert(v);
+                assert!(want.insert(v), "a first insert finds {v} absent");
+                assert!(!want.insert(v), "a second finds it present");
             }
             for threads in [1, 2, 4] {
                 let pool = Pool::new(threads);

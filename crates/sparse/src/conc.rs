@@ -140,12 +140,13 @@ impl ConcurrentSparseVec {
     /// this phase (e.g. destination-partitioned pull traversals), so the
     /// value update is a plain load/add/store instead of a CAS loop.
     /// Distinct keys may still be written concurrently; racing on one key
-    /// loses mass.
+    /// loses mass. Returns the new value.
     #[inline]
-    pub fn add_exclusive(&self, key: u32, delta: f64) {
+    pub fn add_exclusive(&self, key: u32, delta: f64) -> f64 {
         let i = self.claim_slot(key);
-        let cur = f64::from_bits(self.vals[i].load(Ordering::Relaxed));
-        self.vals[i].store((cur + delta).to_bits(), Ordering::Relaxed);
+        let sum = f64::from_bits(self.vals[i].load(Ordering::Relaxed)) + delta;
+        self.vals[i].store(sum.to_bits(), Ordering::Relaxed);
+        sum
     }
 
     /// Reads the mass at `key` (`⊥ = 0.0` if absent). Read phase.
@@ -185,18 +186,6 @@ impl ConcurrentSparseVec {
         filter_map_index(pool, self.capacity(), |i| {
             let k = self.keys[i].load(Ordering::Acquire);
             (k != EMPTY).then(|| (k, f64::from_bits(self.vals[i].load(Ordering::Acquire))))
-        })
-    }
-
-    /// Packs the keys whose `(key, value)` pair satisfies `pred`, in
-    /// parallel over the slots — the frontier-filter path that skips
-    /// materializing the intermediate entries vector. Slot order
-    /// (nondeterministic); sort for a deterministic frontier. Read phase.
-    pub fn filter_keys(&self, pool: &Pool, pred: impl Fn(u32, f64) -> bool + Sync) -> Vec<u32> {
-        filter_map_index(pool, self.capacity(), |i| {
-            let k = self.keys[i].load(Ordering::Acquire);
-            (k != EMPTY && pred(k, f64::from_bits(self.vals[i].load(Ordering::Acquire))))
-                .then_some(k)
         })
     }
 

@@ -18,13 +18,13 @@
 //!   else. A first touch sets one bit in the word its key indexes, so no
 //!   two writers ever meet on a location that is not already theirs to
 //!   share through the keys themselves: there is no counter and no list
-//!   tail. The sequential points (`entries*`, `filter_keys`, `l1_norm`,
-//!   `len`, `reset`) enumerate the set with an `O(n/64 + support)` scan;
-//!   dense mode is only entered with a key bound `≥ frac · n`, which pays
-//!   for the `n/64` words. Keys therefore come back **ascending**, which
-//!   is what lets callers build frontiers and sum masses without a sort.
-//!   Accumulation uses the same CAS fetch-add as the sparse table, so
-//!   concurrent `add`s to one key never lose mass.
+//!   tail. The sequential points (`entries*`, `l1_norm`, `len`, `reset`)
+//!   enumerate the set with an `O(n/64 + support)` scan; dense mode is
+//!   only entered with a key bound `≥ frac · n`, which pays for the `n/64`
+//!   words. Keys therefore come back **ascending**, which is what lets
+//!   callers sum masses without a sort. Accumulation uses the same CAS
+//!   fetch-add as the sparse table, so concurrent `add`s to one key never
+//!   lose mass.
 //!
 //! # Switch heuristic
 //!
@@ -44,14 +44,14 @@
 //! Identical to the sparse table (see the crate docs): any number of
 //! concurrent writers (`add`/`set`), *or* any number of concurrent
 //! readers (`get`/`contains`), per parallel phase; `len`, `entries*`,
-//! `filter_keys`, `l1_norm`, `reset`, and `reserve_more` are read-phase
-//! or sequential-point operations. Keys must be `< n` (the universe size
+//! `l1_norm`, `reset`, and `reserve_more` are read-phase or
+//! sequential-point operations. Keys must be `< n` (the universe size
 //! given at construction) in both modes.
 //!
-//! One refinement the dense traversals rely on: inside a write phase a
-//! thread may `get` (or `contains`) a key that only *it* writes in that
-//! phase (the pull gather reads a destination's cell back right after its
-//! [`MassMap::add_exclusive`], to decide the next frontier). Cells are
+//! One refinement the edge maps rely on: inside a write phase a thread may
+//! `get` (or `contains`) a key that only *it* writes in that phase (a pull
+//! gather or a push delivery reads a destination's cell back right after
+//! its [`MassMap::add_exclusive`], to decide the next frontier). Cells are
 //! atomics, keys never move or leave during a write phase, and a probe for
 //! an absent key still ends at an empty slot or walks past the keys other
 //! threads are claiming — so the read sees the thread's own last write, or
@@ -59,8 +59,7 @@
 
 use crate::conc::ConcurrentSparseVec;
 use lgc_parallel::{
-    atomic_f64_fetch_add, filter_map_index, map_index, merge_sort_by, sum_f64_by_index, Bitset,
-    Pool,
+    atomic_f64_fetch_add, map_index, merge_sort_by, sum_f64_by_index, Bitset, Pool,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -107,12 +106,14 @@ impl DenseMassVec {
     }
 
     /// Single-writer-per-key accumulate: plain load/add/store, no CAS.
+    /// Returns the new value.
     #[inline]
-    fn add_exclusive(&self, key: u32, delta: f64) {
+    fn add_exclusive(&self, key: u32, delta: f64) -> f64 {
         let cell = &self.vals[key as usize];
-        let cur = f64::from_bits(cell.load(Ordering::Relaxed));
-        cell.store((cur + delta).to_bits(), Ordering::Relaxed);
+        let sum = f64::from_bits(cell.load(Ordering::Relaxed)) + delta;
+        cell.store(sum.to_bits(), Ordering::Relaxed);
         self.mark(key);
+        sum
     }
 
     #[inline]
@@ -286,9 +287,11 @@ impl MassMap {
     /// during this write phase (the dense pull traversals partition work
     /// by destination, which provides exactly that), so the value update
     /// is a plain load/add/store — no CAS loop. Distinct keys may still
-    /// be written concurrently; racing on one key loses mass.
+    /// be written concurrently; racing on one key loses mass. Returns the
+    /// key's new value — what a `get` right after would read, without the
+    /// second probe.
     #[inline]
-    pub fn add_exclusive(&self, key: u32, delta: f64) {
+    pub fn add_exclusive(&self, key: u32, delta: f64) -> f64 {
         match &self.store {
             MassStore::Sparse(s) => s.add_exclusive(key, delta),
             MassStore::Dense(d) => d.add_exclusive(key, delta),
@@ -331,27 +334,6 @@ impl MassMap {
             MassStore::Dense(d) => {
                 let keys = d.keys(pool);
                 map_index(pool, keys.len(), |i| (keys[i], d.get(keys[i])))
-            }
-        }
-    }
-
-    /// Packs, in ascending order, the keys whose `(key, mass)` pair
-    /// satisfies `pred`, without materializing the entries — the
-    /// diffusions' frontier-filter path. Dense mode filters the touched
-    /// set in key order; sparse mode filters the hash slots and sorts
-    /// what survives. Read phase.
-    pub fn filter_keys(&self, pool: &Pool, pred: impl Fn(u32, f64) -> bool + Sync) -> Vec<u32> {
-        match &self.store {
-            MassStore::Sparse(s) => {
-                let mut keys = s.filter_keys(pool, pred);
-                merge_sort_by(pool, &mut keys, |a, b| a.cmp(b));
-                keys
-            }
-            MassStore::Dense(d) => {
-                let keys = d.keys(pool);
-                filter_map_index(pool, keys.len(), |i| {
-                    pred(keys[i], d.get(keys[i])).then_some(keys[i])
-                })
             }
         }
     }
@@ -564,28 +546,6 @@ mod tests {
         for k in (0..10_000u32).step_by(7) {
             assert_eq!(m.get(k), 0.0);
             assert!(!m.contains(k));
-        }
-    }
-
-    #[test]
-    fn filter_keys_matches_entries_filter_in_both_modes() {
-        let pool = Pool::new(4);
-        for make in [sparse_map, dense_map] {
-            let m = make(5000, 2000);
-            pool.for_each_index(2000, 64, |i| {
-                m.add((i * 2) as u32, i as f64 - 700.0);
-            });
-            let pred = |k: u32, v: f64| v > 0.0 && !k.is_multiple_of(3);
-            let direct = m.filter_keys(&pool, pred);
-            let mut via_entries: Vec<u32> = m
-                .entries(&pool)
-                .into_iter()
-                .filter(|&(k, v)| pred(k, v))
-                .map(|(k, _)| k)
-                .collect();
-            via_entries.sort_unstable();
-            assert_eq!(direct, via_entries, "dense={}", m.is_dense());
-            assert!(!direct.is_empty());
         }
     }
 

@@ -152,42 +152,10 @@ proptest! {
         prop_assert_eq!(total, keys.len() as f64 * 0.5);
     }
 
-    /// `filter_keys` (the direct backend filter the diffusions use for
-    /// frontier construction) must select exactly the keys an
-    /// entries()-then-filter pass selects, ascending, in both backends at
-    /// every thread count.
-    #[test]
-    fn mass_map_filter_keys_matches_entries_filter(
-        keys in prop::collection::vec(0u32..512, 0..800),
-        threshold in -2.0f64..4.0,
-        t in 1usize..=4,
-        dense in any::<bool>(),
-    ) {
-        use lgc_sparse::MassMap;
-        let pool = Pool::new(t);
-        let frac = if dense { 0.0 } else { f64::INFINITY };
-        let map = MassMap::with_dense_fraction(512, 512, frac);
-        pool.run(keys.len(), 13, |s, e| {
-            for &k in &keys[s..e] {
-                map.add(k, if k % 3 == 0 { -0.25 } else { 0.5 });
-            }
-        });
-        let pred = |k: u32, v: f64| v >= threshold && k % 5 != 1;
-        let direct = map.filter_keys(&pool, pred);
-        let mut via_entries: Vec<u32> = map
-            .entries(&pool)
-            .into_iter()
-            .filter(|&(k, v)| pred(k, v))
-            .map(|(k, _)| k)
-            .collect();
-        via_entries.sort_unstable();
-        prop_assert_eq!(direct, via_entries);
-    }
-
     /// Four writers racing to first-touch overlapping key sets (every key
     /// is written by two of them): the count is exact, every key is
     /// enumerated exactly once — ascending when dense, and ascending from
-    /// `filter_keys` in both modes — and a recycled map is afterwards
+    /// `entries_sorted` in both modes — and a recycled map is afterwards
     /// indistinguishable from a fresh one, down to enumeration order and
     /// `l1_norm` bits.
     #[test]
@@ -224,7 +192,8 @@ proptest! {
             *mass.entry(k).or_insert(0.0) += 0.5;
         }
         prop_assert!(entries.iter().all(|&(k, v)| v == mass[&k]));
-        prop_assert_eq!(map.filter_keys(&pool, |_, _| true), want);
+        let sorted: Vec<u32> = map.entries_sorted(&pool).iter().map(|&(k, _)| k).collect();
+        prop_assert_eq!(sorted, want);
 
         // Recycle to a bound that may land in either mode.
         let refit = MassMap::DEFAULT_DENSE_FRACTION;

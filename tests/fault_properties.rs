@@ -541,6 +541,56 @@ mod fault_injected {
         }
     }
 
+    /// A trip at the boundary right after a push finds the push's scratch
+    /// delivered and all-zero, and the workspace goes back clean (in a debug
+    /// build `WorkspacePool::restore` asserts the scratch itself, after the
+    /// tripped query and after the warm one). The traversal is pinned to
+    /// pushes. At one thread the next query on the warm workspace is bit
+    /// for bit a cold engine's. At two threads the wider pushes fork, whose
+    /// atomic adds are not bitwise, so there the warm query is only asked
+    /// to run past the tripped boundary.
+    #[test]
+    fn a_trip_right_after_a_push_leaves_a_clean_workspace() {
+        let g = plgc::graph::gen::sbm(&[300; 4], 0.3, 0.01, 5).0;
+        let push = plgc::DirectionParams::push_only();
+        for algo in pulling_algos() {
+            let q = Query::new(Seed::single(7), algo);
+            for threads in [1, 2] {
+                let fresh = || Engine::builder(&g).threads(threads).direction(push).build();
+                let cold = fresh().run(&q);
+                for after_ticks in [1, 2, 5] {
+                    let ctx = format!("{:?} T={threads} after {after_ticks}", q.algo);
+                    let plan = FaultPlan {
+                        after_ticks,
+                        kind: Trip::WorkBudget,
+                    };
+                    let faulty = q
+                        .clone()
+                        .with_budget(QueryBudget::unlimited().with_fault(plan));
+                    let engine = fresh();
+                    let err = engine
+                        .try_run(&faulty)
+                        .expect_err("the plan outlives no query");
+                    assert!(matches_kind(&err, Trip::WorkBudget), "{ctx}: {err:?}");
+                    let ran = err.partial().expect("a mid-run trip").stats.iterations;
+                    let s = engine.lifecycle_stats();
+                    assert!(ran >= 1 && ran < cold.diffusion.stats.iterations, "{ctx}");
+                    assert_eq!(s.iterations_push, ran, "{ctx}: every iteration pushed");
+                    assert_eq!(engine.warm_workspaces(), 1, "{ctx}: checkout recycled");
+
+                    let warm = engine.run(&q);
+                    assert!(warm.diffusion.stats.iterations > ran, "{ctx}");
+                    if threads == 1 {
+                        assert_eq!(warm.cluster, cold.cluster, "{ctx}");
+                        assert_eq!(warm.diffusion.p, cold.diffusion.p, "{ctx}");
+                        assert_eq!(warm.diffusion.stats, cold.diffusion.stats, "{ctx}");
+                        assert_eq!(warm.conductance, cold.conductance, "{ctx}");
+                    }
+                }
+            }
+        }
+    }
+
     /// PR-Nibble, HK-PR and Nibble sized to run many pulls on
     /// `sbm(&[300; 4], 0.3, 0.01, 5)`.
     fn pulling_algos() -> [Algorithm; 3] {

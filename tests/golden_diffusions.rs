@@ -139,7 +139,7 @@ fn run_all<B: CsrBackend>(
 /// and the compressed backend under each direction policy. (At one thread
 /// the pull traversals replay the push accumulation order per
 /// destination, so the direction is invisible in the bits — for PR-Nibble
-/// too, whose delta-map commit and register-sum gather bracket
+/// too, whose push's scratch sums and pull's register sums bracket
 /// identically.)
 fn actual() -> Vec<(String, u64)> {
     let graphs: [(&str, Graph); 2] = [
