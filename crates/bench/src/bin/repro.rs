@@ -17,7 +17,7 @@
 //! how they are taken).
 
 use lgc_bench::{
-    hardware_threads, suite, suite_seed, table1_claim, time, time_best_of, SuiteGraph,
+    fig10_claim, hardware_threads, suite, suite_seed, table1_claim, time, time_best_of, SuiteGraph,
 };
 use lgc_core as lgc;
 use lgc_core::{PrNibbleParams, PushRule, Seed};
@@ -71,26 +71,27 @@ fn main() {
     let (graphs, gen_secs) = time(|| suite(quick));
     println!("# graph suite generated in {gen_secs:.1}s\n");
 
-    let mut table1_ok = true;
+    // Whether every checked claim held (`table1`, `fig10`).
+    let mut ok = true;
     match cmd {
         "table2" => table2(&graphs),
         "fig4" => fig4(&graphs),
-        "table1" => table1_ok = table1(&graphs, max_threads),
+        "table1" => ok = table1(&graphs, max_threads),
         "table3" => table3(&graphs, max_threads),
         "fig8" => fig8(&graphs),
         "fig9" => fig9(&graphs, max_threads),
-        "fig10" => fig10(&graphs, max_threads),
+        "fig10" => ok = fig10(&graphs, max_threads),
         "fig11" => fig11(&graphs, max_threads),
         "fig12" => fig12(&graphs, max_threads),
         "evolving" => evolving(&graphs, max_threads),
         "all" => {
             table2(&graphs);
             fig4(&graphs);
-            table1_ok = table1(&graphs, max_threads);
+            ok = table1(&graphs, max_threads);
             table3(&graphs, max_threads);
             fig8(&graphs);
             fig9(&graphs, max_threads);
-            fig10(&graphs, max_threads);
+            ok &= fig10(&graphs, max_threads);
             fig11(&graphs, max_threads);
             fig12(&graphs, max_threads);
             evolving(&graphs, max_threads);
@@ -100,7 +101,7 @@ fn main() {
             std::process::exit(2);
         }
     }
-    if !table1_ok {
+    if !ok {
         std::process::exit(1);
     }
 }
@@ -417,7 +418,10 @@ fn fig9(graphs: &[SuiteGraph], max_threads: usize) {
 }
 
 /// Figure 10: sweep cut runtime vs thread count on one large cluster.
-fn fig10(graphs: &[SuiteGraph], max_threads: usize) {
+/// Returns whether the parallel sweep found the sequential sweep's cut at
+/// every thread count ([`fig10_claim`]); a thread count at which it did not
+/// is named on stderr and `repro` exits 1.
+fn fig10(graphs: &[SuiteGraph], max_threads: usize) -> bool {
     let sg = graphs
         .iter()
         .find(|s| s.name == "yahoo-sim")
@@ -441,11 +445,12 @@ fn fig10(graphs: &[SuiteGraph], max_threads: usize) {
         d.support_size(),
         vol
     );
-    let (_, t_seq) = time_best_of(3, || lgc::sweep_cut_seq(g, &d.p));
+    let (want, t_seq) = time_best_of(3, || lgc::sweep_cut_seq(g, &d.p));
     println!("{:<10} {:>12}  vs sequential sweep", "threads", "time (ms)");
+    let mut ok = true;
     for t in 1..=max_threads {
         let pool = Pool::new(t);
-        let (_, secs) = time_best_of(3, || lgc::sweep_cut_par(&pool, g, &d.p));
+        let (got, secs) = time_best_of(3, || lgc::sweep_cut_par(&pool, g, &d.p));
         println!(
             "{:<10} {:>12.1}  seq/par = {:.2}x (seq {:.1} ms)",
             t,
@@ -453,8 +458,13 @@ fn fig10(graphs: &[SuiteGraph], max_threads: usize) {
             t_seq / secs,
             t_seq * 1e3
         );
+        if let Err(why) = fig10_claim(&want, &got) {
+            eprintln!("fig10: {t} threads: {why}");
+            ok = false;
+        }
     }
     println!("# paper: parallel sweep overtakes sequential at >=4 threads, 23-28x at 40\n");
+    ok
 }
 
 /// Figure 11: parallel sweep runtime vs input volume (linear shape).

@@ -1,5 +1,6 @@
 //! What `repro` is built from: the stand-in graph suite (Table 2
-//! analogue), timing helpers, and the paper's Table 1 claim as a check.
+//! analogue), timing helpers, and the paper's Table 1 claim and Figure 10
+//! premise as checks.
 //!
 //! The paper's evaluation graphs (SNAP social networks, Twitter, Yahoo
 //! web — up to 6.4B edges) cannot be shipped or held in this container.
@@ -12,6 +13,7 @@
 // Reproduction code needs no unsafe; keep it that way.
 #![forbid(unsafe_code)]
 
+use lgc_core::SweepCut;
 use lgc_graph::{gen, Graph};
 use std::time::Instant;
 
@@ -109,6 +111,31 @@ pub fn table1_claim(seq_pushes: u64, par_pushes: u64, par_iterations: u64) -> Re
     Ok(())
 }
 
+/// The premise of the paper's Figure 10 for one thread count: the parallel
+/// sweep finds the sequential sweep's cut — the same members and the same
+/// conductance bits — so the figure times one computation two ways. `Err`
+/// says which half differs.
+pub fn fig10_claim(seq: &SweepCut, par: &SweepCut) -> Result<(), String> {
+    let members = |cut: &SweepCut| {
+        let mut members = cut.cluster().to_vec();
+        members.sort_unstable();
+        members
+    };
+    if members(seq) != members(par) {
+        return Err(format!(
+            "the parallel cut's {} members are not the sequential cut's {}",
+            par.best_size, seq.best_size
+        ));
+    }
+    if seq.best_conductance.to_bits() != par.best_conductance.to_bits() {
+        return Err(format!(
+            "parallel conductance {:e} is not the sequential {:e}",
+            par.best_conductance, seq.best_conductance
+        ));
+    }
+    Ok(())
+}
+
 /// Times a closure, returning `(result, seconds)`.
 pub fn time<R>(f: impl FnOnce() -> R) -> (R, f64) {
     let t0 = Instant::now();
@@ -153,6 +180,23 @@ mod tests {
         assert!(e.contains("1.70x"), "{e}");
         let e = table1_claim(1000, 1200, 1000).unwrap_err();
         assert!(e.contains("iterations"), "{e}");
+    }
+
+    #[test]
+    fn fig10_claim_fires_on_either_half() {
+        let cut = |order: Vec<u32>, best_size, best_conductance| SweepCut {
+            conductances: vec![best_conductance; order.len()],
+            order,
+            best_size,
+            best_conductance,
+        };
+        let seq = cut(vec![4, 2, 9], 2, 0.25);
+        assert!(fig10_claim(&seq, &cut(vec![2, 4, 9], 2, 0.25)).is_ok());
+        let e = fig10_claim(&seq, &cut(vec![4, 9, 2], 2, 0.25)).unwrap_err();
+        assert!(e.contains("members"), "{e}");
+        let next_up = f64::from_bits(0.25f64.to_bits() + 1);
+        let e = fig10_claim(&seq, &cut(vec![4, 2, 9], 2, next_up)).unwrap_err();
+        assert!(e.contains("conductance"), "{e}");
     }
 
     #[test]

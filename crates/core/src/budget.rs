@@ -468,7 +468,7 @@ pub struct LifecycleSnapshot {
     /// [`lgc_ligra::EdgeSpread`]).
     pub iterations_solo: u64,
     /// Of `iterations_pull`, the pulls whose next frontier left the gather
-    /// as a bitset — decided per destination by the edge map's `admit`,
+    /// as a bitset — decided per destination by the edge map's `keep`,
     /// with no id list built between that iteration and the next
     /// ([`lgc_ligra::Staged::absorb`]). Never more than `iterations_pull`;
     /// the pulls it misses are the ones with no next frontier to derive

@@ -801,15 +801,16 @@ mod tests {
             let mut frontier = ws.take_frontier();
             frontier.advance(engine.pool(), vec![0]);
             let vol = frontier.volume(&g);
-            let staged = ws
-                .spread
-                .stage(engine.pool(), &g, &mut frontier, vol, |_| 1.0);
-            assert_eq!(staged.direction(), want);
-            staged.absorb(
-                Absorb::Sum,
-                &mut MassMap::new(g.num_vertices(), 0),
-                NO_ADMIT,
-            );
+            ws.spread
+                .stage(engine.pool(), &g, &mut frontier, vol, |_| 1.0)
+                .absorb(
+                    Absorb::Sum,
+                    &mut MassMap::new(g.num_vertices(), 0),
+                    NO_ADMIT,
+                );
+            let counts = ws.spread.take_counts();
+            let pushed = u64::from(want == Direction::Push);
+            assert_eq!((counts.push, counts.pull), (pushed, 1 - pushed));
             ws.put_frontier(engine.pool(), frontier);
             engine.core.workspaces.restore(ws, &engine.core.counters);
             for algo in algorithms() {

@@ -92,9 +92,9 @@ pub(crate) fn hkpr_par_ws<B: CsrBackend>(
         });
 
         if last_round {
-            // Flush the shares straight into p, per edge: p's cells are
-            // not fresh, and this is the order the sequential flush adds
-            // them in.
+            // Flush the shares into p, each destination's sum starting
+            // from its cell (`PerEdge`): p's cells are not fresh, and this
+            // is the bracketing the sequential flush adds them in.
             staged.absorb(Absorb::PerEdge, &mut p, NO_ADMIT);
             return false;
         }

@@ -159,8 +159,9 @@ pub(crate) fn nibble_par_ws<B: CsrBackend>(
     let iteration = |pool: &Pool, k: usize, vol: usize, frontier: &mut VertexSubset| {
         // One lazy-walk step over at most `k + vol` touched vertices. A
         // destination may already hold its own kept half (banked by its own
-        // call alone: a plain add), so neighbor shares are absorbed per
-        // edge: that is the sequential accumulation order, bit for bit.
+        // call alone: a plain add), so each one's neighbor shares are
+        // summed starting from its cell (`PerEdge`): that is the sequential
+        // accumulation order, bit for bit.
         //
         // Frontier = {v : p'[v] ≥ ε·d(v)} among the touched vertices —
         // the members, which kept a half, and the receivers: every key of

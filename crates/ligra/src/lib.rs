@@ -34,29 +34,29 @@
 //! The mechanics of the two directions, and why the threshold is what it
 //! is, are documented there.
 //!
-//! Both directions deliver the same way: each destination's contributions
-//! are summed in ascending source order and added to the caller's store
-//! once, by one writer, which then decides whether the destination joins the
-//! next frontier. A pull gets that shape from owning its destinations. A
-//! push sums into a dense per-destination scratch first, records each
-//! destination on first touch, and then delivers the receivers in ascending
-//! order — so a push at one thread and a pull write the same bits.
+//! Both directions land the same way, in one word walk: each destination's
+//! contributions are summed in ascending source order in one place — a
+//! register in a pull, a dense per-destination scratch in a push — where
+//! [`Absorb`] says the sum starts, and the sum is written into the caller's
+//! store once, by one writer, which then decides whether the destination
+//! joins the next frontier. A pull gets that shape from owning its
+//! destinations; a push records each destination's bit on first touch and
+//! then walks the touched words in ascending order — so a push at one
+//! thread and a pull write the same bits.
 //!
 //! Like Ligra's `edgeMap`, the edge map hands back the next frontier itself
-//! ([`Staged::absorb`]'s `keep`), in the representation its direction
-//! produces natively. A push asks `keep` of its receivers in ascending
-//! order as it delivers them: one small against the universe leaves a
-//! sorted id list, and one that walks the first-touch bits a word at a time
-//! leaves the subset the way a pull does. A pull decides the next frontier
-//! destination by destination, on the thread that owns the destination,
-//! and leaves the subset *dense-native*: a bitset written a word at a time
-//! plus `|F′|` and `vol(F′)` tallied on the way. The next
-//! pull stages and gathers straight off those words, so between two pulls
-//! no id list is built, merged, filtered or walked — a saturated iteration
-//! is two passes, `stage` over the frontier's words and the gather over the
-//! destinations. The id list is materialised (`O(n/64 + len)`) only when
-//! something asks for it: a push iteration, or a caller of
-//! [`VertexSubset::ids`].
+//! ([`Staged::absorb`]'s `keep`), from the same walk: each word's kept bits
+//! go either into one word of the next frontier's bitset, with `|F′|` and
+//! `vol(F′)` tallied on the way (*dense-native*), or onto a sorted id list.
+//! A pull walks every word and leaves the subset dense-native; so does a
+//! push that walks every word of its first-touch bits, while a push small
+//! against the universe walks a sorted list of the words it touched and
+//! leaves a sorted id list. The next pull stages and gathers straight off
+//! a dense-native subset's words, so between two pulls no id list is built,
+//! merged, filtered or walked — a saturated iteration is two passes, `stage`
+//! over the frontier's words and the walk over the destinations. The id
+//! list is materialised (`O(n/64 + len)`) only when something asks for it:
+//! a push iteration, or a caller of [`VertexSubset::ids`].
 //!
 //! The same work measure decides a second thing per iteration: whether its
 //! loops are offered to the pool's workers at all ([`lane`],
@@ -64,7 +64,7 @@
 
 use lgc_graph::CsrBackend;
 use lgc_parallel::{
-    filter, map_chunks, merge_sort_by, scan_exclusive, AtomicF64, Bitset, Pool, UnsafeSlice,
+    map_chunks, merge_sort_by, scan_exclusive, AtomicF64, Bitset, Pool, UnsafeSlice,
 };
 use lgc_sparse::MassMap;
 
@@ -233,23 +233,21 @@ impl VertexSubset {
         self.listed = true;
     }
 
-    /// A pull's view of the subset: the dense view it gathers from (which
-    /// [`EdgeSpread::stage`] built) and, if it is `emitting`, the all-zero
+    /// A walk's view of the subset: its dense view over `0..n` (built
+    /// first if a push is asking) and, if it is to `emit`, the all-zero
     /// buffer over `0..n` it writes the next frontier into.
-    fn gather_buffers(&mut self, n: usize, emitting: bool) -> (&Bitset, Option<&Bitset>) {
-        if emitting && self.spare.as_ref().is_none_or(|b| b.universe() != n) {
+    fn gather_buffers(&mut self, pool: &Pool, n: usize, emit: bool) -> (&Bitset, Option<&Bitset>) {
+        self.bits(pool, n);
+        if emit && self.spare.as_ref().is_none_or(|b| b.universe() != n) {
             self.spare = Some(Bitset::new(n));
         }
-        let bits = self.bits.as_ref().filter(|_| self.dense);
-        (
-            bits.expect("staged for a pull"),
-            self.spare.as_ref().filter(|_| emitting),
-        )
+        let bits = self.bits.as_ref().expect("built above");
+        (bits, self.spare.as_ref().filter(|_| emit))
     }
 
-    /// Makes the buffer a pull just filled — `len` members of volume `vol`
+    /// Makes the buffer a walk just filled — `len` members of volume `vol`
     /// — the subset, dense-native; the outgoing members are wiped by words
-    /// (`n/64` stores at the end of an `O(n + m)` pass).
+    /// (`n/64` stores at the end of a walk over every word).
     fn adopt_emitted(&mut self, len: usize, vol: usize) {
         std::mem::swap(&mut self.bits, &mut self.spare);
         if let Some(outgoing) = &self.spare {
@@ -434,74 +432,10 @@ impl DirectionParams {
 /// so the chunk that emits a frontier's words shares no line of it.
 const DENSE_GRAIN: usize = 512;
 
-/// What a pull emits beside its updates: the next frontier.
-struct Emit<'a, K> {
-    /// `keep(dst, into[dst])`: whether `dst` is in the next frontier,
-    /// asked once `dst`'s contributions have landed.
-    keep: K,
-    /// The store the pull adds into.
-    into: &'a MassMap,
-    /// The all-zero bitset the kept destinations are written into.
-    next: &'a Bitset,
-}
-
 /// What [`Staged::absorb`] is handed by a caller that derives no frontier
 /// from the traversal (or derives it some other way): the frontier is left
 /// as it was staged.
 pub const NO_ADMIT: Option<fn(u32, f64) -> bool> = None;
-
-/// The dense traversal under every pull: calls `land(dst)` — which
-/// delivers `dst`'s frontier in-neighbors' contributions and says whether
-/// there were any — for **all** vertices `dst`, in parallel over
-/// [`DENSE_GRAIN`]-sized chunks, one thread per destination.
-///
-/// With `emit`, the same pass decides the next frontier: right after
-/// `land(dst)`, the thread that owns `dst` asks `keep(dst, into[dst])` of
-/// every destination that received something, and of every member of
-/// `frontier` that holds a key of `into` (its `UpdateSelf` wrote one);
-/// it collects the answers of 64 destinations in a register and stores
-/// them as one word of `emit.next` (a chunk covers whole words, so the
-/// stores are plain and unshared). Returns `(|F′|, vol(F′))` of the
-/// emitted set, tallied per chunk as integers — `(0, 0)` without `emit`.
-fn pull<B: CsrBackend, K: Fn(u32, f64) -> bool + Sync>(
-    pool: &Pool,
-    g: &B,
-    frontier: &Bitset,
-    land: impl Fn(u32) -> bool + Sync,
-    emit: Option<Emit<'_, K>>,
-) -> (usize, usize) {
-    let n = g.num_vertices();
-    debug_assert_eq!(frontier.universe(), n, "bitset universe must be n");
-    let tallies = map_chunks(pool, n, DENSE_GRAIN, |s, e| {
-        let (mut len, mut vol) = (0, 0);
-        for w in s / 64..e.div_ceil(64) {
-            let first = 64 * w;
-            let dsts = first..(first + 64).min(e);
-            let Some(emit) = &emit else {
-                dsts.for_each(|dst| {
-                    land(dst as u32);
-                });
-                continue;
-            };
-            let outgoing = frontier.word(w);
-            let mut word = 0u64;
-            for dst in dsts {
-                let (dst, bit) = (dst as u32, 1u64 << (dst - first));
-                let wrote = land(dst) || (outgoing & bit != 0 && emit.into.contains(dst));
-                if wrote && (emit.keep)(dst, emit.into.get(dst)) {
-                    word |= bit;
-                    len += 1;
-                    vol += g.degree(dst);
-                }
-            }
-            emit.next.store_word(w, word);
-        }
-        (len, vol)
-    });
-    tallies
-        .iter()
-        .fold((0, 0), |(len, vol), t| (len + t.0, vol + t.1))
-}
 
 /// The dense pull engine: applies `f(src, dst)` to every edge `(src,
 /// dst)` with `src` in the frontier bitset, by scanning **all** vertices
@@ -519,71 +453,157 @@ pub fn edge_map_dense<B: CsrBackend>(
     frontier: &Bitset,
     f: impl Fn(u32, u32) + Sync,
 ) {
-    let land = per_edge(g, frontier, f);
-    pull::<_, fn(u32, f64) -> bool>(pool, g, frontier, land, None);
-}
-
-/// [`edge_map_dense`]'s per-destination step, as [`pull`] takes it.
-fn per_edge<'a, B: CsrBackend>(
-    g: &'a B,
-    frontier: &'a Bitset,
-    f: impl Fn(u32, u32) + Sync + 'a,
-) -> impl Fn(u32) -> bool + Sync + 'a {
-    move |dst| {
-        let mut any = false;
-        g.for_each_neighbor(dst, |src| {
-            if frontier.contains(src) {
-                f(src, dst);
-                any = true;
-            }
-        });
-        any
-    }
-}
-
-/// [`Absorb::Sum`]'s per-destination step, as [`pull`] takes it: sums
-/// `contrib[src]` over the frontier in-neighbors in a register, in
-/// ascending `src` order, and calls `apply(dst, sum)` once if there were any.
-fn gather<'a, B: CsrBackend>(
-    g: &'a B,
-    frontier: &'a Bitset,
-    contrib: &'a [f64],
-    apply: impl Fn(u32, f64) + Sync + 'a,
-) -> impl Fn(u32) -> bool + Sync + 'a {
-    debug_assert!(contrib.len() >= g.num_vertices(), "contrib must cover n");
-    move |dst| {
-        let mut acc = 0.0f64;
-        let mut any = false;
-        g.for_each_neighbor(dst, |src| {
-            if frontier.contains(src) {
-                acc += contrib[src as usize];
-                any = true;
-            }
-        });
-        if any {
-            apply(dst, acc);
+    let n = g.num_vertices();
+    debug_assert_eq!(frontier.universe(), n, "bitset universe must be n");
+    pool.run(n, DENSE_GRAIN, |s, e| {
+        for dst in s as u32..e as u32 {
+            g.for_each_neighbor(dst, |src| {
+                if frontier.contains(src) {
+                    f(src, dst);
+                }
+            });
         }
-        any
-    }
+    });
 }
 
-/// How a destination takes in its frontier in-neighbors' contributions.
+/// Where a destination's sum starts. Either way its frontier in-neighbors'
+/// contributions are summed in ascending source order in one place — a
+/// register in a pull, the push's scratch in a push — and its cell of the
+/// store is written once.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Absorb {
-    /// One add per frontier edge into the destination's cell, in ascending
-    /// source order at one thread, whatever the cell held before. Needed
-    /// when destinations are not fresh (Nibble adds onto the banked half,
-    /// HK-PR's last level onto `p`). A push whose lane forks adds in the
-    /// scheduler's order anyway; it sums per destination as under
-    /// [`Absorb::Sum`].
+    /// At the cell's value, read at the destination's first contribution,
+    /// and the sum is stored back: `((cell + c₁) + c₂)…`, the bracketing of
+    /// one add per edge. Needed when destinations are not fresh (Nibble adds
+    /// onto the banked half, HK-PR's last level onto `p`).
     PerEdge,
-    /// The contributions are summed from `0.0` in ascending source order —
-    /// in a register by a pull, in the push's scratch by a push — and added
-    /// to the cell once: one store per destination instead of one per edge.
-    /// `cell + (c₁ + c₂)` and `(cell + c₁) + c₂` differ in bracketing only,
-    /// so this equals [`Absorb::PerEdge`] bit for bit when the cell starts
-    /// absent or `0.0`, and on integer-valued contributions.
+    /// At `0.0`, and the sum is added to the cell: `cell + (c₁ + c₂ …)`.
+    /// The two differ in bracketing only, so this equals [`Absorb::PerEdge`]
+    /// bit for bit when the cell starts absent or `0.0`, and on
+    /// integer-valued contributions.
     Sum,
+}
+
+impl Absorb {
+    /// Where `w`'s sum starts.
+    fn start(self, into: &MassMap, w: u32) -> f64 {
+        match self {
+            Absorb::PerEdge => into.get(w),
+            Absorb::Sum => 0.0,
+        }
+    }
+
+    /// Writes `w`'s sum into `into` and returns `into[w]`.
+    fn land(self, into: &MassMap, w: u32, sum: f64) -> f64 {
+        match self {
+            Absorb::PerEdge => {
+                into.set(w, sum);
+                sum
+            }
+            Absorb::Sum => into.add_exclusive(w, sum),
+        }
+    }
+}
+
+/// The words one [`walk`] visits, and what it finds in them.
+struct Words<'a> {
+    /// Ascending word indices; `None` for every word of the universe.
+    listed: Option<&'a [u32]>,
+    /// A push's first-touch bits, its candidates, which the walk zeroes;
+    /// `None` for a pull, whose candidates are every destination.
+    touched: Option<&'a Bitset>,
+    /// The outgoing frontier, whose members holding a key of the store are
+    /// asked too when there is a `keep`.
+    members: Option<&'a Bitset>,
+}
+
+/// What a [`walk`] kept: `|F′|` and `vol(F′)` as tallied by the bitset
+/// sink, or the sorted ids of the list sink.
+#[derive(Default)]
+struct Kept {
+    len: usize,
+    vol: usize,
+    ids: Vec<u32>,
+}
+
+/// The one word walk under [`Staged::absorb`], in both directions. Visits
+/// `words` in ascending order, each on one thread, and for each word:
+///
+/// * lands its candidates — `land(v)` delivers `v`'s sum and returns
+///   `into[v]`, or `None` if `v` received nothing;
+/// * asks `keep(v, into[v])` of each candidate that wrote, and of each
+///   member of the outgoing frontier that holds a key of `into` — nobody
+///   else, whatever older keys `into` carries;
+/// * hands the kept bits to the sink: one word of `next`, with `len` and
+///   `vol` tallied, or ids appended to a sorted list when `next` is `None`.
+///
+/// A chunk owns whole words, so it writes `next` and zeroes `touched` with
+/// plain stores.
+fn walk<B: CsrBackend>(
+    pool: &Pool,
+    g: &B,
+    words: Words<'_>,
+    land: impl Fn(u32) -> Option<f64> + Sync,
+    into: &MassMap,
+    keep: Option<impl Fn(u32, f64) -> bool + Sync>,
+    next: Option<&Bitset>,
+) -> Kept {
+    let (listed, touched, members) = (words.listed, words.touched, words.members);
+    let n = g.num_vertices();
+    let (count, grain) = listed.map_or((n.div_ceil(64), DENSE_GRAIN / 64), |l| (l.len(), 256));
+    let chunks = map_chunks(pool, count, grain, |s, e| {
+        let mut out = Kept::default();
+        for i in s..e {
+            let w = listed.map_or(i, |l| l[i] as usize);
+            let received = match touched {
+                Some(touched) => touched.word(w),
+                None => u64::MAX >> (64 * (w + 1)).saturating_sub(n),
+            };
+            let own = members.filter(|_| keep.is_some()).map_or(0, |m| m.word(w));
+            let mut kept = 0u64;
+            for v in ones(w, received | own) {
+                let bit = 1u64 << (v & 63);
+                let landed = if received & bit != 0 { land(v) } else { None };
+                let Some(keep) = &keep else { continue };
+                let holds = || own & bit != 0 && into.contains(v);
+                let m = landed.or_else(|| holds().then(|| into.get(v)));
+                if m.is_some_and(|m| keep(v, m)) {
+                    kept |= bit;
+                    if next.is_some() {
+                        out.len += 1;
+                        out.vol += g.degree(v);
+                    } else {
+                        out.ids.push(v);
+                    }
+                }
+            }
+            if let Some(touched) = touched.filter(|_| received != 0) {
+                touched.store_word(w, 0);
+            }
+            if let Some(next) = next.filter(|_| kept != 0) {
+                next.store_word(w, kept);
+            }
+        }
+        out
+    });
+    chunks.into_iter().fold(Kept::default(), |mut all, c| {
+        all.len += c.len;
+        all.vol += c.vol;
+        match all.ids.is_empty() {
+            true => all.ids = c.ids,
+            false => all.ids.extend(c.ids),
+        }
+        all
+    })
+}
+
+/// The members of word `w` whose bits are set in `bits`, ascending.
+fn ones(w: usize, mut bits: u64) -> impl Iterator<Item = u32> {
+    std::iter::from_fn(move || {
+        let b = (bits != 0).then(|| bits.trailing_zeros())?;
+        bits &= bits - 1;
+        Some((64 * w) as u32 + b)
+    })
 }
 
 /// The direction-optimizing, contribution-spreading `edgeMap` (§2) and
@@ -603,21 +623,20 @@ pub enum Absorb {
 ///   into a dense scratch of `n` cells — no hash probe, no division. The
 ///   add is plain on a lane that does not fork and the `fetchAdd` the paper
 ///   cites when it does, since destinations are then hit by several
-///   sources at once. Each destination is recorded on its first touch.
-///   The receivers are then visited in ascending order — read back off
-///   the first-touch bits, or sorted from short lists when the push is
-///   small against `n` — and each one's sum is added to the store once
-///   ([`MassMap::add_exclusive`]), which zeroes its scratch cell; `keep` is
-///   asked as it lands. So at one thread a push writes the same bits as a
+///   sources at once. A destination's first touch sets its bit and starts
+///   its sum where [`Absorb`] says. The walk then visits the touched words
+///   in ascending order and lands each receiver's sum in the store once,
+///   zeroing its cell. So at one thread a push writes the same bits as a
 ///   pull, and the store sees one write per receiver, not one per edge.
 /// * **Pull** walks the frontier's bitset by words (the dense `vertexMap`),
 ///   lays `c` out by vertex id and scans *all* vertices; each tests its
-///   neighbors against the bitset. One thread owns a destination and visits
-///   its sources in ascending order, so accumulation needs no atomics
-///   ([`MassMap::add_exclusive`]) and is bitwise the one-thread push order
-///   ([`Absorb`] says how it is bracketed). The same thread decides, as
-///   soon as a destination's contributions have landed, whether it belongs
-///   to the next frontier — the `keep` half of [`Staged::absorb`].
+///   neighbors against the bitset. One thread owns a destination and sums
+///   its sources in ascending order in a register, so accumulation needs
+///   no atomics and is bitwise the one-thread push order. The walk is the
+///   push's, over every word.
+///
+/// Either way the thread that lands a destination's sum asks `keep` of it
+/// right away — the next-frontier half of [`Staged::absorb`].
 ///
 /// Either way `contrib_of(v)` runs once per distinct vertex, so whatever
 /// cell of `v`'s own it updates has one writer.
@@ -627,7 +646,7 @@ pub enum Absorb {
 /// `v`, and exactly those were written by this call — stale values are
 /// unreachable. The push's scratch is the other way round: it is sized once
 /// per universe, and every push leaves all of its cells `0.0` and its bits
-/// clear, by the receiver list it delivered ([`EdgeSpread::is_clear`]).
+/// clear, by the words it walked ([`EdgeSpread::is_clear`]).
 ///
 /// # The direction policy
 ///
@@ -753,7 +772,6 @@ pub struct Staged<'a, B> {
     slots: &'a [f64],
     /// The push's scratch; `None` for a pull.
     scratch: Option<&'a Scratch>,
-    dir: Direction,
     dense_out: &'a mut u64,
 }
 
@@ -865,32 +883,27 @@ impl EdgeSpread {
             vol,
             slots: &self.slots[..len],
             scratch: self.scratch.as_ref().filter(|_| dir == Direction::Push),
-            dir,
             dense_out: &mut self.counts.dense_out,
         }
     }
 }
 
 impl<B: CsrBackend> Staged<'_, B> {
-    /// The direction [`EdgeSpread::stage`] chose.
-    pub fn direction(&self) -> Direction {
-        self.dir
-    }
-
     /// Adds the staged contributions into `into` over the frontier's
     /// edges, per `order`. Every frontier edge's contribution reaches its
-    /// destination exactly once.
-    /// Room is made in `into` for the most keys the iteration can add: `vol`
-    /// (the volume handed to [`EdgeSpread::stage`]) before a pull or a
-    /// per-edge push, and the number of receivers before a summing push
-    /// delivers its sums.
+    /// destination exactly once, and each destination's cell is written
+    /// once, in ascending destination order per thread. Room is made in
+    /// `into` for the most keys the iteration can add: `vol` (the volume
+    /// handed to [`EdgeSpread::stage`]) before a pull, the number of
+    /// receivers before a push delivers.
     ///
     /// # The next frontier
     ///
     /// Handed `Some(keep)`, the edge map also leaves the next frontier in
     /// place of the staged one, in either direction: the vertices this
     /// iteration wrote into `into` that pass `keep(v, into[v])`. The
-    /// contract of `keep` is one for both directions:
+    /// contract of `keep` is one for both directions, because one walk
+    /// asks it in both:
     ///
     /// * *who is asked* — every destination that received a contribution,
     ///   and every member of the outgoing frontier whose `contrib_of` wrote
@@ -899,14 +912,14 @@ impl<B: CsrBackend> Staged<'_, B> {
     ///   vertex the iteration did not touch is never kept, whatever `keep`
     ///   would say of it — and it would say yes of an isolated vertex under
     ///   a test like `mass ≥ ε·d(v)`, which `0 ≥ ε·0` passes.
-    /// * *how* — each once, right after the last of its contributions has
-    ///   been added, by the thread that added them. A **pull** leaves the
-    ///   frontier dense-native: the bitset of the kept, with its `len` and
-    ///   `volume` tallied by the gather. A **push** asks its receivers in
-    ///   ascending order as it delivers them. One with `64·vol < n` leaves
-    ///   a sorted id list; a larger one walks its first-touch bits a word
-    ///   at a time and leaves the frontier dense-native, tallied, as a pull
-    ///   does.
+    /// * *how* — each once, right after its sum has landed, by the thread
+    ///   that landed it, in ascending order within a 64-vertex word. A
+    ///   **pull** walks every word and leaves the frontier dense-native:
+    ///   the bitset of the kept, with its `len` and `volume` tallied by the
+    ///   walk. A **push** walks the words it touched and its members' words:
+    ///   one with `64·vol < n` walks a sorted list of them and leaves a
+    ///   sorted id list; a larger one walks every word and leaves the
+    ///   frontier dense-native, tallied, as a pull does.
     ///
     /// With [`NO_ADMIT`] the frontier is left as it was staged.
     pub fn absorb(
@@ -915,7 +928,7 @@ impl<B: CsrBackend> Staged<'_, B> {
         into: &mut MassMap,
         keep: Option<impl Fn(u32, f64) -> bool + Sync>,
     ) {
-        if self.dir == Direction::Push {
+        if self.scratch.is_some() {
             return self.push(order, into, keep);
         }
         let Staged {
@@ -929,55 +942,47 @@ impl<B: CsrBackend> Staged<'_, B> {
         } = self;
         into.reserve_more(pool, vol);
         let into = &*into;
-        let (bits, next) = frontier.gather_buffers(g.num_vertices(), keep.is_some());
-        let emit = keep.zip(next).map(|(keep, next)| Emit { keep, into, next });
-        let emitted = emit.is_some();
-        let add = |dst, c| {
-            into.add_exclusive(dst, c);
+        let emitting = keep.is_some();
+        let (bits, next) = frontier.gather_buffers(pool, g.num_vertices(), emitting);
+        // The thread that owns `dst` is its one writer, so the cell it starts
+        // from is the one its first contribution would have read.
+        let land = |dst| {
+            let (mut sum, mut any) = (order.start(into, dst), false);
+            g.for_each_neighbor(dst, |src| {
+                if bits.contains(src) {
+                    sum += slots[src as usize];
+                    any = true;
+                }
+            });
+            any.then(|| order.land(into, dst, sum))
         };
-        let (len, vol) = match order {
-            Absorb::PerEdge => {
-                let land = per_edge(g, bits, |src, dst| add(dst, slots[src as usize]));
-                pull(pool, g, bits, land, emit)
-            }
-            Absorb::Sum => pull(pool, g, bits, gather(g, bits, slots, add), emit),
+        let words = Words {
+            listed: None,
+            touched: None,
+            members: Some(bits),
         };
-        if emitted {
-            frontier.adopt_emitted(len, vol);
+        let kept = walk(pool, g, words, land, into, keep, next);
+        if emitting {
+            frontier.adopt_emitted(kept.len, kept.vol);
             *dense_out += 1;
         }
     }
 
-    /// [`Staged::absorb`]'s push: adds `slots[i]` along every edge of
-    /// `ids[i]` into `into` per `order`, and leaves the next frontier if
-    /// handed a `keep`.
+    /// [`Staged::absorb`]'s push.
     ///
-    /// **Collect.** Every edge adds its source's contribution — into the
-    /// scratch cell of its destination under [`Absorb::Sum`], straight into
-    /// `into` under [`Absorb::PerEdge`] — with a plain add on a lane that
-    /// does not fork. On a lane that does (decided once, here: the edge
-    /// loop runs on the workerless pool unless it forks) the add is atomic
-    /// and always into the scratch, whatever the order. A destination's
-    /// first touch sets its bit; a one-thread `PerEdge` push without a
-    /// `keep` records nothing.
+    /// **Collect.** Every edge adds its source's contribution into its
+    /// destination's scratch cell: plainly on a lane that does not fork, with
+    /// the paper's `fetchAdd` on one that does. A destination's first touch
+    /// sets its bit, is tallied, and starts its sum where `order` says — on a
+    /// forked lane the first toucher adds `into[w]` into a cell others may
+    /// have added to, so a forked push sums in the scheduler's order. When
+    /// the push is small against the universe (`64·vol < n`) the one insert
+    /// that finds a word empty records the word.
     ///
-    /// **Deliver.** When summing, `into` makes room for the receivers, and
-    /// each receiver's sum is added to `into` once, in ascending order,
-    /// zeroing its cell and its bit. `keep(w, into[w])` is asked once of
-    /// each receiver right after, and of each outgoing member that holds a
-    /// key of `into` — exactly whom a pull asks. The receivers are visited
-    /// in one of two ways:
-    ///
-    /// * off the bitset's words, `O(n/64 + receivers + |F|)`, when
-    ///   `n/64 ≤ vol`, so the walk costs no more than the push did: each
-    ///   word's receivers and members are delivered and asked in place,
-    ///   the word is cleared, and the kept are written a word at a time
-    ///   into a next frontier that is dense-native, with its `len` and
-    ///   `volume` tallied, as a pull's — no list is built, sorted or
-    ///   merged;
-    /// * from per-chunk lists kept on first touch, sorted and merged with
-    ///   the members, when the push is small against the universe, so it
-    ///   stays local on a large graph.
+    /// **Land.** `into` makes room for the receivers, and the [`walk`] lands
+    /// each sum once, zeroing its cell and its word: over the recorded words
+    /// merged with the members' words into a sorted list, or over every word
+    /// (`n/64 ≤ vol`) into a dense-native frontier.
     fn push(
         self,
         order: Absorb,
@@ -996,136 +1001,76 @@ impl<B: CsrBackend> Staged<'_, B> {
         let Scratch { sums, touched } = scratch.expect("staged for a push");
         let forked = pool.can_fork();
         let lane = if forked { pool } else { Pool::solo() };
-        // A forked push adds in the scheduler's order either way, so it sums
-        // under both orders: `into` then sees one write per receiver, and the
-        // edge loop probes one first-touch bitset, not `into`'s as well.
-        let summing = order == Absorb::Sum || forked;
-        if !summing {
-            into.reserve_more(pool, vol);
-        }
-        let recording = summing || keep.is_some();
-        let listing = recording && 64 * vol < g.num_vertices();
-        let store = &*into;
-        let lists = push_edges(lane, g, &frontier.ids, |list: &mut Vec<u32>, i, _, w| {
-            let c = slots[i];
-            if recording && !touched.contains(w) && touched.insert(w) && listing {
-                list.push(w);
-            }
-            let cell = &sums[w as usize];
-            match (summing, forked) {
-                (true, true) => {
-                    cell.fetch_add(c);
-                }
-                (true, false) => cell.store(cell.load() + c),
-                (false, _) => {
-                    store.add_exclusive(w, c);
-                }
-            }
-        });
-        if !recording {
-            return;
-        }
-        // Adds `w`'s sum to `into` once, zeroes its cell, and reads `into[w]`.
-        let deliver = |into: &MassMap, w: u32| {
-            let cell = &sums[w as usize];
-            let m = into.add_exclusive(w, cell.load());
-            cell.store(0.0);
-            m
-        };
-        if listing {
-            let mut receivers = lists.concat();
-            if forked {
-                merge_sort_by(pool, &mut receivers, u32::cmp);
-            } else {
-                receivers.sort_unstable();
-            }
-            if summing {
-                into.reserve_more(pool, receivers.len());
-            }
-            let into = &*into;
-            let own = match keep {
-                Some(_) => filter(pool, &frontier.ids, |&v| {
-                    !touched.contains(v) && into.contains(v)
-                }),
-                None => Vec::new(),
-            };
-            let listed = match own.is_empty() {
-                true => receivers,
-                false => union_sorted(&receivers, &own),
-            };
-            let kept = map_chunks(pool, listed.len(), 2048, |s, e| {
-                let mut kept = Vec::new();
-                for &w in &listed[s..e] {
-                    let m = match summing && touched.contains(w) {
-                        true => deliver(into, w),
-                        false => into.get(w),
-                    };
-                    if keep.as_ref().is_some_and(|keep| keep(w, m)) {
-                        kept.push(w);
-                    }
-                }
-                kept
-            });
-            touched.clear_sorted(pool, &listed);
-            if keep.is_some() {
-                frontier.advance(pool, kept.concat());
-            }
-            return;
-        }
-        if summing {
-            into.reserve_more(pool, touched.count_seq());
-        }
-        let into = &*into;
         let n = g.num_vertices();
-        if keep.is_some() {
-            frontier.bits(pool, n);
-        }
-        // The members' words, and the all-zero words the kept are written
-        // into: the next frontier leaves dense-native, as a pull's does.
-        let (members, next) = match keep {
-            Some(_) => {
-                let (members, next) = frontier.gather_buffers(n, true);
+        let listing = 64 * vol < n;
+        let store = &*into;
+        // Per edge chunk: the first touches, and the words first touched.
+        let firsts = push_edges(
+            lane,
+            g,
+            &frontier.ids,
+            |firsts: &mut (usize, Vec<u32>), i, _, w| {
+                let (first, word_was_empty) = match touched.contains(w) {
+                    true => (false, false),
+                    false => touched.insert(w),
+                };
+                firsts.0 += usize::from(first);
+                if word_was_empty && listing {
+                    firsts.1.push(w >> 6);
+                }
+                let (cell, c) = (&sums[w as usize], slots[i]);
+                if forked {
+                    cell.fetch_add(if first { order.start(store, w) + c } else { c });
+                } else {
+                    let sum = if first {
+                        order.start(store, w)
+                    } else {
+                        cell.load()
+                    };
+                    cell.store(sum + c);
+                }
+            },
+        );
+        into.reserve_more(pool, firsts.iter().map(|f| f.0).sum());
+        let into = &*into;
+        let listed = listing.then(|| {
+            let mut words: Vec<u32> = firsts.into_iter().flat_map(|f| f.1).collect();
+            if forked {
+                merge_sort_by(pool, &mut words, u32::cmp);
+            } else {
+                words.sort_unstable();
+            }
+            if keep.is_none() {
+                return words;
+            }
+            let mut own: Vec<u32> = frontier.ids.iter().map(|&v| v >> 6).collect();
+            own.dedup();
+            union_sorted(&words, &own)
+        });
+        let emitting = keep.is_some();
+        let (members, next) = match emitting {
+            true => {
+                let (members, next) = frontier.gather_buffers(pool, n, !listing);
                 (Some(members), next)
             }
-            None => (None, None),
+            false => (None, None),
         };
-        // A chunk owns whole words of both bitsets, so it writes and clears
-        // them with plain stores.
-        let tallies = map_chunks(pool, touched.num_words(), DENSE_GRAIN / 64, |s, e| {
-            let (mut len, mut vol) = (0, 0);
-            for w in s..e {
-                let received = touched.word(w);
-                let mut listed = received | members.map_or(0, |m| m.word(w));
-                let mut word = 0u64;
-                while listed != 0 {
-                    let bit = listed & listed.wrapping_neg();
-                    listed ^= bit;
-                    let v = (64 * w) as u32 + bit.trailing_zeros();
-                    let m = match received & bit != 0 {
-                        true if summing => deliver(into, v),
-                        false if !into.contains(v) => continue,
-                        _ => into.get(v),
-                    };
-                    if keep.as_ref().is_some_and(|keep| keep(v, m)) {
-                        word |= bit;
-                        len += 1;
-                        vol += g.degree(v);
-                    }
-                }
-                if let Some(next) = next.filter(|_| word != 0) {
-                    next.store_word(w, word);
-                }
-                if received != 0 {
-                    touched.store_word(w, 0);
-                }
-            }
-            (len, vol)
-        });
-        if next.is_some() {
-            let (len, vol) = tallies
-                .iter()
-                .fold((0, 0), |(len, vol), t| (len + t.0, vol + t.1));
-            frontier.adopt_emitted(len, vol);
+        let land = |w: u32| {
+            let cell = &sums[w as usize];
+            let sum = order.land(into, w, cell.load());
+            cell.store(0.0);
+            Some(sum)
+        };
+        let words = Words {
+            listed: listed.as_deref(),
+            touched: Some(touched),
+            members,
+        };
+        let kept = walk(pool, g, words, land, into, keep, next);
+        match (emitting, listing) {
+            (true, true) => frontier.advance(pool, kept.ids),
+            (true, false) => frontier.adopt_emitted(kept.len, kept.vol),
+            (false, _) => {}
         }
     }
 }
@@ -1440,9 +1385,18 @@ mod tests {
         let mut frontier = VertexSubset::from_sorted(ids.to_vec());
         let vol = frontier.volume(g);
         let mut spread = EdgeSpread::new(params);
-        let staged = spread.stage(pool, g, &mut frontier, vol, contrib_of);
-        let dir = staged.direction();
-        staged.absorb(order, &mut into, NO_ADMIT);
+        spread
+            .stage(pool, g, &mut frontier, vol, contrib_of)
+            .absorb(order, &mut into, NO_ADMIT);
+        let dir = match spread.take_counts() {
+            IterationCounts {
+                push: 1, pull: 0, ..
+            } => Direction::Push,
+            IterationCounts {
+                push: 0, pull: 1, ..
+            } => Direction::Pull,
+            counts => panic!("one iteration staged, not {counts:?}"),
+        };
         assert_eq!(frontier.ids(pool), ids, "left as it was staged");
         assert!(spread.is_clear(), "the push's scratch is left clear");
         (dir, (0..n as u32).map(|v| into.get(v)).collect())

@@ -7,8 +7,8 @@
 
 use lgc_graph::{gen, Graph};
 use lgc_ligra::{
-    edge_map, edge_map_dense, Absorb, DirectionParams, EdgeSpread, VertexSubset, FORK_MIN_WORK,
-    NO_ADMIT,
+    edge_map, edge_map_dense, Absorb, Direction, DirectionParams, EdgeSpread, VertexSubset,
+    FORK_MIN_WORK, NO_ADMIT,
 };
 use lgc_parallel::{Bitset, Pool};
 use lgc_sparse::MassMap;
@@ -126,9 +126,12 @@ proptest! {
                 let mut frontier = VertexSubset::from_sorted(ids.clone());
                 let vol = frontier.volume(&g);
                 let mut into = MassMap::new(want.len(), 0);
-                let staged = spread.stage(&pool, &g, &mut frontier, vol, |v| f64::from(v + 1));
-                prop_assert_eq!(staged.direction(), params.choose(&g, ids.len(), vol));
-                staged.absorb(order, &mut into, NO_ADMIT);
+                spread
+                    .stage(&pool, &g, &mut frontier, vol, |v| f64::from(v + 1))
+                    .absorb(order, &mut into, NO_ADMIT);
+                let counts = spread.take_counts();
+                let pushed = params.choose(&g, ids.len(), vol) == Direction::Push;
+                prop_assert_eq!((counts.push, counts.pull), (u64::from(pushed), u64::from(!pushed)));
                 let got: Vec<f64> = (0..want.len() as u32).map(|v| into.get(v)).collect();
                 prop_assert_eq!(&got, &want, "params {:?} {:?}", params, order);
             }
@@ -178,12 +181,14 @@ proptest! {
     /// default. Half the cases hand in a store that carries older keys, of
     /// which some pass `keep` and some fail it: one the iteration does not
     /// touch is never kept, and one it does touch is added onto in the
-    /// order's bracketing. At one thread the store is bit-identical too. At
-    /// two threads, on integer contributions over half-integer older
-    /// values with a claimed volume past `FORK_MIN_WORK`, so every loop
-    /// forks (graphs reach past one 512-destination pull chunk and one
-    /// 2048-edge push chunk), the frontier is still the same. `NO_ADMIT`
-    /// leaves the staged frontier as it was.
+    /// order's bracketing. At one thread the store is bit-identical too,
+    /// with or without `keep` — `NO_ADMIT` under `PerEdge` is HK-PR's
+    /// last-level flush. At two threads, on integer contributions over
+    /// half-integer older values with a claimed volume past
+    /// `FORK_MIN_WORK`, so every loop forks (graphs reach past one
+    /// 512-destination pull chunk and one 2048-edge push chunk), the
+    /// frontier and the store are still the same: those sums are exact in
+    /// every bracketing. `NO_ADMIT` leaves the staged frontier as it was.
     #[test]
     fn every_direction_leaves_the_same_next_frontier(
         n in 10usize..3000,
@@ -284,16 +289,18 @@ proptest! {
         let want = reference(&fraction);
         for params in policies {
             prop_assert_eq!(&run(&one, params, 0, true, &fraction), &want, "{:?}", params);
-            let (_, unchanged) = run(&one, params, 0, false, &fraction);
+            let (stored, unchanged) = run(&one, params, 0, false, &fraction);
+            prop_assert_eq!(&stored, &want.0, "NO_ADMIT store, {:?}", params);
             prop_assert_eq!(&unchanged, &ids, "NO_ADMIT, {:?}", params);
         }
         let two = Pool::new(2);
         let integer = |v: u32| f64::from(v % 5 + 1) * 2.0;
-        let (_, want) = reference(&integer);
+        let want = reference(&integer);
         for params in policies {
-            let (_, got) = run(&two, params, FORK_MIN_WORK, true, &integer);
+            let got = run(&two, params, FORK_MIN_WORK, true, &integer);
             prop_assert_eq!(&got, &want, "forked, {:?}", params);
-            let (_, unchanged) = run(&two, params, FORK_MIN_WORK, false, &integer);
+            let (stored, unchanged) = run(&two, params, FORK_MIN_WORK, false, &integer);
+            prop_assert_eq!(&stored, &want.0, "forked NO_ADMIT store, {:?}", params);
             prop_assert_eq!(&unchanged, &ids, "forked NO_ADMIT, {:?}", params);
         }
     }

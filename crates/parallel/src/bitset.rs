@@ -112,14 +112,16 @@ impl Bitset {
     }
 
     /// Inserts one id (safe from any thread; relaxed RMW) and says whether
-    /// it was absent — of several threads inserting one id, exactly one
-    /// hears `true`.
+    /// it was absent and whether its word was empty — of several threads
+    /// inserting one id, exactly one hears it was absent, and of several
+    /// inserting into one word, exactly one hears the word was empty.
     #[inline]
-    pub fn insert(&self, v: u32) -> bool {
+    pub fn insert(&self, v: u32) -> (bool, bool) {
         let i = v as usize;
         debug_assert!(i < self.n, "id out of universe");
         let bit = 1u64 << (i & 63);
-        self.cell(i >> 6).fetch_or(bit, Ordering::Relaxed) & bit == 0
+        let before = self.cell(i >> 6).fetch_or(bit, Ordering::Relaxed);
+        (before & bit == 0, before == 0)
     }
 
     /// Inserts every id of a sorted list in parallel — `O(len)` work.
@@ -333,9 +335,14 @@ mod tests {
         ];
         for ids in &patterns {
             let want = Bitset::new(n);
-            for &v in ids {
-                assert!(want.insert(v), "a first insert finds {v} absent");
-                assert!(!want.insert(v), "a second finds it present");
+            for (i, &v) in ids.iter().enumerate() {
+                let empty = i == 0 || ids[i - 1] >> 6 != v >> 6;
+                assert_eq!(
+                    want.insert(v),
+                    (true, empty),
+                    "a first insert finds {v} absent"
+                );
+                assert_eq!(want.insert(v), (false, false), "a second finds it present");
             }
             for threads in [1, 2, 4] {
                 let pool = Pool::new(threads);

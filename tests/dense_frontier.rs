@@ -1,6 +1,6 @@
 //! The dense half of the frontier, end to end: a pull hands the next
 //! iteration its frontier as a bitset (`lgc_ligra::Staged::absorb`'s
-//! `admit`), and PR-Nibble, HK-PR and Nibble run on that from pull to pull.
+//! `keep`), and PR-Nibble, HK-PR and Nibble run on that from pull to pull.
 //!
 //! Every input here is sized so that its wide iterations reach the forking
 //! lane (`|F| + vol(F) ≥ FORK_MIN_WORK`) *and* its dense loops are more
