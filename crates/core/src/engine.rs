@@ -6,9 +6,10 @@
 //! interactive queries ("an analyst would run a computation, study the
 //! result, and based on that determine what computation to run next").
 //! Serving that stream with free functions means rebuilding every piece
-//! of scratch state — mass tables, frontier bitsets, the edge map's
-//! contribution buffer, sweep rank tables — on every call, even though
-//! all of it is reusable across queries against the same graph.
+//! of scratch state — mass tables (the sweep's ranks among them),
+//! frontier bitsets, the edge map's contribution buffer — on every call,
+//! even though all of it is reusable across queries against the same
+//! graph.
 //!
 //! [`Engine`] fixes that: one type bundling a [`Pool`] (owned, or an
 //! `Arc` share of a server-wide one), a `&Graph` and a checkout pool of
@@ -248,34 +249,15 @@ pub(crate) fn try_run_query<B: CsrBackend>(
     }
 }
 
-/// The engine's pool slot: its own workers, or a share of a runtime-wide
-/// set (how a [`Service`](crate::Service) hosts many graphs over one
-/// pool without per-graph worker fleets).
-pub(crate) enum PoolRef {
-    /// The engine spawned (and will join) its own workers.
-    Owned(Pool),
-    /// A reference-counted share of a pool owned elsewhere.
-    Shared(Arc<Pool>),
-}
-
-impl std::ops::Deref for PoolRef {
-    type Target = Pool;
-    fn deref(&self) -> &Pool {
-        match self {
-            PoolRef::Owned(p) => p,
-            PoolRef::Shared(p) => p,
-        }
-    }
-}
-
-/// The half of an engine that does not borrow the graph — pool slot,
-/// workspace checkout pool (with the engine's direction policy), the
-/// admission limits and robustness counters of the graph's queries, and
-/// the graph's summary once somebody has asked for it.
+/// The half of an engine that does not borrow the graph — its pool (its
+/// own, or a share of a [`Service`](crate::Service)'s), workspace
+/// checkout pool (with the engine's direction policy), the admission
+/// limits and robustness counters of the graph's queries, and the graph's
+/// summary once somebody has asked for it.
 /// Every [`Engine`] clone over a graph shares one behind an `Arc`;
 /// [`Service`](crate::Service) keeps one per registered graph.
 pub(crate) struct EngineCore {
-    pool: PoolRef,
+    pool: Arc<Pool>,
     pub(crate) workspaces: WorkspacePool,
     max_in_flight: Option<usize>,
     pub(crate) default_budget: QueryBudget,
@@ -287,7 +269,7 @@ impl EngineCore {
     /// A core for a graph occupying `graph_bytes`, traversing per `dir`,
     /// under `limits` (an unset workspace budget is sized from the graph).
     pub(crate) fn new(
-        pool: PoolRef,
+        pool: Arc<Pool>,
         dir: DirectionParams,
         graph_bytes: usize,
         limits: EngineLimits,
@@ -313,7 +295,7 @@ impl EngineCore {
 pub struct EngineBuilder<'g, B: CsrBackend = Graph> {
     g: &'g B,
     threads: Option<usize>,
-    pool: Option<PoolRef>,
+    pool: Option<Arc<Pool>>,
     dir: DirectionParams,
     limits: EngineLimits,
 }
@@ -329,7 +311,7 @@ impl<'g, B: CsrBackend> EngineBuilder<'g, B> {
 
     /// Adopts an already-built pool (overrides [`Self::threads`]).
     pub fn pool(mut self, pool: Pool) -> Self {
-        self.pool = Some(PoolRef::Owned(pool));
+        self.pool = Some(Arc::new(pool));
         self
     }
 
@@ -337,7 +319,7 @@ impl<'g, B: CsrBackend> EngineBuilder<'g, B> {
     /// (or a whole [`Service`](crate::Service)) over one worker set.
     /// Overrides [`Self::threads`].
     pub fn shared_pool(mut self, pool: Arc<Pool>) -> Self {
-        self.pool = Some(PoolRef::Shared(pool));
+        self.pool = Some(pool);
         self
     }
 
@@ -362,7 +344,7 @@ impl<'g, B: CsrBackend> EngineBuilder<'g, B> {
     /// Builds the engine (spawning the pool's workers if needed).
     pub fn build(self) -> Engine<'g, B> {
         let pool = self.pool.unwrap_or_else(|| {
-            PoolRef::Owned(match self.threads {
+            Arc::new(match self.threads {
                 Some(t) => Pool::new(t),
                 None => Pool::with_default_threads(),
             })

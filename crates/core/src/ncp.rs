@@ -72,7 +72,8 @@ pub fn ncp_prnibble<B: CsrBackend>(pool: &Pool, g: &B, params: &NcpParams) -> Ve
 /// serves the whole `seeds × α × ε` grid — hundreds of back-to-back
 /// diffusion + sweep queries, the highest-leverage consumer of buffer
 /// recycling (each grid point would otherwise rebuild its mass arenas,
-/// frontier bitsets, and sweep rank table from scratch).
+/// the sweep's rank table among them, and its frontier bitsets from
+/// scratch).
 pub(crate) fn ncp_prnibble_ws<B: CsrBackend>(
     pool: &Pool,
     g: &B,

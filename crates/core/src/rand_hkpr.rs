@@ -10,10 +10,11 @@
 //! scheme bottlenecked on memory contention (many walks end on the same
 //! few vertices). Its fix, reproduced here: write each walk's destination
 //! into a length-`N` array, remap destinations to compact ids with a
-//! concurrent hash table, *integer sort* the ids, and read off the counts
-//! from the run boundaries (Theorem 5: `O(N·K)` work, `O(K + log N)`
-//! depth). Each walk derives its own RNG from the master seed, so the
-//! sequential and parallel versions produce *identical* vectors.
+//! concurrent sparse set (a [`MassMap`], dense once `N ≥ n/8`), *integer
+//! sort* the ids, and read off the counts from the run boundaries
+//! (Theorem 5: `O(N·K)` work, `O(K + log N)` depth). Each walk derives
+//! its own RNG from the master seed, so the sequential and parallel
+//! versions produce *identical* vectors.
 
 use crate::budget::InvalidParams;
 use crate::result::{Diffusion, DiffusionStats};
@@ -22,7 +23,7 @@ use crate::workspace::Workspace;
 use lgc_graph::CsrBackend;
 use lgc_ligra::{lane, Checkpoint, Tripped};
 use lgc_parallel::{counting_sort_by_key, fill_with_index, filter_map_index, map_index, Pool};
-use lgc_sparse::{ConcurrentRankMap, SparseVec};
+use lgc_sparse::{MassMap, SparseVec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -202,10 +203,12 @@ pub fn rand_hkpr_par<B: CsrBackend>(
 const WALK_BLOCK: usize = 1 << 15;
 
 /// [`rand_hkpr_par`] over a recyclable [`Workspace`]: the length-`N`
-/// walk-destination array and the destination-compaction table come from
-/// `ws`. Per-walk RNG streams make the walks themselves reuse-invariant,
-/// and the aggregation's output is sorted by vertex id, so the recycled
-/// buffers cannot influence the result bits.
+/// walk-destination array comes from `ws`, and the destination-compaction
+/// table is a [`MassMap`] checked out of it with key bound `N`. Per-walk
+/// RNG streams make the walks themselves reuse-invariant, and the
+/// aggregation's output is sorted by vertex id, so neither the recycled
+/// buffers nor the order the table hands out compact ids in can
+/// influence the result bits.
 ///
 /// `cp` is consulted between [`WALK_BLOCK`]-walk blocks (the algorithm
 /// has no frontier iterations; this is its amortized boundary). On a
@@ -252,37 +255,34 @@ pub(crate) fn rand_hkpr_par_ws<B: CsrBackend>(
     }
     stats.pushes = done as u64;
     stats.iterations = done as u64;
-    let walks = &ws.walks[..done];
 
     let entries: Vec<(u32, f64)> = if done == 0 {
         // Tripped before the first block: nothing past `done` was
         // written this run, so the stale tail must not be aggregated.
         Vec::new()
     } else {
-        // Remap destinations to compact ids via a concurrent hash table.
-        let distinct_map = match ws.rank.take() {
-            Some(mut m) => {
-                m.reset(pool, done.min(g.num_vertices()) + 1);
-                m
-            }
-            None => ConcurrentRankMap::with_capacity(done.min(g.num_vertices()) + 1),
-        };
+        // Remap destinations to compact ids through a workspace mass map:
+        // claim every destination, then store each distinct key's index.
+        let ids_of = ws.take_mass(
+            pool,
+            g.num_vertices(),
+            done,
+            MassMap::DEFAULT_DENSE_FRACTION,
+        );
+        let walks = &ws.walks[..done];
         pool.run(done, 1024, |s, e| {
             for &(dest, _) in &walks[s..e] {
-                distinct_map.insert(dest, 0);
+                ids_of.set(dest, 0.0);
             }
         });
-        let distinct = distinct_map.keys(pool);
+        let distinct: Vec<u32> = ids_of.entries(pool).into_iter().map(|(k, _)| k).collect();
         pool.run(distinct.len(), 1024, |s, e| {
             for (i, &k) in distinct[s..e].iter().enumerate() {
-                distinct_map.insert(k, (s + i) as u32);
+                ids_of.set(k, (s + i) as f64);
             }
         });
-        let ids: Vec<u32> = map_index(pool, done, |i| {
-            distinct_map
-                .get(walks[i].0)
-                .expect("destination was inserted")
-        });
+        let ids: Vec<u32> = map_index(pool, done, |i| ids_of.get(walks[i].0) as u32);
+        ws.put_mass(ids_of);
 
         // Integer sort, then run boundaries give per-destination counts.
         let sorted = counting_sort_by_key(pool, &ids, |&id| id as usize, distinct.len());
@@ -290,16 +290,14 @@ pub(crate) fn rand_hkpr_par_ws<B: CsrBackend>(
             (i == 0 || sorted[i] != sorted[i - 1]).then_some(i as u32)
         });
         let scale = 1.0 / done as f64;
-        let entries = map_index(pool, boundaries.len(), |b| {
+        map_index(pool, boundaries.len(), |b| {
             let start = boundaries[b] as usize;
             let end = boundaries.get(b + 1).map_or(done, |&x| x as usize);
             (
                 distinct[sorted[start] as usize],
                 (end - start) as f64 * scale,
             )
-        });
-        ws.rank = Some(distinct_map);
-        entries
+        })
     };
 
     Tripped::outcome(tripped, Diffusion::from_entries(entries, stats))

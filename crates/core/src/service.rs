@@ -44,7 +44,7 @@
 //! threads).
 
 use crate::budget::{EngineLimits, LifecycleSnapshot, QueryError};
-use crate::engine::{Engine, EngineCore, PoolRef, Query};
+use crate::engine::{Engine, EngineCore, Query};
 use crate::result::ClusterResult;
 use lgc_graph::{stats::GraphSummary, CsrBackend, CsrCompressed, Graph};
 use lgc_parallel::Pool;
@@ -241,7 +241,7 @@ impl Service {
     }
 
     fn insert(&mut self, name: String, store: GraphStore, limits: EngineLimits) {
-        let pool = PoolRef::Shared(Arc::clone(&self.pool));
+        let pool = Arc::clone(&self.pool);
         // Every graph of a service runs under the default direction policy.
         let dir = Default::default();
         let core = Arc::new(EngineCore::new(pool, dir, store.memory_bytes(), limits));

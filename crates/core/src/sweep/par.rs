@@ -39,7 +39,7 @@ use lgc_ligra::{lane, Checkpoint, Trip};
 use lgc_parallel::{
     map_index, max_by, merge_sort_by, scan_exclusive, scan_inclusive, Pool, UnsafeSlice,
 };
-use lgc_sparse::ConcurrentRankMap;
+use lgc_sparse::MassMap;
 
 /// Adjacency entries per chunk of the lower-rank-neighbour count.
 const EDGE_GRAIN: usize = 2048;
@@ -56,11 +56,12 @@ pub fn sweep_cut_par<B: CsrBackend>(pool: &Pool, g: &B, p: &[(u32, f64)]) -> Swe
     }
 }
 
-/// [`sweep_cut_par`] over the engine's [`Workspace`]: the rank table is
-/// taken, reset, and put back, so repeated sweeps against one graph stop
-/// re-allocating the hash table. That is bit-invisible: rank lookups are
-/// keyed, never enumerated, so a kept-larger table cannot change any
-/// output bit.
+/// [`sweep_cut_par`] over the engine's [`Workspace`]: the rank table is a
+/// [`MassMap`] checked out of the workspace with key bound `N` and put
+/// back, so it is dense (one indexed load per lookup, in buffers the
+/// workspace already holds) once `N ≥ n/8` and a table sized to `N`
+/// below that. Ranks are integers and lookups are keyed, never
+/// enumerated, so the table's mode cannot change any output bit.
 ///
 /// The sweep is a single fused pipeline with no iterative refinement, so
 /// `cp` is consulted once on entry (its boundary): cancellation and
@@ -87,24 +88,14 @@ pub(crate) fn sweep_cut_par_ws<B: CsrBackend>(
     merge_sort_by(pool, &mut scored, sweep_order_cmp);
     let order: Vec<u32> = scored.iter().map(|&(v, _)| v).collect();
 
-    // rank[v] = 1-based position of v in the sweep order; vertices outside
-    // the support have none.
-    let rank = match ws.sweep_rank.take() {
-        Some(mut m) => {
-            m.reset(pool, n);
-            m
+    // rank[v] = 1-based position of v in the sweep order (exact in `f64`);
+    // vertices outside the support read `0.0`.
+    let rank = ws.take_mass(pool, g.num_vertices(), n, MassMap::DEFAULT_DENSE_FRACTION);
+    pool.run(n, 1024, |s, e| {
+        for (i, &v) in order[s..e].iter().enumerate() {
+            rank.set(v, (s + i + 1) as f64);
         }
-        None => ConcurrentRankMap::with_capacity(n),
-    };
-    {
-        let order_ref = &order;
-        let rank_ref = &rank;
-        pool.run(n, 1024, |s, e| {
-            for (i, &v) in order_ref[s..e].iter().enumerate() {
-                rank_ref.insert(v, (s + i + 1) as u32);
-            }
-        });
-    }
+    });
 
     // Degrees in rank order; exclusive prefix sum gives each vertex's
     // slot range in the flattened edge space.
@@ -129,12 +120,13 @@ pub(crate) fn sweep_cut_par_ws<B: CsrBackend>(
             let mut f = fs;
             // lgc-lint: allow(checkpoint-tick) -- bounded per-chunk walk over [fs, fe) inside a pool job; the sweep ticks per phase
             while f < fe {
-                let rv = (vi + 1) as u32;
+                let rv = (vi + 1) as f64;
                 let local = f - edge_offsets[vi] as usize;
                 let upto = (degs[vi] as usize).min(local + (fe - f));
                 let mut lower = 0u64;
                 g.for_each_neighbor_in(order[vi], local, upto, |w| {
-                    lower += u64::from(rank.get(w).is_some_and(|rw| rw < rv));
+                    let rw = rank.get(w);
+                    lower += u64::from(0.0 < rw && rw < rv);
                 });
                 // SAFETY: a vertex's adjacency starts in exactly one
                 // chunk, and each chunk writes only its own head slot.
@@ -170,7 +162,7 @@ pub(crate) fn sweep_cut_par_ws<B: CsrBackend>(
     })
     .expect("n >= 1");
 
-    ws.sweep_rank = Some(rank);
+    ws.put_mass(rank);
     Ok(SweepCut {
         order,
         conductances,
@@ -250,6 +242,31 @@ mod tests {
         let sweep = sweep_cut_par(&pool, &g, &[]);
         assert_eq!(sweep.best_size, 0);
         assert!(sweep.best_conductance.is_infinite());
+    }
+
+    #[test]
+    fn warm_rank_table_survives_mode_flips() {
+        // One workspace, supports alternating below and above n/8, each
+        // past the fork threshold: the rank table is checked out sparse,
+        // dense, sparse, … from the same stack, and every sweep must still
+        // equal the sequential one.
+        let g = gen::rand_local(60_000, 5, 3);
+        let n = g.num_vertices();
+        let pool = Pool::new(2);
+        let mut ws = Workspace::new();
+        for (round, frac) in [0.06, 0.5, 0.1, 1.0, 0.11, 0.3].into_iter().enumerate() {
+            let step = (1.0 / frac) as usize;
+            let p: Vec<(u32, f64)> = (0..n)
+                .step_by(step)
+                .map(|v| (v as u32, 1.0 / ((v + round) % 7 + 1) as f64))
+                .collect();
+            assert_eq!(8 * p.len() < n, frac < 0.125, "round {round}");
+            let forked = pool.stats().loops_forked;
+            let parr = sweep_cut_par_ws(&pool, &g, &p, &mut ws, &Checkpoint::unlimited())
+                .unwrap_or_else(|_| unreachable!("an unlimited checkpoint never trips"));
+            assert!(pool.stats().loops_forked > forked, "round {round} forks");
+            assert_same(&sweep_cut_seq(&g, &p), &parr);
+        }
     }
 
     #[test]

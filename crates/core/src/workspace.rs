@@ -7,7 +7,7 @@ use crate::budget::LifecycleCounters;
 use crate::engine::{Engine, LocalDiffusion};
 use lgc_ligra::{DirectionParams, EdgeSpread, VertexSubset};
 use lgc_parallel::Pool;
-use lgc_sparse::{ConcurrentRankMap, MassMap};
+use lgc_sparse::MassMap;
 use std::sync::Mutex;
 
 /// A pool of recyclable scratch buffers shared by every diffusion.
@@ -21,15 +21,15 @@ use std::sync::Mutex;
 /// * dense/sparse [`MassMap`] arenas (including their `O(n)` dense-mode
 ///   buffers — the expensive part of a high-volume query): the stores
 ///   every edge map adds into, the evolving-set neighbor counter among
-///   them;
+///   them, and the keyed tables outside the edge map — the sweep's ranks
+///   and rand-HK-PR's destination compaction;
 /// * frontiers ([`VertexSubset`]s) with their lazily-built bitsets — the
 ///   dense view, and the second buffer a frontier that has been through a
 ///   pull swaps it with every iteration;
 /// * the spreading edge map's contribution buffer and its push's
 ///   per-destination scratch, `n` cells and `n` bits that every push leaves
 ///   all-zero ([`EdgeSpread`]);
-/// * rand-HK-PR's walk-destination buffer and compaction table, and the
-///   sweep's rank table.
+/// * rand-HK-PR's walk-destination buffer.
 ///
 /// Most callers never touch this type directly — [`Engine`] owns one —
 /// but [`LocalDiffusion::diffuse`] takes it explicitly so custom drivers
@@ -44,10 +44,6 @@ pub struct Workspace {
     pub(crate) spread: EdgeSpread,
     /// rand-HK-PR per-walk `(destination, steps)` buffer.
     pub(crate) walks: Vec<(u32, u32)>,
-    /// rand-HK-PR destination-compaction table.
-    pub(crate) rank: Option<ConcurrentRankMap>,
-    /// Sweep-cut rank table (order → rank assignment).
-    pub(crate) sweep_rank: Option<ConcurrentRankMap>,
     /// Byte charge recorded at checkout by the [`WorkspacePool`]'s budget
     /// accounting; `None` for free-function and transient (over-budget
     /// fallback) workspaces the pool is not accounting.
@@ -82,14 +78,6 @@ impl Workspace {
                 .sum::<usize>()
             + self.spread.resident_bytes()
             + self.walks.capacity() * std::mem::size_of::<(u32, u32)>()
-            + self
-                .rank
-                .as_ref()
-                .map_or(0, ConcurrentRankMap::resident_bytes)
-            + self
-                .sweep_rank
-                .as_ref()
-                .map_or(0, ConcurrentRankMap::resident_bytes)
     }
 
     /// Checks out a mass map re-fitted exactly as

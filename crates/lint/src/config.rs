@@ -53,7 +53,7 @@ impl Config {
                 ),
                 (
                     "crates/sparse/src/conc.rs",
-                    "concurrent rank map: lock-free claim/update CAS loops",
+                    "concurrent sparse set: lock-free claim/update CAS loops",
                 ),
                 (
                     "crates/sparse/src/mass.rs",

@@ -1,6 +1,6 @@
-//! Phase-concurrent lock-free sparse sets (the paper's reference \[42\]).
+//! A phase-concurrent lock-free sparse set (the paper's reference \[42\]).
 //!
-//! Linear-probing tables whose key slots are claimed by compare-and-swap.
+//! A linear-probing table whose key slots are claimed by compare-and-swap.
 //! `f64` values accumulate with the atomic fetch-add from `lgc-parallel`,
 //! so concurrent `edgeMap` updates to the same neighbor never lose mass —
 //! the property Theorem 3's work bound relies on.
@@ -245,115 +245,6 @@ impl ConcurrentSparseVec {
     }
 }
 
-/// A concurrent insert-once map from vertex id to a `u32` payload, used by
-/// the parallel sweep cut to store each vertex's *rank* in the sorted
-/// order (Theorem 1) and by rand-HK-PR to compact walk destinations.
-pub struct ConcurrentRankMap {
-    keys: Box<[AtomicU32]>,
-    vals: Box<[AtomicU32]>,
-    mask: usize,
-}
-
-impl ConcurrentRankMap {
-    /// An empty table able to hold at least `n` keys.
-    pub fn with_capacity(n: usize) -> Self {
-        let cap = ConcurrentSparseVec::fresh_capacity(n);
-        ConcurrentRankMap {
-            keys: (0..cap).map(|_| AtomicU32::new(EMPTY)).collect(),
-            vals: (0..cap).map(|_| AtomicU32::new(0)).collect(),
-            mask: cap - 1,
-        }
-    }
-
-    /// Inserts `key → value`. Each key should be inserted by one thread
-    /// (ranks are unique); re-insertion overwrites. Write phase.
-    #[inline]
-    pub fn insert(&self, key: u32, value: u32) {
-        debug_assert!(key != EMPTY, "key u32::MAX is reserved");
-        let mut i = (hash_u32(key) as usize) & self.mask;
-        let mut probes = 0usize;
-        loop {
-            let cur = self.keys[i].load(Ordering::Acquire);
-            if cur == key {
-                self.vals[i].store(value, Ordering::Release);
-                return;
-            }
-            if cur == EMPTY
-                && match self.keys[i].compare_exchange(
-                    EMPTY,
-                    key,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                ) {
-                    Ok(_) => true,
-                    Err(actual) => actual == key,
-                }
-            {
-                self.vals[i].store(value, Ordering::Release);
-                return;
-            }
-            i = (i + 1) & self.mask;
-            probes += 1;
-            assert!(probes <= self.mask, "ConcurrentRankMap overflow");
-        }
-    }
-
-    /// Empties the table, reallocating only if the current capacity
-    /// cannot hold `n` keys — the workspace-recycling hook for callers
-    /// (sweep rank assignment, rand-HK-PR destination compaction) whose
-    /// *results* are slot-order independent, so a kept-larger table is
-    /// observationally fine. Sequential point between phases.
-    pub fn reset(&mut self, pool: &Pool, n: usize) {
-        let needed = ConcurrentSparseVec::fresh_capacity(n);
-        if needed > self.capacity() {
-            *self = ConcurrentRankMap::with_capacity(n);
-            return;
-        }
-        let (keys, vals) = (&self.keys, &self.vals);
-        pool.run(self.capacity(), 1 << 14, |s, e| {
-            for i in s..e {
-                keys[i].store(EMPTY, Ordering::Relaxed);
-                vals[i].store(0, Ordering::Relaxed);
-            }
-        });
-    }
-
-    /// Number of slots (twice the supported key count).
-    pub fn capacity(&self) -> usize {
-        self.mask + 1
-    }
-
-    /// Resident bytes of the key and value arrays.
-    pub fn resident_bytes(&self) -> usize {
-        self.capacity() * 2 * std::mem::size_of::<AtomicU32>()
-    }
-
-    /// Packs the distinct keys present, in parallel (slot order).
-    /// Read phase.
-    pub fn keys(&self, pool: &Pool) -> Vec<u32> {
-        filter_map_index(pool, self.mask + 1, |i| {
-            let k = self.keys[i].load(Ordering::Acquire);
-            (k != EMPTY).then_some(k)
-        })
-    }
-
-    /// Looks up the payload for `key`. Read phase.
-    #[inline]
-    pub fn get(&self, key: u32) -> Option<u32> {
-        let mut i = (hash_u32(key) as usize) & self.mask;
-        loop {
-            let cur = self.keys[i].load(Ordering::Acquire);
-            if cur == key {
-                return Some(self.vals[i].load(Ordering::Acquire));
-            }
-            if cur == EMPTY {
-                return None;
-            }
-            i = (i + 1) & self.mask;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -444,52 +335,6 @@ mod tests {
             t.add(k, 0.25);
         }
         assert_eq!(t.l1_norm(&pool), 5.0);
-    }
-
-    #[test]
-    fn rank_map_insert_get() {
-        let m = ConcurrentRankMap::with_capacity(100);
-        for k in 0..100u32 {
-            m.insert(k * 7, k);
-        }
-        for k in 0..100u32 {
-            assert_eq!(m.get(k * 7), Some(k));
-        }
-        assert_eq!(m.get(3), None);
-    }
-
-    #[test]
-    fn rank_map_parallel_inserts() {
-        let pool = Pool::new(4);
-        let n = 30_000;
-        let m = ConcurrentRankMap::with_capacity(n);
-        pool.for_each_index(n, 256, |i| {
-            m.insert(i as u32 * 2, i as u32);
-        });
-        for i in 0..n as u32 {
-            assert_eq!(m.get(i * 2), Some(i));
-            assert_eq!(m.get(i * 2 + 1), None);
-        }
-    }
-
-    #[test]
-    fn rank_map_reset_clears_and_reuses() {
-        let pool = Pool::new(2);
-        let mut m = ConcurrentRankMap::with_capacity(500);
-        let cap = m.capacity();
-        for k in 0..500u32 {
-            m.insert(k, k + 1);
-        }
-        m.reset(&pool, 400);
-        assert_eq!(m.capacity(), cap, "no realloc needed");
-        for k in 0..500u32 {
-            assert_eq!(m.get(k), None, "key {k} survived reset");
-        }
-        m.insert(3, 9);
-        assert_eq!(m.get(3), Some(9));
-        m.reset(&pool, 10 * cap);
-        assert!(m.capacity() > cap, "grew for larger bound");
-        assert_eq!(m.get(3), None);
     }
 
     #[test]

@@ -12,10 +12,10 @@
 //!   with a strong integer mixer, which is also why the parallel codes run
 //!   on one thread can beat the "sequential" baselines, as the paper
 //!   observes in §4).
-//! * [`ConcurrentSparseVec`] / [`ConcurrentRankMap`] — lock-free linear
-//!   probing tables in the style of the *phase-concurrent* hash table of
-//!   Shun and Blelloch (SPAA 2014, the paper's \[42\]): keys are claimed
-//!   with compare-and-swap and `f64` values accumulate with an atomic
+//! * [`ConcurrentSparseVec`] — a lock-free linear probing table in the
+//!   style of the *phase-concurrent* hash table of Shun and Blelloch
+//!   (SPAA 2014, the paper's \[42\]): keys are claimed with
+//!   compare-and-swap and `f64` values accumulate with an atomic
 //!   fetch-add, so a batch of `N` inserts/accumulates takes `O(N)` work
 //!   and `O(log N)` depth w.h.p.
 //!
@@ -28,7 +28,9 @@
 //!   once the caller-declared key bound crosses a tunable fraction of
 //!   the vertex universe `n`. It is the one destination type of
 //!   `lgc-ligra`'s edge map: every diffusion's `UpdateNgh` adds into a
-//!   `MassMap` (the evolving-set process's `|N(v) ∩ S|` counter too), so
+//!   `MassMap` (the evolving-set process's `|N(v) ∩ S|` counter too),
+//!   and the query path's other keyed tables — the sweep's ranks and
+//!   rand-HK-PR's destination ids — are `MassMap`s as well, so
 //!   [`ConcurrentSparseVec`] is its sparse backend and nothing else.
 //!
 //! # Dense/sparse switch heuristic
@@ -58,7 +60,7 @@
 //! # Phase-concurrency contract
 //!
 //! The concurrent tables support *one kind* of operation per parallel
-//! phase: any number of threads may call `add`/`insert` concurrently, or
+//! phase: any number of threads may call `add`/`set` concurrently, or
 //! any number may call `get` concurrently, but mixing writers and readers
 //! of the *same key set* within a phase yields unspecified (though still
 //! memory-safe) snapshots. The clustering algorithms naturally obey this:
@@ -80,7 +82,7 @@ mod hash;
 mod mass;
 mod seq;
 
-pub use conc::{ConcurrentRankMap, ConcurrentSparseVec};
+pub use conc::ConcurrentSparseVec;
 pub use hash::hash_u32;
 pub use mass::{DenseMassVec, MassMap};
 pub use seq::{SparseMap, SparseVec};

@@ -86,7 +86,9 @@ fn deterministic_algorithms_agree_across_thread_counts() {
     }
 }
 
-/// rand-HK-PR is *exactly* thread-count independent (per-walk RNG).
+/// rand-HK-PR is *exactly* thread-count independent (per-walk RNG) —
+/// also when it has fewer walks than `n/8`, so that its destination
+/// compaction runs on a hash table, and enough steps to fork.
 #[test]
 fn rand_hkpr_bitwise_reproducible() {
     let g = plgc::graph::gen::barabasi_albert(3000, 4, 17);
@@ -102,6 +104,25 @@ fn rand_hkpr_bitwise_reproducible() {
         let pool = Pool::new(threads);
         let b = lgc::rand_hkpr_par(&pool, &g, &seed, &params);
         assert_eq!(a.p, b.p, "threads={threads}");
+    }
+
+    let g = plgc::graph::gen::rand_local(60_000, 5, 17);
+    let params = lgc::RandHkprParams {
+        walks: 4_000,
+        ..params
+    };
+    assert!(8 * params.walks < g.num_vertices());
+    assert!(params.walks * params.max_len >= plgc::ligra::FORK_MIN_WORK);
+    let a = lgc::rand_hkpr_seq(&g, &seed, &params);
+    for threads in [1, 2, 4] {
+        let pool = Pool::new(threads);
+        let b = lgc::rand_hkpr_par(&pool, &g, &seed, &params);
+        assert_eq!(a.p, b.p, "threads={threads}, sparse compaction");
+        assert_eq!(
+            pool.stats().loops_forked > 0,
+            threads > 1,
+            "threads={threads}"
+        );
     }
 }
 

@@ -169,10 +169,13 @@ proptest! {
 
     /// Past the fork threshold: a vector over a whole component (or most of
     /// one) of a graph big or dense enough that `N + vol(S_N)` reaches
-    /// `FORK_MIN_WORK`. Here — and, of this file's inputs, only here — the
-    /// parallel sweep's sort, rank table, adjacency pass and scans fork at
-    /// two and four threads, and must still return the sequential sweep bit
-    /// for bit; below the threshold every thread count runs the same code.
+    /// `FORK_MIN_WORK`, and one over about 6 % of a graph big enough that
+    /// such a support still reaches it while `N < n/8`. Here — and, of this
+    /// file's inputs, only here — the parallel sweep's sort, rank table
+    /// (dense for the first input, a hash table for the second), adjacency
+    /// pass and scans fork at two and four threads, and must still return
+    /// the sequential sweep bit for bit; below the threshold every thread
+    /// count runs the same code.
     #[test]
     fn parallel_sweep_equals_sequential_past_the_fork_threshold(
         dense in any::<bool>(),
@@ -185,15 +188,21 @@ proptest! {
         } else {
             gen::rand_local(10_000, 5, graph_seed)
         };
-        let component = plgc::graph::largest_component(&g);
-        let mut p = support(&g, if whole { 1.0 } else { 0.7 }, mass_seed);
-        p.retain(|&(v, _)| component.binary_search(&v).is_ok());
-        let vol: usize = p.iter().map(|&(v, _)| g.degree(v)).sum();
-        prop_assert!(p.len() + vol >= FORK_MIN_WORK, "N + vol = {}", p.len() + vol);
-        prop_assert_eq!(assert_same_sweep(&g, &p, 1), 0, "one thread forks nothing");
-        for threads in [2, 4] {
-            prop_assert!(assert_same_sweep(&g, &p, threads) > 0, "t={} forks", threads);
+        let wide = gen::rand_local(60_000, 5, graph_seed);
+        for (g, frac) in [(&g, if whole { 1.0 } else { 0.7 }), (&wide, 0.06)] {
+            let component = plgc::graph::largest_component(g);
+            let mut p = support(g, frac, mass_seed);
+            p.retain(|&(v, _)| component.binary_search(&v).is_ok());
+            let vol: usize = p.iter().map(|&(v, _)| g.degree(v)).sum();
+            prop_assert!(p.len() + vol >= FORK_MIN_WORK, "N + vol = {}", p.len() + vol);
+            if frac < 0.125 {
+                prop_assert!(8 * p.len() < g.num_vertices(), "N = {} reaches n/8", p.len());
+            }
+            prop_assert_eq!(assert_same_sweep(g, &p, 1), 0, "one thread forks nothing");
+            for threads in [2, 4] {
+                prop_assert!(assert_same_sweep(g, &p, threads) > 0, "t={} forks", threads);
+            }
+            assert_same_sweep(&CsrCompressed::from_graph(g), &p, 2);
         }
-        assert_same_sweep(&CsrCompressed::from_graph(&g), &p, 2);
     }
 }
