@@ -27,8 +27,8 @@ use std::sync::Mutex;
 ///   dense view, and the second buffer a frontier that has been through a
 ///   pull swaps it with every iteration;
 /// * the spreading edge map's contribution buffer and its push's
-///   per-destination scratch, `n` cells and `n` bits that every push leaves
-///   all-zero ([`EdgeSpread`]);
+///   per-destination scratch, the `n`-cell store a dense [`MassMap`] runs
+///   on, which every push leaves all-zero ([`EdgeSpread`]);
 /// * rand-HK-PR's walk-destination buffer.
 ///
 /// Most callers never touch this type directly — [`Engine`] owns one —

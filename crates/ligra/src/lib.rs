@@ -63,10 +63,8 @@
 //! [`FORK_MIN_WORK`] — "The fork policy" on [`EdgeSpread`]).
 
 use lgc_graph::CsrBackend;
-use lgc_parallel::{
-    map_chunks, merge_sort_by, scan_exclusive, AtomicF64, Bitset, Pool, UnsafeSlice,
-};
-use lgc_sparse::MassMap;
+use lgc_parallel::{map_chunks, merge_sort_by, ones, scan_exclusive, Bitset, Pool, UnsafeSlice};
+use lgc_sparse::{DenseMassVec, MassMap};
 
 pub mod interrupt;
 
@@ -597,15 +595,6 @@ fn walk<B: CsrBackend>(
     })
 }
 
-/// The members of word `w` whose bits are set in `bits`, ascending.
-fn ones(w: usize, mut bits: u64) -> impl Iterator<Item = u32> {
-    std::iter::from_fn(move || {
-        let b = (bits != 0).then(|| bits.trailing_zeros())?;
-        bits &= bits - 1;
-        Some((64 * w) as u32 + b)
-    })
-}
-
 /// The direction-optimizing, contribution-spreading `edgeMap` (§2) and
 /// its recycled buffer — the one traversal every frontier diffusion's
 /// iteration is written on.
@@ -620,14 +609,16 @@ fn ones(w: usize, mut bits: u64) -> impl Iterator<Item = u32> {
 ///
 /// * **Push** walks the frontier's id list and lays `c` out by frontier
 ///   index, so the per-edge work is one slice load plus one indexed add
-///   into a dense scratch of `n` cells — no hash probe, no division. The
-///   add is plain on a lane that does not fork and the `fetchAdd` the paper
-///   cites when it does, since destinations are then hit by several
-///   sources at once. A destination's first touch sets its bit and starts
-///   its sum where [`Absorb`] says. The walk then visits the touched words
-///   in ascending order and lands each receiver's sum in the store once,
-///   zeroing its cell. So at one thread a push writes the same bits as a
-///   pull, and the store sees one write per receiver, not one per edge.
+///   into a scratch [`DenseMassVec`] — `n` cells and first-touch bits, the
+///   type of a dense [`MassMap`]'s store — with no hash probe and no
+///   division. The add is plain on a lane that does not fork and the
+///   `fetchAdd` the paper cites when it does, since destinations are then
+///   hit by several sources at once. A destination's first touch
+///   ([`DenseMassVec::mark`]) sets its bit and starts its sum where
+///   [`Absorb`] says. The walk then visits the touched words in ascending
+///   order and lands each receiver's sum in the store once, zeroing its
+///   cell. So at one thread a push writes the same bits as a pull, and the
+///   store sees one write per receiver, not one per edge.
 /// * **Pull** walks the frontier's bitset by words (the dense `vertexMap`),
 ///   lays `c` out by vertex id and scans *all* vertices; each tests its
 ///   neighbors against the bitset. One thread owns a destination and sums
@@ -645,8 +636,9 @@ fn ones(w: usize, mut bits: u64) -> impl Iterator<Item = u32> {
 /// written by this call; a pull reads slot `v` only where the bitset holds
 /// `v`, and exactly those were written by this call — stale values are
 /// unreachable. The push's scratch is the other way round: it is sized once
-/// per universe, and every push leaves all of its cells `0.0` and its bits
-/// clear, by the words it walked ([`EdgeSpread::is_clear`]).
+/// per universe, and every push leaves it clean — all cells `0.0`, all bits
+/// clear — by the words it walked, each word's cells and then the word, as
+/// a dense [`MassMap`]'s reset cleans the same type ([`EdgeSpread::is_clear`]).
 ///
 /// # The direction policy
 ///
@@ -712,35 +704,9 @@ fn ones(w: usize, mut bits: u64) -> impl Iterator<Item = u32> {
 pub struct EdgeSpread {
     slots: Vec<f64>,
     /// The push's per-destination sums, built by the first push.
-    scratch: Option<Scratch>,
+    scratch: Option<DenseMassVec>,
     policy: DirectionParams,
     counts: IterationCounts,
-}
-
-/// A push's per-destination sums over the universe `0..n`: one `f64` cell
-/// and one first-touch bit per vertex, all `0.0` and clear between pushes.
-struct Scratch {
-    sums: Box<[AtomicF64]>,
-    touched: Bitset,
-}
-
-impl Scratch {
-    fn new(n: usize) -> Self {
-        Scratch {
-            sums: (0..n).map(|_| AtomicF64::default()).collect(),
-            touched: Bitset::new(n),
-        }
-    }
-
-    fn resident_bytes(&self) -> usize {
-        std::mem::size_of_val(&*self.sums) + self.touched.resident_bytes()
-    }
-
-    /// `O(n)`: for assertions.
-    fn is_clear(&self) -> bool {
-        let zero = 0f64.to_bits();
-        self.touched.count_seq() == 0 && self.sums.iter().all(|c| c.load().to_bits() == zero)
-    }
 }
 
 /// How many iterations an [`EdgeSpread`] has staged, by the direction taken
@@ -771,7 +737,7 @@ pub struct Staged<'a, B> {
     vol: usize,
     slots: &'a [f64],
     /// The push's scratch; `None` for a pull.
-    scratch: Option<&'a Scratch>,
+    scratch: Option<&'a DenseMassVec>,
     dense_out: &'a mut u64,
 }
 
@@ -794,14 +760,17 @@ impl EdgeSpread {
     /// of the push's scratch, once a push has built it.
     pub fn resident_bytes(&self) -> usize {
         self.slots.capacity() * std::mem::size_of::<f64>()
-            + self.scratch.as_ref().map_or(0, Scratch::resident_bytes)
+            + self
+                .scratch
+                .as_ref()
+                .map_or(0, DenseMassVec::resident_bytes)
     }
 
     /// Whether the push's scratch is all `0.0` with every bit clear — what
     /// every [`Staged::absorb`] leaves, and what the next push's sums start
     /// from. `O(n)`: for assertions.
     pub fn is_clear(&self) -> bool {
-        self.scratch.as_ref().is_none_or(Scratch::is_clear)
+        self.scratch.as_ref().is_none_or(DenseMassVec::is_clear)
     }
 
     /// Chooses the direction for `frontier` (whose volume the caller has
@@ -829,8 +798,8 @@ impl EdgeSpread {
         let len = match dir {
             Direction::Push => {
                 self.counts.push += 1;
-                if self.scratch.as_ref().is_none_or(|s| s.sums.len() != n) {
-                    self.scratch = Some(Scratch::new(n));
+                if self.scratch.as_ref().is_none_or(|s| s.universe() != n) {
+                    self.scratch = Some(DenseMassVec::new(n));
                 }
                 k
             }
@@ -866,12 +835,7 @@ impl EdgeSpread {
                 let bits = frontier.bits(pool, len);
                 pool.run(bits.num_words(), DENSE_GRAIN / 64, |s, e| {
                     for w in s..e {
-                        let mut word = bits.word(w);
-                        while word != 0 {
-                            let v = 64 * w + word.trailing_zeros() as usize;
-                            put(v, v as u32);
-                            word &= word - 1;
-                        }
+                        ones(w, bits.word(w)).for_each(|v| put(v as usize, v));
                     }
                 });
             }
@@ -998,7 +962,7 @@ impl<B: CsrBackend> Staged<'_, B> {
             scratch,
             ..
         } = self;
-        let Scratch { sums, touched } = scratch.expect("staged for a push");
+        let scratch = scratch.expect("staged for a push");
         let forked = pool.can_fork();
         let lane = if forked { pool } else { Pool::solo() };
         let n = g.num_vertices();
@@ -1010,15 +974,12 @@ impl<B: CsrBackend> Staged<'_, B> {
             g,
             &frontier.ids,
             |firsts: &mut (usize, Vec<u32>), i, _, w| {
-                let (first, word_was_empty) = match touched.contains(w) {
-                    true => (false, false),
-                    false => touched.insert(w),
-                };
+                let (first, word_was_empty) = scratch.mark(w);
                 firsts.0 += usize::from(first);
                 if word_was_empty && listing {
                     firsts.1.push(w >> 6);
                 }
-                let (cell, c) = (&sums[w as usize], slots[i]);
+                let (cell, c) = (scratch.cell(w), slots[i]);
                 if forked {
                     cell.fetch_add(if first { order.start(store, w) + c } else { c });
                 } else {
@@ -1056,14 +1017,14 @@ impl<B: CsrBackend> Staged<'_, B> {
             false => (None, None),
         };
         let land = |w: u32| {
-            let cell = &sums[w as usize];
+            let cell = scratch.cell(w);
             let sum = order.land(into, w, cell.load());
             cell.store(0.0);
             Some(sum)
         };
         let words = Words {
             listed: listed.as_deref(),
-            touched: Some(touched),
+            touched: Some(scratch.touched()),
             members,
         };
         let kept = walk(pool, g, words, land, into, keep, next);

@@ -45,7 +45,7 @@ impl Config {
                 ),
                 (
                     "crates/parallel/src/atomic.rs",
-                    "the CAS-loop float-add primitive every concurrent accumulation builds on",
+                    "AtomicF64, the one atomic f64: every mass cell's load/store orderings and the CAS-loop float add",
                 ),
                 (
                     "crates/parallel/src/bitset.rs",
@@ -54,10 +54,6 @@ impl Config {
                 (
                     "crates/sparse/src/conc.rs",
                     "concurrent sparse set: lock-free claim/update CAS loops",
-                ),
-                (
-                    "crates/sparse/src/mass.rs",
-                    "adaptive dense mass map: atomic mass cells (CAS adds, release stores, acquire reads)",
                 ),
                 (
                     "crates/core/src/budget.rs",

@@ -2,7 +2,9 @@
 //!
 //! Modern ISAs have no native atomic float addition, so (exactly like the
 //! Ligra/PBBS C++ code the paper uses) we emulate it with a compare-and-swap
-//! loop over the bit pattern stored in an `AtomicU64`.
+//! loop over the bit pattern stored in an `AtomicU64`. [`AtomicF64`] is the
+//! project's one atomic `f64`: every mass cell — the sparse table's, the
+//! dense store's, the push's sums — is one, so the orderings live here.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -43,7 +45,18 @@ impl AtomicF64 {
     /// proof relies on).
     #[inline]
     pub fn fetch_add(&self, delta: f64) -> f64 {
-        atomic_f64_fetch_add(&self.0, delta)
+        let mut cur = self.0.load(Ordering::Relaxed);
+        loop {
+            let old = f64::from_bits(cur);
+            let new = (old + delta).to_bits();
+            match self
+                .0
+                .compare_exchange_weak(cur, new, Ordering::AcqRel, Ordering::Relaxed)
+            {
+                Ok(_) => return old,
+                Err(actual) => cur = actual,
+            }
+        }
     }
 
     /// Consumes the atomic and returns the inner value.
@@ -56,25 +69,6 @@ impl AtomicF64 {
 impl Default for AtomicF64 {
     fn default() -> Self {
         AtomicF64::new(0.0)
-    }
-}
-
-/// Atomically adds `delta` to the `f64` whose bits live in `cell`,
-/// returning the previous value.
-///
-/// Exposed as a free function so that data structures that manage raw
-/// `AtomicU64` slots (the concurrent sparse set) can reuse the exact same
-/// CAS loop.
-#[inline]
-pub fn atomic_f64_fetch_add(cell: &AtomicU64, delta: f64) -> f64 {
-    let mut cur = cell.load(Ordering::Relaxed);
-    loop {
-        let old = f64::from_bits(cur);
-        let new = (old + delta).to_bits();
-        match cell.compare_exchange_weak(cur, new, Ordering::AcqRel, Ordering::Relaxed) {
-            Ok(_) => return old,
-            Err(actual) => cur = actual,
-        }
     }
 }
 

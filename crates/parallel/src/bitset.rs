@@ -206,21 +206,28 @@ impl Bitset {
                 let e = (s + WORDS_PER_CHUNK).min(self.lines.len() * 8);
                 let mut pos = offsets[c];
                 for w in s..e {
-                    let mut bits = self.word(w);
-                    let base = (w << 6) as u32;
-                    while bits != 0 {
-                        let b = bits.trailing_zeros();
+                    for v in ones(w, self.word(w)) {
                         // SAFETY: chunks write disjoint [offsets[c],
                         // offsets[c] + counts[c]) ranges.
-                        unsafe { view.write(pos, base + b) };
+                        unsafe { view.write(pos, v) };
                         pos += 1;
-                        bits &= bits - 1;
                     }
                 }
             });
         }
         out
     }
+}
+
+/// The members of word `w` whose bits are set in `bits`, ascending — the
+/// one walk over the bits of a word.
+#[inline]
+pub fn ones(w: usize, mut bits: u64) -> impl Iterator<Item = u32> {
+    std::iter::from_fn(move || {
+        let b = (bits != 0).then(|| bits.trailing_zeros())?;
+        bits &= bits - 1;
+        Some((64 * w) as u32 + b)
+    })
 }
 
 #[cfg(test)]

@@ -20,10 +20,11 @@
 //!   keys (`O(N + K)` work), used by the randomized heat-kernel
 //!   aggregation (Theorem 5).
 //! * [`AtomicF64`] — the atomic `fetchAdd` on doubles that the paper's
-//!   `edgeMap` update functions rely on.
+//!   `edgeMap` update functions rely on — every mass cell is one.
 //! * [`Bitset`] — a fixed-universe bitset with parallel construction from
 //!   (and enumeration back to) sorted id lists; the dense frontier
-//!   representation behind the direction-optimizing `edgeMap`.
+//!   representation behind the direction-optimizing `edgeMap`; [`ones`]
+//!   walks the members in one of its words.
 //!
 //! The primitives with a one-pass sequential form (filter, scan, both
 //! sorts, [`max_by`]) take it below 8192 elements — the crate's one cutoff
@@ -41,8 +42,8 @@ mod scan;
 mod slice;
 mod sort;
 
-pub use atomic::{atomic_f64_fetch_add, AtomicF64};
-pub use bitset::Bitset;
+pub use atomic::AtomicF64;
+pub use bitset::{ones, Bitset};
 pub use filter::{filter, filter_map_index};
 pub use intsort::counting_sort_by_key;
 pub use map::{fill_with_index, map_chunks, map_index, max_by, sum_f64_by_index};

@@ -1,14 +1,15 @@
 //! A phase-concurrent lock-free sparse set (the paper's reference \[42\]).
 //!
 //! A linear-probing table whose key slots are claimed by compare-and-swap.
-//! `f64` values accumulate with the atomic fetch-add from `lgc-parallel`,
-//! so concurrent `edgeMap` updates to the same neighbor never lose mass —
-//! the property Theorem 3's work bound relies on.
+//! `f64` values are `lgc-parallel`'s [`AtomicF64`] cells, as the dense
+//! store's are, and accumulate with its fetch-add, so concurrent `edgeMap`
+//! updates to the same neighbor never lose mass — the property Theorem 3's
+//! work bound relies on.
 
 use crate::hash::hash_u32;
 use crate::EMPTY;
-use lgc_parallel::{atomic_f64_fetch_add, filter_map_index, Pool};
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use lgc_parallel::{filter_map_index, AtomicF64, Pool};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
 /// A concurrent sparse map from vertex id to `f64` mass (`⊥ = 0.0`).
 ///
@@ -18,7 +19,7 @@ use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 /// `|frontier| + vol(frontier)` before launching the phase.
 pub struct ConcurrentSparseVec {
     keys: Box<[AtomicU32]>,
-    vals: Box<[AtomicU64]>,
+    vals: Box<[AtomicF64]>,
     /// Claimed-slot counts, sharded by the low bits of the slot index so
     /// that concurrent first touches of different keys rarely meet on one
     /// cache line. Each shard is exact; [`Self::len`] sums them.
@@ -53,7 +54,7 @@ impl ConcurrentSparseVec {
         let cap = Self::fresh_capacity(n);
         ConcurrentSparseVec {
             keys: (0..cap).map(|_| AtomicU32::new(EMPTY)).collect(),
-            vals: (0..cap).map(|_| AtomicU64::new(0f64.to_bits())).collect(),
+            vals: (0..cap).map(|_| AtomicF64::default()).collect(),
             occupied: Box::new(std::array::from_fn(|_| CountShard::default())),
             mask: cap - 1,
         }
@@ -79,7 +80,7 @@ impl ConcurrentSparseVec {
 
     /// Resident bytes of the key and value arrays and the count shards.
     pub fn resident_bytes(&self) -> usize {
-        self.capacity() * (std::mem::size_of::<AtomicU32>() + std::mem::size_of::<AtomicU64>())
+        self.capacity() * (std::mem::size_of::<AtomicU32>() + std::mem::size_of::<AtomicF64>())
             + std::mem::size_of_val(&*self.occupied)
     }
 
@@ -124,7 +125,7 @@ impl ConcurrentSparseVec {
     #[inline]
     pub fn add(&self, key: u32, delta: f64) {
         let i = self.claim_slot(key);
-        atomic_f64_fetch_add(&self.vals[i], delta);
+        self.vals[i].fetch_add(delta);
     }
 
     /// Overwrites the value at `key`, inserting if absent (write phase).
@@ -132,7 +133,7 @@ impl ConcurrentSparseVec {
     #[inline]
     pub fn set(&self, key: u32, value: f64) {
         let i = self.claim_slot(key);
-        self.vals[i].store(value.to_bits(), Ordering::Release);
+        self.vals[i].store(value);
     }
 
     /// Adds `delta` to the mass at `key` under a *single-writer-per-key*
@@ -144,8 +145,8 @@ impl ConcurrentSparseVec {
     #[inline]
     pub fn add_exclusive(&self, key: u32, delta: f64) -> f64 {
         let i = self.claim_slot(key);
-        let sum = f64::from_bits(self.vals[i].load(Ordering::Relaxed)) + delta;
-        self.vals[i].store(sum.to_bits(), Ordering::Relaxed);
+        let sum = self.vals[i].load() + delta;
+        self.vals[i].store(sum);
         sum
     }
 
@@ -156,7 +157,7 @@ impl ConcurrentSparseVec {
         loop {
             let cur = self.keys[i].load(Ordering::Acquire);
             if cur == key {
-                return f64::from_bits(self.vals[i].load(Ordering::Acquire));
+                return self.vals[i].load();
             }
             if cur == EMPTY {
                 return 0.0;
@@ -185,7 +186,7 @@ impl ConcurrentSparseVec {
     pub fn entries(&self, pool: &Pool) -> Vec<(u32, f64)> {
         filter_map_index(pool, self.capacity(), |i| {
             let k = self.keys[i].load(Ordering::Acquire);
-            (k != EMPTY).then(|| (k, f64::from_bits(self.vals[i].load(Ordering::Acquire))))
+            (k != EMPTY).then(|| (k, self.vals[i].load()))
         })
     }
 
@@ -199,7 +200,7 @@ impl ConcurrentSparseVec {
     pub fn l1_norm(&self, pool: &Pool) -> f64 {
         lgc_parallel::sum_f64_by_index(pool, self.capacity(), 1 << 14, |i| {
             if self.keys[i].load(Ordering::Acquire) != EMPTY {
-                f64::from_bits(self.vals[i].load(Ordering::Acquire))
+                self.vals[i].load()
             } else {
                 0.0
             }
@@ -219,7 +220,7 @@ impl ConcurrentSparseVec {
         pool.run(self.capacity(), 1 << 14, |s, e| {
             for i in s..e {
                 keys[i].store(EMPTY, Ordering::Relaxed);
-                vals[i].store(0f64.to_bits(), Ordering::Relaxed);
+                vals[i].store(0.0);
             }
         });
         for c in self.occupied.iter_mut() {

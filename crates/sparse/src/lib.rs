@@ -23,15 +23,17 @@
 //!
 //! * [`MassMap`] — an adaptive mass vector that starts as a
 //!   [`ConcurrentSparseVec`] and upgrades itself to a direct-indexed
-//!   dense backend ([`DenseMassVec`]: `Vec<AtomicU64>` mass cells + a
-//!   touched bitset, enumerated in key order in `O(n/64 + support)`)
-//!   once the caller-declared key bound crosses a tunable fraction of
-//!   the vertex universe `n`. It is the one destination type of
-//!   `lgc-ligra`'s edge map: every diffusion's `UpdateNgh` adds into a
-//!   `MassMap` (the evolving-set process's `|N(v) ∩ S|` counter too),
-//!   and the query path's other keyed tables — the sweep's ranks and
-//!   rand-HK-PR's destination ids — are `MassMap`s as well, so
-//!   [`ConcurrentSparseVec`] is its sparse backend and nothing else.
+//!   dense backend ([`DenseMassVec`]: `n` [`lgc_parallel::AtomicF64`]
+//!   mass cells + a touched bitset, enumerated in key order and cleaned
+//!   by words in `O(n/64 + support)`) once the caller-declared key bound
+//!   crosses a tunable fraction of the vertex universe `n`. It is the one
+//!   destination type of `lgc-ligra`'s edge map: every diffusion's
+//!   `UpdateNgh` adds into a `MassMap` (the evolving-set process's
+//!   `|N(v) ∩ S|` counter too), and the query path's other keyed tables —
+//!   the sweep's ranks and rand-HK-PR's destination ids — are `MassMap`s
+//!   as well, so [`ConcurrentSparseVec`] is its sparse backend and nothing
+//!   else. The edge map's push sums destinations in a [`DenseMassVec`]
+//!   too: one dense store type.
 //!
 //! # Dense/sparse switch heuristic
 //!

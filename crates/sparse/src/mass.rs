@@ -13,18 +13,20 @@
 //!
 //! * **Sparse mode** wraps [`ConcurrentSparseVec`] unchanged; keys
 //!   enumerate in hash-slot order.
-//! * **Dense mode** ([`DenseMassVec`]) stores `n` atomic `f64` bit cells
-//!   (`Vec<AtomicU64>`) and the *touched set* as a [`Bitset`] — nothing
-//!   else. A first touch sets one bit in the word its key indexes, so no
-//!   two writers ever meet on a location that is not already theirs to
-//!   share through the keys themselves: there is no counter and no list
-//!   tail. The sequential points (`entries*`, `l1_norm`, `len`, `reset`)
-//!   enumerate the set with an `O(n/64 + support)` scan; dense mode is
-//!   only entered with a key bound `≥ frac · n`, which pays for the `n/64`
-//!   words. Keys therefore come back **ascending**, which is what lets
-//!   callers sum masses without a sort. Accumulation uses the same CAS
-//!   fetch-add as the sparse table, so concurrent `add`s to one key never
-//!   lose mass.
+//! * **Dense mode** ([`DenseMassVec`]) stores `n` [`AtomicF64`] cells and
+//!   the *touched set* as a [`Bitset`] — nothing else. A first touch sets
+//!   one bit in the word its key indexes, so no two writers ever meet on a
+//!   location that is not already theirs to share through the keys
+//!   themselves: there is no counter and no list tail. The sequential
+//!   points (`entries*`, `l1_norm`, `len`) enumerate the set with an
+//!   `O(n/64 + support)` scan, and `reset` cleans it by words — the
+//!   touched words' cells, then the words — in the same bound; dense mode
+//!   is only entered with a key bound `≥ frac · n`, which pays for the
+//!   `n/64` words. Keys therefore come back **ascending**, which is what
+//!   lets callers sum masses without a sort. Accumulation is the same
+//!   [`AtomicF64::fetch_add`] as the sparse table's, so concurrent `add`s
+//!   to one key never lose mass. `lgc-ligra`'s push sums destinations in
+//!   a [`DenseMassVec`] of its own, by the same first-touch rule.
 //!
 //! # Switch heuristic
 //!
@@ -58,50 +60,94 @@
 //! `0.0` for a key nobody wrote.
 
 use crate::conc::ConcurrentSparseVec;
-use lgc_parallel::{
-    atomic_f64_fetch_add, map_index, merge_sort_by, sum_f64_by_index, Bitset, Pool,
-};
-use std::sync::atomic::{AtomicU64, Ordering};
+use lgc_parallel::{map_index, merge_sort_by, ones, sum_f64_by_index, AtomicF64, Bitset, Pool};
 
-/// Direct-indexed dense backend: `n` atomic mass cells plus the touched
-/// set, one bit per key (see the module docs).
+/// Words per chunk of a dense clean: 4 096 cells.
+const CLEAN_GRAIN_WORDS: usize = 64;
+
+/// `n` mass cells plus first-touch bits over the universe `0..n` — the one
+/// dense store: [`MassMap`]'s dense backend and `lgc-ligra`'s push sums.
+/// Writers [`mark`](DenseMassVec::mark) the keys they write; between uses
+/// it is clean ([`DenseMassVec::is_clear`]), by a dense [`MassMap`]'s reset or
+/// by an owner of whole words zeroing their cells, then the words.
 pub struct DenseMassVec {
-    /// `f64` mass bits per vertex (`⊥ = 0.0`).
-    vals: Box<[AtomicU64]>,
+    /// Mass per key (`⊥ = 0.0`).
+    cells: Box<[AtomicF64]>,
     /// The keys present. Write phases only ever add members.
     touched: Bitset,
 }
 
 impl DenseMassVec {
-    fn new(n: usize) -> Self {
+    /// A clean store over the universe `0..n`.
+    pub fn new(n: usize) -> Self {
         DenseMassVec {
-            vals: (0..n).map(|_| AtomicU64::new(0f64.to_bits())).collect(),
+            cells: (0..n).map(|_| AtomicF64::default()).collect(),
             touched: Bitset::new(n),
         }
     }
 
-    fn universe(&self) -> usize {
-        self.vals.len()
+    /// The universe size `n` fixed at construction.
+    pub fn universe(&self) -> usize {
+        self.cells.len()
     }
 
-    /// Resident bytes of the value array and the touched bits.
-    fn resident_bytes(&self) -> usize {
-        self.universe() * std::mem::size_of::<AtomicU64>() + self.touched.resident_bytes()
+    /// Resident bytes of the cells and the touched bits.
+    pub fn resident_bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.cells) + self.touched.resident_bytes()
     }
 
-    /// Records `key` as present (write phase). The load skips the RMW on
-    /// the hot already-touched path; a first touch is one `fetch_or` on
-    /// the word `key` indexes.
+    /// The cell of `key`.
     #[inline]
-    fn mark(&self, key: u32) {
-        if !self.touched.contains(key) {
-            self.touched.insert(key);
+    pub fn cell(&self, key: u32) -> &AtomicF64 {
+        &self.cells[key as usize]
+    }
+
+    /// The keys marked since the last clean.
+    pub fn touched(&self) -> &Bitset {
+        &self.touched
+    }
+
+    /// Records `key` as present (write phase) and says, as
+    /// [`Bitset::insert`] does, whether it was absent and whether its word
+    /// was empty. The load skips the RMW on the hot already-touched path;
+    /// a first touch is one `fetch_or` on the word `key` indexes.
+    #[inline]
+    pub fn mark(&self, key: u32) -> (bool, bool) {
+        match self.touched.contains(key) {
+            true => (false, false),
+            false => self.touched.insert(key),
         }
+    }
+
+    /// Zeroes the touched cells and empties the set, by words —
+    /// `O(n/64 + support)` (sequential point): the touched words' cells,
+    /// then the words. Those are the two loops a store wipe offers the pool,
+    /// which `tests/dense_frontier.rs` counts exactly.
+    fn clear(&mut self, pool: &Pool) {
+        let (cells, touched) = (&self.cells, &self.touched);
+        let words = touched.num_words();
+        pool.run(words, CLEAN_GRAIN_WORDS, |s, e| {
+            for w in s..e {
+                ones(w, touched.word(w)).for_each(|v| cells[v as usize].store(0.0));
+            }
+        });
+        pool.run(words, CLEAN_GRAIN_WORDS, |s, e| {
+            for w in (s..e).filter(|&w| touched.word(w) != 0) {
+                touched.store_word(w, 0);
+            }
+        });
+    }
+
+    /// Whether every cell is `0.0` and every bit clear. `O(n)`: for
+    /// assertions.
+    pub fn is_clear(&self) -> bool {
+        let zero = 0f64.to_bits();
+        self.touched.count_seq() == 0 && self.cells.iter().all(|c| c.load().to_bits() == zero)
     }
 
     #[inline]
     fn add(&self, key: u32, delta: f64) {
-        atomic_f64_fetch_add(&self.vals[key as usize], delta);
+        self.cell(key).fetch_add(delta);
         self.mark(key);
     }
 
@@ -109,40 +155,27 @@ impl DenseMassVec {
     /// Returns the new value.
     #[inline]
     fn add_exclusive(&self, key: u32, delta: f64) -> f64 {
-        let cell = &self.vals[key as usize];
-        let sum = f64::from_bits(cell.load(Ordering::Relaxed)) + delta;
-        cell.store(sum.to_bits(), Ordering::Relaxed);
+        let cell = self.cell(key);
+        let sum = cell.load() + delta;
+        cell.store(sum);
         self.mark(key);
         sum
     }
 
     #[inline]
     fn set(&self, key: u32, value: f64) {
-        self.vals[key as usize].store(value.to_bits(), Ordering::Release);
+        self.cell(key).store(value);
         self.mark(key);
     }
 
     #[inline]
     fn get(&self, key: u32) -> f64 {
-        f64::from_bits(self.vals[key as usize].load(Ordering::Acquire))
+        self.cell(key).load()
     }
 
     /// The keys present, ascending — `O(n/64 + support)` (read phase).
     fn keys(&self, pool: &Pool) -> Vec<u32> {
         self.touched.to_sorted_ids(pool)
-    }
-
-    /// Zeroes the touched cells and empties the set — `O(n/64 + support)`
-    /// (sequential point).
-    fn clear(&mut self, pool: &Pool) {
-        let keys = self.keys(pool);
-        let vals = &self.vals;
-        pool.run(keys.len(), 1 << 12, |s, e| {
-            for &k in &keys[s..e] {
-                vals[k as usize].store(0f64.to_bits(), Ordering::Relaxed);
-            }
-        });
-        self.touched.clear_sorted(pool, &keys);
     }
 }
 
@@ -150,6 +183,31 @@ impl DenseMassVec {
 enum MassStore {
     Sparse(ConcurrentSparseVec),
     Dense(DenseMassVec),
+}
+
+/// Whether a map over `0..n` at dense fraction `frac` runs dense for
+/// `bound` keys (clamped to `n`, see [`MassMap::reset`]).
+fn wants_dense(n: usize, frac: f64, bound: usize) -> bool {
+    n > 0 && (bound.min(n) as f64) >= frac * n as f64
+}
+
+/// A clean dense store over `0..n`: `spare` if it has that universe.
+fn take_dense(n: usize, spare: &mut Option<DenseMassVec>) -> DenseMassVec {
+    let dense = spare.take().filter(|d| d.universe() == n);
+    debug_assert!(dense.as_ref().is_none_or(DenseMassVec::is_clear));
+    dense.unwrap_or_else(|| DenseMassVec::new(n))
+}
+
+impl MassStore {
+    /// An empty store fit for `bound` keys over `0..n` at dense fraction
+    /// `frac`, exactly as a fresh map gets; a dense one is `spare` if that
+    /// fits. Builds only the store it returns.
+    fn empty(n: usize, frac: f64, bound: usize, spare: &mut Option<DenseMassVec>) -> Self {
+        match wants_dense(n, frac, bound) {
+            true => MassStore::Dense(take_dense(n, spare)),
+            false => MassStore::Sparse(ConcurrentSparseVec::with_capacity(bound.min(n))),
+        }
+    }
 }
 
 /// An adaptive concurrent map from vertex id (`< n`) to `f64` mass that
@@ -188,14 +246,12 @@ impl MassMap {
     /// pins the map to sparse mode.
     pub fn with_dense_fraction(n: usize, bound: usize, frac: f64) -> Self {
         assert!(frac >= 0.0 && !frac.is_nan(), "fraction must be ≥ 0");
-        let mut map = MassMap {
+        MassMap {
             n,
             dense_frac: frac,
-            store: MassStore::Sparse(ConcurrentSparseVec::with_capacity(0)),
+            store: MassStore::empty(n, frac, bound, &mut None),
             spare_dense: None,
-        };
-        map.store = map.empty_store(bound);
-        map
+        }
     }
 
     /// Clamps a caller bound to the universe: at most `n` distinct keys
@@ -203,35 +259,6 @@ impl MassMap {
     /// (and clamping makes `frac > 1.0` genuinely pin sparse mode).
     fn clamp_bound(&self, bound: usize) -> usize {
         bound.min(self.n)
-    }
-
-    fn wants_dense(&self, bound: usize) -> bool {
-        self.n > 0 && (self.clamp_bound(bound) as f64) >= self.dense_frac * self.n as f64
-    }
-
-    /// Clean dense buffers for this universe — the stashed ones if any.
-    fn clean_dense(&mut self) -> DenseMassVec {
-        let dense = self
-            .spare_dense
-            .take()
-            .filter(|d| d.universe() == self.n)
-            .unwrap_or_else(|| DenseMassVec::new(self.n));
-        debug_assert_eq!(
-            dense.touched.count_seq(),
-            0,
-            "spare dense buffers must be clean"
-        );
-        dense
-    }
-
-    /// An empty store fit for `bound` keys, exactly as a fresh map gets.
-    fn empty_store(&mut self, bound: usize) -> MassStore {
-        let bound = self.clamp_bound(bound);
-        if self.wants_dense(bound) {
-            MassStore::Dense(self.clean_dense())
-        } else {
-            MassStore::Sparse(ConcurrentSparseVec::with_capacity(bound))
-        }
     }
 
     /// Whether the map currently runs on the dense backend.
@@ -366,8 +393,8 @@ impl MassMap {
     /// cleaned and stashed.
     fn refit(&mut self, pool: &Pool, bound: usize, exact: bool) {
         let bound = self.clamp_bound(bound);
-        let wants_dense = self.wants_dense(bound);
-        match (&mut self.store, wants_dense) {
+        let dense = wants_dense(self.n, self.dense_frac, bound);
+        match (&mut self.store, dense) {
             (MassStore::Dense(d), true) => d.clear(pool),
             (MassStore::Sparse(s), false)
                 if !exact || s.capacity() == ConcurrentSparseVec::fresh_capacity(bound) =>
@@ -375,7 +402,7 @@ impl MassMap {
                 s.reset(pool, bound)
             }
             _ => {
-                let fresh = self.empty_store(bound);
+                let fresh = MassStore::empty(self.n, self.dense_frac, bound, &mut self.spare_dense);
                 if let MassStore::Dense(mut d) = std::mem::replace(&mut self.store, fresh) {
                     d.clear(pool);
                     self.spare_dense = Some(d);
@@ -423,9 +450,9 @@ impl MassMap {
             return;
         };
         let bound = self.clamp_bound(s.len() + extra);
-        if self.wants_dense(bound) {
+        if wants_dense(self.n, self.dense_frac, bound) {
             let entries = s.entries(pool);
-            let dense = self.clean_dense();
+            let dense = take_dense(self.n, &mut self.spare_dense);
             pool.run(entries.len(), 1 << 12, |st, en| {
                 for &(k, v) in &entries[st..en] {
                     dense.set(k, v);
@@ -546,6 +573,64 @@ mod tests {
         for k in (0..10_000u32).step_by(7) {
             assert_eq!(m.get(k), 0.0);
             assert!(!m.contains(k));
+        }
+    }
+
+    /// The dense clean, forked: a map over 3 125 words, filled by
+    /// key-partitioned writers, comes back clean from `reset` and from
+    /// `recycle` — dense → dense, and dense → sparse → dense through the
+    /// stash — and a refill then reads what a fresh map reads, to the bit.
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn the_dense_clean_forks_by_words_and_leaves_no_trace() {
+        let n = 200_000;
+        let pool = Pool::new(2);
+        // One writer per 4 096-key chunk; the keys reach every word.
+        let fill = |m: &MassMap, salt: u32| {
+            pool.run(n, 1 << 12, |s, e| {
+                for k in s as u32..e as u32 {
+                    if (k ^ salt) % 5 < 2 {
+                        m.add_exclusive(k, 0.5);
+                        m.add_exclusive(k, 1.0 / f64::from(k + 1));
+                    }
+                    if (k ^ salt) % 11 == 7 {
+                        m.set(k, f64::from(k) * 0.125);
+                    }
+                }
+            });
+        };
+        let is_clear = |m: &MassMap| match &m.store {
+            MassStore::Dense(d) => d.is_clear(),
+            MassStore::Sparse(_) => false,
+        };
+        let mut m = dense_map(n, n);
+        fill(&m, 0);
+        let steps = ["reset", "recycle dense → dense", "dense → sparse → dense"];
+        for (salt, what) in (1..).zip(steps) {
+            let forked = pool.stats().loops_forked;
+            match salt {
+                1 => m.reset(&pool, n),
+                2 => m.recycle(&pool, n, n, 0.0),
+                _ => {
+                    m.recycle(&pool, n, 1, f64::INFINITY);
+                    assert!(!m.is_dense() && m.is_empty());
+                    assert!(m.spare_dense.as_ref().is_some_and(DenseMassVec::is_clear));
+                    m.recycle(&pool, n, n, 0.0);
+                }
+            }
+            let forked = pool.stats().loops_forked - forked;
+            assert!(forked > 0, "{what}: the clean forks");
+            assert!(is_clear(&m), "{what}");
+            let fresh = dense_map(n, n);
+            fill(&m, salt);
+            fill(&fresh, salt);
+            assert_eq!(
+                m.entries_sorted(&pool),
+                fresh.entries_sorted(&pool),
+                "{what}"
+            );
+            let l1 = |m: &MassMap| m.l1_norm(&pool).to_bits();
+            assert_eq!(l1(&m), l1(&fresh), "{what}");
         }
     }
 
