@@ -17,22 +17,17 @@
 //! how they are taken).
 
 use lgc_bench::{
-    fig10_claim, hardware_threads, suite, suite_seed, table1_claim, time, time_best_of, SuiteGraph,
+    fig10_claim, fig4_claim, hardware_threads, suite, suite_seed, table1_claim, time, time_best_of,
+    SuiteGraph,
 };
 use lgc_core as lgc;
-use lgc_core::{PrNibbleParams, PushRule, Seed};
+use lgc_core::{Algorithm, Engine, LocalDiffusion, PrNibbleParams, PushRule, Seed, Workspace};
 use lgc_parallel::Pool;
 
 /// Paper parameters, scaled once for laptop-size graphs (ε relaxed ~10×
 /// vs. the paper because our graphs are ~1000× smaller).
 mod params {
     use lgc_core::*;
-    pub fn nibble() -> NibbleParams {
-        NibbleParams {
-            t_max: 20,
-            eps: 1e-7,
-        }
-    }
     pub fn prnibble() -> PrNibbleParams {
         PrNibbleParams {
             alpha: 0.01,
@@ -40,20 +35,30 @@ mod params {
             ..Default::default()
         }
     }
-    pub fn hkpr() -> HkprParams {
-        HkprParams {
+    /// The four diffusions Table 3 and Figure 9 time, with their row
+    /// labels; Nibble first (Table 3 sweeps its output).
+    pub fn diffusions() -> [(&'static str, Algorithm); 4] {
+        let nibble = NibbleParams {
+            t_max: 20,
+            eps: 1e-7,
+        };
+        let hkpr = HkprParams {
             t: 10.0,
             n_levels: 20,
             eps: 1e-6,
-        }
-    }
-    pub fn rand_hkpr() -> RandHkprParams {
-        RandHkprParams {
+        };
+        let rand_hkpr = RandHkprParams {
             t: 10.0,
             max_len: 10,
             walks: 100_000,
             rng_seed: 42,
-        }
+        };
+        [
+            ("Nibble", Algorithm::Nibble(nibble)),
+            ("PR-Nibble", Algorithm::PrNibble(prnibble())),
+            ("HK-PR", Algorithm::Hkpr(hkpr)),
+            ("rand-HK-PR", Algorithm::RandHkpr(rand_hkpr)),
+        ]
     }
 }
 
@@ -71,11 +76,11 @@ fn main() {
     let (graphs, gen_secs) = time(|| suite(quick));
     println!("# graph suite generated in {gen_secs:.1}s\n");
 
-    // Whether every checked claim held (`table1`, `fig10`).
+    // Whether every checked claim held (`fig4`, `table1`, `fig10`).
     let mut ok = true;
     match cmd {
         "table2" => table2(&graphs),
-        "fig4" => fig4(&graphs),
+        "fig4" => ok = fig4(&graphs),
         "table1" => ok = table1(&graphs, max_threads),
         "table3" => table3(&graphs, max_threads),
         "fig8" => fig8(&graphs),
@@ -86,8 +91,8 @@ fn main() {
         "evolving" => evolving(&graphs, max_threads),
         "all" => {
             table2(&graphs);
-            fig4(&graphs);
-            ok = table1(&graphs, max_threads);
+            ok = fig4(&graphs);
+            ok &= table1(&graphs, max_threads);
             table3(&graphs, max_threads);
             fig8(&graphs);
             fig9(&graphs, max_threads);
@@ -126,12 +131,16 @@ fn table2(graphs: &[SuiteGraph]) {
 }
 
 /// Figure 4: original vs optimized sequential PR-Nibble, normalized.
-fn fig4(graphs: &[SuiteGraph]) {
+/// Returns whether every row met the deterministic half of the paper's
+/// claim ([`fig4_claim`]: pushes and conductance, not time); a row that
+/// did not is named on stderr and `repro` exits 1.
+fn fig4(graphs: &[SuiteGraph]) -> bool {
     println!("== Figure 4: PR-Nibble original vs optimized update rule (sequential) ==");
     println!(
-        "{:<18} {:>12} {:>12} {:>10} {:>12} {:>12}",
-        "graph", "orig (ms)", "opt (ms)", "speedup", "phi(orig)", "phi(opt)"
+        "{:<18} {:>12} {:>12} {:>10} {:>12} {:>12} {:>11}",
+        "graph", "orig (ms)", "opt (ms)", "speedup", "phi(orig)", "phi(opt)", "push ratio"
     );
+    let mut ok = true;
     for sg in graphs {
         let seed = Seed::single(suite_seed(&sg.graph));
         let base = params::prnibble();
@@ -158,17 +167,27 @@ fn fig4(graphs: &[SuiteGraph]) {
         // The paper observes both rules return same-conductance clusters.
         let phi_orig = lgc::sweep_cut_seq(&sg.graph, &d_orig.p).best_conductance;
         let phi_opt = lgc::sweep_cut_seq(&sg.graph, &d_opt.p).best_conductance;
+        let (orig_pushes, opt_pushes) = (d_orig.stats.pushes, d_opt.stats.pushes);
         println!(
-            "{:<18} {:>12.1} {:>12.1} {:>9.2}x {:>12.5} {:>12.5}",
+            "{:<18} {:>12.1} {:>12.1} {:>9.2}x {:>12.5} {:>12.5} {:>10.2}x",
             sg.name,
             t_orig * 1e3,
             t_opt * 1e3,
             t_orig / t_opt,
             phi_orig,
-            phi_opt
+            phi_opt,
+            opt_pushes as f64 / orig_pushes.max(1) as f64
         );
+        if let Err(why) = fig4_claim(orig_pushes, opt_pushes, phi_orig, phi_opt) {
+            eprintln!("fig4: {}: {why}", sg.name);
+            ok = false;
+        }
     }
-    println!("# paper: optimized wins by 1.4-6.4x with identical conductance\n");
+    println!("# paper: optimized wins by 1.4-6.4x with identical conductance");
+    println!(
+        "# checked: opt pushes <= orig pushes and phi(opt) <= phi(orig) + 0.01 (times are not)\n"
+    );
+    ok
 }
 
 /// Table 1: pushes (sequential vs parallel) and parallel iterations.
@@ -186,7 +205,7 @@ fn table1(graphs: &[SuiteGraph], max_threads: usize) -> bool {
         let seed = Seed::single(suite_seed(&sg.graph));
         let p = params::prnibble();
         let d_seq = lgc::prnibble_seq(&sg.graph, &seed, &p);
-        let d_par = lgc::prnibble_par(&pool, &sg.graph, &seed, &p);
+        let d_par = Algorithm::PrNibble(p).diffuse(&pool, &sg.graph, &seed, &mut Workspace::new());
         println!(
             "{:<18} {:>14} {:>14} {:>8.2} {:>12}",
             sg.name,
@@ -235,29 +254,17 @@ fn table3(graphs: &[SuiteGraph], max_threads: usize) {
             );
         };
 
-        let nb = params::nibble();
-        let (_, ts) = time_best_of(2, || lgc::nibble_seq(g, &seed, &nb));
-        let (_, t1) = time_best_of(2, || lgc::nibble_par(&pool1, g, &seed, &nb));
-        let (d_nibble, tp) = time_best_of(2, || lgc::nibble_par(&poolp, g, &seed, &nb));
-        row("Nibble", ts, t1, tp);
-
-        let pr = params::prnibble();
-        let (_, ts) = time_best_of(2, || lgc::prnibble_seq(g, &seed, &pr));
-        let (_, t1) = time_best_of(2, || lgc::prnibble_par(&pool1, g, &seed, &pr));
-        let (_, tp) = time_best_of(2, || lgc::prnibble_par(&poolp, g, &seed, &pr));
-        row("PR-Nibble", ts, t1, tp);
-
-        let hk = params::hkpr();
-        let (_, ts) = time_best_of(2, || lgc::hkpr_seq(g, &seed, &hk));
-        let (_, t1) = time_best_of(2, || lgc::hkpr_par(&pool1, g, &seed, &hk));
-        let (_, tp) = time_best_of(2, || lgc::hkpr_par(&poolp, g, &seed, &hk));
-        row("HK-PR", ts, t1, tp);
-
-        let rh = params::rand_hkpr();
-        let (_, ts) = time_best_of(2, || lgc::rand_hkpr_seq(g, &seed, &rh));
-        let (_, t1) = time_best_of(2, || lgc::rand_hkpr_par(&pool1, g, &seed, &rh));
-        let (_, tp) = time_best_of(2, || lgc::rand_hkpr_par(&poolp, g, &seed, &rh));
-        row("rand-HK-PR", ts, t1, tp);
+        let mut d_nibble = None;
+        for (alg, algo) in params::diffusions() {
+            let (_, ts) = time_best_of(2, || algo.diffuse_seq(g, &seed));
+            let (_, t1) = time_best_of(2, || algo.diffuse(&pool1, g, &seed, &mut Workspace::new()));
+            let (d, tp) = time_best_of(2, || algo.diffuse(&poolp, g, &seed, &mut Workspace::new()));
+            row(alg, ts, t1, tp);
+            if matches!(algo, Algorithm::Nibble(_)) {
+                d_nibble = Some(d);
+            }
+        }
+        let d_nibble = d_nibble.expect("Table 3 times Nibble");
 
         // Sweep cut on the Nibble output (as in the paper).
         let (_, ts) = time_best_of(3, || lgc::sweep_cut_seq(g, &d_nibble.p));
@@ -397,22 +404,11 @@ fn fig9(graphs: &[SuiteGraph], max_threads: usize) {
             }
             println!("{:<18} {:<14} {}", sg.name, alg, cells.join("  "));
         };
-        let nb = params::nibble();
-        report("Nibble", &|pool| {
-            lgc::nibble_par(pool, g, &seed, &nb);
-        });
-        let pr = params::prnibble();
-        report("PR-Nibble", &|pool| {
-            lgc::prnibble_par(pool, g, &seed, &pr);
-        });
-        let hk = params::hkpr();
-        report("HK-PR", &|pool| {
-            lgc::hkpr_par(pool, g, &seed, &hk);
-        });
-        let rh = params::rand_hkpr();
-        report("rand-HK-PR", &|pool| {
-            lgc::rand_hkpr_par(pool, g, &seed, &rh);
-        });
+        for (alg, algo) in params::diffusions() {
+            report(alg, &|pool| {
+                algo.diffuse(pool, g, &seed, &mut Workspace::new());
+            });
+        }
     }
     println!("# paper: 9-35x on 40 cores (rand-HK-PR >40x); ceiling here = core count\n");
 }
@@ -499,7 +495,7 @@ fn fig11(graphs: &[SuiteGraph], max_threads: usize) {
 /// Figure 12: network community profiles.
 fn fig12(graphs: &[SuiteGraph], max_threads: usize) {
     println!("== Figure 12: network community profiles (min phi per size bucket) ==");
-    let pool = Pool::new(max_threads);
+    let pool = Pool::shared(max_threads);
     for name in ["twitter-sim", "friendster-sim", "yahoo-sim"] {
         let sg = graphs.iter().find(|s| s.name == name).expect("suite graph");
         let params = lgc::NcpParams {
@@ -509,7 +505,8 @@ fn fig12(graphs: &[SuiteGraph], max_threads: usize) {
             rng_seed: 9,
             ..Default::default()
         };
-        let (points, secs) = time(|| lgc::ncp_prnibble(&pool, &sg.graph, &params));
+        let engine = Engine::builder(&sg.graph).shared_pool(pool.clone()).build();
+        let (points, secs) = time(|| engine.ncp(&params));
         // Bucket by powers of two for a compact table.
         let mut buckets: Vec<(usize, f64)> = Vec::new();
         for p in &points {

@@ -1,6 +1,7 @@
 //! What `repro` is built from: the stand-in graph suite (Table 2
-//! analogue), timing helpers, and the paper's Table 1 claim and Figure 10
-//! premise as checks.
+//! analogue), timing helpers, and the paper's Table 1 claim, the
+//! deterministic half of its Figure 4 claim and its Figure 10 premise as
+//! checks.
 //!
 //! The paper's evaluation graphs (SNAP social networks, Twitter, Yahoo
 //! web — up to 6.4B edges) cannot be shipped or held in this container.
@@ -111,6 +112,30 @@ pub fn table1_claim(seq_pushes: u64, par_pushes: u64, par_iterations: u64) -> Re
     Ok(())
 }
 
+/// The deterministic half of the paper's Figure 4 claim for one graph:
+/// sequential PR-Nibble under the optimized push rule does no more pushes
+/// than under the original rule, and finds a cluster at least as good, to
+/// within 0.01 in conductance. (The figure's speedup is a time, which is
+/// not checked.) `Err` says which half broke.
+pub fn fig4_claim(
+    orig_pushes: u64,
+    opt_pushes: u64,
+    phi_orig: f64,
+    phi_opt: f64,
+) -> Result<(), String> {
+    if opt_pushes > orig_pushes {
+        return Err(format!(
+            "the optimized rule pushes {opt_pushes} times, the original {orig_pushes}"
+        ));
+    }
+    if phi_opt.is_nan() || phi_opt > phi_orig + 0.01 {
+        return Err(format!(
+            "optimized conductance {phi_opt:.5} exceeds the original {phi_orig:.5} + 0.01"
+        ));
+    }
+    Ok(())
+}
+
 /// The premise of the paper's Figure 10 for one thread count: the parallel
 /// sweep finds the sequential sweep's cut — the same members and the same
 /// conductance bits — so the figure times one computation two ways. `Err`
@@ -180,6 +205,17 @@ mod tests {
         assert!(e.contains("1.70x"), "{e}");
         let e = table1_claim(1000, 1200, 1000).unwrap_err();
         assert!(e.contains("iterations"), "{e}");
+    }
+
+    #[test]
+    fn fig4_claim_fires_on_either_half() {
+        assert!(fig4_claim(1000, 400, 0.2, 0.209).is_ok());
+        assert!(fig4_claim(1000, 1000, 0.2, 0.1).is_ok());
+        let e = fig4_claim(1000, 1001, 0.2, 0.2).unwrap_err();
+        assert!(e.contains("1001"), "{e}");
+        let e = fig4_claim(1000, 400, 0.2, 0.211).unwrap_err();
+        assert!(e.contains("conductance"), "{e}");
+        assert!(fig4_claim(1000, 400, 0.2, f64::NAN).is_err());
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //!
 //! [`Algorithm`] implements the [`LocalDiffusion`] trait (seed →
 //! diffusion over the shared workspace), and an [`Engine`] query is
-//! *bit-identical* to the corresponding free function: the workspace
+//! *bit-identical* to the same call over a fresh [`Workspace`]: the workspace
 //! checkout path ([`lgc_sparse::MassMap::recycle`],
 //! [`lgc_ligra::VertexSubset::recycle`]) re-fits each recycled buffer so it
 //! is observationally indistinguishable from a fresh allocation, and
@@ -52,11 +52,11 @@ use crate::budget::{
     EngineLimits, InvalidSeed, LifecycleCounters, LifecycleSnapshot, PartialResult, QueryError,
 };
 use crate::evolving::{evolving_set_par_ws, evolving_set_seq};
-use crate::hkpr::{hkpr_par_ws, hkpr_seq};
-use crate::ncp::{ncp_prnibble_ws, NcpParams, NcpPoint};
-use crate::nibble::{nibble_par_ws, nibble_seq};
-use crate::prnibble::{prnibble_par_ws, prnibble_seq};
-use crate::rand_hkpr::{rand_hkpr_par_ws, rand_hkpr_seq};
+use crate::hkpr::{hkpr_par, hkpr_seq};
+use crate::ncp::{ncp_prnibble, NcpParams, NcpPoint};
+use crate::nibble::{nibble_par, nibble_seq};
+use crate::prnibble::{prnibble_par, prnibble_seq};
+use crate::rand_hkpr::{rand_hkpr_par, rand_hkpr_seq};
 use crate::result::{ClusterResult, Diffusion};
 use crate::seed::Seed;
 use crate::sweep::sweep_cut_par_ws;
@@ -96,11 +96,13 @@ pub trait LocalDiffusion {
 
     /// Runs the work-efficient parallel algorithm from `seed`, checking
     /// scratch buffers out of `ws` (and returning them) instead of
-    /// allocating. Passing a fresh [`Workspace`] is exactly the free
-    /// function; passing a warm one gives the same bits without the
-    /// allocator traffic. Generic over the CSR backend — plain and
-    /// byte-compressed adjacency produce bit-identical output because
-    /// both enumerate neighbors in ascending order.
+    /// allocating. This is the one parallel entry per diffusion: over a
+    /// fresh [`Workspace`] it is a one-shot run, over a warm one it gives
+    /// the same bits without the allocator traffic (an [`Engine`] keeps the
+    /// warm ones; [`Engine::diffuse`] is this call over a checkout).
+    /// Generic over the CSR backend — plain and byte-compressed adjacency
+    /// produce bit-identical output because both enumerate neighbors in
+    /// ascending order.
     fn diffuse<B: CsrBackend>(
         &self,
         pool: &Pool,
@@ -137,10 +139,10 @@ impl LocalDiffusion for Algorithm {
         cp: &Checkpoint,
     ) -> Result<Diffusion, Tripped<Diffusion>> {
         match self {
-            Algorithm::Nibble(p) => nibble_par_ws(pool, g, seed, p, ws, cp),
-            Algorithm::PrNibble(p) => prnibble_par_ws(pool, g, seed, p, ws, cp),
-            Algorithm::Hkpr(p) => hkpr_par_ws(pool, g, seed, p, ws, cp),
-            Algorithm::RandHkpr(p) => rand_hkpr_par_ws(pool, g, seed, p, ws, cp),
+            Algorithm::Nibble(p) => nibble_par(pool, g, seed, p, ws, cp),
+            Algorithm::PrNibble(p) => prnibble_par(pool, g, seed, p, ws, cp),
+            Algorithm::Hkpr(p) => hkpr_par(pool, g, seed, p, ws, cp),
+            Algorithm::RandHkpr(p) => rand_hkpr_par(pool, g, seed, p, ws, cp),
             // The evolving-set process selects a *set*, not a mass vector;
             // as a diffusion it yields the membership indicator of its
             // best set (mass `1/|S|` per member). [`Engine::run`] bypasses
@@ -377,8 +379,8 @@ pub(crate) enum Admission {
 /// the same registered graph) share the pool, the warm workspaces and
 /// the robustness counters. See the crate docs for the full story.
 ///
-/// Queries through a warm engine return results bit-identical to the
-/// corresponding free functions (`prnibble_par` + `sweep_cut_par`, …) —
+/// Queries through a warm engine return results bit-identical to a cold
+/// run over a fresh [`Workspace`] ([`crate::find_cluster`]) —
 /// workspace checkouts are invisible in the output, only in the
 /// allocator profile and the amortized per-query latency
 /// (`core.engine.cold_over_warm` in `benchmark/`).
@@ -560,8 +562,9 @@ impl<'g, B: CsrBackend> Engine<'g, B> {
         self.execute(self.pool(), None, query, Admission::Governed)
     }
 
-    /// Runs just the diffusion of `algo` from `seed` (no sweep).
-    /// Equivalent to the algorithm's `*_par` free function.
+    /// Runs just the diffusion of `algo` from `seed` (no sweep):
+    /// [`LocalDiffusion::diffuse`] over a checked-out workspace, bit for
+    /// bit the same as over a fresh one.
     ///
     /// # Panics
     /// On an out-of-range seed or parameters failing
@@ -583,7 +586,7 @@ impl<'g, B: CsrBackend> Engine<'g, B> {
     pub fn ncp(&self, params: &NcpParams) -> Vec<NcpPoint> {
         let _caller = self.pool().enter();
         let mut ws = self.core.workspaces.checkout();
-        let out = ncp_prnibble_ws(self.pool(), self.g, params, &mut ws);
+        let out = ncp_prnibble(self.pool(), self.g, params, &mut ws);
         self.core.workspaces.restore(ws, &self.core.counters);
         out
     }
@@ -593,8 +596,8 @@ impl<'g, B: CsrBackend> Engine<'g, B> {
 mod tests {
     use super::*;
     use crate::{
-        evolving_set_par, find_cluster, hkpr_par, nibble_par, prnibble_par, rand_hkpr_par,
-        EvolvingParams, HkprParams, NibbleParams, PrNibbleParams, RandHkprParams,
+        evolving_set_par, find_cluster, EvolvingParams, HkprParams, NibbleParams, PrNibbleParams,
+        RandHkprParams,
     };
     use lgc_graph::gen;
 
@@ -654,22 +657,17 @@ mod tests {
         }
     }
 
-    /// `engine.diffuse` is the `*_par` free function, workspace-backed.
+    /// `engine.diffuse` over a warm workspace is `LocalDiffusion::diffuse`
+    /// over a fresh one.
     #[test]
-    fn engine_diffuse_matches_par_free_functions() {
+    fn engine_diffuse_matches_a_fresh_workspace() {
         let g = gen::rand_local(600, 5, 3);
         let seed = Seed::single(0);
         let engine = Engine::builder(&g).threads(1).build();
         let pool = Pool::new(1);
         for algo in algorithms() {
             let warm = engine.diffuse(&seed, &algo);
-            let cold = match &algo {
-                Algorithm::Nibble(p) => nibble_par(&pool, &g, &seed, p),
-                Algorithm::PrNibble(p) => prnibble_par(&pool, &g, &seed, p),
-                Algorithm::Hkpr(p) => hkpr_par(&pool, &g, &seed, p),
-                Algorithm::RandHkpr(p) => rand_hkpr_par(&pool, &g, &seed, p),
-                Algorithm::Evolving(p) => evolving_set_par(&pool, &g, &seed, p).indicator(),
-            };
+            let cold = algo.diffuse(&pool, &g, &seed, &mut Workspace::new());
             assert_eq!(warm.p, cold.p, "{}", algo.name());
         }
     }
@@ -944,8 +942,8 @@ mod tests {
         assert_eq!(engine.summary(), GraphSummary::of(&g));
     }
 
-    /// `engine.ncp` equals the free `ncp_prnibble` over the same pool
-    /// shape (both fully deterministic given the RNG seed).
+    /// `engine.ncp` equals `ncp_prnibble` over a fresh workspace and the
+    /// same pool shape (both fully deterministic given the RNG seed).
     #[test]
     fn engine_ncp_matches_free_function() {
         let g = gen::rand_local(200, 5, 8);
@@ -960,7 +958,7 @@ mod tests {
         let warm = engine.ncp(&params);
         let warm_again = engine.ncp(&params);
         let pool = Pool::new(1);
-        let cold = crate::ncp_prnibble(&pool, &g, &params);
+        let cold = ncp_prnibble(&pool, &g, &params, &mut Workspace::new());
         assert_eq!(warm.len(), cold.len());
         for ((a, b), c) in warm.iter().zip(&cold).zip(&warm_again) {
             assert_eq!(a.size, b.size);

@@ -14,23 +14,24 @@
 //! ```
 //!
 //! Only `S` and its boundary can have `p(v, S) > 0`, so each step costs
-//! `O(vol(S))`: one `edgeMap` counts `|N(v) ∩ S|`, then a parallel filter
-//! applies the threshold. The count is a spread of contributions ≡ 1.0
-//! over `S`'s edges ([`lgc_ligra::EdgeSpread`], which also chooses the
-//! direction) into a [`MassMap`] checked out of the workspace like the
-//! diffusions' stores — integer-valued sums, exact below 2⁵³, so the
-//! sequential and parallel versions, both traversal directions and both
-//! store modes agree bit for bit and follow the same random trajectory.
+//! `O(vol(S))`: one `edgeMap` counts `|N(v) ∩ S|` and applies the
+//! threshold as it lands each count. The count is a spread of
+//! contributions ≡ 1.0 over `S`'s edges ([`lgc_ligra::EdgeSpread`], which
+//! also chooses the direction) into a [`MassMap`] checked out of the
+//! workspace like the diffusions' stores — integer-valued sums, exact
+//! below 2⁵³, so the sequential and parallel versions, both traversal
+//! directions and both store modes agree bit for bit and follow the same
+//! random trajectory.
 //! The lowest-conductance set seen is tracked and returned.
 //!
 //! Each step is one iteration of the shared frontier driver, with `S` as
 //! the frontier, so a step is charged like any other diffusion's iteration:
 //! `|S|` pushes and `vol(S)` edges, the counters its checkpoint ticks on
-//! and its [`DiffusionStats`] report. The edge map does not filter the next
-//! set (`NO_ADMIT`), for two reasons. Its admission test `p(v, S) ≥ U`
-//! needs `1[v ∈ S]`, which the edge map's `keep(v, count)` is not given.
-//! And `snapshot` computes each step's conductance from the member list, so
-//! a dense-native set would be unpacked straight away.
+//! and its [`DiffusionStats`] report. The edge map also hands back the next
+//! set, as every diffusion's does: each member of `S` writes its own key
+//! (count `0`) into the counter as it stages, so `keep(v, count)` is asked
+//! of exactly `S ∪ N(S)`, and it reads `1[v ∈ S]` from `S`'s sorted member
+//! list.
 
 use crate::budget::InvalidParams;
 use crate::driver::drive;
@@ -38,8 +39,8 @@ use crate::result::{Diffusion, DiffusionStats};
 use crate::seed::Seed;
 use crate::workspace::Workspace;
 use lgc_graph::CsrBackend;
-use lgc_ligra::{Absorb, Checkpoint, Tripped, VertexSubset, NO_ADMIT};
-use lgc_parallel::{filter_map_index, Pool};
+use lgc_ligra::{Absorb, Checkpoint, Tripped, VertexSubset};
+use lgc_parallel::Pool;
 use lgc_sparse::{MassMap, SparseVec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -174,7 +175,8 @@ pub fn evolving_set_seq<B: CsrBackend>(
 }
 
 /// Parallel evolving set process: membership counting is one `edgeMap`
-/// accumulating exact integers, the threshold test one parallel filter.
+/// accumulating exact integers, which applies the threshold test as its
+/// `keep`.
 /// Follows the identical random trajectory as [`evolving_set_seq`] for
 /// the same `rng_seed` (the counts are exact, so no float-order drift).
 pub fn evolving_set_par<B: CsrBackend>(
@@ -223,33 +225,32 @@ pub(crate) fn evolving_set_par_ws<B: CsrBackend>(
     } else {
         params.max_steps
     };
-    let step = |pool: &Pool, _: usize, vol: usize, current: &mut VertexSubset| {
+    let step = |pool: &Pool, k: usize, vol: usize, current: &mut VertexSubset| {
         let u: f64 = rng.gen_range(f64::MIN_POSITIVE..=1.0);
-        inside.reset(pool, vol.max(1));
+        inside.reset(pool, k + vol);
+        let members = current.ids(pool).to_vec();
         // Exact |N(v) ∩ S| counts for everything adjacent to S: every
-        // member sends 1.0 along each of its edges.
-        let staged = ws.spread.stage(pool, g, current, vol, |_| 1.0);
-        staged.absorb(Absorb::Sum, &mut inside, NO_ADMIT);
-        let mut cands: Vec<u32> = inside.entries(pool).into_iter().map(|(v, _)| v).collect();
-        cands.extend_from_slice(current.ids(pool));
-        cands.sort_unstable();
-        cands.dedup();
-        let member_ids = current.ids(pool).to_vec();
-        let mut next: Vec<u32> = filter_map_index(pool, cands.len(), |i| {
-            let v = cands[i];
-            let member = member_ids.binary_search(&v).is_ok();
-            (transition(member, inside.get(v) as u64, g.degree(v)) >= u).then_some(v)
+        // member sends 1.0 along each of its edges, and holds a key of
+        // `inside` itself, so the edge map asks `keep` of exactly S ∪ N(S)
+        // (members with no S-neighbor still qualify through the lazy
+        // self-loop ½ ≥ u half the time) and leaves S′ in `current`.
+        let staged = ws.spread.stage(pool, g, current, vol, |v| {
+            inside.set(v, 0.0);
+            1.0
         });
-        next.sort_unstable();
-        sizes.push(next.len());
-        if next.is_empty() || next.len() == g.num_vertices() {
+        let keep = |v: u32, m: f64| {
+            let member = members.binary_search(&v).is_ok();
+            transition(member, m as u64, g.degree(v)) >= u
+        };
+        staged.absorb(Absorb::Sum, &mut inside, Some(keep));
+        sizes.push(current.len());
+        if current.is_empty() || current.len() == g.num_vertices() {
             return false;
         }
-        let snap = snapshot(g, &next);
+        let snap = snapshot(g, current.ids(pool));
         if snap.1 < best.1 {
             best = snap;
         }
-        current.advance(pool, next);
         best.1 > target
     };
     let (stats, tripped) = drive(pool, g, cp, max_steps, &mut current, step);
@@ -456,7 +457,7 @@ mod tests {
     /// runs dense, and for one below it, whose count runs sparse.
     #[test]
     fn a_counter_from_a_dense_left_pool_keeps_the_result() {
-        use crate::prnibble::{prnibble_par_ws, PrNibbleParams};
+        use crate::prnibble::{prnibble_par, PrNibbleParams};
         let g = gen::rand_local(2000, 5, 7);
         let n = g.num_vertices();
         let pool = Pool::new(2);
@@ -476,7 +477,7 @@ mod tests {
                 ..Default::default()
             };
             let mut ws = Workspace::new();
-            prnibble_par_ws(&pool, &g, &Seed::single(9), &all_dense, &mut ws, &cp).unwrap();
+            prnibble_par(&pool, &g, &Seed::single(9), &all_dense, &mut ws, &cp).unwrap();
             let warm = evolving_set_par_ws(&pool, &g, seed, &params, &mut ws, &cp).unwrap();
             let cold = evolving_set_par(&pool, &g, seed, &params);
             assert_eq!(warm.best_set, cold.best_set);

@@ -22,8 +22,7 @@
 mod par;
 mod seq;
 
-pub use par::hkpr_par;
-pub(crate) use par::hkpr_par_ws;
+pub(crate) use par::hkpr_par;
 pub use seq::hkpr_seq;
 
 use crate::budget::InvalidParams;

@@ -31,22 +31,17 @@ use lgc_sparse::MassMap;
 /// with its size and volume tallied — between two pulled levels no key list
 /// is filtered and no degree is re-read. Mass vectors are adaptive
 /// [`MassMap`]s.
-pub fn hkpr_par<B: CsrBackend>(pool: &Pool, g: &B, seed: &Seed, params: &HkprParams) -> Diffusion {
-    // An unlimited checkpoint never trips, so the `Err` case is unreachable.
-    let (ws, cp) = (&mut Workspace::new(), &Checkpoint::unlimited());
-    hkpr_par_ws(pool, g, seed, params, ws, cp).unwrap_or_else(|t| t.partial)
-}
-
-/// [`hkpr_par`] over a recyclable [`Workspace`]: the three mass maps, the
-/// frontier (with both of its bitsets) and the edge map's buffer come out
-/// of `ws` instead of being allocated; checkouts are re-fitted to match
-/// fresh allocations exactly, so warm runs are bit-identical.
 ///
-/// The loop is the shared frontier driver's (`driver::drive`), which
-/// consults `cp` once per level; on a trip the loop stops at that
-/// boundary and the banked (and `e^{−t}`-scaled) mass is returned as the
-/// `Err` payload, with every workspace buffer already recycled.
-pub(crate) fn hkpr_par_ws<B: CsrBackend>(
+/// The three mass maps, the frontier (with both of its bitsets) and the
+/// edge map's buffer come out of `ws` instead of being allocated;
+/// checkouts are re-fitted to match fresh allocations exactly, so warm runs
+/// are bit-identical. The loop is the shared frontier driver's
+/// (`driver::drive`), which consults `cp` once per level; on a trip the
+/// loop stops at that boundary and the banked (and `e^{−t}`-scaled) mass is
+/// returned as the `Err` payload, with every workspace buffer already
+/// recycled. Reached as [`crate::LocalDiffusion::diffuse`] on
+/// [`crate::Algorithm::Hkpr`].
+pub(crate) fn hkpr_par<B: CsrBackend>(
     pool: &Pool,
     g: &B,
     seed: &Seed,
@@ -141,6 +136,7 @@ pub(crate) fn hkpr_par_ws<B: CsrBackend>(
 mod tests {
     use super::*;
     use crate::hkpr::hkpr_seq;
+    use crate::{Algorithm, LocalDiffusion};
     use lgc_graph::gen;
 
     fn assert_close(a: &Diffusion, b: &Diffusion, tol: f64) {
@@ -162,7 +158,7 @@ mod tests {
         };
         let a = hkpr_seq(&g, &Seed::single(0), &params);
         let pool = Pool::new(1);
-        let b = hkpr_par(&pool, &g, &Seed::single(0), &params);
+        let b = Algorithm::Hkpr(params).diffuse(&pool, &g, &Seed::single(0), &mut Workspace::new());
         assert_eq!(a.p, b.p);
     }
 
@@ -178,7 +174,7 @@ mod tests {
         let a = hkpr_seq(&g, &seed, &params);
         for threads in [1, 2, 4] {
             let pool = Pool::new(threads);
-            let b = hkpr_par(&pool, &g, &seed, &params);
+            let b = Algorithm::Hkpr(params).diffuse(&pool, &g, &seed, &mut Workspace::new());
             assert_close(&a, &b, 1e-10);
             assert_eq!(
                 a.stats.pushes, b.stats.pushes,
@@ -196,7 +192,7 @@ mod tests {
             n_levels: 8,
             eps: 1e-9,
         };
-        let d = hkpr_par(&pool, &g, &Seed::single(0), &params);
+        let d = Algorithm::Hkpr(params).diffuse(&pool, &g, &Seed::single(0), &mut Workspace::new());
         assert!(d.stats.iterations <= 8);
     }
 
@@ -206,16 +202,12 @@ mod tests {
         let pool = Pool::new(2);
         // N=1: p[seed]=1 plus each neighbor rv/d, scaled by e^{−t}.
         let t = 1.0;
-        let d = hkpr_par(
-            &pool,
-            &g,
-            &Seed::single(1),
-            &HkprParams {
-                t,
-                n_levels: 1,
-                eps: 1e-9,
-            },
-        );
+        let d = Algorithm::Hkpr(HkprParams {
+            t,
+            n_levels: 1,
+            eps: 1e-9,
+        })
+        .diffuse(&pool, &g, &Seed::single(1), &mut Workspace::new());
         let s = (-t).exp();
         assert_eq!(d.mass_of(1), s);
         assert_eq!(d.mass_of(0), 0.5 * s);
@@ -226,16 +218,12 @@ mod tests {
     fn multi_seed_splits_mass() {
         let g = gen::cycle(12);
         let pool = Pool::new(2);
-        let d = hkpr_par(
-            &pool,
-            &g,
-            &Seed::set(vec![0, 6]),
-            &HkprParams {
-                t: 2.0,
-                n_levels: 6,
-                eps: 1e-7,
-            },
-        );
+        let d = Algorithm::Hkpr(HkprParams {
+            t: 2.0,
+            n_levels: 6,
+            eps: 1e-7,
+        })
+        .diffuse(&pool, &g, &Seed::set(vec![0, 6]), &mut Workspace::new());
         // Symmetry: masses around each seed mirror each other.
         assert!((d.mass_of(0) - d.mass_of(6)).abs() < 1e-12);
         assert!((d.mass_of(1) - d.mass_of(7)).abs() < 1e-12);

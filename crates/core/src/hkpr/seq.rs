@@ -12,7 +12,7 @@ use std::collections::{HashMap, VecDeque};
 /// Sequential deterministic heat-kernel PageRank.
 ///
 /// Explores `O(N·e^t/ε)` edges; the returned vector is identical (up to
-/// float-addition order) to [`super::hkpr_par`] because updates flow
+/// float-addition order) to the parallel algorithm because updates flow
 /// strictly level-by-level.
 pub fn hkpr_seq<B: CsrBackend>(g: &B, seed: &Seed, params: &HkprParams) -> Diffusion {
     params.validate();

@@ -10,11 +10,15 @@
 //!
 //! | Algorithm | Sequential | Parallel | Paper |
 //! |---|---|---|---|
-//! | Nibble (truncated lazy random walk) | [`nibble_seq`] | [`nibble_par`] | §3.2, Thm 2 |
-//! | PageRank-Nibble (approximate PPR pushes) | [`prnibble_seq`] | [`prnibble_par`] | §3.3, Thm 3 |
-//! | Deterministic heat-kernel PageRank | [`hkpr_seq`] | [`hkpr_par`] | §3.4, Thm 4 |
-//! | Randomized heat-kernel PageRank | [`rand_hkpr_seq`] | [`rand_hkpr_par`] | §3.5, Thm 5 |
+//! | Nibble (truncated lazy random walk) | [`nibble_seq`] | [`Algorithm::Nibble`] | §3.2, Thm 2 |
+//! | PageRank-Nibble (approximate PPR pushes) | [`prnibble_seq`] | [`Algorithm::PrNibble`] | §3.3, Thm 3 |
+//! | Deterministic heat-kernel PageRank | [`hkpr_seq`] | [`Algorithm::Hkpr`] | §3.4, Thm 4 |
+//! | Randomized heat-kernel PageRank | [`rand_hkpr_seq`] | [`Algorithm::RandHkpr`] | §3.5, Thm 5 |
 //! | Sweep cut | [`sweep_cut_seq`] | [`sweep_cut_par`] | §3.1, Thm 1 |
+//!
+//! A parallel diffusion has one entry: [`LocalDiffusion::diffuse`] on its
+//! [`Algorithm`] variant, over a [`Workspace`] (fresh for a one-shot run),
+//! or [`Engine::diffuse`], which keeps the workspaces warm.
 //!
 //! Each diffusion returns a sparse mass vector `p` ([`Diffusion`]); the
 //! sweep cut sorts its support by `p[v]/d(v)` and returns the prefix with
@@ -81,12 +85,12 @@ pub use budget::{
 };
 pub use engine::{Engine, EngineBuilder, LocalDiffusion, Query};
 pub use evolving::{evolving_set_par, evolving_set_seq, EvolvingParams, EvolvingResult};
-pub use hkpr::{hkpr_par, hkpr_seq, psi_table, HkprParams};
-pub use ncp::{ncp_prnibble, NcpParams, NcpPoint};
-pub use nibble::{nibble_par, nibble_seq, NibbleParams};
+pub use hkpr::{hkpr_seq, psi_table, HkprParams};
+pub use ncp::{NcpParams, NcpPoint};
+pub use nibble::{nibble_seq, NibbleParams};
 pub use pipeline::{Embedding, KClusters, PipelineParams, RhoGrid};
-pub use prnibble::{prnibble_par, prnibble_seq, PrNibbleParams, PushRule};
-pub use rand_hkpr::{rand_hkpr_par, rand_hkpr_seq, RandHkprParams};
+pub use prnibble::{prnibble_seq, PrNibbleParams, PushRule};
+pub use rand_hkpr::{rand_hkpr_seq, RandHkprParams};
 pub use result::{ClusterResult, Diffusion, DiffusionStats};
 pub use seed::Seed;
 pub use service::{GraphStore, Service, ServiceBuilder, ServiceEngine};
@@ -105,9 +109,7 @@ pub use lgc_ligra::{Direction, DirectionParams};
 // `QueryBudget` (with its tokens and hooks), `LocalDiffusion`'s guarded
 // signature takes the `Checkpoint` one arms, and every stop — a diffusion,
 // a refinement, `QueryError::Tripped` — is a `Tripped`.
-#[cfg(feature = "fault-inject")]
-pub use lgc_ligra::FaultPlan;
-pub use lgc_ligra::{BoundaryHook, CancelToken, Checkpoint, QueryBudget, Trip, Tripped};
+pub use lgc_ligra::{BoundaryHook, CancelToken, Checkpoint, FaultPlan, QueryBudget, Trip, Tripped};
 
 // The max-flow refinement stage consumed by `Engine::improve` and the
 // pipeline module, re-exported so umbrella users see one API.
@@ -143,8 +145,9 @@ impl Algorithm {
     /// `max_len`, `n_levels`) under their documented caps. The engine
     /// calls this at admission, so hostile parameters — a remote
     /// client controls every one of them — end in a typed
-    /// [`QueryError::InvalidParams`] instead of a panic mid-query; the
-    /// free `*_par`/`*_seq` functions assert the same predicates.
+    /// [`QueryError::InvalidParams`] instead of a panic mid-query;
+    /// [`LocalDiffusion::diffuse`] and the `*_seq` references assert the
+    /// same predicates.
     pub fn check(&self) -> Result<(), InvalidParams> {
         match self {
             Algorithm::Nibble(p) => p.check(),

@@ -7,7 +7,7 @@
 //! settings and taking, for every sweep prefix, the minimum conductance
 //! seen at that prefix size. This module reproduces that procedure.
 
-use crate::prnibble::{prnibble_par_ws, PrNibbleParams, PushRule};
+use crate::prnibble::{prnibble_par, PrNibbleParams, PushRule};
 use crate::seed::Seed;
 use crate::sweep::sweep_cut_par_ws;
 use crate::workspace::Workspace;
@@ -64,17 +64,13 @@ pub struct NcpPoint {
 /// the result keeps the minimum per size, sorted by size. Runs use the
 /// parallel algorithms internally (the paper's setting: one analyst
 /// query at a time, each as fast as possible).
-pub fn ncp_prnibble<B: CsrBackend>(pool: &Pool, g: &B, params: &NcpParams) -> Vec<NcpPoint> {
-    ncp_prnibble_ws(pool, g, params, &mut Workspace::new())
-}
-
-/// [`ncp_prnibble`] over a recyclable [`Workspace`]: one workspace
-/// serves the whole `seeds × α × ε` grid — hundreds of back-to-back
-/// diffusion + sweep queries, the highest-leverage consumer of buffer
-/// recycling (each grid point would otherwise rebuild its mass arenas,
-/// the sweep's rank table among them, and its frontier bitsets from
-/// scratch).
-pub(crate) fn ncp_prnibble_ws<B: CsrBackend>(
+///
+/// One [`Workspace`] serves the whole `seeds × α × ε` grid — hundreds of
+/// back-to-back diffusion + sweep queries, the highest-leverage consumer of
+/// buffer recycling (each grid point would otherwise rebuild its mass
+/// arenas, the sweep's rank table among them, and its frontier bitsets
+/// from scratch). Reached as [`crate::Engine::ncp`].
+pub(crate) fn ncp_prnibble<B: CsrBackend>(
     pool: &Pool,
     g: &B,
     params: &NcpParams,
@@ -122,7 +118,7 @@ pub(crate) fn ncp_prnibble_ws<B: CsrBackend>(
                     ..Default::default()
                 };
                 let sub = cp.after_work(total_pushes, total_edges);
-                let Ok(d) = prnibble_par_ws(pool, g, &Seed::single(seed), &p, ws, &sub) else {
+                let Ok(d) = prnibble_par(pool, g, &Seed::single(seed), &p, ws, &sub) else {
                     break 'grid;
                 };
                 total_pushes += d.stats.pushes;
@@ -174,7 +170,7 @@ mod tests {
             rng_seed: 1,
             ..Default::default()
         };
-        let points = ncp_prnibble(&pool, &g, &params);
+        let points = ncp_prnibble(&pool, &g, &params, &mut Workspace::new());
         assert!(!points.is_empty());
         let min_phi_in = |lo: usize, hi: usize| {
             points
@@ -203,7 +199,7 @@ mod tests {
             rng_seed: 2,
             ..Default::default()
         };
-        let points = ncp_prnibble(&pool, &g, &params);
+        let points = ncp_prnibble(&pool, &g, &params, &mut Workspace::new());
         assert!(points.windows(2).all(|w| w[0].size < w[1].size));
         assert!(points.iter().all(|p| (0.0..=1.0).contains(&p.conductance)));
     }
@@ -219,8 +215,8 @@ mod tests {
             rng_seed: 11,
             ..Default::default()
         };
-        let a = ncp_prnibble(&pool, &g, &params);
-        let b = ncp_prnibble(&pool, &g, &params);
+        let a = ncp_prnibble(&pool, &g, &params, &mut Workspace::new());
+        let b = ncp_prnibble(&pool, &g, &params, &mut Workspace::new());
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.size, y.size);

@@ -112,27 +112,17 @@ pub fn nibble_seq<B: CsrBackend>(g: &B, seed: &Seed, params: &NibbleParams) -> D
 /// each destination as soon as its shares have landed, handing the next
 /// step a dense frontier with its size and volume tallied). Mass vectors
 /// live in adaptive [`MassMap`]s.
-pub fn nibble_par<B: CsrBackend>(
-    pool: &Pool,
-    g: &B,
-    seed: &Seed,
-    params: &NibbleParams,
-) -> Diffusion {
-    // An unlimited checkpoint never trips, so the `Err` case is unreachable.
-    let (ws, cp) = (&mut Workspace::new(), &Checkpoint::unlimited());
-    nibble_par_ws(pool, g, seed, params, ws, cp).unwrap_or_else(|t| t.partial)
-}
-
-/// [`nibble_par`] over a recyclable [`Workspace`]: both mass maps, the
-/// frontier (with both of its bitsets) and the edge map's buffer come out
-/// of `ws` instead of being allocated; checkouts are re-fitted to match
-/// fresh allocations exactly, so warm runs are bit-identical.
 ///
-/// The loop is the shared frontier driver's (`driver::drive`), which
-/// consults `cp` once per lazy-walk iteration; on a trip the loop
-/// stops at that boundary and the mass settled so far is returned as the
-/// `Err` payload, with every workspace buffer already recycled.
-pub(crate) fn nibble_par_ws<B: CsrBackend>(
+/// Both mass maps, the frontier (with both of its bitsets) and the edge
+/// map's buffer come out of `ws` instead of being allocated; checkouts are
+/// re-fitted to match fresh allocations exactly, so warm runs are
+/// bit-identical. The loop is the shared frontier driver's
+/// (`driver::drive`), which consults `cp` once per lazy-walk iteration; on
+/// a trip the loop stops at that boundary and the mass settled so far is
+/// returned as the `Err` payload, with every workspace buffer already
+/// recycled. Reached as [`crate::LocalDiffusion::diffuse`] on
+/// [`crate::Algorithm::Nibble`].
+pub(crate) fn nibble_par<B: CsrBackend>(
     pool: &Pool,
     g: &B,
     seed: &Seed,
@@ -225,6 +215,7 @@ fn finish_seq(entries: Vec<(u32, f64)>, stats: DiffusionStats) -> Diffusion {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Algorithm, LocalDiffusion};
     use lgc_graph::gen;
 
     fn max_rel_diff(a: &Diffusion, b: &Diffusion) -> f64 {
@@ -290,11 +281,11 @@ mod tests {
             "p_{{i-1}} is returned, not the dying p_i"
         );
         let pool = Pool::new(2);
-        let dp = nibble_par(
+        let dp = Algorithm::Nibble(NibbleParams { t_max: 20, eps }).diffuse(
             &pool,
             &g,
             &Seed::single(0),
-            &NibbleParams { t_max: 20, eps },
+            &mut Workspace::new(),
         );
         assert_eq!(dp.p, vec![(0, 1.0)]);
     }
@@ -307,7 +298,8 @@ mod tests {
         assert_eq!(d.p, vec![(0, 1.0)]);
         assert_eq!(d.stats.iterations, 0);
         let pool = Pool::new(2);
-        let dp = nibble_par(&pool, &g, &Seed::single(0), &params);
+        let dp =
+            Algorithm::Nibble(params).diffuse(&pool, &g, &Seed::single(0), &mut Workspace::new());
         assert_eq!(dp.p, vec![(0, 1.0)]);
     }
 
@@ -320,7 +312,8 @@ mod tests {
         };
         let pool = Pool::new(1);
         let a = nibble_seq(&g, &Seed::single(7), &params);
-        let b = nibble_par(&pool, &g, &Seed::single(7), &params);
+        let b =
+            Algorithm::Nibble(params).diffuse(&pool, &g, &Seed::single(7), &mut Workspace::new());
         assert_eq!(a.p, b.p);
         assert_eq!(a.stats, b.stats);
     }
@@ -336,7 +329,7 @@ mod tests {
         let a = nibble_seq(&g, &seed, &params);
         for threads in [2, 4] {
             let pool = Pool::new(threads);
-            let b = nibble_par(&pool, &g, &seed, &params);
+            let b = Algorithm::Nibble(params).diffuse(&pool, &g, &seed, &mut Workspace::new());
             assert!(max_rel_diff(&a, &b) < 1e-9, "threads={threads}");
             assert_eq!(a.stats.iterations, b.stats.iterations);
             assert_eq!(a.stats.pushes, b.stats.pushes);

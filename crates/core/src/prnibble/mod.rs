@@ -21,8 +21,7 @@
 mod par;
 mod seq;
 
-pub use par::prnibble_par;
-pub(crate) use par::prnibble_par_ws;
+pub(crate) use par::prnibble_par;
 pub use seq::prnibble_seq;
 
 use crate::budget::InvalidParams;
@@ -68,13 +67,13 @@ pub struct PrNibbleParams {
     pub rule: PushRule,
     /// Fraction of eligible vertices pushed per parallel iteration
     /// (§3.3's β optimization). `1.0` = the standard algorithm; only
-    /// affects [`prnibble_par`].
+    /// affects the parallel algorithm.
     pub beta: f64,
     /// Support fraction of `n` at which the parallel algorithm's mass
     /// vectors upgrade from hash tables to direct-indexed dense arrays
     /// (`lgc_sparse::MassMap`'s heuristic). `0.0` forces dense, values
-    /// `> 1.0` (e.g. `f64::INFINITY`) force sparse; only affects
-    /// [`prnibble_par`].
+    /// `> 1.0` (e.g. `f64::INFINITY`) force sparse; only affects the
+    /// parallel algorithm.
     pub dense_frac: f64,
 }
 

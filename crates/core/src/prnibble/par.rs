@@ -50,29 +50,18 @@ use lgc_sparse::MassMap;
 /// Mass vectors live in [`MassMap`]s, which upgrade themselves to
 /// direct-indexed dense arrays once the per-iteration key bound crosses
 /// `params.dense_frac · n` — the regime pull iterations live in.
-pub fn prnibble_par<B: CsrBackend>(
-    pool: &Pool,
-    g: &B,
-    seed: &Seed,
-    params: &PrNibbleParams,
-) -> Diffusion {
-    // An unlimited checkpoint never trips, so the `Err` case is unreachable.
-    let (ws, cp) = (&mut Workspace::new(), &Checkpoint::unlimited());
-    prnibble_par_ws(pool, g, seed, params, ws, cp).unwrap_or_else(|t| t.partial)
-}
-
-/// [`prnibble_par`] over a recyclable [`Workspace`]: the two mass maps,
-/// the frontier (with both of its bitsets) and the edge map's buffer come
-/// out of `ws` instead of being allocated — and every checkout is re-fitted
-/// to be observationally identical to a fresh allocation, so warm runs
-/// return the same bits as cold ones.
 ///
-/// The loop is the shared frontier driver's (`driver::drive`), which
-/// consults `cp` once per push iteration; on a trip the loop stops at
-/// that boundary and the settled `p` is returned as the `Err` payload,
-/// with every workspace buffer already recycled (a frontier that is
-/// dense-native at that boundary is wiped by words on its way back).
-pub(crate) fn prnibble_par_ws<B: CsrBackend>(
+/// The two mass maps, the frontier (with both of its bitsets) and the edge
+/// map's buffer come out of `ws` instead of being allocated — and every
+/// checkout is re-fitted to be observationally identical to a fresh
+/// allocation, so warm runs return the same bits as cold ones. The loop is
+/// the shared frontier driver's (`driver::drive`), which consults `cp` once
+/// per push iteration; on a trip the loop stops at that boundary and the
+/// settled `p` is returned as the `Err` payload, with every workspace
+/// buffer already recycled (a frontier that is dense-native at that
+/// boundary is wiped by words on its way back). Reached as
+/// [`crate::LocalDiffusion::diffuse`] on [`crate::Algorithm::PrNibble`].
+pub(crate) fn prnibble_par<B: CsrBackend>(
     pool: &Pool,
     g: &B,
     seed: &Seed,
@@ -197,6 +186,7 @@ mod tests {
     use super::*;
     use crate::prnibble::{prnibble_seq, PushRule};
     use crate::sweep::{sweep_cut_par, sweep_cut_seq};
+    use crate::{Algorithm, LocalDiffusion};
     use lgc_graph::gen;
 
     #[test]
@@ -215,7 +205,8 @@ mod tests {
                     beta: 1.0,
                     ..Default::default()
                 };
-                let d = prnibble_par(&pool, &g, &seed, &params);
+                let d =
+                    Algorithm::PrNibble(params).diffuse(&pool, &g, &seed, &mut Workspace::new());
                 let total = d.total_mass() + d.stats.residual_mass;
                 assert!(
                     (total - 1.0).abs() < 1e-9,
@@ -234,7 +225,8 @@ mod tests {
             ..Default::default()
         };
         let pool = Pool::new(4);
-        let d = prnibble_par(&pool, &g, &Seed::single(5), &params);
+        let d =
+            Algorithm::PrNibble(params).diffuse(&pool, &g, &Seed::single(5), &mut Workspace::new());
         let bound = 1.0 / (params.alpha * params.eps);
         assert!((d.stats.pushed_volume as f64) <= bound);
     }
@@ -251,7 +243,8 @@ mod tests {
         };
         let seq = prnibble_seq(&g, &Seed::single(0), &params);
         let pool = Pool::new(2);
-        let par = prnibble_par(&pool, &g, &Seed::single(0), &params);
+        let par =
+            Algorithm::PrNibble(params).diffuse(&pool, &g, &Seed::single(0), &mut Workspace::new());
         assert!(par.stats.pushes >= seq.stats.pushes);
         assert!(
             (par.stats.pushes as f64) < 2.0 * seq.stats.pushes as f64,
@@ -272,7 +265,8 @@ mod tests {
         };
         let seq_d = prnibble_seq(&g, &Seed::single(1), &params);
         let pool = Pool::new(2);
-        let par_d = prnibble_par(&pool, &g, &Seed::single(1), &params);
+        let par_d =
+            Algorithm::PrNibble(params).diffuse(&pool, &g, &Seed::single(1), &mut Workspace::new());
         let seq_cut = sweep_cut_seq(&g, &seq_d.p);
         let par_cut = sweep_cut_par(&pool, &g, &par_d.p);
         // The diffusion vectors differ (stale residuals in the parallel
@@ -297,7 +291,12 @@ mod tests {
                 beta,
                 ..Default::default()
             };
-            let d = prnibble_par(&pool, &g, &Seed::single(0), &params);
+            let d = Algorithm::PrNibble(params).diffuse(
+                &pool,
+                &g,
+                &Seed::single(0),
+                &mut Workspace::new(),
+            );
             let total = d.total_mass() + d.stats.residual_mass;
             assert!((total - 1.0).abs() < 1e-9, "beta={beta}: {total}");
             assert!(d.support_size() > 0);
@@ -313,12 +312,13 @@ mod tests {
             eps: 1e-6,
             ..Default::default()
         };
-        let a = prnibble_par(&pool, &g, &Seed::single(0), &base);
-        let b = prnibble_par(
+        let a =
+            Algorithm::PrNibble(base).diffuse(&pool, &g, &Seed::single(0), &mut Workspace::new());
+        let b = Algorithm::PrNibble(PrNibbleParams { beta: 1.0, ..base }).diffuse(
             &pool,
             &g,
             &Seed::single(0),
-            &PrNibbleParams { beta: 1.0, ..base },
+            &mut Workspace::new(),
         );
         assert_eq!(a.p, b.p);
     }
@@ -327,16 +327,12 @@ mod tests {
     fn multi_seed_parallel() {
         let g = gen::two_cliques_bridge(10);
         let pool = Pool::new(2);
-        let d = prnibble_par(
-            &pool,
-            &g,
-            &Seed::set(vec![0, 1, 2]),
-            &PrNibbleParams {
-                alpha: 0.1,
-                eps: 1e-7,
-                ..Default::default()
-            },
-        );
+        let d = Algorithm::PrNibble(PrNibbleParams {
+            alpha: 0.1,
+            eps: 1e-7,
+            ..Default::default()
+        })
+        .diffuse(&pool, &g, &Seed::set(vec![0, 1, 2]), &mut Workspace::new());
         let in_cluster: f64 = d.p.iter().filter(|&&(v, _)| v < 10).map(|&(_, m)| m).sum();
         assert!(in_cluster > 0.5);
     }

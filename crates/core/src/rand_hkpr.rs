@@ -185,26 +185,15 @@ pub fn rand_hkpr_seq<B: CsrBackend>(g: &B, seed: &Seed, params: &RandHkprParams)
     Diffusion::from_entries(entries, stats)
 }
 
-/// Parallel rand-HK-PR with the paper's sort-based aggregation.
-pub fn rand_hkpr_par<B: CsrBackend>(
-    pool: &Pool,
-    g: &B,
-    seed: &Seed,
-    params: &RandHkprParams,
-) -> Diffusion {
-    // An unlimited checkpoint never trips, so the `Err` case is unreachable.
-    let (ws, cp) = (&mut Workspace::new(), &Checkpoint::unlimited());
-    rand_hkpr_par_ws(pool, g, seed, params, ws, cp).unwrap_or_else(|t| t.partial)
-}
-
-/// Walks between two checkpoint ticks of [`rand_hkpr_par_ws`]. All walks
+/// Walks between two checkpoint ticks of [`rand_hkpr_par`]. All walks
 /// are independent with per-walk RNG streams, so a blocked fill writes
 /// the exact bits one full-array fill would.
 const WALK_BLOCK: usize = 1 << 15;
 
-/// [`rand_hkpr_par`] over a recyclable [`Workspace`]: the length-`N`
-/// walk-destination array comes from `ws`, and the destination-compaction
-/// table is a [`MassMap`] checked out of it with key bound `N`. Per-walk
+/// Parallel rand-HK-PR with the paper's sort-based aggregation. The
+/// length-`N` walk-destination array comes from `ws`, and the
+/// destination-compaction table is a [`MassMap`] checked out of it with
+/// key bound `N`. Per-walk
 /// RNG streams make the walks themselves reuse-invariant, and the
 /// aggregation's output is sorted by vertex id, so neither the recycled
 /// buffers nor the order the table hands out compact ids in can
@@ -215,8 +204,9 @@ const WALK_BLOCK: usize = 1 << 15;
 /// trip, the completed prefix of walks is aggregated into an estimate
 /// with the number of *completed* walks as the denominator — still a
 /// unit-mass empirical distribution, just from fewer samples — and
-/// returned as the `Err` payload.
-pub(crate) fn rand_hkpr_par_ws<B: CsrBackend>(
+/// returned as the `Err` payload. Reached as
+/// [`crate::LocalDiffusion::diffuse`] on [`crate::Algorithm::RandHkpr`].
+pub(crate) fn rand_hkpr_par<B: CsrBackend>(
     pool: &Pool,
     g: &B,
     seed: &Seed,
@@ -306,6 +296,7 @@ pub(crate) fn rand_hkpr_par_ws<B: CsrBackend>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Algorithm, LocalDiffusion};
     use lgc_graph::gen;
 
     #[test]
@@ -349,7 +340,7 @@ mod tests {
         let a = rand_hkpr_seq(&g, &seed, &params);
         for threads in [1, 2, 4] {
             let pool = Pool::new(threads);
-            let b = rand_hkpr_par(&pool, &g, &seed, &params);
+            let b = Algorithm::RandHkpr(params).diffuse(&pool, &g, &seed, &mut Workspace::new());
             assert_eq!(a.p, b.p, "threads={threads}");
         }
     }
@@ -378,7 +369,8 @@ mod tests {
         let d = rand_hkpr_seq(&g, &Seed::single(0), &params);
         assert_eq!(d.p, vec![(0, 1.0)]);
         let pool = Pool::new(2);
-        let dp = rand_hkpr_par(&pool, &g, &Seed::single(0), &params);
+        let dp =
+            Algorithm::RandHkpr(params).diffuse(&pool, &g, &Seed::single(0), &mut Workspace::new());
         assert_eq!(dp.p, vec![(0, 1.0)]);
     }
 

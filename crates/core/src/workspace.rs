@@ -282,9 +282,9 @@ impl WorkspacePool {
 mod tests {
     use super::*;
     use crate::evolving::{evolving_set_par_ws, EvolvingParams};
-    use crate::hkpr::{hkpr_par_ws, HkprParams};
-    use crate::nibble::{nibble_par_ws, NibbleParams};
-    use crate::prnibble::{prnibble_par_ws, PrNibbleParams};
+    use crate::hkpr::{hkpr_par, HkprParams};
+    use crate::nibble::{nibble_par, NibbleParams};
+    use crate::prnibble::{prnibble_par, PrNibbleParams};
     use crate::result::Diffusion;
     use crate::seed::Seed;
     use lgc_graph::gen;
@@ -317,13 +317,11 @@ mod tests {
         };
         let show = |d: Diffusion| format!("{:?} {:?}", d.p, d.stats);
         let mut out = Vec::new();
-        out.push(show(
-            prnibble_par_ws(pool, g, &seed, &prn, ws, &cp).unwrap(),
-        ));
+        out.push(show(prnibble_par(pool, g, &seed, &prn, ws, &cp).unwrap()));
         assert!(ws.spread.is_clear(), "after PR-Nibble");
-        out.push(show(hkpr_par_ws(pool, g, &seed, &hk, ws, &cp).unwrap()));
+        out.push(show(hkpr_par(pool, g, &seed, &hk, ws, &cp).unwrap()));
         assert!(ws.spread.is_clear(), "after HK-PR");
-        out.push(show(nibble_par_ws(pool, g, &seed, &nib, ws, &cp).unwrap()));
+        out.push(show(nibble_par(pool, g, &seed, &nib, ws, &cp).unwrap()));
         assert!(ws.spread.is_clear(), "after Nibble");
         let e = evolving_set_par_ws(pool, g, &seed, &ev, ws, &cp).unwrap();
         out.push(format!(

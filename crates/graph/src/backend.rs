@@ -7,7 +7,7 @@
 //! (whole-list, sub-range, and single-index forms), membership tests,
 //! and memory accounting. Two implementations ship:
 //!
-//! * [`CsrPlain`] (= [`Graph`]) — offsets + flat `u32` adjacency, the
+//! * [`Graph`] — offsets + flat `u32` adjacency, the
 //!   fastest random-access layout.
 //! * [`CsrCompressed`] — each sorted adjacency list stored as a delta-
 //!   coded byte stream (the family of byte codes Ligra+ uses to fit
@@ -116,9 +116,6 @@ pub trait CsrBackend: Send + Sync {
         out
     }
 }
-
-/// The uncompressed backend: the existing flat-array [`Graph`].
-pub type CsrPlain = Graph;
 
 impl CsrBackend for Graph {
     #[inline]

@@ -6,7 +6,7 @@ use crate::csr::Graph;
 
 /// Labels each vertex with a component id (the smallest vertex id in its
 /// component), via BFS. `O(n + m)`.
-pub fn connected_components(g: &Graph) -> Vec<u32> {
+fn connected_components(g: &Graph) -> Vec<u32> {
     let n = g.num_vertices();
     let mut label = vec![u32::MAX; n];
     let mut queue = Vec::new();

@@ -392,6 +392,24 @@ mod tests {
         );
     }
 
+    /// The power-law signature: in power-of-two degree buckets (entry `i`
+    /// counts degrees in `[2^i, 2^{i+1})`, entry 0 degree 0), the tail is
+    /// far below the head.
+    #[test]
+    fn rmat_degree_histogram_decays() {
+        let g = rmat_graph500(10, 8, 1);
+        let mut hist = Vec::new();
+        for v in 0..g.num_vertices() as u32 {
+            let b = (usize::BITS - g.degree(v).leading_zeros()) as usize;
+            if hist.len() <= b {
+                hist.resize(b + 1, 0usize);
+            }
+            hist[b] += 1;
+        }
+        assert_eq!(hist.iter().sum::<usize>(), g.num_vertices());
+        assert!(hist[1] > *hist.last().unwrap());
+    }
+
     #[test]
     fn barabasi_albert_shape() {
         let g = barabasi_albert(2000, 3, 5);

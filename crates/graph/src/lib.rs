@@ -3,7 +3,7 @@
 //! Provides the compressed-sparse-row [`Graph`] the algorithms traverse,
 //! a cleaning [`GraphBuilder`] (symmetrize, dedup, strip self-loops —
 //! the paper's §4 preprocessing), conductance/volume utilities (§2),
-//! connected components for seed selection, text I/O compatible with
+//! the largest connected component for seed selection, text I/O compatible with
 //! Ligra's `AdjacencyGraph` format, and the synthetic generator suite
 //! standing in for the paper's evaluation graphs (see [`gen`]).
 
@@ -15,7 +15,7 @@ mod induced;
 pub mod io;
 pub mod stats;
 
-pub use backend::{CsrBackend, CsrCompressed, CsrPlain};
-pub use components::{connected_components, largest_component};
+pub use backend::{CsrBackend, CsrCompressed};
+pub use components::largest_component;
 pub use csr::{Graph, GraphBuilder};
 pub use induced::{induced_cut_subgraph, CutSubgraph};

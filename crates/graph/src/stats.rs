@@ -1,10 +1,7 @@
-//! Graph statistics — used to validate that the synthetic stand-ins have
-//! the right family shape (power-law degrees for the social-graph
-//! substitutes, uniform degrees for the meshes), and the [`GraphSummary`]
-//! a serving layer's introspection endpoints report.
+//! Graph statistics: the [`GraphSummary`] a serving layer's
+//! introspection endpoints report.
 
 use crate::backend::CsrBackend;
-use crate::csr::Graph;
 
 /// What an introspection endpoint reports about a resident graph: its
 /// size, the two degree facts a capacity plan needs, and the backend's
@@ -52,131 +49,10 @@ impl GraphSummary {
     }
 }
 
-/// Summary statistics of a graph's degree sequence.
-#[derive(Clone, Debug, PartialEq)]
-pub struct DegreeStats {
-    /// Minimum degree.
-    pub min: usize,
-    /// Maximum degree.
-    pub max: usize,
-    /// Mean degree (`2m/n`).
-    pub mean: f64,
-    /// Median degree.
-    pub median: usize,
-    /// Number of isolated (degree-0) vertices.
-    pub isolated: usize,
-}
-
-/// Computes degree summary statistics. `O(n log n)` (sorts a copy of the
-/// degree sequence).
-pub fn degree_stats(g: &Graph) -> DegreeStats {
-    let n = g.num_vertices();
-    if n == 0 {
-        return DegreeStats {
-            min: 0,
-            max: 0,
-            mean: 0.0,
-            median: 0,
-            isolated: 0,
-        };
-    }
-    let mut degs: Vec<usize> = (0..n as u32).map(|v| g.degree(v)).collect();
-    degs.sort_unstable();
-    DegreeStats {
-        min: degs[0],
-        max: degs[n - 1],
-        mean: g.total_degree() as f64 / n as f64,
-        median: degs[n / 2],
-        isolated: degs.iter().take_while(|&&d| d == 0).count(),
-    }
-}
-
-/// Histogram of degrees in power-of-two buckets: entry `i` counts
-/// vertices with degree in `[2^i, 2^{i+1})`; entry 0 counts degree 0–1.
-/// A straight-line decay over buckets is the power-law signature.
-pub fn degree_histogram_log2(g: &Graph) -> Vec<usize> {
-    let mut hist = Vec::new();
-    for v in 0..g.num_vertices() as u32 {
-        let b = usize::BITS as usize - g.degree(v).leading_zeros() as usize;
-        if hist.len() <= b {
-            hist.resize(b + 1, 0);
-        }
-        hist[b] += 1;
-    }
-    hist
-}
-
-/// Global clustering coefficient estimated by sampling `samples` wedges
-/// (paths of length 2) and testing closure. Deterministic given `seed`.
-/// Social graphs close far more wedges than meshes or random graphs.
-pub fn clustering_coefficient_sampled(g: &Graph, samples: usize, seed: u64) -> f64 {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    let mut rng = StdRng::seed_from_u64(seed);
-    let candidates: Vec<u32> = (0..g.num_vertices() as u32)
-        .filter(|&v| g.degree(v) >= 2)
-        .collect();
-    if candidates.is_empty() || samples == 0 {
-        return 0.0;
-    }
-    let mut closed = 0usize;
-    for _ in 0..samples {
-        let v = candidates[rng.gen_range(0..candidates.len())];
-        let nbrs = g.neighbors(v);
-        let i = rng.gen_range(0..nbrs.len());
-        let mut j = rng.gen_range(0..nbrs.len() - 1);
-        if j >= i {
-            j += 1;
-        }
-        if g.has_edge(nbrs[i], nbrs[j]) {
-            closed += 1;
-        }
-    }
-    closed as f64 / samples as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gen;
-
-    #[test]
-    fn stats_on_star() {
-        let g = gen::star(10);
-        let s = degree_stats(&g);
-        assert_eq!(s.min, 1);
-        assert_eq!(s.max, 9);
-        assert_eq!(s.mean, 18.0 / 10.0);
-        assert_eq!(s.median, 1);
-        assert_eq!(s.isolated, 0);
-    }
-
-    #[test]
-    fn isolated_vertices_counted() {
-        let g = crate::Graph::from_edges(5, &[(0, 1)]);
-        assert_eq!(degree_stats(&g).isolated, 3);
-    }
-
-    #[test]
-    fn histogram_covers_all_vertices() {
-        let g = gen::rmat_graph500(10, 8, 1);
-        let hist = degree_histogram_log2(&g);
-        assert_eq!(hist.iter().sum::<usize>(), g.num_vertices());
-        // Power law: the tail buckets are (much) smaller than the head.
-        assert!(hist[1] > *hist.last().unwrap());
-    }
-
-    #[test]
-    fn clique_closes_every_wedge() {
-        let g = gen::clique(8);
-        assert_eq!(clustering_coefficient_sampled(&g, 500, 1), 1.0);
-    }
-
-    #[test]
-    fn star_closes_no_wedge() {
-        let g = gen::star(10);
-        assert_eq!(clustering_coefficient_sampled(&g, 500, 1), 0.0);
-    }
 
     /// `GraphSummary::of` against a hand count, on both backends: a
     /// star, a graph with isolated vertices, and a random local graph.
@@ -216,13 +92,5 @@ mod tests {
             GraphSummary::of(&crate::Graph::from_edges(0, &[])).max_degree,
             0
         );
-    }
-
-    #[test]
-    fn empty_graph_degenerates_gracefully() {
-        let g = crate::Graph::from_edges(0, &[]);
-        let s = degree_stats(&g);
-        assert_eq!(s.mean, 0.0);
-        assert_eq!(clustering_coefficient_sampled(&g, 10, 1), 0.0);
     }
 }

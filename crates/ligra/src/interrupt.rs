@@ -36,11 +36,11 @@
 //! - **`Cancelled`** — a shared [`CancelToken`] was flipped from another
 //!   thread (one relaxed atomic load per iteration).
 //!
-//! With the `fault-inject` feature enabled, a budget can additionally
-//! carry a `FaultPlan` that force-trips the k-th `tick` call of each
-//! checkpoint it arms — the hook the fault-injection proptest suite uses to
-//! stop queries at arbitrary iteration boundaries without depending on
-//! timing.
+//! A budget can additionally carry a [`FaultPlan`] that force-trips the
+//! k-th `tick` call of each checkpoint it arms — the hook the
+//! fault-injection proptest suite uses to stop queries at arbitrary
+//! iteration boundaries without depending on timing. Like the token and
+//! the hook it is process-local: the wire protocol never carries it.
 //!
 //! A budget can also carry one [`BoundaryHook`]: work that `tick` runs
 //! at every boundary *before* its trip tests, on the thread driving the
@@ -164,8 +164,7 @@ impl fmt::Debug for BoundaryHook {
 /// Tick calls happen at iteration boundaries on the thread driving the
 /// query, so the countdown is deterministic across worker-thread counts
 /// and storage backends — the same plan always stops the same run at the
-/// same boundary. Only available with the `fault-inject` feature.
-#[cfg(feature = "fault-inject")]
+/// same boundary.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FaultPlan {
     /// Number of `tick` calls that succeed before the forced trip.
@@ -175,14 +174,12 @@ pub struct FaultPlan {
     pub kind: Trip,
 }
 
-#[cfg(feature = "fault-inject")]
 #[derive(Debug)]
 struct FaultState {
     remaining: std::sync::atomic::AtomicU64,
     kind: Trip,
 }
 
-#[cfg(feature = "fault-inject")]
 impl FaultState {
     fn new(plan: FaultPlan) -> Self {
         FaultState {
@@ -236,8 +233,7 @@ pub struct QueryBudget {
     /// (`lgc-server` sets it on bulk queries), never carried on the wire.
     pub hook: Option<BoundaryHook>,
     /// Deterministic fault-injection plan (test harness; see
-    /// [`FaultPlan`]).
-    #[cfg(feature = "fault-inject")]
+    /// [`FaultPlan`]). Process-local like `cancel` and `hook`.
     pub fault: Option<FaultPlan>,
 }
 
@@ -278,7 +274,6 @@ impl QueryBudget {
     }
 
     /// Attach a deterministic fault-injection plan.
-    #[cfg(feature = "fault-inject")]
     pub fn with_fault(mut self, plan: FaultPlan) -> Self {
         self.fault = Some(plan);
         self
@@ -296,7 +291,6 @@ impl QueryBudget {
             max_edges_traversed: self.max_edges_traversed.or(default.max_edges_traversed),
             cancel: self.cancel.clone().or_else(|| default.cancel.clone()),
             hook: self.hook.clone().or_else(|| default.hook.clone()),
-            #[cfg(feature = "fault-inject")]
             fault: self.fault.or(default.fault),
         }
     }
@@ -309,7 +303,6 @@ impl QueryBudget {
     pub fn arm(&self) -> Checkpoint {
         Checkpoint {
             deadline: self.deadline.map(|d| Instant::now() + d),
-            #[cfg(feature = "fault-inject")]
             fault: self.fault.map(|plan| Arc::new(FaultState::new(plan))),
             budget: self.clone(),
         }
@@ -323,16 +316,16 @@ impl QueryBudget {
 /// trips and whose [`tick`](Checkpoint::tick) compiles to a handful of
 /// `None` tests. The caller passes its *deterministic* cumulative work
 /// counters into `tick` — the checkpoint itself holds no mutable counters
-/// (except the feature-gated fault countdown), so cloning is cheap and a
-/// clone used for a sub-run (see [`after_work`](Checkpoint::after_work))
-/// shares the deadline, token, hook, and fault state of its parent.
+/// (except the fault countdown), so cloning is cheap and a clone used for a
+/// sub-run (see [`after_work`](Checkpoint::after_work)) shares the
+/// deadline, token, hook, and fault state of its parent.
 #[derive(Clone, Debug)]
 pub struct Checkpoint {
     /// The limits; their relative `deadline` was read once, by `arm`.
     budget: QueryBudget,
     /// `budget.deadline`, stamped against the clock.
     deadline: Option<Instant>,
-    #[cfg(feature = "fault-inject")]
+    /// `budget.fault`'s countdown, shared with derived checkpoints.
     fault: Option<Arc<FaultState>>,
 }
 
@@ -365,8 +358,8 @@ impl Checkpoint {
     /// first limit found tripped, checking (in order) the fault plan, the
     /// cancel token, the work caps, and the deadline.
     ///
-    /// Cost: with an unlimited budget this is five `None` tests (hook,
-    /// token, the two caps, deadline); a hook adds whatever it runs
+    /// Cost: with an unlimited budget this is six `None` tests (hook, fault
+    /// plan, token, the two caps, deadline); a hook adds whatever it runs
     /// (charged to the deadline, which is read after it), a deadline one
     /// coarse clock read, a token one acquire load. Never called per edge.
     #[inline]
@@ -375,7 +368,6 @@ impl Checkpoint {
         if let Some(hook) = &b.hook {
             (hook.0)();
         }
-        #[cfg(feature = "fault-inject")]
         if let Some(fault) = &self.fault {
             if fault.fire() {
                 return Err(fault.kind);
@@ -512,19 +504,16 @@ mod tests {
         let second = budget.arm();
         assert_eq!(first.tick(0, 0), Err(Trip::Deadline));
         assert_eq!(second.tick(0, 0), Ok(()));
-        #[cfg(feature = "fault-inject")]
-        {
-            let budget = QueryBudget::unlimited().with_fault(FaultPlan {
-                after_ticks: 1,
-                kind: Trip::Cancelled,
-            });
-            let (first, second) = (budget.arm(), budget.arm());
-            assert_eq!(first.tick(0, 0), Ok(()));
-            assert_eq!(first.tick(0, 0), Err(Trip::Cancelled));
-            // The second arm's countdown has not moved.
-            assert_eq!(second.tick(0, 0), Ok(()));
-            assert_eq!(second.tick(0, 0), Err(Trip::Cancelled));
-        }
+        let budget = QueryBudget::unlimited().with_fault(FaultPlan {
+            after_ticks: 1,
+            kind: Trip::Cancelled,
+        });
+        let (first, second) = (budget.arm(), budget.arm());
+        assert_eq!(first.tick(0, 0), Ok(()));
+        assert_eq!(first.tick(0, 0), Err(Trip::Cancelled));
+        // The second arm's countdown has not moved.
+        assert_eq!(second.tick(0, 0), Ok(()));
+        assert_eq!(second.tick(0, 0), Err(Trip::Cancelled));
     }
 
     #[test]
@@ -541,7 +530,6 @@ mod tests {
         assert_eq!(Trip::WorkBudget.to_string(), "work budget exceeded");
     }
 
-    #[cfg(feature = "fault-inject")]
     #[test]
     fn fault_plan_trips_the_kth_tick_and_stays_tripped() {
         let plan = FaultPlan {

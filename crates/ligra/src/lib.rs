@@ -68,9 +68,7 @@ use lgc_sparse::{DenseMassVec, MassMap};
 
 pub mod interrupt;
 
-#[cfg(feature = "fault-inject")]
-pub use interrupt::FaultPlan;
-pub use interrupt::{BoundaryHook, CancelToken, Checkpoint, QueryBudget, Trip, Tripped};
+pub use interrupt::{BoundaryHook, CancelToken, Checkpoint, FaultPlan, QueryBudget, Trip, Tripped};
 
 /// A subset of vertices — the paper's `vertexSubset` — in both of Ligra's
 /// representations, each built from the other only on demand.

@@ -14,10 +14,11 @@
 //!
 //! The budget carried on the wire is the serializable subset of
 //! [`QueryBudget`]: deadline and the two deterministic work caps.
-//! Cancellation tokens and boundary hooks are process-local by nature
-//! and never travel; the server attaches its *own* per-connection token
-//! instead, so a client that disconnects cancels its in-flight queries,
-//! and its own hook to bulk queries in priority mode.
+//! Cancellation tokens, boundary hooks and fault plans are process-local
+//! and never travel (`tests/protocol_roundtrip.rs` checks all three), so a
+//! remote client cannot arm a fault; the server attaches its *own*
+//! per-connection token instead, so a client that disconnects cancels its
+//! in-flight queries, and its own hook to bulk queries in priority mode.
 
 use crate::frame::ProtocolError;
 use lgc_core::{
@@ -546,8 +547,8 @@ fn dec_budget(r: &mut Rd<'_>) -> DecodeResult<QueryBudget> {
     Ok(b)
 }
 
-/// Encodes a `QUERY` request body. The budget's cancellation token (and
-/// fault plan, if compiled in) does not travel — see the module docs.
+/// Encodes a `QUERY` request body. The budget's cancellation token, hook
+/// and fault plan do not travel — see the module docs.
 pub fn encode_query_request(req: &QueryRequest) -> Vec<u8> {
     let mut w = Wr::default();
     w.str16(&req.tenant);

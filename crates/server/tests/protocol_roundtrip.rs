@@ -5,8 +5,9 @@
 //! [`ProtocolError`]s, never a panic.
 
 use lgc_core::{
-    Algorithm, ClusterResult, Diffusion, DiffusionStats, EvolvingParams, HkprParams, NibbleParams,
-    PrNibbleParams, PushRule, Query, QueryBudget, RandHkprParams, Seed, SweepCut, Trip, Tripped,
+    Algorithm, BoundaryHook, CancelToken, ClusterResult, Diffusion, DiffusionStats, EvolvingParams,
+    FaultPlan, HkprParams, NibbleParams, PrNibbleParams, PushRule, Query, QueryBudget,
+    RandHkprParams, Seed, SweepCut, Trip, Tripped,
 };
 use lgc_server::frame::{self, read_frame, write_frame, FrameKind, ProtocolError};
 use lgc_server::wire::{
@@ -256,6 +257,34 @@ proptest! {
         prop_assert_eq!(encode_query_request(&back), bytes);
         prop_assert_eq!(back.tenant, req.tenant.clone());
         prop_assert_eq!(back.priority as u8, req.priority as u8);
+    }
+
+    /// The budget fields that live only in the process — a fault plan, a
+    /// cancellation token, a boundary hook — never cross the wire: the
+    /// encoding of a request carrying all three is the encoding without
+    /// them, and the decoded budget has none of them. So a remote client
+    /// cannot arm a fault.
+    #[test]
+    fn process_local_budget_fields_never_cross_the_wire(
+        req in arb_request(),
+        after_ticks in 0u64..100,
+        trip in 0usize..3,
+    ) {
+        let kind = [Trip::Deadline, Trip::WorkBudget, Trip::Cancelled][trip];
+        let mut armed = req.clone();
+        armed.query.budget = req
+            .query
+            .budget
+            .clone()
+            .with_fault(FaultPlan { after_ticks, kind })
+            .with_cancel(CancelToken::new())
+            .with_hook(BoundaryHook::new(|| {}));
+        let bytes = encode_query_request(&armed);
+        prop_assert_eq!(&bytes, &encode_query_request(&req));
+        let back = decode_query_request(&bytes).expect("valid encoding must decode");
+        prop_assert!(back.query.budget.fault.is_none());
+        prop_assert!(back.query.budget.cancel.is_none());
+        prop_assert!(back.query.budget.hook.is_none());
     }
 
     /// Version 1 carried a direction after the parameters of four

@@ -120,20 +120,18 @@ impl DenseMassVec {
     }
 
     /// Zeroes the touched cells and empties the set, by words —
-    /// `O(n/64 + support)` (sequential point): the touched words' cells,
-    /// then the words. Those are the two loops a store wipe offers the pool,
+    /// `O(n/64 + support)` (sequential point): each touched word's cells,
+    /// then the word. That is the one loop a store wipe offers the pool,
     /// which `tests/dense_frontier.rs` counts exactly.
     fn clear(&mut self, pool: &Pool) {
         let (cells, touched) = (&self.cells, &self.touched);
-        let words = touched.num_words();
-        pool.run(words, CLEAN_GRAIN_WORDS, |s, e| {
+        pool.run(touched.num_words(), CLEAN_GRAIN_WORDS, |s, e| {
             for w in s..e {
-                ones(w, touched.word(w)).for_each(|v| cells[v as usize].store(0.0));
-            }
-        });
-        pool.run(words, CLEAN_GRAIN_WORDS, |s, e| {
-            for w in (s..e).filter(|&w| touched.word(w) != 0) {
-                touched.store_word(w, 0);
+                let bits = touched.word(w);
+                if bits != 0 {
+                    ones(w, bits).for_each(|v| cells[v as usize].store(0.0));
+                    touched.store_word(w, 0);
+                }
             }
         });
     }

@@ -102,8 +102,12 @@
 //! | `evolving_set_par(&pool, &g, &seed, &p)` | `engine.run(&Query::new(seed, Algorithm::Evolving(p)))` |
 //! | `ncp_prnibble(&pool, &g, &params)` | `engine.ncp(&params)` |
 //!
-//! The free functions remain available as thin wrappers (each runs the
-//! identical code path over a fresh, throwaway workspace).
+//! Without an engine, a one-shot diffusion is [`LocalDiffusion::diffuse`]
+//! over a fresh [`Workspace`] (`Algorithm::PrNibble(p).diffuse(&pool, &g,
+//! &seed, &mut Workspace::new())`), the identical code path. The free
+//! functions left are [`find_cluster`], [`evolving_set_par`] (the one
+//! source of the evolving set's trajectory), [`sweep_cut_par`] and the
+//! `*_seq` references.
 //!
 //! # Storage backends and memory budgets
 //!
@@ -215,8 +219,9 @@
 //!
 //! The infallible [`Engine::run`] is the same executor with admission
 //! bypassed: it keeps its run-to-completion semantics — budgets and
-//! shedding apply only to the `try_` entry points. The `fault-inject` feature adds a deterministic fault plan to
-//! [`QueryBudget`] for harness use (trip exactly at the k-th checkpoint);
+//! shedding apply only to the `try_` entry points. A [`QueryBudget`] can
+//! also carry a deterministic [`FaultPlan`] for harness use (trip exactly
+//! at the k-th checkpoint; process-local, never on the wire);
 //! `tests/fault_properties.rs` drives it across all five algorithms,
 //! both CSR backends, and 1–4 threads to prove no-panic, full pool
 //! recovery, and post-fault bitwise determinism.
@@ -401,20 +406,17 @@ pub use lgc_parallel as parallel;
 pub use lgc_server as server;
 pub use lgc_sparse as sparse;
 
-#[cfg(feature = "fault-inject")]
-pub use lgc_core::FaultPlan;
 pub use lgc_core::{
-    evolving_set_par, evolving_set_seq, find_cluster, hkpr_par, hkpr_seq, ncp_prnibble, nibble_par,
-    nibble_seq, prnibble_par, prnibble_seq, rand_hkpr_par, rand_hkpr_seq, sweep_cut_par,
-    sweep_cut_seq, Algorithm, BoundaryHook, CancelToken, Checkpoint, ClusterResult, Diffusion,
-    DiffusionStats, Direction, DirectionParams, Embedding, Engine, EngineBuilder, EngineLimits,
-    EvolvingParams, GraphStore, GraphSummary, HkprParams, InvalidParams, InvalidSeed, KClusters,
-    LifecycleSnapshot, LocalDiffusion, NcpParams, NibbleParams, PartialResult, PipelineParams,
-    PrNibbleParams, PushRule, Query, QueryBudget, QueryError, RandHkprParams, RefineStats,
-    RefinedCut, RhoGrid, Seed, Service, ServiceBuilder, ServiceEngine, SweepCut, Trip, Tripped,
-    Workspace, WorkspaceBudgetExceeded, RETRY_AFTER_FLOOR,
+    evolving_set_par, evolving_set_seq, find_cluster, hkpr_seq, nibble_seq, prnibble_seq,
+    rand_hkpr_seq, sweep_cut_par, sweep_cut_seq, Algorithm, BoundaryHook, CancelToken, Checkpoint,
+    ClusterResult, Diffusion, DiffusionStats, Direction, DirectionParams, Embedding, Engine,
+    EngineBuilder, EngineLimits, EvolvingParams, FaultPlan, GraphStore, GraphSummary, HkprParams,
+    InvalidParams, InvalidSeed, KClusters, LifecycleSnapshot, LocalDiffusion, NcpParams,
+    NibbleParams, PartialResult, PipelineParams, PrNibbleParams, PushRule, Query, QueryBudget,
+    QueryError, RandHkprParams, RefineStats, RefinedCut, RhoGrid, Seed, Service, ServiceBuilder,
+    ServiceEngine, SweepCut, Trip, Tripped, Workspace, WorkspaceBudgetExceeded, RETRY_AFTER_FLOOR,
 };
 pub use lgc_graph::{
-    induced_cut_subgraph, CsrBackend, CsrCompressed, CsrPlain, CutSubgraph, Graph, GraphBuilder,
+    induced_cut_subgraph, CsrBackend, CsrCompressed, CutSubgraph, Graph, GraphBuilder,
 };
 pub use lgc_parallel::Pool;

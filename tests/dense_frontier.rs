@@ -207,7 +207,7 @@ fn beta_below_one_pulls_return_the_push_bits() {
 
 /// The structure of a pull that follows a pull, counted: it offers the pool
 /// two loops — `stage` over the frontier's words and the gather over the
-/// destinations — plus, for HK-PR and Nibble, the two that wipe the store
+/// destinations — plus, for HK-PR and Nibble, the one that wipes the store
 /// the gather fills. No loop builds, merges, filters or walks an id list.
 /// Two runs of one query that differ only in how many such iterations they
 /// make differ in forked loops by that constant per iteration.
@@ -218,8 +218,8 @@ fn a_pull_after_a_pull_forks_a_small_constant_number_of_loops() {
     let pull = DirectionParams::pull_only();
     let cases = [
         ("PR-Nibble", prn(0.01, 1e-7, 1.0), prn(0.01, 1e-8, 1.0), 2),
-        ("Nibble", nibble(30, 1e-9), nibble(36, 1e-9), 4),
-        ("HK-PR", hkpr(10.0, 26, 1e-7), hkpr(10.0, 30, 1e-7), 4),
+        ("Nibble", nibble(30, 1e-9), nibble(36, 1e-9), 3),
+        ("HK-PR", hkpr(10.0, 26, 1e-7), hkpr(10.0, 30, 1e-7), 3),
     ];
     for (name, shorter, longer, per_iteration) in cases {
         let (a, sa, forked_a) = diffuse(&g, 2, pull, &seed, &shorter);

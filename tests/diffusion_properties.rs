@@ -2,7 +2,7 @@
 //! seeds, parameters, and thread counts.
 
 use plgc::cluster as lgc;
-use plgc::{Pool, Seed};
+use plgc::{Algorithm, LocalDiffusion, Pool, Seed, Workspace};
 use proptest::prelude::*;
 
 fn small_graph() -> impl Strategy<Value = (plgc::Graph, u32)> {
@@ -19,7 +19,7 @@ proptest! {
     #[test]
     fn nibble_mass_never_exceeds_one((g, v) in small_graph(), t_max in 1usize..12, threads in 1usize..=3) {
         let pool = Pool::new(threads);
-        let d = lgc::nibble_par(&pool, &g, &Seed::single(v), &lgc::NibbleParams { t_max, eps: 1e-6 });
+        let d = Algorithm::Nibble(lgc::NibbleParams { t_max, eps: 1e-6 }).diffuse(&pool, &g, &Seed::single(v), &mut Workspace::new());
         let total = d.total_mass();
         prop_assert!(total <= 1.0 + 1e-9, "mass {}", total);
         prop_assert!(d.p.iter().all(|&(_, m)| m > 0.0));
@@ -30,7 +30,7 @@ proptest! {
     fn prnibble_conserves_mass((g, v) in small_graph(), alpha in 0.01f64..0.5, threads in 1usize..=3) {
         let pool = Pool::new(threads);
         let params = lgc::PrNibbleParams { alpha, eps: 1e-5, ..Default::default() };
-        let d = lgc::prnibble_par(&pool, &g, &Seed::single(v), &params);
+        let d = Algorithm::PrNibble(params).diffuse(&pool, &g, &Seed::single(v), &mut Workspace::new());
         prop_assert!((d.total_mass() + d.stats.residual_mass - 1.0).abs() < 1e-9);
         // Work bound (Theorem 3).
         prop_assert!((d.stats.pushed_volume as f64) <= 1.0 / (alpha * 1e-5));
@@ -41,7 +41,7 @@ proptest! {
         let params = lgc::HkprParams { t, n_levels: 10, eps: 1e-5 };
         let seq = lgc::hkpr_seq(&g, &Seed::single(v), &params);
         let pool = Pool::new(threads);
-        let par = lgc::hkpr_par(&pool, &g, &Seed::single(v), &params);
+        let par = Algorithm::Hkpr(params).diffuse(&pool, &g, &Seed::single(v), &mut Workspace::new());
         prop_assert_eq!(seq.support_size(), par.support_size());
         prop_assert_eq!(seq.stats.pushes, par.stats.pushes);
         for (&(va, ma), &(vb, mb)) in seq.p.iter().zip(&par.p) {
@@ -54,7 +54,7 @@ proptest! {
     fn rand_hkpr_mass_exactly_one((g, v) in small_graph(), walks in 100usize..5000, threads in 1usize..=3) {
         let pool = Pool::new(threads);
         let params = lgc::RandHkprParams { t: 3.0, max_len: 8, walks, rng_seed: 1 };
-        let d = lgc::rand_hkpr_par(&pool, &g, &Seed::single(v), &params);
+        let d = Algorithm::RandHkpr(params).diffuse(&pool, &g, &Seed::single(v), &mut Workspace::new());
         prop_assert!((d.total_mass() - 1.0).abs() < 1e-9);
     }
 
@@ -174,7 +174,7 @@ proptest! {
                 dense_frac,
                 ..Default::default()
             };
-            lgc::prnibble_par(&pool, &g, &Seed::single(v), &params)
+            Algorithm::PrNibble(params).diffuse(&pool, &g, &Seed::single(v), &mut Workspace::new())
         };
         let dense = run(0.0);            // every vector direct-indexed
         let sparse = run(f64::INFINITY); // every vector hash-backed

@@ -14,7 +14,10 @@
 //!   tolerance.
 
 use plgc::cluster as lgc;
-use plgc::{Algorithm, ClusterResult, CsrBackend, Engine, Pool, Query, QueryBudget, Seed, Service};
+use plgc::{
+    Algorithm, ClusterResult, CsrBackend, Engine, LocalDiffusion, Pool, Query, QueryBudget, Seed,
+    Service, Workspace,
+};
 use proptest::prelude::*;
 
 fn small_graph() -> impl Strategy<Value = (plgc::Graph, Vec<u32>)> {
@@ -170,8 +173,9 @@ proptest! {
         }
     }
 
-    /// `engine.diffuse` (no sweep) under the same interleaving: equal to
-    /// the `*_par` free functions.
+    /// `engine.diffuse` (no sweep) under the same interleaving: equal to a
+    /// cold `LocalDiffusion::diffuse` over a fresh workspace, and to the
+    /// free `evolving_set_par` for the evolving set.
     #[test]
     fn warm_engine_diffuse_matches_par_free_functions(
         (g, seeds) in small_graph(),
@@ -185,13 +189,10 @@ proptest! {
             let algo = make_algo(kind, tweak);
             let warm = engine.diffuse(&seed, &algo);
             let cold = match &algo {
-                Algorithm::Nibble(p) => lgc::nibble_par(&pool, &g, &seed, p),
-                Algorithm::PrNibble(p) => lgc::prnibble_par(&pool, &g, &seed, p),
-                Algorithm::Hkpr(p) => lgc::hkpr_par(&pool, &g, &seed, p),
-                Algorithm::RandHkpr(p) => lgc::rand_hkpr_par(&pool, &g, &seed, p),
                 Algorithm::Evolving(p) => {
                     lgc::evolving_set_par(&pool, &g, &seed, p).indicator()
                 }
+                _ => algo.diffuse(&pool, &g, &seed, &mut Workspace::new()),
             };
             if threads == 1 || exact_at_any_threads(&algo) {
                 prop_assert_eq!(&warm.p, &cold.p);

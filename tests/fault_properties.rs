@@ -1,7 +1,7 @@
 //! Query-lifecycle fault harness: budgets, cancellation, deadlines, and
-//! (behind the `fault-inject` feature) deterministic trips at arbitrary
-//! checkpoint ticks — across all five algorithms, both CSR backends, and
-//! 1–4 threads.
+//! deterministic trips at arbitrary checkpoint ticks (a budget's
+//! [`plgc::FaultPlan`]) — across all five algorithms, both CSR backends,
+//! and 1–4 threads.
 //!
 //! The contracts under test:
 //!
@@ -411,7 +411,6 @@ fn ncp_budget_truncates_gracefully() {
     }
 }
 
-#[cfg(feature = "fault-inject")]
 mod fault_injected {
     use super::*;
     use plgc::{BoundaryHook, FaultPlan, Pool};

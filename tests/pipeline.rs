@@ -2,7 +2,7 @@
 //! every algorithm, sequential vs parallel, across thread counts.
 
 use plgc::cluster as lgc;
-use plgc::{Algorithm, Pool, Seed};
+use plgc::{Algorithm, LocalDiffusion, Pool, Seed, Workspace};
 
 /// Every algorithm must recover a planted clique exactly through the full
 /// `find_cluster` pipeline.
@@ -73,8 +73,8 @@ fn deterministic_algorithms_agree_across_thread_counts() {
 
     for threads in [2, 4] {
         let pool = Pool::new(threads);
-        let n = lgc::nibble_par(&pool, &g, &seed, &nibble);
-        let h = lgc::hkpr_par(&pool, &g, &seed, &hk);
+        let n = Algorithm::Nibble(nibble).diffuse(&pool, &g, &seed, &mut Workspace::new());
+        let h = Algorithm::Hkpr(hk).diffuse(&pool, &g, &seed, &mut Workspace::new());
         assert_eq!(n.support_size(), base_nibble.support_size(), "t={threads}");
         assert_eq!(h.support_size(), base_hk.support_size(), "t={threads}");
         let nc = lgc::sweep_cut_par(&pool, &g, &n.p);
@@ -102,7 +102,7 @@ fn rand_hkpr_bitwise_reproducible() {
     let a = lgc::rand_hkpr_seq(&g, &seed, &params);
     for threads in [1, 2, 4] {
         let pool = Pool::new(threads);
-        let b = lgc::rand_hkpr_par(&pool, &g, &seed, &params);
+        let b = Algorithm::RandHkpr(params).diffuse(&pool, &g, &seed, &mut Workspace::new());
         assert_eq!(a.p, b.p, "threads={threads}");
     }
 
@@ -116,7 +116,7 @@ fn rand_hkpr_bitwise_reproducible() {
     let a = lgc::rand_hkpr_seq(&g, &seed, &params);
     for threads in [1, 2, 4] {
         let pool = Pool::new(threads);
-        let b = lgc::rand_hkpr_par(&pool, &g, &seed, &params);
+        let b = Algorithm::RandHkpr(params).diffuse(&pool, &g, &seed, &mut Workspace::new());
         assert_eq!(a.p, b.p, "threads={threads}, sparse compaction");
         assert_eq!(
             pool.stats().loops_forked > 0,
@@ -248,7 +248,7 @@ fn work_bounds_hold() {
         eps: 1e-6,
         ..Default::default()
     };
-    let d = lgc::prnibble_par(&pool, &g, &seed, &pr);
+    let d = Algorithm::PrNibble(pr).diffuse(&pool, &g, &seed, &mut Workspace::new());
     assert!((d.stats.pushed_volume as f64) <= 1.0 / (pr.alpha * pr.eps));
 
     // Nibble: at most T iterations.
@@ -256,7 +256,7 @@ fn work_bounds_hold() {
         t_max: 7,
         eps: 1e-7,
     };
-    let d = lgc::nibble_par(&pool, &g, &seed, &nb);
+    let d = Algorithm::Nibble(nb).diffuse(&pool, &g, &seed, &mut Workspace::new());
     assert!(d.stats.iterations <= 7);
 
     // HK-PR: at most N levels.
@@ -265,7 +265,7 @@ fn work_bounds_hold() {
         n_levels: 9,
         eps: 1e-6,
     };
-    let d = lgc::hkpr_par(&pool, &g, &seed, &hk);
+    let d = Algorithm::Hkpr(hk).diffuse(&pool, &g, &seed, &mut Workspace::new());
     assert!(d.stats.iterations <= 9);
 
     // rand-HK-PR: exactly `walks` walks of length ≤ K.
@@ -275,7 +275,7 @@ fn work_bounds_hold() {
         walks: 10_000,
         rng_seed: 2,
     };
-    let d = lgc::rand_hkpr_par(&pool, &g, &seed, &rh);
+    let d = Algorithm::RandHkpr(rh).diffuse(&pool, &g, &seed, &mut Workspace::new());
     assert_eq!(d.stats.pushes, 10_000);
     assert!(d.stats.edges_traversed <= 6 * 10_000);
 }
