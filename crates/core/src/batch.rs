@@ -14,6 +14,9 @@
 //! path [`Engine::run`] takes — on a single-threaded pool, so a batch
 //! item is **bit-identical to a 1-thread engine run of the same query**,
 //! and the whole batch is deterministic and thread-count independent.
+//! Items are ungoverned, as in [`Engine::run`]: never shed, never
+//! budgeted. The governed path is [`Engine::try_run`], one query at a
+//! time.
 //! Users with embarrassingly-many queries (e.g. NCP-style scans with
 //! known parameters) saturate their machine this way, while interactive
 //! single-query workloads use the paper's intra-query parallel
@@ -45,33 +48,12 @@ impl<B: CsrBackend> Engine<'_, B> {
     /// running each query alone on a 1-thread engine (workspace recycling
     /// is observationally invisible — see the workspace-reuse
     /// proptests), so the output does not depend on the thread count.
+    /// Like [`Engine::run`], every item bypasses admission and ignores
+    /// its budget.
     ///
     /// # Panics
     /// As [`Engine::run`], for any item.
     pub fn run_batch(&self, queries: &[Query]) -> Vec<ClusterResult> {
-        self.batch(queries, Admission::Bypass)
-            .into_iter()
-            .map(|r| r.unwrap_or_else(|e| panic!("Engine::run_batch: {e}")))
-            .collect()
-    }
-
-    /// The governed form of [`Engine::run_batch`]: every item is a query
-    /// of its own — seed- and parameter-validated, passed through the
-    /// in-flight gate, run under its own [`QueryBudget`](crate::QueryBudget)
-    /// (merged over the engine's default, armed at that query's start
-    /// inside its worker chunk) — so one poisoned or oversized query
-    /// fails alone with a typed [`QueryError`], position-aligned with
-    /// `queries`, while the rest of the batch completes. Successful items
-    /// are bit-identical to [`Engine::run_batch`]'s.
-    pub fn try_run_batch(&self, queries: &[Query]) -> Vec<Result<ClusterResult, QueryError>> {
-        self.batch(queries, Admission::Governed)
-    }
-
-    fn batch(
-        &self,
-        queries: &[Query],
-        admission: Admission,
-    ) -> Vec<Result<ClusterResult, QueryError>> {
         let n = queries.len();
         let mut out: Vec<Option<Result<ClusterResult, QueryError>>> =
             (0..n).map(|_| None).collect();
@@ -96,15 +78,19 @@ impl<B: CsrBackend> Engine<'_, B> {
                 // Global index i addresses both `queries` and the output.
                 #[allow(clippy::needless_range_loop)]
                 for i in s..e {
-                    let result = self.execute(sub, Some(&mut ws), &queries[i], admission);
+                    let result = self.execute(sub, Some(&mut ws), &queries[i], Admission::Bypass);
                     // SAFETY: each query index is written exactly once.
                     unsafe { view.write(i, Some(result)) };
                 }
                 workspaces.restore(ws, &self.core.counters);
             });
         }
+        // Panic on the calling thread, once every item has run.
         out.into_iter()
-            .map(|r| r.expect("every query executed"))
+            .map(|r| {
+                r.expect("every query executed")
+                    .unwrap_or_else(|e| panic!("Engine::run_batch: {e}"))
+            })
             .collect()
     }
 }

@@ -7,13 +7,12 @@
 //! are carried on [`Query`](crate::Query) (per request) and on the engine
 //! (per-graph default via [`EngineLimits::default_budget`]); per-query
 //! settings override the default field-wise. The diffusion loops, the
-//! sweep, NCP grid scans, and batch chunk loops check the armed budget
+//! sweep and NCP grid scans check the armed budget
 //! **once per frontier iteration** — never per edge — so the hot kernels
 //! are untouched and completed runs stay bit-identical to unbudgeted ones.
 //!
-//! When a limit trips, the fallible entry points
-//! ([`Engine::try_run`](crate::Engine::try_run),
-//! [`try_run_batch`](crate::Engine::try_run_batch)) return
+//! When a limit trips, the fallible entry point
+//! [`Engine::try_run`](crate::Engine::try_run) returns
 //! [`QueryError::Tripped`], whose [`PartialResult`] holds the best-so-far
 //! sweep cut, the partial diffusion vector, and the work counters at the
 //! moment of the trip. The infallible [`run`](crate::Engine::run) and
@@ -43,7 +42,7 @@ pub struct EngineLimits {
     /// `[32 MiB, 1 GiB]`.
     pub workspace_budget: Option<usize>,
     /// Admission-control cap: at most this many governed queries
-    /// (`try_run`, `try_run_batch` items) execute concurrently; arrivals
+    /// (`try_run` calls) execute concurrently; arrivals
     /// beyond it are shed with [`QueryError::Overloaded`] (carrying a
     /// retry-after hint) instead of queuing. The infallible paths are
     /// never shed. `None` = unbounded.
@@ -449,7 +448,8 @@ pub struct LifecycleSnapshot {
     /// Queries executing right now.
     pub in_flight: usize,
     /// Max-flow refinements run to completion
-    /// ([`Engine::improve`](crate::Engine::improve) and the pipeline).
+    /// ([`Engine::improve`](crate::Engine::improve), `improve_set` and
+    /// `try_improve`).
     pub refined: u64,
     /// Refinements that strictly lowered the cut's conductance.
     pub refine_improved: u64,

@@ -171,10 +171,10 @@ pub struct Query {
     pub seed: Seed,
     /// Which diffusion to run, with its parameters.
     pub algo: Algorithm,
-    /// Execution limits honored by the fallible entry points
-    /// ([`Engine::try_run`], [`Engine::try_run_batch`]); unset fields
-    /// fall back to the engine's per-graph default budget. The
-    /// infallible [`Engine::run`] ignores budgets entirely.
+    /// Execution limits honored by the fallible entry point
+    /// [`Engine::try_run`]; unset fields fall back to the engine's
+    /// per-graph default budget. The infallible [`Engine::run`] and
+    /// [`Engine::run_batch`] ignore budgets entirely.
     pub budget: QueryBudget,
 }
 

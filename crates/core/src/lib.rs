@@ -70,9 +70,9 @@ mod evolving;
 mod hkpr;
 mod ncp;
 mod nibble;
-mod pipeline;
 mod prnibble;
 mod rand_hkpr;
+mod refine;
 mod result;
 mod seed;
 mod service;
@@ -88,7 +88,6 @@ pub use evolving::{evolving_set_par, evolving_set_seq, EvolvingParams, EvolvingR
 pub use hkpr::{hkpr_seq, psi_table, HkprParams};
 pub use ncp::{NcpParams, NcpPoint};
 pub use nibble::{nibble_seq, NibbleParams};
-pub use pipeline::{Embedding, KClusters, PipelineParams, RhoGrid};
 pub use prnibble::{prnibble_seq, PrNibbleParams, PushRule};
 pub use rand_hkpr::{rand_hkpr_seq, RandHkprParams};
 pub use result::{ClusterResult, Diffusion, DiffusionStats};
@@ -111,8 +110,8 @@ pub use lgc_ligra::{Direction, DirectionParams};
 // a refinement, `QueryError::Tripped` — is a `Tripped`.
 pub use lgc_ligra::{BoundaryHook, CancelToken, Checkpoint, FaultPlan, QueryBudget, Trip, Tripped};
 
-// The max-flow refinement stage consumed by `Engine::improve` and the
-// pipeline module, re-exported so umbrella users see one API.
+// The max-flow refinement stage consumed by `Engine::improve`,
+// re-exported so umbrella users see one API.
 pub use lgc_flow::{RefineStats, RefinedCut};
 
 use lgc_graph::CsrBackend;

@@ -494,7 +494,7 @@ mod tests {
     }
 
     /// Every `arm` starts its own clock and its own fault countdown: a
-    /// budget re-armed per grid point (`NcpParams`, `PipelineParams`)
+    /// budget re-armed per grid point (`NcpParams`)
     /// gives each point the whole budget, whatever earlier arms consumed.
     #[test]
     fn arming_twice_gives_independent_deadlines_and_countdowns() {

@@ -148,9 +148,8 @@
 //!
 //! A server cannot afford one runaway query: a pathological `(seed, ε)`
 //! pair can push a "local" diffusion into touching most of a billion-edge
-//! graph. Every fallible entry point ([`Engine::try_run`],
-//! [`Engine::try_run_batch`], and their [`Service`] forms) is therefore
-//! *governed*:
+//! graph. The fallible query entry point ([`Engine::try_run`], and its
+//! [`Service`] form) is therefore *governed*:
 //!
 //! * **Budgets.** A [`QueryBudget`] bounds a query by wall-clock
 //!   deadline, by deterministic work counters (pushed mass updates,
@@ -226,7 +225,7 @@
 //! both CSR backends, and 1–4 threads to prove no-panic, full pool
 //! recovery, and post-fault bitwise determinism.
 //!
-//! # Refinement & pipelines: max-flow `improve` and `find_k_clusters`
+//! # Refinement: max-flow `improve`
 //!
 //! The diffusions *find* low-conductance cuts; they never *improve*
 //! them. [`Engine::improve`] adds the flow stage the local-clustering
@@ -236,16 +235,10 @@
 //! input's** — provably and deterministically, with [`QueryBudget`]
 //! checkpoints ticking inside the flow solver's phase loop
 //! ([`Engine::try_improve`]; a trip returns the unrefined cut as a typed
-//! [`PartialResult`]). On top of refinement sit the first whole-graph
-//! pipelines: [`Engine::compute_embedding`] sweeps a geomspace ρ grid of
-//! PR-Nibble queries per seed through [`Engine::try_run_batch`] (warm
-//! workspaces), refines each cut, and keeps the
-//! minimum-conductance envelope — recording the actually-achieved grid
-//! in [`RhoGrid`] so budget truncation is visible, never silent — and
-//! [`Engine::find_k_clusters`] agglomerates every vertex's embedding
-//! into `k` groups by pairwise distance (see
-//! `examples/community_detection.rs` for exact planted-partition
-//! recovery on an SBM):
+//! [`PartialResult`]). Like the query it refines, a refinement reads
+//! only the cut's own adjacency lists, never the whole graph (see
+//! `examples/community_detection.rs` for every diffusion's cut on an
+//! SBM, refined):
 //!
 //! ```
 //! use plgc::{Algorithm, Engine, PrNibbleParams, Query, Seed};
@@ -409,12 +402,12 @@ pub use lgc_sparse as sparse;
 pub use lgc_core::{
     evolving_set_par, evolving_set_seq, find_cluster, hkpr_seq, nibble_seq, prnibble_seq,
     rand_hkpr_seq, sweep_cut_par, sweep_cut_seq, Algorithm, BoundaryHook, CancelToken, Checkpoint,
-    ClusterResult, Diffusion, DiffusionStats, Direction, DirectionParams, Embedding, Engine,
-    EngineBuilder, EngineLimits, EvolvingParams, FaultPlan, GraphStore, GraphSummary, HkprParams,
-    InvalidParams, InvalidSeed, KClusters, LifecycleSnapshot, LocalDiffusion, NcpParams,
-    NibbleParams, PartialResult, PipelineParams, PrNibbleParams, PushRule, Query, QueryBudget,
-    QueryError, RandHkprParams, RefineStats, RefinedCut, RhoGrid, Seed, Service, ServiceBuilder,
-    ServiceEngine, SweepCut, Trip, Tripped, Workspace, WorkspaceBudgetExceeded, RETRY_AFTER_FLOOR,
+    ClusterResult, Diffusion, DiffusionStats, Direction, DirectionParams, Engine, EngineBuilder,
+    EngineLimits, EvolvingParams, FaultPlan, GraphStore, GraphSummary, HkprParams, InvalidParams,
+    InvalidSeed, LifecycleSnapshot, LocalDiffusion, NcpParams, NibbleParams, PartialResult,
+    PrNibbleParams, PushRule, Query, QueryBudget, QueryError, RandHkprParams, RefineStats,
+    RefinedCut, Seed, Service, ServiceBuilder, ServiceEngine, SweepCut, Trip, Tripped, Workspace,
+    WorkspaceBudgetExceeded, RETRY_AFTER_FLOOR,
 };
 pub use lgc_graph::{
     induced_cut_subgraph, CsrBackend, CsrCompressed, CutSubgraph, Graph, GraphBuilder,

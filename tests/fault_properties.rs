@@ -250,53 +250,6 @@ proptest! {
         assert_recovered(&plain, &g, &q, 1, "post-work-trip plain");
         assert_recovered(&packed, &compact, &q, 1, "post-work-trip compressed");
     }
-
-    /// `try_run_batch`: poisoned queries (bad seed, starved budget) fail
-    /// alone with position-aligned typed errors while the rest of the
-    /// batch matches the infallible path bit-for-bit.
-    #[test]
-    fn batch_isolates_poisoned_queries(
-        (g, seeds) in small_graph(),
-        threads in 1usize..=4,
-        tweak in 0u64..3,
-    ) {
-        let engine = Engine::builder(&g).threads(threads).build();
-        let good: Vec<Query> = (0..4)
-            .map(|i| Query::new(Seed::single(seeds[i % seeds.len()]), make_algo(i, tweak)))
-            .collect();
-        let mut queries = good.clone();
-        let bad_seed = g.num_vertices() as u32 + 7;
-        queries.insert(1, Query::new(Seed::single(bad_seed), make_algo(0, 0)));
-        let starved = CancelToken::new();
-        starved.cancel();
-        queries.insert(
-            3,
-            Query::new(Seed::single(seeds[0]), make_algo(4, tweak))
-                .with_budget(QueryBudget::unlimited().with_cancel(starved)),
-        );
-        let out = engine.try_run_batch(&queries);
-        prop_assert_eq!(out.len(), queries.len());
-        match &out[1] {
-            Err(QueryError::InvalidSeed(e)) => {
-                prop_assert_eq!(e.vertex, bad_seed);
-                prop_assert_eq!(e.num_vertices, g.num_vertices());
-            }
-            other => prop_assert!(false, "expected InvalidSeed, got {:?}", other),
-        }
-        prop_assert!(matches!(out[3], Err(QueryError::Tripped(Tripped { trip: Trip::Cancelled, .. }))));
-        let want = engine.run_batch(&good);
-        for (got, want) in out
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| i != 1 && i != 3)
-            .map(|(_, r)| r)
-            .zip(&want)
-        {
-            let got = got.as_ref().expect("healthy query completed");
-            prop_assert_eq!(&got.diffusion.p, &want.diffusion.p);
-            prop_assert_eq!(&got.cluster, &want.cluster);
-        }
-    }
 }
 
 /// Admission control: a full in-flight gate sheds with `Overloaded` and
