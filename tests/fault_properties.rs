@@ -250,6 +250,55 @@ proptest! {
         assert_recovered(&plain, &g, &q, 1, "post-work-trip plain");
         assert_recovered(&packed, &compact, &q, 1, "post-work-trip compressed");
     }
+
+    /// Poisoned queries (bad seed, starved budget) issued through
+    /// `try_run` among healthy ones fail alone with typed errors, while
+    /// the healthy answers on the same engine match `run_batch` over
+    /// 1–4 threads bit-for-bit (batch items run on one-thread sub-pools).
+    #[test]
+    fn batch_isolates_poisoned_queries(
+        (g, seeds) in small_graph(),
+        threads in 1usize..=4,
+        tweak in 0u64..3,
+    ) {
+        let engine = Engine::builder(&g).threads(1).build();
+        let batch = Engine::builder(&g).threads(threads).build();
+        let good: Vec<Query> = (0..4)
+            .map(|i| Query::new(Seed::single(seeds[i % seeds.len()]), make_algo(i, tweak)))
+            .collect();
+        let mut queries = good.clone();
+        let bad_seed = g.num_vertices() as u32 + 7;
+        queries.insert(1, Query::new(Seed::single(bad_seed), make_algo(0, 0)));
+        let starved = CancelToken::new();
+        starved.cancel();
+        queries.insert(
+            3,
+            Query::new(Seed::single(seeds[0]), make_algo(4, tweak))
+                .with_budget(QueryBudget::unlimited().with_cancel(starved)),
+        );
+        let out: Vec<_> = queries.iter().map(|q| engine.try_run(q)).collect();
+        match &out[1] {
+            Err(QueryError::InvalidSeed(e)) => {
+                prop_assert_eq!(e.vertex, bad_seed);
+                prop_assert_eq!(e.num_vertices, g.num_vertices());
+            }
+            other => prop_assert!(false, "expected InvalidSeed, got {:?}", other),
+        }
+        prop_assert!(matches!(out[3], Err(QueryError::Tripped(Tripped { trip: Trip::Cancelled, .. }))));
+        let want = batch.run_batch(&good);
+        prop_assert_eq!(want.len(), good.len());
+        for (got, want) in out
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| i != 1 && i != 3)
+            .map(|(_, r)| r)
+            .zip(&want)
+        {
+            let got = got.as_ref().expect("healthy query completed");
+            prop_assert_eq!(&got.diffusion.p, &want.diffusion.p);
+            prop_assert_eq!(&got.cluster, &want.cluster);
+        }
+    }
 }
 
 /// Admission control: a full in-flight gate sheds with `Overloaded` and

@@ -9,7 +9,9 @@
 //! * **Budget-aware**: a refinement tripped by a [`QueryBudget`] comes
 //!   back as a typed error whose [`PartialResult`] carries the
 //!   *unrefined* input cut — the caller keeps a valid cluster either way
-//!   — and books no query counter.
+//!   — and books no query counter. Under a budget it does not exhaust,
+//!   `try_improve` returns exactly `improve`'s cut and books the same
+//!   refinement counters.
 
 use plgc::cluster as lgc;
 use plgc::{Algorithm, Engine, Pool, Query, QueryBudget, QueryError, Seed, Trip, Tripped};
@@ -148,6 +150,38 @@ proptest! {
                 prop_assert_eq!(&a, &plain.improve_set(&result.cluster));
                 prop_assert_eq!(&a, &packed.improve_set(&result.cluster));
             }
+        }
+    }
+
+    /// The governed refinement is the plain one when its budget does not
+    /// bind: `try_improve` under an unlimited budget returns `improve`'s
+    /// cut bit-for-bit, and each call books one `refined` (and, when the
+    /// cut got strictly better, one `refine_improved`) and no query
+    /// counter.
+    #[test]
+    fn unbudgeted_try_improve_matches_improve(
+        (g, seeds) in small_graph(),
+        specs in query_specs(),
+        threads in 1usize..=4,
+    ) {
+        let engine = Engine::builder(&g).threads(threads).build();
+        for (kind, si, tweak) in specs {
+            let q = Query::new(Seed::single(seeds[si % seeds.len()]), make_algo(kind, tweak));
+            let result = engine.run(&q);
+            let before = engine.lifecycle_stats();
+            let plain = engine.improve(&result);
+            let governed = engine
+                .try_improve(&result, &QueryBudget::unlimited())
+                .expect("an unlimited budget never trips");
+            prop_assert_eq!(&plain, &governed);
+            let after = engine.lifecycle_stats();
+            prop_assert_eq!(after.refined, before.refined + 2);
+            prop_assert_eq!(
+                after.refine_improved,
+                before.refine_improved + 2 * u64::from(plain.improved())
+            );
+            prop_assert_eq!(after.admitted, before.admitted);
+            prop_assert_eq!(after.completed, before.completed);
         }
     }
 
