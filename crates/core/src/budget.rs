@@ -1,56 +1,37 @@
-//! Query lifecycle: engine limits, typed errors, partial results, and
-//! per-graph robustness counters.
+//! Query lifecycle: typed errors, partial results, and per-graph
+//! robustness counters.
 //!
-//! A [`QueryBudget`] ([`lgc_ligra::interrupt`]) bounds how long a single
-//! query may run — by wall clock, by deterministic work counters, or
-//! until a shared [`CancelToken`](lgc_ligra::CancelToken) flips. Budgets
-//! are carried on [`Query`](crate::Query) (per request) and on the engine
-//! (per-graph default via [`EngineLimits::default_budget`]); per-query
-//! settings override the default field-wise. The diffusion loops, the
-//! sweep and NCP grid scans check the armed budget
+//! A [`QueryBudget`](lgc_ligra::QueryBudget) ([`lgc_ligra::interrupt`])
+//! bounds how long a single query may run — by wall clock, by
+//! deterministic work counters, or until a shared
+//! [`CancelToken`](lgc_ligra::CancelToken) flips. A budget rides on its
+//! [`Query`](crate::Query); the engine keeps no default of its own. The
+//! diffusion loops, the sweep and NCP grid scans check the armed budget
 //! **once per frontier iteration** — never per edge — so the hot kernels
 //! are untouched and completed runs stay bit-identical to unbudgeted ones.
+//!
+//! The engine's one admission check is its workspace byte budget
+//! ([`QueryError::WorkspaceBudgetExceeded`]); how many queries run at
+//! once is the serving layer's to bound (in `lgc-server`: the connection
+//! cap, the class queues and the executor count).
 //!
 //! When a limit trips, the fallible entry point
 //! [`Engine::try_run`](crate::Engine::try_run) returns
 //! [`QueryError::Tripped`], whose [`PartialResult`] holds the best-so-far
 //! sweep cut, the partial diffusion vector, and the work counters at the
 //! moment of the trip. The infallible [`run`](crate::Engine::run) and
-//! [`run_batch`](crate::Engine::run_batch) walk the same executor with
-//! admission bypassed: they ignore budgets entirely and keep their
-//! run-to-completion semantics.
+//! [`run_batch`](crate::Engine::run_batch) walk the same executor
+//! ungoverned: they ignore budgets and the workspace byte budget and keep
+//! their run-to-completion semantics.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::time::Duration;
 
-use lgc_ligra::{IterationCounts, QueryBudget, Trip, Tripped};
+use lgc_ligra::{IterationCounts, Trip, Tripped};
 
 use crate::result::{Diffusion, DiffusionStats};
 use crate::sweep::SweepCut;
 use crate::workspace::WorkspaceBudgetExceeded;
-
-/// Per-graph engine limits — the one spelling of the three, taken by
-/// [`EngineBuilder::limits`](crate::EngineBuilder::limits) and
-/// [`Service::add_graph_with_limits`](crate::Service::add_graph_with_limits).
-#[derive(Clone, Debug, Default)]
-pub struct EngineLimits {
-    /// Byte budget for the graph's resident workspace scratch: checkouts
-    /// that would push the total past it are denied (`try_run`) or
-    /// served by transient unpooled workspaces (`run`, batch chunks).
-    /// `None` = 4× the graph's resident bytes, clamped to
-    /// `[32 MiB, 1 GiB]`.
-    pub workspace_budget: Option<usize>,
-    /// Admission-control cap: at most this many governed queries
-    /// (`try_run` calls) execute concurrently; arrivals
-    /// beyond it are shed with [`QueryError::Overloaded`] (carrying a
-    /// retry-after hint) instead of queuing. The infallible paths are
-    /// never shed. `None` = unbounded.
-    pub max_in_flight: Option<usize>,
-    /// Default [`QueryBudget`] applied to every governed query on this
-    /// graph (field-wise overridable per query).
-    pub default_budget: QueryBudget,
-}
 
 /// What a tripped query computed before it stopped.
 ///
@@ -147,23 +128,12 @@ impl fmt::Display for InvalidParams {
 
 impl std::error::Error for InvalidParams {}
 
-/// Floor for the [`Overloaded`](QueryError::Overloaded) retry-after
-/// hint. The hint is the graph's mean completed-query latency, which is
-/// degenerate at cold start (no completions yet) and can round to zero
-/// nanoseconds right after the first sub-microsecond completion; a
-/// client honoring a zero backoff would busy-spin against a full
-/// admission gate. 100 µs is well under any real diffusion latency but
-/// long enough to turn a retry storm into a polite poll.
-pub const RETRY_AFTER_FLOOR: Duration = Duration::from_micros(100);
-
 /// The unified error surface of the fallible query entry points.
 ///
 /// # Retryability
 ///
-/// - [`Overloaded`](QueryError::Overloaded) and
-///   [`WorkspaceBudgetExceeded`](QueryError::WorkspaceBudgetExceeded)
-///   are **transient**: the same query can succeed once load drains
-///   (`Overloaded` carries a retry-after hint).
+/// - [`WorkspaceBudgetExceeded`](QueryError::WorkspaceBudgetExceeded)
+///   is **transient**: the same query can succeed once load drains.
 /// - A [`Tripped`](QueryError::Tripped) query whose [`Trip`] is
 ///   `Deadline` or `WorkBudget` is retryable **with a larger budget** —
 ///   the partial result shows how far the original budget got.
@@ -186,20 +156,6 @@ pub enum QueryError {
     /// The workspace pool's byte budget could not admit another
     /// checkout.
     WorkspaceBudgetExceeded(WorkspaceBudgetExceeded),
-    /// Admission control shed the query: the per-graph in-flight cap is
-    /// full.
-    Overloaded {
-        /// Queries currently executing on this graph.
-        in_flight: usize,
-        /// The configured cap.
-        limit: usize,
-        /// When to retry: the graph's mean completed-query latency,
-        /// floored at [`RETRY_AFTER_FLOOR`] so the hint is usable even
-        /// at cold start. The engine always sets this; it is `Option`
-        /// for constructors that have no engine behind them (e.g. a
-        /// decoded wire error).
-        retry_after: Option<Duration>,
-    },
 }
 
 impl QueryError {
@@ -219,13 +175,10 @@ impl QueryError {
         }
     }
 
-    /// `true` for the transient load errors (`Overloaded`,
-    /// `WorkspaceBudgetExceeded`) that can succeed unchanged on retry.
+    /// `true` for the transient load error (`WorkspaceBudgetExceeded`)
+    /// that can succeed unchanged on retry.
     pub fn is_retryable(&self) -> bool {
-        matches!(
-            self,
-            QueryError::Overloaded { .. } | QueryError::WorkspaceBudgetExceeded(_)
-        )
+        matches!(self, QueryError::WorkspaceBudgetExceeded(_))
     }
 }
 
@@ -240,20 +193,6 @@ impl fmt::Display for QueryError {
             QueryError::InvalidSeed(e) => e.fmt(f),
             QueryError::InvalidParams(e) => e.fmt(f),
             QueryError::WorkspaceBudgetExceeded(e) => e.fmt(f),
-            QueryError::Overloaded {
-                in_flight,
-                limit,
-                retry_after,
-            } => {
-                write!(
-                    f,
-                    "graph overloaded: {in_flight} queries in flight (limit {limit})"
-                )?;
-                if let Some(d) = retry_after {
-                    write!(f, "; retry after ~{d:?}")?;
-                }
-                Ok(())
-            }
         }
     }
 }
@@ -293,14 +232,12 @@ impl From<InvalidParams> for QueryError {
 pub struct LifecycleCounters {
     admitted: AtomicU64,
     completed: AtomicU64,
-    shed_overloaded: AtomicU64,
     shed_workspace: AtomicU64,
-    invalid_seed: AtomicU64,
+    invalid: AtomicU64,
     cancelled: AtomicU64,
     deadline_tripped: AtomicU64,
     work_tripped: AtomicU64,
     in_flight: AtomicUsize,
-    busy_nanos: AtomicU64,
     refined: AtomicU64,
     refine_improved: AtomicU64,
     iterations_push: AtomicU64,
@@ -314,24 +251,16 @@ impl LifecycleCounters {
         self.admitted.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn note_completed(&self, elapsed: Duration) {
+    pub(crate) fn note_completed(&self) {
         self.completed.fetch_add(1, Ordering::Relaxed);
-        self.busy_nanos.fetch_add(
-            elapsed.as_nanos().min(u64::MAX as u128) as u64,
-            Ordering::Relaxed,
-        );
-    }
-
-    pub(crate) fn note_shed_overloaded(&self) {
-        self.shed_overloaded.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn note_shed_workspace(&self) {
         self.shed_workspace.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn note_invalid_seed(&self) {
-        self.invalid_seed.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn note_invalid(&self) {
+        self.invalid.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn note_refined(&self, improved: bool) {
@@ -361,37 +290,10 @@ impl LifecycleCounters {
         };
     }
 
-    /// Try to occupy an in-flight slot under `limit`; `Err` returns the
-    /// observed occupancy without taking a slot.
-    pub(crate) fn enter(&self, limit: Option<usize>) -> Result<InFlightSlot<'_>, usize> {
-        let occupied = self.in_flight.fetch_add(1, Ordering::AcqRel);
-        let slot = InFlightSlot(&self.in_flight);
-        match limit {
-            Some(cap) if occupied >= cap => Err(occupied), // dropping `slot` gives it back
-            _ => Ok(slot),
-        }
-    }
-
-    /// Mean completed-query latency, the `Overloaded` retry-after hint.
-    pub(crate) fn mean_latency(&self) -> Option<Duration> {
-        let completed = self.completed.load(Ordering::Relaxed);
-        if completed == 0 {
-            return None;
-        }
-        Some(Duration::from_nanos(
-            self.busy_nanos.load(Ordering::Relaxed) / completed,
-        ))
-    }
-
-    /// The `Overloaded` retry-after hint with the cold-start edge
-    /// handled: before the first completion there is no mean latency
-    /// (and just after it the integer mean can round to zero), so the
-    /// hint is floored at [`RETRY_AFTER_FLOOR`]. A shed response
-    /// therefore always carries a usable, non-zero backoff.
-    pub(crate) fn retry_hint(&self) -> Duration {
-        self.mean_latency()
-            .unwrap_or(RETRY_AFTER_FLOOR)
-            .max(RETRY_AFTER_FLOOR)
+    /// Occupies an in-flight slot for the query's duration.
+    pub(crate) fn enter(&self) -> InFlightSlot<'_> {
+        self.in_flight.fetch_add(1, Ordering::AcqRel);
+        InFlightSlot(&self.in_flight)
     }
 
     /// A consistent-enough point-in-time copy of every counter.
@@ -399,9 +301,8 @@ impl LifecycleCounters {
         LifecycleSnapshot {
             admitted: self.admitted.load(Ordering::Relaxed),
             completed: self.completed.load(Ordering::Relaxed),
-            shed_overloaded: self.shed_overloaded.load(Ordering::Relaxed),
             shed_workspace: self.shed_workspace.load(Ordering::Relaxed),
-            invalid_seed: self.invalid_seed.load(Ordering::Relaxed),
+            invalid: self.invalid.load(Ordering::Relaxed),
             cancelled: self.cancelled.load(Ordering::Relaxed),
             deadline_tripped: self.deadline_tripped.load(Ordering::Relaxed),
             work_tripped: self.work_tripped.load(Ordering::Relaxed),
@@ -433,12 +334,11 @@ pub struct LifecycleSnapshot {
     pub admitted: u64,
     /// Queries that ran to completion.
     pub completed: u64,
-    /// Queries shed by the in-flight cap.
-    pub shed_overloaded: u64,
     /// Queries shed by the workspace-pool byte budget.
     pub shed_workspace: u64,
-    /// Queries rejected for an out-of-range seed vertex.
-    pub invalid_seed: u64,
+    /// Queries rejected before admission: an out-of-range seed vertex or
+    /// a parameter failing [`Algorithm::check`](crate::Algorithm::check).
+    pub invalid: u64,
     /// Queries stopped by their [`CancelToken`](lgc_ligra::CancelToken).
     pub cancelled: u64,
     /// Queries stopped by their wall-clock deadline.
@@ -477,16 +377,16 @@ pub struct LifecycleSnapshot {
 }
 
 impl LifecycleSnapshot {
-    /// Total shed queries (in-flight cap + workspace budget).
+    /// Total shed queries: those the workspace byte budget refused.
     pub fn shed(&self) -> u64 {
-        self.shed_overloaded + self.shed_workspace
+        self.shed_workspace
     }
 
     /// Fraction of arriving queries shed before running
-    /// (`shed / (admitted + shed + invalid_seed)`); `0.0` when nothing
-    /// has arrived.
+    /// (`shed / (admitted + shed + invalid)`); `0.0` when nothing has
+    /// arrived.
     pub fn shed_rate(&self) -> f64 {
-        let arrived = self.admitted + self.shed() + self.invalid_seed;
+        let arrived = self.admitted + self.shed() + self.invalid;
         if arrived == 0 {
             0.0
         } else {
@@ -500,18 +400,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn in_flight_gate_admits_up_to_limit() {
+    fn in_flight_gauge_counts_occupied_slots() {
         let c = LifecycleCounters::default();
-        let a = c.enter(Some(2)).expect("slot 1");
-        let b = c.enter(Some(2)).expect("slot 2");
-        assert_eq!(c.enter(Some(2)).err(), Some(2));
-        drop(a);
-        let a = c.enter(Some(2)).expect("freed slot");
+        let a = c.enter();
+        let b = c.enter();
         assert_eq!(c.snapshot().in_flight, 2);
-        drop((a, b));
-        assert_eq!(c.snapshot().in_flight, 0);
-        // unbounded always admits
-        assert!(c.enter(None).is_ok());
+        drop(a);
+        assert_eq!(c.snapshot().in_flight, 1);
+        drop(b);
         assert_eq!(c.snapshot().in_flight, 0);
     }
 
@@ -520,37 +416,16 @@ mod tests {
         let c = LifecycleCounters::default();
         c.note_admitted();
         c.note_admitted();
-        c.note_completed(Duration::from_millis(10));
-        c.note_shed_overloaded();
+        c.note_completed();
         c.note_shed_workspace();
+        c.note_invalid();
         c.note_trip(Trip::Deadline);
         let s = c.snapshot();
         assert_eq!(s.admitted, 2);
-        assert_eq!(s.shed(), 2);
+        assert_eq!(s.shed(), 1);
+        assert_eq!(s.invalid, 1);
         assert_eq!(s.deadline_tripped, 1);
-        assert!((s.shed_rate() - 0.5).abs() < 1e-12);
-        assert_eq!(c.mean_latency(), Some(Duration::from_millis(10)));
-    }
-
-    #[test]
-    fn retry_hint_is_floored_at_cold_start() {
-        // Zero completed queries: no mean latency exists, but the hint
-        // must still be a usable non-zero backoff.
-        let c = LifecycleCounters::default();
-        assert_eq!(c.mean_latency(), None);
-        assert_eq!(c.retry_hint(), RETRY_AFTER_FLOOR);
-
-        // A first completion so fast the integer mean rounds to ~zero
-        // still gets the floor, not a busy-spin hint.
-        c.note_completed(Duration::from_nanos(1));
-        assert!(c.mean_latency().unwrap() < RETRY_AFTER_FLOOR);
-        assert_eq!(c.retry_hint(), RETRY_AFTER_FLOOR);
-
-        // Once the mean clears the floor, the hint tracks it.
-        c.note_completed(Duration::from_millis(20));
-        let mean = c.mean_latency().unwrap();
-        assert!(mean > RETRY_AFTER_FLOOR);
-        assert_eq!(c.retry_hint(), mean);
+        assert!((s.shed_rate() - 0.25).abs() < 1e-12);
     }
 
     /// `Algorithm::check` names the offending field for every value no
@@ -655,13 +530,5 @@ mod tests {
         });
         assert!(e.to_string().contains("seed vertex 9"));
         assert!(std::error::Error::source(&e).is_some());
-
-        let e = QueryError::Overloaded {
-            in_flight: 3,
-            limit: 3,
-            retry_after: Some(Duration::from_millis(2)),
-        };
-        assert!(e.is_retryable());
-        assert!(e.to_string().contains("overloaded"));
     }
 }

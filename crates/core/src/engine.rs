@@ -48,9 +48,7 @@
 //! [`Service`](crate::Service), which hands out an [`Engine`] per
 //! registered graph over a single shared [`Pool`].
 
-use crate::budget::{
-    EngineLimits, InvalidSeed, LifecycleCounters, LifecycleSnapshot, PartialResult, QueryError,
-};
+use crate::budget::{InvalidSeed, LifecycleCounters, LifecycleSnapshot, PartialResult, QueryError};
 use crate::evolving::{evolving_set_par_ws, evolving_set_seq};
 use crate::hkpr::{hkpr_par, hkpr_seq};
 use crate::ncp::{ncp_prnibble, NcpParams, NcpPoint};
@@ -66,7 +64,6 @@ use lgc_graph::{stats::GraphSummary, CsrBackend, Graph};
 use lgc_ligra::{Checkpoint, DirectionParams, QueryBudget, Tripped};
 use lgc_parallel::Pool;
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
 
 /// A local diffusion algorithm: seed → parameters (`self`) → sparse mass
 /// vector, computed over a recyclable [`Workspace`].
@@ -172,9 +169,8 @@ pub struct Query {
     /// Which diffusion to run, with its parameters.
     pub algo: Algorithm,
     /// Execution limits honored by the fallible entry point
-    /// [`Engine::try_run`]; unset fields fall back to the engine's
-    /// per-graph default budget. The infallible [`Engine::run`] and
-    /// [`Engine::run_batch`] ignore budgets entirely.
+    /// [`Engine::try_run`]; unset fields are unlimited. The infallible
+    /// [`Engine::run`] and [`Engine::run_batch`] ignore budgets entirely.
     pub budget: QueryBudget,
 }
 
@@ -188,8 +184,7 @@ impl Query {
         }
     }
 
-    /// Attaches per-query execution limits (overriding the engine's
-    /// default budget field-wise).
+    /// Attaches per-query execution limits.
     pub fn with_budget(mut self, budget: QueryBudget) -> Self {
         self.budget = budget;
         self
@@ -253,37 +248,26 @@ pub(crate) fn try_run_query<B: CsrBackend>(
 
 /// The half of an engine that does not borrow the graph — its pool (its
 /// own, or a share of a [`Service`](crate::Service)'s), workspace
-/// checkout pool (with the engine's direction policy), the admission
-/// limits and robustness counters of the graph's queries, and the graph's
-/// summary once somebody has asked for it.
+/// checkout pool (with the engine's direction policy and workspace byte
+/// budget), the robustness counters of the graph's queries, and the
+/// graph's summary once somebody has asked for it.
 /// Every [`Engine`] clone over a graph shares one behind an `Arc`;
 /// [`Service`](crate::Service) keeps one per registered graph.
 pub(crate) struct EngineCore {
     pool: Arc<Pool>,
     pub(crate) workspaces: WorkspacePool,
-    max_in_flight: Option<usize>,
-    pub(crate) default_budget: QueryBudget,
     pub(crate) counters: LifecycleCounters,
     summary: OnceLock<GraphSummary>,
 }
 
 impl EngineCore {
-    /// A core for a graph occupying `graph_bytes`, traversing per `dir`,
-    /// under `limits` (an unset workspace budget is sized from the graph).
-    pub(crate) fn new(
-        pool: Arc<Pool>,
-        dir: DirectionParams,
-        graph_bytes: usize,
-        limits: EngineLimits,
-    ) -> Self {
-        let budget = limits
-            .workspace_budget
-            .unwrap_or_else(|| default_workspace_budget(graph_bytes));
+    /// A core traversing per `dir` whose parked and in-flight workspaces
+    /// may hold `workspace_budget` bytes (the served paths size it with
+    /// [`default_workspace_budget`] from the graph's resident bytes).
+    pub(crate) fn new(pool: Arc<Pool>, dir: DirectionParams, workspace_budget: usize) -> Self {
         EngineCore {
             pool,
-            workspaces: WorkspacePool::new(dir, budget),
-            max_in_flight: limits.max_in_flight,
-            default_budget: limits.default_budget,
+            workspaces: WorkspacePool::new(dir, workspace_budget),
             counters: LifecycleCounters::default(),
             summary: OnceLock::new(),
         }
@@ -299,7 +283,6 @@ pub struct EngineBuilder<'g, B: CsrBackend = Graph> {
     threads: Option<usize>,
     pool: Option<Arc<Pool>>,
     dir: DirectionParams,
-    limits: EngineLimits,
 }
 
 impl<'g, B: CsrBackend> EngineBuilder<'g, B> {
@@ -335,14 +318,6 @@ impl<'g, B: CsrBackend> EngineBuilder<'g, B> {
         self
     }
 
-    /// The engine's [`EngineLimits`]: workspace byte budget, in-flight
-    /// admission cap, and default query budget (see the fields for what
-    /// each bounds; all default to "unset").
-    pub fn limits(mut self, limits: EngineLimits) -> Self {
-        self.limits = limits;
-        self
-    }
-
     /// Builds the engine (spawning the pool's workers if needed).
     pub fn build(self) -> Engine<'g, B> {
         let pool = self.pool.unwrap_or_else(|| {
@@ -351,7 +326,8 @@ impl<'g, B: CsrBackend> EngineBuilder<'g, B> {
                 None => Pool::with_default_threads(),
             })
         });
-        let core = EngineCore::new(pool, self.dir, self.g.memory_bytes(), self.limits);
+        let budget = default_workspace_budget(self.g.memory_bytes());
+        let core = EngineCore::new(pool, self.dir, budget);
         Engine {
             g: self.g,
             core: Arc::new(core),
@@ -362,9 +338,8 @@ impl<'g, B: CsrBackend> EngineBuilder<'g, B> {
 /// How a query enters the engine's executor.
 #[derive(Clone, Copy)]
 pub(crate) enum Admission {
-    /// The `try_*` entry points: the in-flight cap and the workspace byte
-    /// budget may shed the query, and it runs under its [`QueryBudget`]
-    /// merged field-wise over the engine's default.
+    /// The `try_*` entry points: the workspace byte budget may shed the
+    /// query, and it runs under its [`QueryBudget`].
     Governed,
     /// The infallible entry points: never shed, never budgeted.
     Bypass,
@@ -410,7 +385,6 @@ impl<'g, B: CsrBackend> Engine<'g, B> {
             threads: None,
             pool: None,
             dir: DirectionParams::default(),
-            limits: EngineLimits::default(),
         }
     }
 
@@ -458,18 +432,18 @@ impl<'g, B: CsrBackend> Engine<'g, B> {
 
     /// Rejects a seed outside the graph and parameters failing
     /// [`Algorithm::check`] — the input checks every entry point runs
-    /// before it takes any resource.
+    /// before it takes any resource — booking either in `invalid`.
     fn validate(&self, seed: &Seed, algo: &Algorithm) -> Result<(), QueryError> {
         let n = self.g.num_vertices();
-        if let Some(&v) = seed.vertices().iter().find(|&&v| v as usize >= n) {
-            self.core.counters.note_invalid_seed();
-            return Err(InvalidSeed {
-                vertex: v,
+        let checked = match seed.vertices().iter().find(|&&v| v as usize >= n) {
+            Some(&vertex) => Err(InvalidSeed {
+                vertex,
                 num_vertices: n,
             }
-            .into());
-        }
-        Ok(algo.check()?)
+            .into()),
+            None => algo.check().map_err(QueryError::from),
+        };
+        checked.inspect_err(|_| self.core.counters.note_invalid())
     }
 
     /// The one executor behind every query entry point: a single query
@@ -492,16 +466,8 @@ impl<'g, B: CsrBackend> Engine<'g, B> {
         let governed = matches!(admission, Admission::Governed);
         self.validate(&query.seed, &query.algo)?;
         let _caller = pool.enter();
-        let cap = core.max_in_flight.filter(|_| governed);
         // The slot is released on drop, on every return path below.
-        let _slot = core.counters.enter(cap).map_err(|occupied| {
-            core.counters.note_shed_overloaded();
-            QueryError::Overloaded {
-                in_flight: occupied,
-                limit: cap.unwrap_or(usize::MAX),
-                retry_after: Some(core.counters.retry_hint()),
-            }
-        })?;
+        let _slot = core.counters.enter();
         let mut own = None;
         let ws = match chunk_ws {
             Some(ws) => ws,
@@ -514,19 +480,17 @@ impl<'g, B: CsrBackend> Engine<'g, B> {
         };
         core.counters.note_admitted();
         let cp = if governed {
-            query.budget.or(&core.default_budget).arm()
+            query.budget.arm()
         } else {
             Checkpoint::unlimited()
         };
-        // lgc-lint: allow(determinism) -- latency metric feeding note_completed only; never a query decision
-        let t0 = Instant::now();
         let out = try_run_query(pool, self.g, ws, &query.seed, &query.algo, &cp);
         if let Some(ws) = own {
             core.workspaces.restore(ws, &core.counters);
         }
         match out {
             Ok(res) => {
-                core.counters.note_completed(t0.elapsed());
+                core.counters.note_completed();
                 Ok(res)
             }
             Err(tripped) => {
@@ -553,11 +517,13 @@ impl<'g, B: CsrBackend> Engine<'g, B> {
     }
 
     /// The governed form of [`Engine::run`]: validates the seed and the
-    /// parameters, applies admission control (in-flight cap, workspace
-    /// byte budget), honors the query's [`QueryBudget`] (merged
-    /// field-wise over the engine's default), and returns a typed
+    /// parameters, checks the workspace out under the engine's byte
+    /// budget, honors the query's [`QueryBudget`], and returns a typed
     /// [`QueryError`] — carrying the best-so-far [`PartialResult`] for
     /// mid-run trips — instead of running unboundedly or panicking.
+    /// Concurrency is not capped here: a serving layer bounds it (in
+    /// `lgc-server`, the connection cap, the class queues and the
+    /// executor count).
     pub fn try_run(&self, query: &Query) -> Result<ClusterResult, QueryError> {
         self.execute(self.pool(), None, query, Admission::Governed)
     }
@@ -965,5 +931,60 @@ mod tests {
             assert_eq!(a.conductance, b.conductance, "bitwise: same pipeline");
             assert_eq!(a.conductance, c.conductance, "warm rerun identical");
         }
+    }
+
+    /// An exhausted workspace byte budget surfaces as the typed
+    /// [`crate::WorkspaceBudgetExceeded`] error from `try_run` — never a
+    /// panic — while the infallible `run` path keeps answering (on a
+    /// transient, unpooled workspace) bit-identically to a cold engine.
+    #[test]
+    fn exhausted_workspace_budget_is_a_typed_error_not_a_panic() {
+        let g = gen::rand_local(200, 4, 7);
+        let with_budget = |bytes| Engine {
+            g: &g,
+            core: Arc::new(EngineCore::new(
+                Pool::shared(1),
+                DirectionParams::default(),
+                bytes,
+            )),
+        };
+        let tiny = with_budget(1);
+        let q = Query::new(
+            Seed::single(0),
+            Algorithm::PrNibble(PrNibbleParams::default()),
+        );
+        // The pool has never parked a workspace, so the first fresh checkout
+        // is charged at the zero watermark and succeeds even under a 1-byte
+        // budget...
+        let first = tiny.try_run(&q).expect("zero watermark");
+        // ...but restoring it recorded its true footprint, so the next
+        // budgeted checkout is denied — with the numbers, not a panic.
+        let err = tiny.try_run(&q).unwrap_err();
+        let QueryError::WorkspaceBudgetExceeded(denied) = &err else {
+            panic!("expected a workspace-budget refusal, got {err:?}");
+        };
+        assert_eq!(denied.budget_bytes, 1);
+        assert_eq!(denied.in_flight_bytes, 0);
+        assert!(
+            denied.requested_bytes > 1,
+            "watermark learned from the restore"
+        );
+        assert!(err.is_retryable(), "budget refusals are transient");
+        assert!(err.to_string().contains("budget"));
+        // The shed shows up in the graph's lifecycle counters.
+        let stats = tiny.lifecycle_stats();
+        assert_eq!(stats.shed_workspace, 1);
+        assert_eq!(stats.completed, 1);
+        // The infallible front door degrades to a transient workspace and
+        // stays bitwise equal to a cold engine.
+        let again = tiny.run(&q);
+        let cold = Engine::builder(&g).threads(1).build().run(&q);
+        assert_eq!(first.diffusion.p, cold.diffusion.p);
+        assert_eq!(again.diffusion.p, cold.diffusion.p);
+        assert_eq!(again.cluster, cold.cluster);
+        // A roomy budget never denies this workload.
+        let roomy = with_budget(1 << 30);
+        assert!(roomy.try_run(&q).is_ok());
+        assert!(roomy.try_run(&q).is_ok());
     }
 }

@@ -79,10 +79,7 @@ mod service;
 mod sweep;
 mod workspace;
 
-pub use budget::{
-    EngineLimits, InvalidParams, InvalidSeed, LifecycleSnapshot, PartialResult, QueryError,
-    RETRY_AFTER_FLOOR,
-};
+pub use budget::{InvalidParams, InvalidSeed, LifecycleSnapshot, PartialResult, QueryError};
 pub use engine::{Engine, EngineBuilder, LocalDiffusion, Query};
 pub use evolving::{evolving_set_par, evolving_set_seq, EvolvingParams, EvolvingResult};
 pub use hkpr::{hkpr_seq, psi_table, HkprParams};

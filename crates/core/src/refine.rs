@@ -34,8 +34,8 @@ impl<B: CsrBackend> Engine<'_, B> {
     }
 
     /// The governed form of [`Engine::improve`]: refinement runs under
-    /// `budget` (merged over the engine's default), with checkpoint
-    /// ticks in the flow solver's phase loop. On a trip the error's
+    /// `budget`, with checkpoint ticks in the flow solver's phase loop.
+    /// On a trip the error's
     /// [`PartialResult`] carries the *unrefined* input cut — always
     /// still a valid cluster. A refinement is not a query: a trip books
     /// no query counter, so `admitted = completed + tripped` holds.
@@ -44,7 +44,7 @@ impl<B: CsrBackend> Engine<'_, B> {
         result: &ClusterResult,
         budget: &QueryBudget,
     ) -> Result<RefinedCut, QueryError> {
-        let cp = budget.or(&self.core.default_budget).arm();
+        let cp = budget.arm();
         match lgc_flow::improve_guarded(self.graph(), &result.cluster, &cp) {
             Ok(refined) => {
                 self.core.counters.note_refined(refined.improved());

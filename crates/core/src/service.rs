@@ -43,9 +43,10 @@
 //! (`tests/service_properties.rs` enforces exactly that from multiple OS
 //! threads).
 
-use crate::budget::{EngineLimits, LifecycleSnapshot, QueryError};
+use crate::budget::{LifecycleSnapshot, QueryError};
 use crate::engine::{Engine, EngineCore, Query};
 use crate::result::ClusterResult;
+use crate::workspace::default_workspace_budget;
 use lgc_graph::{stats::GraphSummary, CsrBackend, CsrCompressed, Graph};
 use lgc_parallel::Pool;
 use std::sync::Arc;
@@ -192,15 +193,9 @@ impl Service {
         })
     }
 
-    /// Registered graph names, in registration order.
-    pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.graphs.iter().map(|e| e.name.as_str())
-    }
-
     /// Registered graph names, sorted — the listing endpoint for
     /// serving layers (the `lgc-server` `LIST` request and metrics
-    /// page), where a stable order matters more than registration
-    /// order.
+    /// page).
     pub fn graph_names(&self) -> Vec<String> {
         let mut v: Vec<String> = self.graphs.iter().map(|e| e.name.clone()).collect();
         v.sort_unstable();
@@ -221,30 +216,15 @@ impl Service {
     /// [`CsrCompressed`], or an `Arc` of either. Replacing a name drops
     /// the old graph's engine state — its workspace pool and summary
     /// belong to the graph they were built for. The workspace byte
-    /// budget defaults to 4× the graph's resident bytes (clamped to
-    /// `[32 MiB, 1 GiB]`); see [`Service::add_graph_with_limits`].
+    /// budget is 4× the graph's resident bytes (clamped to
+    /// `[32 MiB, 1 GiB]`).
     pub fn add_graph(&mut self, name: impl Into<String>, graph: impl Into<GraphStore>) {
-        self.insert(name.into(), graph.into(), EngineLimits::default());
-    }
-
-    /// [`Service::add_graph`] with the full per-graph [`EngineLimits`]
-    /// bundle: workspace byte budget, in-flight admission cap, and the
-    /// default [`QueryBudget`](crate::QueryBudget) every query on this
-    /// graph inherits (per-query budgets override it field-wise).
-    pub fn add_graph_with_limits(
-        &mut self,
-        name: impl Into<String>,
-        graph: impl Into<GraphStore>,
-        limits: EngineLimits,
-    ) {
-        self.insert(name.into(), graph.into(), limits);
-    }
-
-    fn insert(&mut self, name: String, store: GraphStore, limits: EngineLimits) {
+        let (name, store) = (name.into(), graph.into());
         let pool = Arc::clone(&self.pool);
         // Every graph of a service runs under the default direction policy.
         let dir = Default::default();
-        let core = Arc::new(EngineCore::new(pool, dir, store.memory_bytes(), limits));
+        let budget = default_workspace_budget(store.memory_bytes());
+        let core = Arc::new(EngineCore::new(pool, dir, budget));
         let entry = GraphEntry { name, store, core };
         match self.graphs.iter_mut().find(|e| e.name == entry.name) {
             Some(slot) => *slot = entry,
@@ -308,7 +288,7 @@ impl<'a> ServiceEngine<'a> {
 pub struct ServiceBuilder {
     pool: Option<Arc<Pool>>,
     threads: Option<usize>,
-    graphs: Vec<(String, GraphStore, EngineLimits)>,
+    graphs: Vec<(String, GraphStore)>,
 }
 
 impl ServiceBuilder {
@@ -333,30 +313,13 @@ impl ServiceBuilder {
     /// If `name` is already registered (two tenants silently sharing a
     /// name is a deployment bug; post-build [`Service::add_graph`] is
     /// the intentional-replacement path).
-    pub fn add_graph(self, name: impl Into<String>, graph: impl Into<GraphStore>) -> Self {
-        self.push(name.into(), graph.into(), EngineLimits::default())
-    }
-
-    /// [`Self::add_graph`] with the full per-graph [`EngineLimits`]
-    /// bundle (see [`Service::add_graph_with_limits`]).
-    ///
-    /// # Panics
-    /// If `name` is already registered.
-    pub fn add_graph_with_limits(
-        self,
-        name: impl Into<String>,
-        graph: impl Into<GraphStore>,
-        limits: EngineLimits,
-    ) -> Self {
-        self.push(name.into(), graph.into(), limits)
-    }
-
-    fn push(mut self, name: String, store: GraphStore, limits: EngineLimits) -> Self {
+    pub fn add_graph(mut self, name: impl Into<String>, graph: impl Into<GraphStore>) -> Self {
+        let name = name.into();
         assert!(
-            !self.graphs.iter().any(|(n, _, _)| *n == name),
+            !self.graphs.iter().any(|(n, _)| *n == name),
             "graph {name:?} registered twice"
         );
-        self.graphs.push((name, store, limits));
+        self.graphs.push((name, graph.into()));
         self
     }
 
@@ -373,8 +336,8 @@ impl ServiceBuilder {
             pool,
             graphs: Vec::new(),
         };
-        for (name, store, limits) in self.graphs {
-            svc.insert(name, store, limits);
+        for (name, store) in self.graphs {
+            svc.add_graph(name, store);
         }
         svc
     }
@@ -404,7 +367,7 @@ mod tests {
     fn registration_and_lookup() {
         let svc = two_graph_service(1);
         assert_eq!(svc.num_graphs(), 2);
-        assert_eq!(svc.names().collect::<Vec<_>>(), vec!["cliques", "local"]);
+        assert_eq!(svc.graph_names(), vec!["cliques", "local"]);
         assert!(svc.engine("cliques").is_some());
         assert!(svc.engine("absent").is_none());
         assert_eq!(svc.graph("cliques").unwrap().num_vertices(), 20);
@@ -421,11 +384,6 @@ mod tests {
             .add_graph("alpha", gen::cycle(5))
             .build();
         svc.add_graph("mid", gen::star(3));
-        // `names()` keeps registration order; `graph_names()` sorts.
-        assert_eq!(
-            svc.names().collect::<Vec<_>>(),
-            vec!["zeta", "alpha", "mid"]
-        );
         assert_eq!(svc.graph_names(), vec!["alpha", "mid", "zeta"]);
         svc.remove_graph("mid");
         assert_eq!(svc.graph_names(), vec!["alpha", "zeta"]);

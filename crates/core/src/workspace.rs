@@ -182,8 +182,8 @@ impl std::fmt::Display for WorkspaceBudgetExceeded {
 
 impl std::error::Error for WorkspaceBudgetExceeded {}
 
-/// Default workspace byte budget for a graph occupying `graph_bytes`:
-/// 4× the graph, clamped to `[32 MiB, 1 GiB]`. Query scratch scales with
+/// The workspace byte budget of every engine over a graph occupying
+/// `graph_bytes`: 4× the graph, clamped to `[32 MiB, 1 GiB]`. Query scratch scales with
 /// diffusion support (a fraction of the graph), so a small multiple of
 /// the graph bounds burst-peak memory without throttling realistic
 /// concurrency; the floor keeps small graphs unthrottled and the ceiling

@@ -280,8 +280,8 @@ impl QueryBudget {
     }
 
     /// Field-wise override: take each limit from `self` when set, else
-    /// from `default`. This is how a per-query budget composes with an
-    /// engine's per-graph default.
+    /// from `default`. This is how a per-query budget composes with a
+    /// serving layer's default (`lgc-server`'s bulk-class budget).
     pub fn or(&self, default: &QueryBudget) -> QueryBudget {
         QueryBudget {
             deadline: self.deadline.or(default.deadline),

@@ -57,7 +57,7 @@ impl Config {
                 ),
                 (
                     "crates/core/src/budget.rs",
-                    "lifecycle counters (admitted/shed/tripped) and the in-flight gate",
+                    "lifecycle counters (admitted/shed/tripped) and the in-flight gauge",
                 ),
                 (
                     "crates/ligra/src/interrupt.rs",
@@ -98,7 +98,6 @@ impl Config {
                 "crates/core/src/evolving.rs",
                 "crates/core/src/ncp.rs",
                 "crates/core/src/sweep/par.rs",
-                "crates/core/src/batch.rs",
             ]),
             panic_scope: s(&["crates/server/src/"]),
         }

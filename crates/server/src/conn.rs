@@ -205,7 +205,7 @@ fn handle_query(
         reply_err(&WireError::QueueFull {
             queued: occupied as u64,
             cap: cap as u64,
-            retry_after: Some(shared.shed_retry_hint(&req.tenant, class)),
+            retry_after: Some(shared.retry_after(&req.tenant, class)),
         });
         return;
     }
@@ -233,7 +233,7 @@ fn handle_query(
                 reply_err(&WireError::QueueFull {
                     queued: queued as u64,
                     cap: cap as u64,
-                    retry_after: Some(shared.shed_retry_hint(&tenant, class)),
+                    retry_after: Some(shared.retry_after(&tenant, class)),
                 });
             }
             crate::sched::PushError::ShutDown => reply_err(&WireError::ShuttingDown),

@@ -25,8 +25,8 @@
 //! ahead of any bulk query — and runs them through
 //! [`ServiceEngine::try_run`](lgc_core::ServiceEngine::try_run) — the engine's one executor,
 //! which supplies the engine-side governance (seed and parameter
-//! validation, admission control, workspace budgets, deadlines,
-//! cooperative cancellation).
+//! validation, the workspace byte budget, deadlines, cooperative
+//! cancellation).
 //!
 //! Executors are not pre-emptive, so in [`SchedulerMode::Priority`] a
 //! bulk query yields instead: its budget carries a [`BoundaryHook`] that
@@ -39,16 +39,19 @@
 //! the pool's width. `lgc_dispatched_total{at="boundary"}` counts these
 //! runs. [`SchedulerMode::Fifo`] attaches no hook.
 //!
-//! Backpressure is explicit at three gates, each with a typed,
-//! retryable wire error carrying a `retry_after` hint:
+//! Admission is the server's: two gates shed at enqueue, each with the
+//! typed, retryable [`WireError::QueueFull`] carrying a `retry_after`
+//! hint (never below [`RETRY_AFTER_FLOOR`]):
 //!
 //! 1. **per-connection in-flight cap** — one client cannot occupy the
-//!    whole server ([`WireError::QueueFull`]);
+//!    whole server;
 //! 2. **per-class bounded queue** — overload sheds at enqueue instead
-//!    of queueing unboundedly ([`WireError::QueueFull`]);
-//! 3. **per-tenant admission control** — the engine's in-flight cap
-//!    and workspace byte budget ([`WireError::Overloaded`] /
-//!    [`WireError::WorkspaceBudgetExceeded`]).
+//!    of queueing unboundedly.
+//!
+//! At most [`executors`](ServerConfig::executors) queries run at once.
+//! Past the gates the engine refuses a query only when the tenant's
+//! workspace byte budget cannot admit its checkout — the retryable
+//! [`WireError::WorkspaceBudgetExceeded`], with no hint.
 //!
 //! Queries the engine refuses outright — an out-of-range seed, a
 //! parameter no diffusion is defined on — come back as the non-retryable
@@ -79,7 +82,7 @@ mod conn;
 pub use sched::{PushError, Scheduler, SchedulerMode};
 pub use wire::{Priority, QueryRequest, WireError, WirePartial};
 
-use lgc_core::{BoundaryHook, CancelToken, QueryBudget, Service, RETRY_AFTER_FLOOR};
+use lgc_core::{BoundaryHook, CancelToken, QueryBudget, Service};
 use metrics::ServerMetrics;
 use parking_lot::Mutex;
 use std::io;
@@ -88,7 +91,16 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// Floor for the [`WireError::QueueFull`] retry-after hint. The hint is
+/// the (tenant, class) slot's mean latency, which does not exist at cold
+/// start (no completions yet) and can round to zero right after a first
+/// sub-microsecond completion; a client honoring a zero backoff would
+/// busy-spin against a full gate. 100 µs is well under any real
+/// diffusion latency but long enough to turn a retry storm into a
+/// polite poll.
+pub const RETRY_AFTER_FLOOR: Duration = Duration::from_micros(100);
 
 /// Tuning knobs for [`Server::bind`]. `Default` is sized for a small
 /// deployment and for tests; every field is independent.
@@ -169,8 +181,8 @@ impl Shared {
     }
 
     /// Retry hint for server-side sheds: the observed mean latency of
-    /// the (tenant, class) slot, floored like the engine's hint.
-    pub(crate) fn shed_retry_hint(&self, tenant: &str, class: Priority) -> std::time::Duration {
+    /// the (tenant, class) slot, floored at [`RETRY_AFTER_FLOOR`].
+    pub(crate) fn retry_after(&self, tenant: &str, class: Priority) -> Duration {
         self.metrics
             .class(tenant, class)
             .latency

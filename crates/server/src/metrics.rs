@@ -93,8 +93,8 @@ pub struct ClassMetrics {
     pub completed: AtomicU64,
     /// Queries answered with a typed error (any code).
     pub errored: AtomicU64,
-    /// Of those, requests shed for load (`QueueFull` / `Overloaded` /
-    /// workspace budget) — the retryable slice of `errored`.
+    /// Of those, requests shed for load (`QueueFull` / workspace
+    /// budget) — the retryable slice of `errored`.
     pub shed: AtomicU64,
     /// Jobs an executor popped off the scheduler and ran.
     pub dispatched: AtomicU64,
@@ -378,9 +378,8 @@ impl ServerMetrics {
                 for (event, v) in [
                     ("admitted", l.admitted),
                     ("completed", l.completed),
-                    ("shed_overloaded", l.shed_overloaded),
                     ("shed_workspace", l.shed_workspace),
-                    ("invalid_seed", l.invalid_seed),
+                    ("invalid", l.invalid),
                     ("cancelled", l.cancelled),
                     ("deadline_tripped", l.deadline_tripped),
                     ("work_tripped", l.work_tripped),
@@ -508,6 +507,7 @@ mod tests {
             "lgc_dispatched_total{tenant=\"ring\",class=\"interactive\",at=\"executor\"} 0",
             "lgc_dispatched_total{tenant=\"ring\",class=\"interactive\",at=\"boundary\"} 1",
             "lgc_lifecycle_total{tenant=\"ring\",event=\"admitted\"} 0",
+            "lgc_lifecycle_total{tenant=\"ring\",event=\"invalid\"} 0",
             "lgc_lifecycle_total{tenant=\"ring\",event=\"refined\"} 1",
             "lgc_lifecycle_total{tenant=\"ring\",event=\"refine_improved\"} 0",
             "lgc_iterations_total{tenant=\"ring\",dir=\"push\"} 0",

@@ -114,15 +114,6 @@ pub enum WireError {
         /// Estimated charge of the denied checkout.
         requested_bytes: u64,
     },
-    /// The tenant's in-flight quota shed the query.
-    Overloaded {
-        /// Queries executing on the tenant's graph.
-        in_flight: u64,
-        /// The configured cap.
-        limit: u64,
-        /// When to retry.
-        retry_after: Option<Duration>,
-    },
     /// Server-side backpressure: the connection's in-flight cap or the
     /// scheduler's bounded class queue is full.
     QueueFull {
@@ -168,7 +159,6 @@ impl WireError {
             },
             WireError::InvalidSeed { .. } => 4,
             WireError::WorkspaceBudgetExceeded { .. } => 5,
-            WireError::Overloaded { .. } => 6,
             WireError::QueueFull { .. } => 7,
             WireError::UnknownGraph { .. } => 8,
             WireError::ShuttingDown => 9,
@@ -178,21 +168,18 @@ impl WireError {
     }
 
     /// `true` for transient load errors the same request can survive on
-    /// retry (`Overloaded`, `QueueFull`, `WorkspaceBudgetExceeded`).
+    /// retry (`QueueFull`, `WorkspaceBudgetExceeded`).
     pub fn is_retryable(&self) -> bool {
         matches!(
             self,
-            WireError::Overloaded { .. }
-                | WireError::QueueFull { .. }
-                | WireError::WorkspaceBudgetExceeded { .. }
+            WireError::QueueFull { .. } | WireError::WorkspaceBudgetExceeded { .. }
         )
     }
 
-    /// The retry hint, for the variants that carry one.
+    /// The retry hint, for the variant that carries one (`QueueFull`).
     pub fn retry_after(&self) -> Option<Duration> {
         match self {
-            WireError::Overloaded { retry_after, .. }
-            | WireError::QueueFull { retry_after, .. } => *retry_after,
+            WireError::QueueFull { retry_after, .. } => *retry_after,
             _ => None,
         }
     }
@@ -231,15 +218,6 @@ impl WireError {
                 in_flight_bytes: w.in_flight_bytes as u64,
                 requested_bytes: w.requested_bytes as u64,
             },
-            QueryError::Overloaded {
-                in_flight,
-                limit,
-                retry_after,
-            } => WireError::Overloaded {
-                in_flight: *in_flight as u64,
-                limit: *limit as u64,
-                retry_after: *retry_after,
-            },
         }
     }
 }
@@ -265,9 +243,6 @@ impl fmt::Display for WireError {
                 f,
                 "workspace budget exhausted: {in_flight_bytes} B in flight + {requested_bytes} B requested > {budget_bytes} B"
             ),
-            WireError::Overloaded {
-                in_flight, limit, ..
-            } => write!(f, "tenant overloaded: {in_flight} in flight (limit {limit})"),
             WireError::QueueFull { queued, cap, .. } => {
                 write!(f, "server queue full: {queued} queued (cap {cap})")
             }
@@ -708,15 +683,6 @@ pub fn encode_error(e: &WireError) -> Vec<u8> {
             w.u64(*in_flight_bytes);
             w.u64(*requested_bytes);
         }
-        WireError::Overloaded {
-            in_flight,
-            limit,
-            retry_after,
-        } => {
-            w.u64(*in_flight);
-            w.u64(*limit);
-            enc_retry(&mut w, *retry_after);
-        }
         WireError::QueueFull {
             queued,
             cap,
@@ -757,11 +723,6 @@ pub fn decode_error(payload: &[u8]) -> DecodeResult<WireError> {
             budget_bytes: r.u64("budget_bytes")?,
             in_flight_bytes: r.u64("in_flight_bytes")?,
             requested_bytes: r.u64("requested_bytes")?,
-        },
-        6 => WireError::Overloaded {
-            in_flight: r.u64("in_flight")?,
-            limit: r.u64("limit")?,
-            retry_after: dec_retry(&mut r)?,
         },
         7 => WireError::QueueFull {
             queued: r.u64("queued")?,
@@ -915,16 +876,6 @@ mod tests {
                 in_flight_bytes: 2,
                 requested_bytes: 3,
             },
-            WireError::Overloaded {
-                in_flight: 4,
-                limit: 4,
-                retry_after: Some(Duration::from_micros(150)),
-            },
-            WireError::Overloaded {
-                in_flight: 9,
-                limit: 8,
-                retry_after: None,
-            },
             WireError::QueueFull {
                 queued: 32,
                 cap: 32,
@@ -977,16 +928,27 @@ mod tests {
         ));
     }
 
+    /// Code 6 is retired: an `ERROR` payload carrying it — bare, or with
+    /// the body it once had — is a malformed payload, not a typed error.
+    #[test]
+    fn retired_error_code_6_is_malformed() {
+        let mut w = Wr::default();
+        w.u8(6);
+        w.u64(4);
+        w.u64(4);
+        enc_retry(&mut w, Some(Duration::from_micros(150)));
+        for payload in [&w.buf[..], &[6u8][..]] {
+            assert!(matches!(
+                decode_error(payload),
+                Err(ProtocolError::Malformed {
+                    context: "error code"
+                })
+            ));
+        }
+    }
+
     #[test]
     fn query_error_projection() {
-        let e = QueryError::Overloaded {
-            in_flight: 3,
-            limit: 3,
-            retry_after: Some(Duration::from_millis(1)),
-        };
-        let w = WireError::from_query_error(&e);
-        assert!(w.is_retryable());
-        assert_eq!(w.retry_after(), Some(Duration::from_millis(1)));
         let e = QueryError::InvalidSeed(lgc_core::InvalidSeed {
             vertex: 5,
             num_vertices: 3,

@@ -2,8 +2,7 @@
 //! client threads across mixed tenants, and the core contract — every
 //! response is **bitwise equal** to a direct engine run of the same
 //! query. Also exercises the typed-error paths: malformed frames,
-//! unknown tenants, over-quota tenants (engine `Overloaded` with the
-//! floored retry hint), deadline trips with partial results, and
+//! unknown tenants, deadline trips with partial results, and
 //! connection accounting (no leaks after clients hang up, no refusal of
 //! a full window refilled on reply), and an interactive query overtaking
 //! running bulk queries at their iteration boundaries.
@@ -12,14 +11,13 @@
 //! fully deterministic, so bitwise comparison is exact by contract.
 
 use lgc_core::{
-    find_cluster, Algorithm, EngineLimits, EvolvingParams, HkprParams, NibbleParams,
-    PrNibbleParams, Query, QueryBudget, RandHkprParams, Seed, Service, Trip, Tripped,
-    RETRY_AFTER_FLOOR,
+    find_cluster, Algorithm, EvolvingParams, HkprParams, NibbleParams, PrNibbleParams, Query,
+    QueryBudget, RandHkprParams, Seed, Service, Trip, Tripped,
 };
 use lgc_graph::{gen, Graph};
 use lgc_parallel::Pool;
 use lgc_server::client::{Client, Response};
-use lgc_server::{Priority, SchedulerMode, Server, ServerConfig, WireError};
+use lgc_server::{Priority, SchedulerMode, Server, ServerConfig, WireError, RETRY_AFTER_FLOOR};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
@@ -324,37 +322,6 @@ fn hostile_params_get_typed_errors_and_the_connection_survives() {
         .expect("a healthy query after the hostile ones");
     let want = find_cluster(&Pool::new(1), &graphs()[1].1, &good.seed, &good.algo);
     assert_eq!(got.cluster, want.cluster);
-    server.shutdown();
-}
-
-#[test]
-fn over_quota_tenant_is_shed_with_floored_retry_hint() {
-    // Engine-level quota: max_in_flight = 0 admits nothing, so the
-    // very first query is shed by admission control — the cold-start
-    // case the retry_after floor exists for.
-    let mut svc = Service::builder().pool(Pool::shared(1)).build();
-    svc.add_graph_with_limits(
-        "gated",
-        gen::two_cliques_bridge(8),
-        EngineLimits {
-            max_in_flight: Some(0),
-            ..Default::default()
-        },
-    );
-    let server = Server::bind(Arc::new(svc), "127.0.0.1:0", ServerConfig::default()).unwrap();
-    let mut client = Client::connect(server.local_addr()).unwrap();
-    let q = Query::new(Seed::single(0), Algorithm::PrNibble(Default::default()));
-    match client.query("gated", Priority::Interactive, &q) {
-        Ok(Err(WireError::Overloaded {
-            limit, retry_after, ..
-        })) => {
-            assert_eq!(limit, 0);
-            // Cold start: zero completed queries, yet the hint is the
-            // floor, not zero/absent.
-            assert_eq!(retry_after, Some(RETRY_AFTER_FLOOR));
-        }
-        other => panic!("expected Overloaded, got {other:?}"),
-    }
     server.shutdown();
 }
 

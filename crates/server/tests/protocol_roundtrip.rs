@@ -219,13 +219,6 @@ fn arb_error() -> impl Strategy<Value = WireError> {
                 requested_bytes: r,
             }
         }),
-        (0u64..1 << 30, 0u64..1 << 30, arb_retry()).prop_map(|(in_flight, limit, retry_after)| {
-            WireError::Overloaded {
-                in_flight,
-                limit,
-                retry_after,
-            }
-        }),
         (0u64..1 << 30, 0u64..1 << 30, arb_retry()).prop_map(|(queued, cap, retry_after)| {
             WireError::QueueFull {
                 queued,

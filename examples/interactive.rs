@@ -50,7 +50,8 @@ fn main() {
         service.num_graphs(),
         service.pool().num_threads(),
         service
-            .names()
+            .graph_names()
+            .iter()
             .map(|n| {
                 let s = service.summary(n).unwrap();
                 format!("{n} ({}v/{}e)", s.num_vertices, s.num_edges)
@@ -81,7 +82,7 @@ fn main() {
                 None
             }
             ["graphs"] => {
-                for name in service.names() {
+                for name in service.graph_names() {
                     let marker = if name == active { "*" } else { " " };
                     println!("{marker} {name}");
                 }
@@ -92,10 +93,7 @@ fn main() {
                     active = name.to_string();
                     println!("now querying '{active}'");
                 } else {
-                    println!(
-                        "unknown graph (have: {})",
-                        service.names().collect::<Vec<_>>().join(", ")
-                    );
+                    println!("unknown graph (have: {})", service.graph_names().join(", "));
                 }
                 None
             }

@@ -10,10 +10,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use plgc::{
-    Algorithm, CsrBackend, CsrCompressed, Engine, EngineLimits, HkprParams, PrNibbleParams, Query,
-    Seed,
-};
+use plgc::{Algorithm, CsrBackend, CsrCompressed, Engine, HkprParams, PrNibbleParams, Query, Seed};
 
 fn main() {
     // Two 20-cliques joined by a single bridge edge: the left clique is a
@@ -64,19 +61,14 @@ fn main() {
     // run unchanged over the byte-compressed CSR (delta + varint
     // adjacency), trading decode work for a smaller cache footprint.
     // Decoding preserves ascending neighbor order, so results match the
-    // plain backend bit for bit. A workspace byte budget caps how much
-    // scratch memory the engine may keep parked between queries.
+    // plain backend bit for bit.
     let compact = CsrCompressed::from_graph(&g);
     println!(
         "compressed adjacency: {} bytes vs {} plain",
         compact.adjacency_bytes(),
         g.adjacency_bytes()
     );
-    let limits = EngineLimits {
-        workspace_budget: Some(16 << 20), // keep at most 16 MiB of warm scratch
-        ..Default::default()
-    };
-    let packed = Engine::builder(&compact).limits(limits).build();
+    let packed = Engine::builder(&compact).build();
     let hk2 = packed.run(&Query::new(seed, Algorithm::Hkpr(HkprParams::default())));
     assert_eq!(hk2.diffusion.p, hk.diffusion.p);
     assert_eq!(hk2.cluster, hk.cluster);

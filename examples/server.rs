@@ -4,8 +4,8 @@
 //! issuing mixed-algorithm local-cluster queries.
 //!
 //! For the real network front door — a TCP listener speaking the
-//! length-prefixed binary protocol, with priority scheduling, per-tenant
-//! quotas, and a Prometheus-style metrics endpoint — see the
+//! length-prefixed binary protocol, with priority scheduling, bounded
+//! queues, and a Prometheus-style metrics endpoint — see the
 //! `lgc-server` binary and [`plgc::server`] (protocol spec in
 //! `crates/server/PROTOCOL.md`). This example keeps everything in one
 //! process so the Service/Engine mechanics stay easy to read.
@@ -20,23 +20,21 @@
 //!
 //! Tenants also pick their storage/memory trade-offs: the big "social"
 //! graph is stored on the byte-compressed CSR backend (same bits out,
-//! fewer bytes resident), and the "mesh" tenant caps its warm workspace
-//! pool with an explicit byte budget.
+//! fewer bytes resident).
 //!
-//! Each tenant also declares its **query-lifecycle policy** via
-//! [`plgc::EngineLimits`]: "social" runs under a per-tenant deadline
-//! SLA, "communities" caps deterministic work per query, and "mesh"
-//! bounds concurrency with admission control. Clients call `try_run`,
-//! retry `Overloaded` sheds once, and the server closes with a per-
-//! tenant robustness report — admitted / completed / shed / tripped and
-//! the shed rate — straight from [`Service::lifecycle`] counters.
+//! Limits ride on the queries: every "social" query carries a deadline
+//! and every "communities" query a deterministic work cap
+//! ([`Query::with_budget`]). Clients call `try_run`, and the server
+//! closes with a per-tenant robustness report — admitted / completed /
+//! shed / tripped / invalid and the shed rate — straight from
+//! [`Service::lifecycle`] counters.
 //!
 //! ```sh
 //! cargo run --release --example server
 //! ```
 
 use plgc::cluster as lgc;
-use plgc::{Algorithm, EngineLimits, Pool, Query, QueryBudget, QueryError, Seed, Service};
+use plgc::{Algorithm, Pool, Query, QueryBudget, Seed, Service};
 use std::time::{Duration, Instant};
 
 /// Queries per client thread.
@@ -44,9 +42,12 @@ const QUERIES_PER_CLIENT: usize = 40;
 /// Client threads (OS threads issuing queries concurrently).
 const CLIENTS: usize = 4;
 
-/// The deterministic "request log": client `c`'s `i`-th request.
-fn request(tenants: &[&str], c: usize, i: usize) -> (String, Query) {
-    let tenant = tenants[(c + i) % tenants.len()];
+/// The deterministic "request log": client `c`'s `i`-th request, with
+/// the tenant's limits on it: a wall-clock deadline on "social" and a
+/// deterministic work cap on "communities" (a heavier query comes back
+/// as a typed `QueryError::Tripped` carrying its best-so-far cut).
+fn request(tenants: &[String], c: usize, i: usize) -> (String, Query) {
+    let tenant = &tenants[(c + i) % tenants.len()];
     let v = ((c * 131 + i * 17) % 500) as u32;
     let algo = match i % 4 {
         0 => Algorithm::PrNibble(lgc::PrNibbleParams {
@@ -69,7 +70,13 @@ fn request(tenants: &[&str], c: usize, i: usize) -> (String, Query) {
             ..Default::default()
         }),
     };
-    (tenant.to_string(), Query::new(Seed::single(v), algo))
+    let budget = match tenant.as_str() {
+        "social" => QueryBudget::unlimited().with_deadline(Duration::from_millis(250)),
+        "communities" => QueryBudget::unlimited().with_max_edges_traversed(2_000_000),
+        _ => QueryBudget::unlimited(),
+    };
+    let query = Query::new(Seed::single(v), algo).with_budget(budget);
+    (tenant.clone(), query)
 }
 
 fn main() {
@@ -81,43 +88,11 @@ fn main() {
     let social = plgc::CsrCompressed::from_graph(&plgc::graph::gen::rmat_graph500(12, 8, 7));
     let service = Service::builder()
         .pool(pool)
-        // Per-tenant SLA: every "social" query runs under a default
-        // wall-clock deadline (individual queries can still override
-        // field-wise via `Query::with_budget`).
-        .add_graph_with_limits(
-            "social",
-            social,
-            EngineLimits {
-                default_budget: QueryBudget::unlimited().with_deadline(Duration::from_millis(250)),
-                ..Default::default()
-            },
-        )
-        // Deterministic work cap: no single "communities" query may
-        // traverse more than 2M edges; heavier ones come back as typed
-        // `QueryError::Tripped` errors carrying their best-so-far cut.
-        .add_graph_with_limits(
-            "communities",
-            sbm,
-            EngineLimits {
-                default_budget: QueryBudget::unlimited().with_max_edges_traversed(2_000_000),
-                ..Default::default()
-            },
-        )
-        // An explicit workspace byte budget (at most 8 MiB of scratch
-        // parked or in flight) plus admission control: at most two
-        // "mesh" queries execute concurrently, the rest shed with
-        // `Overloaded` and a retry-after hint.
-        .add_graph_with_limits(
-            "mesh",
-            plgc::graph::gen::rand_local(4_000, 6, 1),
-            EngineLimits {
-                workspace_budget: Some(8 << 20),
-                max_in_flight: Some(2),
-                ..Default::default()
-            },
-        )
+        .add_graph("social", social)
+        .add_graph("communities", sbm)
+        .add_graph("mesh", plgc::graph::gen::rand_local(4_000, 6, 1))
         .build();
-    let tenants: Vec<&str> = service.names().collect();
+    let tenants = service.graph_names();
     println!("tenants:");
     for name in &tenants {
         let s = service.summary(name).unwrap();
@@ -150,16 +125,8 @@ fn main() {
                         let engine = service.engine(&tenant).expect("tenant registered");
                         let q0 = Instant::now();
                         // The governed path: typed errors instead of
-                        // unbounded work. Shed requests get one retry.
-                        let outcome = engine.try_run(&query).or_else(|err| {
-                            if matches!(err, QueryError::Overloaded { .. }) {
-                                std::thread::yield_now();
-                                engine.try_run(&query)
-                            } else {
-                                Err(err)
-                            }
-                        });
-                        let cluster_len = match &outcome {
+                        // unbounded work.
+                        let cluster_len = match &engine.try_run(&query) {
                             Ok(res) => res.cluster.len(),
                             // A tripped query still reports its
                             // best-so-far cut, billable work and all.
@@ -224,7 +191,7 @@ fn main() {
             s.completed,
             s.shed(),
             s.deadline_tripped + s.work_tripped + s.cancelled,
-            s.invalid_seed,
+            s.invalid,
             s.shed_rate() * 100.0
         );
     }

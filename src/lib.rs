@@ -119,32 +119,28 @@
 //! across backends; both decode neighbors in ascending order, so even
 //! the dense-pull traversals stay deterministic. Per-graph scratch is
 //! bounded in bytes, not workspace counts: each graph's checkout pool
-//! has a byte budget (default 4× the graph, clamped to
-//! `[32 MiB, 1 GiB]`), and `try_run` surfaces budget exhaustion as a
-//! typed [`WorkspaceBudgetExceeded`] back-pressure error while plain
-//! `run` degrades to transient scratch:
+//! has a byte budget of 4× the graph (clamped to `[32 MiB, 1 GiB]`), and
+//! `try_run` surfaces budget exhaustion as a typed
+//! [`WorkspaceBudgetExceeded`] back-pressure error while plain `run`
+//! degrades to transient scratch:
 //!
 //! ```
-//! use plgc::{Algorithm, CsrCompressed, EngineLimits, PrNibbleParams, Query, Seed, Service};
+//! use plgc::{Algorithm, CsrCompressed, PrNibbleParams, Query, Seed, Service};
 //!
 //! let g = plgc::graph::gen::two_cliques_bridge(16);
 //! let compact = CsrCompressed::from_graph(&g);
-//! let mut service = Service::builder()
+//! let service = Service::builder()
 //!     .threads(2)
 //!     .add_graph("plain", g)               // plain CSR backend
 //!     .add_graph("compact", compact)       // byte-compressed backend
 //!     .build();
-//! // Explicit workspace byte budget for a memory-tight tenant:
-//! let tight = EngineLimits { workspace_budget: Some(8 << 20), ..Default::default() };
-//! service.add_graph_with_limits("tiny", plgc::graph::gen::cycle(64), tight);
 //! let q = Query::new(Seed::single(0), Algorithm::PrNibble(PrNibbleParams::default()));
 //! let a = service.engine("plain").unwrap().run(&q);
-//! let b = service.engine("compact").unwrap().run(&q);
+//! let b = service.engine("compact").unwrap().try_run(&q).unwrap();
 //! assert_eq!(a.cluster, b.cluster); // bit-identical across backends
-//! assert!(service.engine("tiny").unwrap().try_run(&q).is_ok());
 //! ```
 //!
-//! # Robustness: deadlines, cancellation, budgets, admission control
+//! # Robustness: deadlines, cancellation, budgets, typed errors
 //!
 //! A server cannot afford one runaway query: a pathological `(seed, ε)`
 //! pair can push a "local" diffusion into touching most of a billion-edge
@@ -153,9 +149,9 @@
 //!
 //! * **Budgets.** A [`QueryBudget`] bounds a query by wall-clock
 //!   deadline, by deterministic work counters (pushed mass updates,
-//!   traversed edges), or until a shared [`CancelToken`] flips. Budgets
-//!   ride on the [`Query`] and merge field-wise over the engine's
-//!   per-graph default ([`EngineLimits::default_budget`]). Checks are cooperative — one atomic load and a
+//!   traversed edges), or until a shared [`CancelToken`] flips. A budget
+//!   rides on its [`Query`] ([`Query::with_budget`]); the engine keeps no
+//!   default of its own. Checks are cooperative — one atomic load and a
 //!   coarse clock read per frontier iteration, never per edge — so the
 //!   hot kernels are untouched and *completed* runs are bit-identical
 //!   to unbudgeted ones.
@@ -167,43 +163,36 @@
 //!   trips are deterministic (the counters are bit-identical across
 //!   thread counts and storage backends); deadline and cancellation
 //!   trips land wherever the clock does.
-//! * **Admission control.** Per-graph in-flight caps
-//!   ([`EngineLimits::max_in_flight`]) shed excess arrivals with
-//!   [`QueryError::Overloaded`] and a retry-after hint (the graph's mean
-//!   completed-query latency); seeds are validated against the graph
-//!   and parameters against their ranges ([`Algorithm::check`]) before
-//!   any work ([`QueryError::InvalidSeed`],
-//!   [`QueryError::InvalidParams`]); workspace byte
-//!   budgets refuse checkouts that would overshoot
-//!   ([`QueryError::WorkspaceBudgetExceeded`]). Transient refusals
-//!   answer [`QueryError::is_retryable`].
+//! * **Typed refusals.** Seeds are validated against the graph and
+//!   parameters against their ranges ([`Algorithm::check`]) before any
+//!   work ([`QueryError::InvalidSeed`], [`QueryError::InvalidParams`]);
+//!   the workspace byte budget refuses checkouts that would overshoot
+//!   ([`QueryError::WorkspaceBudgetExceeded`], the one transient refusal
+//!   [`QueryError::is_retryable`] answers). How many queries run at once
+//!   is the serving layer's to bound (below).
 //! * **Counters.** Each graph keeps [`LifecycleSnapshot`] robustness
-//!   counters (admitted / completed / shed / tripped / in-flight) —
-//!   [`Engine::lifecycle_stats`], [`Service::lifecycle`]. Every query, single or batch item, fallible
-//!   or not, is counted: `admitted = completed + tripped` once idle.
+//!   counters (admitted / completed / shed / invalid / tripped /
+//!   in-flight) — [`Engine::lifecycle_stats`], [`Service::lifecycle`].
+//!   Every query, single or batch item, fallible or not, is counted:
+//!   `admitted = completed + tripped` once idle, and every arrival is
+//!   one of admitted / shed / invalid.
 //!
 //! ```
-//! use plgc::{
-//!     Algorithm, Engine, EngineLimits, PrNibbleParams, Query, QueryBudget, QueryError, Seed, Trip,
-//!     Tripped,
-//! };
+//! use plgc::{Algorithm, Engine, PrNibbleParams, Query, QueryBudget, QueryError, Seed, Trip, Tripped};
 //! use std::time::Duration;
 //!
 //! let g = plgc::graph::gen::rand_local(500, 5, 3);
-//! let engine = Engine::builder(&g)
-//!     .threads(2)
-//!     .limits(EngineLimits {
-//!         default_budget: QueryBudget::unlimited().with_deadline(Duration::from_secs(30)),
-//!         max_in_flight: Some(64),
-//!         ..Default::default()
-//!     })
-//!     .build();
+//! let engine = Engine::builder(&g).threads(2).build();
 //! // A tight work cap trips deterministically, with the partial result:
 //! let q = Query::new(
 //!     Seed::single(7),
 //!     Algorithm::PrNibble(PrNibbleParams { eps: 1e-7, ..Default::default() }),
 //! )
-//! .with_budget(QueryBudget::unlimited().with_max_edges_traversed(10));
+//! .with_budget(
+//!     QueryBudget::unlimited()
+//!         .with_deadline(Duration::from_secs(30))
+//!         .with_max_edges_traversed(10),
+//! );
 //! match engine.try_run(&q) {
 //!     Err(QueryError::Tripped(Tripped { trip: Trip::WorkBudget, partial })) => {
 //!         assert!(partial.stats.edges_traversed >= 10);
@@ -216,10 +205,10 @@
 //! assert_eq!(engine.lifecycle_stats().work_tripped, 1);
 //! ```
 //!
-//! The infallible [`Engine::run`] is the same executor with admission
-//! bypassed: it keeps its run-to-completion semantics — budgets and
-//! shedding apply only to the `try_` entry points. A [`QueryBudget`] can
-//! also carry a deterministic [`FaultPlan`] for harness use (trip exactly
+//! The infallible [`Engine::run`] is the same executor ungoverned: it
+//! keeps its run-to-completion semantics — budgets and the workspace
+//! byte budget's refusals apply only to the `try_` entry points. A
+//! [`QueryBudget`] can also carry a deterministic [`FaultPlan`] for harness use (trip exactly
 //! at the k-th checkpoint; process-local, never on the wire);
 //! `tests/fault_properties.rs` drives it across all five algorithms,
 //! both CSR backends, and 1–4 threads to prove no-panic, full pool
@@ -280,9 +269,11 @@
 //! ahead of bulk; a running bulk query yields to queued interactive ones
 //! through a [`BoundaryHook`] its checkpoint runs between iterations,
 //! while a server work budget only trips a scan that runs too long), and
-//! three explicit backpressure gates shed overload with typed, retryable errors
-//! carrying `retry_after` hints: the per-connection in-flight cap, the
-//! per-class queue bound, and the engine's own admission control.
+//! two explicit backpressure gates — the per-connection in-flight cap and
+//! the per-class queue bound — shed overload with a typed, retryable
+//! error carrying a `retry_after` hint. At most `executors` queries run
+//! at once; past that, the engine refuses only what its workspace byte
+//! budget cannot admit.
 //!
 //! The executors and the shared [`Pool`] spend one budget of hardware
 //! threads, the pool's width (§1's two uses of cores — many independent
@@ -403,11 +394,11 @@ pub use lgc_core::{
     evolving_set_par, evolving_set_seq, find_cluster, hkpr_seq, nibble_seq, prnibble_seq,
     rand_hkpr_seq, sweep_cut_par, sweep_cut_seq, Algorithm, BoundaryHook, CancelToken, Checkpoint,
     ClusterResult, Diffusion, DiffusionStats, Direction, DirectionParams, Engine, EngineBuilder,
-    EngineLimits, EvolvingParams, FaultPlan, GraphStore, GraphSummary, HkprParams, InvalidParams,
-    InvalidSeed, LifecycleSnapshot, LocalDiffusion, NcpParams, NibbleParams, PartialResult,
-    PrNibbleParams, PushRule, Query, QueryBudget, QueryError, RandHkprParams, RefineStats,
-    RefinedCut, Seed, Service, ServiceBuilder, ServiceEngine, SweepCut, Trip, Tripped, Workspace,
-    WorkspaceBudgetExceeded, RETRY_AFTER_FLOOR,
+    EvolvingParams, FaultPlan, GraphStore, GraphSummary, HkprParams, InvalidParams, InvalidSeed,
+    LifecycleSnapshot, LocalDiffusion, NcpParams, NibbleParams, PartialResult, PrNibbleParams,
+    PushRule, Query, QueryBudget, QueryError, RandHkprParams, RefineStats, RefinedCut, Seed,
+    Service, ServiceBuilder, ServiceEngine, SweepCut, Trip, Tripped, Workspace,
+    WorkspaceBudgetExceeded,
 };
 pub use lgc_graph::{
     induced_cut_subgraph, CsrBackend, CsrCompressed, CutSubgraph, Graph, GraphBuilder,

@@ -421,7 +421,10 @@ fn every_admitted_query_completes_or_trips_exactly_once() {
         "try_run(capped) + 3 capped try_run calls over `mixed`"
     );
     assert_eq!(s.admitted, s.completed + tripped);
-    assert_eq!(s.invalid_seed, 2);
+    assert_eq!(s.invalid, 4);
+    // Arrivals: 6 single calls, 9 batch items, 11 `try_run` calls over
+    // `mixed` — each admitted, shed or rejected as invalid.
+    assert_eq!(s.admitted + s.shed() + s.invalid, 26);
     assert_eq!(s.in_flight, 0);
 }
 

@@ -301,55 +301,9 @@ proptest! {
     }
 }
 
-/// Admission control: a full in-flight gate sheds with `Overloaded` and
-/// a retry-after hint once latencies exist; the infallible path is never
-/// shed.
-#[test]
-fn overloaded_sheds_with_retry_hint() {
-    let g = plgc::graph::gen::two_cliques_bridge(10);
-    let limits = plgc::EngineLimits {
-        max_in_flight: Some(0),
-        ..Default::default()
-    };
-    let engine = Engine::builder(&g).threads(1).limits(limits).build();
-    let q = Query::new(
-        Seed::single(0),
-        Algorithm::PrNibble(lgc::PrNibbleParams::default()),
-    );
-    match engine.try_run(&q) {
-        Err(QueryError::Overloaded {
-            in_flight,
-            limit,
-            retry_after,
-        }) => {
-            assert_eq!(limit, 0);
-            assert_eq!(in_flight, 0);
-            // Cold start: no completions yet, so the hint falls back to
-            // the floor instead of a useless `None` the client would
-            // have to special-case.
-            assert_eq!(retry_after, Some(plgc::RETRY_AFTER_FLOOR));
-        }
-        other => panic!("expected Overloaded, got {other:?}"),
-    }
-    assert!(engine.try_run(&q).unwrap_err().is_retryable());
-    // The infallible path is exempt from the gate and primes the
-    // latency estimate the next shed reports.
-    let _ = engine.run(&q);
-    match engine.try_run(&q) {
-        Err(QueryError::Overloaded { retry_after, .. }) => {
-            let hint = retry_after.expect("mean latency known now");
-            assert!(hint >= plgc::RETRY_AFTER_FLOOR, "hint stays floored");
-        }
-        other => panic!("expected Overloaded, got {other:?}"),
-    }
-    let stats = engine.lifecycle_stats();
-    assert_eq!(stats.shed_overloaded, 3);
-    assert_eq!(stats.completed, 1);
-    assert!(stats.shed_rate() > 0.0);
-}
-
-/// Seed validation happens at admission: no work, no workspace, typed
-/// error — on single queries and NCP-style multi-vertex seeds alike.
+/// Seed and parameter validation happen at admission: no work, no
+/// workspace, typed error — on single queries and NCP-style multi-vertex
+/// seeds alike — and each rejection is booked in `invalid`.
 #[test]
 fn invalid_seed_rejected_at_admission() {
     let g = plgc::graph::gen::cycle(16);
@@ -366,9 +320,20 @@ fn invalid_seed_rejected_at_admission() {
         }
         other => panic!("expected InvalidSeed, got {other:?}"),
     }
+    let nan_eps = Query::new(
+        Seed::single(3),
+        Algorithm::Nibble(lgc::NibbleParams {
+            eps: f64::NAN,
+            ..Default::default()
+        }),
+    );
+    match engine.try_run(&nan_eps) {
+        Err(QueryError::InvalidParams(e)) => assert_eq!(e.param, "eps"),
+        other => panic!("expected InvalidParams, got {other:?}"),
+    }
     assert_eq!(engine.warm_workspaces(), 0, "no workspace was checked out");
     let stats = engine.lifecycle_stats();
-    assert_eq!(stats.invalid_seed, 1);
+    assert_eq!(stats.invalid, 2);
     assert_eq!(stats.admitted, 0);
 }
 

@@ -389,62 +389,6 @@ proptest! {
     }
 }
 
-/// An exhausted per-graph workspace byte budget surfaces as the typed
-/// [`plgc::WorkspaceBudgetExceeded`] error from `try_run` — never a
-/// panic — while the infallible `run` path keeps answering (on a
-/// transient, unpooled workspace) bit-identically to a cold engine.
-#[test]
-fn exhausted_workspace_budget_is_a_typed_error_not_a_panic() {
-    let g = plgc::graph::gen::rand_local(200, 4, 7);
-    let mut svc = Service::builder().pool(Pool::shared(1)).build();
-    let budget = |bytes| plgc::EngineLimits {
-        workspace_budget: Some(bytes),
-        ..Default::default()
-    };
-    svc.add_graph_with_limits("tiny", g.clone(), budget(1));
-    let q = Query::new(
-        Seed::single(0),
-        Algorithm::PrNibble(lgc::PrNibbleParams::default()),
-    );
-    // The pool has never parked a workspace, so the first fresh checkout
-    // is charged at the zero watermark and succeeds even under a 1-byte
-    // budget...
-    let first = svc
-        .engine("tiny")
-        .unwrap()
-        .try_run(&q)
-        .expect("zero watermark");
-    // ...but restoring it recorded its true footprint, so the next
-    // budgeted checkout is denied — with the numbers, not a panic.
-    let err = svc.engine("tiny").unwrap().try_run(&q).unwrap_err();
-    let plgc::QueryError::WorkspaceBudgetExceeded(denied) = &err else {
-        panic!("expected a workspace-budget refusal, got {err:?}");
-    };
-    assert_eq!(denied.budget_bytes, 1);
-    assert_eq!(denied.in_flight_bytes, 0);
-    assert!(
-        denied.requested_bytes > 1,
-        "watermark learned from the restore"
-    );
-    assert!(err.is_retryable(), "budget refusals are transient");
-    assert!(err.to_string().contains("budget"));
-    // The shed shows up in the graph's lifecycle counters.
-    let stats = svc.lifecycle("tiny").unwrap();
-    assert_eq!(stats.shed_workspace, 1);
-    assert_eq!(stats.completed, 1);
-    // The infallible front door degrades to a transient workspace and
-    // stays bitwise equal to a cold engine.
-    let again = svc.engine("tiny").unwrap().run(&q);
-    let cold = Engine::builder(&g).threads(1).build().run(&q);
-    assert_eq!(first.diffusion.p, cold.diffusion.p);
-    assert_eq!(again.diffusion.p, cold.diffusion.p);
-    assert_eq!(again.cluster, cold.cluster);
-    // A roomy budget never denies this workload.
-    svc.add_graph_with_limits("roomy", g.clone(), budget(1 << 30));
-    assert!(svc.engine("roomy").unwrap().try_run(&q).is_ok());
-    assert!(svc.engine("roomy").unwrap().try_run(&q).is_ok());
-}
-
 /// Service survives being shared the boring way too: behind an `Arc`,
 /// queried from detached threads, with warm workspaces accumulating.
 #[test]
