@@ -337,6 +337,40 @@ fn invalid_seed_rejected_at_admission() {
     assert_eq!(stats.admitted, 0);
 }
 
+/// The engine has no concurrency gate of its own (the server's
+/// connection cap and class queues are the only admission layer): more
+/// concurrent `try_run` callers than pool threads are all admitted and
+/// completed, none shed, each answer bit-identical to a cold engine's.
+#[test]
+fn concurrent_callers_are_never_shed_by_the_engine() {
+    let g = plgc::graph::gen::rand_local(200, 4, 3);
+    let engine = Engine::builder(&g).threads(1).build();
+    std::thread::scope(|s| {
+        for t in 0..4u32 {
+            let (engine, g) = (&engine, &g);
+            s.spawn(move || {
+                for i in 0..5u32 {
+                    let q = Query::new(
+                        Seed::single(17 * t + 5 * i),
+                        make_algo(((t + i) % 5) as usize, u64::from(i % 3)),
+                    );
+                    let got = engine.try_run(&q).expect("the engine sheds no caller");
+                    let cold = Engine::builder(g).threads(1).build().run(&q);
+                    assert_eq!(got.diffusion.p, cold.diffusion.p);
+                    assert_eq!(got.cluster, cold.cluster);
+                }
+            });
+        }
+    });
+    let stats = engine.lifecycle_stats();
+    assert_eq!(stats.admitted, 20);
+    assert_eq!(stats.completed, 20);
+    assert_eq!(stats.shed(), 0);
+    assert_eq!(stats.shed_rate(), 0.0);
+    assert_eq!(stats.invalid, 0);
+    assert_eq!(stats.in_flight, 0);
+}
+
 /// A budgeted NCP scan truncates gracefully: the profile built before
 /// the trip comes back (a valid min-envelope), no panic, and an
 /// unlimited rerun on the same engine is unaffected.

@@ -389,6 +389,38 @@ proptest! {
     }
 }
 
+/// A served tenant's workspace byte budget is derived from its graph's
+/// resident bytes (never below 32 MiB), so governed queries over small
+/// tenants — every algorithm, twice over a warm pool — are never
+/// refused for scratch, and each answer is bit-identical to a cold
+/// engine's.
+#[test]
+fn served_tenants_run_under_the_derived_workspace_budget() {
+    let svc = build_service(1, 5);
+    for round in 0..2u64 {
+        for name in ["sbm", "local"] {
+            let engine = svc.engine(name).unwrap();
+            let cold = Engine::builder(svc.graph(name).unwrap().as_ref())
+                .threads(1)
+                .build();
+            for kind in 0..5 {
+                let q = Query::new(Seed::single(11 * kind as u32), make_algo(kind, round));
+                let got = engine.try_run(&q).expect("derived budget admits");
+                let want = cold.run(&q);
+                assert_eq!(got.diffusion.p, want.diffusion.p);
+                assert_eq!(got.cluster, want.cluster);
+            }
+        }
+    }
+    for name in ["sbm", "local"] {
+        let stats = svc.lifecycle(name).unwrap();
+        assert_eq!(stats.shed_workspace, 0);
+        assert_eq!(stats.admitted, 10);
+        assert_eq!(stats.completed, 10);
+        assert_eq!(stats.in_flight, 0);
+    }
+}
+
 /// Service survives being shared the boring way too: behind an `Arc`,
 /// queried from detached threads, with warm workspaces accumulating.
 #[test]
