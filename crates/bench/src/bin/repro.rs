@@ -503,7 +503,6 @@ fn fig12(graphs: &[SuiteGraph], max_threads: usize) {
             alphas: vec![0.1, 0.01],
             epsilons: vec![1e-4, 1e-5, 1e-6],
             rng_seed: 9,
-            ..Default::default()
         };
         let engine = Engine::builder(&sg.graph).shared_pool(pool.clone()).build();
         let (points, secs) = time(|| engine.ncp(&params));

@@ -18,10 +18,11 @@
 //! budgeted. The governed path is [`Engine::try_run`], one query at a
 //! time.
 //! Users with embarrassingly-many queries (e.g. NCP-style scans with
-//! known parameters) saturate their machine this way, while interactive
-//! single-query workloads use the paper's intra-query parallel
-//! algorithms; the two modes compose the same primitives, so comparing
-//! them quantifies the paper's §1 trade-off on real hardware.
+//! known parameters — [`Engine::ncp`] is one) saturate their machine
+//! this way, while interactive single-query workloads use the paper's
+//! intra-query parallel algorithms; the two modes compose the same
+//! primitives, so comparing them quantifies the paper's §1 trade-off on
+//! real hardware.
 //!
 //! The two modes also meet without a batch: independent threads that
 //! each call [`Engine::run`] on one shared pool. The pool's width is one

@@ -6,7 +6,7 @@
 //! deterministic work counters, or until a shared
 //! [`CancelToken`](lgc_ligra::CancelToken) flips. A budget rides on its
 //! [`Query`](crate::Query); the engine keeps no default of its own. The
-//! diffusion loops, the sweep and NCP grid scans check the armed budget
+//! diffusion loops and the sweep check the armed budget
 //! **once per frontier iteration** — never per edge — so the hot kernels
 //! are untouched and completed runs stay bit-identical to unbudgeted ones.
 //!

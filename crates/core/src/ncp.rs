@@ -5,15 +5,14 @@
 //! could find. The paper generates NCPs for billion-edge graphs by
 //! running PR-Nibble from many random seeds across a grid of `(α, ε)`
 //! settings and taking, for every sweep prefix, the minimum conductance
-//! seen at that prefix size. This module reproduces that procedure.
+//! seen at that prefix size. Here that grid is a list of ordinary
+//! [`Query`]s, run as a batch ([`Engine::run_batch`]) and folded.
 
-use crate::prnibble::{prnibble_par, PrNibbleParams, PushRule};
+use crate::engine::{Engine, Query};
+use crate::prnibble::PrNibbleParams;
 use crate::seed::Seed;
-use crate::sweep::sweep_cut_par_ws;
-use crate::workspace::Workspace;
+use crate::Algorithm;
 use lgc_graph::CsrBackend;
-use lgc_ligra::QueryBudget;
-use lgc_parallel::Pool;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -28,12 +27,6 @@ pub struct NcpParams {
     pub epsilons: Vec<f64>,
     /// RNG seed for choosing the diffusion seeds.
     pub rng_seed: u64,
-    /// Budget over the *whole* grid scan (deadline, cumulative work
-    /// caps, cancellation). Checked between grid points and cooperatively
-    /// inside each run; on a trip the profile built so far is returned —
-    /// an NCP is a min-envelope, so a truncated scan is still a valid
-    /// (just sparser) profile. Default: unlimited.
-    pub budget: QueryBudget,
 }
 
 impl Default for NcpParams {
@@ -43,7 +36,6 @@ impl Default for NcpParams {
             alphas: vec![0.1, 0.01],
             epsilons: vec![1e-4, 1e-5, 1e-6],
             rng_seed: 7,
-            budget: QueryBudget::unlimited(),
         }
     }
 }
@@ -58,96 +50,71 @@ pub struct NcpPoint {
     pub conductance: f64,
 }
 
-/// Computes the network community profile with PR-Nibble diffusions.
-///
-/// Every sweep prefix of every run contributes a candidate `(size, φ)`;
-/// the result keeps the minimum per size, sorted by size. Runs use the
-/// parallel algorithms internally (the paper's setting: one analyst
-/// query at a time, each as fast as possible).
-///
-/// One [`Workspace`] serves the whole `seeds × α × ε` grid — hundreds of
-/// back-to-back diffusion + sweep queries, the highest-leverage consumer of
-/// buffer recycling (each grid point would otherwise rebuild its mass
-/// arenas, the sweep's rank table among them, and its frontier bitsets
-/// from scratch). Reached as [`crate::Engine::ncp`].
-pub(crate) fn ncp_prnibble<B: CsrBackend>(
-    pool: &Pool,
-    g: &B,
-    params: &NcpParams,
-    ws: &mut Workspace,
-) -> Vec<NcpPoint> {
-    let n = g.num_vertices();
-    assert!(n > 0, "empty graph has no profile");
+/// The seed × α × ε grid of PR-Nibble queries (the paper's optimized push
+/// rule, full frontier), seed-major. Seeds are drawn uniformly among the
+/// vertices with an edge; a graph without edges has an empty grid.
+pub(crate) fn grid<B: CsrBackend>(g: &B, params: &NcpParams) -> Vec<Query> {
+    if g.num_edges() == 0 {
+        return Vec::new();
+    }
     let mut rng = StdRng::seed_from_u64(params.rng_seed);
-    let mut best: Vec<f64> = Vec::new(); // index = size - 1
-
-    // One checkpoint governs the whole grid: cumulative work from
-    // completed runs is subtracted from the caps handed to each inner
-    // run (`after_work`), so the budget bounds the scan, not each point.
-    let cp = params.budget.arm();
-    let mut total_pushes = 0u64;
-    let mut total_edges = 0u64;
-
-    'grid: for _ in 0..params.num_seeds {
+    let mut queries = Vec::new();
+    for _ in 0..params.num_seeds {
+        // lgc-lint: allow(checkpoint-tick) -- rejection sampling of a seed vertex (some vertex has an edge); draws vertices, runs no diffusion
         let seed = loop {
-            let v = rng.gen_range(0..n as u32);
+            let v = rng.gen_range(0..g.num_vertices() as u32);
             if g.degree(v) > 0 {
                 break v;
-            }
-            // Graphs of isolated vertices only: bail out with a flat profile.
-            if g.num_edges() == 0 {
-                return Vec::new();
-            }
-            // Rejection sampling on mostly-isolated graphs can draw many
-            // dead vertices; keep the retry loop under the same budget
-            // clock as the grid itself.
-            if cp.tick(total_pushes, total_edges).is_err() {
-                break 'grid;
             }
         };
         for &alpha in &params.alphas {
             for &eps in &params.epsilons {
-                if cp.tick(total_pushes, total_edges).is_err() {
-                    break 'grid;
-                }
                 let p = PrNibbleParams {
                     alpha,
                     eps,
-                    rule: PushRule::Optimized,
-                    beta: 1.0,
                     ..Default::default()
                 };
-                let sub = cp.after_work(total_pushes, total_edges);
-                let Ok(d) = prnibble_par(pool, g, &Seed::single(seed), &p, ws, &sub) else {
-                    break 'grid;
-                };
-                total_pushes += d.stats.pushes;
-                total_edges += d.stats.edges_traversed;
-                let Ok(sweep) = sweep_cut_par_ws(pool, g, &d.p, ws, &sub) else {
-                    break 'grid;
-                };
-                for (i, &phi) in sweep.conductances.iter().enumerate() {
-                    if phi.is_finite() {
-                        if best.len() <= i {
-                            best.resize(i + 1, f64::INFINITY);
-                        }
-                        if phi < best[i] {
-                            best[i] = phi;
-                        }
-                    }
-                }
+                queries.push(Query::new(Seed::single(seed), Algorithm::PrNibble(p)));
             }
         }
     }
+    queries
+}
 
-    best.into_iter()
-        .enumerate()
-        .filter(|&(_, phi)| phi.is_finite())
-        .map(|(i, phi)| NcpPoint {
-            size: i + 1,
-            conductance: phi,
-        })
+/// Folds one sweep's prefix conductances into the envelope, whose entry
+/// `k - 1` is the least φ seen at prefix size `k` so far (`min` skips NaN).
+fn fold(envelope: &mut Vec<f64>, conductances: &[f64]) {
+    envelope.resize(envelope.len().max(conductances.len()), f64::INFINITY);
+    for (best, &phi) in envelope.iter_mut().zip(conductances) {
+        *best = best.min(phi);
+    }
+}
+
+/// The envelope as a profile: one point per size that saw a finite φ,
+/// sorted by size.
+fn points(envelope: Vec<f64>) -> Vec<NcpPoint> {
+    (1..)
+        .zip(envelope)
+        .filter(|&(_, conductance)| conductance.is_finite())
+        .map(|(size, conductance)| NcpPoint { size, conductance })
         .collect()
+}
+
+impl<B: CsrBackend> Engine<'_, B> {
+    /// Computes a network community profile (§4): the PR-Nibble grid runs
+    /// through [`Engine::run_batch`] four points per pool thread at a time,
+    /// each chunk folded before the next runs. Its points are batch items —
+    /// one-thread bits at any width, booked in [`Engine::lifecycle_stats`],
+    /// panicking on an `(α, ε)` pair failing [`Algorithm::check`].
+    pub fn ncp(&self, params: &NcpParams) -> Vec<NcpPoint> {
+        let mut envelope = Vec::new();
+        for chunk in grid(self.g, params).chunks(4 * self.num_threads()) {
+            for res in self.run_batch(chunk) {
+                fold(&mut envelope, &res.sweep.conductances);
+            }
+        }
+        points(envelope)
+    }
 }
 
 #[cfg(test)]
@@ -162,15 +129,13 @@ mod tests {
         // union of blocks — merging two blocks removes their mutual cut
         // — so assert the dip at size ≈ 40 rather than the argmin.)
         let (g, _) = gen::sbm(&[40, 40, 40, 40], 0.4, 0.01, 3);
-        let pool = Pool::new(2);
         let params = NcpParams {
             num_seeds: 16,
             alphas: vec![0.05],
             epsilons: vec![1e-5, 1e-6],
             rng_seed: 1,
-            ..Default::default()
         };
-        let points = ncp_prnibble(&pool, &g, &params, &mut Workspace::new());
+        let points = Engine::builder(&g).threads(2).build().ncp(&params);
         assert!(!points.is_empty());
         let min_phi_in = |lo: usize, hi: usize| {
             points
@@ -191,15 +156,13 @@ mod tests {
     #[test]
     fn points_are_sorted_and_bounded() {
         let g = gen::rand_local(300, 5, 5);
-        let pool = Pool::new(2);
         let params = NcpParams {
             num_seeds: 4,
             alphas: vec![0.1],
             epsilons: vec![1e-4],
             rng_seed: 2,
-            ..Default::default()
         };
-        let points = ncp_prnibble(&pool, &g, &params, &mut Workspace::new());
+        let points = Engine::builder(&g).threads(2).build().ncp(&params);
         assert!(points.windows(2).all(|w| w[0].size < w[1].size));
         assert!(points.iter().all(|p| (0.0..=1.0).contains(&p.conductance)));
     }
@@ -207,20 +170,18 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let g = gen::rand_local(200, 5, 8);
-        let pool = Pool::new(2);
         let params = NcpParams {
             num_seeds: 3,
             alphas: vec![0.1],
             epsilons: vec![1e-4],
             rng_seed: 11,
-            ..Default::default()
         };
-        let a = ncp_prnibble(&pool, &g, &params, &mut Workspace::new());
-        let b = ncp_prnibble(&pool, &g, &params, &mut Workspace::new());
+        let a = Engine::builder(&g).threads(2).build().ncp(&params);
+        let b = Engine::builder(&g).threads(2).build().ncp(&params);
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.size, y.size);
-            assert!((x.conductance - y.conductance).abs() < 1e-9);
+            assert_eq!(x.conductance.to_bits(), y.conductance.to_bits());
         }
     }
 }

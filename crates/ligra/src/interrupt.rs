@@ -44,10 +44,10 @@
 //!
 //! A budget can also carry one [`BoundaryHook`]: work that `tick` runs
 //! at every boundary *before* its trip tests, on the thread driving the
-//! query (for a `run_batch` item, the pool worker running it). This is
-//! how a query yields: a budget only ever stops one, while a hook lets
-//! other work run in the gaps between its iterations — `lgc-server` runs
-//! queued interactive queries inside a bulk query's boundaries this way.
+//! query. This is how a query yields: a budget only ever stops one,
+//! while a hook lets other work run in the gaps between its iterations —
+//! `lgc-server` runs queued interactive queries inside a bulk query's
+//! boundaries this way.
 //! The hook's time counts against the query's deadline, a cancellation
 //! it makes is seen by the same tick, and it consumes no fault-plan tick.
 //! The query's own stores are not the hook's to touch, so a hooked run
@@ -189,8 +189,7 @@ impl FaultState {
     }
 
     /// Count one tick; `true` once the countdown is exhausted (and on
-    /// every tick thereafter, so derived checkpoints sharing this state
-    /// stay tripped).
+    /// every tick thereafter, so clones sharing this state stay tripped).
     fn fire(&self) -> bool {
         // Ticks are issued by the single thread driving a query, so a
         // load/store pair is race-free; Relaxed is enough.
@@ -297,9 +296,9 @@ impl QueryBudget {
 
     /// Arms the budget for one run: the relative deadline becomes an
     /// absolute instant (the clock starts *now*) and the fault plan, if
-    /// any, a fresh countdown. Each call arms independently, so a grid
-    /// scan that re-arms one budget per point gives every point its own
-    /// deadline and countdown.
+    /// any, a fresh countdown. Each call arms independently, so one
+    /// budget armed for several runs gives every run its own deadline and
+    /// countdown.
     pub fn arm(&self) -> Checkpoint {
         Checkpoint {
             deadline: self.deadline.map(|d| Instant::now() + d),
@@ -316,16 +315,15 @@ impl QueryBudget {
 /// trips and whose [`tick`](Checkpoint::tick) compiles to a handful of
 /// `None` tests. The caller passes its *deterministic* cumulative work
 /// counters into `tick` — the checkpoint itself holds no mutable counters
-/// (except the fault countdown), so cloning is cheap and a clone used for a
-/// sub-run (see [`after_work`](Checkpoint::after_work)) shares the
-/// deadline, token, hook, and fault state of its parent.
+/// (except the fault countdown), so cloning is cheap and a clone shares
+/// the deadline, token, hook, and fault state of its original.
 #[derive(Clone, Debug)]
 pub struct Checkpoint {
     /// The limits; their relative `deadline` was read once, by `arm`.
     budget: QueryBudget,
     /// `budget.deadline`, stamped against the clock.
     deadline: Option<Instant>,
-    /// `budget.fault`'s countdown, shared with derived checkpoints.
+    /// `budget.fault`'s countdown, shared with clones.
     fault: Option<Arc<FaultState>>,
 }
 
@@ -333,22 +331,6 @@ impl Checkpoint {
     /// A checkpoint that never trips.
     pub fn unlimited() -> Self {
         QueryBudget::unlimited().arm()
-    }
-
-    /// Derive a checkpoint for a sub-run after `pushes`/`edges` units of
-    /// work have already been consumed: work caps shrink by the consumed
-    /// amounts (saturating at zero — an exhausted cap trips the sub-run's
-    /// first tick), while the deadline, cancel token, and fault countdown
-    /// are *shared* with `self`. Used by grid scans (NCP) whose inner
-    /// runs restart their counters from zero.
-    pub fn after_work(&self, pushes: u64, edges: u64) -> Checkpoint {
-        let mut derived = self.clone();
-        let caps = &mut derived.budget;
-        caps.max_pushed_mass_updates = caps
-            .max_pushed_mass_updates
-            .map(|c| c.saturating_sub(pushes));
-        caps.max_edges_traversed = caps.max_edges_traversed.map(|c| c.saturating_sub(edges));
-        derived
     }
 
     /// The amortized boundary check. `pushes` and `edges` are the
@@ -439,19 +421,6 @@ mod tests {
     }
 
     #[test]
-    fn derived_checkpoint_shrinks_work_caps() {
-        let cp = QueryBudget::unlimited()
-            .with_max_pushed_mass_updates(10)
-            .with_max_edges_traversed(100)
-            .arm();
-        let derived = cp.after_work(4, 120);
-        assert_eq!(derived.tick(6, 0), Ok(()));
-        assert_eq!(derived.tick(7, 0), Err(Trip::WorkBudget));
-        // edges cap saturated at zero: any positive count trips.
-        assert_eq!(derived.tick(0, 1), Err(Trip::WorkBudget));
-    }
-
-    #[test]
     fn hook_runs_at_every_tick_before_the_trip_tests() {
         use std::sync::atomic::AtomicU64;
         let token = CancelToken::new();
@@ -473,7 +442,7 @@ mod tests {
         // A tick that trips has still run the hook.
         assert_eq!(cp.tick(0, 101), Err(Trip::WorkBudget));
         // The cancellation the third run makes is seen by that same tick.
-        assert_eq!(cp.after_work(0, 0).tick(0, 0), Err(Trip::Cancelled));
+        assert_eq!(cp.tick(0, 0), Err(Trip::Cancelled));
         assert_eq!(runs.load(Ordering::Relaxed), 3);
     }
 
@@ -494,8 +463,8 @@ mod tests {
     }
 
     /// Every `arm` starts its own clock and its own fault countdown: a
-    /// budget re-armed per grid point (`NcpParams`)
-    /// gives each point the whole budget, whatever earlier arms consumed.
+    /// budget re-armed per query (every `try_run` arms its query's)
+    /// gives each run the whole budget, whatever earlier arms consumed.
     #[test]
     fn arming_twice_gives_independent_deadlines_and_countdowns() {
         let budget = QueryBudget::unlimited().with_deadline(Duration::from_millis(200));
@@ -540,7 +509,6 @@ mod tests {
         assert_eq!(cp.tick(0, 0), Ok(()));
         assert_eq!(cp.tick(0, 0), Ok(()));
         assert_eq!(cp.tick(0, 0), Err(Trip::Deadline));
-        // shared state: a derived clone is already exhausted too.
-        assert_eq!(cp.after_work(0, 0).tick(0, 0), Err(Trip::Deadline));
+        assert_eq!(cp.tick(0, 0), Err(Trip::Deadline));
     }
 }

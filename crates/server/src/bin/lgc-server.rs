@@ -6,12 +6,13 @@
 //!            [--scale S] [--metrics-once]
 //! ```
 //!
-//! Tenants are synthetic for now (the workspace has no graph-file
-//! loader yet): `social` (SBM with planted communities), `local`
-//! (bounded-degree random-local), and `mesh` (3-D grid), each sized by
-//! `--scale`. `--metrics-once` renders the Prometheus-style metrics
-//! page for the freshly built service and exits — the CI smoke path
-//! and a quick way to eyeball the export format without a client.
+//! The binary serves generated graphs only (loading a file is
+//! `lgc_graph::io`'s job, for a caller building its own `Service`):
+//! `social` (SBM with planted communities), `local` (bounded-degree
+//! random-local), and `mesh` (3-D grid), each sized by `--scale`.
+//! `--metrics-once` renders the Prometheus-style metrics page for the
+//! freshly built service and exits — the CI smoke path and a quick way
+//! to eyeball the export format without a client.
 
 use lgc_core::{QueryBudget, Service};
 use lgc_graph::gen;

@@ -45,8 +45,9 @@
 //!
 //! 1. **per-connection in-flight cap** — one client cannot occupy the
 //!    whole server;
-//! 2. **per-class bounded queue** — overload sheds at enqueue instead
-//!    of queueing unboundedly.
+//! 2. **per-class bounded queue** ([`INTERACTIVE_QUEUE_CAP`],
+//!    [`BULK_QUEUE_CAP`]) — overload sheds at enqueue instead of
+//!    queueing unboundedly.
 //!
 //! At most [`executors`](ServerConfig::executors) queries run at once.
 //! Past the gates the engine refuses a query only when the tenant's
@@ -102,6 +103,12 @@ use std::time::{Duration, Instant};
 /// polite poll.
 pub const RETRY_AFTER_FLOOR: Duration = Duration::from_micros(100);
 
+/// Bound of the interactive class queue.
+pub const INTERACTIVE_QUEUE_CAP: usize = 64;
+
+/// Bound of the bulk class queue (deeper: bulk tolerates waiting).
+pub const BULK_QUEUE_CAP: usize = 256;
+
 /// Tuning knobs for [`Server::bind`]. `Default` is sized for a small
 /// deployment and for tests; every field is independent.
 #[derive(Clone, Debug)]
@@ -116,10 +123,6 @@ pub struct ServerConfig {
     /// alone, and a lone query still forks across the pool. More
     /// executors than the pool is wide oversubscribe the machine.
     pub executors: usize,
-    /// Bound of the interactive class queue.
-    pub interactive_queue_cap: usize,
-    /// Bound of the bulk class queue (deeper: bulk tolerates waiting).
-    pub bulk_queue_cap: usize,
     /// Max queries a single connection may have queued + executing.
     pub conn_inflight_cap: usize,
     /// Default budget merged (field-wise, query wins) into every
@@ -135,8 +138,6 @@ impl Default for ServerConfig {
         ServerConfig {
             mode: SchedulerMode::Priority,
             executors: 2,
-            interactive_queue_cap: 64,
-            bulk_queue_cap: 256,
             conn_inflight_cap: 32,
             bulk_budget: QueryBudget::unlimited(),
         }
@@ -210,11 +211,7 @@ impl Server {
         let executors = config.executors.max(1);
         let shared = Arc::new(Shared {
             service,
-            sched: Scheduler::new(
-                config.mode,
-                config.interactive_queue_cap,
-                config.bulk_queue_cap,
-            ),
+            sched: Scheduler::new(config.mode, INTERACTIVE_QUEUE_CAP, BULK_QUEUE_CAP),
             metrics: ServerMetrics::default(),
             config,
             shutting_down: AtomicBool::new(false),

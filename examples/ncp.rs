@@ -21,16 +21,15 @@ fn main() {
         g.num_edges()
     );
 
-    // An NCP scan is hundreds of back-to-back PR-Nibble + sweep queries
-    // over one graph — the engine's workspace recycles every scratch
-    // buffer between them instead of reallocating per grid point.
+    // An NCP scan is hundreds of independent PR-Nibble + sweep queries
+    // over one graph: the engine runs them as a batch, one query per
+    // pool thread at a time, each thread recycling its workspace.
     let engine = Engine::builder(&g).build();
     let params = NcpParams {
         num_seeds: 60,
         alphas: vec![0.1, 0.01],
         epsilons: vec![1e-4, 1e-5, 1e-6],
         rng_seed: 4,
-        ..Default::default()
     };
     eprintln!(
         "running {} PR-Nibble diffusions ({} seeds x {} alphas x {} epsilons)...",

@@ -24,10 +24,11 @@
 //!
 //! Limits ride on the queries: every "social" query carries a deadline
 //! and every "communities" query a deterministic work cap
-//! ([`Query::with_budget`]). Clients call `try_run`, and the server
-//! closes with a per-tenant robustness report — admitted / completed /
-//! shed / tripped / invalid and the shed rate — straight from
-//! [`Service::lifecycle`] counters.
+//! ([`Query::with_budget`]) that its PR-Nibble requests exceed. Clients
+//! call `try_run`, and the server closes with a per-tenant robustness
+//! report — admitted / completed / shed / tripped / invalid and the shed
+//! rate — straight from [`Service::lifecycle`] counters, and asserts that
+//! the cap tripped and that every admitted query completed or tripped.
 //!
 //! ```sh
 //! cargo run --release --example server
@@ -41,6 +42,12 @@ use std::time::{Duration, Instant};
 const QUERIES_PER_CLIENT: usize = 40;
 /// Client threads (OS threads issuing queries concurrently).
 const CLIENTS: usize = 4;
+/// The "communities" work cap, in traversed edges. On that tenant's graph
+/// the request log's PR-Nibble queries traverse 236k–272k edges each and
+/// its HK-PR, Nibble and rand-HK-PR queries under 100k, so the cap trips
+/// exactly the PR-Nibble ones — the same ones at any thread count, since
+/// the work counters do not depend on it.
+const COMMUNITIES_MAX_EDGES: u64 = 150_000;
 
 /// The deterministic "request log": client `c`'s `i`-th request, with
 /// the tenant's limits on it: a wall-clock deadline on "social" and a
@@ -72,7 +79,7 @@ fn request(tenants: &[String], c: usize, i: usize) -> (String, Query) {
     };
     let budget = match tenant.as_str() {
         "social" => QueryBudget::unlimited().with_deadline(Duration::from_millis(250)),
-        "communities" => QueryBudget::unlimited().with_max_edges_traversed(2_000_000),
+        "communities" => QueryBudget::unlimited().with_max_edges_traversed(COMMUNITIES_MAX_EDGES),
         _ => QueryBudget::unlimited(),
     };
     let query = Query::new(Seed::single(v), algo).with_budget(budget);
@@ -185,14 +192,18 @@ fn main() {
     );
     for name in &tenants {
         let s = service.lifecycle(name).unwrap();
+        let tripped = s.deadline_tripped + s.work_tripped + s.cancelled;
         println!(
             "{name:<12} {:>9} {:>10} {:>6} {:>8} {:>6} {:>9.1}%",
             s.admitted,
             s.completed,
             s.shed(),
-            s.deadline_tripped + s.work_tripped + s.cancelled,
+            tripped,
             s.invalid,
             s.shed_rate() * 100.0
         );
+        assert_eq!(s.admitted, s.completed + tripped, "{name}: {s:?}");
     }
+    let communities = service.lifecycle("communities").unwrap();
+    assert!(communities.work_tripped > 0, "{communities:?}");
 }

@@ -75,7 +75,8 @@
 //! enforced from multiple OS threads by
 //! `tests/service_properties.rs` — and [`Engine::run_batch`] fans any
 //! mix of queries across the pool with per-worker workspaces that stay
-//! warm across calls (deterministic, thread-count independent).
+//! warm across calls (deterministic, thread-count independent);
+//! [`Engine::ncp`] runs its seed × α × ε grid as such a batch.
 //!
 //! A query decides per iteration whether its loops see the pool's
 //! workers: below `|F| + vol(F) =` [`ligra::FORK_MIN_WORK`] the iteration
@@ -84,23 +85,6 @@
 //! thread, whatever the engine's width, and returns the one-thread bits;
 //! "The fork policy" on [`ligra::EdgeSpread`] has the rule and its
 //! calibration.
-//!
-//! # Migrating from the PR 3 `Engine` and the free functions
-//!
-//! Queries became `&self` (callers no longer need `mut` engines or a
-//! mutex around one), pools became shareable, and multi-graph hosting
-//! moved into [`Service`]:
-//!
-//! | Old call | Current form |
-//! |---|---|
-//! | `engine.run(&q)` with `let mut engine` | same, `mut` no longer needed (`&self`) |
-//! | one mutex-guarded engine per graph | `Service` + `svc.engine("name")?` |
-//! | one `Pool` spawned per engine | `Pool::shared(t)` + `.shared_pool(..)` / `Service::builder().pool(..)` |
-//! | `find_cluster(&pool, &g, &seed, &algo)` | `engine.run(&Query::new(seed, algo))` |
-//! | `prnibble_par(&pool, &g, &seed, &p)` | `engine.diffuse(&seed, &Algorithm::PrNibble(p))` |
-//! | `nibble_par` / `hkpr_par` / `rand_hkpr_par` | `engine.diffuse(&seed, &Algorithm::…(p))` |
-//! | `evolving_set_par(&pool, &g, &seed, &p)` | `engine.run(&Query::new(seed, Algorithm::Evolving(p)))` |
-//! | `ncp_prnibble(&pool, &g, &params)` | `engine.ncp(&params)` |
 //!
 //! Without an engine, a one-shot diffusion is [`LocalDiffusion::diffuse`]
 //! over a fresh [`Workspace`] (`Algorithm::PrNibble(p).diffuse(&pool, &g,
@@ -288,9 +272,10 @@
 //!
 //! A `METRICS` request (or `lgc-server --metrics-once`) renders
 //! Prometheus-style text: per-tenant × per-class latency quantiles,
-//! queue depths, each graph's [`GraphSummary`], [`LifecycleSnapshot`]
-//! counters — among them the engines' frontier iterations by direction,
-//! by lane, and by whether a pull handed the next one its frontier as a
+//! queue depths, each graph's resident bytes (`lgc_graph_memory_bytes`),
+//! [`LifecycleSnapshot`] counters — among them the engines' frontier
+//! iterations by direction, by lane, and by whether a pull handed the
+//! next one its frontier as a
 //! bitset (`lgc_iterations_total{dir=…}`, `lgc_iterations_solo_total`,
 //! `lgc_iterations_dense_out_total`) — and the loops offered to the pool by how
 //! they ran (`lgc_pool_loops_total{mode=…}`, `lgc_pool_callers`; an
@@ -371,16 +356,16 @@
 //!   the compiler level; crates that need no `unsafe` — the server,
 //!   flow, bench, and the offline shims — pin that down with
 //!   `#![forbid(unsafe_code)]`.
-//! * **Miri** (nightly CI job) runs the compressed-CSR decoder and
+//! * **Miri** and **ThreadSanitizer** nightly jobs are configured in
+//!   `.github/workflows/ci.yml` but have never run, so what they would
+//!   check is unverified. Miri would run the compressed-CSR decoder and
 //!   backend-equivalence suites, the sparse-set model tests and the
-//!   `lgc-ligra` unit tests under the interpreter, checking the
-//!   unaligned-read / `STREAM_PAD` invariants and the edge map's
-//!   disjoint slot writes dynamically.
-//! * **ThreadSanitizer** (nightly CI job, `-Zsanitizer=thread`) runs
-//!   the `lgc-parallel`, `lgc-sparse` and `lgc-ligra` suites — the
-//!   pool's job protocol, `UnsafeSlice` disjoint writes, the
-//!   phase-concurrent accumulators, and the edge maps — under a
-//!   data-race detector.
+//!   `lgc-ligra` unit tests under the interpreter (the unaligned-read /
+//!   `STREAM_PAD` invariants, the edge map's disjoint slot writes); TSan
+//!   (`-Zsanitizer=thread`) the `lgc-parallel`, `lgc-sparse` and
+//!   `lgc-ligra` suites — the pool's job protocol, `UnsafeSlice`
+//!   disjoint writes, the phase-concurrent accumulators, and the edge
+//!   maps — under a data-race detector.
 
 pub use lgc_core as cluster;
 pub use lgc_flow as flow;

@@ -569,6 +569,40 @@ fn a_lone_small_query_forks_nothing_and_a_saturating_one_forks() {
     assert_eq!(s.iterations_dense_out, s.iterations_pull, "{s:?}");
 }
 
+/// An NCP is a batch: its grid points run as `run_batch` items on the
+/// workerless pool, so on an input whose diffusions fork when run alone,
+/// the profile is the same bits at every pool width, and every grid point
+/// books `admitted` and `completed`.
+#[test]
+fn ncp_is_the_same_bits_at_any_width_and_books_every_grid_point() {
+    let (g, _) = plgc::graph::gen::sbm(&[300; 4], 0.3, 0.01, 5);
+    let lone = Engine::builder(&g).threads(2).build();
+    lone.run(&Query::new(Seed::single(0), prn(0.01, 1e-6)));
+    assert!(lone.pool().stats().loops_forked >= 1, "past FORK_MIN_WORK");
+    let params = plgc::NcpParams {
+        num_seeds: 3,
+        alphas: vec![0.1, 0.01],
+        epsilons: vec![1e-4, 1e-6],
+        rng_seed: 5,
+    };
+    let grid = (params.num_seeds * params.alphas.len() * params.epsilons.len()) as u64;
+    let profile = |threads| {
+        let engine = Engine::builder(&g).threads(threads).build();
+        let points = engine.ncp(&params);
+        let s = engine.lifecycle_stats();
+        assert_eq!((s.admitted, s.completed), (grid, grid), "T={threads}");
+        points
+            .iter()
+            .map(|p| (p.size, p.conductance.to_bits()))
+            .collect::<Vec<_>>()
+    };
+    let one = profile(1);
+    assert!(one.len() > 300, "the profile spans the planted scale");
+    for threads in [2, 4] {
+        assert_eq!(profile(threads), one, "T={threads}");
+    }
+}
+
 /// Conservation law of the iteration counters: `push + pull` is the sum of
 /// `stats.iterations` over the frontier-diffusion queries the engine ran —
 /// single or batch item, completed or tripped, with a sweep or without —

@@ -371,47 +371,6 @@ fn concurrent_callers_are_never_shed_by_the_engine() {
     assert_eq!(stats.in_flight, 0);
 }
 
-/// A budgeted NCP scan truncates gracefully: the profile built before
-/// the trip comes back (a valid min-envelope), no panic, and an
-/// unlimited rerun on the same engine is unaffected.
-#[test]
-fn ncp_budget_truncates_gracefully() {
-    let g = plgc::graph::gen::rand_local(200, 5, 8);
-    let engine = Engine::builder(&g).threads(1).build();
-    let params = plgc::NcpParams {
-        num_seeds: 3,
-        alphas: vec![0.1],
-        epsilons: vec![1e-4],
-        rng_seed: 11,
-        ..Default::default()
-    };
-    let full = engine.ncp(&params);
-    let starved = CancelToken::new();
-    starved.cancel();
-    let truncated = engine.ncp(&plgc::NcpParams {
-        budget: QueryBudget::unlimited().with_cancel(starved),
-        ..params.clone()
-    });
-    assert!(
-        truncated.is_empty(),
-        "cancelled before the first grid point"
-    );
-    let capped = engine.ncp(&plgc::NcpParams {
-        budget: QueryBudget::unlimited().with_max_edges_traversed(1),
-        ..params.clone()
-    });
-    assert!(
-        capped.len() <= full.len(),
-        "capped scan is a prefix envelope"
-    );
-    let again = engine.ncp(&params);
-    assert_eq!(full.len(), again.len(), "engine unaffected by the trips");
-    for (a, b) in full.iter().zip(&again) {
-        assert_eq!(a.size, b.size);
-        assert_eq!(a.conductance, b.conductance);
-    }
-}
-
 mod fault_injected {
     use super::*;
     use plgc::{BoundaryHook, FaultPlan, Pool};
