@@ -16,6 +16,9 @@
 //! repository is judged by come from `benchmark/` (its `README.md` says
 //! how they are taken).
 
+// Atomic orderings and hash containers only where a file says why.
+#![cfg_attr(not(test), warn(clippy::disallowed_types))]
+
 use lgc_bench::{
     fig10_claim, fig4_claim, hardware_threads, suite, suite_seed, table1_claim, time, time_best_of,
     SuiteGraph,

@@ -13,6 +13,8 @@
 
 // Reproduction code needs no unsafe; keep it that way.
 #![forbid(unsafe_code)]
+// Atomic orderings and hash containers only where a file says why.
+#![cfg_attr(not(test), warn(clippy::disallowed_types))]
 
 use lgc_core::SweepCut;
 use lgc_graph::{gen, Graph};

@@ -24,6 +24,11 @@
 //! ungoverned: they ignore budgets and the workspace byte budget and keep
 //! their run-to-completion semantics.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "relaxed lifecycle counters (admitted, completed, shed_workspace, invalid, the three trips, refined, the direction tallies) and the acquire/release in-flight gauge"
+)]
+
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 

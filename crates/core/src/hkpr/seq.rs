@@ -2,6 +2,11 @@
 //! `(vertex, level)` pairs (§3.4's description), with the residual in an
 //! `unordered_map`-style table exactly as the paper's sequential baseline.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the sequential baseline's `unordered_map` residual keyed by (vertex, level): inserted and looked up, never iterated, so its order never reaches the result"
+)]
+
 use super::HkprParams;
 use crate::result::{Diffusion, DiffusionStats};
 use crate::seed::Seed;

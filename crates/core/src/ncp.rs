@@ -60,7 +60,8 @@ pub(crate) fn grid<B: CsrBackend>(g: &B, params: &NcpParams) -> Vec<Query> {
     let mut rng = StdRng::seed_from_u64(params.rng_seed);
     let mut queries = Vec::new();
     for _ in 0..params.num_seeds {
-        // lgc-lint: allow(checkpoint-tick) -- rejection sampling of a seed vertex (some vertex has an edge); draws vertices, runs no diffusion
+        // No checkpoint tick: rejection sampling of a seed vertex (some
+        // vertex has an edge) draws vertices and runs no diffusion.
         let seed = loop {
             let v = rng.gen_range(0..g.num_vertices() as u32);
             if g.degree(v) > 0 {

@@ -104,7 +104,8 @@ const WALK_RNG_BLOCK: usize = 16;
 #[inline]
 fn pick_below(mut raw: u64, rng: &mut StdRng, span: u64) -> u64 {
     debug_assert!(span > 0);
-    // lgc-lint: allow(checkpoint-tick) -- Lemire rejection loop: retries with probability < 2^-32 per draw, not a frontier loop
+    // No checkpoint tick: Lemire's rejection loop retries with probability
+    // < 2^-32 per draw; it is not a frontier loop.
     loop {
         let m = (raw as u128).wrapping_mul(span as u128);
         if (m as u64) >= span.wrapping_neg() % span {
@@ -144,7 +145,8 @@ fn run_walk<B: CsrBackend>(
     let mut steps = 0u32;
     let mut buf = [0u64; WALK_RNG_BLOCK];
     let mut remaining = len;
-    // lgc-lint: allow(checkpoint-tick) -- one walk of pre-sampled truncated length (K steps); the driver ticks per walk batch
+    // No checkpoint tick: one walk of pre-sampled truncated length (K
+    // steps); `rand_hkpr_par` ticks once per block of walks.
     'walk: while remaining > 0 {
         let take = remaining.min(WALK_RNG_BLOCK);
         rng.fill_u64(&mut buf[..take]);

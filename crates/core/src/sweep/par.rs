@@ -118,7 +118,8 @@ pub(crate) fn sweep_cut_par_ws<B: CsrBackend>(
             let (fs, fe) = (c * EDGE_GRAIN, ((c + 1) * EDGE_GRAIN).min(total_vol));
             let mut vi = edge_offsets.partition_point(|&o| o <= fs as u64) - 1;
             let mut f = fs;
-            // lgc-lint: allow(checkpoint-tick) -- bounded per-chunk walk over [fs, fe) inside a pool job; the sweep ticks per phase
+            // No checkpoint tick: a bounded walk over [fs, fe) inside a pool
+            // job; the sweep ticks once, on entry.
             while f < fe {
                 let rv = (vi + 1) as f64;
                 let local = f - edge_offsets[vi] as usize;

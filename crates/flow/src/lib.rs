@@ -47,6 +47,8 @@
 
 // Flow refinement is pure safe graph algorithms; keep it that way.
 #![forbid(unsafe_code)]
+// Atomic orderings and hash containers only where a file says why.
+#![cfg_attr(not(test), warn(clippy::disallowed_types))]
 
 mod dinic;
 

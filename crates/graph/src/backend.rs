@@ -73,14 +73,17 @@ pub trait CsrBackend: Send + Sync {
         set.iter().map(|&v| self.degree(v) as u64).sum()
     }
 
-    /// `|∂(S)|` — edges with exactly one endpoint in `S` (hash-set
-    /// utility; the sweep cut uses its own incremental computation).
+    /// `|∂(S)|` — edges with exactly one endpoint in `S` (a utility:
+    /// membership by binary search in the sorted set; the sweep cut uses
+    /// its own incremental computation).
     fn boundary_size(&self, set: &[u32]) -> u64 {
-        let members: std::collections::HashSet<u32> = set.iter().copied().collect();
+        let mut members = set.to_vec();
+        members.sort_unstable();
+        members.dedup();
         let mut crossing = 0u64;
         for &v in set {
             self.for_each_neighbor(v, |w| {
-                if !members.contains(&w) {
+                if members.binary_search(&w).is_err() {
                     crossing += 1;
                 }
             });

@@ -1,7 +1,5 @@
 //! Compressed sparse row (CSR) graphs — the in-memory format Ligra uses.
 
-use std::collections::HashSet;
-
 /// An undirected, unweighted graph in CSR form.
 ///
 /// Vertices are `u32` ids in `[0, n)`; each undirected edge `{u, v}` is
@@ -66,14 +64,16 @@ impl Graph {
     }
 
     /// `|∂(S)|` — the number of edges with exactly one endpoint in `S`.
-    /// Utility implementation (hash-set membership); the sweep cut uses
-    /// its own incremental/parallel computation.
+    /// Utility implementation (membership by binary search in the sorted
+    /// set); the sweep cut uses its own incremental/parallel computation.
     pub fn boundary_size(&self, set: &[u32]) -> u64 {
-        let members: HashSet<u32> = set.iter().copied().collect();
+        let mut members = set.to_vec();
+        members.sort_unstable();
+        members.dedup();
         let mut crossing = 0u64;
         for &v in set {
             for &w in self.neighbors(v) {
-                if !members.contains(&w) {
+                if members.binary_search(&w).is_err() {
                     crossing += 1;
                 }
             }
@@ -138,9 +138,11 @@ impl Graph {
     /// clusters from a graph", §1). Returns the remaining graph and the
     /// mapping `new id → old id`.
     pub fn remove_vertices(&self, remove: &[u32]) -> (Graph, Vec<u32>) {
-        let gone: HashSet<u32> = remove.iter().copied().collect();
+        let mut gone = remove.to_vec();
+        gone.sort_unstable();
+        gone.dedup();
         let keep: Vec<u32> = (0..self.num_vertices() as u32)
-            .filter(|v| !gone.contains(v))
+            .filter(|v| gone.binary_search(v).is_err())
             .collect();
         self.induced_subgraph(&keep)
     }

@@ -7,6 +7,9 @@
 //! Ligra's `AdjacencyGraph` format, and the synthetic generator suite
 //! standing in for the paper's evaluation graphs (see [`gen`]).
 
+// Results never depend on hash order, the clock or an unaudited ordering.
+#![cfg_attr(not(test), warn(clippy::disallowed_types, clippy::disallowed_methods))]
+
 pub mod backend;
 mod components;
 mod csr;

@@ -53,6 +53,15 @@
 //! The query's own stores are not the hook's to touch, so a hooked run
 //! returns the bits an unhooked one does.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the cancel flag is set with release and read with acquire; the fault countdown is relaxed, one per checkpoint"
+)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the deadline mechanism: `arm` stamps the deadline and `tick` compares against it, once per iteration"
+)]
+
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

@@ -62,6 +62,9 @@
 //! loops are offered to the pool's workers at all ([`lane`],
 //! [`FORK_MIN_WORK`] — "The fork policy" on [`EdgeSpread`]).
 
+// Results never depend on hash order, the clock or an unaudited ordering.
+#![cfg_attr(not(test), warn(clippy::disallowed_types, clippy::disallowed_methods))]
+
 use lgc_graph::CsrBackend;
 use lgc_parallel::{map_chunks, merge_sort_by, ones, scan_exclusive, Bitset, Pool, UnsafeSlice};
 use lgc_sparse::{DenseMassVec, MassMap};

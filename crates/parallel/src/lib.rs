@@ -32,6 +32,9 @@
 //! single-thread pool, or one whose width the callers already fill), so
 //! they are safe to use at any problem size and beside any other query.
 
+// Results never depend on hash order, the clock or an unaudited ordering.
+#![cfg_attr(not(test), warn(clippy::disallowed_types, clippy::disallowed_methods))]
+
 mod atomic;
 mod bitset;
 mod filter;

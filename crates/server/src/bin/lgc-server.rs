@@ -14,6 +14,18 @@
 //! freshly built service and exits — the CI smoke path and a quick way
 //! to eyeball the export format without a client.
 
+// Atomic orderings and hash containers only where a file says why.
+#![cfg_attr(not(test), warn(clippy::disallowed_types))]
+// The server degrades instead of dying: no panicking calls outside tests.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use lgc_core::{QueryBudget, Service};
 use lgc_graph::gen;
 use lgc_server::{sched::SchedulerMode, Server, ServerConfig};

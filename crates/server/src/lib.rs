@@ -71,6 +71,17 @@
 
 // The serving layer needs no unsafe; keep it that way.
 #![forbid(unsafe_code)]
+// Atomic orderings and hash containers only where a file says why.
+#![cfg_attr(not(test), warn(clippy::disallowed_types))]
+// The server degrades instead of dying: no panicking calls outside tests.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod client;
 pub mod frame;
@@ -88,6 +99,12 @@ use metrics::ServerMetrics;
 use parking_lot::Mutex;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+// Item-level, not module-level: in a crate root a module-level `expect`
+// would excuse every module of the crate.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the shutdown flag (swapped with acq-rel, read with acquire), releasing a connection's in-flight slot, and relaxed bumps of the serving counters"
+)]
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;

@@ -12,6 +12,11 @@
 //! ≤2× overestimate by construction, which is the right bias for a
 //! tail-latency dashboard (never under-reports a bad tail).
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "relaxed serving counters and histogram buckets; the per-(tenant, class) `HashMap` is only looked up, and the page renders its slots sorted"
+)]
+
 use crate::wire::Priority;
 use lgc_core::Service;
 use parking_lot::Mutex;

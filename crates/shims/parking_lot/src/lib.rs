@@ -10,6 +10,8 @@
 
 // The shim wraps std::sync only; no unsafe needed.
 #![forbid(unsafe_code)]
+// Atomic orderings and hash containers only where a file says why.
+#![cfg_attr(not(test), warn(clippy::disallowed_types))]
 
 use std::ops::{Deref, DerefMut};
 use std::sync::PoisonError;

@@ -15,6 +15,8 @@
 
 // The shim is plain test plumbing; no unsafe needed.
 #![forbid(unsafe_code)]
+// Atomic orderings and hash containers only where a file says why.
+#![cfg_attr(not(test), warn(clippy::disallowed_types))]
 
 use std::ops::{Range, RangeInclusive};
 

@@ -9,6 +9,8 @@
 
 // The shim is pure arithmetic; no unsafe needed.
 #![forbid(unsafe_code)]
+// Atomic orderings and hash containers only where a file says why.
+#![cfg_attr(not(test), warn(clippy::disallowed_types))]
 
 use std::ops::{Range, RangeInclusive};
 

@@ -340,32 +340,44 @@
 //! dying — are invariants of *this* codebase, not of Rust, so the
 //! workspace audits them mechanically:
 //!
-//! * **`lgc-lint`** (`cargo run -p lgc-lint`, a required CI gate) is a
-//!   dependency-free source auditor with five rules: every `unsafe`
-//!   site states its soundness invariant (`unsafe-safety`); atomics
-//!   live only in files with a documented ordering protocol and
-//!   `SeqCst` is banned by default (`atomic-ordering`); no hash-order
-//!   iteration or wall-clock reads feed query results (`determinism`);
-//!   every diffusion frontier loop carries a `Checkpoint` tick
-//!   (`checkpoint-tick`); and `lgc-server` non-test code never panics
-//!   (`no-panic-in-server`). Reviewed exceptions use
-//!   `// lgc-lint: allow(<rule>) -- <reason>` pragmas — the reason is
-//!   mandatory. See `crates/lint/README.md` for the rule catalog.
-//! * **`clippy::undocumented_unsafe_blocks`** is enabled
-//!   workspace-wide (denied in CI), double-covering the SAFETY rule at
-//!   the compiler level; crates that need no `unsafe` — the server,
+//! * **Clippy** (`cargo clippy --workspace --all-targets -- -D warnings`,
+//!   a required CI step) holds the repo's rules, configured by
+//!   `[workspace.lints.clippy]` in `Cargo.toml`, the root `clippy.toml`
+//!   and each crate root. Every unsafe block and `unsafe impl` carries a
+//!   `// SAFETY:` comment (`undocumented_unsafe_blocks`) and every
+//!   `unsafe fn`, private ones too, a `# Safety` section
+//!   (`missing_safety_doc`); crates that need no `unsafe` — the server,
 //!   flow, bench, and the offline shims — pin that down with
-//!   `#![forbid(unsafe_code)]`.
+//!   `#![forbid(unsafe_code)]`. Outside tests, atomic orderings and hash
+//!   containers are banned (`disallowed_types`) and so, in the query-path
+//!   crates, are clock reads (`disallowed_methods`). A file that owns an
+//!   ordering protocol, a keyed-lookup map or the deadline clock says so
+//!   with a module-level `#![expect(clippy::…, reason = "…")]`, and an
+//!   expectation that no longer fires fails the build. `lgc-server`'s
+//!   non-test code may not panic (`unwrap_used`, `expect_used`, `panic`,
+//!   `unreachable`, `todo`, `unimplemented`).
+//! * **A `git grep` step** in CI fails on any sequentially consistent
+//!   ordering and on an ordering written as a full path, the two spellings
+//!   `disallowed_types` does not see.
+//! * **The tick law** (`tests/fault_properties.rs`,
+//!   `every_query_ticks_as_often_as_its_stats_say`): every algorithm
+//!   ticks its [`Checkpoint`] exactly as often as its stats say, so a
+//!   [`FaultPlan`] one tick short trips it and one of exactly that many
+//!   ticks leaves the result bit for bit unchanged.
 //! * **Miri** and **ThreadSanitizer** nightly jobs are configured in
 //!   `.github/workflows/ci.yml` but have never run, so what they would
 //!   check is unverified. Miri would run the compressed-CSR decoder and
 //!   backend-equivalence suites, the sparse-set model tests and the
-//!   `lgc-ligra` unit tests under the interpreter (the unaligned-read /
-//!   `STREAM_PAD` invariants, the edge map's disjoint slot writes); TSan
+//!   `lgc-parallel` and `lgc-ligra` unit tests under the interpreter (the
+//!   unaligned-read / `STREAM_PAD` invariants, the primitives' and the
+//!   edge map's disjoint slot writes); TSan
 //!   (`-Zsanitizer=thread`) the `lgc-parallel`, `lgc-sparse` and
 //!   `lgc-ligra` suites — the pool's job protocol, `UnsafeSlice`
 //!   disjoint writes, the phase-concurrent accumulators, and the edge
 //!   maps — under a data-race detector.
+
+// Atomic orderings and hash containers only where a file says why.
+#![cfg_attr(not(test), warn(clippy::disallowed_types))]
 
 pub use lgc_core as cluster;
 pub use lgc_flow as flow;

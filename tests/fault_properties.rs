@@ -700,6 +700,78 @@ mod fault_injected {
         }
     }
 
+    /// The tick law: a query ticks its checkpoint exactly as often as its
+    /// stats say, so a fault plan one tick short trips it and a plan of
+    /// exactly that many ticks lets it finish bit for bit as it would
+    /// unbudgeted. The count, from the untripped result's `stats`:
+    ///
+    /// * Nibble, PR-Nibble, HK-PR: `iterations + 1` — `drive` ticks before
+    ///   each iteration, and the sweep once on entry;
+    /// * rand-HK-PR: `⌈iterations / 2^15⌉ + 1` — `iterations` counts walks,
+    ///   and one tick precedes each block of 2^15 of them; then the sweep's;
+    /// * the evolving-set process: `iterations` — `drive`'s ticks; it
+    ///   reports its best set and runs no sweep.
+    ///
+    /// A loop that stops ticking, or a tick site the formulas do not name,
+    /// breaks a count. The seed is two of the graph's four blocks: from one
+    /// vertex the evolving-set process dies out in a step or two, too small
+    /// to fork. The two-thread runs fork (asserted) and are pinned to
+    /// pulls, whose sums are bitwise at any width (a forked push's atomic
+    /// adds are not).
+    #[test]
+    fn every_query_ticks_as_often_as_its_stats_say() {
+        let g = plgc::graph::gen::sbm(&[300; 4], 0.3, 0.01, 5).0;
+        for kind in 0..5 {
+            let q = Query::new(Seed::set((0..600).collect()), make_algo(kind, 0));
+            for threads in [1, 2] {
+                let ctx = format!("{:?} T={threads}", q.algo);
+                let dir = match threads {
+                    1 => plgc::DirectionParams::default(),
+                    _ => plgc::DirectionParams::pull_only(),
+                };
+                let fresh = || Engine::builder(&g).threads(threads).direction(dir).build();
+                let engine = fresh();
+                let want = engine.try_run(&q).expect("an unbudgeted query completes");
+                if threads > 1 {
+                    assert!(engine.pool().stats().loops_forked > 0, "{ctx}: forked");
+                }
+                let iterations = want.diffusion.stats.iterations;
+                assert!(iterations > 0, "{ctx}: ran an iteration");
+                let ticks = match q.algo {
+                    Algorithm::RandHkpr(_) => iterations.div_ceil(1 << 15) + 1,
+                    Algorithm::Evolving(_) => iterations,
+                    _ => iterations + 1,
+                };
+                let with_plan = |after_ticks| {
+                    let plan = FaultPlan {
+                        after_ticks,
+                        kind: Trip::WorkBudget,
+                    };
+                    fresh().try_run(
+                        &q.clone()
+                            .with_budget(QueryBudget::unlimited().with_fault(plan)),
+                    )
+                };
+
+                match with_plan(ticks - 1) {
+                    Err(err) => assert!(matches_kind(&err, Trip::WorkBudget), "{ctx}: {err:?}"),
+                    Ok(_) => panic!("{ctx}: a plan of {} ticks did not trip", ticks - 1),
+                }
+                let got = with_plan(ticks)
+                    .unwrap_or_else(|e| panic!("{ctx}: {ticks} ticks tripped: {e:?}"));
+                assert_eq!(got.diffusion.p, want.diffusion.p, "{ctx}");
+                assert_eq!(got.diffusion.stats, want.diffusion.stats, "{ctx}");
+                assert_eq!(got.sweep.conductances, want.sweep.conductances, "{ctx}");
+                assert_eq!(got.cluster, want.cluster, "{ctx}");
+                assert_eq!(
+                    got.conductance.to_bits(),
+                    want.conductance.to_bits(),
+                    "{ctx}"
+                );
+            }
+        }
+    }
+
     /// One fault sweep instance; factored out so both backends share it.
     fn check_fault<B: plgc::CsrBackend>(
         engine: &Engine<'_, B>,
