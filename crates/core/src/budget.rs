@@ -24,12 +24,11 @@
 //! ungoverned: they ignore budgets and the workspace byte budget and keep
 //! their run-to-completion semantics.
 
-#![expect(
+use std::fmt;
+#[expect(
     clippy::disallowed_types,
     reason = "relaxed lifecycle counters (admitted, completed, shed_workspace, invalid, the three trips, refined, the direction tallies) and the acquire/release in-flight gauge"
 )]
-
-use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use lgc_ligra::{IterationCounts, Trip, Tripped};

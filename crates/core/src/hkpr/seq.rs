@@ -2,24 +2,24 @@
 //! `(vertex, level)` pairs (§3.4's description), with the residual in an
 //! `unordered_map`-style table exactly as the paper's sequential baseline.
 
-#![expect(
-    clippy::disallowed_types,
-    reason = "the sequential baseline's `unordered_map` residual keyed by (vertex, level): inserted and looked up, never iterated, so its order never reaches the result"
-)]
-
 use super::HkprParams;
 use crate::result::{Diffusion, DiffusionStats};
 use crate::seed::Seed;
 use lgc_graph::CsrBackend;
 use lgc_sparse::SparseVec;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Sequential deterministic heat-kernel PageRank.
 ///
 /// Explores `O(N·e^t/ε)` edges; the returned vector is identical (up to
 /// float-addition order) to the parallel algorithm because updates flow
 /// strictly level-by-level.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the sequential baseline's `unordered_map` residual keyed by (vertex, level): inserted and looked up, never iterated, so its order never reaches the result"
+)]
 pub fn hkpr_seq<B: CsrBackend>(g: &B, seed: &Seed, params: &HkprParams) -> Diffusion {
+    use std::collections::HashMap;
     params.validate();
     let n_levels = params.n_levels;
     let psi = super::psi_table(params.t, n_levels);

@@ -73,17 +73,18 @@ pub trait CsrBackend: Send + Sync {
         set.iter().map(|&v| self.degree(v) as u64).sum()
     }
 
-    /// `|∂(S)|` — edges with exactly one endpoint in `S` (a utility:
-    /// membership by binary search in the sorted set; the sweep cut uses
-    /// its own incremental computation).
+    /// `|∂(S)|` — edges with exactly one endpoint in `S` (hash-set
+    /// utility; the sweep cut uses its own incremental computation).
+    #[expect(
+        clippy::disallowed_types,
+        reason = "membership only, never iterated; the evolving-set process calls this every step, and a sorted `Vec` with binary search made it 1.2-1.5x slower"
+    )]
     fn boundary_size(&self, set: &[u32]) -> u64 {
-        let mut members = set.to_vec();
-        members.sort_unstable();
-        members.dedup();
+        let members: std::collections::HashSet<u32> = set.iter().copied().collect();
         let mut crossing = 0u64;
         for &v in set {
             self.for_each_neighbor(v, |w| {
-                if members.binary_search(&w).is_err() {
+                if !members.contains(&w) {
                     crossing += 1;
                 }
             });

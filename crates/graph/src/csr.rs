@@ -64,16 +64,18 @@ impl Graph {
     }
 
     /// `|∂(S)|` — the number of edges with exactly one endpoint in `S`.
-    /// Utility implementation (membership by binary search in the sorted
-    /// set); the sweep cut uses its own incremental/parallel computation.
+    /// Utility implementation (hash-set membership); the sweep cut uses
+    /// its own incremental/parallel computation.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "membership only, never iterated; the evolving-set process calls this every step, and a sorted `Vec` with binary search made it 1.2-1.5x slower"
+    )]
     pub fn boundary_size(&self, set: &[u32]) -> u64 {
-        let mut members = set.to_vec();
-        members.sort_unstable();
-        members.dedup();
+        let members: std::collections::HashSet<u32> = set.iter().copied().collect();
         let mut crossing = 0u64;
         for &v in set {
             for &w in self.neighbors(v) {
-                if members.binary_search(&w).is_err() {
+                if !members.contains(&w) {
                     crossing += 1;
                 }
             }

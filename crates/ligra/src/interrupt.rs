@@ -53,16 +53,11 @@
 //! The query's own stores are not the hook's to touch, so a hooked run
 //! returns the bits an unhooked one does.
 
-#![expect(
+use std::fmt;
+#[expect(
     clippy::disallowed_types,
     reason = "the cancel flag is set with release and read with acquire; the fault countdown is relaxed, one per checkpoint"
 )]
-#![expect(
-    clippy::disallowed_methods,
-    reason = "the deadline mechanism: `arm` stamps the deadline and `tick` compares against it, once per iteration"
-)]
-
-use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -308,6 +303,10 @@ impl QueryBudget {
     /// any, a fresh countdown. Each call arms independently, so one
     /// budget armed for several runs gives every run its own deadline and
     /// countdown.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the deadline mechanism: the clock read that stamps the deadline"
+    )]
     pub fn arm(&self) -> Checkpoint {
         Checkpoint {
             deadline: self.deadline.map(|d| Instant::now() + d),
@@ -354,6 +353,10 @@ impl Checkpoint {
     /// (charged to the deadline, which is read after it), a deadline one
     /// coarse clock read, a token one acquire load. Never called per edge.
     #[inline]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the deadline mechanism: one clock read per iteration, compared against the stamped deadline"
+    )]
     pub fn tick(&self, pushes: u64, edges: u64) -> Result<(), Trip> {
         let b = &self.budget;
         if let Some(hook) = &b.hook {

@@ -6,11 +6,10 @@
 //! project's one atomic `f64`: every mass cell — the sparse table's, the
 //! dense store's, the push's sums — is one, so the orderings live here.
 
-#![expect(
+#[expect(
     clippy::disallowed_types,
     reason = "`AtomicF64` is the one atomic `f64`: every mass cell's acquire loads, release stores and the CAS loop of its fetch-add"
 )]
-
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// An `f64` that supports lock-free concurrent accumulation.

@@ -24,12 +24,11 @@
 //! classic parallel pack: per-chunk popcounts, an exclusive prefix sum for
 //! the output offsets, then an independent write pass per chunk.
 
-#![expect(
+use crate::{scan_exclusive, Pool, UnsafeSlice};
+#[expect(
     clippy::disallowed_types,
     reason = "frontier bits in atomic words: relaxed `fetch_or` marks on shared boundary words, relaxed loads and word stores"
 )]
-
-use crate::{scan_exclusive, Pool, UnsafeSlice};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// How many vertices one enumeration/clear chunk covers (a multiple of

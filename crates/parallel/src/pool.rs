@@ -21,13 +21,12 @@
 //! are not to the process-wide workerless pool ([`Pool::solo`]) — see "The
 //! fork policy" on `lgc_ligra::EdgeSpread`.
 
-#![expect(
+use parking_lot::{Condvar, Mutex};
+use std::cell::Cell;
+#[expect(
     clippy::disallowed_types,
     reason = "the pool's job protocol: a loop is published, attached and completed under acquire/release; the caller count, the shard counter and the loop tallies are relaxed, since they steer where a loop runs and never what it computes"
 )]
-
-use parking_lot::{Condvar, Mutex};
-use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;

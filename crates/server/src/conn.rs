@@ -17,17 +17,16 @@
 //! connection's token, which stops its queued and running queries at
 //! the next checkpoint.
 
-#![expect(
-    clippy::disallowed_types,
-    reason = "the per-connection in-flight cap, the shutdown flag it observes, and relaxed bumps of the serving counters"
-)]
-
 use crate::frame::{read_frame, write_frame, FrameKind, ProtocolError};
 use crate::wire::{self, WireError};
 use crate::{Job, Outgoing, Shared};
 use lgc_core::CancelToken;
 use std::io::{BufReader, BufWriter};
 use std::net::TcpStream;
+#[expect(
+    clippy::disallowed_types,
+    reason = "the per-connection in-flight cap, the shutdown flag it observes, and relaxed bumps of the serving counters"
+)]
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread;

@@ -99,8 +99,6 @@ use metrics::ServerMetrics;
 use parking_lot::Mutex;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-// Item-level, not module-level: in a crate root a module-level `expect`
-// would excuse every module of the crate.
 #[expect(
     clippy::disallowed_types,
     reason = "the shutdown flag (swapped with acq-rel, read with acquire), releasing a connection's in-flight slot, and relaxed bumps of the serving counters"

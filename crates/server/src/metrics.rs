@@ -12,16 +12,14 @@
 //! ≤2× overestimate by construction, which is the right bias for a
 //! tail-latency dashboard (never under-reports a bad tail).
 
-#![expect(
-    clippy::disallowed_types,
-    reason = "relaxed serving counters and histogram buckets; the per-(tenant, class) `HashMap` is only looked up, and the page renders its slots sorted"
-)]
-
 use crate::wire::Priority;
 use lgc_core::Service;
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::fmt::Write as _;
+#[expect(
+    clippy::disallowed_types,
+    reason = "relaxed serving counters and histogram buckets"
+)]
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -113,11 +111,15 @@ pub struct ClassMetrics {
 /// Whole-server metrics registry. One instance per server; shared with
 /// every connection and executor via `Arc`.
 #[derive(Default)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "the per-(tenant, class) map is read in hash order only by `sorted_slots`, which sorts what it reads"
+)]
 pub struct ServerMetrics {
     /// Lazily-created per-(tenant, class) slots. The mutex guards only
     /// slot creation/lookup; the hot recording path clones the `Arc`
     /// once per request and then touches atomics only.
-    classes: Mutex<HashMap<(String, Priority), Arc<ClassMetrics>>>,
+    classes: Mutex<std::collections::HashMap<(String, Priority), Arc<ClassMetrics>>>,
     /// Connections accepted over the server's lifetime.
     pub connections_opened: AtomicU64,
     /// Connections fully torn down.

@@ -6,14 +6,13 @@
 //! updates to the same neighbor never lose mass — the property Theorem 3's
 //! work bound relies on.
 
-#![expect(
-    clippy::disallowed_types,
-    reason = "the phase-concurrent sparse set: CAS-claimed key slots read with acquire, and the sharded claimed-slot counts"
-)]
-
 use crate::hash::hash_u32;
 use crate::EMPTY;
 use lgc_parallel::{filter_map_index, AtomicF64, Pool};
+#[expect(
+    clippy::disallowed_types,
+    reason = "the phase-concurrent sparse set: CAS-claimed key slots read with acquire, and the sharded claimed-slot counts"
+)]
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
 /// A concurrent sparse map from vertex id to `f64` mass (`⊥ = 0.0`).

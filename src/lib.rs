@@ -352,13 +352,16 @@
 //!   containers are banned (`disallowed_types`) and so, in the query-path
 //!   crates, are clock reads (`disallowed_methods`). A file that owns an
 //!   ordering protocol, a keyed-lookup map or the deadline clock says so
-//!   with a module-level `#![expect(clippy::…, reason = "…")]`, and an
-//!   expectation that no longer fires fails the build. `lgc-server`'s
+//!   with `#[expect(clippy::…, reason = "…")]` on the item that names it
+//!   (for an ordering, its `use` line), and an expectation that no longer
+//!   fires fails the build. `lgc-server`'s
 //!   non-test code may not panic (`unwrap_used`, `expect_used`, `panic`,
 //!   `unreachable`, `todo`, `unimplemented`).
 //! * **A `git grep` step** in CI fails on any sequentially consistent
-//!   ordering and on an ordering written as a full path, the two spellings
-//!   `disallowed_types` does not see.
+//!   ordering, on an ordering written as a full path and on a glob import
+//!   of `std::sync::atomic`, the spellings `disallowed_types` does not
+//!   see. A second clippy step gives the `benchmark/` workspace's non-test
+//!   code the SAFETY-comment rule and the type bans.
 //! * **The tick law** (`tests/fault_properties.rs`,
 //!   `every_query_ticks_as_often_as_its_stats_say`): every algorithm
 //!   ticks its [`Checkpoint`] exactly as often as its stats say, so a
