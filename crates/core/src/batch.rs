@@ -36,7 +36,7 @@ use crate::budget::QueryError;
 use crate::engine::{Admission, Engine, Query};
 use crate::result::ClusterResult;
 use lgc_graph::CsrBackend;
-use lgc_parallel::{Pool, UnsafeSlice};
+use lgc_parallel::Pool;
 
 impl<B: CsrBackend> Engine<'_, B> {
     /// Runs many independent queries — any mix of algorithms — fanned
@@ -58,34 +58,26 @@ impl<B: CsrBackend> Engine<'_, B> {
         let n = queries.len();
         let mut out: Vec<Option<Result<ClusterResult, QueryError>>> =
             (0..n).map(|_| None).collect();
-        {
-            let view = UnsafeSlice::new(&mut out);
-            let pool = self.pool();
-            // The fan-out is this thread's query; its items enter their
-            // own workerless sub-pools, which counts nothing.
-            let _caller = pool.enter();
-            let workspaces = &self.core.workspaces;
-            // Chunks big enough that each worker's workspace amortizes
-            // over several queries, small enough to load-balance uneven
-            // queries.
-            let grain = n.div_ceil(pool.num_threads() * 4).max(1);
-            pool.run(n, grain, |s, e| {
-                // Per-worker-chunk state: the workerless pool as the
-                // items' sub-pool, plus a workspace recycled across the
-                // chunk's queries (lock held only at the chunk boundary;
-                // over budget, a transient one).
-                let sub = Pool::solo();
-                let mut ws = workspaces.checkout();
-                // Global index i addresses both `queries` and the output.
-                #[allow(clippy::needless_range_loop)]
-                for i in s..e {
-                    let result = self.execute(sub, Some(&mut ws), &queries[i], Admission::Bypass);
-                    // SAFETY: each query index is written exactly once.
-                    unsafe { view.write(i, Some(result)) };
-                }
-                workspaces.restore(ws, &self.core.counters);
-            });
-        }
+        let pool = self.pool();
+        // The fan-out is this thread's query; its items enter their own
+        // workerless sub-pools, which counts nothing.
+        let _caller = pool.enter();
+        let workspaces = &self.core.workspaces;
+        // Chunks big enough that each worker's workspace amortizes over
+        // several queries, small enough to load-balance uneven queries.
+        let grain = n.div_ceil(pool.num_threads() * 4).max(1);
+        pool.for_each_chunk_mut(&mut out, grain, |s, results| {
+            // Per-worker-chunk state: the workerless pool as the items'
+            // sub-pool, plus a workspace recycled across the chunk's
+            // queries (lock held only at the chunk boundary; over budget,
+            // a transient one).
+            let sub = Pool::solo();
+            let mut ws = workspaces.checkout();
+            for (result, query) in results.iter_mut().zip(&queries[s..]) {
+                *result = Some(self.execute(sub, Some(&mut ws), query, Admission::Bypass));
+            }
+            workspaces.restore(ws, &self.core.counters);
+        });
         // Panic on the calling thread, once every item has run.
         out.into_iter()
             .map(|r| {

@@ -62,6 +62,9 @@
 //! (§3.3), the evolving-set process (§5), and network-community-profile
 //! generation (§4, Fig. 12).
 
+// The query layer writes shared buffers through `lgc_parallel`'s disjoint
+// writes; it needs no unsafe of its own. Keep it that way.
+#![forbid(unsafe_code)]
 // Results never depend on hash order, the clock or an unaudited ordering.
 #![cfg_attr(not(test), warn(clippy::disallowed_types, clippy::disallowed_methods))]
 

@@ -22,7 +22,7 @@ use crate::seed::Seed;
 use crate::workspace::Workspace;
 use lgc_graph::CsrBackend;
 use lgc_ligra::{lane, Checkpoint, Tripped};
-use lgc_parallel::{counting_sort_by_key, fill_with_index, filter_map_index, map_index, Pool};
+use lgc_parallel::{counting_sort_by_key, filter_map_index, map_index, Pool};
 use lgc_sparse::{MassMap, SparseVec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -192,6 +192,10 @@ pub fn rand_hkpr_seq<B: CsrBackend>(g: &B, seed: &Seed, params: &RandHkprParams)
 /// the exact bits one full-array fill would.
 const WALK_BLOCK: usize = 1 << 15;
 
+/// Walks per chunk of a block: small enough that walks of uneven length
+/// load-balance across threads.
+const WALK_GRAIN: usize = 1 << 11;
+
 /// Parallel rand-HK-PR with the paper's sort-based aggregation. The
 /// length-`N` walk-destination array comes from `ws`, and the
 /// destination-compaction table is a [`MassMap`] checked out of it with
@@ -236,8 +240,10 @@ pub(crate) fn rand_hkpr_par<B: CsrBackend>(
             break;
         }
         let end = (done + WALK_BLOCK).min(n);
-        fill_with_index(pool, &mut ws.walks[done..end], |i| {
-            run_walk(g, seed, &cdf, params.rng_seed, done + i)
+        pool.for_each_chunk_mut(&mut ws.walks[done..end], WALK_GRAIN, |s, chunk| {
+            for (i, walk) in (done + s..).zip(chunk) {
+                *walk = run_walk(g, seed, &cdf, params.rng_seed, i);
+            }
         });
         stats.edges_traversed += ws.walks[done..end]
             .iter()

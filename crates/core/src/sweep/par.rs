@@ -36,9 +36,7 @@ use super::{eligible_entries, prefix_conductance, sweep_order_cmp, SweepCut};
 use crate::workspace::Workspace;
 use lgc_graph::CsrBackend;
 use lgc_ligra::{lane, Checkpoint, Trip};
-use lgc_parallel::{
-    map_index, max_by, merge_sort_by, scan_exclusive, scan_inclusive, Pool, UnsafeSlice,
-};
+use lgc_parallel::{map_index, max_by, merge_sort_by, scan_exclusive, scan_inclusive, Pool};
 use lgc_sparse::MassMap;
 
 /// Adjacency entries per chunk of the lower-rank-neighbour count.
@@ -103,46 +101,48 @@ pub(crate) fn sweep_cut_par_ws<B: CsrBackend>(
     let (edge_offsets, total_vol) = scan_exclusive(pool, &degs, 0u64, |a, b| a + b);
     let total_vol = total_vol as usize;
 
-    // back[i] = neighbours of order[i] ranked before it. Chunk c owns
-    // flattened edge slots [c·EDGE_GRAIN, (c+1)·EDGE_GRAIN): it writes the
-    // count of every vertex whose adjacency *starts* in its range, and
-    // hands back as `heads[c]` the count for the (at most one) vertex it
-    // enters mid-adjacency, added in below.
+    // back[i] = neighbours of order[i] ranked before it. Chunk c scans
+    // flattened edge slots [c·EDGE_GRAIN, (c+1)·EDGE_GRAIN): it owns the
+    // vertices whose adjacency *starts* in its range, `starts[c]..
+    // starts[c+1]`, and writes their counts; it hands back as its head the
+    // count for the (at most one) vertex it enters mid-adjacency, added in
+    // below.
     let n_chunks = total_vol.div_ceil(EDGE_GRAIN);
-    let mut back = vec![0u64; n];
-    let mut heads = vec![(0usize, 0u64); n_chunks];
-    {
-        let back_view = UnsafeSlice::new(&mut back);
-        let heads_view = UnsafeSlice::new(&mut heads);
-        pool.for_each_index(n_chunks, 1, |c| {
-            let (fs, fe) = (c * EDGE_GRAIN, ((c + 1) * EDGE_GRAIN).min(total_vol));
-            let mut vi = edge_offsets.partition_point(|&o| o <= fs as u64) - 1;
-            let mut f = fs;
-            // No checkpoint tick: a bounded walk over [fs, fe) inside a pool
-            // job; the sweep ticks once, on entry.
-            while f < fe {
-                let rv = (vi + 1) as f64;
-                let local = f - edge_offsets[vi] as usize;
-                let upto = (degs[vi] as usize).min(local + (fe - f));
-                let mut lower = 0u64;
-                g.for_each_neighbor_in(order[vi], local, upto, |w| {
-                    let rw = rank.get(w);
-                    lower += u64::from(0.0 < rw && rw < rv);
-                });
-                // SAFETY: a vertex's adjacency starts in exactly one
-                // chunk, and each chunk writes only its own head slot.
-                unsafe {
-                    if local == 0 {
-                        back_view.write(vi, lower);
-                    } else {
-                        heads_view.write(c, (vi, lower));
-                    }
-                }
-                f += upto - local;
-                vi += 1;
-            }
+    let starts: Vec<usize> = map_index(pool, n_chunks + 1, |c| {
+        let fs = (c * EDGE_GRAIN).min(total_vol) as u64;
+        edge_offsets.partition_point(|&o| o < fs)
+    });
+    // Neighbours of order[vi] ranked before it, among its adjacency
+    // entries `from..to`.
+    let lower = |vi: usize, from: usize, to: usize| {
+        let rv = (vi + 1) as f64;
+        let mut lower = 0u64;
+        g.for_each_neighbor_in(order[vi], from, to, |w| {
+            let rw = rank.get(w);
+            lower += u64::from(0.0 < rw && rw < rv);
         });
-    }
+        lower
+    };
+    let mut back = vec![0u64; n];
+    // No checkpoint tick: a bounded walk over each chunk's range inside a
+    // pool job; the sweep ticks once, on entry.
+    let heads = pool.map_ranges_mut(&mut back, &starts, |c, owned| {
+        let (fs, fe) = (c * EDGE_GRAIN, ((c + 1) * EDGE_GRAIN).min(total_vol));
+        let end_in_chunk = |vi: usize| (degs[vi] as usize).min(fe - edge_offsets[vi] as usize);
+        // The vertex before its first is entered mid-adjacency if that
+        // adjacency runs past `fs`.
+        let head = starts[c]
+            .checked_sub(1)
+            .filter(|&vi| (edge_offsets[vi] + degs[vi]) as usize > fs)
+            .map_or((0, 0), |vi| {
+                let local = fs - edge_offsets[vi] as usize;
+                (vi, lower(vi, local, end_in_chunk(vi)))
+            });
+        for (count, vi) in owned.iter_mut().zip(starts[c]..) {
+            *count = lower(vi, 0, end_in_chunk(vi));
+        }
+        head
+    });
     for (vi, lower) in heads {
         back[vi] += lower;
     }

@@ -62,11 +62,14 @@
 //! loops are offered to the pool's workers at all ([`lane`],
 //! [`FORK_MIN_WORK`] — "The fork policy" on [`EdgeSpread`]).
 
+// The edge map writes shared buffers through `lgc_parallel`'s disjoint
+// writes; it needs no unsafe of its own. Keep it that way.
+#![forbid(unsafe_code)]
 // Results never depend on hash order, the clock or an unaudited ordering.
 #![cfg_attr(not(test), warn(clippy::disallowed_types, clippy::disallowed_methods))]
 
 use lgc_graph::CsrBackend;
-use lgc_parallel::{map_chunks, merge_sort_by, ones, scan_exclusive, Bitset, Pool, UnsafeSlice};
+use lgc_parallel::{map_chunks, merge_sort_by, ones, scan_exclusive, Bitset, Pool};
 use lgc_sparse::{DenseMassVec, MassMap};
 
 pub mod interrupt;
@@ -812,31 +815,24 @@ impl EdgeSpread {
         if self.slots.len() < len {
             self.slots.resize(len, 0.0);
         }
-        let view = UnsafeSlice::new(&mut self.slots[..len]);
-        let put = |slot: usize, v: u32| {
-            assert!(slot < len, "frontier vertex {v} outside the graph");
-            // SAFETY: `slot` is in bounds (just checked) and no other call
-            // writes it. A push passes the frontier index, and the chunks
-            // `s..e` of the id list are disjoint; a pull passes the vertex
-            // id, the bits of a word are distinct vertices, and the word
-            // ranges of the chunks are disjoint. Nothing reads the buffer
-            // until `pool.run` has returned.
-            unsafe { view.write(slot, contrib_of(v)) };
-        };
+        // A push chunk writes the slots of its frontier indices; a pull
+        // chunk, `DENSE_GRAIN` vertices of whole words, writes the slots of
+        // its members.
+        let slots = &mut self.slots[..len];
         match dir {
             Direction::Push => {
                 let ids = frontier.ids(pool);
-                pool.run(k, 256, |s, e| {
-                    for (i, &v) in ids[s..e].iter().enumerate() {
-                        put(s + i, v);
+                pool.for_each_chunk_mut(slots, 256, |s, chunk| {
+                    for (slot, &v) in chunk.iter_mut().zip(&ids[s..]) {
+                        *slot = contrib_of(v);
                     }
                 });
             }
             Direction::Pull => {
                 let bits = frontier.bits(pool, len);
-                pool.run(bits.num_words(), DENSE_GRAIN / 64, |s, e| {
-                    for w in s..e {
-                        ones(w, bits.word(w)).for_each(|v| put(v as usize, v));
+                pool.for_each_chunk_mut(slots, DENSE_GRAIN, |s, chunk| {
+                    for w in s / 64..(s + chunk.len()).div_ceil(64) {
+                        ones(w, bits.word(w)).for_each(|v| chunk[v as usize - s] = contrib_of(v));
                     }
                 });
             }

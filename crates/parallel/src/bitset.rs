@@ -24,7 +24,7 @@
 //! classic parallel pack: per-chunk popcounts, an exclusive prefix sum for
 //! the output offsets, then an independent write pass per chunk.
 
-use crate::{scan_exclusive, Pool, UnsafeSlice};
+use crate::{scan_exclusive, Pool};
 #[expect(
     clippy::disallowed_types,
     reason = "frontier bits in atomic words: relaxed `fetch_or` marks on shared boundary words, relaxed loads and word stores"
@@ -200,25 +200,20 @@ impl Bitset {
     /// writes its ids independently.
     pub fn to_sorted_ids(&self, pool: &Pool) -> Vec<u32> {
         let counts = self.chunk_counts(pool);
-        let n_chunks = counts.len();
-        let (offsets, total) = scan_exclusive(pool, &counts, 0usize, |a, b| a + b);
+        let (mut bounds, total) = scan_exclusive(pool, &counts, 0usize, |a, b| a + b);
+        bounds.push(total);
         let mut out = vec![0u32; total];
-        {
-            let view = UnsafeSlice::new(&mut out);
-            pool.for_each_index(n_chunks, 1, |c| {
-                let s = c * WORDS_PER_CHUNK;
-                let e = (s + WORDS_PER_CHUNK).min(self.lines.len() * 8);
-                let mut pos = offsets[c];
-                for w in s..e {
-                    for v in ones(w, self.word(w)) {
-                        // SAFETY: chunks write disjoint [offsets[c],
-                        // offsets[c] + counts[c]) ranges.
-                        unsafe { view.write(pos, v) };
-                        pos += 1;
-                    }
+        pool.map_ranges_mut(&mut out, &bounds, |c, part| {
+            let s = c * WORDS_PER_CHUNK;
+            let e = (s + WORDS_PER_CHUNK).min(self.lines.len() * 8);
+            let mut pos = 0;
+            for w in s..e {
+                for v in ones(w, self.word(w)) {
+                    part[pos] = v;
+                    pos += 1;
                 }
-            });
-        }
+            }
+        });
         out
     }
 }

@@ -4,7 +4,7 @@
 //! vertices that exceed the diffusion threshold, and inside the parallel
 //! sweep cut to extract the last `Z`-array entry of each rank run.
 
-use crate::{default_grain, scan_exclusive, Pool, UnsafeSlice};
+use crate::{default_grain, map_chunks, scan_exclusive, Pool};
 
 /// Returns the elements of `input` satisfying `pred`, preserving order.
 pub fn filter<T: Copy + Send + Sync>(
@@ -12,7 +12,10 @@ pub fn filter<T: Copy + Send + Sync>(
     input: &[T],
     pred: impl Fn(&T) -> bool + Sync,
 ) -> Vec<T> {
-    filter_map_index(pool, input.len(), |i| {
+    let Some(&first) = input.first() else {
+        return Vec::new();
+    };
+    pack(pool, input.len(), first, |i| {
         let x = input[i];
         pred(&x).then_some(x)
     })
@@ -21,52 +24,45 @@ pub fn filter<T: Copy + Send + Sync>(
 /// Generalized pack: evaluates `f(i)` for `i in 0..len` and collects the
 /// `Some` results in index order. `f` is called at most twice per index
 /// (once in the counting pass, once in the writing pass) and must be pure.
-pub fn filter_map_index<U: Send>(
+pub fn filter_map_index<U: Clone + Default + Send>(
     pool: &Pool,
     len: usize,
     f: impl Fn(usize) -> Option<U> + Sync,
 ) -> Vec<U> {
-    if len == 0 {
-        return Vec::new();
-    }
+    pack(pool, len, U::default(), f)
+}
+
+/// [`filter_map_index`] with the value the output buffer is filled with
+/// before the survivors overwrite it.
+fn pack<U: Clone + Send>(
+    pool: &Pool,
+    len: usize,
+    fill: U,
+    f: impl Fn(usize) -> Option<U> + Sync,
+) -> Vec<U> {
     if !pool.worth_forking(len) {
         return (0..len).filter_map(f).collect();
     }
     let grain = default_grain(len, pool.num_threads());
-    let n_blocks = len.div_ceil(grain);
 
     // Pass 1: count survivors per block.
-    let mut counts: Vec<usize> = vec![0; n_blocks];
-    {
-        let view = UnsafeSlice::new(&mut counts);
-        pool.run(len, grain, |s, e| {
-            let c = (s..e).filter(|&i| f(i).is_some()).count();
-            // SAFETY: one block per chunk.
-            unsafe { view.write(s / grain, c) };
-        });
-    }
+    let counts = map_chunks(pool, len, grain, |s, e| {
+        (s..e).filter(|&i| f(i).is_some()).count()
+    });
 
-    // Offsets for each block's output range.
-    let (offsets, total) = scan_exclusive(pool, &counts, 0usize, |a, b| a + b);
+    // Each block's output range starts at its offset.
+    let (mut bounds, total) = scan_exclusive(pool, &counts, 0usize, |a, b| a + b);
+    bounds.push(total);
 
-    // Pass 2: write survivors at their offsets.
-    let mut out: Vec<U> = Vec::with_capacity(total);
-    {
-        let spare = out.spare_capacity_mut();
-        let view = UnsafeSlice::new(spare);
-        pool.run(len, grain, |s, e| {
-            let mut pos = offsets[s / grain];
-            for i in s..e {
-                if let Some(v) = f(i) {
-                    // SAFETY: blocks write disjoint output ranges.
-                    unsafe { view.write(pos, std::mem::MaybeUninit::new(v)) };
-                    pos += 1;
-                }
-            }
-        });
-    }
-    // SAFETY: exactly `total` elements initialized.
-    unsafe { out.set_len(total) };
+    // Pass 2: each block writes its survivors into its range.
+    let mut out = vec![fill; total];
+    pool.map_ranges_mut(&mut out, &bounds, |b, part| {
+        let s = b * grain;
+        let survivors = (s..(s + grain).min(len)).filter_map(&f);
+        for (slot, v) in part.iter_mut().zip(survivors) {
+            *slot = v;
+        }
+    });
     out
 }
 

@@ -7,12 +7,12 @@
 //! its `Z` array the same way; `lgc-core`'s sweep groups by rank before
 //! writing and needs no sort.)
 //!
-//! The parallel version builds per-block histograms, turns them into write
-//! cursors with one exclusive prefix sum over the `(key, block)`-major
-//! flattened counts, and scatters — the textbook stable parallel counting
+//! The parallel version builds per-block histograms, cuts the output into
+//! `(key, block)`-major runs of those sizes, and has each block scatter
+//! its elements into its own runs — the textbook stable parallel counting
 //! sort.
 
-use crate::{scan_exclusive, Pool, UnsafeSlice};
+use crate::{map_chunks, Pool};
 
 /// Stably sorts `input` by `key(x) ∈ [0, num_keys)`, returning a new `Vec`.
 ///
@@ -39,58 +39,51 @@ pub fn counting_sort_by_key<T: Copy + Send + Sync>(
         return seq_counting_sort(input, key, num_keys);
     }
 
-    let n_blocks = (pool.num_threads() * 2).min(n);
-    let block_len = n.div_ceil(n_blocks);
+    // Per-block histograms.
+    let block_len = n.div_ceil(pool.num_threads() * 2);
+    let counts = map_chunks(pool, n, block_len, |s, e| {
+        let mut count = vec![0usize; num_keys];
+        for x in &input[s..e] {
+            let k = key(x);
+            debug_assert!(k < num_keys, "key {k} out of range {num_keys}");
+            count[k] += 1;
+        }
+        count
+    });
 
-    // Per-block histograms, flattened (key, block)-major so that a single
-    // exclusive scan yields stable write offsets directly.
-    let mut counts: Vec<usize> = vec![0; num_keys * n_blocks];
-    {
-        let view = UnsafeSlice::new(&mut counts);
-        pool.for_each_index(n_blocks, 1, |b| {
-            let s = b * block_len;
-            let e = ((b + 1) * block_len).min(n);
-            for x in &input[s..e] {
-                let k = key(x);
-                debug_assert!(k < num_keys, "key {k} out of range {num_keys}");
-                // SAFETY: slot (k, b) is owned by block b this phase.
-                unsafe {
-                    let idx = k * n_blocks + b;
-                    view.write(idx, view.read(idx) + 1);
-                }
-            }
-        });
+    // Cut the output (key, block)-major: run `(k, b)` receives block `b`'s
+    // elements of key `k`, which is the stable order. Each block gets its
+    // `num_keys` runs and fills each from the front.
+    let mut out = vec![input[0]; n];
+    let mut runs: Vec<Vec<&mut [T]>> = counts
+        .iter()
+        .map(|_| Vec::with_capacity(num_keys))
+        .collect();
+    let mut rest = &mut out[..];
+    for k in 0..num_keys {
+        for (count, runs) in counts.iter().zip(&mut runs) {
+            let (run, tail) = std::mem::take(&mut rest).split_at_mut(count[k]);
+            runs.push(run);
+            rest = tail;
+        }
     }
-
-    let (mut cursors, total) = scan_exclusive(pool, &counts, 0usize, |a, b| a + b);
-    debug_assert_eq!(total, n);
-
-    let mut out: Vec<T> = Vec::with_capacity(n);
-    {
-        let spare = out.spare_capacity_mut();
-        let out_view = UnsafeSlice::new(spare);
-        let cur_view = UnsafeSlice::new(&mut cursors);
-        pool.for_each_index(n_blocks, 1, |b| {
-            let s = b * block_len;
-            let e = ((b + 1) * block_len).min(n);
-            for x in &input[s..e] {
-                let k = key(x);
-                // SAFETY: cursor slot (k, b) is owned by block b; each
-                // output position is claimed exactly once.
-                unsafe {
-                    let idx = k * n_blocks + b;
-                    let pos = cur_view.read(idx);
-                    cur_view.write(idx, pos + 1);
-                    out_view.write(pos, std::mem::MaybeUninit::new(*x));
-                }
+    pool.for_each_chunk_mut(&mut runs, 1, |b0, blocks| {
+        for (b, runs) in (b0..).zip(blocks) {
+            for x in &input[b * block_len..((b + 1) * block_len).min(n)] {
+                let run = &mut runs[key(x)];
+                let (slot, tail) = std::mem::take(run)
+                    .split_first_mut()
+                    .expect("the histogram counted it");
+                *slot = *x;
+                *run = tail;
             }
-        });
-    }
-    // SAFETY: all n positions written (cursor ranges partition 0..n).
-    unsafe { out.set_len(n) };
+        }
+    });
+    drop(runs);
     out
 }
 
+/// The one-pass form, for a non-empty `input`.
 fn seq_counting_sort<T: Copy>(input: &[T], key: impl Fn(&T) -> usize, num_keys: usize) -> Vec<T> {
     let mut counts = vec![0usize; num_keys + 1];
     for x in input {
@@ -101,12 +94,7 @@ fn seq_counting_sort<T: Copy>(input: &[T], key: impl Fn(&T) -> usize, num_keys: 
     for i in 0..num_keys {
         counts[i + 1] += counts[i];
     }
-    let mut out: Vec<T> = Vec::with_capacity(input.len());
-    // SAFETY: every slot below is written exactly once before set_len.
-    #[allow(clippy::uninit_vec)]
-    unsafe {
-        out.set_len(input.len())
-    };
+    let mut out = vec![input[0]; input.len()];
     for x in input {
         let k = key(x);
         out[counts[k]] = *x;

@@ -10,7 +10,12 @@
 //!   parallel loops ([`Pool::run`], [`Pool::for_each_index`]). A pool with
 //!   one thread degenerates to plain sequential execution with zero
 //!   synchronization, which is how the `T1` columns of the paper's tables
-//!   are measured.
+//!   are measured. A loop that fills parts of one buffer takes the part
+//!   it owns as a `&mut` slice: [`Pool::for_each_chunk_mut`] cuts the
+//!   buffer at a fixed grain, [`Pool::map_ranges_mut`] at ascending cut
+//!   points, on top of the first. The first holds the crate's one
+//!   `unsafe` split; every primitive below that builds an output buffer
+//!   (initialised before the loop) writes it through these two.
 //! * [`scan_inclusive`] / [`scan_exclusive`] — prefix sums over an arbitrary
 //!   associative operator (the paper needs `+` and `min`).
 //! * [`filter`] / [`filter_map_index`] — stable parallel filtering.
@@ -42,23 +47,21 @@ mod intsort;
 mod map;
 mod pool;
 mod scan;
-mod slice;
 mod sort;
 
 pub use atomic::AtomicF64;
 pub use bitset::{ones, Bitset};
 pub use filter::{filter, filter_map_index};
 pub use intsort::counting_sort_by_key;
-pub use map::{fill_with_index, map_chunks, map_index, max_by, sum_f64_by_index};
+pub use map::{map_chunks, map_index, max_by, sum_f64_by_index};
 pub use pool::{Caller, Pool, PoolStats};
 pub use scan::{scan_exclusive, scan_inclusive};
-pub use slice::UnsafeSlice;
 pub use sort::merge_sort_by;
 
 /// Picks a chunk grain so that each thread receives several chunks
 /// (for dynamic load balancing) while chunks stay large enough to
 /// amortize scheduling overhead.
-pub fn default_grain(len: usize, threads: usize) -> usize {
+pub(crate) fn default_grain(len: usize, threads: usize) -> usize {
     let target_chunks = threads.max(1) * 8;
     (len / target_chunks).max(1024)
 }

@@ -1,36 +1,23 @@
 //! Parallel map, chunk-ordered sums and arg-max.
 
-use crate::{default_grain, Pool, UnsafeSlice};
+use crate::{default_grain, Pool};
 
 /// Builds a `Vec` of length `len` whose `i`-th element is `f(i)`,
-/// computing elements in parallel.
-pub fn map_index<U: Send>(pool: &Pool, len: usize, f: impl Fn(usize) -> U + Sync) -> Vec<U> {
-    let mut out: Vec<U> = Vec::with_capacity(len);
-    {
-        let spare = out.spare_capacity_mut();
-        let view = UnsafeSlice::new(spare);
-        pool.run(len, default_grain(len, pool.num_threads()), |s, e| {
-            for i in s..e {
-                // SAFETY: each index written exactly once.
-                unsafe { view.write(i, std::mem::MaybeUninit::new(f(i))) };
-            }
-        });
-    }
-    // SAFETY: all `len` elements were initialized by the loop above.
-    unsafe { out.set_len(len) };
-    out
-}
-
-/// Overwrites `out[i] = f(i)` for all `i` in parallel.
-pub fn fill_with_index<U: Send + Sync>(pool: &Pool, out: &mut [U], f: impl Fn(usize) -> U + Sync) {
-    let len = out.len();
-    let view = UnsafeSlice::new(out);
-    pool.run(len, default_grain(len, pool.num_threads()), |s, e| {
-        for i in s..e {
-            // SAFETY: disjoint writes.
-            unsafe { view.write(i, f(i)) };
+/// computing elements in parallel into a buffer first filled with
+/// `U::default()` on the calling thread.
+pub fn map_index<U: Clone + Default + Send>(
+    pool: &Pool,
+    len: usize,
+    f: impl Fn(usize) -> U + Sync,
+) -> Vec<U> {
+    let mut out = vec![U::default(); len];
+    let grain = default_grain(len, pool.num_threads());
+    pool.for_each_chunk_mut(&mut out, grain, |s, chunk| {
+        for (i, x) in (s..).zip(chunk) {
+            *x = f(i);
         }
     });
+    out
 }
 
 /// Calls `f(s, e)` on each `grain`-sized chunk of `0..len` — chunk `c` is
@@ -45,20 +32,16 @@ pub fn map_chunks<U: Send>(
     f: impl Fn(usize, usize) -> U + Sync,
 ) -> Vec<U> {
     let grain = grain.max(1);
-    let n_chunks = len.div_ceil(grain);
-    let mut out: Vec<U> = Vec::with_capacity(n_chunks);
-    {
-        let view = UnsafeSlice::new(out.spare_capacity_mut());
-        pool.for_each_index(n_chunks, 1, |c| {
+    let mut out: Vec<Option<U>> = (0..len.div_ceil(grain)).map(|_| None).collect();
+    pool.for_each_chunk_mut(&mut out, 1, |c0, tallies| {
+        for (c, tally) in (c0..).zip(tallies) {
             let s = c * grain;
-            let tally = f(s, (s + grain).min(len));
-            // SAFETY: one write per chunk index.
-            unsafe { view.write(c, std::mem::MaybeUninit::new(tally)) };
-        });
-    }
-    // SAFETY: every one of the `n_chunks` elements was initialized above.
-    unsafe { out.set_len(n_chunks) };
-    out
+            *tally = Some(f(s, (s + grain).min(len)));
+        }
+    });
+    out.into_iter()
+        .map(|tally| tally.expect("every chunk ran"))
+        .collect()
 }
 
 /// Sums `f(i)` for `i in 0..len` with *fixed* chunk boundaries: each
@@ -152,14 +135,6 @@ mod tests {
         let pool = Pool::new(2);
         let out: Vec<u8> = map_index(&pool, 0, |_| 7);
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn fill_with_index_overwrites() {
-        let pool = Pool::new(2);
-        let mut v = vec![0u32; 9999];
-        fill_with_index(&pool, &mut v, |i| i as u32);
-        assert!(v.iter().enumerate().all(|(i, &x)| x == i as u32));
     }
 
     #[test]

@@ -155,9 +155,12 @@ fn hardware_threads() -> usize {
 /// use lgc_parallel::Pool;
 /// let pool = Pool::new(2);
 /// let mut out = vec![0u64; 1000];
-/// // Parallel loops borrow local state freely:
-/// let ptr = lgc_parallel::UnsafeSlice::new(&mut out);
-/// pool.for_each_index(1000, 64, |i| unsafe { ptr.write(i, i as u64 * 2) });
+/// // Each chunk of a parallel loop writes its own part of the buffer:
+/// pool.for_each_chunk_mut(&mut out, 64, |start, chunk| {
+///     for (i, x) in (start..).zip(chunk) {
+///         *x = i as u64 * 2;
+///     }
+/// });
 /// assert_eq!(out[501], 1002);
 /// ```
 pub struct Pool {
@@ -483,6 +486,85 @@ impl Pool {
             }
         });
     }
+
+    /// Runs `f(start, chunk)` over `data` cut into the chunks that
+    /// [`Pool::run`] hands out for `data.len()` and `grain`: `chunk` is
+    /// `&mut data[start..start + chunk.len()]`, and every element lies in
+    /// exactly one chunk. This is the crate's one disjoint write: a loop
+    /// fills its part of an output buffer that no other chunk can touch.
+    /// As with `run`, a workerless pool calls `f(0, data)` once.
+    pub fn for_each_chunk_mut<T, F>(&self, data: &mut [T], grain: usize, f: F)
+    where
+        T: Send,
+        F: Fn(usize, &mut [T]) + Sync,
+    {
+        let len = data.len();
+        let base = Base(data.as_mut_ptr());
+        self.run(len, grain, |s, e| {
+            // SAFETY: `run` calls each of its chunks `[s, e)` once per loop,
+            // the chunks are disjoint and lie within `0..len`, and `data`
+            // stays borrowed, and unused, until `run` returns. So this is
+            // the only reference to these elements while it lives.
+            let chunk = unsafe { std::slice::from_raw_parts_mut(base.get().add(s), e - s) };
+            f(s, chunk);
+        });
+    }
+
+    /// Runs `f(k, &mut data[bounds[k]..bounds[k + 1]])` for every part `k`
+    /// in parallel, and returns the results in part order: the disjoint
+    /// write for parts of varying length, cut at ascending points (a
+    /// filter's output offsets, a merge's segment starts).
+    ///
+    /// # Panics
+    /// Before any `f` runs, if the cut points decrease or end past
+    /// `data.len()`.
+    pub fn map_ranges_mut<T, U, F>(&self, data: &mut [T], bounds: &[usize], f: F) -> Vec<U>
+    where
+        T: Send,
+        U: Send,
+        F: Fn(usize, &mut [T]) -> U + Sync,
+    {
+        assert!(
+            bounds.windows(2).all(|w| w[0] <= w[1])
+                && bounds.last().is_none_or(|&b| b <= data.len()),
+            "cut points {bounds:?} must be non-decreasing and end within {} elements",
+            data.len()
+        );
+        let mut rest = &mut data[bounds.first().map_or(0, |&b| b)..];
+        let mut parts: Vec<(&mut [T], Option<U>)> = bounds
+            .windows(2)
+            .map(|w| {
+                let (part, tail) = std::mem::take(&mut rest).split_at_mut(w[1] - w[0]);
+                rest = tail;
+                (part, None)
+            })
+            .collect();
+        self.for_each_chunk_mut(&mut parts, 1, |k0, parts| {
+            for (k, (part, out)) in (k0..).zip(parts) {
+                *out = Some(f(k, part));
+            }
+        });
+        parts
+            .into_iter()
+            .map(|(_, out)| out.expect("every part ran"))
+            .collect()
+    }
+}
+
+/// A slice's base pointer, shared by the chunks of one
+/// [`Pool::for_each_chunk_mut`] loop.
+struct Base<T>(*mut T);
+
+// SAFETY: the chunks of one loop reach the elements only through the
+// disjoint subslices `for_each_chunk_mut` cuts, each on one thread; a
+// thread handed another's `T`s needs `T: Send`.
+unsafe impl<T: Send> Sync for Base<T> {}
+
+impl<T> Base<T> {
+    /// The pointer (a method, so that closures capture the whole `Base`).
+    fn get(&self) -> *mut T {
+        self.0
+    }
 }
 
 // What `Pool::shared` advertises: the pool may be owned and queried from
@@ -724,6 +806,94 @@ mod tests {
             total.fetch_add((e - s) as u64, Ordering::Relaxed);
         });
         assert_eq!(total.load(Ordering::Relaxed), 1000);
+    }
+
+    /// Lengths around the cutoffs: empty, one, below the grain, and well
+    /// past `FORK_MIN_LEN`.
+    const LENGTHS: [usize; 4] = [0, 1, 50, 3 * FORK_MIN_LEN + 7];
+
+    /// Marks each element with its index and counts its visits.
+    fn visit(start: usize, chunk: &mut [(usize, u32)]) {
+        for (i, x) in (start..).zip(chunk) {
+            *x = (i, x.1 + 1);
+        }
+    }
+
+    #[test]
+    fn each_chunk_is_written_exactly_once() {
+        for threads in [1, 2, 4] {
+            let pool = Pool::new(threads);
+            for len in LENGTHS {
+                let mut data = vec![(usize::MAX, 0u32); len];
+                pool.for_each_chunk_mut(&mut data, 64, visit);
+                let want: Vec<(usize, u32)> = (0..len).map(|i| (i, 1)).collect();
+                assert_eq!(data, want, "t={threads} len={len}");
+            }
+        }
+    }
+
+    #[test]
+    fn each_range_is_written_exactly_once_and_answers_in_order() {
+        for threads in [1, 2, 4] {
+            let pool = Pool::new(threads);
+            for len in LENGTHS {
+                // Parts of 1, 2, ... 9, 0, 1, ... elements over the middle
+                // three fifths; the head and the tail stay untouched.
+                let (lo, hi) = (len / 5, len - len / 5);
+                let mut bounds = vec![lo];
+                while let Some(&b) = bounds.last().filter(|&&b| b < hi) {
+                    bounds.push((b + bounds.len() % 10).min(hi));
+                }
+                let mut data = vec![(usize::MAX, 0u32); len];
+                let got = pool.map_ranges_mut(&mut data, &bounds, |k, part| {
+                    visit(bounds[k], part);
+                    (k, part.len())
+                });
+                let want: Vec<(usize, usize)> = bounds
+                    .windows(2)
+                    .enumerate()
+                    .map(|(k, w)| (k, w[1] - w[0]))
+                    .collect();
+                assert_eq!(got, want, "t={threads} len={len}");
+                for (i, &x) in data.iter().enumerate() {
+                    let inside = bounds[0] <= i && i < *bounds.last().unwrap();
+                    let expect = if inside { (i, 1) } else { (usize::MAX, 0) };
+                    assert_eq!(x, expect, "t={threads} len={len} i={i}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bad_cut_points_panic_before_any_part_runs() {
+        let pool = Pool::new(2);
+        let ran = AtomicUsize::new(0);
+        for bounds in [&[0, 5, 4, 10][..], &[0, 10, 11], &[12]] {
+            let mut data = vec![0u8; 10];
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                pool.map_ranges_mut(&mut data, bounds, |_, _| {
+                    ran.fetch_add(1, Ordering::Relaxed);
+                })
+            }));
+            assert!(caught.is_err(), "{bounds:?}");
+        }
+        assert_eq!(ran.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn panic_in_a_chunk_body_propagates_and_pool_survives() {
+        let pool = Pool::new(3);
+        let mut data = vec![0u32; 10_000];
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pool.for_each_chunk_mut(&mut data, 16, |s, _| {
+                if s == 4096 {
+                    panic!("boom");
+                }
+            });
+        }));
+        assert!(caught.is_err(), "the panic must reach the caller");
+        pool.for_each_chunk_mut(&mut data, 16, |_, chunk| chunk.fill(7));
+        assert!(data.iter().all(|&x| x == 7));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! seeded with the block offsets. `O(n)` work, `O(log n)`-style depth with
 //! block count proportional to the thread count.
 
-use crate::{default_grain, Pool, UnsafeSlice};
+use crate::{default_grain, map_chunks, Pool};
 
 /// Inclusive scan: `out[i] = x[0] ⊕ x[1] ⊕ … ⊕ x[i]`.
 ///
@@ -77,21 +77,14 @@ fn scan_impl<T: Copy + Send + Sync>(
     }
 
     let grain = default_grain(n, pool.num_threads());
-    let n_blocks = n.div_ceil(grain);
 
     // Pass 1: per-block reductions.
-    let mut block_sums: Vec<T> = vec![identity; n_blocks];
-    {
-        let view = UnsafeSlice::new(&mut block_sums);
-        pool.run(n, grain, |s, e| {
-            let local = input[s..e].iter().fold(identity, |a, &b| op(a, b));
-            // SAFETY: one block per chunk index.
-            unsafe { view.write(s / grain, local) };
-        });
-    }
+    let block_sums = map_chunks(pool, n, grain, |s, e| {
+        input[s..e].iter().fold(identity, |a, &b| op(a, b))
+    });
 
-    // Short sequential scan over block sums (n_blocks is O(threads)).
-    let mut offsets = Vec::with_capacity(n_blocks);
+    // Short sequential scan over the O(threads) block sums.
+    let mut offsets = Vec::with_capacity(block_sums.len());
     let mut acc = identity;
     for &s in &block_sums {
         offsets.push(acc);
@@ -100,29 +93,19 @@ fn scan_impl<T: Copy + Send + Sync>(
     let total = acc;
 
     // Pass 2: per-block local scans seeded with block offsets.
-    let mut out: Vec<T> = Vec::with_capacity(n);
-    {
-        let spare = out.spare_capacity_mut();
-        let view = UnsafeSlice::new(spare);
-        pool.run(n, grain, |s, e| {
-            let mut acc = offsets[s / grain];
-            // Global index i addresses both `input` and the output view.
-            #[allow(clippy::needless_range_loop)]
-            for i in s..e {
-                if inclusive {
-                    acc = op(acc, input[i]);
-                    // SAFETY: disjoint writes.
-                    unsafe { view.write(i, std::mem::MaybeUninit::new(acc)) };
-                } else {
-                    // SAFETY: disjoint writes.
-                    unsafe { view.write(i, std::mem::MaybeUninit::new(acc)) };
-                    acc = op(acc, input[i]);
-                }
+    let mut out = vec![identity; n];
+    pool.for_each_chunk_mut(&mut out, grain, |s, chunk| {
+        let mut acc = offsets[s / grain];
+        for (o, &x) in chunk.iter_mut().zip(&input[s..]) {
+            if inclusive {
+                acc = op(acc, x);
+                *o = acc;
+            } else {
+                *o = acc;
+                acc = op(acc, x);
             }
-        });
-    }
-    // SAFETY: every element initialized above.
-    unsafe { out.set_len(n) };
+        }
+    });
     (out, total)
 }
 

@@ -8,7 +8,7 @@
 //! boundaries are found with the classic co-ranking binary search, so even
 //! the final single merge uses every thread.
 
-use crate::{Pool, UnsafeSlice};
+use crate::Pool;
 use std::cmp::Ordering;
 
 /// Sorts `data` stably by `cmp` using all threads of `pool`.
@@ -33,36 +33,21 @@ pub fn merge_sort_by<T: Copy + Send + Sync>(
     let run_len = n.div_ceil(n_runs);
 
     // Sort base runs in place, in parallel.
-    {
-        let view = UnsafeSlice::new(data);
-        pool.for_each_index(n_runs, 1, |r| {
-            let s = (r * run_len).min(n);
-            let e = ((r + 1) * run_len).min(n);
-            if s < e {
-                // SAFETY: runs are disjoint subranges of `data`; each job
-                // index touches exactly one run.
-                let run = unsafe { std::slice::from_raw_parts_mut(view.ptr_at(s), e - s) };
-                run.sort_by(&cmp);
-            }
-        });
-    }
+    pool.for_each_chunk_mut(data, run_len, |_, run| run.sort_by(&cmp));
 
     // Scratch destination for the ping-pong merge rounds. Filling with a
     // copy of `data[0]` (`n >= FORK_MIN_LEN`, checked above) keeps every slot
-    // initialized without unsafe `set_len`; each round overwrites every
-    // slot before it is read, so the fill value is never observed.
+    // initialized; each round overwrites every slot before it is read, so
+    // the fill value is never observed.
     let mut buf: Vec<T> = vec![data[0]; n];
 
     let mut width = run_len;
     let mut src_is_data = true;
     while width < n {
-        {
-            let (src_view, dst_view) = if src_is_data {
-                (UnsafeSlice::new(data), UnsafeSlice::new(&mut buf))
-            } else {
-                (UnsafeSlice::new(&mut buf), UnsafeSlice::new(data))
-            };
-            merge_round(pool, &src_view, &dst_view, n, width, &cmp);
+        if src_is_data {
+            merge_round(pool, data, &mut buf, width, &cmp);
+        } else {
+            merge_round(pool, &buf, data, width, &cmp);
         }
         src_is_data = !src_is_data;
         width *= 2;
@@ -70,14 +55,8 @@ pub fn merge_sort_by<T: Copy + Send + Sync>(
 
     if !src_is_data {
         // Result currently lives in `buf`; copy back in parallel.
-        let dst = UnsafeSlice::new(data);
-        let src = &buf;
-        pool.run(n, 1 << 14, |s, e| {
-            #[allow(clippy::needless_range_loop)] // i addresses src and dst
-            for i in s..e {
-                // SAFETY: disjoint writes; src immutable this phase.
-                unsafe { dst.write(i, src[i]) };
-            }
+        pool.for_each_chunk_mut(data, 1 << 14, |s, chunk| {
+            chunk.copy_from_slice(&buf[s..s + chunk.len()]);
         });
     }
 }
@@ -87,65 +66,56 @@ pub fn merge_sort_by<T: Copy + Send + Sync>(
 /// across output segments within each pair.
 fn merge_round<T: Copy + Send + Sync>(
     pool: &Pool,
-    src: &UnsafeSlice<'_, T>,
-    dst: &UnsafeSlice<'_, T>,
-    n: usize,
+    src: &[T],
+    dst: &mut [T],
     width: usize,
     cmp: &(impl Fn(&T, &T) -> Ordering + Sync),
 ) {
+    let n = src.len();
     let pair_span = width * 2;
     let n_pairs = n.div_ceil(pair_span);
     let target_jobs = pool.num_threads() * 4;
     let segs_per_pair = target_jobs.div_ceil(n_pairs).max(1);
     let total_jobs = n_pairs * segs_per_pair;
+    // Job `pair · segs_per_pair + seg` writes output positions
+    // `[lo + k1, lo + k2)` of its pair: the cut points are the k1s.
+    let pair_of = |job: usize| {
+        let lo = job / segs_per_pair * pair_span;
+        (lo, (lo + width).min(n), (lo + pair_span).min(n))
+    };
+    let seg_start = |job: usize| {
+        let (lo, _, hi) = pair_of(job);
+        (hi - lo) * (job % segs_per_pair) / segs_per_pair
+    };
+    let bounds: Vec<usize> = (0..total_jobs)
+        .map(|job| pair_of(job).0 + seg_start(job))
+        .chain([n])
+        .collect();
 
-    pool.for_each_index(total_jobs, 1, |job| {
-        let pair = job / segs_per_pair;
-        let seg = job % segs_per_pair;
-        let lo = pair * pair_span;
-        let mid = (lo + width).min(n);
-        let hi = (lo + pair_span).min(n);
-        // SAFETY: this round only writes `dst`; `src` is fully initialized
-        // and read-only, so shared reborrows of `[lo, mid)` are sound.
-        let a = unsafe { src.slice(lo, mid) };
-        // SAFETY: same contract as `a`, for the right half `[mid, hi)`.
-        let b = unsafe { src.slice(mid, hi) };
-        let out_len = hi - lo;
-        let k1 = out_len * seg / segs_per_pair;
-        let k2 = out_len * (seg + 1) / segs_per_pair;
-        if k1 >= k2 {
+    pool.map_ranges_mut(dst, &bounds, |job, out| {
+        if out.is_empty() {
             return;
         }
+        let (lo, mid, hi) = pair_of(job);
+        let (a, b) = (&src[lo..mid], &src[mid..hi]);
+        let k1 = seg_start(job);
         let (i1, j1) = co_rank(k1, a, b, cmp);
-        let (i2, j2) = co_rank(k2, a, b, cmp);
+        let (i2, j2) = co_rank(k1 + out.len(), a, b, cmp);
         // Sequential stable merge of the co-ranked input segments.
-        let (mut i, mut j, mut o) = (i1, j1, lo + k1);
+        let (mut i, mut j, mut o) = (i1, j1, 0);
         while i < i2 && j < j2 {
             if cmp(&a[i], &b[j]) != Ordering::Greater {
-                // SAFETY: each output index written by exactly one segment.
-                unsafe { dst.write(o, a[i]) };
+                out[o] = a[i];
                 i += 1;
             } else {
-                // SAFETY: each output index written by exactly one segment.
-                unsafe { dst.write(o, b[j]) };
+                out[o] = b[j];
                 j += 1;
             }
             o += 1;
         }
-        while i < i2 {
-            // SAFETY: drains `a`'s remainder into this segment's exclusive
-            // output range `[lo + k1, lo + k2)`.
-            unsafe { dst.write(o, a[i]) };
-            i += 1;
-            o += 1;
-        }
-        while j < j2 {
-            // SAFETY: drains `b`'s remainder into this segment's exclusive
-            // output range `[lo + k1, lo + k2)`.
-            unsafe { dst.write(o, b[j]) };
-            j += 1;
-            o += 1;
-        }
+        let (a_rest, b_rest) = (&a[i..i2], &b[j..j2]);
+        out[o..o + a_rest.len()].copy_from_slice(a_rest);
+        out[o + a_rest.len()..].copy_from_slice(b_rest);
     });
 }
 
@@ -164,26 +134,6 @@ fn co_rank<T>(k: usize, a: &[T], b: &[T], cmp: &impl Fn(&T, &T) -> Ordering) -> 
         }
     }
     (lo, k - lo)
-}
-
-impl<T> UnsafeSlice<'_, T> {
-    /// Raw pointer to element `i` (bounds-checked in debug builds).
-    pub(crate) fn ptr_at(&self, i: usize) -> *mut T {
-        debug_assert!(i <= self.len());
-        // SAFETY: in-bounds offset of the underlying allocation.
-        unsafe { self.as_ptr().add(i) }
-    }
-
-    /// Reborrows `[s, e)` as an immutable slice.
-    ///
-    /// # Safety
-    /// No thread may concurrently write any index in `[s, e)` and the range
-    /// must be initialized.
-    pub(crate) unsafe fn slice(&self, s: usize, e: usize) -> &[T] {
-        debug_assert!(s <= e && e <= self.len());
-        // SAFETY: caller contract.
-        unsafe { std::slice::from_raw_parts(self.as_ptr().add(s), e - s) }
-    }
 }
 
 #[cfg(test)]

@@ -79,6 +79,9 @@
 //! every key to be `< n` (diffusion keys are vertex ids, so this holds
 //! by construction).
 
+// Mass stores are atomics and plain vectors; no unsafe needed. Keep it
+// that way.
+#![forbid(unsafe_code)]
 // Results never depend on hash order, the clock or an unaudited ordering.
 #![cfg_attr(not(test), warn(clippy::disallowed_types, clippy::disallowed_methods))]
 

@@ -346,9 +346,12 @@
 //!   and each crate root. Every unsafe block and `unsafe impl` carries a
 //!   `// SAFETY:` comment (`undocumented_unsafe_blocks`) and every
 //!   `unsafe fn`, private ones too, a `# Safety` section
-//!   (`missing_safety_doc`); crates that need no `unsafe` — the server,
-//!   flow, bench, and the offline shims — pin that down with
-//!   `#![forbid(unsafe_code)]`. Outside tests, atomic orderings and hash
+//!   (`missing_safety_doc`); crates that need no `unsafe` — core, ligra,
+//!   sparse, the server, flow, bench, and the offline shims — pin that
+//!   down with `#![forbid(unsafe_code)]`. What is left lives in
+//!   `lgc-parallel` (the pool's job protocol and its one disjoint split,
+//!   `Pool::for_each_chunk_mut`) and in `lgc-graph`'s compressed-CSR
+//!   decoder. Outside tests, atomic orderings and hash
 //!   containers are banned (`disallowed_types`) and so, in the query-path
 //!   crates, are clock reads (`disallowed_methods`). A file that owns an
 //!   ordering protocol, a keyed-lookup map or the deadline clock says so
@@ -372,12 +375,12 @@
 //!   check is unverified. Miri would run the compressed-CSR decoder and
 //!   backend-equivalence suites, the sparse-set model tests and the
 //!   `lgc-parallel` and `lgc-ligra` unit tests under the interpreter (the
-//!   unaligned-read / `STREAM_PAD` invariants, the primitives' and the
-//!   edge map's disjoint slot writes); TSan
+//!   unaligned-read / `STREAM_PAD` invariants, the pool's disjoint split
+//!   that the primitives and the edge map write through); TSan
 //!   (`-Zsanitizer=thread`) the `lgc-parallel`, `lgc-sparse` and
-//!   `lgc-ligra` suites — the pool's job protocol, `UnsafeSlice`
-//!   disjoint writes, the phase-concurrent accumulators, and the edge
-//!   maps — under a data-race detector.
+//!   `lgc-ligra` suites — the pool's job protocol and disjoint split,
+//!   the phase-concurrent accumulators, and the edge maps — under a
+//!   data-race detector.
 
 // Atomic orderings and hash containers only where a file says why.
 #![cfg_attr(not(test), warn(clippy::disallowed_types))]
