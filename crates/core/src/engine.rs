@@ -843,9 +843,11 @@ mod tests {
         assert_eq!(e2.run(&q(0)).cluster, cold.cluster);
     }
 
-    /// `run_batch` keeps its per-worker workspaces warm across calls:
-    /// the second identical batch re-checks them out instead of growing
-    /// the pool, and returns identical results.
+    /// `run_batch` keeps its per-worker workspaces warm across calls: after
+    /// each of ten identical batches the engine parks at least one and at
+    /// most `num_threads()` of them — the peak concurrency of the batches
+    /// so far, which the scheduler decides per call — and every call
+    /// returns the first call's results.
     #[test]
     fn run_batch_reuses_workspaces_across_calls() {
         let g = gen::rand_local(300, 5, 2);
@@ -859,19 +861,66 @@ mod tests {
             })
             .collect();
         assert_eq!(engine.warm_workspaces(), 0);
-        let a = engine.run_batch(&queries);
-        let warm = engine.warm_workspaces();
-        assert!(warm >= 1, "batch parked its worker workspaces");
-        let b = engine.run_batch(&queries);
-        assert_eq!(
-            engine.warm_workspaces(),
-            warm,
-            "second call reused the parked workspaces instead of allocating"
-        );
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.diffusion.p, y.diffusion.p);
-            assert_eq!(x.cluster, y.cluster);
+        let calls: Vec<Vec<ClusterResult>> = (0..10)
+            .map(|call| {
+                let results = engine.run_batch(&queries);
+                let warm = engine.warm_workspaces();
+                assert!(
+                    (1..=engine.num_threads()).contains(&warm),
+                    "call {call}: {warm} parked workspaces"
+                );
+                results
+            })
+            .collect();
+        for (call, b) in calls.iter().enumerate().skip(1) {
+            for (x, y) in calls[0].iter().zip(b) {
+                assert_eq!(x.diffusion.p, y.diffusion.p, "call {call}");
+                assert_eq!(x.cluster, y.cluster, "call {call}");
+            }
         }
+    }
+
+    /// At default parameters every store a query checks out runs dense
+    /// from its first key: after one query of each of the five algorithms
+    /// and its sweep, the engine's parked workspace holds dense maps only.
+    /// A PR-Nibble at `dense_frac = +∞` still runs its vectors on hash
+    /// tables, which is what the golden `prn-sparse` case pins.
+    #[test]
+    fn default_queries_leave_only_dense_stores() {
+        use lgc_sparse::MassMap;
+        let g = gen::rand_local(3000, 5, 4);
+        let defaults = [
+            Algorithm::Nibble(NibbleParams::default()),
+            Algorithm::PrNibble(PrNibbleParams::default()),
+            Algorithm::Hkpr(HkprParams::default()),
+            Algorithm::RandHkpr(RandHkprParams::default()),
+            Algorithm::Evolving(EvolvingParams::default()),
+        ];
+        let maps = |engine: &Engine<'_, _>| {
+            let ws = engine.core.workspaces.checkout();
+            let dense: Vec<bool> = ws.mass_maps().iter().map(MassMap::is_dense).collect();
+            engine.core.workspaces.restore(ws, &engine.core.counters);
+            dense
+        };
+        for algo in defaults {
+            let engine = Engine::builder(&g).threads(2).build();
+            let res = engine.run(&Query::new(Seed::single(3), algo.clone()));
+            assert!(!res.diffusion.p.is_empty(), "{}", algo.name());
+            let dense = maps(&engine);
+            assert!(
+                !dense.is_empty(),
+                "{}: the query checked maps out",
+                algo.name()
+            );
+            assert!(dense.iter().all(|&d| d), "{}: {dense:?}", algo.name());
+        }
+        let engine = Engine::builder(&g).threads(2).build();
+        let hashed = Algorithm::PrNibble(PrNibbleParams {
+            dense_frac: f64::INFINITY,
+            ..Default::default()
+        });
+        engine.diffuse(&Seed::single(3), &hashed);
+        assert_eq!(maps(&engine), [false, false], "r and p on hash tables");
     }
 
     /// An HK-PR query rerun through one engine is bit-identical, and the

@@ -453,8 +453,8 @@ mod tests {
     /// The neighbor counter comes out of the workspace's shared mass-map
     /// pool. After a PR-Nibble query has run every map of that pool dense
     /// (`dense_frac = 0`), the process still returns a cold run's result,
-    /// bit for bit: for a seed set with `vol(S) ≥ n/8`, whose first count
-    /// runs dense, and for one below it, whose count runs sparse.
+    /// bit for bit: for a seed set with `vol(S) ≥ n/8` and for one below
+    /// it.
     #[test]
     fn a_counter_from_a_dense_left_pool_keeps_the_result() {
         use crate::prnibble::{prnibble_par, PrNibbleParams};

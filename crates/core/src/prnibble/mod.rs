@@ -71,15 +71,18 @@ pub struct PrNibbleParams {
     pub beta: f64,
     /// Support fraction of `n` at which the parallel algorithm's mass
     /// vectors upgrade from hash tables to direct-indexed dense arrays
-    /// (`lgc_sparse::MassMap`'s heuristic). `0.0` forces dense, values
-    /// `> 1.0` (e.g. `f64::INFINITY`) force sparse; only affects the
-    /// parallel algorithm.
+    /// (`lgc_sparse::MassMap`'s heuristic). The default `0.0` runs them
+    /// dense from the first key; a value in `(0, 1]` starts them as hash
+    /// tables that upgrade once the per-iteration key bound reaches that
+    /// fraction, and values `> 1.0` (e.g. `f64::INFINITY`) keep them hash
+    /// tables. Only affects the parallel algorithm, and never `p` or the
+    /// sweep: only the summation order of `residual_mass`.
     pub dense_frac: f64,
 }
 
 impl Default for PrNibbleParams {
     /// The paper's Table 1/3 setting: `α = 0.01`, `ε = 10⁻⁷`,
-    /// optimized rule, full frontier; adaptive mass storage.
+    /// optimized rule, full frontier; dense mass storage.
     fn default() -> Self {
         PrNibbleParams {
             alpha: 0.01,

@@ -47,9 +47,10 @@ use lgc_sparse::MassMap;
 ///   tallied, and the next pull stages and gathers off that bitset — no
 ///   receiver set, no id list and no degree walk between two pulls.
 ///
-/// Mass vectors live in [`MassMap`]s, which upgrade themselves to
-/// direct-indexed dense arrays once the per-iteration key bound crosses
-/// `params.dense_frac · n` — the regime pull iterations live in.
+/// Mass vectors live in [`MassMap`]s, direct-indexed dense arrays from the
+/// first key at the default `params.dense_frac = 0`; a positive fraction
+/// starts them as hash tables that upgrade once the per-iteration key bound
+/// crosses `params.dense_frac · n`.
 ///
 /// The two mass maps, the frontier (with both of its bitsets) and the edge
 /// map's buffer come out of `ws` instead of being allocated — and every

@@ -10,7 +10,7 @@
 //! scheme bottlenecked on memory contention (many walks end on the same
 //! few vertices). Its fix, reproduced here: write each walk's destination
 //! into a length-`N` array, remap destinations to compact ids with a
-//! concurrent sparse set (a [`MassMap`], dense once `N ≥ n/8`), *integer
+//! concurrent sparse set (a [`MassMap`], dense from its first key), *integer
 //! sort* the ids, and read off the counts from the run boundaries
 //! (Theorem 5: `O(N·K)` work, `O(K + log N)` depth). Each walk derives
 //! its own RNG from the master seed, so the sequential and parallel

@@ -55,11 +55,11 @@ pub fn sweep_cut_par<B: CsrBackend>(pool: &Pool, g: &B, p: &[(u32, f64)]) -> Swe
 }
 
 /// [`sweep_cut_par`] over the engine's [`Workspace`]: the rank table is a
-/// [`MassMap`] checked out of the workspace with key bound `N` and put
-/// back, so it is dense (one indexed load per lookup, in buffers the
-/// workspace already holds) once `N ≥ n/8` and a table sized to `N`
-/// below that. Ranks are integers and lookups are keyed, never
-/// enumerated, so the table's mode cannot change any output bit.
+/// dense [`MassMap`] checked out of the workspace and put back — one
+/// indexed load per lookup, in buffers the workspace already holds (a
+/// fresh workspace, as [`sweep_cut_par`] uses, allocates its `n` cells).
+/// Ranks are integers and lookups are keyed, never enumerated, so the
+/// table's mode cannot change any output bit.
 ///
 /// The sweep is a single fused pipeline with no iterative refinement, so
 /// `cp` is consulted once on entry (its boundary): cancellation and
@@ -246,11 +246,11 @@ mod tests {
     }
 
     #[test]
-    fn warm_rank_table_survives_mode_flips() {
+    fn warm_rank_table_serves_supports_of_every_size() {
         // One workspace, supports alternating below and above n/8, each
-        // past the fork threshold: the rank table is checked out sparse,
-        // dense, sparse, … from the same stack, and every sweep must still
-        // equal the sequential one.
+        // past the fork threshold: the rank table is checked out dense from
+        // the same stack and recycled between sweeps of very different
+        // supports, and every sweep must still equal the sequential one.
         let g = gen::rand_local(60_000, 5, 3);
         let n = g.num_vertices();
         let pool = Pool::new(2);

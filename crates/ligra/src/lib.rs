@@ -69,7 +69,7 @@
 #![cfg_attr(not(test), warn(clippy::disallowed_types, clippy::disallowed_methods))]
 
 use lgc_graph::CsrBackend;
-use lgc_parallel::{map_chunks, merge_sort_by, ones, scan_exclusive, Bitset, Pool};
+use lgc_parallel::{map_chunks, ones, scan_exclusive, Bitset, Pool};
 use lgc_sparse::{DenseMassVec, MassMap};
 
 pub mod interrupt;
@@ -936,14 +936,16 @@ impl<B: CsrBackend> Staged<'_, B> {
     /// the paper's `fetchAdd` on one that does. A destination's first touch
     /// sets its bit, is tallied, and starts its sum where `order` says — on a
     /// forked lane the first toucher adds `into[w]` into a cell others may
-    /// have added to, so a forked push sums in the scheduler's order. When
-    /// the push is small against the universe (`64·vol < n`) the one insert
-    /// that finds a word empty records the word.
+    /// have added to, so a forked push sums in the scheduler's order. The
+    /// insert that finds a word empty sets the word's bit in the scratch's
+    /// summary ([`DenseMassVec::mark`]).
     ///
     /// **Land.** `into` makes room for the receivers, and the [`walk`] lands
-    /// each sum once, zeroing its cell and its word: over the recorded words
-    /// merged with the members' words into a sorted list, or over every word
-    /// (`n/64 ≤ vol`) into a dense-native frontier.
+    /// each sum once, zeroing its cell and its word: over the words the
+    /// summary lists, ascending, merged with the members' words when the
+    /// push is small against the universe (`64·vol < n`), or over every word
+    /// (`n/64 ≤ vol`) into a dense-native frontier. The summary is forgotten
+    /// after the walk.
     fn push(
         self,
         order: Absorb,
@@ -965,39 +967,26 @@ impl<B: CsrBackend> Staged<'_, B> {
         let n = g.num_vertices();
         let listing = 64 * vol < n;
         let store = &*into;
-        // Per edge chunk: the first touches, and the words first touched.
-        let firsts = push_edges(
-            lane,
-            g,
-            &frontier.ids,
-            |firsts: &mut (usize, Vec<u32>), i, _, w| {
-                let (first, word_was_empty) = scratch.mark(w);
-                firsts.0 += usize::from(first);
-                if word_was_empty && listing {
-                    firsts.1.push(w >> 6);
-                }
-                let (cell, c) = (scratch.cell(w), slots[i]);
-                if forked {
-                    cell.fetch_add(if first { order.start(store, w) + c } else { c });
+        // Per edge chunk: the first touches.
+        let firsts = push_edges(lane, g, &frontier.ids, |firsts: &mut usize, i, _, w| {
+            let first = scratch.mark(w);
+            *firsts += usize::from(first);
+            let (cell, c) = (scratch.cell(w), slots[i]);
+            if forked {
+                cell.fetch_add(if first { order.start(store, w) + c } else { c });
+            } else {
+                let sum = if first {
+                    order.start(store, w)
                 } else {
-                    let sum = if first {
-                        order.start(store, w)
-                    } else {
-                        cell.load()
-                    };
-                    cell.store(sum + c);
-                }
-            },
-        );
-        into.reserve_more(pool, firsts.iter().map(|f| f.0).sum());
+                    cell.load()
+                };
+                cell.store(sum + c);
+            }
+        });
+        into.reserve_more(pool, firsts.iter().sum());
         let into = &*into;
         let listed = listing.then(|| {
-            let mut words: Vec<u32> = firsts.into_iter().flat_map(|f| f.1).collect();
-            if forked {
-                merge_sort_by(pool, &mut words, u32::cmp);
-            } else {
-                words.sort_unstable();
-            }
+            let words = scratch.touched_words(pool);
             if keep.is_none() {
                 return words;
             }
@@ -1025,6 +1014,7 @@ impl<B: CsrBackend> Staged<'_, B> {
             members,
         };
         let kept = walk(pool, g, words, land, into, keep, next);
+        scratch.forget_words();
         match (emitting, listing) {
             (true, true) => frontier.advance(pool, kept.ids),
             (true, false) => frontier.adopt_emitted(kept.len, kept.vol),
@@ -1641,10 +1631,11 @@ mod tests {
     }
 
     /// The push's scratch is built by the first push, one cell and one bit
-    /// per vertex, and charged to `resident_bytes`; every push leaves it
-    /// clear — summing or per edge, with or without `keep`, on the lane
-    /// that forks and the one that does not — and a later push over the
-    /// same universe reuses it. A pull builds none.
+    /// per vertex plus one summary bit per word, and charged to
+    /// `resident_bytes`; every push leaves it clear — summing or per edge,
+    /// with or without `keep`, on the lane that forks and the one that does
+    /// not — and a later push over the same universe reuses it. A pull
+    /// builds none.
     #[test]
     fn the_push_scratch_is_charged_once_and_left_clear() {
         let g = gen::rand_local(20_000, 5, 6);
@@ -1658,7 +1649,7 @@ mod tests {
         assert_eq!(pulling.resident_bytes(), n * 8, "the pull's slots only");
 
         let mut spread = EdgeSpread::new(DirectionParams::push_only());
-        let scratch = n * 8 + n.div_ceil(512) * 64;
+        let scratch = n * 8 + n.div_ceil(512) * 64 + n.div_ceil(64).div_ceil(512) * 64;
         let keep = |v: u32, _: f64| !v.is_multiple_of(3);
         for threads in [1, 2] {
             let pool = Pool::new(threads);
@@ -1692,11 +1683,11 @@ mod tests {
     }
 
     /// A push whose volume is small against the universe (`64·vol < n`)
-    /// lists its receivers on first touch and sorts them instead of reading
-    /// the bitset's words back — on the lane that forks, too. A long
-    /// frontier of mostly isolated vertices puts `k + vol` past
-    /// `FORK_MIN_WORK`: at two threads it delivers the one-thread totals,
-    /// leaves the same frontier and the scratch clear, in both orders.
+    /// walks the words its scratch's summary lists instead of every word of
+    /// the bitset — on the lane that forks, too. A long frontier of mostly
+    /// isolated vertices puts `k + vol` past `FORK_MIN_WORK`: at two threads
+    /// it delivers the one-thread totals, leaves the same frontier and the
+    /// scratch clear, in both orders.
     #[test]
     fn a_forked_push_of_small_volume_lists_its_receivers() {
         let n = 40_000;

@@ -180,15 +180,6 @@ impl Bitset {
         (s..e).map(|w| self.word(w).count_ones() as usize).sum()
     }
 
-    /// Popcount of each enumeration chunk, in parallel.
-    fn chunk_counts(&self, pool: &Pool) -> Vec<usize> {
-        let n_chunks = (self.lines.len() * 8).div_ceil(WORDS_PER_CHUNK);
-        crate::map_index(pool, n_chunks, |c| {
-            let s = c * WORDS_PER_CHUNK;
-            self.count_words(s, (s + WORDS_PER_CHUNK).min(self.lines.len() * 8))
-        })
-    }
-
     /// Number of members — an `O(n/64)` popcount on the calling thread
     /// (sequential point).
     pub fn count_seq(&self) -> usize {
@@ -199,15 +190,31 @@ impl Bitset {
     /// per-chunk popcounts, a prefix sum for offsets, then each chunk
     /// writes its ids independently.
     pub fn to_sorted_ids(&self, pool: &Pool) -> Vec<u32> {
-        let counts = self.chunk_counts(pool);
+        self.pack(pool, self.lines.len() * 8, |i| i)
+    }
+
+    /// Packs the members of the listed words — ascending, distinct word
+    /// indices that hold every member — into a sorted id list:
+    /// `O(words.len() + len)` work, as [`Bitset::to_sorted_ids`] over the
+    /// listed words only.
+    pub fn to_sorted_ids_in(&self, pool: &Pool, words: &[u32]) -> Vec<u32> {
+        self.pack(pool, words.len(), |i| words[i] as usize)
+    }
+
+    /// The pack over the `count` words `word_at(0..count)`, ascending.
+    fn pack(&self, pool: &Pool, count: usize, word_at: impl Fn(usize) -> usize + Sync) -> Vec<u32> {
+        let chunk = |c: usize| c * WORDS_PER_CHUNK..((c + 1) * WORDS_PER_CHUNK).min(count);
+        let counts = crate::map_index(pool, count.div_ceil(WORDS_PER_CHUNK), |c| {
+            chunk(c)
+                .map(|i| self.word(word_at(i)).count_ones() as usize)
+                .sum()
+        });
         let (mut bounds, total) = scan_exclusive(pool, &counts, 0usize, |a, b| a + b);
         bounds.push(total);
         let mut out = vec![0u32; total];
         pool.map_ranges_mut(&mut out, &bounds, |c, part| {
-            let s = c * WORDS_PER_CHUNK;
-            let e = (s + WORDS_PER_CHUNK).min(self.lines.len() * 8);
             let mut pos = 0;
-            for w in s..e {
+            for w in chunk(c).map(&word_at) {
                 for v in ones(w, self.word(w)) {
                     part[pos] = v;
                     pos += 1;
@@ -248,6 +255,10 @@ mod tests {
             }
             assert_eq!(bits.count_seq(), ids.len());
             assert_eq!(bits.to_sorted_ids(&pool), ids, "t={threads}");
+            let words: Vec<u32> = (0..bits.num_words() as u32)
+                .filter(|&w| bits.word(w as usize) != 0)
+                .collect();
+            assert_eq!(bits.to_sorted_ids_in(&pool, &words), ids, "t={threads}");
         }
     }
 

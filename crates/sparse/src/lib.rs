@@ -19,21 +19,20 @@
 //!   fetch-add, so a batch of `N` inserts/accumulates takes `O(N)` work
 //!   and `O(log N)` depth w.h.p.
 //!
-//! A third, adaptive layer sits on top for the diffusion hot loops:
+//! A third layer sits on top for the diffusion hot loops:
 //!
-//! * [`MassMap`] — an adaptive mass vector that starts as a
-//!   [`ConcurrentSparseVec`] and upgrades itself to a direct-indexed
-//!   dense backend ([`DenseMassVec`]: `n` [`lgc_parallel::AtomicF64`]
-//!   mass cells + a touched bitset, enumerated in key order and cleaned
-//!   by words in `O(n/64 + support)`) once the caller-declared key bound
-//!   crosses a tunable fraction of the vertex universe `n`. It is the one
-//!   destination type of `lgc-ligra`'s edge map: every diffusion's
-//!   `UpdateNgh` adds into a `MassMap` (the evolving-set process's
-//!   `|N(v) ∩ S|` counter too), and the query path's other keyed tables —
-//!   the sweep's ranks and rand-HK-PR's destination ids — are `MassMap`s
-//!   as well, so [`ConcurrentSparseVec`] is its sparse backend and nothing
-//!   else. The edge map's push sums destinations in a [`DenseMassVec`]
-//!   too: one dense store type.
+//! * [`MassMap`] — a mass vector on one of two backends: a direct-indexed
+//!   dense one ([`DenseMassVec`]: `n` [`lgc_parallel::AtomicF64`] mass
+//!   cells + a touched bitset + a summary of its touched words, enumerated
+//!   in key order and cleaned in `O(n/4096 + touched words + support)`),
+//!   or a [`ConcurrentSparseVec`]. It is the one destination type of
+//!   `lgc-ligra`'s edge map: every diffusion's `UpdateNgh` adds into a
+//!   `MassMap` (the evolving-set process's `|N(v) ∩ S|` counter too), and
+//!   the query path's other keyed tables — the sweep's ranks and
+//!   rand-HK-PR's destination ids — are `MassMap`s as well, so
+//!   [`ConcurrentSparseVec`] is its sparse backend and nothing else. The
+//!   edge map's push sums destinations in a [`DenseMassVec`] too: one
+//!   dense store type.
 //!
 //! # Dense/sparse switch heuristic
 //!
@@ -42,18 +41,18 @@
 //! vol(frontier)` from the paper's work theorems). [`MassMap::reset`]
 //! and [`MassMap::reserve_more`] compare that bound `b` against
 //! `frac · n` (`frac` defaults to
-//! [`MassMap::DEFAULT_DENSE_FRACTION`] `= 1/8`, overridable per map via
+//! [`MassMap::DEFAULT_DENSE_FRACTION`] `= 0`, overridable per map via
 //! [`MassMap::with_dense_fraction`], and per PR-Nibble run via
 //! `PrNibbleParams::dense_frac`):
 //!
-//! * `b ≥ frac · n` → dense mode: one `O(n)` allocation the first time
-//!   (amortized against the `Ω(frac·n)` support that triggered it, then
-//!   cached for the map's lifetime), after which every operation is one
-//!   indexed atomic with no hashing or probing, and clearing walks only
-//!   the touched bits.
+//! * `b ≥ frac · n` → dense mode — always, at the default: one `O(n)`
+//!   allocation the first time (then cached for the map's lifetime, and
+//!   recycled across queries by the workspace that holds the map), after
+//!   which every operation is one indexed atomic with no hashing or
+//!   probing, and enumerating or clearing walks only the touched words.
 //! * `b < frac · n` → sparse mode: the hash table keeps memory
-//!   proportional to the bound, which is what keeps strictly-local runs
-//!   `o(n)` as the paper requires.
+//!   proportional to the bound, the paper's strictly-local `o(n)`
+//!   footprint, at the price of a probe chain per operation.
 //!
 //! `reserve_more` migrates live entries on a sparse → dense upgrade;
 //! `reset` just swaps (it empties anyway) and stashes dense buffers on a

@@ -1,32 +1,34 @@
-//! Adaptive dense/sparse mass storage for the parallel diffusions.
+//! Dense/sparse mass storage for the parallel diffusions.
 //!
-//! The paper's sparse sets make every touched-vertex operation a hash
-//! probe. That is the right trade while a diffusion's support is a
-//! vanishing fraction of the graph, but Ligra-style systems switch to a
-//! direct-indexed dense representation once the active set is a constant
-//! fraction of `n` — dense arrays win on both probe cost (one indexed
-//! atomic instead of a CAS probe chain) and locality. [`MassMap`] makes
-//! that switch automatically while preserving the exact-accumulation and
-//! phase-concurrency guarantees of [`ConcurrentSparseVec`].
+//! The paper keeps its mass vectors in concurrent hash tables, so that an
+//! iteration's work stays `O(|F| + vol(F))`: every touched-vertex operation
+//! is a hash probe. Local-clustering software more often keeps dense arrays
+//! plus a record of which entries were touched, and pays for the `O(n)`
+//! arrays once per workspace rather than per query. [`MassMap`] offers
+//! both behind one interface, with the exact-accumulation and
+//! phase-concurrency guarantees of [`ConcurrentSparseVec`], and by default
+//! runs dense from its first key.
 //!
 //! # Representation
 //!
 //! * **Sparse mode** wraps [`ConcurrentSparseVec`] unchanged; keys
 //!   enumerate in hash-slot order.
-//! * **Dense mode** ([`DenseMassVec`]) stores `n` [`AtomicF64`] cells and
-//!   the *touched set* as a [`Bitset`] — nothing else. A first touch sets
-//!   one bit in the word its key indexes, so no two writers ever meet on a
-//!   location that is not already theirs to share through the keys
-//!   themselves: there is no counter and no list tail. The sequential
-//!   points (`entries*`, `l1_norm`, `len`) enumerate the set with an
-//!   `O(n/64 + support)` scan, and `reset` cleans it by words — the
-//!   touched words' cells, then the words — in the same bound; dense mode
-//!   is only entered with a key bound `≥ frac · n`, which pays for the
-//!   `n/64` words. Keys therefore come back **ascending**, which is what
-//!   lets callers sum masses without a sort. Accumulation is the same
+//! * **Dense mode** ([`DenseMassVec`]) stores `n` [`AtomicF64`] cells, the
+//!   *touched set* as a [`Bitset`], and a summary bitset with one bit per
+//!   word of the touched set — nothing else. A first touch sets one bit in
+//!   the word its key indexes, and the touch that finds that word empty
+//!   sets the word's summary bit, so no two writers ever meet on a location
+//!   that is not already theirs to share through the keys themselves: there
+//!   is no counter and no list tail. The sequential points (`entries*`,
+//!   `l1_norm`, `len`) enumerate the set through the summary in
+//!   `O(n/4096 + touched words + support)`, and `reset` cleans it the same
+//!   way — the touched words' cells, then the words, then the summary.
+//!   Keys therefore come back **ascending**, which is what lets callers sum
+//!   masses without a sort. Accumulation is the same
 //!   [`AtomicF64::fetch_add`] as the sparse table's, so concurrent `add`s
-//!   to one key never lose mass. `lgc-ligra`'s push sums destinations in
-//!   a [`DenseMassVec`] of its own, by the same first-touch rule.
+//!   to one key never lose mass. `lgc-ligra`'s push sums destinations in a
+//!   [`DenseMassVec`] of its own, by the same first-touch rule, and walks
+//!   the words its summary lists.
 //!
 //! # Switch heuristic
 //!
@@ -34,12 +36,14 @@
 //! [`MassMap::reserve_more`]) from the caller-supplied key bound `b`
 //! (the diffusions use the per-iteration bound `|frontier| +
 //! vol(frontier)`, cf. Theorem 3): dense iff `b ≥ frac · n`, with
-//! `frac` = [`MassMap::DEFAULT_DENSE_FRACTION`] unless overridden via
-//! [`MassMap::with_dense_fraction`] (`frac > 1` never upgrades; `0`
-//! always upgrades). The first upgrade pays one `O(n)` allocation +
-//! zeroing, charged against the `Ω(frac·n)` support that triggered it;
-//! after that the buffers are cached in the map (even across downgrades)
-//! and cleaning costs `O(n/64 + support)`.
+//! `frac` = [`MassMap::DEFAULT_DENSE_FRACTION`] `= 0` (always dense)
+//! unless overridden via [`MassMap::with_dense_fraction`] (`frac > 1`
+//! never upgrades). The first dense checkout pays one `O(n)` allocation +
+//! zeroing; after that the buffers are cached in the map (even across
+//! downgrades) and in the workspace that holds it, and cleaning costs
+//! `O(n/4096 + touched words + support)`. Under an explicit `frac > 0` a
+//! sparse map upgrades once its bound crosses `frac · n`, migrating its
+//! entries.
 //!
 //! # Phase-concurrency contract
 //!
@@ -62,19 +66,25 @@
 use crate::conc::ConcurrentSparseVec;
 use lgc_parallel::{map_index, merge_sort_by, ones, sum_f64_by_index, AtomicF64, Bitset, Pool};
 
-/// Words per chunk of a dense clean: 4 096 cells.
-const CLEAN_GRAIN_WORDS: usize = 64;
-
 /// `n` mass cells plus first-touch bits over the universe `0..n` — the one
 /// dense store: [`MassMap`]'s dense backend and `lgc-ligra`'s push sums.
 /// Writers [`mark`](DenseMassVec::mark) the keys they write; between uses
 /// it is clean ([`DenseMassVec::is_clear`]), by a dense [`MassMap`]'s reset or
-/// by an owner of whole words zeroing their cells, then the words.
+/// by an owner of whole words zeroing their cells, then the words, then
+/// [`forgetting`](DenseMassVec::forget_words) which words it touched.
+///
+/// A second bitset, one bit per word of the first, records the words that
+/// hold a key, so every sequential point — [`DenseMassVec::touched_words`]
+/// and through it the keys, their count and the clean — walks
+/// `n/4096` summary words and the touched words, not all `n/64`.
 pub struct DenseMassVec {
     /// Mass per key (`⊥ = 0.0`).
     cells: Box<[AtomicF64]>,
     /// The keys present. Write phases only ever add members.
     touched: Bitset,
+    /// The words of `touched` that hold a key: bit `w` is set by the mark
+    /// that finds word `w` empty.
+    summary: Bitset,
 }
 
 impl DenseMassVec {
@@ -83,6 +93,7 @@ impl DenseMassVec {
         DenseMassVec {
             cells: (0..n).map(|_| AtomicF64::default()).collect(),
             touched: Bitset::new(n),
+            summary: Bitset::new(n.div_ceil(64)),
         }
     }
 
@@ -91,9 +102,11 @@ impl DenseMassVec {
         self.cells.len()
     }
 
-    /// Resident bytes of the cells and the touched bits.
+    /// Resident bytes of the cells and both bitsets.
     pub fn resident_bytes(&self) -> usize {
-        std::mem::size_of_val(&*self.cells) + self.touched.resident_bytes()
+        std::mem::size_of_val(&*self.cells)
+            + self.touched.resident_bytes()
+            + self.summary.resident_bytes()
     }
 
     /// The cell of `key`.
@@ -107,40 +120,61 @@ impl DenseMassVec {
         &self.touched
     }
 
-    /// Records `key` as present (write phase) and says, as
-    /// [`Bitset::insert`] does, whether it was absent and whether its word
-    /// was empty. The load skips the RMW on the hot already-touched path;
-    /// a first touch is one `fetch_or` on the word `key` indexes.
+    /// Records `key` as present (write phase) and says whether it was
+    /// absent. The load skips the RMW on the hot already-touched path; a
+    /// first touch is one `fetch_or` on the word `key` indexes, and the one
+    /// that finds that word empty ([`Bitset::insert`] says which) sets the
+    /// word's summary bit.
     #[inline]
-    pub fn mark(&self, key: u32) -> (bool, bool) {
-        match self.touched.contains(key) {
-            true => (false, false),
-            false => self.touched.insert(key),
+    pub fn mark(&self, key: u32) -> bool {
+        if self.touched.contains(key) {
+            return false;
         }
+        let (first, word_was_empty) = self.touched.insert(key);
+        if word_was_empty {
+            self.summary.insert(key >> 6);
+        }
+        first
+    }
+
+    /// The words holding a key, ascending — `O(n/4096 + words)` (read phase).
+    pub fn touched_words(&self, pool: &Pool) -> Vec<u32> {
+        self.summary.to_sorted_ids(pool)
+    }
+
+    /// Forgets which words were touched, once their owners have zeroed
+    /// every touched word's cells and then the word (`lgc-ligra`'s walk) —
+    /// `n/4096` stores (sequential point).
+    pub fn forget_words(&self) {
+        self.summary.clear_all();
     }
 
     /// Zeroes the touched cells and empties the set, by words —
-    /// `O(n/64 + support)` (sequential point): each touched word's cells,
-    /// then the word. That is the one loop a store wipe offers the pool,
-    /// which `tests/dense_frontier.rs` counts exactly.
+    /// `O(n/4096 + support)` (sequential point): each touched word's cells,
+    /// then the word, then its summary word, one summary word (4 096 keys)
+    /// per chunk. That is the one loop a store wipe offers the pool, which
+    /// `tests/dense_frontier.rs` counts exactly.
     fn clear(&mut self, pool: &Pool) {
-        let (cells, touched) = (&self.cells, &self.touched);
-        pool.run(touched.num_words(), CLEAN_GRAIN_WORDS, |s, e| {
-            for w in s..e {
-                let bits = touched.word(w);
-                if bits != 0 {
-                    ones(w, bits).for_each(|v| cells[v as usize].store(0.0));
+        let (cells, touched, summary) = (&self.cells, &self.touched, &self.summary);
+        pool.run(summary.num_words(), 1, |s, e| {
+            for sw in s..e {
+                for w in ones(sw, summary.word(sw)) {
+                    let w = w as usize;
+                    ones(w, touched.word(w)).for_each(|v| cells[v as usize].store(0.0));
                     touched.store_word(w, 0);
                 }
+                summary.store_word(sw, 0);
             }
         });
     }
 
-    /// Whether every cell is `0.0` and every bit clear. `O(n)`: for
-    /// assertions.
+    /// Whether every cell is `0.0` and every bit of both bitsets clear.
+    /// `O(n)`: for assertions.
     pub fn is_clear(&self) -> bool {
         let zero = 0f64.to_bits();
-        self.touched.count_seq() == 0 && self.cells.iter().all(|c| c.load().to_bits() == zero)
+        self.touched.count_seq() == 0
+            && self.summary.count_seq() == 0
+            && self.cells.iter().all(|c| c.load().to_bits() == zero)
     }
 
     #[inline]
@@ -171,9 +205,19 @@ impl DenseMassVec {
         self.cell(key).load()
     }
 
-    /// The keys present, ascending — `O(n/64 + support)` (read phase).
+    /// The number of keys present — `O(n/4096 + words)` (read phase).
+    fn len(&self) -> usize {
+        let words = (0..self.summary.num_words()).flat_map(|sw| ones(sw, self.summary.word(sw)));
+        words
+            .map(|w| self.touched.word(w as usize).count_ones() as usize)
+            .sum()
+    }
+
+    /// The keys present, ascending — `O(n/4096 + words + support)` (read
+    /// phase).
     fn keys(&self, pool: &Pool) -> Vec<u32> {
-        self.touched.to_sorted_ids(pool)
+        self.touched
+            .to_sorted_ids_in(pool, &self.touched_words(pool))
     }
 }
 
@@ -208,9 +252,10 @@ impl MassStore {
     }
 }
 
-/// An adaptive concurrent map from vertex id (`< n`) to `f64` mass that
-/// upgrades itself from the hash-table backend to a direct-indexed dense
-/// backend when the expected support crosses a fraction of `n`.
+/// A concurrent map from vertex id (`< n`) to `f64` mass on a
+/// direct-indexed dense backend — from the first key by default — or, under
+/// an explicit fraction `> 0`, on a hash table that upgrades itself to the
+/// dense backend when the expected support crosses that fraction of `n`.
 ///
 /// Drop-in for the subset of [`ConcurrentSparseVec`] the diffusions use;
 /// see the module docs for the switch heuristic and the concurrency
@@ -225,13 +270,23 @@ pub struct MassMap {
 }
 
 impl MassMap {
-    /// Default support-fraction threshold for upgrading to dense mode.
+    /// Default support-fraction threshold for upgrading to dense mode:
+    /// `0`, dense from the first key.
     ///
-    /// At `n/8` expected keys a half-loaded hash table already spans a
-    /// quarter of the vertex-id space in slot memory, and the per-op
-    /// probe chain + id hashing loses to one indexed atomic; below it the
-    /// `O(n)` dense allocation is not worth amortizing.
-    pub const DEFAULT_DENSE_FRACTION: f64 = 0.125;
+    /// Every workspace that pushes already holds an `n`-cell
+    /// [`DenseMassVec`] as its push scratch, so keeping a query's stores
+    /// in hash tables saves a few more `n`-cell arrays and costs a probe
+    /// chain per touched vertex, a rehash per growth and a hash-order
+    /// enumeration. On the benchmark's point-query workload (500 queries
+    /// of 0.4–6 ms on a 64³ torus, `n` = 262 144, 2-vCPU host, 10
+    /// alternating pairs of 30-s runs), moving from the old threshold
+    /// `n/8` to `0` together with the touched-word summary took the
+    /// median query from 0.887 to 0.619 ms and peak RSS from 47.4 to
+    /// 51.7 MiB; per `prn_b` query, the stores' growth (`reserve_more`)
+    /// fell from 174 to 5 µs and the tail that sums and packs them from
+    /// 167 to 30 µs. The hash backend stays reachable through an explicit
+    /// fraction `> 0` (`f64::INFINITY` pins it).
+    pub const DEFAULT_DENSE_FRACTION: f64 = 0.0;
 
     /// A map over vertex universe `0..n` expecting up to `bound` keys.
     pub fn new(n: usize, bound: usize) -> Self {
@@ -284,12 +339,12 @@ impl MassMap {
     }
 
     /// Number of distinct keys present (read phase). Dense mode counts
-    /// the touched bits, `O(n/64)` — call it at sequential points, not
-    /// per key.
+    /// the bits of the touched words, `O(n/4096 + touched words)` — call
+    /// it at sequential points, not per key.
     pub fn len(&self) -> usize {
         match &self.store {
             MassStore::Sparse(s) => s.len(),
-            MassStore::Dense(d) => d.touched.count_seq(),
+            MassStore::Dense(d) => d.len(),
         }
     }
 
@@ -475,14 +530,23 @@ mod tests {
         MassMap::with_dense_fraction(n, bound, 0.0)
     }
 
+    /// A map at the fraction `1/8`, so that the mode switch is testable.
+    fn eighth_map(n: usize, bound: usize) -> MassMap {
+        MassMap::with_dense_fraction(n, bound, 0.125)
+    }
+
     #[test]
     fn mode_selection_follows_threshold() {
-        let m = MassMap::new(1000, 10);
+        let m = eighth_map(1000, 10);
         assert!(!m.is_dense(), "10 < 1000/8");
-        let m = MassMap::new(1000, 125);
+        let m = eighth_map(1000, 125);
         assert!(m.is_dense(), "125 ≥ 1000/8");
         assert!(dense_map(10, 0).is_dense());
         assert!(!sparse_map(10, 10).is_dense());
+        assert!(
+            MassMap::new(1000, 0).is_dense(),
+            "the default is dense from the first key"
+        );
     }
 
     #[test]
@@ -524,7 +588,7 @@ mod tests {
     #[test]
     fn reset_switches_modes_and_reuses_buffers() {
         let pool = Pool::new(2);
-        let mut m = MassMap::new(800, 400); // 400 ≥ 100 → dense
+        let mut m = eighth_map(800, 400); // 400 ≥ 100 → dense
         assert!(m.is_dense());
         m.add(5, 1.0);
         m.reset(&pool, 10); // downgrade
@@ -540,7 +604,7 @@ mod tests {
     #[test]
     fn reserve_more_upgrades_and_migrates() {
         let pool = Pool::new(2);
-        let mut m = MassMap::new(1000, 50);
+        let mut m = eighth_map(1000, 50);
         assert!(!m.is_dense());
         for k in 0..50u32 {
             m.add(k * 3, k as f64);
@@ -629,6 +693,113 @@ mod tests {
             );
             let l1 = |m: &MassMap| m.l1_norm(&pool).to_bits();
             assert_eq!(l1(&m), l1(&fresh), "{what}");
+        }
+    }
+
+    /// The dense store of a dense map.
+    fn dense_of(m: &MassMap) -> &DenseMassVec {
+        match &m.store {
+            MassStore::Dense(d) => d,
+            MassStore::Sparse(_) => panic!("a dense map"),
+        }
+    }
+
+    /// 67 words — 66 full and one of 6 bits — under two summary words.
+    const SUMMARY_N: usize = 64 * 66 + 6;
+
+    /// The supports the summary tests fill: no key, one key, one word, and
+    /// at least one key in every word.
+    fn summary_supports() -> [(&'static str, Vec<u32>); 4] {
+        let n = SUMMARY_N as u32;
+        [
+            ("no key", vec![]),
+            ("one key", vec![n - 1]),
+            ("one word", (64 * 65..64 * 66).step_by(3).collect()),
+            (
+                "every word",
+                (0..n)
+                    .filter(|v| v % 37 == 0 || v % 64 == 63 || *v == n - 1)
+                    .collect(),
+            ),
+        ]
+    }
+
+    /// Fills a dense map with `keys` from `pool`'s writers, 16 keys per chunk.
+    fn fill_dense(pool: &Pool, keys: &[u32]) -> MassMap {
+        let m = dense_map(SUMMARY_N, 0);
+        pool.run(keys.len(), 16, |s, e| {
+            for &k in &keys[s..e] {
+                m.add(k, 1.0 / f64::from(k + 3));
+            }
+        });
+        m
+    }
+
+    /// What the summary serves — `len`, `keys`, `entries`, `l1_norm` — is,
+    /// bit for bit, what a full scan of the touched bits reads.
+    #[test]
+    fn the_summary_serves_what_a_full_scan_reads() {
+        for threads in [1, 2] {
+            let pool = Pool::new(threads);
+            for (what, keys) in summary_supports() {
+                let m = fill_dense(&pool, &keys);
+                let d = dense_of(&m);
+                let want = d.touched.to_sorted_ids(&pool);
+                assert_eq!(want, keys, "{what}");
+                let words: Vec<u32> = (0..d.touched.num_words() as u32)
+                    .filter(|&w| d.touched.word(w as usize) != 0)
+                    .collect();
+                assert_eq!(d.touched_words(&pool), words, "{what}");
+                assert_eq!(d.len(), want.len(), "{what}");
+                assert_eq!(m.len(), want.len(), "{what}");
+                assert_eq!(d.keys(&pool), want, "{what}");
+                let entries: Vec<(u32, f64)> = want.iter().map(|&k| (k, m.get(k))).collect();
+                assert_eq!(m.entries(&pool), entries, "{what}");
+                assert_eq!(m.entries_sorted(&pool), entries, "{what}");
+                let l1 = sum_f64_by_index(&pool, want.len(), 1 << 13, |i| m.get(want[i]));
+                assert_eq!(m.l1_norm(&pool).to_bits(), l1.to_bits(), "{what}");
+            }
+        }
+    }
+
+    /// A dense reset, and an owner of whole words zeroing their cells, the
+    /// words and then forgetting them (the push's walk), leave the store
+    /// clear — summary included — and ready for a refill.
+    #[test]
+    fn the_clean_and_the_walk_clear_the_summary() {
+        for threads in [1, 2] {
+            let pool = Pool::new(threads);
+            for (what, keys) in summary_supports() {
+                let mut m = fill_dense(&pool, &keys);
+                m.reset(&pool, 0);
+                assert!(dense_of(&m).is_clear(), "reset, {what}");
+                assert!(m.is_empty() && m.entries(&pool).is_empty(), "{what}");
+
+                let m = fill_dense(&pool, &keys);
+                let d = dense_of(&m);
+                let words = d.touched_words(&pool);
+                pool.run(words.len(), 1, |s, e| {
+                    for &w in &words[s..e] {
+                        let w = w as usize;
+                        ones(w, d.touched.word(w)).for_each(|v| d.cell(v).store(0.0));
+                        d.touched.store_word(w, 0);
+                    }
+                });
+                assert_eq!(
+                    d.is_clear(),
+                    words.is_empty(),
+                    "the summary remembers, {what}"
+                );
+                d.forget_words();
+                assert!(d.is_clear(), "walk, {what}");
+                pool.run(keys.len(), 16, |s, e| {
+                    keys[s..e]
+                        .iter()
+                        .for_each(|&k| m.add(k, 1.0 / f64::from(k + 3)));
+                });
+                let fresh = fill_dense(&pool, &keys);
+                assert_eq!(m.entries(&pool), fresh.entries(&pool), "refill, {what}");
+            }
         }
     }
 

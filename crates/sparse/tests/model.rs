@@ -195,8 +195,9 @@ proptest! {
         let sorted: Vec<u32> = map.entries_sorted(&pool).iter().map(|&(k, _)| k).collect();
         prop_assert_eq!(sorted, want);
 
-        // Recycle to a bound that may land in either mode.
-        let refit = MassMap::DEFAULT_DENSE_FRACTION;
+        // Recycle to a bound that may land in either mode at the fraction
+        // `1/8` (the default, `0`, always lands dense).
+        let refit = 0.125;
         map.recycle(&pool, N, bound, refit);
         let fresh = MassMap::with_dense_fraction(N, bound, refit);
         prop_assert_eq!(map.is_dense(), fresh.is_dense());

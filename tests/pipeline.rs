@@ -87,8 +87,8 @@ fn deterministic_algorithms_agree_across_thread_counts() {
 }
 
 /// rand-HK-PR is *exactly* thread-count independent (per-walk RNG) —
-/// also when it has fewer walks than `n/8`, so that its destination
-/// compaction runs on a hash table, and enough steps to fork.
+/// also with fewer walks than `n/8` (its destination compaction runs on a
+/// dense map whose keys far outnumber the walks), and enough steps to fork.
 #[test]
 fn rand_hkpr_bitwise_reproducible() {
     let g = plgc::graph::gen::barabasi_albert(3000, 4, 17);
@@ -117,7 +117,7 @@ fn rand_hkpr_bitwise_reproducible() {
     for threads in [1, 2, 4] {
         let pool = Pool::new(threads);
         let b = Algorithm::RandHkpr(params).diffuse(&pool, &g, &seed, &mut Workspace::new());
-        assert_eq!(a.p, b.p, "threads={threads}, sparse compaction");
+        assert_eq!(a.p, b.p, "threads={threads}, few walks");
         assert_eq!(
             pool.stats().loops_forked > 0,
             threads > 1,
