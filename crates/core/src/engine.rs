@@ -260,13 +260,20 @@ pub(crate) struct EngineCore {
 }
 
 impl EngineCore {
-    /// A core traversing per `dir` whose parked and in-flight workspaces
-    /// may hold `workspace_budget` bytes (the served paths size it with
-    /// [`default_workspace_budget`] from the graph's resident bytes).
-    pub(crate) fn new(pool: Arc<Pool>, dir: DirectionParams, workspace_budget: usize) -> Self {
+    /// A core for a graph of `n` vertices traversing per `dir` whose
+    /// parked and in-flight workspaces may hold `workspace_budget` bytes
+    /// (the served paths size it with [`default_workspace_budget`] from
+    /// the graph's resident bytes).
+    pub(crate) fn new(
+        pool: Arc<Pool>,
+        dir: DirectionParams,
+        workspace_budget: usize,
+        n: usize,
+    ) -> Self {
+        let threads = pool.num_threads();
         EngineCore {
             pool,
-            workspaces: WorkspacePool::new(dir, workspace_budget),
+            workspaces: WorkspacePool::new(dir, workspace_budget, n, threads),
             counters: LifecycleCounters::default(),
             summary: OnceLock::new(),
         }
@@ -326,7 +333,7 @@ impl<'g, B: CsrBackend> EngineBuilder<'g, B> {
             })
         });
         let budget = default_workspace_budget(self.g.memory_bytes());
-        let core = EngineCore::new(pool, self.dir, budget);
+        let core = EngineCore::new(pool, self.dir, budget, self.g.num_vertices());
         Engine {
             g: self.g,
             core: Arc::new(core),
@@ -923,6 +930,67 @@ mod tests {
         assert_eq!(maps(&engine), [false, false], "r and p on hash tables");
     }
 
+    /// A budget that cannot hold a dense-from-the-first-key workspace per
+    /// thread keeps the stores hashed below `n/8`: a point query whose
+    /// dense workspace is bigger than the whole budget still parks within
+    /// it, so governed queries keep being admitted (were the stores dense,
+    /// the first restore would lift the charge estimate past the budget and
+    /// refuse every later fresh checkout), and they return the dense run's
+    /// `p` and cluster.
+    #[test]
+    fn a_budget_too_small_for_dense_stores_keeps_admitting_point_queries() {
+        use lgc_sparse::MassMap;
+        let g = gen::grid_3d(32, 32, 32);
+        let n = g.num_vertices();
+        let q = Query::new(
+            Seed::single(0),
+            Algorithm::PrNibble(PrNibbleParams {
+                alpha: 0.1,
+                eps: 1e-4,
+                ..Default::default()
+            }),
+        );
+        let mut dense_ws = Workspace::new();
+        let pool = Pool::new(1);
+        let dense = try_run_query(
+            &pool,
+            &g,
+            &mut dense_ws,
+            &q.seed,
+            &q.algo,
+            &Checkpoint::unlimited(),
+        )
+        .unwrap_or_else(|_| unreachable!("an unlimited checkpoint never trips"));
+        assert!(dense_ws.mass_maps().iter().all(MassMap::is_dense));
+        let budget = 16 * n;
+        assert!(
+            dense_ws.resident_bytes() > budget,
+            "{} B",
+            dense_ws.resident_bytes()
+        );
+        let engine = Engine {
+            g: &g,
+            core: Arc::new(EngineCore::new(
+                Pool::shared(1),
+                DirectionParams::default(),
+                budget,
+                n,
+            )),
+        };
+        for round in 0..5 {
+            let got = engine
+                .try_run(&q)
+                .unwrap_or_else(|e| panic!("round {round}: {e}"));
+            assert_eq!(got.diffusion.p, dense.diffusion.p, "round {round}");
+            assert_eq!(got.cluster, dense.cluster, "round {round}");
+        }
+        assert_eq!(engine.warm_workspaces(), 1);
+        let ws = engine.core.workspaces.checkout();
+        assert!(ws.resident_bytes() <= budget, "{} B", ws.resident_bytes());
+        assert!(!ws.mass_maps().iter().any(MassMap::is_dense));
+        engine.core.workspaces.restore(ws, &engine.core.counters);
+    }
+
     /// An HK-PR query rerun through one engine is bit-identical, and the
     /// engine's summary is the graph's.
     #[test]
@@ -981,6 +1049,7 @@ mod tests {
                 Pool::shared(1),
                 DirectionParams::default(),
                 bytes,
+                g.num_vertices(),
             )),
         };
         let tiny = with_budget(1);

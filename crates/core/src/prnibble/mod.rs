@@ -75,8 +75,10 @@ pub struct PrNibbleParams {
     /// dense from the first key; a value in `(0, 1]` starts them as hash
     /// tables that upgrade once the per-iteration key bound reaches that
     /// fraction, and values `> 1.0` (e.g. `f64::INFINITY`) keep them hash
-    /// tables. Only affects the parallel algorithm, and never `p` or the
-    /// sweep: only the summation order of `residual_mass`.
+    /// tables. An engine whose workspace budget cannot hold dense stores
+    /// for each of its threads raises it to `1/8`. Only affects the
+    /// parallel algorithm, and never `p` or the sweep: only the summation
+    /// order of `residual_mass`.
     pub dense_frac: f64,
 }
 

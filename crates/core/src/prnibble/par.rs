@@ -50,7 +50,8 @@ use lgc_sparse::MassMap;
 /// Mass vectors live in [`MassMap`]s, direct-indexed dense arrays from the
 /// first key at the default `params.dense_frac = 0`; a positive fraction
 /// starts them as hash tables that upgrade once the per-iteration key bound
-/// crosses `params.dense_frac · n`.
+/// crosses `params.dense_frac · n` (as does `1/8` in an engine whose
+/// workspace budget cannot hold dense stores for each of its threads).
 ///
 /// The two mass maps, the frontier (with both of its bitsets) and the edge
 /// map's buffer come out of `ws` instead of being allocated — and every

@@ -224,7 +224,7 @@ impl Service {
         // Every graph of a service runs under the default direction policy.
         let dir = Default::default();
         let budget = default_workspace_budget(store.memory_bytes());
-        let core = Arc::new(EngineCore::new(pool, dir, budget));
+        let core = Arc::new(EngineCore::new(pool, dir, budget, store.num_vertices()));
         let entry = GraphEntry { name, store, core };
         match self.graphs.iter_mut().find(|e| e.name == entry.name) {
             Some(slot) => *slot = entry,

@@ -37,6 +37,7 @@ use crate::workspace::Workspace;
 use lgc_graph::CsrBackend;
 use lgc_ligra::{lane, Checkpoint, Trip};
 use lgc_parallel::{map_index, max_by, merge_sort_by, scan_exclusive, scan_inclusive, Pool};
+#[cfg(doc)]
 use lgc_sparse::MassMap;
 
 /// Adjacency entries per chunk of the lower-rank-neighbour count.
@@ -55,11 +56,12 @@ pub fn sweep_cut_par<B: CsrBackend>(pool: &Pool, g: &B, p: &[(u32, f64)]) -> Swe
 }
 
 /// [`sweep_cut_par`] over the engine's [`Workspace`]: the rank table is a
-/// dense [`MassMap`] checked out of the workspace and put back — one
-/// indexed load per lookup, in buffers the workspace already holds (a
-/// fresh workspace, as [`sweep_cut_par`] uses, allocates its `n` cells).
-/// Ranks are integers and lookups are keyed, never enumerated, so the
-/// table's mode cannot change any output bit.
+/// [`MassMap`] checked out of the workspace and put back — dense, one
+/// indexed load per lookup, when the workspace already holds its `n`
+/// cells (after a diffusion, or a sweep of a support `N ≥ n/8`), and a
+/// table sized to `N` below `n/8` over a fresh workspace, as
+/// [`sweep_cut_par`] uses. Ranks are integers and lookups are keyed,
+/// never enumerated, so the table's mode cannot change any output bit.
 ///
 /// The sweep is a single fused pipeline with no iterative refinement, so
 /// `cp` is consulted once on entry (its boundary): cancellation and
@@ -88,7 +90,7 @@ pub(crate) fn sweep_cut_par_ws<B: CsrBackend>(
 
     // rank[v] = 1-based position of v in the sweep order (exact in `f64`);
     // vertices outside the support read `0.0`.
-    let rank = ws.take_mass(pool, g.num_vertices(), n, MassMap::DEFAULT_DENSE_FRACTION);
+    let rank = ws.take_lookup(pool, g.num_vertices(), n);
     pool.run(n, 1024, |s, e| {
         for (i, &v) in order[s..e].iter().enumerate() {
             rank.set(v, (s + i + 1) as f64);
@@ -248,9 +250,10 @@ mod tests {
     #[test]
     fn warm_rank_table_serves_supports_of_every_size() {
         // One workspace, supports alternating below and above n/8, each
-        // past the fork threshold: the rank table is checked out dense from
-        // the same stack and recycled between sweeps of very different
-        // supports, and every sweep must still equal the sequential one.
+        // past the fork threshold: the first, cold, rank table is a hash
+        // table sized to its support, and once the workspace holds the
+        // table's `n` cells every later one reuses them densely; every
+        // sweep must still equal the sequential one.
         let g = gen::rand_local(60_000, 5, 3);
         let n = g.num_vertices();
         let pool = Pool::new(2);
@@ -268,6 +271,36 @@ mod tests {
             assert!(pool.stats().loops_forked > forked, "round {round} forks");
             assert_same(&sweep_cut_seq(&g, &p), &parr);
         }
+    }
+
+    #[test]
+    fn a_cold_rank_table_is_sized_to_its_support() {
+        // A fresh workspace, as `sweep_cut_par` uses, allocates no `n`
+        // cells for a small support; once a workspace holds them (here
+        // after a sweep of half the graph), small supports reuse them.
+        let g = gen::rand_local(4_000, 5, 3);
+        let n = g.num_vertices();
+        let pool = Pool::new(1);
+        let support = |step: usize| -> Vec<(u32, f64)> {
+            (0..n)
+                .step_by(step)
+                .map(|v| (v as u32, 1.0 / (v % 5 + 1) as f64))
+                .collect()
+        };
+        let (small, half) = (support(100), support(2));
+        let sweep = |p: &[(u32, f64)], ws: &mut Workspace| {
+            sweep_cut_par_ws(&pool, &g, p, ws, &Checkpoint::unlimited())
+                .unwrap_or_else(|_| unreachable!("an unlimited checkpoint never trips"))
+        };
+        let mut cold = Workspace::new();
+        let want = sweep(&small, &mut cold);
+        assert!(!cold.mass_maps()[0].holds_dense());
+        assert!(cold.resident_bytes() < 8 * n, "{} B", cold.resident_bytes());
+        let mut warm = Workspace::new();
+        sweep(&half, &mut warm);
+        assert!(warm.mass_maps()[0].is_dense());
+        assert_same(&want, &sweep(&small, &mut warm));
+        assert!(warm.mass_maps()[0].is_dense());
     }
 
     #[test]

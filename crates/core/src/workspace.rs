@@ -48,7 +48,23 @@ pub struct Workspace {
     /// accounting; `None` for free-function and transient (over-budget
     /// fallback) workspaces the pool is not accounting.
     charge: Option<usize>,
+    /// The least dense fraction this workspace's mass maps run at: `0`,
+    /// or [`HASHED_DENSE_FRACTION`] in a pool whose budget cannot hold
+    /// dense stores for each of its threads ([`WorkspacePool::new`]).
+    min_dense_frac: f64,
 }
+
+/// The dense fraction a store is raised to where `n`-cell stores from the
+/// first key cost more than they save: a hash table sized to the key
+/// bound until the bound reaches `n/8`.
+const HASHED_DENSE_FRACTION: f64 = 0.125;
+
+/// Resident bytes per vertex that a workspace whose stores are dense from
+/// the first key can reach on a local query: the push scratch and up to
+/// three `n`-cell stores (HK-PR's `r`, next `r` and `p`) at 8 bytes a cell
+/// plus their bits, and the frontiers' bits. Measured: HK-PR's 8.2 MiB,
+/// 33 bytes per vertex, on the 64³ torus (`n` = 262 144); rounded up.
+const DENSE_WORKSPACE_BYTES_PER_VERTEX: usize = 36;
 
 impl Workspace {
     /// An empty workspace under the default direction policy; buffers are
@@ -87,8 +103,14 @@ impl Workspace {
     }
 
     /// Checks out a mass map re-fitted exactly as
-    /// `MassMap::with_dense_fraction(n, bound, frac)` would build it.
+    /// `MassMap::with_dense_fraction(n, bound, frac)` would build it, with
+    /// `frac` raised to this workspace's floor: a pool whose budget cannot
+    /// hold dense stores for every thread keeps them hashed below `n/8`.
+    /// The floor moves no bit of `p`, a sweep or a cluster; the only
+    /// output it can change is PR-Nibble's `residual_mass`, summed in key
+    /// order over a dense `r` and in slot order over a hashed one.
     pub(crate) fn take_mass(&mut self, pool: &Pool, n: usize, bound: usize, frac: f64) -> MassMap {
+        let frac = frac.max(self.min_dense_frac);
         match self.mass.pop() {
             Some(mut m) => {
                 m.recycle(pool, n, bound, frac);
@@ -96,6 +118,23 @@ impl Workspace {
             }
             None => MassMap::with_dense_fraction(n, bound, frac),
         }
+    }
+
+    /// Checks out a table for keyed lookups, whose mode no output reads
+    /// (the sweep's ranks): as [`Workspace::take_mass`] at the default
+    /// fraction when the map it would recycle already holds `n` dense
+    /// cells, and hashed below `n/8` otherwise — so a one-shot call over a
+    /// fresh workspace allocates no `n` cells for a small support.
+    pub(crate) fn take_lookup(&mut self, pool: &Pool, n: usize, bound: usize) -> MassMap {
+        let warm = self
+            .mass
+            .last()
+            .is_some_and(|m| m.universe() == n && m.holds_dense());
+        let frac = match warm {
+            true => MassMap::DEFAULT_DENSE_FRACTION,
+            false => HASHED_DENSE_FRACTION,
+        };
+        self.take_mass(pool, n, bound, frac)
     }
 
     /// Returns a mass map to the pool (contents are cleared at the next
@@ -142,6 +181,8 @@ pub struct WorkspacePool {
     state: Mutex<PoolState>,
     dir: DirectionParams,
     budget: usize,
+    /// Every lent workspace's [`Workspace::min_dense_frac`].
+    min_dense_frac: f64,
 }
 
 #[derive(Default)]
@@ -193,10 +234,12 @@ impl std::error::Error for WorkspaceBudgetExceeded {}
 /// keeps small graphs unthrottled and the ceiling caps what any single
 /// graph can pin in a many-graph service.
 ///
-/// Query scratch does not scale with a diffusion's support: every mass
-/// store and the push scratch are `n`-cell dense arrays from the first
-/// key, so a workspace holds two to four of them whatever the query
-/// touches. Measured `Workspace::resident_bytes` after one query, and the
+/// Query scratch does not scale with a diffusion's support where the
+/// budget holds [`DENSE_WORKSPACE_BYTES_PER_VERTEX`] per vertex for each
+/// pool thread ([`WorkspacePool::new`]): every mass store and the push
+/// scratch are then `n`-cell dense arrays from the first key, so a
+/// workspace holds two to four of them whatever the query touches.
+/// Measured `Workspace::resident_bytes` after one query there, and the
 /// concurrent checkouts the budget admits at that size:
 ///
 /// | graph | budget | PR-Nibble | Nibble | HK-PR | rand-HK-PR | evolving set |
@@ -204,27 +247,42 @@ impl std::error::Error for WorkspaceBudgetExceeded {}
 /// | 64³ torus, `n` = 262 144 | 32 MiB (floor) | 6.1 MiB (5) | 6.1 MiB (5) | 8.2 MiB (3) | 2.8 MiB (11) | 4.1 MiB (7) |
 /// | randLocal, `n` = 300 000 | 54.3 MiB | 7.2–9.3 MiB (5–7) | 7.8 MiB (6) | 11.7 MiB (4) | 3.1 MiB (17) | 4.7 MiB (11) |
 ///
-/// On the torus the point queries' workspaces were 2.1–3.1 MiB (10–15
-/// checkouts) while their stores stayed hash tables; the saturating
-/// queries on randLocal ran dense either way and did not move.
+/// Elsewhere — a bigger graph, or more threads — the stores stay hash
+/// tables until their key bound reaches `n/8`, and a point query's
+/// workspace is the push scratch plus tables sized to its support: on the
+/// torus 2.1–3.1 MiB (10–15 checkouts). Saturating queries run dense
+/// either way.
 pub(crate) fn default_workspace_budget(graph_bytes: usize) -> usize {
     graph_bytes.saturating_mul(4).clamp(32 << 20, 1 << 30)
 }
 
 impl WorkspacePool {
-    /// An empty pool whose checkouts traverse per `dir`, admitting at
-    /// most `budget` resident scratch bytes at a time.
-    pub(crate) fn new(dir: DirectionParams, budget: usize) -> Self {
+    /// An empty pool for a graph of `n` vertices whose checkouts traverse
+    /// per `dir`, admitting at most `budget` resident scratch bytes at a
+    /// time. Its workspaces' stores run dense from the first key only if
+    /// the budget holds [`DENSE_WORKSPACE_BYTES_PER_VERTEX`] per vertex
+    /// for each of the `threads` that check them out at once; otherwise
+    /// hashed below `n/8`, so a point query's workspace stays the size of
+    /// its support and every thread keeps one within budget.
+    pub(crate) fn new(dir: DirectionParams, budget: usize, n: usize, threads: usize) -> Self {
+        let dense = n
+            .saturating_mul(DENSE_WORKSPACE_BYTES_PER_VERTEX)
+            .saturating_mul(threads)
+            <= budget;
         WorkspacePool {
             state: Mutex::new(PoolState::default()),
             dir,
             budget,
+            min_dense_frac: if dense { 0.0 } else { HASHED_DENSE_FRACTION },
         }
     }
 
     /// An empty workspace under the engine's direction policy.
     fn fresh(&self) -> Workspace {
-        Workspace::with_policy(self.dir)
+        Workspace {
+            min_dense_frac: self.min_dense_frac,
+            ..Workspace::with_policy(self.dir)
+        }
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, PoolState> {

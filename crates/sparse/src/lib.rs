@@ -54,6 +54,11 @@
 //!   proportional to the bound, the paper's strictly-local `o(n)`
 //!   footprint, at the price of a probe chain per operation.
 //!
+//! `lgc-core` raises the fraction to `1/8` where the `n` cells cost more
+//! than they save: in an engine whose workspace budget cannot hold dense
+//! stores for each of its threads, and for a sweep's rank table over a
+//! workspace that holds no `n` cells yet.
+//!
 //! `reserve_more` migrates live entries on a sparse → dense upgrade;
 //! `reset` just swaps (it empties anyway) and stashes dense buffers on a
 //! downgrade so later upgrades are allocation-free.

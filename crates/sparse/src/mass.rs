@@ -41,9 +41,12 @@
 //! never upgrades). The first dense checkout pays one `O(n)` allocation +
 //! zeroing; after that the buffers are cached in the map (even across
 //! downgrades) and in the workspace that holds it, and cleaning costs
-//! `O(n/4096 + touched words + support)`. Under an explicit `frac > 0` a
+//! `O(n/4096 + touched words + support)`. Under a fraction `> 0` a
 //! sparse map upgrades once its bound crosses `frac · n`, migrating its
-//! entries.
+//! entries. `lgc-core` asks for `1/8` where the `n` cells are not worth
+//! their bytes: in an engine whose workspace budget cannot hold dense
+//! stores for each of its threads, and for a sweep's rank table over a
+//! workspace that holds no `n` cells yet.
 //!
 //! # Phase-concurrency contract
 //!
@@ -317,6 +320,12 @@ impl MassMap {
     /// Whether the map currently runs on the dense backend.
     pub fn is_dense(&self) -> bool {
         matches!(self.store, MassStore::Dense(_))
+    }
+
+    /// Whether the map holds `n` dense cells, in service or stashed — so
+    /// that recycling it dense allocates nothing.
+    pub fn holds_dense(&self) -> bool {
+        self.is_dense() || self.spare_dense.is_some()
     }
 
     /// The vertex-universe size `n` fixed at construction.
