@@ -20,8 +20,8 @@
 #![cfg_attr(not(test), warn(clippy::disallowed_types))]
 
 use lgc_bench::{
-    fig10_claim, fig4_claim, hardware_threads, suite, suite_seed, table1_claim, time, time_best_of,
-    SuiteGraph,
+    evolving_claim, fig10_claim, fig4_claim, hardware_threads, suite, suite_seed, table1_claim,
+    time, time_best_of, SuiteGraph,
 };
 use lgc_core as lgc;
 use lgc_core::{Algorithm, Engine, LocalDiffusion, PrNibbleParams, PushRule, Seed, Workspace};
@@ -79,7 +79,8 @@ fn main() {
     let (graphs, gen_secs) = time(|| suite(quick));
     println!("# graph suite generated in {gen_secs:.1}s\n");
 
-    // Whether every checked claim held (`fig4`, `table1`, `fig10`).
+    // Whether every checked claim held (`fig4`, `table1`, `fig10`,
+    // `evolving`).
     let mut ok = true;
     match cmd {
         "table2" => table2(&graphs),
@@ -91,7 +92,7 @@ fn main() {
         "fig10" => ok = fig10(&graphs, max_threads),
         "fig11" => fig11(&graphs, max_threads),
         "fig12" => fig12(&graphs, max_threads),
-        "evolving" => evolving(&graphs, max_threads),
+        "evolving" => ok = evolving(&graphs, max_threads),
         "all" => {
             table2(&graphs);
             ok = fig4(&graphs);
@@ -102,7 +103,7 @@ fn main() {
             ok &= fig10(&graphs, max_threads);
             fig11(&graphs, max_threads);
             fig12(&graphs, max_threads);
-            evolving(&graphs, max_threads);
+            ok &= evolving(&graphs, max_threads);
         }
         other => {
             eprintln!("unknown subcommand {other:?}; try: table1 table2 table3 fig4 fig8 fig9 fig10 fig11 fig12 evolving all");
@@ -527,8 +528,11 @@ fn fig12(graphs: &[SuiteGraph], max_threads: usize) {
     println!("# paper: conductance dips at small community sizes then rises (social nets)\n");
 }
 
-/// The §5 evolving-set extension (exploratory, as in the paper).
-fn evolving(graphs: &[SuiteGraph], max_threads: usize) {
+/// The §5 evolving-set extension (exploratory, as in the paper). Returns
+/// whether the parallel process matched the sequential reference for every
+/// rng seed ([`evolving_claim`]); an rng seed for which it did not is named
+/// on stderr and `repro` exits 1.
+fn evolving(graphs: &[SuiteGraph], max_threads: usize) -> bool {
     println!("== Evolving sets (Section 5 extension) ==");
     let pool = Pool::new(max_threads);
     let sg = graphs
@@ -536,9 +540,10 @@ fn evolving(graphs: &[SuiteGraph], max_threads: usize) {
         .find(|s| s.name == "soc-lj-sim")
         .expect("suite graph");
     println!(
-        "{:<18} {:>8} {:>12} {:>10} {:>10}",
-        "run (rng seed)", "steps", "best |S|", "best phi", "time (ms)"
+        "{:<18} {:>8} {:>12} {:>10} {:>10} {:>10}",
+        "run (rng seed)", "steps", "best |S|", "best phi", "time (ms)", "seq (ms)"
     );
+    let mut ok = true;
     for rng_seed in 0..5u64 {
         let seed = Seed::single(suite_seed(&sg.graph));
         let p = lgc::EvolvingParams {
@@ -547,14 +552,22 @@ fn evolving(graphs: &[SuiteGraph], max_threads: usize) {
             ..Default::default()
         };
         let (res, secs) = time(|| lgc::evolving_set_par(&pool, &sg.graph, &seed, &p));
+        let (want, seq_secs) = time(|| lgc::evolving_set_seq(&sg.graph, &seed, &p));
         println!(
-            "{:<18} {:>8} {:>12} {:>10.5} {:>10.1}",
+            "{:<18} {:>8} {:>12} {:>10.5} {:>10.1} {:>10.1}",
             format!("{} (#{rng_seed})", sg.name),
             res.steps,
             res.best_set.len(),
             res.best_conductance,
-            secs * 1e3
+            secs * 1e3,
+            seq_secs * 1e3
         );
+        if let Err(why) = evolving_claim(&want, &res) {
+            eprintln!("evolving: rng seed {rng_seed}: {why}");
+            ok = false;
+        }
     }
+    println!("# checked: the parallel process takes the sequential steps to the same best set and phi bits");
     println!("# paper: \"behavior varies widely with the random choices\" — visible above\n");
+    ok
 }

@@ -1,7 +1,7 @@
 //! What `repro` is built from: the stand-in graph suite (Table 2
 //! analogue), timing helpers, and the paper's Table 1 claim, the
-//! deterministic half of its Figure 4 claim and its Figure 10 premise as
-//! checks.
+//! deterministic half of its Figure 4 claim, its Figure 10 premise and
+//! the agreement of the §5 evolving-set process's two forms as checks.
 //!
 //! The paper's evaluation graphs (SNAP social networks, Twitter, Yahoo
 //! web — up to 6.4B edges) cannot be shipped or held in this container.
@@ -16,7 +16,7 @@
 // Atomic orderings and hash containers only where a file says why.
 #![cfg_attr(not(test), warn(clippy::disallowed_types))]
 
-use lgc_core::SweepCut;
+use lgc_core::{EvolvingResult, SweepCut};
 use lgc_graph::{gen, Graph};
 use std::time::Instant;
 
@@ -163,6 +163,33 @@ pub fn fig10_claim(seq: &SweepCut, par: &SweepCut) -> Result<(), String> {
     Ok(())
 }
 
+/// The §5 evolving-set process run two ways for one rng seed: the
+/// parallel process takes the sequential reference's steps (the set size
+/// after each), reaches its best set and scores it with the same
+/// conductance bits. `Err` says which part differs.
+pub fn evolving_claim(seq: &EvolvingResult, par: &EvolvingResult) -> Result<(), String> {
+    if seq.sizes != par.sizes {
+        return Err(format!(
+            "the parallel process took {} steps with set sizes {:?}, the sequential {} with {:?}",
+            par.steps, par.sizes, seq.steps, seq.sizes
+        ));
+    }
+    if seq.best_set != par.best_set {
+        return Err(format!(
+            "the parallel best set's {} members are not the sequential best set's {}",
+            par.best_set.len(),
+            seq.best_set.len()
+        ));
+    }
+    if seq.best_conductance.to_bits() != par.best_conductance.to_bits() {
+        return Err(format!(
+            "parallel conductance {:e} is not the sequential {:e}",
+            par.best_conductance, seq.best_conductance
+        ));
+    }
+    Ok(())
+}
+
 /// Times a closure, returning `(result, seconds)`.
 pub fn time<R>(f: impl FnOnce() -> R) -> (R, f64) {
     let t0 = Instant::now();
@@ -218,6 +245,26 @@ mod tests {
         let e = fig4_claim(1000, 400, 0.2, 0.211).unwrap_err();
         assert!(e.contains("conductance"), "{e}");
         assert!(fig4_claim(1000, 400, 0.2, f64::NAN).is_err());
+    }
+
+    #[test]
+    fn evolving_claim_fires_on_each_part() {
+        let run = |sizes: Vec<usize>, best_set: Vec<u32>, best_conductance: f64| EvolvingResult {
+            steps: sizes.len() - 1,
+            sizes,
+            best_set,
+            best_conductance,
+            stats: Default::default(),
+        };
+        let seq = run(vec![1, 4, 3], vec![2, 5, 7], 0.25);
+        assert!(evolving_claim(&seq, &run(vec![1, 4, 3], vec![2, 5, 7], 0.25)).is_ok());
+        let e = evolving_claim(&seq, &run(vec![1, 4, 2], vec![2, 5, 7], 0.25)).unwrap_err();
+        assert!(e.contains("steps"), "{e}");
+        let e = evolving_claim(&seq, &run(vec![1, 4, 3], vec![2, 5, 8], 0.25)).unwrap_err();
+        assert!(e.contains("best set"), "{e}");
+        let next_up = f64::from_bits(0.25f64.to_bits() + 1);
+        let e = evolving_claim(&seq, &run(vec![1, 4, 3], vec![2, 5, 7], next_up)).unwrap_err();
+        assert!(e.contains("conductance"), "{e}");
     }
 
     #[test]

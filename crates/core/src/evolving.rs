@@ -22,7 +22,12 @@
 //! below 2⁵³, so the sequential and parallel versions, both traversal
 //! directions and both store modes agree bit for bit and follow the same
 //! random trajectory.
-//! The lowest-conductance set seen is tracked and returned.
+//! The lowest-conductance set seen is tracked and returned. The parallel
+//! form scores each `S′` from the frontier that holds it: one pass over
+//! its `vol(S′)` adjacency entries, each neighbor tested against `S′`'s
+//! own bitset, on the fork policy's lane for `|S′| + vol(S′)`; the set is
+//! copied out only when it is a new best. The sequential reference scores
+//! by [`CsrBackend::conductance`]; both count the same integers.
 //!
 //! Each step is one iteration of the shared frontier driver, with `S` as
 //! the frontier, so a step is charged like any other diffusion's iteration:
@@ -38,9 +43,9 @@ use crate::driver::drive;
 use crate::result::{Diffusion, DiffusionStats};
 use crate::seed::Seed;
 use crate::workspace::Workspace;
-use lgc_graph::CsrBackend;
-use lgc_ligra::{Absorb, Checkpoint, Tripped, VertexSubset};
-use lgc_parallel::Pool;
+use lgc_graph::{cut_conductance, CsrBackend};
+use lgc_ligra::{lane, Absorb, Checkpoint, Tripped, VertexSubset};
+use lgc_parallel::{map_chunks, Pool};
 use lgc_sparse::{MassMap, SparseVec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -129,7 +134,7 @@ pub fn evolving_set_seq<B: CsrBackend>(
 ) -> EvolvingResult {
     let mut rng = StdRng::seed_from_u64(params.rng_seed);
     let mut current: Vec<u32> = seed.vertices().to_vec();
-    let mut best = snapshot(g, &current);
+    let mut best = (current.clone(), g.conductance(&current));
     let mut sizes = vec![current.len()];
     let mut stats = DiffusionStats::default();
 
@@ -165,9 +170,9 @@ pub fn evolving_set_seq<B: CsrBackend>(
         if next.is_empty() || next.len() == g.num_vertices() {
             return finish(best, stats, sizes);
         }
-        let snap = snapshot(g, &next);
-        if snap.1 < best.1 {
-            best = snap;
+        let phi = g.conductance(&next);
+        if phi < best.1 {
+            best = (next.clone(), phi);
         }
         current = next;
     }
@@ -210,11 +215,12 @@ pub(crate) fn evolving_set_par_ws<B: CsrBackend>(
     cp: &Checkpoint,
 ) -> Result<EvolvingResult, Tripped<EvolvingResult>> {
     let mut rng = StdRng::seed_from_u64(params.rng_seed);
+    let n = g.num_vertices();
     let mut current = ws.take_frontier();
     current.advance(pool, seed.vertices().to_vec());
-    let mut best = snapshot(g, current.ids(pool));
+    let phi = conductance(pool, g, &mut current);
+    let mut best = (current.ids(pool).to_vec(), phi);
     let mut sizes = vec![current.len()];
-    let n = g.num_vertices();
     let mut inside = ws.take_mass(pool, n, 16, MassMap::DEFAULT_DENSE_FRACTION);
 
     // A step runs while the best set misses the target: a seed set that
@@ -225,16 +231,18 @@ pub(crate) fn evolving_set_par_ws<B: CsrBackend>(
     } else {
         params.max_steps
     };
-    let step = |pool: &Pool, k: usize, vol: usize, current: &mut VertexSubset| {
+    // The driver hands each step the lane for `S`; `S′` is scored on the
+    // lane for its own size, asked of the whole `pool`.
+    let step = |step_pool: &Pool, k: usize, vol: usize, current: &mut VertexSubset| {
         let u: f64 = rng.gen_range(f64::MIN_POSITIVE..=1.0);
-        inside.reset(pool, k + vol);
-        let members = current.ids(pool).to_vec();
+        inside.reset(step_pool, k + vol);
+        let members = current.ids(step_pool).to_vec();
         // Exact |N(v) ∩ S| counts for everything adjacent to S: every
         // member sends 1.0 along each of its edges, and holds a key of
         // `inside` itself, so the edge map asks `keep` of exactly S ∪ N(S)
         // (members with no S-neighbor still qualify through the lazy
         // self-loop ½ ≥ u half the time) and leaves S′ in `current`.
-        let staged = ws.spread.stage(pool, g, current, vol, |v| {
+        let staged = ws.spread.stage(step_pool, g, current, vol, |v| {
             inside.set(v, 0.0);
             1.0
         });
@@ -244,12 +252,12 @@ pub(crate) fn evolving_set_par_ws<B: CsrBackend>(
         };
         staged.absorb(Absorb::Sum, &mut inside, Some(keep));
         sizes.push(current.len());
-        if current.is_empty() || current.len() == g.num_vertices() {
+        if current.is_empty() || current.len() == n {
             return false;
         }
-        let snap = snapshot(g, current.ids(pool));
-        if snap.1 < best.1 {
-            best = snap;
+        let phi = conductance(pool, g, current);
+        if phi < best.1 {
+            best = (current.ids(pool).to_vec(), phi);
         }
         best.1 > target
     };
@@ -259,8 +267,28 @@ pub(crate) fn evolving_set_par_ws<B: CsrBackend>(
     Tripped::outcome(tripped, finish(best, stats, sizes))
 }
 
-fn snapshot<B: CsrBackend>(g: &B, set: &[u32]) -> (Vec<u32>, f64) {
-    (set.to_vec(), g.conductance(set))
+/// Adjacency entries a chunk of [`conductance`]'s boundary pass covers,
+/// on average.
+const EDGE_GRAIN: usize = 4096;
+
+/// `φ(S)` of the set `set` holds, from its own frontier: one pass over its
+/// `vol(S)` adjacency entries, each neighbor tested against the set's
+/// bitset, on the pool the fork policy picks for `|S| + vol(S)`. The
+/// counts are the integers [`CsrBackend::conductance`] counts, so the
+/// bits are its bits.
+fn conductance<B: CsrBackend>(pool: &Pool, g: &B, set: &mut VertexSubset) -> f64 {
+    let vol = set.volume(g);
+    let pool = lane(pool, set.len(), vol);
+    let (ids, bits) = set.ids_and_bits(pool, g.num_vertices());
+    let grain = (EDGE_GRAIN * ids.len()).div_ceil(vol.max(1));
+    let cuts = map_chunks(pool, ids.len(), grain, |s, e| {
+        let mut cut = 0u64;
+        for &v in &ids[s..e] {
+            g.for_each_neighbor(v, |w| cut += u64::from(!bits.contains(w)));
+        }
+        cut
+    });
+    cut_conductance(cuts.iter().sum(), vol as u64, g.total_degree() as u64)
 }
 
 fn finish(best: (Vec<u32>, f64), stats: DiffusionStats, sizes: Vec<usize>) -> EvolvingResult {
@@ -323,6 +351,52 @@ mod tests {
             assert_eq!(a.best_set, b.best_set);
             assert_eq!(a.best_conductance, b.best_conductance);
             assert_eq!(a.stats, b.stats);
+        }
+    }
+
+    /// The parallel process scores each set on its own frontier bits
+    /// (`conductance`) and the sequential reference by
+    /// `CsrBackend::conductance`; on four 300-vertex blocks from a
+    /// 600-vertex seed — `|S| + vol(S)` past `FORK_MIN_WORK` — both follow
+    /// one trajectory to one best set with one φ, at every thread count,
+    /// and the boundary pass forks wherever the pool has workers.
+    #[test]
+    fn frontier_scoring_matches_the_reference_past_the_fork_threshold() {
+        let (g, _) = gen::sbm(&[300; 4], 0.3, 0.01, 5);
+        let seed = Seed::set((0..600).collect());
+        let vol: usize = seed.vertices().iter().map(|&v| g.degree(v)).sum();
+        assert!(seed.vertices().len() + vol >= lgc_ligra::FORK_MIN_WORK);
+        for threads in [1, 2, 4] {
+            let pool = Pool::new(threads);
+            let mut set = VertexSubset::from_sorted(seed.vertices().to_vec());
+            let forked = pool.stats().loops_forked;
+            let phi = conductance(&pool, &g, &mut set);
+            assert_eq!(phi.to_bits(), g.conductance(seed.vertices()).to_bits());
+            assert_eq!(
+                pool.stats().loops_forked > forked,
+                threads > 1,
+                "t={threads}: the boundary pass forks"
+            );
+            for rng_seed in [1u64, 2, 3] {
+                let params = EvolvingParams {
+                    max_steps: 8,
+                    rng_seed,
+                    ..Default::default()
+                };
+                let want = evolving_set_seq(&g, &seed, &params);
+                assert!(want.steps > 0, "rng_seed={rng_seed}: the process stepped");
+                let got = evolving_set_par(&pool, &g, &seed, &params);
+                assert_eq!(got.sizes, want.sizes, "t={threads} rng_seed={rng_seed}");
+                assert_eq!(got.best_set, want.best_set);
+                assert_eq!(
+                    got.best_conductance.to_bits(),
+                    want.best_conductance.to_bits()
+                );
+                assert_eq!(
+                    got.best_conductance.to_bits(),
+                    g.conductance(&got.best_set).to_bits()
+                );
+            }
         }
     }
 

@@ -232,12 +232,6 @@ impl Service {
         }
     }
 
-    /// Unregisters a graph; returns its store if it was registered.
-    pub fn remove_graph(&mut self, name: &str) -> Option<GraphStore> {
-        let i = self.graphs.iter().position(|e| e.name == name)?;
-        Some(self.graphs.remove(i).store)
-    }
-
     fn entry(&self, name: &str) -> Option<&GraphEntry> {
         self.graphs.iter().find(|e| e.name == name)
     }
@@ -385,8 +379,6 @@ mod tests {
             .build();
         svc.add_graph("mid", gen::star(3));
         assert_eq!(svc.graph_names(), vec!["alpha", "mid", "zeta"]);
-        svc.remove_graph("mid");
-        assert_eq!(svc.graph_names(), vec!["alpha", "zeta"]);
     }
 
     #[test]
@@ -426,7 +418,7 @@ mod tests {
     }
 
     #[test]
-    fn hot_add_replace_and_remove() {
+    fn hot_add_and_replace() {
         let mut svc = two_graph_service(1);
         svc.add_graph("extra", gen::star(6));
         assert_eq!(svc.num_graphs(), 3);
@@ -435,10 +427,6 @@ mod tests {
         svc.add_graph("extra", gen::star(9));
         assert_eq!(svc.num_graphs(), 3);
         assert_eq!(svc.graph("extra").unwrap().num_vertices(), 9);
-        let removed = svc.remove_graph("extra").unwrap();
-        assert_eq!(removed.num_vertices(), 9);
-        assert_eq!(svc.num_graphs(), 2);
-        assert!(svc.remove_graph("extra").is_none());
     }
 
     #[test]

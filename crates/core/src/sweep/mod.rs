@@ -80,16 +80,3 @@ pub(crate) fn eligible_entries<B: lgc_graph::CsrBackend>(
         .collect();
     (scored, vol)
 }
-
-/// Conductance of a prefix given crossing edges, prefix volume and total
-/// degree; `+∞` when the denominator degenerates (empty set / whole
-/// graph), so such prefixes never win.
-#[inline]
-pub(crate) fn prefix_conductance(crossing: u64, vol: u64, total_degree: u64) -> f64 {
-    let denom = vol.min(total_degree - vol);
-    if denom == 0 {
-        f64::INFINITY
-    } else {
-        crossing as f64 / denom as f64
-    }
-}

@@ -32,9 +32,9 @@
 //! vertices, so a hub's adjacency is split across chunks instead of
 //! serializing one.
 
-use super::{eligible_entries, prefix_conductance, sweep_order_cmp, SweepCut};
+use super::{eligible_entries, sweep_order_cmp, SweepCut};
 use crate::workspace::Workspace;
-use lgc_graph::CsrBackend;
+use lgc_graph::{cut_conductance, CsrBackend};
 use lgc_ligra::{lane, Checkpoint, Trip};
 use lgc_parallel::{map_index, max_by, merge_sort_by, scan_exclusive, scan_inclusive, Pool};
 #[cfg(doc)]
@@ -157,7 +157,7 @@ pub(crate) fn sweep_cut_par_ws<B: CsrBackend>(
     let total_degree = g.total_degree() as u64;
     let conductances: Vec<f64> = map_index(pool, n, |i| {
         debug_assert!(crossing[i] >= 0, "crossing count must be non-negative");
-        prefix_conductance(crossing[i] as u64, vol_prefix[i], total_degree)
+        cut_conductance(crossing[i] as u64, vol_prefix[i], total_degree)
     });
     // "max" under the inverted comparator = first minimum.
     let (best_idx, best_phi) = max_by(pool, &conductances, |a, b| {

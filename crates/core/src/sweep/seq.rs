@@ -1,8 +1,8 @@
 //! Sequential sweep cut: sort, then incrementally maintain `vol(S)` and
 //! `∂(S)` while inserting vertices in order (§3.1's sequential algorithm).
 
-use super::{eligible_entries, prefix_conductance, sweep_order_cmp, SweepCut};
-use lgc_graph::CsrBackend;
+use super::{eligible_entries, sweep_order_cmp, SweepCut};
+use lgc_graph::{cut_conductance, CsrBackend};
 use lgc_sparse::SparseMap;
 
 /// Computes the sweep cut of `p` sequentially.
@@ -37,7 +37,7 @@ pub fn sweep_cut_seq<B: CsrBackend>(g: &B, p: &[(u32, f64)]) -> SweepCut {
             }
         });
         members.set(v, true);
-        let phi = prefix_conductance(crossing, vol, total_degree);
+        let phi = cut_conductance(crossing, vol, total_degree);
         conductances.push(phi);
         if phi < best.0 {
             best = (phi, i + 1);

@@ -53,7 +53,7 @@
 mod dinic;
 
 use dinic::{FlowNetwork, FlowWork};
-use lgc_graph::{induced_cut_subgraph, CsrBackend, CutSubgraph};
+use lgc_graph::{cut_conductance, induced_cut_subgraph, CsrBackend, CutSubgraph};
 use lgc_ligra::{Checkpoint, Trip, Tripped};
 
 /// Work performed by one [`improve`] call, in the flow solver's own
@@ -98,18 +98,6 @@ impl RefinedCut {
     /// Whether refinement strictly lowered the conductance.
     pub fn improved(&self) -> bool {
         self.conductance < self.initial_conductance
-    }
-}
-
-/// φ with the sweep's `min(vol, 2m − vol)` denominator, computed from
-/// the same integers — bit-identical to
-/// [`CsrBackend::conductance`] and the sweep's prefix conductances.
-fn phi(cut: u64, vol: u64, total_degree: u64) -> f64 {
-    let denom = vol.min(total_degree - vol);
-    if denom == 0 {
-        f64::INFINITY
-    } else {
-        cut as f64 / denom as f64
     }
 }
 
@@ -168,11 +156,11 @@ pub fn improve_guarded<B: CsrBackend>(
 
     let mut sub = induced_cut_subgraph(g, &current);
     let (mut c, mut a) = (sub.cut_size(), sub.volume());
-    let initial = phi(c, a, total);
+    let initial = cut_conductance(c, a, total);
     let mut stats = RefineStats::default();
     let done = |set: Vec<u32>, c: u64, a: u64, stats: RefineStats| RefinedCut {
         cluster: set,
-        conductance: phi(c, a, total),
+        conductance: cut_conductance(c, a, total),
         initial_conductance: initial,
         cut_edges: c,
         volume: a,

@@ -4,8 +4,11 @@
 //! The traversal kernels in `lgc-ligra` and the diffusions in `lgc-core`
 //! are generic over [`CsrBackend`], an access trait exposing exactly the
 //! surface they need: degrees, ascending-order neighbor iteration
-//! (whole-list, sub-range, and single-index forms), membership tests,
-//! and memory accounting. Two implementations ship:
+//! (whole-list, sub-range, and single-index forms) and memory
+//! accounting. The §2 set queries — `vol(S)`, `|∂(S)|` and `φ(S)` — are
+//! the trait's provided methods, written once over that surface, and every
+//! conductance in the workspace is [`cut_conductance`]. Two
+//! implementations ship:
 //!
 //! * [`Graph`] — offsets + flat `u32` adjacency, the
 //!   fastest random-access layout.
@@ -58,9 +61,6 @@ pub trait CsrBackend: Send + Sync {
     /// form the walk engines sample by.
     fn neighbor_at(&self, v: u32, k: usize) -> u32;
 
-    /// Whether `{u, v}` is an edge.
-    fn has_edge(&self, u: u32, v: u32) -> bool;
-
     /// Bytes held by the adjacency structure alone (the compressible
     /// part: excludes the per-vertex offset/degree indexes).
     fn adjacency_bytes(&self) -> usize;
@@ -73,51 +73,43 @@ pub trait CsrBackend: Send + Sync {
         set.iter().map(|&v| self.degree(v) as u64).sum()
     }
 
-    /// `|∂(S)|` — edges with exactly one endpoint in `S` (hash-set
-    /// utility; the sweep cut uses its own incremental computation).
-    #[expect(
-        clippy::disallowed_types,
-        reason = "membership only, never iterated; the evolving-set process calls this every step, and a sorted `Vec` with binary search made it 1.2-1.5x slower"
-    )]
+    /// `|∂(S)|` — edges with exactly one endpoint in `S`, membership
+    /// checked against a sorted copy of the set (`O(|S| log |S| + vol(S)
+    /// log |S|)`). The sweep and the evolving-set process count their
+    /// sets' boundaries their own way, from the same integers.
     fn boundary_size(&self, set: &[u32]) -> u64 {
-        let members: std::collections::HashSet<u32> = set.iter().copied().collect();
+        let mut members = set.to_vec();
+        members.sort_unstable();
         let mut crossing = 0u64;
         for &v in set {
             self.for_each_neighbor(v, |w| {
-                if !members.contains(&w) {
-                    crossing += 1;
-                }
+                crossing += u64::from(members.binary_search(&w).is_err());
             });
         }
         crossing
     }
 
-    /// Conductance `φ(S) = |∂(S)| / min(vol(S), 2m − vol(S))` (§2);
-    /// `+∞` for degenerate sets (empty, isolated-only, the whole graph).
+    /// Conductance `φ(S)` (§2), by [`cut_conductance`] over
+    /// [`boundary_size`](Self::boundary_size) and [`volume`](Self::volume).
     fn conductance(&self, set: &[u32]) -> f64 {
         let vol = self.volume(set);
-        let rest = self.total_degree() as u64 - vol;
-        let denom = vol.min(rest);
-        if denom == 0 {
-            return f64::INFINITY;
-        }
-        self.boundary_size(set) as f64 / denom as f64
+        cut_conductance(self.boundary_size(set), vol, self.total_degree() as u64)
     }
+}
 
-    /// Maximum degree in the graph.
-    fn max_degree(&self) -> usize {
-        (0..self.num_vertices() as u32)
-            .map(|v| self.degree(v))
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// The neighbors of `v` materialized into a `Vec` (test/debug
-    /// convenience — hot paths use the streaming forms).
-    fn neighbors_vec(&self, v: u32) -> Vec<u32> {
-        let mut out = Vec::with_capacity(self.degree(v));
-        self.for_each_neighbor(v, |w| out.push(w));
-        out
+/// Conductance `φ(S) = |∂(S)| / min(vol(S), 2m − vol(S))` (§2) from the
+/// cut's integers: `cut = |∂(S)|`, `vol = vol(S)` and `total_degree = 2m`.
+/// `+∞` when the denominator is zero — the empty set, a set of isolated
+/// vertices, the whole graph — so such sets never win a sweep. Every
+/// conductance in the workspace is this one division, so two callers that
+/// count the same integers agree bit for bit.
+#[inline]
+pub fn cut_conductance(cut: u64, vol: u64, total_degree: u64) -> f64 {
+    let denom = vol.min(total_degree - vol);
+    if denom == 0 {
+        f64::INFINITY
+    } else {
+        cut as f64 / denom as f64
     }
 }
 
@@ -161,33 +153,12 @@ impl CsrBackend for Graph {
         self.neighbors(v)[k]
     }
 
-    #[inline]
-    fn has_edge(&self, u: u32, v: u32) -> bool {
-        Graph::has_edge(self, u, v)
-    }
-
     fn adjacency_bytes(&self) -> usize {
         self.total_degree() * std::mem::size_of::<u32>()
     }
 
     fn memory_bytes(&self) -> usize {
         Graph::memory_bytes(self)
-    }
-
-    fn volume(&self, set: &[u32]) -> u64 {
-        Graph::volume(self, set)
-    }
-
-    fn boundary_size(&self, set: &[u32]) -> u64 {
-        Graph::boundary_size(self, set)
-    }
-
-    fn conductance(&self, set: &[u32]) -> f64 {
-        Graph::conductance(self, set)
-    }
-
-    fn max_degree(&self) -> usize {
-        Graph::max_degree(self)
     }
 }
 
@@ -585,30 +556,6 @@ impl CsrBackend for CsrCompressed {
         }
     }
 
-    fn has_edge(&self, u: u32, v: u32) -> bool {
-        let d = self.degrees[u as usize];
-        if d == 0 {
-            return false;
-        }
-        let mut pos = self.offsets[u as usize];
-        let data = self.data.as_ptr();
-        // SAFETY: at most `d` entries decoded, as above.
-        unsafe {
-            let mut cur = (u as i64 + unzigzag(read_varint_unchecked(data, &mut pos))) as u32;
-            if cur == v {
-                return true;
-            }
-            let mut dec = GapDecoder::new(pos);
-            for _ in 1..d {
-                cur += dec.next(data);
-                if cur >= v {
-                    return cur == v; // ascending order: safe to stop early
-                }
-            }
-        }
-        false
-    }
-
     fn adjacency_bytes(&self) -> usize {
         // The logical stream bytes (excludes the decoder padding).
         self.offsets[self.degrees.len()]
@@ -640,10 +587,11 @@ mod tests {
         assert_eq!(CsrBackend::num_vertices(&c), Graph::num_vertices(g));
         assert_eq!(CsrBackend::num_edges(&c), Graph::num_edges(g));
         assert_eq!(CsrBackend::total_degree(&c), Graph::total_degree(g));
-        assert_eq!(CsrBackend::max_degree(&c), Graph::max_degree(g));
         for v in 0..Graph::num_vertices(g) as u32 {
             assert_eq!(CsrBackend::degree(&c, v), Graph::degree(g, v), "v={v}");
-            assert_eq!(c.neighbors_vec(v), g.neighbors(v), "v={v}");
+            let mut all = Vec::new();
+            c.for_each_neighbor(v, |w| all.push(w));
+            assert_eq!(all, g.neighbors(v), "v={v}");
             for (k, &w) in g.neighbors(v).iter().enumerate() {
                 assert_eq!(CsrBackend::neighbor_at(&c, v, k), w);
             }
@@ -664,19 +612,22 @@ mod tests {
         }
     }
 
+    /// The §2 set queries on a 0-1-2 triangle with a 2-3 tail, through
+    /// the trait's provided methods.
     #[test]
-    fn has_edge_agrees_including_absent_pairs() {
-        let g = gen::rand_local(120, 4, 5);
-        let c = CsrCompressed::from_graph(&g);
-        for u in 0..120u32 {
-            for v in 0..120u32 {
-                assert_eq!(
-                    CsrBackend::has_edge(&c, u, v),
-                    Graph::has_edge(&g, u, v),
-                    "({u},{v})"
-                );
-            }
-        }
+    fn volume_boundary_conductance() {
+        let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 0), (2, 3)]);
+        assert_eq!(g.volume(&[0, 1]), 4);
+        // ∂({0,1}) = {0-2, 1-2}; φ({0,1}) = 2 / min(4, 8-4) = 0.5
+        assert_eq!(g.boundary_size(&[0, 1]), 2);
+        assert_eq!(g.conductance(&[0, 1]), 0.5);
+        // φ({3}) = 1 / min(1, 7) = 1
+        assert_eq!(g.conductance(&[3]), 1.0);
+        assert!(g.conductance(&[]).is_infinite());
+        assert!(g.conductance(&[0, 1, 2, 3]).is_infinite());
+        assert_eq!(cut_conductance(2, 4, 8), 0.5);
+        assert!(cut_conductance(0, 0, 8).is_infinite());
+        assert!(cut_conductance(0, 8, 8).is_infinite());
     }
 
     #[test]

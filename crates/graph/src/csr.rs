@@ -53,63 +53,10 @@ impl Graph {
         &self.adj[self.offsets[vi]..self.offsets[vi + 1]]
     }
 
-    /// Whether `{u, v}` is an edge (binary search, `O(log d(u))`).
-    pub fn has_edge(&self, u: u32, v: u32) -> bool {
-        self.neighbors(u).binary_search(&v).is_ok()
-    }
-
-    /// `vol(S) = Σ_{v∈S} d(v)`.
-    pub fn volume(&self, set: &[u32]) -> u64 {
-        set.iter().map(|&v| self.degree(v) as u64).sum()
-    }
-
-    /// `|∂(S)|` — the number of edges with exactly one endpoint in `S`.
-    /// Utility implementation (hash-set membership); the sweep cut uses
-    /// its own incremental/parallel computation.
-    #[expect(
-        clippy::disallowed_types,
-        reason = "membership only, never iterated; the evolving-set process calls this every step, and a sorted `Vec` with binary search made it 1.2-1.5x slower"
-    )]
-    pub fn boundary_size(&self, set: &[u32]) -> u64 {
-        let members: std::collections::HashSet<u32> = set.iter().copied().collect();
-        let mut crossing = 0u64;
-        for &v in set {
-            for &w in self.neighbors(v) {
-                if !members.contains(&w) {
-                    crossing += 1;
-                }
-            }
-        }
-        crossing
-    }
-
-    /// Conductance `φ(S) = |∂(S)| / min(vol(S), 2m − vol(S))` (§2).
-    ///
-    /// Degenerate cases: if `min(vol, 2m − vol) = 0` (the empty set, a set
-    /// of isolated vertices, or the whole graph) the conductance is
-    /// defined as `+∞` so such sets never win a sweep.
-    pub fn conductance(&self, set: &[u32]) -> f64 {
-        let vol = self.volume(set);
-        let rest = self.total_degree() as u64 - vol;
-        let denom = vol.min(rest);
-        if denom == 0 {
-            return f64::INFINITY;
-        }
-        self.boundary_size(set) as f64 / denom as f64
-    }
-
     /// Total resident bytes of the CSR arrays (offsets + adjacency).
     pub fn memory_bytes(&self) -> usize {
         self.offsets.len() * std::mem::size_of::<usize>()
             + self.adj.len() * std::mem::size_of::<u32>()
-    }
-
-    /// Maximum degree in the graph.
-    pub fn max_degree(&self) -> usize {
-        (0..self.num_vertices() as u32)
-            .map(|v| self.degree(v))
-            .max()
-            .unwrap_or(0)
     }
 
     /// The subgraph induced on `keep` (sorted, duplicate-free vertex ids),
@@ -266,29 +213,11 @@ mod tests {
     }
 
     #[test]
-    fn has_edge_both_directions() {
+    fn edges_are_stored_in_both_directions() {
         let g = triangle_plus_tail();
-        assert!(g.has_edge(0, 1));
-        assert!(g.has_edge(1, 0));
-        assert!(!g.has_edge(0, 3));
-    }
-
-    #[test]
-    fn volume_boundary_conductance() {
-        let g = triangle_plus_tail();
-        assert_eq!(g.volume(&[0, 1]), 4);
-        assert_eq!(g.boundary_size(&[0, 1]), 2); // 0-2 and 1-2
-                                                 // φ({0,1}) = 2 / min(4, 8-4) = 0.5
-        assert_eq!(g.conductance(&[0, 1]), 0.5);
-        // φ({3}) = 1 / min(1, 7) = 1
-        assert_eq!(g.conductance(&[3]), 1.0);
-    }
-
-    #[test]
-    fn degenerate_conductance_is_infinite() {
-        let g = triangle_plus_tail();
-        assert!(g.conductance(&[]).is_infinite());
-        assert!(g.conductance(&[0, 1, 2, 3]).is_infinite());
+        assert!(g.neighbors(0).binary_search(&1).is_ok());
+        assert!(g.neighbors(1).binary_search(&0).is_ok());
+        assert!(g.neighbors(0).binary_search(&3).is_err());
     }
 
     #[test]
@@ -314,7 +243,7 @@ mod tests {
         assert_eq!(sub.num_vertices(), 3);
         // Only edge {0,1} survives; 3's edge went to removed vertex 2.
         assert_eq!(sub.num_edges(), 1);
-        assert!(sub.has_edge(0, 1));
+        assert!(sub.neighbors(0).binary_search(&1).is_ok());
         assert_eq!(sub.degree(2), 0);
     }
 
@@ -333,7 +262,7 @@ mod tests {
         let g = Graph::from_edges(3, &[]);
         assert_eq!(g.num_edges(), 0);
         assert_eq!(g.degree(0), 0);
-        assert_eq!(g.max_degree(), 0);
+        assert_eq!(crate::stats::GraphSummary::of(&g).max_degree, 0);
         assert!(g.neighbors(1).is_empty());
     }
 }

@@ -2,7 +2,7 @@
 //! graph (symmetric, sorted, loop-free) and conductance must stay in
 //! range on arbitrary vertex sets.
 
-use lgc_graph::{gen, Graph};
+use lgc_graph::{gen, CsrBackend, Graph};
 use proptest::prelude::*;
 
 /// Structural invariants every clean undirected CSR graph satisfies.
@@ -20,7 +20,10 @@ fn assert_well_formed(g: &Graph) {
         );
         // symmetry
         for &w in nbrs {
-            assert!(g.has_edge(w, v), "missing reverse edge {w}->{v}");
+            assert!(
+                g.neighbors(w).binary_search(&v).is_ok(),
+                "missing reverse edge {w}->{v}"
+            );
         }
     }
     assert_eq!(total, g.total_degree());

@@ -193,6 +193,16 @@ impl VertexSubset {
         bits
     }
 
+    /// The sorted member ids and the dense view over `0..n` together,
+    /// building whichever is missing ([`VertexSubset::ids`],
+    /// [`VertexSubset::bits`]) — for a pass over the members' adjacency
+    /// that tests each neighbor for membership.
+    pub fn ids_and_bits(&mut self, pool: &Pool, n: usize) -> (&[u32], &Bitset) {
+        self.bits(pool, n);
+        self.ids(pool);
+        (&self.ids, self.bits.as_ref().expect("built above"))
+    }
+
     /// Empties the subset while keeping its allocated bitsets for later
     /// reuse — the buffer-recycling hook for workspace pools that check
     /// frontiers out across queries. Costs `O(len)` (clearing the members'
@@ -317,7 +327,9 @@ pub fn edge_map<B: CsrBackend>(
 /// The one constant of the fork policy, in units of `|F| + vol(F)`: an
 /// iteration with less work than this runs as the one-thread code. The
 /// rationale and the calibration are under "The fork policy" on
-/// [`EdgeSpread`].
+/// [`EdgeSpread`]. It was calibrated on a 2-vCPU host with 2-wide pools
+/// only; what a fork costs against a wider pool's share of the work is
+/// unmeasured, so the constant is not known to hold at `T > 2`.
 pub const FORK_MIN_WORK: usize = 32_768;
 
 /// The fork policy's one predicate: the pool a step over `len` vertices and
@@ -677,9 +689,10 @@ fn walk<B: CsrBackend>(
 /// as the one-thread code; at or above it, the caller's pool, unchanged.
 /// [`EdgeSpread::stage`] asks it for the edge map; a diffusion asks it with
 /// the same `k` and `vol` for the steps it wraps around the edge map
-/// (store resets, commits, filters), the sweep with `N` and `vol(S_N)`, a
-/// diffusion's tail with the number of entries it packs and sums, and
-/// [`edge_map`] for itself. The rule reads counts and one constant
+/// (store resets, commits, filters), the sweep with `N` and `vol(S_N)`,
+/// the evolving-set process with `|S′|` and `vol(S′)` for scoring each new
+/// set, a diffusion's tail with the number of entries it packs and sums,
+/// and [`edge_map`] for itself. The rule reads counts and one constant
 /// — no clock, not the pool's width, not who else is in the pool — so its
 /// answers repeat exactly, and because an iteration on the workerless pool
 /// is bit for bit that iteration at one thread, no result depends on them:

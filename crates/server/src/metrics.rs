@@ -15,6 +15,7 @@
 use crate::wire::Priority;
 use lgc_core::Service;
 use parking_lot::Mutex;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 #[expect(
     clippy::disallowed_types,
@@ -111,15 +112,12 @@ pub struct ClassMetrics {
 /// Whole-server metrics registry. One instance per server; shared with
 /// every connection and executor via `Arc`.
 #[derive(Default)]
-#[expect(
-    clippy::disallowed_types,
-    reason = "the per-(tenant, class) map is read in hash order only by `sorted_slots`, which sorts what it reads"
-)]
 pub struct ServerMetrics {
-    /// Lazily-created per-(tenant, class) slots. The mutex guards only
-    /// slot creation/lookup; the hot recording path clones the `Arc`
+    /// Lazily-created per-(tenant, class) slots: tenants in name order,
+    /// each with its two classes at [`Priority::index`]. The mutex guards
+    /// only slot creation/lookup; the hot recording path clones the `Arc`
     /// once per request and then touches atomics only.
-    classes: Mutex<std::collections::HashMap<(String, Priority), Arc<ClassMetrics>>>,
+    classes: Mutex<BTreeMap<String, [Option<Arc<ClassMetrics>>; 2]>>,
     /// Connections accepted over the server's lifetime.
     pub connections_opened: AtomicU64,
     /// Connections fully torn down.
@@ -138,24 +136,29 @@ impl ServerMetrics {
     /// The metrics slot for `(tenant, class)`, creating it on first use.
     pub fn class(&self, tenant: &str, class: Priority) -> Arc<ClassMetrics> {
         let mut map = self.classes.lock();
-        if let Some(m) = map.get(&(tenant.to_string(), class)) {
-            return Arc::clone(m);
+        if let Some(slots) = map.get_mut(tenant) {
+            return Arc::clone(slots[class.index()].get_or_insert_with(Arc::default));
         }
         let m = Arc::new(ClassMetrics::default());
-        map.insert((tenant.to_string(), class), Arc::clone(&m));
+        let mut slots = [None, None];
+        slots[class.index()] = Some(Arc::clone(&m));
+        map.insert(tenant.to_owned(), slots);
         m
     }
 
-    /// Snapshot of all slots, sorted by (tenant, class) for stable
-    /// rendering.
-    fn sorted_slots(&self) -> Vec<((String, Priority), Arc<ClassMetrics>)> {
+    /// Snapshot of all slots in (tenant, class) order — the map's own
+    /// order — for stable rendering.
+    fn slots(&self) -> Vec<(String, Priority, Arc<ClassMetrics>)> {
         let map = self.classes.lock();
-        let mut v: Vec<_> = map
-            .iter()
-            .map(|(k, m)| (k.clone(), Arc::clone(m)))
-            .collect();
-        v.sort_by(|a, b| (a.0 .0.as_str(), a.0 .1.index()).cmp(&(b.0 .0.as_str(), b.0 .1.index())));
-        v
+        let mut out = Vec::with_capacity(2 * map.len());
+        for (tenant, slots) in map.iter() {
+            for class in [Priority::Interactive, Priority::Bulk] {
+                if let Some(m) = &slots[class.index()] {
+                    out.push((tenant.clone(), class, Arc::clone(m)));
+                }
+            }
+        }
+        out
     }
 
     /// Renders the full metrics page in Prometheus text exposition
@@ -271,7 +274,7 @@ impl ServerMetrics {
             "Server-side latency quantiles of completed queries (log2-bucket upper bounds).",
             "summary",
         );
-        for ((tenant, class), m) in self.sorted_slots() {
+        for (tenant, class, m) in self.slots() {
             let labels = format!("tenant=\"{tenant}\",class=\"{}\"", class.label());
             let _ = writeln!(
                 &mut out,
@@ -481,6 +484,48 @@ mod tests {
         assert_eq!(b.completed.load(Ordering::Relaxed), 3);
         let c = m.class("g", Priority::Bulk);
         assert_eq!(c.completed.load(Ordering::Relaxed), 0);
+    }
+
+    /// The page lists tenants by name and each tenant's classes
+    /// interactive-first, whatever order their slots were created in.
+    #[test]
+    fn render_is_independent_of_slot_creation_order() {
+        let svc = Service::builder().threads(1).build();
+        let slots = [
+            ("beta", Priority::Bulk),
+            ("alpha", Priority::Interactive),
+            ("beta", Priority::Interactive),
+            ("gamma", Priority::Bulk),
+            ("alpha", Priority::Bulk),
+        ];
+        let page = |order: &[usize]| {
+            let m = ServerMetrics::default();
+            for &i in order {
+                let (tenant, class) = slots[i];
+                let c = m.class(tenant, class);
+                c.completed.fetch_add(i as u64 + 1, Ordering::Relaxed);
+                c.latency.record(Duration::from_micros(100 << i));
+            }
+            m.render(&svc, [(0, 64), (0, 256)])
+        };
+        let want = page(&[0, 1, 2, 3, 4]);
+        for order in [[4, 3, 2, 1, 0], [2, 0, 4, 1, 3], [3, 4, 1, 0, 2]] {
+            assert_eq!(page(&order), want, "creation order {order:?}");
+        }
+        let rows: Vec<&str> = want
+            .lines()
+            .filter(|l| l.contains("outcome=\"completed\""))
+            .collect();
+        assert_eq!(
+            rows,
+            [
+                "lgc_queries_total{tenant=\"alpha\",class=\"interactive\",outcome=\"completed\"} 2",
+                "lgc_queries_total{tenant=\"alpha\",class=\"bulk\",outcome=\"completed\"} 5",
+                "lgc_queries_total{tenant=\"beta\",class=\"interactive\",outcome=\"completed\"} 3",
+                "lgc_queries_total{tenant=\"beta\",class=\"bulk\",outcome=\"completed\"} 1",
+                "lgc_queries_total{tenant=\"gamma\",class=\"bulk\",outcome=\"completed\"} 4",
+            ]
+        );
     }
 
     #[test]

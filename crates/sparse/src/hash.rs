@@ -4,7 +4,7 @@
 /// (the SplitMix64 finalizer). Linear probing requires strong avalanche
 /// behaviour — sequential vertex ids must not cluster into runs.
 #[inline]
-pub fn hash_u32(key: u32) -> u64 {
+pub(crate) fn hash_u32(key: u32) -> u64 {
     let mut x = (key as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

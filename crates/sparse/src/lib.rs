@@ -95,7 +95,6 @@ mod mass;
 mod seq;
 
 pub use conc::ConcurrentSparseVec;
-pub use hash::hash_u32;
 pub use mass::{DenseMassVec, MassMap};
 pub use seq::{SparseMap, SparseVec};
 

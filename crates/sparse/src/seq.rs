@@ -72,12 +72,6 @@ impl<V: Copy> SparseMap<V> {
         self.slot_of(key).map_or(self.zero, |i| self.vals[i])
     }
 
-    /// Returns the value for `key` if present.
-    #[inline]
-    pub fn get_opt(&self, key: u32) -> Option<V> {
-        self.slot_of(key).map(|i| self.vals[i])
-    }
-
     /// Whether `key` is present.
     #[inline]
     pub fn contains(&self, key: u32) -> bool {
@@ -178,7 +172,6 @@ mod tests {
     fn missing_keys_read_as_zero() {
         let m = SparseVec::new_f64();
         assert_eq!(m.get(42), 0.0);
-        assert_eq!(m.get_opt(42), None);
         assert!(!m.contains(42));
         assert!(m.is_empty());
     }

@@ -214,7 +214,7 @@
 //! SBM, refined):
 //!
 //! ```
-//! use plgc::{Algorithm, Engine, PrNibbleParams, Query, Seed};
+//! use plgc::{Algorithm, CsrBackend, Engine, PrNibbleParams, Query, Seed};
 //!
 //! // Two 12-cliques joined by one bridge edge {0, 12}.
 //! let g = plgc::graph::gen::two_cliques_bridge(12);

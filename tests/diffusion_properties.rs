@@ -2,7 +2,7 @@
 //! seeds, parameters, and thread counts.
 
 use plgc::cluster as lgc;
-use plgc::{Algorithm, LocalDiffusion, Pool, Seed, Workspace};
+use plgc::{Algorithm, CsrBackend, LocalDiffusion, Pool, Seed, Workspace};
 use proptest::prelude::*;
 
 fn small_graph() -> impl Strategy<Value = (plgc::Graph, u32)> {

@@ -657,8 +657,9 @@ proptest! {
     /// a 4-wide engine return the one-thread result bit for bit, cold and
     /// warm, over both backends. The traversal is pinned to pulls, whose
     /// sums do not depend on the thread count (a forked *push* adds in
-    /// scheduler order); `residual_mass` is summed in hash-slot order and
-    /// stays tiered.
+    /// scheduler order); `residual_mass` is summed in key order over a
+    /// dense store (in slot order only in an engine whose budget keeps its
+    /// stores hashed) and stays tiered.
     #[test]
     fn queries_straddling_the_fork_threshold_return_the_one_thread_bits(
         (g, seeds) in small_graph_of(12_000..20_000),

@@ -14,7 +14,9 @@
 //!   refinement counters.
 
 use plgc::cluster as lgc;
-use plgc::{Algorithm, Engine, Pool, Query, QueryBudget, QueryError, Seed, Trip, Tripped};
+use plgc::{
+    Algorithm, CsrBackend, Engine, Pool, Query, QueryBudget, QueryError, Seed, Trip, Tripped,
+};
 use proptest::prelude::*;
 
 fn small_graph() -> impl Strategy<Value = (plgc::Graph, Vec<u32>)> {
